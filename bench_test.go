@@ -122,6 +122,7 @@ func BenchmarkExecuteQ1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx := exec.NewContext()
@@ -153,6 +154,7 @@ func BenchmarkHashJoinExecution(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := exec.Run(root, exec.NewContext()); err != nil {
@@ -221,6 +223,7 @@ func parallelBenchPlan(b *testing.B, cat *catalog.Catalog, q string) plan.Node {
 func benchParallelQuery(b *testing.B, cat *catalog.Catalog, q string) {
 	b.Run("serial", func(b *testing.B) {
 		root := parallelBenchPlan(b, cat, q)
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := exec.Run(root, exec.NewContext()); err != nil {
@@ -232,6 +235,7 @@ func benchParallelQuery(b *testing.B, cat *catalog.Catalog, q string) {
 		b.Run(fmt.Sprintf("dop%d", dop), func(b *testing.B) {
 			root := parallelBenchPlan(b, cat, q)
 			plan.MarkParallel(root, exec.ParallelMinRows)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ctx := exec.NewContext()

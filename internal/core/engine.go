@@ -603,7 +603,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 	default:
 		var root plan.Node
 		if e.Cache != nil && text != "" {
-			cachedRoot, _, hit, err := e.Cache.Plan(e, text, params)
+			cachedRoot, hit, err := e.Cache.Plan(e, text, bq, params)
 			if err != nil {
 				return nil, err
 			}

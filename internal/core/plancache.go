@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"rqp/internal/plan"
-	"rqp/internal/sql"
 	"rqp/internal/types"
 )
 
@@ -18,6 +17,7 @@ import (
 // on. Parameterized queries are always re-optimized: their index bounds
 // bake parameter values, so blind reuse would be exactly the
 // literals-vs-parameters fragility the equivalence sessions warn about.
+// One cache is shared by every session of a server.
 type PlanCache struct {
 	mu sync.Mutex
 	// RevalidateEvery n-th execution re-optimizes a cached plan (0 = never
@@ -29,7 +29,6 @@ type PlanCache struct {
 }
 
 type cacheEntry struct {
-	query *plan.Query
 	root  plan.Node
 	sig   string
 	execs int
@@ -67,83 +66,58 @@ func normalizeText(q string) string {
 	return strings.Join(strings.Fields(strings.ToLower(q)), " ")
 }
 
-// Plan returns an executable plan for the SELECT text, consulting the
-// cache. The boolean reports whether the plan came from the cache.
-func (pc *PlanCache) Plan(e *Engine, query string, params []types.Value) (plan.Node, *plan.Query, bool, error) {
-	compile := func() (plan.Node, *plan.Query, error) {
-		st, err := sql.Parse(query)
-		if err != nil {
-			return nil, nil, err
-		}
-		sel, ok := st.(*sql.SelectStmt)
-		if !ok {
-			return nil, nil, errNotSelect
-		}
-		bq, err := plan.Bind(sel, e.Cat)
-		if err != nil {
-			return nil, nil, err
-		}
+// Plan returns an executable plan for the SELECT whose text is query and
+// whose bound form is bq — the caller has already parsed and bound the
+// statement, so a miss (or a revalidation) only optimizes. The boolean
+// reports whether the plan came from the cache. Safe for concurrent use:
+// every read and update of an entry and of the counters happens under the
+// cache's lock; optimization runs outside it.
+func (pc *PlanCache) Plan(e *Engine, query string, bq *plan.Query, params []types.Value) (plan.Node, bool, error) {
+	if bq.NumParams > 0 {
+		pc.mu.Lock()
+		pc.stats.Uncacheable++
+		pc.mu.Unlock()
 		root, err := e.Opt.Optimize(bq, params)
-		if err != nil {
-			return nil, nil, err
-		}
-		return root, bq, nil
+		return root, false, err
 	}
-
 	key := normalizeText(query)
 	pc.mu.Lock()
 	entry, hit := pc.entries[key]
-	pc.mu.Unlock()
-
+	revalidate := false
 	if hit {
 		entry.execs++
-		if entry.query.NumParams > 0 {
-			// Defensive: parameterized plans never land in the cache, but a
-			// racing insert is still recompiled rather than reused.
-			pc.bump(func(s *PlanCacheStats) { s.Uncacheable++ })
-			root, bq, err := compile()
-			return root, bq, false, err
-		}
-		if pc.RevalidateEvery > 0 && entry.execs%pc.RevalidateEvery == 0 {
-			root, bq, err := compile()
-			if err != nil {
-				return nil, nil, false, err
-			}
-			sig := plan.PlanSignature(root)
-			pc.bump(func(s *PlanCacheStats) {
-				s.Revalidations++
-				if sig != entry.sig {
-					s.PlanChanges++
-				}
-			})
-			pc.mu.Lock()
-			pc.entries[key] = &cacheEntry{query: bq, root: root, sig: sig, execs: entry.execs}
+		revalidate = pc.RevalidateEvery > 0 && entry.execs%pc.RevalidateEvery == 0
+		if !revalidate {
+			pc.stats.Hits++
+			root := entry.root
 			pc.mu.Unlock()
-			return root, bq, false, nil
+			return root, true, nil
 		}
-		pc.bump(func(s *PlanCacheStats) { s.Hits++ })
-		return entry.root, entry.query, true, nil
 	}
+	pc.mu.Unlock()
 
-	root, bq, err := compile()
+	root, err := e.Opt.Optimize(bq, params)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
-	if bq.NumParams > 0 {
-		pc.bump(func(s *PlanCacheStats) { s.Uncacheable++ })
-		return root, bq, false, nil
+	sig := plan.PlanSignature(root)
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if !revalidate {
+		pc.stats.Misses++
+		pc.entries[key] = &cacheEntry{root: root, sig: sig, execs: 1}
+		return root, false, nil
 	}
-	pc.bump(func(s *PlanCacheStats) { s.Misses++ })
-	pc.mu.Lock()
-	pc.entries[key] = &cacheEntry{query: bq, root: root, sig: plan.PlanSignature(root), execs: 1}
-	pc.mu.Unlock()
-	return root, bq, false, nil
-}
-
-func (pc *PlanCache) bump(f func(*PlanCacheStats)) {
-	pc.mu.Lock()
-	f(&pc.stats)
-	pc.mu.Unlock()
+	pc.stats.Revalidations++
+	if sig != entry.sig {
+		pc.stats.PlanChanges++
+	}
+	// The entry is updated in place only if it is still the cached one: an
+	// Invalidate (or a racing miss) since the lookup wins.
+	if pc.entries[key] == entry {
+		entry.root, entry.sig = root, sig
+	}
+	return root, false, nil
 }
 
 // Invalidate drops all cached plans (DDL and ANALYZE call this).
@@ -152,9 +126,3 @@ func (pc *PlanCache) Invalidate() {
 	defer pc.mu.Unlock()
 	pc.entries = map[string]*cacheEntry{}
 }
-
-type notSelectError struct{}
-
-func (notSelectError) Error() string { return "core: plan cache handles SELECT only" }
-
-var errNotSelect = notSelectError{}

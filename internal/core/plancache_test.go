@@ -1,8 +1,11 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
+	"rqp/internal/plan"
+	"rqp/internal/sql"
 	"rqp/internal/types"
 )
 
@@ -120,5 +123,49 @@ func TestPlanCacheDisabledByDefault(t *testing.T) {
 	}
 	if e.Cache != nil {
 		t.Error("cache should be opt-in")
+	}
+}
+
+// TestPlanCacheConcurrentSessions hammers one cached entry from two
+// goroutines, the way two server sessions sending the same text do. Under
+// -race this pins that the entry's execution count, the revalidation test
+// and the counters are all read and written under the cache's lock; the
+// counter identities pin that no execution was lost or double-counted.
+func TestPlanCacheConcurrentSessions(t *testing.T) {
+	e := cacheEngine(t)
+	const q = "SELECT COUNT(*) FROM pc WHERE v = 7"
+	const perSession = 300
+	e.MustExec(q) // the miss that creates the entry
+	var wg sync.WaitGroup
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := sql.Parse(q)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < perSession; i++ {
+				bq, err := plan.Bind(st.(*sql.SelectStmt), e.Cat)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, err := e.Cache.Plan(e, q, bq, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := e.Cache.Stats()
+	// Executions 2..601 of the entry: every third one revalidates.
+	if st.Misses != 1 || st.Hits+st.Revalidations != 2*perSession || st.Revalidations != (2*perSession+1)/3 {
+		t.Errorf("stats after %d concurrent executions: %+v", 2*perSession, st)
+	}
+	if e.Cache.Len() != 1 {
+		t.Errorf("cache entries = %d", e.Cache.Len())
 	}
 }

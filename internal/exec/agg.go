@@ -6,6 +6,7 @@ import (
 
 	"rqp/internal/expr"
 	"rqp/internal/plan"
+	"rqp/internal/storage"
 	"rqp/internal/types"
 )
 
@@ -166,19 +167,32 @@ func (h *hashAgg) Open() error {
 	if len(order) == 0 && len(h.node.GroupExprs) == 0 {
 		order = append(order, &group{states: make([]aggState, len(h.node.Aggs))})
 	}
-	sortGroups(order)
-	h.out = make([]types.Row, 0, len(order))
-	for _, g := range order {
-		h.ctx.Clock.RowWork(1)
-		row := make(types.Row, 0, len(g.key)+len(g.states))
-		row = append(row, g.key...)
-		for i := range g.states {
-			row = append(row, g.states[i].result(h.node.Aggs[i]))
-		}
-		h.out = append(h.out, row)
-	}
+	h.out = groupRows(h.ctx.Clock, h.node, order)
 	h.pos = 0
 	return nil
+}
+
+// groupRows is the output step every hash aggregation (serial, batch,
+// morsel) shares: sort the groups on the key — the deterministic output
+// order — and lay each out as key‖aggregates in one slab, charging one unit
+// of row work per group.
+func groupRows(clk *storage.Clock, node *plan.AggNode, order []*group) []types.Row {
+	sort.SliceStable(order, func(i, j int) bool {
+		return compareKeys(order[i].key, order[j].key) < 0
+	})
+	w := len(node.GroupExprs) + len(node.Aggs)
+	slab := make([]types.Value, 0, len(order)*w)
+	out := make([]types.Row, 0, len(order))
+	for _, g := range order {
+		clk.RowWork(1)
+		off := len(slab)
+		slab = append(slab, g.key...)
+		for i := range g.states {
+			slab = append(slab, g.states[i].result(node.Aggs[i]))
+		}
+		out = append(out, types.Row(slab[off:len(slab):len(slab)]))
+	}
+	return out
 }
 
 // accumGroup folds one input row into a group's aggregate states.
@@ -214,14 +228,6 @@ func accumGroupFns(g *group, node *plan.AggNode, fns []expr.EvalFn, r types.Row,
 	return nil
 }
 
-// sortGroups orders groups by key — the deterministic output order every
-// aggregation path (serial, parallel, batch) shares.
-func sortGroups(order []*group) {
-	sort.SliceStable(order, func(i, j int) bool {
-		return compareKeys(order[i].key, order[j].key) < 0
-	})
-}
-
 func rowsEqual(a, b []types.Value) bool {
 	if len(a) != len(b) {
 		return false
@@ -255,13 +261,15 @@ type streamAgg struct {
 	node  *plan.AggNode
 	child Operator
 
-	curKey     []types.Value
+	key        []types.Value // scratch: the current input row's group key
+	curKey     []types.Value // nil while no group is open
 	curStates  []aggState
 	done       bool
 	emittedAny bool
 }
 
 func (s *streamAgg) Open() error {
+	s.key = make([]types.Value, len(s.node.GroupExprs))
 	s.curKey = nil
 	s.done = false
 	s.emittedAny = false
@@ -285,19 +293,18 @@ func (s *streamAgg) Next() (types.Row, bool, error) {
 			return nil, false, nil
 		}
 		s.ctx.Clock.Compares(1)
-		key := make([]types.Value, len(s.node.GroupExprs))
 		for i, ge := range s.node.GroupExprs {
 			v, err := ge.Eval(r, s.ctx.Params)
 			if err != nil {
 				return nil, false, err
 			}
-			key[i] = v
+			s.key[i] = v
 		}
 		if s.curKey == nil {
-			s.startGroup(key)
-		} else if !rowsEqual(s.curKey, key) {
+			s.startGroup()
+		} else if !rowsEqual(s.curKey, s.key) {
 			out := s.emit()
-			s.startGroup(key)
+			s.startGroup()
 			if err := s.accumulate(r); err != nil {
 				return nil, false, err
 			}
@@ -309,8 +316,10 @@ func (s *streamAgg) Next() (types.Row, bool, error) {
 	}
 }
 
-func (s *streamAgg) startGroup(key []types.Value) {
-	s.curKey = key
+// startGroup opens a group on the scratch key (copied: non-nil even when
+// there are no group expressions, since nil means no open group).
+func (s *streamAgg) startGroup() {
+	s.curKey = append(make([]types.Value, 0, len(s.key)), s.key...)
 	s.curStates = make([]aggState, len(s.node.Aggs))
 }
 
@@ -347,19 +356,22 @@ func (s *streamAgg) emit() types.Row {
 
 func (s *streamAgg) Close() error { return s.child.Close() }
 
-// distinctOp removes duplicates via hashing.
+// distinctOp removes duplicates via hashing: the rows seen so far sit in
+// an arena, indexed by a joinTable keyed on the whole row.
 type distinctOp struct {
 	ctx   *Context
 	child Operator
-	seen  map[uint64][]types.Row
+	seen  *joinTable
+	arena rowArena
 }
 
 func (d *distinctOp) Open() error {
-	d.seen = map[uint64][]types.Row{}
+	d.seen = newJoinTable(nil)
 	return d.child.Open()
 }
 
 func (d *distinctOp) Next() (types.Row, bool, error) {
+next:
 	for {
 		r, ok, err := d.child.Next()
 		if err != nil || !ok {
@@ -367,18 +379,13 @@ func (d *distinctOp) Next() (types.Row, bool, error) {
 		}
 		d.ctx.Clock.Probes(1)
 		h := types.HashRow(r)
-		dup := false
-		for _, cand := range d.seen[h] {
-			if rowsEqual(cand, r) {
-				dup = true
-				break
+		for i := d.seen.first(h); i >= 0; i = d.seen.after(i, h) {
+			if rowsEqual(d.seen.rows[i], r) {
+				continue next
 			}
 		}
-		if dup {
-			continue
-		}
-		c := r.Clone()
-		d.seen[h] = append(d.seen[h], c)
+		c := d.arena.copy(r)
+		d.seen.add(c, h)
 		return c, true, nil
 	}
 }
@@ -416,14 +423,18 @@ func (f *filterOp) Next() (types.Row, bool, error) {
 
 func (f *filterOp) Close() error { return f.child.Close() }
 
-// projectOp computes output expressions.
+// projectOp computes output expressions into one reused output row.
 type projectOp struct {
 	ctx   *Context
 	exprs []expr.Expr
 	child Operator
+	out   types.Row
 }
 
-func (p *projectOp) Open() error { return p.child.Open() }
+func (p *projectOp) Open() error {
+	p.out = make(types.Row, len(p.exprs))
+	return p.child.Open()
+}
 
 func (p *projectOp) Next() (types.Row, bool, error) {
 	r, ok, err := p.child.Next()
@@ -431,15 +442,14 @@ func (p *projectOp) Next() (types.Row, bool, error) {
 		return nil, false, err
 	}
 	p.ctx.Clock.RowWork(1)
-	out := make(types.Row, len(p.exprs))
 	for i, e := range p.exprs {
 		v, err := e.Eval(r, p.ctx.Params)
 		if err != nil {
 			return nil, false, err
 		}
-		out[i] = v
+		p.out[i] = v
 	}
-	return out, true, nil
+	return p.out, true, nil
 }
 
 func (p *projectOp) Close() error { return p.child.Close() }

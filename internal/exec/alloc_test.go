@@ -1,0 +1,211 @@
+package exec
+
+import (
+	"testing"
+
+	"rqp/internal/catalog"
+	"rqp/internal/plan"
+	"rqp/internal/types"
+	"rqp/internal/workload"
+)
+
+// Allocation ceilings of the join and materialisation kernel, on TPC-H-lite
+// orders ⋈ lineitem (1 500 build rows, 6 000 probe and output rows). The
+// numbers are ceilings, not measurements: the kernel allocates per chunk,
+// per table and per morsel, never per row, so every ratio sits an order of
+// magnitude under its pin and a per-row allocation sneaking back in (a
+// Row.Clone, a key slice, a bucket append) breaks the pin at once.
+const (
+	maxAllocsPerBuildRow = 0.1
+	maxAllocsPerProbeRow = 0.05
+	maxAllocsPerDrainRow = 0.05
+)
+
+const allocJoinQuery = `SELECT o_orderkey, o_totalprice, l_quantity, l_extendedprice
+	FROM lineitem, orders WHERE l_orderkey = o_orderkey`
+
+func allocCatalog(t *testing.T) *catalog.Catalog {
+	t.Helper()
+	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// allocJoinPlan plans the join with orders as the build side.
+func allocJoinPlan(t *testing.T, cat *catalog.Catalog) (root plan.Node, join *plan.JoinNode) {
+	t.Helper()
+	root = parallelPlanFor(t, cat, allocJoinQuery)
+	plan.Walk(root, func(n plan.Node) {
+		if j, ok := n.(*plan.JoinNode); ok {
+			join = j
+		}
+	})
+	if join == nil {
+		t.Fatal("no join in plan")
+	}
+	if sc, ok := join.Kids[1].(*plan.ScanNode); !ok || sc.Table.Name != "orders" {
+		t.Fatalf("build side is not a scan of orders:\n%s", plan.Explain(root))
+	}
+	return root, join
+}
+
+func tableRows(t *testing.T, cat *catalog.Catalog, name string) float64 {
+	t.Helper()
+	tab, ok := cat.Table(name)
+	if !ok {
+		t.Fatalf("no table %s", name)
+	}
+	return float64(tab.Heap.NumRows())
+}
+
+func TestAllocCeilingDrain(t *testing.T) {
+	cat := allocCatalog(t)
+	li, _ := cat.Table("lineitem")
+	scan := &plan.ScanNode{Base: plan.Base{Out: li.Schema}, Table: li}
+	n := tableRows(t, cat, "lineitem")
+	for _, tc := range []struct {
+		name string
+		run  func() ([]types.Row, error)
+	}{
+		{"drain", func() ([]types.Row, error) { return drain(&seqScan{ctx: NewContext(), node: scan}) }},
+		{"Run", func() ([]types.Row, error) { return Run(scan, NewContext()) }},
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			rows, err := tc.run()
+			if err != nil || float64(len(rows)) != n {
+				t.Fatalf("%s: %d rows, %v", tc.name, len(rows), err)
+			}
+		})
+		if per := allocs / n; per > maxAllocsPerDrainRow {
+			t.Errorf("%s of %v rows: %v allocations, %.4f per row (ceiling %v)", tc.name, n, allocs, per, maxAllocsPerDrainRow)
+		}
+	}
+}
+
+func TestAllocCeilingHashBuild(t *testing.T) {
+	cat := allocCatalog(t)
+	_, join := allocJoinPlan(t, cat)
+	n := tableRows(t, cat, "orders")
+	builds := map[string]func(){
+		"serial": func() { // hashJoin and batchHashJoin: drain, then hashBuild.open
+			ctx := NewContext()
+			right, err := build(join.Kids[1], ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := drain(right)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := hashBuild{ctx: ctx, node: join}
+			b.open(rows)
+			if b.spill != nil || len(b.tab.rows) != int(n) {
+				t.Fatalf("built %d rows, spill=%v", len(b.tab.rows), b.spill != nil)
+			}
+			b.release()
+		},
+		"dop2": func() { // parallelHashJoin: drain, then hashing in morsels
+			ctx := NewContext()
+			ctx.DOP = 2
+			pj, err := buildParallelJoin(join, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pj.openBuild(); err != nil {
+				t.Fatal(err)
+			}
+			if pj.spill != nil || len(pj.tab.rows) != int(n) {
+				t.Fatalf("built %d rows, spill=%v", len(pj.tab.rows), pj.spill != nil)
+			}
+			pj.release()
+		},
+	}
+	for name, fn := range builds {
+		allocs := testing.AllocsPerRun(5, fn)
+		if per := allocs / n; per > maxAllocsPerBuildRow {
+			t.Errorf("%s build of %v rows: %v allocations, %.4f per row (ceiling %v)", name, n, allocs, per, maxAllocsPerBuildRow)
+		}
+	}
+}
+
+// TestAllocCeilingJoin runs the whole join — build, probe, projection and
+// the root drain — on the row, batch and DOP-2 paths. Beyond the build's
+// allowance, everything is amortised over the probe rows.
+func TestAllocCeilingJoin(t *testing.T) {
+	cat := allocCatalog(t)
+	nBuild, nProbe := tableRows(t, cat, "orders"), tableRows(t, cat, "lineitem")
+	ceiling := maxAllocsPerBuildRow*nBuild + (maxAllocsPerProbeRow+maxAllocsPerDrainRow)*nProbe
+	for _, tc := range []struct {
+		name string
+		mark func(plan.Node)
+		ctx  func() *Context
+	}{
+		{"row", func(plan.Node) {}, NewContext},
+		{"batch", func(n plan.Node) { plan.MarkVectorized(n) }, func() *Context {
+			ctx := NewContext()
+			ctx.Vec = true
+			return ctx
+		}},
+		{"dop2", func(n plan.Node) { plan.MarkParallel(n, 1) }, func() *Context {
+			ctx := NewContext()
+			ctx.DOP = 2
+			return ctx
+		}},
+	} {
+		root, _ := allocJoinPlan(t, cat)
+		tc.mark(root)
+		allocs := testing.AllocsPerRun(5, func() {
+			rows, err := Run(root, tc.ctx())
+			if err != nil || float64(len(rows)) != nProbe {
+				t.Fatalf("%s: %d rows, %v", tc.name, len(rows), err)
+			}
+		})
+		t.Logf("%s: %v allocations for %v ⋈ %v rows", tc.name, allocs, nBuild, nProbe)
+		if allocs > ceiling {
+			t.Errorf("%s join: %v allocations, ceiling %v (%v/build row + %v/probe row + %v/result row)",
+				tc.name, allocs, ceiling, maxAllocsPerBuildRow, maxAllocsPerProbeRow, maxAllocsPerDrainRow)
+		}
+	}
+}
+
+// TestAllocCeilingProbe isolates the probe loop: once a prober exists,
+// probing allocates nothing at all, matches or not.
+func TestAllocCeilingProbe(t *testing.T) {
+	cat := allocCatalog(t)
+	_, join := allocJoinPlan(t, cat)
+	ctx := NewContext()
+	right, err := build(join.Kids[1], ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := drain(right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probeRows, err := Run(join.Kids[0], NewContext())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := hashBuild{ctx: ctx, node: join}
+	b.open(rows)
+	defer b.release()
+	p := b.prober()
+	emitted := 0
+	count := func(types.Row) error { emitted++; return nil }
+	allocs := testing.AllocsPerRun(3, func() {
+		emitted = 0
+		for _, lr := range probeRows {
+			if err := p.each(ctx.Clock, lr, count); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if emitted != len(probeRows) {
+		t.Fatalf("probe emitted %d rows for %d probe rows", emitted, len(probeRows))
+	}
+	if per := allocs / float64(len(probeRows)); per > maxAllocsPerProbeRow {
+		t.Errorf("probing %d rows: %v allocations, %.4f per row (ceiling %v)", len(probeRows), allocs, per, maxAllocsPerProbeRow)
+	}
+}

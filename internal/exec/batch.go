@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"errors"
-
 	"rqp/internal/expr"
 	"rqp/internal/obs"
 	"rqp/internal/plan"
@@ -17,8 +15,10 @@ const BatchRows = 256
 
 // Batch is a column-agnostic row batch with a selection vector: Sel lists
 // the indices of live rows in Rows, in order. Operators refill a batch in
-// place; its contents are valid only until the producer's next NextBatch
-// call (the Volcano validity contract, batched).
+// place; its contents — the Rows slice and every row in it — are valid only
+// until the producer's next NextBatch or Close (the Operator row-ownership
+// contract, batched): producers back a batch's rows with one reused slab,
+// and a consumer that keeps a row copies it (rowArena).
 type Batch struct {
 	Rows []types.Row
 	Sel  []int
@@ -30,7 +30,9 @@ func (b *Batch) Len() int { return len(b.Sel) }
 // BatchOperator is the vectorized iterator interface. NextBatch refills b
 // and returns the number of selected rows; zero means the input is
 // exhausted — operators loop internally past fully filtered batches, so a
-// non-zero return always carries at least one live row.
+// non-zero return always carries at least one live row. Row ownership is
+// Operator's, per batch: what NextBatch put in b is the operator's and is
+// valid only until the next call (NextBatch or Close) on it.
 type BatchOperator interface {
 	Open() error
 	NextBatch(b *Batch) (int, error)
@@ -83,54 +85,6 @@ func (a *batchAdapter) Next() (types.Row, bool, error) {
 }
 
 func (a *batchAdapter) Close() error { return a.b.Close() }
-
-// runBatchesCancelable drains a batch subtree to completion, materializing
-// each output batch into one value slab instead of cloning row by row — the
-// batch-native top of Run when the whole plan vectorized. Output values are
-// identical to runOp over the adapter; only the allocation pattern differs.
-// A non-nil ctx.Canceled is checked once per drained batch (a batch is
-// already the row path's cancelCheckRows-scale unit of work); nil ctx or
-// hook polls nothing.
-func runBatchesCancelable(op BatchOperator, ctx *Context) ([]types.Row, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	var out []types.Row
-	var buf Batch
-	for {
-		if ctx != nil && ctx.Canceled != nil && ctx.Canceled() {
-			err := ErrCanceled
-			if cerr := op.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return nil, err
-		}
-		n, err := op.NextBatch(&buf)
-		if err != nil {
-			if cerr := op.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return nil, err
-		}
-		if n == 0 {
-			break
-		}
-		total := 0
-		for _, i := range buf.Sel {
-			total += len(buf.Rows[i])
-		}
-		slab := make([]types.Value, total)
-		off := 0
-		for _, i := range buf.Sel {
-			r := buf.Rows[i]
-			dst := slab[off : off+len(r) : off+len(r)]
-			copy(dst, r)
-			off += len(r)
-			out = append(out, types.Row(dst))
-		}
-	}
-	return out, op.Close()
-}
 
 // countedBatch is the batch-path counterpart of counted: it records the
 // node's actual output cardinality, fires the feedback hook and (when
@@ -257,7 +211,7 @@ func buildBatch(n plan.Node, ctx *Context) (BatchOperator, error) {
 		if err != nil {
 			return nil, err
 		}
-		op = &batchHashJoin{ctx: ctx, node: node, left: left, right: right}
+		op = &batchHashJoin{hashBuild: hashBuild{ctx: ctx, node: node}, left: left, right: right}
 	case *plan.AggNode:
 		if node.Alg != plan.AggHash {
 			return nil, nil
@@ -274,7 +228,7 @@ func buildBatch(n plan.Node, ctx *Context) (BatchOperator, error) {
 	if ctx.Trace != nil {
 		span = ctx.Trace.SpanOf(n)
 	}
-	return &countedBatch{b: op, node: n, ctx: ctx, span: span}, nil
+	return wrapBatchOp(&countedBatch{b: op, node: n, ctx: ctx, span: span}), nil
 }
 
 func buildBatchChild(n plan.Node, ctx *Context) (BatchOperator, error) {
@@ -432,66 +386,35 @@ func (p *batchProject) Close() error { return p.child.Close() }
 
 // ---------- batch hash join (probe side) ----------
 
-// batchHashJoin builds its hash table exactly like hashJoin (row-at-a-time
-// drain of the right child, same grant and spill behaviour) and probes with
-// left batches: one hash probe per left row, one unit of row work per
-// emitted row, residual through a compiled predicate. An output batch holds
-// every match of one input batch, so it may exceed BatchRows. Under memory
-// pressure the build delegates to the same spillJoin as the row path: probe
-// rows of spilled partitions defer (cloned out of the volatile batch), and
-// their output — already charged row by row inside the replay — streams as
-// tail batches after the probe input is exhausted.
+// batchHashJoin builds exactly like hashJoin (row-at-a-time drain of the
+// right child, same hashBuild: grant, table or spill) and probes with left
+// batches through the same joinProbe, with the residual compiled. An output
+// batch holds every match of one input batch, so it may exceed BatchRows;
+// its rows live in one slab reused from batch to batch. Under memory
+// pressure probe rows of spilled partitions defer (copied out of the
+// volatile batch), and their output — already charged row by row inside the
+// replay — streams as tail batches after the probe input is exhausted.
 type batchHashJoin struct {
-	ctx      *Context
-	node     *plan.JoinNode
-	left     BatchOperator
-	right    Operator
-	residual *expr.Pred
+	hashBuild
+	left  BatchOperator
+	right Operator
 
-	table  map[uint64][]types.Row
-	spill  *spillJoin
-	grant  int
-	rWidth int
-	in     Batch
-	key    []types.Value
-	ckey   []types.Value
-	nulls  types.Row
-	tail   []types.Row
-	tpos   int
-	lDone  bool
+	probe *joinProbe
+	in    Batch
+	slab  []types.Value
+	tail  []types.Row
+	tpos  int
+	lDone bool
 }
 
 func (j *batchHashJoin) Open() error {
-	// Build drains before the probe side opens so runtime filters derived
-	// from the completed build are published when probe-side scans bind
-	// (mirrors hashJoin.Open).
-	build, err := drain(j.right)
-	if err != nil {
+	if err := j.openSerial(j.right); err != nil {
 		return err
 	}
-	buildRuntimeFilters(j.ctx, j.node, j.ctx.Clock, build)
-	j.rWidth = len(j.node.Kids[1].Schema())
-	j.grant = j.ctx.Mem.Grant(len(build))
-	if len(build) > j.grant {
-		j.spill = newSpillJoin(j.ctx, j.node, build, j.grant, j.rWidth, 0)
-	} else {
-		j.table = make(map[uint64][]types.Row, len(build))
-		key := make([]types.Value, len(j.node.RightKeys))
-		for _, r := range build {
-			j.ctx.Clock.Probes(2) // insert costs double a probe (see cost model)
-			keyInto(key, r, j.node.RightKeys)
-			if keyHasNull(key) {
-				continue
-			}
-			j.table[types.HashRow(key)] = append(j.table[types.HashRow(key)], r)
-		}
-	}
-	j.key = make([]types.Value, len(j.node.LeftKeys))
-	j.ckey = make([]types.Value, len(j.node.RightKeys))
-	j.nulls = nullRow(j.rWidth)
 	if j.node.Residual != nil {
 		j.residual = expr.CompilePredicate(j.node.Residual)
 	}
+	j.probe = j.prober()
 	j.tail, j.tpos, j.lDone = nil, 0, false
 	return j.left.Open()
 }
@@ -514,6 +437,7 @@ func (j *batchHashJoin) tailBatch(b *Batch) int {
 }
 
 func (j *batchHashJoin) NextBatch(b *Batch) (int, error) {
+	clk := j.ctx.Clock
 	for {
 		if j.lDone {
 			return j.tailBatch(b), nil
@@ -524,55 +448,30 @@ func (j *batchHashJoin) NextBatch(b *Batch) (int, error) {
 		}
 		if n == 0 {
 			j.lDone = true
-			if j.spill != nil {
-				err := j.spill.finish(func(r types.Row) error {
-					j.tail = append(j.tail, r)
-					return nil
-				})
-				if err != nil {
-					return 0, err
-				}
+			if j.tail, err = j.replay(); err != nil {
+				return 0, err
 			}
 			continue
 		}
-		j.ctx.Clock.ProbesBatch(n)
 		b.Rows = b.Rows[:0]
+		j.slab = j.slab[:0]
 		for _, i := range j.in.Sel {
-			lr := j.in.Rows[i]
-			keyInto(j.key, lr, j.node.LeftKeys)
-			matched := false
-			deferred := false
-			if !keyHasNull(j.key) {
-				var cands []types.Row
-				if j.spill != nil {
-					cands, deferred = j.spill.probe(lr, j.key)
-				} else {
-					cands = j.table[types.HashRow(j.key)]
+			j.probe.begin(clk, j.in.Rows[i])
+			for {
+				r, ok, err := j.probe.next(clk)
+				if err != nil {
+					return 0, err
 				}
-				for _, cand := range cands {
-					keyInto(j.ckey, cand, j.node.RightKeys)
-					if !keysEqual(j.key, j.ckey) {
-						continue
-					}
-					out := types.Concat(lr, cand)
-					if j.residual != nil {
-						ok, err := j.residual.Eval(out, j.ctx.Params)
-						if err != nil {
-							return 0, err
-						}
-						if !ok {
-							continue
-						}
-					}
-					matched = true
-					b.Rows = append(b.Rows, out)
+				if !ok {
+					break
 				}
-			}
-			if j.node.Type == plan.LeftOuter && !matched && !deferred {
-				b.Rows = append(b.Rows, types.Concat(lr, j.nulls))
+				// A slab that grows moves on to a new array; the rows already
+				// cut from the old one stay valid there.
+				off := len(j.slab)
+				j.slab = append(j.slab, r...)
+				b.Rows = append(b.Rows, types.Row(j.slab[off:len(j.slab):len(j.slab)]))
 			}
 		}
-		j.ctx.Clock.RowWorkBatch(len(b.Rows))
 		if len(b.Rows) > 0 {
 			b.Sel = identitySel(b.Sel, len(b.Rows))
 			return len(b.Rows), nil
@@ -581,14 +480,8 @@ func (j *batchHashJoin) NextBatch(b *Batch) (int, error) {
 }
 
 func (j *batchHashJoin) Close() error {
-	j.table = nil
 	j.tail = nil
-	if j.spill != nil {
-		j.spill.close()
-		j.spill = nil
-	}
-	j.ctx.Mem.Release(j.grant)
-	j.grant = 0
+	j.release()
 	return j.left.Close()
 }
 
@@ -661,17 +554,7 @@ func (a *batchHashAgg) Open() error {
 	if len(order) == 0 && len(a.node.GroupExprs) == 0 {
 		order = append(order, &group{states: make([]aggState, len(a.node.Aggs))})
 	}
-	sortGroups(order)
-	a.ctx.Clock.RowWorkBatch(len(order))
-	a.out = make([]types.Row, 0, len(order))
-	for _, g := range order {
-		row := make(types.Row, 0, len(g.key)+len(g.states))
-		row = append(row, g.key...)
-		for i := range g.states {
-			row = append(row, g.states[i].result(a.node.Aggs[i]))
-		}
-		a.out = append(a.out, row)
-	}
+	a.out = groupRows(a.ctx.Clock, a.node, order)
 	a.pos = 0
 	return nil
 }

@@ -221,7 +221,11 @@ func (m *MemBroker) InUse() int {
 	return m.inUse
 }
 
-// Operator is the Volcano iterator interface.
+// Operator is the Volcano iterator interface. Row ownership: the row Next
+// returns belongs to the operator and is valid only until the next call
+// (Next or Close) on it — producers reuse one output buffer. A consumer that
+// keeps a row across calls copies it first (rowArena); passing it straight
+// on, or reading it before pulling again, needs no copy.
 type Operator interface {
 	Open() error
 	Next() (types.Row, bool, error)
@@ -351,7 +355,7 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 		if bop != nil {
 			// Counting and tracing live in the countedBatch wrappers inside
 			// the batch subtree; the adapter needs no wrapper of its own.
-			return &batchAdapter{b: bop}, nil
+			return wrapOp(&batchAdapter{b: bop}), nil
 		}
 	}
 	var op Operator
@@ -408,19 +412,9 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 			break
 		}
 		if ctx.parallelEligible(&node.Prop) && node.Alg == plan.JoinHash {
-			r, err := build(node.Kids[1], ctx)
+			pj, err := buildParallelJoin(node, ctx)
 			if err != nil {
 				return nil, err
-			}
-			pj := &parallelHashJoin{ctx: ctx, node: node, right: r}
-			if sc, ok := node.Kids[0].(*plan.ScanNode); ok && sc.Prop.Parallel {
-				pj.scan = sc // fuse the probe-side scan into the probe morsels
-			} else {
-				l, err := build(node.Kids[0], ctx)
-				if err != nil {
-					return nil, err
-				}
-				pj.left = l
 			}
 			op = pj
 			break
@@ -461,19 +455,9 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 				if kid.Prop.Parallel && kid.Alg == plan.JoinHash && !ctx.shardEligible(kid) {
 					// Fuse the whole join pipeline: agg morsels run
 					// scan → probe → accumulate without materializing.
-					r, err := build(kid.Kids[1], ctx)
+					pj, err := buildParallelJoin(kid, ctx)
 					if err != nil {
 						return nil, err
-					}
-					pj := &parallelHashJoin{ctx: ctx, node: kid, right: r}
-					if sc, ok := kid.Kids[0].(*plan.ScanNode); ok && sc.Prop.Parallel {
-						pj.scan = sc
-					} else {
-						l, err := build(kid.Kids[0], ctx)
-						if err != nil {
-							return nil, err
-						}
-						pj.left = l
 					}
 					pa.join = pj
 				}
@@ -526,10 +510,27 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 	}
 	if ctx.Trace != nil {
 		if span := ctx.Trace.SpanOf(n); span != nil {
-			return &tracedCounted{op: op, node: n, ctx: ctx, span: span}, nil
+			return wrapOp(&tracedCounted{op: op, node: n, ctx: ctx, span: span}), nil
 		}
 	}
-	return &counted{op: op, node: n, ctx: ctx}, nil
+	return wrapOp(&counted{op: op, node: n, ctx: ctx}), nil
+}
+
+// buildParallelJoin constructs the morsel-driven hash join for a marked
+// node: the build child as an operator, the probe child fused into the probe
+// morsels when it is a parallel-marked scan.
+func buildParallelJoin(node *plan.JoinNode, ctx *Context) (*parallelHashJoin, error) {
+	r, err := build(node.Kids[1], ctx)
+	if err != nil {
+		return nil, err
+	}
+	pj := &parallelHashJoin{hashBuild: hashBuild{ctx: ctx, node: node}, right: r}
+	if sc, ok := node.Kids[0].(*plan.ScanNode); ok && sc.Prop.Parallel {
+		pj.scan = sc
+		return pj, nil
+	}
+	pj.left, err = build(node.Kids[0], ctx)
+	return pj, err
 }
 
 // Run executes a plan to completion and returns all result rows. Actual
@@ -544,21 +545,20 @@ func Run(n plan.Node, ctx *Context) ([]types.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if a, ok := op.(*batchAdapter); ok {
-		return runBatchesCancelable(a.b, ctx)
-	}
 	return runOp(op, ctx)
 }
 
-// runOp drains an operator to exhaustion. A Close failure after a Next
-// failure is joined onto the original error rather than discarded, so
-// resource-release problems surface. A non-nil ctx.Canceled is polled every
-// cancelCheckRows rows.
+// runOp drains an operator to exhaustion, copying every row into one arena
+// (the rows are the operator's only until its next call). A Close failure
+// after a Next failure is joined onto the original error rather than
+// discarded, so resource-release problems surface. A non-nil ctx.Canceled is
+// polled every cancelCheckRows rows.
 func runOp(op Operator, ctx *Context) ([]types.Row, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	var out []types.Row
+	var arena rowArena
 	for {
 		r, ok, err := op.Next()
 		if err != nil {
@@ -570,7 +570,7 @@ func runOp(op Operator, ctx *Context) ([]types.Row, error) {
 		if !ok {
 			break
 		}
-		out = append(out, r.Clone())
+		out = append(out, arena.copy(r))
 		if ctx != nil && ctx.Canceled != nil && len(out)%cancelCheckRows == 0 && ctx.Canceled() {
 			err := ErrCanceled
 			if cerr := op.Close(); cerr != nil {

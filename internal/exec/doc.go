@@ -19,6 +19,15 @@
 // the three paths are property-tested to produce byte-identical rows and
 // identical cost totals.
 //
+// Row ownership: a row returned by Next, or held in a Batch, is valid until
+// the next call on that operator — producers reuse their output buffers and
+// nothing allocates per row. A consumer that keeps a row across calls
+// (drain and Run, sort runs, DISTINCT, spill runs, exchange buffers) copies
+// it into a rowArena, chunked value slabs that grow geometrically. Every
+// hash join builds one joinTable over arena-held build rows and probes it
+// through one joinProbe (kernel.go); SetRowPoison is the test harness that
+// overwrites stale rows so a missing copy fails loudly.
+//
 // Workspace memory is arbitrated by the MemBroker: stateful operators (hash
 // join, hash aggregation, external sort) request grants counted in rows and
 // degrade gracefully when a grant comes back short — they partition their

@@ -93,19 +93,6 @@ func (x *exchange) next() (types.Row, bool) {
 	return nil, false
 }
 
-// rows flattens the remaining buffers (merge order) into one slice.
-func (x *exchange) rows() []types.Row {
-	total := 0
-	for _, b := range x.bufs {
-		total += len(b)
-	}
-	out := make([]types.Row, 0, total)
-	for _, b := range x.bufs {
-		out = append(out, b...)
-	}
-	return out
-}
-
 // release returns the buffers to the morsel pool. Safe to call twice (the
 // second call sees nil bufs and does nothing).
 func (x *exchange) release() {

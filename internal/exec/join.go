@@ -14,7 +14,7 @@ import (
 func buildJoin(node *plan.JoinNode, l, r Operator, ctx *Context) (Operator, error) {
 	switch node.Alg {
 	case plan.JoinHash:
-		return &hashJoin{ctx: ctx, node: node, left: l, right: r}, nil
+		return &hashJoin{hashBuild: hashBuild{ctx: ctx, node: node}, left: l, right: r}, nil
 	case plan.JoinMerge:
 		return &mergeJoin{ctx: ctx, node: node, left: l, right: r}, nil
 	case plan.JoinNL:
@@ -27,46 +27,15 @@ func buildJoin(node *plan.JoinNode, l, r Operator, ctx *Context) (Operator, erro
 	return nil, fmt.Errorf("exec: join algorithm %v not executable", node.Alg)
 }
 
-func drain(op Operator) ([]types.Row, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	var out []types.Row
-	for {
-		r, ok, err := op.Next()
-		if err != nil {
-			op.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, r.Clone())
-	}
-	return out, op.Close()
-}
+// drain materializes an operator's output (copied through a row arena).
+func drain(op Operator) ([]types.Row, error) { return runOp(op, nil) }
 
-func keyOf(r types.Row, cols []int) []types.Value {
-	k := make([]types.Value, len(cols))
-	keyInto(k, r, cols)
-	return k
-}
-
-// keyInto fills dst (len(cols)) with r's key columns, sparing hot paths the
-// per-row allocation of keyOf.
+// keyInto fills dst (len(cols)) with r's key columns. Callers own dst as
+// scratch, so extracting a key never allocates.
 func keyInto(dst []types.Value, r types.Row, cols []int) {
 	for i, c := range cols {
 		dst[i] = r[c]
 	}
-}
-
-func keysEqual(a, b []types.Value) bool {
-	for i := range a {
-		if a[i].IsNull() || b[i].IsNull() || !types.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 func keyHasNull(k []types.Value) bool {
@@ -94,11 +63,12 @@ func joinResidual(clk *storage.Clock, params []types.Value, residual expr.Expr, 
 	return true, nil
 }
 
-// emitJoined evaluates the residual and assembles the output row. It takes
-// the clock explicitly (rather than a Context) so parallel workers can
-// charge their shard clocks.
-func emitJoined(clk *storage.Clock, params []types.Value, node *plan.JoinNode, l, r types.Row) (types.Row, bool, error) {
-	out := types.Concat(l, r)
+// emitJoined assembles l‖r in buf (the caller's reused output row, capacity
+// the join's schema width) and evaluates the residual. It takes the clock
+// explicitly (rather than a Context) so parallel workers can charge their
+// shard clocks. The returned row is buf: valid until the caller's next emit.
+func emitJoined(clk *storage.Clock, params []types.Value, node *plan.JoinNode, buf, l, r types.Row) (types.Row, bool, error) {
+	out := concatInto(buf, l, r)
 	ok, err := joinResidual(clk, params, node.Residual, out)
 	if err != nil || !ok {
 		return nil, false, err
@@ -106,120 +76,56 @@ func emitJoined(clk *storage.Clock, params []types.Value, node *plan.JoinNode, l
 	return out, true, nil
 }
 
-func nullRow(n int) types.Row {
-	out := make(types.Row, n)
-	for i := range out {
-		out[i] = types.Null()
+// padNulls overwrites buf with l followed by n NULLs: the outer row of a
+// probe row nothing matched.
+func padNulls(buf, l types.Row, n int) types.Row {
+	buf = append(buf[:0], l...)
+	for i := 0; i < n; i++ {
+		buf = append(buf, types.Null())
 	}
-	return out
+	return buf
 }
 
 // ---------- hash join ----------
 
-// hashJoin builds a hash table on the right input and probes with the left.
-// If the build side exceeds the broker's grant, it becomes a hybrid hash
-// join: the build partitions by key hash, overflow partitions spill to temp
-// runs together with their probe rows, and the spilled pairs are joined
-// recursively after the in-memory probe phase (spillJoin).
+// hashJoin builds a hash table on the right input and probes with the left,
+// one probe row at a time through the shared joinProbe. If the build side
+// exceeds the broker's grant, it becomes a hybrid hash join: the build
+// partitions by key hash, overflow partitions spill to temp runs together
+// with their probe rows, and the spilled pairs are joined recursively after
+// the in-memory probe phase (spillJoin).
 type hashJoin struct {
-	ctx   *Context
-	node  *plan.JoinNode
+	hashBuild
 	left  Operator
 	right Operator
 
-	table       map[uint64][]types.Row
-	spill       *spillJoin
-	grant       int
-	lrow        types.Row
-	lrowMatched bool
-	matches     []types.Row
-	midx        int
-	lDone       bool
-	rWidth      int
-	tail        []types.Row // deferred-partition output, emitted after the probe phase
-	tpos        int
-	finished    bool
+	probe *joinProbe
+	lDone bool
+	tail  []types.Row // deferred-partition output, emitted after the probe phase
+	tpos  int
 }
 
 func (j *hashJoin) Open() error {
 	// The build side drains before the probe side opens so that runtime
 	// filters derived from the completed build are already published when
 	// probe-side scans bind (indexScan materializes during Open).
-	build, err := drain(j.right)
-	if err != nil {
+	if err := j.openSerial(j.right); err != nil {
 		return err
 	}
-	buildRuntimeFilters(j.ctx, j.node, j.ctx.Clock, build)
-	j.rWidth = len(j.node.Kids[1].Schema())
-	j.grant = j.ctx.Mem.Grant(len(build))
-	if len(build) > j.grant {
-		j.spill = newSpillJoin(j.ctx, j.node, build, j.grant, j.rWidth, 0)
-	} else {
-		j.table = make(map[uint64][]types.Row, len(build))
-		for _, r := range build {
-			j.ctx.Clock.Probes(2) // insert costs double a probe (see cost model)
-			k := keyOf(r, j.node.RightKeys)
-			if keyHasNull(k) {
-				continue
-			}
-			h := types.HashRow(k)
-			j.table[h] = append(j.table[h], r)
-		}
-	}
-	j.lDone = false
-	j.matches = nil
-	j.tail, j.tpos, j.finished = nil, 0, false
+	j.probe = j.prober()
+	j.lDone, j.tail, j.tpos = false, nil, 0
 	return j.left.Open()
-}
-
-// bucket returns the hash-table candidates for a non-null probe key. Under
-// spill, rows of non-resident partitions are deferred to probe runs and
-// report ok=false — they produce their output (including left-outer null
-// extension) when the spilled partitions replay.
-func (j *hashJoin) bucket(lr types.Row, k []types.Value) ([]types.Row, bool) {
-	if j.spill != nil {
-		return j.spill.probe(lr, k)
-	}
-	return j.table[types.HashRow(k)], false
 }
 
 func (j *hashJoin) Next() (types.Row, bool, error) {
 	for {
-		if j.midx < len(j.matches) {
-			r := j.matches[j.midx]
-			j.midx++
-			out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, j.lrow, r)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				j.lrowMatched = true
-				return out, true, nil
-			}
-			continue
-		}
-		// Left-outer: emit null-extended row when nothing matched.
-		if j.lrow != nil && j.node.Type == plan.LeftOuter && !j.lrowMatched {
-			out := types.Concat(j.lrow, nullRow(j.rWidth))
-			j.lrow = nil
-			j.ctx.Clock.RowWork(1)
-			return out, true, nil
+		if r, ok, err := j.probe.next(j.ctx.Clock); ok || err != nil {
+			return r, ok, err
 		}
 		if j.lDone {
-			if j.spill != nil && !j.finished {
-				j.finished = true
-				err := j.spill.finish(func(r types.Row) error {
-					j.tail = append(j.tail, r)
-					return nil
-				})
-				if err != nil {
-					return nil, false, err
-				}
-			}
 			if j.tpos < len(j.tail) {
-				r := j.tail[j.tpos]
 				j.tpos++
-				return r, true, nil
+				return j.tail[j.tpos-1], true, nil
 			}
 			return nil, false, nil
 		}
@@ -229,38 +135,18 @@ func (j *hashJoin) Next() (types.Row, bool, error) {
 		}
 		if !ok {
 			j.lDone = true
+			if j.tail, err = j.replay(); err != nil {
+				return nil, false, err
+			}
 			continue
 		}
-		j.lrow = lr.Clone()
-		j.lrowMatched = false
-		j.ctx.Clock.Probes(1)
-		k := keyOf(j.lrow, j.node.LeftKeys)
-		j.matches = nil
-		j.midx = 0
-		if !keyHasNull(k) {
-			cands, deferred := j.bucket(j.lrow, k)
-			if deferred {
-				j.lrow = nil // resolved (matches and outer alike) in finish
-				continue
-			}
-			for _, cand := range cands {
-				if keysEqual(k, keyOf(cand, j.node.RightKeys)) {
-					j.matches = append(j.matches, cand)
-				}
-			}
-		}
+		j.probe.begin(j.ctx.Clock, lr)
 	}
 }
 
 func (j *hashJoin) Close() error {
-	j.table = nil
 	j.tail = nil
-	if j.spill != nil {
-		j.spill.close()
-		j.spill = nil
-	}
-	j.ctx.Mem.Release(j.grant)
-	j.grant = 0
+	j.release()
 	return j.left.Close()
 }
 
@@ -274,7 +160,11 @@ type nlJoin struct {
 	right Operator
 
 	inner   []types.Row
+	key     []types.Value // the current left row's equi key
+	keyNull bool
+	out     types.Row
 	lrow    types.Row
+	have    bool // lrow is in flight
 	matched bool
 	ipos    int
 	lDone   bool
@@ -290,14 +180,16 @@ func (j *nlJoin) Open() error {
 	}
 	j.inner = inner
 	j.ctx.Clock.RowWork(len(inner))
-	j.lrow = nil
+	j.key = make([]types.Value, len(j.node.LeftKeys))
+	j.out = make(types.Row, 0, len(j.node.Schema()))
+	j.have = false
 	j.lDone = false
 	return nil
 }
 
 func (j *nlJoin) Next() (types.Row, bool, error) {
 	for {
-		if j.lrow == nil {
+		if !j.have {
 			if j.lDone {
 				return nil, false, nil
 			}
@@ -309,7 +201,9 @@ func (j *nlJoin) Next() (types.Row, bool, error) {
 				j.lDone = true
 				continue
 			}
-			j.lrow = lr.Clone()
+			j.lrow, j.have = lr, true
+			keyInto(j.key, lr, j.node.LeftKeys)
+			j.keyNull = keyHasNull(j.key)
 			j.matched = false
 			j.ipos = 0
 		}
@@ -318,12 +212,10 @@ func (j *nlJoin) Next() (types.Row, bool, error) {
 			j.ipos++
 			j.ctx.Clock.Compares(1)
 			// Equi keys (if any) are evaluated like any other predicate here.
-			if len(j.node.LeftKeys) > 0 {
-				if !keysEqual(keyOf(j.lrow, j.node.LeftKeys), keyOf(r, j.node.RightKeys)) {
-					continue
-				}
+			if len(j.key) > 0 && (j.keyNull || !keyMatches(j.key, r, j.node.RightKeys)) {
+				continue
 			}
-			out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, j.lrow, r)
+			out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, j.out, j.lrow, r)
 			if err != nil {
 				return nil, false, err
 			}
@@ -332,13 +224,11 @@ func (j *nlJoin) Next() (types.Row, bool, error) {
 				return out, true, nil
 			}
 		}
+		j.have = false
 		if j.node.Type == plan.LeftOuter && !j.matched {
-			out := types.Concat(j.lrow, nullRow(len(j.node.Kids[1].Schema())))
-			j.lrow = nil
 			j.ctx.Clock.RowWork(1)
-			return out, true, nil
+			return padNulls(j.out, j.lrow, len(j.node.Kids[1].Schema())), true, nil
 		}
-		j.lrow = nil
 	}
 }
 
@@ -362,6 +252,8 @@ type mergeJoin struct {
 	group        []types.Row
 	gi           int
 	lrow         types.Row
+	lk, rk       []types.Value // key scratch
+	out          types.Row
 }
 
 func (j *mergeJoin) Open() error {
@@ -378,6 +270,9 @@ func (j *mergeJoin) Open() error {
 	j.lrows, j.rrows = lrows, rrows
 	j.li, j.ri = 0, 0
 	j.group = nil
+	j.lk = make([]types.Value, len(j.node.LeftKeys))
+	j.rk = make([]types.Value, len(j.node.RightKeys))
+	j.out = make(types.Row, 0, len(j.node.Schema()))
 	return nil
 }
 
@@ -390,13 +285,19 @@ func compareKeys(a, b []types.Value) int {
 	return 0
 }
 
+// sortRows stable-sorts rows on the key columns, comparing them in place.
 func sortRows(ctx *Context, rows []types.Row, keys []int) {
 	n := len(rows)
 	if n > 1 {
 		ctx.Clock.Compares(int(float64(n) * log2(float64(n))))
 	}
 	sort.SliceStable(rows, func(i, k int) bool {
-		return compareKeys(keyOf(rows[i], keys), keyOf(rows[k], keys)) < 0
+		for _, c := range keys {
+			if cmp := types.Compare(rows[i][c], rows[k][c]); cmp != 0 {
+				return cmp < 0
+			}
+		}
+		return false
 	})
 }
 
@@ -409,12 +310,38 @@ func log2(x float64) float64 {
 	return n
 }
 
+// mergeGroup advances the merge over build (sorted on rcols) to the rows
+// whose key equals lk — a non-NULL probe key, keys ascending across calls —
+// and collects them into group[:0]. ri is the merge position, returned
+// updated; rk is key scratch. One comparison is charged per row looked at.
+func mergeGroup(clk *storage.Clock, build []types.Row, rcols []int, ri int, lk, rk []types.Value, group []types.Row) (int, []types.Row) {
+	for ri < len(build) {
+		clk.Compares(1)
+		keyInto(rk, build[ri], rcols)
+		if keyHasNull(rk) || compareKeys(rk, lk) < 0 {
+			ri++
+			continue
+		}
+		break
+	}
+	group = group[:0]
+	for k := ri; k < len(build); k++ {
+		clk.Compares(1)
+		keyInto(rk, build[k], rcols)
+		if compareKeys(rk, lk) != 0 {
+			break
+		}
+		group = append(group, build[k])
+	}
+	return ri, group
+}
+
 func (j *mergeJoin) Next() (types.Row, bool, error) {
 	for {
 		if j.gi < len(j.group) {
 			r := j.group[j.gi]
 			j.gi++
-			out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, j.lrow, r)
+			out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, j.out, j.lrow, r)
 			if err != nil {
 				return nil, false, err
 			}
@@ -426,38 +353,16 @@ func (j *mergeJoin) Next() (types.Row, bool, error) {
 		if j.li >= len(j.lrows) {
 			return nil, false, nil
 		}
-		lk := keyOf(j.lrows[j.li], j.node.LeftKeys)
-		if keyHasNull(lk) {
-			j.li++
-			continue
-		}
-		// advance right to lk
-		for j.ri < len(j.rrows) {
-			j.ctx.Clock.Compares(1)
-			rk := keyOf(j.rrows[j.ri], j.node.RightKeys)
-			if keyHasNull(rk) || compareKeys(rk, lk) < 0 {
-				j.ri++
-				continue
-			}
-			break
-		}
-		// collect matching group
-		j.group = j.group[:0]
-		for k := j.ri; k < len(j.rrows); k++ {
-			j.ctx.Clock.Compares(1)
-			if compareKeys(keyOf(j.rrows[k], j.node.RightKeys), lk) != 0 {
-				break
-			}
-			j.group = append(j.group, j.rrows[k])
-		}
-		j.gi = 0
 		j.lrow = j.lrows[j.li]
 		j.li++
-		if len(j.group) == 0 {
-			// No match: next left row (which may share the key prefix and
-			// reuse the same right position).
+		j.group, j.gi = j.group[:0], 0
+		keyInto(j.lk, j.lrow, j.node.LeftKeys)
+		if keyHasNull(j.lk) {
 			continue
 		}
+		// An empty group moves on to the next left row, which may share the
+		// key prefix and reuse the same right position.
+		j.ri, j.group = mergeGroup(j.ctx.Clock, j.rrows, j.node.RightKeys, j.ri, j.lk, j.rk, j.group)
 	}
 }
 
@@ -477,7 +382,10 @@ type symHashJoin struct {
 	left  Operator
 	right Operator
 
-	ltab, rtab map[uint64][]types.Row
+	ltab, rtab *joinTable
+	arena      rowArena // inserted rows and joined output
+	key        []types.Value
+	buf        types.Row
 	out        []types.Row
 	pos        int
 }
@@ -489,8 +397,9 @@ func (j *symHashJoin) Open() error {
 	if err := j.right.Open(); err != nil {
 		return err
 	}
-	j.ltab = map[uint64][]types.Row{}
-	j.rtab = map[uint64][]types.Row{}
+	j.ltab, j.rtab = newJoinTable(nil), newJoinTable(nil)
+	j.key = make([]types.Value, len(j.node.LeftKeys))
+	j.buf = make(types.Row, 0, len(j.node.Schema()))
 	j.out = nil
 	j.pos = 0
 	// Alternate pulls between inputs, emitting matches as they form.
@@ -503,7 +412,7 @@ func (j *symHashJoin) Open() error {
 			}
 			if !ok {
 				lDone = true
-			} else if err := j.insert(r.Clone(), true); err != nil {
+			} else if err := j.insert(r, true); err != nil {
 				return err
 			}
 		}
@@ -514,7 +423,7 @@ func (j *symHashJoin) Open() error {
 			}
 			if !ok {
 				rDone = true
-			} else if err := j.insert(r.Clone(), false); err != nil {
+			} else if err := j.insert(r, false); err != nil {
 				return err
 			}
 		}
@@ -524,37 +433,34 @@ func (j *symHashJoin) Open() error {
 
 func (j *symHashJoin) insert(r types.Row, fromLeft bool) error {
 	j.ctx.Clock.Probes(2) // insert + probe
-	var myKeys, otherKeys []int
-	var myTab, otherTab map[uint64][]types.Row
-	if fromLeft {
-		myKeys, otherKeys = j.node.LeftKeys, j.node.RightKeys
-		myTab, otherTab = j.ltab, j.rtab
-	} else {
-		myKeys, otherKeys = j.node.RightKeys, j.node.LeftKeys
-		myTab, otherTab = j.rtab, j.ltab
+	myKeys, otherKeys := j.node.LeftKeys, j.node.RightKeys
+	myTab, otherTab := j.ltab, j.rtab
+	if !fromLeft {
+		myKeys, otherKeys = otherKeys, myKeys
+		myTab, otherTab = otherTab, myTab
 	}
-	k := keyOf(r, myKeys)
-	if keyHasNull(k) {
+	keyInto(j.key, r, myKeys)
+	if keyHasNull(j.key) {
 		return nil
 	}
-	h := types.HashRow(k)
-	myTab[h] = append(myTab[h], r)
-	for _, cand := range otherTab[h] {
-		if !keysEqual(k, keyOf(cand, otherKeys)) {
+	h := types.HashRow(j.key)
+	r = j.arena.copy(r)
+	myTab.add(r, h)
+	for i := otherTab.first(h); i >= 0; i = otherTab.after(i, h) {
+		cand := otherTab.rows[i]
+		if !keyMatches(j.key, cand, otherKeys) {
 			continue
 		}
-		var l, rr types.Row
-		if fromLeft {
-			l, rr = r, cand
-		} else {
+		l, rr := r, cand
+		if !fromLeft {
 			l, rr = cand, r
 		}
-		out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, l, rr)
+		out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, j.buf, l, rr)
 		if err != nil {
 			return err
 		}
 		if ok {
-			j.out = append(j.out, out)
+			j.out = append(j.out, j.arena.copy(out))
 		}
 	}
 	return nil
@@ -614,42 +520,36 @@ func (j *gJoin) Open() error {
 	grant := j.ctx.Mem.Grant(len(small))
 	defer j.ctx.Mem.Release(grant)
 
-	emit := func(l, r types.Row) error {
-		out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, l, r)
+	var arena rowArena
+	buf := make(types.Row, 0, len(j.node.Schema()))
+	key := make([]types.Value, len(largeKeys))
+	pair := func(s, g types.Row) error {
+		l, r := g, s
+		if !smallIsRight {
+			l, r = s, g
+		}
+		out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, buf, l, r)
 		if err != nil {
 			return err
 		}
 		if ok {
-			j.out = append(j.out, out)
+			j.out = append(j.out, arena.copy(out))
 		}
 		return nil
 	}
-	pair := func(s, g types.Row) error {
-		if smallIsRight {
-			return emit(g, s)
-		}
-		return emit(s, g)
-	}
 
 	inMemory := func(sm, lg []types.Row) error {
-		tab := make(map[uint64][]types.Row, len(sm))
-		for _, r := range sm {
-			j.ctx.Clock.Probes(1)
-			k := keyOf(r, smallKeys)
-			if keyHasNull(k) {
-				continue
-			}
-			tab[types.HashRow(k)] = append(tab[types.HashRow(k)], r)
-		}
+		tab := buildJoinTable(sm, smallKeys, j.ctx.Clock, 1)
 		for _, g := range lg {
 			j.ctx.Clock.Probes(1)
-			k := keyOf(g, largeKeys)
-			if keyHasNull(k) {
+			keyInto(key, g, largeKeys)
+			if keyHasNull(key) {
 				continue
 			}
-			for _, s := range tab[types.HashRow(k)] {
-				if keysEqual(k, keyOf(s, smallKeys)) {
-					if err := pair(s, g); err != nil {
+			h := types.HashRow(key)
+			for i := tab.first(h); i >= 0; i = tab.after(i, h) {
+				if keyMatches(key, tab.rows[i], smallKeys) {
+					if err := pair(tab.rows[i], g); err != nil {
 						return err
 					}
 				}
@@ -672,24 +572,19 @@ func (j *gJoin) Open() error {
 	spill := (len(small) + len(large) + storage.PageRows - 1) / storage.PageRows
 	j.ctx.Clock.Write(spill)
 	j.ctx.Clock.SeqRead(spill)
-	smallParts := make([][]types.Row, parts)
-	largeParts := make([][]types.Row, parts)
-	for _, r := range small {
-		k := keyOf(r, smallKeys)
-		if keyHasNull(k) {
-			continue
+	partition := func(rows []types.Row, cols []int) [][]types.Row {
+		out := make([][]types.Row, parts)
+		for _, r := range rows {
+			keyInto(key, r, cols)
+			if keyHasNull(key) {
+				continue
+			}
+			p := int(types.HashRow(key) % uint64(parts))
+			out[p] = append(out[p], r)
 		}
-		p := int(types.HashRow(k) % uint64(parts))
-		smallParts[p] = append(smallParts[p], r)
+		return out
 	}
-	for _, g := range large {
-		k := keyOf(g, largeKeys)
-		if keyHasNull(k) {
-			continue
-		}
-		p := int(types.HashRow(k) % uint64(parts))
-		largeParts[p] = append(largeParts[p], g)
-	}
+	smallParts, largeParts := partition(small, smallKeys), partition(large, largeKeys)
 	for p := 0; p < parts; p++ {
 		if err := inMemory(smallParts[p], largeParts[p]); err != nil {
 			return err
@@ -721,6 +616,9 @@ type indexNLJoin struct {
 	left Operator
 
 	lrow    types.Row
+	have    bool // lrow is in flight
+	key     []types.Value
+	out     types.Row
 	matches []types.Row
 	midx    int
 	matched bool
@@ -729,7 +627,10 @@ type indexNLJoin struct {
 
 func (j *indexNLJoin) Open() error {
 	j.lDone = false
-	j.lrow = nil
+	j.have = false
+	j.matches, j.midx = j.matches[:0], 0
+	j.key = make([]types.Value, len(j.node.LeftKeys))
+	j.out = make(types.Row, 0, len(j.node.Schema()))
 	return j.left.Open()
 }
 
@@ -738,7 +639,7 @@ func (j *indexNLJoin) Next() (types.Row, bool, error) {
 		for j.midx < len(j.matches) {
 			r := j.matches[j.midx]
 			j.midx++
-			out := types.Concat(j.lrow, r)
+			out := concatInto(j.out, j.lrow, r)
 			ok, err := joinResidual(j.ctx.Clock, j.ctx.Params, j.node.Residual, out)
 			if err != nil {
 				return nil, false, err
@@ -749,11 +650,10 @@ func (j *indexNLJoin) Next() (types.Row, bool, error) {
 			j.matched = true
 			return out, true, nil
 		}
-		if j.lrow != nil && j.node.Type == plan.LeftOuter && !j.matched {
-			out := types.Concat(j.lrow, nullRow(len(j.node.Table.Schema)))
-			j.lrow = nil
+		if j.have && j.node.Type == plan.LeftOuter && !j.matched {
+			j.have = false
 			j.ctx.Clock.RowWork(1)
-			return out, true, nil
+			return padNulls(j.out, j.lrow, len(j.node.Table.Schema)), true, nil
 		}
 		if j.lDone {
 			return nil, false, nil
@@ -764,18 +664,18 @@ func (j *indexNLJoin) Next() (types.Row, bool, error) {
 		}
 		if !ok {
 			j.lDone = true
-			j.lrow = nil
+			j.have = false
 			continue
 		}
-		j.lrow = lr.Clone()
+		j.lrow, j.have = lr, true
 		j.matched = false
 		j.matches = j.matches[:0]
 		j.midx = 0
-		key := keyOf(j.lrow, j.node.LeftKeys)
-		if keyHasNull(key) {
+		keyInto(j.key, lr, j.node.LeftKeys)
+		if keyHasNull(j.key) {
 			continue
 		}
-		j.node.Index.Tree.Lookup(j.ctx.Clock, key, func(e index.Entry) bool {
+		j.node.Index.Tree.Lookup(j.ctx.Clock, j.key, func(e index.Entry) bool {
 			if r, ok := j.node.Table.Heap.Get(j.ctx.Clock, e.RID); ok {
 				j.matches = append(j.matches, r)
 			}

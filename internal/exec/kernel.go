@@ -1,0 +1,350 @@
+package exec
+
+import (
+	"math/bits"
+
+	"rqp/internal/expr"
+	"rqp/internal/plan"
+	"rqp/internal/storage"
+	"rqp/internal/types"
+)
+
+// The join and materialisation kernel: the one row arena every retainer
+// copies through, the one hash table every hash join builds, and the one
+// probe loop every hash join runs. Row, batch, morsel and spill operators
+// differ only in how they feed rows in and carry rows out.
+
+// arenaMaxChunk caps an arena chunk (in values, ~160 KB).
+const arenaMaxChunk = 4096
+
+// rowArena copies rows into chunked value slabs so that retaining a row
+// costs a memcpy, not an allocation. A new chunk is as large as everything
+// the arena already holds (capped at arenaMaxChunk), so a one-row result
+// allocates exactly what Row.Clone did and a large one allocates once per
+// few hundred rows. Not safe for concurrent use; the zero value is ready.
+type rowArena struct {
+	chunk []types.Value // tail chunk: rows are carved off its spare capacity
+	held  int           // values copied so far
+}
+
+// copy returns a stable copy of r. The result's capacity is clipped, so an
+// append to it can never reach a neighbouring row.
+func (a *rowArena) copy(r types.Row) types.Row {
+	if cap(a.chunk)-len(a.chunk) < len(r) {
+		a.chunk = make([]types.Value, 0, max(len(r), min(a.held, arenaMaxChunk)))
+	}
+	off := len(a.chunk)
+	a.chunk = append(a.chunk, r...)
+	a.held += len(r)
+	return types.Row(a.chunk[off:len(a.chunk):len(a.chunk)])
+}
+
+// concatInto overwrites buf with l‖r and returns it: the reused output row
+// of every join (valid until the producer's next call).
+func concatInto(buf, l, r types.Row) types.Row {
+	return append(append(buf[:0], l...), r...)
+}
+
+// joinTable is a flat chained hash table over build rows: bucket head/tail
+// pairs, a next link per row and the stored 64-bit key hashes. Rows chain at
+// the tail, so the candidates of a hash come back in build order — the
+// property that keeps every join's output order independent of the table
+// layout. Reads are safe concurrently once building has finished.
+type joinTable struct {
+	rows    []types.Row
+	hashes  []uint64
+	next    []int32    // next row of the same bucket, -1 at the end
+	buckets [][2]int32 // head, tail; -1 when empty
+	shift   uint       // 64 - log2(len(buckets))
+}
+
+// noKey marks (in next) a bulk row whose key holds a NULL: it matches
+// nothing and is never linked.
+const noKey = -2
+
+// newJoinTable returns a table over rows (which it keeps, not copies); they
+// still have to be hashed and linked (hashRange, link). With no rows it is
+// an empty table ready for add.
+func newJoinTable(rows []types.Row) *joinTable {
+	t := &joinTable{rows: rows, hashes: make([]uint64, len(rows)), next: make([]int32, len(rows))}
+	t.resize(len(rows))
+	return t
+}
+
+// resize sets the bucket array to the power of two at or above n (load
+// factor at most one), emptied.
+func (t *joinTable) resize(n int) {
+	size := 1
+	if n > 1 {
+		size = 1 << bits.Len(uint(n-1))
+	}
+	t.buckets = make([][2]int32, size)
+	for i := range t.buckets {
+		t.buckets[i] = [2]int32{-1, -1}
+	}
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// bucket spreads h by Fibonacci hashing (HashRow's low bits are only as good
+// as the last value's).
+func (t *joinTable) bucket(h uint64) *[2]int32 {
+	return &t.buckets[(h*0x9e3779b97f4a7c15)>>t.shift]
+}
+
+// hashRange hashes the key columns of rows [lo, hi), charging clk the
+// insert cost of probes hash probes per row (NULL keys included: the insert
+// is charged before the key is looked at). Disjoint ranges may run
+// concurrently. Returns how many of the rows carry a key.
+func (t *joinTable) hashRange(lo, hi int, cols []int, clk *storage.Clock, probes int) int {
+	key := make([]types.Value, len(cols))
+	keyed := 0
+	for i := lo; i < hi; i++ {
+		clk.Probes(probes)
+		keyInto(key, t.rows[i], cols)
+		if keyHasNull(key) {
+			t.next[i] = noKey
+			continue
+		}
+		t.hashes[i] = types.HashRow(key)
+		keyed++
+	}
+	return keyed
+}
+
+// link chains every hashed row in build order.
+func (t *joinTable) link() {
+	for i := range t.rows {
+		if t.next[i] != noKey {
+			t.linkTail(int32(i))
+		}
+	}
+}
+
+func (t *joinTable) linkTail(i int32) {
+	t.next[i] = -1
+	b := t.bucket(t.hashes[i])
+	if b[1] >= 0 {
+		t.next[b[1]] = i
+	} else {
+		b[0] = i
+	}
+	b[1] = i
+}
+
+// add appends one row with key hash h, growing the bucket array as needed
+// (the incremental build of the symmetric hash join and DISTINCT).
+func (t *joinTable) add(r types.Row, h uint64) {
+	if len(t.rows) == len(t.buckets) {
+		t.resize(2 * len(t.rows))
+		t.link()
+	}
+	t.rows = append(t.rows, r)
+	t.hashes = append(t.hashes, h)
+	t.next = append(t.next, -1)
+	t.linkTail(int32(len(t.rows) - 1))
+}
+
+// first returns the index of the first row whose stored hash is h, or -1;
+// after continues from row i. Together they enumerate exactly the rows a
+// map[hash][]row bucket would hold, in build order, without allocating.
+func (t *joinTable) first(h uint64) int32 { return t.seek(t.bucket(h)[0], h) }
+
+func (t *joinTable) after(i int32, h uint64) int32 { return t.seek(t.next[i], h) }
+
+func (t *joinTable) seek(i int32, h uint64) int32 {
+	for i >= 0 && t.hashes[i] != h {
+		i = t.next[i]
+	}
+	return i
+}
+
+// buildJoinTable is the serial build: hash and link rows on clk.
+func buildJoinTable(rows []types.Row, cols []int, clk *storage.Clock, probes int) *joinTable {
+	t := newJoinTable(rows)
+	t.hashRange(0, len(rows), cols, clk, probes)
+	t.link()
+	return t
+}
+
+// keyMatches reports whether row's key columns equal key under SQL equality.
+// key holds no NULL (probers check first); a NULL in row matches nothing.
+func keyMatches(key []types.Value, row types.Row, cols []int) bool {
+	for i, c := range cols {
+		if row[c].IsNull() || !types.Equal(key[i], row[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// hashBuild is the build side of one hash join: the in-memory table, or the
+// spill state when the broker's grant did not cover the build. It is shared
+// read-only by every prober of the join.
+type hashBuild struct {
+	ctx      *Context
+	node     *plan.JoinNode
+	residual *expr.Pred // compiled residual; nil evaluates node.Residual interpreted
+	tab      *joinTable // what probers probe: the build, or a spill's resident partitions
+	spill    *spillJoin // set when the build exceeded its grant
+	grant    int
+}
+
+// openSerial is the build phase of the serial joins: drain the build child,
+// derive the runtime filters the plan announced (so they are published
+// before the probe side opens and its scans bind), and index the rows.
+func (b *hashBuild) openSerial(right Operator) error {
+	build, err := drain(right)
+	if err != nil {
+		return err
+	}
+	buildRuntimeFilters(b.ctx, b.node, b.ctx.Clock, build)
+	b.open(build)
+	return nil
+}
+
+// open indexes the drained build side under a fresh grant, serially on the
+// context clock: the whole build when the grant covers it, the resident
+// partitions of a spillJoin otherwise.
+func (b *hashBuild) open(build []types.Row) {
+	b.grant = b.ctx.Mem.Grant(len(build))
+	if len(build) > b.grant {
+		b.openSpill(build, 0)
+		return
+	}
+	b.tab = buildJoinTable(build, b.node.RightKeys, b.ctx.Clock, 2) // insert costs double a probe (see cost model)
+}
+
+// openSpill partitions a build that exceeded b.grant; probers then see the
+// resident partitions' table.
+func (b *hashBuild) openSpill(build []types.Row, depth int) {
+	b.spill = newSpillJoin(b.ctx, b.node, build, b.grant, depth)
+	b.tab = b.spill.table
+}
+
+// replay joins the spilled partitions once the probe input is exhausted
+// and returns their output rows, already charged; nil when nothing spilled.
+func (b *hashBuild) replay() ([]types.Row, error) {
+	if b.spill == nil {
+		return nil, nil
+	}
+	var out []types.Row
+	var arena rowArena
+	err := b.spill.finish(func(r types.Row) error {
+		out = append(out, arena.copy(r))
+		return nil
+	})
+	return out, err
+}
+
+// release frees the table (or spill state) and returns the grant.
+func (b *hashBuild) release() {
+	b.tab = nil
+	if b.spill != nil {
+		b.spill.close()
+		b.spill = nil
+	}
+	b.ctx.Mem.Release(b.grant)
+	b.grant = 0
+}
+
+// joinProbe is one prober's state against a hashBuild: key scratch, the
+// reused output row and the cursor of the probe row in flight. begin starts
+// a probe row, next yields its joined rows one at a time; a morsel worker
+// owns one prober, the serial operators own one each.
+type joinProbe struct {
+	*hashBuild
+	key    []types.Value
+	out    types.Row
+	rWidth int // build-side width: the null padding of an outer row
+	lrow   types.Row
+	hash   uint64
+	cur    int32 // next candidate, -1 when the chain is exhausted
+	outer  bool  // a null-extended row is still owed if nothing matches
+}
+
+func (b *hashBuild) prober() *joinProbe {
+	return &joinProbe{
+		hashBuild: b,
+		key:       make([]types.Value, len(b.node.LeftKeys)),
+		out:       make(types.Row, 0, len(b.node.Schema())),
+		rWidth:    len(b.node.Kids[1].Schema()),
+		cur:       -1,
+	}
+}
+
+// begin starts probing lr, charging clk one probe. lr must stay valid until
+// the last next call for it. A row whose partition spilled is deferred to
+// its probe run (copied) and yields nothing now: its matches and its outer
+// row come out of spillJoin.finish.
+func (p *joinProbe) begin(clk *storage.Clock, lr types.Row) {
+	clk.Probes(1)
+	p.lrow, p.cur, p.outer = lr, -1, p.node.Type == plan.LeftOuter
+	keyInto(p.key, lr, p.node.LeftKeys)
+	if keyHasNull(p.key) {
+		return
+	}
+	p.hash = types.HashRow(p.key)
+	if p.spill != nil && p.spill.deferProbe(lr, p.hash) {
+		p.outer = false
+		return
+	}
+	p.cur = p.tab.first(p.hash)
+}
+
+// next returns the next output row of the probe row in flight — a match
+// passing the residual, then (left outer, nothing matched) the null-extended
+// row — charging clk one unit of row work per row returned. The row is the
+// prober's reused buffer, valid until the next call.
+func (p *joinProbe) next(clk *storage.Clock) (types.Row, bool, error) {
+	for p.cur >= 0 {
+		cand := p.tab.rows[p.cur]
+		p.cur = p.tab.after(p.cur, p.hash)
+		if !keyMatches(p.key, cand, p.node.RightKeys) {
+			continue
+		}
+		p.out = concatInto(p.out, p.lrow, cand)
+		ok, err := p.accept(clk)
+		if err != nil {
+			return nil, false, err
+		}
+		if ok {
+			p.outer = false
+			return p.out, true, nil
+		}
+	}
+	if p.outer {
+		p.outer = false
+		p.out = padNulls(p.out, p.lrow, p.rWidth)
+		clk.RowWork(1)
+		return p.out, true, nil
+	}
+	return nil, false, nil
+}
+
+// accept evaluates the residual over p.out and charges the survivor.
+func (p *joinProbe) accept(clk *storage.Clock) (bool, error) {
+	if p.residual == nil {
+		return joinResidual(clk, p.ctx.Params, p.node.Residual, p.out)
+	}
+	ok, err := p.residual.Eval(p.out, p.ctx.Params)
+	if err != nil || !ok {
+		return false, err
+	}
+	clk.RowWork(1)
+	return true, nil
+}
+
+// each probes lr to exhaustion, handing every output row to sink (which
+// must copy what it keeps).
+func (p *joinProbe) each(clk *storage.Clock, lr types.Row, sink func(types.Row) error) error {
+	p.begin(clk, lr)
+	for {
+		r, ok, err := p.next(clk)
+		if err != nil || !ok {
+			return err
+		}
+		if err := sink(r); err != nil {
+			return err
+		}
+	}
+}

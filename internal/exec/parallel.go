@@ -166,60 +166,44 @@ func (s *parallelScan) Close() error {
 
 // ---------- parallel hash join ----------
 
-// hashedRow pairs a build row with its precomputed join-key hash.
-type hashedRow struct {
-	h uint64
-	r types.Row
-}
-
-// probeScratch is one morsel's reusable probe-side workspace: key buffers
-// and a scratch output row, so steady-state probing allocates nothing.
+// probeScratch is one probe worker's reusable workspace: its prober (key
+// scratch, output row) and the arena its retained output rows are copied
+// into, so steady-state probing allocates nothing per row.
 type probeScratch struct {
-	key   []types.Value
-	ckey  []types.Value
-	buf   types.Row
-	nulls types.Row
+	*joinProbe
+	arena rowArena
 }
 
 // parallelHashJoin is the morsel-driven hash join. The build side is
-// drained once, hashed in parallel morsels, and repartitioned into one
-// hash-table shard per worker at a gather barrier; probe-side morsels then
-// stream against the frozen shards lock-free. When the probe child is a
-// parallel-marked scan, the scan fuses into the probe loop: one morsel
-// performs page read, filter and probe with no intermediate
-// materialization. Output flows through an exchange in morsel order, and
-// shard bucket chains are assembled in build order, so the emitted rows are
-// byte-identical, in order, to the serial hashJoin's. The charge multiset
-// also matches serial, so simulated cost is unchanged.
+// drained once and hashed in parallel morsels straight into the one
+// joinTable, which is linked at the gather barrier; probe-side morsels then
+// stream against the frozen table lock-free, each worker through its own
+// joinProbe. When the probe child is a parallel-marked scan, the scan fuses
+// into the probe loop: one morsel performs page read, filter and probe with
+// no intermediate materialization. Output flows through an exchange in
+// morsel order, and the table chains rows in build order, so the emitted
+// rows are byte-identical, in order, to the serial hashJoin's. The charge
+// multiset also matches serial, so simulated cost is unchanged.
 type parallelHashJoin struct {
-	ctx   *Context
-	node  *plan.JoinNode
+	hashBuild
 	scan  *plan.ScanNode // fused probe-side scan (nil when left is set)
 	left  Operator       // probe child when not fused
 	right Operator
 
 	dop      int
-	parts    []map[uint64][]types.Row
-	spill    *spillJoin // set when the build exceeded its grant
-	grant    int
-	rWidth   int
 	emitted  int64
 	x        exchange
 	scanPred *expr.Pred  // compiled fused-scan filter (vectorized runs)
 	scanRF   *rfConsumer // fused scan's runtime filters, bound after the build
 	scanCol  *colScanner // fused scan's columnar core (nil for heap scans)
-	residual *expr.Pred  // compiled residual (vectorized runs)
 	scratch  sync.Pool   // *probeScratch, reused across morsels
 }
 
-// openBuild drains the build side and erects the partitioned hash table.
-// It is Open minus the probe phase, so an enclosing fused aggregation can
-// drive the probe morsels itself.
+// openBuild drains the build side and erects the hash table. It is Open
+// minus the probe phase, so an enclosing fused aggregation can drive the
+// probe morsels itself.
 func (j *parallelHashJoin) openBuild() error {
-	j.dop = j.ctx.DOP
-	if j.dop < 1 {
-		j.dop = 1
-	}
+	j.dop = max(j.ctx.DOP, 1)
 	if j.scan != nil {
 		j.scanPred = compilePred(j.ctx, j.scan.Filter)
 	}
@@ -228,7 +212,6 @@ func (j *parallelHashJoin) openBuild() error {
 	if err != nil {
 		return err
 	}
-	j.rWidth = len(j.node.Kids[1].Schema())
 	j.grant = j.ctx.Mem.Grant(len(build))
 	if len(build) > j.grant {
 		// Graceful degradation trades parallelism for robustness: the build
@@ -238,11 +221,8 @@ func (j *parallelHashJoin) openBuild() error {
 		// Runtime filters derive serially from the drained build first, so
 		// the probe-side scans still shrink the spilled probe volume.
 		buildRuntimeFilters(j.ctx, j.node, j.ctx.Clock, build)
-		j.spill = newSpillJoin(j.ctx, j.node, build, j.grant, j.rWidth, 0)
-		j.bindScanRF()
-		return nil
-	}
-	if err := j.buildPartitions(build); err != nil {
+		j.openSpill(build, 0)
+	} else if err := j.buildTable(build); err != nil {
 		return err
 	}
 	j.bindScanRF()
@@ -265,48 +245,20 @@ func (j *parallelHashJoin) bindScanRF() {
 // of resident partitions match immediately, the rest defer to probe runs —
 // and the spilled partitions then replay. Every joined (and, for
 // left-outer, null-extended) row goes to sink in serial-identical order
-// with serial-identical charges.
+// with serial-identical charges; sink copies what it keeps.
 func (j *parallelHashJoin) probeSerialSpill(sink func(types.Row) error) error {
-	probeRow := func(lr types.Row) error {
-		j.ctx.Clock.Probes(1)
-		k := keyOf(lr, j.node.LeftKeys)
-		matched := false
-		if !keyHasNull(k) {
-			bucket, deferred := j.spill.probe(lr, k)
-			if deferred {
-				return nil // resolved (matches and outer alike) in finish
-			}
-			for _, cand := range bucket {
-				if !keysEqual(k, keyOf(cand, j.node.RightKeys)) {
-					continue
-				}
-				out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, lr, cand)
-				if err != nil {
-					return err
-				}
-				if ok {
-					matched = true
-					atomic.AddInt64(&j.emitted, 1)
-					if err := sink(out); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		if j.node.Type == plan.LeftOuter && !matched {
-			j.ctx.Clock.RowWork(1)
-			atomic.AddInt64(&j.emitted, 1)
-			return sink(types.Concat(lr, nullRow(j.rWidth)))
-		}
-		return nil
+	counted := func(r types.Row) error {
+		atomic.AddInt64(&j.emitted, 1)
+		return sink(r)
 	}
+	p := j.prober()
 	if j.scan != nil {
 		n, npages := scanGeometry(j.scan, j.scanCol)
 		scanned := 0
 		for m := 0; m < n; m++ {
 			err := scanMorsel(j.ctx, j.scan, j.scanPred, j.scanRF, j.scanCol, m, npages, j.ctx.Clock, func(lr types.Row) error {
 				scanned++
-				return probeRow(lr)
+				return p.each(j.ctx.Clock, lr, counted)
 			})
 			if err != nil {
 				return err
@@ -320,15 +272,12 @@ func (j *parallelHashJoin) probeSerialSpill(sink func(types.Row) error) error {
 			return err
 		}
 		for _, lr := range lrows {
-			if err := probeRow(lr); err != nil {
+			if err := p.each(j.ctx.Clock, lr, counted); err != nil {
 				return err
 			}
 		}
 	}
-	return j.spill.finish(func(r types.Row) error {
-		atomic.AddInt64(&j.emitted, 1)
-		return sink(r)
-	})
+	return j.spill.finish(counted)
 }
 
 func (j *parallelHashJoin) Open() error {
@@ -338,17 +287,15 @@ func (j *parallelHashJoin) Open() error {
 	return j.probe()
 }
 
-// buildPartitions runs the two build phases: (1) parallel morsels hash
-// every build row into per-morsel vectors, charging the serial join's
-// insert cost — and, when the plan announced runtime filters, fill one
-// partial Bloom per filter per morsel; (2) each worker assembles its own
-// hash-range shard by sweeping the vectors in morsel order, so bucket
-// chains preserve build order and probing stays deterministic. Partial
-// Blooms are OR-merged in morsel order at the same gather barrier and
-// published before any probe morsel can run.
-func (j *parallelHashJoin) buildPartitions(build []types.Row) error {
+// buildTable hashes the build rows into the joinTable in parallel morsels,
+// charging the serial join's insert cost — and, when the plan announced
+// runtime filters, filling one partial Bloom per filter per morsel — then
+// links the table at the gather barrier in build order, so probing stays
+// deterministic. Partial Blooms are OR-merged in morsel order at the same
+// barrier and published before any probe morsel can run.
+func (j *parallelHashJoin) buildTable(build []types.Row) error {
 	n := morselCount(len(build), MorselRows)
-	pairs := make([][]hashedRow, n)
+	tab := newJoinTable(build)
 	nf := 0
 	if j.ctx.RF != nil {
 		nf = len(j.node.RFilters)
@@ -359,35 +306,22 @@ func (j *parallelHashJoin) buildPartitions(build []types.Row) error {
 	}
 	err := runMorsels(j.ctx, j.node.Label()+" build", n, j.dop, func(m int, clk *storage.Clock) (int, error) {
 		lo, hi := morselRange(m, MorselRows, len(build))
-		ps := make([]hashedRow, 0, hi-lo)
-		key := make([]types.Value, len(j.node.RightKeys))
-		var fs []*RuntimeFilter
 		if nf > 0 {
 			// Partials are sized for the full build so the barrier merge is
 			// a plain word-wise OR; the batch charge equals the serial
 			// build's per-row charges over this morsel's rows.
-			fs = make([]*RuntimeFilter, nf)
+			fs := make([]*RuntimeFilter, nf)
 			for i, sp := range j.node.RFilters {
 				fs[i] = newRuntimeFilter(sp.ID, len(build))
+				col := j.node.RightKeys[sp.Col]
+				for _, r := range build[lo:hi] {
+					fs[i].add(r[col])
+				}
 			}
 			clk.FilterTestsBatch((hi - lo) * nf)
-		}
-		for _, r := range build[lo:hi] {
-			clk.Probes(2) // insert costs double a probe (see cost model)
-			for i, sp := range j.node.RFilters[:nf] {
-				fs[i].add(r[j.node.RightKeys[sp.Col]])
-			}
-			keyInto(key, r, j.node.RightKeys)
-			if keyHasNull(key) {
-				continue
-			}
-			ps = append(ps, hashedRow{types.HashRow(key), r})
-		}
-		if nf > 0 {
 			rfParts[m] = fs
 		}
-		pairs[m] = ps
-		return len(ps), nil
+		return tab.hashRange(lo, hi, j.node.RightKeys, clk, 2), nil // insert costs double a probe (see cost model)
 	})
 	if err != nil {
 		return err
@@ -402,101 +336,32 @@ func (j *parallelHashJoin) buildPartitions(build []types.Row) error {
 			j.ctx.Trace.Event("rf.build", fmt.Sprintf("filter=%d keys=%d bits=%d partials=%d", f.ID, len(build), len(f.words)*64, n))
 		}
 	}
-	j.parts = make([]map[uint64][]types.Row, j.dop)
-	dop := uint64(j.dop)
-	return runMorsels(j.ctx, j.node.Label()+" partition", j.dop, j.dop, func(w int, _ *storage.Clock) (int, error) {
-		tab := map[uint64][]types.Row{}
-		for _, ps := range pairs {
-			for _, p := range ps {
-				if p.h%dop == uint64(w) {
-					tab[p.h] = append(tab[p.h], p.r)
-				}
-			}
-		}
-		j.parts[w] = tab
-		return 0, nil
-	})
-}
-
-func (j *parallelHashJoin) newScratch() *probeScratch {
-	return &probeScratch{
-		key:   make([]types.Value, len(j.node.LeftKeys)),
-		ckey:  make([]types.Value, len(j.node.RightKeys)),
-		buf:   make(types.Row, 0, len(j.node.Schema())),
-		nulls: nullRow(j.rWidth),
-	}
+	tab.link()
+	j.tab = tab
+	return nil
 }
 
 // getScratch hands out a pooled probeScratch; putScratch returns it when the
 // morsel finishes, so scratch allocation amortizes across morsels instead of
-// recurring per morsel.
+// recurring per morsel. The arena travels with it: rows of successive
+// morsels share chunks, which the rows themselves keep alive.
 func (j *parallelHashJoin) getScratch() *probeScratch {
 	if st, ok := j.scratch.Get().(*probeScratch); ok {
 		return st
 	}
-	return j.newScratch()
+	return &probeScratch{joinProbe: j.prober()}
 }
 
 func (j *parallelHashJoin) putScratch(st *probeScratch) { j.scratch.Put(st) }
-
-// probeEach probes one left row against the shards and hands every joined
-// (and, for left-outer, null-extended) row to sink. The row passed to sink
-// is st.buf — a scratch reused on the next call; sinks that keep rows must
-// clone. Charges mirror the serial hashJoin probe exactly: one probe per
-// left row before the null check, one unit of row work per emitted row.
-func (j *parallelHashJoin) probeEach(lr types.Row, clk *storage.Clock, st *probeScratch, sink func(types.Row) error) error {
-	clk.Probes(1)
-	keyInto(st.key, lr, j.node.LeftKeys)
-	matched := false
-	if !keyHasNull(st.key) {
-		h := types.HashRow(st.key)
-		for _, cand := range j.parts[h%uint64(j.dop)][h] {
-			keyInto(st.ckey, cand, j.node.RightKeys)
-			if !keysEqual(st.key, st.ckey) {
-				continue
-			}
-			st.buf = append(append(st.buf[:0], lr...), cand...)
-			if j.residual != nil {
-				ok, err := j.residual.Eval(st.buf, j.ctx.Params)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			} else if j.node.Residual != nil {
-				ok, err := expr.EvalPredicate(j.node.Residual, st.buf, j.ctx.Params)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			clk.RowWork(1)
-			matched = true
-			if err := sink(st.buf); err != nil {
-				return err
-			}
-		}
-	}
-	if j.node.Type == plan.LeftOuter && !matched {
-		st.buf = append(append(st.buf[:0], lr...), st.nulls...)
-		clk.RowWork(1)
-		if err := sink(st.buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // probe runs the probe phase into the exchange (the standalone operator
 // path; a fused aggregation bypasses this entirely).
 func (j *parallelHashJoin) probe() error {
 	if j.spill != nil {
 		out := getMorselBuf()
+		var arena rowArena
 		err := j.probeSerialSpill(func(r types.Row) error {
-			out = append(out, r)
+			out = append(out, arena.copy(r))
 			return nil
 		})
 		if err != nil {
@@ -515,13 +380,14 @@ func (j *parallelHashJoin) probe() error {
 			st := j.getScratch()
 			defer j.putScratch(st)
 			out := getMorselBuf()
+			keep := func(r types.Row) error {
+				out = append(out, st.arena.copy(r))
+				return nil
+			}
 			rows := 0
 			err := scanMorsel(j.ctx, j.scan, j.scanPred, j.scanRF, j.scanCol, m, npages, clk, func(lr types.Row) error {
 				rows++
-				return j.probeEach(lr, clk, st, func(r types.Row) error {
-					out = append(out, r.Clone())
-					return nil
-				})
+				return st.each(clk, lr, keep)
 			})
 			if err != nil {
 				putMorselBuf(out)
@@ -549,12 +415,12 @@ func (j *parallelHashJoin) probe() error {
 		defer j.putScratch(st)
 		lo, hi := morselRange(m, MorselRows, len(lrows))
 		out := getMorselBuf()
+		keep := func(r types.Row) error {
+			out = append(out, st.arena.copy(r))
+			return nil
+		}
 		for _, lr := range lrows[lo:hi] {
-			err := j.probeEach(lr, clk, st, func(r types.Row) error {
-				out = append(out, r.Clone())
-				return nil
-			})
-			if err != nil {
+			if err := st.each(clk, lr, keep); err != nil {
 				putMorselBuf(out)
 				return 0, err
 			}
@@ -567,18 +433,6 @@ func (j *parallelHashJoin) probe() error {
 func (j *parallelHashJoin) Next() (types.Row, bool, error) {
 	r, ok := j.x.next()
 	return r, ok, nil
-}
-
-// release frees the hash shards (or spill state) and returns the memory
-// grant.
-func (j *parallelHashJoin) release() {
-	j.parts = nil
-	if j.spill != nil {
-		j.spill.close()
-		j.spill = nil
-	}
-	j.ctx.Mem.Release(j.grant)
-	j.grant = 0
 }
 
 func (j *parallelHashJoin) Close() error {
@@ -706,17 +560,7 @@ func (a *parallelAgg) Open() error {
 	if len(order) == 0 && len(a.node.GroupExprs) == 0 {
 		order = append(order, &group{states: make([]aggState, len(a.node.Aggs))})
 	}
-	sortGroups(order)
-	a.out = make([]types.Row, 0, len(order))
-	for _, g := range order {
-		a.ctx.Clock.RowWork(1)
-		row := make(types.Row, 0, len(g.key)+len(g.states))
-		row = append(row, g.key...)
-		for i := range g.states {
-			row = append(row, g.states[i].result(a.node.Aggs[i]))
-		}
-		a.out = append(a.out, row)
-	}
+	a.out = groupRows(a.ctx.Clock, a.node, order)
 	a.pos = 0
 	return nil
 }
@@ -794,7 +638,7 @@ func (a *parallelAgg) partialsFromJoin() ([]*aggPartial, error) {
 			rows := 0
 			err := scanMorsel(a.ctx, jn.scan, jn.scanPred, jn.scanRF, jn.scanCol, m, npages, clk, func(lr types.Row) error {
 				rows++
-				return jn.probeEach(lr, clk, st, sink)
+				return st.each(clk, lr, sink)
 			})
 			if err != nil {
 				return 0, err
@@ -823,7 +667,7 @@ func (a *parallelAgg) partialsFromJoin() ([]*aggPartial, error) {
 			sink := accum(p, key, clk)
 			lo, hi := morselRange(m, MorselRows, len(lrows))
 			for _, lr := range lrows[lo:hi] {
-				if err := jn.probeEach(lr, clk, st, sink); err != nil {
+				if err := st.each(clk, lr, sink); err != nil {
 					return 0, err
 				}
 			}

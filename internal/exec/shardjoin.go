@@ -138,18 +138,17 @@ func (j *shardedHashJoin) degrade(build []types.Row) error {
 		j.ctx.Trace.Event("shuffle.degrade", fmt.Sprintf(
 			"build=%d grant=%d: shuffle bypassed for serial spill path", len(build), j.grant))
 	}
-	fb := &parallelHashJoin{ctx: j.ctx, node: j.node, scan: j.scan, left: j.left}
-	fb.dop = j.ctx.DOP
-	if fb.dop < 1 {
-		fb.dop = 1
+	fb := &parallelHashJoin{
+		hashBuild: hashBuild{ctx: j.ctx, node: j.node, residual: j.residual, grant: j.grant},
+		scan:      j.scan,
+		left:      j.left,
+		dop:       max(j.ctx.DOP, 1),
 	}
+	j.grant = 0 // ownership moved to the fallback, with the probe child below
 	if fb.scan != nil {
 		fb.scanPred = compilePred(j.ctx, fb.scan.Filter)
 	}
-	fb.residual = j.residual
-	fb.rWidth = j.rWidth
-	fb.grant, j.grant = j.grant, 0
-	fb.spill = newSpillJoin(j.ctx, j.node, build, fb.grant, fb.rWidth, 0)
+	fb.openSpill(build, 0)
 	fb.bindScanRF()
 	j.left = nil // ownership moved to the fallback
 	j.fallback = fb

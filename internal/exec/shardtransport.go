@@ -149,9 +149,11 @@ type ShardJoiner struct {
 	Spec ShuffleJoinSpec
 	Clk  *storage.Clock
 
-	tab map[uint64][]ShufBuild
-	pk  []types.Value
-	ck  []types.Value
+	tab   *joinTable
+	idx   []int32 // build-arrival index of tab.rows[i]
+	pk    []types.Value
+	buf   types.Row
+	arena rowArena // holds the tagged output rows
 }
 
 // NewShardJoiner returns a joiner charging the given clock.
@@ -159,9 +161,8 @@ func NewShardJoiner(spec ShuffleJoinSpec, clk *storage.Clock) *ShardJoiner {
 	return &ShardJoiner{
 		Spec: spec,
 		Clk:  clk,
-		tab:  make(map[uint64][]ShufBuild),
+		tab:  newJoinTable(nil),
 		pk:   make([]types.Value, len(spec.LeftKeys)),
-		ck:   make([]types.Value, len(spec.RightKeys)),
 	}
 }
 
@@ -172,15 +173,13 @@ func (w *ShardJoiner) Insert(b ShufBuild) {
 	if b.Own {
 		w.Clk.Probes(2)
 	}
-	w.tab[b.Hash] = append(w.tab[b.Hash], b)
+	w.tab.add(b.Row, b.Hash)
+	w.idx = append(w.idx, b.Idx)
 }
 
-// TableSize reports distinct hash buckets (trace/debug only).
-func (w *ShardJoiner) TableSize() int { return len(w.tab) }
-
-// Probe probes one routed row, appending tagged outputs to out. The charge
-// placement is the serial join's: one probe per Main copy, one unit of row
-// work per emitted row.
+// Probe probes one routed row, appending tagged outputs (copied into the
+// joiner's arena) to out. The charge placement is the serial join's: one
+// probe per Main copy, one unit of row work per emitted row.
 func (w *ShardJoiner) Probe(p ShufProbe, out *[]ShufOut) error {
 	if p.Main {
 		w.Clk.Probes(1)
@@ -189,14 +188,14 @@ func (w *ShardJoiner) Probe(p ShufProbe, out *[]ShufOut) error {
 	matched := false
 	if !keyHasNull(w.pk) {
 		h := types.HashRow(w.pk)
-		for _, cand := range w.tab[h] {
-			keyInto(w.ck, cand.Row, w.Spec.RightKeys)
-			if !keysEqual(w.pk, w.ck) {
+		for i := w.tab.first(h); i >= 0; i = w.tab.after(i, h) {
+			cand := w.tab.rows[i]
+			if !keyMatches(w.pk, cand, w.Spec.RightKeys) {
 				continue
 			}
-			buf := types.Concat(p.Row, cand.Row)
+			w.buf = concatInto(w.buf, p.Row, cand)
 			if w.Spec.Residual != nil {
-				ok, err := w.Spec.Residual(buf)
+				ok, err := w.Spec.Residual(w.buf)
 				if err != nil {
 					return err
 				}
@@ -206,12 +205,13 @@ func (w *ShardJoiner) Probe(p ShufProbe, out *[]ShufOut) error {
 			}
 			w.Clk.RowWork(1)
 			matched = true
-			*out = append(*out, ShufOut{Seq: p.Seq, BIdx: cand.Idx, Row: buf})
+			*out = append(*out, ShufOut{Seq: p.Seq, BIdx: w.idx[i], Row: w.arena.copy(w.buf)})
 		}
 	}
 	if w.Spec.LeftOuter && !matched && p.Main {
 		w.Clk.RowWork(1)
-		*out = append(*out, ShufOut{Seq: p.Seq, BIdx: -1, Row: types.Concat(p.Row, nullRow(w.Spec.RWidth))})
+		w.buf = padNulls(w.buf, p.Row, w.Spec.RWidth)
+		*out = append(*out, ShufOut{Seq: p.Seq, BIdx: -1, Row: w.arena.copy(w.buf)})
 	}
 	return nil
 }

@@ -114,43 +114,42 @@ func (ctx *Context) spillEvent(kind, format string, args ...any) {
 
 // ---------- partitioned (grace/hybrid) hash join ----------
 
-// spillJoin is the shared spill core of the hash join, delegated to by the
-// row-at-a-time, vectorized and morsel-parallel operators alike so the
-// three paths stay charge- and result-identical under pressure. The caller
-// drains the build side, obtains a grant, and constructs a spillJoin when
-// the build exceeds it; probe rows whose partition is resident are answered
-// immediately (preserving the streaming probe order), the rest are deferred
+// spillJoin is the spill state of a hashBuild whose build exceeded its
+// grant, shared by the row-at-a-time, vectorized and morsel-parallel
+// operators alike so the three paths stay charge- and result-identical under
+// pressure. Probe rows whose partition is resident are answered immediately
+// from table (preserving the streaming probe order), the rest are deferred
 // to probe runs and joined when finish replays the spilled partitions.
 type spillJoin struct {
 	ctx      *Context
 	node     *plan.JoinNode
 	depth    int
 	fanout   int
-	rWidth   int
-	table    map[uint64][]types.Row // resident partitions' build rows
+	table    *joinTable // resident partitions' build rows
 	resident []bool
 	bruns    []*storage.TempRun // spilled build partitions
 	pruns    []*storage.TempRun // deferred probe rows, same partitioning
+	arena    rowArena           // holds the deferred probe rows
 }
 
 // newSpillJoin partitions the drained build side under the given grant
 // (already obtained — and kept — by the caller). Build rows must be owned
-// by the caller (drain clones them).
-func newSpillJoin(ctx *Context, node *plan.JoinNode, build []types.Row, grant, rWidth, depth int) *spillJoin {
+// by the caller (drain copies them).
+func newSpillJoin(ctx *Context, node *plan.JoinNode, build []types.Row, grant, depth int) *spillJoin {
 	s := &spillJoin{
 		ctx:    ctx,
 		node:   node,
 		depth:  depth,
 		fanout: spillFanout(len(build)),
-		rWidth: rWidth,
 	}
 	parts := make([][]types.Row, s.fanout)
+	key := make([]types.Value, len(node.RightKeys))
 	for _, r := range build {
-		k := keyOf(r, node.RightKeys)
-		if keyHasNull(k) {
+		keyInto(key, r, node.RightKeys)
+		if keyHasNull(key) {
 			continue // a null key matches nothing on either join type
 		}
-		p := spillPartOf(types.HashRow(k), depth, s.fanout)
+		p := spillPartOf(types.HashRow(key), depth, s.fanout)
 		parts[p] = append(parts[p], r)
 	}
 	// Keep the longest prefix of partitions that fits the grant resident;
@@ -160,17 +159,12 @@ func newSpillJoin(ctx *Context, node *plan.JoinNode, build []types.Row, grant, r
 	s.resident = make([]bool, s.fanout)
 	s.bruns = make([]*storage.TempRun, s.fanout)
 	s.pruns = make([]*storage.TempRun, s.fanout)
-	s.table = map[uint64][]types.Row{}
-	residentRows, spilledParts, spilledRows, spilledPages := 0, 0, 0, 0
+	var resident []types.Row
+	spilledParts, spilledRows, spilledPages := 0, 0, 0
 	for p, rows := range parts {
-		if residentRows+len(rows) <= grant {
+		if len(resident)+len(rows) <= grant {
 			s.resident[p] = true
-			residentRows += len(rows)
-			for _, r := range rows {
-				ctx.Clock.Probes(2) // insert costs double a probe (see cost model)
-				h := types.HashRow(keyOf(r, node.RightKeys))
-				s.table[h] = append(s.table[h], r)
-			}
+			resident = append(resident, rows...)
 			continue
 		}
 		run := storage.NewTempRun()
@@ -183,36 +177,36 @@ func newSpillJoin(ctx *Context, node *plan.JoinNode, build []types.Row, grant, r
 		spilledRows += run.Len()
 		spilledPages += run.Pages()
 	}
+	s.table = buildJoinTable(resident, node.RightKeys, ctx.Clock, 2) // insert costs double a probe (see cost model)
 	ctx.Spill.record(spilledParts, spilledRows, spilledPages, depth)
 	ctx.spillEvent("spill.partition", "%s depth=%d fanout=%d resident=%d/%d spilled_rows=%d pages=%d grant=%d",
 		node.Label(), depth, s.fanout, s.fanout-spilledParts, s.fanout, spilledRows, spilledPages, grant)
 	return s
 }
 
-// probe answers one probe row with a non-null key: if its partition is
-// resident it returns the hash bucket to match against (the caller applies
-// key equality, residual and outer semantics exactly as in memory); if the
-// partition spilled, the row is deferred to its probe run and handled by
-// finish. The caller charges its per-probe-row cost itself; deferral
-// charges only the page writes.
-func (s *spillJoin) probe(lr types.Row, key []types.Value) (bucket []types.Row, deferred bool) {
-	h := types.HashRow(key)
+// deferProbe routes one probe row by its (non-null) key hash: false when
+// its partition is resident and the caller should probe table now; true
+// when the partition spilled and the row was copied to its probe run, to be
+// joined (matches and outer row alike) by finish. The caller charges its
+// per-probe-row cost itself; deferral charges only the page writes.
+func (s *spillJoin) deferProbe(lr types.Row, h uint64) bool {
 	p := spillPartOf(h, s.depth, s.fanout)
 	if s.resident[p] {
-		return s.table[h], false
+		return false
 	}
 	run := s.pruns[p]
 	pagesBefore := run.Pages()
-	run.Append(s.ctx.Clock, lr.Clone())
+	run.Append(s.ctx.Clock, s.arena.copy(lr))
 	s.ctx.Spill.record(0, 1, run.Pages()-pagesBefore, s.depth)
-	return nil, true
+	return true
 }
 
 // finish replays the spilled partition pairs in partition order, handing
-// every joined (and, for left-outer, null-extended) output row to emit.
-// Partitions with no deferred probe rows are discarded unread — no probe
-// row can match them (and left-outer null extension concerns only probe
-// rows, which were all answered or deferred).
+// every joined (and, for left-outer, null-extended) output row to emit —
+// in a reused buffer, so emit copies what it keeps. Partitions with no
+// deferred probe rows are discarded unread — no probe row can match them
+// (and left-outer null extension concerns only probe rows, which were all
+// answered or deferred).
 func (s *spillJoin) finish(emit func(types.Row) error) error {
 	for p := 0; p < s.fanout; p++ {
 		if s.resident[p] {
@@ -224,7 +218,7 @@ func (s *spillJoin) finish(emit func(types.Row) error) error {
 		}
 		build := s.bruns[p].Drain(s.ctx.Clock)
 		probe := s.pruns[p].Drain(s.ctx.Clock)
-		if err := joinPartition(s.ctx, s.node, build, probe, s.rWidth, s.depth+1, emit); err != nil {
+		if err := joinPartition(s.ctx, s.node, build, probe, s.depth+1, emit); err != nil {
 			return err
 		}
 	}
@@ -246,94 +240,34 @@ func (s *spillJoin) close() {
 	s.bruns, s.pruns = nil, nil
 }
 
-// joinPartition joins one spilled (build, probe) partition pair: in memory
-// when the grant covers the build, by recursive repartitioning otherwise,
-// and by external sort-merge once the recursion bound is hit. Charges
+// joinPartition joins one spilled (build, probe) partition pair through the
+// same hashBuild and joinProbe as the in-memory join: in memory when the
+// grant covers the build, by recursive repartitioning otherwise, and by
+// external sort-merge once the recursion bound is hit. Charges therefore
 // mirror the in-memory hash join exactly (insert = 2 probes per build row,
 // 1 probe per probe row, 1 row of CPU per emitted row) plus the temp-run
 // I/O charged where rows actually move.
-func joinPartition(ctx *Context, node *plan.JoinNode, build, probe []types.Row, rWidth, depth int, emit func(types.Row) error) error {
-	grant := ctx.Mem.Grant(len(build))
-	defer ctx.Mem.Release(grant)
-	if len(build) <= grant {
-		table := make(map[uint64][]types.Row, len(build))
-		for _, r := range build {
-			ctx.Clock.Probes(2)
-			k := keyOf(r, node.RightKeys)
-			if keyHasNull(k) {
-				continue
-			}
-			h := types.HashRow(k)
-			table[h] = append(table[h], r)
-		}
-		for _, lr := range probe {
-			ctx.Clock.Probes(1)
-			k := keyOf(lr, node.LeftKeys)
-			matched := false
-			if !keyHasNull(k) {
-				for _, cand := range table[types.HashRow(k)] {
-					if !keysEqual(k, keyOf(cand, node.RightKeys)) {
-						continue
-					}
-					out, ok, err := emitJoined(ctx.Clock, ctx.Params, node, lr, cand)
-					if err != nil {
-						return err
-					}
-					if ok {
-						matched = true
-						if err := emit(out); err != nil {
-							return err
-						}
-					}
-				}
-			}
-			if node.Type == plan.LeftOuter && !matched {
-				ctx.Clock.RowWork(1)
-				if err := emit(types.Concat(lr, nullRow(rWidth))); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+func joinPartition(ctx *Context, node *plan.JoinNode, build, probe []types.Row, depth int, emit func(types.Row) error) error {
+	b := hashBuild{ctx: ctx, node: node, grant: ctx.Mem.Grant(len(build))}
+	defer b.release()
+	switch {
+	case len(build) <= b.grant:
+		b.tab = buildJoinTable(build, node.RightKeys, ctx.Clock, 2)
+	case depth > maxSpillDepth:
+		return mergeJoinSpilled(ctx, node, build, probe, emit)
+	default:
+		b.openSpill(build, depth)
 	}
-	if depth > maxSpillDepth {
-		return mergeJoinSpilled(ctx, node, build, probe, rWidth, emit)
-	}
-	sub := newSpillJoin(ctx, node, build, grant, rWidth, depth)
-	defer sub.close()
+	p := b.prober()
 	for _, lr := range probe {
-		ctx.Clock.Probes(1)
-		k := keyOf(lr, node.LeftKeys)
-		matched := false
-		if !keyHasNull(k) {
-			bucket, deferred := sub.probe(lr, k)
-			if deferred {
-				continue // outer semantics resolve inside the recursion
-			}
-			for _, cand := range bucket {
-				if !keysEqual(k, keyOf(cand, node.RightKeys)) {
-					continue
-				}
-				out, ok, err := emitJoined(ctx.Clock, ctx.Params, node, lr, cand)
-				if err != nil {
-					return err
-				}
-				if ok {
-					matched = true
-					if err := emit(out); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		if node.Type == plan.LeftOuter && !matched {
-			ctx.Clock.RowWork(1)
-			if err := emit(types.Concat(lr, nullRow(rWidth))); err != nil {
-				return err
-			}
+		if err := p.each(ctx.Clock, lr, emit); err != nil {
+			return err
 		}
 	}
-	return sub.finish(emit)
+	if b.spill != nil {
+		return b.spill.finish(emit)
+	}
+	return nil
 }
 
 // mergeJoinSpilled is the external sort-merge fallback for a partition that
@@ -343,7 +277,7 @@ func joinPartition(ctx *Context, node *plan.JoinNode, build, probe []types.Row, 
 // in streaming fashion with left-outer support. A duplicate-key group on
 // the build side is buffered during the merge, as in the in-memory merge
 // join.
-func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Row, rWidth int, emit func(types.Row) error) error {
+func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Row, emit func(types.Row) error) error {
 	ctx.Spill.fallback()
 	ctx.spillEvent("spill.merge_fallback", "%s build=%d probe=%d", node.Label(), len(build), len(probe))
 	pages := (len(build)+storage.PageRows-1)/storage.PageRows +
@@ -352,31 +286,18 @@ func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Ro
 	ctx.Clock.SeqRead(pages)
 	sortRows(ctx, probe, node.LeftKeys)
 	sortRows(ctx, build, node.RightKeys)
+	lk := make([]types.Value, len(node.LeftKeys))
+	rk := make([]types.Value, len(node.RightKeys))
+	buf := make(types.Row, 0, len(node.Schema()))
 	ri := 0
 	var group []types.Row
 	for _, lr := range probe {
-		lk := keyOf(lr, node.LeftKeys)
+		keyInto(lk, lr, node.LeftKeys)
 		matched := false
 		if !keyHasNull(lk) {
-			for ri < len(build) {
-				ctx.Clock.Compares(1)
-				rk := keyOf(build[ri], node.RightKeys)
-				if keyHasNull(rk) || compareKeys(rk, lk) < 0 {
-					ri++
-					continue
-				}
-				break
-			}
-			group = group[:0]
-			for k := ri; k < len(build); k++ {
-				ctx.Clock.Compares(1)
-				if compareKeys(keyOf(build[k], node.RightKeys), lk) != 0 {
-					break
-				}
-				group = append(group, build[k])
-			}
+			ri, group = mergeGroup(ctx.Clock, build, node.RightKeys, ri, lk, rk, group)
 			for _, cand := range group {
-				out, ok, err := emitJoined(ctx.Clock, ctx.Params, node, lr, cand)
+				out, ok, err := emitJoined(ctx.Clock, ctx.Params, node, buf, lr, cand)
 				if err != nil {
 					return err
 				}
@@ -390,7 +311,7 @@ func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Ro
 		}
 		if node.Type == plan.LeftOuter && !matched {
 			ctx.Clock.RowWork(1)
-			if err := emit(types.Concat(lr, nullRow(rWidth))); err != nil {
+			if err := emit(padNulls(buf, lr, len(node.Kids[1].Schema()))); err != nil {
 				return err
 			}
 		}
@@ -414,6 +335,7 @@ type aggSink struct {
 	grant    int
 	part     *aggPartial
 	runs     []*storage.TempRun
+	arena    rowArena // holds the spilled input rows
 	spilling bool
 }
 
@@ -434,7 +356,7 @@ func newAggSink(ctx *Context, node *plan.AggNode, depth int) *aggSink {
 // table is full and the key is new. accum folds the row into a group — the
 // caller chooses interpreted or compiled accumulation. The caller charges
 // its per-input-row probe itself. r must remain valid until accum returns;
-// spilled rows are cloned.
+// spilled rows are copied.
 func (s *aggSink) add(key []types.Value, r types.Row, accum func(*group) error) error {
 	h := types.HashRow(key)
 	for _, cand := range s.part.groups[h] {
@@ -461,7 +383,7 @@ func (s *aggSink) add(key []types.Value, r types.Row, accum func(*group) error) 
 	p := spillPartOf(h, s.depth, aggSpillFanout)
 	run := s.runs[p]
 	pagesBefore := run.Pages()
-	run.Append(s.ctx.Clock, r.Clone())
+	run.Append(s.ctx.Clock, s.arena.copy(r))
 	s.ctx.Spill.record(0, 1, run.Pages()-pagesBefore, s.depth)
 	return nil
 }
