@@ -353,7 +353,7 @@ func runtimeFilterPlan(cat *catalog.Catalog, dimRows int) plan.Node {
 		s := &plan.ScanNode{Table: t, Alias: alias}
 		s.Out = t.Schema.WithTable(alias)
 		s.Title = "SeqScan(" + alias + ")"
-		s.Prop = plan.Props{EstRows: float64(t.Heap.NumRows()), ActualRows: -1}
+		s.Prop = plan.Props{EstRows: float64(t.Heap.NumRows())}
 		return s
 	}
 	l, r := mkScan(fact, "f"), mkScan(dim, "d")
@@ -361,7 +361,7 @@ func runtimeFilterPlan(cat *catalog.Catalog, dimRows int) plan.Node {
 	j.Kids = []plan.Node{l, r}
 	j.Out = l.Out.Concat(r.Out)
 	j.Title = "HashJoin"
-	j.Prop = plan.Props{EstRows: float64(dimRows), ActualRows: -1}
+	j.Prop = plan.Props{EstRows: float64(dimRows)}
 	return j
 }
 

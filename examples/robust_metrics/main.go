@@ -61,7 +61,7 @@ func main() {
 		plan.Walk(root, func(n plan.Node) {
 			switch n.(type) {
 			case *plan.ScanNode, *plan.IndexScanNode:
-				est, act = n.Props().EstRows, n.Props().ActualRows
+				est, act = n.Props().EstRows, n.Props().ActualRows()
 			}
 		})
 		return ctx.Clock.Units(), est, act

@@ -58,11 +58,12 @@ type Progressive struct {
 
 // Result reports what the progressive executor did.
 type Result struct {
-	Rows    []types.Row
-	Reopts  int
-	Steps   int
-	Checks  []CheckRecord
-	PlanSig string
+	Rows     []types.Row // nil when they went to ExecuteInto's sink
+	RowCount int
+	Reopts   int
+	Steps    int
+	Checks   []CheckRecord
+	PlanSig  string
 }
 
 // CheckRecord captures one materialization point's estimate vs actual.
@@ -72,8 +73,16 @@ type CheckRecord struct {
 	Violated  bool
 }
 
-// Execute runs the query block under the configured policy.
+// Execute runs the query block under the configured policy and keeps the
+// result in Result.Rows.
 func (p *Progressive) Execute(q *plan.Query, ctx *exec.Context) (*Result, error) {
+	return p.ExecuteInto(q, ctx, nil)
+}
+
+// ExecuteInto is Execute with the final plan's rows handed to sink as they
+// are produced (exec.Drain's contract: nil keeps them in Result.Rows). The
+// intermediates POP materializes never reach the sink.
+func (p *Progressive) ExecuteInto(q *plan.Query, ctx *exec.Context, sink exec.RowSink) (*Result, error) {
 	res := &Result{}
 
 	// Working state: live relations, their q.Combined column origins, and
@@ -101,7 +110,8 @@ func (p *Progressive) Execute(q *plan.Query, ctx *exec.Context) (*Result, error)
 		if res.PlanSig == "" {
 			res.PlanSig = plan.PlanSignature(core)
 		}
-		if p.Policy == Static || len(rels) == 1 {
+		// finish runs what is left as one static plan, into the sink.
+		finish := func() (*Result, error) {
 			qCols, err := translateCols(cols, rels, orig)
 			if err != nil {
 				return nil, err
@@ -110,12 +120,14 @@ func (p *Progressive) Execute(q *plan.Query, ctx *exec.Context) (*Result, error)
 			if err != nil {
 				return nil, err
 			}
-			rows, err := exec.Run(root, ctx)
+			res.Rows, res.RowCount, err = exec.Drain(root, ctx, sink)
 			if err != nil {
 				return nil, err
 			}
-			res.Rows = rows
 			return res, nil
+		}
+		if p.Policy == Static || len(rels) == 1 {
+			return finish()
 		}
 
 		// Find the first executable join (both inputs are leaf scans).
@@ -133,20 +145,7 @@ func (p *Progressive) Execute(q *plan.Query, ctx *exec.Context) (*Result, error)
 		// statically: checks are free when nothing needs checking.
 		if p.Policy == Checked && sub != nil {
 			if leaf, ok := outerBaseLeaf(sub); !ok || !uncertainLeaf(leaf) {
-				qCols, err := translateCols(cols, rels, orig)
-				if err != nil {
-					return nil, err
-				}
-				root, err := p.Opt.FinishPlan(q, core, qCols)
-				if err != nil {
-					return nil, err
-				}
-				rows, err := exec.Run(root, ctx)
-				if err != nil {
-					return nil, err
-				}
-				res.Rows = rows
-				return res, nil
+				return finish()
 			}
 		}
 		if sub != nil {
@@ -184,20 +183,7 @@ func (p *Progressive) Execute(q *plan.Query, ctx *exec.Context) (*Result, error)
 		}
 		if sub == nil {
 			// No join (single relation handled above) — finish statically.
-			qCols, err := translateCols(cols, rels, orig)
-			if err != nil {
-				return nil, err
-			}
-			root, err := p.Opt.FinishPlan(q, core, qCols)
-			if err != nil {
-				return nil, err
-			}
-			rows, err := exec.Run(root, ctx)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = rows
-			return res, nil
+			return finish()
 		}
 		aliases := leafAliases(sub)
 		if len(aliases) != 2 {

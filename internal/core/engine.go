@@ -218,8 +218,10 @@ func Attach(cat *catalog.Catalog, cfg Config) *Engine {
 
 // Result is a statement's outcome.
 type Result struct {
-	Columns  []string
-	Rows     []types.Row
+	Columns []string
+	Rows    []types.Row // nil when the rows went to an ExecStream sink
+	// RowCount is the number of rows the SELECT produced, kept or streamed.
+	RowCount int
 	Affected int
 	Plan     string  // EXPLAIN / EXPLAIN ANALYZE text when requested
 	Cost     float64 // simulated cost units consumed
@@ -239,22 +241,45 @@ type Result struct {
 // statement failures.
 var ErrAdmissionRejected = errors.New("admission rejected")
 
+// RowSink consumes a SELECT's result while the plan is still producing it
+// (ExecStream): no copy of the result is ever held by the engine.
+type RowSink interface {
+	// Columns announces the result's column names, once, when execution
+	// starts. A statement that fails before that, or only explains its
+	// plan, never announces them; Result.Columns always carries them.
+	Columns(names []string)
+	// Row is exec.RowSink: r is valid only until Row returns, and an error
+	// stops the statement and is returned by ExecStream.
+	Row(r types.Row) error
+}
+
 // Exec parses and executes one statement.
 func (e *Engine) Exec(query string, params ...types.Value) (*Result, error) {
-	return e.ExecCancelable(query, nil, params...)
+	return e.ExecStream(query, nil, nil, params...)
 }
 
 // ExecCancelable is Exec with a cooperative cancellation hook: a non-nil
 // canceled func is polled before execution and periodically at the root
 // drain loop of SELECTs, and a true return aborts with exec.ErrCanceled.
-// The network service layer threads client Cancel frames and disconnects
-// through here; DDL/DML statements ignore the hook (they are short).
+// DDL/DML statements ignore the hook (they are short).
 func (e *Engine) ExecCancelable(query string, canceled func() bool, params ...types.Value) (*Result, error) {
+	return e.ExecStream(query, canceled, nil, params...)
+}
+
+// ExecStream is ExecCancelable with the result delivered row by row: a
+// SELECT's rows go to sink as the plan root produces them and Result.Rows
+// stays nil (a nil sink keeps them in Result.Rows, which is all Exec and
+// ExecCancelable are). Everything else about the statement — admission,
+// lifecycle, metrics, cost — is the same path. The network service layer
+// encodes rows onto the socket through here, with client Cancel frames and
+// disconnects arriving through canceled. EXPLAIN ANALYZE and statements
+// other than SELECT never call the sink.
+func (e *Engine) ExecStream(query string, canceled func() bool, sink RowSink, params ...types.Value) (*Result, error) {
 	st, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return e.execStmtCancelable(st, query, params, false, canceled)
+	return e.execStmt(st, query, params, false, canceled, sink)
 }
 
 // Explain returns the plan for a SELECT without executing it.
@@ -286,11 +311,7 @@ func (e *Engine) Explain(query string, params ...types.Value) (string, error) {
 	return plan.Explain(root), nil
 }
 
-func (e *Engine) execStmt(st sql.Stmt, text string, params []types.Value, explainOnly bool) (*Result, error) {
-	return e.execStmtCancelable(st, text, params, explainOnly, nil)
-}
-
-func (e *Engine) execStmtCancelable(st sql.Stmt, text string, params []types.Value, explainOnly bool, canceled func() bool) (*Result, error) {
+func (e *Engine) execStmt(st sql.Stmt, text string, params []types.Value, explainOnly bool, canceled func() bool, sink RowSink) (*Result, error) {
 	switch s := st.(type) {
 	case *sql.ExplainStmt:
 		if s.Analyze {
@@ -300,9 +321,9 @@ func (e *Engine) execStmtCancelable(st sql.Stmt, text string, params []types.Val
 			}
 			return e.explainAnalyze(sel, params)
 		}
-		return e.execStmtCancelable(s.Inner, "", params, true, canceled)
+		return e.execStmt(s.Inner, "", params, true, canceled, sink)
 	case *sql.SelectStmt:
-		return e.runSelectCancelable(s, text, params, explainOnly, canceled)
+		return e.runSelectObserved(s, text, params, explainOnly, 0, false, canceled, sink)
 	case *sql.CreateTableStmt:
 		e.invalidatePlans()
 		return e.execCreateTable(s)
@@ -400,12 +421,8 @@ func (e *Engine) execCreateTable(s *sql.CreateTableStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
-func (e *Engine) runSelectCancelable(s *sql.SelectStmt, text string, params []types.Value, explainOnly bool, canceled func() bool) (*Result, error) {
-	return e.runSelectObserved(s, text, params, explainOnly, 0, false, canceled)
-}
-
 func (e *Engine) runSelectDepth(s *sql.SelectStmt, text string, params []types.Value, explainOnly bool, depth int) (*Result, error) {
-	return e.runSelectObserved(s, text, params, explainOnly, depth, false, nil)
+	return e.runSelectObserved(s, text, params, explainOnly, depth, false, nil, nil)
 }
 
 // explainAnalyze executes the SELECT under a tracer and renders the span
@@ -413,13 +430,13 @@ func (e *Engine) runSelectDepth(s *sql.SelectStmt, text string, params []types.V
 // followed by the engine-event log (re-optimizations, cache and memory and
 // admission decisions).
 func (e *Engine) explainAnalyze(sel *sql.SelectStmt, params []types.Value) (*Result, error) {
-	res, err := e.runSelectObserved(sel, "", params, false, 0, true, nil)
+	res, err := e.runSelectObserved(sel, "", params, false, 0, true, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	var sb strings.Builder
 	sb.WriteString(res.Trace.Render())
-	fmt.Fprintf(&sb, "-- %d row(s), cost %.2f units", len(res.Rows), res.Cost)
+	fmt.Fprintf(&sb, "-- %d row(s), cost %.2f units", res.RowCount, res.Cost)
 	if res.Reopts > 0 {
 		fmt.Fprintf(&sb, ", %d reopt(s)", res.Reopts)
 	}
@@ -431,7 +448,7 @@ func (e *Engine) explainAnalyze(sel *sql.SelectStmt, params []types.Value) (*Res
 	return res, nil
 }
 
-func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []types.Value, explainOnly bool, depth int, forceTrace bool, canceled func() bool) (finalRes *Result, finalErr error) {
+func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []types.Value, explainOnly bool, depth int, forceTrace bool, canceled func() bool, sink RowSink) (finalRes *Result, finalErr error) {
 	// Lifecycle registration: every top-level executing query gets an ID
 	// and a phase in the live registry, and retires into the completed ring
 	// (and the query log, if a sink is configured) on this function's single
@@ -447,7 +464,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 			lifecycle.SetFingerprint(planFP)
 			st := obs.FinishStats{Err: finalErr, Admissions: admissions}
 			if finalRes != nil {
-				st.Rows = len(finalRes.Rows)
+				st.Rows = finalRes.RowCount
 				st.Reopts = finalRes.Reopts
 			}
 			if ctx != nil {
@@ -542,6 +559,11 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 
 	res := &Result{Columns: bq.ProjNames, Trace: trace}
 	var qerrs []float64
+	var rowSink exec.RowSink // nil: exec.Drain keeps the rows for res.Rows
+	if sink != nil && !explainOnly {
+		sink.Columns(res.Columns)
+		rowSink = sink.Row
+	}
 
 	if lifecycle != nil {
 		lifecycle.SetPhase(obs.PhaseRunning)
@@ -563,11 +585,11 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 			policy = adaptive.Eager
 		}
 		prog := &adaptive.Progressive{Opt: e.Opt, Policy: policy, ReoptCharge: 2}
-		pres, err := prog.Execute(bq, ctx)
+		pres, err := prog.ExecuteInto(bq, ctx, rowSink)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = pres.Rows
+		res.Rows, res.RowCount = pres.Rows, pres.RowCount
 		res.Reopts = pres.Reopts
 		for _, c := range pres.Checks {
 			qerrs = append(qerrs, obs.QError(c.Estimated, c.Actual))
@@ -588,26 +610,23 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 		}
 		planFP = plan.Fingerprint(root)
 		e.Metrics.Counter("rqp_rio_choices_total", obs.L("robust", fmt.Sprintf("%v", choice.Robust))).Inc()
-		e.maybeMarkParallel(root, ctx)
-		e.maybeMarkVectorized(root, ctx)
-		e.maybeMarkColumnRefs(root, ctx)
-		e.maybeRuntimeFilters(root, ctx)
-		e.maybeMarkSharded(root, ctx)
-		rows, err := exec.Run(root, ctx)
+		e.armContext(ctx, e.markPlan(root))
+		res.Rows, res.RowCount, err = exec.Drain(root, ctx, rowSink)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = rows
 		res.Plan = plan.ExplainActual(root)
 		qerrs = nodeQErrors(root)
 	default:
 		var root plan.Node
+		var marks planMarks
 		if e.Cache != nil && text != "" {
-			cachedRoot, hit, err := e.Cache.Plan(e, text, bq, params)
+			var hit bool
+			var err error
+			root, marks, hit, err = e.Cache.Plan(e, text, bq, params)
 			if err != nil {
 				return nil, err
 			}
-			root = cachedRoot
 			if hit {
 				e.Metrics.Counter("rqp_plan_cache_hits_total").Inc()
 			} else {
@@ -630,22 +649,20 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 			if err != nil {
 				return nil, err
 			}
+			if !explainOnly { // EXPLAIN shows the plan as optimized
+				marks = e.markPlan(root)
+			}
 		}
 		if explainOnly {
 			res.Plan = plan.Explain(root)
 			return res, nil
 		}
 		planFP = plan.Fingerprint(root)
-		e.maybeMarkParallel(root, ctx)
-		e.maybeMarkVectorized(root, ctx)
-		e.maybeMarkColumnRefs(root, ctx)
-		e.maybeRuntimeFilters(root, ctx)
-		e.maybeMarkSharded(root, ctx)
-		rows, err := exec.Run(root, ctx)
+		e.armContext(ctx, marks)
+		res.Rows, res.RowCount, err = exec.Drain(root, ctx, rowSink)
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = rows
 		res.Plan = plan.ExplainActual(root)
 		qerrs = nodeQErrors(root)
 	}
@@ -661,97 +678,90 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 	return res, nil
 }
 
-// maybeMarkParallel annotates a plan for morsel-driven execution when the
-// context carries a degree of parallelism above one. POP/progressive plans
-// never pass through here: re-optimization splices plans mid-flight, so
-// those paths stay serial.
-func (e *Engine) maybeMarkParallel(root plan.Node, ctx *exec.Context) {
-	if ctx.DOP <= 1 {
-		return
-	}
-	marked := plan.MarkParallel(root, exec.ParallelMinRows)
-	if ctx.Trace != nil {
-		ctx.Trace.Event("parallel.plan", fmt.Sprintf("dop=%d marked=%d", ctx.DOP, marked))
-	}
-	if marked > 0 {
-		e.Metrics.Counter("rqp_parallel_queries_total").Inc()
-	}
+// planMarks is what the marking passes annotated on one plan: the counts
+// every execution of it reports and arms its context by.
+type planMarks struct {
+	parallel   int // nodes marked for morsel execution
+	vectorized int // nodes marked for batch execution
+	narrowed   int // columnar scans given a column set
+	rfSites    int // runtime join filters planted
+	rfCredit   float64
+	shuffles   int // hash joins given a shuffle mode
 }
 
-// maybeMarkVectorized annotates a plan for batch execution when the config
-// enables it. Marking happens even at DOP > 1 — the executor itself only
-// takes the batch path on serial plans, but the annotations are harmless and
-// keep plan-cache hits consistent. POP/progressive plans never pass through
-// here, mirroring maybeMarkParallel.
-func (e *Engine) maybeMarkVectorized(root plan.Node, ctx *exec.Context) {
-	if !ctx.Vec {
-		return
+// markPlan annotates a freshly optimized plan for every execution mode the
+// configuration enables: morsel parallelism, batch execution (marked even at
+// DOP > 1 — the executor only takes the batch path on serial plans, and the
+// annotations are harmless), the column sets columnar scans decode, runtime
+// join filter sites with their cost credit, and shuffle exchanges. The
+// passes write to the tree, so they run exactly once per plan, while it is
+// still private: the plan cache publishes a plan only after this, and
+// executions — concurrent sessions sharing a cached tree — only read the
+// annotations. POP/progressive plans never pass through here:
+// re-optimization splices plans mid-flight, so those paths stay serial.
+func (e *Engine) markPlan(root plan.Node) planMarks {
+	var m planMarks
+	if exec.ResolveDOP(e.Cfg.DOP) > 1 {
+		m.parallel = plan.MarkParallel(root, exec.ParallelMinRows)
 	}
-	marked := plan.MarkVectorized(root)
-	if ctx.Trace != nil {
-		ctx.Trace.Event("vectorized.plan", fmt.Sprintf("marked=%d", marked))
+	if e.Cfg.Vec {
+		m.vectorized = plan.MarkVectorized(root)
 	}
-	if marked > 0 {
-		e.Metrics.Counter("rqp_vectorized_queries_total").Inc()
+	if e.Cfg.Columnar {
+		m.narrowed = plan.MarkColumnRefs(root)
 	}
+	if e.Cfg.RuntimeFilters {
+		m.rfSites, m.rfCredit = e.Opt.CreditRuntimeFilters(root)
+	}
+	if e.Cfg.Shards > 1 {
+		m.shuffles = opt.PlanShuffles(root, e.Cfg.Shards, e.Cfg.ShuffleForce)
+	}
+	return m
 }
 
-// maybeRuntimeFilters plants runtime join filter sites on the plan, credits
-// the cost model for the expected probe-side savings, and arms the context
-// with a fresh filter set. Plan-cache hits pass through here every query —
-// both the planting pass and the credit are idempotent. POP/progressive
-// plans never pass through here, mirroring maybeMarkParallel.
-func (e *Engine) maybeRuntimeFilters(root plan.Node, ctx *exec.Context) {
-	if !e.Cfg.RuntimeFilters {
-		return
+// armContext readies one execution's context for the modes its plan is
+// marked for — a fresh runtime-filter set, the shard count and shuffle
+// stats — and records them in the trace and the metrics. The context's DOP
+// is the one the WLM gate granted this execution: at one, a plan's parallel
+// marks simply go unused.
+func (e *Engine) armContext(ctx *exec.Context, m planMarks) {
+	tr := ctx.Trace
+	if ctx.DOP > 1 {
+		if tr != nil {
+			tr.Event("parallel.plan", fmt.Sprintf("dop=%d marked=%d", ctx.DOP, m.parallel))
+		}
+		if m.parallel > 0 {
+			e.Metrics.Counter("rqp_parallel_queries_total").Inc()
+		}
 	}
-	sites, credit := e.Opt.CreditRuntimeFilters(root)
-	if sites == 0 {
-		return
+	if ctx.Vec {
+		if tr != nil {
+			tr.Event("vectorized.plan", fmt.Sprintf("marked=%d", m.vectorized))
+		}
+		if m.vectorized > 0 {
+			e.Metrics.Counter("rqp_vectorized_queries_total").Inc()
+		}
 	}
-	ctx.RF = exec.NewRuntimeFilterSet(ctx.Trace)
-	if ctx.Trace != nil {
-		ctx.Trace.Event("rf.plan", fmt.Sprintf("sites=%d credit=%.2f", sites, credit))
+	if e.Cfg.Columnar && tr != nil {
+		tr.Event("columnar.plan", fmt.Sprintf("narrowed=%d", m.narrowed))
 	}
-	e.Metrics.Counter("rqp_filter_queries_total").Inc()
-}
-
-// maybeMarkColumnRefs computes referenced-column sets for columnar scans so
-// they decode only the columns the query reads. Idempotent — plan-cache
-// hits re-run it like the other marking passes. POP/progressive plans never
-// pass through here, mirroring maybeMarkParallel.
-func (e *Engine) maybeMarkColumnRefs(root plan.Node, ctx *exec.Context) {
-	if !e.Cfg.Columnar {
-		return
+	if e.Cfg.RuntimeFilters && m.rfSites > 0 {
+		ctx.RF = exec.NewRuntimeFilterSet(tr)
+		if tr != nil {
+			tr.Event("rf.plan", fmt.Sprintf("sites=%d credit=%.2f", m.rfSites, m.rfCredit))
+		}
+		e.Metrics.Counter("rqp_filter_queries_total").Inc()
 	}
-	narrowed := plan.MarkColumnRefs(root)
-	if ctx.Trace != nil {
-		ctx.Trace.Event("columnar.plan", fmt.Sprintf("narrowed=%d", narrowed))
+	if e.Cfg.Shards > 1 && m.shuffles > 0 {
+		ctx.Shards = e.Cfg.Shards
+		ctx.Shuffle = exec.NewShuffleStats(e.Cfg.Shards)
+		ctx.NoHotSplit = e.Cfg.ShardNoHotSplit
+		ctx.ShufTransport = e.Cfg.ShuffleTransport
+		if tr != nil {
+			tr.Event("shuffle.plan", fmt.Sprintf("shards=%d marked=%d force=%q", e.Cfg.Shards, m.shuffles, e.Cfg.ShuffleForce))
+		}
+		e.Metrics.Counter("rqp_shuffle_queries_total").Inc()
 	}
-}
-
-// maybeMarkSharded plans shuffle exchanges on a plan's hash joins and arms
-// the context with shard count and shuffle stats when the config carries a
-// shard count above one. Idempotent like the other marking passes — the
-// planner re-derives every join's exchange mode from scratch, so plan-cache
-// hits pass through safely. POP/progressive plans never pass through here,
-// mirroring maybeMarkParallel.
-func (e *Engine) maybeMarkSharded(root plan.Node, ctx *exec.Context) {
-	if e.Cfg.Shards <= 1 {
-		return
-	}
-	marked := opt.PlanShuffles(root, e.Cfg.Shards, e.Cfg.ShuffleForce)
-	if marked == 0 {
-		return
-	}
-	ctx.Shards = e.Cfg.Shards
-	ctx.Shuffle = exec.NewShuffleStats(e.Cfg.Shards)
-	ctx.NoHotSplit = e.Cfg.ShardNoHotSplit
-	ctx.ShufTransport = e.Cfg.ShuffleTransport
-	if ctx.Trace != nil {
-		ctx.Trace.Event("shuffle.plan", fmt.Sprintf("shards=%d marked=%d force=%q", e.Cfg.Shards, marked, e.Cfg.ShuffleForce))
-	}
-	e.Metrics.Counter("rqp_shuffle_queries_total").Inc()
 }
 
 // nodeQErrors collects per-operator q-errors from an executed plan.
@@ -759,8 +769,8 @@ func nodeQErrors(root plan.Node) []float64 {
 	var out []float64
 	plan.Walk(root, func(n plan.Node) {
 		p := n.Props()
-		if p.ActualRows >= 0 {
-			out = append(out, obs.QError(p.EstRows, p.ActualRows))
+		if act := p.ActualRows(); act >= 0 {
+			out = append(out, obs.QError(p.EstRows, act))
 		}
 	})
 	return out

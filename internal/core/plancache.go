@@ -30,6 +30,7 @@ type PlanCache struct {
 
 type cacheEntry struct {
 	root  plan.Node
+	marks planMarks
 	sig   string
 	execs int
 }
@@ -66,19 +67,24 @@ func normalizeText(q string) string {
 	return strings.Join(strings.Fields(strings.ToLower(q)), " ")
 }
 
-// Plan returns an executable plan for the SELECT whose text is query and
-// whose bound form is bq — the caller has already parsed and bound the
-// statement, so a miss (or a revalidation) only optimizes. The boolean
-// reports whether the plan came from the cache. Safe for concurrent use:
-// every read and update of an entry and of the counters happens under the
-// cache's lock; optimization runs outside it.
-func (pc *PlanCache) Plan(e *Engine, query string, bq *plan.Query, params []types.Value) (plan.Node, bool, error) {
+// Plan returns an executable plan — optimized and marked (Engine.markPlan)
+// — for the SELECT whose text is query and whose bound form is bq; the
+// caller has already parsed and bound the statement, so a miss (or a
+// revalidation) only optimizes and marks. The boolean reports whether the
+// plan came from the cache. Safe for concurrent use: every read and update
+// of an entry and of the counters happens under the cache's lock;
+// optimization and marking run outside it, on a tree no other session can
+// see yet — a published tree is only ever read.
+func (pc *PlanCache) Plan(e *Engine, query string, bq *plan.Query, params []types.Value) (plan.Node, planMarks, bool, error) {
 	if bq.NumParams > 0 {
 		pc.mu.Lock()
 		pc.stats.Uncacheable++
 		pc.mu.Unlock()
 		root, err := e.Opt.Optimize(bq, params)
-		return root, false, err
+		if err != nil {
+			return nil, planMarks{}, false, err
+		}
+		return root, e.markPlan(root), false, nil
 	}
 	key := normalizeText(query)
 	pc.mu.Lock()
@@ -89,24 +95,25 @@ func (pc *PlanCache) Plan(e *Engine, query string, bq *plan.Query, params []type
 		revalidate = pc.RevalidateEvery > 0 && entry.execs%pc.RevalidateEvery == 0
 		if !revalidate {
 			pc.stats.Hits++
-			root := entry.root
+			root, marks := entry.root, entry.marks
 			pc.mu.Unlock()
-			return root, true, nil
+			return root, marks, true, nil
 		}
 	}
 	pc.mu.Unlock()
 
 	root, err := e.Opt.Optimize(bq, params)
 	if err != nil {
-		return nil, false, err
+		return nil, planMarks{}, false, err
 	}
+	marks := e.markPlan(root)
 	sig := plan.PlanSignature(root)
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if !revalidate {
 		pc.stats.Misses++
-		pc.entries[key] = &cacheEntry{root: root, sig: sig, execs: 1}
-		return root, false, nil
+		pc.entries[key] = &cacheEntry{root: root, marks: marks, sig: sig, execs: 1}
+		return root, marks, false, nil
 	}
 	pc.stats.Revalidations++
 	if sig != entry.sig {
@@ -115,9 +122,9 @@ func (pc *PlanCache) Plan(e *Engine, query string, bq *plan.Query, params []type
 	// The entry is updated in place only if it is still the cached one: an
 	// Invalidate (or a racing miss) since the lookup wins.
 	if pc.entries[key] == entry {
-		entry.root, entry.sig = root, sig
+		entry.root, entry.marks, entry.sig = root, marks, sig
 	}
-	return root, false, nil
+	return root, marks, false, nil
 }
 
 // Invalidate drops all cached plans (DDL and ANALYZE call this).

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 
 	"rqp/internal/plan"
 	"rqp/internal/sql"
 	"rqp/internal/types"
+	"rqp/internal/workload"
 )
 
 func cacheEngine(t *testing.T) *Engine {
@@ -152,7 +154,7 @@ func TestPlanCacheConcurrentSessions(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, _, err := e.Cache.Plan(e, q, bq, nil); err != nil {
+				if _, _, _, err := e.Cache.Plan(e, q, bq, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -167,5 +169,55 @@ func TestPlanCacheConcurrentSessions(t *testing.T) {
 	}
 	if e.Cache.Len() != 1 {
 		t.Errorf("cache entries = %d", e.Cache.Len())
+	}
+}
+
+// TestPlanCacheConcurrentExecutions runs one cached plan from four
+// goroutines with every marking pass the engine has switched on — morsel
+// and batch marks, column sets, runtime-filter sites and their credit,
+// shuffle modes — the way server sessions sending the same text do. The
+// passes write to the plan tree and each execution records its actual
+// cardinalities into it, so under -race this pins that a plan is marked
+// before the cache publishes it and only read (or atomically updated)
+// afterwards; the rows and the cost pin that sharing changes no result.
+func TestPlanCacheConcurrentExecutions(t *testing.T) {
+	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT l_returnflag, COUNT(*), SUM(l_quantity) FROM lineitem, orders
+		WHERE l_orderkey = o_orderkey AND o_totalprice > 1000 GROUP BY l_returnflag ORDER BY l_returnflag`
+	for _, cfg := range []Config{
+		{DOP: 2, Columnar: true, RuntimeFilters: true, Shards: 2},
+		{Vec: true, Columnar: true, RuntimeFilters: true},
+	} {
+		cfg.Policy, cfg.MemBudgetRows, cfg.HistBuckets = PolicyClassic, 1<<16, 16
+		e := Attach(cat, cfg)
+		e.Cache = NewPlanCache(0)
+		want := e.MustExec(q) // the miss that marks and publishes the plan
+		var wg sync.WaitGroup
+		for s := 0; s < 4; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					got, err := e.Exec(q)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					// Morsel scheduling moves how many rows a runtime filter
+					// drops before it settles, hence the cost's sixth digit.
+					if rowsKey(got) != rowsKey(want) || math.Abs(got.Cost-want.Cost) > 1e-4*want.Cost {
+						t.Errorf("shared plan: rows or cost %v differ from the first execution's %v", got.Cost, want.Cost)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if st := e.Cache.Stats(); st.Misses != 1 || st.Hits != 40 {
+			t.Errorf("cache stats %+v, want 1 miss and 40 hits", st)
+		}
 	}
 }

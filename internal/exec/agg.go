@@ -362,7 +362,7 @@ type distinctOp struct {
 	ctx   *Context
 	child Operator
 	seen  *joinTable
-	arena rowArena
+	arena RowArena
 }
 
 func (d *distinctOp) Open() error {
@@ -384,7 +384,7 @@ next:
 				continue next
 			}
 		}
-		c := d.arena.copy(r)
+		c := d.arena.Copy(r)
 		d.seen.add(c, h)
 		return c, true, nil
 	}

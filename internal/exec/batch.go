@@ -18,7 +18,7 @@ const BatchRows = 256
 // place; its contents — the Rows slice and every row in it — are valid only
 // until the producer's next NextBatch or Close (the Operator row-ownership
 // contract, batched): producers back a batch's rows with one reused slab,
-// and a consumer that keeps a row copies it (rowArena).
+// and a consumer that keeps a row copies it (RowArena).
 type Batch struct {
 	Rows []types.Row
 	Sel  []int
@@ -144,7 +144,7 @@ func (c *countedBatch) finish() {
 		return
 	}
 	c.done = true
-	c.node.Props().ActualRows = c.n
+	c.node.Props().SetActualRows(c.n)
 	if c.span != nil {
 		c.span.Finish(c.n)
 	}

@@ -224,7 +224,7 @@ func (m *MemBroker) InUse() int {
 // Operator is the Volcano iterator interface. Row ownership: the row Next
 // returns belongs to the operator and is valid only until the next call
 // (Next or Close) on it — producers reuse one output buffer. A consumer that
-// keeps a row across calls copies it first (rowArena); passing it straight
+// keeps a row across calls copies it first (RowArena); passing it straight
 // on, or reading it before pulling again, needs no copy.
 type Operator interface {
 	Open() error
@@ -265,7 +265,7 @@ func (c *counted) finish() {
 		return
 	}
 	c.done = true
-	c.node.Props().ActualRows = c.n
+	c.node.Props().SetActualRows(c.n)
 	if c.ctx.OnActual != nil {
 		c.ctx.OnActual(c.node, c.n)
 	}
@@ -317,7 +317,7 @@ func (c *tracedCounted) finish() {
 		return
 	}
 	c.done = true
-	c.node.Props().ActualRows = c.n
+	c.node.Props().SetActualRows(c.n)
 	c.span.Finish(c.n)
 	if c.ctx.OnActual != nil {
 		c.ctx.OnActual(c.node, c.n)
@@ -533,53 +533,91 @@ func buildParallelJoin(node *plan.JoinNode, ctx *Context) (*parallelHashJoin, er
 	return pj, err
 }
 
-// Run executes a plan to completion and returns all result rows. Actual
+// RowSink receives the rows of a drained plan, one call per row, in result
+// order. The row is lent, not given: it belongs to the producing operator
+// and is valid only until the sink returns (the operator's next call may
+// overwrite it), so a sink either finishes with the row — encodes it,
+// folds it into a total — or copies it. A non-nil error stops the drain and
+// comes back from it.
+type RowSink func(types.Row) error
+
+// Drain executes a plan to completion, handing every result row to sink,
+// and returns how many rows the plan produced. A nil sink keeps the result
+// instead: the rows come back too, copied into one arena. Actual
 // cardinalities are recorded on every node. When the context carries a
-// Canceled hook it is checked before execution starts and periodically at
-// the root drain loop.
-func Run(n plan.Node, ctx *Context) ([]types.Row, error) {
+// Canceled hook it is checked before execution starts and every
+// cancelCheckRows rows.
+func Drain(n plan.Node, ctx *Context, sink RowSink) ([]types.Row, int, error) {
 	if ctx.Canceled != nil && ctx.Canceled() {
-		return nil, ErrCanceled
+		return nil, 0, ErrCanceled
 	}
 	op, err := Build(n, ctx)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return runOp(op, ctx)
+	if sink != nil {
+		count, err := runOp(op, ctx, sink)
+		return nil, count, err
+	}
+	rows, err := collect(op, ctx)
+	return rows, len(rows), err
 }
 
-// runOp drains an operator to exhaustion, copying every row into one arena
-// (the rows are the operator's only until its next call). A Close failure
-// after a Next failure is joined onto the original error rather than
-// discarded, so resource-release problems surface. A non-nil ctx.Canceled is
-// polled every cancelCheckRows rows.
-func runOp(op Operator, ctx *Context) ([]types.Row, error) {
-	if err := op.Open(); err != nil {
+// Run is Drain with the result kept: it returns all result rows.
+func Run(n plan.Node, ctx *Context) ([]types.Row, error) {
+	rows, _, err := Drain(n, ctx, nil)
+	return rows, err
+}
+
+// collector is the sink that keeps a result: every row copied into one
+// arena.
+type collector struct {
+	rows  []types.Row
+	arena RowArena
+}
+
+func (c *collector) add(r types.Row) error {
+	c.rows = append(c.rows, c.arena.Copy(r))
+	return nil
+}
+
+// collect drains op into a collector and returns the rows it kept.
+func collect(op Operator, ctx *Context) ([]types.Row, error) {
+	var c collector
+	if _, err := runOp(op, ctx, c.add); err != nil {
 		return nil, err
 	}
-	var out []types.Row
-	var arena rowArena
+	return c.rows, nil
+}
+
+// runOp is the one root drain loop: it pulls op to exhaustion and hands
+// each row to sink before pulling again. A Close failure after a Next or
+// sink failure is joined onto the original error rather than discarded, so
+// resource-release problems surface. A non-nil ctx.Canceled is polled every
+// cancelCheckRows rows.
+func runOp(op Operator, ctx *Context, sink RowSink) (int, error) {
+	if err := op.Open(); err != nil {
+		return 0, err
+	}
+	n := 0
 	for {
 		r, ok, err := op.Next()
+		if err == nil && ok {
+			n++
+			if err = sink(r); err == nil && ctx != nil && ctx.Canceled != nil && n%cancelCheckRows == 0 && ctx.Canceled() {
+				err = ErrCanceled
+			}
+		}
 		if err != nil {
 			if cerr := op.Close(); cerr != nil {
 				err = errors.Join(err, cerr)
 			}
-			return nil, err
+			return n, err
 		}
 		if !ok {
-			break
-		}
-		out = append(out, arena.copy(r))
-		if ctx != nil && ctx.Canceled != nil && len(out)%cancelCheckRows == 0 && ctx.Canceled() {
-			err := ErrCanceled
-			if cerr := op.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return nil, err
+			return n, op.Close()
 		}
 	}
-	return out, op.Close()
 }
 
 // CardinalityViolation signals that a CHECK operator saw a cardinality

@@ -21,9 +21,11 @@
 //
 // Row ownership: a row returned by Next, or held in a Batch, is valid until
 // the next call on that operator — producers reuse their output buffers and
-// nothing allocates per row. A consumer that keeps a row across calls
-// (drain and Run, sort runs, DISTINCT, spill runs, exchange buffers) copies
-// it into a rowArena, chunked value slabs that grow geometrically. Every
+// nothing allocates per row. The one root drain loop (runOp, behind Drain)
+// lends each row to a RowSink before pulling again; a consumer that keeps
+// a row across calls (the collecting sink of Run and drain, sort runs,
+// DISTINCT, spill runs, exchange buffers) copies it into a RowArena,
+// chunked value slabs that grow geometrically. Every
 // hash join builds one joinTable over arena-held build rows and probes it
 // through one joinProbe (kernel.go); SetRowPoison is the test harness that
 // overwrites stale rows so a missing copy fails loudly.

@@ -441,7 +441,7 @@ func TestActualCardinalitiesRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan.Walk(p, func(n plan.Node) {
-		if n.Props().ActualRows < 0 {
+		if n.Props().ActualRows() < 0 {
 			t.Errorf("node %s has no actual cardinality", n.Label())
 		}
 	})

@@ -175,12 +175,12 @@ func TestCheckOperatorSignalsViolation(t *testing.T) {
 	scan := &plan.ScanNode{Table: tb, Alias: "f"}
 	scan.Out = tb.Schema
 	scan.Title = "SeqScan(f)"
-	scan.Prop = plan.Props{EstRows: 50, ActualRows: -1}
+	scan.Prop = plan.Props{EstRows: 50}
 	check := &plan.CheckNode{Lo: 0, Hi: 10}
 	check.Kids = []plan.Node{scan}
 	check.Out = scan.Out
 	check.Title = "Check"
-	check.Prop = plan.Props{EstRows: 10, ActualRows: -1}
+	check.Prop = plan.Props{EstRows: 10}
 	_, err := Run(check, NewContext())
 	viol, ok := err.(*CardinalityViolation)
 	if !ok {
@@ -194,7 +194,7 @@ func TestCheckOperatorSignalsViolation(t *testing.T) {
 	check2.Kids = []plan.Node{scan}
 	check2.Out = scan.Out
 	check2.Title = "Check"
-	check2.Prop = plan.Props{EstRows: 100, ActualRows: -1}
+	check2.Prop = plan.Props{EstRows: 100}
 	_, err = Run(check2, NewContext())
 	if _, ok := err.(*CardinalityViolation); !ok {
 		t.Fatalf("expected undershoot violation, got %v", err)
@@ -204,7 +204,7 @@ func TestCheckOperatorSignalsViolation(t *testing.T) {
 	check3.Kids = []plan.Node{scan}
 	check3.Out = scan.Out
 	check3.Title = "Check"
-	check3.Prop = plan.Props{EstRows: 50, ActualRows: -1}
+	check3.Prop = plan.Props{EstRows: 50}
 	rows, err := Run(check3, NewContext())
 	if err != nil || len(rows) != 50 {
 		t.Errorf("in-range check should pass: %v rows=%d", err, len(rows))

@@ -28,7 +28,7 @@ func buildJoin(node *plan.JoinNode, l, r Operator, ctx *Context) (Operator, erro
 }
 
 // drain materializes an operator's output (copied through a row arena).
-func drain(op Operator) ([]types.Row, error) { return runOp(op, nil) }
+func drain(op Operator) ([]types.Row, error) { return collect(op, nil) }
 
 // keyInto fills dst (len(cols)) with r's key columns. Callers own dst as
 // scratch, so extracting a key never allocates.
@@ -383,7 +383,7 @@ type symHashJoin struct {
 	right Operator
 
 	ltab, rtab *joinTable
-	arena      rowArena // inserted rows and joined output
+	arena      RowArena // inserted rows and joined output
 	key        []types.Value
 	buf        types.Row
 	out        []types.Row
@@ -444,7 +444,7 @@ func (j *symHashJoin) insert(r types.Row, fromLeft bool) error {
 		return nil
 	}
 	h := types.HashRow(j.key)
-	r = j.arena.copy(r)
+	r = j.arena.Copy(r)
 	myTab.add(r, h)
 	for i := otherTab.first(h); i >= 0; i = otherTab.after(i, h) {
 		cand := otherTab.rows[i]
@@ -460,7 +460,7 @@ func (j *symHashJoin) insert(r types.Row, fromLeft bool) error {
 			return err
 		}
 		if ok {
-			j.out = append(j.out, j.arena.copy(out))
+			j.out = append(j.out, j.arena.Copy(out))
 		}
 	}
 	return nil
@@ -520,7 +520,7 @@ func (j *gJoin) Open() error {
 	grant := j.ctx.Mem.Grant(len(small))
 	defer j.ctx.Mem.Release(grant)
 
-	var arena rowArena
+	var arena RowArena
 	buf := make(types.Row, 0, len(j.node.Schema()))
 	key := make([]types.Value, len(largeKeys))
 	pair := func(s, g types.Row) error {
@@ -533,7 +533,7 @@ func (j *gJoin) Open() error {
 			return err
 		}
 		if ok {
-			j.out = append(j.out, arena.copy(out))
+			j.out = append(j.out, arena.Copy(out))
 		}
 		return nil
 	}

@@ -17,26 +17,34 @@ import (
 // arenaMaxChunk caps an arena chunk (in values, ~160 KB).
 const arenaMaxChunk = 4096
 
-// rowArena copies rows into chunked value slabs so that retaining a row
+// RowArena carves rows out of chunked value slabs so that retaining a row
 // costs a memcpy, not an allocation. A new chunk is as large as everything
 // the arena already holds (capped at arenaMaxChunk), so a one-row result
 // allocates exactly what Row.Clone did and a large one allocates once per
-// few hundred rows. Not safe for concurrent use; the zero value is ready.
-type rowArena struct {
+// few hundred rows. Exported for the wire decoders, which fill rows in
+// place. Not safe for concurrent use; the zero value is ready.
+type RowArena struct {
 	chunk []types.Value // tail chunk: rows are carved off its spare capacity
-	held  int           // values copied so far
+	held  int           // values handed out so far
 }
 
-// copy returns a stable copy of r. The result's capacity is clipped, so an
-// append to it can never reach a neighbouring row.
-func (a *rowArena) copy(r types.Row) types.Row {
-	if cap(a.chunk)-len(a.chunk) < len(r) {
-		a.chunk = make([]types.Value, 0, max(len(r), min(a.held, arenaMaxChunk)))
+// Alloc returns a row of n zero values for the caller to fill. Its capacity
+// is clipped, so an append to it can never reach a neighbouring row.
+func (a *RowArena) Alloc(n int) types.Row {
+	if cap(a.chunk)-len(a.chunk) < n {
+		a.chunk = make([]types.Value, 0, max(n, min(a.held, arenaMaxChunk)))
 	}
 	off := len(a.chunk)
-	a.chunk = append(a.chunk, r...)
-	a.held += len(r)
-	return types.Row(a.chunk[off:len(a.chunk):len(a.chunk)])
+	a.chunk = a.chunk[:off+n]
+	a.held += n
+	return types.Row(a.chunk[off : off+n : off+n])
+}
+
+// Copy returns a stable copy of r.
+func (a *RowArena) Copy(r types.Row) types.Row {
+	out := a.Alloc(len(r))
+	copy(out, r)
+	return out
 }
 
 // concatInto overwrites buf with l‖r and returns it: the reused output row
@@ -228,9 +236,9 @@ func (b *hashBuild) replay() ([]types.Row, error) {
 		return nil, nil
 	}
 	var out []types.Row
-	var arena rowArena
+	var arena RowArena
 	err := b.spill.finish(func(r types.Row) error {
-		out = append(out, arena.copy(r))
+		out = append(out, arena.Copy(r))
 		return nil
 	})
 	return out, err

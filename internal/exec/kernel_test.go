@@ -182,12 +182,12 @@ func TestJoinProbeMatchesNaive(t *testing.T) {
 // other or their source, they survive any number of chunk turnovers, and a
 // small result pays no more than Row.Clone did.
 func TestRowArena(t *testing.T) {
-	var a rowArena
+	var a RowArena
 	src := types.Row{types.Int(1), types.Str("x"), types.Float(2.5)}
 	var kept []types.Row
 	for i := 0; i < 3*arenaMaxChunk; i++ { // many chunks
 		src[0] = types.Int(int64(i))
-		kept = append(kept, a.copy(src))
+		kept = append(kept, a.Copy(src))
 	}
 	for i, r := range kept {
 		if len(r) != 3 || r[0].I != int64(i) || r[1].S != "x" || r[2].F != 2.5 {
@@ -204,7 +204,7 @@ func TestRowArena(t *testing.T) {
 	if grown[3].I != 99 || kept[11][0].I != 11 {
 		t.Error("append to an arena row overwrote its neighbour")
 	}
-	if r := a.copy(nil); len(r) != 0 {
+	if r := a.Copy(nil); len(r) != 0 {
 		t.Errorf("copy of an empty row has %d values", len(r))
 	}
 
@@ -224,7 +224,7 @@ func TestRowArena(t *testing.T) {
 		return (after.TotalAlloc - before.TotalAlloc) / runs, (after.Mallocs - before.Mallocs) / runs
 	}
 	arenaDrain := func(op Operator) []types.Row {
-		out, _ := runOp(op, nil)
+		out, _ := drain(op)
 		return out
 	}
 	cloneDrain := func(op Operator) []types.Row {

@@ -79,9 +79,9 @@ func TestRowLifetimeHarnessBites(t *testing.T) {
 	if src.rows[0][0].I != 1 {
 		t.Error("harness scribbled over the producer's own rows")
 	}
-	rows, err := runOp(wrapOp(&sliceOp{rows: src.rows}), nil)
+	rows, err := drain(wrapOp(&sliceOp{rows: src.rows}))
 	if err != nil || len(rows) != 3 || rows[2][0].I != 3 || rows[0][0].I != 1 {
-		t.Errorf("runOp under the harness returned %v, %v", rows, err)
+		t.Errorf("drain under the harness returned %v, %v", rows, err)
 	}
 }
 

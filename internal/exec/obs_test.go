@@ -94,7 +94,7 @@ func (f *failingOp) Close() error                   { return f.closeErr }
 func TestRunSurfacesCloseError(t *testing.T) {
 	nextErr := errors.New("next exploded")
 	closeErr := errors.New("close exploded")
-	_, err := runOp(&failingOp{nextErr: nextErr, closeErr: closeErr}, nil)
+	_, err := drain(&failingOp{nextErr: nextErr, closeErr: closeErr})
 	if !errors.Is(err, nextErr) {
 		t.Fatalf("error %v does not wrap the Next failure", err)
 	}
@@ -104,7 +104,7 @@ func TestRunSurfacesCloseError(t *testing.T) {
 	// With a clean Close the original error must come back untouched, so
 	// callers' direct type assertions (e.g. *CardinalityViolation) keep
 	// working.
-	_, err = runOp(&failingOp{nextErr: nextErr}, nil)
+	_, err = drain(&failingOp{nextErr: nextErr})
 	if err != nextErr {
 		t.Fatalf("error = %v, want the bare Next failure", err)
 	}
@@ -181,8 +181,8 @@ func TestTraceSpansRecorded(t *testing.T) {
 		if s.ActualRows() < 0 {
 			t.Errorf("node %s: span never finished", n.Label())
 		}
-		if s.ActualRows() != n.Props().ActualRows {
-			t.Errorf("node %s: span actual %v != props actual %v", n.Label(), s.ActualRows(), n.Props().ActualRows)
+		if s.ActualRows() != n.Props().ActualRows() {
+			t.Errorf("node %s: span actual %v != props actual %v", n.Label(), s.ActualRows(), n.Props().ActualRows())
 		}
 	})
 	rootSpan := tr.SpanOf(root)

@@ -37,7 +37,7 @@ func (ctx *Context) parallelEligible(p *plan.Props) bool {
 // the robustness metrics still see the node even though no standalone
 // operator ran for it.
 func finishNode(ctx *Context, n plan.Node, actual float64) {
-	n.Props().ActualRows = actual
+	n.Props().SetActualRows(actual)
 	if ctx.Trace != nil {
 		if sp := ctx.Trace.SpanOf(n); sp != nil {
 			sp.Finish(actual)
@@ -171,7 +171,7 @@ func (s *parallelScan) Close() error {
 // into, so steady-state probing allocates nothing per row.
 type probeScratch struct {
 	*joinProbe
-	arena rowArena
+	arena RowArena
 }
 
 // parallelHashJoin is the morsel-driven hash join. The build side is
@@ -359,9 +359,9 @@ func (j *parallelHashJoin) putScratch(st *probeScratch) { j.scratch.Put(st) }
 func (j *parallelHashJoin) probe() error {
 	if j.spill != nil {
 		out := getMorselBuf()
-		var arena rowArena
+		var arena RowArena
 		err := j.probeSerialSpill(func(r types.Row) error {
-			out = append(out, arena.copy(r))
+			out = append(out, arena.Copy(r))
 			return nil
 		})
 		if err != nil {
@@ -381,7 +381,7 @@ func (j *parallelHashJoin) probe() error {
 			defer j.putScratch(st)
 			out := getMorselBuf()
 			keep := func(r types.Row) error {
-				out = append(out, st.arena.copy(r))
+				out = append(out, st.arena.Copy(r))
 				return nil
 			}
 			rows := 0
@@ -416,7 +416,7 @@ func (j *parallelHashJoin) probe() error {
 		lo, hi := morselRange(m, MorselRows, len(lrows))
 		out := getMorselBuf()
 		keep := func(r types.Row) error {
-			out = append(out, st.arena.copy(r))
+			out = append(out, st.arena.Copy(r))
 			return nil
 		}
 		for _, lr := range lrows[lo:hi] {

@@ -176,7 +176,7 @@ func TestParallelActualRows(t *testing.T) {
 	}
 	plan.Walk(root, func(n plan.Node) {
 		if sc, ok := n.(*plan.ScanNode); ok {
-			if sc.Prop.ActualRows < 0 {
+			if sc.Prop.ActualRows() < 0 {
 				t.Errorf("scan %s: ActualRows unset after parallel run", sc.Label())
 			}
 		}

@@ -141,7 +141,7 @@ func rfTestJoinPlan(t *testing.T, cat *catalog.Catalog) *plan.JoinNode {
 		s := &plan.ScanNode{Table: tbl, Alias: alias}
 		s.Out = tbl.Schema.WithTable(alias)
 		s.Title = "SeqScan(" + alias + ")"
-		s.Prop = plan.Props{EstRows: float64(tbl.Heap.NumRows()), ActualRows: -1}
+		s.Prop = plan.Props{EstRows: float64(tbl.Heap.NumRows())}
 		return s
 	}
 	l, r := mkScan("fact", "f"), mkScan("dim", "d")
@@ -149,7 +149,7 @@ func rfTestJoinPlan(t *testing.T, cat *catalog.Catalog) *plan.JoinNode {
 	j.Kids = []plan.Node{l, r}
 	j.Out = l.Out.Concat(r.Out)
 	j.Title = "HashJoin"
-	j.Prop = plan.Props{EstRows: 1, ActualRows: -1}
+	j.Prop = plan.Props{EstRows: 1}
 	return j
 }
 

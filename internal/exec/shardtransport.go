@@ -153,7 +153,7 @@ type ShardJoiner struct {
 	idx   []int32 // build-arrival index of tab.rows[i]
 	pk    []types.Value
 	buf   types.Row
-	arena rowArena // holds the tagged output rows
+	arena RowArena // holds the tagged output rows
 }
 
 // NewShardJoiner returns a joiner charging the given clock.
@@ -205,13 +205,13 @@ func (w *ShardJoiner) Probe(p ShufProbe, out *[]ShufOut) error {
 			}
 			w.Clk.RowWork(1)
 			matched = true
-			*out = append(*out, ShufOut{Seq: p.Seq, BIdx: w.idx[i], Row: w.arena.copy(w.buf)})
+			*out = append(*out, ShufOut{Seq: p.Seq, BIdx: w.idx[i], Row: w.arena.Copy(w.buf)})
 		}
 	}
 	if w.Spec.LeftOuter && !matched && p.Main {
 		w.Clk.RowWork(1)
 		w.buf = padNulls(w.buf, p.Row, w.Spec.RWidth)
-		*out = append(*out, ShufOut{Seq: p.Seq, BIdx: -1, Row: w.arena.copy(w.buf)})
+		*out = append(*out, ShufOut{Seq: p.Seq, BIdx: -1, Row: w.arena.Copy(w.buf)})
 	}
 	return nil
 }

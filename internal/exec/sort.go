@@ -29,7 +29,7 @@ func (s *sortOp) Open() error {
 		return err
 	}
 	var spilled []*storage.TempRun
-	var arena rowArena   // holds every run's rows
+	var arena RowArena   // holds every run's rows
 	var last []types.Row // final, grant-resident run
 	lastGrant := 0
 	defer func() { s.ctx.Mem.Release(lastGrant) }()
@@ -45,7 +45,7 @@ func (s *sortOp) Open() error {
 			if !ok {
 				break
 			}
-			run = append(run, arena.copy(r))
+			run = append(run, arena.Copy(r))
 		}
 		if len(run) == 0 {
 			s.ctx.Mem.Release(grant)

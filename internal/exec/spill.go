@@ -129,7 +129,7 @@ type spillJoin struct {
 	resident []bool
 	bruns    []*storage.TempRun // spilled build partitions
 	pruns    []*storage.TempRun // deferred probe rows, same partitioning
-	arena    rowArena           // holds the deferred probe rows
+	arena    RowArena           // holds the deferred probe rows
 }
 
 // newSpillJoin partitions the drained build side under the given grant
@@ -196,7 +196,7 @@ func (s *spillJoin) deferProbe(lr types.Row, h uint64) bool {
 	}
 	run := s.pruns[p]
 	pagesBefore := run.Pages()
-	run.Append(s.ctx.Clock, s.arena.copy(lr))
+	run.Append(s.ctx.Clock, s.arena.Copy(lr))
 	s.ctx.Spill.record(0, 1, run.Pages()-pagesBefore, s.depth)
 	return true
 }
@@ -335,7 +335,7 @@ type aggSink struct {
 	grant    int
 	part     *aggPartial
 	runs     []*storage.TempRun
-	arena    rowArena // holds the spilled input rows
+	arena    RowArena // holds the spilled input rows
 	spilling bool
 }
 
@@ -383,7 +383,7 @@ func (s *aggSink) add(key []types.Value, r types.Row, accum func(*group) error) 
 	p := spillPartOf(h, s.depth, aggSpillFanout)
 	run := s.runs[p]
 	pagesBefore := run.Pages()
-	run.Append(s.ctx.Clock, s.arena.copy(r))
+	run.Append(s.ctx.Clock, s.arena.Copy(r))
 	s.ctx.Spill.record(0, 1, run.Pages()-pagesBefore, s.depth)
 	return nil
 }

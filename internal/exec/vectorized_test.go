@@ -21,7 +21,7 @@ var vectorizedQueries = append([]string{
 func actualsOf(root plan.Node) string {
 	s := ""
 	plan.Walk(root, func(n plan.Node) {
-		s += fmt.Sprintf("%s=%.0f\n", n.Label(), n.Props().ActualRows)
+		s += fmt.Sprintf("%s=%.0f\n", n.Label(), n.Props().ActualRows())
 	})
 	return s
 }

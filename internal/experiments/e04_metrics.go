@@ -129,7 +129,7 @@ func E6CardErrGeomean(scale float64) (*Report, error) {
 			switch n.(type) {
 			case *plan.ScanNode, *plan.IndexScanNode:
 				est = append(est, n.Props().EstRows)
-				act = append(act, n.Props().ActualRows)
+				act = append(act, n.Props().ActualRows())
 			}
 		})
 	}

@@ -106,7 +106,7 @@ func timeForcedJoin(cat *catalog.Catalog, alg plan.JoinAlg, memBudget int) (floa
 		s := &plan.ScanNode{Table: t, Alias: alias}
 		s.Out = t.Schema.WithTable(alias)
 		s.Title = "SeqScan(" + alias + ")"
-		s.Prop = plan.Props{EstRows: float64(t.Heap.NumRows()), ActualRows: -1}
+		s.Prop = plan.Props{EstRows: float64(t.Heap.NumRows())}
 		return s
 	}
 	l := mkScan(outer, "o")
@@ -115,7 +115,7 @@ func timeForcedJoin(cat *catalog.Catalog, alg plan.JoinAlg, memBudget int) (floa
 	j.Kids = []plan.Node{l, rr}
 	j.Out = l.Out.Concat(rr.Out)
 	j.Title = alg.String()
-	j.Prop = plan.Props{EstRows: float64(outer.Heap.NumRows()), ActualRows: -1}
+	j.Prop = plan.Props{EstRows: float64(outer.Heap.NumRows())}
 
 	ctx := exec.NewContext()
 	ctx.Mem = exec.NewMemBroker(memBudget)

@@ -61,7 +61,7 @@ func FilterSweep(scale float64) (*Report, []FilterSweepPoint, error) {
 			s := &plan.ScanNode{Table: t, Alias: alias}
 			s.Out = t.Schema.WithTable(alias)
 			s.Title = "SeqScan(" + alias + ")"
-			s.Prop = plan.Props{EstRows: float64(t.Heap.NumRows()), ActualRows: -1}
+			s.Prop = plan.Props{EstRows: float64(t.Heap.NumRows())}
 			return s
 		}
 		l := mkScan(fact, "f")
@@ -70,7 +70,7 @@ func FilterSweep(scale float64) (*Report, []FilterSweepPoint, error) {
 		j.Kids = []plan.Node{l, rr}
 		j.Out = l.Out.Concat(rr.Out)
 		j.Title = "HashJoin"
-		j.Prop = plan.Props{EstRows: float64(dimRows), ActualRows: -1}
+		j.Prop = plan.Props{EstRows: float64(dimRows)}
 
 		ctx := exec.NewContext()
 		if filtered {

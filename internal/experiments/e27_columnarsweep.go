@@ -104,7 +104,7 @@ func ColumnarSweep(scale float64) (*Report, []ColumnarSweepPoint, error) {
 		} else {
 			s.Title = "SeqScan(t)"
 		}
-		s.Prop = plan.Props{EstRows: float64(t.Heap.NumRows()), ActualRows: -1}
+		s.Prop = plan.Props{EstRows: float64(t.Heap.NumRows())}
 		ctx := exec.NewContext()
 		rows, err := exec.Run(s, ctx)
 		if err != nil {

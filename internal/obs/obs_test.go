@@ -16,7 +16,6 @@ func fakeNode(label string, est float64, kids ...plan.Node) plan.Node {
 	n := &plan.FilterNode{}
 	n.Title = label
 	n.Prop.EstRows = est
-	n.Prop.ActualRows = -1
 	n.Kids = kids
 	return n
 }

@@ -168,7 +168,7 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 		node := &plan.TempScanNode{Alias: ri.rel.Alias, Rows: ri.rel.Temp, Filter: filter}
 		node.Out = ri.rel.Schema
 		node.Title = fmt.Sprintf("TempScan(%s)", ri.rel.Alias)
-		node.Prop = plan.Props{EstRows: ri.card, EstCost: ri.rel.Pages*o.CM.SeqPageRead + ri.rel.Rows*o.CM.RowCPU, ActualRows: -1, Signature: ri.signature}
+		node.Prop = plan.Props{EstRows: ri.card, EstCost: ri.rel.Pages*o.CM.SeqPageRead + ri.rel.Rows*o.CM.RowCPU, Signature: ri.signature}
 		best.node = node
 		best.cost = node.Prop.EstCost
 		return best
@@ -177,7 +177,7 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 	scan := &plan.ScanNode{Table: ri.rel.Table, Alias: ri.rel.Alias, Filter: filter}
 	scan.Out = ri.rel.Schema
 	scan.Title = fmt.Sprintf("SeqScan(%s)", ri.rel.Alias)
-	scan.Prop = plan.Props{EstRows: ri.card, EstCost: o.costSeqScan(ri.rel.Pages, ri.rel.Rows), ActualRows: -1, Signature: ri.signature}
+	scan.Prop = plan.Props{EstRows: ri.card, EstCost: o.costSeqScan(ri.rel.Pages, ri.rel.Rows), Signature: ri.signature}
 	best.node = scan
 	best.cost = scan.Prop.EstCost
 
@@ -198,7 +198,7 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 				cscan := &plan.ScanNode{Table: ri.rel.Table, Alias: ri.rel.Alias, Filter: filter, Columnar: true}
 				cscan.Out = ri.rel.Schema
 				cscan.Title = fmt.Sprintf("ColScan(%s)", ri.rel.Alias)
-				cscan.Prop = plan.Props{EstRows: ri.card, EstCost: cost, ActualRows: -1, Signature: ri.signature}
+				cscan.Prop = plan.Props{EstRows: ri.card, EstCost: cost, Signature: ri.signature}
 				best.node = cscan
 				best.cost = cost
 			}
@@ -277,7 +277,7 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 		}
 		node.Out = ri.rel.Schema
 		node.Title = fmt.Sprintf("IndexScan(%s.%s)", ri.rel.Alias, ix.Name)
-		node.Prop = plan.Props{EstRows: ri.card, EstCost: cost, ActualRows: -1, Signature: ri.signature}
+		node.Prop = plan.Props{EstRows: ri.card, EstCost: cost, Signature: ri.signature}
 		cand := entry{set: set, cols: cols, rows: ri.card, node: node, cost: cost}
 		bestIndex = &cand
 		if cost < best.cost {
@@ -344,7 +344,7 @@ func (o *Optimizer) joinCandidates(qi *queryInfo, le, re entry) []entry {
 		j.Kids = []plan.Node{le.node, re.node}
 		j.Out = outSchema
 		j.Title = alg.String()
-		j.Prop = plan.Props{EstRows: outRows, EstCost: cost, ActualRows: -1, Signature: sig}
+		j.Prop = plan.Props{EstRows: outRows, EstCost: cost, Signature: sig}
 		return entry{set: set, node: j, cols: cols, cost: cost, rows: outRows}
 	}
 
@@ -430,7 +430,7 @@ func (o *Optimizer) indexNLCandidate(qi *queryInfo, le, re entry, leftKeys, equi
 		j.Kids = []plan.Node{le.node}
 		j.Out = outSchema
 		j.Title = fmt.Sprintf("IndexNLJoin(%s.%s)", ri.rel.Alias, ix.Name)
-		j.Prop = plan.Props{EstRows: outRows, EstCost: cost, ActualRows: -1, Signature: sig}
+		j.Prop = plan.Props{EstRows: outRows, EstCost: cost, Signature: sig}
 		return entry{set: le.set | re.set, node: j, cols: cols, cost: cost, rows: outRows}, true
 	}
 	return entry{}, false
@@ -480,7 +480,7 @@ func (o *Optimizer) finish(q *plan.Query, core entry) (plan.Node, error) {
 		ag.Out = outSchema
 		ag.Title = "HashAggregate"
 		cost += o.costHashAgg(rows, groups)
-		ag.Prop = plan.Props{EstRows: groups, EstCost: cost, ActualRows: -1}
+		ag.Prop = plan.Props{EstRows: groups, EstCost: cost}
 		node = ag
 		rows = groups
 		// After aggregation, columns are positional; identity mapping.
@@ -492,7 +492,7 @@ func (o *Optimizer) finish(q *plan.Query, core entry) (plan.Node, error) {
 			f.Title = "Having"
 			rows = rows / 3
 			cost += rows * o.CM.RowCPU
-			f.Prop = plan.Props{EstRows: rows, EstCost: cost, ActualRows: -1}
+			f.Prop = plan.Props{EstRows: rows, EstCost: cost}
 			node = f
 		}
 	}
@@ -513,7 +513,7 @@ func (o *Optimizer) finish(q *plan.Query, core entry) (plan.Node, error) {
 	pr.Out = outSchema
 	pr.Title = "Project"
 	cost += rows * o.CM.RowCPU
-	pr.Prop = plan.Props{EstRows: rows, EstCost: cost, ActualRows: -1}
+	pr.Prop = plan.Props{EstRows: rows, EstCost: cost}
 	node = pr
 
 	if q.Distinct {
@@ -523,7 +523,7 @@ func (o *Optimizer) finish(q *plan.Query, core entry) (plan.Node, error) {
 		d.Title = "Distinct"
 		rows = estimateGroups(rows, len(projExprs))
 		cost += o.costHashAgg(rows, rows)
-		d.Prop = plan.Props{EstRows: rows, EstCost: cost, ActualRows: -1}
+		d.Prop = plan.Props{EstRows: rows, EstCost: cost}
 		node = d
 	}
 
@@ -533,7 +533,7 @@ func (o *Optimizer) finish(q *plan.Query, core entry) (plan.Node, error) {
 		s.Out = node.Schema()
 		s.Title = "Sort"
 		cost += o.costSort(rows)
-		s.Prop = plan.Props{EstRows: rows, EstCost: cost, ActualRows: -1}
+		s.Prop = plan.Props{EstRows: rows, EstCost: cost}
 		node = s
 	}
 
@@ -543,7 +543,7 @@ func (o *Optimizer) finish(q *plan.Query, core entry) (plan.Node, error) {
 		l.Out = node.Schema()
 		l.Title = fmt.Sprintf("Limit(%d)", q.Limit)
 		lim := math.Min(rows, float64(q.Limit))
-		l.Prop = plan.Props{EstRows: lim, EstCost: cost, ActualRows: -1}
+		l.Prop = plan.Props{EstRows: lim, EstCost: cost}
 		node = l
 	}
 	return node, nil
@@ -556,7 +556,7 @@ func (o *Optimizer) applyLeftJoin(q *plan.Query, node plan.Node, cols []int, row
 	scan.Out = br.Schema
 	scan.Title = fmt.Sprintf("SeqScan(%s)", r.Alias)
 	scanCost := o.costSeqScan(br.Pages, br.Rows)
-	scan.Prop = plan.Props{EstRows: br.Rows, EstCost: scanCost, ActualRows: -1}
+	scan.Prop = plan.Props{EstRows: br.Rows, EstCost: scanCost}
 
 	newCols := append(append([]int{}, cols...), seq(r.Offset, len(br.Schema))...)
 	outSchema := node.Schema().Concat(br.Schema)
@@ -603,7 +603,7 @@ func (o *Optimizer) applyLeftJoin(q *plan.Query, node plan.Node, cols []int, row
 	j.Out = outSchema
 	j.Title = "Left" + alg.String()
 	total := cost + scanCost + jcost
-	j.Prop = plan.Props{EstRows: outRows, EstCost: total, ActualRows: -1}
+	j.Prop = plan.Props{EstRows: outRows, EstCost: total}
 	return j, newCols, outRows, total, nil
 }
 

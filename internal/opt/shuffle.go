@@ -21,7 +21,8 @@ import (
 // force overrides the costed choice with "repartition" or "broadcast"
 // ("colocated" is honored only where the layout allows it). The pass is a
 // pure function of the plan and its arguments: re-running it is
-// idempotent, so cached plans can be re-marked per query.
+// idempotent. It writes to the tree, so the engine runs it once per plan,
+// before the plan cache can share the tree between sessions.
 func PlanShuffles(root plan.Node, shards int, force string) int {
 	if shards <= 1 {
 		return 0

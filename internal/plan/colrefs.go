@@ -15,9 +15,10 @@ import (
 // The pass walks top-down, propagating a needed-column set (nil = all) in
 // each node's *output* schema coordinates and translating it into its
 // children's coordinates. Any operator the pass does not understand
-// conservatively demands all columns. The pass is idempotent and cheap, so
-// plan-cache hits re-run it like the other marking passes. Returns the
-// number of scans that got a narrowed column set.
+// conservatively demands all columns. The pass is idempotent; like the
+// other marking passes it writes to the tree, so the engine runs it once
+// per plan, before the plan cache can share the tree. Returns the number of
+// scans that got a narrowed column set.
 func MarkColumnRefs(root Node) int {
 	narrowed := 0
 	var rec func(Node, map[int]bool)

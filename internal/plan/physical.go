@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"rqp/internal/catalog"
 	"rqp/internal/expr"
@@ -56,9 +57,13 @@ const (
 // execution, the observed actual cardinality (the raw material for every
 // cardinality-error robustness metric).
 type Props struct {
-	EstRows    float64
-	EstCost    float64 // cumulative cost including children
-	ActualRows float64 // -1 until executed
+	EstRows float64
+	EstCost float64 // cumulative cost including children
+	// actual is the observed cardinality plus one (zero until executed).
+	// Atomic because the plan cache shares one tree between sessions: every
+	// execution records into it while EXPLAIN and the q-error metrics read
+	// it, and the last execution to finish wins.
+	actual atomic.Int64
 	// Signature identifies the logical subexpression this node computes,
 	// used by LEO feedback and POP checkpoints.
 	Signature string
@@ -78,6 +83,14 @@ type Props struct {
 	// re-crediting a cached plan can undo the previous credit first).
 	RFCredit float64
 }
+
+// ActualRows returns the observed output cardinality of the node's latest
+// execution, or -1 until it has executed.
+func (p *Props) ActualRows() float64 { return float64(p.actual.Load() - 1) }
+
+// SetActualRows records an execution's observed output cardinality (a
+// negative n marks the node unexecuted again).
+func (p *Props) SetActualRows(n float64) { p.actual.Store(int64(n) + 1) }
 
 // RFilterSpec wires one runtime join filter between its producer and a
 // consumer. On a JoinNode (producer) Col is the ordinal into RightKeys whose
@@ -312,8 +325,8 @@ func ExplainActual(n Node) string {
 func explain(sb *strings.Builder, n Node, depth int, actual bool) {
 	sb.WriteString(strings.Repeat("  ", depth))
 	p := n.Props()
-	if actual && p.ActualRows >= 0 {
-		fmt.Fprintf(sb, "%s (est=%.0f actual=%.0f cost=%.1f)\n", n.Label(), p.EstRows, p.ActualRows, p.EstCost)
+	if act := p.ActualRows(); actual && act >= 0 {
+		fmt.Fprintf(sb, "%s (est=%.0f actual=%.0f cost=%.1f)\n", n.Label(), p.EstRows, act, p.EstCost)
 	} else {
 		fmt.Fprintf(sb, "%s (rows=%.0f cost=%.1f)\n", n.Label(), p.EstRows, p.EstCost)
 	}
@@ -328,8 +341,8 @@ func explain(sb *strings.Builder, n Node, depth int, actual bool) {
 // scan, and hash aggregations fed by one. Pass-through operators (filter,
 // project, sort, ...) stay serial; they simply propagate whether a parallel
 // source exists below them. Returns the number of nodes marked. Marking is
-// idempotent: re-marking a plan (e.g. one served from the plan cache)
-// recomputes the same annotations.
+// idempotent: re-marking a plan recomputes the same annotations (but a
+// plan other sessions may be executing must not be re-marked: this writes).
 func MarkParallel(root Node, minRows int64) int {
 	marked := 0
 	var rec func(Node) bool

@@ -201,12 +201,12 @@ func TestExplainAndSignature(t *testing.T) {
 	scan := &ScanNode{}
 	scan.Out = types.Schema{{Name: "x", Kind: types.KindInt}}
 	scan.Title = "SeqScan(t)"
-	scan.Prop = Props{EstRows: 10, EstCost: 5, ActualRows: -1}
+	scan.Prop = Props{EstRows: 10, EstCost: 5}
 	filter := &FilterNode{}
 	filter.Kids = []Node{scan}
 	filter.Out = scan.Out
 	filter.Title = "Filter"
-	filter.Prop = Props{EstRows: 3, EstCost: 6, ActualRows: -1}
+	filter.Prop = Props{EstRows: 3, EstCost: 6}
 
 	text := Explain(filter)
 	if !strings.Contains(text, "Filter") || !strings.Contains(text, "  SeqScan(t)") {
@@ -217,7 +217,7 @@ func TestExplainAndSignature(t *testing.T) {
 		t.Errorf("signature = %q", sig)
 	}
 	// actual rendering
-	scan.Prop.ActualRows = 8
+	scan.Prop.SetActualRows(8)
 	at := ExplainActual(filter)
 	if !strings.Contains(at, "actual=8") {
 		t.Errorf("actuals missing:\n%s", at)

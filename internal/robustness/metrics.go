@@ -22,10 +22,11 @@ func Metric1(root plan.Node) float64 {
 	total := 0.0
 	plan.Walk(root, func(n plan.Node) {
 		p := n.Props()
-		if p.ActualRows < 0 {
+		act := p.ActualRows()
+		if act < 0 {
 			return
 		}
-		total += math.Abs(p.EstRows-p.ActualRows) / math.Max(p.ActualRows, 1)
+		total += math.Abs(p.EstRows-act) / math.Max(act, 1)
 	})
 	return total
 }

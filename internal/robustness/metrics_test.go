@@ -8,11 +8,12 @@ import (
 )
 
 func mkNode(est, actual float64, kids ...plan.Node) plan.Node {
-	b := &plan.Base{}
-	b.Prop = plan.Props{EstRows: est, ActualRows: actual}
-	b.Kids = kids
-	b.Title = "n"
-	return &plan.FilterNode{Base: *b}
+	n := &plan.FilterNode{}
+	n.Prop.EstRows = est
+	n.Prop.SetActualRows(actual)
+	n.Kids = kids
+	n.Title = "n"
+	return n
 }
 
 func TestMetric1(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 
+	"rqp/internal/exec"
 	"rqp/internal/types"
 )
 
@@ -17,6 +18,12 @@ import (
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
+	// hdr and buf are the frame reader's scratch: the header, and the
+	// payload buffer every frame of every command cycle is read into. A
+	// frame's payload is therefore valid only until the next read; the
+	// decoders copy what they keep. Touched by the command goroutine only.
+	hdr [frameHeaderLen]byte
+	buf []byte
 
 	// wmu serializes writers: the command goroutine and an out-of-band
 	// Cancel may race on the socket.
@@ -55,11 +62,11 @@ func Dial(addr string) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{conn: conn, br: bufio.NewReaderSize(conn, 32<<10)}
-	if err := c.write(MsgStartup, StartupMsg{Version: ProtocolVersion}.Encode()); err != nil {
+	if err := c.write(MsgStartup, StartupMsg{Version: ProtocolVersion}); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	f, err := ReadFrame(c.br, MaxFrame)
+	f, err := c.readFrame()
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -96,7 +103,7 @@ func (c *Client) Abort() error { return c.conn.Close() }
 // Query runs one SQL statement with optional positional parameters and
 // collects the full result.
 func (c *Client) Query(sql string, params ...types.Value) (*ResultSet, error) {
-	if err := c.write(MsgQuery, QueryMsg{SQL: sql, Params: params}.Encode()); err != nil {
+	if err := c.write(MsgQuery, QueryMsg{SQL: sql, Params: params}); err != nil {
 		return nil, err
 	}
 	return c.readCycle()
@@ -104,7 +111,7 @@ func (c *Client) Query(sql string, params ...types.Value) (*ResultSet, error) {
 
 // Prepare names a statement on the server.
 func (c *Client) Prepare(name, sql string) error {
-	if err := c.write(MsgPrepare, PrepareMsg{Name: name, SQL: sql}.Encode()); err != nil {
+	if err := c.write(MsgPrepare, PrepareMsg{Name: name, SQL: sql}); err != nil {
 		return err
 	}
 	_, err := c.readCycle()
@@ -113,7 +120,7 @@ func (c *Client) Prepare(name, sql string) error {
 
 // Bind attaches parameters to a prepared statement, making it the portal.
 func (c *Client) Bind(name string, params ...types.Value) error {
-	if err := c.write(MsgBind, BindMsg{Name: name, Params: params}.Encode()); err != nil {
+	if err := c.write(MsgBind, BindMsg{Name: name, Params: params}); err != nil {
 		return err
 	}
 	_, err := c.readCycle()
@@ -122,7 +129,7 @@ func (c *Client) Bind(name string, params ...types.Value) error {
 
 // Execute runs the bound portal. maxRows caps returned rows (0 = all).
 func (c *Client) Execute(maxRows uint32) (*ResultSet, error) {
-	if err := c.write(MsgExecute, ExecuteMsg{MaxRows: maxRows}.Encode()); err != nil {
+	if err := c.write(MsgExecute, ExecuteMsg{MaxRows: maxRows}); err != nil {
 		return nil, err
 	}
 	return c.readCycle()
@@ -130,7 +137,7 @@ func (c *Client) Execute(maxRows uint32) (*ResultSet, error) {
 
 // CloseStmt deallocates a prepared statement.
 func (c *Client) CloseStmt(name string) error {
-	if err := c.write(MsgClose, CloseMsg{Name: name}.Encode()); err != nil {
+	if err := c.write(MsgClose, CloseMsg{Name: name}); err != nil {
 		return err
 	}
 	_, err := c.readCycle()
@@ -144,20 +151,45 @@ func (c *Client) Cancel() error {
 	return c.write(MsgCancel, nil)
 }
 
-// write sends one frame under the write lock.
-func (c *Client) write(typ byte, payload []byte) error {
+// write sends one frame (m nil: an empty payload) under the write lock.
+func (c *Client) write(typ byte, m Encoder) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return WriteFrame(c.conn, typ, payload)
+	return WriteMsg(c.conn, typ, m)
+}
+
+// readFrame reads the next frame into the client's reusable buffer, which
+// grows geometrically to the largest frame seen (an outsized one is not
+// kept). The payload is valid until the next readFrame.
+func (c *Client) readFrame() (Frame, error) {
+	typ, n, err := readFrameHeader(c.br, MaxFrame, &c.hdr)
+	if err != nil {
+		return Frame{}, err
+	}
+	p := c.buf
+	if n > cap(p) {
+		p = make([]byte, n, max(n, 2*cap(p)))
+		if cap(p) <= maxPooledEncodeBuf {
+			c.buf = p
+		}
+	}
+	p = p[:n]
+	if err := readFramePayload(c.br, p); err != nil {
+		return Frame{}, err
+	}
+	return Frame{Type: typ, Payload: p}, nil
 }
 
 // readCycle consumes frames until Ready, assembling the result. A command
 // cycle is: [Notice*] [RowDesc Row*] (Complete | Error) [Notice*] Ready.
+// Rows are decoded into one arena per result, so a result costs an
+// allocation per few hundred rows.
 func (c *Client) readCycle() (*ResultSet, error) {
 	rs := &ResultSet{}
+	var arena exec.RowArena
 	var srvErr *ServerError
 	for {
-		f, err := ReadFrame(c.br, MaxFrame)
+		f, err := c.readFrame()
 		if err != nil {
 			return nil, err
 		}
@@ -175,11 +207,11 @@ func (c *Client) readCycle() (*ResultSet, error) {
 			}
 			rs.Columns = m.Columns
 		case MsgRow:
-			m, err := DecodeRow(f.Payload)
+			row, err := decodeRow(f.Payload, &arena)
 			if err != nil {
 				return nil, err
 			}
-			rs.Rows = append(rs.Rows, types.Row(m.Values))
+			rs.Rows = append(rs.Rows, row)
 		case MsgComplete:
 			m, err := DecodeComplete(f.Payload)
 			if err != nil {

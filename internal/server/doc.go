@@ -25,6 +25,16 @@
 // PlanCache, so sessions preparing the same parameter-free statement share
 // one cached plan.
 //
+// # Results
+//
+// A result is streamed, never staged: the session is the engine's RowSink
+// (core.Engine.ExecStream) and encodes each row onto the connection while
+// the plan root still owns it, through one frame writer, one row encoder
+// and one row decoder shared with WriteFrame/WriteMsg/Encode, the Client
+// and the shuffle sub-protocol. A cycle is RowDesc Row* (Complete | Error);
+// the statement's admission slot covers delivery, so a client that stops
+// reading holds it until it reads on or disconnects.
+//
 // # Admission
 //
 // The engine's wlm.Admitter MPL gate and workspace-memory pool gatekeep for

@@ -41,6 +41,11 @@ type session struct {
 	srv  *Server
 	conn net.Conn
 	bw   *bufio.Writer
+	// enc is where every outgoing frame is built, header and payload, and
+	// handed to bw from in one Write. Only the session loop touches it.
+	enc wireWriter
+	// stream is the result stream of the statement in flight.
+	stream resultStream
 
 	// frames carries command frames from the reader goroutine to the session
 	// loop. Closed by the reader on connection end.
@@ -157,7 +162,7 @@ func (s *session) dispatch(f Frame) (fatal bool) {
 			s.fatal(err.Error())
 			return true
 		}
-		s.runStatement(m.SQL, m.Params)
+		s.runStatement(m.SQL, m.Params, 0)
 	case MsgPrepare:
 		m, err := DecodePrepare(f.Payload)
 		if err != nil {
@@ -231,7 +236,7 @@ func (s *session) handleExecute(m ExecuteMsg) {
 		s.sendError(CodeNoPortal, "Execute without a bound portal")
 		return
 	}
-	s.runStatementCapped(s.portal.stmt.sql, s.portal.params, m.MaxRows)
+	s.runStatement(s.portal.stmt.sql, s.portal.params, m.MaxRows)
 }
 
 // handleClose deallocates a prepared statement (and the portal, if it was
@@ -249,18 +254,54 @@ func (s *session) handleClose(m CloseMsg) {
 	s.complete("CLOSE", 0, 0)
 }
 
-// runStatement executes SQL and streams the full result.
-func (s *session) runStatement(sqlText string, params []types.Value) {
-	s.runStatementCapped(sqlText, params, 0)
-}
-
 // errAdmitTimeout marks a query that aged out of the admission queue.
 var errAdmitTimeout = errors.New("server: admission queue timeout")
 
-// runStatementCapped executes one statement through the admission gate and
-// streams RowDesc/Row*/Complete (or Error). maxRows caps the rows sent (0 =
+// resultStream is the core.RowSink of the statement in flight: it puts each
+// row on the wire while the plan root still owns it, so the session never
+// holds a result — its memory does not grow with the result's size, and the
+// admission slot it holds covers delivery as well as execution.
+type resultStream struct {
+	s         *session
+	cols      []string
+	described bool   // RowDesc is on the wire
+	maxRows   uint32 // rows to send, 0 = all
+	sent      uint64
+}
+
+// Columns implements core.RowSink. RowDesc waits for the first row (or the
+// statement's success), so a statement that fails before producing one
+// answers with its Error alone.
+func (st *resultStream) Columns(names []string) { st.cols = names }
+
+// Row implements core.RowSink: r is encoded, header and payload, into the
+// session's buffer and copied onto its writer before Row returns — the
+// operator's next Next may overwrite r. A write error stops the statement.
+func (st *resultStream) Row(r types.Row) error {
+	if st.maxRows > 0 && st.sent >= uint64(st.maxRows) {
+		return nil // the cap trims the stream; the statement runs to completion
+	}
+	st.describe(st.cols)
+	st.sent++
+	s := st.s
+	s.enc.beginFrame(MsgRow)
+	appendValues(&s.enc, r)
+	return s.writeFrame()
+}
+
+// describe sends RowDesc unless it is out already.
+func (st *resultStream) describe(cols []string) {
+	if !st.described {
+		st.described = true
+		st.s.send(MsgRowDesc, RowDescMsg{Columns: cols})
+	}
+}
+
+// runStatement executes one statement through the admission gate and
+// streams RowDesc Row* (Complete | Error). maxRows caps the rows sent (0 =
 // all); the statement still runs to completion server-side.
-func (s *session) runStatementCapped(sqlText string, params []types.Value, maxRows uint32) {
+func (s *session) runStatement(sqlText string, params []types.Value, maxRows uint32) {
+	s.stream = resultStream{s: s, maxRows: maxRows}
 	res, err := s.execAdmitted(sqlText, params)
 	if err != nil {
 		switch {
@@ -273,19 +314,11 @@ func (s *session) runStatementCapped(sqlText string, params []types.Value, maxRo
 		}
 		return
 	}
-	sent := uint64(0)
 	if len(res.Columns) > 0 {
-		s.send(MsgRowDesc, RowDescMsg{Columns: res.Columns}.Encode())
-		for _, row := range res.Rows {
-			if maxRows > 0 && sent >= uint64(maxRows) {
-				break
-			}
-			s.send(MsgRow, RowMsg{Values: row}.Encode())
-			sent++
-		}
+		s.stream.describe(res.Columns) // a result without rows, or an EXPLAIN
 	}
 	tag := "SELECT"
-	rows := sent
+	rows := s.stream.sent
 	if res.Affected > 0 || len(res.Columns) == 0 {
 		tag = "OK"
 		rows = uint64(res.Affected)
@@ -293,14 +326,17 @@ func (s *session) runStatementCapped(sqlText string, params []types.Value, maxRo
 	s.complete(tag, rows, res.Cost)
 }
 
-// execAdmitted runs a statement behind the WLM gate. When the gate is full
-// the session queues (FIFO) rather than failing: the client gets a
-// WLM_QUEUED notice immediately — backpressure it can see while it waits —
-// and a WLM_ADMITTED notice when its turn comes. Queueing is bounded by the
-// server's queue timeout; aging out yields ERR_ADMIT. The engine still owns
-// the authoritative TryAdmit, so a slot observed free here can be lost to a
-// concurrent arrival — that race surfaces as ErrAdmissionRejected and sends
-// the session back into the queue until its deadline.
+// execAdmitted runs a statement behind the WLM gate, its rows going to
+// s.stream. When the gate is full the session queues (FIFO) rather than
+// failing: the client gets a WLM_QUEUED notice immediately — backpressure
+// it can see while it waits — and a WLM_ADMITTED notice when its turn
+// comes. The slot then covers delivery too: it is held until the last row
+// is on the connection's writer or the statement fails. Queueing is bounded
+// by the server's queue timeout; aging out yields ERR_ADMIT. The engine
+// still owns the authoritative TryAdmit, so a slot observed free here can
+// be lost to a concurrent arrival — that race surfaces as
+// ErrAdmissionRejected and sends the session back into the queue until its
+// deadline.
 func (s *session) execAdmitted(sqlText string, params []types.Value) (*core.Result, error) {
 	adm := s.srv.eng.Cfg.Admission
 	deadline := time.Now().Add(s.srv.queueTimeout)
@@ -335,7 +371,7 @@ func (s *session) execAdmitted(sqlText string, params []types.Value) (*core.Resu
 		if hook := s.srv.beforeExec; hook != nil {
 			hook(s.id, sqlText, s.canceled)
 		}
-		res, err := s.srv.eng.ExecCancelable(sqlText, s.canceled, params...)
+		res, err := s.srv.eng.ExecStream(sqlText, s.canceled, &s.stream, params...)
 		if err != nil && errors.Is(err, core.ErrAdmissionRejected) && time.Now().Before(deadline) {
 			continue // lost the slot race; re-queue
 		}
@@ -350,14 +386,29 @@ const queuePollInterval = 25 * time.Millisecond
 // ---- frame writers ----
 //
 // Only the session loop writes to the connection (the reader never does),
-// so no write lock is needed. Write errors mark the session canceled and
-// are otherwise ignored: the read side will observe the dead connection and
-// tear the session down.
+// so no write lock is needed. Write errors mark the session canceled and,
+// outside a result stream, are otherwise ignored: the read side will
+// observe the dead connection and tear the session down.
 
-func (s *session) send(typ byte, payload []byte) {
-	if err := WriteFrame(s.bw, typ, payload); err != nil {
+// send puts one message on the buffered writer.
+func (s *session) send(typ byte, m Encoder) {
+	s.enc.beginFrame(typ)
+	m.encodeTo(&s.enc)
+	s.writeFrame()
+}
+
+// writeFrame completes the frame begun in s.enc and hands it to the
+// buffered writer in one Write (which blocks while the client is not
+// reading and the socket is full).
+func (s *session) writeFrame() error {
+	_, err := s.bw.Write(s.enc.endFrame())
+	if err != nil {
 		s.cancel.Store(true)
 	}
+	if cap(s.enc.buf) > maxPooledEncodeBuf {
+		s.enc.buf = nil
+	}
+	return err
 }
 
 // flush pushes buffered frames to the wire.
@@ -370,7 +421,7 @@ func (s *session) flush() {
 // ready ends a command cycle: flushes pending frames and tells the client
 // the session is idle again.
 func (s *session) ready() error {
-	s.send(MsgReady, ReadyMsg{SessionID: s.id, Status: statusIdle}.Encode())
+	s.send(MsgReady, ReadyMsg{SessionID: s.id, Status: statusIdle})
 	if err := s.bw.Flush(); err != nil {
 		return err
 	}
@@ -379,25 +430,25 @@ func (s *session) ready() error {
 
 // complete ends a successful statement.
 func (s *session) complete(tag string, rows uint64, cost float64) {
-	s.send(MsgComplete, CompleteMsg{Tag: tag, Rows: rows, CostUnits: cost}.Encode())
+	s.send(MsgComplete, CompleteMsg{Tag: tag, Rows: rows, CostUnits: cost})
 }
 
 // sendError reports a statement-level failure; the session stays usable.
 func (s *session) sendError(code, msg string) {
-	s.send(MsgError, ErrorMsg{Code: code, Message: msg}.Encode())
+	s.send(MsgError, ErrorMsg{Code: code, Message: msg})
 }
 
 // notice sends an advisory frame immediately (flushed, not buffered until
 // statement end) — a queued client should see WLM_QUEUED while it waits,
 // not afterwards.
 func (s *session) notice(code, msg string) {
-	s.send(MsgNotice, NoticeMsg{Code: code, Message: msg}.Encode())
+	s.send(MsgNotice, NoticeMsg{Code: code, Message: msg})
 	s.flush()
 }
 
 // fatal reports a protocol-level failure and is followed by connection
 // close: after a framing violation the stream cannot be trusted.
 func (s *session) fatal(msg string) {
-	s.send(MsgError, ErrorMsg{Code: CodeProto, Message: msg}.Encode())
+	s.send(MsgError, ErrorMsg{Code: CodeProto, Message: msg})
 	s.flush()
 }

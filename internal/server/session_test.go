@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rqp/internal/core"
+	"rqp/internal/exec"
 	"rqp/internal/types"
 	"rqp/internal/wlm"
 )
@@ -597,6 +598,23 @@ func TestConcurrentClientsStress(t *testing.T) {
 		t.Fatalf("queue not drained: depth %d", depth)
 	}
 	t.Logf("stress: peak concurrency %d/%d, %d queued waits, queue peak %d", peak, mpl, queued, qpeak)
+}
+
+// TestRowLifetimeSessions re-runs the session tests under the row-lifetime
+// harness: every operator overwrites the row it returned as soon as it is
+// pulled again, so a result stream that encoded a row any later than
+// before the next Next would put sentinels on the wire and fail the
+// comparisons with the in-process results and the golden transcript.
+func TestRowLifetimeSessions(t *testing.T) {
+	exec.SetRowPoison(true)
+	defer exec.SetRowPoison(false)
+	t.Run("QueryOverWire", TestQueryOverWire)
+	t.Run("QueryParamsOverWire", TestQueryParamsOverWire)
+	t.Run("DMLOverWire", TestDMLOverWire)
+	t.Run("PreparedLifecycle", TestPreparedLifecycle)
+	t.Run("GoldenWireTranscript", TestGoldenWireTranscript)
+	t.Run("ConcurrentClientsStress", TestConcurrentClientsStress)
+	t.Run("CancelMidStream", TestCancelMidStreamKeepsSession)
 }
 
 // fp fingerprints an in-process result.

@@ -266,8 +266,8 @@ func (ex *netExchange) err() error {
 // sender drains p.frames onto the socket. A route batch first takes a
 // credit token — blocking (and counting a backpressure stall) when the
 // worker's window is exhausted — then encodes through the pooled buffer
-// and writes one frame. The flush-when-idle pattern keeps frames coalesced
-// under load and latency low when the stream goes quiet.
+// and writes the frame in one Write. The flush-when-idle pattern keeps
+// frames coalesced under load and latency low when the stream goes quiet.
 func (ex *netExchange) sender(p *netPeer) {
 	defer ex.sendWG.Done()
 	st := ex.spec.Stats
@@ -314,14 +314,7 @@ func (ex *netExchange) sender(p *netPeer) {
 				}
 			}
 		}
-		w := encodePool.Get().(*wireWriter)
-		w.buf = w.buf[:0]
-		f.msg.encodeTo(w)
-		err := WriteFrame(p.bw, f.typ, w.buf)
-		wire := frameHeaderLen + len(w.buf)
-		if cap(w.buf) <= maxPooledEncodeBuf {
-			encodePool.Put(w)
-		}
+		wire, err := writeMsg(p.bw, f.typ, f.msg)
 		if err != nil {
 			ex.fail(fmt.Errorf("%w: peer %d: %v", exec.ErrShufflePeerLost, p.id, err))
 			return

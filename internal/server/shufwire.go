@@ -189,10 +189,7 @@ func (m RouteBatchMsg) encodeTo(w *wireWriter) {
 				w.byte(0)
 			}
 			w.u64(b.Hash)
-			w.u16(uint16(len(b.Row)))
-			for _, v := range b.Row {
-				appendValue(w, v)
-			}
+			appendValues(w, b.Row)
 		}
 		return
 	}
@@ -204,16 +201,14 @@ func (m RouteBatchMsg) encodeTo(w *wireWriter) {
 		} else {
 			w.byte(0)
 		}
-		w.u16(uint16(len(p.Row)))
-		for _, v := range p.Row {
-			appendValue(w, v)
-		}
+		appendValues(w, p.Row)
 	}
 }
 
 // DecodeRouteBatch parses a MsgRouteBatch payload.
 func DecodeRouteBatch(p []byte) (RouteBatchMsg, error) {
 	r := &wireReader{buf: p}
+	var a exec.RowArena // holds the batch's rows
 	m := RouteBatchMsg{JoinID: r.u64(), Phase: r.byte(), Src: r.u16()}
 	switch m.Phase {
 	case ShufPhaseBuild:
@@ -233,7 +228,7 @@ func DecodeRouteBatch(p []byte) (RouteBatchMsg, error) {
 				r.fail()
 			}
 			b.Hash = r.u64()
-			b.Row = readValues(r, int(r.u16()))
+			b.Row = readValues(r, &a)
 			m.Build = append(m.Build, b)
 		}
 	case ShufPhaseProbe:
@@ -252,7 +247,7 @@ func DecodeRouteBatch(p []byte) (RouteBatchMsg, error) {
 			default:
 				r.fail()
 			}
-			pr.Row = readValues(r, int(r.u16()))
+			pr.Row = readValues(r, &a)
 			m.Probe = append(m.Probe, pr)
 		}
 	default:
@@ -357,16 +352,14 @@ func (m OutBatchMsg) encodeTo(w *wireWriter) {
 	for _, o := range m.Rows {
 		w.u64(uint64(o.Seq))
 		w.u32(uint32(o.BIdx))
-		w.u16(uint16(len(o.Row)))
-		for _, v := range o.Row {
-			appendValue(w, v)
-		}
+		appendValues(w, o.Row)
 	}
 }
 
 // DecodeOutBatch parses a MsgOutBatch payload.
 func DecodeOutBatch(p []byte) (OutBatchMsg, error) {
 	r := &wireReader{buf: p}
+	var a exec.RowArena // holds the batch's rows
 	m := OutBatchMsg{JoinID: r.u64()}
 	n := int(r.u16())
 	if n > shufBatchRows {
@@ -376,7 +369,7 @@ func DecodeOutBatch(p []byte) (OutBatchMsg, error) {
 	m.Rows = make([]exec.ShufOut, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		o := exec.ShufOut{Seq: int64(r.u64()), BIdx: int32(r.u32())}
-		o.Row = readValues(r, int(r.u16()))
+		o.Row = readValues(r, &a)
 		m.Rows = append(m.Rows, o)
 	}
 	return m, r.done()

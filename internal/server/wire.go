@@ -8,6 +8,7 @@ import (
 	"math"
 	"sync"
 
+	"rqp/internal/exec"
 	"rqp/internal/types"
 )
 
@@ -76,21 +77,15 @@ type Frame struct {
 	Payload []byte
 }
 
-// WriteFrame encodes one frame onto w: type byte, big-endian uint32 payload
-// length, payload bytes.
+// WriteFrame encodes one frame onto w in a single Write: type byte,
+// big-endian uint32 payload length, payload bytes.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [frameHeaderLen]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	fw := encodePool.Get().(*wireWriter)
+	fw.beginFrame(typ)
+	fw.buf = append(fw.buf, payload...)
+	_, err := w.Write(fw.endFrame())
+	fw.release()
+	return err
 }
 
 // ReadFrame decodes one frame from r, enforcing the payload cap. io.EOF is
@@ -98,30 +93,50 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 // dies inside a frame yields io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 	var hdr [frameHeaderLen]byte
+	typ, n, err := readFrameHeader(r, maxPayload, &hdr)
+	if err != nil {
+		return Frame{}, err
+	}
+	payload := make([]byte, n)
+	if err := readFramePayload(r, payload); err != nil {
+		return Frame{}, err
+	}
+	return Frame{Type: typ, Payload: payload}, nil
+}
+
+// readFrameHeader reads and checks one frame header through hdr, scratch
+// the caller owns (a long-lived reader keeps one instead of allocating it
+// per frame: it escapes through r), and returns the frame's type and
+// payload length.
+func readFrameHeader(r io.Reader, maxPayload int, hdr *[frameHeaderLen]byte) (typ byte, n int, err error) {
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return Frame{}, err // bare EOF here = clean close between frames
+		return 0, 0, err // bare EOF here = clean close between frames
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Frame{}, err
+		return 0, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	size := binary.BigEndian.Uint32(hdr[1:])
 	if maxPayload <= 0 {
 		maxPayload = MaxFrame
 	}
-	if n > uint32(maxPayload) {
-		return Frame{}, fmt.Errorf("%w (%d > %d)", ErrFrameTooLarge, n, maxPayload)
+	if size > uint32(maxPayload) {
+		return 0, 0, fmt.Errorf("%w (%d > %d)", ErrFrameTooLarge, size, maxPayload)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	return hdr[0], int(size), nil
+}
+
+// readFramePayload fills p with the payload that follows a frame header.
+func readFramePayload(r io.Reader, p []byte) error {
+	if _, err := io.ReadFull(r, p); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return Frame{}, err
+		return err
 	}
-	return Frame{Type: hdr[0], Payload: payload}, nil
+	return nil
 }
 
 // ---- payload primitives ----
@@ -140,35 +155,69 @@ type wireWriter struct{ buf []byte }
 // pooled buffer instead of allocating per frame.
 type Encoder interface{ encodeTo(w *wireWriter) }
 
-// maxPooledEncodeBuf caps the encode buffers the pool retains. A rare giant
-// frame (a wide row of long strings) should not pin its buffer forever.
+// maxPooledEncodeBuf caps the encode and frame-read buffers that outlive
+// one frame (pooled, session- or client-owned). A rare giant frame (a wide
+// row of long strings) should not pin its buffer forever.
 const maxPooledEncodeBuf = 64 << 10
 
 var encodePool = sync.Pool{
 	New: func() any { return &wireWriter{buf: make([]byte, 0, 512)} },
 }
 
-// WriteMsg encodes m through a pooled buffer and writes it to dst as one
-// frame. This is the allocation-free send path: Encode allocates a fresh
-// buffer per call (fine for handshakes), while row streams and shuffle
-// route batches — the frames sent millions of times — go through here.
-func WriteMsg(dst io.Writer, typ byte, m Encoder) error {
-	w := encodePool.Get().(*wireWriter)
-	w.buf = w.buf[:0]
-	m.encodeTo(w)
-	err := WriteFrame(dst, typ, w.buf)
+// beginFrame empties w and reserves the frame header for typ; the payload
+// is appended behind it and endFrame completes the frame. Every frame this
+// package sends is built this way, so it reaches its writer in one Write.
+func (w *wireWriter) beginFrame(typ byte) { w.buf = append(w.buf[:0], typ, 0, 0, 0, 0) }
+
+// endFrame patches the payload length into the reserved header and returns
+// the whole frame.
+func (w *wireWriter) endFrame() []byte {
+	binary.BigEndian.PutUint32(w.buf[1:frameHeaderLen], uint32(len(w.buf)-frameHeaderLen))
+	return w.buf
+}
+
+// release returns a pooled writer.
+func (w *wireWriter) release() {
 	if cap(w.buf) <= maxPooledEncodeBuf {
 		encodePool.Put(w)
 	}
+}
+
+// WriteMsg encodes m through a pooled buffer and writes it to dst as one
+// frame in one Write. This is the allocation-free send path for the frames
+// sent millions of times — the shuffle's route and out batches; Encode
+// allocates a buffer the caller keeps (fine for handshakes and tests).
+// Result rows take the same frame writer through the session's own buffer,
+// without the Encoder boxing (resultStream.Row).
+func WriteMsg(dst io.Writer, typ byte, m Encoder) error {
+	_, err := writeMsg(dst, typ, m)
 	return err
 }
 
-// encode is the shared allocating Encode body: a fresh buffer the caller
+// writeMsg is WriteMsg reporting the frame's size on the wire. A nil m
+// sends an empty payload.
+func writeMsg(dst io.Writer, typ byte, m Encoder) (int, error) {
+	w := encodePool.Get().(*wireWriter)
+	w.beginFrame(typ)
+	if m != nil {
+		m.encodeTo(w)
+	}
+	n, err := dst.Write(w.endFrame())
+	w.release()
+	return n, err
+}
+
+// encode is the shared Encode body: the payload rendered through a pooled
+// buffer and copied out once, at its exact size, into a buffer the caller
 // owns (so it may outlive the call, unlike WriteMsg's pooled buffer).
 func encode(m Encoder) []byte {
-	w := &wireWriter{}
+	w := encodePool.Get().(*wireWriter)
+	w.buf = w.buf[:0]
 	m.encodeTo(w)
-	return w.buf
+	out := make([]byte, len(w.buf))
+	copy(out, w.buf)
+	w.release()
+	return out
 }
 
 func (w *wireWriter) u16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
@@ -187,6 +236,11 @@ type wireReader struct {
 	buf []byte
 	off int
 	err error
+	// text is string(buf), made when the first multi-byte string is read:
+	// every string the payload holds is a substring of it, so a payload
+	// costs at most one string allocation however many strings it carries
+	// (and buf itself may be a buffer the next frame overwrites).
+	text string
 }
 
 func (r *wireReader) fail() {
@@ -247,10 +301,13 @@ func (r *wireReader) f64() float64 {
 func (r *wireReader) str() string {
 	n := r.u32()
 	b := r.take(int(n))
-	if b == nil {
-		return ""
+	if len(b) <= 1 {
+		return string(b) // "" or one byte: the runtime allocates neither
 	}
-	return string(b)
+	if r.text == "" {
+		r.text = string(r.buf)
+	}
+	return r.text[r.off-len(b) : r.off]
 }
 
 // done reports decode success: no error and no trailing garbage.
@@ -273,6 +330,15 @@ const (
 	wireBool   = byte('b')
 	wireDate   = byte('d')
 )
+
+// appendValues is the one row encoder: a u16 count, then each value. Result
+// rows, statement parameters and shuffled rows all go through it.
+func appendValues(w *wireWriter, vals []types.Value) {
+	w.u16(uint16(len(vals)))
+	for _, v := range vals {
+		appendValue(w, v)
+	}
+}
 
 // appendValue encodes one typed value: kind byte, then for ints/dates an
 // 8-byte two's-complement payload, floats 8-byte IEEE 754, bools one byte,
@@ -347,17 +413,23 @@ func readValue(r *wireReader) types.Value {
 // unbounded slices.
 const maxWireValues = 1 << 16
 
-func readValues(r *wireReader, n int) []types.Value {
+// readValues is the one row decoder: it reads a u16 count and that many
+// values into a row carved from a (geometrically growing slabs, so a stream
+// of rows costs an allocation per few hundred, not one each). A count the
+// rest of the payload cannot hold — every value is at least its kind byte —
+// fails before anything is carved.
+func readValues(r *wireReader, a *exec.RowArena) []types.Value {
+	n := int(r.u16())
 	if n == 0 {
 		return nil
 	}
-	if n < 0 || n > maxWireValues {
+	if n > maxWireValues || n > len(r.buf)-r.off {
 		r.fail()
 		return nil
 	}
-	out := make([]types.Value, 0, n)
+	out := a.Alloc(n)
 	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, readValue(r))
+		out[i] = readValue(r)
 	}
 	return out
 }
@@ -416,17 +488,15 @@ func (m QueryMsg) Encode() []byte { return encode(m) }
 
 func (m QueryMsg) encodeTo(w *wireWriter) {
 	w.str(m.SQL)
-	w.u16(uint16(len(m.Params)))
-	for _, v := range m.Params {
-		appendValue(w, v)
-	}
+	appendValues(w, m.Params)
 }
 
 // DecodeQuery parses a MsgQuery payload.
 func DecodeQuery(p []byte) (QueryMsg, error) {
 	r := &wireReader{buf: p}
+	var a exec.RowArena
 	m := QueryMsg{SQL: r.str()}
-	m.Params = readValues(r, int(r.u16()))
+	m.Params = readValues(r, &a)
 	return m, r.done()
 }
 
@@ -463,17 +533,15 @@ func (m BindMsg) Encode() []byte { return encode(m) }
 
 func (m BindMsg) encodeTo(w *wireWriter) {
 	w.str(m.Name)
-	w.u16(uint16(len(m.Params)))
-	for _, v := range m.Params {
-		appendValue(w, v)
-	}
+	appendValues(w, m.Params)
 }
 
 // DecodeBind parses a MsgBind payload.
 func DecodeBind(p []byte) (BindMsg, error) {
 	r := &wireReader{buf: p}
+	var a exec.RowArena
 	m := BindMsg{Name: r.str()}
-	m.Params = readValues(r, int(r.u16()))
+	m.Params = readValues(r, &a)
 	return m, r.done()
 }
 
@@ -575,18 +643,21 @@ type RowMsg struct {
 // Encode renders the row payload.
 func (m RowMsg) Encode() []byte { return encode(m) }
 
-func (m RowMsg) encodeTo(w *wireWriter) {
-	w.u16(uint16(len(m.Values)))
-	for _, v := range m.Values {
-		appendValue(w, v)
-	}
-}
+func (m RowMsg) encodeTo(w *wireWriter) { appendValues(w, m.Values) }
 
 // DecodeRow parses a MsgRow payload.
 func DecodeRow(p []byte) (RowMsg, error) {
-	r := &wireReader{buf: p}
-	m := RowMsg{Values: readValues(r, int(r.u16()))}
-	return m, r.done()
+	var a exec.RowArena
+	row, err := decodeRow(p, &a)
+	return RowMsg{Values: row}, err
+}
+
+// decodeRow parses a MsgRow payload into a row carved from a. p may be
+// overwritten afterwards: the row keeps no reference into it.
+func decodeRow(p []byte, a *exec.RowArena) (types.Row, error) {
+	r := wireReader{buf: p}
+	row := readValues(&r, a)
+	return row, r.done()
 }
 
 // CompleteMsg ends a statement cycle: a command tag ("SELECT", "INSERT",

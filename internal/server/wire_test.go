@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rqp/internal/exec"
@@ -55,16 +58,146 @@ func TestFrameTooLarge(t *testing.T) {
 }
 
 // TestFrameTruncated checks that a stream dying inside a frame yields
-// ErrUnexpectedEOF, distinct from a clean between-frames EOF.
+// ErrUnexpectedEOF, distinct from a clean between-frames EOF — from
+// ReadFrame and from the client's reusable reader alike.
 func TestFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, MsgQuery, []byte("SELECT 1")); err != nil {
 		t.Fatal(err)
 	}
+	if err := WriteFrame(&buf, MsgRow, RowMsg{Values: sampleValues()}.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	first := frameHeaderLen + len("SELECT 1")
 	for cut := 1; cut < buf.Len(); cut++ {
+		if cut == first {
+			continue // a clean cut between the two frames
+		}
 		r := bytes.NewReader(buf.Bytes()[:cut])
-		if _, err := ReadFrame(r, MaxFrame); err != io.ErrUnexpectedEOF {
+		_, err := ReadFrame(r, MaxFrame)
+		if cut > first {
+			_, err = ReadFrame(r, MaxFrame)
+		}
+		if err != io.ErrUnexpectedEOF {
 			t.Fatalf("cut at %d: expected ErrUnexpectedEOF, got %v", cut, err)
+		}
+		checkStreamParity(t, buf.Bytes()[:cut])
+	}
+}
+
+// checkStreamParity reads data as a stream of frames twice — through
+// ReadFrame + DecodeRow, and through the client's path: one reusable payload
+// buffer, one row arena — and requires the same accept/reject decision,
+// the same error and the same bytes at every step. Rows decoded early must
+// also survive the buffer being reused by every later frame.
+func checkStreamParity(t *testing.T, data []byte) {
+	t.Helper()
+	plain := bytes.NewReader(data)
+	c := &Client{br: bufio.NewReader(bytes.NewReader(data))}
+	var arena exec.RowArena
+	type kept struct {
+		row     types.Row
+		payload []byte
+	}
+	var rows []kept
+	for i := 0; ; i++ {
+		want, werr := ReadFrame(plain, MaxFrame)
+		got, gerr := c.readFrame()
+		if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+			t.Fatalf("frame %d: ReadFrame says %v, the reusable reader %v", i, werr, gerr)
+		}
+		if werr != nil {
+			break
+		}
+		if got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("frame %d: reusable reader returned type %#x payload %x, want %#x %x", i, got.Type, got.Payload, want.Type, want.Payload)
+		}
+		wm, wrerr := DecodeRow(want.Payload)
+		row, grerr := decodeRow(got.Payload, &arena)
+		if fmt.Sprint(wrerr) != fmt.Sprint(grerr) {
+			t.Fatalf("frame %d: DecodeRow says %v, the slab decoder %v", i, wrerr, grerr)
+		}
+		if wrerr != nil {
+			continue
+		}
+		if len(row) != len(wm.Values) {
+			t.Fatalf("frame %d: slab decoder returned %d values, DecodeRow %d", i, len(row), len(wm.Values))
+		}
+		rows = append(rows, kept{row, want.Payload})
+	}
+	for i, k := range rows {
+		// Re-encoding is the comparison: canonical, and NaN-proof.
+		if enc := (RowMsg{Values: k.row}).Encode(); !bytes.Equal(enc, k.payload) {
+			t.Fatalf("row %d changed after later frames were read: re-encodes to %x, arrived as %x", i, enc, k.payload)
+		}
+	}
+}
+
+// TestClientReaderReuse streams rows whose payloads grow and shrink (so the
+// reused buffer is overwritten at every length) and hold several
+// multi-byte strings each (so they share one backing string per frame).
+func TestClientReaderReuse(t *testing.T) {
+	var buf bytes.Buffer
+	for i := 0; i < 200; i++ {
+		long := strings.Repeat(string(rune('a'+i%26)), 1+(i*37)%300)
+		row := types.Row{types.Int(int64(i)), types.Str(long), types.Str("x"), types.Str(""), types.Str(long + "é"), types.Null(), types.Float(float64(i) / 3)}
+		if err := WriteMsg(&buf, MsgRow, RowMsg{Values: row}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One outsized frame in the middle of the stream: read, not retained.
+	if err := WriteMsg(&buf, MsgRow, RowMsg{Values: types.Row{types.Str(strings.Repeat("z", 2*maxPooledEncodeBuf))}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteMsg(&buf, MsgRow, RowMsg{Values: sampleValues()}); err != nil {
+		t.Fatal(err)
+	}
+	checkStreamParity(t, buf.Bytes())
+}
+
+// countingWriter counts Write calls.
+type countingWriter struct{ writes, bytes int }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// TestFrameWriterOneWrite pins the frame writer: header and payload reach
+// the destination in a single Write, through a pooled buffer — so an
+// unbuffered socket sees one segment per frame and nothing escapes per
+// frame. Encode copies out of the pool once, at the exact size.
+func TestFrameWriterOneWrite(t *testing.T) {
+	row := RowMsg{Values: sampleValues()}
+	payload := row.Encode()
+	var w countingWriter
+	if err := WriteFrame(&w, MsgRow, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteMsg(&w, MsgRow, row); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(&w, MsgTerminate, nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := 2*(frameHeaderLen+len(payload)) + frameHeaderLen; w.writes != 3 || w.bytes != want {
+		t.Fatalf("3 frames took %d writes and %d bytes, want 3 and %d", w.writes, w.bytes, want)
+	}
+	if cap(payload) != len(payload) {
+		t.Errorf("Encode returned a %d-byte payload in a %d-byte buffer", len(payload), cap(payload))
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		f    func()
+	}{
+		{"WriteFrame", 0, func() { WriteFrame(io.Discard, MsgRow, payload) }},
+		{"WriteMsg", 1, func() { WriteMsg(io.Discard, MsgRow, row) }}, // the Encoder boxing
+		{"RowMsg.Encode", 2, func() { payload = row.Encode() }},       // boxing + the payload
+	} {
+		if got := testing.AllocsPerRun(200, tc.f); got > tc.max {
+			t.Errorf("%s: %.0f allocations per frame, want at most %.0f", tc.name, got, tc.max)
 		}
 	}
 }
@@ -191,13 +324,30 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 }
 
 // TestDecodeRejectsTruncation walks every prefix of a composite payload
-// through its decoder: all must fail cleanly (no panic, ErrProto).
+// through its decoder: all must fail cleanly (no panic, ErrProto). Row
+// payloads go through the one-shot and the slab decoder.
 func TestDecodeRejectsTruncation(t *testing.T) {
 	full := QueryMsg{SQL: "SELECT a FROM r WHERE b = ?", Params: sampleValues()}.Encode()
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := DecodeQuery(full[:cut]); !errors.Is(err, ErrProto) {
 			t.Fatalf("cut at %d: expected ErrProto, got %v", cut, err)
 		}
+	}
+	row := RowMsg{Values: sampleValues()}.Encode()
+	var arena exec.RowArena
+	for cut := 0; cut < len(row); cut++ {
+		if _, err := DecodeRow(row[:cut]); !errors.Is(err, ErrProto) {
+			t.Fatalf("row cut at %d: expected ErrProto, got %v", cut, err)
+		}
+		if _, err := decodeRow(row[:cut], &arena); !errors.Is(err, ErrProto) {
+			t.Fatalf("row cut at %d: slab decoder: expected ErrProto, got %v", cut, err)
+		}
+	}
+	if _, err := decodeRow(append(row, 0xFF), &arena); !errors.Is(err, ErrProto) {
+		t.Fatalf("slab decoder: expected ErrProto on trailing garbage, got %v", err)
+	}
+	if _, err := decodeRow([]byte{0, 1, 0x7F}, &arena); !errors.Is(err, ErrProto) {
+		t.Fatalf("slab decoder: expected ErrProto on unknown kind, got %v", err)
 	}
 }
 
@@ -213,7 +363,8 @@ func TestDecodeRejectsUnknownValueKind(t *testing.T) {
 }
 
 // TestHostileCountPrefix checks that a huge declared count with a tiny
-// payload fails without attempting a giant allocation.
+// payload fails without attempting a giant allocation: the count is checked
+// against the bytes that are left before any row is carved.
 func TestHostileCountPrefix(t *testing.T) {
 	w := &wireWriter{}
 	w.str("SELECT ?")
@@ -221,6 +372,19 @@ func TestHostileCountPrefix(t *testing.T) {
 	if _, err := DecodeQuery(w.buf); !errors.Is(err, ErrProto) {
 		t.Fatalf("expected ErrProto on hostile count, got %v", err)
 	}
+	row := []byte{0xFF, 0xFF, wireNull, wireNull} // claims 65535 values, holds two
+	if _, err := DecodeRow(row); !errors.Is(err, ErrProto) {
+		t.Fatalf("expected ErrProto on hostile row count, got %v", err)
+	}
+	var arena exec.RowArena
+	short := testing.AllocsPerRun(10, func() { decodeRow(row[:1], &arena) }) // the error alone
+	if allocs := testing.AllocsPerRun(10, func() { decodeRow(row, &arena) }); allocs > short {
+		t.Errorf("a hostile row count cost %.0f allocations, a truncated one %.0f: the slab was carved before the check", allocs, short)
+	}
+	var stream bytes.Buffer
+	WriteFrame(&stream, MsgRow, row)
+	WriteFrame(&stream, MsgRow, RowMsg{Values: sampleValues()}.Encode())
+	checkStreamParity(t, stream.Bytes())
 }
 
 // FuzzFrame feeds raw bytes through the frame reader and all message
@@ -290,6 +454,7 @@ func FuzzFrame(f *testing.F) {
 	f.Add([]byte{MsgRouteBatch, 0xFF, 0xFF, 0xFF, 0xFF}) // over-cap frame length
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkStreamParity(t, data)
 		r := bytes.NewReader(data)
 		fr, err := ReadFrame(r, MaxFrame)
 		if err != nil {
