@@ -18,6 +18,7 @@ import (
 	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/sql"
+	"rqp/internal/storage"
 	"rqp/internal/types"
 	"rqp/internal/workload"
 )
@@ -261,6 +262,43 @@ func BenchmarkParallelHashJoin(b *testing.B) {
 func BenchmarkParallelAgg(b *testing.B) {
 	cat := parallelBenchCatalog(b)
 	benchParallelQuery(b, cat, `SELECT f.g, COUNT(*), SUM(f.v) FROM f GROUP BY f.g`)
+}
+
+// BenchmarkParallelPipeline is the fused morsel pipeline end to end:
+// TPC-H-lite Q3 over columnar snapshots — scan → probe → probe → aggregate —
+// on the serial operators (dop1) and as one pipeline (dop2). -benchmem shows
+// what a statement allocates: the pipeline copies its build sides once and
+// nothing per probe row.
+func BenchmarkParallelPipeline(b *testing.B) {
+	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 4, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"customer", "orders", "lineitem"} {
+		t, _ := cat.Table(name)
+		cat.BuildColumnar(t, storage.DefaultColBlock)
+	}
+	for _, dop := range []int{1, 2} {
+		b.Run(fmt.Sprintf("dop%d", dop), func(b *testing.B) {
+			root := parallelBenchPlan(b, cat, workload.TPCHQueries()["Q3"])
+			plan.Walk(root, func(n plan.Node) {
+				if sc, ok := n.(*plan.ScanNode); ok {
+					sc.Columnar = true
+				}
+			})
+			plan.MarkColumnRefs(root)
+			plan.MarkParallel(root, exec.ParallelMinRows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx := exec.NewContext()
+				ctx.DOP = dop
+				if _, err := exec.Run(root, ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // ---------- vectorized batch execution ----------

@@ -113,6 +113,7 @@ func (a *aggState) result(spec plan.AggSpec) types.Value {
 type group struct {
 	key    []types.Value
 	states []aggState
+	next   *group // the next group of the same key hash in its aggPartial
 }
 
 // hashAgg groups via a hash table bounded by the broker's grant: group

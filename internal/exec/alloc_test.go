@@ -109,10 +109,11 @@ func TestAllocCeilingHashBuild(t *testing.T) {
 		"dop2": func() { // parallelHashJoin: drain, then hashing in morsels
 			ctx := NewContext()
 			ctx.DOP = 2
-			pj, err := buildParallelJoin(join, ctx)
+			right, err := build(join.Kids[1], ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
+			pj := &parallelHashJoin{hashBuild: hashBuild{ctx: ctx, node: join}, right: right}
 			if err := pj.openBuild(); err != nil {
 				t.Fatal(err)
 			}

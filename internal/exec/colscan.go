@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -135,9 +136,10 @@ func (c *colScanner) skip(b int, why string) {
 }
 
 // scanBlock processes block b, charging clk per the contract above and
-// handing surviving rows to emit. Emitted rows are freshly materialized
-// (never reused), so callers may buffer them without cloning. Safe for
-// concurrent use across blocks: all per-call scratch is pooled or local.
+// lending every surviving row to emit: one scratch row per call, refilled
+// for each survivor, so the row is valid only until emit returns and a
+// consumer that keeps it copies it (RowArena). Safe for concurrent use across
+// blocks: all per-call scratch is pooled or local.
 func (c *colScanner) scanBlock(b int, clk *storage.Clock, emit func(types.Row) error) error {
 	if c.alwaysFalse {
 		clk.ZoneChecks(1)
@@ -180,13 +182,7 @@ func (c *colScanner) scanBlock(b int, clk *storage.Clock, emit func(types.Row) e
 	if c.ctx.Trace != nil {
 		c.ctx.Trace.Event("columnar.decode", fmt.Sprintf("block=%d rows=%d cols=%d", b, nrows, len(c.need)))
 	}
-	survivors := 0
-	for _, k := range keep {
-		if k {
-			survivors++
-		}
-	}
-	if survivors == 0 {
+	if !slices.Contains(keep, true) {
 		return nil
 	}
 	bufs := make([][]types.Value, len(c.need))
@@ -199,23 +195,19 @@ func (c *colScanner) scanBlock(b int, clk *storage.Clock, emit func(types.Row) e
 			putColVals(buf)
 		}
 	}()
-	w := c.cs.NumCols()
-	slab := make([]types.Value, survivors*w)
-	if len(c.need) < w {
-		// Unreferenced columns stay NULL — safe exactly because MarkColumnRefs
-		// proved nothing above the scan reads them.
+	// Unreferenced columns stay NULL — safe exactly because MarkColumnRefs
+	// proved nothing above the scan reads them.
+	row := make(types.Row, c.cs.NumCols())
+	if len(c.need) < len(row) {
 		nullv := types.Null()
-		for i := range slab {
-			slab[i] = nullv
+		for i := range row {
+			row[i] = nullv
 		}
 	}
-	off := 0
 	for i := 0; i < nrows; i++ {
 		if !keep[i] {
 			continue
 		}
-		row := types.Row(slab[off : off+w : off+w])
-		off += w
 		for j, col := range c.need {
 			row[col] = bufs[j][i]
 		}
@@ -242,6 +234,13 @@ func (c *colScanner) scanBlock(b int, clk *storage.Clock, emit func(types.Row) e
 		}
 		if err := emit(row); err != nil {
 			return err
+		}
+		if poisonRows {
+			// What the next survivor does to a row the consumer kept, made
+			// visible at once (and for the block's last row too).
+			for _, col := range c.need {
+				row[col] = staleRow
+			}
 		}
 	}
 	return nil
@@ -281,31 +280,60 @@ func putColVals(s []types.Value) {
 	colValsPool.Put(s[:0])
 }
 
-// ---------- row variant ----------
+// ---------- serial variants ----------
 
-// colScan is the row-at-a-time columnar scan: it drains one block at a time
-// through the shared core into a buffer, mirroring seqScan's page-refill
-// shape. When the columnar snapshot vanished between planning and Open (DML
-// on a cached plan), it degrades to a plain heap scan — correct results,
-// heap charges.
-type colScan struct {
-	ctx   *Context
-	node  *plan.ScanNode
+// blockCursor steps a serial columnar scan through its blocks: the rows
+// scanBlock lends are copied into one value slab the cursor owns and reuses
+// from block to block, so a handed-out row stays valid until the cursor
+// moves past its block — at the earliest the operator's next call.
+type blockCursor struct {
 	sc    *colScanner
-	heap  *seqScan // fallback when the snapshot is gone
 	block int
-	buf   []types.Row
+	slab  []types.Value
+	rows  []types.Row // the current block's survivors
 	pos   int
 }
 
+// open binds the scan's runtime filters and resolves its columnar core;
+// false when the snapshot is gone and the caller must scan the heap.
+func (c *blockCursor) open(ctx *Context, node *plan.ScanNode) bool {
+	c.sc = colScannerFor(ctx, node, bindRuntimeFilters(ctx, node.RFConsume))
+	c.block, c.rows, c.pos = 0, c.rows[:0], 0
+	return c.sc != nil
+}
+
+// refill moves to the next block that yields rows; false after the last.
+func (c *blockCursor) refill(clk *storage.Clock) (bool, error) {
+	for c.block < c.sc.cs.NumBlocks() {
+		c.slab, c.rows, c.pos = c.slab[:0], c.rows[:0], 0
+		c.block++
+		err := c.sc.scanBlock(c.block-1, clk, func(r types.Row) error {
+			off := len(c.slab)
+			c.slab = append(c.slab, r...)
+			c.rows = append(c.rows, c.slab[off:len(c.slab):len(c.slab)])
+			return nil
+		})
+		if err != nil || len(c.rows) > 0 {
+			return err == nil, err
+		}
+	}
+	return false, nil
+}
+
+// colScan is the row-at-a-time columnar scan: it drains one block at a time
+// through the shared core, mirroring seqScan's page-refill shape. When the
+// columnar snapshot vanished between planning and Open (DML on a cached
+// plan), it degrades to a plain heap scan — correct results, heap charges.
+type colScan struct {
+	ctx  *Context
+	node *plan.ScanNode
+	cur  blockCursor
+	heap *seqScan // fallback when the snapshot is gone
+}
+
 func (s *colScan) Open() error {
-	rf := bindRuntimeFilters(s.ctx, s.node.RFConsume)
-	if sc := colScannerFor(s.ctx, s.node, rf); sc != nil {
-		s.sc = sc
-		s.heap = nil
-		s.block = 0
-		s.buf = s.buf[:0]
-		s.pos = 0
+	s.heap = nil
+	if s.cur.open(s.ctx, s.node) {
 		return nil
 	}
 	s.heap = &seqScan{ctx: s.ctx, node: s.node}
@@ -316,38 +344,22 @@ func (s *colScan) Next() (types.Row, bool, error) {
 	if s.heap != nil {
 		return s.heap.Next()
 	}
-	for {
-		if s.pos < len(s.buf) {
-			r := s.buf[s.pos]
-			s.pos++
-			return r, true, nil
-		}
-		if s.block >= s.sc.cs.NumBlocks() {
-			return nil, false, nil
-		}
-		s.buf = s.buf[:0]
-		s.pos = 0
-		b := s.block
-		s.block++
-		err := s.sc.scanBlock(b, s.ctx.Clock, func(r types.Row) error {
-			s.buf = append(s.buf, r)
-			return nil
-		})
-		if err != nil {
+	if s.cur.pos == len(s.cur.rows) {
+		if ok, err := s.cur.refill(s.ctx.Clock); !ok {
 			return nil, false, err
 		}
 	}
+	s.cur.pos++
+	return s.cur.rows[s.cur.pos-1], true, nil
 }
 
 func (s *colScan) Close() error {
 	if s.heap != nil {
 		return s.heap.Close()
 	}
-	s.buf = nil
+	s.cur = blockCursor{}
 	return nil
 }
-
-// ---------- batch variant ----------
 
 // batchColScan is the vectorized columnar scan. A block (~4K rows) exceeds
 // BatchRows, so each decoded block drains across several NextBatch calls in
@@ -355,23 +367,15 @@ func (s *colScan) Close() error {
 // the identical multiset to colScan, which is what keeps row and vectorized
 // columnar runs cost-identical.
 type batchColScan struct {
-	ctx   *Context
-	node  *plan.ScanNode
-	sc    *colScanner
-	heap  *batchSeqScan // fallback when the snapshot is gone
-	block int
-	buf   []types.Row
-	pos   int
+	ctx  *Context
+	node *plan.ScanNode
+	cur  blockCursor
+	heap *batchSeqScan // fallback when the snapshot is gone
 }
 
 func (s *batchColScan) Open() error {
-	rf := bindRuntimeFilters(s.ctx, s.node.RFConsume)
-	if sc := colScannerFor(s.ctx, s.node, rf); sc != nil {
-		s.sc = sc
-		s.heap = nil
-		s.block = 0
-		s.buf = s.buf[:0]
-		s.pos = 0
+	s.heap = nil
+	if s.cur.open(s.ctx, s.node) {
 		return nil
 	}
 	s.heap = &batchSeqScan{ctx: s.ctx, node: s.node}
@@ -382,38 +386,22 @@ func (s *batchColScan) NextBatch(b *Batch) (int, error) {
 	if s.heap != nil {
 		return s.heap.NextBatch(b)
 	}
-	for {
-		if s.pos < len(s.buf) {
-			end := s.pos + BatchRows
-			if end > len(s.buf) {
-				end = len(s.buf)
-			}
-			b.Rows = append(b.Rows[:0], s.buf[s.pos:end]...)
-			b.Sel = identitySel(b.Sel, len(b.Rows))
-			s.pos = end
-			return len(b.Rows), nil
-		}
-		if s.block >= s.sc.cs.NumBlocks() {
-			return 0, nil
-		}
-		s.buf = s.buf[:0]
-		s.pos = 0
-		blk := s.block
-		s.block++
-		err := s.sc.scanBlock(blk, s.ctx.Clock, func(r types.Row) error {
-			s.buf = append(s.buf, r)
-			return nil
-		})
-		if err != nil {
+	if s.cur.pos == len(s.cur.rows) {
+		if ok, err := s.cur.refill(s.ctx.Clock); !ok {
 			return 0, err
 		}
 	}
+	end := min(s.cur.pos+BatchRows, len(s.cur.rows))
+	b.Rows = append(b.Rows[:0], s.cur.rows[s.cur.pos:end]...)
+	b.Sel = identitySel(b.Sel, len(b.Rows))
+	s.cur.pos = end
+	return len(b.Rows), nil
 }
 
 func (s *batchColScan) Close() error {
 	if s.heap != nil {
 		return s.heap.Close()
 	}
-	s.buf = nil
+	s.cur = blockCursor{}
 	return nil
 }

@@ -276,6 +276,8 @@ func (c *counted) Close() error {
 	return c.op.Close()
 }
 
+func (c *counted) ownedRows() (int, bool) { return ownedRows(c.op) }
+
 // tracedCounted is counted plus span accounting: per-call cost attribution
 // and call counts for EXPLAIN ANALYZE. Chosen once at build time, so the
 // per-row tracing overhead exists only when a tracer is attached.
@@ -332,6 +334,8 @@ func (c *tracedCounted) Close() error {
 	return err
 }
 
+func (c *tracedCounted) ownedRows() (int, bool) { return ownedRows(c.op) }
+
 // Build constructs the operator tree for a physical plan. When the context
 // carries a tracer, a span-tree fragment mirroring the plan is registered
 // so every operator reports cost and cardinality into it.
@@ -362,7 +366,11 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 	switch node := n.(type) {
 	case *plan.ScanNode:
 		if ctx.parallelEligible(&node.Prop) {
-			op = &parallelScan{ctx: ctx, node: node}
+			pipe, err := newPipeline(ctx, node, node)
+			if err != nil {
+				return nil, err
+			}
+			op = &parallelGather{pipe: pipe}
 		} else if node.Columnar {
 			op = &colScan{ctx: ctx, node: node}
 		} else {
@@ -411,12 +419,12 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 			op = sj
 			break
 		}
-		if ctx.parallelEligible(&node.Prop) && node.Alg == plan.JoinHash {
-			pj, err := buildParallelJoin(node, ctx)
+		if ctx.fusesJoin(node) {
+			pipe, err := newPipeline(ctx, node, node)
 			if err != nil {
 				return nil, err
 			}
-			op = pj
+			op = &parallelGather{pipe: pipe}
 			break
 		}
 		l, err := build(node.Kids[0], ctx)
@@ -445,31 +453,13 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 		op = &sortOp{ctx: ctx, keys: node.Keys, child: child}
 	case *plan.AggNode:
 		if ctx.parallelEligible(&node.Prop) && node.Alg == plan.AggHash {
-			pa := &parallelAgg{ctx: ctx, node: node}
-			switch kid := node.Kids[0].(type) {
-			case *plan.ScanNode:
-				if kid.Prop.Parallel {
-					pa.scan = kid // fuse the input scan into the aggregation morsels
-				}
-			case *plan.JoinNode:
-				if kid.Prop.Parallel && kid.Alg == plan.JoinHash && !ctx.shardEligible(kid) {
-					// Fuse the whole join pipeline: agg morsels run
-					// scan → probe → accumulate without materializing.
-					pj, err := buildParallelJoin(kid, ctx)
-					if err != nil {
-						return nil, err
-					}
-					pa.join = pj
-				}
+			// The aggregation is the sink of whatever pipeline its input
+			// fuses into: scan → probe* → accumulate, nothing materialised.
+			pipe, err := newPipeline(ctx, node, node.Kids[0])
+			if err != nil {
+				return nil, err
 			}
-			if pa.scan == nil && pa.join == nil {
-				child, err := build(node.Kids[0], ctx)
-				if err != nil {
-					return nil, err
-				}
-				pa.child = child
-			}
-			op = pa
+			op = &parallelAgg{ctx: ctx, node: node, pipe: pipe}
 			break
 		}
 		child, err := build(node.Kids[0], ctx)
@@ -516,23 +506,6 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 	return wrapOp(&counted{op: op, node: n, ctx: ctx}), nil
 }
 
-// buildParallelJoin constructs the morsel-driven hash join for a marked
-// node: the build child as an operator, the probe child fused into the probe
-// morsels when it is a parallel-marked scan.
-func buildParallelJoin(node *plan.JoinNode, ctx *Context) (*parallelHashJoin, error) {
-	r, err := build(node.Kids[1], ctx)
-	if err != nil {
-		return nil, err
-	}
-	pj := &parallelHashJoin{hashBuild: hashBuild{ctx: ctx, node: node}, right: r}
-	if sc, ok := node.Kids[0].(*plan.ScanNode); ok && sc.Prop.Parallel {
-		pj.scan = sc
-		return pj, nil
-	}
-	pj.left, err = build(node.Kids[0], ctx)
-	return pj, err
-}
-
 // RowSink receives the rows of a drained plan, one call per row, in result
 // order. The row is lent, not given: it belongs to the producing operator
 // and is valid only until the sink returns (the operator's next call may
@@ -543,7 +516,7 @@ type RowSink func(types.Row) error
 
 // Drain executes a plan to completion, handing every result row to sink,
 // and returns how many rows the plan produced. A nil sink keeps the result
-// instead: the rows come back too, copied into one arena. Actual
+// instead: the rows come back too, each copied exactly once. Actual
 // cardinalities are recorded on every node. When the context carries a
 // Canceled hook it is checked before execution starts and every
 // cancelCheckRows rows.
@@ -569,36 +542,66 @@ func Run(n plan.Node, ctx *Context) ([]types.Row, error) {
 	return rows, err
 }
 
-// collector is the sink that keeps a result: every row copied into one
-// arena.
-type collector struct {
-	rows  []types.Row
-	arena RowArena
+// ownedRows reports whether an opened operator's rows stay valid after its
+// next call and its Close, to the end of the query and beyond, and how many
+// it holds: an exchange of arena copies says so (through any counting
+// wrapper), and a consumer that keeps rows then keeps them as they are
+// instead of copying them a second time.
+func ownedRows(op Operator) (int, bool) {
+	if o, ok := op.(interface{ ownedRows() (int, bool) }); ok {
+		return o.ownedRows()
+	}
+	return 0, false
 }
 
-func (c *collector) add(r types.Row) error {
-	c.rows = append(c.rows, c.arena.Copy(r))
-	return nil
-}
-
-// collect drains op into a collector and returns the rows it kept.
+// collect drains op and returns its rows: taken over when op owns them,
+// copied into one arena otherwise.
 func collect(op Operator, ctx *Context) ([]types.Row, error) {
-	var c collector
-	if _, err := runOp(op, ctx, c.add); err != nil {
+	if err := op.Open(); err != nil {
+		return nil, closeAfter(op, err)
+	}
+	var rows []types.Row
+	var arena RowArena
+	keep := func(r types.Row) error {
+		rows = append(rows, arena.Copy(r))
+		return nil
+	}
+	if n, ok := ownedRows(op); ok {
+		rows = make([]types.Row, 0, n)
+		keep = func(r types.Row) error {
+			rows = append(rows, r)
+			return nil
+		}
+	}
+	if _, err := pull(op, ctx, keep); err != nil {
 		return nil, err
 	}
-	return c.rows, nil
+	return rows, nil
 }
 
-// runOp is the one root drain loop: it pulls op to exhaustion and hands
-// each row to sink before pulling again. A Close failure after a Next or
-// sink failure is joined onto the original error rather than discarded, so
-// resource-release problems surface. A non-nil ctx.Canceled is polled every
-// cancelCheckRows rows.
+// runOp is the root drain: it opens op, pulls it to exhaustion into sink and
+// closes it — also when Open fails, since morsel operators do all their work
+// (and take all their grants) there.
 func runOp(op Operator, ctx *Context, sink RowSink) (int, error) {
 	if err := op.Open(); err != nil {
-		return 0, err
+		return 0, closeAfter(op, err)
 	}
+	return pull(op, ctx, sink)
+}
+
+// closeAfter closes op after err; a Close failure is joined onto the original
+// error rather than discarded, so resource-release problems surface.
+func closeAfter(op Operator, err error) error {
+	if cerr := op.Close(); cerr != nil {
+		err = errors.Join(err, cerr)
+	}
+	return err
+}
+
+// pull is the one drain loop: it hands each row of an opened op to sink
+// before pulling again, and closes op. A non-nil ctx.Canceled is polled every
+// cancelCheckRows rows.
+func pull(op Operator, ctx *Context, sink RowSink) (int, error) {
 	n := 0
 	for {
 		r, ok, err := op.Next()
@@ -609,10 +612,7 @@ func runOp(op Operator, ctx *Context, sink RowSink) (int, error) {
 			}
 		}
 		if err != nil {
-			if cerr := op.Close(); cerr != nil {
-				err = errors.Join(err, cerr)
-			}
-			return n, err
+			return n, closeAfter(op, err)
 		}
 		if !ok {
 			return n, op.Close()

@@ -10,10 +10,11 @@
 //   - the vectorized path: 256-row batches with selection vectors and
 //     compiled expressions (BatchOperator), chosen for plan nodes marked by
 //     plan.MarkVectorized when Context.Vec is set;
-//   - the morsel-driven parallel path: fixed page/row-range morsels over a
-//     worker pool with exchange operators that gather in morsel order,
-//     chosen for nodes marked by plan.MarkParallel when Context.DOP exceeds
-//     one.
+//   - the morsel-driven parallel path: one pipeline (parallel.go) per
+//     fragment marked by plan.MarkParallel when Context.DOP exceeds one —
+//     a source cut into page, block or row-range morsels, every hash join
+//     down the probe side as one more probe in the same morsel, and a sink
+//     (partial aggregation, or an exchange gathered in morsel order).
 //
 // Every charge goes to the deterministic cost Clock (internal/storage), so
 // the three paths are property-tested to produce byte-identical rows and
@@ -25,7 +26,10 @@
 // lends each row to a RowSink before pulling again; a consumer that keeps
 // a row across calls (the collecting sink of Run and drain, sort runs,
 // DISTINCT, spill runs, exchange buffers) copies it into a RowArena,
-// chunked value slabs that grow geometrically. Every
+// chunked value slabs that grow geometrically. A columnar scan lends too:
+// scanBlock refills one scratch row per survivor, valid until its emit
+// returns. And a retained row is copied once: an exchange's arena copies
+// are taken over as they are (ownedRows) by drain and the sort. Every
 // hash join builds one joinTable over arena-held build rows and probes it
 // through one joinProbe (kernel.go); SetRowPoison is the test harness that
 // overwrites stale rows so a missing copy fails loudly.

@@ -63,21 +63,40 @@ func morselRange(m, size, total int) (int, int) {
 // morsel-index order. Because morsels partition the input in order, the
 // merged stream is exactly the row order the serial operator would emit —
 // the determinism guarantee parallel execution rides on.
+//
+// It is the pipeline's materialising sink. When the rows arriving are lent
+// (a columnar scan's scratch row, a probe's reused output row), each is
+// copied once into the worker's arena and the exchange owns what it holds:
+// a consumer that keeps rows may take them as they are. Heap rows are not
+// lent and are held by reference.
 type exchange struct {
 	bufs [][]types.Row
+	lent bool
 	mi   int
 	pos  int
 }
 
-// reset prepares the exchange for n morsels.
-func (x *exchange) reset(n int) {
-	x.bufs = make([][]types.Row, n)
+// reset prepares the exchange for n morsels of lent, or heap, rows.
+func (x *exchange) reset(n int, lent bool) {
+	x.bufs, x.lent = make([][]types.Row, n), lent
 	x.mi, x.pos = 0, 0
 }
 
-// set stores morsel m's output buffer (each morsel is set exactly once, by
-// the worker that ran it; distinct indices never race).
-func (x *exchange) set(m int, rows []types.Row) { x.bufs[m] = rows }
+// begin starts morsel m's buffer (each morsel is stored exactly once, by the
+// worker that ran it; distinct indices never race).
+func (x *exchange) begin(m int, _ *storage.Clock, st *morselScratch) (RowSink, func() int) {
+	out, lent := getMorselBuf(), x.lent
+	return func(r types.Row) error {
+			if lent {
+				r = st.arena.Copy(r)
+			}
+			out = append(out, r)
+			return nil
+		}, func() int {
+			x.bufs[m] = out
+			return len(out)
+		}
+}
 
 // next returns the following row in morsel-merge order.
 func (x *exchange) next() (types.Row, bool) {
@@ -91,6 +110,25 @@ func (x *exchange) next() (types.Row, bool) {
 		x.pos = 0
 	}
 	return nil, false
+}
+
+// len returns how many rows the exchange holds.
+func (x *exchange) len() int {
+	n := 0
+	for _, b := range x.bufs {
+		n += len(b)
+	}
+	return n
+}
+
+// take empties the exchange into one slice in morsel-merge order.
+func (x *exchange) take() []types.Row {
+	rows := make([]types.Row, 0, x.len())
+	for _, b := range x.bufs {
+		rows = append(rows, b...)
+	}
+	x.release()
+	return rows
 }
 
 // release returns the buffers to the morsel pool. Safe to call twice (the

@@ -9,6 +9,7 @@ import (
 	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/sql"
+	"rqp/internal/storage"
 	"rqp/internal/types"
 )
 
@@ -81,6 +82,57 @@ func TestErrorInsideJoinPipeline(t *testing.T) {
 	err := buildAndRun(t, cat, "SELECT f.a FROM f, g WHERE f.a = g.a AND f.s - g.a > 0")
 	if err == nil {
 		t.Error("residual-predicate failure inside a join should surface")
+	}
+}
+
+// TestSpillPipelineErrorReleasesEverything: an error raised inside a morsel
+// pipeline — in the fused aggregate's argument, in a join residual — must
+// leave no workspace grant and no temp run behind, whether the build sat in
+// memory or spilled. Morsel operators do all their work in Open, so this
+// also holds the root drain to closing an operator whose Open failed.
+func TestSpillPipelineErrorReleasesEverything(t *testing.T) {
+	cat := catalog.New()
+	f, _ := cat.CreateTable("f", types.Schema{{Name: "a", Kind: types.KindInt}, {Name: "s", Kind: types.KindString}})
+	for i := 0; i < 2000; i++ {
+		cat.Insert(nil, f, types.Row{types.Int(int64(i % 500)), types.Str("x")})
+	}
+	g, _ := cat.CreateTable("g", types.Schema{{Name: "a", Kind: types.KindInt}})
+	for i := 0; i < 500; i++ {
+		cat.Insert(nil, g, types.Row{types.Int(int64(i))})
+	}
+	cat.AnalyzeTable(f, 4)
+	cat.AnalyzeTable(g, 4)
+	cat.BuildColumnar(f, 256)
+	cat.BuildColumnar(g, 256)
+	for _, q := range []string{
+		"SELECT SUM(f.s * 2) FROM f, g WHERE f.a = g.a",
+		"SELECT f.a FROM f, g WHERE f.a = g.a AND f.s - g.a > 0",
+	} {
+		for _, columnar := range []bool{false, true} {
+			for _, budget := range []int{1 << 30, 64} {
+				root := chainPlan(t, cat, q, columnar, false)
+				if plan.MarkParallel(root, 256) == 0 {
+					t.Fatalf("%q: nothing marked parallel", q)
+				}
+				ctx := NewContext()
+				ctx.DOP = 2
+				ctx.Mem = NewMemBroker(budget)
+				pagesBefore := storage.OpenTempPages()
+				_, err := Run(root, ctx)
+				if err == nil || !strings.Contains(err.Error(), "non-numeric") {
+					t.Fatalf("%q columnar=%v budget=%d: want the non-numeric error, got %v", q, columnar, budget, err)
+				}
+				if in := ctx.Mem.InUse(); in != 0 {
+					t.Errorf("%q columnar=%v budget=%d: %d workspace rows still granted after the error", q, columnar, budget, in)
+				}
+				if open := storage.OpenTempPages() - pagesBefore; open != 0 {
+					t.Errorf("%q columnar=%v budget=%d: %d temp-run pages left open after the error", q, columnar, budget, open)
+				}
+				if sp, _, _, _, _ := ctx.Spill.Snapshot(); (sp > 0) != (budget == 64) {
+					t.Errorf("%q columnar=%v budget=%d: %d partitions spilled", q, columnar, budget, sp)
+				}
+			}
+		}
 	}
 }
 

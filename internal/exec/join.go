@@ -27,7 +27,7 @@ func buildJoin(node *plan.JoinNode, l, r Operator, ctx *Context) (Operator, erro
 	return nil, fmt.Errorf("exec: join algorithm %v not executable", node.Alg)
 }
 
-// drain materializes an operator's output (copied through a row arena).
+// drain materializes an operator's output: rows the caller owns (collect).
 func drain(op Operator) ([]types.Row, error) { return collect(op, nil) }
 
 // keyInto fills dst (len(cols)) with r's key columns. Callers own dst as

@@ -268,6 +268,7 @@ type joinProbe struct {
 	hash   uint64
 	cur    int32 // next candidate, -1 when the chain is exhausted
 	outer  bool  // a null-extended row is still owed if nothing matches
+	rows   int64 // rows each has handed to its sinks so far
 }
 
 func (b *hashBuild) prober() *joinProbe {
@@ -351,6 +352,7 @@ func (p *joinProbe) each(clk *storage.Clock, lr types.Row, sink func(types.Row) 
 		if err != nil || !ok {
 			return err
 		}
+		p.rows++
 		if err := sink(r); err != nil {
 			return err
 		}

@@ -30,6 +30,8 @@ func TestRowLifetime(t *testing.T) {
 		{"ParallelDeterminism", TestParallelDeterminism},
 		{"VectorizedMatchesRow", TestVectorizedMatchesRow},
 		{"SpillPropertyAcrossBudgets", TestSpillPropertyAcrossBudgets},
+		{"SpillPipelineChainsExact", TestSpillPipelineChainsExact},
+		{"ColumnarShardedJoinExact", TestColumnarShardedJoinExact},
 		{"SpillRowVecCostParity", TestSpillRowVecCostParity},
 		{"SpillMergeFallback", TestSpillMergeFallback},
 		{"SpillSortTempRuns", TestSpillSortTempRuns},

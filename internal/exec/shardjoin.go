@@ -45,7 +45,7 @@ type shardedHashJoin struct {
 	scanRF   *rfConsumer
 	scanCol  *colScanner
 	residual *expr.Pred
-	fallback *parallelHashJoin // degraded path under memory pressure
+	fallback *parallelGather // degraded path under memory pressure
 	out      []types.Row
 	pos      int
 }
@@ -114,7 +114,7 @@ func (j *shardedHashJoin) drainBuild() ([]types.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	finishNode(j.ctx, j.buildScan, float64(len(rows)))
+	finishNode(j.ctx, j.buildScan, float64(len(rows)), j.node)
 	return rows, nil
 }
 
@@ -140,19 +140,15 @@ func (j *shardedHashJoin) degrade(build []types.Row) error {
 	}
 	fb := &parallelHashJoin{
 		hashBuild: hashBuild{ctx: j.ctx, node: j.node, residual: j.residual, grant: j.grant},
-		scan:      j.scan,
-		left:      j.left,
-		dop:       max(j.ctx.DOP, 1),
-	}
-	j.grant = 0 // ownership moved to the fallback, with the probe child below
-	if fb.scan != nil {
-		fb.scanPred = compilePred(j.ctx, fb.scan.Filter)
+		held:      true,
 	}
 	fb.openSpill(build, 0)
-	fb.bindScanRF()
-	j.left = nil // ownership moved to the fallback
-	j.fallback = fb
-	return fb.probe()
+	// The grant and the probe child now belong to the fallback's pipeline.
+	j.fallback = &parallelGather{pipe: &pipeline{
+		ctx: j.ctx, root: j.node, src: morselSource{scan: j.scan}, child: j.left, stages: []*parallelHashJoin{fb},
+	}}
+	j.grant, j.left = 0, nil
+	return j.fallback.Open()
 }
 
 // spec assembles the ShuffleJoinSpec a transport needs to build and probe
@@ -331,11 +327,15 @@ func (j *shardedHashJoin) runShuffled(build []types.Row) error {
 		if err := runShards(n, func(s int) error {
 			lo, hi := shardRange(s, n, nm)
 			pk := make([]types.Value, len(j.node.LeftKeys))
+			var arena RowArena
 			var cnt int64
 			for m := lo; m < hi; m++ {
 				mseq := int64(m) << shardSeqShift
 				k := int64(0)
 				err := scanMorsel(ctx, j.scan, j.scanPred, j.scanRF, j.scanCol, m, npages, clks[s], func(lr types.Row) error {
+					if j.scanCol != nil {
+						lr = arena.Copy(lr) // the exchange keeps it; a columnar row is only lent
+					}
 					keyInto(pk, lr, j.node.LeftKeys)
 					if err := route(s, mseq|k, lr, pk); err != nil {
 						return err
@@ -353,7 +353,7 @@ func (j *shardedHashJoin) runShuffled(build []types.Row) error {
 		}); err != nil {
 			return err
 		}
-		finishNode(ctx, j.scan, float64(atomic.LoadInt64(&scanned)))
+		finishNode(ctx, j.scan, float64(atomic.LoadInt64(&scanned)), j.node)
 	} else {
 		lrows, err := drain(j.left)
 		j.left = nil
@@ -540,7 +540,7 @@ func (j *shardedHashJoin) runColocated() error {
 	for _, rows := range bRows {
 		totalBuild += len(rows)
 	}
-	finishNode(ctx, j.buildScan, float64(totalBuild))
+	finishNode(ctx, j.buildScan, float64(totalBuild), j.node)
 	if ctx.RF != nil && len(j.node.RFilters) > 0 {
 		all := make([]types.Row, 0, totalBuild)
 		for _, rows := range bRows {
@@ -599,7 +599,7 @@ func (j *shardedHashJoin) runColocated() error {
 	}); err != nil {
 		return err
 	}
-	finishNode(ctx, j.scan, float64(atomic.LoadInt64(&scanned)))
+	finishNode(ctx, j.scan, float64(atomic.LoadInt64(&scanned)), j.node)
 	for _, rows := range outs {
 		j.out = append(j.out, rows...)
 	}

@@ -28,6 +28,7 @@ func (s *sortOp) Open() error {
 	if err := s.child.Open(); err != nil {
 		return err
 	}
+	_, owned := ownedRows(s.child) // an exchange's rows need no second copy
 	var spilled []*storage.TempRun
 	var arena RowArena   // holds every run's rows
 	var last []types.Row // final, grant-resident run
@@ -45,7 +46,10 @@ func (s *sortOp) Open() error {
 			if !ok {
 				break
 			}
-			run = append(run, arena.Copy(r))
+			if !owned {
+				r = arena.Copy(r)
+			}
+			run = append(run, r)
 		}
 		if len(run) == 0 {
 			s.ctx.Mem.Release(grant)

@@ -134,7 +134,7 @@ type spillJoin struct {
 
 // newSpillJoin partitions the drained build side under the given grant
 // (already obtained — and kept — by the caller). Build rows must be owned
-// by the caller (drain copies them).
+// by the caller (drain's are).
 func newSpillJoin(ctx *Context, node *plan.JoinNode, build []types.Row, grant, depth int) *spillJoin {
 	s := &spillJoin{
 		ctx:    ctx,
@@ -333,7 +333,7 @@ type aggSink struct {
 	node     *plan.AggNode
 	depth    int
 	grant    int
-	part     *aggPartial
+	part     aggPartial
 	runs     []*storage.TempRun
 	arena    RowArena // holds the spilled input rows
 	spilling bool
@@ -347,7 +347,6 @@ func newAggSink(ctx *Context, node *plan.AggNode, depth int) *aggSink {
 		node:  node,
 		depth: depth,
 		grant: ctx.Mem.Grant(1 << 20),
-		part:  newAggPartial(),
 	}
 }
 
@@ -359,16 +358,11 @@ func newAggSink(ctx *Context, node *plan.AggNode, depth int) *aggSink {
 // spilled rows are copied.
 func (s *aggSink) add(key []types.Value, r types.Row, accum func(*group) error) error {
 	h := types.HashRow(key)
-	for _, cand := range s.part.groups[h] {
-		if rowsEqual(cand.key, key) {
-			return accum(cand)
-		}
+	if g := s.part.find(key, h); g != nil {
+		return accum(g)
 	}
 	if len(s.part.order) < s.grant {
-		g := &group{key: append([]types.Value(nil), key...), states: make([]aggState, len(s.node.Aggs))}
-		s.part.groups[h] = append(s.part.groups[h], g)
-		s.part.order = append(s.part.order, g)
-		return accum(g)
+		return accum(s.part.add(key, h, len(s.node.Aggs)))
 	}
 	if !s.spilling {
 		s.spilling = true

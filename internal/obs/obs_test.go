@@ -68,6 +68,51 @@ func TestTraceSpanTree(t *testing.T) {
 	}
 }
 
+// TestTraceFusedSpan: a span finished as fused names the operator it ran
+// inside — in the rendered tree and in the JSON dump — instead of a zero
+// cost, and a plain span keeps both cost fields, zero or not.
+func TestTraceFusedSpan(t *testing.T) {
+	tr := NewTrace(storage.NewClock(storage.DefaultCostModel()))
+	scan := fakeNode("Scan(r)", 100)
+	idle := fakeNode("Scan(s)", 1)
+	root := fakeNode("Agg", 10, scan, idle)
+	tr.AddFragment(root)
+	tr.SpanOf(scan).FinishFused(50, "Agg")
+	tr.SpanOf(idle).Finish(0)
+	tr.SpanOf(root).AddCost(5)
+	tr.SpanOf(root).Finish(10)
+
+	out := tr.Render()
+	for _, want := range []string{
+		"Scan(r) (est=100 actual=50 q=2.00 fused into Agg)\n",
+		"Scan(s) (est=1 actual=0 q=1.00 cost=0.00 self=0.00)\n",
+		"Agg (est=10 actual=10 q=1.00 cost=5.00 self=5.00)\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render missing %q in:\n%s", want, out)
+		}
+	}
+	raw, err := tr.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		Fragments []struct {
+			Children []map[string]any `json:"children"`
+		} `json:"fragments"`
+	}
+	if err := json.Unmarshal(raw, &dump); err != nil {
+		t.Fatal(err)
+	}
+	fused, plain := dump.Fragments[0].Children[0], dump.Fragments[0].Children[1]
+	if _, has := fused["cost_units"]; has || fused["fused_into"] != "Agg" || fused["actual_rows"] != 50.0 {
+		t.Errorf("fused span dumps as %v", fused)
+	}
+	if c, has := plain["cost_units"]; !has || c != 0.0 || plain["self_cost_units"] != 0.0 || plain["fused_into"] != nil {
+		t.Errorf("plain span dumps as %v", plain)
+	}
+}
+
 func TestTraceEvents(t *testing.T) {
 	clock := storage.NewClock(storage.DefaultCostModel())
 	clock.SeqRead(3)

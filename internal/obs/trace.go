@@ -36,6 +36,7 @@ type Span struct {
 	calls    int64   // Next invocations
 	rows     int64   // rows produced so far (atomic; live, unlike actual)
 	finished bool
+	fused    string // label of the operator this one fused into; "" when it ran on its own
 	children []*Span
 }
 
@@ -120,6 +121,24 @@ func (s *Span) Finish(actual float64) {
 	s.mu.Unlock()
 }
 
+// FinishFused is Finish for an operator that ran inside another one's loop
+// (a scan or join fused into a morsel pipeline): it has no cost of its own —
+// its units accrued under the span of the operator it fused into, named by
+// into — so dumps say so instead of printing a zero cost.
+func (s *Span) FinishFused(actual float64, into string) {
+	s.mu.Lock()
+	s.fused = into
+	s.mu.Unlock()
+	s.Finish(actual)
+}
+
+// FusedInto returns the label of the operator this one fused into, or "".
+func (s *Span) FusedInto() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fused
+}
+
 // QError returns the span's cardinality q-error, or 0 if unfinished.
 func (s *Span) QError() float64 {
 	s.mu.Lock()
@@ -148,8 +167,9 @@ type spanJSON struct {
 	EstRows    float64    `json:"est_rows"`
 	ActualRows float64    `json:"actual_rows"`
 	QError     float64    `json:"qerror,omitempty"`
-	Cost       float64    `json:"cost_units"`
-	SelfCost   float64    `json:"self_cost_units"`
+	Cost       *float64   `json:"cost_units,omitempty"`      // absent on a fused span
+	SelfCost   *float64   `json:"self_cost_units,omitempty"` // absent on a fused span
+	FusedInto  string     `json:"fused_into,omitempty"`
 	Calls      int64      `json:"next_calls"`
 	Children   []spanJSON `json:"children,omitempty"`
 }
@@ -160,9 +180,12 @@ func (s *Span) toJSON() spanJSON {
 		EstRows:    s.EstRows(),
 		ActualRows: s.ActualRows(),
 		QError:     s.QError(),
-		Cost:       s.Cost(),
-		SelfCost:   s.SelfCost(),
+		FusedInto:  s.FusedInto(),
 		Calls:      s.Calls(),
+	}
+	if j.FusedInto == "" {
+		cost, self := s.Cost(), s.SelfCost()
+		j.Cost, j.SelfCost = &cost, &self
 	}
 	for _, c := range s.children {
 		j.Children = append(j.Children, c.toJSON())
@@ -328,7 +351,10 @@ func (t *Trace) Render() string {
 func renderSpan(sb *strings.Builder, s *Span, depth int) {
 	sb.WriteString(strings.Repeat("  ", depth))
 	actual := s.ActualRows()
-	if actual >= 0 {
+	if into := s.FusedInto(); into != "" {
+		fmt.Fprintf(sb, "%s (est=%.0f actual=%.0f q=%.2f fused into %s)\n",
+			s.Label(), s.EstRows(), actual, s.QError(), into)
+	} else if actual >= 0 {
 		fmt.Fprintf(sb, "%s (est=%.0f actual=%.0f q=%.2f cost=%.2f self=%.2f)\n",
 			s.Label(), s.EstRows(), actual, s.QError(), s.Cost(), s.SelfCost())
 	} else {

@@ -1,6 +1,10 @@
 package storage
 
-import "rqp/internal/types"
+import (
+	"sync/atomic"
+
+	"rqp/internal/types"
+)
 
 // TempRun is an append-only spill run: rows written out of an operator's
 // workspace when the memory broker cannot cover it. Like the heap, a run is
@@ -18,6 +22,15 @@ type TempRun struct {
 	pages int
 }
 
+// openTempPages counts the pages of every run written and neither read back
+// nor discarded yet.
+var openTempPages atomic.Int64
+
+// OpenTempPages reports how many temp-run pages are outstanding across all
+// queries: zero whenever nothing is executing, whatever way the last query
+// ended — the fault tests' check that an aborted operator discarded its runs.
+func OpenTempPages() int64 { return openTempPages.Load() }
+
 // NewTempRun returns an empty run.
 func NewTempRun() *TempRun { return &TempRun{} }
 
@@ -27,6 +40,7 @@ func NewTempRun() *TempRun { return &TempRun{} }
 func (t *TempRun) Append(clk *Clock, r types.Row) {
 	if len(t.rows)%PageRows == 0 {
 		t.pages++
+		openTempPages.Add(1)
 		if clk != nil {
 			clk.Write(1)
 		}
@@ -47,11 +61,14 @@ func (t *TempRun) Drain(clk *Clock) []types.Row {
 		clk.SeqRead(t.pages)
 	}
 	rows := t.rows
-	t.rows, t.pages = nil, 0
+	t.Discard()
 	return rows
 }
 
 // Discard drops the run without charging a read — for runs the consumer can
 // prove it never needs (e.g. a spilled build partition whose probe side
 // turned out empty).
-func (t *TempRun) Discard() { t.rows, t.pages = nil, 0 }
+func (t *TempRun) Discard() {
+	openTempPages.Add(-int64(t.pages))
+	t.rows, t.pages = nil, 0
+}
