@@ -610,7 +610,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 		}
 		planFP = plan.Fingerprint(root)
 		e.Metrics.Counter("rqp_rio_choices_total", obs.L("robust", fmt.Sprintf("%v", choice.Robust))).Inc()
-		e.armContext(ctx, e.markPlan(root))
+		e.armContext(ctx, root, e.markPlan(root))
 		res.Rows, res.RowCount, err = exec.Drain(root, ctx, rowSink)
 		if err != nil {
 			return nil, err
@@ -658,7 +658,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 			return res, nil
 		}
 		planFP = plan.Fingerprint(root)
-		e.armContext(ctx, marks)
+		e.armContext(ctx, root, marks)
 		res.Rows, res.RowCount, err = exec.Drain(root, ctx, rowSink)
 		if err != nil {
 			return nil, err
@@ -683,7 +683,6 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 type planMarks struct {
 	parallel   int // nodes marked for morsel execution
 	vectorized int // nodes marked for batch execution
-	narrowed   int // columnar scans given a column set
 	rfSites    int // runtime join filters planted
 	rfCredit   float64
 	shuffles   int // hash joins given a shuffle mode
@@ -692,8 +691,9 @@ type planMarks struct {
 // markPlan annotates a freshly optimized plan for every execution mode the
 // configuration enables: morsel parallelism, batch execution (marked even at
 // DOP > 1 — the executor only takes the batch path on serial plans, and the
-// annotations are harmless), the column sets columnar scans decode, runtime
-// join filter sites with their cost credit, and shuffle exchanges. The
+// annotations are harmless), runtime join filter sites with their cost
+// credit, and shuffle exchanges. (Which columns a scan emits is not a mark:
+// the optimizer built the plan narrow.) The
 // passes write to the tree, so they run exactly once per plan, while it is
 // still private: the plan cache publishes a plan only after this, and
 // executions — concurrent sessions sharing a cached tree — only read the
@@ -706,9 +706,6 @@ func (e *Engine) markPlan(root plan.Node) planMarks {
 	}
 	if e.Cfg.Vec {
 		m.vectorized = plan.MarkVectorized(root)
-	}
-	if e.Cfg.Columnar {
-		m.narrowed = plan.MarkColumnRefs(root)
 	}
 	if e.Cfg.RuntimeFilters {
 		m.rfSites, m.rfCredit = e.Opt.CreditRuntimeFilters(root)
@@ -724,7 +721,7 @@ func (e *Engine) markPlan(root plan.Node) planMarks {
 // stats — and records them in the trace and the metrics. The context's DOP
 // is the one the WLM gate granted this execution: at one, a plan's parallel
 // marks simply go unused.
-func (e *Engine) armContext(ctx *exec.Context, m planMarks) {
+func (e *Engine) armContext(ctx *exec.Context, root plan.Node, m planMarks) {
 	tr := ctx.Trace
 	if ctx.DOP > 1 {
 		if tr != nil {
@@ -743,7 +740,13 @@ func (e *Engine) armContext(ctx *exec.Context, m planMarks) {
 		}
 	}
 	if e.Cfg.Columnar && tr != nil {
-		tr.Event("columnar.plan", fmt.Sprintf("narrowed=%d", m.narrowed))
+		narrowed := 0
+		plan.Walk(root, func(n plan.Node) {
+			if sc, ok := n.(*plan.ScanNode); ok && sc.Cols != nil {
+				narrowed++
+			}
+		})
+		tr.Event("columnar.plan", fmt.Sprintf("narrowed=%d", narrowed))
 	}
 	if e.Cfg.RuntimeFilters && m.rfSites > 0 {
 		ctx.RF = exec.NewRuntimeFilterSet(tr)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"testing"
+	"unsafe"
 
 	"rqp/internal/catalog"
 	"rqp/internal/plan"
@@ -127,6 +128,51 @@ func TestAllocCeilingHashBuild(t *testing.T) {
 		allocs := testing.AllocsPerRun(5, fn)
 		if per := allocs / n; per > maxAllocsPerBuildRow {
 			t.Errorf("%s build of %v rows: %v allocations, %.4f per row (ceiling %v)", name, n, allocs, per, maxAllocsPerBuildRow)
+		}
+	}
+}
+
+// TestAllocCeilingNarrowBuild pins what a retained build side costs in bytes:
+// N rows of which the query mentions k of W columns are held as N×k values
+// (40 B each) behind an index of N row headers (24 B each), cut once — not
+// N×W values behind an index regrown as the rows arrive. Ten percent covers
+// the arena's spare tail chunk and the scan's per-block scratch.
+func TestAllocCeilingNarrowBuild(t *testing.T) {
+	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	li, _ := cat.Table("lineitem")
+	cat.BuildColumnar(li, 1024)
+	root := parallelPlanFor(t, cat, `SELECT l_orderkey, l_suppkey, l_extendedprice FROM lineitem`)
+	var scan *plan.ScanNode
+	plan.Walk(root, func(n plan.Node) {
+		if sc, ok := n.(*plan.ScanNode); ok {
+			scan = sc
+		}
+	})
+	n, k := float64(li.Heap.NumRows()), float64(len(scan.Cols))
+	if k != 3 || len(li.Schema) != 8 {
+		t.Fatalf("scan emits %v of %d columns, want 3 of 8", scan.Cols, len(li.Schema))
+	}
+	ceiling := 1.1 * n * (k*float64(unsafe.Sizeof(types.Value{})) + float64(unsafe.Sizeof(types.Row{})))
+	for _, columnar := range []bool{false, true} {
+		if columnar && raceDetector {
+			continue // every block's pooled decode buffers are reallocated
+		}
+		scan.Columnar = columnar
+		_, bytes := measureAllocs(func() {
+			op, err := build(scan, NewContext())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := drain(op)
+			if err != nil || float64(len(rows)) != n || len(rows[0]) != 3 {
+				t.Fatalf("columnar=%v: %d rows, %v", columnar, len(rows), err)
+			}
+		})
+		if bytes > ceiling {
+			t.Errorf("columnar=%v: a build of %v rows × %v of 8 columns allocates %.0f B, ceiling %.0f", columnar, n, k, bytes, ceiling)
 		}
 	}
 }

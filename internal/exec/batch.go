@@ -243,7 +243,8 @@ func buildBatchChild(n plan.Node, ctx *Context) (BatchOperator, error) {
 // batchSeqScan reads a heap table in physical order, one batch (~4 pages) at
 // a time, evaluating the pushed-down filter through a compiled predicate
 // into the selection vector. Charges are identical to seqScan: one
-// sequential read per page, CPU per examined row.
+// sequential read per page, CPU per examined row. The selected rows are
+// projected to the node's Cols into a slab reused from batch to batch.
 type batchSeqScan struct {
 	ctx    *Context
 	node   *plan.ScanNode
@@ -251,6 +252,7 @@ type batchSeqScan struct {
 	rf     *rfConsumer
 	npages int
 	page   int
+	buf    *rowBuf // its slab backs the batch's rows (b.Rows is their index)
 }
 
 func (s *batchSeqScan) Open() error {
@@ -259,7 +261,11 @@ func (s *batchSeqScan) Open() error {
 	if s.node.Filter != nil {
 		s.pred = expr.CompilePredicate(s.node.Filter)
 	}
-	s.rf = bindRuntimeFilters(s.ctx, s.node.RFConsume)
+	s.rf = bindRuntimeFilters(s.ctx, s.node.RFConsume, s.node.Cols)
+	if s.node.Cols != nil && s.buf == nil {
+		// A batch stops at the first page that fills it.
+		s.buf = getRowBuf(0, (BatchRows+storage.PageRows)*len(s.node.Cols))
+	}
 	return nil
 }
 
@@ -292,12 +298,24 @@ func (s *batchSeqScan) NextBatch(b *Batch) (int, error) {
 			}
 		}
 		if len(b.Sel) > 0 {
+			if s.node.Cols != nil {
+				s.buf.reset()
+				for _, i := range b.Sel {
+					b.Rows[i] = s.buf.carve(b.Rows[i], s.node.Cols)
+				}
+			}
 			return len(b.Sel), nil
 		}
 	}
 }
 
-func (s *batchSeqScan) Close() error { return nil }
+func (s *batchSeqScan) Close() error {
+	if s.buf != nil {
+		putRowBuf(s.buf)
+		s.buf = nil
+	}
+	return nil
+}
 
 // ---------- batch filter ----------
 

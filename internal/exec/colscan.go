@@ -20,7 +20,11 @@ import (
 //	ZoneCheck(1)       per consulted pruning source (each pushed col⋈const
 //	                   conjunct in order, then each enabled bounded runtime
 //	                   filter), short-circuiting on the first prune;
-//	SeqRead(span)      per referenced column of a surviving block;
+//	SeqRead(span)      per decoded column of a surviving block: the node's
+//	                   Cols plus whatever else its filter or a runtime
+//	                   filter reads (nothing else, in a plan the optimizer
+//	                   made: a block's conjuncts are columns the query
+//	                   mentions);
 //	FilterTest(units)  per pushed conjunct, where units is the block's
 //	                   encoded evaluation work (run count for RLE blocks);
 //	rf admission + RowWork(1) per row surviving the encoded filters, with
@@ -34,7 +38,7 @@ type colScanner struct {
 	cs   *storage.ColumnStore
 	rf   *rfConsumer
 
-	need        []int       // columns to decode, always non-nil and sorted
+	need        []int       // table columns to decode, always non-nil and sorted
 	pushed      []pushedCmp // col ⋈ const conjuncts evaluated on encoded blocks
 	alwaysFalse bool        // a conjunct compares against NULL: nothing matches
 	residual    expr.Expr   // conjuncts that could not be pushed
@@ -81,15 +85,38 @@ func colScannerFor(ctx *Context, node *plan.ScanNode, rf *rfConsumer) *colScanne
 	}
 	c.residual = expr.AndAll(rest)
 	c.resPred = compilePred(ctx, c.residual)
-	if node.NeedCols != nil {
-		c.need = node.NeedCols
-	} else {
-		c.need = make([]int, cs.NumCols())
-		for i := range c.need {
-			c.need[i] = i
+	c.need = decodeSet(node, rf, cs.NumCols())
+	return c
+}
+
+// decodeSet lists the table columns a columnar scan of node decodes,
+// ascending: the columns it emits and any other its filter or runtime
+// filters test.
+func decodeSet(node *plan.ScanNode, rf *rfConsumer, ncols int) []int {
+	seen := make([]bool, ncols)
+	for _, col := range node.Cols {
+		seen[col] = true
+	}
+	if node.Filter != nil {
+		node.Filter.Walk(func(n expr.Expr) bool {
+			if col, ok := n.(*expr.Col); ok && col.Index >= 0 && col.Index < ncols {
+				seen[col.Index] = true
+			}
+			return true
+		})
+	}
+	if rf != nil {
+		for _, col := range rf.cols {
+			seen[col] = true
 		}
 	}
-	return c
+	need := make([]int, 0, ncols)
+	for i, ok := range seen {
+		if ok || node.Cols == nil {
+			need = append(need, i)
+		}
+	}
+	return need
 }
 
 // storageCmpOp maps an expression comparison operator onto the storage
@@ -136,10 +163,13 @@ func (c *colScanner) skip(b int, why string) {
 }
 
 // scanBlock processes block b, charging clk per the contract above and
-// lending every surviving row to emit: one scratch row per call, refilled
-// for each survivor, so the row is valid only until emit returns and a
-// consumer that keeps it copies it (RowArena). Safe for concurrent use across
-// blocks: all per-call scratch is pooled or local.
+// lending every surviving row to emit. The block decodes into one
+// table-width scratch row per call, on which the runtime filters and the
+// residual are tested in table coordinates; a survivor is projected to the
+// node's Cols into a second scratch row (nil Cols lends the first), so the
+// row is valid only until emit returns and a consumer that keeps it copies
+// it (RowArena). Safe for concurrent use across blocks: all per-call scratch
+// is pooled or local.
 func (c *colScanner) scanBlock(b int, clk *storage.Clock, emit func(types.Row) error) error {
 	if c.alwaysFalse {
 		clk.ZoneChecks(1)
@@ -195,15 +225,9 @@ func (c *colScanner) scanBlock(b int, clk *storage.Clock, emit func(types.Row) e
 			putColVals(buf)
 		}
 	}()
-	// Unreferenced columns stay NULL — safe exactly because MarkColumnRefs
-	// proved nothing above the scan reads them.
-	row := make(types.Row, c.cs.NumCols())
-	if len(c.need) < len(row) {
-		nullv := types.Null()
-		for i := range row {
-			row[i] = nullv
-		}
-	}
+	cols := c.node.Cols
+	buf := make(types.Row, c.cs.NumCols()+len(cols))
+	row, out := buf[:c.cs.NumCols()], buf[c.cs.NumCols():]
 	for i := 0; i < nrows; i++ {
 		if !keep[i] {
 			continue
@@ -232,15 +256,17 @@ func (c *colScanner) scanBlock(b int, clk *storage.Clock, emit func(types.Row) e
 				continue
 			}
 		}
-		if err := emit(row); err != nil {
+		lent := row
+		if cols != nil {
+			lent = appendCols(out[:0], row, cols)
+		}
+		if err := emit(lent); err != nil {
 			return err
 		}
 		if poisonRows {
 			// What the next survivor does to a row the consumer kept, made
 			// visible at once (and for the block's last row too).
-			for _, col := range c.need {
-				row[col] = staleRow
-			}
+			scribble(lent)
 		}
 	}
 	return nil
@@ -283,37 +309,51 @@ func putColVals(s []types.Value) {
 // ---------- serial variants ----------
 
 // blockCursor steps a serial columnar scan through its blocks: the rows
-// scanBlock lends are copied into one value slab the cursor owns and reuses
-// from block to block, so a handed-out row stays valid until the cursor
-// moves past its block — at the earliest the operator's next call.
+// scanBlock lends are copied into one pooled buffer the cursor reuses from
+// block to block, so a handed-out row stays valid until the cursor moves
+// past its block — at the earliest the operator's next call.
 type blockCursor struct {
 	sc    *colScanner
 	block int
-	slab  []types.Value
-	rows  []types.Row // the current block's survivors
+	buf   *rowBuf // the current block's survivors
 	pos   int
 }
 
 // open binds the scan's runtime filters and resolves its columnar core;
 // false when the snapshot is gone and the caller must scan the heap.
 func (c *blockCursor) open(ctx *Context, node *plan.ScanNode) bool {
-	c.sc = colScannerFor(ctx, node, bindRuntimeFilters(ctx, node.RFConsume))
-	c.block, c.rows, c.pos = 0, c.rows[:0], 0
-	return c.sc != nil
+	c.sc = colScannerFor(ctx, node, bindRuntimeFilters(ctx, node.RFConsume, node.Cols))
+	if c.sc == nil {
+		return false
+	}
+	if c.buf == nil {
+		n := c.sc.cs.BlockRows(0) // block 0 is as large as any
+		c.buf = getRowBuf(n, n*len(node.Out))
+	}
+	c.buf.reset()
+	c.block, c.pos = 0, 0
+	return true
+}
+
+// close returns the buffer to the pool.
+func (c *blockCursor) close() {
+	if c.buf != nil {
+		putRowBuf(c.buf)
+	}
+	*c = blockCursor{}
 }
 
 // refill moves to the next block that yields rows; false after the last.
 func (c *blockCursor) refill(clk *storage.Clock) (bool, error) {
 	for c.block < c.sc.cs.NumBlocks() {
-		c.slab, c.rows, c.pos = c.slab[:0], c.rows[:0], 0
+		c.buf.reset()
+		c.pos = 0
 		c.block++
 		err := c.sc.scanBlock(c.block-1, clk, func(r types.Row) error {
-			off := len(c.slab)
-			c.slab = append(c.slab, r...)
-			c.rows = append(c.rows, c.slab[off:len(c.slab):len(c.slab)])
+			c.buf.rows = append(c.buf.rows, c.buf.carve(r, nil))
 			return nil
 		})
-		if err != nil || len(c.rows) > 0 {
+		if err != nil || len(c.buf.rows) > 0 {
 			return err == nil, err
 		}
 	}
@@ -344,20 +384,20 @@ func (s *colScan) Next() (types.Row, bool, error) {
 	if s.heap != nil {
 		return s.heap.Next()
 	}
-	if s.cur.pos == len(s.cur.rows) {
+	if s.cur.pos == len(s.cur.buf.rows) {
 		if ok, err := s.cur.refill(s.ctx.Clock); !ok {
 			return nil, false, err
 		}
 	}
 	s.cur.pos++
-	return s.cur.rows[s.cur.pos-1], true, nil
+	return s.cur.buf.rows[s.cur.pos-1], true, nil
 }
 
 func (s *colScan) Close() error {
 	if s.heap != nil {
 		return s.heap.Close()
 	}
-	s.cur = blockCursor{}
+	s.cur.close()
 	return nil
 }
 
@@ -386,13 +426,13 @@ func (s *batchColScan) NextBatch(b *Batch) (int, error) {
 	if s.heap != nil {
 		return s.heap.NextBatch(b)
 	}
-	if s.cur.pos == len(s.cur.rows) {
+	if s.cur.pos == len(s.cur.buf.rows) {
 		if ok, err := s.cur.refill(s.ctx.Clock); !ok {
 			return 0, err
 		}
 	}
-	end := min(s.cur.pos+BatchRows, len(s.cur.rows))
-	b.Rows = append(b.Rows[:0], s.cur.rows[s.cur.pos:end]...)
+	end := min(s.cur.pos+BatchRows, len(s.cur.buf.rows))
+	b.Rows = append(b.Rows[:0], s.cur.buf.rows[s.cur.pos:end]...)
 	b.Sel = identitySel(b.Sel, len(b.Rows))
 	s.cur.pos = end
 	return len(b.Rows), nil
@@ -402,6 +442,6 @@ func (s *batchColScan) Close() error {
 	if s.heap != nil {
 		return s.heap.Close()
 	}
-	s.cur = blockCursor{}
+	s.cur.close()
 	return nil
 }

@@ -63,8 +63,8 @@ func colTestCatalog(t *testing.T, factRows, dimRows int, rng *rand.Rand) *catalo
 }
 
 // colMkPlan parses, binds and optimizes q, forces hash joins, and when
-// columnar is set flips every scan to the columnar path and narrows the
-// decoded column set exactly as the engine does.
+// columnar is set flips every scan to the columnar path (the optimizer has
+// already narrowed each to the columns q mentions).
 func colMkPlan(t *testing.T, cat *catalog.Catalog, q string, columnar bool) plan.Node {
 	t.Helper()
 	st, err := sql.Parse(q)
@@ -87,9 +87,6 @@ func colMkPlan(t *testing.T, cat *catalog.Catalog, q string, columnar bool) plan
 			s.Columnar = columnar
 		}
 	})
-	if columnar {
-		plan.MarkColumnRefs(root)
-	}
 	return root
 }
 

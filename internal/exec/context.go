@@ -555,18 +555,16 @@ func ownedRows(op Operator) (int, bool) {
 }
 
 // collect drains op and returns its rows: taken over when op owns them,
-// copied into one arena otherwise.
+// copied into one rowSet otherwise.
 func collect(op Operator, ctx *Context) ([]types.Row, error) {
 	if err := op.Open(); err != nil {
 		return nil, closeAfter(op, err)
 	}
 	var rows []types.Row
-	var arena RowArena
-	keep := func(r types.Row) error {
-		rows = append(rows, arena.Copy(r))
-		return nil
-	}
-	if n, ok := ownedRows(op); ok {
+	var set rowSet
+	keep := RowSink(set.add)
+	n, owned := ownedRows(op)
+	if owned {
 		rows = make([]types.Row, 0, n)
 		keep = func(r types.Row) error {
 			rows = append(rows, r)
@@ -575,6 +573,9 @@ func collect(op Operator, ctx *Context) ([]types.Row, error) {
 	}
 	if _, err := pull(op, ctx, keep); err != nil {
 		return nil, err
+	}
+	if !owned {
+		rows = set.rows()
 	}
 	return rows, nil
 }

@@ -26,13 +26,18 @@
 // lends each row to a RowSink before pulling again; a consumer that keeps
 // a row across calls (the collecting sink of Run and drain, sort runs,
 // DISTINCT, spill runs, exchange buffers) copies it into a RowArena,
-// chunked value slabs that grow geometrically. A columnar scan lends too:
-// scanBlock refills one scratch row per survivor, valid until its emit
-// returns. And a retained row is copied once: an exchange's arena copies
-// are taken over as they are (ownedRows) by drain and the sort. Every
-// hash join builds one joinTable over arena-held build rows and probes it
-// through one joinProbe (kernel.go); SetRowPoison is the test harness that
-// overwrites stale rows so a missing copy fails loudly.
+// chunked value slabs that grow geometrically. Every scan lends, heap and
+// columnar alike, a row as wide as the query: the optimizer puts the table
+// columns the statement mentions on the scan node (Cols; nil = all, the
+// stored row), filters and runtime filters test the stored row in table
+// coordinates, and the survivor is projected (appendCols) into a page buffer
+// or a scratch row, valid until the next call or until emit returns. A
+// retained row is copied once: an exchange's arena copies are taken over as
+// they are (ownedRows) by drain and the sort, and a retained row set (rowSet,
+// behind collect) cuts its []Row index once, after the last row. Every hash
+// join builds one joinTable over arena-held build rows and probes it through
+// one joinProbe (kernel.go); SetRowPoison is the test harness that overwrites
+// stale rows so a missing copy fails loudly.
 //
 // Workspace memory is arbitrated by the MemBroker: stateful operators (hash
 // join, hash aggregation, external sort) request grants counted in rows and

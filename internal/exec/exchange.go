@@ -64,33 +64,28 @@ func morselRange(m, size, total int) (int, int) {
 // merged stream is exactly the row order the serial operator would emit —
 // the determinism guarantee parallel execution rides on.
 //
-// It is the pipeline's materialising sink. When the rows arriving are lent
-// (a columnar scan's scratch row, a probe's reused output row), each is
-// copied once into the worker's arena and the exchange owns what it holds:
-// a consumer that keeps rows may take them as they are. Heap rows are not
-// lent and are held by reference.
+// It is the pipeline's materialising sink. The rows arriving are lent (a
+// scan's scratch row, a probe's reused output row): each is copied once into
+// the worker's arena and the exchange owns what it holds — a consumer that
+// keeps rows may take them as they are.
 type exchange struct {
 	bufs [][]types.Row
-	lent bool
 	mi   int
 	pos  int
 }
 
-// reset prepares the exchange for n morsels of lent, or heap, rows.
-func (x *exchange) reset(n int, lent bool) {
-	x.bufs, x.lent = make([][]types.Row, n), lent
+// reset prepares the exchange for n morsels.
+func (x *exchange) reset(n int) {
+	x.bufs = make([][]types.Row, n)
 	x.mi, x.pos = 0, 0
 }
 
 // begin starts morsel m's buffer (each morsel is stored exactly once, by the
 // worker that ran it; distinct indices never race).
 func (x *exchange) begin(m int, _ *storage.Clock, st *morselScratch) (RowSink, func() int) {
-	out, lent := getMorselBuf(), x.lent
+	out := getMorselBuf()
 	return func(r types.Row) error {
-			if lent {
-				r = st.arena.Copy(r)
-			}
-			out = append(out, r)
+			out = append(out, st.arena.Copy(r))
 			return nil
 		}, func() int {
 			x.bufs[m] = out

@@ -609,7 +609,9 @@ func (j *gJoin) Close() error {
 
 // ---------- index nested-loop join ----------
 
-// indexNLJoin probes a persistent B+ tree per outer row.
+// indexNLJoin probes a persistent B+ tree per outer row. The fetched rows
+// are held as stored, by reference; each output row is the outer row
+// followed by a match's Cols.
 type indexNLJoin struct {
 	ctx  *Context
 	node *plan.IndexJoinNode
@@ -639,7 +641,7 @@ func (j *indexNLJoin) Next() (types.Row, bool, error) {
 		for j.midx < len(j.matches) {
 			r := j.matches[j.midx]
 			j.midx++
-			out := concatInto(j.out, j.lrow, r)
+			out := appendCols(append(j.out[:0], j.lrow...), r, j.node.Cols)
 			ok, err := joinResidual(j.ctx.Clock, j.ctx.Params, j.node.Residual, out)
 			if err != nil {
 				return nil, false, err
@@ -653,7 +655,7 @@ func (j *indexNLJoin) Next() (types.Row, bool, error) {
 		if j.have && j.node.Type == plan.LeftOuter && !j.matched {
 			j.have = false
 			j.ctx.Clock.RowWork(1)
-			return padNulls(j.out, j.lrow, len(j.node.Table.Schema)), true, nil
+			return padNulls(j.out, j.lrow, len(j.node.Schema())-len(j.lrow)), true, nil
 		}
 		if j.lDone {
 			return nil, false, nil

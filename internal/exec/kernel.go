@@ -28,10 +28,13 @@ type RowArena struct {
 	held  int           // values handed out so far
 }
 
+// fits reports whether the tail chunk has room for a row of n values.
+func (a *RowArena) fits(n int) bool { return cap(a.chunk)-len(a.chunk) >= n }
+
 // Alloc returns a row of n zero values for the caller to fill. Its capacity
 // is clipped, so an append to it can never reach a neighbouring row.
 func (a *RowArena) Alloc(n int) types.Row {
-	if cap(a.chunk)-len(a.chunk) < n {
+	if !a.fits(n) {
 		a.chunk = make([]types.Value, 0, max(n, min(a.held, arenaMaxChunk)))
 	}
 	off := len(a.chunk)
@@ -45,6 +48,56 @@ func (a *RowArena) Copy(r types.Row) types.Row {
 	out := a.Alloc(len(r))
 	copy(out, r)
 	return out
+}
+
+// rowSet retains rows of one width — a build side, a drained input, a
+// result — in an arena of its own and cuts their index once, at its exact
+// size, after the last row: they sit back to back in the arena's chunks, so
+// no index is grown (and regrown, and copied) while they arrive.
+type rowSet struct {
+	arena RowArena
+	n     int
+	// The chunks the arena has left behind, in order. The first is kept
+	// inline so that a result of a few rows pays for no list.
+	first []types.Value
+	full  [][]types.Value
+}
+
+// add copies r into the set. It is a RowSink (that never fails).
+func (s *rowSet) add(r types.Row) error {
+	if !s.arena.fits(len(r)) && len(s.arena.chunk) > 0 {
+		if s.first == nil {
+			s.first = s.arena.chunk
+		} else {
+			s.full = append(s.full, s.arena.chunk)
+		}
+	}
+	s.arena.Copy(r)
+	s.n++
+	return nil
+}
+
+// rows returns the set's rows in arrival order (nil for none).
+func (s *rowSet) rows() []types.Row {
+	if s.n == 0 {
+		return nil
+	}
+	rows := make([]types.Row, s.n) // zero-width rows: their count is all there is to them
+	if w := s.arena.held / s.n; w > 0 {
+		i := 0
+		cut := func(chunk []types.Value) {
+			for off := 0; off < len(chunk); off += w {
+				rows[i] = chunk[off : off+w : off+w]
+				i++
+			}
+		}
+		cut(s.first)
+		for _, c := range s.full {
+			cut(c)
+		}
+		cut(s.arena.chunk)
+	}
+	return rows
 }
 
 // concatInto overwrites buf with l‖r and returns it: the reused output row
@@ -235,13 +288,9 @@ func (b *hashBuild) replay() ([]types.Row, error) {
 	if b.spill == nil {
 		return nil, nil
 	}
-	var out []types.Row
-	var arena RowArena
-	err := b.spill.finish(func(r types.Row) error {
-		out = append(out, arena.Copy(r))
-		return nil
-	})
-	return out, err
+	var out rowSet
+	err := b.spill.finish(out.add)
+	return out.rows(), err
 }
 
 // release frees the table (or spill state) and returns the grant.

@@ -62,27 +62,29 @@ func compilePred(ctx *Context, e expr.Expr) *expr.Pred {
 
 // scanMorsel reads one morsel of a table, charging clk exactly as the
 // serial scan would (one sequential read per page, CPU per examined row),
-// and hands rows passing the filter to emit. pred, when non-nil, is the
+// and lends rows passing the filter to emit. pred, when non-nil, is the
 // compiled form of node.Filter; rf, when non-nil, is the scan's bound
 // runtime-filter consumer (rejects pay only the membership test, on the
 // worker's shard clock). col, when non-nil, is the scan's columnar core: a
 // morsel is then one column block, scanned through the shared block core
-// with charges identical to the serial columnar scan's. A heap row is the
-// heap's own — valid until the query ends, never to be mutated; a columnar
-// row is lent — valid only until emit returns.
-func scanMorsel(ctx *Context, node *plan.ScanNode, pred *expr.Pred, rf *rfConsumer, col *colScanner, m, npages int, clk *storage.Clock, emit func(types.Row) error) error {
+// with charges identical to the serial columnar scan's. Either way the row
+// is lent — valid only until emit returns, never to be mutated; scratch is
+// the caller's reusable row a heap scan projects into.
+func scanMorsel(ctx *Context, node *plan.ScanNode, pred *expr.Pred, rf *rfConsumer, col *colScanner, m, npages int, clk *storage.Clock, scratch *types.Row, emit func(types.Row) error) error {
 	if col != nil {
 		return col.scanBlock(m, clk, emit)
 	}
 	lo, hi := morselRange(m, MorselPages, npages)
-	return scanPageRange(ctx, node, pred, rf, lo, hi, clk, emit)
+	return scanPageRange(ctx, node, pred, rf, lo, hi, clk, scratch, emit)
 }
 
 // scanPageRange scans the heap pages [lo, hi) of a table with the exact
 // serial-scan charge discipline (one sequential read per page, runtime
-// filters before per-row CPU). scanMorsel delegates here; the sharded
-// co-located join path uses it directly with a partition's page range.
-func scanPageRange(ctx *Context, node *plan.ScanNode, pred *expr.Pred, rf *rfConsumer, lo, hi int, clk *storage.Clock, emit func(types.Row) error) error {
+// filters before per-row CPU), lending each survivor projected to the node's
+// Cols into *scratch (nil Cols lends the stored row itself). scanMorsel
+// delegates here; the sharded co-located join path uses it directly with a
+// partition's page range.
+func scanPageRange(ctx *Context, node *plan.ScanNode, pred *expr.Pred, rf *rfConsumer, lo, hi int, clk *storage.Clock, scratch *types.Row, emit func(types.Row) error) error {
 	var emitErr error
 	for p := lo; p < hi; p++ {
 		node.Table.Heap.ScanPage(clk, p, func(_ storage.RID, r types.Row) bool {
@@ -109,9 +111,16 @@ func scanPageRange(ctx *Context, node *plan.ScanNode, pred *expr.Pred, rf *rfCon
 					return true
 				}
 			}
+			if node.Cols != nil {
+				*scratch = appendCols((*scratch)[:0], r, node.Cols)
+				r = *scratch
+			}
 			if err := emit(r); err != nil {
 				emitErr = err
 				return false
+			}
+			if poisonRows && node.Cols != nil {
+				scribble(r) // what the next survivor does to a row the consumer kept
 			}
 			return true
 		})
@@ -157,21 +166,23 @@ func rowSource(rows []types.Row) *morselSource {
 }
 
 // morselSink receives a pipeline's output morsel by morsel. reset announces n
-// morsels and whether their rows are lent (a probe's output row, a columnar
-// scan's scratch row: valid until the consumer returns) or the heap's own.
-// begin returns the consumer of morsel m's rows, charging clk, and the
-// function that ends the morsel and reports how many rows (or groups) it
-// holds; only one goroutine works on a morsel, many on a sink.
+// morsels; their rows are lent (a scan's scratch row, a probe's output row:
+// valid until the consumer returns). begin returns the consumer of morsel
+// m's rows, charging clk, and the function that ends the morsel and reports
+// how many rows (or groups) it holds; only one goroutine works on a morsel,
+// many on a sink.
 type morselSink interface {
-	reset(n int, lent bool)
+	reset(n int)
 	begin(m int, clk *storage.Clock, st *morselScratch) (RowSink, func() int)
 }
 
-// morselScratch is one worker's reusable workspace: a prober per stage (key
-// scratch, output row) and the arena an exchange copies retained rows into,
-// so steady-state morsels allocate nothing per row. Rows of successive
-// morsels share arena chunks, which the rows themselves keep alive.
+// morselScratch is one worker's reusable workspace: the row a heap scan
+// lends, a prober per stage (key scratch, output row) and the arena an
+// exchange copies retained rows into, so steady-state morsels allocate
+// nothing per row. Rows of successive morsels share arena chunks, which the
+// rows themselves keep alive.
 type morselScratch struct {
+	row    types.Row
 	probes []*joinProbe
 	arena  RowArena
 }
@@ -239,7 +250,7 @@ func (p *pipeline) open() error {
 	s := &p.src
 	if s.scan != nil {
 		s.pred = compilePred(p.ctx, s.scan.Filter)
-		s.rf = bindRuntimeFilters(p.ctx, s.scan.RFConsume)
+		s.rf = bindRuntimeFilters(p.ctx, s.scan.RFConsume, s.scan.Cols)
 		s.col = colScannerFor(p.ctx, s.scan, s.rf)
 		s.n, s.npages = scanGeometry(s.scan, s.col)
 		return nil
@@ -304,11 +315,10 @@ func (p *pipeline) segment(src *morselSource, lo, hi int, sink morselSink) error
 		}
 		return st
 	}}
-	lent := len(stages) > 0 || src.col != nil
 	var err error
 	if len(stages) == 1 && stages[0].spill != nil {
 		j, st := stages[0], scratch.Get().(*morselScratch)
-		sink.reset(1, lent)
+		sink.reset(1)
 		emit, end := sink.begin(0, p.ctx.Clock, st)
 		err = runMorsels(p.ctx, label, src.n, 1, func(m int, clk *storage.Clock) (int, error) {
 			return 0, p.morsel(src, stages, st, m, clk, emit)
@@ -323,7 +333,7 @@ func (p *pipeline) segment(src *morselSource, lo, hi int, sink morselSink) error
 			end()
 		}
 	} else {
-		sink.reset(src.n, lent)
+		sink.reset(src.n)
 		err = runMorsels(p.ctx, label, src.n, p.ctx.DOP, func(m int, clk *storage.Clock) (int, error) {
 			st := scratch.Get().(*morselScratch)
 			defer scratch.Put(st)
@@ -366,7 +376,7 @@ func (p *pipeline) morsel(src *morselSource, stages []*parallelHashJoin, st *mor
 		}
 	} else {
 		rows, down := 0, emit
-		err := scanMorsel(p.ctx, src.scan, src.pred, src.rf, src.col, m, src.npages, clk, func(r types.Row) error {
+		err := scanMorsel(p.ctx, src.scan, src.pred, src.rf, src.col, m, src.npages, clk, &st.row, func(r types.Row) error {
 			rows++
 			return down(r)
 		})
@@ -416,9 +426,8 @@ func (g *parallelGather) Next() (types.Row, bool, error) {
 	return r, ok, nil
 }
 
-// ownedRows: an exchange of lent rows holds its own copies, there for the
-// taking.
-func (g *parallelGather) ownedRows() (int, bool) { return g.x.len(), g.x.lent }
+// ownedRows: an exchange holds its own copies, there for the taking.
+func (g *parallelGather) ownedRows() (int, bool) { return g.x.len(), true }
 
 func (g *parallelGather) Close() error {
 	g.x.release()
@@ -661,7 +670,7 @@ func (a *parallelAgg) Open() error {
 	return nil
 }
 
-func (a *parallelAgg) reset(n int, _ bool) { a.partials = make([]*aggPartial, n) }
+func (a *parallelAgg) reset(n int) { a.partials = make([]*aggPartial, n) }
 
 // begin opens morsel m's partial: every row is accumulated as it arrives.
 func (a *parallelAgg) begin(m int, clk *storage.Clock, _ *morselScratch) (RowSink, func() int) {

@@ -72,9 +72,6 @@ func chainPlan(t testing.TB, cat *catalog.Catalog, q string, columnar, rf bool) 
 			sc.Columnar = columnar
 		}
 	})
-	if columnar {
-		plan.MarkColumnRefs(root)
-	}
 	if rf {
 		plan.PlanRuntimeFilters(root)
 	}

@@ -240,7 +240,8 @@ func buildRuntimeFilters(ctx *Context, node *plan.JoinNode, clk *storage.Clock, 
 }
 
 // rfConsumer is a scan's bound view of the filters it consumes: parallel
-// slices of filter and the scan-output column each one tests.
+// slices of filter and the table column each one tests — rows are admitted
+// as stored, before the scan projects them.
 type rfConsumer struct {
 	set     *RuntimeFilterSet
 	filters []*RuntimeFilter
@@ -248,11 +249,12 @@ type rfConsumer struct {
 }
 
 // bindRuntimeFilters resolves a scan node's consumer annotations against the
-// query's filter set. Returns nil when the feature is off, nothing is
+// query's filter set, mapping each spec's scan-output ordinal through the
+// scan's Cols once, here. Returns nil when the feature is off, nothing is
 // annotated, or no announced filter has been published yet (a filter can be
 // missing only if its producing join never opened — e.g. pruned subtree —
 // in which case the scan just runs unfiltered).
-func bindRuntimeFilters(ctx *Context, specs []plan.RFilterSpec) *rfConsumer {
+func bindRuntimeFilters(ctx *Context, specs []plan.RFilterSpec, cols []int) *rfConsumer {
 	if ctx.RF == nil || len(specs) == 0 {
 		return nil
 	}
@@ -260,7 +262,7 @@ func bindRuntimeFilters(ctx *Context, specs []plan.RFilterSpec) *rfConsumer {
 	for _, sp := range specs {
 		if f := ctx.RF.lookup(sp.ID); f != nil {
 			c.filters = append(c.filters, f)
-			c.cols = append(c.cols, sp.Col)
+			c.cols = append(c.cols, plan.TableCol(cols, sp.Col))
 		}
 	}
 	if len(c.filters) == 0 {

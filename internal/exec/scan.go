@@ -10,24 +10,75 @@ import (
 	"rqp/internal/types"
 )
 
-// pageBufPool recycles seqScan page buffers across scans (and, under morsel
-// parallelism, across the many short-lived scans a query opens).
-var pageBufPool = sync.Pool{
-	New: func() any { return make([]types.Row, 0, storage.PageRows) },
+// rowBuf backs the rows a serial scan lends between two refills (a heap
+// page, a batch, a column block): the row index and the value slab that rows
+// as wide as the query are carved from. Pooled whole and by pointer, across
+// scans and queries, so a scan in a warm pool allocates neither.
+type rowBuf struct {
+	rows []types.Row
+	slab []types.Value
+}
+
+var rowBufPool = sync.Pool{New: func() any { return new(rowBuf) }}
+
+// getRowBuf returns an empty buffer with room for nrows rows in the index and
+// nvals carved values in the slab (zero: rows held by reference only).
+func getRowBuf(nrows, nvals int) *rowBuf {
+	b := rowBufPool.Get().(*rowBuf)
+	if cap(b.rows) < nrows {
+		b.rows = make([]types.Row, 0, nrows)
+	}
+	if cap(b.slab) < nvals {
+		b.slab = make([]types.Value, 0, nvals)
+	}
+	return b
+}
+
+// putRowBuf returns b to the pool, emptied: it must not pin row data.
+func putRowBuf(b *rowBuf) {
+	clear(b.rows[:cap(b.rows)])
+	clear(b.slab[:cap(b.slab)])
+	b.reset()
+	rowBufPool.Put(b)
+}
+
+func (b *rowBuf) reset() { b.rows, b.slab = b.rows[:0], b.slab[:0] }
+
+// carve appends the cols of src to the slab as one more row and returns it.
+func (b *rowBuf) carve(src types.Row, cols []int) types.Row {
+	off := len(b.slab)
+	b.slab = appendCols(b.slab, src, cols)
+	return b.slab[off:len(b.slab):len(b.slab)]
+}
+
+// appendCols appends the cols of src to dst — all of src when cols is nil.
+// It is the one projection every scan emits its Cols through: filters, zone
+// maps and runtime filters have seen the stored row by then, so a rejected
+// row is never copied.
+func appendCols(dst, src types.Row, cols []int) types.Row {
+	if cols == nil {
+		return append(dst, src...)
+	}
+	for _, c := range cols {
+		dst = append(dst, src[c])
+	}
+	return dst
 }
 
 // seqScan reads a heap table in physical order, applying the pushed-down
 // filter. It streams one page at a time, so its working memory is one
 // page's rows regardless of table size, and a parent that stops early
 // (LIMIT) never pays for pages it did not pull. The heap charges one
-// sequential read per page; each examined row charges CPU.
+// sequential read per page; each examined row charges CPU. A surviving row
+// is projected to the node's Cols into a page buffer reused from page to
+// page (nil Cols lends the stored row itself).
 type seqScan struct {
 	ctx    *Context
 	node   *plan.ScanNode
 	rf     *rfConsumer
 	npages int
 	page   int
-	buf    []types.Row
+	buf    *rowBuf
 	pos    int
 }
 
@@ -35,25 +86,25 @@ func (s *seqScan) Open() error {
 	s.npages = s.node.Table.Heap.NumPages()
 	s.page = 0
 	if s.buf == nil {
-		s.buf = pageBufPool.Get().([]types.Row)
+		s.buf = getRowBuf(storage.PageRows, storage.PageRows*len(s.node.Cols))
 	}
-	s.buf = s.buf[:0]
+	s.buf.reset()
 	s.pos = 0
-	s.rf = bindRuntimeFilters(s.ctx, s.node.RFConsume)
+	s.rf = bindRuntimeFilters(s.ctx, s.node.RFConsume, s.node.Cols)
 	return nil
 }
 
 func (s *seqScan) Next() (types.Row, bool, error) {
 	for {
-		if s.pos < len(s.buf) {
-			r := s.buf[s.pos]
+		if s.pos < len(s.buf.rows) {
+			r := s.buf.rows[s.pos]
 			s.pos++
 			return r, true, nil
 		}
 		if s.page >= s.npages {
 			return nil, false, nil
 		}
-		s.buf = s.buf[:0]
+		s.buf.reset()
 		s.pos = 0
 		var evalErr error
 		s.node.Table.Heap.ScanPage(s.ctx.Clock, s.page, func(_ storage.RID, r types.Row) bool {
@@ -73,7 +124,10 @@ func (s *seqScan) Next() (types.Row, bool, error) {
 					return true
 				}
 			}
-			s.buf = append(s.buf, r)
+			if s.node.Cols != nil {
+				r = s.buf.carve(r, s.node.Cols)
+			}
+			s.buf.rows = append(s.buf.rows, r)
 			return true
 		})
 		s.page++
@@ -85,9 +139,7 @@ func (s *seqScan) Next() (types.Row, bool, error) {
 
 func (s *seqScan) Close() error {
 	if s.buf != nil {
-		b := s.buf[:cap(s.buf)]
-		clear(b) // don't let pooled memory pin row data
-		pageBufPool.Put(b[:0])
+		putRowBuf(s.buf)
 		s.buf = nil
 	}
 	return nil
@@ -106,7 +158,7 @@ func (s *tempScan) Open() error {
 	s.pos = 0
 	pages := (len(s.node.Rows) + storage.PageRows - 1) / storage.PageRows
 	s.ctx.Clock.SeqRead(pages)
-	s.rf = bindRuntimeFilters(s.ctx, s.node.RFConsume)
+	s.rf = bindRuntimeFilters(s.ctx, s.node.RFConsume, nil)
 	return nil
 }
 
@@ -135,19 +187,22 @@ func (s *tempScan) Next() (types.Row, bool, error) {
 func (s *tempScan) Close() error { return nil }
 
 // indexScan walks a B+ tree range and fetches matching rows from the heap
-// (random I/O per match), then applies the residual predicate.
+// (random I/O per match), then applies the residual predicate. It holds the
+// survivors by reference and lends each through one scratch row, projected
+// to the node's Cols.
 type indexScan struct {
 	ctx  *Context
 	node *plan.IndexScanNode
 	rf   *rfConsumer
 	rows []types.Row
+	out  types.Row
 	pos  int
 }
 
 func (s *indexScan) Open() error {
 	s.rows = s.rows[:0]
 	s.pos = 0
-	s.rf = bindRuntimeFilters(s.ctx, s.node.RFConsume)
+	s.rf = bindRuntimeFilters(s.ctx, s.node.RFConsume, s.node.Cols)
 	n := s.node
 	lo := index.Bound{Key: n.LoKey, Incl: n.LoIncl, Set: n.LoSet}
 	hi := index.Bound{Key: n.HiKey, Incl: n.HiIncl, Set: n.HiSet}
@@ -188,6 +243,10 @@ func (s *indexScan) Next() (types.Row, bool, error) {
 	}
 	r := s.rows[s.pos]
 	s.pos++
+	if s.node.Cols != nil {
+		s.out = appendCols(s.out[:0], r, s.node.Cols)
+		r = s.out
+	}
 	return r, true, nil
 }
 

@@ -92,7 +92,17 @@ func (j *shardedHashJoin) colocatedValid() bool {
 	lp, rp := j.scan.Table.Part(), j.buildScan.Table.Part()
 	return lp != nil && rp != nil &&
 		lp.Shards == j.n && rp.Shards == j.n &&
-		lp.Col == j.node.LeftKeys[0] && rp.Col == j.node.RightKeys[0]
+		lp.Col == plan.TableCol(j.scan.Cols, j.node.LeftKeys[0]) &&
+		rp.Col == plan.TableCol(j.buildScan.Cols, j.node.RightKeys[0])
+}
+
+// scanBuild keeps the build scan's rows of heap pages [lo, hi), charging
+// clk: the scan lends them, so each is copied once.
+func (j *shardedHashJoin) scanBuild(pred *expr.Pred, rf *rfConsumer, lo, hi int, clk *storage.Clock) ([]types.Row, error) {
+	var scratch types.Row
+	var kept rowSet
+	err := scanPageRange(j.ctx, j.buildScan, pred, rf, lo, hi, clk, &scratch, kept.add)
+	return kept.rows(), err
 }
 
 // drainBuild materializes the build side in serial order with serial
@@ -104,13 +114,8 @@ func (j *shardedHashJoin) drainBuild() ([]types.Row, error) {
 		return drain(j.right)
 	}
 	pred := compilePred(j.ctx, j.buildScan.Filter)
-	rf := bindRuntimeFilters(j.ctx, j.buildScan.RFConsume)
-	var rows []types.Row
-	np := j.buildScan.Table.Heap.NumPages()
-	err := scanPageRange(j.ctx, j.buildScan, pred, rf, 0, np, j.ctx.Clock, func(r types.Row) error {
-		rows = append(rows, r)
-		return nil
-	})
+	rf := bindRuntimeFilters(j.ctx, j.buildScan.RFConsume, j.buildScan.Cols)
+	rows, err := j.scanBuild(pred, rf, 0, j.buildScan.Table.Heap.NumPages(), j.ctx.Clock)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +128,7 @@ func (j *shardedHashJoin) drainBuild() ([]types.Row, error) {
 func (j *shardedHashJoin) bindScan() {
 	if j.scan != nil {
 		j.scanPred = compilePred(j.ctx, j.scan.Filter)
-		j.scanRF = bindRuntimeFilters(j.ctx, j.scan.RFConsume)
+		j.scanRF = bindRuntimeFilters(j.ctx, j.scan.RFConsume, j.scan.Cols)
 		j.scanCol = colScannerFor(j.ctx, j.scan, j.scanRF)
 	}
 }
@@ -327,15 +332,14 @@ func (j *shardedHashJoin) runShuffled(build []types.Row) error {
 		if err := runShards(n, func(s int) error {
 			lo, hi := shardRange(s, n, nm)
 			pk := make([]types.Value, len(j.node.LeftKeys))
+			var scratch types.Row
 			var arena RowArena
 			var cnt int64
 			for m := lo; m < hi; m++ {
 				mseq := int64(m) << shardSeqShift
 				k := int64(0)
-				err := scanMorsel(ctx, j.scan, j.scanPred, j.scanRF, j.scanCol, m, npages, clks[s], func(lr types.Row) error {
-					if j.scanCol != nil {
-						lr = arena.Copy(lr) // the exchange keeps it; a columnar row is only lent
-					}
+				err := scanMorsel(ctx, j.scan, j.scanPred, j.scanRF, j.scanCol, m, npages, clks[s], &scratch, func(lr types.Row) error {
+					lr = arena.Copy(lr) // the exchange keeps it; the scan only lends it
 					keyInto(pk, lr, j.node.LeftKeys)
 					if err := route(s, mseq|k, lr, pk); err != nil {
 						return err
@@ -523,15 +527,11 @@ func (j *shardedHashJoin) runColocated() error {
 	// Per-shard build-side scans; shard-major order is heap order, so the
 	// concatenation equals the serial drain.
 	bpred := compilePred(ctx, j.buildScan.Filter)
-	brf := bindRuntimeFilters(ctx, j.buildScan.RFConsume)
+	brf := bindRuntimeFilters(ctx, j.buildScan.RFConsume, j.buildScan.Cols)
 	bRows := make([][]types.Row, n)
 	if err := runShards(n, func(s int) error {
-		var rows []types.Row
-		err := scanPageRange(ctx, j.buildScan, bpred, brf, bp[s], bp[s+1], clks[s], func(r types.Row) error {
-			rows = append(rows, r)
-			return nil
-		})
-		bRows[s] = rows
+		var err error
+		bRows[s], err = j.scanBuild(bpred, brf, bp[s], bp[s+1], clks[s])
 		return err
 	}); err != nil {
 		return err
@@ -581,8 +581,9 @@ func (j *shardedHashJoin) runColocated() error {
 			w.Insert(ShufBuild{Idx: int32(i), Own: true, Hash: types.HashRow(key), Row: r})
 		}
 		var tagged []ShufOut
+		var scratch types.Row
 		var cnt int64
-		err := scanPageRange(ctx, j.scan, j.scanPred, j.scanRF, pp[s], pp[s+1], clks[s], func(lr types.Row) error {
+		err := scanPageRange(ctx, j.scan, j.scanPred, j.scanRF, pp[s], pp[s+1], clks[s], &scratch, func(lr types.Row) error {
 			cnt++
 			return w.Probe(ShufProbe{Seq: cnt, Main: true, Row: lr}, &tagged)
 		})

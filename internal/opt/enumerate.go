@@ -33,7 +33,7 @@ type CorePlan struct {
 // EnumerateCorePlans enumerates up to limit join cores over the given
 // relations, deduplicated by plan signature (keeping the cheapest).
 func (o *Optimizer) EnumerateCorePlans(rels []BaseRel, conjuncts []expr.Expr, params []types.Value, limit int) ([]CorePlan, error) {
-	qi, err := o.analyze(rels, conjuncts, params)
+	qi, err := o.analyze(rels, conjuncts, params, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func (o *Optimizer) enumerateCores(qi *queryInfo, limit int) ([]entry, error) {
 // plan first).
 func (o *Optimizer) EnumerateFullPlans(q *plan.Query, params []types.Value, limit int) ([]EnumeratedPlan, error) {
 	rels := BaseRelsFromQuery(q)
-	qi, err := o.analyze(rels, q.Conjuncts, params)
+	qi, err := o.analyze(rels, q.Conjuncts, params, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +124,7 @@ func (o *Optimizer) EnumerateFullPlans(q *plan.Query, params []types.Value, limi
 	}
 	out := make([]EnumeratedPlan, 0, len(cores))
 	for _, c := range cores {
-		root, err := o.finish(q, c)
+		root, err := o.finish(q, c, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -99,9 +99,47 @@ type relInfo struct {
 	sel       float64
 	card      float64
 	signature string
+	// What every access path of the relation emits, built once and shared by
+	// the scan, index-scan and index-join candidates.
+	cols  []int        // table columns, ascending; nil = all
+	ccols []int        // their combined-schema indexes: the entry's cols
+	out   types.Schema // rel.Schema narrowed to cols
 }
 
 func (ri *relInfo) width() int { return len(ri.rel.Schema) }
+
+// narrow sets what the relation's access paths emit: the columns need marks
+// (over the combined schema), or every column when need is nil, marks them
+// all, or the relation is a materialized intermediate.
+func (ri *relInfo) narrow(need []bool) {
+	w, k := ri.width(), 0
+	if need != nil && ri.rel.Table != nil {
+		for c := 0; c < w; c++ {
+			if need[ri.offset+c] {
+				k++
+			}
+		}
+	} else {
+		k = w
+	}
+	if k == w {
+		ri.cols, ri.ccols, ri.out = nil, seq(ri.offset, w), ri.rel.Schema
+		return
+	}
+	buf := make([]int, 0, 2*k)
+	ri.out = make(types.Schema, 0, k)
+	for c := 0; c < w; c++ {
+		if need[ri.offset+c] {
+			buf = append(buf, c)
+			ri.out = append(ri.out, ri.rel.Schema[c])
+		}
+	}
+	ri.cols = buf[:k:k]
+	for _, c := range ri.cols {
+		buf = append(buf, ri.offset+c)
+	}
+	ri.ccols = buf[k:]
+}
 
 // joinPred is one conjunct spanning two or more relations.
 type joinPred struct {
@@ -119,15 +157,19 @@ type queryInfo struct {
 	preds    []joinPred
 	combined types.Schema
 	params   []types.Value
+	sigs     map[uint64]string // joinSignature per relation set
 }
 
 // analyze splits the query block's conjuncts into per-relation filters and
-// join predicates and computes all base cardinalities.
-func (o *Optimizer) analyze(rels []BaseRel, conjuncts []expr.Expr, params []types.Value) (*queryInfo, error) {
+// join predicates and computes all base cardinalities. need marks the
+// combined-schema columns the block mentions, to which every base relation's
+// access paths are narrowed; nil (no query block) keeps all columns.
+func (o *Optimizer) analyze(rels []BaseRel, conjuncts []expr.Expr, params []types.Value, need []bool) (*queryInfo, error) {
 	qi := &queryInfo{params: params}
 	offset := 0
 	for _, br := range rels {
 		ri := &relInfo{rel: br, offset: offset, sel: 1}
+		ri.narrow(need)
 		qi.combined = append(qi.combined, br.Schema...)
 		qi.rels = append(qi.rels, ri)
 		offset += len(br.Schema)

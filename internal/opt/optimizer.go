@@ -21,10 +21,12 @@ type entry struct {
 }
 
 // Optimize plans a bound query block end to end and returns the physical
-// plan root.
+// plan root. Every scan emits only the columns the block mentions: rows are
+// as wide as the query, not the table, from the access path up.
 func (o *Optimizer) Optimize(q *plan.Query, params []types.Value) (plan.Node, error) {
 	rels := BaseRelsFromQuery(q)
-	qi, err := o.analyze(rels, q.Conjuncts, params)
+	need := mentioned(q)
+	qi, err := o.analyze(rels, q.Conjuncts, params, need)
 	if err != nil {
 		return nil, err
 	}
@@ -32,24 +34,64 @@ func (o *Optimizer) Optimize(q *plan.Query, params []types.Value) (plan.Node, er
 	if err != nil {
 		return nil, err
 	}
-	return o.finish(q, best)
+	return o.finish(q, best, need)
+}
+
+// mentioned marks the combined-schema columns (left-joined relations
+// included) the query block reads: its conjuncts and outer-join conditions,
+// and the group keys and aggregate arguments or — ungrouped — the
+// projections. HAVING, ORDER BY and a grouped block's projections are over
+// the aggregate's output and name no base column.
+func mentioned(q *plan.Query) []bool {
+	need := make([]bool, len(q.Combined))
+	mark := func(n expr.Expr) bool {
+		if c, ok := n.(*expr.Col); ok {
+			need[c.Index] = true
+		}
+		return true
+	}
+	for _, c := range q.Conjuncts {
+		c.Walk(mark)
+	}
+	for _, lj := range q.LeftJoins {
+		if lj.On != nil {
+			lj.On.Walk(mark)
+		}
+	}
+	if !q.Grouped {
+		for _, p := range q.Projections {
+			p.Walk(mark)
+		}
+		return need
+	}
+	for _, g := range q.GroupBy {
+		g.Walk(mark)
+	}
+	for _, a := range q.Aggs {
+		if a.Arg != nil {
+			a.Arg.Walk(mark)
+		}
+	}
+	return need
 }
 
 // FinishPlan wraps an already-built join core (whose output columns map to
 // the query's combined schema via cols) with the query's outer joins,
 // aggregation, projection, distinct, ordering and limit. Progressive
 // re-optimization uses this to complete plans over materialized
-// intermediates.
+// intermediates. Like OptimizeJoinGraph, whose cores it finishes, it keeps
+// every column of the relations it adds.
 func (o *Optimizer) FinishPlan(q *plan.Query, core plan.Node, cols []int) (plan.Node, error) {
 	e := entry{node: core, cols: cols, rows: core.Props().EstRows, cost: core.Props().EstCost}
-	return o.finish(q, e)
+	return o.finish(q, e, nil)
 }
 
 // OptimizeJoinGraph plans just a join over arbitrary base relations (used by
 // progressive re-optimization over materialized intermediates). It returns
-// the best join tree plus the output column order (combined indexes).
+// the best join tree plus the output column order (combined indexes). With no
+// query block to say which columns matter, every relation keeps all of them.
 func (o *Optimizer) OptimizeJoinGraph(rels []BaseRel, conjuncts []expr.Expr, params []types.Value) (plan.Node, []int, error) {
-	qi, err := o.analyze(rels, conjuncts, params)
+	qi, err := o.analyze(rels, conjuncts, params, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -156,10 +198,7 @@ func (o *Optimizer) connected(qi *queryInfo, left, right uint64) bool {
 
 func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 	ri := qi.rels[i]
-	cols := make([]int, ri.width())
-	for c := range cols {
-		cols[c] = ri.offset + c
-	}
+	cols := ri.ccols
 	set := uint64(1) << uint(i)
 	filter := expr.AndAll(ri.filters)
 
@@ -174,8 +213,8 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 		return best
 	}
 
-	scan := &plan.ScanNode{Table: ri.rel.Table, Alias: ri.rel.Alias, Filter: filter}
-	scan.Out = ri.rel.Schema
+	scan := &plan.ScanNode{Table: ri.rel.Table, Alias: ri.rel.Alias, Filter: filter, Cols: ri.cols}
+	scan.Out = ri.out
 	scan.Title = fmt.Sprintf("SeqScan(%s)", ri.rel.Alias)
 	scan.Prop = plan.Props{EstRows: ri.card, EstCost: o.costSeqScan(ri.rel.Pages, ri.rel.Rows), Signature: ri.signature}
 	best.node = scan
@@ -195,8 +234,8 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 			}
 			cost := o.costColScan(float64(cs.NumBlocks()), float64(cs.TotalPages(nil)), ri.rel.Rows, ri.card, npushed)
 			if cost < best.cost {
-				cscan := &plan.ScanNode{Table: ri.rel.Table, Alias: ri.rel.Alias, Filter: filter, Columnar: true}
-				cscan.Out = ri.rel.Schema
+				cscan := &plan.ScanNode{Table: ri.rel.Table, Alias: ri.rel.Alias, Filter: filter, Cols: ri.cols, Columnar: true}
+				cscan.Out = ri.out
 				cscan.Title = fmt.Sprintf("ColScan(%s)", ri.rel.Alias)
 				cscan.Prop = plan.Props{EstRows: ri.card, EstCost: cost, Signature: ri.signature}
 				best.node = cscan
@@ -261,7 +300,7 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 			continue
 		}
 		node := &plan.IndexScanNode{
-			Table: ri.rel.Table, Alias: ri.rel.Alias, Index: ix,
+			Table: ri.rel.Table, Alias: ri.rel.Alias, Index: ix, Cols: ri.cols,
 			Residual: expr.AndAll(residual),
 		}
 		if iv.Eq != nil {
@@ -275,7 +314,7 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 				node.HiKey, node.HiIncl, node.HiSet = []types.Value{types.Float(iv.Hi)}, iv.HiIncl, true
 			}
 		}
-		node.Out = ri.rel.Schema
+		node.Out = ri.out
 		node.Title = fmt.Sprintf("IndexScan(%s.%s)", ri.rel.Alias, ix.Name)
 		node.Prop = plan.Props{EstRows: ri.card, EstCost: cost, Signature: ri.signature}
 		cand := entry{set: set, cols: cols, rows: ri.card, node: node, cost: cost}
@@ -337,7 +376,7 @@ func (o *Optimizer) joinCandidates(qi *queryInfo, le, re entry) []entry {
 		residuals = append(residuals, remap(jp.cond, cols))
 	}
 	residual := expr.AndAll(residuals)
-	sig := joinSignature(qi, set)
+	sig := qi.joinSignature(set)
 
 	mk := func(alg plan.JoinAlg, cost float64) entry {
 		j := &plan.JoinNode{Alg: alg, Type: plan.Inner, LeftKeys: leftKeys, RightKeys: rightKeys, Residual: residual}
@@ -394,28 +433,27 @@ func (o *Optimizer) indexNLCandidate(qi *queryInfo, le, re entry, leftKeys, equi
 			continue
 		}
 		// All right-side filters plus the non-probe join preds run as
-		// residual after the probe.
+		// residual after the probe, over the join's output: residual is
+		// there already, the filters come from table coordinates, and an
+		// extra key pair sits where each side's cols put it.
 		var res []expr.Expr
 		if residual != nil {
 			res = append(res, residual)
 		}
 		for _, f := range ri.filters {
-			res = append(res, expr.ShiftColumns(f, ri.offset))
+			res = append(res, remap(expr.ShiftColumns(f, ri.offset), cols))
 		}
 		for k2 := range leftKeys {
 			if k2 == k {
 				continue
 			}
+			l, r := leftKeys[k2], len(le.cols)+indexOf(re.cols, equiRight[k2])
 			res = append(res, &expr.Bin{Op: expr.OpEQ,
-				L: &expr.Col{Index: leftKeys[k2], Typ: outSchema[leftKeys[k2]].Kind, Name: outSchema[leftKeys[k2]].QualifiedName()},
-				R: &expr.Col{Index: len(le.cols) + (equiRight[k2] - ri.offset), Typ: outSchema[len(le.cols)+(equiRight[k2]-ri.offset)].Kind, Name: outSchema[len(le.cols)+(equiRight[k2]-ri.offset)].QualifiedName()},
+				L: &expr.Col{Index: l, Typ: outSchema[l].Kind, Name: outSchema[l].QualifiedName()},
+				R: &expr.Col{Index: r, Typ: outSchema[r].Kind, Name: outSchema[r].QualifiedName()},
 			})
 		}
-		// The residual list references combined cols for ri.filters — remap.
 		fullRes := expr.AndAll(res)
-		if fullRes != nil {
-			fullRes = remapPartial(fullRes, cols)
-		}
 		cs := ri.rel.Table.Stats.ColStats(local)
 		ndv := math.Max(1, ri.rel.Rows/100)
 		if cs != nil && cs.NDV > 0 {
@@ -424,7 +462,7 @@ func (o *Optimizer) indexNLCandidate(qi *queryInfo, le, re entry, leftKeys, equi
 		matchesPerRow := ri.rel.Rows / ndv
 		cost := le.cost + o.costIndexNLJoin(le.rows, matchesPerRow, float64(ix.Tree.Height()), outRows)
 		j := &plan.IndexJoinNode{
-			Type: plan.Inner, Table: ri.rel.Table, Alias: ri.rel.Alias, Index: ix,
+			Type: plan.Inner, Table: ri.rel.Table, Alias: ri.rel.Alias, Index: ix, Cols: ri.cols,
 			LeftKeys: []int{leftKeys[k]}, Residual: fullRes,
 		}
 		j.Kids = []plan.Node{le.node}
@@ -438,7 +476,9 @@ func (o *Optimizer) indexNLCandidate(qi *queryInfo, le, re entry, leftKeys, equi
 
 // ---------- finishing: outer joins, aggregation, projection, order ----------
 
-func (o *Optimizer) finish(q *plan.Query, core entry) (plan.Node, error) {
+// need marks the combined-schema columns the block mentions (nil = all), to
+// which the outer-joined relations' scans are narrowed.
+func (o *Optimizer) finish(q *plan.Query, core entry, need []bool) (plan.Node, error) {
 	node := core.node
 	cols := core.cols
 	rows := core.rows
@@ -447,7 +487,7 @@ func (o *Optimizer) finish(q *plan.Query, core entry) (plan.Node, error) {
 	// Outer joins in syntax order.
 	for _, lj := range q.LeftJoins {
 		var err error
-		node, cols, rows, cost, err = o.applyLeftJoin(q, node, cols, rows, cost, lj)
+		node, cols, rows, cost, err = o.applyLeftJoin(node, cols, rows, cost, lj, need)
 		if err != nil {
 			return nil, err
 		}
@@ -549,17 +589,19 @@ func (o *Optimizer) finish(q *plan.Query, core entry) (plan.Node, error) {
 	return node, nil
 }
 
-func (o *Optimizer) applyLeftJoin(q *plan.Query, node plan.Node, cols []int, rows, cost float64, lj plan.LeftJoin) (plan.Node, []int, float64, float64, error) {
+func (o *Optimizer) applyLeftJoin(node plan.Node, cols []int, rows, cost float64, lj plan.LeftJoin, need []bool) (plan.Node, []int, float64, float64, error) {
 	r := lj.Rel
 	br := BaseRelFromTable(r.Table, r.Alias)
-	scan := &plan.ScanNode{Table: r.Table, Alias: r.Alias}
-	scan.Out = br.Schema
+	ri := &relInfo{rel: br, offset: r.Offset}
+	ri.narrow(need)
+	scan := &plan.ScanNode{Table: r.Table, Alias: r.Alias, Cols: ri.cols}
+	scan.Out = ri.out
 	scan.Title = fmt.Sprintf("SeqScan(%s)", r.Alias)
 	scanCost := o.costSeqScan(br.Pages, br.Rows)
 	scan.Prop = plan.Props{EstRows: br.Rows, EstCost: scanCost}
 
-	newCols := append(append([]int{}, cols...), seq(r.Offset, len(br.Schema))...)
-	outSchema := node.Schema().Concat(br.Schema)
+	newCols := append(append([]int{}, cols...), ri.ccols...)
+	outSchema := node.Schema().Concat(ri.out)
 
 	var leftKeys, rightKeys []int
 	var residuals []expr.Expr
@@ -571,14 +613,14 @@ func (o *Optimizer) applyLeftJoin(q *plan.Query, node plan.Node, cols []int, row
 				if isInRange(rc.Index, r.Offset, len(br.Schema)) && !isInRange(lc.Index, r.Offset, len(br.Schema)) {
 					if li := indexOf(cols, lc.Index); li >= 0 {
 						leftKeys = append(leftKeys, li)
-						rightKeys = append(rightKeys, rc.Index-r.Offset)
+						rightKeys = append(rightKeys, indexOf(ri.ccols, rc.Index))
 						continue
 					}
 				}
 				if isInRange(lc.Index, r.Offset, len(br.Schema)) && !isInRange(rc.Index, r.Offset, len(br.Schema)) {
 					if li := indexOf(cols, rc.Index); li >= 0 {
 						leftKeys = append(leftKeys, li)
-						rightKeys = append(rightKeys, lc.Index-r.Offset)
+						rightKeys = append(rightKeys, indexOf(ri.ccols, lc.Index))
 						continue
 					}
 				}
@@ -639,12 +681,6 @@ func remap(e expr.Expr, cols []int) expr.Expr {
 	return expr.RemapColumns(e, invert(cols))
 }
 
-// remapPartial remaps only indexes present in cols (mixed expressions built
-// during index-NL construction already have some local columns).
-func remapPartial(e expr.Expr, cols []int) expr.Expr {
-	return expr.RemapColumns(e, invert(cols))
-}
-
 func isInRange(col, offset, width int) bool {
 	return col >= offset && col < offset+width
 }
@@ -668,7 +704,13 @@ func estimateGroups(rows float64, keys int) float64 {
 	return g
 }
 
-func joinSignature(qi *queryInfo, set uint64) string {
+// joinSignature names the join of a relation set for LEO feedback and POP
+// checkpoints. Every (left, right) split of the set asks for it, so it is
+// built once per set.
+func (qi *queryInfo) joinSignature(set uint64) string {
+	if sig, ok := qi.sigs[set]; ok {
+		return sig
+	}
 	var names []string
 	for i, ri := range qi.rels {
 		if set&(1<<uint(i)) != 0 {
@@ -683,5 +725,10 @@ func joinSignature(qi *queryInfo, set uint64) string {
 		}
 	}
 	sort.Strings(preds)
-	return "join{" + strings.Join(names, ",") + "|" + strings.Join(preds, "&") + "}"
+	sig := "join{" + strings.Join(names, ",") + "|" + strings.Join(preds, "&") + "}"
+	if qi.sigs == nil {
+		qi.sigs = map[uint64]string{}
+	}
+	qi.sigs[set] = sig
+	return sig
 }

@@ -77,11 +77,13 @@ func colocatedEligible(j *plan.JoinNode, shards int) bool {
 		scanPartitionedOn(j.Kids[1], j.RightKeys[0], shards)
 }
 
+// scanPartitionedOn reports whether n is a heap scan of a table partitioned,
+// shards ways, on the column its output ordinal key stands for.
 func scanPartitionedOn(n plan.Node, key, shards int) bool {
 	s, ok := n.(*plan.ScanNode)
 	if !ok || s.Columnar {
 		return false
 	}
 	p := s.Table.Part()
-	return p != nil && p.Shards == shards && p.Col == key
+	return p != nil && p.Shards == shards && p.Col == plan.TableCol(s.Cols, key)
 }

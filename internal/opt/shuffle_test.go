@@ -96,6 +96,17 @@ func TestPlanShufflesColocated(t *testing.T) {
 	if j.Shuffle != plan.ShuffleBroadcast {
 		t.Errorf("force should beat colocation, got %v", j.Shuffle)
 	}
+	// A join key is an ordinal of the scan's output, the partitioning a table
+	// column: scans narrowed to v alone join on v, which is not what the
+	// tables are partitioned on.
+	j = shuffleTestJoin(t, 70, 35, 4)
+	for _, k := range j.Kids {
+		k.(*plan.ScanNode).Cols = []int{1}
+	}
+	PlanShuffles(j, 4, "")
+	if j.Shuffle == plan.ShuffleColocated {
+		t.Error("a join on v co-located over tables partitioned on k")
+	}
 }
 
 func TestPlanShufflesDisabled(t *testing.T) {

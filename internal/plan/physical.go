@@ -137,6 +137,13 @@ type ScanNode struct {
 	Table  *catalog.Table
 	Alias  string
 	Filter expr.Expr // over table schema; nil = none
+	// Cols lists the table columns the scan emits, ascending — the columns
+	// the query block mentions; Out is the matching narrow schema. Nil emits
+	// all of them: the stored row itself. Filter, zone maps and index bounds
+	// stay in table coordinates and are tested before the projection;
+	// everything above the scan, RFConsume included, numbers the scan's
+	// output.
+	Cols []int
 	// RFConsume lists runtime join filters this scan tests rows against
 	// (set by PlanRuntimeFilters).
 	RFConsume []RFilterSpec
@@ -145,19 +152,26 @@ type ScanNode struct {
 	// to the heap when the snapshot has been invalidated by DML since
 	// planning — results are identical either way.
 	Columnar bool
-	// NeedCols lists the table columns the query actually references
-	// (sorted; nil = all). Set by MarkColumnRefs; columnar scans decode only
-	// these and leave the rest NULL, which no operator above observes.
-	NeedCols []int
+}
+
+// TableCol maps ordinal ord of a scan's output to its table column, given the
+// scan's Cols.
+func TableCol(cols []int, ord int) int {
+	if cols == nil {
+		return ord
+	}
+	return cols[ord]
 }
 
 // IndexScanNode is a B+ tree range scan. Bounds apply to the index key
-// prefix; Residual filters rows after the heap fetch.
+// prefix; Residual filters rows after the heap fetch, before the projection
+// to Cols (as ScanNode.Cols).
 type IndexScanNode struct {
 	Base
 	Table    *catalog.Table
 	Alias    string
 	Index    *catalog.Index
+	Cols     []int
 	LoKey    []types.Value
 	LoIncl   bool
 	LoSet    bool
@@ -226,13 +240,15 @@ func (j *JoinNode) Left() Node { return j.Kids[0] }
 func (j *JoinNode) Right() Node { return j.Kids[1] }
 
 // IndexJoinNode is an index nested-loop join: for each left row, probe the
-// given index of the right base table.
+// given index of the right base table. The output is the left row followed
+// by the fetched row's Cols (as ScanNode.Cols); Residual is over that.
 type IndexJoinNode struct {
 	Base
 	Type     JoinType
 	Table    *catalog.Table
 	Alias    string
 	Index    *catalog.Index
+	Cols     []int
 	LeftKeys []int // columns of the left child matched to the index prefix
 	Residual expr.Expr
 }
