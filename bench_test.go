@@ -319,57 +319,30 @@ func BenchmarkParallelPipeline(b *testing.B) {
 	}
 }
 
-// ---------- vectorized batch execution ----------
+// ---------- serial row operators ----------
 
-// benchVectorizedQuery measures one query on the row-at-a-time path and on
-// the batch path with compiled expressions, both serial (fresh plans per
-// sub-benchmark: marking mutates plan annotations).
-func benchVectorizedQuery(b *testing.B, cat *catalog.Catalog, q string) {
-	b.Run("row", func(b *testing.B) {
-		root := parallelBenchPlan(b, cat, q)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := exec.Run(root, exec.NewContext()); err != nil {
-				b.Fatal(err)
-			}
+// benchSerialQuery measures one query on the serial row-at-a-time path.
+func benchSerialQuery(b *testing.B, q string) {
+	root := parallelBenchPlan(b, parallelBenchCatalog(b), q)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := exec.Run(root, exec.NewContext()); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("vec", func(b *testing.B) {
-		root := parallelBenchPlan(b, cat, q)
-		if plan.MarkVectorized(root) == 0 {
-			b.Fatalf("%q: MarkVectorized marked nothing", q)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ctx := exec.NewContext()
-			ctx.Vec = true
-			if _, err := exec.Run(root, ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
-func BenchmarkVectorizedFilter(b *testing.B) {
-	cat := parallelBenchCatalog(b)
-	benchVectorizedQuery(b, cat, `SELECT f.v FROM f WHERE f.v < 90000`)
+func BenchmarkSerialFilter(b *testing.B) {
+	benchSerialQuery(b, `SELECT f.v FROM f WHERE f.v < 90000`)
 }
 
-func BenchmarkVectorizedProject(b *testing.B) {
-	cat := parallelBenchCatalog(b)
-	benchVectorizedQuery(b, cat, `SELECT f.v + f.g, f.v * 2 FROM f WHERE f.v < 90000`)
+func BenchmarkSerialProject(b *testing.B) {
+	benchSerialQuery(b, `SELECT f.v + f.g, f.v * 2 FROM f WHERE f.v < 90000`)
 }
 
-func BenchmarkVectorizedHashJoin(b *testing.B) {
-	cat := parallelBenchCatalog(b)
-	benchVectorizedQuery(b, cat, `SELECT COUNT(*) FROM f, d WHERE f.k = d.id`)
-}
-
-func BenchmarkVectorizedAgg(b *testing.B) {
-	cat := parallelBenchCatalog(b)
-	benchVectorizedQuery(b, cat, `SELECT f.g, COUNT(*), SUM(f.v) FROM f GROUP BY f.g`)
+func BenchmarkSerialAgg(b *testing.B) {
+	benchSerialQuery(b, `SELECT f.g, COUNT(*), SUM(f.v) FROM f GROUP BY f.g`)
 }
 
 // ---------- runtime join filters ----------

@@ -12,7 +12,6 @@
 //	rqpbench -json -sweep mem-sweep -o BENCH_spill.json
 //	rqpbench -sweep filter-sweep         # runtime-filter selectivity sweep
 //	rqpbench -json -sweep dop-sweep -o BENCH_parallel.json      # DOP cost-parity map
-//	rqpbench -json -sweep vec-sweep -o BENCH_vectorized.json    # row-vs-vec parity map
 //	rqpbench -json -sweep columnar-sweep -o BENCH_columnar.json # heap-vs-columnar map
 //	rqpbench -json -sweep shard-sweep -o BENCH_shard.json       # shard/skew/straggler map
 //	rqpbench -json -sweep server-sweep -o BENCH_server.json     # wire-protocol concurrency map
@@ -20,12 +19,8 @@
 //	rqpbench -shards 4       # run the traced probes on 4 logical shards
 //	rqpbench -debug-addr :6060   # live /metrics /queries /trace/{id} while running
 //
-// The older per-kind sweep flags (-mem-sweep, -filter-sweep, -dop-sweep,
-// -vec-sweep, -columnar-sweep, -shard-sweep) remain as deprecated aliases
-// for -sweep <kind>.
-//
 // Every -json file embeds a self-describing meta header (timestamp, go
-// version, scale/DOP/vec/rf/memory/shards config, dataset seed) so
+// version, scale/DOP/rf/memory/shards config, dataset seed) so
 // cmd/rqpregress can refuse apples-to-oranges comparisons.
 package main
 
@@ -54,24 +49,11 @@ func main() {
 		jsonOut  = flag.String("o", "", "with -json, write to this file instead of stdout")
 		noProbes = flag.Bool("no-probes", false, "with -json, skip the per-query traced probes")
 		dop      = flag.Int("dop", 0, "degree of parallelism for traced probes (0/1 serial, -1 all cores)")
-		vec      = flag.Bool("vec", false, "vectorized batch execution for traced probes")
 		shards   = flag.Int("shards", 0, "logical shard count for traced probes (0/1 unsharded)")
 		skew     = flag.Float64("skew", 0,
 			"Zipf key-skew override for the shard sweep (0 = built-in skew ladder)")
 		sweepArg = flag.String("sweep", "",
 			fmt.Sprintf("comma-separated sweep kinds to run; known: %s", strings.Join(bench.SweepKinds(), ", ")))
-		memSweep = flag.Bool("mem-sweep", false,
-			"deprecated alias for -sweep mem-sweep")
-		filterSweep = flag.Bool("filter-sweep", false,
-			"deprecated alias for -sweep filter-sweep")
-		dopSweep = flag.Bool("dop-sweep", false,
-			"deprecated alias for -sweep dop-sweep")
-		vecSweep = flag.Bool("vec-sweep", false,
-			"deprecated alias for -sweep vec-sweep")
-		columnarSweep = flag.Bool("columnar-sweep", false,
-			"deprecated alias for -sweep columnar-sweep")
-		shardSweep = flag.Bool("shard-sweep", false,
-			"deprecated alias for -sweep shard-sweep")
 		debugAddr = flag.String("debug-addr", "",
 			"serve live introspection (/metrics, /queries, /trace/{id}, pprof) on this address while the bench runs")
 	)
@@ -85,29 +67,14 @@ func main() {
 		return
 	}
 
-	// Collect requested sweep kinds: the -sweep list first, then any
-	// deprecated per-kind alias flags, deduplicated in order.
+	// Collect the requested sweep kinds, deduplicated in order.
 	var kinds []string
 	seen := map[string]bool{}
-	addKind := func(k string) {
+	for _, k := range strings.Split(*sweepArg, ",") {
 		k = strings.TrimSpace(k)
 		if k != "" && !seen[k] {
 			seen[k] = true
 			kinds = append(kinds, k)
-		}
-	}
-	for _, k := range strings.Split(*sweepArg, ",") {
-		addKind(k)
-	}
-	for _, alias := range []struct {
-		kind string
-		on   *bool
-	}{
-		{"mem-sweep", memSweep}, {"filter-sweep", filterSweep}, {"dop-sweep", dopSweep},
-		{"vec-sweep", vecSweep}, {"columnar-sweep", columnarSweep}, {"shard-sweep", shardSweep},
-	} {
-		if *alias.on {
-			addKind(alias.kind)
 		}
 	}
 	// Fail fast on a misspelled kind — before any experiment burns minutes
@@ -133,7 +100,7 @@ func main() {
 	case anySweep || *exps != "":
 		kind = "mixed"
 	}
-	result := bench.Result{Meta: bench.NewMeta(kind, *scale, *dop, *vec, false, 0, *shards, *skew)}
+	result := bench.Result{Meta: bench.NewMeta(kind, *scale, *dop, false, 0, *shards, *skew)}
 
 	if *debugAddr != "" {
 		srv, err := bench.StartProbeDebugServer(*debugAddr)
@@ -189,7 +156,7 @@ func main() {
 	}
 	if *asJSON {
 		if !*noProbes && (!anySweep || *exps != "") {
-			qs, err := bench.ProbeQueries(*scale, *dop, *vec, *shards)
+			qs, err := bench.ProbeQueries(*scale, *dop, *shards)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "query probes failed: %v\n", err)
 				failed++

@@ -31,7 +31,7 @@ import (
 // under the baseline's recorded configuration.
 func freshFor(base *bench.Result) (*bench.Result, error) {
 	m := base.Meta
-	fresh := &bench.Result{Meta: bench.NewMeta(m.Kind, m.Scale, m.DOP, m.Vec, m.RF, m.MemBudgetRows, m.Shards, m.Skew)}
+	fresh := &bench.Result{Meta: bench.NewMeta(m.Kind, m.Scale, m.DOP, m.RF, m.MemBudgetRows, m.Shards, m.Skew)}
 	if len(base.MemSweep) > 0 {
 		points, _, err := bench.RunMemSweep(m.Scale)
 		if err != nil {
@@ -52,13 +52,6 @@ func freshFor(base *bench.Result) (*bench.Result, error) {
 			return nil, fmt.Errorf("dop-sweep: %w", err)
 		}
 		fresh.DopSweep = points
-	}
-	if len(base.VecSweep) > 0 {
-		points, _, err := bench.RunVecSweep(m.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("vec-sweep: %w", err)
-		}
-		fresh.VecSweep = points
 	}
 	if len(base.ColumnarSweep) > 0 {
 		points, _, err := bench.RunColumnarSweep(m.Scale)
@@ -89,7 +82,7 @@ func freshFor(base *bench.Result) (*bench.Result, error) {
 		fresh.NetShuffleSweep = points
 	}
 	if len(base.Queries) > 0 {
-		qs, err := bench.ProbeQueries(m.Scale, m.DOP, m.Vec, m.Shards)
+		qs, err := bench.ProbeQueries(m.Scale, m.DOP, m.Shards)
 		if err != nil {
 			return nil, fmt.Errorf("probes: %w", err)
 		}

@@ -54,7 +54,6 @@ func main() {
 		queueTimeout = flag.Duration("queue-timeout", 10*time.Second,
 			"how long a session waits in the admission queue before ERR_ADMIT")
 		cache       = flag.Bool("cache", true, "enable the shared plan cache (classic policy)")
-		vec         = flag.Bool("vec", false, "enable vectorized batch execution")
 		dop         = flag.Int("dop", 0, "degree of parallelism (0/1 = serial, -1 = all cores)")
 		shards      = flag.Int("shards", 0, "logical shard count for sharded joins (0/1 = unsharded)")
 		shardWorker = flag.Bool("shard-worker", false,
@@ -121,7 +120,6 @@ func main() {
 		cfg.MemPoolRows = *memPool
 	}
 	cfg.DOP = *dop
-	cfg.Vec = *vec
 	cfg.Shards = *shards
 	if *shardPeers != "" {
 		var peers []string

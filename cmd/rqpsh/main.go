@@ -43,7 +43,6 @@ func main() {
 		cache        = flag.Bool("cache", false, "enable the plan cache (classic policy)")
 		mpl          = flag.Int("mpl", 0, "admission control multiprogramming limit (0 = unlimited)")
 		dop          = flag.Int("dop", 0, "degree of parallelism (0/1 = serial, -1 = all cores)")
-		vec          = flag.Bool("vec", false, "enable vectorized batch execution with compiled expressions")
 		shards       = flag.Int("shards", 0, "logical shard count for sharded join execution (0/1 = unsharded)")
 		shuffleForce = flag.String("shuffle-force", "",
 			"override the costed shuffle choice: repartition | broadcast (default: costed)")
@@ -102,7 +101,6 @@ func main() {
 		cfg.MemPoolRows = *memPool
 	}
 	cfg.DOP = *dop
-	cfg.Vec = *vec
 	cfg.Shards = *shards
 	cfg.ShuffleForce = *shuffleForce
 	cfg.ShardNoHotSplit = *noHotSplit

@@ -54,7 +54,7 @@ func StartProbeDebugServer(addr string) (*obs.DebugServer, error) {
 const ProbeSeed = 42
 
 // Meta makes a benchmark file self-describing. Identity fields (Scale,
-// DOP, Vec, RF, MemBudgetRows, Seed) must match for two files to be
+// DOP, RF, MemBudgetRows, Seed) must match for two files to be
 // comparable; provenance fields (Timestamp, GoVersion, OS, Arch) are
 // informational.
 type Meta struct {
@@ -65,7 +65,6 @@ type Meta struct {
 	Arch          string  `json:"arch"`
 	Scale         float64 `json:"scale"`
 	DOP           int     `json:"dop"`
-	Vec           bool    `json:"vec"`
 	RF            bool    `json:"rf"`
 	MemBudgetRows int     `json:"mem_budget_rows"`
 	Seed          int64   `json:"seed"`
@@ -78,7 +77,7 @@ type Meta struct {
 
 // NewMeta stamps a meta header for a run produced right now by this
 // binary.
-func NewMeta(kind string, scale float64, dop int, vec, rf bool, memRows, shards int, skew float64) Meta {
+func NewMeta(kind string, scale float64, dop int, rf bool, memRows, shards int, skew float64) Meta {
 	return Meta{
 		Kind:          kind,
 		Timestamp:     time.Now().UTC().Format(time.RFC3339),
@@ -87,7 +86,6 @@ func NewMeta(kind string, scale float64, dop int, vec, rf bool, memRows, shards 
 		Arch:          runtime.GOARCH,
 		Scale:         scale,
 		DOP:           dop,
-		Vec:           vec,
 		RF:            rf,
 		MemBudgetRows: memRows,
 		Shards:        shards,
@@ -106,7 +104,6 @@ var KnownKinds = map[string]bool{
 	"mem-sweep":        true,
 	"filter-sweep":     true,
 	"dop-sweep":        true,
-	"vec-sweep":        true,
 	"columnar-sweep":   true,
 	"shard-sweep":      true,
 	"server-sweep":     true,
@@ -124,8 +121,6 @@ func (m Meta) Comparable(other Meta) error {
 		return fmt.Errorf("scale mismatch: %v vs %v", m.Scale, other.Scale)
 	case m.DOP != other.DOP:
 		return fmt.Errorf("dop mismatch: %d vs %d", m.DOP, other.DOP)
-	case m.Vec != other.Vec:
-		return fmt.Errorf("vec mismatch: %v vs %v", m.Vec, other.Vec)
 	case m.RF != other.RF:
 		return fmt.Errorf("rf mismatch: %v vs %v", m.RF, other.RF)
 	case m.MemBudgetRows != other.MemBudgetRows:
@@ -192,15 +187,6 @@ type DopSweepPoint struct {
 	CostUnits   float64 `json:"cost_units"`
 	WallMS      float64 `json:"wall_ms"`
 	ResultExact bool    `json:"result_exact"`
-}
-
-// VecSweepPoint is one rung of the row-vs-vectorized parity map.
-type VecSweepPoint struct {
-	Query       string  `json:"query"`
-	RowUnits    float64 `json:"row_units"`
-	VecUnits    float64 `json:"vec_units"`
-	ResultExact bool    `json:"result_exact"`
-	CostParity  bool    `json:"cost_parity"`
 }
 
 // ColumnarSweepPoint is one rung of the columnar robustness map: the same
@@ -301,7 +287,6 @@ type Result struct {
 	MemSweep      []MemSweepPoint      `json:"mem_sweep,omitempty"`
 	FilterSweep   []FilterSweepPoint   `json:"filter_sweep,omitempty"`
 	DopSweep      []DopSweepPoint      `json:"dop_sweep,omitempty"`
-	VecSweep      []VecSweepPoint      `json:"vec_sweep,omitempty"`
 	ColumnarSweep []ColumnarSweepPoint `json:"columnar_sweep,omitempty"`
 	ShardSweep    []ShardSweepPoint    `json:"shard_sweep,omitempty"`
 	ServerSweep   []ServerSweepPoint   `json:"server_sweep,omitempty"`
@@ -325,7 +310,7 @@ func Load(path string) (*Result, error) {
 // ProbeQueries runs a small correlation-trap star workload under each
 // execution policy with tracing enabled and reports per-query cost, reopt
 // count, q-error geomean and plan fingerprint.
-func ProbeQueries(scale float64, dop int, vec bool, shards int) ([]Query, error) {
+func ProbeQueries(scale float64, dop, shards int) ([]Query, error) {
 	sc := workload.DefaultStar()
 	sc.FactRows = max(500, int(float64(sc.FactRows)*scale*0.2))
 	sc.DimRows = max(200, int(float64(sc.DimRows)*scale*0.2))
@@ -341,7 +326,6 @@ func ProbeQueries(scale float64, dop int, vec bool, shards int) ([]Query, error)
 		cfg.Policy = pol
 		cfg.TraceAll = true
 		cfg.DOP = dop
-		cfg.Vec = vec
 		cfg.Shards = shards
 		eng := core.Attach(cat, cfg)
 		// Report into the shared probe registries so a -debug-addr server
@@ -431,22 +415,6 @@ func RunColumnarSweep(scale float64) ([]ColumnarSweepPoint, *experiments.Report,
 			HeapUnits: p.HeapUnits, ColUnits: p.ColUnits, Ratio: p.Ratio,
 			BlocksSkipped: p.BlocksSkipped, BlocksScanned: p.BlocksScanned,
 			ResultExact: p.Match,
-		})
-	}
-	return out, rep, nil
-}
-
-// RunVecSweep produces the vec_sweep section.
-func RunVecSweep(scale float64) ([]VecSweepPoint, *experiments.Report, error) {
-	rep, points, err := experiments.VecSweep(scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]VecSweepPoint, 0, len(points))
-	for _, p := range points {
-		out = append(out, VecSweepPoint{
-			Query: p.Query, RowUnits: p.RowUnits, VecUnits: p.VecUnits,
-			ResultExact: p.Match, CostParity: p.Parity,
 		})
 	}
 	return out, rep, nil
@@ -559,8 +527,6 @@ func RunSweep(kind string, scale, skew float64, res *Result) (*experiments.Repor
 		res.FilterSweep, rep, err = RunFilterSweep(scale)
 	case "dop-sweep":
 		res.DopSweep, rep, err = RunDopSweep(scale)
-	case "vec-sweep":
-		res.VecSweep, rep, err = RunVecSweep(scale)
 	case "columnar-sweep":
 		res.ColumnarSweep, rep, err = RunColumnarSweep(scale)
 	case "shard-sweep":

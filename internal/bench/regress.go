@@ -32,8 +32,8 @@ func (v Violation) String() string {
 // wall-clock fields are machine-dependent and ignored. Sections present in
 // the baseline but absent from the fresh run are violations (silent loss
 // of coverage); sections only in the fresh run are ignored (new coverage
-// is not a regression). Exactness flags (result_exact, cost_parity) must
-// never decay from true to false.
+// is not a regression). Exactness flags (result_exact, cost_exact,
+// reconciled) must never decay from true to false.
 //
 // Comparability of the two metas is a precondition: call
 // base.Meta.Comparable(fresh.Meta) first; Compare itself returns a single
@@ -50,7 +50,6 @@ func Compare(base, fresh *Result, tolPct float64) []Violation {
 	out = append(out, compareMemSweep(base.MemSweep, fresh.MemSweep, tolPct)...)
 	out = append(out, compareFilterSweep(base.FilterSweep, fresh.FilterSweep, tolPct)...)
 	out = append(out, compareDopSweep(base.DopSweep, fresh.DopSweep, tolPct)...)
-	out = append(out, compareVecSweep(base.VecSweep, fresh.VecSweep, tolPct)...)
 	out = append(out, compareColumnarSweep(base.ColumnarSweep, fresh.ColumnarSweep, tolPct)...)
 	out = append(out, compareShardSweep(base.ShardSweep, fresh.ShardSweep, tolPct)...)
 	out = append(out, compareServerSweep(base.ServerSweep, fresh.ServerSweep, tolPct)...)
@@ -139,27 +138,6 @@ func compareDopSweep(base, fresh []DopSweepPoint, tol float64) []Violation {
 		}
 		out = gateCost(out, where+".cost_units", b.CostUnits, f.CostUnits, tol)
 		out = gateExact(out, where+".result_exact", b.ResultExact, f.ResultExact)
-	}
-	return out
-}
-
-func compareVecSweep(base, fresh []VecSweepPoint, tol float64) []Violation {
-	var out []Violation
-	byQuery := map[string]VecSweepPoint{}
-	for _, p := range fresh {
-		byQuery[p.Query] = p
-	}
-	for _, b := range base {
-		where := fmt.Sprintf("vec_sweep[query=%s]", b.Query)
-		f, ok := byQuery[b.Query]
-		if !ok {
-			out = append(out, missing(where))
-			continue
-		}
-		out = gateCost(out, where+".row_units", b.RowUnits, f.RowUnits, tol)
-		out = gateCost(out, where+".vec_units", b.VecUnits, f.VecUnits, tol)
-		out = gateExact(out, where+".result_exact", b.ResultExact, f.ResultExact)
-		out = gateExact(out, where+".cost_parity", b.CostParity, f.CostParity)
 	}
 	return out
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func testMeta() Meta { return NewMeta("mixed", 0.1, 0, false, false, 0, 0, 0) }
+func testMeta() Meta { return NewMeta("mixed", 0.1, 0, false, 0, 0, 0) }
 
 func baseResult() *Result {
 	return &Result{
@@ -20,9 +20,6 @@ func baseResult() *Result {
 		DopSweep: []DopSweepPoint{
 			{DOP: 1, CostUnits: 400, ResultExact: true},
 			{DOP: 8, CostUnits: 400, ResultExact: true},
-		},
-		VecSweep: []VecSweepPoint{
-			{Query: "Q1", RowUnits: 300, VecUnits: 300, ResultExact: true, CostParity: true},
 		},
 		ColumnarSweep: []ColumnarSweepPoint{
 			{Encoding: "rle", Selectivity: 0.01, HeapUnits: 500, ColUnits: 10, Ratio: 50, ResultExact: true},
@@ -59,7 +56,6 @@ func clone(r *Result) *Result {
 	c.MemSweep = append([]MemSweepPoint(nil), r.MemSweep...)
 	c.FilterSweep = append([]FilterSweepPoint(nil), r.FilterSweep...)
 	c.DopSweep = append([]DopSweepPoint(nil), r.DopSweep...)
-	c.VecSweep = append([]VecSweepPoint(nil), r.VecSweep...)
 	c.ColumnarSweep = append([]ColumnarSweepPoint(nil), r.ColumnarSweep...)
 	c.ShardSweep = append([]ShardSweepPoint(nil), r.ShardSweep...)
 	c.ServerSweep = append([]ServerSweepPoint(nil), r.ServerSweep...)
@@ -90,10 +86,6 @@ func TestCompareFailsOnInflatedCosts(t *testing.T) {
 	for i := range fresh.DopSweep {
 		fresh.DopSweep[i].CostUnits *= 1.20
 	}
-	for i := range fresh.VecSweep {
-		fresh.VecSweep[i].RowUnits *= 1.20
-		fresh.VecSweep[i].VecUnits *= 1.20
-	}
 	for i := range fresh.ColumnarSweep {
 		fresh.ColumnarSweep[i].HeapUnits *= 1.20
 		fresh.ColumnarSweep[i].ColUnits *= 1.20
@@ -105,9 +97,9 @@ func TestCompareFailsOnInflatedCosts(t *testing.T) {
 		fresh.Queries[i].CostUnits *= 1.20
 	}
 	violations := Compare(base, fresh, 2.0)
-	// 2 mem + 1 filter + 2 dop + 2 vec + 2 columnar units + 1 server + 1 probe = 11 cost gates.
-	if len(violations) != 11 {
-		t.Fatalf("violations = %d, want 11:\n%v", len(violations), violations)
+	// 2 mem + 1 filter + 2 dop + 2 columnar units + 1 server + 1 probe = 9 cost gates.
+	if len(violations) != 9 {
+		t.Fatalf("violations = %d, want 9:\n%v", len(violations), violations)
 	}
 	for _, v := range violations {
 		if v.DeltaPct < 19.9 || v.DeltaPct > 20.1 {
@@ -139,10 +131,10 @@ func TestCompareExactnessDecayFails(t *testing.T) {
 	base := baseResult()
 	fresh := clone(base)
 	fresh.MemSweep[0].ResultExact = false
-	fresh.VecSweep[0].CostParity = false
+	fresh.ShardSweep[0].CostExact = false
 	violations := Compare(base, fresh, 2.0)
 	if len(violations) != 2 {
-		t.Fatalf("violations = %v, want exactness + parity", violations)
+		t.Fatalf("violations = %v, want result + cost exactness", violations)
 	}
 	for _, v := range violations {
 		if !strings.Contains(v.Msg, "exactness lost") {
@@ -205,16 +197,18 @@ func TestCompareRefusesMismatchedMeta(t *testing.T) {
 // instead of being accepted and silently diffing zero points — the failure
 // mode that let a new bench kind bypass the gate.
 func TestCompareRefusesUnregisteredKind(t *testing.T) {
-	base := baseResult()
-	base.Meta.Kind = "flux-sweep"
-	fresh := clone(base)
-	violations := Compare(base, fresh, 2.0)
-	if len(violations) != 1 || violations[0].Where != "meta" ||
-		!strings.Contains(violations[0].Msg, "unknown kind") {
-		t.Fatalf("violations = %v, want a single unknown-kind refusal", violations)
+	for _, k := range []string{"flux-sweep", "vec-sweep"} {
+		base := baseResult()
+		base.Meta.Kind = k
+		fresh := clone(base)
+		violations := Compare(base, fresh, 2.0)
+		if len(violations) != 1 || violations[0].Where != "meta" ||
+			!strings.Contains(violations[0].Msg, "unknown kind") {
+			t.Fatalf("kind %q: violations = %v, want a single unknown-kind refusal", k, violations)
+		}
 	}
 	// Every shipped baseline kind must be registered.
-	for _, k := range []string{"probes", "mem-sweep", "filter-sweep", "dop-sweep", "vec-sweep", "columnar-sweep", "mixed"} {
+	for _, k := range []string{"probes", "mem-sweep", "filter-sweep", "dop-sweep", "columnar-sweep", "mixed"} {
 		if !KnownKinds[k] {
 			t.Fatalf("kind %q missing from registry", k)
 		}
@@ -249,7 +243,7 @@ func TestSweepsAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &Result{Meta: NewMeta("dop-sweep", 0.05, 0, false, false, 0, 0, 0), DopSweep: points}
+		return &Result{Meta: NewMeta("dop-sweep", 0.05, 0, false, 0, 0, 0), DopSweep: points}
 	}
 	a, b := run(), run()
 	if len(a.DopSweep) == 0 {
@@ -412,7 +406,7 @@ func TestComparableShardConfig(t *testing.T) {
 func TestSweepKindsRegistry(t *testing.T) {
 	kinds := SweepKinds()
 	want := map[string]bool{"mem-sweep": true, "filter-sweep": true, "dop-sweep": true,
-		"vec-sweep": true, "columnar-sweep": true, "shard-sweep": true, "server-sweep": true,
+		"columnar-sweep": true, "shard-sweep": true, "server-sweep": true,
 		"netshuffle-sweep": true}
 	if len(kinds) != len(want) {
 		t.Fatalf("SweepKinds() = %v, want the %d sweep kinds", kinds, len(want))

@@ -88,12 +88,6 @@ type Config struct {
 	// plan nodes, negative means one worker per core. When Admission is
 	// set, the granted DOP additionally shrinks with concurrent load.
 	DOP int
-	// Vec enables vectorized execution: serial (DOP <= 1) plans run
-	// eligible fragments through the batch-at-a-time path with compiled
-	// expressions, and parallel plans compile the expressions inside their
-	// morsel operators. Results, row order and simulated cost are
-	// identical to the row-at-a-time path.
-	Vec bool
 	// RuntimeFilters enables runtime join filters: inner hash joins derive
 	// Bloom + min/max filters from their build side and push them sideways
 	// into probe-side scans, which drop never-joining rows before full
@@ -555,7 +549,6 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 		}
 		ctx.DOP = dop
 	}
-	ctx.Vec = e.Cfg.Vec
 
 	res := &Result{Columns: bq.ProjNames, Trace: trace}
 	var qerrs []float64
@@ -681,19 +674,16 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 // planMarks is what the marking passes annotated on one plan: the counts
 // every execution of it reports and arms its context by.
 type planMarks struct {
-	parallel   int // nodes marked for morsel execution
-	vectorized int // nodes marked for batch execution
-	rfSites    int // runtime join filters planted
-	rfCredit   float64
-	shuffles   int // hash joins given a shuffle mode
+	parallel int // nodes marked for morsel execution
+	rfSites  int // runtime join filters planted
+	rfCredit float64
+	shuffles int // hash joins given a shuffle mode
 }
 
 // markPlan annotates a freshly optimized plan for every execution mode the
-// configuration enables: morsel parallelism, batch execution (marked even at
-// DOP > 1 — the executor only takes the batch path on serial plans, and the
-// annotations are harmless), runtime join filter sites with their cost
-// credit, and shuffle exchanges. (Which columns a scan emits is not a mark:
-// the optimizer built the plan narrow.) The
+// configuration enables: morsel parallelism, runtime join filter sites with
+// their cost credit, and shuffle exchanges. (Which columns a scan emits is
+// not a mark: the optimizer built the plan narrow.) The
 // passes write to the tree, so they run exactly once per plan, while it is
 // still private: the plan cache publishes a plan only after this, and
 // executions — concurrent sessions sharing a cached tree — only read the
@@ -703,9 +693,6 @@ func (e *Engine) markPlan(root plan.Node) planMarks {
 	var m planMarks
 	if exec.ResolveDOP(e.Cfg.DOP) > 1 {
 		m.parallel = plan.MarkParallel(root, exec.ParallelMinRows)
-	}
-	if e.Cfg.Vec {
-		m.vectorized = plan.MarkVectorized(root)
 	}
 	if e.Cfg.RuntimeFilters {
 		m.rfSites, m.rfCredit = e.Opt.CreditRuntimeFilters(root)
@@ -729,14 +716,6 @@ func (e *Engine) armContext(ctx *exec.Context, root plan.Node, m planMarks) {
 		}
 		if m.parallel > 0 {
 			e.Metrics.Counter("rqp_parallel_queries_total").Inc()
-		}
-	}
-	if ctx.Vec {
-		if tr != nil {
-			tr.Event("vectorized.plan", fmt.Sprintf("marked=%d", m.vectorized))
-		}
-		if m.vectorized > 0 {
-			e.Metrics.Counter("rqp_vectorized_queries_total").Inc()
 		}
 	}
 	if e.Cfg.Columnar && tr != nil {

@@ -124,50 +124,6 @@ func TestEnginePoliciesAgree(t *testing.T) {
 	}
 }
 
-// TestEngineVectorizedMatchesRow: end to end through the engine, Vec on and
-// off must produce identical rows and identical simulated cost, and the
-// vectorized run must report marking through its metrics counter.
-func TestEngineVectorizedMatchesRow(t *testing.T) {
-	queries := []string{
-		"SELECT id, salary FROM emp WHERE dept = 3",
-		"SELECT salary * 2, dept + 1 FROM emp WHERE salary >= 40000",
-		"SELECT dept, COUNT(*), SUM(salary) FROM emp GROUP BY dept ORDER BY dept",
-		"SELECT a.id, b.id FROM emp a, emp b WHERE a.id = b.dept",
-	}
-	run := func(vec bool, q string) (string, float64, *Engine) {
-		cfg := DefaultConfig()
-		cfg.Vec = vec
-		e := Open(cfg)
-		e.MustExec("CREATE TABLE emp (id int, dept int, salary float, name varchar, hired date)")
-		for i := 0; i < 300; i++ {
-			e.MustExec("INSERT INTO emp VALUES (?, ?, ?, ?, ?)",
-				types.Int(int64(i)), types.Int(int64(i%10)),
-				types.Float(float64(30000+i*100)), types.Str("emp"), types.Date(int64(7000+i)))
-		}
-		e.MustExec("ANALYZE emp")
-		r := e.MustExec(q)
-		var sb strings.Builder
-		for _, row := range r.Rows {
-			sb.WriteString(row.String())
-			sb.WriteByte('\n')
-		}
-		return sb.String(), r.Cost, e
-	}
-	for _, q := range queries {
-		rows, cost, _ := run(false, q)
-		vrows, vcost, ve := run(true, q)
-		if vrows != rows {
-			t.Errorf("%q: vectorized rows differ from row path", q)
-		}
-		if vcost != cost {
-			t.Errorf("%q: vectorized cost %v != row-path cost %v", q, vcost, cost)
-		}
-		if !strings.Contains(ve.Metrics.Expose(), "rqp_vectorized_queries_total") {
-			t.Errorf("%q: vectorized run did not count rqp_vectorized_queries_total", q)
-		}
-	}
-}
-
 func TestExplainDoesNotExecuteUnderAnyPolicy(t *testing.T) {
 	for _, pol := range []ExecPolicy{PolicyClassic, PolicyPOP, PolicyPOPEager, PolicyRio} {
 		cfg := DefaultConfig()

@@ -7,10 +7,10 @@ import (
 )
 
 // TestRowLifetime re-runs the engine-level exactness matrices (shards ×
-// DOP × budgets × forced shuffle modes, runtime filters, row ≡ vectorized,
-// the three policies, subqueries) with exec's row-lifetime harness on:
-// every operator's previous row is overwritten on its next call, so a
-// retainer that forgot to copy shows up as a row or cost diff.
+// DOP × budgets × forced shuffle modes, runtime filters, the three
+// policies, subqueries) with exec's row-lifetime harness on: every
+// operator's previous row is overwritten on its next call, so a retainer
+// that forgot to copy shows up as a row or cost diff.
 func TestRowLifetime(t *testing.T) {
 	exec.SetRowPoison(true)
 	defer exec.SetRowPoison(false)
@@ -23,7 +23,6 @@ func TestRowLifetime(t *testing.T) {
 		{"ShardedHotSplitExact", TestShardedHotSplitExact},
 		{"ShardedRuntimeFilterSmoke", TestShardedRuntimeFilterSmoke},
 		{"EngineRuntimeFiltersExactAndCheaper", TestEngineRuntimeFiltersExactAndCheaper},
-		{"EngineVectorizedMatchesRow", TestEngineVectorizedMatchesRow},
 		{"EnginePoliciesAgree", TestEnginePoliciesAgree},
 		{"MemScheduleInjection", TestMemScheduleInjection},
 		{"InSubquery", TestInSubquery},

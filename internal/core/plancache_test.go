@@ -174,7 +174,7 @@ func TestPlanCacheConcurrentSessions(t *testing.T) {
 
 // TestPlanCacheConcurrentExecutions runs one cached plan from four
 // goroutines with every marking pass the engine has switched on — morsel
-// and batch marks, column sets, runtime-filter sites and their credit,
+// marks, column sets, runtime-filter sites and their credit,
 // shuffle modes — the way server sessions sending the same text do. The
 // passes write to the plan tree and each execution records its actual
 // cardinalities into it, so under -race this pins that a plan is marked
@@ -189,7 +189,7 @@ func TestPlanCacheConcurrentExecutions(t *testing.T) {
 		WHERE l_orderkey = o_orderkey AND o_totalprice > 1000 GROUP BY l_returnflag ORDER BY l_returnflag`
 	for _, cfg := range []Config{
 		{DOP: 2, Columnar: true, RuntimeFilters: true, Shards: 2},
-		{Vec: true, Columnar: true, RuntimeFilters: true},
+		{Columnar: true, RuntimeFilters: true},
 	} {
 		cfg.Policy, cfg.MemBudgetRows, cfg.HistBuckets = PolicyClassic, 1<<16, 16
 		e := Attach(cat, cfg)

@@ -43,20 +43,19 @@ func shardTestCatalog(t *testing.T, skew float64) *workload.ShardJoinConfig {
 
 // TestShardedExactness is the signature property test: byte-identical rows
 // and integer-exact simulated cost vs. the serial path across shard counts
-// × DOP × vec × memory budgets × shuffle modes. Runtime filters are
+// × DOP × memory budgets × shuffle modes. Runtime filters are
 // exercised separately (their adaptive disable is load-order dependent
 // under concurrency, so they stay out of the strict matrix).
 type shardCell struct {
 	skew    float64
 	mode    string
 	memRows int
-	vec     bool
 	dop     int
 	shards  []int
 }
 
 // shardMatrix enumerates the acceptance matrix: shard counts {1,2,4,8} ×
-// row/vec × DOP {1,2,8} × memory budgets (64 rows forces the degrade
+// DOP {1,2,8} × memory budgets (64 rows forces the degrade
 // path), with the forced repartition/broadcast and skewed cells layered on
 // top of the costed default.
 func shardMatrix(short bool) []shardCell {
@@ -68,22 +67,20 @@ func shardMatrix(short bool) []shardCell {
 		dops = []int{1, 2}
 	}
 	for _, memRows := range []int{1 << 16, 64} {
-		for _, vec := range []bool{false, true} {
-			for _, dop := range dops {
-				cells = append(cells, shardCell{0, "", memRows, vec, dop, all})
-			}
+		for _, dop := range dops {
+			cells = append(cells, shardCell{0, "", memRows, dop, all})
 		}
 	}
 	// Forced exchange modes.
 	for _, mode := range []string{"repartition", "broadcast"} {
 		cells = append(cells,
-			shardCell{0, mode, 1 << 16, false, 1, []int{2, 4}},
-			shardCell{0, mode, 64, false, 2, []int{2, 4}})
+			shardCell{0, mode, 1 << 16, 1, []int{2, 4}},
+			shardCell{0, mode, 64, 2, []int{2, 4}})
 	}
 	// Skewed keys through the hot-split repartition path.
 	cells = append(cells,
-		shardCell{1.4, "repartition", 1 << 16, false, 1, []int{2, 4, 8}},
-		shardCell{1.4, "repartition", 64, false, 1, []int{4}})
+		shardCell{1.4, "repartition", 1 << 16, 1, []int{2, 4, 8}},
+		shardCell{1.4, "repartition", 64, 1, []int{4}})
 	return cells
 }
 
@@ -101,18 +98,18 @@ func TestShardedExactness(t *testing.T) {
 		}
 		base := Attach(cat, Config{
 			Policy: PolicyClassic, MemBudgetRows: cell.memRows,
-			HistBuckets: 16, DOP: cell.dop, Vec: cell.vec,
+			HistBuckets: 16, DOP: cell.dop,
 		})
 		want := make(map[string]*Result, len(shardTestQueries))
 		for _, q := range shardTestQueries {
 			want[q] = base.MustExec(q)
 		}
 		for _, shards := range cell.shards {
-			name := fmt.Sprintf("skew=%.1f/mode=%s/mem=%d/vec=%v/dop=%d/shards=%d",
-				cell.skew, cell.mode, cell.memRows, cell.vec, cell.dop, shards)
+			name := fmt.Sprintf("skew=%.1f/mode=%s/mem=%d/dop=%d/shards=%d",
+				cell.skew, cell.mode, cell.memRows, cell.dop, shards)
 			eng := Attach(cat, Config{
 				Policy: PolicyClassic, MemBudgetRows: cell.memRows,
-				HistBuckets: 16, DOP: cell.dop, Vec: cell.vec,
+				HistBuckets: 16, DOP: cell.dop,
 				Shards: shards, ShuffleForce: cell.mode,
 			})
 			for _, q := range shardTestQueries {

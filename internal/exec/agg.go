@@ -154,9 +154,7 @@ func (h *hashAgg) Open() error {
 			}
 			key[i] = v
 		}
-		if err := sink.add(key, r, func(g *group) error {
-			return accumGroup(g, h.node, r, h.ctx.Params)
-		}); err != nil {
+		if err := sink.add(key, r); err != nil {
 			return err
 		}
 	}
@@ -173,8 +171,8 @@ func (h *hashAgg) Open() error {
 	return nil
 }
 
-// groupRows is the output step every hash aggregation (serial, batch,
-// morsel) shares: sort the groups on the key — the deterministic output
+// groupRows is the output step every hash aggregation (serial, morsel)
+// shares: sort the groups on the key — the deterministic output
 // order — and lay each out as key‖aggregates in one slab, charging one unit
 // of row work per group.
 func groupRows(clk *storage.Clock, node *plan.AggNode, order []*group) []types.Row {
@@ -204,23 +202,6 @@ func accumGroup(g *group, node *plan.AggNode, r types.Row, params []types.Value)
 			continue
 		}
 		v, err := spec.Arg.Eval(r, params)
-		if err != nil {
-			return err
-		}
-		g.states[i].add(v, spec.Distinct)
-	}
-	return nil
-}
-
-// accumGroupFns is accumGroup with compiled aggregate arguments (fns is
-// index-aligned with node.Aggs; nil entries are COUNT(*)).
-func accumGroupFns(g *group, node *plan.AggNode, fns []expr.EvalFn, r types.Row, params []types.Value) error {
-	for i, spec := range node.Aggs {
-		if spec.Star {
-			g.states[i].count++
-			continue
-		}
-		v, err := fns[i](r, params)
 		if err != nil {
 			return err
 		}

@@ -90,7 +90,7 @@ func TestAllocCeilingHashBuild(t *testing.T) {
 	_, join := allocJoinPlan(t, cat)
 	n := tableRows(t, cat, "orders")
 	builds := map[string]func(){
-		"serial": func() { // hashJoin and batchHashJoin: drain, then hashBuild.open
+		"serial": func() { // hashJoin: drain, then hashBuild.open
 			ctx := NewContext()
 			right, err := build(join.Kids[1], ctx)
 			if err != nil {
@@ -178,7 +178,7 @@ func TestAllocCeilingNarrowBuild(t *testing.T) {
 }
 
 // TestAllocCeilingJoin runs the whole join — build, probe, projection and
-// the root drain — on the row, batch and DOP-2 paths. Beyond the build's
+// the root drain — on the row and DOP-2 paths. Beyond the build's
 // allowance, everything is amortised over the probe rows.
 func TestAllocCeilingJoin(t *testing.T) {
 	cat := allocCatalog(t)
@@ -190,11 +190,6 @@ func TestAllocCeilingJoin(t *testing.T) {
 		ctx  func() *Context
 	}{
 		{"row", func(plan.Node) {}, NewContext},
-		{"batch", func(n plan.Node) { plan.MarkVectorized(n) }, func() *Context {
-			ctx := NewContext()
-			ctx.Vec = true
-			return ctx
-		}},
 		{"dop2", func(n plan.Node) { plan.MarkParallel(n, 1) }, func() *Context {
 			ctx := NewContext()
 			ctx.DOP = 2

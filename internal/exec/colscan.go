@@ -12,10 +12,10 @@ import (
 	"rqp/internal/types"
 )
 
-// Columnar scan execution. All three variants — row-at-a-time (colScan),
-// vectorized (batchColScan) and morsel-parallel (scanMorsel's columnar
-// branch) — share one block core, colScanner.scanBlock, so they issue the
-// identical multiset of clock charges per block:
+// Columnar scan execution. Both variants — row-at-a-time (colScan) and
+// morsel-parallel (scanMorsel's columnar branch) — share one block core,
+// colScanner.scanBlock, so they issue the identical multiset of clock
+// charges per block:
 //
 //	ZoneCheck(1)       per consulted pruning source (each pushed col⋈const
 //	                   conjunct in order, then each enabled bounded runtime
@@ -42,7 +42,6 @@ type colScanner struct {
 	pushed      []pushedCmp // col ⋈ const conjuncts evaluated on encoded blocks
 	alwaysFalse bool        // a conjunct compares against NULL: nothing matches
 	residual    expr.Expr   // conjuncts that could not be pushed
-	resPred     *expr.Pred  // compiled residual (vectorized runs)
 }
 
 // pushedCmp is one col ⋈ const conjunct lowered onto the column store.
@@ -84,7 +83,6 @@ func colScannerFor(ctx *Context, node *plan.ScanNode, rf *rfConsumer) *colScanne
 		rest = append(rest, cj)
 	}
 	c.residual = expr.AndAll(rest)
-	c.resPred = compilePred(ctx, c.residual)
 	c.need = decodeSet(node, rf, cs.NumCols())
 	return c
 }
@@ -242,13 +240,7 @@ func (c *colScanner) scanBlock(b int, clk *storage.Clock, emit func(types.Row) e
 		}
 		clk.RowWork(1)
 		if c.residual != nil {
-			var ok bool
-			var err error
-			if c.resPred != nil {
-				ok, err = c.resPred.Eval(row, c.ctx.Params)
-			} else {
-				ok, err = expr.EvalPredicate(c.residual, row, c.ctx.Params)
-			}
+			ok, err := expr.EvalPredicate(c.residual, row, c.ctx.Params)
 			if err != nil {
 				return err
 			}
@@ -394,51 +386,6 @@ func (s *colScan) Next() (types.Row, bool, error) {
 }
 
 func (s *colScan) Close() error {
-	if s.heap != nil {
-		return s.heap.Close()
-	}
-	s.cur.close()
-	return nil
-}
-
-// batchColScan is the vectorized columnar scan. A block (~4K rows) exceeds
-// BatchRows, so each decoded block drains across several NextBatch calls in
-// BatchRows chunks. Charges are issued per block inside the shared core —
-// the identical multiset to colScan, which is what keeps row and vectorized
-// columnar runs cost-identical.
-type batchColScan struct {
-	ctx  *Context
-	node *plan.ScanNode
-	cur  blockCursor
-	heap *batchSeqScan // fallback when the snapshot is gone
-}
-
-func (s *batchColScan) Open() error {
-	s.heap = nil
-	if s.cur.open(s.ctx, s.node) {
-		return nil
-	}
-	s.heap = &batchSeqScan{ctx: s.ctx, node: s.node}
-	return s.heap.Open()
-}
-
-func (s *batchColScan) NextBatch(b *Batch) (int, error) {
-	if s.heap != nil {
-		return s.heap.NextBatch(b)
-	}
-	if s.cur.pos == len(s.cur.buf.rows) {
-		if ok, err := s.cur.refill(s.ctx.Clock); !ok {
-			return 0, err
-		}
-	}
-	end := min(s.cur.pos+BatchRows, len(s.cur.buf.rows))
-	b.Rows = append(b.Rows[:0], s.cur.buf.rows[s.cur.pos:end]...)
-	b.Sel = identitySel(b.Sel, len(b.Rows))
-	s.cur.pos = end
-	return len(b.Rows), nil
-}
-
-func (s *batchColScan) Close() error {
 	if s.heap != nil {
 		return s.heap.Close()
 	}

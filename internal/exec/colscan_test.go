@@ -90,10 +90,9 @@ func colMkPlan(t *testing.T, cat *catalog.Catalog, q string, columnar bool) plan
 	return root
 }
 
-func colRun(t *testing.T, root plan.Node, dop, mem int, vec, rf bool) (float64, []string, *Context) {
+func colRun(t *testing.T, root plan.Node, dop, mem int, rf bool) (float64, []string, *Context) {
 	t.Helper()
 	ctx := NewContext()
-	ctx.Vec = vec
 	if dop > 1 {
 		ctx.DOP = dop
 	}
@@ -122,9 +121,8 @@ func colRun(t *testing.T, root plan.Node, dop, mem int, vec, rf bool) (float64, 
 // TestColumnarMatchesHeapEverywhere is the tentpole's result-equivalence
 // property: for randomized predicates over every encoding (packed, rle,
 // dict, NULL-bearing raw), the columnar path must return byte-identical
-// rows to the heap path across row/vec execution, DOP 1/2/8, and memory
-// budgets — including join queries where runtime filters prune at block
-// granularity.
+// rows to the heap path across DOP 1/2/8 and memory budgets — including
+// join queries where runtime filters prune at block granularity.
 func TestColumnarMatchesHeapEverywhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cat := colTestCatalog(t, 2000, 200, rng)
@@ -141,12 +139,10 @@ func TestColumnarMatchesHeapEverywhere(t *testing.T) {
 	configs := []struct {
 		name string
 		dop  int
-		vec  bool
 	}{
-		{"row", 1, false},
-		{"vec", 1, true},
-		{"dop2", 2, false},
-		{"dop8", 8, false},
+		{"row", 1},
+		{"dop2", 2},
+		{"dop8", 8},
 	}
 	for _, q := range queries {
 		isJoin := strings.Contains(q, "dim")
@@ -156,23 +152,17 @@ func TestColumnarMatchesHeapEverywhere(t *testing.T) {
 				if cfg.dop > 1 {
 					plan.MarkParallel(ref, 1)
 				}
-				if cfg.vec {
-					plan.MarkVectorized(ref)
-				}
-				_, want, _ := colRun(t, ref, cfg.dop, mem, cfg.vec, false)
+				_, want, _ := colRun(t, ref, cfg.dop, mem, false)
 
 				root := colMkPlan(t, cat, q, true)
 				if cfg.dop > 1 {
 					plan.MarkParallel(root, 1)
 				}
-				if cfg.vec {
-					plan.MarkVectorized(root)
-				}
 				rf := false
 				if isJoin {
 					rf = plan.PlanRuntimeFilters(root) > 0
 				}
-				_, got, ctx := colRun(t, root, cfg.dop, mem, cfg.vec, rf)
+				_, got, ctx := colRun(t, root, cfg.dop, mem, rf)
 				if strings.Join(got, ";") != strings.Join(want, ";") {
 					t.Fatalf("%s mem=%d diverges on %q: got %d rows, want %d",
 						cfg.name, mem, q, len(got), len(want))
@@ -186,9 +176,9 @@ func TestColumnarMatchesHeapEverywhere(t *testing.T) {
 }
 
 // TestColumnarCostParityAcrossVariants is the cost-identity property: the
-// columnar scan must charge the exact same simulated units on the row and
-// vectorized paths and at every DOP — the per-block charge multiset is
-// identical, so shard-merged clocks telescope to the serial total.
+// columnar scan must charge the exact same simulated units at every DOP —
+// the per-block charge multiset is identical, so shard-merged clocks
+// telescope to the serial total.
 func TestColumnarCostParityAcrossVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	cat := colTestCatalog(t, 2000, 200, rng)
@@ -198,22 +188,12 @@ func TestColumnarCostParityAcrossVariants(t *testing.T) {
 		"SELECT fact.k, fact.nn FROM fact WHERE fact.nn >= 10 AND fact.grp <= 12000000",
 		"SELECT fact.k FROM fact WHERE fact.s = 'g03'",
 	} {
-		rowUnits, rowRows, _ := colRun(t, colMkPlan(t, cat, q, true), 1, 0, false, false)
-
-		vecPlan := colMkPlan(t, cat, q, true)
-		plan.MarkVectorized(vecPlan)
-		vecUnits, vecRows, _ := colRun(t, vecPlan, 1, 0, true, false)
-		if strings.Join(rowRows, ";") != strings.Join(vecRows, ";") {
-			t.Fatalf("row/vec results diverge on %q", q)
-		}
-		if rowUnits != vecUnits {
-			t.Fatalf("row/vec cost parity broken on %q: %v vs %v", q, rowUnits, vecUnits)
-		}
+		rowUnits, rowRows, _ := colRun(t, colMkPlan(t, cat, q, true), 1, 0, false)
 
 		for _, dop := range []int{2, 8} {
 			p := colMkPlan(t, cat, q, true)
 			plan.MarkParallel(p, 1)
-			units, rows, _ := colRun(t, p, dop, 0, false, false)
+			units, rows, _ := colRun(t, p, dop, 0, false)
 			if strings.Join(rowRows, ";") != strings.Join(rows, ";") {
 				t.Fatalf("dop %d results diverge on %q", dop, q)
 			}
@@ -224,10 +204,9 @@ func TestColumnarCostParityAcrossVariants(t *testing.T) {
 	}
 }
 
-// TestColumnarCostParityWithRuntimeFilterDisable pins the hardest parity
-// case: a non-selective runtime filter that disables itself mid-query.
-// Row and vectorized columnar scans must make the disable decision at the
-// same row and end with identical cost.
+// TestColumnarCostParityWithRuntimeFilterDisable pins the hardest case: a
+// non-selective runtime filter that disables itself mid-query on a columnar
+// scan, leaving the rows those of the unfiltered run.
 func TestColumnarCostParityWithRuntimeFilterDisable(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	// dim holds (nearly) every fact key: drop rate ~0, disable fires.
@@ -241,23 +220,13 @@ func TestColumnarCostParityWithRuntimeFilterDisable(t *testing.T) {
 		}
 		return root
 	}
-	rowUnits, rowRows, rowCtx := colRun(t, mk(), 1, 0, false, true)
-	vecPlan := mk()
-	plan.MarkVectorized(vecPlan)
-	vecUnits, vecRows, _ := colRun(t, vecPlan, 1, 0, true, true)
-
-	if strings.Join(rowRows, ";") != strings.Join(vecRows, ";") {
-		t.Fatal("row/vec results diverge with runtime filter")
-	}
-	if rowUnits != vecUnits {
-		t.Fatalf("cost parity broken with mid-query disable: row %v vs vec %v", rowUnits, vecUnits)
-	}
+	_, rowRows, rowCtx := colRun(t, mk(), 1, 0, true)
 	if _, tested, _, disabled := rowCtx.RF.Snapshot(); tested == 0 || disabled != 1 {
 		t.Fatalf("filter did not disable mid-query: tested=%d disabled=%d", tested, disabled)
 	}
 
 	// And unfiltered results agree.
-	_, baseRows, _ := colRun(t, colMkPlan(t, cat, q, true), 1, 0, false, false)
+	_, baseRows, _ := colRun(t, colMkPlan(t, cat, q, true), 1, 0, false)
 	if strings.Join(baseRows, ";") != strings.Join(rowRows, ";") {
 		t.Fatal("runtime filter changed columnar results")
 	}
@@ -326,7 +295,7 @@ func TestColumnarFallbackAfterDML(t *testing.T) {
 	if f.Col() != nil {
 		t.Fatal("DML did not invalidate the columnar snapshot")
 	}
-	_, got, ctx := colRun(t, root, 1, 0, false, false)
+	_, got, ctx := colRun(t, root, 1, 0, false)
 	found := false
 	for _, r := range got {
 		if strings.HasPrefix(r, "9999") {

@@ -27,11 +27,6 @@ type Context struct {
 	// marked by plan.MarkParallel through the morsel-driven operators; zero
 	// or one keeps execution serial.
 	DOP int
-	// Vec enables vectorized execution: serial plans route nodes marked by
-	// plan.MarkVectorized through batch operators with compiled
-	// expressions; with DOP above one the morsel operators compile their
-	// hot-loop expressions instead (a morsel is already a batch).
-	Vec bool
 	// Spill aggregates graceful-degradation activity (partitions spilled,
 	// temp-run rows/pages written, recursion depth, merge fallbacks) across
 	// the query's operators. Nil-safe: a nil Spill records nothing.
@@ -351,17 +346,6 @@ func Build(n plan.Node, ctx *Context) (Operator, error) {
 }
 
 func build(n plan.Node, ctx *Context) (Operator, error) {
-	if ctx.vecEligible(n.Props()) {
-		bop, err := buildBatch(n, ctx)
-		if err != nil {
-			return nil, err
-		}
-		if bop != nil {
-			// Counting and tracing live in the countedBatch wrappers inside
-			// the batch subtree; the adapter needs no wrapper of its own.
-			return wrapOp(&batchAdapter{b: bop}), nil
-		}
-	}
 	var op Operator
 	switch node := n.(type) {
 	case *plan.ScanNode:

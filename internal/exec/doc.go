@@ -4,12 +4,9 @@
 // operators (symmetric hash join, generalized join) the Dagstuhl report's
 // query-execution sessions discuss.
 //
-// Three execution paths share one cost model and emit identical results:
+// Two execution paths share one cost model and emit identical results:
 //
 //   - the row path: classic Open/Next/Close iterators (Operator);
-//   - the vectorized path: 256-row batches with selection vectors and
-//     compiled expressions (BatchOperator), chosen for plan nodes marked by
-//     plan.MarkVectorized when Context.Vec is set;
 //   - the morsel-driven parallel path: one pipeline (parallel.go) per
 //     fragment marked by plan.MarkParallel when Context.DOP exceeds one —
 //     a source cut into page, block or row-range morsels, every hash join
@@ -17,12 +14,12 @@
 //     (partial aggregation, or an exchange gathered in morsel order).
 //
 // Every charge goes to the deterministic cost Clock (internal/storage), so
-// the three paths are property-tested to produce byte-identical rows and
+// the two paths are property-tested to produce byte-identical rows and
 // identical cost totals.
 //
-// Row ownership: a row returned by Next, or held in a Batch, is valid until
-// the next call on that operator — producers reuse their output buffers and
-// nothing allocates per row. The one root drain loop (runOp, behind Drain)
+// Row ownership: a row returned by Next is valid until the next call on
+// that operator — producers reuse their output buffers and nothing
+// allocates per row. The one root drain loop (runOp, behind Drain)
 // lends each row to a RowSink before pulling again; a consumer that keeps
 // a row across calls (the collecting sink of Run and drain, sort runs,
 // DISTINCT, spill runs, exchange buffers) copies it into a RowArena,

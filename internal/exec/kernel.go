@@ -3,7 +3,6 @@ package exec
 import (
 	"math/bits"
 
-	"rqp/internal/expr"
 	"rqp/internal/plan"
 	"rqp/internal/storage"
 	"rqp/internal/types"
@@ -242,12 +241,11 @@ func keyMatches(key []types.Value, row types.Row, cols []int) bool {
 // spill state when the broker's grant did not cover the build. It is shared
 // read-only by every prober of the join.
 type hashBuild struct {
-	ctx      *Context
-	node     *plan.JoinNode
-	residual *expr.Pred // compiled residual; nil evaluates node.Residual interpreted
-	tab      *joinTable // what probers probe: the build, or a spill's resident partitions
-	spill    *spillJoin // set when the build exceeded its grant
-	grant    int
+	ctx   *Context
+	node  *plan.JoinNode
+	tab   *joinTable // what probers probe: the build, or a spill's resident partitions
+	spill *spillJoin // set when the build exceeded its grant
+	grant int
 }
 
 // openSerial is the build phase of the serial joins: drain the build child,
@@ -361,7 +359,7 @@ func (p *joinProbe) next(clk *storage.Clock) (types.Row, bool, error) {
 			continue
 		}
 		p.out = concatInto(p.out, p.lrow, cand)
-		ok, err := p.accept(clk)
+		ok, err := joinResidual(clk, p.ctx.Params, p.node.Residual, p.out)
 		if err != nil {
 			return nil, false, err
 		}
@@ -377,19 +375,6 @@ func (p *joinProbe) next(clk *storage.Clock) (types.Row, bool, error) {
 		return p.out, true, nil
 	}
 	return nil, false, nil
-}
-
-// accept evaluates the residual over p.out and charges the survivor.
-func (p *joinProbe) accept(clk *storage.Clock) (bool, error) {
-	if p.residual == nil {
-		return joinResidual(clk, p.ctx.Params, p.node.Residual, p.out)
-	}
-	ok, err := p.residual.Eval(p.out, p.ctx.Params)
-	if err != nil || !ok {
-		return false, err
-	}
-	clk.RowWork(1)
-	return true, nil
 }
 
 // each probes lr to exhaustion, handing every output row to sink (which

@@ -7,8 +7,8 @@ import (
 )
 
 // TestRowLifetime re-runs the exactness matrices with the row-lifetime
-// harness on: every operator's previously returned row (or batch) is
-// overwritten with sentinels on its next call, so a consumer that kept a row
+// harness on: every operator's previously returned row is overwritten
+// with sentinels on its next call, so a consumer that kept a row
 // without copying it produces wrong rows or a different cost here instead of
 // passing because the producer happened not to reuse its buffer.
 func TestRowLifetime(t *testing.T) {
@@ -23,16 +23,14 @@ func TestRowLifetime(t *testing.T) {
 		{"PropertyGroupedAggregatesMatchReference", TestPropertyGroupedAggregatesMatchReference},
 		{"PropertyHavingMatchesPostFilter", TestPropertyHavingMatchesPostFilter},
 		{"PropertyRuntimeFiltersExact", TestPropertyRuntimeFiltersExact},
-		{"RuntimeFilterCostParityRowVec", TestRuntimeFilterCostParityRowVec},
+		{"RuntimeFilterExactAcrossSelectivity", TestRuntimeFilterExactAcrossSelectivity},
 		{"ColumnarMatchesHeapEverywhere", TestColumnarMatchesHeapEverywhere},
 		{"ColumnarCostParityAcrossVariants", TestColumnarCostParityAcrossVariants},
 		{"ParallelMatchesSerial", TestParallelMatchesSerial},
 		{"ParallelDeterminism", TestParallelDeterminism},
-		{"VectorizedMatchesRow", TestVectorizedMatchesRow},
 		{"SpillPropertyAcrossBudgets", TestSpillPropertyAcrossBudgets},
 		{"SpillPipelineChainsExact", TestSpillPipelineChainsExact},
 		{"ColumnarShardedJoinExact", TestColumnarShardedJoinExact},
-		{"SpillRowVecCostParity", TestSpillRowVecCostParity},
 		{"SpillMergeFallback", TestSpillMergeFallback},
 		{"SpillSortTempRuns", TestSpillSortTempRuns},
 		{"SpillCostMonotoneInBudget", TestSpillCostMonotoneInBudget},

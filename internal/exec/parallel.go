@@ -50,32 +50,21 @@ func finishNode(ctx *Context, n plan.Node, actual float64, into plan.Node) {
 	}
 }
 
-// compilePred compiles e when the context runs vectorized; a nil return
-// keeps the interpreted path. Morsel operators call this at Open so the
-// one-time compile is paid off across every morsel.
-func compilePred(ctx *Context, e expr.Expr) *expr.Pred {
-	if !ctx.Vec || e == nil {
-		return nil
-	}
-	return expr.CompilePredicate(e)
-}
-
 // scanMorsel reads one morsel of a table, charging clk exactly as the
 // serial scan would (one sequential read per page, CPU per examined row),
-// and lends rows passing the filter to emit. pred, when non-nil, is the
-// compiled form of node.Filter; rf, when non-nil, is the scan's bound
-// runtime-filter consumer (rejects pay only the membership test, on the
-// worker's shard clock). col, when non-nil, is the scan's columnar core: a
-// morsel is then one column block, scanned through the shared block core
-// with charges identical to the serial columnar scan's. Either way the row
-// is lent — valid only until emit returns, never to be mutated; scratch is
-// the caller's reusable row a heap scan projects into.
-func scanMorsel(ctx *Context, node *plan.ScanNode, pred *expr.Pred, rf *rfConsumer, col *colScanner, m, npages int, clk *storage.Clock, scratch *types.Row, emit func(types.Row) error) error {
+// and lends rows passing the filter to emit. rf, when non-nil, is the
+// scan's bound runtime-filter consumer (rejects pay only the membership
+// test, on the worker's shard clock). col, when non-nil, is the scan's
+// columnar core: a morsel is then one column block, scanned through the
+// shared block core with charges identical to the serial columnar scan's.
+// Either way the row is lent — valid only until emit returns, never to be
+// mutated; scratch is the caller's reusable row a heap scan projects into.
+func scanMorsel(ctx *Context, node *plan.ScanNode, rf *rfConsumer, col *colScanner, m, npages int, clk *storage.Clock, scratch *types.Row, emit func(types.Row) error) error {
 	if col != nil {
 		return col.scanBlock(m, clk, emit)
 	}
 	lo, hi := morselRange(m, MorselPages, npages)
-	return scanPageRange(ctx, node, pred, rf, lo, hi, clk, scratch, emit)
+	return scanPageRange(ctx, node, rf, lo, hi, clk, scratch, emit)
 }
 
 // scanPageRange scans the heap pages [lo, hi) of a table with the exact
@@ -84,7 +73,7 @@ func scanMorsel(ctx *Context, node *plan.ScanNode, pred *expr.Pred, rf *rfConsum
 // Cols into *scratch (nil Cols lends the stored row itself). scanMorsel
 // delegates here; the sharded co-located join path uses it directly with a
 // partition's page range.
-func scanPageRange(ctx *Context, node *plan.ScanNode, pred *expr.Pred, rf *rfConsumer, lo, hi int, clk *storage.Clock, scratch *types.Row, emit func(types.Row) error) error {
+func scanPageRange(ctx *Context, node *plan.ScanNode, rf *rfConsumer, lo, hi int, clk *storage.Clock, scratch *types.Row, emit func(types.Row) error) error {
 	var emitErr error
 	for p := lo; p < hi; p++ {
 		node.Table.Heap.ScanPage(clk, p, func(_ storage.RID, r types.Row) bool {
@@ -92,16 +81,7 @@ func scanPageRange(ctx *Context, node *plan.ScanNode, pred *expr.Pred, rf *rfCon
 				return true
 			}
 			clk.RowWork(1)
-			if pred != nil {
-				ok, err := pred.Eval(r, ctx.Params)
-				if err != nil {
-					emitErr = err
-					return false
-				}
-				if !ok {
-					return true
-				}
-			} else if node.Filter != nil {
+			if node.Filter != nil {
 				ok, err := expr.EvalPredicate(node.Filter, r, ctx.Params)
 				if err != nil {
 					emitErr = err
@@ -152,7 +132,6 @@ type pipeline struct {
 // or rows cut into MorselRows.
 type morselSource struct {
 	scan    *plan.ScanNode
-	pred    *expr.Pred  // compiled scan filter (vectorized runs)
 	rf      *rfConsumer // the scan's runtime filters
 	col     *colScanner // its columnar core (nil for heap scans)
 	npages  int
@@ -249,7 +228,6 @@ func (p *pipeline) open() error {
 	}
 	s := &p.src
 	if s.scan != nil {
-		s.pred = compilePred(p.ctx, s.scan.Filter)
 		s.rf = bindRuntimeFilters(p.ctx, s.scan.RFConsume, s.scan.Cols)
 		s.col = colScannerFor(p.ctx, s.scan, s.rf)
 		s.n, s.npages = scanGeometry(s.scan, s.col)
@@ -376,7 +354,7 @@ func (p *pipeline) morsel(src *morselSource, stages []*parallelHashJoin, st *mor
 		}
 	} else {
 		rows, down := 0, emit
-		err := scanMorsel(p.ctx, src.scan, src.pred, src.rf, src.col, m, src.npages, clk, &st.row, func(r types.Row) error {
+		err := scanMorsel(p.ctx, src.scan, src.rf, src.col, m, src.npages, clk, &st.row, func(r types.Row) error {
 			rows++
 			return down(r)
 		})
@@ -451,7 +429,6 @@ func (j *parallelHashJoin) openBuild() error {
 	if j.held {
 		return nil
 	}
-	j.residual = compilePred(j.ctx, j.node.Residual)
 	build, err := drain(j.right)
 	if err != nil {
 		return err
@@ -600,43 +577,15 @@ type parallelAgg struct {
 	node *plan.AggNode
 	pipe *pipeline
 
-	groupFns []expr.EvalFn // compiled group expressions (vectorized runs)
-	argFns   []expr.EvalFn // compiled aggregate arguments (vectorized runs)
-
 	partials []*aggPartial
 	out      []types.Row
 	pos      int
-}
-
-// compileFns lowers the group and aggregate-argument expressions once at
-// Open when the context runs vectorized; interpreted otherwise.
-func (a *parallelAgg) compileFns() {
-	if !a.ctx.Vec {
-		return
-	}
-	a.groupFns = expr.CompileAll(a.node.GroupExprs)
-	a.argFns = make([]expr.EvalFn, len(a.node.Aggs))
-	for i, spec := range a.node.Aggs {
-		if !spec.Star {
-			a.argFns[i] = expr.Compile(spec.Arg)
-		}
-	}
 }
 
 // accumRow folds one input row into a partial, charging the serial
 // hashAgg's per-row probe. key is the caller's scratch group-key buffer.
 func (a *parallelAgg) accumRow(p *aggPartial, r types.Row, key []types.Value, clk *storage.Clock) error {
 	clk.Probes(1)
-	if a.argFns != nil { // vectorized: compiled group and argument exprs
-		for i, fn := range a.groupFns {
-			v, err := fn(r, a.ctx.Params)
-			if err != nil {
-				return err
-			}
-			key[i] = v
-		}
-		return accumGroupFns(a.groupFor(p, key), a.node, a.argFns, r, a.ctx.Params)
-	}
 	for i, ge := range a.node.GroupExprs {
 		v, err := ge.Eval(r, a.ctx.Params)
 		if err != nil {
@@ -656,7 +605,6 @@ func (a *parallelAgg) groupFor(p *aggPartial, key []types.Value) *group {
 }
 
 func (a *parallelAgg) Open() error {
-	a.compileFns()
 	if err := a.pipe.exec(a); err != nil {
 		return err
 	}

@@ -155,9 +155,9 @@ func (f *RuntimeFilter) test(v types.Value) bool {
 
 // observe records one test outcome and, at each window boundary, disables
 // the filter when its drop rate is below break-even. The decision depends
-// only on the sequence of (tested, dropped) counter values, so serial row
-// and vectorized executions — which test rows in the same order — disable
-// at the identical row and stay cost-identical.
+// only on the sequence of (tested, dropped) counter values, so serial
+// executions — which test rows in the same order — disable at the identical
+// row and stay cost-identical.
 func (f *RuntimeFilter) observe(drop bool, set *RuntimeFilterSet) {
 	if drop {
 		atomic.AddInt64(&f.dropped, 1)
@@ -286,36 +286,4 @@ func (c *rfConsumer) admit(clk *storage.Clock, r types.Row) bool {
 		}
 	}
 	return true
-}
-
-// admitBatch filters a selection vector in place, returning the surviving
-// prefix. Rows are tested in selection order with filters applied in the
-// same inner order as admit, so the tested/dropped counter sequences — and
-// therefore any adaptive disable decision — are identical to the row path;
-// the single batch charge equals the row path's per-test charges exactly.
-func (c *rfConsumer) admitBatch(clk *storage.Clock, rows []types.Row, sel []int) []int {
-	out := sel[:0]
-	tests := 0
-	for _, idx := range sel {
-		pass := true
-		for i, f := range c.filters {
-			if !f.enabled() {
-				continue
-			}
-			tests++
-			ok := f.test(rows[idx][c.cols[i]])
-			f.observe(!ok, c.set)
-			if !ok {
-				pass = false
-				break
-			}
-		}
-		if pass {
-			out = append(out, idx)
-		}
-	}
-	if tests > 0 {
-		clk.FilterTestsBatch(tests)
-	}
-	return out
 }

@@ -179,10 +179,9 @@ func rfTestCatalog(t *testing.T, factRows, dimRows int) *catalog.Catalog {
 	return cat
 }
 
-func rfRunPlan(t *testing.T, root plan.Node, vec, filtered bool) (float64, []string, *Context) {
+func rfRunPlan(t *testing.T, root plan.Node, filtered bool) (float64, []string, *Context) {
 	t.Helper()
 	ctx := NewContext()
-	ctx.Vec = vec
 	if filtered {
 		ctx.RF = NewRuntimeFilterSet(nil)
 	}
@@ -202,12 +201,11 @@ func rfRunPlan(t *testing.T, root plan.Node, vec, filtered bool) (float64, []str
 	return ctx.Clock.Units(), out, ctx
 }
 
-// TestRuntimeFilterCostParityRowVec: the row and vectorized paths must
-// charge bit-identical simulated cost with filters on — including the
-// non-selective case where adaptive disable fires mid-query, which only
-// holds if both paths test rows in the same order and make the disable
-// decision at the same row.
-func TestRuntimeFilterCostParityRowVec(t *testing.T) {
+// TestRuntimeFilterExactAcrossSelectivity: a runtime filter must never
+// change results, whatever its hit rate — including the non-selective case
+// where adaptive disable fires mid-query — and a selective one must pay for
+// itself.
+func TestRuntimeFilterExactAcrossSelectivity(t *testing.T) {
 	cases := []struct {
 		name    string
 		dimRows int
@@ -220,38 +218,21 @@ func TestRuntimeFilterCostParityRowVec(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cat := rfTestCatalog(t, 4000, tc.dimRows)
 
-			rowPlan := rfTestJoinPlan(t, cat)
-			if n := plan.PlanRuntimeFilters(rowPlan); n != 1 {
+			root := rfTestJoinPlan(t, cat)
+			if n := plan.PlanRuntimeFilters(root); n != 1 {
 				t.Fatalf("planted %d, want 1", n)
 			}
-			rowUnits, rowRows, _ := rfRunPlan(t, rowPlan, false, true)
+			units, rows, ctx := rfRunPlan(t, root, true)
 
-			vecPlan := rfTestJoinPlan(t, cat)
-			if plan.MarkVectorized(vecPlan) == 0 {
-				t.Fatal("MarkVectorized marked nothing")
-			}
-			if n := plan.PlanRuntimeFilters(vecPlan); n != 1 {
-				t.Fatalf("planted %d, want 1", n)
-			}
-			vecUnits, vecRows, vecCtx := rfRunPlan(t, vecPlan, true, true)
-
-			if strings.Join(rowRows, ";") != strings.Join(vecRows, ";") {
-				t.Fatalf("row/vec results diverge: %d vs %d rows", len(rowRows), len(vecRows))
-			}
-			if rowUnits != vecUnits {
-				t.Fatalf("cost parity broken: row %v vs vec %v units", rowUnits, vecUnits)
-			}
-
-			// And filters must never change results.
 			basePlan := rfTestJoinPlan(t, cat)
-			baseUnits, baseRows, _ := rfRunPlan(t, basePlan, false, false)
-			if strings.Join(baseRows, ";") != strings.Join(rowRows, ";") {
+			baseUnits, baseRows, _ := rfRunPlan(t, basePlan, false)
+			if strings.Join(baseRows, ";") != strings.Join(rows, ";") {
 				t.Fatal("filtered results diverge from unfiltered")
 			}
-			if tc.name == "selective" && rowUnits >= baseUnits {
-				t.Fatalf("selective filter did not pay: filtered %v >= unfiltered %v", rowUnits, baseUnits)
+			if tc.name == "selective" && units >= baseUnits {
+				t.Fatalf("selective filter did not pay: filtered %v >= unfiltered %v", units, baseUnits)
 			}
-			if _, tested, dropped, _ := vecCtx.RF.Snapshot(); tested == 0 || (tc.name == "selective" && dropped == 0) {
+			if _, tested, dropped, _ := ctx.RF.Snapshot(); tested == 0 || (tc.name == "selective" && dropped == 0) {
 				t.Fatalf("filter inactive: tested=%d dropped=%d", tested, dropped)
 			}
 		})
@@ -259,8 +240,8 @@ func TestRuntimeFilterCostParityRowVec(t *testing.T) {
 }
 
 // TestPropertyRuntimeFiltersExact: for random join queries, enabling
-// runtime filters must leave results byte-identical across the row,
-// vectorized and morsel-parallel paths, with and without memory pressure.
+// runtime filters must leave results byte-identical across the row and
+// morsel-parallel paths, with and without memory pressure.
 func TestPropertyRuntimeFiltersExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	cat := catalog.New()
@@ -319,10 +300,9 @@ func TestPropertyRuntimeFiltersExact(t *testing.T) {
 		return root
 	}
 
-	run := func(t *testing.T, root plan.Node, dop, mem int, vec, filtered bool) ([]string, *Context) {
+	run := func(t *testing.T, root plan.Node, dop, mem int, filtered bool) ([]string, *Context) {
 		t.Helper()
 		ctx := NewContext()
-		ctx.Vec = vec
 		if dop > 1 {
 			ctx.DOP = dop
 		}
@@ -351,12 +331,10 @@ func TestPropertyRuntimeFiltersExact(t *testing.T) {
 	configs := []struct {
 		name string
 		dop  int
-		vec  bool
 	}{
-		{"row", 1, false},
-		{"vec", 1, true},
-		{"dop2", 2, false},
-		{"dop8", 8, false},
+		{"row", 1},
+		{"dop2", 2},
+		{"dop8", 8},
 	}
 	var planted, dropped int64
 	for trial := 0; trial < 10; trial++ {
@@ -375,20 +353,14 @@ func TestPropertyRuntimeFiltersExact(t *testing.T) {
 				if cfg.dop > 1 {
 					plan.MarkParallel(ref, 1)
 				}
-				if cfg.vec {
-					plan.MarkVectorized(ref)
-				}
-				want, _ := run(t, ref, cfg.dop, mem, cfg.vec, false)
+				want, _ := run(t, ref, cfg.dop, mem, false)
 
 				root := mkPlan(t, q)
 				if cfg.dop > 1 {
 					plan.MarkParallel(root, 1)
 				}
-				if cfg.vec {
-					plan.MarkVectorized(root)
-				}
 				planted += int64(plan.PlanRuntimeFilters(root))
-				got, ctx := run(t, root, cfg.dop, mem, cfg.vec, true)
+				got, ctx := run(t, root, cfg.dop, mem, true)
 				if strings.Join(got, ";") != strings.Join(want, ";") {
 					t.Fatalf("%s mem=%d diverges on %q: got %d rows, want %d",
 						cfg.name, mem, q, len(got), len(want))

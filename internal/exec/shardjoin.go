@@ -41,10 +41,8 @@ type shardedHashJoin struct {
 	mode     plan.ShuffleMode
 	grant    int
 	rWidth   int
-	scanPred *expr.Pred
 	scanRF   *rfConsumer
 	scanCol  *colScanner
-	residual *expr.Pred
 	fallback *parallelGather // degraded path under memory pressure
 	out      []types.Row
 	pos      int
@@ -57,7 +55,6 @@ func (j *shardedHashJoin) Open() error {
 	}
 	j.mode = j.node.Shuffle
 	j.rWidth = len(j.node.Kids[1].Schema())
-	j.residual = compilePred(j.ctx, j.node.Residual)
 	if j.mode == plan.ShuffleColocated && !j.colocatedValid() {
 		// The partitioned layout vanished between planning and execution
 		// (DML drops it); repartitioning is always correct.
@@ -98,10 +95,10 @@ func (j *shardedHashJoin) colocatedValid() bool {
 
 // scanBuild keeps the build scan's rows of heap pages [lo, hi), charging
 // clk: the scan lends them, so each is copied once.
-func (j *shardedHashJoin) scanBuild(pred *expr.Pred, rf *rfConsumer, lo, hi int, clk *storage.Clock) ([]types.Row, error) {
+func (j *shardedHashJoin) scanBuild(rf *rfConsumer, lo, hi int, clk *storage.Clock) ([]types.Row, error) {
 	var scratch types.Row
 	var kept rowSet
-	err := scanPageRange(j.ctx, j.buildScan, pred, rf, lo, hi, clk, &scratch, kept.add)
+	err := scanPageRange(j.ctx, j.buildScan, rf, lo, hi, clk, &scratch, kept.add)
 	return kept.rows(), err
 }
 
@@ -113,9 +110,8 @@ func (j *shardedHashJoin) drainBuild() ([]types.Row, error) {
 	if j.right != nil {
 		return drain(j.right)
 	}
-	pred := compilePred(j.ctx, j.buildScan.Filter)
 	rf := bindRuntimeFilters(j.ctx, j.buildScan.RFConsume, j.buildScan.Cols)
-	rows, err := j.scanBuild(pred, rf, 0, j.buildScan.Table.Heap.NumPages(), j.ctx.Clock)
+	rows, err := j.scanBuild(rf, 0, j.buildScan.Table.Heap.NumPages(), j.ctx.Clock)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +123,6 @@ func (j *shardedHashJoin) drainBuild() ([]types.Row, error) {
 // published its own) and resolves its columnar core.
 func (j *shardedHashJoin) bindScan() {
 	if j.scan != nil {
-		j.scanPred = compilePred(j.ctx, j.scan.Filter)
 		j.scanRF = bindRuntimeFilters(j.ctx, j.scan.RFConsume, j.scan.Cols)
 		j.scanCol = colScannerFor(j.ctx, j.scan, j.scanRF)
 	}
@@ -144,7 +139,7 @@ func (j *shardedHashJoin) degrade(build []types.Row) error {
 			"build=%d grant=%d: shuffle bypassed for serial spill path", len(build), j.grant))
 	}
 	fb := &parallelHashJoin{
-		hashBuild: hashBuild{ctx: j.ctx, node: j.node, residual: j.residual, grant: j.grant},
+		hashBuild: hashBuild{ctx: j.ctx, node: j.node, grant: j.grant},
 		held:      true,
 	}
 	fb.openSpill(build, 0)
@@ -173,19 +168,14 @@ func (j *shardedHashJoin) spec(clks []*storage.Clock) ShuffleJoinSpec {
 	}
 }
 
-// residualFn wraps the join's residual predicate (compiled or interpreted)
-// as the closure ShardJoiner evaluates per candidate match.
+// residualFn wraps the join's residual predicate as the closure
+// ShardJoiner evaluates per candidate match.
 func (j *shardedHashJoin) residualFn() func(types.Row) (bool, error) {
-	params := j.ctx.Params
-	if j.residual != nil {
-		pred := j.residual
-		return func(r types.Row) (bool, error) { return pred.Eval(r, params) }
+	if j.node.Residual == nil {
+		return nil
 	}
-	if j.node.Residual != nil {
-		e := j.node.Residual
-		return func(r types.Row) (bool, error) { return expr.EvalPredicate(e, r, params) }
-	}
-	return nil
+	e, params := j.node.Residual, j.ctx.Params
+	return func(r types.Row) (bool, error) { return expr.EvalPredicate(e, r, params) }
 }
 
 // openExchange asks the context's transport for this join's exchange,
@@ -338,7 +328,7 @@ func (j *shardedHashJoin) runShuffled(build []types.Row) error {
 			for m := lo; m < hi; m++ {
 				mseq := int64(m) << shardSeqShift
 				k := int64(0)
-				err := scanMorsel(ctx, j.scan, j.scanPred, j.scanRF, j.scanCol, m, npages, clks[s], &scratch, func(lr types.Row) error {
+				err := scanMorsel(ctx, j.scan, j.scanRF, j.scanCol, m, npages, clks[s], &scratch, func(lr types.Row) error {
 					lr = arena.Copy(lr) // the exchange keeps it; the scan only lends it
 					keyInto(pk, lr, j.node.LeftKeys)
 					if err := route(s, mseq|k, lr, pk); err != nil {
@@ -526,12 +516,11 @@ func (j *shardedHashJoin) runColocated() error {
 
 	// Per-shard build-side scans; shard-major order is heap order, so the
 	// concatenation equals the serial drain.
-	bpred := compilePred(ctx, j.buildScan.Filter)
 	brf := bindRuntimeFilters(ctx, j.buildScan.RFConsume, j.buildScan.Cols)
 	bRows := make([][]types.Row, n)
 	if err := runShards(n, func(s int) error {
 		var err error
-		bRows[s], err = j.scanBuild(bpred, brf, bp[s], bp[s+1], clks[s])
+		bRows[s], err = j.scanBuild(brf, bp[s], bp[s+1], clks[s])
 		return err
 	}); err != nil {
 		return err
@@ -583,7 +572,7 @@ func (j *shardedHashJoin) runColocated() error {
 		var tagged []ShufOut
 		var scratch types.Row
 		var cnt int64
-		err := scanPageRange(ctx, j.scan, j.scanPred, j.scanRF, pp[s], pp[s+1], clks[s], &scratch, func(lr types.Row) error {
+		err := scanPageRange(ctx, j.scan, j.scanRF, pp[s], pp[s+1], clks[s], &scratch, func(lr types.Row) error {
 			cnt++
 			return w.Probe(ShufProbe{Seq: cnt, Main: true, Row: lr}, &tagged)
 		})

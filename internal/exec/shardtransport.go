@@ -73,7 +73,7 @@ type ShuffleJoinSpec struct {
 	// RWidth is the build-side schema width (null-extension padding).
 	RWidth int
 	// Residual, when non-nil, filters candidate matches after key equality.
-	// Residual closures capture coordinator state (compiled expressions,
+	// Residual closures capture coordinator state (expression trees,
 	// query parameters) and therefore cannot cross a process boundary: a
 	// transport that cannot evaluate them must refuse the exchange with
 	// ErrExchangeUnsupported, and the join falls back to transport=local.

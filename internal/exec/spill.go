@@ -115,11 +115,11 @@ func (ctx *Context) spillEvent(kind, format string, args ...any) {
 // ---------- partitioned (grace/hybrid) hash join ----------
 
 // spillJoin is the spill state of a hashBuild whose build exceeded its
-// grant, shared by the row-at-a-time, vectorized and morsel-parallel
-// operators alike so the three paths stay charge- and result-identical under
-// pressure. Probe rows whose partition is resident are answered immediately
-// from table (preserving the streaming probe order), the rest are deferred
-// to probe runs and joined when finish replays the spilled partitions.
+// grant, shared by the row-at-a-time and morsel-parallel operators alike so
+// the two paths stay charge- and result-identical under pressure. Probe
+// rows whose partition is resident are answered immediately from table
+// (preserving the streaming probe order), the rest are deferred to probe
+// runs and joined when finish replays the spilled partitions.
 type spillJoin struct {
 	ctx      *Context
 	node     *plan.JoinNode
@@ -321,13 +321,11 @@ func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Ro
 
 // ---------- spilling hash aggregation ----------
 
-// aggSink is the shared grouping state of the serial and vectorized hash
-// aggregations: resident groups up to the broker's grant, input rows for
-// groups beyond it spilled to hash partitions that finish re-aggregates
-// recursively. Both paths feed rows in the same (serial) input order, so
-// the trigger point, the partition contents and every charge are identical
-// between them. A group is either entirely resident or entirely spilled:
-// rows of a key seen before the table filled keep accumulating in place.
+// aggSink is the grouping state of the serial hash aggregation: resident
+// groups up to the broker's grant, input rows for groups beyond it spilled
+// to hash partitions that finish re-aggregates recursively. A group is
+// either entirely resident or entirely spilled: rows of a key seen before
+// the table filled keep accumulating in place.
 type aggSink struct {
 	ctx      *Context
 	node     *plan.AggNode
@@ -352,17 +350,16 @@ func newAggSink(ctx *Context, node *plan.AggNode, depth int) *aggSink {
 
 // add routes one input row: accumulate into its (existing or newly created)
 // resident group, or spill the row to its key partition when the resident
-// table is full and the key is new. accum folds the row into a group — the
-// caller chooses interpreted or compiled accumulation. The caller charges
-// its per-input-row probe itself. r must remain valid until accum returns;
-// spilled rows are copied.
-func (s *aggSink) add(key []types.Value, r types.Row, accum func(*group) error) error {
+// table is full and the key is new. The caller charges its per-input-row
+// probe itself. r must remain valid until add returns; spilled rows are
+// copied.
+func (s *aggSink) add(key []types.Value, r types.Row) error {
 	h := types.HashRow(key)
 	if g := s.part.find(key, h); g != nil {
-		return accum(g)
+		return accumGroup(g, s.node, r, s.ctx.Params)
 	}
 	if len(s.part.order) < s.grant {
-		return accum(s.part.add(key, h, len(s.node.Aggs)))
+		return accumGroup(s.part.add(key, h, len(s.node.Aggs)), s.node, r, s.ctx.Params)
 	}
 	if !s.spilling {
 		s.spilling = true
@@ -416,9 +413,7 @@ func (s *aggSink) finish() ([]*group, error) {
 			if err := s.evalKey(key, r); err != nil {
 				return nil, err
 			}
-			if err := sub.add(key, r, func(g *group) error {
-				return accumGroup(g, s.node, r, s.ctx.Params)
-			}); err != nil {
+			if err := sub.add(key, r); err != nil {
 				return nil, err
 			}
 		}
@@ -432,8 +427,7 @@ func (s *aggSink) finish() ([]*group, error) {
 	return out, nil
 }
 
-// evalKey fills key with r's group expressions (interpreted — the compiled
-// forms are bit-identical, so recursion may always use the interpreter).
+// evalKey fills key with r's group expressions.
 func (s *aggSink) evalKey(key []types.Value, r types.Row) error {
 	for i, ge := range s.node.GroupExprs {
 		v, err := ge.Eval(r, s.ctx.Params)

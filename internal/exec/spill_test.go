@@ -120,14 +120,11 @@ var spillQueries = []string{
 	`SELECT big.v FROM big WHERE big.k IS NOT NULL ORDER BY big.v`,
 }
 
-func runSpillQuery(t testing.TB, cat *catalog.Catalog, q string, budget int, dop int, vec bool, sched func(int) int) ([]types.Row, *Context) {
+func runSpillQuery(t testing.TB, cat *catalog.Catalog, q string, budget int, dop int, sched func(int) int) ([]types.Row, *Context) {
 	t.Helper()
 	root := parallelPlanFor(t, cat, q)
 	if dop > 1 {
 		plan.MarkParallel(root, 1)
-	}
-	if vec {
-		plan.MarkVectorized(root)
 	}
 	ctx := NewContext()
 	ctx.Mem = NewMemBroker(budget)
@@ -135,10 +132,9 @@ func runSpillQuery(t testing.TB, cat *catalog.Catalog, q string, budget int, dop
 		ctx.Mem.SetSchedule(sched)
 	}
 	ctx.DOP = dop
-	ctx.Vec = vec
 	rows, err := Run(root, ctx)
 	if err != nil {
-		t.Fatalf("%q budget=%d dop=%d vec=%v: %v", q, budget, dop, vec, err)
+		t.Fatalf("%q budget=%d dop=%d: %v", q, budget, dop, err)
 	}
 	return rows, ctx
 }
@@ -150,12 +146,12 @@ func runSpillQuery(t testing.TB, cat *catalog.Catalog, q string, budget int, dop
 func TestSpillJoinBuildOverBudget(t *testing.T) {
 	cat := spillCatalog(t)
 	q := spillQueries[0]
-	want, _ := runSpillQuery(t, cat, q, 1<<30, 1, false, nil)
+	want, _ := runSpillQuery(t, cat, q, 1<<30, 1, nil)
 	wantS := sortedRowStrings(want)
 	// The build side ("big" after its filterless scan) is ~1600 rows; a
 	// budget of 200 makes it 8x over budget.
 	for _, dop := range []int{1, 4} {
-		got, ctx := runSpillQuery(t, cat, q, 200, dop, false, nil)
+		got, ctx := runSpillQuery(t, cat, q, 200, dop, nil)
 		if gs := sortedRowStrings(got); fmt.Sprint(gs) != fmt.Sprint(wantS) {
 			t.Fatalf("dop=%d: spilled join diverges from unlimited run (%d vs %d rows)", dop, len(got), len(want))
 		}
@@ -190,8 +186,8 @@ func TestSpillMergeFallback(t *testing.T) {
 	mk("skl", 40)
 	mk("skr", 300) // every row shares key 7: partitions never shrink
 	q := `SELECT skl.v, skr.v FROM skl, skr WHERE skl.k = skr.k`
-	want, _ := runSpillQuery(t, cat, q, 1<<30, 1, false, nil)
-	got, ctx := runSpillQuery(t, cat, q, 20, 1, false, nil)
+	want, _ := runSpillQuery(t, cat, q, 1<<30, 1, nil)
+	got, ctx := runSpillQuery(t, cat, q, 20, 1, nil)
 	if fmt.Sprint(sortedRowStrings(got)) != fmt.Sprint(sortedRowStrings(want)) {
 		t.Fatalf("merge-fallback join diverges (%d vs %d rows)", len(got), len(want))
 	}
@@ -218,8 +214,7 @@ func TestSpillEventsVisible(t *testing.T) {
 
 // TestSpillPropertyAcrossBudgets is the satellite property test: for every
 // repertoire query, the result multiset must be byte-identical across
-// budgets {unlimited, tight, shrinking mid-query} at DOP 1, 2 and 8, on
-// both the row and vectorized paths.
+// budgets {unlimited, tight, shrinking mid-query} at DOP 1, 2 and 8.
 func TestSpillPropertyAcrossBudgets(t *testing.T) {
 	cat := spillCatalog(t)
 	shrink := func(step int) int { // 4096 → 64, halving per grant
@@ -239,32 +234,16 @@ func TestSpillPropertyAcrossBudgets(t *testing.T) {
 		{"shrinking", 4096, shrink},
 	}
 	for _, q := range spillQueries {
-		want, _ := runSpillQuery(t, cat, q, 1<<30, 1, false, nil)
+		want, _ := runSpillQuery(t, cat, q, 1<<30, 1, nil)
 		wantS := fmt.Sprint(sortedRowStrings(want))
 		for _, b := range budgets {
 			for _, dop := range []int{1, 2, 8} {
-				for _, vec := range []bool{false, true} {
-					got, _ := runSpillQuery(t, cat, q, b.budget, dop, vec, b.sched)
-					if gs := fmt.Sprint(sortedRowStrings(got)); gs != wantS {
-						t.Errorf("%q %s dop=%d vec=%v: results diverge (%d vs %d rows)",
-							q, b.name, dop, vec, len(got), len(want))
-					}
+				got, _ := runSpillQuery(t, cat, q, b.budget, dop, b.sched)
+				if gs := fmt.Sprint(sortedRowStrings(got)); gs != wantS {
+					t.Errorf("%q %s dop=%d: results diverge (%d vs %d rows)",
+						q, b.name, dop, len(got), len(want))
 				}
 			}
-		}
-	}
-}
-
-// TestSpillRowVecCostParity: under memory pressure the row and vectorized
-// serial paths must still consume identical simulated cost — the spill
-// machinery is shared and fed in identical order.
-func TestSpillRowVecCostParity(t *testing.T) {
-	cat := spillCatalog(t)
-	for _, q := range spillQueries {
-		_, rctx := runSpillQuery(t, cat, q, 128, 1, false, nil)
-		_, vctx := runSpillQuery(t, cat, q, 128, 1, true, nil)
-		if rc, vc := rctx.Clock.Units(), vctx.Clock.Units(); rc != vc {
-			t.Errorf("%q: row cost %v != vec cost %v under pressure", q, rc, vc)
 		}
 	}
 }
@@ -274,8 +253,8 @@ func TestSpillRowVecCostParity(t *testing.T) {
 func TestSpillSortTempRuns(t *testing.T) {
 	cat := spillCatalog(t)
 	q := spillQueries[4]
-	want, _ := runSpillQuery(t, cat, q, 1<<30, 1, false, nil)
-	got, ctx := runSpillQuery(t, cat, q, 64, 1, false, nil)
+	want, _ := runSpillQuery(t, cat, q, 1<<30, 1, nil)
+	got, ctx := runSpillQuery(t, cat, q, 64, 1, nil)
 	if fmt.Sprint(rowStrings(got)) != fmt.Sprint(rowStrings(want)) {
 		t.Fatalf("spilled sort diverges (%d vs %d rows)", len(got), len(want))
 	}
@@ -299,7 +278,7 @@ func TestSpillCostMonotoneInBudget(t *testing.T) {
 	for _, q := range spillQueries[:2] {
 		prev := -1.0
 		for _, budget := range []int{64, 128, 256, 512, 1024, 4096, 1 << 30} {
-			_, ctx := runSpillQuery(t, cat, q, budget, 1, false, nil)
+			_, ctx := runSpillQuery(t, cat, q, budget, 1, nil)
 			cost := ctx.Clock.Units()
 			if prev >= 0 && cost > prev {
 				t.Errorf("%q: cost rose from %v to %v when budget grew to %d", q, prev, cost, budget)

@@ -25,8 +25,8 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("experiment %s missing from registry", id)
 		}
 	}
-	if len(IDs()) != 30 {
-		t.Errorf("expected 30 experiments, got %d", len(IDs()))
+	if len(IDs()) != 29 {
+		t.Errorf("expected 29 experiments, got %d", len(IDs()))
 	}
 }
 
@@ -382,27 +382,6 @@ func TestE25DopSweepCostParity(t *testing.T) {
 		}
 		if !p.Match {
 			t.Errorf("DOP %d results differ from serial", p.DOP)
-		}
-	}
-}
-
-func TestE26VecSweepCostParity(t *testing.T) {
-	r, points, err := VecSweep(0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.KV["all_exact"] != 1 {
-		t.Errorf("vectorized results diverged from row path:\n%s", strings.Join(r.Lines, "\n"))
-	}
-	if r.KV["cost_parity"] != 1 {
-		t.Errorf("vectorized cost must equal row cost per query:\n%s", strings.Join(r.Lines, "\n"))
-	}
-	if len(points) != 3 {
-		t.Fatalf("expected Q1/Q3/Q10, got %d points", len(points))
-	}
-	for _, p := range points {
-		if p.RowUnits <= 0 || p.VecUnits != p.RowUnits {
-			t.Errorf("%s: row=%v vec=%v", p.Query, p.RowUnits, p.VecUnits)
 		}
 	}
 }

@@ -74,10 +74,6 @@ type Props struct {
 	// execution (set by MarkParallel; honored by exec when the context
 	// carries a degree of parallelism above one).
 	Parallel bool
-	// Vectorized marks the node eligible for batch execution (set by
-	// MarkVectorized; honored by exec when the context enables the
-	// vectorized path).
-	Vectorized bool
 	// RFCredit is the cost-model credit this subtree was granted for
 	// runtime join filters (set by opt.CreditRuntimeFilters; recorded so
 	// re-crediting a cached plan can undo the previous credit first).
@@ -391,68 +387,6 @@ func MarkParallel(root Node, minRows int64) int {
 		return p.Parallel
 	}
 	rec(root)
-	return marked
-}
-
-// MarkVectorized annotates the nodes of a physical plan that the executor
-// may run through the batch (vectorized) path: sequential scans, filters and
-// projections over a vectorized child, hash joins whose probe (left) child
-// is vectorized, and hash aggregations over a vectorized child. A join's
-// build side and any other subtree outside the marked frontier simply build
-// through the row path (which may itself contain independently marked
-// vectorized fragments behind an adapter).
-//
-// Subtrees under a LIMIT or CHECK node are never marked: batch operators
-// read up to a batch ahead of what the consumer asked for, so a parent that
-// stops early would observe different page-read charges than the
-// row-at-a-time path — breaking the cost-parity invariant. Full
-// materializers (sort, aggregation, a join's build side) drain their input
-// regardless of the consumer, so blocking ends below them. Returns the
-// number of nodes marked; marking is idempotent.
-func MarkVectorized(root Node) int {
-	marked := 0
-	var rec func(Node, bool) bool
-	rec = func(nd Node, blocked bool) bool {
-		p := nd.Props()
-		p.Vectorized = false
-		switch v := nd.(type) {
-		case *ScanNode:
-			p.Vectorized = !blocked
-		case *FilterNode:
-			k := rec(v.Kids[0], blocked)
-			p.Vectorized = !blocked && k
-		case *ProjectNode:
-			k := rec(v.Kids[0], blocked)
-			p.Vectorized = !blocked && k
-		case *JoinNode:
-			k := rec(v.Kids[0], blocked)
-			rec(v.Kids[1], false) // build side drains fully
-			p.Vectorized = !blocked && v.Alg == JoinHash && k
-		case *AggNode:
-			k := rec(v.Kids[0], false) // aggregation drains fully
-			p.Vectorized = !blocked && v.Alg == AggHash && len(v.Kids) == 1 && k
-		case *LimitNode, *CheckNode:
-			for _, c := range nd.Children() {
-				rec(c, true)
-			}
-			return false
-		case *SortNode, *MaterializeNode:
-			for _, c := range nd.Children() {
-				rec(c, false) // full materializers drain regardless of parent
-			}
-			return false
-		default:
-			for _, c := range nd.Children() {
-				rec(c, blocked)
-			}
-			return false
-		}
-		if p.Vectorized {
-			marked++
-		}
-		return p.Vectorized
-	}
-	rec(root, false)
 	return marked
 }
 

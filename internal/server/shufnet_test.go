@@ -74,12 +74,11 @@ type netShufCell struct {
 	skew    float64
 	mode    string
 	memRows int
-	vec     bool
 	dop     int
 	shards  []int
 }
 
-// netShufMatrix is the acceptance matrix: shards {1,2,4,8} × row/vec ×
+// netShufMatrix is the acceptance matrix: shards {1,2,4,8} ×
 // DOP {1,2,8} × skewed/uniform, plus forced broadcast and a degrade cell.
 func netShufMatrix(short bool) []netShufCell {
 	all := []int{1, 2, 4, 8}
@@ -89,18 +88,16 @@ func netShufMatrix(short bool) []netShufCell {
 		dops = []int{1, 2}
 	}
 	var cells []netShufCell
-	for _, vec := range []bool{false, true} {
-		for _, dop := range dops {
-			cells = append(cells, netShufCell{0, "", 1 << 16, vec, dop, all})
-		}
+	for _, dop := range dops {
+		cells = append(cells, netShufCell{0, "", 1 << 16, dop, all})
 	}
 	cells = append(cells,
 		// Skewed keys: hot-key split with duplicated probe routing on the wire.
-		netShufCell{1.4, "repartition", 1 << 16, false, 1, []int{2, 4, 8}},
+		netShufCell{1.4, "repartition", 1 << 16, 1, []int{2, 4, 8}},
 		// Broadcast: build replicas cross the wire, probes stay put.
-		netShufCell{0, "broadcast", 1 << 16, false, 2, []int{2, 4}},
+		netShufCell{0, "broadcast", 1 << 16, 2, []int{2, 4}},
 		// Degrade: build exceeds its grant before any exchange opens.
-		netShufCell{0, "", 64, false, 1, []int{2, 4}})
+		netShufCell{0, "", 64, 1, []int{2, 4}})
 	if short {
 		cells = cells[:len(cells)-1]
 	}
@@ -123,18 +120,18 @@ func TestNetShuffleExactness(t *testing.T) {
 		}
 		base := core.Attach(cat, core.Config{
 			Policy: core.PolicyClassic, MemBudgetRows: cell.memRows,
-			HistBuckets: 16, DOP: cell.dop, Vec: cell.vec,
+			HistBuckets: 16, DOP: cell.dop,
 		})
 		want := make(map[string]*core.Result, len(netShufQueries))
 		for _, q := range netShufQueries {
 			want[q] = base.MustExec(q)
 		}
 		for _, shards := range cell.shards {
-			name := fmt.Sprintf("skew=%.1f/mode=%s/mem=%d/vec=%v/dop=%d/shards=%d",
-				cell.skew, cell.mode, cell.memRows, cell.vec, cell.dop, shards)
+			name := fmt.Sprintf("skew=%.1f/mode=%s/mem=%d/dop=%d/shards=%d",
+				cell.skew, cell.mode, cell.memRows, cell.dop, shards)
 			eng := core.Attach(cat, core.Config{
 				Policy: core.PolicyClassic, MemBudgetRows: cell.memRows,
-				HistBuckets: 16, DOP: cell.dop, Vec: cell.vec,
+				HistBuckets: 16, DOP: cell.dop,
 				Shards: shards, ShuffleForce: cell.mode,
 				ShuffleTransport: NewNetShuffleTransport(addrs),
 			})

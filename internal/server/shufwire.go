@@ -35,9 +35,9 @@ const (
 	ShufPhaseProbe = byte('p')
 )
 
-// shufBatchRows is how many routed rows accumulate before a frame seals —
-// the vectorized executor's 256-row batch shape reused on the wire, so
-// per-frame overhead (header, syscall, credit) amortizes over the batch.
+// shufBatchRows is how many routed rows accumulate before a frame seals:
+// a frame size chosen so per-frame overhead (header, syscall, credit)
+// amortizes over the rows it carries.
 const shufBatchRows = 256
 
 // shufCreditWindow is the in-flight route-batch window a worker grants at

@@ -103,28 +103,17 @@ func (c *Clock) Probes(n int) { c.add(c.model.HashProbe * float64(n)) }
 // addBatch charges n repetitions of the scaled unit charge u in one atomic
 // add. Because every single-unit charge truncates the same float constant to
 // the same integer, int64(n)*int64(u*clockScale) is exactly equal to n
-// separate charges — the arithmetic identity the vectorized executor's
-// cost-parity invariant rests on.
+// separate charges — the arithmetic identity that keeps per-block and
+// per-build charges equal to per-row ones.
 func (c *Clock) addBatch(n int, u float64) {
 	atomic.AddInt64(&c.units, int64(n)*int64(u*clockScale))
 }
-
-// RowWorkBatch charges per-row CPU for n rows, exactly equal to n calls of
-// RowWork(1).
-func (c *Clock) RowWorkBatch(n int) {
-	atomic.AddInt64(&c.rowsCPU, int64(n))
-	c.addBatch(n, c.model.RowCPU)
-}
-
-// ProbesBatch charges n hash probes, exactly equal to n calls of Probes(1).
-func (c *Clock) ProbesBatch(n int) { c.addBatch(n, c.model.HashProbe) }
 
 // FilterTests charges n runtime-filter membership tests.
 func (c *Clock) FilterTests(n int) { c.add(c.model.FilterTest * float64(n)) }
 
 // FilterTestsBatch charges n runtime-filter membership tests, exactly equal
-// to n calls of FilterTests(1) — the identity that keeps row and vectorized
-// filter charges bit-identical.
+// to n calls of FilterTests(1).
 func (c *Clock) FilterTestsBatch(n int) { c.addBatch(n, c.model.FilterTest) }
 
 // ZoneChecks charges n zone-map (or block-granularity filter) consultations.
