@@ -293,11 +293,9 @@ func uncertainLeaf(leaf plan.Node) bool {
 	case *plan.ScanNode:
 		return len(expr.Conjuncts(n.Filter)) >= 2
 	case *plan.IndexScanNode:
-		preds := len(expr.Conjuncts(n.Residual))
-		if n.LoSet || n.HiSet {
-			preds++
-		}
-		return preds >= 2
+		// The index bounds count as one predicate however many conjuncts
+		// they intersect: their selectivity is one histogram lookup.
+		return n.Residual != nil
 	}
 	return false
 }

@@ -152,8 +152,9 @@ type Engine struct {
 	Opt   *opt.Optimizer
 	Clock *storage.Clock
 	Cfg   Config
-	// Cache, when non-nil, serves classic-policy SELECTs from the plan
-	// cache (see PlanCache). DDL and ANALYZE invalidate it.
+	// Cache, when non-nil, serves classic-policy SELECTs, literal and
+	// parameterised, from the statement cache (see PlanCache). DDL and
+	// ANALYZE invalidate it.
 	Cache *PlanCache
 	// Metrics aggregates engine-wide counters, gauges and histograms
 	// (queries by policy, re-optimizations, cache hit ratio, q-error and
@@ -165,6 +166,24 @@ type Engine struct {
 	// slot in the completed-query ring on exit. The obs debug server's
 	// /queries and /trace/{id} endpoints read from it.
 	Lifecycle *obs.QueryRegistry
+
+	// Handles of the series every statement counts in, kept from their first
+	// use on: finding one by name and label signature allocates more than a
+	// key lookup's operators do. First use, not Attach, so that /metrics
+	// lists a series from the statement that first counted in it. (The
+	// policy label is the engine's: Cfg.Policy does not change after Attach.)
+	mQueries, mCacheHits, mCacheMisses atomic.Pointer[obs.Counter]
+	mCacheRatio                        atomic.Pointer[obs.Gauge]
+}
+
+// handle returns the metric kept in p, resolving it on the first call.
+func handle[T any](p *atomic.Pointer[T], resolve func() *T) *T {
+	m := p.Load()
+	if m == nil {
+		m = resolve()
+		p.Store(m)
+	}
+	return m
 }
 
 // Open creates an empty engine.
@@ -217,9 +236,12 @@ type Result struct {
 	// RowCount is the number of rows the SELECT produced, kept or streamed.
 	RowCount int
 	Affected int
-	Plan     string  // EXPLAIN / EXPLAIN ANALYZE text when requested
-	Cost     float64 // simulated cost units consumed
-	Reopts   int     // POP re-optimizations performed
+	// Plan is the EXPLAIN / EXPLAIN ANALYZE text when requested, and the
+	// executed plan with actual cardinalities for a SELECT whose rows were
+	// kept (a streamed result has no reader for it and does not render it).
+	Plan   string
+	Cost   float64 // simulated cost units consumed
+	Reopts int     // POP re-optimizations performed
 	// Trace is the query's span tree and event log, present when the
 	// statement was EXPLAIN ANALYZE or Config.TraceAll is set.
 	Trace *obs.Trace
@@ -268,12 +290,48 @@ func (e *Engine) ExecCancelable(query string, canceled func() bool, params ...ty
 // encodes rows onto the socket through here, with client Cancel frames and
 // disconnects arriving through canceled. EXPLAIN ANALYZE and statements
 // other than SELECT never call the sink.
+//
+// With a plan cache, a SELECT whose text is cached skips the parser and the
+// binder, and inside a cached plan's region the optimizer too: it goes from
+// text to exec.Drain.
 func (e *Engine) ExecStream(query string, canceled func() bool, sink RowSink, params ...types.Value) (*Result, error) {
+	if e.cacheOn() {
+		if cs := e.Cache.statement(query); cs != nil {
+			return e.runSelectObserved(nil, cs, query, params, false, 0, false, canceled, sink)
+		}
+	}
 	st, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
 	return e.execStmt(st, query, params, false, canceled, sink)
+}
+
+// cacheOn reports whether SELECTs go through the plan cache: only the classic
+// policy runs one static plan per execution.
+func (e *Engine) cacheOn() bool {
+	return e.Cache != nil && e.Cfg.Policy == PolicyClassic
+}
+
+// Prepare checks that a statement parses, as the wire protocol's Prepare
+// promises, and with a plan cache keeps the work: a SELECT that binds as
+// written is entered now, so its executions never parse. A statement that
+// does not bind yet — its table is created later, it has an IN (SELECT …) —
+// reports that when it runs, as it always has.
+func (e *Engine) Prepare(query string) error {
+	if e.cacheOn() && e.Cache.statement(query) != nil {
+		return nil // parsed and bound before, by any session
+	}
+	st, err := sql.Parse(query)
+	if err != nil {
+		return err
+	}
+	if sel, ok := st.(*sql.SelectStmt); ok && e.cacheOn() {
+		if bq, err := plan.Bind(sel, e.Cat); err == nil {
+			e.Cache.enter(query, bq)
+		}
+	}
+	return nil
 }
 
 // Explain returns the plan for a SELECT without executing it.
@@ -317,7 +375,7 @@ func (e *Engine) execStmt(st sql.Stmt, text string, params []types.Value, explai
 		}
 		return e.execStmt(s.Inner, "", params, true, canceled, sink)
 	case *sql.SelectStmt:
-		return e.runSelectObserved(s, text, params, explainOnly, 0, false, canceled, sink)
+		return e.runSelectObserved(s, nil, text, params, explainOnly, 0, false, canceled, sink)
 	case *sql.CreateTableStmt:
 		e.invalidatePlans()
 		return e.execCreateTable(s)
@@ -362,7 +420,7 @@ func (e *Engine) execStmt(st sql.Stmt, text string, params []types.Value, explai
 
 // maybeAutoAnalyze refreshes stale statistics for the tables a SELECT
 // references, when automatic maintenance is enabled.
-func (e *Engine) maybeAutoAnalyze(s *sql.SelectStmt) {
+func (e *Engine) maybeAutoAnalyze(q *plan.Query) {
 	if !e.Cfg.AutoAnalyze {
 		return
 	}
@@ -370,18 +428,7 @@ func (e *Engine) maybeAutoAnalyze(s *sql.SelectStmt) {
 	if frac <= 0 {
 		frac = 0.2
 	}
-	names := make([]string, 0, len(s.From)+len(s.Joins))
-	for _, tr := range s.From {
-		names = append(names, tr.Name)
-	}
-	for _, jc := range s.Joins {
-		names = append(names, jc.Table.Name)
-	}
-	for _, name := range names {
-		t, ok := e.Cat.Table(name)
-		if !ok {
-			continue
-		}
+	refresh := func(t *catalog.Table) {
 		base := t.Stats.RowCount
 		if base < 50 {
 			base = 50
@@ -390,6 +437,12 @@ func (e *Engine) maybeAutoAnalyze(s *sql.SelectStmt) {
 			e.Cat.AnalyzeTable(t, e.Cfg.HistBuckets)
 			e.invalidatePlans()
 		}
+	}
+	for _, r := range q.Rels {
+		refresh(r.Table)
+	}
+	for _, lj := range q.LeftJoins {
+		refresh(lj.Rel.Table)
 	}
 }
 
@@ -416,7 +469,7 @@ func (e *Engine) execCreateTable(s *sql.CreateTableStmt) (*Result, error) {
 }
 
 func (e *Engine) runSelectDepth(s *sql.SelectStmt, text string, params []types.Value, explainOnly bool, depth int) (*Result, error) {
-	return e.runSelectObserved(s, text, params, explainOnly, depth, false, nil, nil)
+	return e.runSelectObserved(s, nil, text, params, explainOnly, depth, false, nil, nil)
 }
 
 // explainAnalyze executes the SELECT under a tracer and renders the span
@@ -424,7 +477,7 @@ func (e *Engine) runSelectDepth(s *sql.SelectStmt, text string, params []types.V
 // followed by the engine-event log (re-optimizations, cache and memory and
 // admission decisions).
 func (e *Engine) explainAnalyze(sel *sql.SelectStmt, params []types.Value) (*Result, error) {
-	res, err := e.runSelectObserved(sel, "", params, false, 0, true, nil, nil)
+	res, err := e.runSelectObserved(sel, nil, "", params, false, 0, true, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +495,9 @@ func (e *Engine) explainAnalyze(sel *sql.SelectStmt, params []types.Value) (*Res
 	return res, nil
 }
 
-func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []types.Value, explainOnly bool, depth int, forceTrace bool, canceled func() bool, sink RowSink) (finalRes *Result, finalErr error) {
+// runSelectObserved runs one SELECT: s as parsed from text, or — s nil — the
+// cached statement cs that text was found under.
+func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text string, params []types.Value, explainOnly bool, depth int, forceTrace bool, canceled func() bool, sink RowSink) (finalRes *Result, finalErr error) {
 	// Lifecycle registration: every top-level executing query gets an ID
 	// and a phase in the live registry, and retires into the completed ring
 	// (and the query log, if a sink is configured) on this function's single
@@ -474,19 +529,25 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 		}()
 	}
 
-	expanded, err := e.expandSubqueries(s, params, depth)
-	if err != nil {
-		return nil, err
-	}
-	if expanded {
+	var bq *plan.Query
+	expanded := false
+	if cs != nil {
+		bq = cs.bq
+	} else {
+		var err error
+		if expanded, err = e.expandSubqueries(s, params, depth); err != nil {
+			return nil, err
+		}
+		if bq, err = plan.Bind(s, e.Cat); err != nil {
+			return nil, err
+		}
 		// A frozen subquery result must never be served from the plan cache.
-		text = ""
+		if text != "" && !expanded && e.cacheOn() {
+			cs = e.Cache.enter(text, bq)
+			bq = cs.bq
+		}
 	}
-	e.maybeAutoAnalyze(s)
-	bq, err := plan.Bind(s, e.Cat)
-	if err != nil {
-		return nil, err
-	}
+	e.maybeAutoAnalyze(bq)
 	ctx = exec.NewContext()
 	ctx.Params = params
 	ctx.Canceled = canceled
@@ -608,55 +669,45 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 		if err != nil {
 			return nil, err
 		}
-		res.Plan = plan.ExplainActual(root)
+		if sink == nil {
+			res.Plan = plan.ExplainActual(root)
+		}
 		qerrs = nodeQErrors(root)
 	default:
 		var root plan.Node
 		var marks planMarks
-		if e.Cache != nil && text != "" {
-			var hit bool
-			var err error
-			root, marks, hit, err = e.Cache.Plan(e, text, bq, params)
+		if cs != nil {
+			v, hit, err := e.Cache.plan(e, cs, params)
 			if err != nil {
 				return nil, err
 			}
-			if hit {
-				e.Metrics.Counter("rqp_plan_cache_hits_total").Inc()
-			} else {
-				e.Metrics.Counter("rqp_plan_cache_misses_total").Inc()
-			}
-			if trace != nil {
-				if hit {
-					trace.Event("plancache.hit", "")
-				} else {
-					trace.Event("plancache.miss", "")
-				}
-			}
-			st := e.Cache.Stats()
-			if tot := st.Hits + st.Misses; tot > 0 {
-				e.Metrics.Gauge("rqp_plan_cache_hit_ratio").Set(float64(st.Hits) / float64(tot))
-			}
+			root, marks, planFP = v.root, v.marks, v.fp
+			e.countCacheLookup(hit, trace)
 		} else {
+			if expanded && text != "" && e.cacheOn() {
+				e.Cache.uncacheable()
+			}
 			var err error
 			root, err = e.Opt.Optimize(bq, params)
 			if err != nil {
 				return nil, err
 			}
-			if !explainOnly { // EXPLAIN shows the plan as optimized
-				marks = e.markPlan(root)
+			if explainOnly { // EXPLAIN shows the plan as optimized
+				res.Plan = plan.Explain(root)
+				return res, nil
 			}
+			marks = e.markPlan(root)
+			planFP = plan.Fingerprint(root)
 		}
-		if explainOnly {
-			res.Plan = plan.Explain(root)
-			return res, nil
-		}
-		planFP = plan.Fingerprint(root)
 		e.armContext(ctx, root, marks)
+		var err error
 		res.Rows, res.RowCount, err = exec.Drain(root, ctx, rowSink)
 		if err != nil {
 			return nil, err
 		}
-		res.Plan = plan.ExplainActual(root)
+		if sink == nil {
+			res.Plan = plan.ExplainActual(root)
+		}
 		qerrs = nodeQErrors(root)
 	}
 	res.Cost = ctx.Clock.Units()
@@ -669,6 +720,26 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, text string, params []type
 		e.recordQueryMetrics(res, ctx, qerrs)
 	}
 	return res, nil
+}
+
+// countCacheLookup records one plan-cache lookup of a classic SELECT in the
+// metrics and the trace.
+func (e *Engine) countCacheLookup(hit bool, trace *obs.Trace) {
+	if hit {
+		handle(&e.mCacheHits, func() *obs.Counter { return e.Metrics.Counter("rqp_plan_cache_hits_total") }).Inc()
+	} else {
+		handle(&e.mCacheMisses, func() *obs.Counter { return e.Metrics.Counter("rqp_plan_cache_misses_total") }).Inc()
+	}
+	if trace != nil {
+		if hit {
+			trace.Event("plancache.hit", "")
+		} else {
+			trace.Event("plancache.miss", "")
+		}
+	}
+	st := e.Cache.Stats()
+	handle(&e.mCacheRatio, func() *obs.Gauge { return e.Metrics.Gauge("rqp_plan_cache_hit_ratio") }).
+		Set(float64(st.Hits) / float64(st.Hits+st.Misses))
 }
 
 // planMarks is what the marking passes annotated on one plan: the counts
@@ -762,7 +833,9 @@ func nodeQErrors(root plan.Node) []float64 {
 // registry.
 func (e *Engine) recordQueryMetrics(res *Result, ctx *exec.Context, qerrs []float64) {
 	m := e.Metrics
-	m.Counter("rqp_queries_total", obs.L("policy", e.Cfg.Policy.String())).Inc()
+	handle(&e.mQueries, func() *obs.Counter {
+		return m.Counter("rqp_queries_total", obs.L("policy", e.Cfg.Policy.String()))
+	}).Inc()
 	m.Histogram("rqp_query_cost_units", obs.CostBuckets).Observe(res.Cost)
 	if res.Reopts > 0 {
 		m.Counter("rqp_reopts_total").Add(int64(res.Reopts))

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
-	"rqp/internal/plan"
-	"rqp/internal/sql"
+	"rqp/internal/exec"
 	"rqp/internal/types"
 	"rqp/internal/workload"
 )
@@ -64,17 +65,180 @@ func TestPlanCacheNormalizesText(t *testing.T) {
 	}
 }
 
-func TestPlanCacheSkipsParameterizedQueries(t *testing.T) {
-	e := cacheEngine(t)
-	q := "SELECT COUNT(*) FROM pc WHERE v = ?"
-	r1 := e.MustExec(q, types.Int(7))
-	r2 := e.MustExec(q, types.Int(8))
-	if r1.Rows[0][0].I != 40 || r2.Rows[0][0].I != 40 {
-		t.Fatalf("param results wrong: %v %v", r1.Rows, r2.Rows)
+// The three point_lookup shapes of the benchmark, and a join with no equality
+// between its relations for a NestedLoopJoin plan.
+const (
+	lookupOrder = `SELECT o_orderkey, o_custkey, o_orderdate, o_totalprice FROM orders WHERE o_orderkey = ?`
+	lookupCust  = `SELECT customer.c_custkey, customer.c_mktsegment, customer.c_acctbal, nation.n_name
+		FROM customer, nation
+		WHERE customer.c_nationkey = nation.n_nationkey AND customer.c_custkey = ?`
+	lookupLines = `SELECT orders.o_orderkey, lineitem.l_quantity, lineitem.l_extendedprice, customer.c_custkey, nation.n_name
+		FROM orders, lineitem, customer, nation
+		WHERE lineitem.l_orderkey = orders.o_orderkey AND orders.o_custkey = customer.c_custkey
+		AND customer.c_nationkey = nation.n_nationkey AND orders.o_orderkey = ?`
+	lookupNL = `SELECT customer.c_custkey, nation.n_name FROM customer, nation
+		WHERE customer.c_nationkey < nation.n_nationkey AND customer.c_custkey = ?`
+)
+
+// lookupEngines returns a cached and an uncached engine over one small
+// TPC-H-lite catalog with the indexes the lookups take.
+func lookupEngines(t testing.TB, scale float64) (cached, fresh *Engine) {
+	t.Helper()
+	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: scale, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := e.Cache.Stats()
-	if s.Uncacheable != 2 || s.Hits != 0 {
-		t.Errorf("parameterized queries must bypass the cache: %+v", s)
+	fresh = Attach(cat, DefaultConfig())
+	for _, ddl := range []string{
+		`CREATE UNIQUE INDEX orders_pk ON orders (o_orderkey)`,
+		`CREATE UNIQUE INDEX customer_pk ON customer (c_custkey)`,
+		`CREATE INDEX lineitem_order ON lineitem (l_orderkey)`,
+		`ANALYZE orders`, `ANALYZE customer`, `ANALYZE lineitem`,
+	} {
+		fresh.MustExec(ddl)
+	}
+	cached = Attach(cat, DefaultConfig())
+	cached.Cache = NewPlanCache(0)
+	return cached, fresh
+}
+
+// planShape is Result.Plan without the estimates and actuals: the operators
+// and the tree, what plan.PlanSignature compares.
+func planShape(p string) string {
+	lines := strings.Split(p, "\n")
+	for i, l := range lines {
+		if at := strings.Index(l, " ("); at >= 0 {
+			lines[i] = l[:at]
+		}
+	}
+	return strings.Join(lines, "\n")
+}
+
+// sameOutcome fails unless two executions of one statement agree on the
+// error, or on rows, exact cost and the plan's structure. (The estimates
+// printed in a cached plan are those of the bind it was optimized at.)
+func sameOutcome(t *testing.T, what string, got *Result, gotErr error, want *Result, wantErr error) {
+	t.Helper()
+	if gotErr != nil || wantErr != nil {
+		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Errorf("%s: error %v, uncached %v", what, gotErr, wantErr)
+		}
+		return
+	}
+	if rowsKey(got) != rowsKey(want) || got.Cost != want.Cost || planShape(got.Plan) != planShape(want.Plan) {
+		t.Errorf("%s: cached execution differs from uncached\ncost %v vs %v\n%s--- uncached\n%s", what, got.Cost, want.Cost, got.Plan, want.Plan)
+	}
+}
+
+// TestPlanCacheParameterizedExact runs the lookup shapes over every key of a
+// small catalog, keys that are absent, NULL, a string where the column is an
+// int, and no parameter at all: a statement served from the cache returns
+// the rows, the exact cost and the plan of an engine without one, and after
+// the first binds of each kind it never optimizes.
+func TestPlanCacheParameterizedExact(t *testing.T) {
+	cached, fresh := lookupEngines(t, 1)
+	orders, _ := fresh.Cat.Table("orders")
+	customers, _ := fresh.Cat.Table("customer")
+	for _, shape := range []struct {
+		sql  string
+		keys int64
+	}{
+		{lookupOrder, orders.Heap.NumRows()},
+		{lookupCust, customers.Heap.NumRows()},
+		{lookupLines, orders.Heap.NumRows()},
+	} {
+		binds := [][]types.Value{{types.Null()}, {types.Str("seven")}, {types.Int(-5)}, {types.Int(shape.keys + 100)}, {}}
+		for k := int64(0); k < shape.keys; k++ {
+			binds = append(binds, []types.Value{types.Int(k)})
+		}
+		before := cached.Cache.Stats()
+		for _, params := range binds {
+			got, gotErr := cached.Exec(shape.sql, params...)
+			want, wantErr := fresh.Exec(shape.sql, params...)
+			sameOutcome(t, shape.sql[:30]+fmt.Sprint(params), got, gotErr, want, wantErr)
+		}
+		after := cached.Cache.Stats()
+		// One optimization per kind of bind — NULL, string, an int outside
+		// the key range, one inside (a unique key's selectivity is one
+		// value), the short parameter list — whatever the number of keys.
+		if misses := after.Misses - before.Misses; misses != 5 {
+			t.Errorf("%.30s: %d misses over %d binds", shape.sql, misses, len(binds))
+		}
+		if hits := after.Hits - before.Hits; hits < int(shape.keys)-1 {
+			t.Errorf("%.30s: %d hits over %d keys", shape.sql, hits, shape.keys)
+		}
+	}
+	if st := cached.Cache.Stats(); st.Uncacheable != 0 || st.Parses != 3 {
+		t.Errorf("three texts were sent, all cacheable: %+v", st)
+	}
+}
+
+// TestPlanCacheInvalidation: ANALYZE and every DDL statement drop the cached
+// statements with their plans, and what is planned next sees the new
+// physical design.
+func TestPlanCacheInvalidation(t *testing.T) {
+	e := cacheEngine(t)
+	const q = "SELECT v FROM pc WHERE id = ?"
+	run := func() *Result {
+		t.Helper()
+		res := e.MustExec(q, types.Int(42))
+		if len(res.Rows) != 1 || res.Rows[0][0].I != 42 {
+			t.Fatalf("rows %v", res.Rows)
+		}
+		return res
+	}
+	for _, ddl := range []string{
+		"ANALYZE pc",
+		"CREATE UNIQUE INDEX pc_id ON pc (id)",
+		"DROP INDEX pc_id ON pc",
+		"CREATE TABLE other (a int)",
+		"DROP TABLE other",
+	} {
+		run()
+		if e.Cache.Len() != 1 {
+			t.Fatalf("before %s: %d statements cached, want 1", ddl, e.Cache.Len())
+		}
+		parses := e.Cache.Stats().Parses
+		e.MustExec(ddl)
+		if e.Cache.Len() != 0 {
+			t.Errorf("%s left %d statements cached", ddl, e.Cache.Len())
+		}
+		res := run()
+		if got := e.Cache.Stats().Parses; got != parses+1 {
+			t.Errorf("after %s the statement was parsed %d times, want once", ddl, got-parses)
+		}
+		if wantIndex := strings.HasPrefix(ddl, "CREATE UNIQUE INDEX"); strings.Contains(res.Plan, "IndexScan") != wantIndex {
+			t.Errorf("after %s: index scan = %v, want %v\n%s", ddl, !wantIndex, wantIndex, res.Plan)
+		}
+	}
+}
+
+// TestPlanCacheBounded sends far more distinct texts than the cache holds:
+// it stays at its capacity, counts what it displaced, and the one statement
+// that stayed in use all along is never displaced.
+func TestPlanCacheBounded(t *testing.T) {
+	e := Open(DefaultConfig())
+	e.Cache = NewPlanCache(0)
+	e.MustExec("CREATE TABLE pc (id int, v int)")
+	e.MustExec("INSERT INTO pc VALUES (1, 1), (2, 2)")
+	const hot = "SELECT v FROM pc WHERE id = ?"
+	e.MustExec(hot, types.Int(1))
+	const texts = 10000
+	for i := 0; i < texts; i++ {
+		e.MustExec(fmt.Sprintf("SELECT v FROM pc WHERE id = %d", i))
+		if i%100 == 0 {
+			e.MustExec(hot, types.Int(int64(i)))
+		}
+	}
+	st := e.Cache.Stats()
+	if e.Cache.Len() != planCacheCap || st.Evictions != texts+1-planCacheCap {
+		t.Errorf("%d statements cached (cap %d), %d evictions", e.Cache.Len(), planCacheCap, st.Evictions)
+	}
+	if st.Parses != texts+1 {
+		t.Errorf("%d parses for %d texts: the statement in use was displaced", st.Parses, texts+1)
+	}
+	if n := len(e.Cache.entries); n > 2*planCacheCap {
+		t.Errorf("%d keys for %d statements", n, planCacheCap)
 	}
 }
 
@@ -128,11 +292,16 @@ func TestPlanCacheDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestPlanCacheConcurrentSessions hammers one cached entry from two
+// TestPlanCacheConcurrentSessions hammers one cached statement from two
 // goroutines, the way two server sessions sending the same text do. Under
-// -race this pins that the entry's execution count, the revalidation test
-// and the counters are all read and written under the cache's lock; the
-// counter identities pin that no execution was lost or double-counted.
+// -race this pins that the statement's execution count, the revalidation
+// test, the variants and the counters are all read and written under the
+// cache's lock; the counter identities pin that no execution was lost or
+// double-counted. Then four sessions run the same parameterised texts with
+// different values each — one late-bound plan per text, an IndexScan, an
+// IndexNLJoin and a NestedLoopJoin among them, shared while the row-lifetime
+// harness overwrites every row a producer has moved on from — and every
+// execution must return what an engine without a cache returns.
 func TestPlanCacheConcurrentSessions(t *testing.T) {
 	e := cacheEngine(t)
 	const q = "SELECT COUNT(*) FROM pc WHERE v = 7"
@@ -143,18 +312,8 @@ func TestPlanCacheConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, err := sql.Parse(q)
-			if err != nil {
-				t.Error(err)
-				return
-			}
 			for i := 0; i < perSession; i++ {
-				bq, err := plan.Bind(st.(*sql.SelectStmt), e.Cat)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if _, _, _, err := e.Cache.Plan(e, q, bq, nil); err != nil {
+				if _, _, err := e.Cache.plan(e, e.Cache.statement(q), nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -169,6 +328,47 @@ func TestPlanCacheConcurrentSessions(t *testing.T) {
 	}
 	if e.Cache.Len() != 1 {
 		t.Errorf("cache entries = %d", e.Cache.Len())
+	}
+
+	exec.SetRowPoison(true)
+	defer exec.SetRowPoison(false)
+	cached, fresh := lookupEngines(t, 1)
+	texts := []struct{ sql, op string }{
+		{lookupOrder, "IndexScan(orders.orders_pk)"},
+		{lookupLines, "IndexNLJoin(lineitem.lineitem_order)"},
+		{lookupNL, "NestedLoopJoin"},
+	}
+	const keys = 24
+	want := make([][keys]*Result, len(texts))
+	for i, tx := range texts {
+		for k := range want[i] {
+			want[i][k] = fresh.MustExec(tx.sql, types.Int(int64(k)))
+		}
+		if !strings.Contains(want[i][0].Plan, tx.op) {
+			t.Fatalf("no %s in the plan of %.40s:\n%s", tx.op, tx.sql, want[i][0].Plan)
+		}
+	}
+	for s := 0; s < 4; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for n := 0; n < 3*keys; n++ {
+				i, k := n%len(texts), (n+5*s)%keys
+				got, err := cached.Exec(texts[i].sql, types.Int(int64(k)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rowsKey(got) != rowsKey(want[i][k]) || got.Cost != want[i][k].Cost || planShape(got.Plan) != planShape(want[i][k].Plan) {
+					t.Errorf("session %d, %.40s, key %d: rows or cost %v differ from uncached %v", s, texts[i].sql, k, got.Cost, want[i][k].Cost)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	if st := cached.Cache.Stats(); st.Hits < 4*3*keys-12 || st.Parses > 4*len(texts) {
+		t.Errorf("shared statements: %+v", st)
 	}
 }
 

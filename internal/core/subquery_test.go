@@ -82,8 +82,8 @@ func TestSubqueryBypassesPlanCache(t *testing.T) {
 	if r1.Rows[0][0].I != 30 || r2.Rows[0][0].I != 40 {
 		t.Errorf("subquery result frozen: %v then %v", r1.Rows[0][0], r2.Rows[0][0])
 	}
-	if s := e.Cache.Stats(); s.Hits != 0 {
-		t.Errorf("subquery statements must not hit the plan cache: %+v", s)
+	if s := e.Cache.Stats(); s.Hits != 0 || s.Uncacheable != 2 || e.Cache.Len() != 0 {
+		t.Errorf("subquery statements must not enter the plan cache: %+v", s)
 	}
 }
 

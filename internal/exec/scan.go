@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sync"
 
 	"rqp/internal/expr"
@@ -197,6 +198,37 @@ type indexScan struct {
 	rows []types.Row
 	out  types.Row
 	pos  int
+	// keys backs the two one-column bound keys of an Open.
+	keys [2]types.Value
+}
+
+// bounds derives the range from the node's bound conjuncts under this
+// execution's parameters — the interval the optimizer costed, literal and
+// `?` alike. A conjunct that is no interval under these parameters means the
+// plan was built for binds of another kind: an error, never a wider scan.
+func (s *indexScan) bounds() (lo, hi index.Bound, err error) {
+	iv := expr.Unbounded(s.node.Index.Cols[0])
+	for _, f := range s.node.Bounds {
+		fiv, ok := expr.ExtractInterval(f, s.ctx.Params)
+		if !ok {
+			return lo, hi, fmt.Errorf("exec: index bound %s is not a range under these parameters", f)
+		}
+		iv = expr.Intersect(iv, fiv)
+	}
+	if iv.HasEq {
+		s.keys[0] = iv.Eq
+		lo = index.Bound{Key: s.keys[:1], Incl: true, Set: true}
+		return lo, lo, nil
+	}
+	if iv.HasLo {
+		s.keys[0] = types.Float(iv.Lo)
+		lo = index.Bound{Key: s.keys[:1], Incl: iv.LoIncl, Set: true}
+	}
+	if iv.HasHi {
+		s.keys[1] = types.Float(iv.Hi)
+		hi = index.Bound{Key: s.keys[1:2], Incl: iv.HiIncl, Set: true}
+	}
+	return lo, hi, nil
 }
 
 func (s *indexScan) Open() error {
@@ -204,8 +236,10 @@ func (s *indexScan) Open() error {
 	s.pos = 0
 	s.rf = bindRuntimeFilters(s.ctx, s.node.RFConsume, s.node.Cols)
 	n := s.node
-	lo := index.Bound{Key: n.LoKey, Incl: n.LoIncl, Set: n.LoSet}
-	hi := index.Bound{Key: n.HiKey, Incl: n.HiIncl, Set: n.HiSet}
+	lo, hi, err := s.bounds()
+	if err != nil {
+		return err
+	}
 	var evalErr error
 	n.Index.Tree.Scan(s.ctx.Clock, lo, hi, func(e index.Entry) bool {
 		// NULL keys sort before every bound and would leak into scans with

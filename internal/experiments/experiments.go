@@ -95,13 +95,14 @@ func Registry() map[string]Runner {
 		"E28": E28ShardSweep,
 		"E29": E29ServerSweep,
 		"E30": E30NetShuffle,
+		"E31": E31PlanCacheRegions,
 	}
 }
 
 // IDs returns all experiment ids in order.
 func IDs() []string {
-	ids := make([]string, 0, 29)
-	for i := 1; i <= 30; i++ {
+	ids := make([]string, 0, 30)
+	for i := 1; i <= 31; i++ {
 		if i == 26 {
 			continue // ids are stable names: E26, the row-vs-batch parity sweep, is retired
 		}

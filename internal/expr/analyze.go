@@ -93,14 +93,17 @@ func AsEquiJoin(e Expr, split int) (EquiJoin, bool) {
 // Interval is a (possibly open-ended) numeric range over one column,
 // extracted from simple comparison predicates for selectivity estimation and
 // index range scans. Bounds are in float space; LoIncl/HiIncl track
-// inclusivity. Eq holds the literal for equality predicates on any kind.
+// inclusivity. Eq holds the literal for equality predicates on any kind;
+// it is held by value so that extracting an interval allocates nothing — a
+// scan derives its index bounds this way at every Open.
 type Interval struct {
 	Col            int
 	Lo, Hi         float64
 	LoIncl, HiIncl bool
 	HasLo, HasHi   bool
-	Eq             *types.Value // set for col = literal
-	NE             bool         // col <> literal (Eq holds the literal)
+	HasEq          bool        // col = literal (or, with NE, col <> literal)
+	Eq             types.Value // the literal, when HasEq
+	NE             bool        // col <> literal (Eq holds the literal)
 }
 
 // Unbounded returns the full-range interval for a column.
@@ -124,16 +127,14 @@ func ExtractInterval(e Expr, params []types.Value) (Interval, bool) {
 	iv := Unbounded(col.Index)
 	switch op {
 	case OpEQ:
-		v := lit
-		iv.Eq = &v
+		iv.Eq, iv.HasEq = lit, true
 		if lit.Numeric() {
 			iv.Lo, iv.Hi = lit.AsFloat(), lit.AsFloat()
 			iv.LoIncl, iv.HiIncl = true, true
 			iv.HasLo, iv.HasHi = true, true
 		}
 	case OpNE:
-		v := lit
-		iv.Eq = &v
+		iv.Eq, iv.HasEq = lit, true
 		iv.NE = true
 	case OpLT:
 		iv.Hi, iv.HasHi = lit.AsFloat(), true
@@ -196,8 +197,8 @@ func splitColLiteral(b *Bin, params []types.Value) (*Col, types.Value, Op, bool)
 // conjunction. Equality constraints dominate.
 func Intersect(a, b Interval) Interval {
 	out := a
-	if b.Eq != nil && !b.NE {
-		out.Eq = b.Eq
+	if b.HasEq && !b.NE {
+		out.Eq, out.HasEq = b.Eq, true
 		out.NE = false
 	}
 	if b.HasLo && (!out.HasLo || b.Lo > out.Lo || (b.Lo == out.Lo && !b.LoIncl)) {

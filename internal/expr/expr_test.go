@@ -203,7 +203,7 @@ func TestExtractInterval(t *testing.T) {
 	// equality
 	e3 := bin(OpEQ, col(1, types.KindString), lit(types.Str("x")))
 	iv3, ok := ExtractInterval(e3, nil)
-	if !ok || iv3.Eq == nil || iv3.Eq.S != "x" {
+	if !ok || !iv3.HasEq || iv3.Eq.S != "x" {
 		t.Fatalf("eq interval wrong: %+v", iv3)
 	}
 	// parameter with binding

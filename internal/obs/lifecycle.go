@@ -157,6 +157,10 @@ type QueryRegistry struct {
 	sink    QuerySink
 	metrics *Registry
 	now     func() time.Time
+	// finished holds rqp_queries_finished_total{outcome} per terminal phase,
+	// each resolved by its first query (under mu): a lookup by label
+	// signature on every Finish would allocate more than a key lookup runs on.
+	finished [PhaseRejected + 1]*Counter
 }
 
 type completed struct {
@@ -274,12 +278,17 @@ func (r *QueryRegistry) Finish(q *QueryState, st FinishStats) *QueryRecord {
 		r.ringPos = (r.ringPos + 1) % cap(r.ring)
 	}
 	sink := r.sink
+	outcome := q.Phase()
+	if r.metrics != nil && r.finished[outcome] == nil {
+		r.finished[outcome] = r.metrics.Counter("rqp_queries_finished_total", L("outcome", rec.Outcome))
+	}
+	finished := r.finished[outcome]
 	r.mu.Unlock()
 
 	if r.metrics != nil {
 		r.metrics.Gauge("rqp_queries_active").Set(float64(n))
 		r.metrics.Histogram("rqp_query_latency_ms", LatencyBuckets).Observe(rec.DurationMS)
-		r.metrics.Counter("rqp_queries_finished_total", L("outcome", rec.Outcome)).Inc()
+		finished.Inc()
 	}
 	if sink != nil {
 		sink.WriteQuery(&rec)

@@ -264,13 +264,13 @@ func (o *Optimizer) filterSelectivity(br BaseRel, filters []expr.Expr, params []
 	eqSels := []float64{}
 	for i, f := range filters {
 		texts[i] = expr.EquivalentForm(f)
-		s := o.singlePredSelectivity(br, f, params)
+		s := PredSelectivity(br.Table, f, params)
 		if o.Opt.Mode == Percentile {
 			d := stats.FromEstimate(s, o.Opt.EvidenceRows)
 			s = d.Percentile(o.Opt.PercentileP)
 		}
 		sels[i] = s
-		if iv, ok := expr.ExtractInterval(f, params); ok && iv.Eq != nil && !iv.NE {
+		if iv, ok := expr.ExtractInterval(f, params); ok && iv.HasEq && !iv.NE {
 			eqCols = append(eqCols, iv.Col)
 			eqSels = append(eqSels, s)
 		}
@@ -288,7 +288,7 @@ func (o *Optimizer) filterSelectivity(br BaseRel, filters []expr.Expr, params []
 			corrSel := br.Table.Stats.CorrelatedConjunctionSelectivity(eqCols, eqSels)
 			rest := 1.0
 			for i, f := range filters {
-				if iv, ok := expr.ExtractInterval(f, params); ok && iv.Eq != nil && !iv.NE {
+				if iv, ok := expr.ExtractInterval(f, params); ok && iv.HasEq && !iv.NE {
 					continue
 				}
 				rest *= sels[i]
@@ -303,11 +303,53 @@ func (o *Optimizer) filterSelectivity(br BaseRel, filters []expr.Expr, params []
 	return clamp01(total), sig
 }
 
-// singlePredSelectivity estimates one conjunct against one relation.
-func (o *Optimizer) singlePredSelectivity(br BaseRel, f expr.Expr, params []types.Value) float64 {
+// ParamPred is one conjunct through which a parameter value reaches the
+// estimator: Pred, over Table's own schema, mentions a `?`.
+type ParamPred struct {
+	Table *catalog.Table
+	Pred  expr.Expr
+}
+
+// ParamPreds lists the conjuncts of q whose selectivity depends on the value
+// bound to a `?`: those that mention one and the columns of exactly one
+// relation, shifted to that relation's schema as analyze shifts them. Every
+// other conjunct gets a selectivity that ignores values — a join predicate by
+// its columns' distinct counts, a column-free one a default — so
+// PredSelectivity over this list, plus which parameters are NULL, numeric or
+// neither (what decides whether a conjunct is an index range or a pushed
+// column predicate), is everything Optimize derives from the parameters.
+func ParamPreds(q *plan.Query) []ParamPred {
+	var out []ParamPred
+	for _, c := range q.Conjuncts {
+		if !expr.HasParams(c) {
+			continue
+		}
+		rel := -1
+		for col := range expr.ColumnsUsed(c) {
+			ri := q.RelIndexForColumn(col)
+			if rel >= 0 && ri != rel {
+				rel = -1
+				break
+			}
+			rel = ri
+		}
+		if rel >= 0 {
+			r := q.Rels[rel]
+			out = append(out, ParamPred{Table: r.Table, Pred: expr.ShiftColumns(c, -r.Offset)})
+		}
+	}
+	return out
+}
+
+// PredSelectivity estimates one conjunct over one relation's schema (t nil: a
+// materialized intermediate, no statistics) under the given parameters. It is
+// the number filterSelectivity multiplies into the relation's cardinality and
+// it allocates nothing: the plan cache calls it per cached statement and
+// execution to place a bind in the selectivity space (ParamPreds).
+func PredSelectivity(t *catalog.Table, f expr.Expr, params []types.Value) float64 {
 	var ts *stats.TableStats
-	if br.Table != nil {
-		ts = br.Table.Stats
+	if t != nil {
+		ts = t.Stats
 	}
 	colStats := func(col int) *stats.ColumnStats {
 		if ts == nil {
@@ -318,14 +360,14 @@ func (o *Optimizer) singlePredSelectivity(br BaseRel, f expr.Expr, params []type
 	if iv, ok := expr.ExtractInterval(f, params); ok {
 		cs := colStats(iv.Col)
 		switch {
-		case iv.Eq != nil && iv.NE:
+		case iv.HasEq && iv.NE:
 			if cs != nil {
-				return clamp01(1 - cs.SelectivityEq(*iv.Eq))
+				return clamp01(1 - cs.SelectivityEq(iv.Eq))
 			}
 			return 0.9
-		case iv.Eq != nil:
+		case iv.HasEq:
 			if cs != nil {
-				return cs.SelectivityEq(*iv.Eq)
+				return cs.SelectivityEq(iv.Eq)
 			}
 			return 0.05
 		default:
@@ -387,12 +429,12 @@ func (o *Optimizer) singlePredSelectivity(br BaseRel, f expr.Expr, params []type
 		return sel
 	case *expr.Bin:
 		if n.Op == expr.OpOr {
-			l := o.singlePredSelectivity(br, n.L, params)
-			r := o.singlePredSelectivity(br, n.R, params)
+			l := PredSelectivity(t, n.L, params)
+			r := PredSelectivity(t, n.R, params)
 			return clamp01(l + r - l*r)
 		}
 		if n.Op == expr.OpAnd {
-			return clamp01(o.singlePredSelectivity(br, n.L, params) * o.singlePredSelectivity(br, n.R, params))
+			return clamp01(PredSelectivity(t, n.L, params) * PredSelectivity(t, n.R, params))
 		}
 	}
 	return 1.0 / 3

@@ -256,24 +256,23 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 		}
 		lead := ix.Cols[0]
 		iv := expr.Unbounded(lead)
-		found := false
-		var residual []expr.Expr
+		var bounds, residual []expr.Expr
 		for _, f := range ri.filters {
 			if fiv, ok := expr.ExtractInterval(f, qi.params); ok && fiv.Col == lead && !fiv.NE {
 				iv = expr.Intersect(iv, fiv)
-				found = true
+				bounds = append(bounds, f)
 				continue
 			}
 			residual = append(residual, f)
 		}
-		if !found {
+		if len(bounds) == 0 {
 			continue
 		}
 		cs := ri.rel.Table.Stats.ColStats(lead)
 		prefixSel := 1.0
 		if cs != nil {
-			if iv.Eq != nil {
-				prefixSel = cs.SelectivityEq(*iv.Eq)
+			if iv.HasEq {
+				prefixSel = cs.SelectivityEq(iv.Eq)
 			} else {
 				lo, hi := math.Inf(-1), math.Inf(1)
 				if iv.HasLo {
@@ -301,18 +300,7 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 		}
 		node := &plan.IndexScanNode{
 			Table: ri.rel.Table, Alias: ri.rel.Alias, Index: ix, Cols: ri.cols,
-			Residual: expr.AndAll(residual),
-		}
-		if iv.Eq != nil {
-			node.LoKey, node.HiKey = []types.Value{*iv.Eq}, []types.Value{*iv.Eq}
-			node.LoIncl, node.HiIncl, node.LoSet, node.HiSet = true, true, true, true
-		} else {
-			if iv.HasLo {
-				node.LoKey, node.LoIncl, node.LoSet = []types.Value{types.Float(iv.Lo)}, iv.LoIncl, true
-			}
-			if iv.HasHi {
-				node.HiKey, node.HiIncl, node.HiSet = []types.Value{types.Float(iv.Hi)}, iv.HiIncl, true
-			}
+			Bounds: bounds, Residual: expr.AndAll(residual),
 		}
 		node.Out = ri.out
 		node.Title = fmt.Sprintf("IndexScan(%s.%s)", ri.rel.Alias, ix.Name)

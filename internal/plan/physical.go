@@ -159,22 +159,21 @@ func TableCol(cols []int, ord int) int {
 	return cols[ord]
 }
 
-// IndexScanNode is a B+ tree range scan. Bounds apply to the index key
-// prefix; Residual filters rows after the heap fetch, before the projection
-// to Cols (as ScanNode.Cols).
+// IndexScanNode is a B+ tree range scan over the index's leading column.
+// The plan holds no key values: Bounds are the `col ⋈ literal-or-?` conjuncts
+// (over the table schema) the optimizer costed the range from, and the scan
+// derives its bounds from them at Open with the parameters of that execution
+// (expr.ExtractInterval + expr.Intersect, as the optimizer did) — so one plan
+// serves every bind of a parameterised statement. Residual filters rows after
+// the heap fetch, before the projection to Cols (as ScanNode.Cols).
 type IndexScanNode struct {
 	Base
 	Table    *catalog.Table
 	Alias    string
 	Index    *catalog.Index
 	Cols     []int
-	LoKey    []types.Value
-	LoIncl   bool
-	LoSet    bool
-	HiKey    []types.Value
-	HiIncl   bool
-	HiSet    bool
-	Residual expr.Expr // over table schema
+	Bounds   []expr.Expr // over table schema; never empty
+	Residual expr.Expr   // over table schema
 	// RFConsume lists runtime join filters this scan tests rows against.
 	RFConsume []RFilterSpec
 }

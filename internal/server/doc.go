@@ -21,9 +21,10 @@
 // polled by the engine's root drain loop — and a dead connection flips the
 // same flag, so a client crash aborts its query instead of leaving it
 // running for nobody. Prepared statements are per-session names over SQL
-// text; the compiled plans behind them live in the engine's shared
-// PlanCache, so sessions preparing the same parameter-free statement share
-// one cached plan.
+// text; the bound statements and compiled plans behind them live in the
+// engine's shared PlanCache, so sessions preparing the same statement —
+// literal or with `?` parameters — share one parse, one bind and, for binds
+// inside a plan's selectivity region, one cached plan.
 //
 // # Results
 //

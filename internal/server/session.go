@@ -10,7 +10,6 @@ import (
 
 	"rqp/internal/core"
 	"rqp/internal/exec"
-	"rqp/internal/sql"
 	"rqp/internal/types"
 )
 
@@ -18,9 +17,10 @@ import (
 const statusIdle = byte('I')
 
 // prepared is one named statement in a session's statement namespace.
-// Statements are per-session by name; the compiled plans behind them live in
-// the engine's shared PlanCache, keyed by normalized text, so two sessions
-// preparing the same parameter-free SQL share one cached plan.
+// Statements are per-session by name; the bound statements and compiled plans
+// behind them live in the engine's shared PlanCache, keyed by text, so two
+// sessions preparing the same SQL — with or without `?` — share one parse, one
+// bind and, bind values permitting, one plan.
 type prepared struct {
 	name string
 	sql  string
@@ -204,13 +204,15 @@ func (s *session) dispatch(f Frame) (fatal bool) {
 }
 
 // handlePrepare validates and names a statement. Parse errors surface at
-// prepare time so a bad statement fails before it is ever bound.
+// prepare time so a bad statement fails before it is ever bound, and the
+// engine keeps the parse (core.Engine.Prepare): Execute finds the statement
+// in the plan cache by its text.
 func (s *session) handlePrepare(m PrepareMsg) {
 	if m.Name == "" {
 		s.sendError(CodeParse, "prepared statement name must not be empty")
 		return
 	}
-	if _, err := sql.Parse(m.SQL); err != nil {
+	if err := s.srv.eng.Prepare(m.SQL); err != nil {
 		s.sendError(CodeParse, err.Error())
 		return
 	}

@@ -155,6 +155,7 @@ func TestPreparedLifecycle(t *testing.T) {
 		t.Fatalf("expected ERR_PARSE, got %v", err)
 	}
 
+	parsed := env.eng.Cache.Stats().Parses
 	if err := c.Prepare("byb", "SELECT a FROM r WHERE b = ? ORDER BY a"); err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +194,31 @@ func TestPreparedLifecycle(t *testing.T) {
 	}
 	if len(capped.Rows) != 5 || capped.RowCount != 5 {
 		t.Fatalf("row cap: got %d rows (count %d), want 5", len(capped.Rows), capped.RowCount)
+	}
+
+	// The statement was parsed once, at Prepare: the three Executes, the
+	// in-process executions of the same text and a second session preparing
+	// and running it all start from the statement in the engine's plan cache.
+	c2, err := Dial(env.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if err := c2.Prepare("mine", "SELECT a FROM r WHERE b = ? ORDER BY a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Bind("mine", types.Int(7)); err != nil {
+		t.Fatal(err)
+	}
+	if rs3, err := c2.Execute(0); err != nil || rowsFingerprint(rs3.Columns, rs3.Rows) != rowsFingerprint(want2.Columns, want2.Rows) {
+		t.Fatalf("second session: %v, rows %v vs %v", err, rs3, want2.Rows)
+	}
+	st := env.eng.Cache.Stats()
+	if got := st.Parses - parsed; got != 1 || env.eng.Cache.Len() != 1 {
+		t.Fatalf("statement parsed %d times for two Prepares and six executions; %d statements cached", got, env.eng.Cache.Len())
+	}
+	if st.Misses != 1 || st.Hits != 5 {
+		t.Fatalf("plan cache over six executions of one unique-selectivity statement: %+v", st)
 	}
 
 	// Close deallocates and clears the portal.
