@@ -539,13 +539,13 @@ func ownedRows(op Operator) (int, bool) {
 }
 
 // collect drains op and returns its rows: taken over when op owns them,
-// copied into one rowSet otherwise.
+// copied into one RowSet otherwise.
 func collect(op Operator, ctx *Context) ([]types.Row, error) {
 	if err := op.Open(); err != nil {
 		return nil, closeAfter(op, err)
 	}
 	var rows []types.Row
-	var set rowSet
+	var set RowSet
 	keep := RowSink(set.add)
 	n, owned := ownedRows(op)
 	if owned {
@@ -559,7 +559,7 @@ func collect(op Operator, ctx *Context) ([]types.Row, error) {
 		return nil, err
 	}
 	if !owned {
-		rows = set.rows()
+		rows = set.Rows()
 	}
 	return rows, nil
 }

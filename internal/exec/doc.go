@@ -30,7 +30,7 @@
 // coordinates, and the survivor is projected (appendCols) into a page buffer
 // or a scratch row, valid until the next call or until emit returns. A
 // retained row is copied once: an exchange's arena copies are taken over as
-// they are (ownedRows) by drain and the sort, and a retained row set (rowSet,
+// they are (ownedRows) by drain and the sort, and a retained row set (RowSet,
 // behind collect) cuts its []Row index once, after the last row. Every hash
 // join builds one joinTable over arena-held build rows and probes it through
 // one joinProbe (kernel.go); SetRowPoison is the test harness that overwrites

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -130,6 +131,78 @@ func TestSpillPipelineErrorReleasesEverything(t *testing.T) {
 				}
 				if sp, _, _, _, _ := ctx.Spill.Snapshot(); (sp > 0) != (budget == 64) {
 					t.Errorf("%q columnar=%v budget=%d: %d partitions spilled", q, columnar, budget, sp)
+				}
+			}
+		}
+	}
+}
+
+// TestNestedBuildErrorReleasesEverything: an error raised in the middle of a
+// build that is itself a join — here in the residual of g ⋈ h, which f probes
+// — surfaces while the join above already holds its own build (k: granted, or
+// spilled to temp runs, before the nested build opens). Serial operators and
+// morsel pipelines alike must hand every grant back and close every run.
+func TestNestedBuildErrorReleasesEverything(t *testing.T) {
+	cat := catalog.New()
+	mk := func(name string, schema types.Schema, rows int, row func(i int) types.Row) {
+		tb, err := cat.CreateTable(name, schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			cat.Insert(nil, tb, row(i))
+		}
+		cat.AnalyzeTable(tb, 4)
+		cat.BuildColumnar(tb, 256)
+	}
+	intCol := func(name string) types.Column { return types.Column{Name: name, Kind: types.KindInt} }
+	mk("f", types.Schema{intCol("a"), intCol("k")}, 4000, func(i int) types.Row {
+		return types.Row{types.Int(int64(i % 500)), types.Int(int64(i % 300))}
+	})
+	mk("g", types.Schema{intCol("a"), intCol("b"), {Name: "s", Kind: types.KindString}}, 500, func(i int) types.Row {
+		return types.Row{types.Int(int64(i)), types.Int(int64(i % 100)), types.Str("x")}
+	})
+	mk("h", types.Schema{intCol("b")}, 100, func(i int) types.Row { return types.Row{types.Int(int64(i))} })
+	mk("k", types.Schema{intCol("k")}, 300, func(i int) types.Row { return types.Row{types.Int(int64(i))} })
+	const q = "SELECT f.a FROM f, g, h, k WHERE f.a = g.a AND g.b = h.b AND f.k = k.k AND g.s - h.b > 0"
+	for _, columnar := range []bool{false, true} {
+		for _, dop := range []int{1, 2} {
+			for _, budget := range []int{1 << 30, 64} {
+				root := chainPlan(t, cat, q, columnar, false)
+				// The failing residual must sit in a build under a join that
+				// builds first.
+				if nested := nestedBuild(root); nested == nil || nested == chainOf(root)[0] || nested.Residual != nil {
+					t.Fatalf("want f probing a build of g ⋈ h (with the residual) under a join building on k:\n%s", plan.Explain(root))
+				}
+				if dop > 1 && plan.MarkParallel(root, 1) == 0 {
+					t.Fatal("nothing marked parallel")
+				}
+				ctx := NewContext()
+				ctx.DOP = dop
+				ctx.Mem = NewMemBroker(budget)
+				var grants int
+				ctx.Mem.OnEvent = func(kind string, _, _, _ int) {
+					if kind == "grant" {
+						grants++
+					}
+				}
+				pagesBefore := storage.OpenTempPages()
+				_, err := Run(root, ctx)
+				cell := fmt.Sprintf("columnar=%v dop=%d budget=%d", columnar, dop, budget)
+				if err == nil || !strings.Contains(err.Error(), "non-numeric") {
+					t.Fatalf("%s: want the non-numeric error, got %v", cell, err)
+				}
+				if grants < 2 {
+					t.Errorf("%s: %d grants before the error, want the outer build's and the nested join's own", cell, grants)
+				}
+				if in := ctx.Mem.InUse(); in != 0 {
+					t.Errorf("%s: %d workspace rows still granted after the error", cell, in)
+				}
+				if open := storage.OpenTempPages() - pagesBefore; open != 0 {
+					t.Errorf("%s: %d temp-run pages left open after the error", cell, open)
+				}
+				if sp, _, _, _, _ := ctx.Spill.Snapshot(); (sp > 0) != (budget == 64) {
+					t.Errorf("%s: %d partitions spilled", cell, sp)
 				}
 			}
 		}

@@ -49,11 +49,12 @@ func (a *RowArena) Copy(r types.Row) types.Row {
 	return out
 }
 
-// rowSet retains rows of one width — a build side, a drained input, a
+// RowSet retains rows of one width — a build side, a drained input, a
 // result — in an arena of its own and cuts their index once, at its exact
 // size, after the last row: they sit back to back in the arena's chunks, so
-// no index is grown (and regrown, and copied) while they arrive.
-type rowSet struct {
+// no index is grown (and regrown, and copied) while they arrive. Exported,
+// like the arena, for the wire client's result decoder.
+type RowSet struct {
 	arena RowArena
 	n     int
 	// The chunks the arena has left behind, in order. The first is kept
@@ -62,22 +63,28 @@ type rowSet struct {
 	full  [][]types.Value
 }
 
-// add copies r into the set. It is a RowSink (that never fails).
-func (s *rowSet) add(r types.Row) error {
-	if !s.arena.fits(len(r)) && len(s.arena.chunk) > 0 {
+// Alloc adds a row of n zero values for the caller to fill (every row of a
+// set the same n; a row of none is still counted).
+func (s *RowSet) Alloc(n int) types.Row {
+	if !s.arena.fits(n) && len(s.arena.chunk) > 0 {
 		if s.first == nil {
 			s.first = s.arena.chunk
 		} else {
 			s.full = append(s.full, s.arena.chunk)
 		}
 	}
-	s.arena.Copy(r)
 	s.n++
+	return s.arena.Alloc(n)
+}
+
+// add copies r into the set. It is a RowSink (that never fails).
+func (s *RowSet) add(r types.Row) error {
+	copy(s.Alloc(len(r)), r)
 	return nil
 }
 
-// rows returns the set's rows in arrival order (nil for none).
-func (s *rowSet) rows() []types.Row {
+// Rows returns the set's rows in arrival order (nil for none).
+func (s *RowSet) Rows() []types.Row {
 	if s.n == 0 {
 		return nil
 	}
@@ -286,9 +293,9 @@ func (b *hashBuild) replay() ([]types.Row, error) {
 	if b.spill == nil {
 		return nil, nil
 	}
-	var out rowSet
+	var out RowSet
 	err := b.spill.finish(out.add)
-	return out.rows(), err
+	return out.Rows(), err
 }
 
 // release frees the table (or spill state) and returns the grant.

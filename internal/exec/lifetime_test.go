@@ -30,6 +30,7 @@ func TestRowLifetime(t *testing.T) {
 		{"ParallelDeterminism", TestParallelDeterminism},
 		{"SpillPropertyAcrossBudgets", TestSpillPropertyAcrossBudgets},
 		{"SpillPipelineChainsExact", TestSpillPipelineChainsExact},
+		{"NestedBuildExact", TestNestedBuildExact},
 		{"ColumnarShardedJoinExact", TestColumnarShardedJoinExact},
 		{"SpillMergeFallback", TestSpillMergeFallback},
 		{"SpillSortTempRuns", TestSpillSortTempRuns},

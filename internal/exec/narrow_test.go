@@ -310,16 +310,16 @@ func TestIndexNLJoinLeftOuterPadsInnerWidth(t *testing.T) {
 // counted, which is all a build's grant and an exchange need of them.
 func TestRowSetCutsIndexOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 3 * arenaMaxChunk} {
-		var set, empty rowSet
+		var set, empty RowSet
 		src := types.Row{types.Int(0), types.Str("x")}
 		for i := 0; i < n; i++ {
 			src[0] = types.Int(int64(i))
 			set.add(src)
 			empty.add(src[:0])
 		}
-		rows := set.rows()
-		if len(rows) != n || len(empty.rows()) != n {
-			t.Fatalf("%d rows in: %d out, %d zero-width out", n, len(rows), len(empty.rows()))
+		rows := set.Rows()
+		if len(rows) != n || len(empty.Rows()) != n {
+			t.Fatalf("%d rows in: %d out, %d zero-width out", n, len(rows), len(empty.Rows()))
 		}
 		for i, r := range rows {
 			if len(r) != 2 || cap(r) != 2 || r[0].I != int64(i) || r[1].S != "x" {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"rqp/internal/expr"
@@ -159,11 +158,13 @@ type morselSink interface {
 // lends, a prober per stage (key scratch, output row) and the arena an
 // exchange copies retained rows into, so steady-state morsels allocate
 // nothing per row. Rows of successive morsels share arena chunks, which the
-// rows themselves keep alive.
+// rows themselves keep alive. groups is how many groups the worker's last
+// aggregation partial ended with: what it sizes the next one for.
 type morselScratch struct {
 	row    types.Row
 	probes []*joinProbe
 	arena  RowArena
+	groups int
 }
 
 // fusesJoin reports whether a join runs as a pipeline stage.
@@ -286,16 +287,25 @@ func (p *pipeline) segment(src *morselSource, lo, hi int, sink morselSink) error
 	if hi < len(p.stages) {
 		label = stages[len(stages)-1].node.Label()
 	}
-	scratch := sync.Pool{New: func() any {
+	// One scratch per worker, handed from morsel to morsel and garbage when
+	// the segment returns (a sync.Pool would keep every worker's arena chunk
+	// reachable until the second collection after it).
+	free := make(chan *morselScratch, max(1, p.ctx.DOP))
+	scratch := func() *morselScratch {
+		select {
+		case st := <-free:
+			return st
+		default:
+		}
 		st := &morselScratch{probes: make([]*joinProbe, len(stages))}
 		for i, j := range stages {
 			st.probes[i] = j.prober()
 		}
 		return st
-	}}
+	}
 	var err error
 	if len(stages) == 1 && stages[0].spill != nil {
-		j, st := stages[0], scratch.Get().(*morselScratch)
+		j, st := stages[0], scratch()
 		sink.reset(1)
 		emit, end := sink.begin(0, p.ctx.Clock, st)
 		err = runMorsels(p.ctx, label, src.n, 1, func(m int, clk *storage.Clock) (int, error) {
@@ -313,13 +323,14 @@ func (p *pipeline) segment(src *morselSource, lo, hi int, sink morselSink) error
 	} else {
 		sink.reset(src.n)
 		err = runMorsels(p.ctx, label, src.n, p.ctx.DOP, func(m int, clk *storage.Clock) (int, error) {
-			st := scratch.Get().(*morselScratch)
-			defer scratch.Put(st)
+			st := scratch()
 			emit, end := sink.begin(m, clk, st)
 			if err := p.morsel(src, stages, st, m, clk, emit); err != nil {
-				return 0, err
+				return 0, err // the segment fails: nobody needs st back
 			}
-			return end(), nil
+			n := end()
+			free <- st
+			return n, nil
 		})
 	}
 	if err != nil {
@@ -552,6 +563,20 @@ func (p *aggPartial) add(key []types.Value, hash uint64, naggs int) *group {
 	return g
 }
 
+// reserve sizes an empty partial for n groups of keyWidth key values and
+// naggs aggregates each, so that reaching n allocates nothing further. It
+// sets capacities only: what the partial holds, and in which order, is
+// unchanged, and add grows past n as it grows from nothing.
+func (p *aggPartial) reserve(n, keyWidth, naggs int) {
+	if n == 0 {
+		return
+	}
+	p.heads = make(map[uint64]*group, n)
+	p.order = make([]*group, 0, n)
+	p.groups, p.states = make([]group, 0, n), make([]aggState, 0, n*naggs)
+	p.keys.chunk = make([]types.Value, 0, n*keyWidth)
+}
+
 // link adopts g, whose key hashes to hash and is not yet present.
 func (p *aggPartial) link(g *group, hash uint64) {
 	if p.heads == nil {
@@ -620,12 +645,18 @@ func (a *parallelAgg) Open() error {
 
 func (a *parallelAgg) reset(n int) { a.partials = make([]*aggPartial, n) }
 
-// begin opens morsel m's partial: every row is accumulated as it arrives.
-func (a *parallelAgg) begin(m int, clk *storage.Clock, _ *morselScratch) (RowSink, func() int) {
+// begin opens morsel m's partial: every row is accumulated as it arrives. The
+// partial starts at the size the worker's previous one reached — successive
+// morsels of one source see about the same number of groups — so a grouped
+// morsel allocates its slabs, order list, key arena and map once, not once
+// per doubling.
+func (a *parallelAgg) begin(m int, clk *storage.Clock, st *morselScratch) (RowSink, func() int) {
 	p := &aggPartial{}
+	p.reserve(st.groups, len(a.node.GroupExprs), len(a.node.Aggs))
 	key := make([]types.Value, len(a.node.GroupExprs))
 	return func(r types.Row) error { return a.accumRow(p, r, key, clk) }, func() int {
 		a.partials[m] = p
+		st.groups = len(p.order)
 		return len(p.order)
 	}
 }

@@ -10,15 +10,20 @@ import (
 	"rqp/internal/obs"
 	"rqp/internal/opt"
 	"rqp/internal/plan"
+	"rqp/internal/storage"
 	"rqp/internal/types"
 )
 
-// chainCatalog builds a four-table snowflake — li → ord → cust → nat, Q3 and
-// Q10 in miniature — with integer data (so SUM merges exactly), NULL join
-// keys, and every foreign key covering only part of its parent, so each
-// join's runtime filter drops well above the break-even rate and never
-// disables itself (a disable races between workers and blurs cost parity).
-// All tables carry columnar snapshots with small blocks.
+// chainCatalog builds four tables that read as a snowflake — li → ord → cust
+// → nat, Q3 and Q10 in miniature — and, through li's own c and n columns, as
+// a star around li: the dimensions then join only through the fact table, so
+// the cheapest plan is li probing a chain of single-table builds, whereas the
+// snowflake's is li probing a build that is itself a join (nestedQueries).
+// Integer data (so SUM merges exactly), NULL join keys, and every foreign key
+// covering only part of its parent, so each join's runtime filter drops well
+// above the break-even rate and never disables itself (a disable races
+// between workers and blurs cost parity). All tables carry columnar snapshots
+// with small blocks.
 func chainCatalog(t testing.TB) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
@@ -43,9 +48,11 @@ func chainCatalog(t testing.TB) *catalog.Catalog {
 		}
 		return types.Int(v)
 	}
-	// li.o ranges over 900 order keys, ord holds 600 of them.
-	mk("li", []string{"o", "g", "v", "pad"}, 3000, func(i int) types.Row {
-		return types.Row{key(i, 41, int64(i*7%900)), types.Int(int64(i % 7)), types.Int(int64(i)), types.Int(int64(i % 3))}
+	// li.o ranges over 900 order keys, ord holds 600 of them; li.c and li.n
+	// range like ord.c and cust.n.
+	mk("li", []string{"o", "g", "v", "pad", "c", "n"}, 3000, func(i int) types.Row {
+		return types.Row{key(i, 41, int64(i*7%900)), types.Int(int64(i % 7)), types.Int(int64(i)), types.Int(int64(i % 3)),
+			key(i, 37, int64(i*11%200)), key(i, 31, int64(i*13%60))}
 	})
 	// ord.c ranges over 200 customer keys, cust holds 120 of them.
 	mk("ord", []string{"o", "c", "d"}, 600, func(i int) types.Row {
@@ -100,22 +107,23 @@ var chainQueries = []struct {
 	agg       bool // topped by an aggregation (which takes a grant only when serial)
 }{
 	{"q3", `SELECT ord.o, COUNT(*), SUM(li.v) FROM cust, ord, li
-		WHERE cust.seg = 1 AND cust.c = ord.c AND li.o = ord.o AND ord.d < 400 GROUP BY ord.o`, 2, true},
+		WHERE cust.seg < 4 AND cust.c = li.c AND li.o = ord.o AND ord.d < 400 GROUP BY ord.o`, 2, true},
 	{"q3-rows", `SELECT li.v, ord.d, cust.seg FROM cust, ord, li
-		WHERE cust.c = ord.c AND li.o = ord.o AND ord.d < 400`, 2, false},
+		WHERE cust.c = li.c AND li.o = ord.o AND ord.d < 400`, 2, false},
 	{"q10", `SELECT cust.c, nat.r, COUNT(*), SUM(li.v) FROM cust, ord, li, nat
-		WHERE cust.c = ord.c AND li.o = ord.o AND cust.n = nat.n AND li.g < 5 GROUP BY cust.c, nat.r`, 3, true},
+		WHERE cust.c = li.c AND li.o = ord.o AND li.n = nat.n AND li.g < 5 GROUP BY cust.c, nat.r`, 3, true},
 	{"q10-rows", `SELECT li.v, ord.d, cust.seg, nat.r FROM cust, ord, li, nat
-		WHERE cust.c = ord.c AND li.o = ord.o AND cust.n = nat.n AND li.g < 5`, 3, false},
+		WHERE cust.c = li.c AND li.o = ord.o AND li.n = nat.n AND li.g < 5`, 3, false},
 	{"left-outer", `SELECT li.v, ord.d, cust.seg FROM li LEFT JOIN ord ON li.o = ord.o LEFT JOIN cust ON ord.c = cust.c
 		WHERE li.g < 3`, 2, false},
 	{"residual", `SELECT li.v, ord.d, cust.seg FROM cust, ord, li
-		WHERE cust.c = ord.c AND li.o = ord.o AND li.v < ord.d * 6`, 2, false},
+		WHERE cust.c = li.c AND li.o = ord.o AND li.v < ord.d * 6`, 2, false},
 }
 
 // TestSpillPipelineChainsExact is the pipeline's exactness property: 3- and
-// 4-table probe chains (Q3 and Q10 shapes, with and without the aggregate on
-// top, one LEFT OUTER, one with a join residual) return the serial run's
+// 4-table probe chains (stars of two and three dimensions around li, with and
+// without the aggregate on top, one LEFT OUTER, one with a join residual)
+// return the serial run's
 // rows byte for byte and in order, at the serial run's integer-exact cost,
 // across heap/columnar × runtime filters × DOP {1, 2, 8} × memory budgets —
 // unlimited, tight (every build spills), shrinking mid-query, and the
@@ -226,6 +234,121 @@ func TestSpillPipelineChainsExact(t *testing.T) {
 					}
 					if par[0].disabled == 0 && par[1].disabled == 0 && par[0].cost != par[1].cost {
 						t.Errorf("%s: cost %v at dop 2, %v at dop 8", cell, par[0].cost, par[1].cost)
+					}
+				}
+			}
+		}
+	}
+}
+
+// nestedQueries read chainCatalog as the snowflake it also is: cust reaches li
+// only through ord (and nat through cust), so the cheapest plan joins the
+// dimensions first and li probes that join — a build side that is itself a
+// join subtree, the shape a zig-zag enumerator adds to a left-deep one's.
+var nestedQueries = []struct {
+	name, sql string
+	agg       bool
+}{
+	{"q3", `SELECT ord.o, COUNT(*), SUM(li.v) FROM cust, ord, li
+		WHERE cust.seg = 1 AND cust.c = ord.c AND li.o = ord.o AND ord.d < 400 GROUP BY ord.o`, true},
+	{"q3-rows", `SELECT li.v, ord.d, cust.seg FROM cust, ord, li
+		WHERE cust.c = ord.c AND li.o = ord.o AND ord.d < 400`, false},
+	{"q10", `SELECT cust.c, nat.r, COUNT(*), SUM(li.v) FROM cust, ord, li, nat
+		WHERE cust.c = ord.c AND li.o = ord.o AND cust.n = nat.n AND li.g < 5 GROUP BY cust.c, nat.r`, true},
+	{"q10-rows", `SELECT li.v, ord.d, cust.seg, nat.r FROM cust, ord, li, nat
+		WHERE cust.c = ord.c AND li.o = ord.o AND cust.n = nat.n AND li.g < 5`, false},
+	{"residual", `SELECT li.v, ord.d, cust.seg FROM cust, ord, li
+		WHERE cust.c = ord.c AND li.o = ord.o AND li.v < ord.d * 6`, false},
+}
+
+// nestedBuild returns a hash join of root whose build side (Kids[1]) holds a
+// join of its own, or nil.
+func nestedBuild(root plan.Node) *plan.JoinNode {
+	var found *plan.JoinNode
+	plan.Walk(root, func(n plan.Node) {
+		j, ok := n.(*plan.JoinNode)
+		if !ok || found != nil {
+			return
+		}
+		plan.Walk(j.Kids[1], func(b plan.Node) {
+			if _, ok := b.(*plan.JoinNode); ok {
+				found = j
+			}
+		})
+	})
+	return found
+}
+
+// TestNestedBuildExact: a hash join whose build side is a join subtree
+// returns the serial operators' rows byte for byte and in order, at their
+// integer-exact cost, whether the plan runs on the serial operators or as
+// morsel pipelines (the build then a pipeline of its own, gathered through an
+// exchange whose rows the outer join's table takes over), at DOP {1, 2, 8},
+// on the heap and on columnar scans with runtime filters, with unlimited
+// workspace and under a budget every build exceeds. Nothing stays granted and
+// no temp run stays open.
+func TestNestedBuildExact(t *testing.T) {
+	cat := chainCatalog(t)
+	type outcome struct {
+		rows     string
+		cost     float64
+		disabled int64
+		spilled  int // partitions
+	}
+	run := func(q string, columnar, marked bool, dop, budget int) outcome {
+		root := chainPlan(t, cat, q, columnar, columnar)
+		if marked && plan.MarkParallel(root, 1) == 0 {
+			t.Fatalf("%q: nothing marked parallel", q)
+		}
+		ctx := NewContext()
+		ctx.DOP = dop
+		ctx.Mem = NewMemBroker(budget)
+		if columnar {
+			ctx.RF = NewRuntimeFilterSet(nil)
+		}
+		pagesBefore := storage.OpenTempPages()
+		rows, err := Run(root, ctx)
+		cell := fmt.Sprintf("%q columnar=%v marked=%v dop=%d budget=%d", q, columnar, marked, dop, budget)
+		if err != nil {
+			t.Fatalf("%s: %v", cell, err)
+		}
+		if in := ctx.Mem.InUse(); in != 0 {
+			t.Errorf("%s: %d workspace rows still granted", cell, in)
+		}
+		if open := storage.OpenTempPages() - pagesBefore; open != 0 {
+			t.Errorf("%s: %d temp-run pages left open", cell, open)
+		}
+		out := outcome{rows: rowsJoined(rows), cost: ctx.Clock.Units()}
+		if ctx.RF != nil {
+			_, _, _, out.disabled = ctx.RF.Snapshot()
+		}
+		out.spilled, _, _, _, _ = ctx.Spill.Snapshot()
+		return out
+	}
+	for _, q := range nestedQueries {
+		if nestedBuild(chainPlan(t, cat, q.sql, false, false)) == nil {
+			t.Fatalf("%s: no hash join builds on a join subtree:\n%s", q.name, plan.Explain(chainPlan(t, cat, q.sql, false, false)))
+		}
+		for _, columnar := range []bool{false, true} {
+			for _, budget := range []int{1 << 30, 64} {
+				want := run(q.sql, columnar, false, 1, budget)
+				if (want.spilled > 0) != (budget == 64) {
+					t.Fatalf("%s columnar=%v budget=%d: %d partitions spilled", q.name, columnar, budget, want.spilled)
+				}
+				for _, marked := range []bool{false, true} {
+					for _, dop := range []int{1, 2, 8} {
+						got := run(q.sql, columnar, marked, dop, budget)
+						cell := fmt.Sprintf("%s columnar=%v budget=%d marked=%v dop=%d", q.name, columnar, budget, marked, dop)
+						if got.rows != want.rows {
+							t.Errorf("%s: rows diverge from serial", cell)
+						}
+						// As in TestSpillPipelineChainsExact: the serial hashAgg
+						// takes a grant of its own, the morsel aggregation none.
+						pipelined := marked && dop > 1
+						comparable := !pipelined || !q.agg || budget == 1<<30
+						if comparable && got.disabled == 0 && want.disabled == 0 && got.cost != want.cost {
+							t.Errorf("%s: cost %v, serial %v", cell, got.cost, want.cost)
+						}
 					}
 				}
 			}
@@ -392,7 +515,7 @@ func measureAllocs(fn func()) (objects, bytes float64) {
 // between its decoded block and the hash table.
 func TestAllocCeilingPipeline(t *testing.T) {
 	cat := allocCatalog(t)
-	for _, name := range []string{"lineitem", "orders", "customer"} {
+	for _, name := range []string{"lineitem", "orders", "supplier"} {
 		tb, _ := cat.Table(name)
 		cat.BuildColumnar(tb, 1024)
 	}
@@ -433,8 +556,9 @@ func TestAllocCeilingPipeline(t *testing.T) {
 		maxObjectsPerProbeRow = maxAllocsPerProbeRow // per morsel and per query, never per row
 		maxBytesPerProbeRow   = 128                  // measured 3.1 (41.6 under the race detector); the parent's slab row alone was 320
 	)
-	const q = `SELECT l_returnflag, COUNT(*), SUM(l_quantity) FROM customer, orders, lineitem
-		WHERE c_mktsegment = 'BUILDING' AND c_custkey = o_custkey AND l_orderkey = o_orderkey
+	// A star: orders and supplier join only through lineitem.
+	const q = `SELECT l_returnflag, COUNT(*), SUM(l_quantity) FROM supplier, orders, lineitem
+		WHERE s_nationkey < 10 AND s_suppkey = l_suppkey AND l_orderkey = o_orderkey
 		AND o_orderdate < DATE(9200) GROUP BY l_returnflag`
 	mk := func() plan.Node {
 		root := chainPlan(t, cat, q, true, false)
@@ -474,5 +598,62 @@ func TestAllocCeilingPipeline(t *testing.T) {
 	if perRowObjects > maxObjectsPerProbeRow || perRowBytes > maxBytesPerProbeRow {
 		t.Errorf("chain beyond its build sides: %.4f objects and %.1f bytes per probe row (ceilings %v and %v)",
 			perRowObjects, perRowBytes, maxObjectsPerProbeRow, maxBytesPerProbeRow)
+	}
+}
+
+// TestAllocCeilingNestedBuild: a build side that is itself a join runs as a
+// pipeline of its own into an exchange, and the hash table above takes the
+// exchange's rows over as they are — the worker's arena copy of a probe's
+// reused output row is the only one, exactly as for a build that is a scan.
+func TestAllocCeilingNestedBuild(t *testing.T) {
+	cat := allocCatalog(t)
+	for _, name := range []string{"lineitem", "orders", "customer"} {
+		tb, _ := cat.Table(name)
+		cat.BuildColumnar(tb, 1024)
+	}
+	// Every column of both dimensions, so the build rows are wide enough for a
+	// second copy to stand out from the per-row overheads.
+	const q = `SELECT l_quantity, o_orderkey, o_custkey, o_orderdate, o_totalprice, c_custkey, c_nationkey, c_mktsegment, c_acctbal
+		FROM customer, orders, lineitem WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey`
+	root := chainPlan(t, cat, q, true, false)
+	plan.MarkParallel(root, 1)
+	j := nestedBuild(root)
+	if j == nil {
+		t.Fatalf("no hash join builds on a join subtree:\n%s", plan.Explain(root))
+	}
+	inner := j.Kids[1].(*plan.JoinNode)
+	dop2 := func() *Context {
+		ctx := NewContext()
+		ctx.DOP = 2
+		return ctx
+	}
+	erect := func(j *plan.JoinNode) (rows int, bytes float64) {
+		_, bytes = measureAllocs(func() {
+			ctx := dop2()
+			right, err := build(j.Kids[1], ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pj := &parallelHashJoin{hashBuild: hashBuild{ctx: ctx, node: j}, right: right}
+			if err := pj.openBuild(); err != nil {
+				t.Fatal(err)
+			}
+			rows = len(pj.tab.rows)
+			pj.release()
+		})
+		return rows, bytes
+	}
+	_, innerBytes := erect(inner)
+	n, bytes := erect(j)
+	rowBytes := float64(n * len(inner.Schema()) * 40)
+	// Beyond the inner join's own build: the rows once, their 24 B headers in
+	// the exchange buffers and again in the gathered slice, 20 B of table per
+	// row, the arenas' tail chunks: 1.20 measured, 1.59 under the race
+	// detector (see TestAllocCeilingPipeline). A second copy adds 1.
+	const maxCopies = 1.9
+	got := (bytes - innerBytes) / rowBytes
+	t.Logf("%d-row, %d-column nested build: %.0f bytes beyond its inner build's %.0f, %.2f × its rows", n, len(inner.Schema()), bytes-innerBytes, innerBytes, got)
+	if n == 0 || got > maxCopies {
+		t.Errorf("nested build of %d rows: %.2f × its rows allocated (ceiling %v): copied more than once", n, got, maxCopies)
 	}
 }

@@ -97,9 +97,9 @@ func (j *shardedHashJoin) colocatedValid() bool {
 // clk: the scan lends them, so each is copied once.
 func (j *shardedHashJoin) scanBuild(rf *rfConsumer, lo, hi int, clk *storage.Clock) ([]types.Row, error) {
 	var scratch types.Row
-	var kept rowSet
+	var kept RowSet
 	err := scanPageRange(j.ctx, j.buildScan, rf, lo, hi, clk, &scratch, kept.add)
-	return kept.rows(), err
+	return kept.Rows(), err
 }
 
 // drainBuild materializes the build side in serial order with serial

@@ -57,7 +57,10 @@ func E10FMT(scale float64) (*Report, error) {
 		return total, nil
 	}
 
-	const hi, lo = 1 << 18, 128
+	// lo is the broker's progress floor (as E23's bottom rung): the hash joins
+	// build on dimension-side joins of a few dozen rows at small scales, and a
+	// budget they fit in would make every schedule cost the same.
+	const hi, lo = 1 << 18, 16
 	ubl, err := runSchedule(wlm.ConstantMemory(hi))
 	if err != nil {
 		return nil, err

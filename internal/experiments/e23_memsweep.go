@@ -27,8 +27,12 @@ type MemSweepPoint struct {
 }
 
 // memSweepBudgets is the budget ladder, ascending. The top rung never
-// spills; each step down roughly quarters the workspace.
-var memSweepBudgets = []int{64, 256, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 30}
+// spills; each step down roughly quarters the workspace. The bottom rung is
+// the broker's progress floor (a grant is never below min(want, 16)), the
+// tightest budget that means anything: the suite's builds are dimension-side
+// joins of a few dozen to a few hundred rows, so at small scales it is the
+// only rung they exceed.
+var memSweepBudgets = []int{16, 64, 256, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 30}
 
 // MemSweep runs the memory-degradation sweep and returns both the report
 // and the raw points (for rqpbench -mem-sweep and the DESIGN.md table).

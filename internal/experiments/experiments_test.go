@@ -167,8 +167,14 @@ func TestE9Extrinsic(t *testing.T) {
 
 func TestE10FMTEnvelope(t *testing.T) {
 	r := runE(t, "E10", 0.3)
-	if r.KV["ubl"] > r.KV["lbl"] {
+	if r.KV["ubl"] >= r.KV["lbl"] {
 		t.Errorf("full memory should beat min memory: ubl=%v lbl=%v", r.KV["ubl"], r.KV["lbl"])
+	}
+	// The schedules must cross the spill knee, not sit on one side of it.
+	for _, k := range []string{"declining", "oscillating"} {
+		if r.KV[k] <= r.KV["ubl"] || r.KV[k] >= r.KV["lbl"] {
+			t.Errorf("%s schedule never felt the pressure: %v outside (%v, %v)", k, r.KV[k], r.KV["ubl"], r.KV["lbl"])
+		}
 	}
 	if r.KV["in_envelope"] != 1 {
 		t.Errorf("fluctuating schedules should stay within the envelope:\n%s",

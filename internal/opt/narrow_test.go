@@ -40,18 +40,7 @@ func accessPaths(root plan.Node) map[string]accessPath {
 // mentions, in table order, under a schema of the same names — and a
 // relation whose every column is mentioned keeps Cols nil, the stored row.
 func TestScansEmitMentionedColumns(t *testing.T) {
-	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ix := range []struct {
-		table, col string
-		unique     bool
-	}{{"orders", "o_orderkey", true}, {"customer", "c_custkey", true}, {"lineitem", "l_orderkey", false}} {
-		if _, err := cat.CreateIndex(nil, ix.table, "ix_"+ix.col, []string{ix.col}, ix.unique); err != nil {
-			t.Fatal(err)
-		}
-	}
+	cat := benchCatalog(t, 1)
 	q := workload.TPCHQueries()
 	all := []string(nil) // every column: Cols must be nil
 	cases := []struct {
@@ -79,23 +68,15 @@ func TestScansEmitMentionedColumns(t *testing.T) {
 			"orders":   {"o_orderkey", "o_custkey", "o_orderdate"},
 			"lineitem": {"l_orderkey", "l_extendedprice", "l_returnflag"},
 			"nation":   {"n_nationkey"}}},
-		{"order-by-key", `SELECT o_orderkey, o_custkey, o_orderdate, o_totalprice FROM orders WHERE o_orderkey = ?`,
-			[]types.Value{types.Int(7)}, map[string][]string{"orders": all}},
-		{"cust-nation", `SELECT customer.c_custkey, customer.c_mktsegment, customer.c_acctbal, nation.n_name
-			FROM customer, nation
-			WHERE customer.c_nationkey = nation.n_nationkey AND customer.c_custkey = ?`,
-			[]types.Value{types.Int(7)}, map[string][]string{
-				"customer": all,
-				"nation":   {"n_nationkey", "n_name"}}},
-		{"order-lines", `SELECT orders.o_orderkey, lineitem.l_quantity, lineitem.l_extendedprice, customer.c_custkey, nation.n_name
-			FROM orders, lineitem, customer, nation
-			WHERE lineitem.l_orderkey = orders.o_orderkey AND orders.o_custkey = customer.c_custkey
-			AND customer.c_nationkey = nation.n_nationkey AND orders.o_orderkey = ?`,
-			[]types.Value{types.Int(7)}, map[string][]string{
-				"orders":   {"o_orderkey", "o_custkey"},
-				"lineitem": {"l_orderkey", "l_quantity", "l_extendedprice"},
-				"customer": {"c_custkey", "c_nationkey"},
-				"nation":   {"n_nationkey", "n_name"}}},
+		{"order-by-key", lookupOrderByKey, []types.Value{types.Int(7)}, map[string][]string{"orders": all}},
+		{"cust-nation", lookupCustNation, []types.Value{types.Int(7)}, map[string][]string{
+			"customer": all,
+			"nation":   {"n_nationkey", "n_name"}}},
+		{"order-lines", lookupOrderLines, []types.Value{types.Int(7)}, map[string][]string{
+			"orders":   {"o_orderkey", "o_custkey"},
+			"lineitem": {"l_orderkey", "l_quantity", "l_extendedprice"},
+			"customer": {"c_custkey", "c_nationkey"},
+			"nation":   {"n_nationkey", "n_name"}}},
 	}
 	for _, tc := range cases {
 		root, err := New(cat).Optimize(bindQ(t, cat, tc.sql), tc.params)

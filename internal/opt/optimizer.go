@@ -136,7 +136,14 @@ func (o *Optimizer) enumerate(qi *queryInfo) (entry, error) {
 	return best, nil
 }
 
-// combineSplits tries all admissible (left, right) splits of set.
+// combineSplits tries all admissible (left, right) splits of set. The loop
+// visits every ordered pair of non-empty complementary subsets, so each
+// unordered split is offered to joinCandidates twice, once per role
+// assignment: right (Kids[1]) is a hash join's build and an NL join's inner.
+// Without BushyJoins the search space is zig-zag trees: every join keeps at
+// least one base relation as a child, on either side, so a single relation
+// may probe a multi-relation build as well as the other way round. Only the
+// splits whose sides are both multi-relation are bushy.
 func (o *Optimizer) combineSplits(qi *queryInfo, dp map[uint64]entry, set uint64, requireConnected bool) {
 	for right := set & (set - 1); ; right = (right - 1) & set {
 		if right == 0 {
@@ -146,9 +153,7 @@ func (o *Optimizer) combineSplits(qi *queryInfo, dp map[uint64]entry, set uint64
 		if left == 0 {
 			continue
 		}
-		if !o.Opt.BushyJoins && popcount(right) != 1 {
-			// left-deep: right side must be a single relation; also allow
-			// the mirrored case via the symmetric split later in the loop.
+		if !o.Opt.BushyJoins && popcount(right) != 1 && popcount(left) != 1 {
 			continue
 		}
 		le, lok := dp[left]
@@ -168,14 +173,17 @@ func (o *Optimizer) combineSplits(qi *queryInfo, dp map[uint64]entry, set uint64
 	}
 }
 
+// tieBand is the relative cost difference below which better calls two
+// candidates equal.
+const tieBand = 1e-4
+
 // better orders candidate plans: strictly cheaper wins; near-ties (within
 // 0.01%) break on the canonical plan signature so that semantically
 // equivalent queries — e.g. commuted FROM lists — always produce the same
 // plan (the equivalent-query robustness requirement).
 func better(cand, cur entry) bool {
-	const relEps = 1e-4
 	diff := cand.cost - cur.cost
-	tol := relEps * (cand.cost + cur.cost + 1)
+	tol := tieBand * (cand.cost + cur.cost + 1)
 	if diff < -tol {
 		return true
 	}

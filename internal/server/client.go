@@ -182,11 +182,13 @@ func (c *Client) readFrame() (Frame, error) {
 
 // readCycle consumes frames until Ready, assembling the result. A command
 // cycle is: [Notice*] [RowDesc Row*] (Complete | Error) [Notice*] Ready.
-// Rows are decoded into one arena per result, so a result costs an
-// allocation per few hundred rows.
+// Rows are decoded back to back into one row set per result and their index
+// is cut once, at Ready, at its exact size: a result costs an allocation per
+// few hundred rows and no regrown []Row. Rows that arrived before an Error
+// come back with it.
 func (c *Client) readCycle() (*ResultSet, error) {
 	rs := &ResultSet{}
-	var arena exec.RowArena
+	var rows exec.RowSet
 	var srvErr *ServerError
 	for {
 		f, err := c.readFrame()
@@ -207,11 +209,9 @@ func (c *Client) readCycle() (*ResultSet, error) {
 			}
 			rs.Columns = m.Columns
 		case MsgRow:
-			row, err := decodeRow(f.Payload, &arena)
-			if err != nil {
+			if err := decodeRowInto(f.Payload, &rows, len(rs.Columns)); err != nil {
 				return nil, err
 			}
-			rs.Rows = append(rs.Rows, row)
 		case MsgComplete:
 			m, err := DecodeComplete(f.Payload)
 			if err != nil {
@@ -230,6 +230,7 @@ func (c *Client) readCycle() (*ResultSet, error) {
 				return nil, srvErr
 			}
 		case MsgReady:
+			rs.Rows = rows.Rows()
 			if srvErr != nil {
 				return rs, srvErr
 			}

@@ -419,16 +419,26 @@ const maxWireValues = 1 << 16
 // rest of the payload cannot hold — every value is at least its kind byte —
 // fails before anything is carved.
 func readValues(r *wireReader, a *exec.RowArena) []types.Value {
-	n := int(r.u16())
+	n := r.valueCount()
 	if n == 0 {
 		return nil
 	}
+	return r.values(a.Alloc(n))
+}
+
+// valueCount reads a row's u16 value count; 0 when it fails.
+func (r *wireReader) valueCount() int {
+	n := int(r.u16())
 	if n > maxWireValues || n > len(r.buf)-r.off {
 		r.fail()
-		return nil
+		return 0
 	}
-	out := a.Alloc(n)
-	for i := 0; i < n && r.err == nil; i++ {
+	return n
+}
+
+// values fills out with the next len(out) values.
+func (r *wireReader) values(out []types.Value) []types.Value {
+	for i := 0; i < len(out) && r.err == nil; i++ {
 		out[i] = readValue(r)
 	}
 	return out
@@ -658,6 +668,22 @@ func decodeRow(p []byte, a *exec.RowArena) (types.Row, error) {
 	r := wireReader{buf: p}
 	row := readValues(&r, a)
 	return row, r.done()
+}
+
+// decodeRowInto parses a MsgRow payload into the next row of s (a row of no
+// values is still a row of the result). A row carries one value per RowDesc
+// column, width of them; any other count is a protocol error, which is what
+// lets s hold its rows back to back.
+func decodeRowInto(p []byte, s *exec.RowSet, width int) error {
+	r := wireReader{buf: p}
+	switch n := r.valueCount(); {
+	case r.err != nil:
+	case n != width:
+		r.err = fmt.Errorf("%w: row of %d values in a result of %d columns", ErrProto, n, width)
+	default:
+		r.values(s.Alloc(width))
+	}
+	return r.done()
 }
 
 // CompleteMsg ends a statement cycle: a command tag ("SELECT", "INSERT",
