@@ -271,43 +271,51 @@ func (c *Catalog) Update(clk *storage.Clock, t *Table, rid storage.RID, newRow t
 	return true
 }
 
+// scanColumns reads the table into one exactly-sized vector per column: the
+// one heap scan statistics and the columnar snapshot are both built from.
+func scanColumns(t *Table) []types.Vector {
+	vecs := types.NewVectors(t.Schema, int(t.Heap.NumRows()))
+	t.Heap.Scan(nil, func(_ storage.RID, r types.Row) bool {
+		types.AppendRow(vecs, r)
+		return true
+	})
+	return vecs
+}
+
 // BuildColumnar (re)builds the table's column-major snapshot by scanning the
 // heap, with blockSize values per column block (storage.DefaultColBlock when
 // <= 0). The snapshot is immutable; subsequent DML drops it and queries fall
 // back to the heap until it is rebuilt.
 func (c *Catalog) BuildColumnar(t *Table, blockSize int) *storage.ColumnStore {
-	var rows []types.Row
-	t.Heap.Scan(nil, func(_ storage.RID, r types.Row) bool {
-		rows = append(rows, r)
-		return true
-	})
-	cs := storage.BuildColumnStore(rows, len(t.Schema), blockSize)
+	cs := storage.BuildColumnStore(scanColumns(t), blockSize)
 	t.col.Store(cs)
 	return cs
 }
 
 // AnalyzeTable recomputes statistics for a table by scanning it.
-func (c *Catalog) AnalyzeTable(t *Table, buckets int) {
-	var rows []types.Row
-	t.Heap.Scan(nil, func(_ storage.RID, r types.Row) bool {
-		rows = append(rows, r)
-		return true
-	})
-	kinds := make([]types.Kind, len(t.Schema))
-	for i, col := range t.Schema {
-		kinds[i] = col.Kind
-	}
-	ts := stats.Analyze(len(rows), len(t.Schema), kinds, func(r, col int) types.Value {
-		return rows[r][col]
-	}, buckets)
+func (c *Catalog) AnalyzeTable(t *Table, buckets int) { c.Analyze(t, buckets, false) }
+
+// Analyze is AnalyzeTable and, when columnar is set, BuildColumnar at the
+// default block size, from one scan of the heap.
+func (c *Catalog) Analyze(t *Table, buckets int, columnar bool) {
+	vecs := scanColumns(t)
+	ts := stats.Analyze(vecs, t.Schema, buckets, t.Stats)
 	c.mu.Lock()
 	t.Stats = ts
 	c.mu.Unlock()
 	atomic.StoreInt64(&t.modCount, 0)
+	if columnar {
+		t.col.Store(storage.BuildColumnStore(vecs, storage.DefaultColBlock))
+	}
 }
 
-// AnalyzeGroup computes joint-NDV correlation statistics for a column group.
+// AnalyzeGroup computes joint-NDV correlation statistics for a column group
+// and records the group, so that every later ANALYZE of the table recomputes
+// them.
 func (c *Catalog) AnalyzeGroup(t *Table, colNames []string) error {
+	if len(colNames) == 0 {
+		return fmt.Errorf("catalog: empty column group on table %q", t.Name)
+	}
 	cols := make([]int, len(colNames))
 	for i, cn := range colNames {
 		ci := t.ColIndex(cn)
@@ -316,11 +324,6 @@ func (c *Catalog) AnalyzeGroup(t *Table, colNames []string) error {
 		}
 		cols[i] = ci
 	}
-	var rows []types.Row
-	t.Heap.Scan(nil, func(_ storage.RID, r types.Row) bool {
-		rows = append(rows, r)
-		return true
-	})
-	t.Stats.AnalyzeGroup(cols, len(rows), func(r, col int) types.Value { return rows[r][col] })
+	t.Stats.AnalyzeGroup(cols, scanColumns(t))
 	return nil
 }

@@ -158,6 +158,23 @@ func TestAnalyzeTable(t *testing.T) {
 	if err := c.AnalyzeGroup(tb, []string{"nope"}); err == nil {
 		t.Error("group on missing column should fail")
 	}
+	if err := c.AnalyzeGroup(tb, nil); err == nil {
+		t.Error("an empty group should fail")
+	}
+	// A recorded group is recomputed by every later ANALYZE, from the rows
+	// as they then are.
+	c.AnalyzeGroup(tb, []string{"grp", "name"})
+	loadRows(c, tb, 50)
+	c.Analyze(tb, 8, true)
+	if ndv, ok := tb.Stats.GroupNDV([]int{0, 1}); !ok || ndv != 100 {
+		t.Errorf("after ANALYZE of 150 rows, 100 distinct: group NDV = %v %v", ndv, ok)
+	}
+	if ndv, ok := tb.Stats.GroupNDV([]int{2, 1}); !ok || ndv != 10 {
+		t.Errorf("after ANALYZE: (grp, name) NDV = %v %v, want 10", ndv, ok)
+	}
+	if tb.Stats.RowCount != 150 || tb.Col() == nil || tb.Col().NumRows() != 150 {
+		t.Errorf("Analyze must install statistics and the snapshot of the 150 rows: %v rows, snapshot %v", tb.Stats.RowCount, tb.Col())
+	}
 }
 
 func TestIndexOnLeadingColumn(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"rqp/internal/types"
@@ -46,5 +47,36 @@ func TestAllocCeilingPointLookup(t *testing.T) {
 		} else {
 			t.Logf("%s: %.0f allocations per cached execution", tc.name, allocs)
 		}
+	}
+}
+
+// TestAllocCeilingAnalyze pins what ANALYZE costs the statements beside it.
+// One heap scan fills a typed vector per column; statistics are read off one
+// sorted copy, reused from column to column; the snapshot packs from the same
+// vectors and keeps the float column's as its raw blocks. At the parent,
+// measured the same way, ANALYZE orders allocated 12 925 KB in 638 objects,
+// 94% of an htap_mixed cycle.
+func TestAllocCeilingAnalyze(t *testing.T) {
+	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Columnar = true
+	e := Attach(cat, cfg)
+	e.Cache = NewPlanCache(0)
+	e.MustExec(`ANALYZE orders`)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		e.MustExec(`ANALYZE orders`)
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("ANALYZE orders: %.0f KB in %.0f allocations", kb, allocs)
+	if kb > 1536 || allocs > 638 {
+		t.Errorf("ANALYZE orders: %.0f KB in %.0f allocations, ceilings 1536 KB and 638", kb, allocs)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"rqp/internal/catalog"
 	"rqp/internal/exec"
 	"rqp/internal/expr"
+	"rqp/internal/index"
 	"rqp/internal/obs"
 	"rqp/internal/opt"
 	"rqp/internal/plan"
@@ -58,8 +59,8 @@ type Config struct {
 	MemBudgetRows int
 	HistBuckets   int
 	GJoinOnly     bool
-	// AutoAnalyze refreshes a table's statistics (and invalidates cached
-	// plans) before a query when modifications since the last ANALYZE
+	// AutoAnalyze refreshes a table's statistics (and drops the cached plans
+	// that read it) before a query when modifications since the last ANALYZE
 	// exceed AutoAnalyzeFraction of the analyzed row count — the automatic
 	// maintenance whose side effects the report's opening anecdote warns
 	// about (and experiment E21 reproduces).
@@ -153,8 +154,8 @@ type Engine struct {
 	Clock *storage.Clock
 	Cfg   Config
 	// Cache, when non-nil, serves classic-policy SELECTs, literal and
-	// parameterised, from the statement cache (see PlanCache). DDL and
-	// ANALYZE invalidate it.
+	// parameterised, from the statement cache (see PlanCache). DDL drops its
+	// statements, ANALYZE the plans over the analyzed table.
 	Cache *PlanCache
 	// Metrics aggregates engine-wide counters, gauges and histograms
 	// (queries by policy, re-optimizations, cache hit ratio, q-error and
@@ -398,15 +399,11 @@ func (e *Engine) execStmt(st sql.Stmt, text string, params []types.Value, explai
 		}
 		return &Result{}, nil
 	case *sql.AnalyzeStmt:
-		e.invalidatePlans()
 		t, ok := e.Cat.Table(s.Table)
 		if !ok {
 			return nil, fmt.Errorf("core: unknown table %q", s.Table)
 		}
-		e.Cat.AnalyzeTable(t, e.Cfg.HistBuckets)
-		if e.Cfg.Columnar {
-			e.Cat.BuildColumnar(t, storage.DefaultColBlock)
-		}
+		e.analyze(t, e.Cfg.Columnar)
 		return &Result{}, nil
 	case *sql.InsertStmt:
 		return e.execInsert(s, params)
@@ -434,8 +431,7 @@ func (e *Engine) maybeAutoAnalyze(q *plan.Query) {
 			base = 50
 		}
 		if float64(t.ModCount()) > frac*base {
-			e.Cat.AnalyzeTable(t, e.Cfg.HistBuckets)
-			e.invalidatePlans()
+			e.analyze(t, false)
 		}
 	}
 	for _, r := range q.Rels {
@@ -446,7 +442,17 @@ func (e *Engine) maybeAutoAnalyze(q *plan.Query) {
 	}
 }
 
-// invalidatePlans drops cached plans after DDL or statistics changes.
+// analyze refreshes t's statistics and, when columnar is set, its snapshot,
+// from one scan of the heap, then drops the cached plans of the statements
+// that read t: they were chosen against the statistics just replaced.
+func (e *Engine) analyze(t *catalog.Table, columnar bool) {
+	e.Cat.Analyze(t, e.Cfg.HistBuckets, columnar)
+	if e.Cache != nil {
+		e.Cache.InvalidateTable(t)
+	}
+}
+
+// invalidatePlans drops every cached statement after DDL.
 func (e *Engine) invalidatePlans() {
 	if e.Cache != nil {
 		e.Cache.Invalidate()
@@ -958,6 +964,42 @@ func (e *Engine) execInsert(s *sql.InsertStmt, params []types.Value) (*Result, e
 	return &Result{Affected: n}, nil
 }
 
+// matchRows calls fn, in heap order, for every row of t that pred accepts
+// (nil: every row). A top-level conjunct `col = literal` or `col = ?` on the
+// leading column of a live index makes the index name the candidates, each
+// fetched and tested against the whole predicate; otherwise the heap is
+// scanned. fn must not modify t.
+func (e *Engine) matchRows(t *catalog.Table, pred expr.Expr, params []types.Value, fn func(storage.RID, types.Row) error) error {
+	var err error
+	visit := func(rid storage.RID, r types.Row) bool {
+		ok := pred == nil
+		if !ok {
+			ok, err = expr.EvalPredicate(pred, r, params)
+		}
+		if ok && err == nil {
+			err = fn(rid, r)
+		}
+		return err == nil
+	}
+	for _, c := range expr.Conjuncts(pred) {
+		iv, ok := expr.ExtractInterval(c, params)
+		if !ok || !iv.HasEq || iv.NE {
+			continue
+		}
+		ix := t.IndexOn(iv.Col)
+		if ix == nil {
+			continue
+		}
+		ix.Tree.Lookup(e.Clock, []types.Value{iv.Eq}, func(en index.Entry) bool {
+			r, live := t.Heap.Get(e.Clock, en.RID)
+			return !live || visit(en.RID, r)
+		})
+		return err
+	}
+	t.Heap.Scan(e.Clock, visit)
+	return err
+}
+
 func (e *Engine) execDelete(s *sql.DeleteStmt, params []types.Value) (*Result, error) {
 	t, ok := e.Cat.Table(s.Table)
 	if !ok {
@@ -968,19 +1010,9 @@ func (e *Engine) execDelete(s *sql.DeleteStmt, params []types.Value) (*Result, e
 		return nil, err
 	}
 	var victims []storage.RID
-	t.Heap.Scan(e.Clock, func(rid storage.RID, r types.Row) bool {
-		if pred != nil {
-			ok, err2 := expr.EvalPredicate(pred, r, params)
-			if err2 != nil {
-				err = err2
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
+	err = e.matchRows(t, pred, params, func(rid storage.RID, _ types.Row) error {
 		victims = append(victims, rid)
-		return true
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -1022,28 +1054,17 @@ func (e *Engine) execUpdate(s *sql.UpdateStmt, params []types.Value) (*Result, e
 		row types.Row
 	}
 	var changes []change
-	t.Heap.Scan(e.Clock, func(rid storage.RID, r types.Row) bool {
-		if pred != nil {
-			ok, err2 := expr.EvalPredicate(pred, r, params)
-			if err2 != nil {
-				err = err2
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
+	err = e.matchRows(t, pred, params, func(rid storage.RID, r types.Row) error {
 		nr := r.Clone()
 		for _, st := range setters {
-			v, err2 := st.e.Eval(r, params)
-			if err2 != nil {
-				err = err2
-				return false
+			v, err := st.e.Eval(r, params)
+			if err != nil {
+				return err
 			}
 			nr[st.col] = coerce(v, t.Schema[st.col].Kind)
 		}
 		changes = append(changes, change{rid: rid, row: nr})
-		return true
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 
+	"rqp/internal/catalog"
 	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/types"
@@ -74,8 +75,9 @@ const (
 // Every RevalidateEvery-th execution of a statement re-optimizes at its bind
 // against current statistics and physical design, and a change of plan
 // structure is recorded — the plan-change history that plan-stability
-// monitoring ("optimizer plan change management") is built on. DDL and
-// ANALYZE drop every statement.
+// monitoring ("optimizer plan change management") is built on. DDL drops
+// every statement; ANALYZE of a table drops the plans, not the parsed and
+// bound form, of the statements that read it (InvalidateTable).
 type PlanCache struct {
 	mu sync.Mutex
 	// RevalidateEvery n-th execution re-optimizes a cached plan (0 = never
@@ -95,13 +97,16 @@ type PlanCache struct {
 }
 
 // cachedStmt is one SELECT as bound against the catalog. Everything but
-// used, execs and variants is fixed when it is entered; those three are
-// guarded by the cache's lock.
+// used, execs, variants and statsGen is fixed when it is entered; those four
+// are guarded by the cache's lock.
 type cachedStmt struct {
 	norm, raw string // its keys in entries; raw is empty when text == norm
 	gen       uint64
-	bq        *plan.Query
-	preds     []opt.ParamPred
+	// statsGen counts the times an ANALYZE of a table the statement reads
+	// dropped its variants: a plan optimized across one is not stored.
+	statsGen uint64
+	bq       *plan.Query
+	preds    []opt.ParamPred
 	// slack is the factor a region reaches beyond its binds on each
 	// conjunct: (1+λ)^(1/len(preds)).
 	slack    float64
@@ -304,32 +309,56 @@ func (pc *PlanCache) plan(e *Engine, st *cachedStmt, params []types.Value) (*pla
 		point = append(point, opt.PredSelectivity(p.Table, p.Pred, params))
 	}
 
-	pc.mu.Lock()
-	stale := st.gen != pc.gen
-	st.execs++
-	revalidate := pc.RevalidateEvery > 0 && st.execs%pc.RevalidateEvery == 0
-	var hit *planVariant
-	if !stale {
-		for i, v := range st.variants {
-			if v.inRegion(point, params, st.slack) {
-				hit = v
-				copy(st.variants[1:i+1], st.variants[:i])
-				st.variants[0] = v
-				break
-			}
-		}
-	}
-	if hit != nil && !revalidate {
-		pc.stats.Hits++
-		pc.mu.Unlock()
+	hit, seen := pc.lookup(st, point, params)
+	if hit != nil && !seen.revalidate {
 		return hit, true, nil
 	}
-	pc.mu.Unlock()
-
 	fresh, err := e.newVariant(st, point, params)
 	if err != nil {
 		return nil, false, err
 	}
+	pc.store(st, seen, hit, fresh, params)
+	return fresh, false, nil
+}
+
+// lookupStamp is what a lookup saw of the invalidation counters, for the
+// store that follows the optimization it led to.
+type lookupStamp struct {
+	stale      bool // the statement was dropped by DDL before the lookup
+	statsGen   uint64
+	revalidate bool
+}
+
+// lookup counts one execution of st and returns the variant whose region
+// holds the bind at point, if any, moved to the front. A hit that is not due
+// for revalidation is counted here; everything else is counted by store.
+func (pc *PlanCache) lookup(st *cachedStmt, point []float64, params []types.Value) (*planVariant, lookupStamp) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	seen := lookupStamp{stale: st.gen != pc.gen, statsGen: st.statsGen}
+	st.execs++
+	seen.revalidate = pc.RevalidateEvery > 0 && st.execs%pc.RevalidateEvery == 0
+	if seen.stale {
+		return nil, seen
+	}
+	for i, v := range st.variants {
+		if v.inRegion(point, params, st.slack) {
+			copy(st.variants[1:i+1], st.variants[:i])
+			st.variants[0] = v
+			if !seen.revalidate {
+				pc.stats.Hits++
+			}
+			return v, seen
+		}
+	}
+	return nil, seen
+}
+
+// store files fresh, optimized after the lookup that saw seen and found hit
+// (nil: a miss), among st's variants — unless DDL or an ANALYZE of one of
+// st's tables came between the two: the plan may predate it, so the execution
+// that asked for it runs it and nobody else does.
+func (pc *PlanCache) store(st *cachedStmt, seen lookupStamp, hit, fresh *planVariant, params []types.Value) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if hit != nil {
@@ -340,9 +369,8 @@ func (pc *PlanCache) plan(e *Engine, st *cachedStmt, params []types.Value) (*pla
 	} else {
 		pc.stats.Misses++
 	}
-	// An Invalidate since the lookup wins: nothing is stored.
-	if stale || st.gen != pc.gen {
-		return fresh, false, nil
+	if seen.stale || st.gen != pc.gen || st.statsGen != seen.statsGen {
+		return
 	}
 	if hit != nil {
 		// The revalidated plan takes the variant's place: with its region
@@ -355,17 +383,16 @@ func (pc *PlanCache) plan(e *Engine, st *cachedStmt, params []types.Value) (*pla
 				st.variants[i] = fresh
 			}
 		}
-		return fresh, false, nil
+		return
 	}
 	if st.widen(fresh, params) {
-		return fresh, false, nil
+		return
 	}
 	if len(st.variants) < maxVariants {
 		st.variants = append(st.variants, nil)
 	}
 	copy(st.variants[1:], st.variants)
 	st.variants[0] = fresh
-	return fresh, false, nil
 }
 
 // widen stretches the region of the variant of st that holds fresh's plan
@@ -417,8 +444,36 @@ func (pc *PlanCache) uncacheable() {
 	pc.mu.Unlock()
 }
 
-// Invalidate drops all cached statements and their plans (DDL and ANALYZE
-// call this).
+// InvalidateTable drops the plans of every statement that reads t, after its
+// statistics changed. The statements stay, parsed and bound: their next
+// execution optimizes again and nothing else. Statements over other tables
+// keep their plans.
+func (pc *PlanCache) InvalidateTable(t *catalog.Table) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	for _, st := range pc.ring {
+		if st.reads(t) {
+			st.variants = nil
+			st.statsGen++
+		}
+	}
+}
+
+func (st *cachedStmt) reads(t *catalog.Table) bool {
+	for _, r := range st.bq.Rels {
+		if r.Table == t {
+			return true
+		}
+	}
+	for _, lj := range st.bq.LeftJoins {
+		if lj.Rel.Table == t {
+			return true
+		}
+	}
+	return false
+}
+
+// Invalidate drops all cached statements and their plans (DDL calls this).
 func (pc *PlanCache) Invalidate() {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()

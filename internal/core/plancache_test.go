@@ -173,9 +173,8 @@ func TestPlanCacheParameterizedExact(t *testing.T) {
 	}
 }
 
-// TestPlanCacheInvalidation: ANALYZE and every DDL statement drop the cached
-// statements with their plans, and what is planned next sees the new
-// physical design.
+// TestPlanCacheInvalidation: every DDL statement drops the cached statements
+// with their plans, and what is planned next sees the new physical design.
 func TestPlanCacheInvalidation(t *testing.T) {
 	e := cacheEngine(t)
 	const q = "SELECT v FROM pc WHERE id = ?"
@@ -188,7 +187,6 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		return res
 	}
 	for _, ddl := range []string{
-		"ANALYZE pc",
 		"CREATE UNIQUE INDEX pc_id ON pc (id)",
 		"DROP INDEX pc_id ON pc",
 		"CREATE TABLE other (a int)",
@@ -268,15 +266,136 @@ func TestPlanCacheDetectsPlanChange(t *testing.T) {
 	}
 }
 
+// TestPlanCacheInvalidateOnAnalyze: ANALYZE drops the plans of the statements
+// that read the table and keeps the statements, so the next execution
+// optimizes against the new statistics without parsing or binding.
 func TestPlanCacheInvalidateOnAnalyze(t *testing.T) {
 	e := cacheEngine(t)
-	e.MustExec("SELECT COUNT(*) FROM pc WHERE v = 3")
-	if e.Cache.Len() != 1 {
+	const q = "SELECT COUNT(*) FROM pc WHERE v = 3"
+	e.MustExec(q)
+	if e.Cache.Len() != 1 || e.Cache.Variants(q) != 1 {
 		t.Fatal("plan not cached")
 	}
+	before := e.Cache.Stats()
 	e.MustExec("ANALYZE pc")
-	if e.Cache.Len() != 0 {
-		t.Error("ANALYZE should invalidate cached plans")
+	if e.Cache.Len() != 1 || e.Cache.Variants(q) != 0 {
+		t.Errorf("after ANALYZE: %d statements with %d plans, want the statement and no plan", e.Cache.Len(), e.Cache.Variants(q))
+	}
+	e.MustExec(q)
+	if st := e.Cache.Stats(); st.Parses != before.Parses || st.Misses != before.Misses+1 || e.Cache.Variants(q) != 1 {
+		t.Errorf("after ANALYZE the statement must re-optimize and not parse: %+v, before %+v", st, before)
+	}
+}
+
+// TestAnalyzeInvalidatesByTable: ANALYZE orders leaves a customer statement
+// a hit, and makes an orders statement re-optimize against the statistics
+// it installed — here after the ten days it reads filled up with new orders,
+// which flips the range read from the index to a scan — with no statement
+// parsed again. Automatic statistics maintenance goes the same way.
+func TestAnalyzeInvalidatesByTable(t *testing.T) {
+	for _, auto := range []bool{false, true} {
+		e, _ := lookupEngines(t, 2)
+		e.Cfg.AutoAnalyze = auto
+		e.MustExec(`CREATE INDEX orders_date ON orders (o_orderdate)`)
+		const (
+			customer = `SELECT c_acctbal FROM customer WHERE c_custkey = ?`
+			orders   = `SELECT COUNT(*) FROM orders WHERE o_orderdate >= DATE(9000) AND o_orderdate < DATE(9010)`
+			join     = `SELECT COUNT(*) FROM customer LEFT JOIN orders ON c_custkey = o_custkey WHERE c_custkey = 3`
+		)
+		for i := 0; i < 2; i++ {
+			e.MustExec(customer, types.Int(7))
+			e.MustExec(orders)
+			e.MustExec(join)
+		}
+		before := e.Cache.Stats()
+		planBefore := planShape(e.MustExec(orders).Plan)
+		if !strings.Contains(planBefore, "IndexScan") {
+			t.Fatalf("the selective range should take the index:\n%s", planBefore)
+		}
+		before.Hits++
+
+		// Every new order falls in the range the statement reads.
+		for i := 0; i < 24; i++ {
+			stmt := "INSERT INTO orders VALUES "
+			for j := 0; j < 100; j++ {
+				if j > 0 {
+					stmt += ", "
+				}
+				stmt += fmt.Sprintf("(%d, 1, DATE(9005), 5.0)", 100000+i*100+j)
+			}
+			e.MustExec(stmt)
+		}
+		if !auto {
+			e.MustExec(`ANALYZE orders`)
+			if e.Cache.Variants(customer) != 1 || e.Cache.Variants(orders) != 0 || e.Cache.Variants(join) != 0 {
+				t.Errorf("ANALYZE orders left %d customer, %d orders and %d outer-join plans, want 1, 0, 0",
+					e.Cache.Variants(customer), e.Cache.Variants(orders), e.Cache.Variants(join))
+			}
+		}
+		e.MustExec(customer, types.Int(7))
+		if st := e.Cache.Stats(); st.Hits != before.Hits+1 || st.Misses != before.Misses {
+			t.Errorf("auto=%v: the customer statement must stay a hit across ANALYZE orders: %+v, before %+v", auto, st, before)
+		}
+		planAfter := planShape(e.MustExec(orders).Plan)
+		e.MustExec(join)
+		st := e.Cache.Stats()
+		if st.Misses != before.Misses+2 || st.Parses != before.Parses {
+			t.Errorf("auto=%v: the two orders statements must re-optimize once each, parsing nothing: %+v, before %+v", auto, st, before)
+		}
+		if planAfter == planBefore || strings.Contains(planAfter, "IndexScan") {
+			t.Errorf("auto=%v: the plan should follow the new statistics off the index:\n%s", auto, planAfter)
+		}
+		e.MustExec(orders)
+		if got := e.Cache.Stats(); got.Hits != st.Hits+1 {
+			t.Errorf("auto=%v: the re-optimized plan was not cached: %+v", auto, got)
+		}
+	}
+}
+
+// TestLookupRacingAnalyze plays the interleaving the invalidation counters
+// exist for, by hand: a session looks its statement up, ANALYZE (or DDL)
+// lands while it optimizes, and only then does it come back with its plan.
+// The plan may predate the new statistics: it is not stored, and a lookup
+// after the invalidation is not handed a plan from before it.
+func TestLookupRacingAnalyze(t *testing.T) {
+	e := cacheEngine(t)
+	const q = "SELECT COUNT(*) FROM pc WHERE v = ?"
+	params := []types.Value{types.Int(3)}
+	e.MustExec(q, params...)
+	st := e.Cache.statement(q)
+	pc, _ := e.Cat.Table("pc")
+	other, _ := e.Cat.CreateTable("other", pc.Schema)
+	point := []float64{0.02}
+	if hit, _ := e.Cache.lookup(st, point, params); hit == nil {
+		t.Fatal("the statement's plan is not cached at its own bind")
+	}
+
+	for _, tc := range []struct {
+		name       string
+		invalidate func()
+		stored     bool
+	}{
+		{"ANALYZE of another table", func() { e.Cache.InvalidateTable(other) }, true},
+		{"ANALYZE of its table", func() { e.Cache.InvalidateTable(pc) }, false},
+		{"DDL", e.Cache.Invalidate, false},
+	} {
+		e.Cache.InvalidateTable(pc) // start from a miss
+		hit, seen := e.Cache.lookup(st, point, params)
+		if hit != nil {
+			t.Fatalf("%s: a lookup after the invalidation was handed a plan from before it", tc.name)
+		}
+		stale, err := e.newVariant(st, point, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.invalidate()
+		e.Cache.store(st, seen, nil, stale, params)
+		if got := len(st.variants) == 1 && st.variants[0] == stale; got != tc.stored {
+			t.Errorf("%s between lookup and store: plan stored = %v, want %v", tc.name, got, tc.stored)
+		}
+		if hit, _ := e.Cache.lookup(st, point, params); (hit == stale) != tc.stored {
+			t.Errorf("%s between lookup and store: a later lookup was handed %v", tc.name, hit)
+		}
 	}
 }
 

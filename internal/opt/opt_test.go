@@ -173,6 +173,17 @@ func TestCorrelatedModeFixesRedundantPredicate(t *testing.T) {
 	if errC < 0.5 || errC > 2 {
 		t.Errorf("correlated mode should be near-exact: est %v for actual %v", rootC.Props().EstRows, actual)
 	}
+
+	// ANALYZE keeps the group: its statistics are recomputed with the rest,
+	// not dropped with the TableStats they were recorded in.
+	cat.AnalyzeTable(tb, 16)
+	again, err := corr.Optimize(bq, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := again.Props().EstRows, rootC.Props().EstRows; got != want {
+		t.Errorf("after ANALYZE the correlated estimate is %v, was %v: the group statistics were lost", got, want)
+	}
 }
 
 func TestFeedbackImprovesEstimate(t *testing.T) {

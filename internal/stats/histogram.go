@@ -5,7 +5,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"rqp/internal/types"
@@ -29,6 +31,11 @@ func BuildHistogram(vals []float64, buckets int) *Histogram {
 	}
 	sorted := append([]float64(nil), vals...)
 	sort.Float64s(sorted)
+	return histogramOf(sorted, buckets)
+}
+
+// histogramOf is BuildHistogram of values already sorted and not empty.
+func histogramOf(sorted []float64, buckets int) *Histogram {
 	if buckets < 1 {
 		buckets = 1
 	}
@@ -36,7 +43,12 @@ func BuildHistogram(vals []float64, buckets int) *Histogram {
 		buckets = len(sorted)
 	}
 	per := float64(len(sorted)) / float64(buckets)
-	h := &Histogram{Total: float64(len(sorted))}
+	h := &Histogram{
+		Bounds:   make([]float64, 0, buckets+1),
+		Counts:   make([]float64, 0, buckets),
+		Distinct: make([]float64, 0, buckets),
+		Total:    float64(len(sorted)),
+	}
 	h.Bounds = append(h.Bounds, sorted[0])
 	start := 0
 	for b := 1; b <= buckets; b++ {
@@ -170,106 +182,141 @@ type ColumnStats struct {
 	TopNums map[int64]float64
 }
 
-// BuildColumnStats computes statistics for a column given its values.
-func BuildColumnStats(kind types.Kind, vals []types.Value, buckets int) *ColumnStats {
-	cs := &ColumnStats{Kind: kind, RowCount: float64(len(vals)), MinV: math.Inf(1), MaxV: math.Inf(-1)}
-	var nums []float64
-	strCounts := map[string]float64{}
-	numCounts := map[int64]float64{}
-	distinct := map[types.Value]bool{}
-	for _, v := range vals {
-		if v.IsNull() {
-			cs.NullCount++
-			continue
-		}
-		distinct[canonical(v)] = true
-		if v.Numeric() {
-			f := v.AsFloat()
-			nums = append(nums, f)
-			if f < cs.MinV {
-				cs.MinV = f
-			}
-			if f > cs.MaxV {
-				cs.MaxV = f
-			}
-			if f == math.Trunc(f) {
-				numCounts[int64(f)]++
-			}
-		} else if v.K == types.KindString {
-			strCounts[v.S]++
+// topRuns is how many most-common values a column keeps exact counts for.
+const topRuns = 64
+
+// colScratch holds the sorted copies column statistics are read off, reused
+// from column to column of one ANALYZE.
+type colScratch struct {
+	nums []float64 // every numeric value
+	strs []string
+	ints []int64 // integers from ±2^53 outwards only: they can share a float64
+}
+
+// columnStats computes statistics for a column from its vector, which it
+// does not modify. It sorts one copy of the column and reads everything off
+// the runs of equal values in it: a run is a distinct value and its length
+// the value's count. Numeric values are sorted as float64, which the
+// histogram wants anyway; distinct integers too large for float64 to tell
+// apart are counted from a sorted copy of their own.
+func (s *colScratch) columnStats(kind types.Kind, v *types.Vector, buckets int) *ColumnStats {
+	cs := &ColumnStats{Kind: kind, RowCount: float64(v.Len()), MinV: math.Inf(1), MaxV: math.Inf(-1)}
+	s.nums, s.strs, s.ints = s.nums[:0], s.strs[:0], s.ints[:0]
+	var bools [2]bool
+	addInt := func(i int64) {
+		if i >= 1<<53 || i <= -(1<<53) {
+			s.ints = append(s.ints, i)
 		}
 	}
-	cs.NDV = float64(len(distinct))
-	if len(nums) > 0 {
-		cs.Hist = BuildHistogram(nums, buckets)
+	switch v.Kind {
+	case types.KindFloat:
+		s.nums = append(s.nums, v.Floats...)
+	case types.KindString:
+		s.strs = append(s.strs, v.Strs...)
+	case types.KindBool:
+		for _, b := range v.Ints {
+			bools[b&1] = true
+		}
+	case types.KindInt, types.KindDate:
+		s.nums = slices.Grow(s.nums, len(v.Ints))
+		for _, i := range v.Ints {
+			s.nums = append(s.nums, float64(i))
+			addInt(i)
+		}
+	default:
+		for _, x := range v.Mixed {
+			switch x.K {
+			case types.KindNull:
+				cs.NullCount++
+			case types.KindString:
+				s.strs = append(s.strs, x.S)
+			case types.KindBool:
+				bools[x.I&1] = true
+			case types.KindFloat:
+				s.nums = append(s.nums, x.F)
+				if x.F == math.Trunc(x.F) {
+					addInt(int64(x.F))
+				}
+			default:
+				s.nums = append(s.nums, float64(x.I))
+				addInt(x.I)
+			}
+		}
 	}
-	if len(strCounts) > 0 {
-		cs.TopValues = topK(strCounts, 64)
+	for _, seen := range bools {
+		if seen {
+			cs.NDV++
+		}
 	}
-	if len(numCounts) > 0 {
-		cs.TopNums = topKNum(numCounts, 64)
+	if len(s.nums) > 0 {
+		slices.Sort(s.nums) // NaNs first
+		var ndv int
+		ndv, cs.TopNums = mostCommon(s.nums, func(f float64) (int64, bool) { return int64(f), f == math.Trunc(f) })
+		cs.NDV += float64(ndv)
+		if nan := sort.SearchFloat64s(s.nums, math.Inf(-1)); nan < len(s.nums) {
+			cs.MinV, cs.MaxV = s.nums[nan], s.nums[len(s.nums)-1]
+		}
+		cs.Hist = histogramOf(s.nums, buckets)
+	}
+	if len(s.ints) > 0 {
+		slices.Sort(s.ints)
+		for i := 1; i < len(s.ints); i++ {
+			if s.ints[i] != s.ints[i-1] && float64(s.ints[i]) == float64(s.ints[i-1]) {
+				cs.NDV++
+			}
+		}
+	}
+	if len(s.strs) > 0 {
+		slices.Sort(s.strs)
+		var ndv int
+		ndv, cs.TopValues = mostCommon(s.strs, func(s string) (string, bool) { return s, true })
+		cs.NDV += float64(ndv)
 	}
 	return cs
 }
 
-func topKNum(m map[int64]float64, k int) map[int64]float64 {
-	type kv struct {
-		k int64
-		v float64
-	}
-	all := make([]kv, 0, len(m))
-	for n, c := range m {
-		all = append(all, kv{n, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].v != all[j].v {
-			return all[i].v > all[j].v
+// mostCommon counts the runs of equal values in sorted and returns the
+// topRuns longest among those key accepts, as key -> length; of two runs of
+// one length the smaller value wins. The map is nil when key accepts none.
+func mostCommon[T cmp.Ordered, K comparable](sorted []T, key func(T) (K, bool)) (runs int, top map[K]float64) {
+	var vals [topRuns]T
+	var counts [topRuns]int
+	n, worst := 0, 0 // worst: the shortest kept run, the largest value among equals
+	for i, j := 0, 0; i < len(sorted); i = j {
+		for j = i + 1; j < len(sorted) && sorted[j] == sorted[i]; j++ {
 		}
-		return all[i].k < all[j].k
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	out := make(map[int64]float64, len(all))
-	for _, e := range all {
-		out[e.k] = e.v
-	}
-	return out
-}
-
-func canonical(v types.Value) types.Value {
-	if v.K == types.KindFloat && v.F == math.Trunc(v.F) {
-		return types.Int(int64(v.F))
-	}
-	if v.K == types.KindDate {
-		return types.Int(v.I)
-	}
-	return v
-}
-
-func topK(m map[string]float64, k int) map[string]float64 {
-	type kv struct {
-		k string
-		v float64
-	}
-	all := make([]kv, 0, len(m))
-	for s, c := range m {
-		all = append(all, kv{s, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].v != all[j].v {
-			return all[i].v > all[j].v
+		runs++
+		if _, ok := key(sorted[i]); !ok {
+			continue
 		}
-		return all[i].k < all[j].k
-	})
-	if len(all) > k {
-		all = all[:k]
+		// Values arrive ascending, so a run displaces the worst kept only
+		// when it is strictly longer.
+		switch {
+		case n < topRuns:
+			vals[n], counts[n] = sorted[i], j-i
+			n++
+		case j-i > counts[worst]:
+			vals[worst], counts[worst] = sorted[i], j-i
+		default:
+			continue
+		}
+		if n == topRuns {
+			worst = 0
+			for w := 1; w < n; w++ {
+				if counts[w] < counts[worst] || counts[w] == counts[worst] && vals[w] > vals[worst] {
+					worst = w
+				}
+			}
+		}
 	}
-	out := make(map[string]float64, len(all))
-	for _, e := range all {
-		out[e.k] = e.v
+	if n > 0 {
+		top = make(map[K]float64, n)
+		for w := 0; w < n; w++ {
+			k, _ := key(vals[w])
+			top[k] = float64(counts[w])
+		}
 	}
-	return out
+	return runs, top
 }
 
 // NonNullFraction returns the fraction of non-null rows.

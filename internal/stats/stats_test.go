@@ -95,7 +95,7 @@ func TestSelectivityEqNeverZeroInDomain(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		vals = append(vals, types.Int(int64(i%10)))
 	}
-	cs := BuildColumnStats(types.KindInt, vals, 4)
+	cs := columnStatsOf(types.KindInt, vals, 4)
 	if cs.NDV != 10 {
 		t.Fatalf("NDV = %v", cs.NDV)
 	}
@@ -110,7 +110,7 @@ func TestSelectivityEqNeverZeroInDomain(t *testing.T) {
 
 func TestColumnStatsWithNulls(t *testing.T) {
 	vals := []types.Value{types.Int(1), types.Null(), types.Int(2), types.Null()}
-	cs := BuildColumnStats(types.KindInt, vals, 4)
+	cs := columnStatsOf(types.KindInt, vals, 4)
 	if cs.NullCount != 2 || cs.NonNullFraction() != 0.5 {
 		t.Errorf("null accounting wrong: %v %v", cs.NullCount, cs.NonNullFraction())
 	}
@@ -127,7 +127,7 @@ func TestStringStats(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		vals = append(vals, types.Str("rare"))
 	}
-	cs := BuildColumnStats(types.KindString, vals, 4)
+	cs := columnStatsOf(types.KindString, vals, 4)
 	if s := cs.SelectivityEq(types.Str("common")); math.Abs(s-0.9) > 0.01 {
 		t.Errorf("common selectivity %v", s)
 	}
@@ -148,8 +148,8 @@ func TestCorrelatedConjunction(t *testing.T) {
 	for i := range vals {
 		vals[i] = types.Int(int64(i % 10))
 	}
-	ts.Cols[0] = BuildColumnStats(types.KindInt, vals, 8)
-	ts.Cols[1] = BuildColumnStats(types.KindInt, vals, 8)
+	ts.Cols[0] = columnStatsOf(types.KindInt, vals, 8)
+	ts.Cols[1] = columnStatsOf(types.KindInt, vals, 8)
 	perCol := []float64{0.1, 0.1}
 	// Without group stats: independence 0.01.
 	if got := ts.CorrelatedConjunctionSelectivity([]int{0, 1}, perCol); math.Abs(got-0.01) > 1e-9 {
@@ -163,15 +163,21 @@ func TestCorrelatedConjunction(t *testing.T) {
 	}
 }
 
+func columnStatsOf(kind types.Kind, vals []types.Value, buckets int) *ColumnStats {
+	vecs := types.NewVectors(make(types.Schema, 1), len(vals))
+	for _, v := range vals {
+		vecs[0].Append(v)
+	}
+	return new(colScratch).columnStats(kind, &vecs[0], buckets)
+}
+
 func TestAnalyzeGroup(t *testing.T) {
 	ts := NewTableStats(2)
-	get := func(r, c int) types.Value {
-		if c == 0 {
-			return types.Int(int64(r % 5))
-		}
-		return types.Int(int64(r % 5 * 2)) // perfectly correlated
+	vecs := types.NewVectors(make(types.Schema, 2), 50)
+	for r := 0; r < 50; r++ {
+		types.AppendRow(vecs, types.Row{types.Int(int64(r % 5)), types.Int(int64(r % 5 * 2))}) // perfectly correlated
 	}
-	ts.AnalyzeGroup([]int{0, 1}, 50, get)
+	ts.AnalyzeGroup([]int{0, 1}, vecs)
 	ndv, ok := ts.GroupNDV([]int{1, 0}) // order-insensitive
 	if !ok || ndv != 5 {
 		t.Errorf("group NDV = %v %v, want 5", ndv, ok)

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -16,35 +17,40 @@ type TableStats struct {
 	RowCount float64
 	Cols     []*ColumnStats
 
-	// groupNDV maps a sorted column-index set (encoded) to the joint
-	// distinct count of that group — the CORDS-style correlation statistic.
-	groupNDV map[string]float64
+	// groups maps a sorted column-index set (encoded) to the joint distinct
+	// count of that group — the CORDS-style correlation statistic — and to
+	// the set itself, so that the next ANALYZE recomputes it.
+	groups map[string]group
+}
 
-	// groupSel caches measured joint selectivities for predicate
-	// signatures, learned from feedback or sampled offline.
-	groupSel map[string]float64
+type group struct {
+	cols []int
+	ndv  float64
 }
 
 // NewTableStats returns empty statistics for a table with n columns.
 func NewTableStats(n int) *TableStats {
-	return &TableStats{
-		Cols:     make([]*ColumnStats, n),
-		groupNDV: map[string]float64{},
-		groupSel: map[string]float64{},
-	}
+	return &TableStats{Cols: make([]*ColumnStats, n), groups: map[string]group{}}
 }
 
-// Analyze computes statistics from the full table contents (rows are
-// column-major extracted by the caller via the getter).
-func Analyze(numRows int, numCols int, kinds []types.Kind, get func(row, col int) types.Value, buckets int) *TableStats {
-	ts := NewTableStats(numCols)
-	ts.RowCount = float64(numRows)
-	for c := 0; c < numCols; c++ {
-		vals := make([]types.Value, numRows)
-		for r := 0; r < numRows; r++ {
-			vals[r] = get(r, c)
+// Analyze computes statistics from the table's columns, schema[c] declaring
+// column c's kind, and recomputes every column group recorded in prev, the
+// statistics being replaced (nil: none).
+func Analyze(cols []types.Vector, schema types.Schema, buckets int, prev *TableStats) *TableStats {
+	ts := NewTableStats(len(cols))
+	if len(cols) > 0 {
+		ts.RowCount = float64(cols[0].Len())
+	}
+	var scratch colScratch
+	for c := range cols {
+		ts.Cols[c] = scratch.columnStats(schema[c].Kind, &cols[c], buckets)
+	}
+	if prev != nil {
+		prev.mu.RLock()
+		defer prev.mu.RUnlock()
+		for _, g := range prev.groups {
+			ts.AnalyzeGroup(g.cols, cols)
 		}
-		ts.Cols[c] = BuildColumnStats(kinds[c], vals, buckets)
 	}
 	return ts
 }
@@ -59,29 +65,41 @@ func groupKey(cols []int) string {
 func (ts *TableStats) SetGroupNDV(cols []int, ndv float64) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	ts.groupNDV[groupKey(cols)] = ndv
+	ts.groups[groupKey(cols)] = group{cols: append([]int(nil), cols...), ndv: ndv}
 }
 
 // GroupNDV returns the joint distinct count of a column group, if recorded.
 func (ts *TableStats) GroupNDV(cols []int) (float64, bool) {
 	ts.mu.RLock()
 	defer ts.mu.RUnlock()
-	v, ok := ts.groupNDV[groupKey(cols)]
-	return v, ok
+	g, ok := ts.groups[groupKey(cols)]
+	return g.ndv, ok
 }
 
-// AnalyzeGroup computes and stores the joint NDV of a column group from the
-// table contents.
-func (ts *TableStats) AnalyzeGroup(cols []int, numRows int, get func(row, col int) types.Value) {
-	seen := map[string]bool{}
-	for r := 0; r < numRows; r++ {
-		key := ""
+// AnalyzeGroup computes and stores the joint NDV of a column group of the
+// table whose columns are vecs: row numbers sorted by the group's columns
+// hold one run per distinct combination.
+func (ts *TableStats) AnalyzeGroup(cols []int, vecs []types.Vector) {
+	order := func(a, b int32) int {
 		for _, c := range cols {
-			key += get(r, c).String() + "\x00"
+			if d := vecs[c].Compare(int(a), int(b)); d != 0 {
+				return d
+			}
 		}
-		seen[key] = true
+		return 0
 	}
-	ts.SetGroupNDV(cols, float64(len(seen)))
+	rows := make([]int32, vecs[cols[0]].Len())
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	slices.SortFunc(rows, order)
+	ndv := 0
+	for i := range rows {
+		if i == 0 || order(rows[i-1], rows[i]) != 0 {
+			ndv++
+		}
+	}
+	ts.SetGroupNDV(cols, float64(ndv))
 }
 
 // ColStats returns per-column statistics (nil if not analyzed).

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"rqp/internal/types"
@@ -91,7 +93,8 @@ type colBlock struct {
 	hasZone  bool // false when every value in the block is NULL
 	min, max types.Value
 
-	raw    []types.Value // encRaw
+	raw    []types.Value // encRaw: a column with a NULL or of mixed kinds, ints too wide to pack
+	floats []float64     // encRaw: a float column
 	words  []uint64      // encDict / encPacked bit-packed payload
 	base   int64         // encPacked offset base
 	width  int           // encDict / encPacked bits per value
@@ -119,79 +122,71 @@ type ColumnStore struct {
 	pageBytes int64 // bytes per simulated page: PageRows·8·ncols
 }
 
-// BuildColumnStore encodes rows (each of ncols values) into a column store
-// with the given block size (DefaultColBlock when <= 0).
-func BuildColumnStore(rows []types.Row, ncols, blockSize int) *ColumnStore {
+// BuildColumnStore encodes a table's columns into a column store with the
+// given block size (DefaultColBlock when <= 0). A block stored raw is a slice
+// of its vector, so the vectors must not change afterwards.
+func BuildColumnStore(vecs []types.Vector, blockSize int) *ColumnStore {
 	if blockSize <= 0 {
 		blockSize = DefaultColBlock
 	}
 	cs := &ColumnStore{
-		cols:      make([]column, ncols),
-		rows:      len(rows),
+		cols:      make([]column, len(vecs)),
 		blockSize: blockSize,
-		pageBytes: int64(PageRows) * 8 * int64(ncols),
+		pageBytes: int64(PageRows) * 8 * int64(len(vecs)),
 	}
-	if cs.pageBytes == 0 {
+	if len(vecs) == 0 {
 		cs.pageBytes = int64(PageRows) * 8
+		return cs
 	}
-	vals := make([]types.Value, len(rows))
-	for c := 0; c < ncols; c++ {
-		for i, r := range rows {
-			if c < len(r) {
-				vals[i] = r[c]
-			} else {
-				vals[i] = types.Null()
-			}
-		}
-		cs.cols[c] = buildColumn(vals, blockSize)
+	cs.rows = vecs[0].Len()
+	var sc buildScratch
+	for c := range vecs {
+		cs.cols[c] = sc.buildColumn(&vecs[c], blockSize)
 	}
 	return cs
 }
 
-// encodable classifies a column's values: dictionary for all-string columns,
-// integer encodings for uniform int/date/bool columns, raw otherwise (any
-// NULL or kind mix forces raw so encoded blocks are NULL-free).
-func columnClass(vals []types.Value) (kind types.Kind, ok bool) {
-	kind = types.KindNull
-	for _, v := range vals {
-		if v.IsNull() {
-			return types.KindNull, false
-		}
-		if kind == types.KindNull {
-			kind = v.K
-		} else if v.K != kind {
-			return types.KindNull, false
-		}
-	}
-	if kind == types.KindNull || kind == types.KindFloat {
-		return kind, false
-	}
-	return kind, true
+// buildScratch is what one build reuses from block to block and from column
+// to column: the codes of the block being packed, the sorted copy a
+// dictionary is read off.
+type buildScratch struct {
+	codes []uint64
+	strs  []string
 }
 
-func buildColumn(vals []types.Value, blockSize int) column {
+// buildColumn picks the column's class from its vector: dictionary for
+// strings, the integer encodings for int/date/bool, raw for floats and for a
+// mixed vector (any NULL or second kind, so encoded blocks are NULL-free).
+func (sc *buildScratch) buildColumn(v *types.Vector, blockSize int) column {
 	col := column{kind: types.KindNull}
-	kind, ok := columnClass(vals)
-	if ok {
-		col.kind = kind
-		if kind == types.KindString {
-			col.dict = buildDict(vals)
-		}
+	switch v.Kind {
+	case types.KindString:
+		col.kind, col.dict = v.Kind, sc.buildDict(v.Strs)
+	case types.KindInt, types.KindDate, types.KindBool:
+		col.kind = v.Kind
 	}
+	n := v.Len()
+	col.blocks = make([]colBlock, 0, (n+blockSize-1)/blockSize)
 	var off int64
-	for start := 0; start < len(vals); start += blockSize {
-		end := start + blockSize
-		if end > len(vals) {
-			end = len(vals)
-		}
+	for start := 0; start < n; start += blockSize {
+		end := min(start+blockSize, n)
 		var blk colBlock
-		switch {
-		case !ok:
-			blk = encodeRaw(vals[start:end])
-		case kind == types.KindString:
-			blk = encodeDict(vals[start:end], col.dict)
+		switch v.Kind {
+		case types.KindNull:
+			blk = colBlock{enc: encRaw, raw: v.Mixed[start:end]}
+			blk.min, blk.max, blk.hasZone = zoneOf(blk.raw)
+		case types.KindFloat:
+			blk = colBlock{enc: encRaw, floats: v.Floats[start:end], hasZone: true}
+			lo, hi := minMax(blk.floats)
+			blk.min, blk.max = types.Float(lo), types.Float(hi)
+		case types.KindString:
+			blk = sc.encodeDict(v.Strs[start:end], col.dict)
 		default:
-			blk = encodeInts(vals[start:end], kind)
+			blk = sc.encodeInts(v.Ints[start:end], v.Kind)
+		}
+		blk.rows = end - start
+		if blk.enc == encRaw {
+			blk.bytes = int64(blk.rows) * 8
 		}
 		blk.startByte = off
 		off += blk.bytes
@@ -201,17 +196,25 @@ func buildColumn(vals []types.Value, blockSize int) column {
 	return col
 }
 
-func buildDict(vals []types.Value) []string {
-	seen := make(map[string]struct{}, 64)
+// buildDict returns the sorted distinct values of vals.
+func (sc *buildScratch) buildDict(vals []string) []string {
+	sc.strs = append(sc.strs[:0], vals...)
+	slices.Sort(sc.strs)
+	return slices.Clone(slices.Compact(sc.strs))
+}
+
+// minMax returns the smallest and largest of vals, which is not empty.
+func minMax[T cmp.Ordered](vals []T) (lo, hi T) {
+	lo, hi = vals[0], vals[0]
 	for _, v := range vals {
-		seen[v.S] = struct{}{}
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
 	}
-	dict := make([]string, 0, len(seen))
-	for s := range seen {
-		dict = append(dict, s)
-	}
-	sort.Strings(dict)
-	return dict
+	return lo, hi
 }
 
 func zoneOf(vals []types.Value) (min, max types.Value, ok bool) {
@@ -233,82 +236,83 @@ func zoneOf(vals []types.Value) (min, max types.Value, ok bool) {
 	return min, max, ok
 }
 
-func encodeRaw(vals []types.Value) colBlock {
-	blk := colBlock{rows: len(vals), enc: encRaw, bytes: int64(len(vals)) * 8}
-	blk.raw = append([]types.Value(nil), vals...)
-	blk.min, blk.max, blk.hasZone = zoneOf(vals)
-	return blk
+// codesOf returns the scratch code slice sized for n values.
+func (sc *buildScratch) codesOf(n int) []uint64 {
+	if cap(sc.codes) < n {
+		sc.codes = make([]uint64, n)
+	}
+	return sc.codes[:n]
 }
 
-func encodeDict(vals []types.Value, dict []string) colBlock {
+func (sc *buildScratch) encodeDict(vals []string, dict []string) colBlock {
 	width := bits.Len64(uint64(len(dict)) - 1)
 	if len(dict) <= 1 {
 		width = 0
 	}
-	codes := make([]uint64, len(vals))
-	for i, v := range vals {
-		codes[i] = uint64(sort.SearchStrings(dict, v.S))
+	codes := sc.codesOf(len(vals))
+	for i, s := range vals {
+		codes[i] = uint64(sort.SearchStrings(dict, s))
 	}
-	blk := colBlock{
-		rows:  len(vals),
-		enc:   encDict,
-		width: width,
-		words: packBits(codes, width),
-		bytes: int64(len(vals)*width+7) / 8,
+	lo, hi := minMax(vals)
+	return colBlock{
+		enc:     encDict,
+		width:   width,
+		words:   packBits(codes, width),
+		bytes:   int64(len(vals)*width+7) / 8,
+		hasZone: true,
+		min:     types.Str(lo),
+		max:     types.Str(hi),
 	}
-	blk.min, blk.max, blk.hasZone = zoneOf(vals)
-	return blk
 }
 
 // encodeInts picks the smallest of RLE, offset bit-packing and raw for one
 // integer-like block. RLE stores 16 bytes per run (value + length), packing
 // stores an 8-byte base plus width bits per value.
-func encodeInts(vals []types.Value, kind types.Kind) colBlock {
+func (sc *buildScratch) encodeInts(vals []int64, kind types.Kind) colBlock {
 	n := len(vals)
 	runs := 0
-	lo, hi := vals[0].I, vals[0].I
 	for i, v := range vals {
-		if i == 0 || v.I != vals[i-1].I {
+		if i == 0 || v != vals[i-1] {
 			runs++
 		}
-		if v.I < lo {
-			lo = v.I
-		}
-		if v.I > hi {
-			hi = v.I
-		}
 	}
+	lo, hi := minMax(vals)
 	width := bits.Len64(uint64(hi - lo))
 	rleBytes := int64(runs) * 16
 	packedBytes := 8 + int64(n*width+7)/8
-	rawBytes := int64(n) * 8
 
-	blk := colBlock{rows: n, enc: encRaw, bytes: rawBytes}
+	blk := colBlock{
+		enc:     encRaw,
+		hasZone: true,
+		min:     types.Value{K: kind, I: lo},
+		max:     types.Value{K: kind, I: hi},
+	}
 	switch {
-	case rleBytes <= packedBytes && rleBytes <= rawBytes:
+	case rleBytes <= packedBytes && rleBytes <= int64(n)*8:
 		blk.enc, blk.bytes = encRLE, rleBytes
+		blk.runVal, blk.runLen = make([]int64, 0, runs), make([]int32, 0, runs)
 		for i, v := range vals {
-			if i == 0 || v.I != vals[i-1].I {
-				blk.runVal = append(blk.runVal, v.I)
+			if i == 0 || v != vals[i-1] {
+				blk.runVal = append(blk.runVal, v)
 				blk.runLen = append(blk.runLen, 1)
 			} else {
 				blk.runLen[len(blk.runLen)-1]++
 			}
 		}
-	case packedBytes <= rawBytes:
+	case packedBytes <= int64(n)*8:
 		blk.enc, blk.bytes = encPacked, packedBytes
 		blk.base, blk.width = lo, width
-		codes := make([]uint64, n)
+		codes := sc.codesOf(n)
 		for i, v := range vals {
-			codes[i] = uint64(v.I - lo)
+			codes[i] = uint64(v - lo)
 		}
 		blk.words = packBits(codes, width)
 	default:
-		blk.raw = append([]types.Value(nil), vals...)
+		blk.raw = make([]types.Value, n)
+		for i, v := range vals {
+			blk.raw[i] = types.Value{K: kind, I: v}
+		}
 	}
-	blk.min = types.Value{K: kind, I: lo}
-	blk.max = types.Value{K: kind, I: hi}
-	blk.hasZone = true
 	return blk
 }
 
@@ -506,12 +510,11 @@ func (cs *ColumnStore) EvalBlock(col, b int, op CmpOp, v types.Value, keep []boo
 			keep[i] = truth(types.Compare(types.Value{K: c.kind, I: iv}, v))
 		}
 	default: // encRaw
-		for i := 0; i < blk.rows; i++ {
-			if !keep[i] {
-				continue
-			}
-			rv := blk.raw[i]
-			keep[i] = !rv.IsNull() && truth(types.Compare(rv, v))
+		for i, f := range blk.floats {
+			keep[i] = keep[i] && truth(types.Compare(types.Float(f), v))
+		}
+		for i, rv := range blk.raw {
+			keep[i] = keep[i] && !rv.IsNull() && truth(types.Compare(rv, v))
 		}
 	}
 }
@@ -594,6 +597,9 @@ func (cs *ColumnStore) Decode(col, b int, dst []types.Value) {
 			dst[i] = types.Value{K: c.kind, I: blk.base + int64(unpackBits(blk.words, blk.width, i))}
 		}
 	default:
+		for i, f := range blk.floats {
+			dst[i] = types.Float(f)
+		}
 		copy(dst, blk.raw)
 	}
 }
