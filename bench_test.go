@@ -13,6 +13,7 @@ import (
 
 	"rqp/internal/adaptive"
 	"rqp/internal/catalog"
+	"rqp/internal/core"
 	"rqp/internal/exec"
 	"rqp/internal/experiments"
 	"rqp/internal/opt"
@@ -182,6 +183,56 @@ func BenchmarkHashJoinNarrowBuild(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTPCHStatementBytes prints what one execution of each of the
+// benchmark's join statements allocates (B/op), as the server runs them: the
+// benchmark's catalog (scale 8, its three indexes, analyzed), plans from the
+// plan cache, rows streamed to a sink that keeps none, under the default
+// configuration (analytic_row) and under DOP 2 + columnar + runtime filters
+// (analytic_fast). The bytes are the build sides and exchanges, which are as
+// wide as what is read above them.
+func BenchmarkTPCHStatementBytes(b *testing.B) {
+	fast := core.DefaultConfig()
+	fast.DOP, fast.Columnar, fast.RuntimeFilters = 2, true, true
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{{"default", core.DefaultConfig()}, {"fast", fast}} {
+		cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 8, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := core.Attach(cat, c.cfg)
+		eng.Cache = core.NewPlanCache(0)
+		for _, ddl := range []string{
+			`CREATE UNIQUE INDEX orders_pk ON orders (o_orderkey)`,
+			`CREATE UNIQUE INDEX customer_pk ON customer (c_custkey)`,
+			`CREATE INDEX lineitem_order ON lineitem (l_orderkey)`,
+			`ANALYZE orders`, `ANALYZE customer`, `ANALYZE lineitem`,
+		} {
+			eng.MustExec(ddl)
+		}
+		for _, name := range []string{"Q3", "Q5", "Q10"} {
+			q := workload.TPCHQueries()[name]
+			b.Run(name+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := -1; i < b.N; i++ {
+					if i == 0 {
+						b.ResetTimer() // the first execution planned
+					}
+					if _, err := eng.ExecStream(q, nil, discardRows{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+type discardRows struct{}
+
+func (discardRows) Columns([]string)    {}
+func (discardRows) Row(types.Row) error { return nil }
 
 // ---------- morsel-driven parallel execution ----------
 

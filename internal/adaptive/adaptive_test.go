@@ -343,3 +343,68 @@ func TestLotteryEddyCorrect(t *testing.T) {
 		t.Fatalf("lottery eddy changed results: %d vs %d", len(got), len(want))
 	}
 }
+
+// fullWidth reports whether n emits every column of what it reads.
+func fullWidth(n plan.Node) bool {
+	switch v := n.(type) {
+	case *plan.ScanNode:
+		return v.Cols == nil
+	case *plan.IndexScanNode:
+		return v.Cols == nil
+	case *plan.JoinNode:
+		return v.Cols == nil
+	case *plan.IndexJoinNode:
+		return v.Cols == nil
+	}
+	return true
+}
+
+// TestReplannedCoresKeepEveryColumn: POP and Rio plan join cores over
+// materialized intermediates with no query block in sight and address their
+// outputs as left‖right (OptimizeJoinGraph, EnumerateCorePlans, FinishPlan),
+// so no node they plan or run may project: Cols is nil on every one.
+func TestReplannedCoresKeepEveryColumn(t *testing.T) {
+	cat := correlatedDB(t, 2000, 40)
+	const q = `SELECT fact.fid FROM fact, dim WHERE fact.dim = dim.id AND fact.a = 3`
+	for _, policy := range []ReoptPolicy{Static, Checked, Eager} {
+		ctx := exec.NewContext()
+		nodes := 0
+		ctx.OnActual = func(n plan.Node, _ float64) {
+			nodes++
+			if !fullWidth(n) {
+				t.Errorf("policy %v ran %s projecting to %v", policy, n.Label(), n.Schema().Names())
+			}
+		}
+		p := &Progressive{Opt: opt.New(cat), Policy: policy}
+		if _, err := p.Execute(bindSelect(t, cat, q), ctx); err != nil {
+			t.Fatal(err)
+		}
+		if nodes < 3 {
+			t.Errorf("policy %v: only %d nodes reported", policy, nodes)
+		}
+	}
+	r := &Rio{Opt: opt.New(cat), UncertaintyFactor: 8}
+	root, _, err := r.Choose(bindSelect(t, cat, q), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Walk(root, func(n plan.Node) {
+		if !fullWidth(n) {
+			t.Errorf("rio planned %s projecting to %v", n.Label(), n.Schema().Names())
+		}
+	})
+	// The same statement through Optimize sheds fact.a and both join keys.
+	narrow, err := opt.New(cat).Optimize(bindSelect(t, cat, q), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	projecting := 0
+	plan.Walk(narrow, func(n plan.Node) {
+		if !fullWidth(n) {
+			projecting++
+		}
+	})
+	if projecting < 3 {
+		t.Errorf("Optimize narrowed %d nodes, want both scans and the join:\n%s", projecting, plan.Explain(narrow))
+	}
+}

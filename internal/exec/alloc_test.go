@@ -157,9 +157,6 @@ func TestAllocCeilingNarrowBuild(t *testing.T) {
 	}
 	ceiling := 1.1 * n * (k*float64(unsafe.Sizeof(types.Value{})) + float64(unsafe.Sizeof(types.Row{})))
 	for _, columnar := range []bool{false, true} {
-		if columnar && raceDetector {
-			continue // every block's pooled decode buffers are reallocated
-		}
 		scan.Columnar = columnar
 		_, bytes := measureAllocs(func() {
 			op, err := build(scan, NewContext())

@@ -161,14 +161,14 @@ func (c *colScanner) skip(b int, why string) {
 }
 
 // scanBlock processes block b, charging clk per the contract above and
-// lending every surviving row to emit. The block decodes into one
-// table-width scratch row per call, on which the runtime filters and the
-// residual are tested in table coordinates; a survivor is projected to the
-// node's Cols into a second scratch row (nil Cols lends the first), so the
-// row is valid only until emit returns and a consumer that keeps it copies
-// it (RowArena). Safe for concurrent use across blocks: all per-call scratch
-// is pooled or local.
-func (c *colScanner) scanBlock(b int, clk *storage.Clock, emit func(types.Row) error) error {
+// lending every surviving row to emit. The block decodes into a table-width
+// scratch row, on which the runtime filters and the residual are tested in
+// table coordinates; a survivor is projected to the node's Cols into a second
+// scratch row (nil Cols lends the first), so the row is valid only until emit
+// returns and a consumer that keeps it copies it (RowArena). Safe for
+// concurrent use across blocks: everything a call writes to is in s, which
+// its caller owns.
+func (c *colScanner) scanBlock(b int, clk *storage.Clock, s *blockScratch, emit func(types.Row) error) error {
 	if c.alwaysFalse {
 		clk.ZoneChecks(1)
 		c.skip(b, "const")
@@ -199,8 +199,7 @@ func (c *colScanner) scanBlock(b int, clk *storage.Clock, emit func(types.Row) e
 	for _, col := range c.need {
 		clk.SeqRead(c.cs.PageSpan(col, b))
 	}
-	keep := getColKeep(nrows)
-	defer putColKeep(keep)
+	keep, vals, buf := s.size(nrows, len(c.need), c.cs.NumCols()+len(c.node.Cols))
 	for i := range c.pushed {
 		p := &c.pushed[i]
 		clk.FilterTestsBatch(c.cs.EvalUnits(p.col, b))
@@ -213,25 +212,17 @@ func (c *colScanner) scanBlock(b int, clk *storage.Clock, emit func(types.Row) e
 	if !slices.Contains(keep, true) {
 		return nil
 	}
-	bufs := make([][]types.Value, len(c.need))
-	for i, col := range c.need {
-		bufs[i] = getColVals(nrows)
-		c.cs.Decode(col, b, bufs[i])
+	for j, col := range c.need {
+		c.cs.Decode(col, b, vals[j*nrows:(j+1)*nrows])
 	}
-	defer func() {
-		for _, buf := range bufs {
-			putColVals(buf)
-		}
-	}()
 	cols := c.node.Cols
-	buf := make(types.Row, c.cs.NumCols()+len(cols))
 	row, out := buf[:c.cs.NumCols()], buf[c.cs.NumCols():]
 	for i := 0; i < nrows; i++ {
 		if !keep[i] {
 			continue
 		}
 		for j, col := range c.need {
-			row[col] = bufs[j][i]
+			row[col] = vals[j*nrows+i]
 		}
 		// Runtime-filter rejects pay only the membership test, never the full
 		// per-row charge — same admission order as the heap scans.
@@ -264,38 +255,38 @@ func (c *colScanner) scanBlock(b int, clk *storage.Clock, emit func(types.Row) e
 	return nil
 }
 
-// ---------- scratch pools ----------
-
-var colKeepPool = sync.Pool{New: func() any { return []bool(nil) }}
-
-func getColKeep(n int) []bool {
-	s, _ := colKeepPool.Get().([]bool)
-	if cap(s) < n {
-		s = make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = true
-	}
-	return s
+// blockScratch is the workspace one worker scans column blocks in, reused
+// from block to block: the keep mask, and one slab for the decoded columns
+// (back to back) and the table-width row with the output row behind it. Like
+// rowBuf it is pooled whole and by pointer: one round trip per scan and
+// worker, none per block, and a fresh one is three allocations whatever the
+// scan's width.
+type blockScratch struct {
+	keep []bool
+	slab []types.Value
 }
 
-func putColKeep(s []bool) { colKeepPool.Put(s[:0]) } //nolint:staticcheck // slice header boxing is fine here
+var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
-var colValsPool = sync.Pool{New: func() any { return []types.Value(nil) }}
+func getBlockScratch() *blockScratch { return blockScratchPool.Get().(*blockScratch) }
 
-func getColVals(n int) []types.Value {
-	s, _ := colValsPool.Get().([]types.Value)
-	if cap(s) < n {
-		s = make([]types.Value, n)
-	}
-	return s[:n]
+// putBlockScratch returns s to the pool, emptied: it must not pin decoded
+// strings.
+func putBlockScratch(s *blockScratch) {
+	clear(s.slab[:cap(s.slab)])
+	blockScratchPool.Put(s)
 }
 
-func putColVals(s []types.Value) {
-	s = s[:cap(s)]
-	clear(s) // don't let pooled memory pin decoded strings
-	colValsPool.Put(s[:0])
+// size returns the scratch cut to a block of nrows rows: the mask, all true,
+// ncols columns of nrows values back to back and a row of width values, the
+// two of them unspecified.
+func (s *blockScratch) size(nrows, ncols, width int) (keep []bool, vals []types.Value, row types.Row) {
+	s.keep = slices.Grow(s.keep[:0], nrows)[:nrows]
+	for i := range s.keep {
+		s.keep[i] = true
+	}
+	s.slab = slices.Grow(s.slab[:0], nrows*ncols+width)[:nrows*ncols+width]
+	return s.keep, s.slab[:nrows*ncols], s.slab[nrows*ncols:]
 }
 
 // ---------- serial variants ----------
@@ -305,10 +296,11 @@ func putColVals(s []types.Value) {
 // block to block, so a handed-out row stays valid until the cursor moves
 // past its block — at the earliest the operator's next call.
 type blockCursor struct {
-	sc    *colScanner
-	block int
-	buf   *rowBuf // the current block's survivors
-	pos   int
+	sc      *colScanner
+	block   int
+	scratch *blockScratch
+	buf     *rowBuf // the current block's survivors
+	pos     int
 }
 
 // open binds the scan's runtime filters and resolves its columnar core;
@@ -320,17 +312,18 @@ func (c *blockCursor) open(ctx *Context, node *plan.ScanNode) bool {
 	}
 	if c.buf == nil {
 		n := c.sc.cs.BlockRows(0) // block 0 is as large as any
-		c.buf = getRowBuf(n, n*len(node.Out))
+		c.buf, c.scratch = getRowBuf(n, n*len(node.Out)), getBlockScratch()
 	}
 	c.buf.reset()
 	c.block, c.pos = 0, 0
 	return true
 }
 
-// close returns the buffer to the pool.
+// close returns the buffers to their pools.
 func (c *blockCursor) close() {
 	if c.buf != nil {
 		putRowBuf(c.buf)
+		putBlockScratch(c.scratch)
 	}
 	*c = blockCursor{}
 }
@@ -341,7 +334,7 @@ func (c *blockCursor) refill(clk *storage.Clock) (bool, error) {
 		c.buf.reset()
 		c.pos = 0
 		c.block++
-		err := c.sc.scanBlock(c.block-1, clk, func(r types.Row) error {
+		err := c.sc.scanBlock(c.block-1, clk, c.scratch, func(r types.Row) error {
 			c.buf.rows = append(c.buf.rows, c.buf.carve(r, nil))
 			return nil
 		})

@@ -23,13 +23,13 @@
 // lends each row to a RowSink before pulling again; a consumer that keeps
 // a row across calls (the collecting sink of Run and drain, sort runs,
 // DISTINCT, spill runs, exchange buffers) copies it into a RowArena,
-// chunked value slabs that grow geometrically. Every scan lends, heap and
-// columnar alike, a row as wide as the query: the optimizer puts the table
-// columns the statement mentions on the scan node (Cols; nil = all, the
-// stored row), filters and runtime filters test the stored row in table
-// coordinates, and the survivor is projected (appendCols) into a page buffer
-// or a scratch row, valid until the next call or until emit returns. A
-// retained row is copied once: an exchange's arena copies are taken over as
+// chunked value slabs that grow geometrically. Every scan and every join
+// lends a row holding only what something above it reads: the optimizer puts
+// the live columns on the node (Cols; nil = all — the stored row, or
+// left‖right), filters, keys, residuals and runtime filters test the input in
+// its own coordinates, and the survivor is projected (appendCols, joinRow)
+// into a page buffer or a scratch row, valid until the next call or until emit
+// returns. A retained row is copied once: an exchange's arena copies are taken over as
 // they are (ownedRows) by drain and the sort, and a retained row set (RowSet,
 // behind collect) cuts its []Row index once, after the last row. Every hash
 // join builds one joinTable over arena-held build rows and probes it through

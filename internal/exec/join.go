@@ -48,10 +48,10 @@ func keyHasNull(k []types.Value) bool {
 }
 
 // joinResidual is the one shared accept/charge step for post-join residual
-// predicates: evaluate the residual (if any) over the assembled output row
-// and charge the per-row work only for survivors. Every join variant —
-// equi-joins through emitJoined and the index nested-loop join directly —
-// funnels through it so the charge discipline cannot drift between copies.
+// predicates: evaluate the residual (if any) over the assembled row and
+// charge the per-row work only for survivors. Every join variant — equi-joins
+// through joinRow.match and the index nested-loop join directly — funnels
+// through it so the charge discipline cannot drift between copies.
 func joinResidual(clk *storage.Clock, params []types.Value, residual expr.Expr, out types.Row) (bool, error) {
 	if residual != nil {
 		ok, err := expr.EvalPredicate(residual, out, params)
@@ -61,19 +61,6 @@ func joinResidual(clk *storage.Clock, params []types.Value, residual expr.Expr, 
 	}
 	clk.RowWork(1)
 	return true, nil
-}
-
-// emitJoined assembles l‖r in buf (the caller's reused output row, capacity
-// the join's schema width) and evaluates the residual. It takes the clock
-// explicitly (rather than a Context) so parallel workers can charge their
-// shard clocks. The returned row is buf: valid until the caller's next emit.
-func emitJoined(clk *storage.Clock, params []types.Value, node *plan.JoinNode, buf, l, r types.Row) (types.Row, bool, error) {
-	out := concatInto(buf, l, r)
-	ok, err := joinResidual(clk, params, node.Residual, out)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return out, true, nil
 }
 
 // padNulls overwrites buf with l followed by n NULLs: the outer row of a
@@ -162,7 +149,7 @@ type nlJoin struct {
 	inner   []types.Row
 	key     []types.Value // the current left row's equi key
 	keyNull bool
-	out     types.Row
+	out     joinRow
 	lrow    types.Row
 	have    bool // lrow is in flight
 	matched bool
@@ -181,7 +168,7 @@ func (j *nlJoin) Open() error {
 	j.inner = inner
 	j.ctx.Clock.RowWork(len(inner))
 	j.key = make([]types.Value, len(j.node.LeftKeys))
-	j.out = make(types.Row, 0, len(j.node.Schema()))
+	j.out = newJoinRow(j.node)
 	j.have = false
 	j.lDone = false
 	return nil
@@ -215,7 +202,7 @@ func (j *nlJoin) Next() (types.Row, bool, error) {
 			if len(j.key) > 0 && (j.keyNull || !keyMatches(j.key, r, j.node.RightKeys)) {
 				continue
 			}
-			out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, j.out, j.lrow, r)
+			out, ok, err := j.out.match(j.ctx.Clock, j.ctx.Params, j.lrow, r)
 			if err != nil {
 				return nil, false, err
 			}
@@ -227,7 +214,7 @@ func (j *nlJoin) Next() (types.Row, bool, error) {
 		j.have = false
 		if j.node.Type == plan.LeftOuter && !j.matched {
 			j.ctx.Clock.RowWork(1)
-			return padNulls(j.out, j.lrow, len(j.node.Kids[1].Schema())), true, nil
+			return j.out.outer(j.lrow), true, nil
 		}
 	}
 }
@@ -253,7 +240,7 @@ type mergeJoin struct {
 	gi           int
 	lrow         types.Row
 	lk, rk       []types.Value // key scratch
-	out          types.Row
+	out          joinRow
 }
 
 func (j *mergeJoin) Open() error {
@@ -272,7 +259,7 @@ func (j *mergeJoin) Open() error {
 	j.group = nil
 	j.lk = make([]types.Value, len(j.node.LeftKeys))
 	j.rk = make([]types.Value, len(j.node.RightKeys))
-	j.out = make(types.Row, 0, len(j.node.Schema()))
+	j.out = newJoinRow(j.node)
 	return nil
 }
 
@@ -341,7 +328,7 @@ func (j *mergeJoin) Next() (types.Row, bool, error) {
 		if j.gi < len(j.group) {
 			r := j.group[j.gi]
 			j.gi++
-			out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, j.out, j.lrow, r)
+			out, ok, err := j.out.match(j.ctx.Clock, j.ctx.Params, j.lrow, r)
 			if err != nil {
 				return nil, false, err
 			}
@@ -385,7 +372,7 @@ type symHashJoin struct {
 	ltab, rtab *joinTable
 	arena      RowArena // inserted rows and joined output
 	key        []types.Value
-	buf        types.Row
+	buf        joinRow
 	out        []types.Row
 	pos        int
 }
@@ -399,7 +386,7 @@ func (j *symHashJoin) Open() error {
 	}
 	j.ltab, j.rtab = newJoinTable(nil), newJoinTable(nil)
 	j.key = make([]types.Value, len(j.node.LeftKeys))
-	j.buf = make(types.Row, 0, len(j.node.Schema()))
+	j.buf = newJoinRow(j.node)
 	j.out = nil
 	j.pos = 0
 	// Alternate pulls between inputs, emitting matches as they form.
@@ -455,7 +442,7 @@ func (j *symHashJoin) insert(r types.Row, fromLeft bool) error {
 		if !fromLeft {
 			l, rr = cand, r
 		}
-		out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, j.buf, l, rr)
+		out, ok, err := j.buf.match(j.ctx.Clock, j.ctx.Params, l, rr)
 		if err != nil {
 			return err
 		}
@@ -521,14 +508,14 @@ func (j *gJoin) Open() error {
 	defer j.ctx.Mem.Release(grant)
 
 	var arena RowArena
-	buf := make(types.Row, 0, len(j.node.Schema()))
+	buf := newJoinRow(j.node)
 	key := make([]types.Value, len(largeKeys))
 	pair := func(s, g types.Row) error {
 		l, r := g, s
 		if !smallIsRight {
 			l, r = s, g
 		}
-		out, ok, err := emitJoined(j.ctx.Clock, j.ctx.Params, j.node, buf, l, r)
+		out, ok, err := buf.match(j.ctx.Clock, j.ctx.Params, l, r)
 		if err != nil {
 			return err
 		}
@@ -609,9 +596,9 @@ func (j *gJoin) Close() error {
 
 // ---------- index nested-loop join ----------
 
-// indexNLJoin probes a persistent B+ tree per outer row. The fetched rows
-// are held as stored, by reference; each output row is the outer row
-// followed by a match's Cols.
+// indexNLJoin probes a persistent B+ tree per outer row. The fetched rows that
+// pass the node's Filter are held as stored, by reference; each output row is
+// the outer row followed by a match's Cols.
 type indexNLJoin struct {
 	ctx  *Context
 	node *plan.IndexJoinNode
@@ -677,12 +664,20 @@ func (j *indexNLJoin) Next() (types.Row, bool, error) {
 		if keyHasNull(j.key) {
 			continue
 		}
+		var evalErr error
 		j.node.Index.Tree.Lookup(j.ctx.Clock, j.key, func(e index.Entry) bool {
-			if r, ok := j.node.Table.Heap.Get(j.ctx.Clock, e.RID); ok {
+			r, ok := j.node.Table.Heap.Get(j.ctx.Clock, e.RID)
+			if ok && j.node.Filter != nil {
+				ok, evalErr = expr.EvalPredicate(j.node.Filter, r, j.ctx.Params)
+			}
+			if ok {
 				j.matches = append(j.matches, r)
 			}
-			return true
+			return evalErr == nil
 		})
+		if evalErr != nil {
+			return nil, false, evalErr
+		}
 	}
 }
 

@@ -106,10 +106,72 @@ func (s *RowSet) Rows() []types.Row {
 	return rows
 }
 
-// concatInto overwrites buf with l‖r and returns it: the reused output row
-// of every join (valid until the producer's next call).
+// concatInto overwrites buf with l‖r and returns it.
 func concatInto(buf, l, r types.Row) types.Row {
 	return append(append(buf[:0], l...), r...)
+}
+
+// joinRow assembles one join's output rows in a reused buffer (valid until
+// the next call): l‖r, or the positions of it the node's Cols list. Keys and
+// residual number l‖r, so a projecting join with a residual assembles that
+// first; without one it gathers straight from its two inputs, and the columns
+// it sheds are never copied.
+type joinRow struct {
+	node      *plan.JoinNode
+	wide, out types.Row // l‖r; its Cols
+}
+
+func newJoinRow(node *plan.JoinNode) joinRow {
+	j := joinRow{node: node, out: make(types.Row, 0, len(node.Cols))}
+	if node.Cols == nil || node.Residual != nil {
+		j.wide = make(types.Row, 0, len(node.Kids[0].Schema())+len(node.Kids[1].Schema()))
+	}
+	return j
+}
+
+// gather overwrites out with the node's Cols of l‖r; a nil r stands for the
+// NULLs of an outer row.
+func (j *joinRow) gather(l, r types.Row) types.Row {
+	j.out = j.out[:0]
+	for _, c := range j.node.Cols {
+		switch {
+		case c < len(l):
+			j.out = append(j.out, l[c])
+		case r != nil:
+			j.out = append(j.out, r[c-len(l)])
+		default:
+			j.out = append(j.out, types.Null())
+		}
+	}
+	return j.out
+}
+
+// match returns the output row of l joined with r if it passes the residual,
+// charging clk per joinResidual.
+func (j *joinRow) match(clk *storage.Clock, params []types.Value, l, r types.Row) (types.Row, bool, error) {
+	n := j.node
+	if n.Cols != nil && n.Residual == nil {
+		clk.RowWork(1)
+		return j.gather(l, r), true, nil
+	}
+	j.wide = concatInto(j.wide, l, r)
+	if ok, err := joinResidual(clk, params, n.Residual, j.wide); err != nil || !ok {
+		return nil, false, err
+	}
+	if n.Cols == nil {
+		return j.wide, true, nil
+	}
+	j.out = appendCols(j.out[:0], j.wide, n.Cols)
+	return j.out, true, nil
+}
+
+// outer returns the null-extended row of a probe row nothing matched.
+func (j *joinRow) outer(l types.Row) types.Row {
+	if j.node.Cols != nil {
+		return j.gather(l, nil)
+	}
+	j.wide = padNulls(j.wide, l, len(j.node.Kids[1].Schema()))
+	return j.wide
 }
 
 // joinTable is a flat chained hash table over build rows: bucket head/tail
@@ -315,22 +377,20 @@ func (b *hashBuild) release() {
 // owns one prober, the serial operators own one each.
 type joinProbe struct {
 	*hashBuild
-	key    []types.Value
-	out    types.Row
-	rWidth int // build-side width: the null padding of an outer row
-	lrow   types.Row
-	hash   uint64
-	cur    int32 // next candidate, -1 when the chain is exhausted
-	outer  bool  // a null-extended row is still owed if nothing matches
-	rows   int64 // rows each has handed to its sinks so far
+	key   []types.Value
+	out   joinRow
+	lrow  types.Row
+	hash  uint64
+	cur   int32 // next candidate, -1 when the chain is exhausted
+	outer bool  // a null-extended row is still owed if nothing matches
+	rows  int64 // rows each has handed to its sinks so far
 }
 
 func (b *hashBuild) prober() *joinProbe {
 	return &joinProbe{
 		hashBuild: b,
 		key:       make([]types.Value, len(b.node.LeftKeys)),
-		out:       make(types.Row, 0, len(b.node.Schema())),
-		rWidth:    len(b.node.Kids[1].Schema()),
+		out:       newJoinRow(b.node),
 		cur:       -1,
 	}
 }
@@ -365,21 +425,19 @@ func (p *joinProbe) next(clk *storage.Clock) (types.Row, bool, error) {
 		if !keyMatches(p.key, cand, p.node.RightKeys) {
 			continue
 		}
-		p.out = concatInto(p.out, p.lrow, cand)
-		ok, err := joinResidual(clk, p.ctx.Params, p.node.Residual, p.out)
+		out, ok, err := p.out.match(clk, p.ctx.Params, p.lrow, cand)
 		if err != nil {
 			return nil, false, err
 		}
 		if ok {
 			p.outer = false
-			return p.out, true, nil
+			return out, true, nil
 		}
 	}
 	if p.outer {
 		p.outer = false
-		p.out = padNulls(p.out, p.lrow, p.rWidth)
 		clk.RowWork(1)
-		return p.out, true, nil
+		return p.out.outer(p.lrow), true, nil
 	}
 	return nil, false, nil
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"rqp/internal/catalog"
@@ -52,6 +53,25 @@ var narrowShapes = []struct {
 	// COUNT(*) mentions no column: zero-width rows from the scan on.
 	{"count", `SELECT COUNT(*) FROM li`, false},
 	{"count-cross", `SELECT COUNT(*) FROM cust, nat`, false},
+	// What only a join's projection can get wrong. Every key is shed by the
+	// join that matched it: a zero-width join output.
+	{"count-join", `SELECT COUNT(*) FROM li, ord WHERE li.o = ord.o`, false},
+	// A build side that is itself a projecting join, under another.
+	{"nested-build", `SELECT li.v, nat.r FROM nat, cust, ord, li
+		WHERE cust.n = nat.n AND cust.c = ord.c AND li.o = ord.o AND cust.seg < 4`, false},
+	// The residual reads li.v and ord.d; the output keeps neither.
+	{"residual-shed", `SELECT cust.seg, li.g FROM cust, ord, li
+		WHERE cust.c = ord.c AND li.o = ord.o AND li.v < ord.d * 6`, false},
+	// ord.o is matched below and grouped on above: it must survive the join.
+	{"key-is-group-key", `SELECT ord.o, cust.seg, COUNT(*) FROM cust, ord, li
+		WHERE cust.c = ord.c AND li.o = ord.o GROUP BY ord.o, cust.seg`, false},
+	// An outer join over a projecting join: its ON reads ord.c, which the
+	// core keeps for it and nothing reads after; and one whose ON carries a
+	// residual over two columns the output drops.
+	{"left-outer-above", `SELECT li.v, cust.seg FROM li, ord LEFT JOIN cust ON ord.c = cust.c
+		WHERE li.o = ord.o AND li.g < 5`, false},
+	{"left-outer-residual", `SELECT li.g, ord.c FROM li LEFT JOIN ord ON li.o = ord.o AND li.v < ord.d * 4
+		WHERE li.g < 4`, false},
 }
 
 // narrowPlans plans q twice with one optimizer: through Optimize — scans as
@@ -108,13 +128,27 @@ func narrowedScans(root plan.Node) int {
 	return n
 }
 
+// projectingJoins counts the joins of a plan that emit fewer columns than
+// their two inputs hold.
+func projectingJoins(root plan.Node) int {
+	n := 0
+	plan.Walk(root, func(nd plan.Node) {
+		if j, ok := nd.(*plan.JoinNode); ok && j.Cols != nil {
+			n++
+		}
+	})
+	return n
+}
+
 // TestNarrowPlanMatchesFullWidth is the narrowing's exactness property: the
-// plan whose scans emit only the columns the query mentions returns
-// byte-identical rows to the same plan over full-width scans, at the
+// plan whose every node emits only what something above it reads returns
+// byte-identical rows to the same plan with every node at full width, at the
 // integer-exact same cost on the heap (a columnar scan decodes fewer columns,
 // so there the cost may only fall) — across heap/columnar × runtime filters ×
-// DOP {1, 2} × shards {1, 4} × budgets {unlimited, tight}, with every
-// producer's previous row poisoned.
+// DOP {1, 2, 8} × unsharded and four shards routed as planned (co-located
+// where the layout allows), repartitioned and broadcast × budgets {unlimited,
+// tight}, with every producer's previous row poisoned. (The same over
+// transport=tcp: server.TestNetShuffleNarrowPlans.)
 func TestNarrowPlanMatchesFullWidth(t *testing.T) {
 	SetRowPoison(true)
 	defer SetRowPoison(false)
@@ -125,7 +159,7 @@ func TestNarrowPlanMatchesFullWidth(t *testing.T) {
 		disabled  int64
 		colocated int64
 	}
-	run := func(root plan.Node, cell string, columnar, rf bool, dop, shards, budget int) outcome {
+	run := func(root plan.Node, cell string, columnar, rf bool, dop int, shuffle string, budget int) outcome {
 		plan.Walk(root, func(n plan.Node) {
 			switch v := n.(type) {
 			case *plan.JoinNode:
@@ -148,9 +182,9 @@ func TestNarrowPlanMatchesFullWidth(t *testing.T) {
 			plan.MarkParallel(root, 1)
 			ctx.DOP = dop
 		}
-		if shards > 1 {
-			opt.PlanShuffles(root, shards, "")
-			ctx.Shards, ctx.Shuffle = shards, NewShuffleStats(shards)
+		if shuffle != "unsharded" {
+			opt.PlanShuffles(root, 4, strings.TrimPrefix(shuffle, "planned"))
+			ctx.Shards, ctx.Shuffle = 4, NewShuffleStats(4)
 		}
 		rows, err := Run(root, ctx)
 		if err != nil {
@@ -166,20 +200,23 @@ func TestNarrowPlanMatchesFullWidth(t *testing.T) {
 		return out
 	}
 	var colocated int64
+	projecting := 0
 	for _, sh := range narrowShapes {
-		if n, f := narrowPlans(t, cat, sh.sql, sh.indexNL); narrowedScans(n) == 0 || narrowedScans(f) != 0 {
-			t.Fatalf("%s: %d narrowed access paths in the narrow plan, %d in the full-width one:\n%s",
-				sh.name, narrowedScans(n), narrowedScans(f), plan.Explain(n))
+		n, f := narrowPlans(t, cat, sh.sql, sh.indexNL)
+		if narrowedScans(n) == 0 || narrowedScans(f)+projectingJoins(f) != 0 {
+			t.Fatalf("%s: %d narrowed access paths in the narrow plan, %d (and %d projecting joins) in the full-width one:\n%s",
+				sh.name, narrowedScans(n), narrowedScans(f), projectingJoins(f), plan.Explain(n))
 		}
+		projecting += projectingJoins(n)
 		for _, columnar := range []bool{false, true} {
 			for _, rf := range []bool{false, true} {
-				for _, dop := range []int{1, 2} {
-					for _, shards := range []int{1, 4} {
+				for _, dop := range []int{1, 2, 8} {
+					for _, shuffle := range []string{"unsharded", "planned", "repartition", "broadcast"} {
 						for _, budget := range []int{1 << 30, 64} {
-							cell := fmt.Sprintf("%s columnar=%v rf=%v dop=%d shards=%d budget=%d", sh.name, columnar, rf, dop, shards, budget)
+							cell := fmt.Sprintf("%s columnar=%v rf=%v dop=%d %s budget=%d", sh.name, columnar, rf, dop, shuffle, budget)
 							narrow, full := narrowPlans(t, cat, sh.sql, sh.indexNL)
-							got := run(narrow, cell+" narrow", columnar, rf, dop, shards, budget)
-							want := run(full, cell+" full", columnar, rf, dop, shards, budget)
+							got := run(narrow, cell+" narrow", columnar, rf, dop, shuffle, budget)
+							want := run(full, cell+" full", columnar, rf, dop, shuffle, budget)
 							colocated += got.colocated
 							if got.rows != want.rows {
 								t.Errorf("%s: rows diverge from the full-width plan", cell)
@@ -198,6 +235,9 @@ func TestNarrowPlanMatchesFullWidth(t *testing.T) {
 	}
 	if colocated == 0 {
 		t.Error("no cell ran a co-located join: the per-shard build scans went untested")
+	}
+	if projecting < 12 {
+		t.Errorf("only %d projecting joins in the narrow plans", projecting)
 	}
 }
 

@@ -57,13 +57,31 @@ func finishNode(ctx *Context, n plan.Node, actual float64, into plan.Node) {
 // columnar core: a morsel is then one column block, scanned through the
 // shared block core with charges identical to the serial columnar scan's.
 // Either way the row is lent — valid only until emit returns, never to be
-// mutated; scratch is the caller's reusable row a heap scan projects into.
-func scanMorsel(ctx *Context, node *plan.ScanNode, rf *rfConsumer, col *colScanner, m, npages int, clk *storage.Clock, scratch *types.Row, emit func(types.Row) error) error {
+// mutated; scratch is the caller's, reused from morsel to morsel.
+func scanMorsel(ctx *Context, node *plan.ScanNode, rf *rfConsumer, col *colScanner, m, npages int, clk *storage.Clock, scratch *scanScratch, emit func(types.Row) error) error {
 	if col != nil {
-		return col.scanBlock(m, clk, emit)
+		if scratch.block == nil {
+			scratch.block = getBlockScratch()
+		}
+		return col.scanBlock(m, clk, scratch.block, emit)
 	}
 	lo, hi := morselRange(m, MorselPages, npages)
-	return scanPageRange(ctx, node, rf, lo, hi, clk, scratch, emit)
+	return scanPageRange(ctx, node, rf, lo, hi, clk, &scratch.row, emit)
+}
+
+// scanScratch is what one worker scans morsels with: the row a heap scan
+// projects into, and the block workspace a columnar scan took from the pool
+// at its first block, which release returns.
+type scanScratch struct {
+	row   types.Row
+	block *blockScratch
+}
+
+func (s *scanScratch) release() {
+	if s.block != nil {
+		putBlockScratch(s.block)
+		s.block = nil
+	}
 }
 
 // scanPageRange scans the heap pages [lo, hi) of a table with the exact
@@ -154,14 +172,14 @@ type morselSink interface {
 	begin(m int, clk *storage.Clock, st *morselScratch) (RowSink, func() int)
 }
 
-// morselScratch is one worker's reusable workspace: the row a heap scan
-// lends, a prober per stage (key scratch, output row) and the arena an
-// exchange copies retained rows into, so steady-state morsels allocate
-// nothing per row. Rows of successive morsels share arena chunks, which the
-// rows themselves keep alive. groups is how many groups the worker's last
-// aggregation partial ended with: what it sizes the next one for.
+// morselScratch is one worker's reusable workspace: what the source scan
+// lends its rows from, a prober per stage (key scratch, output row) and the
+// arena an exchange copies retained rows into, so steady-state morsels
+// allocate nothing per row. Rows of successive morsels share arena chunks,
+// which the rows themselves keep alive. groups is how many groups the worker's
+// last aggregation partial ended with: what it sizes the next one for.
 type morselScratch struct {
-	row    types.Row
+	scanScratch
 	probes []*joinProbe
 	arena  RowArena
 	groups int
@@ -319,6 +337,7 @@ func (p *pipeline) segment(src *morselSource, lo, hi int, sink morselSink) error
 		}
 		if err == nil {
 			end()
+			st.release()
 		}
 	} else {
 		sink.reset(src.n)
@@ -332,6 +351,10 @@ func (p *pipeline) segment(src *morselSource, lo, hi int, sink morselSink) error
 			free <- st
 			return n, nil
 		})
+		close(free) // every worker has returned
+		for st := range free {
+			st.release()
+		}
 	}
 	if err != nil {
 		return err
@@ -365,7 +388,7 @@ func (p *pipeline) morsel(src *morselSource, stages []*parallelHashJoin, st *mor
 		}
 	} else {
 		rows, down := 0, emit
-		err := scanMorsel(p.ctx, src.scan, src.rf, src.col, m, src.npages, clk, &st.row, func(r types.Row) error {
+		err := scanMorsel(p.ctx, src.scan, src.rf, src.col, m, src.npages, clk, &st.scanScratch, func(r types.Row) error {
 			rows++
 			return down(r)
 		})

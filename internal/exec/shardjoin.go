@@ -25,7 +25,9 @@ import (
 //     every shard joins its own page ranges and nothing moves.
 //
 // Results are byte-identical to the serial join — output reassembles via a
-// k-way merge on (probe sequence, build index) — and the main-clock charge
+// k-way merge on (probe sequence, build index), where the coordinator cuts
+// each row down to the node's Cols (shards join and ship left‖right, so the
+// exchange protocol knows no projection) — and the main-clock charge
 // multiset is exactly the serial one, so total simulated cost is
 // integer-exact at any shard count. Under memory pressure the whole join
 // degrades to the serial spill path (charges still serial-identical).
@@ -322,7 +324,8 @@ func (j *shardedHashJoin) runShuffled(build []types.Row) error {
 		if err := runShards(n, func(s int) error {
 			lo, hi := shardRange(s, n, nm)
 			pk := make([]types.Value, len(j.node.LeftKeys))
-			var scratch types.Row
+			var scratch scanScratch
+			defer scratch.release()
 			var arena RowArena
 			var cnt int64
 			for m := lo; m < hi; m++ {
@@ -471,7 +474,10 @@ func (j *shardedHashJoin) gather(outs [][]ShufOut) {
 				best = s
 			}
 		}
-		j.out = append(j.out, outs[best][cur[best]].Row)
+		// The gathered row is ours: cut it down to the node's Cols in place
+		// (they ascend, so no value is overwritten before it has been moved).
+		r := outs[best][cur[best]].Row
+		j.out = append(j.out, appendCols(r[:0], r, j.node.Cols))
 		cur[best]++
 	}
 }
@@ -582,7 +588,7 @@ func (j *shardedHashJoin) runColocated() error {
 		atomic.AddInt64(&scanned, cnt)
 		rows := make([]types.Row, len(tagged))
 		for i, o := range tagged {
-			rows[i] = o.Row
+			rows[i] = appendCols(o.Row[:0], o.Row, j.node.Cols) // in place, as gather does
 		}
 		outs[s] = rows
 		return nil

@@ -288,7 +288,7 @@ func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Ro
 	sortRows(ctx, build, node.RightKeys)
 	lk := make([]types.Value, len(node.LeftKeys))
 	rk := make([]types.Value, len(node.RightKeys))
-	buf := make(types.Row, 0, len(node.Schema()))
+	buf := newJoinRow(node)
 	ri := 0
 	var group []types.Row
 	for _, lr := range probe {
@@ -297,7 +297,7 @@ func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Ro
 		if !keyHasNull(lk) {
 			ri, group = mergeGroup(ctx.Clock, build, node.RightKeys, ri, lk, rk, group)
 			for _, cand := range group {
-				out, ok, err := emitJoined(ctx.Clock, ctx.Params, node, buf, lr, cand)
+				out, ok, err := buf.match(ctx.Clock, ctx.Params, lr, cand)
 				if err != nil {
 					return err
 				}
@@ -311,7 +311,7 @@ func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Ro
 		}
 		if node.Type == plan.LeftOuter && !matched {
 			ctx.Clock.RowWork(1)
-			if err := emit(padNulls(buf, lr, len(node.Kids[1].Schema()))); err != nil {
+			if err := emit(buf.outer(lr)); err != nil {
 				return err
 			}
 		}

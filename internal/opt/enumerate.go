@@ -81,8 +81,9 @@ func (o *Optimizer) enumerateCores(qi *queryInfo, limit int) ([]entry, error) {
 				continue
 			}
 			next := o.bestAccessPath(qi, i)
-			for _, cand := range o.joinCandidates(qi, cur, next) {
-				extend(cand, used|bit)
+			alts, n := o.priceJoins(qi, cur, next)
+			for _, a := range alts[:n] {
+				extend(o.buildJoin(qi, cur, next, a), used|bit)
 				if len(cores) >= limit {
 					return
 				}
@@ -114,7 +115,8 @@ func (o *Optimizer) enumerateCores(qi *queryInfo, limit int) ([]entry, error) {
 // plan first).
 func (o *Optimizer) EnumerateFullPlans(q *plan.Query, params []types.Value, limit int) ([]EnumeratedPlan, error) {
 	rels := BaseRelsFromQuery(q)
-	qi, err := o.analyze(rels, q.Conjuncts, params, nil)
+	lv := blockLiveness(q)
+	qi, err := o.analyze(rels, q.Conjuncts, params, lv)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +126,7 @@ func (o *Optimizer) EnumerateFullPlans(q *plan.Query, params []types.Value, limi
 	}
 	out := make([]EnumeratedPlan, 0, len(cores))
 	for _, c := range cores {
-		root, err := o.finish(q, c, nil)
+		root, err := o.finish(q, c, lv)
 		if err != nil {
 			return nil, err
 		}

@@ -108,37 +108,17 @@ type relInfo struct {
 
 func (ri *relInfo) width() int { return len(ri.rel.Schema) }
 
-// narrow sets what the relation's access paths emit: the columns need marks
-// (over the combined schema), or every column when need is nil, marks them
-// all, or the relation is a materialized intermediate.
-func (ri *relInfo) narrow(need []bool) {
-	w, k := ri.width(), 0
-	if need != nil && ri.rel.Table != nil {
-		for c := 0; c < w; c++ {
-			if need[ri.offset+c] {
-				k++
-			}
-		}
-	} else {
-		k = w
+// narrow sets what the relation's access paths emit: the columns live out of
+// set — the relation alone, with its filters pushed down — or every column
+// when they all are or the relation is a materialized intermediate.
+func (ri *relInfo) narrow(lv liveness, set uint64) {
+	if ri.rel.Table == nil {
+		lv = nil
 	}
-	if k == w {
-		ri.cols, ri.ccols, ri.out = nil, seq(ri.offset, w), ri.rel.Schema
-		return
+	ri.cols, ri.ccols = lv.project(set, seq(ri.offset, ri.width()))
+	if ri.out = ri.rel.Schema; ri.cols != nil {
+		ri.out = schemaFor(ri.rel.Schema, ri.cols)
 	}
-	buf := make([]int, 0, 2*k)
-	ri.out = make(types.Schema, 0, k)
-	for c := 0; c < w; c++ {
-		if need[ri.offset+c] {
-			buf = append(buf, c)
-			ri.out = append(ri.out, ri.rel.Schema[c])
-		}
-	}
-	ri.cols = buf[:k:k]
-	for _, c := range ri.cols {
-		buf = append(buf, ri.offset+c)
-	}
-	ri.ccols = buf[k:]
 }
 
 // joinPred is one conjunct spanning two or more relations.
@@ -157,19 +137,19 @@ type queryInfo struct {
 	preds    []joinPred
 	combined types.Schema
 	params   []types.Value
+	live     liveness
 	sigs     map[uint64]string // joinSignature per relation set
 }
 
 // analyze splits the query block's conjuncts into per-relation filters and
-// join predicates and computes all base cardinalities. need marks the
-// combined-schema columns the block mentions, to which every base relation's
-// access paths are narrowed; nil (no query block) keeps all columns.
-func (o *Optimizer) analyze(rels []BaseRel, conjuncts []expr.Expr, params []types.Value, need []bool) (*queryInfo, error) {
-	qi := &queryInfo{params: params}
+// join predicates and computes all base cardinalities. lv arrives marked by
+// the block above the joins and leaves marked by the join predicates too (see
+// liveness); nil (no query block) keeps every column everywhere.
+func (o *Optimizer) analyze(rels []BaseRel, conjuncts []expr.Expr, params []types.Value, lv liveness) (*queryInfo, error) {
+	qi := &queryInfo{params: params, live: lv}
 	offset := 0
 	for _, br := range rels {
 		ri := &relInfo{rel: br, offset: offset, sel: 1}
-		ri.narrow(need)
 		qi.combined = append(qi.combined, br.Schema...)
 		qi.rels = append(qi.rels, ri)
 		offset += len(br.Schema)
@@ -199,6 +179,11 @@ func (o *Optimizer) analyze(rels []BaseRel, conjuncts []expr.Expr, params []type
 			ri := qi.rels[trailingRel(mask)]
 			ri.filters = append(ri.filters, expr.ShiftColumns(c, -ri.offset))
 		default:
+			if lv != nil {
+				for col := range cols {
+					lv[col] |= mask
+				}
+			}
 			jp := joinPred{cond: c, mask: mask}
 			if b, ok := c.(*expr.Bin); ok && b.Op == expr.OpEQ {
 				lc, lok := b.L.(*expr.Col)
@@ -212,7 +197,8 @@ func (o *Optimizer) analyze(rels []BaseRel, conjuncts []expr.Expr, params []type
 			qi.preds = append(qi.preds, jp)
 		}
 	}
-	for _, ri := range qi.rels {
+	for i, ri := range qi.rels {
+		ri.narrow(lv, 1<<uint(i))
 		o.estimateBase(ri, params)
 	}
 	return qi, nil

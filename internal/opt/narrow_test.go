@@ -1,122 +1,138 @@
 package opt
 
 import (
+	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rqp/internal/catalog"
 	"rqp/internal/expr"
 	"rqp/internal/plan"
 	"rqp/internal/types"
-	"rqp/internal/workload"
 )
 
-// accessPaths lists, per table name, what every scan, index scan and index
-// join of the plan emits: the table, the node's Cols and its narrow schema.
-type accessPath struct {
-	table *catalog.Table
-	cols  []int
-	out   types.Schema
+// explainWidths renders the plan tree with each node's output column names.
+func explainWidths(sb *strings.Builder, n plan.Node, depth int) {
+	fmt.Fprintf(sb, "%s%s %v\n", strings.Repeat("  ", depth), n.Label(), n.Schema().Names())
+	for _, c := range n.Children() {
+		explainWidths(sb, c, depth+1)
+	}
 }
 
-func accessPaths(root plan.Node) map[string]accessPath {
-	out := map[string]accessPath{}
-	plan.Walk(root, func(n plan.Node) {
+// TestPlanLiveColumns pins what every node of the benchmark's statements
+// emits — the five analytic ones under the default configuration and under
+// analytic_fast's, and the three lookup shapes — so that a column carried
+// further than its last reader, or shed before it, shows in a diff. After an
+// intended move: go test ./internal/opt -run TestPlanLiveColumns -update.
+func TestPlanLiveColumns(t *testing.T) {
+	const path = "testdata/widths.golden"
+	cat := benchCatalog(t, 8)
+	var sb strings.Builder
+	render := func(config string, o *Optimizer, st suiteStmt) plan.Node {
+		root, err := o.Optimize(bindQ(t, cat, st.sql), st.params)
+		if err != nil {
+			t.Fatalf("%s %s: %v", config, st.name, err)
+		}
+		fmt.Fprintf(&sb, "== %s [%s]\n", st.name, config)
+		explainWidths(&sb, root, 0)
+		sb.WriteByte('\n')
+		return root
+	}
+	stmts := benchStatements()
+	for _, st := range stmts {
+		root := render("default", New(cat), st)
+		if st.name != "Q5" {
+			continue
+		}
+		// Q5's top build is orders ⋈ (customer ⋈ (nation ⋈ region)): of nine
+		// columns, the join above reads o_orderkey and the aggregate n_name.
+		plan.Walk(root, func(n plan.Node) {
+			if j, ok := n.(*plan.JoinNode); ok && len(leafTables(j)) == 5 {
+				if got := j.Kids[1].Schema().Names(); !reflect.DeepEqual(got, []string{"orders.o_orderkey", "nation.n_name"}) {
+					t.Errorf("Q5's top build emits %v, want [orders.o_orderkey nation.n_name]", got)
+				}
+			}
+		})
+	}
+	fast := fastOptimizer(cat)
+	for _, st := range stmts[:5] {
+		render("dop 2 + columnar + runtime filters", fast, st)
+	}
+	got := sb.String()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("widths moved (go test ./internal/opt -run TestPlanLiveColumns -update accepts them):\n%s", lineDiff(string(want), got))
+	}
+}
+
+// TestAllocCeilingOptimize pins what planning allocates: the enumerator
+// prices every algorithm of every split without allocating and builds a node
+// only for one that beats its set's incumbent, and a one-relation block pays
+// for its liveness one slice and one closure. Measured (a few more under the
+// race detector): order-by-key 45, cust-nation 98, order-lines 496 (901 when
+// every candidate was built), Q5 1 665 (5 691).
+func TestAllocCeilingOptimize(t *testing.T) {
+	cat := benchCatalog(t, 8)
+	ceilings := map[string]float64{"order-by-key": 52, "cust-nation": 112, "order-lines": 560, "Q5": 1850}
+	lookups := 0.0
+	for _, st := range benchStatements() {
+		ceiling, ok := ceilings[st.name]
+		if !ok {
+			continue
+		}
+		q, o := bindQ(t, cat, st.sql), New(cat)
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := o.Optimize(q, st.params); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > ceiling {
+			t.Errorf("%s: Optimize allocates %v objects, ceiling %v", st.name, allocs, ceiling)
+		}
+		if st.name != "Q5" {
+			lookups += allocs / 3
+		}
+	}
+	// The benchmark's opt.optimize_allocs on point_lookup, before PR 20
+	// offered every split both ways round.
+	if lookups > 274 {
+		t.Errorf("the three lookup shapes: %.0f allocations per Optimize, ceiling 274", lookups)
+	}
+}
+
+// leafTables lists the tables under n.
+func leafTables(n plan.Node) []string {
+	var out []string
+	plan.Walk(n, func(n plan.Node) {
 		switch v := n.(type) {
 		case *plan.ScanNode:
-			out[v.Table.Name] = accessPath{v.Table, v.Cols, v.Out}
+			out = append(out, v.Table.Name)
 		case *plan.IndexScanNode:
-			out[v.Table.Name] = accessPath{v.Table, v.Cols, v.Out}
+			out = append(out, v.Table.Name)
 		case *plan.IndexJoinNode:
-			inner := v.Out[len(v.Kids[0].Schema()):]
-			out[v.Table.Name] = accessPath{v.Table, v.Cols, inner}
+			out = append(out, v.Table.Name)
 		}
 	})
 	return out
 }
 
-// TestScansEmitMentionedColumns pins the narrowing on the statements the
-// benchmark runs: every access path emits exactly the columns its statement
-// mentions, in table order, under a schema of the same names — and a
-// relation whose every column is mentioned keeps Cols nil, the stored row.
-func TestScansEmitMentionedColumns(t *testing.T) {
-	cat := benchCatalog(t, 1)
-	q := workload.TPCHQueries()
-	all := []string(nil) // every column: Cols must be nil
-	cases := []struct {
-		name, sql string
-		params    []types.Value
-		want      map[string][]string
-	}{
-		{"Q1", q["Q1"], nil, map[string][]string{
-			"lineitem": {"l_quantity", "l_extendedprice", "l_discount", "l_shipdate", "l_returnflag"}}},
-		{"Q3", q["Q3"], nil, map[string][]string{
-			"customer": {"c_custkey", "c_mktsegment"},
-			"orders":   {"o_orderkey", "o_custkey", "o_orderdate"},
-			"lineitem": {"l_orderkey", "l_extendedprice"}}},
-		{"Q5", q["Q5"], nil, map[string][]string{
-			"customer": {"c_custkey", "c_nationkey"},
-			"orders":   {"o_orderkey", "o_custkey", "o_orderdate"},
-			"lineitem": {"l_orderkey", "l_suppkey", "l_extendedprice"},
-			"supplier": {"s_suppkey"},
-			"nation":   all,
-			"region":   {"r_regionkey"}}},
-		{"Q6", q["Q6"], nil, map[string][]string{
-			"lineitem": {"l_quantity", "l_extendedprice", "l_discount", "l_shipdate"}}},
-		{"Q10", q["Q10"], nil, map[string][]string{
-			"customer": {"c_custkey", "c_nationkey"},
-			"orders":   {"o_orderkey", "o_custkey", "o_orderdate"},
-			"lineitem": {"l_orderkey", "l_extendedprice", "l_returnflag"},
-			"nation":   {"n_nationkey"}}},
-		{"order-by-key", lookupOrderByKey, []types.Value{types.Int(7)}, map[string][]string{"orders": all}},
-		{"cust-nation", lookupCustNation, []types.Value{types.Int(7)}, map[string][]string{
-			"customer": all,
-			"nation":   {"n_nationkey", "n_name"}}},
-		{"order-lines", lookupOrderLines, []types.Value{types.Int(7)}, map[string][]string{
-			"orders":   {"o_orderkey", "o_custkey"},
-			"lineitem": {"l_orderkey", "l_quantity", "l_extendedprice"},
-			"customer": {"c_custkey", "c_nationkey"},
-			"nation":   {"n_nationkey", "n_name"}}},
-	}
-	for _, tc := range cases {
-		root, err := New(cat).Optimize(bindQ(t, cat, tc.sql), tc.params)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		paths := accessPaths(root)
-		if len(paths) != len(tc.want) {
-			t.Errorf("%s: %d access paths, want %d\n%s", tc.name, len(paths), len(tc.want), plan.Explain(root))
-		}
-		for table, want := range tc.want {
-			p, ok := paths[table]
-			if !ok {
-				t.Errorf("%s: no access path for %s", tc.name, table)
-				continue
-			}
-			if want == nil {
-				if p.cols != nil || len(p.out) != len(p.table.Schema) {
-					t.Errorf("%s: %s mentions every column but has Cols %v, %d wide", tc.name, table, p.cols, len(p.out))
-				}
-				continue
-			}
-			var got, outNames []string
-			for _, c := range p.cols {
-				got = append(got, p.table.Schema[c].Name)
-			}
-			for _, c := range p.out {
-				outNames = append(outNames, c.Name)
-			}
-			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(outNames, want) {
-				t.Errorf("%s: %s emits Cols %v under schema %v, want %v", tc.name, table, got, outNames, want)
-			}
-		}
-	}
-}
-
 // TestIndexNLResidualOverNarrowInner: an index nested-loop join on one of two
 // equi keys tests the other as a residual over the join's output. With the
-// inner side narrowed (inner.a is not mentioned) that key sits where the
-// inner's Cols put it, not at its table ordinal.
+// inner side narrowed that key sits where the inner's Cols put it, not at its
+// table ordinal — and inner.a, which only the inner's own filter reads, is not
+// in the output at all: the filter tests the fetched row, in table
+// coordinates.
 func TestIndexNLResidualOverNarrowInner(t *testing.T) {
 	cat := catalog.New()
 	mk := func(name string, cols ...string) *catalog.Table {
@@ -146,7 +162,8 @@ func TestIndexNLResidualOverNarrowInner(t *testing.T) {
 	o := New(cat)
 	o.Opt.DisableHash, o.Opt.DisableMerge, o.Opt.DisableNL = true, true, true
 	root, err := o.Optimize(bindQ(t, cat,
-		`SELECT outer_t.z, inner_t.v FROM outer_t, inner_t WHERE outer_t.x = inner_t.k AND outer_t.y = inner_t.b`), nil)
+		`SELECT outer_t.z, inner_t.v FROM outer_t, inner_t
+			WHERE outer_t.x = inner_t.k AND outer_t.y = inner_t.b AND inner_t.a < 300`), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,6 +178,9 @@ func TestIndexNLResidualOverNarrowInner(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ij.Cols, []int{1, 2, 3}) {
 		t.Fatalf("inner Cols %v, want [1 2 3]", ij.Cols)
+	}
+	if f := expr.ColumnsUsed(ij.Filter); len(f) != 1 || !f[0] {
+		t.Fatalf("inner filter %v reads columns %v, want inner_t's column 0 (a)", ij.Filter, f)
 	}
 	// The residual must compare outer_t.y with inner_t.b, by name and by
 	// position in the join's output.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"rqp/internal/catalog"
 	"rqp/internal/expr"
 	"rqp/internal/plan"
 	"rqp/internal/types"
@@ -21,12 +22,12 @@ type entry struct {
 }
 
 // Optimize plans a bound query block end to end and returns the physical
-// plan root. Every scan emits only the columns the block mentions: rows are
-// as wide as the query, not the table, from the access path up.
+// plan root. Every node emits only what something above it reads (liveness):
+// rows are as wide as what is left of the query, from the access path up.
 func (o *Optimizer) Optimize(q *plan.Query, params []types.Value) (plan.Node, error) {
 	rels := BaseRelsFromQuery(q)
-	need := mentioned(q)
-	qi, err := o.analyze(rels, q.Conjuncts, params, need)
+	lv := blockLiveness(q)
+	qi, err := o.analyze(rels, q.Conjuncts, params, lv)
 	if err != nil {
 		return nil, err
 	}
@@ -34,45 +35,93 @@ func (o *Optimizer) Optimize(q *plan.Query, params []types.Value) (plan.Node, er
 	if err != nil {
 		return nil, err
 	}
-	return o.finish(q, best, need)
+	return o.finish(q, best, lv)
 }
 
-// mentioned marks the combined-schema columns (left-joined relations
-// included) the query block reads: its conjuncts and outer-join conditions,
-// and the group keys and aggregate arguments or — ungrouped — the
-// projections. HAVING, ORDER BY and a grouped block's projections are over
-// the aggregate's output and name no base column.
-func mentioned(q *plan.Query) []bool {
-	need := make([]bool, len(q.Combined))
-	mark := func(n expr.Expr) bool {
+// liveness is the one rule every node's output width follows. Per column of
+// the combined schema (left-joined relations included) it holds who reads the
+// column, as relation bits: the relations of each conjunct that spans more
+// than one (bit i for core relation i; analyze adds these), ljBit for a left
+// join's ON, liveAbove for the block above the joins — group keys and
+// aggregate arguments or, ungrouped, the projections (HAVING, ORDER BY and a
+// grouped block's projections name the aggregate's output, no base column).
+// A column is live out of a set of relations while one of its readers has a
+// bit outside the set: a function of the set alone, whatever plan computes
+// it. A conjunct over one relation never marks anything, because scans test
+// their filters in table coordinates before they project. nil — no query
+// block: POP, Rio — means everything is live everywhere.
+type liveness []uint64
+
+const liveAbove = uint64(1) << 63
+
+// ljBit is left join k's bit, after the n core relations. Joins past the
+// word's end share liveAbove: what only they read is never shed.
+func ljBit(n, k int) uint64 {
+	if n+k < 63 {
+		return 1 << uint(n+k)
+	}
+	return liveAbove
+}
+
+func (lv liveness) out(set uint64, col int) bool { return lv == nil || lv[col]&^set != 0 }
+
+// project lists the positions of concat — a join's left‖right columns, a
+// scan's table — that are live out of set, and the columns found there,
+// compacted into concat itself (the caller gives it away); nil and all of
+// concat when every one is live.
+func (lv liveness) project(set uint64, concat []int) (pos, cols []int) {
+	k := 0
+	for _, c := range concat {
+		if lv.out(set, c) {
+			k++
+		}
+	}
+	if k == len(concat) {
+		return nil, concat
+	}
+	pos, cols = make([]int, 0, k), concat[:0]
+	for i, c := range concat {
+		if lv.out(set, c) {
+			pos, cols = append(pos, i), append(cols, c)
+		}
+	}
+	return pos, cols
+}
+
+// mark returns the visitor that records bit as a reader of every column it
+// meets.
+func (lv liveness) mark(bit uint64) func(expr.Expr) bool {
+	return func(n expr.Expr) bool {
 		if c, ok := n.(*expr.Col); ok {
-			need[c.Index] = true
+			lv[c.Index] |= bit
 		}
 		return true
 	}
-	for _, c := range q.Conjuncts {
-		c.Walk(mark)
-	}
-	for _, lj := range q.LeftJoins {
-		if lj.On != nil {
-			lj.On.Walk(mark)
+}
+
+func blockLiveness(q *plan.Query) liveness {
+	lv := make(liveness, len(q.Combined))
+	above := lv.mark(liveAbove)
+	if q.Grouped {
+		for _, g := range q.GroupBy {
+			g.Walk(above)
 		}
-	}
-	if !q.Grouped {
+		for _, a := range q.Aggs {
+			if a.Arg != nil {
+				a.Arg.Walk(above)
+			}
+		}
+	} else {
 		for _, p := range q.Projections {
-			p.Walk(mark)
-		}
-		return need
-	}
-	for _, g := range q.GroupBy {
-		g.Walk(mark)
-	}
-	for _, a := range q.Aggs {
-		if a.Arg != nil {
-			a.Arg.Walk(mark)
+			p.Walk(above)
 		}
 	}
-	return need
+	for k, lj := range q.LeftJoins {
+		if lj.On != nil {
+			lj.On.Walk(lv.mark(ljBit(len(q.Rels), k)))
+		}
+	}
+	return lv
 }
 
 // FinishPlan wraps an already-built join core (whose output columns map to
@@ -164,10 +213,10 @@ func (o *Optimizer) combineSplits(qi *queryInfo, dp map[uint64]entry, set uint64
 		if requireConnected && !o.connected(qi, left, right) {
 			continue
 		}
-		for _, cand := range o.joinCandidates(qi, le, re) {
-			cur, ok := dp[set]
-			if !ok || better(cand, cur) {
-				dp[set] = cand
+		alts, n := o.priceJoins(qi, le, re)
+		for _, a := range alts[:n] {
+			if cur, ok := dp[set]; !ok || a.better(le, re, cur) {
+				dp[set] = o.buildJoin(qi, le, re, a)
 			}
 		}
 	}
@@ -177,20 +226,26 @@ func (o *Optimizer) combineSplits(qi *queryInfo, dp map[uint64]entry, set uint64
 // candidates equal.
 const tieBand = 1e-4
 
-// better orders candidate plans: strictly cheaper wins; near-ties (within
-// 0.01%) break on the canonical plan signature so that semantically
-// equivalent queries — e.g. commuted FROM lists — always produce the same
-// plan (the equivalent-query robustness requirement).
-func better(cand, cur entry) bool {
-	diff := cand.cost - cur.cost
-	tol := tieBand * (cand.cost + cur.cost + 1)
+// better orders a priced join of le and re against the set's incumbent:
+// strictly cheaper wins; near-ties (within 0.01%) break on the canonical plan
+// signature so that semantically equivalent queries — e.g. commuted FROM
+// lists — always produce the same plan (the equivalent-query robustness
+// requirement).
+func (a joinAlt) better(le, re, cur entry) bool {
+	diff := a.cost - cur.cost
+	tol := tieBand * (a.cost + cur.cost + 1)
 	if diff < -tol {
 		return true
 	}
 	if diff > tol {
 		return false
 	}
-	return plan.PlanSignature(cand.node) < plan.PlanSignature(cur.node)
+	// What plan.PlanSignature would say of the join, were it built.
+	sig := a.title() + "[" + plan.PlanSignature(le.node)
+	if a.alg != plan.JoinIndexNL {
+		sig += " " + plan.PlanSignature(re.node)
+	}
+	return sig+"]" < plan.PlanSignature(cur.node)
 }
 
 func (o *Optimizer) connected(qi *queryInfo, left, right uint64) bool {
@@ -341,153 +396,148 @@ func fromEstimatePercentile(sel, evidence, p float64) float64 {
 
 // ---------- joins ----------
 
-// joinCandidates builds every admissible physical join of two entries.
-func (o *Optimizer) joinCandidates(qi *queryInfo, le, re entry) []entry {
-	set := le.set | re.set
-	outRows := o.cardOfSet(qi, set)
-	cols := append(append([]int{}, le.cols...), re.cols...)
-	outSchema := schemaFor(qi, cols)
-
-	// Partition applicable predicates into equi keys and residuals.
-	var leftKeys, rightKeys []int // child-local indexes
-	var residuals []expr.Expr
-	var equiRight []int // combined col of the right side per key (for index NL)
-	for _, jp := range qi.preds {
-		if jp.mask&set != jp.mask || jp.mask&le.set == 0 || jp.mask&re.set == 0 {
-			continue
-		}
-		if jp.equi {
-			lcol, rcol := jp.leftCol, jp.rightCol
-			if indexOf(le.cols, lcol) < 0 {
-				lcol, rcol = rcol, lcol
-			}
-			li, rix := indexOf(le.cols, lcol), indexOf(re.cols, rcol)
-			if li >= 0 && rix >= 0 {
-				leftKeys = append(leftKeys, li)
-				rightKeys = append(rightKeys, rix)
-				equiRight = append(equiRight, rcol)
-				continue
-			}
-		}
-		residuals = append(residuals, remap(jp.cond, cols))
-	}
-	residual := expr.AndAll(residuals)
-	sig := qi.joinSignature(set)
-
-	mk := func(alg plan.JoinAlg, cost float64) entry {
-		j := &plan.JoinNode{Alg: alg, Type: plan.Inner, LeftKeys: leftKeys, RightKeys: rightKeys, Residual: residual}
-		j.Kids = []plan.Node{le.node, re.node}
-		j.Out = outSchema
-		j.Title = alg.String()
-		j.Prop = plan.Props{EstRows: outRows, EstCost: cost, Signature: sig}
-		return entry{set: set, node: j, cols: cols, cost: cost, rows: outRows}
-	}
-
-	var out []entry
-	hasEqui := len(leftKeys) > 0
-	if o.Opt.GJoinOnly {
-		if hasEqui {
-			c := le.cost + re.cost + o.costGJoin(le.rows, re.rows, outRows)
-			out = append(out, mk(plan.JoinGeneral, c))
-		} else {
-			c := le.cost + re.cost + o.costNLJoin(le.rows, re.rows, outRows)
-			out = append(out, mk(plan.JoinNL, c))
-		}
-		return out
-	}
-	if hasEqui && !o.Opt.DisableHash {
-		c := le.cost + re.cost + o.costHashJoin(le.rows, re.rows, outRows)
-		out = append(out, mk(plan.JoinHash, c))
-	}
-	if hasEqui && !o.Opt.DisableMerge {
-		c := le.cost + re.cost + o.costMergeJoin(le.rows, re.rows, outRows)
-		out = append(out, mk(plan.JoinMerge, c))
-	}
-	if !o.Opt.DisableNL {
-		c := le.cost + re.cost + o.costNLJoin(le.rows, re.rows, outRows)
-		out = append(out, mk(plan.JoinNL, c))
-	}
-	if hasEqui && !o.Opt.DisableIndexNL && popcount(re.set) == 1 {
-		if cand, ok := o.indexNLCandidate(qi, le, re, leftKeys, equiRight, residual, outSchema, cols, outRows, sig); ok {
-			out = append(out, cand)
-		}
-	}
-	return out
+// joinAlt is one priced way to join two entries. Pricing allocates nothing:
+// only an alternative that beats its relation set's incumbent is built.
+type joinAlt struct {
+	alg  plan.JoinAlg
+	cost float64
+	rows float64 // the join's output cardinality
+	// JoinIndexNL: the inner relation, its index, and which of qi.preds is
+	// the equi-join pair that probes it.
+	inner *relInfo
+	ix    *catalog.Index
+	key   int
 }
 
-// indexNLCandidate builds an index nested-loop join when the right side is
-// a single base relation with an index on one of the equi-join columns.
-func (o *Optimizer) indexNLCandidate(qi *queryInfo, le, re entry, leftKeys, equiRight []int, residual expr.Expr, outSchema types.Schema, cols []int, outRows float64, sig string) (entry, bool) {
-	ri := qi.rels[trailingRel(re.set)]
-	if ri.rel.Table == nil {
-		return entry{}, false
+func (a joinAlt) title() string {
+	if a.alg == plan.JoinIndexNL {
+		return fmt.Sprintf("IndexNLJoin(%s.%s)", a.inner.rel.Alias, a.ix.Name)
 	}
-	for k, rcol := range equiRight {
-		local := rcol - ri.offset
-		ix := ri.rel.Table.IndexOn(local)
-		if ix == nil {
-			continue
+	return a.alg.String()
+}
+
+// sides says how jp bears on the join of le with re. applies: it lies inside
+// their union and inside neither, so this join tests it — as an equi key when
+// it equates a column le emits (l) with one re emits (r), as a residual
+// otherwise (l, r < 0).
+func (jp *joinPred) sides(le, re entry) (applies bool, l, r int) {
+	if jp.mask&(le.set|re.set) != jp.mask || jp.mask&le.set == 0 || jp.mask&re.set == 0 {
+		return false, -1, -1
+	}
+	if l, r = jp.leftCol, jp.rightCol; jp.equi {
+		if indexOf(le.cols, l) < 0 {
+			l, r = r, l
 		}
-		// All right-side filters plus the non-probe join preds run as
-		// residual after the probe, over the join's output: residual is
-		// there already, the filters come from table coordinates, and an
-		// extra key pair sits where each side's cols put it.
-		var res []expr.Expr
-		if residual != nil {
-			res = append(res, residual)
+		if indexOf(le.cols, l) >= 0 && indexOf(re.cols, r) >= 0 {
+			return true, l, r
 		}
-		for _, f := range ri.filters {
-			res = append(res, remap(expr.ShiftColumns(f, ri.offset), cols))
-		}
-		for k2 := range leftKeys {
-			if k2 == k {
-				continue
+	}
+	return true, -1, -1
+}
+
+// priceJoins costs every admissible physical join of two entries, in the
+// fixed order hash, merge, nested-loop, index nested-loop.
+func (o *Optimizer) priceJoins(qi *queryInfo, le, re entry) (alts [4]joinAlt, n int) {
+	rows := o.cardOfSet(qi, le.set|re.set)
+	add := func(a joinAlt, cost float64) {
+		a.cost, a.rows = cost, rows
+		alts[n] = a
+		n++
+	}
+	// An index join wants the right side to be one base table with an index on
+	// an equi-join column: the first such column wins.
+	inl := joinAlt{alg: plan.JoinIndexNL}
+	if ri := qi.rels[trailingRel(re.set)]; popcount(re.set) == 1 && ri.rel.Table != nil && !o.Opt.DisableIndexNL {
+		inl.inner = ri
+	}
+	hasEqui := false
+	for i := range qi.preds {
+		if applies, _, r := qi.preds[i].sides(le, re); applies && r >= 0 {
+			hasEqui = true
+			if inl.inner != nil && inl.ix == nil {
+				inl.ix, inl.key = inl.inner.rel.Table.IndexOn(r-inl.inner.offset), i
 			}
-			l, r := leftKeys[k2], len(le.cols)+indexOf(re.cols, equiRight[k2])
-			res = append(res, &expr.Bin{Op: expr.OpEQ,
-				L: &expr.Col{Index: l, Typ: outSchema[l].Kind, Name: outSchema[l].QualifiedName()},
-				R: &expr.Col{Index: r, Typ: outSchema[r].Kind, Name: outSchema[r].QualifiedName()},
-			})
 		}
-		fullRes := expr.AndAll(res)
-		cs := ri.rel.Table.Stats.ColStats(local)
+	}
+	both := le.cost + re.cost
+	if o.Opt.GJoinOnly {
+		if hasEqui {
+			add(joinAlt{alg: plan.JoinGeneral}, both+o.costGJoin(le.rows, re.rows, rows))
+		} else {
+			add(joinAlt{alg: plan.JoinNL}, both+o.costNLJoin(le.rows, re.rows, rows))
+		}
+		return alts, n
+	}
+	if hasEqui && !o.Opt.DisableHash {
+		add(joinAlt{alg: plan.JoinHash}, both+o.costHashJoin(le.rows, re.rows, rows))
+	}
+	if hasEqui && !o.Opt.DisableMerge {
+		add(joinAlt{alg: plan.JoinMerge}, both+o.costMergeJoin(le.rows, re.rows, rows))
+	}
+	if !o.Opt.DisableNL {
+		add(joinAlt{alg: plan.JoinNL}, both+o.costNLJoin(le.rows, re.rows, rows))
+	}
+	if ri := inl.inner; inl.ix != nil {
 		ndv := math.Max(1, ri.rel.Rows/100)
-		if cs != nil && cs.NDV > 0 {
+		if cs := ri.rel.Table.Stats.ColStats(inl.ix.Cols[0]); cs != nil && cs.NDV > 0 {
 			ndv = cs.NDV
 		}
-		matchesPerRow := ri.rel.Rows / ndv
-		cost := le.cost + o.costIndexNLJoin(le.rows, matchesPerRow, float64(ix.Tree.Height()), outRows)
-		j := &plan.IndexJoinNode{
-			Type: plan.Inner, Table: ri.rel.Table, Alias: ri.rel.Alias, Index: ix, Cols: ri.cols,
-			LeftKeys: []int{leftKeys[k]}, Residual: fullRes,
-		}
-		j.Kids = []plan.Node{le.node}
-		j.Out = outSchema
-		j.Title = fmt.Sprintf("IndexNLJoin(%s.%s)", ri.rel.Alias, ix.Name)
-		j.Prop = plan.Props{EstRows: outRows, EstCost: cost, Signature: sig}
-		return entry{set: le.set | re.set, node: j, cols: cols, cost: cost, rows: outRows}, true
+		add(inl, le.cost+o.costIndexNLJoin(le.rows, ri.rel.Rows/ndv, float64(inl.ix.Tree.Height()), rows))
 	}
-	return entry{}, false
+	return alts, n
+}
+
+// buildJoin builds the plan node of a priced join. Equi keys index the two
+// children, the residual numbers their concatenation left‖right, and the node
+// emits what of that is live out of the joined set.
+func (o *Optimizer) buildJoin(qi *queryInfo, le, re entry, a joinAlt) entry {
+	out := entry{set: le.set | re.set, cost: a.cost, rows: a.rows}
+	concat := append(append(make([]int, 0, len(le.cols)+len(re.cols)), le.cols...), re.cols...)
+	var leftKeys, rightKeys []int // child-local indexes
+	var residuals []expr.Expr
+	for i := range qi.preds {
+		applies, l, r := qi.preds[i].sides(le, re)
+		if !applies {
+			continue
+		}
+		// An index join probes with one key pair; any other is one more
+		// predicate over its output.
+		if l >= 0 && (a.alg != plan.JoinIndexNL || i == a.key) {
+			leftKeys, rightKeys = append(leftKeys, indexOf(le.cols, l)), append(rightKeys, indexOf(re.cols, r))
+		} else {
+			residuals = append(residuals, remap(qi.preds[i].cond, concat))
+		}
+	}
+	var base *plan.Base
+	if ri := a.inner; a.alg == plan.JoinIndexNL {
+		// The inner relation's own filters test the fetched row, as an index
+		// scan's do. The join emits all of left‖Cols: whatever of that is dead
+		// is shed by the join above.
+		j := &plan.IndexJoinNode{Type: plan.Inner, Table: ri.rel.Table, Alias: ri.rel.Alias, Index: a.ix, Cols: ri.cols,
+			LeftKeys: leftKeys, Filter: expr.AndAll(ri.filters), Residual: expr.AndAll(residuals)}
+		j.Kids = []plan.Node{le.node}
+		out.node, out.cols, base = j, concat, &j.Base
+	} else {
+		j := &plan.JoinNode{Alg: a.alg, Type: plan.Inner, LeftKeys: leftKeys, RightKeys: rightKeys, Residual: expr.AndAll(residuals)}
+		j.Kids = []plan.Node{le.node, re.node}
+		j.Cols, out.cols = qi.live.project(out.set, concat)
+		out.node, base = j, &j.Base
+	}
+	base.Out, base.Title = schemaFor(qi.combined, out.cols), a.title()
+	base.Prop = plan.Props{EstRows: a.rows, EstCost: a.cost, Signature: qi.joinSignature(out.set)}
+	return out
 }
 
 // ---------- finishing: outer joins, aggregation, projection, order ----------
 
-// need marks the combined-schema columns the block mentions (nil = all), to
-// which the outer-joined relations' scans are narrowed.
-func (o *Optimizer) finish(q *plan.Query, core entry, need []bool) (plan.Node, error) {
-	node := core.node
-	cols := core.cols
-	rows := core.rows
-	cost := core.cost
-
+// lv is the block's liveness (nil = all): each outer-joined relation's scan
+// emits what anything reads, each outer join what is live once it has run.
+func (o *Optimizer) finish(q *plan.Query, core entry, lv liveness) (plan.Node, error) {
 	// Outer joins in syntax order.
-	for _, lj := range q.LeftJoins {
-		var err error
-		node, cols, rows, cost, err = o.applyLeftJoin(node, cols, rows, cost, lj, need)
-		if err != nil {
-			return nil, err
-		}
+	for k := range q.LeftJoins {
+		core = o.applyLeftJoin(q, k, core, lv)
 	}
+	node, cols, rows, cost := core.node, core.cols, core.rows, core.cost
 
 	colmap := invert(cols)
 
@@ -585,11 +635,14 @@ func (o *Optimizer) finish(q *plan.Query, core entry, need []bool) (plan.Node, e
 	return node, nil
 }
 
-func (o *Optimizer) applyLeftJoin(node plan.Node, cols []int, rows, cost float64, lj plan.LeftJoin, need []bool) (plan.Node, []int, float64, float64, error) {
+// applyLeftJoin joins in q.LeftJoins[k]; in.set holds every relation joined
+// so far, which is what the join's output is live out of.
+func (o *Optimizer) applyLeftJoin(q *plan.Query, k int, in entry, lv liveness) entry {
+	lj, cols, rows := q.LeftJoins[k], in.cols, in.rows
 	r := lj.Rel
 	br := BaseRelFromTable(r.Table, r.Alias)
 	ri := &relInfo{rel: br, offset: r.Offset}
-	ri.narrow(need)
+	ri.narrow(lv, 0) // nothing is pushed into this scan: it emits whatever has a reader
 	scan := &plan.ScanNode{Table: r.Table, Alias: r.Alias, Cols: ri.cols}
 	scan.Out = ri.out
 	scan.Title = fmt.Sprintf("SeqScan(%s)", r.Alias)
@@ -597,7 +650,6 @@ func (o *Optimizer) applyLeftJoin(node plan.Node, cols []int, rows, cost float64
 	scan.Prop = plan.Props{EstRows: br.Rows, EstCost: scanCost}
 
 	newCols := append(append([]int{}, cols...), ri.ccols...)
-	outSchema := node.Schema().Concat(ri.out)
 
 	var leftKeys, rightKeys []int
 	var residuals []expr.Expr
@@ -606,19 +658,13 @@ func (o *Optimizer) applyLeftJoin(node plan.Node, cols []int, rows, cost float64
 			lc, lok := b.L.(*expr.Col)
 			rc, rok := b.R.(*expr.Col)
 			if lok && rok {
-				if isInRange(rc.Index, r.Offset, len(br.Schema)) && !isInRange(lc.Index, r.Offset, len(br.Schema)) {
-					if li := indexOf(cols, lc.Index); li >= 0 {
-						leftKeys = append(leftKeys, li)
-						rightKeys = append(rightKeys, indexOf(ri.ccols, rc.Index))
-						continue
-					}
+				if isInRange(lc.Index, r.Offset, len(br.Schema)) {
+					lc, rc = rc, lc // rc is the joined relation's side
 				}
-				if isInRange(lc.Index, r.Offset, len(br.Schema)) && !isInRange(rc.Index, r.Offset, len(br.Schema)) {
-					if li := indexOf(cols, rc.Index); li >= 0 {
-						leftKeys = append(leftKeys, li)
-						rightKeys = append(rightKeys, indexOf(ri.ccols, lc.Index))
-						continue
-					}
+				if li := indexOf(cols, lc.Index); li >= 0 && isInRange(rc.Index, r.Offset, len(br.Schema)) {
+					leftKeys = append(leftKeys, li)
+					rightKeys = append(rightKeys, indexOf(ri.ccols, rc.Index))
+					continue
 				}
 			}
 		}
@@ -636,21 +682,23 @@ func (o *Optimizer) applyLeftJoin(node plan.Node, cols []int, rows, cost float64
 	} else {
 		jcost = o.costNLJoin(rows, br.Rows, outRows)
 	}
+	out := entry{set: in.set | ljBit(len(q.Rels), k)&^liveAbove, rows: outRows, cost: in.cost + scanCost + jcost}
 	j := &plan.JoinNode{Alg: alg, Type: plan.LeftOuter, LeftKeys: leftKeys, RightKeys: rightKeys, Residual: expr.AndAll(residuals)}
-	j.Kids = []plan.Node{node, scan}
-	j.Out = outSchema
+	j.Kids = []plan.Node{in.node, scan}
+	j.Cols, out.cols = lv.project(out.set, newCols)
+	j.Out = schemaFor(q.Combined, out.cols)
 	j.Title = "Left" + alg.String()
-	total := cost + scanCost + jcost
-	j.Prop = plan.Props{EstRows: outRows, EstCost: total}
-	return j, newCols, outRows, total, nil
+	j.Prop = plan.Props{EstRows: outRows, EstCost: out.cost}
+	out.node = j
+	return out
 }
 
 // ---------- helpers ----------
 
-func schemaFor(qi *queryInfo, cols []int) types.Schema {
+func schemaFor(combined types.Schema, cols []int) types.Schema {
 	out := make(types.Schema, len(cols))
 	for i, c := range cols {
-		out[i] = qi.combined[c]
+		out[i] = combined[c]
 	}
 	return out
 }

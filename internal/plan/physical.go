@@ -133,12 +133,11 @@ type ScanNode struct {
 	Table  *catalog.Table
 	Alias  string
 	Filter expr.Expr // over table schema; nil = none
-	// Cols lists the table columns the scan emits, ascending — the columns
-	// the query block mentions; Out is the matching narrow schema. Nil emits
-	// all of them: the stored row itself. Filter, zone maps and index bounds
-	// stay in table coordinates and are tested before the projection;
-	// everything above the scan, RFConsume included, numbers the scan's
-	// output.
+	// Cols lists the table columns the scan emits, ascending — those something
+	// above the scan reads; Out is the matching narrow schema. Nil emits all
+	// of them: the stored row itself. Filter, zone maps and index bounds stay
+	// in table coordinates and are tested before the projection; everything
+	// above the scan, RFConsume included, numbers the scan's output.
 	Cols []int
 	// RFConsume lists runtime join filters this scan tests rows against
 	// (set by PlanRuntimeFilters).
@@ -150,8 +149,9 @@ type ScanNode struct {
 	Columnar bool
 }
 
-// TableCol maps ordinal ord of a scan's output to its table column, given the
-// scan's Cols.
+// TableCol maps ordinal ord of a node's output to what it numbers in the
+// node's input, given the node's Cols: a scan's table column, a join's
+// position in left‖right.
 func TableCol(cols []int, ord int) int {
 	if cols == nil {
 		return ord
@@ -180,7 +180,7 @@ type IndexScanNode struct {
 
 // JoinNode joins two subplans. LeftKeys/RightKeys index into the respective
 // child schemas (equi-join columns); Residual is evaluated over the
-// concatenated output schema.
+// concatenation left‖right of the two.
 type JoinNode struct {
 	Base
 	Alg       JoinAlg
@@ -188,6 +188,10 @@ type JoinNode struct {
 	LeftKeys  []int
 	RightKeys []int
 	Residual  expr.Expr
+	// Cols lists the positions of left‖right the join emits, ascending (as
+	// ScanNode.Cols): Out is the matching schema, nil emits all of both. Keys
+	// and Residual are tested before the projection.
+	Cols []int
 	// RFilters lists the runtime join filters this join derives from its
 	// build (right) side after draining it (set by PlanRuntimeFilters).
 	RFilters []RFilterSpec
@@ -235,8 +239,10 @@ func (j *JoinNode) Left() Node { return j.Kids[0] }
 func (j *JoinNode) Right() Node { return j.Kids[1] }
 
 // IndexJoinNode is an index nested-loop join: for each left row, probe the
-// given index of the right base table. The output is the left row followed
-// by the fetched row's Cols (as ScanNode.Cols); Residual is over that.
+// given index of the right base table. Filter tests the fetched stored row, in
+// table coordinates (as IndexScanNode.Residual); the output is the left row
+// followed by a survivor's Cols (as ScanNode.Cols), and Residual — what reads
+// both sides — is over that.
 type IndexJoinNode struct {
 	Base
 	Type     JoinType
@@ -245,6 +251,7 @@ type IndexJoinNode struct {
 	Index    *catalog.Index
 	Cols     []int
 	LeftKeys []int // columns of the left child matched to the index prefix
+	Filter   expr.Expr
 	Residual expr.Expr
 }
 

@@ -87,10 +87,10 @@ func filterSite(n Node, col int) (Node, int) {
 			return filterSite(v.Kids[0], c.Index)
 		}
 	case *JoinNode:
-		// A join's output prefixes its probe (left) child's columns; only
-		// inner joins are crossed, conservatively leaving outer joins as
+		// A join emits its probe (left) child's columns before the build's;
+		// only inner joins are crossed, conservatively leaving outer joins as
 		// descent barriers.
-		if v.Type == Inner && col < len(v.Kids[0].Schema()) {
+		if col = TableCol(v.Cols, col); v.Type == Inner && col < len(v.Kids[0].Schema()) {
 			return filterSite(v.Kids[0], col)
 		}
 	}

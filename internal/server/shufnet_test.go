@@ -7,6 +7,10 @@ import (
 
 	"rqp/internal/catalog"
 	"rqp/internal/core"
+	"rqp/internal/exec"
+	"rqp/internal/opt"
+	"rqp/internal/plan"
+	"rqp/internal/sql"
 	"rqp/internal/workload"
 )
 
@@ -172,6 +176,68 @@ func TestNetShuffleExactness(t *testing.T) {
 					t.Fatalf("%s %q: wire accounting off: routed %d, framed %d",
 						name, q, sn.NetRowsRouted, sn.NetRowsWire)
 				}
+			}
+		}
+	}
+}
+
+// TestNetShuffleNarrowPlans is exec.TestNarrowPlanMatchesFullWidth's sharded
+// cells over transport=tcp: workers join and ship left‖right, the coordinator
+// cuts each gathered row down to the join's Cols, and the plan whose nodes
+// emit only what is read above them returns the rows of the full-width plan
+// (OptimizeJoinGraph + FinishPlan: no projection anywhere) at the same cost.
+func TestNetShuffleNarrowPlans(t *testing.T) {
+	addrs := startWorkerPool(t, 4, ShardWorkerConfig{})
+	cat := netShufCatalog(t, 0)
+	run := func(root plan.Node, force string) (string, int64, string) {
+		opt.PlanShuffles(root, 4, force)
+		ctx := exec.NewContext()
+		ctx.Shards, ctx.Shuffle, ctx.ShufTransport = 4, exec.NewShuffleStats(4), NewNetShuffleTransport(addrs)
+		rows, err := exec.Run(root, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return netRowsKey(&core.Result{Rows: rows}), ctx.Clock.UnitsScaled(), ctx.Shuffle.Snapshot().Transport
+	}
+	for _, q := range netShufQueries[:netShufResidualQuery] {
+		for _, force := range []string{"", "repartition", "broadcast"} {
+			st, err := sql.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := opt.New(cat)
+			narrow, err := o.Optimize(bq, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			join, cols, err := o.OptimizeJoinGraph(opt.BaseRelsFromQuery(bq), bq.Conjuncts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := o.FinishPlan(bq, join, cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			projecting := 0
+			plan.Walk(narrow, func(n plan.Node) {
+				if j, ok := n.(*plan.JoinNode); ok && j.Cols != nil {
+					projecting++
+				}
+			})
+			if projecting == 0 {
+				t.Fatalf("%q: no join of the narrow plan projects:\n%s", q, plan.Explain(narrow))
+			}
+			gotRows, gotCost, transport := run(narrow, force)
+			wantRows, wantCost, _ := run(full, force)
+			if transport != "tcp" {
+				t.Fatalf("%q force=%q: ran over %q", q, force, transport)
+			}
+			if gotRows != wantRows || gotCost != wantCost {
+				t.Errorf("%q force=%q: narrow plan diverges from full-width (cost %d vs %d)", q, force, gotCost, wantCost)
 			}
 		}
 	}

@@ -122,10 +122,6 @@ func (c *Clock) FilterTestsBatch(n int) { c.addBatch(n, c.model.FilterTest) }
 // makes probing every block's statistics cheaper than reading any of them.
 func (c *Clock) ZoneChecks(n int) { c.add(c.model.ZoneCheck * float64(n)) }
 
-// ZoneChecksBatch charges n zone checks, exactly equal to n calls of
-// ZoneChecks(1) — same integer identity as FilterTestsBatch.
-func (c *Clock) ZoneChecksBatch(n int) { c.addBatch(n, c.model.ZoneCheck) }
-
 // Compares charges n comparisons.
 func (c *Clock) Compares(n int) { c.add(c.model.Compare * float64(n)) }
 

@@ -45,19 +45,17 @@ func TestClockConcurrentSafety(t *testing.T) {
 	}
 }
 
-// TestClockBatchChargeParity: every batch charge must equal the same
-// number of single charges bit for bit in the integer unit domain — the
-// identity per-block and per-build filter charges rest on.
+// TestClockBatchChargeParity: the batch charge must equal the same number of
+// single charges bit for bit in the integer unit domain — the identity the
+// per-block and per-build filter charges rest on.
 func TestClockBatchChargeParity(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 255, 256, 1024, 99999} {
 		single := NewClock(DefaultCostModel())
 		batch := NewClock(DefaultCostModel())
 		for i := 0; i < n; i++ {
 			single.FilterTests(1)
-			single.ZoneChecks(1)
 		}
 		batch.FilterTestsBatch(n)
-		batch.ZoneChecksBatch(n)
 		if single.Units() != batch.Units() {
 			t.Errorf("n=%d: batch charges %v != %v single charges", n, batch.Units(), single.Units())
 		}
