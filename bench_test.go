@@ -329,9 +329,19 @@ func BenchmarkParallelHashJoin(b *testing.B) {
 	benchParallelQuery(b, cat, `SELECT COUNT(*) FROM f, d WHERE f.k = d.id`)
 }
 
+// aggBenchQueries are the grouping benchmarks' two ends: 31 groups of 120 000
+// rows, where a group's state is noise beside the per-morsel bookkeeping, and
+// 8 000 (each met by nearly every morsel), where bytes per group are the bill.
+var aggBenchQueries = []struct{ name, sql string }{
+	{"low", `SELECT f.g, COUNT(*), SUM(f.v) FROM f GROUP BY f.g`},
+	{"high", `SELECT f.k, COUNT(*), SUM(f.v) FROM f GROUP BY f.k`},
+}
+
 func BenchmarkParallelAgg(b *testing.B) {
 	cat := parallelBenchCatalog(b)
-	benchParallelQuery(b, cat, `SELECT f.g, COUNT(*), SUM(f.v) FROM f GROUP BY f.g`)
+	for _, q := range aggBenchQueries {
+		b.Run(q.name, func(b *testing.B) { benchParallelQuery(b, cat, q.sql) })
+	}
 }
 
 // BenchmarkParallelPipeline is the fused morsel pipeline end to end:
@@ -393,7 +403,9 @@ func BenchmarkSerialProject(b *testing.B) {
 }
 
 func BenchmarkSerialAgg(b *testing.B) {
-	benchSerialQuery(b, `SELECT f.g, COUNT(*), SUM(f.v) FROM f GROUP BY f.g`)
+	for _, q := range aggBenchQueries {
+		b.Run(q.name, func(b *testing.B) { benchSerialQuery(b, q.sql) })
+	}
 }
 
 // ---------- runtime join filters ----------

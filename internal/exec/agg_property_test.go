@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
@@ -18,29 +17,41 @@ import (
 )
 
 // Grouped-query property: random GROUP BY queries must match a brute-force
-// reference that groups with a map and folds aggregates directly. This
-// covers the aggregation pipeline (hash agg, DISTINCT dedup, HAVING,
-// ordering) end to end.
+// reference that groups with a map and folds aggregates directly, under every
+// budget and DOP the aggregation table serves: resident, spilled to
+// partitions, re-aggregated by the sorted fallback, per-morsel partials and
+// their merge.
 
-func aggPropertyDB(t *testing.T, rng *rand.Rand) *catalog.Catalog {
+// aggPropertyDB builds g(k, v, w, s, u, f): k, w and s draw from a few
+// values and u from a hundred, so key sets range from 8 groups to hundreds;
+// k, v, s and f are sometimes NULL.
+func aggPropertyDB(t *testing.T, rng *rand.Rand, rows int) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
 	tb, err := cat.CreateTable("g", types.Schema{
 		{Name: "k", Kind: types.KindInt},
 		{Name: "v", Kind: types.KindInt},
 		{Name: "w", Kind: types.KindInt},
+		{Name: "s", Kind: types.KindString},
+		{Name: "u", Kind: types.KindInt},
+		{Name: "f", Kind: types.KindFloat},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 400; i++ {
+	for i := 0; i < rows; i++ {
 		row := types.Row{
 			types.Int(rng.Int63n(8)),
 			types.Int(rng.Int63n(30)),
 			types.Int(rng.Int63n(5)),
+			types.Str(string(rune('a' + rng.Intn(6)))),
+			types.Int(rng.Int63n(100)),
+			types.Float(float64(rng.Int63n(10000)) / 100),
 		}
-		if rng.Intn(15) == 0 {
-			row[1] = types.Null()
+		for _, c := range []int{0, 1, 3, 5} {
+			if rng.Intn(15) == 0 {
+				row[c] = types.Null()
+			}
 		}
 		cat.Insert(nil, tb, row)
 	}
@@ -48,23 +59,74 @@ func aggPropertyDB(t *testing.T, rng *rand.Rand) *catalog.Catalog {
 	return cat
 }
 
-type refGroup struct {
-	count     int64
-	countV    int64
-	sumV      float64
-	minV      float64
-	maxV      float64
-	seen      bool
-	distinctV map[int64]bool
+// propAgg is one aggregate the property draws: fn over column col of g (-1:
+// COUNT(*)).
+type propAgg struct {
+	sql      string
+	fn       string
+	col      int
+	distinct bool
 }
 
-// refAggregate computes the reference result for:
-// SELECT k, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v), COUNT(DISTINCT v)
-// FROM g WHERE <filter> GROUP BY k
-func refAggregate(t *testing.T, cat *catalog.Catalog, filter expr.Expr) map[int64]*refGroup {
+var propAggs = []propAgg{
+	{"COUNT(*)", "COUNT", -1, false},
+	{"COUNT(v)", "COUNT", 1, false},
+	{"SUM(v)", "SUM", 1, false},
+	{"AVG(v)", "AVG", 1, false},
+	{"MIN(v)", "MIN", 1, false},
+	{"MAX(v)", "MAX", 1, false},
+	{"COUNT(DISTINCT v)", "COUNT", 1, true},
+	{"SUM(DISTINCT v)", "SUM", 1, true},
+	{"SUM(f)", "SUM", 5, false},
+	{"AVG(f)", "AVG", 5, false},
+	{"MAX(f)", "MAX", 5, false},
+	{"MIN(s)", "MIN", 3, false},
+	{"MAX(s)", "MAX", 3, false},
+	{"COUNT(DISTINCT s)", "COUNT", 3, true},
+}
+
+var propKeys = [][]int{{0}, {3}, {4}, {0, 2}, {3, 4}, {0, 3, 2}}
+
+// ref folds one aggregate over a group's rows the slow way.
+func (a propAgg) ref(rows []types.Row) types.Value {
+	if a.col < 0 {
+		return types.Int(int64(len(rows)))
+	}
+	var vals []types.Value
+	seen := map[string]bool{}
+	for _, r := range rows {
+		if v := r[a.col]; !v.IsNull() && !(a.distinct && seen[v.String()]) {
+			seen[v.String()] = true
+			vals = append(vals, v)
+		}
+	}
+	if a.fn == "COUNT" {
+		return types.Int(int64(len(vals)))
+	}
+	if len(vals) == 0 {
+		return types.Null()
+	}
+	sum, best := 0.0, vals[0]
+	for _, v := range vals {
+		sum += v.AsFloat()
+		if (a.fn == "MIN" && types.Less(v, best)) || (a.fn == "MAX" && types.Less(best, v)) {
+			best = v
+		}
+	}
+	switch a.fn {
+	case "SUM":
+		return types.Float(sum)
+	case "AVG":
+		return types.Float(sum / float64(len(vals)))
+	}
+	return best
+}
+
+// refGroups groups the rows of g passing filter on the key columns.
+func refGroups(t *testing.T, cat *catalog.Catalog, filter expr.Expr, key []int) map[string][]types.Row {
 	t.Helper()
 	tb, _ := cat.Table("g")
-	groups := map[int64]*refGroup{}
+	groups := map[string][]types.Row{}
 	var err error
 	tb.Heap.Scan(nil, func(_ storage.RID, r types.Row) bool {
 		if filter != nil {
@@ -77,26 +139,8 @@ func refAggregate(t *testing.T, cat *catalog.Catalog, filter expr.Expr) map[int6
 				return true
 			}
 		}
-		k := r[0].I
-		g := groups[k]
-		if g == nil {
-			g = &refGroup{distinctV: map[int64]bool{}}
-			groups[k] = g
-		}
-		g.count++
-		if !r[1].IsNull() {
-			g.countV++
-			v := r[1].AsFloat()
-			g.sumV += v
-			if !g.seen || v < g.minV {
-				g.minV = v
-			}
-			if !g.seen || v > g.maxV {
-				g.maxV = v
-			}
-			g.seen = true
-			g.distinctV[r[1].I] = true
-		}
+		k := appendCols(nil, r, key).String()
+		groups[k] = append(groups[k], r.Clone())
 		return true
 	})
 	if err != nil {
@@ -105,11 +149,33 @@ func refAggregate(t *testing.T, cat *catalog.Catalog, filter expr.Expr) map[int6
 	return groups
 }
 
+// streamPlanFor plans q with its aggregation as a stream aggregate over a sort
+// on the group columns (no planner rule chooses one).
+func streamPlanFor(t *testing.T, cat *catalog.Catalog, q string) plan.Node {
+	root := parallelPlanFor(t, cat, q)
+	plan.Walk(root, func(n plan.Node) {
+		if a, ok := n.(*plan.AggNode); ok {
+			srt := &plan.SortNode{Base: plan.Base{Out: a.Kids[0].Schema(), Kids: a.Kids, Title: "Sort"}}
+			for _, ge := range a.GroupExprs {
+				srt.Keys = append(srt.Keys, plan.OrderSpec{Col: ge.(*expr.Col).Index})
+			}
+			a.Alg, a.Kids = plan.AggStream, []plan.Node{srt}
+		}
+	})
+	return root
+}
+
 func TestPropertyGroupedAggregatesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
-	cat := aggPropertyDB(t, rng)
-	o := opt.New(cat)
-	for trial := 0; trial < 40; trial++ {
+	cat := aggPropertyDB(t, rng, 3000)
+	shrink := func(step int) int { return max(64, 1024>>step) }
+	budgets := []struct {
+		name   string
+		budget int
+		sched  func(int) int
+	}{{"unlimited", 1 << 30, nil}, {"64 groups", 64, nil}, {"shrinking", 1024, shrink}}
+	cols := []string{"k", "v", "w", "s", "u", "f"}
+	for trial := 0; trial < 24; trial++ {
 		// Random filter on w (and sometimes v).
 		var filterSQL string
 		var filterExpr expr.Expr
@@ -125,51 +191,50 @@ func TestPropertyGroupedAggregatesMatchReference(t *testing.T) {
 			filterExpr = &expr.Bin{Op: expr.OpGE,
 				L: &expr.Col{Index: 1, Typ: types.KindInt}, R: &expr.Const{V: types.Int(c)}}
 		}
-		q := "SELECT k, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v), COUNT(DISTINCT v) FROM g" +
-			filterSQL + " GROUP BY k ORDER BY k"
-		st, err := sql.Parse(q)
-		if err != nil {
-			t.Fatal(err)
+		key := propKeys[rng.Intn(len(propKeys))]
+		var keySQL, aggSQL []string
+		for _, c := range key {
+			keySQL = append(keySQL, cols[c])
 		}
-		bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
-		if err != nil {
-			t.Fatal(err)
+		aggs := make([]propAgg, 1+rng.Intn(5))
+		for i := range aggs {
+			aggs[i] = propAggs[rng.Intn(len(propAggs))]
+			aggSQL = append(aggSQL, aggs[i].sql)
 		}
-		root, err := o.Optimize(bq, nil)
-		if err != nil {
-			t.Fatal(err)
+		q := "SELECT " + strings.Join(append(keySQL, aggSQL...), ", ") + " FROM g" +
+			filterSQL + " GROUP BY " + strings.Join(keySQL, ", ")
+		want := refGroups(t, cat, filterExpr, key)
+		check := func(cfg string, rows []types.Row) {
+			t.Helper()
+			if len(rows) != len(want) {
+				t.Fatalf("%q %s: %d groups, want %d", q, cfg, len(rows), len(want))
+			}
+			for _, r := range rows {
+				in, ok := want[r[:len(key)].String()]
+				if !ok {
+					t.Fatalf("%q %s: no such group %v", q, cfg, r)
+				}
+				for i, a := range aggs {
+					got, ref := r[len(key)+i], a.ref(in)
+					exact := got.K == ref.K && types.Compare(got, ref) == 0
+					if got.K == types.KindFloat && ref.K == types.KindFloat { // partial sums reassociate
+						exact = math.Abs(got.F-ref.F) <= 1e-9*math.Max(1, math.Abs(ref.F))
+					}
+					if !exact {
+						t.Fatalf("%q %s group %v: %s = %v, want %v", q, cfg, r[:len(key)], a.sql, got, ref)
+					}
+				}
+			}
 		}
-		rows, err := Run(root, NewContext())
+		rows, err := Run(streamPlanFor(t, cat, q), NewContext())
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
-		want := refAggregate(t, cat, filterExpr)
-		if len(rows) != len(want) {
-			t.Fatalf("%q: %d groups, want %d", q, len(rows), len(want))
-		}
-		var keys []int64
-		for k := range want {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		for i, k := range keys {
-			r := rows[i]
-			g := want[k]
-			if r[0].I != k || r[1].I != g.count || r[2].I != g.countV {
-				t.Fatalf("%q group %d counts wrong: %v (want k=%d n=%d nv=%d)", q, k, r, k, g.count, g.countV)
-			}
-			if g.countV > 0 {
-				if math.Abs(r[3].AsFloat()-g.sumV) > 1e-9 {
-					t.Fatalf("%q group %d SUM=%v want %v", q, k, r[3], g.sumV)
-				}
-				if r[4].AsFloat() != g.minV || r[5].AsFloat() != g.maxV {
-					t.Fatalf("%q group %d MIN/MAX wrong: %v", q, k, r)
-				}
-			} else if !r[3].IsNull() || !r[4].IsNull() || !r[5].IsNull() {
-				t.Fatalf("%q group %d all-null aggregates should be NULL: %v", q, k, r)
-			}
-			if r[6].I != int64(len(g.distinctV)) {
-				t.Fatalf("%q group %d COUNT(DISTINCT)=%v want %d", q, k, r[6], len(g.distinctV))
+		check("stream", rows)
+		for _, b := range budgets {
+			for _, dop := range []int{1, 2, 8} {
+				rows, _ := runSpillQuery(t, cat, q, b.budget, dop, b.sched)
+				check(fmt.Sprintf("%s dop=%d", b.name, dop), rows)
 			}
 		}
 	}
@@ -179,7 +244,7 @@ func TestPropertyGroupedAggregatesMatchReference(t *testing.T) {
 // grouped result.
 func TestPropertyHavingMatchesPostFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(405))
-	cat := aggPropertyDB(t, rng)
+	cat := aggPropertyDB(t, rng, 400)
 	o := opt.New(cat)
 	for trial := 0; trial < 20; trial++ {
 		threshold := 10 + rng.Int63n(60)

@@ -248,3 +248,58 @@ func TestAllocCeilingProbe(t *testing.T) {
 		t.Errorf("probing %d rows: %v allocations, %.4f per row (ceiling %v)", len(probeRows), allocs, per, maxAllocsPerProbeRow)
 	}
 }
+
+// TestAllocCeilingAggregate pins what grouping costs, scan included. A
+// high-cardinality aggregate (a group per four input rows, and per morsel
+// about as many partial groups as rows: lineitem is not clustered on its
+// order) pays under a tenth of an allocation and a pinned number of bytes per
+// group — key, accumulators, stored hash, index and output order, each held
+// once, the partials cut to size. A low-cardinality one (three groups) has
+// nothing to amortise over its groups: it pays per morsel, so its pins are per
+// input row. A per-group struct, a Go map, a per-row key slice or a second
+// output slab breaks them at once (PR 22 measured 573 and 1 936 B per group).
+func TestAllocCeilingAggregate(t *testing.T) {
+	if raceBuild {
+		t.Skip("under -race a group's zeroed accumulators are a make of their own")
+	}
+	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nRows := tableRows(t, cat, "lineitem")
+	for _, tc := range []struct {
+		name, query string
+		perRow      bool       // the unit is an input row, not a group
+		allocs      float64    // per unit
+		bytes       [2]float64 // per unit, at DOP 1 and 2
+	}{
+		{"high", `SELECT l_orderkey, SUM(l_extendedprice), COUNT(*) FROM lineitem GROUP BY l_orderkey`, false, 0.1, [2]float64{200, 520}},
+		{"low", `SELECT l_returnflag, SUM(l_extendedprice), COUNT(*) FROM lineitem GROUP BY l_returnflag`, true, 0.02, [2]float64{0.5, 2}},
+	} {
+		for _, dop := range []int{1, 2} {
+			root := parallelPlanFor(t, cat, tc.query)
+			if dop > 1 {
+				plan.MarkParallel(root, 1)
+			}
+			groups := 0
+			allocs, bytes := measureAllocs(func() {
+				ctx := NewContext()
+				ctx.DOP = dop
+				_, n, err := Drain(root, ctx, func(types.Row) error { return nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				groups = n
+			})
+			units, unit := float64(groups), "group"
+			if tc.perRow {
+				units, unit = nRows, "input row"
+			}
+			t.Logf("%s dop=%d: %d groups of %v rows: %.0f allocations, %.0f B", tc.name, dop, groups, nRows, allocs, bytes)
+			if allocs/units > tc.allocs || bytes/units > tc.bytes[dop-1] {
+				t.Errorf("%s dop=%d: %.3f allocations and %.1f B per %s, ceilings %v and %v",
+					tc.name, dop, allocs/units, bytes/units, unit, tc.allocs, tc.bytes[dop-1])
+			}
+		}
+	}
+}

@@ -33,8 +33,9 @@
 // they are (ownedRows) by drain and the sort, and a retained row set (RowSet,
 // behind collect) cuts its []Row index once, after the last row. Every hash
 // join builds one joinTable over arena-held build rows and probes it through
-// one joinProbe (kernel.go); SetRowPoison is the test harness that overwrites
-// stale rows so a missing copy fails loudly.
+// one joinProbe, every hash aggregation accumulates into one aggTable over the
+// same hashIndex and lends its output row (kernel.go); SetRowPoison is the test
+// harness that overwrites stale rows so a missing copy fails loudly.
 //
 // Workspace memory is arbitrated by the MemBroker: stateful operators (hash
 // join, hash aggregation, external sort) request grants counted in rows and

@@ -2,16 +2,18 @@ package exec
 
 import (
 	"math/bits"
+	"slices"
 
 	"rqp/internal/plan"
 	"rqp/internal/storage"
 	"rqp/internal/types"
 )
 
-// The join and materialisation kernel: the one row arena every retainer
-// copies through, the one hash table every hash join builds, and the one
-// probe loop every hash join runs. Row, batch, morsel and spill operators
-// differ only in how they feed rows in and carry rows out.
+// The join, aggregation and materialisation kernel: the one row arena every
+// retainer copies through, the one hash table every hash join builds, the one
+// probe loop every hash join runs and the one group table every aggregation
+// accumulates into. Row, morsel and spill operators differ only in how they
+// feed rows in and carry rows out.
 
 // arenaMaxChunk caps an arena chunk (in values, ~160 KB).
 const arenaMaxChunk = 4096
@@ -174,15 +176,14 @@ func (j *joinRow) outer(l types.Row) types.Row {
 	return j.wide
 }
 
-// joinTable is a flat chained hash table over build rows: bucket head/tail
-// pairs, a next link per row and the stored 64-bit key hashes. Rows chain at
-// the tail, so the candidates of a hash come back in build order — the
-// property that keeps every join's output order independent of the table
-// layout. Reads are safe concurrently once building has finished.
-type joinTable struct {
-	rows    []types.Row
+// hashIndex is a flat chained hash index over dense ids — a joinTable's build
+// rows, an aggTable's groups: bucket head/tail pairs, a next link per id and
+// the stored 64-bit key hashes. Ids chain at the tail, so the candidates of a
+// hash come back in insertion order. Reads are safe concurrently once building
+// has finished; the zero value is empty.
+type hashIndex struct {
 	hashes  []uint64
-	next    []int32    // next row of the same bucket, -1 at the end
+	next    []int32    // next id of the same bucket, -1 at the end
 	buckets [][2]int32 // head, tail; -1 when empty
 	shift   uint       // 64 - log2(len(buckets))
 }
@@ -191,33 +192,96 @@ type joinTable struct {
 // nothing and is never linked.
 const noKey = -2
 
-// newJoinTable returns a table over rows (which it keeps, not copies); they
-// still have to be hashed and linked (hashRange, link). With no rows it is
-// an empty table ready for add.
-func newJoinTable(rows []types.Row) *joinTable {
-	t := &joinTable{rows: rows, hashes: make([]uint64, len(rows)), next: make([]int32, len(rows))}
-	t.resize(len(rows))
-	return t
-}
-
 // resize sets the bucket array to the power of two at or above n (load
 // factor at most one), emptied.
-func (t *joinTable) resize(n int) {
+func (x *hashIndex) resize(n int) {
 	size := 1
 	if n > 1 {
 		size = 1 << bits.Len(uint(n-1))
 	}
-	t.buckets = make([][2]int32, size)
-	for i := range t.buckets {
-		t.buckets[i] = [2]int32{-1, -1}
+	x.buckets = make([][2]int32, size)
+	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	x.unlink()
+}
+
+func (x *hashIndex) unlink() {
+	for i := range x.buckets {
+		x.buckets[i] = [2]int32{-1, -1}
 	}
-	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 }
 
 // bucket spreads h by Fibonacci hashing (HashRow's low bits are only as good
 // as the last value's).
-func (t *joinTable) bucket(h uint64) *[2]int32 {
-	return &t.buckets[(h*0x9e3779b97f4a7c15)>>t.shift]
+func (x *hashIndex) bucket(h uint64) *[2]int32 {
+	return &x.buckets[(h*0x9e3779b97f4a7c15)>>x.shift]
+}
+
+// link chains every hashed id in order.
+func (x *hashIndex) link() {
+	for i := range x.hashes {
+		if x.next[i] != noKey {
+			x.linkTail(int32(i))
+		}
+	}
+}
+
+func (x *hashIndex) linkTail(i int32) {
+	x.next[i] = -1
+	b := x.bucket(x.hashes[i])
+	if b[1] >= 0 {
+		x.next[b[1]] = i
+	} else {
+		b[0] = i
+	}
+	b[1] = i
+}
+
+// add appends an id with key hash h, growing the bucket array as needed.
+func (x *hashIndex) add(h uint64) int32 {
+	if len(x.hashes) == len(x.buckets) {
+		x.resize(2 * len(x.hashes))
+		x.link()
+	}
+	x.hashes = append(x.hashes, h)
+	x.next = append(x.next, -1)
+	i := int32(len(x.hashes) - 1)
+	x.linkTail(i)
+	return i
+}
+
+// first returns the first id whose stored hash is h, or -1; after continues
+// from id i. Together they enumerate exactly the ids a map[hash][]id bucket
+// would hold, in insertion order, without allocating.
+func (x *hashIndex) first(h uint64) int32 {
+	if len(x.buckets) == 0 {
+		return -1
+	}
+	return x.seek(x.bucket(h)[0], h)
+}
+
+func (x *hashIndex) after(i int32, h uint64) int32 { return x.seek(x.next[i], h) }
+
+func (x *hashIndex) seek(i int32, h uint64) int32 {
+	for i >= 0 && x.hashes[i] != h {
+		i = x.next[i]
+	}
+	return i
+}
+
+// joinTable indexes build rows by position: a hash's candidates come back in
+// build order, which keeps every join's output order independent of the layout.
+type joinTable struct {
+	rows []types.Row
+	hashIndex
+}
+
+// newJoinTable returns a table over rows (which it keeps, not copies); they
+// still have to be hashed and linked (hashRange, link). With no rows it is
+// an empty table ready for add.
+func newJoinTable(rows []types.Row) *joinTable {
+	t := &joinTable{rows: rows, hashIndex: hashIndex{hashes: make([]uint64, len(rows)), next: make([]int32, len(rows))}}
+	t.resize(len(rows))
+	return t
 }
 
 // hashRange hashes the key columns of rows [lo, hi), charging clk the
@@ -240,51 +304,318 @@ func (t *joinTable) hashRange(lo, hi int, cols []int, clk *storage.Clock, probes
 	return keyed
 }
 
-// link chains every hashed row in build order.
-func (t *joinTable) link() {
-	for i := range t.rows {
-		if t.next[i] != noKey {
-			t.linkTail(int32(i))
+// add appends one row with key hash h (the incremental build of the symmetric
+// hash join and DISTINCT).
+func (t *joinTable) add(r types.Row, h uint64) {
+	t.rows = append(t.rows, r)
+	t.hashIndex.add(h)
+}
+
+// ---------- the aggregation table ----------
+
+// aggNum accumulates a COUNT, SUM or AVG.
+type aggNum struct {
+	count int64
+	sum   float64
+}
+
+// aggSlot places one aggregate of an AggNode in a group's accumulators.
+type aggSlot struct {
+	acc int  // which of the group's aggNums or, for MIN and MAX, of its extrema
+	set int  // which of its dedup sets; -1 unless DISTINCT
+	ext int8 // -1 MIN, +1 MAX, 0 otherwise
+}
+
+// aggLayout is what one group of an AggNode holds, fixed once from its
+// AggSpecs: the key values, an aggNum per COUNT, SUM or AVG, one value per MIN
+// or MAX (NULL until an input arrives) and a dedup set per DISTINCT aggregate.
+type aggLayout struct {
+	node             *plan.AggNode
+	keyW             int
+	slots            []aggSlot
+	nums, exts, sets int
+}
+
+var aggExt = map[string]int8{"MIN": -1, "MAX": 1}
+
+func newAggLayout(node *plan.AggNode) *aggLayout {
+	l := &aggLayout{node: node, keyW: len(node.GroupExprs), slots: make([]aggSlot, len(node.Aggs))}
+	for i, spec := range node.Aggs {
+		sl := aggSlot{acc: l.nums, set: -1, ext: aggExt[spec.Func]}
+		if sl.ext != 0 {
+			sl.acc = l.exts
+			l.exts++
+		} else {
+			l.nums++
+		}
+		if spec.Distinct && !spec.Star {
+			sl.set = l.sets
+			l.sets++
+		}
+		l.slots[i] = sl
+	}
+	return l
+}
+
+// aggSeg holds groups back to back: group i's key at keys[i*keyW:], its
+// accumulators at the same stride in nums, exts and sets.
+type aggSeg struct {
+	n      int
+	keys   []types.Value
+	nums   []aggNum
+	exts   []types.Value
+	sets   []map[uint64][]types.Value
+	hashes []uint64 // the groups' key hashes, once compacted (a table's index holds its own)
+}
+
+// newSeg returns an empty segment with room for n groups.
+func (l *aggLayout) newSeg(n int) aggSeg {
+	return aggSeg{
+		keys: make([]types.Value, 0, n*l.keyW),
+		nums: make([]aggNum, 0, n*l.nums),
+		exts: make([]types.Value, 0, n*l.exts),
+		sets: make([]map[uint64][]types.Value, 0, n*l.sets),
+	}
+}
+
+// empty forgets the segment's groups, keeping what it allocated.
+func (s *aggSeg) empty() {
+	s.n, s.keys, s.nums, s.exts, s.sets = 0, s.keys[:0], s.nums[:0], s.exts[:0], s.sets[:0]
+}
+
+// push appends a group with zero accumulators, copying key.
+func (l *aggLayout) push(s *aggSeg, key []types.Value) int {
+	s.keys = append(s.keys, key...)
+	s.nums = append(s.nums, make([]aggNum, l.nums)...)
+	s.exts = append(s.exts, make([]types.Value, l.exts)...)
+	s.sets = append(s.sets, make([]map[uint64][]types.Value, l.sets)...)
+	s.n++
+	return s.n - 1
+}
+
+func (l *aggLayout) key(s *aggSeg, i int) []types.Value { return s.keys[i*l.keyW : (i+1)*l.keyW] }
+
+// evalKey fills key with r's group expressions.
+func (l *aggLayout) evalKey(key []types.Value, r types.Row, params []types.Value) error {
+	for i, ge := range l.node.GroupExprs {
+		v, err := ge.Eval(r, params)
+		if err != nil {
+			return err
+		}
+		key[i] = v
+	}
+	return nil
+}
+
+// accum folds input row r into group i of s.
+func (l *aggLayout) accum(s *aggSeg, i int, r types.Row, params []types.Value) error {
+	for a, spec := range l.node.Aggs {
+		if spec.Star {
+			s.nums[i*l.nums+l.slots[a].acc].count++
+			continue
+		}
+		v, err := spec.Arg.Eval(r, params)
+		if err != nil {
+			return err
+		}
+		l.add(s, i, l.slots[a], v)
+	}
+	return nil
+}
+
+// add folds one input value into an aggregate of group i. NULLs are skipped;
+// a DISTINCT aggregate skips what its group has already seen.
+func (l *aggLayout) add(s *aggSeg, i int, sl aggSlot, v types.Value) {
+	if v.IsNull() {
+		return
+	}
+	if sl.set >= 0 {
+		set := &s.sets[i*l.sets+sl.set]
+		if *set == nil {
+			*set = map[uint64][]types.Value{}
+		}
+		h := v.Hash()
+		for _, prev := range (*set)[h] {
+			if types.Equal(prev, v) {
+				return
+			}
+		}
+		(*set)[h] = append((*set)[h], v)
+	}
+	if sl.ext != 0 {
+		if e := &s.exts[i*l.exts+sl.acc]; e.IsNull() || types.Compare(v, *e)*int(sl.ext) > 0 {
+			*e = v
+		}
+		return
+	}
+	n := &s.nums[i*l.nums+sl.acc]
+	n.count++
+	if v.Numeric() {
+		n.sum += v.AsFloat()
+	}
+}
+
+// merge folds group j of src into group i of dst, two partials of one key. A
+// DISTINCT aggregate replays src's deduplicated values through add, so that
+// duplicates across partials collapse, in sorted-hash order, so that the
+// merged state is identical run to run.
+func (l *aggLayout) merge(dst *aggSeg, i int, src *aggSeg, j int) {
+	for _, sl := range l.slots {
+		switch {
+		case sl.set >= 0:
+			set := src.sets[j*l.sets+sl.set]
+			hs := make([]uint64, 0, len(set))
+			for h := range set {
+				hs = append(hs, h)
+			}
+			slices.Sort(hs)
+			for _, h := range hs {
+				for _, v := range set[h] {
+					l.add(dst, i, sl, v)
+				}
+			}
+		case sl.ext != 0:
+			l.add(dst, i, sl, src.exts[j*l.exts+sl.acc])
+		default:
+			d, s := &dst.nums[i*l.nums+sl.acc], src.nums[j*l.nums+sl.acc]
+			d.count += s.count
+			d.sum += s.sum
 		}
 	}
 }
 
-func (t *joinTable) linkTail(i int32) {
-	t.next[i] = -1
-	b := t.bucket(t.hashes[i])
-	if b[1] >= 0 {
-		t.next[b[1]] = i
-	} else {
-		b[0] = i
+// row overwrites buf with group i of s as an output row, key‖aggregates.
+func (l *aggLayout) row(buf types.Row, s *aggSeg, i int) types.Row {
+	buf = append(buf[:0], l.key(s, i)...)
+	for a, spec := range l.node.Aggs {
+		sl, v := l.slots[a], types.Null()
+		if sl.ext != 0 {
+			v = s.exts[i*l.exts+sl.acc]
+		} else if n := s.nums[i*l.nums+sl.acc]; spec.Func == "COUNT" {
+			v = types.Int(n.count)
+		} else if n.count > 0 && spec.Func == "SUM" {
+			v = types.Float(n.sum)
+		} else if n.count > 0 && spec.Func == "AVG" {
+			v = types.Float(n.sum / float64(n.count))
+		}
+		buf = append(buf, v)
 	}
-	b[1] = i
+	return buf
 }
 
-// add appends one row with key hash h, growing the bucket array as needed
-// (the incremental build of the symmetric hash join and DISTINCT).
-func (t *joinTable) add(r types.Row, h uint64) {
-	if len(t.rows) == len(t.buckets) {
-		t.resize(2 * len(t.rows))
-		t.link()
-	}
-	t.rows = append(t.rows, r)
-	t.hashes = append(t.hashes, h)
-	t.next = append(t.next, -1)
-	t.linkTail(int32(len(t.rows) - 1))
+const aggSegGroups = 256 // groups per segment of an aggTable
+
+// aggTable is the one group table every hash aggregation accumulates into —
+// the serial aggregate's resident table, a spilled partition's, a morsel's
+// partial: a group is a dense id in a hashIndex, id/aggSegGroups its segment.
+// Only the first segment grows by doubling, the others are allocated whole: a
+// table of one group costs one group, a large one wastes at most a segment
+// (growing one slab would allocate all it holds twice over).
+type aggTable struct {
+	lay  *aggLayout
+	key  []types.Value // scratch: the current input row's group key
+	segs []aggSeg
+	hashIndex
 }
 
-// first returns the index of the first row whose stored hash is h, or -1;
-// after continues from row i. Together they enumerate exactly the rows a
-// map[hash][]row bucket would hold, in build order, without allocating.
-func (t *joinTable) first(h uint64) int32 { return t.seek(t.bucket(h)[0], h) }
+func newAggTable(lay *aggLayout) aggTable {
+	return aggTable{lay: lay, key: make([]types.Value, lay.keyW)}
+}
 
-func (t *joinTable) after(i int32, h uint64) int32 { return t.seek(t.next[i], h) }
-
-func (t *joinTable) seek(i int32, h uint64) int32 {
-	for i >= 0 && t.hashes[i] != h {
-		i = t.next[i]
+// fold accumulates input row r into its group, adding the group if absent —
+// unless the table already holds limit groups: then it reports false, and the
+// key's hash for whoever spills the row.
+func (t *aggTable) fold(r types.Row, params []types.Value, limit int) (uint64, bool, error) {
+	if err := t.lay.evalKey(t.key, r, params); err != nil {
+		return 0, false, err
 	}
-	return i
+	h := types.HashRow(t.key)
+	for id := t.first(h); id >= 0; id = t.after(id, h) {
+		s, i := &t.segs[id/aggSegGroups], int(id%aggSegGroups)
+		if rowsEqual(t.lay.key(s, i), t.key) {
+			return h, true, t.lay.accum(s, i, r, params)
+		}
+	}
+	if len(t.hashes) >= limit {
+		return h, false, nil
+	}
+	si := int(t.add(h)) / aggSegGroups
+	if si == len(t.segs) {
+		t.segs = append(t.segs, t.lay.newSeg(min(si, 1)*aggSegGroups)) // the first grows from nothing
+	}
+	return h, true, t.lay.accum(&t.segs[si], t.lay.push(&t.segs[si], t.key), r, params)
+}
+
+// compact returns the table's groups as one segment cut to size, their hashes
+// with them, and empties the table: what a worker retains of a morsel is its
+// groups, and the index and the segments serve its next morsel.
+func (t *aggTable) compact() aggSeg {
+	out := t.lay.newSeg(len(t.hashes))
+	out.n, out.hashes = len(t.hashes), slices.Clone(t.hashes)
+	for i := range t.segs {
+		s := &t.segs[i]
+		out.keys, out.nums = append(out.keys, s.keys...), append(out.nums, s.nums...)
+		out.exts, out.sets = append(out.exts, s.exts...), append(out.sets, s.sets...)
+		s.empty()
+	}
+	t.hashes, t.next = t.hashes[:0], t.next[:0]
+	t.unlink()
+	return out
+}
+
+// groupRef names group i of the seg'th of a list of segments.
+type groupRef struct{ seg, i int32 }
+
+// aggOutput emits the groups of a finished aggregation in key order, each
+// assembled at Next into one reused row.
+type aggOutput struct {
+	lay   *aggLayout
+	segs  []aggSeg
+	order []groupRef
+	row   types.Row
+}
+
+// allGroups lists every group of segs, in order.
+func allGroups(segs []aggSeg) []groupRef {
+	n := 0
+	for si := range segs {
+		n += segs[si].n
+	}
+	order := make([]groupRef, 0, max(n, 1))
+	for si := range segs {
+		for i := 0; i < segs[si].n; i++ {
+			order = append(order, groupRef{int32(si), int32(i)})
+		}
+	}
+	return order
+}
+
+// open sorts the groups order lists on the key, charging clk one unit of row
+// work per group. A global aggregate with no input still has one group.
+func (o *aggOutput) open(clk *storage.Clock, lay *aggLayout, segs []aggSeg, order []groupRef) {
+	if len(order) == 0 && lay.keyW == 0 {
+		var s aggSeg
+		lay.push(&s, nil)
+		segs = append(segs, s)
+		order = append(order, groupRef{seg: int32(len(segs) - 1)})
+	}
+	key := func(g groupRef) []types.Value { return lay.key(&segs[g.seg], int(g.i)) }
+	slices.SortStableFunc(order, func(a, b groupRef) int { return compareKeys(key(a), key(b)) })
+	for range order {
+		clk.RowWork(1)
+	}
+	*o = aggOutput{lay: lay, segs: segs, order: order, row: o.row}
+}
+
+// Next lends the next group's row, valid until the following call.
+func (o *aggOutput) Next() (types.Row, bool, error) {
+	if len(o.order) == 0 {
+		return nil, false, nil
+	}
+	g := o.order[0]
+	o.order = o.order[1:]
+	o.row = o.lay.row(o.row, &o.segs[g.seg], int(g.i))
+	return o.row, true, nil
 }
 
 // buildJoinTable is the serial build: hash and link rows on clk.

@@ -1,8 +1,12 @@
 package exec
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
+	"rqp/internal/plan"
+	"rqp/internal/storage"
 	"rqp/internal/types"
 )
 
@@ -43,8 +47,95 @@ func TestRowLifetime(t *testing.T) {
 		{"Distinct", TestDistinct},
 		{"OrderByLimitOffset", TestOrderByLimitOffset},
 		{"Aggregation", TestAggregation},
+		{"AggregateBeneathRetainers", TestAggregateBeneathRetainers},
 	} {
 		t.Run(tc.name, tc.fn)
+	}
+}
+
+// TestAggregateBeneathRetainers puts an aggregate — whose rows are lent: one
+// buffer, reassembled at every Next — directly beneath each kind of operator
+// that keeps rows: the root drain, DISTINCT, POP's materialisation point and a
+// hash join's build side (serial, and as a morsel partial merge under a fused
+// build). Each must hold its own copies.
+func TestAggregateBeneathRetainers(t *testing.T) {
+	cat := spillCatalog(t)
+	big, _ := cat.Table("big")
+	groups := map[int64][2]int64{} // k → COUNT(*), SUM(v)
+	big.Heap.Scan(nil, func(_ storage.RID, r types.Row) bool {
+		if !r[0].IsNull() {
+			g := groups[r[0].I]
+			groups[r[0].I] = [2]int64{g[0] + 1, g[1] + r[2].I}
+		}
+		return true
+	})
+	groupRow := func(k int64) string {
+		return types.Row{types.Int(k), types.Int(groups[k][0]), types.Float(float64(groups[k][1]))}.String()
+	}
+	var wantGroups, wantJoin []string
+	for k := range groups {
+		wantGroups = append(wantGroups, groupRow(k))
+	}
+	probe, _ := cat.Table("probe")
+	probe.Heap.Scan(nil, func(_ storage.RID, r types.Row) bool {
+		if _, ok := groups[r[0].I]; ok && !r[0].IsNull() {
+			wantJoin = append(wantJoin, r.String()+groupRow(r[0].I))
+		}
+		return true
+	})
+	// aggPlan is a fresh γ_k(COUNT(*), SUM(v)) over σ_{k IS NOT NULL}(big).
+	aggPlan := func() *plan.AggNode {
+		var agg *plan.AggNode
+		plan.Walk(parallelPlanFor(t, cat, `SELECT big.k, COUNT(*), SUM(big.v) FROM big WHERE big.k IS NOT NULL GROUP BY big.k`), func(n plan.Node) {
+			if a, ok := n.(*plan.AggNode); ok {
+				agg = a
+			}
+		})
+		return agg
+	}
+	over := func(agg *plan.AggNode) plan.Base {
+		return plan.Base{Out: agg.Schema(), Kids: []plan.Node{agg}}
+	}
+	join := func() plan.Node {
+		agg := aggPlan()
+		scan := &plan.ScanNode{Base: plan.Base{Out: probe.Schema, Title: "SeqScan(probe)"}, Table: probe}
+		return &plan.JoinNode{
+			Base: plan.Base{Out: scan.Out.Concat(agg.Schema()), Kids: []plan.Node{scan, agg}, Title: "HashJoin"},
+			Alg:  plan.JoinHash, Type: plan.Inner, LeftKeys: []int{0}, RightKeys: []int{0},
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		root plan.Node
+		dop  int
+		want []string
+	}{
+		{"root drain", aggPlan(), 1, wantGroups},
+		{"distinct", &plan.DistinctNode{Base: over(aggPlan())}, 1, wantGroups},
+		{"materialize", &plan.MaterializeNode{Base: over(aggPlan())}, 1, wantGroups},
+		{"join build", join(), 1, wantJoin},
+		{"join build dop=2", join(), 2, wantJoin},
+	} {
+		ctx := NewContext()
+		if ctx.DOP = tc.dop; tc.dop > 1 {
+			plan.MarkParallel(tc.root, 1)
+		}
+		rows, err := Run(tc.root, ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := make([]string, len(rows))
+		for i, r := range rows {
+			got[i] = r.String()
+			if len(r) > 3 { // probe‖group, rendered as the two rows side by side
+				got[i] = r[:3].String() + r[3:].String()
+			}
+		}
+		sort.Strings(got)
+		sort.Strings(tc.want)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: %d rows, want %d; first %v, want %v", tc.name, len(got), len(tc.want), got[:1], tc.want[:1])
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -176,13 +177,13 @@ type morselSink interface {
 // lends its rows from, a prober per stage (key scratch, output row) and the
 // arena an exchange copies retained rows into, so steady-state morsels
 // allocate nothing per row. Rows of successive morsels share arena chunks,
-// which the rows themselves keep alive. groups is how many groups the worker's
-// last aggregation partial ended with: what it sizes the next one for.
+// which the rows themselves keep alive; an aggregation accumulates each morsel
+// in agg and retains the compacted groups.
 type morselScratch struct {
 	scanScratch
 	probes []*joinProbe
 	arena  RowArena
-	groups int
+	agg    aggTable
 }
 
 // fusesJoin reports whether a join runs as a pipeline stage.
@@ -544,72 +545,6 @@ func (j *parallelHashJoin) buildTable(build []types.Row) error {
 
 // ---------- parallel aggregation ----------
 
-// aggPartial is one morsel's partial grouping state (and the serial
-// aggregations' resident table): groups chained per key hash, their structs,
-// keys and aggregate states carved from slabs. A slab chunk holds a quarter
-// as many groups as the partial already has (at least one, at most 256), so
-// a partial of one group costs what one group did, a large one allocates
-// once per 256 groups, and at most a fifth of the slab bytes stand unused
-// (doubling, as the RowArena does, measured +0.4% bytes per statement on
-// analytic_row against allocating every group exactly).
-type aggPartial struct {
-	heads  map[uint64]*group
-	order  []*group
-	groups []group
-	states []aggState
-	keys   RowArena
-}
-
-// find returns the group for key, or nil.
-func (p *aggPartial) find(key []types.Value, hash uint64) *group {
-	for g := p.heads[hash]; g != nil; g = g.next {
-		if rowsEqual(g.key, key) {
-			return g
-		}
-	}
-	return nil
-}
-
-// add creates the group for key (not yet present), copying the key: the
-// caller's key buffer is reused across rows.
-func (p *aggPartial) add(key []types.Value, hash uint64, naggs int) *group {
-	if len(p.groups) == cap(p.groups) {
-		n := max(1, min(len(p.order)/4, 256))
-		p.groups, p.states = make([]group, 0, n), make([]aggState, 0, n*naggs)
-	}
-	p.groups = p.groups[:len(p.groups)+1]
-	g := &p.groups[len(p.groups)-1]
-	off := len(p.states)
-	p.states = p.states[:off+naggs]
-	g.key, g.states = p.keys.Copy(key), p.states[off:off+naggs:off+naggs]
-	p.link(g, hash)
-	return g
-}
-
-// reserve sizes an empty partial for n groups of keyWidth key values and
-// naggs aggregates each, so that reaching n allocates nothing further. It
-// sets capacities only: what the partial holds, and in which order, is
-// unchanged, and add grows past n as it grows from nothing.
-func (p *aggPartial) reserve(n, keyWidth, naggs int) {
-	if n == 0 {
-		return
-	}
-	p.heads = make(map[uint64]*group, n)
-	p.order = make([]*group, 0, n)
-	p.groups, p.states = make([]group, 0, n), make([]aggState, 0, n*naggs)
-	p.keys.chunk = make([]types.Value, 0, n*keyWidth)
-}
-
-// link adopts g, whose key hashes to hash and is not yet present.
-func (p *aggPartial) link(g *group, hash uint64) {
-	if p.heads == nil {
-		p.heads = map[uint64]*group{}
-	}
-	g.next = p.heads[hash]
-	p.heads[hash] = g
-	p.order = append(p.order, g)
-}
-
 // parallelAgg runs hash aggregation as per-morsel partial group states
 // merged at a gather barrier, then sorts the merged groups on the key —
 // the same deterministic output order as the serial hashAgg. Partials
@@ -625,98 +560,68 @@ type parallelAgg struct {
 	node *plan.AggNode
 	pipe *pipeline
 
-	partials []*aggPartial
-	out      []types.Row
-	pos      int
-}
-
-// accumRow folds one input row into a partial, charging the serial
-// hashAgg's per-row probe. key is the caller's scratch group-key buffer.
-func (a *parallelAgg) accumRow(p *aggPartial, r types.Row, key []types.Value, clk *storage.Clock) error {
-	clk.Probes(1)
-	for i, ge := range a.node.GroupExprs {
-		v, err := ge.Eval(r, a.ctx.Params)
-		if err != nil {
-			return err
-		}
-		key[i] = v
-	}
-	return accumGroup(a.groupFor(p, key), a.node, r, a.ctx.Params)
-}
-
-func (a *parallelAgg) groupFor(p *aggPartial, key []types.Value) *group {
-	h := types.HashRow(key)
-	if g := p.find(key, h); g != nil {
-		return g
-	}
-	return p.add(key, h, len(a.node.Aggs))
+	partials  []aggSeg // per morsel: its groups, compacted
+	aggOutput          // Next; lay is set from Open on
 }
 
 func (a *parallelAgg) Open() error {
+	a.lay = newAggLayout(a.node)
 	if err := a.pipe.exec(a); err != nil {
 		return err
 	}
-	order := a.mergePartials()
-	// Global aggregate with no groups and no input still yields one row.
-	if len(order) == 0 && len(a.node.GroupExprs) == 0 {
-		order = append(order, &group{states: make([]aggState, len(a.node.Aggs))})
-	}
-	a.out = groupRows(a.ctx.Clock, a.node, order)
-	a.pos = 0
+	a.open(a.ctx.Clock, a.lay, a.partials, a.mergePartials())
+	a.partials = nil
 	return nil
 }
 
-func (a *parallelAgg) reset(n int) { a.partials = make([]*aggPartial, n) }
+func (a *parallelAgg) reset(n int) { a.partials = make([]aggSeg, n) }
 
-// begin opens morsel m's partial: every row is accumulated as it arrives. The
-// partial starts at the size the worker's previous one reached — successive
-// morsels of one source see about the same number of groups — so a grouped
-// morsel allocates its slabs, order list, key arena and map once, not once
-// per doubling.
+// begin opens morsel m's partial in the worker's table: every row is
+// accumulated as it arrives, charging the serial hashAgg's per-row probe, and
+// the morsel's end retains the groups alone.
 func (a *parallelAgg) begin(m int, clk *storage.Clock, st *morselScratch) (RowSink, func() int) {
-	p := &aggPartial{}
-	p.reserve(st.groups, len(a.node.GroupExprs), len(a.node.Aggs))
-	key := make([]types.Value, len(a.node.GroupExprs))
-	return func(r types.Row) error { return a.accumRow(p, r, key, clk) }, func() int {
-		a.partials[m] = p
-		st.groups = len(p.order)
-		return len(p.order)
+	t := &st.agg
+	if t.lay == nil {
+		*t = newAggTable(a.lay)
 	}
+	return func(r types.Row) error {
+			clk.Probes(1)
+			_, _, err := t.fold(r, a.ctx.Params, math.MaxInt)
+			return err
+		}, func() int {
+			a.partials[m] = t.compact()
+			return a.partials[m].n
+		}
 }
 
-// mergePartials folds the per-morsel partials, in morsel order, into one
-// group list. Grouping work was already charged per input row in the
+// mergePartials folds the per-morsel partials, in morsel order, into the
+// first partial that holds each key, and returns the groups left, in the
+// order they were first seen. Keys stay where they are and are found by their
+// stored hashes. Grouping work was already charged per input row in the
 // morsels; the merge itself is free on the clock, exactly like the serial
 // hashAgg's in-table accumulation.
-func (a *parallelAgg) mergePartials() []*group {
-	var merged aggPartial
-	for _, p := range a.partials {
-		for _, g := range p.order {
-			h := types.HashRow(g.key)
-			dst := merged.find(g.key, h)
-			if dst == nil {
-				merged.link(g, h)
-				continue
+func (a *parallelAgg) mergePartials() []groupRef {
+	var ix hashIndex
+	var refs []groupRef
+	for si := range a.partials {
+		p := &a.partials[si]
+	groups:
+		for i, h := range p.hashes {
+			key := a.lay.key(p, i)
+			for g := ix.first(h); g >= 0; g = ix.after(g, h) {
+				if dst := &a.partials[refs[g].seg]; rowsEqual(a.lay.key(dst, int(refs[g].i)), key) {
+					a.lay.merge(dst, int(refs[g].i), p, i)
+					continue groups
+				}
 			}
-			for i := range dst.states {
-				dst.states[i].merge(&g.states[i], a.node.Aggs[i])
-			}
+			ix.add(h)
+			refs = append(refs, groupRef{int32(si), int32(i)})
 		}
 	}
-	a.partials = nil
-	return merged.order
-}
-
-func (a *parallelAgg) Next() (types.Row, bool, error) {
-	if a.pos >= len(a.out) {
-		return nil, false, nil
-	}
-	r := a.out[a.pos]
-	a.pos++
-	return r, true, nil
+	return refs
 }
 
 func (a *parallelAgg) Close() error {
-	a.out = nil
+	a.aggOutput = aggOutput{}
 	return a.pipe.close()
 }

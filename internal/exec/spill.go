@@ -327,24 +327,22 @@ func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Ro
 // either entirely resident or entirely spilled: rows of a key seen before
 // the table filled keep accumulating in place.
 type aggSink struct {
-	ctx      *Context
-	node     *plan.AggNode
-	depth    int
-	grant    int
-	part     aggPartial
-	runs     []*storage.TempRun
-	arena    RowArena // holds the spilled input rows
-	spilling bool
+	ctx   *Context
+	depth int
+	grant int
+	tab   aggTable
+	runs  []*storage.TempRun
+	arena RowArena // holds the spilled input rows
 }
 
 // newAggSink obtains a group-state grant from the broker (asking for the
 // whole budget, like the external sort) and prepares the resident table.
-func newAggSink(ctx *Context, node *plan.AggNode, depth int) *aggSink {
+func newAggSink(ctx *Context, lay *aggLayout, depth int) *aggSink {
 	return &aggSink{
 		ctx:   ctx,
-		node:  node,
 		depth: depth,
 		grant: ctx.Mem.Grant(1 << 20),
+		tab:   newAggTable(lay),
 	}
 }
 
@@ -353,23 +351,19 @@ func newAggSink(ctx *Context, node *plan.AggNode, depth int) *aggSink {
 // table is full and the key is new. The caller charges its per-input-row
 // probe itself. r must remain valid until add returns; spilled rows are
 // copied.
-func (s *aggSink) add(key []types.Value, r types.Row) error {
-	h := types.HashRow(key)
-	if g := s.part.find(key, h); g != nil {
-		return accumGroup(g, s.node, r, s.ctx.Params)
+func (s *aggSink) add(r types.Row) error {
+	h, ok, err := s.tab.fold(r, s.ctx.Params, s.grant)
+	if ok || err != nil {
+		return err
 	}
-	if len(s.part.order) < s.grant {
-		return accumGroup(s.part.add(key, h, len(s.node.Aggs)), s.node, r, s.ctx.Params)
-	}
-	if !s.spilling {
-		s.spilling = true
+	if s.runs == nil {
 		s.runs = make([]*storage.TempRun, aggSpillFanout)
 		for p := range s.runs {
 			s.runs[p] = storage.NewTempRun()
 		}
 		s.ctx.Spill.record(aggSpillFanout, 0, 0, s.depth)
 		s.ctx.spillEvent("spill.agg", "%s depth=%d resident_groups=%d fanout=%d grant=%d",
-			s.node.Label(), s.depth, len(s.part.order), aggSpillFanout, s.grant)
+			s.tab.lay.node.Label(), s.depth, len(s.tab.hashes), aggSpillFanout, s.grant)
 	}
 	p := spillPartOf(h, s.depth, aggSpillFanout)
 	run := s.runs[p]
@@ -386,76 +380,54 @@ func (s *aggSink) add(key []types.Value, r types.Row) error {
 // sort-merge join fallback). Returns every group, resident first, then
 // partition by partition; callers sort groups on the key afterwards, so
 // output order is independent of the spill pattern.
-func (s *aggSink) finish() ([]*group, error) {
-	out := s.part.order
+func (s *aggSink) finish() ([]aggSeg, error) {
+	out := s.tab.segs
 	s.ctx.Mem.Release(s.grant)
 	s.grant = 0
-	if !s.spilling {
-		return out, nil
-	}
 	for _, run := range s.runs {
 		if run.Len() == 0 {
 			continue
 		}
 		rows := run.Drain(s.ctx.Clock)
 		if s.depth+1 > maxSpillDepth {
-			gs, err := s.sortedAggregate(rows)
+			seg, err := s.sortedAggregate(rows)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, gs...)
+			out = append(out, seg)
 			continue
 		}
-		sub := newAggSink(s.ctx, s.node, s.depth+1)
-		key := make([]types.Value, len(s.node.GroupExprs))
+		sub := newAggSink(s.ctx, s.tab.lay, s.depth+1)
 		for _, r := range rows {
 			s.ctx.Clock.Probes(1) // the re-aggregation probe
-			if err := s.evalKey(key, r); err != nil {
-				return nil, err
-			}
-			if err := sub.add(key, r); err != nil {
+			if err := sub.add(r); err != nil {
 				return nil, err
 			}
 		}
-		gs, err := sub.finish()
+		segs, err := sub.finish()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, gs...)
+		out = append(out, segs...)
 	}
 	s.runs = nil
 	return out, nil
 }
 
-// evalKey fills key with r's group expressions.
-func (s *aggSink) evalKey(key []types.Value, r types.Row) error {
-	for i, ge := range s.node.GroupExprs {
-		v, err := ge.Eval(r, s.ctx.Params)
-		if err != nil {
-			return err
-		}
-		key[i] = v
-	}
-	return nil
-}
-
 // sortedAggregate is the fallback for a partition still too large at the
 // recursion bound: sort the rows on the group key (comparisons charged like
-// any sort), then stream-aggregate with one comparison per row — group
-// state never exceeds one group regardless of partition size.
-func (s *aggSink) sortedAggregate(rows []types.Row) ([]*group, error) {
+// any sort), then stream-aggregate with one comparison per row into a segment
+// no table indexes.
+func (s *aggSink) sortedAggregate(rows []types.Row) (aggSeg, error) {
 	s.ctx.Spill.fallback()
-	s.ctx.spillEvent("spill.merge_fallback", "%s rows=%d", s.node.Label(), len(rows))
-	keys := make([][]types.Value, len(rows))
-	for i, r := range rows {
-		k := make([]types.Value, len(s.node.GroupExprs))
-		if err := s.evalKey(k, r); err != nil {
-			return nil, err
-		}
-		keys[i] = k
-	}
+	s.ctx.spillEvent("spill.merge_fallback", "%s rows=%d", s.tab.lay.node.Label(), len(rows))
+	w := s.tab.lay.keyW
+	keys := make([]types.Value, len(rows)*w)
 	idx := make([]int, len(rows))
-	for i := range idx {
+	for i, r := range rows {
+		if err := s.tab.lay.evalKey(keys[i*w:(i+1)*w], r, s.ctx.Params); err != nil {
+			return aggSeg{}, err
+		}
 		idx[i] = i
 	}
 	n := len(rows)
@@ -463,18 +435,16 @@ func (s *aggSink) sortedAggregate(rows []types.Row) ([]*group, error) {
 		s.ctx.Clock.Compares(int(float64(n) * log2(float64(n))))
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		return compareKeys(keys[idx[a]], keys[idx[b]]) < 0
+		return compareKeys(keys[idx[a]*w:(idx[a]+1)*w], keys[idx[b]*w:(idx[b]+1)*w]) < 0
 	})
-	var out []*group
-	var cur *group
+	var out aggSeg
 	for _, i := range idx {
 		s.ctx.Clock.Compares(1)
-		if cur == nil || !rowsEqual(cur.key, keys[i]) {
-			cur = &group{key: keys[i], states: make([]aggState, len(s.node.Aggs))}
-			out = append(out, cur)
+		if key := keys[i*w : (i+1)*w]; out.n == 0 || !rowsEqual(s.tab.lay.key(&out, out.n-1), key) {
+			s.tab.lay.push(&out, key)
 		}
-		if err := accumGroup(cur, s.node, rows[i], s.ctx.Params); err != nil {
-			return nil, err
+		if err := s.tab.lay.accum(&out, out.n-1, rows[i], s.ctx.Params); err != nil {
+			return aggSeg{}, err
 		}
 	}
 	return out, nil
@@ -488,9 +458,7 @@ func (s *aggSink) close() {
 		s.grant = 0
 	}
 	for _, run := range s.runs {
-		if run != nil {
-			run.Discard()
-		}
+		run.Discard()
 	}
 	s.runs = nil
 }

@@ -269,6 +269,55 @@ func TestSpillSortTempRuns(t *testing.T) {
 	}
 }
 
+// TestSpillAggSortedFallback: duplicate keys fold into one group, so no data
+// drives an aggregation past the recursion bound at a grant of 16 groups with
+// fewer than some 8 000 of them; a sink opened at the bound shows the
+// sort-and-stream fallback returning the groups the resident table would.
+func TestSpillAggSortedFallback(t *testing.T) {
+	cat := spillCatalog(t)
+	root := parallelPlanFor(t, cat, `SELECT big.k, COUNT(*), SUM(big.v), MIN(big.v), COUNT(DISTINCT big.g) FROM big GROUP BY big.k`)
+	var agg *plan.AggNode
+	plan.Walk(root, func(n plan.Node) {
+		if a, ok := n.(*plan.AggNode); ok {
+			agg = a
+		}
+	})
+	in, err := Run(agg.Kids[0], NewContext())
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := func(depth, budget int) ([]string, *Context) {
+		ctx := NewContext()
+		ctx.Mem = NewMemBroker(budget)
+		sink := newAggSink(ctx, newAggLayout(agg), depth)
+		defer sink.close()
+		for _, r := range in {
+			if err := sink.add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		segs, err := sink.finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out aggOutput
+		out.open(ctx.Clock, sink.tab.lay, segs, allGroups(segs))
+		var rows []string
+		for r, ok, _ := out.Next(); ok; r, ok, _ = out.Next() {
+			rows = append(rows, r.String())
+		}
+		return rows, ctx
+	}
+	want, _ := groups(0, 1<<30)
+	got, ctx := groups(maxSpillDepth, 16)
+	if len(want) != 261 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fallback returns %d groups, the resident table %d (want 261):\n%v\n%v", len(got), len(want), got, want)
+	}
+	if _, _, _, _, fallbacks := ctx.Spill.Snapshot(); fallbacks == 0 {
+		t.Fatal("no partition took the sorted fallback")
+	}
+}
+
 // TestSpillCostMonotoneInBudget: more memory must never cost more — the
 // monotone-degradation property behind the memory-axis robustness maps.
 // Partitioning is grant-independent and residency is a budget-prefix, so a
