@@ -126,17 +126,18 @@ func (s *streamAgg) emit() types.Row {
 
 func (s *streamAgg) Close() error { return s.child.Close() }
 
-// distinctOp removes duplicates via hashing: the rows seen so far sit in
-// an arena, indexed by a joinTable keyed on the whole row.
+// distinctOp removes duplicates via hashing: the rows seen so far sit in a
+// joinTable keyed on the whole row, and a row not among them passes through
+// as its child lent it.
 type distinctOp struct {
 	ctx   *Context
 	child Operator
 	seen  *joinTable
-	arena RowArena
+	cand  types.Row // a row seen under the same hash, boxed
 }
 
 func (d *distinctOp) Open() error {
-	d.seen = newJoinTable(nil)
+	d.seen = &joinTable{}
 	return d.child.Open()
 }
 
@@ -150,13 +151,12 @@ next:
 		d.ctx.Clock.Probes(1)
 		h := types.HashRow(r)
 		for i := d.seen.first(h); i >= 0; i = d.seen.after(i, h) {
-			if rowsEqual(d.seen.rows[i], r) {
+			if rowsEqual(d.seen.rows.row(int(i), &d.cand), r) {
 				continue next
 			}
 		}
-		c := d.arena.Copy(r)
-		d.seen.add(c, h)
-		return c, true, nil
+		d.seen.add(r, h)
+		return r, true, nil
 	}
 }
 

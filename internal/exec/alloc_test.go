@@ -2,7 +2,6 @@ package exec
 
 import (
 	"testing"
-	"unsafe"
 
 	"rqp/internal/catalog"
 	"rqp/internal/plan"
@@ -90,20 +89,18 @@ func TestAllocCeilingHashBuild(t *testing.T) {
 	_, join := allocJoinPlan(t, cat)
 	n := tableRows(t, cat, "orders")
 	builds := map[string]func(){
-		"serial": func() { // hashJoin: drain, then hashBuild.open
+		"serial": func() { // hashJoin: drained into the table, then indexed
 			ctx := NewContext()
 			right, err := build(join.Kids[1], ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := drain(right)
-			if err != nil {
+			b := hashBuild{ctx: ctx, node: join}
+			if err := b.openSerial(right); err != nil {
 				t.Fatal(err)
 			}
-			b := hashBuild{ctx: ctx, node: join}
-			b.open(rows)
-			if b.spill != nil || len(b.tab.rows) != int(n) {
-				t.Fatalf("built %d rows, spill=%v", len(b.tab.rows), b.spill != nil)
+			if b.spill != nil || b.tab.rows.n != int(n) {
+				t.Fatalf("built %d rows, spill=%v", b.tab.rows.n, b.spill != nil)
 			}
 			b.release()
 		},
@@ -118,8 +115,8 @@ func TestAllocCeilingHashBuild(t *testing.T) {
 			if err := pj.openBuild(); err != nil {
 				t.Fatal(err)
 			}
-			if pj.spill != nil || len(pj.tab.rows) != int(n) {
-				t.Fatalf("built %d rows, spill=%v", len(pj.tab.rows), pj.spill != nil)
+			if pj.spill != nil || pj.tab.rows.n != int(n) {
+				t.Fatalf("built %d rows, spill=%v", pj.tab.rows.n, pj.spill != nil)
 			}
 			pj.release()
 		},
@@ -133,10 +130,13 @@ func TestAllocCeilingHashBuild(t *testing.T) {
 }
 
 // TestAllocCeilingNarrowBuild pins what a retained build side costs in bytes:
-// N rows of which the query mentions k of W columns are held as N×k values
-// (40 B each) behind an index of N row headers (24 B each), cut once — not
-// N×W values behind an index regrown as the rows arrive. Ten percent covers
-// the arena's spare tail chunk and the scan's per-block scratch.
+// N rows of which the query mentions k of W columns are held as N×k packed
+// values — 9 B each, 16 B more for a string — drained straight into the
+// table: no 40 B types.Value, no row header, no N×W. A build over an exchange
+// (DOP 2) holds them once more, in the workers' stores. A quarter on top
+// covers the last chunk's spare room and the scan's per-block scratch. The
+// race detector drops pooled scratch and allocates it anew, so under it only
+// the counts are checked.
 func TestAllocCeilingNarrowBuild(t *testing.T) {
 	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 4, Seed: 1})
 	if err != nil {
@@ -155,21 +155,26 @@ func TestAllocCeilingNarrowBuild(t *testing.T) {
 	if k != 3 || len(li.Schema) != 8 {
 		t.Fatalf("scan emits %v of %d columns, want 3 of 8", scan.Cols, len(li.Schema))
 	}
-	ceiling := 1.1 * n * (k*float64(unsafe.Sizeof(types.Value{})) + float64(unsafe.Sizeof(types.Row{})))
 	for _, columnar := range []bool{false, true} {
-		scan.Columnar = columnar
-		_, bytes := measureAllocs(func() {
-			op, err := build(scan, NewContext())
-			if err != nil {
-				t.Fatal(err)
+		for _, dop := range []int{1, 2} {
+			scan.Columnar, scan.Prop.Parallel = columnar, dop > 1
+			_, bytes := measureAllocs(func() {
+				ctx := NewContext()
+				ctx.DOP = dop
+				op, err := build(scan, ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab, err := drainTable(op)
+				if err != nil || float64(tab.rows.n) != n || tab.rows.w != 3 {
+					t.Fatalf("columnar=%v dop=%d: %d rows of %d values, %v", columnar, dop, tab.rows.n, tab.rows.w, err)
+				}
+			})
+			ceiling := 1.25 * float64(dop) * n * k * packedValue
+			t.Logf("columnar=%v dop=%d: %.0f B, %.2f per value", columnar, dop, bytes, bytes/(n*k))
+			if !raceBuild && bytes > ceiling {
+				t.Errorf("columnar=%v dop=%d: a build of %v rows × %v of 8 columns allocates %.0f B, ceiling %.0f", columnar, dop, n, k, bytes, ceiling)
 			}
-			rows, err := drain(op)
-			if err != nil || float64(len(rows)) != n || len(rows[0]) != 3 {
-				t.Fatalf("columnar=%v: %d rows, %v", columnar, len(rows), err)
-			}
-		})
-		if bytes > ceiling {
-			t.Errorf("columnar=%v: a build of %v rows × %v of 8 columns allocates %.0f B, ceiling %.0f", columnar, n, k, bytes, ceiling)
 		}
 	}
 }
@@ -219,16 +224,14 @@ func TestAllocCeilingProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := drain(right)
-	if err != nil {
-		t.Fatal(err)
-	}
 	probeRows, err := Run(join.Kids[0], NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := hashBuild{ctx: ctx, node: join}
-	b.open(rows)
+	if err := b.openSerial(right); err != nil {
+		t.Fatal(err)
+	}
 	defer b.release()
 	p := b.prober()
 	emitted := 0

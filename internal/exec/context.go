@@ -271,8 +271,6 @@ func (c *counted) Close() error {
 	return c.op.Close()
 }
 
-func (c *counted) ownedRows() (int, bool) { return ownedRows(c.op) }
-
 // tracedCounted is counted plus span accounting: per-call cost attribution
 // and call counts for EXPLAIN ANALYZE. Chosen once at build time, so the
 // per-row tracing overhead exists only when a tracer is attached.
@@ -328,8 +326,6 @@ func (c *tracedCounted) Close() error {
 	c.span.AddCost(w.Elapsed())
 	return err
 }
-
-func (c *tracedCounted) ownedRows() (int, bool) { return ownedRows(c.op) }
 
 // Build constructs the operator tree for a physical plan. When the context
 // carries a tracer, a span-tree fragment mirroring the plan is registered
@@ -526,42 +522,13 @@ func Run(n plan.Node, ctx *Context) ([]types.Row, error) {
 	return rows, err
 }
 
-// ownedRows reports whether an opened operator's rows stay valid after its
-// next call and its Close, to the end of the query and beyond, and how many
-// it holds: an exchange of arena copies says so (through any counting
-// wrapper), and a consumer that keeps rows then keeps them as they are
-// instead of copying them a second time.
-func ownedRows(op Operator) (int, bool) {
-	if o, ok := op.(interface{ ownedRows() (int, bool) }); ok {
-		return o.ownedRows()
-	}
-	return 0, false
-}
-
-// collect drains op and returns its rows: taken over when op owns them,
-// copied into one RowSet otherwise.
+// collect drains op and returns its rows, each copied once into one RowSet.
 func collect(op Operator, ctx *Context) ([]types.Row, error) {
-	if err := op.Open(); err != nil {
-		return nil, closeAfter(op, err)
-	}
-	var rows []types.Row
 	var set RowSet
-	keep := RowSink(set.add)
-	n, owned := ownedRows(op)
-	if owned {
-		rows = make([]types.Row, 0, n)
-		keep = func(r types.Row) error {
-			rows = append(rows, r)
-			return nil
-		}
-	}
-	if _, err := pull(op, ctx, keep); err != nil {
+	if _, err := runOp(op, ctx, set.add); err != nil {
 		return nil, err
 	}
-	if !owned {
-		rows = set.Rows()
-	}
-	return rows, nil
+	return set.Rows(), nil
 }
 
 // runOp is the root drain: it opens op, pulls it to exhaustion into sink and

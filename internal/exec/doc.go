@@ -21,19 +21,19 @@
 // that operator — producers reuse their output buffers and nothing
 // allocates per row. The one root drain loop (runOp, behind Drain)
 // lends each row to a RowSink before pulling again; a consumer that keeps
-// a row across calls (the collecting sink of Run and drain, sort runs,
-// DISTINCT, spill runs, exchange buffers) copies it into a RowArena,
-// chunked value slabs that grow geometrically. Every scan and every join
+// a row across calls copies it: the collecting sink of Run and drain, sort
+// and spill runs into a RowArena (chunked value slabs that grow
+// geometrically), hash tables and exchanges packed. Every scan and every join
 // lends a row holding only what something above it reads: the optimizer puts
 // the live columns on the node (Cols; nil = all — the stored row, or
 // left‖right), filters, keys, residuals and runtime filters test the input in
 // its own coordinates, and the survivor is projected (appendCols, joinRow)
 // into a page buffer or a scratch row, valid until the next call or until emit
-// returns. A retained row is copied once: an exchange's arena copies are taken over as
-// they are (ownedRows) by drain and the sort, and a retained row set (RowSet,
-// behind collect) cuts its []Row index once, after the last row. Every hash
-// join builds one joinTable over arena-held build rows and probes it through
-// one joinProbe, every hash aggregation accumulates into one aggTable over the
+// returns. A retained row is copied once: an exchange packs and lends again
+// like any operator, and a retained row set (RowSet, behind collect) cuts its
+// []Row index once, after the last row. Every hash join drains its build into
+// one joinTable — packedRows, 9 B a value, boxed only on a match — and probes
+// it through one joinProbe, every hash aggregation accumulates into one aggTable over the
 // same hashIndex and lends its output row (kernel.go); SetRowPoison is the test
 // harness that overwrites stale rows so a missing copy fails loudly.
 //

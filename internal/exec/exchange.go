@@ -23,26 +23,6 @@ const (
 	ParallelMinRows = 256
 )
 
-// morselBufPool recycles per-morsel output buffers across morsels and
-// queries: every morsel needs a scratch slice to collect its rows before the
-// exchange replays them, and at MorselRows-sized fan-outs the allocations
-// otherwise dominate small-morsel work.
-var morselBufPool = sync.Pool{
-	New: func() any { return make([]types.Row, 0, MorselRows) },
-}
-
-// getMorselBuf returns an empty row buffer with pooled capacity.
-func getMorselBuf() []types.Row {
-	return morselBufPool.Get().([]types.Row)[:0]
-}
-
-// putMorselBuf clears the buffer's row references (so pooled memory does not
-// pin query data) and returns it to the pool.
-func putMorselBuf(b []types.Row) {
-	clear(b[:cap(b)])
-	morselBufPool.Put(b[:0])
-}
-
 // morselCount returns how many size-unit morsels cover total units.
 func morselCount(total, size int) int {
 	return (total + size - 1) / size
@@ -58,48 +38,53 @@ func morselRange(m, size, total int) (int, int) {
 	return lo, hi
 }
 
-// exchange is the gather side of a morsel fan-out: every morsel writes its
-// output into a private buffer, and the exchange replays the buffers in
+// exchange is the gather side of a morsel fan-out: every morsel's output is a
+// range of its worker's packed rows, and the exchange replays the ranges in
 // morsel-index order. Because morsels partition the input in order, the
 // merged stream is exactly the row order the serial operator would emit —
 // the determinism guarantee parallel execution rides on.
 //
 // It is the pipeline's materialising sink. The rows arriving are lent (a
-// scan's scratch row, a probe's reused output row): each is copied once into
-// the worker's arena and the exchange owns what it holds — a consumer that
-// keeps rows may take them as they are.
+// scan's scratch row, a probe's reused output row) and packed as they come;
+// the rows leaving are lent too, each boxed into the exchange's one row — a
+// consumer that keeps rows copies them, as over any other operator.
 type exchange struct {
-	bufs [][]types.Row
-	mi   int
-	pos  int
+	morsels []morselRows
+	mi, pos int
+	row     types.Row // the row lent by next
+}
+
+// morselRows is one morsel's output: rows [lo, lo+n) of its worker's store.
+type morselRows struct {
+	rows  *packedRows
+	lo, n int
 }
 
 // reset prepares the exchange for n morsels.
 func (x *exchange) reset(n int) {
-	x.bufs = make([][]types.Row, n)
+	x.morsels = make([]morselRows, n)
 	x.mi, x.pos = 0, 0
 }
 
-// begin starts morsel m's buffer (each morsel is stored exactly once, by the
-// worker that ran it; distinct indices never race).
+// begin starts morsel m at the end of the worker's store (each morsel is
+// recorded once, by the worker that ran it; distinct indices never race).
 func (x *exchange) begin(m int, _ *storage.Clock, st *morselScratch) (RowSink, func() int) {
-	out := getMorselBuf()
-	return func(r types.Row) error {
-			out = append(out, st.arena.Copy(r))
-			return nil
-		}, func() int {
-			x.bufs[m] = out
-			return len(out)
-		}
+	if st.kept == nil {
+		st.kept = &packedRows{}
+	}
+	rows, lo := st.kept, st.kept.n
+	return rows.add, func() int {
+		x.morsels[m] = morselRows{rows, lo, rows.n - lo}
+		return rows.n - lo
+	}
 }
 
-// next returns the following row in morsel-merge order.
+// next lends the following row in morsel-merge order.
 func (x *exchange) next() (types.Row, bool) {
-	for x.mi < len(x.bufs) {
-		if b := x.bufs[x.mi]; x.pos < len(b) {
-			r := b[x.pos]
+	for x.mi < len(x.morsels) {
+		if m := x.morsels[x.mi]; x.pos < m.n {
 			x.pos++
-			return r, true
+			return m.rows.row(m.lo+x.pos-1, &x.row), true
 		}
 		x.mi++
 		x.pos = 0
@@ -107,34 +92,18 @@ func (x *exchange) next() (types.Row, bool) {
 	return nil, false
 }
 
-// len returns how many rows the exchange holds.
-func (x *exchange) len() int {
-	n := 0
-	for _, b := range x.bufs {
-		n += len(b)
-	}
-	return n
-}
-
-// take empties the exchange into one slice in morsel-merge order.
+// take empties the exchange into rows of their own, in morsel-merge order:
+// what a pipeline continues from after a stage that spilled.
 func (x *exchange) take() []types.Row {
-	rows := make([]types.Row, 0, x.len())
-	for _, b := range x.bufs {
-		rows = append(rows, b...)
-	}
-	x.release()
-	return rows
-}
-
-// release returns the buffers to the morsel pool. Safe to call twice (the
-// second call sees nil bufs and does nothing).
-func (x *exchange) release() {
-	for _, b := range x.bufs {
-		if b != nil {
-			putMorselBuf(b)
+	var set RowSet
+	for _, m := range x.morsels {
+		for i := 0; i < m.n; i++ {
+			r := set.Alloc(m.rows.w)
+			m.rows.row(m.lo+i, &r)
 		}
 	}
-	x.bufs = nil
+	x.morsels = nil
+	return set.Rows()
 }
 
 // runMorsels dispatches morsels 0..n-1 to up to dop workers pulling from a
@@ -146,12 +115,13 @@ func (x *exchange) release() {
 // clock. When tracing, one event per worker records its share of morsels,
 // rows and cost — the per-worker view EXPLAIN ANALYZE surfaces.
 //
-// fn processes one morsel, charging clk, and returns the number of rows it
-// produced (trace bookkeeping only). The first error cancels remaining
+// fn processes one morsel as worker w (below dop: what indexes a per-worker
+// scratch), charging clk, and returns the number of rows it produced (trace
+// bookkeeping only). The first error cancels remaining
 // morsels; charges already made by other workers still merge, mirroring the
 // serial operator whose partial work is also already on the clock when it
 // fails.
-func runMorsels(ctx *Context, label string, n, dop int, fn func(m int, clk *storage.Clock) (int, error)) error {
+func runMorsels(ctx *Context, label string, n, dop int, fn func(m, w int, clk *storage.Clock) (int, error)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -160,7 +130,7 @@ func runMorsels(ctx *Context, label string, n, dop int, fn func(m int, clk *stor
 	}
 	if dop <= 1 {
 		for m := 0; m < n; m++ {
-			if _, err := fn(m, ctx.Clock); err != nil {
+			if _, err := fn(m, 0, ctx.Clock); err != nil {
 				return err
 			}
 		}
@@ -188,7 +158,7 @@ func runMorsels(ctx *Context, label string, n, dop int, fn func(m int, clk *stor
 				if m >= n {
 					return
 				}
-				rows, err := fn(m, shards[w])
+				rows, err := fn(m, w, shards[w])
 				if err != nil {
 					errs[w] = err
 					failed.Store(true)

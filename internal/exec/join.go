@@ -370,8 +370,9 @@ type symHashJoin struct {
 	right Operator
 
 	ltab, rtab *joinTable
-	arena      RowArena // inserted rows and joined output
+	arena      RowArena // joined output
 	key        []types.Value
+	cand       types.Row // a matching row of the other table, boxed
 	buf        joinRow
 	out        []types.Row
 	pos        int
@@ -384,7 +385,7 @@ func (j *symHashJoin) Open() error {
 	if err := j.right.Open(); err != nil {
 		return err
 	}
-	j.ltab, j.rtab = newJoinTable(nil), newJoinTable(nil)
+	j.ltab, j.rtab = &joinTable{}, &joinTable{}
 	j.key = make([]types.Value, len(j.node.LeftKeys))
 	j.buf = newJoinRow(j.node)
 	j.out = nil
@@ -431,16 +432,14 @@ func (j *symHashJoin) insert(r types.Row, fromLeft bool) error {
 		return nil
 	}
 	h := types.HashRow(j.key)
-	r = j.arena.Copy(r)
 	myTab.add(r, h)
 	for i := otherTab.first(h); i >= 0; i = otherTab.after(i, h) {
-		cand := otherTab.rows[i]
-		if !keyMatches(j.key, cand, otherKeys) {
+		if !otherTab.rows.match(j.key, int(i), otherKeys, &j.cand) {
 			continue
 		}
-		l, rr := r, cand
+		l, rr := r, j.cand
 		if !fromLeft {
-			l, rr = cand, r
+			l, rr = j.cand, r
 		}
 		out, ok, err := j.buf.match(j.ctx.Clock, j.ctx.Params, l, rr)
 		if err != nil {
@@ -508,6 +507,7 @@ func (j *gJoin) Open() error {
 	defer j.ctx.Mem.Release(grant)
 
 	var arena RowArena
+	var cand types.Row
 	buf := newJoinRow(j.node)
 	key := make([]types.Value, len(largeKeys))
 	pair := func(s, g types.Row) error {
@@ -526,7 +526,8 @@ func (j *gJoin) Open() error {
 	}
 
 	inMemory := func(sm, lg []types.Row) error {
-		tab := buildJoinTable(sm, smallKeys, j.ctx.Clock, 1)
+		tab := packRows(sm)
+		tab.index(smallKeys, j.ctx.Clock, 1)
 		for _, g := range lg {
 			j.ctx.Clock.Probes(1)
 			keyInto(key, g, largeKeys)
@@ -535,8 +536,8 @@ func (j *gJoin) Open() error {
 			}
 			h := types.HashRow(key)
 			for i := tab.first(h); i >= 0; i = tab.after(i, h) {
-				if keyMatches(key, tab.rows[i], smallKeys) {
-					if err := pair(tab.rows[i], g); err != nil {
+				if tab.rows.match(key, int(i), smallKeys, &cand) {
+					if err := pair(cand, g); err != nil {
 						return err
 					}
 				}

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"encoding/binary"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -106,6 +108,147 @@ func (s *RowSet) Rows() []types.Row {
 		cut(s.arena.chunk)
 	}
 	return rows
+}
+
+// packedRows keeps rows of one width at nine bytes a value — a kind byte and
+// an 8-byte word: an int's, date's or bool's payload, a float's bits, or a
+// string's index in the slab beside (16 B more) — where a types.Value is 40
+// and a row header 24. The tag sits on the value, so NULLs and columns of
+// mixed kinds pack like any other. Rows come back boxed into a scratch row the
+// caller owns: lent, like every other row. Chunks hold packedBase rows, then
+// four times as many each up to packedMaxChunk bytes, then all as many: a few
+// rows cost a few hundred bytes, a large store wastes at most one chunk, row i
+// is found without a search. Reads are safe concurrently once adding has
+// finished; the zero value is empty, and is not to be copied once in use.
+type packedRows struct {
+	w, n  int // values per row (the first row's), rows held
+	top   int // chunks stop growing at packedBase<<(2*top) rows
+	data  [][]byte
+	strs  [][]string // the string slab, on the same ramp
+	nstr  int
+	data0 [4][]byte   // the lists' first backing arrays: on its ramp a store
+	strs0 [4][]string // allocates none
+}
+
+const (
+	packedValue    = 9  // bytes a value
+	packedBase     = 16 // rows (or strings) in the first chunk
+	packedMaxChunk = 64 << 10
+	packedStrTop   = 3 // string chunks stop growing at 1024 strings (16 KB)
+)
+
+// chunkOf locates record i among chunks of chunkLen(k, top) records.
+func chunkOf(i, top int) (k, off int) {
+	if k = (bits.Len(uint(3*(i/packedBase)+1)) - 1) / 2; k < top {
+		return k, i - packedBase*(1<<(2*k)-1)/3
+	}
+	i -= packedBase * (1<<(2*top) - 1) / 3
+	return top + i/chunkLen(top, top), i % chunkLen(top, top)
+}
+
+func chunkLen(k, top int) int { return packedBase << (2 * min(k, top)) }
+
+// add appends a copy of r. It is a RowSink (that never fails).
+func (p *packedRows) add(r types.Row) error {
+	if p.n == 0 {
+		p.w, p.top, p.data, p.strs = len(r), 0, p.data0[:0], p.strs0[:0]
+		for p.w > 0 && chunkLen(p.top+1, p.top+1)*p.w*packedValue <= packedMaxChunk {
+			p.top++
+		}
+	}
+	if p.w > 0 {
+		k, off := chunkOf(p.n, p.top)
+		if k == len(p.data) {
+			p.data = append(p.data, make([]byte, chunkLen(k, p.top)*p.w*packedValue))
+		}
+		b := p.data[k][off*p.w*packedValue:]
+		for i, v := range r {
+			u := uint64(v.I)
+			switch v.K {
+			case types.KindFloat:
+				u = math.Float64bits(v.F)
+			case types.KindString:
+				sk, soff := chunkOf(p.nstr, packedStrTop)
+				if sk == len(p.strs) {
+					p.strs = append(p.strs, make([]string, chunkLen(sk, packedStrTop)))
+				}
+				p.strs[sk][soff], u = v.S, uint64(p.nstr)
+				p.nstr++
+			}
+			b[i*packedValue] = byte(v.K)
+			binary.LittleEndian.PutUint64(b[i*packedValue+1:], u)
+		}
+	}
+	p.n++
+	return nil
+}
+
+// at returns row i as packed: w values of packedValue bytes.
+func (p *packedRows) at(i int) []byte {
+	if p.w == 0 {
+		return nil
+	}
+	k, off := chunkOf(i, p.top)
+	return p.data[k][off*p.w*packedValue : (off+1)*p.w*packedValue]
+}
+
+// unpack boxes the c'th value of a packed row.
+func (p *packedRows) unpack(b []byte, c int) types.Value {
+	k, u := types.Kind(b[c*packedValue]), binary.LittleEndian.Uint64(b[c*packedValue+1:])
+	switch k {
+	case types.KindNull:
+		return types.Value{}
+	case types.KindFloat:
+		return types.Value{K: k, F: math.Float64frombits(u)}
+	case types.KindString:
+		sk, off := chunkOf(int(u), packedStrTop)
+		return types.Value{K: k, S: p.strs[sk][off]}
+	}
+	return types.Value{K: k, I: int64(u)}
+}
+
+// value boxes one value of row i.
+func (p *packedRows) value(i, c int) types.Value { return p.unpack(p.at(i), c) }
+
+// row overwrites *buf with row i, boxed, and returns it.
+func (p *packedRows) row(i int, buf *types.Row) types.Row { return p.unbox(p.at(i), buf) }
+
+func (p *packedRows) unbox(b []byte, buf *types.Row) types.Row {
+	if cap(*buf) < p.w {
+		*buf = make(types.Row, p.w)
+	}
+	*buf = (*buf)[:p.w]
+	for c := range *buf {
+		(*buf)[c] = p.unpack(b, c)
+	}
+	return *buf
+}
+
+// keyInto is keyInto out of row i.
+func (p *packedRows) keyInto(dst []types.Value, i int, cols []int) {
+	b := p.at(i)
+	for k, c := range cols {
+		dst[k] = p.unpack(b, c)
+	}
+}
+
+// match is keyMatches against row i, compared as packed — on the word itself
+// where key and column are of one whole-number kind — and boxes into *buf
+// only a row whose key columns equal key.
+func (p *packedRows) match(key []types.Value, i int, cols []int, buf *types.Row) bool {
+	b := p.at(i)
+	for j, c := range cols {
+		v, k := key[j], types.Kind(b[c*packedValue])
+		if k == v.K && (k == types.KindInt || k == types.KindDate || k == types.KindBool) {
+			if int64(binary.LittleEndian.Uint64(b[c*packedValue+1:])) != v.I {
+				return false
+			}
+		} else if k == types.KindNull || !types.Equal(v, p.unpack(b, c)) {
+			return false
+		}
+	}
+	p.unbox(b, buf)
+	return true
 }
 
 // concatInto overwrites buf with l‖r and returns it.
@@ -268,33 +411,40 @@ func (x *hashIndex) seek(i int32, h uint64) int32 {
 	return i
 }
 
-// joinTable indexes build rows by position: a hash's candidates come back in
-// build order, which keeps every join's output order independent of the layout.
+// joinTable is the one hash table of every hash join, and of DISTINCT: the
+// build rows, which it owns, packed, indexed by position — a hash's candidates
+// come back in build order, which keeps every join's output order independent
+// of the layout. A bulk build keeps its rows as they are drained (rows.add),
+// then hashes and links them; an incremental one adds row and hash at once.
 type joinTable struct {
-	rows []types.Row
+	rows packedRows
 	hashIndex
 }
 
-// newJoinTable returns a table over rows (which it keeps, not copies); they
-// still have to be hashed and linked (hashRange, link). With no rows it is
-// an empty table ready for add.
-func newJoinTable(rows []types.Row) *joinTable {
-	t := &joinTable{rows: rows, hashIndex: hashIndex{hashes: make([]uint64, len(rows)), next: make([]int32, len(rows))}}
-	t.resize(len(rows))
+// packRows returns a table holding copies of rows, yet to be indexed.
+func packRows(rows []types.Row) *joinTable {
+	t := &joinTable{}
+	for _, r := range rows {
+		t.rows.add(r)
+	}
 	return t
 }
 
-// hashRange hashes the key columns of rows [lo, hi), charging clk the
-// insert cost of probes hash probes per row (NULL keys included: the insert
-// is charged before the key is looked at). Disjoint ranges may run
+// reserve sizes the index for the rows kept: hashRange and link come next.
+func (t *joinTable) reserve() {
+	t.hashes, t.next = make([]uint64, t.rows.n), make([]int32, t.rows.n)
+	t.resize(t.rows.n)
+}
+
+// hashRange hashes the key columns of rows [lo, hi) through key, the caller's
+// scratch, charging clk probes hash probes per row (NULL keys included: the
+// insert is charged before the key is looked at). Disjoint ranges may run
 // concurrently. Returns how many of the rows carry a key.
-func (t *joinTable) hashRange(lo, hi int, cols []int, clk *storage.Clock, probes int) int {
-	key := make([]types.Value, len(cols))
+func (t *joinTable) hashRange(lo, hi int, cols []int, key []types.Value, clk *storage.Clock, probes int) int {
 	keyed := 0
 	for i := lo; i < hi; i++ {
 		clk.Probes(probes)
-		keyInto(key, t.rows[i], cols)
-		if keyHasNull(key) {
+		if t.rows.keyInto(key, i, cols); keyHasNull(key) {
 			t.next[i] = noKey
 			continue
 		}
@@ -304,10 +454,17 @@ func (t *joinTable) hashRange(lo, hi int, cols []int, clk *storage.Clock, probes
 	return keyed
 }
 
+// index is the serial bulk build: hash and link the rows kept, on clk.
+func (t *joinTable) index(cols []int, clk *storage.Clock, probes int) {
+	t.reserve()
+	t.hashRange(0, t.rows.n, cols, make([]types.Value, len(cols)), clk, probes)
+	t.link()
+}
+
 // add appends one row with key hash h (the incremental build of the symmetric
-// hash join and DISTINCT).
+// hash join, DISTINCT and a shard's joiner).
 func (t *joinTable) add(r types.Row, h uint64) {
-	t.rows = append(t.rows, r)
+	t.rows.add(r)
 	t.hashIndex.add(h)
 }
 
@@ -618,14 +775,6 @@ func (o *aggOutput) Next() (types.Row, bool, error) {
 	return o.row, true, nil
 }
 
-// buildJoinTable is the serial build: hash and link rows on clk.
-func buildJoinTable(rows []types.Row, cols []int, clk *storage.Clock, probes int) *joinTable {
-	t := newJoinTable(rows)
-	t.hashRange(0, len(rows), cols, clk, probes)
-	t.link()
-	return t
-}
-
 // keyMatches reports whether row's key columns equal key under SQL equality.
 // key holds no NULL (probers check first); a NULL in row matches nothing.
 func keyMatches(key []types.Value, row types.Row, cols []int) bool {
@@ -648,34 +797,36 @@ type hashBuild struct {
 	grant int
 }
 
+// drainTable drains a build side straight into a table, yet to be indexed.
+func drainTable(right Operator) (*joinTable, error) {
+	build := &joinTable{}
+	_, err := runOp(right, nil, build.rows.add)
+	return build, err
+}
+
 // openSerial is the build phase of the serial joins: drain the build child,
 // derive the runtime filters the plan announced (so they are published
-// before the probe side opens and its scans bind), and index the rows.
+// before the probe side opens and its scans bind), and index the rows on the
+// context clock under a fresh grant: the whole build when the grant covers
+// it, the resident partitions of a spillJoin otherwise.
 func (b *hashBuild) openSerial(right Operator) error {
-	build, err := drain(right)
+	build, err := drainTable(right)
 	if err != nil {
 		return err
 	}
-	buildRuntimeFilters(b.ctx, b.node, b.ctx.Clock, build)
-	b.open(build)
-	return nil
-}
-
-// open indexes the drained build side under a fresh grant, serially on the
-// context clock: the whole build when the grant covers it, the resident
-// partitions of a spillJoin otherwise.
-func (b *hashBuild) open(build []types.Row) {
-	b.grant = b.ctx.Mem.Grant(len(build))
-	if len(build) > b.grant {
-		b.openSpill(build, 0)
-		return
+	buildRuntimeFilters(b.ctx, b.node, b.ctx.Clock, build.rows.n, build.rows.value)
+	if b.grant = b.ctx.Mem.Grant(build.rows.n); build.rows.n > b.grant {
+		b.openSpill(&build.rows, 0)
+		return nil
 	}
-	b.tab = buildJoinTable(build, b.node.RightKeys, b.ctx.Clock, 2) // insert costs double a probe (see cost model)
+	build.index(b.node.RightKeys, b.ctx.Clock, 2) // insert costs double a probe (see cost model)
+	b.tab = build
+	return nil
 }
 
 // openSpill partitions a build that exceeded b.grant; probers then see the
 // resident partitions' table.
-func (b *hashBuild) openSpill(build []types.Row, depth int) {
+func (b *hashBuild) openSpill(build *packedRows, depth int) {
 	b.spill = newSpillJoin(b.ctx, b.node, build, b.grant, depth)
 	b.tab = b.spill.table
 }
@@ -702,13 +853,14 @@ func (b *hashBuild) release() {
 	b.grant = 0
 }
 
-// joinProbe is one prober's state against a hashBuild: key scratch, the
-// reused output row and the cursor of the probe row in flight. begin starts
-// a probe row, next yields its joined rows one at a time; a morsel worker
-// owns one prober, the serial operators own one each.
+// joinProbe is one prober's state against a hashBuild: key scratch, the row
+// a match is boxed into, the reused output row and the cursor of the probe row
+// in flight. begin starts a probe row, next yields its joined rows one at a
+// time; a morsel worker owns one prober, the serial operators own one each.
 type joinProbe struct {
 	*hashBuild
 	key   []types.Value
+	cand  types.Row
 	out   joinRow
 	lrow  types.Row
 	hash  uint64
@@ -751,12 +903,12 @@ func (p *joinProbe) begin(clk *storage.Clock, lr types.Row) {
 // prober's reused buffer, valid until the next call.
 func (p *joinProbe) next(clk *storage.Clock) (types.Row, bool, error) {
 	for p.cur >= 0 {
-		cand := p.tab.rows[p.cur]
+		matched := p.tab.rows.match(p.key, int(p.cur), p.node.RightKeys, &p.cand)
 		p.cur = p.tab.after(p.cur, p.hash)
-		if !keyMatches(p.key, cand, p.node.RightKeys) {
+		if !matched {
 			continue
 		}
-		out, ok, err := p.out.match(clk, p.ctx.Params, p.lrow, cand)
+		out, ok, err := p.out.match(clk, p.ctx.Params, p.lrow, p.cand)
 		if err != nil {
 			return nil, false, err
 		}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"rqp/internal/catalog"
 	"rqp/internal/plan"
 	"rqp/internal/storage"
 	"rqp/internal/types"
@@ -48,6 +49,7 @@ func TestRowLifetime(t *testing.T) {
 		{"OrderByLimitOffset", TestOrderByLimitOffset},
 		{"Aggregation", TestAggregation},
 		{"AggregateBeneathRetainers", TestAggregateBeneathRetainers},
+		{"ExchangeBeneathRetainers", TestExchangeBeneathRetainers},
 	} {
 		t.Run(tc.name, tc.fn)
 	}
@@ -135,6 +137,56 @@ func TestAggregateBeneathRetainers(t *testing.T) {
 		sort.Strings(tc.want)
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("%s: %d rows, want %d; first %v, want %v", tc.name, len(got), len(tc.want), got[:1], tc.want[:1])
+		}
+	}
+}
+
+// TestExchangeBeneathRetainers puts an exchange — whose rows are lent: boxed
+// one at a time into the exchange's one row — directly beneath each operator
+// that used to take them over as they were: the root drain, a sort, POP's
+// materialisation point, a nested-loop join's inner side and both inputs of a
+// merge join, at DOP 2 and 8. Each must hold its own copies: same rows in the
+// same order, and the same cost, as over serial scans.
+func TestExchangeBeneathRetainers(t *testing.T) {
+	cat := spillCatalog(t)
+	big, _ := cat.Table("big")
+	probe, _ := cat.Table("probe")
+	for _, tc := range []struct {
+		name string
+		mk   func(scan func(*catalog.Table) plan.Node) plan.Node
+	}{
+		{"root drain", func(scan func(*catalog.Table) plan.Node) plan.Node { return scan(big) }},
+		{"sort", func(scan func(*catalog.Table) plan.Node) plan.Node {
+			return &plan.SortNode{Base: plan.Base{Out: big.Schema, Kids: []plan.Node{scan(big)}}, Keys: []plan.OrderSpec{{Col: 1}, {Col: 2, Desc: true}}}
+		}},
+		{"materialize", func(scan func(*catalog.Table) plan.Node) plan.Node {
+			return &plan.MaterializeNode{Base: plan.Base{Out: big.Schema, Kids: []plan.Node{scan(big)}}}
+		}},
+		{"nested-loop inner", func(scan func(*catalog.Table) plan.Node) plan.Node {
+			return &plan.JoinNode{Base: plan.Base{Out: probe.Schema.Concat(big.Schema), Kids: []plan.Node{scan(probe), scan(big)}, Title: "NLJoin"},
+				Alg: plan.JoinNL, Type: plan.Inner, LeftKeys: []int{0}, RightKeys: []int{0}}
+		}},
+		{"merge inputs", func(scan func(*catalog.Table) plan.Node) plan.Node {
+			return &plan.JoinNode{Base: plan.Base{Out: probe.Schema.Concat(big.Schema), Kids: []plan.Node{scan(probe), scan(big)}, Title: "MergeJoin"},
+				Alg: plan.JoinMerge, Type: plan.Inner, LeftKeys: []int{0}, RightKeys: []int{0}}
+		}},
+	} {
+		run := func(dop int) (string, float64) {
+			ctx := NewContext()
+			ctx.DOP = dop
+			rows, err := Run(tc.mk(func(tb *catalog.Table) plan.Node {
+				return &plan.ScanNode{Base: plan.Base{Out: tb.Schema, Title: "SeqScan(" + tb.Name + ")", Prop: plan.Props{Parallel: dop > 1}}, Table: tb}
+			}), ctx)
+			if err != nil || len(rows) < 900 {
+				t.Fatalf("%s dop=%d: %d rows, %v", tc.name, dop, len(rows), err)
+			}
+			return fmt.Sprint(rows), ctx.Clock.Units()
+		}
+		want, wantCost := run(1)
+		for _, dop := range []int{2, 8} {
+			if got, cost := run(dop); got != want || cost != wantCost {
+				t.Errorf("%s over an exchange at dop=%d: rows equal %v, cost %v, serial %v", tc.name, dop, got == want, cost, wantCost)
+			}
 		}
 	}
 }

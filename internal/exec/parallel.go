@@ -175,14 +175,14 @@ type morselSink interface {
 
 // morselScratch is one worker's reusable workspace: what the source scan
 // lends its rows from, a prober per stage (key scratch, output row) and the
-// arena an exchange copies retained rows into, so steady-state morsels
-// allocate nothing per row. Rows of successive morsels share arena chunks,
-// which the rows themselves keep alive; an aggregation accumulates each morsel
-// in agg and retains the compacted groups.
+// packed rows an exchange keeps its morsels in — ranges of the one store,
+// which the exchange keeps alive — so steady-state morsels allocate nothing
+// per row; an aggregation accumulates each morsel in agg and retains the
+// compacted groups.
 type morselScratch struct {
 	scanScratch
 	probes []*joinProbe
-	arena  RowArena
+	kept   *packedRows
 	agg    aggTable
 }
 
@@ -306,28 +306,24 @@ func (p *pipeline) segment(src *morselSource, lo, hi int, sink morselSink) error
 	if hi < len(p.stages) {
 		label = stages[len(stages)-1].node.Label()
 	}
-	// One scratch per worker, handed from morsel to morsel and garbage when
-	// the segment returns (a sync.Pool would keep every worker's arena chunk
-	// reachable until the second collection after it).
-	free := make(chan *morselScratch, max(1, p.ctx.DOP))
-	scratch := func() *morselScratch {
-		select {
-		case st := <-free:
-			return st
-		default:
+	// One scratch per worker, garbage when the segment returns (a sync.Pool
+	// would keep its rows reachable until the second collection after it).
+	sts := make([]*morselScratch, max(1, p.ctx.DOP))
+	scratch := func(w int) *morselScratch {
+		if sts[w] == nil {
+			sts[w] = &morselScratch{probes: make([]*joinProbe, len(stages))}
+			for i, j := range stages {
+				sts[w].probes[i] = j.prober()
+			}
 		}
-		st := &morselScratch{probes: make([]*joinProbe, len(stages))}
-		for i, j := range stages {
-			st.probes[i] = j.prober()
-		}
-		return st
+		return sts[w]
 	}
 	var err error
 	if len(stages) == 1 && stages[0].spill != nil {
-		j, st := stages[0], scratch()
+		j, st := stages[0], scratch(0)
 		sink.reset(1)
 		emit, end := sink.begin(0, p.ctx.Clock, st)
-		err = runMorsels(p.ctx, label, src.n, 1, func(m int, clk *storage.Clock) (int, error) {
+		err = runMorsels(p.ctx, label, src.n, 1, func(m, _ int, clk *storage.Clock) (int, error) {
 			return 0, p.morsel(src, stages, st, m, clk, emit)
 		})
 		if err == nil {
@@ -338,22 +334,20 @@ func (p *pipeline) segment(src *morselSource, lo, hi int, sink morselSink) error
 		}
 		if err == nil {
 			end()
-			st.release()
 		}
 	} else {
 		sink.reset(src.n)
-		err = runMorsels(p.ctx, label, src.n, p.ctx.DOP, func(m int, clk *storage.Clock) (int, error) {
-			st := scratch()
+		err = runMorsels(p.ctx, label, src.n, p.ctx.DOP, func(m, w int, clk *storage.Clock) (int, error) {
+			st := scratch(w)
 			emit, end := sink.begin(m, clk, st)
 			if err := p.morsel(src, stages, st, m, clk, emit); err != nil {
-				return 0, err // the segment fails: nobody needs st back
+				return 0, err
 			}
-			n := end()
-			free <- st
-			return n, nil
+			return end(), nil
 		})
-		close(free) // every worker has returned
-		for st := range free {
+	}
+	for _, st := range sts {
+		if st != nil {
 			st.release()
 		}
 	}
@@ -439,17 +433,14 @@ func (g *parallelGather) Next() (types.Row, bool, error) {
 	return r, ok, nil
 }
 
-// ownedRows: an exchange holds its own copies, there for the taking.
-func (g *parallelGather) ownedRows() (int, bool) { return g.x.len(), true }
-
 func (g *parallelGather) Close() error {
-	g.x.release()
+	g.x = exchange{}
 	return g.pipe.close()
 }
 
 // parallelHashJoin is one hash join of a pipeline. The build side is drained
-// once and hashed in parallel morsels straight into the one joinTable, which
-// is linked at the gather barrier; the pipeline's morsels then probe the
+// once, packed, into the one joinTable, hashed there in parallel morsels and
+// linked at the gather barrier; the pipeline's morsels then probe the
 // frozen table lock-free, each worker through its own joinProbe.
 type parallelHashJoin struct {
 	hashBuild
@@ -464,17 +455,17 @@ func (j *parallelHashJoin) openBuild() error {
 	if j.held {
 		return nil
 	}
-	build, err := drain(j.right)
+	build, err := drainTable(j.right)
 	if err != nil {
 		return err
 	}
-	j.grant, j.held = j.ctx.Mem.Grant(len(build)), true
-	if len(build) > j.grant {
+	j.grant, j.held = j.ctx.Mem.Grant(build.rows.n), true
+	if build.rows.n > j.grant {
 		// The build delegates to the serial spill machinery. Runtime filters
 		// derive serially from the drained build first, so the probe-side
 		// scans still shrink the spilled probe volume.
-		buildRuntimeFilters(j.ctx, j.node, j.ctx.Clock, build)
-		j.openSpill(build, 0)
+		buildRuntimeFilters(j.ctx, j.node, j.ctx.Clock, build.rows.n, build.rows.value)
+		j.openSpill(&build.rows, 0)
 		return nil
 	}
 	return j.buildTable(build)
@@ -489,15 +480,16 @@ func (j *parallelHashJoin) release() {
 	}
 }
 
-// buildTable hashes the build rows into the joinTable in parallel morsels,
-// charging the serial join's insert cost — and, when the plan announced
-// runtime filters, filling one partial Bloom per filter per morsel — then
-// links the table at the gather barrier in build order, so probing stays
-// deterministic. Partial Blooms are OR-merged in morsel order at the same
-// barrier and published before any probe morsel can run.
-func (j *parallelHashJoin) buildTable(build []types.Row) error {
-	n := morselCount(len(build), MorselRows)
-	tab := newJoinTable(build)
+// buildTable hashes the drained build rows in parallel morsels, charging the
+// serial join's insert cost — and, when the plan announced runtime filters,
+// filling one partial Bloom per filter per morsel — then links the table at
+// the gather barrier in build order, so probing stays deterministic. Partial
+// Blooms are OR-merged in morsel order at the same barrier and published
+// before any probe morsel can run.
+func (j *parallelHashJoin) buildTable(tab *joinTable) error {
+	rows := tab.rows.n
+	n := morselCount(rows, MorselRows)
+	tab.reserve()
 	nf := 0
 	if j.ctx.RF != nil {
 		nf = len(j.node.RFilters)
@@ -506,36 +498,39 @@ func (j *parallelHashJoin) buildTable(build []types.Row) error {
 	if nf > 0 {
 		rfParts = make([][]*RuntimeFilter, n)
 	}
-	err := runMorsels(j.ctx, j.node.Label()+" build", n, j.ctx.DOP, func(m int, clk *storage.Clock) (int, error) {
-		lo, hi := morselRange(m, MorselRows, len(build))
+	// A key scratch per worker, 80 B apart: off each other's cache lines.
+	nk := len(j.node.RightKeys)
+	keys := make([]types.Value, max(1, j.ctx.DOP)*(nk+2))
+	err := runMorsels(j.ctx, j.node.Label()+" build", n, j.ctx.DOP, func(m, w int, clk *storage.Clock) (int, error) {
+		lo, hi := morselRange(m, MorselRows, rows)
 		if nf > 0 {
 			// Partials are sized for the full build so the barrier merge is
 			// a plain word-wise OR; the batch charge equals the serial
 			// build's per-row charges over this morsel's rows.
 			fs := make([]*RuntimeFilter, nf)
 			for i, sp := range j.node.RFilters {
-				fs[i] = newRuntimeFilter(sp.ID, len(build))
+				fs[i] = newRuntimeFilter(sp.ID, rows)
 				col := j.node.RightKeys[sp.Col]
-				for _, r := range build[lo:hi] {
-					fs[i].add(r[col])
+				for r := lo; r < hi; r++ {
+					fs[i].add(tab.rows.value(r, col))
 				}
 			}
 			clk.FilterTestsBatch((hi - lo) * nf)
 			rfParts[m] = fs
 		}
-		return tab.hashRange(lo, hi, j.node.RightKeys, clk, 2), nil // insert costs double a probe (see cost model)
+		return tab.hashRange(lo, hi, j.node.RightKeys, keys[w*(nk+2):][:nk], clk, 2), nil // insert costs double a probe (see cost model)
 	})
 	if err != nil {
 		return err
 	}
 	for i, sp := range j.node.RFilters[:nf] {
-		f := newRuntimeFilter(sp.ID, len(build))
+		f := newRuntimeFilter(sp.ID, rows)
 		for _, fs := range rfParts {
 			f.merge(fs[i])
 		}
 		j.ctx.RF.publish(f)
 		if j.ctx.Trace != nil {
-			j.ctx.Trace.Event("rf.build", fmt.Sprintf("filter=%d keys=%d bits=%d partials=%d", f.ID, len(build), len(f.words)*64, n))
+			j.ctx.Trace.Event("rf.build", fmt.Sprintf("filter=%d keys=%d bits=%d partials=%d", f.ID, rows, len(f.words)*64, n))
 		}
 	}
 	tab.link()

@@ -218,23 +218,24 @@ func (s *RuntimeFilterSet) Snapshot() (built, tested, dropped, disabled int64) {
 }
 
 // buildRuntimeFilters derives and publishes the filters a hash join's plan
-// node announced, from the drained build side. Charged at FilterTest per
-// build row per filter on the caller's clock (batch charge: exactly equal
-// to per-row charges by the Clock.addBatch identity).
-func buildRuntimeFilters(ctx *Context, node *plan.JoinNode, clk *storage.Clock, build []types.Row) {
+// node announced, from the n rows of the drained build side, read through
+// value one key column at a time (no row is boxed for it). Charged at
+// FilterTest per build row per filter on the caller's clock (batch charge:
+// exactly equal to per-row charges by the Clock.addBatch identity).
+func buildRuntimeFilters(ctx *Context, node *plan.JoinNode, clk *storage.Clock, n int, value func(row, col int) types.Value) {
 	if ctx.RF == nil || len(node.RFilters) == 0 {
 		return
 	}
 	for _, sp := range node.RFilters {
-		f := newRuntimeFilter(sp.ID, len(build))
-		clk.FilterTestsBatch(len(build))
+		f := newRuntimeFilter(sp.ID, n)
+		clk.FilterTestsBatch(n)
 		col := node.RightKeys[sp.Col]
-		for _, r := range build {
-			f.add(r[col])
+		for i := 0; i < n; i++ {
+			f.add(value(i, col))
 		}
 		ctx.RF.publish(f)
 		if ctx.Trace != nil {
-			ctx.Trace.Event("rf.build", fmt.Sprintf("filter=%d keys=%d bits=%d", f.ID, len(build), len(f.words)*64))
+			ctx.Trace.Event("rf.build", fmt.Sprintf("filter=%d keys=%d bits=%d", f.ID, n, len(f.words)*64))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"rqp/internal/expr"
@@ -72,7 +73,7 @@ func (j *shardedHashJoin) Open() error {
 	// Serial-identical runtime-filter derivation and memory negotiation:
 	// drain, publish filters, then one grant — the exact serial sequence,
 	// so scheduled-budget runs negotiate at the same steps.
-	buildRuntimeFilters(j.ctx, j.node, j.ctx.Clock, build)
+	buildRuntimeFilters(j.ctx, j.node, j.ctx.Clock, len(build), func(i, c int) types.Value { return build[i][c] })
 	j.grant = j.ctx.Mem.Grant(len(build))
 	if len(build) > j.grant {
 		return j.degrade(build)
@@ -144,7 +145,7 @@ func (j *shardedHashJoin) degrade(build []types.Row) error {
 		hashBuild: hashBuild{ctx: j.ctx, node: j.node, grant: j.grant},
 		held:      true,
 	}
-	fb.openSpill(build, 0)
+	fb.openSpill(&packRows(build).rows, 0)
 	// The grant and the probe child now belong to the fallback's pipeline.
 	j.fallback = &parallelGather{pipe: &pipeline{
 		ctx: j.ctx, root: j.node, src: morselSource{scan: j.scan}, child: j.left, stages: []*parallelHashJoin{fb},
@@ -537,11 +538,8 @@ func (j *shardedHashJoin) runColocated() error {
 	}
 	finishNode(ctx, j.buildScan, float64(totalBuild), j.node)
 	if ctx.RF != nil && len(j.node.RFilters) > 0 {
-		all := make([]types.Row, 0, totalBuild)
-		for _, rows := range bRows {
-			all = append(all, rows...)
-		}
-		buildRuntimeFilters(ctx, j.node, ctx.Clock, all)
+		all := slices.Concat(bRows...)
+		buildRuntimeFilters(ctx, j.node, ctx.Clock, len(all), func(i, c int) types.Value { return all[i][c] })
 	}
 	j.grant = ctx.Mem.Grant(totalBuild)
 	if totalBuild > j.grant {
@@ -549,11 +547,7 @@ func (j *shardedHashJoin) runColocated() error {
 			ctx.Shuffle.addUnits(s, clk.UnitsScaled())
 			ctx.Clock.Merge(clk)
 		}
-		all := make([]types.Row, 0, totalBuild)
-		for _, rows := range bRows {
-			all = append(all, rows...)
-		}
-		return j.degrade(all)
+		return j.degrade(slices.Concat(bRows...))
 	}
 	j.bindScan()
 	j.ctx.Shuffle.countJoin(plan.ShuffleColocated)

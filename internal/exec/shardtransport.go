@@ -150,8 +150,9 @@ type ShardJoiner struct {
 	Clk  *storage.Clock
 
 	tab   *joinTable
-	idx   []int32 // build-arrival index of tab.rows[i]
+	idx   []int32 // build-arrival index of the table's i'th row
 	pk    []types.Value
+	cand  types.Row // a matching build row, boxed
 	buf   types.Row
 	arena RowArena // holds the tagged output rows
 }
@@ -161,7 +162,7 @@ func NewShardJoiner(spec ShuffleJoinSpec, clk *storage.Clock) *ShardJoiner {
 	return &ShardJoiner{
 		Spec: spec,
 		Clk:  clk,
-		tab:  newJoinTable(nil),
+		tab:  &joinTable{},
 		pk:   make([]types.Value, len(spec.LeftKeys)),
 	}
 }
@@ -189,11 +190,10 @@ func (w *ShardJoiner) Probe(p ShufProbe, out *[]ShufOut) error {
 	if !keyHasNull(w.pk) {
 		h := types.HashRow(w.pk)
 		for i := w.tab.first(h); i >= 0; i = w.tab.after(i, h) {
-			cand := w.tab.rows[i]
-			if !keyMatches(w.pk, cand, w.Spec.RightKeys) {
+			if !w.tab.rows.match(w.pk, int(i), w.Spec.RightKeys, &w.cand) {
 				continue
 			}
-			w.buf = concatInto(w.buf, p.Row, cand)
+			w.buf = concatInto(w.buf, p.Row, w.cand)
 			if w.Spec.Residual != nil {
 				ok, err := w.Spec.Residual(w.buf)
 				if err != nil {

@@ -28,16 +28,13 @@ func (s *sortOp) Open() error {
 	if err := s.child.Open(); err != nil {
 		return err
 	}
-	held, owned := ownedRows(s.child) // an exchange's rows need no second copy
 	var spilled []*storage.TempRun
 	var last []types.Row // final, grant-resident run
 	lastGrant := 0
 	defer func() { s.ctx.Mem.Release(lastGrant) }()
 	for {
-		// A run's index is cut once: to what the exchange holds, or by the RowSet.
 		grant := s.ctx.Mem.Grant(1 << 20)
 		var set RowSet
-		run := make([]types.Row, 0, min(grant, held))
 		for n := 0; n < grant; n++ {
 			r, ok, err := s.child.Next()
 			if err != nil {
@@ -47,15 +44,9 @@ func (s *sortOp) Open() error {
 			if !ok {
 				break
 			}
-			if owned {
-				run = append(run, r)
-			} else {
-				copy(set.Alloc(len(r)), r)
-			}
+			set.add(r)
 		}
-		if !owned {
-			run = set.Rows()
-		}
+		run := set.Rows()
 		if len(run) == 0 {
 			s.ctx.Mem.Release(grant)
 			break

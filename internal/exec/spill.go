@@ -129,28 +129,28 @@ type spillJoin struct {
 	resident []bool
 	bruns    []*storage.TempRun // spilled build partitions
 	pruns    []*storage.TempRun // deferred probe rows, same partitioning
-	arena    RowArena           // holds the deferred probe rows
+	arena    RowArena           // holds the spilled build rows and the deferred probe rows
 }
 
 // newSpillJoin partitions the drained build side under the given grant
-// (already obtained — and kept — by the caller). Build rows must be owned
-// by the caller (drain's are).
-func newSpillJoin(ctx *Context, node *plan.JoinNode, build []types.Row, grant, depth int) *spillJoin {
+// (already obtained — and kept — by the caller). Resident partitions are
+// repacked into the table; spilled ones are boxed into rows their runs own.
+func newSpillJoin(ctx *Context, node *plan.JoinNode, build *packedRows, grant, depth int) *spillJoin {
 	s := &spillJoin{
 		ctx:    ctx,
 		node:   node,
 		depth:  depth,
-		fanout: spillFanout(len(build)),
+		fanout: spillFanout(build.n),
+		table:  &joinTable{},
 	}
-	parts := make([][]types.Row, s.fanout)
+	parts := make([][]int32, s.fanout) // row ids, in build order
 	key := make([]types.Value, len(node.RightKeys))
-	for _, r := range build {
-		keyInto(key, r, node.RightKeys)
-		if keyHasNull(key) {
+	for i := 0; i < build.n; i++ {
+		if build.keyInto(key, i, node.RightKeys); keyHasNull(key) {
 			continue // a null key matches nothing on either join type
 		}
 		p := spillPartOf(types.HashRow(key), depth, s.fanout)
-		parts[p] = append(parts[p], r)
+		parts[p] = append(parts[p], int32(i))
 	}
 	// Keep the longest prefix of partitions that fits the grant resident;
 	// spill the rest. Residency depends on the grant only through this
@@ -159,17 +159,20 @@ func newSpillJoin(ctx *Context, node *plan.JoinNode, build []types.Row, grant, d
 	s.resident = make([]bool, s.fanout)
 	s.bruns = make([]*storage.TempRun, s.fanout)
 	s.pruns = make([]*storage.TempRun, s.fanout)
-	var resident []types.Row
+	var scratch types.Row
 	spilledParts, spilledRows, spilledPages := 0, 0, 0
-	for p, rows := range parts {
-		if len(resident)+len(rows) <= grant {
+	for p, ids := range parts {
+		if s.table.rows.n+len(ids) <= grant {
 			s.resident[p] = true
-			resident = append(resident, rows...)
+			for _, i := range ids {
+				s.table.rows.add(build.row(int(i), &scratch))
+			}
 			continue
 		}
 		run := storage.NewTempRun()
-		for _, r := range rows {
-			run.Append(ctx.Clock, r)
+		for _, i := range ids {
+			r := s.arena.Alloc(build.w)
+			run.Append(ctx.Clock, build.row(int(i), &r))
 		}
 		s.bruns[p] = run
 		s.pruns[p] = storage.NewTempRun()
@@ -177,7 +180,7 @@ func newSpillJoin(ctx *Context, node *plan.JoinNode, build []types.Row, grant, d
 		spilledRows += run.Len()
 		spilledPages += run.Pages()
 	}
-	s.table = buildJoinTable(resident, node.RightKeys, ctx.Clock, 2) // insert costs double a probe (see cost model)
+	s.table.index(node.RightKeys, ctx.Clock, 2) // insert costs double a probe (see cost model)
 	ctx.Spill.record(spilledParts, spilledRows, spilledPages, depth)
 	ctx.spillEvent("spill.partition", "%s depth=%d fanout=%d resident=%d/%d spilled_rows=%d pages=%d grant=%d",
 		node.Label(), depth, s.fanout, s.fanout-spilledParts, s.fanout, spilledRows, spilledPages, grant)
@@ -252,11 +255,12 @@ func joinPartition(ctx *Context, node *plan.JoinNode, build, probe []types.Row, 
 	defer b.release()
 	switch {
 	case len(build) <= b.grant:
-		b.tab = buildJoinTable(build, node.RightKeys, ctx.Clock, 2)
+		b.tab = packRows(build)
+		b.tab.index(node.RightKeys, ctx.Clock, 2)
 	case depth > maxSpillDepth:
 		return mergeJoinSpilled(ctx, node, build, probe, emit)
 	default:
-		b.openSpill(build, depth)
+		b.openSpill(&packRows(build).rows, depth)
 	}
 	p := b.prober()
 	for _, lr := range probe {
