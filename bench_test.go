@@ -380,6 +380,55 @@ func BenchmarkParallelPipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkColScanAfterDML is the columnar scan on the write axis: a range
+// read of orders at scale 8 with 0, 1%, 10% and 100% of its pages written
+// since the snapshot was built (one row per page updated to itself). The scan
+// stays columnar at every rung; changed pages are read from the heap at a
+// heap scan's charges, so units/op climbs from the columnar price to the
+// heap's.
+func BenchmarkColScanAfterDML(b *testing.B) {
+	const q = `SELECT orders.o_custkey, orders.o_totalprice FROM orders
+		WHERE orders.o_orderdate >= DATE(8500) AND orders.o_orderdate < DATE(8530)`
+	for _, pct := range []int{0, 1, 10, 100} {
+		b.Run(fmt.Sprintf("changed=%d%%", pct), func(b *testing.B) {
+			cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 8, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			orders, _ := cat.Table("orders")
+			cat.BuildColumnar(orders, storage.DefaultColBlock)
+			npages := orders.Heap.NumPages()
+			n := (pct*npages + 99) / 100
+			for j := 0; j < n; j++ {
+				var rid storage.RID
+				var row types.Row
+				orders.Heap.ScanPage(nil, j*npages/n, func(id storage.RID, r types.Row) bool {
+					rid, row = id, r
+					return false
+				})
+				cat.Update(nil, orders, rid, row)
+			}
+			root := parallelBenchPlan(b, cat, q)
+			plan.Walk(root, func(n plan.Node) {
+				if sc, ok := n.(*plan.ScanNode); ok {
+					sc.Columnar = true
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			var units float64
+			for i := 0; i < b.N; i++ {
+				ctx := exec.NewContext()
+				if _, err := exec.Run(root, ctx); err != nil {
+					b.Fatal(err)
+				}
+				units = ctx.Clock.Units()
+			}
+			b.ReportMetric(units, "units/op")
+		})
+	}
+}
+
 // ---------- serial row operators ----------
 
 // benchSerialQuery measures one query on the serial row-at-a-time path.

@@ -45,9 +45,11 @@ type Table struct {
 	// statistics maintenance triggers on it.
 	modCount int64
 	// col is the table's column-major snapshot (see storage.ColumnStore),
-	// nil when the table has not been loaded columnar. Any row modification
-	// drops it: the snapshot is read-optimized and rebuilt by BuildColumnar,
-	// and executors fall back to the heap while it is absent.
+	// nil when the table has not been loaded columnar. DML leaves it
+	// standing: the snapshot remembers the heap it was read from
+	// (storage.HeapMark), and a scan reads the pages written since from the
+	// heap — the heap is the delta. BuildColumnar and ANALYZE rebuild it
+	// whole; executors scan the heap only while it is absent.
 	col atomic.Pointer[storage.ColumnStore]
 	// part is the table's physical hash partitioning (see PartitionTable),
 	// nil when unpartitioned. Row modifications drop it: inserts append to
@@ -59,10 +61,11 @@ type Table struct {
 // ModCount returns modifications since the last ANALYZE.
 func (t *Table) ModCount() int64 { return atomic.LoadInt64(&t.modCount) }
 
+// bumpMods counts one row modification and drops the shard-major layout.
+// The columnar snapshot stays: the heap stamps the page it writes.
 func (t *Table) bumpMods() {
 	atomic.AddInt64(&t.modCount, 1)
-	t.col.Store(nil)  // DML invalidates the columnar snapshot
-	t.part.Store(nil) // ... and the shard-major partitioned layout
+	t.part.Store(nil)
 }
 
 // Col returns the table's columnar snapshot, or nil when none is current.
@@ -272,22 +275,21 @@ func (c *Catalog) Update(clk *storage.Clock, t *Table, rid storage.RID, newRow t
 }
 
 // scanColumns reads the table into one exactly-sized vector per column: the
-// one heap scan statistics and the columnar snapshot are both built from.
-func scanColumns(t *Table) []types.Vector {
+// one heap scan statistics and the columnar snapshot are both built from,
+// and the mark of the heap it read.
+func scanColumns(t *Table) ([]types.Vector, storage.HeapMark) {
 	vecs := types.NewVectors(t.Schema, int(t.Heap.NumRows()))
-	t.Heap.Scan(nil, func(_ storage.RID, r types.Row) bool {
-		types.AppendRow(vecs, r)
-		return true
-	})
-	return vecs
+	mark := t.Heap.ScanMarked(func(r types.Row) { types.AppendRow(vecs, r) })
+	return vecs, mark
 }
 
 // BuildColumnar (re)builds the table's column-major snapshot by scanning the
 // heap, with blockSize values per column block (storage.DefaultColBlock when
-// <= 0). The snapshot is immutable; subsequent DML drops it and queries fall
-// back to the heap until it is rebuilt.
+// <= 0). The snapshot is immutable; scans read the pages DML writes after it
+// from the heap until it is rebuilt.
 func (c *Catalog) BuildColumnar(t *Table, blockSize int) *storage.ColumnStore {
-	cs := storage.BuildColumnStore(scanColumns(t), blockSize)
+	vecs, mark := scanColumns(t)
+	cs := storage.BuildColumnStore(vecs, blockSize, mark)
 	t.col.Store(cs)
 	return cs
 }
@@ -298,14 +300,14 @@ func (c *Catalog) AnalyzeTable(t *Table, buckets int) { c.Analyze(t, buckets, fa
 // Analyze is AnalyzeTable and, when columnar is set, BuildColumnar at the
 // default block size, from one scan of the heap.
 func (c *Catalog) Analyze(t *Table, buckets int, columnar bool) {
-	vecs := scanColumns(t)
+	vecs, mark := scanColumns(t)
 	ts := stats.Analyze(vecs, t.Schema, buckets, t.Stats)
 	c.mu.Lock()
 	t.Stats = ts
 	c.mu.Unlock()
 	atomic.StoreInt64(&t.modCount, 0)
 	if columnar {
-		t.col.Store(storage.BuildColumnStore(vecs, storage.DefaultColBlock))
+		t.col.Store(storage.BuildColumnStore(vecs, storage.DefaultColBlock, mark))
 	}
 }
 
@@ -324,6 +326,7 @@ func (c *Catalog) AnalyzeGroup(t *Table, colNames []string) error {
 		}
 		cols[i] = ci
 	}
-	t.Stats.AnalyzeGroup(cols, scanColumns(t))
+	vecs, _ := scanColumns(t)
+	t.Stats.AnalyzeGroup(cols, vecs)
 	return nil
 }

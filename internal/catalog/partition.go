@@ -36,10 +36,10 @@ func (t *Table) Part() *Partitioning { return t.part.Load() }
 // uses (types.HashRow over the single partitioning value) and laid out
 // shard-major with page-aligned boundaries (the trailing partial page of
 // every shard is sealed). The rebuild changes every RID, so tables with
-// live secondary indexes are refused — drop them first. Subsequent DML
-// invalidates the partitioning (and the columnar snapshot) the same way it
-// invalidates statistics: executors fall back to the shuffle path until
-// the table is re-partitioned.
+// live secondary indexes are refused — drop them first. The columnar
+// snapshot, read from the old heap, is dropped. Subsequent DML invalidates
+// the partitioning the same way it invalidates statistics: executors fall
+// back to the shuffle path until the table is re-partitioned.
 func (c *Catalog) PartitionTable(t *Table, colName string, shards int) error {
 	if shards < 2 {
 		return fmt.Errorf("catalog: partitioning %q needs at least 2 shards, got %d", t.Name, shards)
@@ -69,10 +69,10 @@ func (c *Catalog) PartitionTable(t *Table, colName string, shards int) error {
 		heap.SealPage()
 	}
 	pageStart[shards] = heap.NumPages()
+	t.col.Store(nil) // its mark is of the old heap: no scan may pair the two
 	c.mu.Lock()
 	t.Heap = heap
 	c.mu.Unlock()
-	t.col.Store(nil) // RIDs and page layout changed; snapshot is stale
 	t.part.Store(&Partitioning{Col: col, Shards: shards, PageStart: pageStart})
 	return nil
 }

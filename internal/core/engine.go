@@ -99,8 +99,9 @@ type Config struct {
 	// Columnar enables column-store access paths: Attach builds a columnar
 	// snapshot (dictionary/RLE/bit-packed blocks with zone maps) for every
 	// catalog table, the optimizer may choose ColScan where it is cheaper,
-	// and executed plans decode only referenced columns. DML invalidates a
-	// table's snapshot (queries fall back to the heap); ANALYZE rebuilds it.
+	// and executed plans decode only referenced columns. DML leaves a
+	// table's snapshot standing (scans read the pages written since from
+	// the heap); ANALYZE rebuilds it.
 	Columnar bool
 	// Shards partitions SELECT execution across N logical shard "nodes"
 	// (goroutine-backed, network-transparent later): every hash join is
@@ -862,11 +863,13 @@ func (e *Engine) recordQueryMetrics(res *Result, ctx *exec.Context, qerrs []floa
 			m.Counter("rqp_spill_merge_fallbacks_total").Add(int64(fallbacks))
 		}
 	}
-	if skipped, scanned := atomic.LoadInt64(&ctx.ColBlocksSkipped), atomic.LoadInt64(&ctx.ColBlocksScanned); skipped+scanned > 0 {
+	skipped, scanned, heap := atomic.LoadInt64(&ctx.ColBlocksSkipped), atomic.LoadInt64(&ctx.ColBlocksScanned), atomic.LoadInt64(&ctx.ColHeapPages)
+	if skipped+scanned+heap > 0 {
 		m.Counter("rqp_columnar_blocks_skipped").Add(skipped)
 		m.Counter("rqp_columnar_blocks_scanned").Add(scanned)
+		m.Counter("rqp_columnar_heap_pages").Add(heap)
 		if res.Trace != nil {
-			res.Trace.Event("columnar.summary", fmt.Sprintf("blocks_skipped=%d blocks_scanned=%d", skipped, scanned))
+			res.Trace.Event("columnar.summary", fmt.Sprintf("blocks_skipped=%d blocks_scanned=%d heap_pages=%d", skipped, scanned, heap))
 		}
 	}
 	if res.Shuffle != nil {

@@ -119,6 +119,40 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestColumnarHeapPagesObservable: after an UPDATE, a columnar scan reads
+// the one page it changed from the heap, and says so — heap_pages=1 in the
+// columnar.summary event EXPLAIN ANALYZE renders, and the
+// rqp_columnar_heap_pages counter in /metrics — with the rows it returned
+// before, but for the update.
+func TestColumnarHeapPagesObservable(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Columnar = true
+	e := Open(cfg)
+	e.MustExec("CREATE TABLE t (k int, v int)")
+	for i := 0; i < 1000; i++ {
+		e.MustExec("INSERT INTO t VALUES (?, ?)", types.Int(int64(i)), types.Int(int64(i%7)))
+	}
+	e.MustExec("ANALYZE t")
+	const q = "SELECT t.k, t.v FROM t WHERE t.k >= 90 AND t.k < 110"
+	analyze := func(want string) {
+		t.Helper()
+		r := e.MustExec("EXPLAIN ANALYZE " + q)
+		if !strings.Contains(r.Plan, "ColScan(t)") || !strings.Contains(r.Plan, want) {
+			t.Fatalf("EXPLAIN ANALYZE output lacks ColScan(t) or %q:\n%s", want, r.Plan)
+		}
+	}
+	analyze("blocks_skipped=0 blocks_scanned=1 heap_pages=0")
+	e.MustExec("UPDATE t SET v = 100 WHERE k = 100")
+	analyze("blocks_skipped=0 blocks_scanned=1 heap_pages=1")
+	if v := e.Metrics.Counter("rqp_columnar_heap_pages").Value(); v != 1 {
+		t.Fatalf("rqp_columnar_heap_pages = %d, want 1", v)
+	}
+	r := e.MustExec(q)
+	if len(r.Rows) != 20 || r.Rows[10][0].I != 100 || r.Rows[10][1].I != 100 {
+		t.Fatalf("after the update the scan returned %d rows, row 10 %v", len(r.Rows), r.Rows[10])
+	}
+}
+
 // TestMemOvercommitSurfaces: a sort under a starved memory budget
 // overcommits via the progress floor; the registry must count it.
 func TestMemOvercommitSurfaces(t *testing.T) {

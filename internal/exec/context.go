@@ -37,10 +37,14 @@ type Context struct {
 	// (the default) disables the feature entirely.
 	RF *RuntimeFilterSet
 	// ColBlocksSkipped and ColBlocksScanned count columnar-scan block
-	// outcomes across the query (zone-map or runtime-filter prunes vs.
-	// decoded blocks). Atomics: morsel workers update them concurrently.
+	// outcomes across the query (zone-map or runtime-filter prunes, or
+	// blocks changed pages cover, vs. decoded blocks); ColHeapPages counts
+	// the pages columnar scans read from the heap instead — changed since
+	// the snapshot was built, or added after it. Atomics: morsel workers
+	// update them concurrently.
 	ColBlocksSkipped int64
 	ColBlocksScanned int64
+	ColHeapPages     int64
 	// Shards is the logical shard ("node") count for sharded scale-out
 	// execution. Above one, Build routes hash joins annotated by
 	// opt.PlanShuffles through the shuffle-exchange operators; zero or one

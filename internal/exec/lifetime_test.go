@@ -31,6 +31,7 @@ func TestRowLifetime(t *testing.T) {
 		{"RuntimeFilterExactAcrossSelectivity", TestRuntimeFilterExactAcrossSelectivity},
 		{"ColumnarMatchesHeapEverywhere", TestColumnarMatchesHeapEverywhere},
 		{"ColumnarCostParityAcrossVariants", TestColumnarCostParityAcrossVariants},
+		{"ColumnarSnapshotSurvivesDML", TestColumnarSnapshotSurvivesDML},
 		{"ParallelMatchesSerial", TestParallelMatchesSerial},
 		{"ParallelDeterminism", TestParallelDeterminism},
 		{"SpillPropertyAcrossBudgets", TestSpillPropertyAcrossBudgets},

@@ -55,16 +55,17 @@ func finishNode(ctx *Context, n plan.Node, actual float64, into plan.Node) {
 // and lends rows passing the filter to emit. rf, when non-nil, is the
 // scan's bound runtime-filter consumer (rejects pay only the membership
 // test, on the worker's shard clock). col, when non-nil, is the scan's
-// columnar core: a morsel is then one column block, scanned through the
-// shared block core with charges identical to the serial columnar scan's.
-// Either way the row is lent — valid only until emit returns, never to be
-// mutated; scratch is the caller's, reused from morsel to morsel.
+// columnar core: a morsel is then one column block or a run of tail pages,
+// scanned through the shared core with charges identical to the serial
+// columnar scan's. Either way the row is lent — valid only until emit
+// returns, never to be mutated; scratch is the caller's, reused from morsel
+// to morsel.
 func scanMorsel(ctx *Context, node *plan.ScanNode, rf *rfConsumer, col *colScanner, m, npages int, clk *storage.Clock, scratch *scanScratch, emit func(types.Row) error) error {
 	if col != nil {
 		if scratch.block == nil {
 			scratch.block = getBlockScratch()
 		}
-		return col.scanBlock(m, clk, scratch.block, emit)
+		return col.scanMorsel(m, clk, scratch.block, emit)
 	}
 	lo, hi := morselRange(m, MorselPages, npages)
 	return scanPageRange(ctx, node, rf, lo, hi, clk, &scratch.row, emit)

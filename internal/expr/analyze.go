@@ -7,14 +7,17 @@ import (
 )
 
 // Conjuncts splits a predicate into its top-level AND factors.
-func Conjuncts(e Expr) []Expr {
-	if e == nil {
-		return nil
-	}
+func Conjuncts(e Expr) []Expr { return AppendConjuncts(nil, e) }
+
+// AppendConjuncts appends the top-level AND factors of e to dst, in order.
+func AppendConjuncts(dst []Expr, e Expr) []Expr {
 	if b, ok := e.(*Bin); ok && b.Op == OpAnd {
-		return append(Conjuncts(b.L), Conjuncts(b.R)...)
+		return AppendConjuncts(AppendConjuncts(dst, b.L), b.R)
 	}
-	return []Expr{e}
+	if e == nil {
+		return dst
+	}
+	return append(dst, e)
 }
 
 // AndAll combines predicates with AND; nil for an empty list.

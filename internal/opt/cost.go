@@ -26,8 +26,10 @@ func (o *Optimizer) costSeqScan(tablePages, tableRows float64) float64 {
 // fraction of blocks read tracks selectivity, floored at one block — which
 // is the optimistic end; unclustered values make zone maps useless and the
 // scan degrades to reading every (still compressed) block. With no pushed
-// conjunct nothing can be skipped and every encoded page is read.
-func (o *Optimizer) costColScan(nblocks, encPages, tableRows, outRows float64, npushed int) float64 {
+// conjunct nothing can be skipped and every encoded page is read. The
+// snapshot's delta — deltaPages of the heap's tablePages changed or added
+// since the build — is read from the heap, at costSeqScan's rates.
+func (o *Optimizer) costColScan(nblocks, encPages, tableRows, outRows float64, npushed int, deltaPages, tablePages float64) float64 {
 	readFrac := 1.0
 	c := 0.0
 	if npushed > 0 && nblocks > 0 {
@@ -44,6 +46,9 @@ func (o *Optimizer) costColScan(nblocks, encPages, tableRows, outRows float64, n
 	c += readFrac * encPages * o.CM.SeqPageRead
 	c += readFrac * tableRows * o.CM.FilterTest * float64(npushed)
 	c += outRows * o.CM.RowCPU
+	if deltaPages > 0 {
+		c += o.costSeqScan(deltaPages, tableRows*deltaPages/tablePages)
+	}
 	return c
 }
 

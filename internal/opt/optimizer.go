@@ -259,6 +259,29 @@ func (o *Optimizer) connected(qi *queryInfo, left, right uint64) bool {
 
 // ---------- access paths ----------
 
+// colScanCost prices a columnar scan of rel under its table-local filters,
+// yielding card rows, or reports false when the table carries no snapshot.
+// Pushable col⋈const conjuncts evaluate on encoded blocks and enable
+// zone-map skipping, credited into the estimate by costColScan; the pages
+// written since the snapshot was built are read from the heap, charged into
+// it.
+func (o *Optimizer) colScanCost(rel *BaseRel, filters []expr.Expr, params []types.Value, card float64) (float64, bool) {
+	cs := rel.Table.Col()
+	if cs == nil {
+		return 0, false
+	}
+	npushed := 0
+	for _, f := range filters {
+		if _, _, v, ok := expr.SplitColConst(f, params); ok && !v.IsNull() {
+			npushed++
+		}
+	}
+	var buf [32]int32 // counted, not kept: most deltas fit without an allocation
+	changed, pages := rel.Table.Heap.Changed(cs.Mark(), buf[:0])
+	delta := len(changed) + pages - (len(cs.Mark().PageStart) - 1)
+	return o.costColScan(float64(cs.NumBlocks()), float64(cs.TotalPages(nil)), rel.Rows, card, npushed, float64(delta), float64(pages)), true
+}
+
 func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 	ri := qi.rels[i]
 	cols := ri.ccols
@@ -284,26 +307,15 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 	best.cost = scan.Prop.EstCost
 
 	// Columnar path: available when the session enabled it and the table
-	// carries a current column-store snapshot. Pushable col⋈const conjuncts
-	// evaluate on encoded blocks and enable zone-map skipping, credited into
-	// the estimate by costColScan.
+	// carries a column-store snapshot.
 	if o.Opt.Columnar {
-		if cs := ri.rel.Table.Col(); cs != nil {
-			npushed := 0
-			for _, f := range ri.filters {
-				if _, _, v, ok := expr.SplitColConst(f, qi.params); ok && !v.IsNull() {
-					npushed++
-				}
-			}
-			cost := o.costColScan(float64(cs.NumBlocks()), float64(cs.TotalPages(nil)), ri.rel.Rows, ri.card, npushed)
-			if cost < best.cost {
-				cscan := &plan.ScanNode{Table: ri.rel.Table, Alias: ri.rel.Alias, Filter: filter, Cols: ri.cols, Columnar: true}
-				cscan.Out = ri.out
-				cscan.Title = fmt.Sprintf("ColScan(%s)", ri.rel.Alias)
-				cscan.Prop = plan.Props{EstRows: ri.card, EstCost: cost, Signature: ri.signature}
-				best.node = cscan
-				best.cost = cost
-			}
+		if cost, ok := o.colScanCost(&ri.rel, ri.filters, qi.params, ri.card); ok && cost < best.cost {
+			cscan := &plan.ScanNode{Table: ri.rel.Table, Alias: ri.rel.Alias, Filter: filter, Cols: ri.cols, Columnar: true}
+			cscan.Out = ri.out
+			cscan.Title = fmt.Sprintf("ColScan(%s)", ri.rel.Alias)
+			cscan.Prop = plan.Props{EstRows: ri.card, EstCost: cost, Signature: ri.signature}
+			best.node = cscan
+			best.cost = cost
 		}
 	}
 

@@ -143,9 +143,10 @@ type ScanNode struct {
 	// (set by PlanRuntimeFilters).
 	RFConsume []RFilterSpec
 	// Columnar selects the column-store access path (set by the optimizer
-	// when the table carries a columnar snapshot). The executor falls back
-	// to the heap when the snapshot has been invalidated by DML since
-	// planning — results are identical either way.
+	// when the table carries a columnar snapshot). The executor reads the
+	// pages DML wrote since the snapshot was built from the heap, and scans
+	// the heap whole when the table has no snapshot at all — results are
+	// identical either way.
 	Columnar bool
 }
 

@@ -119,13 +119,16 @@ type ColumnStore struct {
 	cols      []column
 	rows      int
 	blockSize int
-	pageBytes int64 // bytes per simulated page: PageRows·8·ncols
+	pageBytes int64    // bytes per simulated page: PageRows·8·ncols
+	mark      HeapMark // the heap the vectors were read from, as it stood
 }
 
 // BuildColumnStore encodes a table's columns into a column store with the
-// given block size (DefaultColBlock when <= 0). A block stored raw is a slice
-// of its vector, so the vectors must not change afterwards.
-func BuildColumnStore(vecs []types.Vector, blockSize int) *ColumnStore {
+// given block size (DefaultColBlock when <= 0). mark is the heap the vectors
+// were read from (Heap.ScanMarked), which a scan asks what has changed since.
+// A block stored raw is a slice of its vector, so the vectors must not change
+// afterwards.
+func BuildColumnStore(vecs []types.Vector, blockSize int, mark HeapMark) *ColumnStore {
 	if blockSize <= 0 {
 		blockSize = DefaultColBlock
 	}
@@ -133,6 +136,7 @@ func BuildColumnStore(vecs []types.Vector, blockSize int) *ColumnStore {
 		cols:      make([]column, len(vecs)),
 		blockSize: blockSize,
 		pageBytes: int64(PageRows) * 8 * int64(len(vecs)),
+		mark:      mark,
 	}
 	if len(vecs) == 0 {
 		cs.pageBytes = int64(PageRows) * 8
@@ -354,6 +358,9 @@ func (cs *ColumnStore) NumRows() int { return cs.rows }
 
 // NumCols returns the column count.
 func (cs *ColumnStore) NumCols() int { return len(cs.cols) }
+
+// Mark returns the heap the snapshot was read from, as it stood then.
+func (cs *ColumnStore) Mark() HeapMark { return cs.mark }
 
 // BlockSize returns the values-per-block target.
 func (cs *ColumnStore) BlockSize() int { return cs.blockSize }

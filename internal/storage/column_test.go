@@ -33,7 +33,7 @@ func colTestRows(n int, rng *rand.Rand) []types.Row {
 func TestColumnStoreDecodeRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rows := colTestRows(1000, rng)
-	cs := BuildColumnStore(vectorsOf(rows, len(rows[0])), 128)
+	cs := BuildColumnStore(vectorsOf(rows, len(rows[0])), 128, HeapMark{})
 
 	if cs.NumRows() != len(rows) || cs.NumCols() != len(rows[0]) {
 		t.Fatalf("shape %dx%d, want %dx%d", cs.NumRows(), cs.NumCols(), len(rows), len(rows[0]))
@@ -62,7 +62,7 @@ func TestColumnStoreDecodeRoundtrip(t *testing.T) {
 func TestColumnStoreEncodings(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	rows := colTestRows(1000, rng)
-	cs := BuildColumnStore(vectorsOf(rows, len(rows[0])), 128)
+	cs := BuildColumnStore(vectorsOf(rows, len(rows[0])), 128, HeapMark{})
 	want := []string{"packed", "rle", "dict", "packed", "raw", "raw"}
 	for col, w := range want {
 		if got := cs.ColEncoding(col); got != w {
@@ -81,7 +81,7 @@ func TestColumnStoreEncodings(t *testing.T) {
 func TestEvalBlockMatchesDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rows := colTestRows(1000, rng)
-	cs := BuildColumnStore(vectorsOf(rows, len(rows[0])), 128)
+	cs := BuildColumnStore(vectorsOf(rows, len(rows[0])), 128, HeapMark{})
 
 	consts := [][]types.Value{
 		{types.Int(300), types.Int(0), types.Int(999), types.Int(-5), types.Int(2000)},
@@ -146,7 +146,7 @@ func TestEvalBlockMatchesDecode(t *testing.T) {
 func TestZonePruneNeverSkipsMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rows := colTestRows(1000, rng)
-	cs := BuildColumnStore(vectorsOf(rows, len(rows[0])), 128)
+	cs := BuildColumnStore(vectorsOf(rows, len(rows[0])), 128, HeapMark{})
 	ops := []CmpOp{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE}
 	dst := make([]types.Value, cs.BlockSize())
 	keep := make([]bool, cs.BlockSize())
@@ -194,7 +194,7 @@ func TestZonePruneNeverSkipsMatches(t *testing.T) {
 func TestPageSpanTelescopes(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	rows := colTestRows(1000, rng)
-	cs := BuildColumnStore(vectorsOf(rows, len(rows[0])), 128)
+	cs := BuildColumnStore(vectorsOf(rows, len(rows[0])), 128, HeapMark{})
 	total := 0
 	for col := 0; col < cs.NumCols(); col++ {
 		sum := 0

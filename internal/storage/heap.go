@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"rqp/internal/types"
@@ -25,19 +26,31 @@ func (r RID) Page() int { return int(r >> 16) }
 func (r RID) Slot() int { return int(r & 0xffff) }
 
 type page struct {
-	rows []types.Row // nil entries are deleted slots
-	live int
+	rows  []types.Row // nil entries are deleted slots
+	live  int
+	stamp uint64 // the heap version the last write to this page made
 }
 
 // Heap is a page-organized table. Scans charge sequential page reads on the
 // clock; point fetches charge random reads. The heap is safe for concurrent
 // readers with a single writer class via RWMutex (sufficient for the mixed
 // workload experiments, which model logical not physical contention).
+//
+// Every Insert, Update and Delete advances the heap's version and stamps the
+// page it wrote with it, so whatever was built from the heap at one version
+// (a columnar snapshot) can ask which pages have moved since: Changed.
 type Heap struct {
-	mu     sync.RWMutex
-	pages  []*page
-	rows   int64
-	sealed bool // next Insert opens a fresh page even if the tail has room
+	mu      sync.RWMutex
+	pages   []*page
+	rows    int64
+	sealed  bool   // next Insert opens a fresh page even if the tail has room
+	version uint64 // writes so far
+}
+
+// stamp advances the version onto p. The caller holds the write lock.
+func (h *Heap) stamp(p *page) {
+	h.version++
+	p.stamp = h.version
 }
 
 // NewHeap returns an empty heap.
@@ -60,6 +73,7 @@ func (h *Heap) Insert(clk *Clock, r types.Row) RID {
 	p.rows = append(p.rows, r)
 	p.live++
 	h.rows++
+	h.stamp(p)
 	return MakeRID(len(h.pages)-1, len(p.rows)-1)
 }
 
@@ -114,6 +128,7 @@ func (h *Heap) Delete(clk *Clock, rid RID) bool {
 	p.rows[slot] = nil
 	p.live--
 	h.rows--
+	h.stamp(p)
 	if clk != nil {
 		clk.Write(1)
 	}
@@ -133,6 +148,7 @@ func (h *Heap) Update(clk *Clock, rid RID, r types.Row) bool {
 		return false
 	}
 	p.rows[slot] = r
+	h.stamp(p)
 	if clk != nil {
 		clk.Write(1)
 	}
@@ -157,6 +173,62 @@ func (h *Heap) Scan(clk *Clock, fn func(rid RID, r types.Row) bool) {
 			}
 		}
 	}
+}
+
+// HeapMark is where a heap stood when a snapshot was read from it: its
+// version, and where each page's rows begin among the snapshot's —
+// PageStart has one entry per page and one more, the row count, so page p
+// held the positions [PageStart[p], PageStart[p+1]).
+type HeapMark struct {
+	Version   uint64
+	PageStart []int32
+}
+
+// ScanMarked visits every live row in physical order, charging nothing, and
+// returns the heap's mark: both under one read lock, so they agree.
+func (h *Heap) ScanMarked(fn func(r types.Row)) HeapMark {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	m := HeapMark{Version: h.version, PageStart: make([]int32, len(h.pages)+1)}
+	var pos int32
+	for pi, p := range h.pages {
+		m.PageStart[pi] = pos
+		for _, r := range p.rows {
+			if r != nil {
+				fn(r)
+				pos++
+			}
+		}
+	}
+	m.PageStart[len(h.pages)] = pos
+	return m
+}
+
+// Changed reports what was written after the mark: the pages it covers
+// that a later write stamped, appended to dst in ascending order, and the
+// heap's page count now (the pages past the mark's are all new). dst grows
+// at most once, to fit. One read lock; when nothing was written since the
+// mark it looks at no page and returns dst as it came.
+func (h *Heap) Changed(m HeapMark, dst []int32) ([]int32, int) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if h.version == m.Version {
+		return dst, len(h.pages)
+	}
+	pages := h.pages[:min(len(h.pages), len(m.PageStart)-1)]
+	n := 0
+	for _, p := range pages {
+		if p.stamp > m.Version {
+			n++
+		}
+	}
+	dst = slices.Grow(dst, n)
+	for i, p := range pages {
+		if p.stamp > m.Version {
+			dst = append(dst, int32(i))
+		}
+	}
+	return dst, len(h.pages)
 }
 
 // ScanPage visits the live rows of one page in slot order, charging one

@@ -228,7 +228,7 @@ func TestSnapshotFromVectorsMatchesRows(t *testing.T) {
 		{"no columns", nil, 0, 16},
 	}
 	for _, tc := range cases {
-		got := BuildColumnStore(vectorsOf(tc.rows, tc.ncols), tc.blockSize)
+		got := BuildColumnStore(vectorsOf(tc.rows, tc.ncols), tc.blockSize, HeapMark{})
 		want := referenceColumnStore(tc.rows, tc.ncols, tc.blockSize)
 		if got.NumRows() != want.NumRows() || got.NumCols() != want.NumCols() || got.NumBlocks() != want.NumBlocks() ||
 			got.BlockSize() != want.BlockSize() || got.EncodedBytes() != want.EncodedBytes() || got.pageBytes != want.pageBytes {
@@ -270,7 +270,7 @@ func TestSnapshotFromVectorsMatchesRows(t *testing.T) {
 // value, slices of the vector the snapshot was built from, not a boxed copy.
 func TestRawFloatBlocksHoldFloats(t *testing.T) {
 	vecs := vectorsOf(colTestRows(300, rand.New(rand.NewSource(29))), 6)
-	cs := BuildColumnStore(vecs, 128)
+	cs := BuildColumnStore(vecs, 128, HeapMark{})
 	for b, blk := range cs.cols[4].blocks {
 		if blk.raw != nil || len(blk.floats) != cs.BlockRows(b) || &blk.floats[0] != &vecs[4].Floats[b*128] {
 			t.Fatalf("float block %d: %d boxed values, %d floats, want none boxed and a slice of the vector", b, len(blk.raw), len(blk.floats))

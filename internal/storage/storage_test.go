@@ -154,6 +154,45 @@ func TestHeapDeleteUpdate(t *testing.T) {
 	}
 }
 
+// TestHeapChangedSinceMark: the mark records where each page's live rows
+// begin; after it, Changed lists exactly the pages a write touched (a failed
+// write touches none) and the page count, and with no write since the mark
+// it allocates nothing.
+func TestHeapChangedSinceMark(t *testing.T) {
+	h := NewHeap()
+	var rids []RID
+	for i := 0; i < 3*PageRows+10; i++ {
+		rids = append(rids, h.Insert(nil, types.Row{types.Int(int64(i))}))
+	}
+	h.Delete(nil, rids[1])
+	n := 0
+	m := h.ScanMarked(func(types.Row) { n++ })
+	want := []int32{0, PageRows - 1, 2*PageRows - 1, 3*PageRows - 1, 3*PageRows + 9}
+	if n != 3*PageRows+9 || len(m.PageStart) != len(want) {
+		t.Fatalf("mark of %d rows: %v", n, m.PageStart)
+	}
+	for i, w := range want {
+		if m.PageStart[i] != w {
+			t.Fatalf("PageStart = %v, want %v", m.PageStart, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { h.Changed(m, nil) }); allocs != 0 {
+		t.Errorf("Changed with no write since the mark allocated %v times", allocs)
+	}
+	if got, pages := h.Changed(m, nil); got != nil || pages != 4 {
+		t.Fatalf("no write since the mark: changed %v of %d pages", got, pages)
+	}
+	h.Update(nil, rids[2*PageRows], types.Row{types.Int(-1)})
+	h.Delete(nil, rids[1]) // already gone: no write
+	h.Insert(nil, types.Row{types.Int(-2)})
+	for i := 0; i < PageRows; i++ {
+		h.Insert(nil, types.Row{types.Int(int64(i))})
+	}
+	if got, pages := h.Changed(m, nil); len(got) != 2 || got[0] != 2 || got[1] != 3 || pages != 5 {
+		t.Fatalf("changed %v of %d pages, want [2 3] of 5", got, pages)
+	}
+}
+
 func TestHeapEarlyStop(t *testing.T) {
 	h := NewHeap()
 	for i := 0; i < 100; i++ {
