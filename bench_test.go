@@ -165,7 +165,7 @@ func BenchmarkHashJoinExecution(b *testing.B) {
 	}
 }
 
-// BenchmarkHashJoinNarrowBuild is TPC-H-lite Q5 on the serial row path: six
+// BenchmarkHashJoinNarrowBuild is TPC-H-lite Q5 on heap scans at DOP 1: six
 // tables, five hash joins, and a lineitem build side of which the query
 // mentions 3 of 8 columns. -benchmem shows what the builds retain: rows as
 // wide as the query behind indexes cut once.
@@ -279,33 +279,18 @@ func parallelBenchPlan(b *testing.B, cat *catalog.Catalog, q string) plan.Node {
 		b.Fatal(err)
 	}
 	plan.Walk(root, func(n plan.Node) {
-		switch v := n.(type) {
-		case *plan.JoinNode:
-			v.Alg = plan.JoinHash
-		case *plan.AggNode:
-			v.Alg = plan.AggHash
+		if j, ok := n.(*plan.JoinNode); ok {
+			j.Alg = plan.JoinHash
 		}
 	})
 	return root
 }
 
-// benchParallelQuery measures one query serial and at DOP 2/4/8 (fresh
-// plans per sub-benchmark: marking mutates plan annotations).
+// benchParallelQuery measures one query at DOP 1/2/4/8.
 func benchParallelQuery(b *testing.B, cat *catalog.Catalog, q string) {
-	b.Run("serial", func(b *testing.B) {
-		root := parallelBenchPlan(b, cat, q)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := exec.Run(root, exec.NewContext()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, dop := range []int{2, 4, 8} {
+	root := parallelBenchPlan(b, cat, q)
+	for _, dop := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("dop%d", dop), func(b *testing.B) {
-			root := parallelBenchPlan(b, cat, q)
-			plan.MarkParallel(root, exec.ParallelMinRows)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -346,9 +331,9 @@ func BenchmarkParallelAgg(b *testing.B) {
 
 // BenchmarkParallelPipeline is the fused morsel pipeline end to end:
 // TPC-H-lite Q3 over columnar snapshots — scan → probe → probe → aggregate —
-// on the serial operators (dop1) and as one pipeline (dop2). -benchmem shows
-// what a statement allocates: the pipeline copies its build sides once and
-// nothing per probe row.
+// drained by one worker (dop1) and by two (dop2). -benchmem shows what a
+// statement allocates: the pipeline copies its build sides once and nothing
+// per probe row.
 func BenchmarkParallelPipeline(b *testing.B) {
 	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 4, Seed: 1})
 	if err != nil {
@@ -366,7 +351,6 @@ func BenchmarkParallelPipeline(b *testing.B) {
 					sc.Columnar = true
 				}
 			})
-			plan.MarkParallel(root, exec.ParallelMinRows)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -429,9 +413,9 @@ func BenchmarkColScanAfterDML(b *testing.B) {
 	}
 }
 
-// ---------- serial row operators ----------
+// ---------- one worker ----------
 
-// benchSerialQuery measures one query on the serial row-at-a-time path.
+// benchSerialQuery measures one query at DOP 1.
 func benchSerialQuery(b *testing.B, q string) {
 	root := parallelBenchPlan(b, parallelBenchCatalog(b), q)
 	b.ReportAllocs()

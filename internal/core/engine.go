@@ -84,10 +84,10 @@ type Config struct {
 	// and detached on exit, and every arrival reclaims budget from the
 	// queries already running (equal shares).
 	MemPoolRows int
-	// DOP is the degree of parallelism for SELECT execution: 0 or 1 run
-	// serial, above 1 enables morsel-driven parallel operators on eligible
-	// plan nodes, negative means one worker per core. When Admission is
-	// set, the granted DOP additionally shrinks with concurrent load.
+	// DOP is the degree of parallelism for SELECT execution: how many
+	// workers drain each morsel pipeline (0 and 1 mean one, negative one per
+	// core). When Admission is set, the granted DOP additionally shrinks
+	// with concurrent load.
 	DOP int
 	// RuntimeFilters enables runtime join filters: inner hash joins derive
 	// Bloom + min/max filters from their build side and push them sideways
@@ -610,8 +610,10 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 	}
 
 	// Degree of parallelism: resolve the configured value, then let the
-	// WLM gate scale it back under concurrent load.
-	if dop := exec.ResolveDOP(e.Cfg.DOP); dop > 1 {
+	// WLM gate scale it back under concurrent load. POP splices plans
+	// mid-flight and runs them piecemeal, on one worker.
+	pop := e.Cfg.Policy == PolicyPOP || e.Cfg.Policy == PolicyPOPEager
+	if dop := exec.ResolveDOP(e.Cfg.DOP); dop > 1 && !pop {
 		if e.Cfg.Admission != nil {
 			dop = e.Cfg.Admission.GrantDOP(dop)
 		}
@@ -752,26 +754,22 @@ func (e *Engine) countCacheLookup(hit bool, trace *obs.Trace) {
 // planMarks is what the marking passes annotated on one plan: the counts
 // every execution of it reports and arms its context by.
 type planMarks struct {
-	parallel int // nodes marked for morsel execution
 	rfSites  int // runtime join filters planted
 	rfCredit float64
 	shuffles int // hash joins given a shuffle mode
 }
 
 // markPlan annotates a freshly optimized plan for every execution mode the
-// configuration enables: morsel parallelism, runtime join filter sites with
-// their cost credit, and shuffle exchanges. (Which columns a scan emits is
-// not a mark: the optimizer built the plan narrow.) The
-// passes write to the tree, so they run exactly once per plan, while it is
-// still private: the plan cache publishes a plan only after this, and
-// executions — concurrent sessions sharing a cached tree — only read the
-// annotations. POP/progressive plans never pass through here:
-// re-optimization splices plans mid-flight, so those paths stay serial.
+// configuration enables: runtime join filter sites with their cost credit,
+// and shuffle exchanges. (Which columns a scan emits is not a mark: the
+// optimizer built the plan narrow; how many workers drain it is the
+// context's DOP.) The passes write to the tree, so they run exactly once per
+// plan, while it is still private: the plan cache publishes a plan only after
+// this, and executions — concurrent sessions sharing a cached tree — only read
+// the annotations. POP/progressive plans never pass through here:
+// re-optimization splices plans mid-flight, so those paths stay on one worker.
 func (e *Engine) markPlan(root plan.Node) planMarks {
 	var m planMarks
-	if exec.ResolveDOP(e.Cfg.DOP) > 1 {
-		m.parallel = plan.MarkParallel(root, exec.ParallelMinRows)
-	}
 	if e.Cfg.RuntimeFilters {
 		m.rfSites, m.rfCredit = e.Opt.CreditRuntimeFilters(root)
 	}
@@ -783,18 +781,15 @@ func (e *Engine) markPlan(root plan.Node) planMarks {
 
 // armContext readies one execution's context for the modes its plan is
 // marked for — a fresh runtime-filter set, the shard count and shuffle
-// stats — and records them in the trace and the metrics. The context's DOP
-// is the one the WLM gate granted this execution: at one, a plan's parallel
-// marks simply go unused.
+// stats — and records them in the trace and the metrics, with the DOP the
+// WLM gate granted this execution.
 func (e *Engine) armContext(ctx *exec.Context, root plan.Node, m planMarks) {
 	tr := ctx.Trace
 	if ctx.DOP > 1 {
 		if tr != nil {
-			tr.Event("parallel.plan", fmt.Sprintf("dop=%d marked=%d", ctx.DOP, m.parallel))
+			tr.Event("parallel.plan", fmt.Sprintf("dop=%d", ctx.DOP))
 		}
-		if m.parallel > 0 {
-			e.Metrics.Counter("rqp_parallel_queries_total").Inc()
-		}
+		e.Metrics.Counter("rqp_parallel_queries_total").Inc()
 	}
 	if e.Cfg.Columnar && tr != nil {
 		narrowed := 0

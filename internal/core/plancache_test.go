@@ -492,9 +492,9 @@ func TestPlanCacheConcurrentSessions(t *testing.T) {
 }
 
 // TestPlanCacheConcurrentExecutions runs one cached plan from four
-// goroutines with every marking pass the engine has switched on — morsel
-// marks, column sets, runtime-filter sites and their credit,
-// shuffle modes — the way server sessions sending the same text do. The
+// goroutines with every marking pass the engine has switched on — column
+// sets, runtime-filter sites and their credit, shuffle modes — and two
+// workers, the way server sessions sending the same text do. The
 // passes write to the plan tree and each execution records its actual
 // cardinalities into it, so under -race this pins that a plan is marked
 // before the cache publishes it and only read (or atomically updated)

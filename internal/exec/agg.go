@@ -6,125 +6,7 @@ import (
 	"rqp/internal/types"
 )
 
-// hashAgg groups via a hash table bounded by the broker's grant: group
-// state beyond the grant spills input rows to hash partitions that
-// re-aggregate recursively after the input is exhausted (aggSink). Output
-// order is made deterministic by sorting groups on the key (cheap relative
-// to the aggregation itself and essential for reproducible experiment
-// output).
-type hashAgg struct {
-	ctx       *Context
-	node      *plan.AggNode
-	child     Operator
-	aggOutput // Next
-}
-
-func (h *hashAgg) Open() error {
-	if err := h.child.Open(); err != nil {
-		return err
-	}
-	sink := newAggSink(h.ctx, newAggLayout(h.node), 0)
-	defer sink.close()
-	for {
-		r, ok, err := h.child.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		h.ctx.Clock.Probes(1)
-		if err := sink.add(r); err != nil {
-			return err
-		}
-	}
-	segs, err := sink.finish()
-	if err != nil {
-		return err
-	}
-	h.open(h.ctx.Clock, sink.tab.lay, segs, allGroups(segs))
-	return nil
-}
-
 func rowsEqual(a, b []types.Value) bool { return len(a) == len(b) && compareKeys(a, b) == 0 }
-
-func (h *hashAgg) Close() error {
-	h.aggOutput = aggOutput{}
-	return h.child.Close()
-}
-
-// streamAgg expects input grouped (sorted) on the group expressions and
-// emits each group as it completes — the low-memory aggregation path: one
-// group's accumulators, reused from group to group, and one lent output row.
-type streamAgg struct {
-	ctx   *Context
-	node  *plan.AggNode
-	child Operator
-
-	lay  *aggLayout
-	key  []types.Value // scratch: the current input row's group key
-	cur  aggSeg        // the open group, if any
-	row  types.Row
-	done bool
-}
-
-func (s *streamAgg) Open() error {
-	s.lay = newAggLayout(s.node)
-	s.key = make([]types.Value, s.lay.keyW)
-	s.cur.empty()
-	s.done = false
-	return s.child.Open()
-}
-
-func (s *streamAgg) Next() (types.Row, bool, error) {
-	if s.done {
-		return nil, false, nil
-	}
-	for {
-		r, ok, err := s.child.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			s.done = true
-			if s.cur.n > 0 || s.lay.keyW == 0 {
-				return s.emit(), true, nil
-			}
-			return nil, false, nil
-		}
-		s.ctx.Clock.Compares(1)
-		if err := s.lay.evalKey(s.key, r, s.ctx.Params); err != nil {
-			return nil, false, err
-		}
-		closed := s.cur.n > 0 && !rowsEqual(s.lay.key(&s.cur, 0), s.key)
-		if closed {
-			s.emit()
-		}
-		if s.cur.n == 0 {
-			s.lay.push(&s.cur, s.key)
-		}
-		if err := s.lay.accum(&s.cur, 0, r, s.ctx.Params); err != nil {
-			return nil, false, err
-		}
-		if closed {
-			return s.row, true, nil
-		}
-	}
-}
-
-// emit closes the open group (an empty one for a global aggregate without
-// input) and lends its row.
-func (s *streamAgg) emit() types.Row {
-	s.ctx.Clock.RowWork(1)
-	if s.cur.n == 0 {
-		s.lay.push(&s.cur, nil)
-	}
-	s.row = s.lay.row(s.row, &s.cur, 0)
-	s.cur.empty()
-	return s.row
-}
-
-func (s *streamAgg) Close() error { return s.child.Close() }
 
 // distinctOp removes duplicates via hashing: the rows seen so far sit in a
 // joinTable keyed on the whole row, and a row not among them passes through

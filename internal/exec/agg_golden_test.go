@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"rqp/internal/plan"
 	"rqp/internal/types"
 	"rqp/internal/workload"
 )
@@ -36,10 +35,7 @@ func TestAggregateFloatGolden(t *testing.T) {
 		}{{"dop=1", 1, 0}, {"dop=2", 2, 0}, {"dop=1 mem=64", 1, 64}} {
 			root := parallelPlanFor(t, cat, q)
 			ctx := NewContext()
-			if cfg.dop > 1 {
-				plan.MarkParallel(root, 1)
-				ctx.DOP = cfg.dop
-			}
+			ctx.DOP = cfg.dop
 			if cfg.mem > 0 {
 				ctx.Mem = NewMemBroker(cfg.mem)
 			}

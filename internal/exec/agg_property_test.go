@@ -149,22 +149,6 @@ func refGroups(t *testing.T, cat *catalog.Catalog, filter expr.Expr, key []int) 
 	return groups
 }
 
-// streamPlanFor plans q with its aggregation as a stream aggregate over a sort
-// on the group columns (no planner rule chooses one).
-func streamPlanFor(t *testing.T, cat *catalog.Catalog, q string) plan.Node {
-	root := parallelPlanFor(t, cat, q)
-	plan.Walk(root, func(n plan.Node) {
-		if a, ok := n.(*plan.AggNode); ok {
-			srt := &plan.SortNode{Base: plan.Base{Out: a.Kids[0].Schema(), Kids: a.Kids, Title: "Sort"}}
-			for _, ge := range a.GroupExprs {
-				srt.Keys = append(srt.Keys, plan.OrderSpec{Col: ge.(*expr.Col).Index})
-			}
-			a.Alg, a.Kids = plan.AggStream, []plan.Node{srt}
-		}
-	})
-	return root
-}
-
 func TestPropertyGroupedAggregatesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	cat := aggPropertyDB(t, rng, 3000)
@@ -226,11 +210,6 @@ func TestPropertyGroupedAggregatesMatchReference(t *testing.T) {
 				}
 			}
 		}
-		rows, err := Run(streamPlanFor(t, cat, q), NewContext())
-		if err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
-		check("stream", rows)
 		for _, b := range budgets {
 			for _, dop := range []int{1, 2, 8} {
 				rows, _ := runSpillQuery(t, cat, q, b.budget, dop, b.sched)

@@ -69,7 +69,13 @@ func TestAllocCeilingDrain(t *testing.T) {
 		name string
 		run  func() ([]types.Row, error)
 	}{
-		{"drain", func() ([]types.Row, error) { return drain(&seqScan{ctx: NewContext(), node: scan}) }},
+		{"drain", func() ([]types.Row, error) {
+			op, err := build(scan, NewContext())
+			if err != nil {
+				return nil, err
+			}
+			return drain(op)
+		}},
 		{"Run", func() ([]types.Row, error) { return Run(scan, NewContext()) }},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
@@ -84,47 +90,46 @@ func TestAllocCeilingDrain(t *testing.T) {
 	}
 }
 
+// erectBuild opens join's build as its pipeline stage does at ctx's DOP.
+func erectBuild(t *testing.T, ctx *Context, join *plan.JoinNode) *hashStage {
+	t.Helper()
+	s := &hashStage{hashBuild: hashBuild{ctx: ctx, node: join}}
+	if err := s.side(join.Kids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.openBuild(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// drainTable drains the plan n into a table yet to be indexed, as a hash join
+// drains its build side: straight into the table at one worker, through an
+// exchange at more.
+func drainTable(ctx *Context, n plan.Node) (*joinTable, error) {
+	s := &hashStage{hashBuild: hashBuild{ctx: ctx}}
+	if err := s.side(n); err != nil {
+		return nil, err
+	}
+	return s.drainBuild()
+}
+
 func TestAllocCeilingHashBuild(t *testing.T) {
 	cat := allocCatalog(t)
 	_, join := allocJoinPlan(t, cat)
 	n := tableRows(t, cat, "orders")
-	builds := map[string]func(){
-		"serial": func() { // hashJoin: drained into the table, then indexed
+	for _, dop := range []int{1, 2} { // drained into the table, then hashed in morsels
+		allocs := testing.AllocsPerRun(5, func() {
 			ctx := NewContext()
-			right, err := build(join.Kids[1], ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b := hashBuild{ctx: ctx, node: join}
-			if err := b.openSerial(right); err != nil {
-				t.Fatal(err)
-			}
+			ctx.DOP = dop
+			b := erectBuild(t, ctx, join)
 			if b.spill != nil || b.tab.rows.n != int(n) {
 				t.Fatalf("built %d rows, spill=%v", b.tab.rows.n, b.spill != nil)
 			}
 			b.release()
-		},
-		"dop2": func() { // parallelHashJoin: drain, then hashing in morsels
-			ctx := NewContext()
-			ctx.DOP = 2
-			right, err := build(join.Kids[1], ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pj := &parallelHashJoin{hashBuild: hashBuild{ctx: ctx, node: join}, right: right}
-			if err := pj.openBuild(); err != nil {
-				t.Fatal(err)
-			}
-			if pj.spill != nil || pj.tab.rows.n != int(n) {
-				t.Fatalf("built %d rows, spill=%v", pj.tab.rows.n, pj.spill != nil)
-			}
-			pj.release()
-		},
-	}
-	for name, fn := range builds {
-		allocs := testing.AllocsPerRun(5, fn)
+		})
 		if per := allocs / n; per > maxAllocsPerBuildRow {
-			t.Errorf("%s build of %v rows: %v allocations, %.4f per row (ceiling %v)", name, n, allocs, per, maxAllocsPerBuildRow)
+			t.Errorf("dop=%d build of %v rows: %v allocations, %.4f per row (ceiling %v)", dop, n, allocs, per, maxAllocsPerBuildRow)
 		}
 	}
 }
@@ -157,15 +162,11 @@ func TestAllocCeilingNarrowBuild(t *testing.T) {
 	}
 	for _, columnar := range []bool{false, true} {
 		for _, dop := range []int{1, 2} {
-			scan.Columnar, scan.Prop.Parallel = columnar, dop > 1
+			scan.Columnar = columnar
 			_, bytes := measureAllocs(func() {
 				ctx := NewContext()
 				ctx.DOP = dop
-				op, err := build(scan, ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tab, err := drainTable(op)
+				tab, err := drainTable(ctx, scan)
 				if err != nil || float64(tab.rows.n) != n || tab.rows.w != 3 {
 					t.Fatalf("columnar=%v dop=%d: %d rows of %d values, %v", columnar, dop, tab.rows.n, tab.rows.w, err)
 				}
@@ -180,36 +181,26 @@ func TestAllocCeilingNarrowBuild(t *testing.T) {
 }
 
 // TestAllocCeilingJoin runs the whole join — build, probe, projection and
-// the root drain — on the row and DOP-2 paths. Beyond the build's
+// the root drain — at DOP 1 and 2. Beyond the build's
 // allowance, everything is amortised over the probe rows.
 func TestAllocCeilingJoin(t *testing.T) {
 	cat := allocCatalog(t)
 	nBuild, nProbe := tableRows(t, cat, "orders"), tableRows(t, cat, "lineitem")
 	ceiling := maxAllocsPerBuildRow*nBuild + (maxAllocsPerProbeRow+maxAllocsPerDrainRow)*nProbe
-	for _, tc := range []struct {
-		name string
-		mark func(plan.Node)
-		ctx  func() *Context
-	}{
-		{"row", func(plan.Node) {}, NewContext},
-		{"dop2", func(n plan.Node) { plan.MarkParallel(n, 1) }, func() *Context {
-			ctx := NewContext()
-			ctx.DOP = 2
-			return ctx
-		}},
-	} {
-		root, _ := allocJoinPlan(t, cat)
-		tc.mark(root)
+	root, _ := allocJoinPlan(t, cat)
+	for _, dop := range []int{1, 2} {
 		allocs := testing.AllocsPerRun(5, func() {
-			rows, err := Run(root, tc.ctx())
+			ctx := NewContext()
+			ctx.DOP = dop
+			rows, err := Run(root, ctx)
 			if err != nil || float64(len(rows)) != nProbe {
-				t.Fatalf("%s: %d rows, %v", tc.name, len(rows), err)
+				t.Fatalf("dop=%d: %d rows, %v", dop, len(rows), err)
 			}
 		})
-		t.Logf("%s: %v allocations for %v ⋈ %v rows", tc.name, allocs, nBuild, nProbe)
+		t.Logf("dop=%d: %v allocations for %v ⋈ %v rows", dop, allocs, nBuild, nProbe)
 		if allocs > ceiling {
-			t.Errorf("%s join: %v allocations, ceiling %v (%v/build row + %v/probe row + %v/result row)",
-				tc.name, allocs, ceiling, maxAllocsPerBuildRow, maxAllocsPerProbeRow, maxAllocsPerDrainRow)
+			t.Errorf("dop=%d join: %v allocations, ceiling %v (%v/build row + %v/probe row + %v/result row)",
+				dop, allocs, ceiling, maxAllocsPerBuildRow, maxAllocsPerProbeRow, maxAllocsPerDrainRow)
 		}
 	}
 }
@@ -219,19 +210,12 @@ func TestAllocCeilingJoin(t *testing.T) {
 func TestAllocCeilingProbe(t *testing.T) {
 	cat := allocCatalog(t)
 	_, join := allocJoinPlan(t, cat)
-	ctx := NewContext()
-	right, err := build(join.Kids[1], ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	probeRows, err := Run(join.Kids[0], NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := hashBuild{ctx: ctx, node: join}
-	if err := b.openSerial(right); err != nil {
-		t.Fatal(err)
-	}
+	ctx := NewContext()
+	b := erectBuild(t, ctx, join)
 	defer b.release()
 	p := b.prober()
 	emitted := 0
@@ -249,6 +233,57 @@ func TestAllocCeilingProbe(t *testing.T) {
 	}
 	if per := allocs / float64(len(probeRows)); per > maxAllocsPerProbeRow {
 		t.Errorf("probing %d rows: %v allocations, %.4f per row (ceiling %v)", len(probeRows), allocs, per, maxAllocsPerProbeRow)
+	}
+}
+
+// TestAllocCeilingMorselLoop: once a worker's chain of probers and its way
+// into the sink exist, a morsel allocates nothing. A lineitem scan → probe →
+// aggregate and a lineitem scan → exchange allocate as many objects at scale 8
+// as at scale 2 — four times the morsels — give or take a few: per worker and
+// per stage, never per morsel (a closure a morsel, say, adds hundreds).
+func TestAllocCeilingMorselLoop(t *testing.T) {
+	if raceBuild {
+		t.Skip("under -race pooled scratch is dropped and allocated anew")
+	}
+	const maxExtra = 16 // objects scale 8 may allocate beyond scale 2
+	queries := []struct{ name, sql string }{
+		// Build on the orders a filter keeps (the same hundred at any scale),
+		// probe with every lineitem row, three groups.
+		{"scan→probe→aggregate", `SELECT l_returnflag, COUNT(*) FROM lineitem, orders
+			WHERE l_orderkey = o_orderkey AND o_orderkey < 100 GROUP BY l_returnflag`},
+		{"scan→exchange", `SELECT l_orderkey FROM lineitem WHERE l_quantity < 2`},
+	}
+	var objects [2][2][2]float64 // query, DOP, scale
+	for si, scale := range []float64{2, 8} {
+		cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: scale, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range queries {
+			root := parallelPlanFor(t, cat, q.sql)
+			if j := chainOf(root); qi == 0 && (len(j) != 1 || j[0].Kids[0].(*plan.ScanNode).Table.Name != "lineitem") {
+				t.Fatalf("%s: want lineitem probing one join:\n%s", q.name, plan.Explain(root))
+			}
+			for di, dop := range []int{1, 2} {
+				objects[qi][di][si], _ = measureAllocs(func() {
+					ctx := NewContext()
+					ctx.DOP = dop
+					if _, _, err := Drain(root, ctx, func(types.Row) error { return nil }); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+	for qi, q := range queries {
+		for di, dop := range []int{1, 2} {
+			at2, at8 := objects[qi][di][0], objects[qi][di][1]
+			t.Logf("%s dop=%d: %.0f objects at scale 2, %.0f at scale 8", q.name, dop, at2, at8)
+			if at8-at2 > maxExtra {
+				t.Errorf("%s dop=%d: %.0f objects at scale 8 against %.0f at scale 2: more than %d per worker and stage, so per morsel",
+					q.name, dop, at8, at2, maxExtra)
+			}
+		}
 	}
 }
 
@@ -281,9 +316,6 @@ func TestAllocCeilingAggregate(t *testing.T) {
 	} {
 		for _, dop := range []int{1, 2} {
 			root := parallelPlanFor(t, cat, tc.query)
-			if dop > 1 {
-				plan.MarkParallel(root, 1)
-			}
 			groups := 0
 			allocs, bytes := measureAllocs(func() {
 				ctx := NewContext()

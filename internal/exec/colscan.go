@@ -13,10 +13,9 @@ import (
 	"rqp/internal/types"
 )
 
-// Columnar scan execution. Both variants — row-at-a-time (colScan) and
-// morsel-parallel (scanMorsel's columnar branch) — share one core,
-// colScanner.scanMorsel, so they issue the identical multiset of clock
-// charges per morsel:
+// Columnar scan execution. A pipeline's columnar source and the sharded
+// join's probe scan share one core, colScanner.scanMorsel, so they issue the
+// identical multiset of clock charges per morsel, whichever worker runs it:
 //
 //	ZoneCheck(1)       per consulted pruning source (each pushed col⋈const
 //	                   conjunct in order, then each enabled bounded runtime
@@ -167,20 +166,6 @@ func storageCmpOp(op expr.Op) (storage.CmpOp, bool) {
 		return storage.CmpGE, true
 	}
 	return 0, false
-}
-
-// scanGeometry returns the morsel count and heap page count for a scan:
-// columnar scans use one morsel per column block, then one per MorselPages
-// tail pages (I/O is charged inside scanMorsel), heap scans one morsel per
-// MorselPages pages. col is the scan's columnar core (nil for heap scans),
-// resolved once by the caller so geometry and execution agree on the same
-// snapshot and delta.
-func scanGeometry(node *plan.ScanNode, col *colScanner) (nmorsels, npages int) {
-	if col != nil {
-		return col.cs.NumBlocks() + morselCount(col.tailHi-col.tailLo, MorselPages), 0
-	}
-	np := node.Table.Heap.NumPages()
-	return morselCount(np, MorselPages), np
 }
 
 // scanMorsel scans morsel m: block m, or past the last block a run of tail
@@ -340,12 +325,11 @@ func (c *colScanner) scanBlock(b int, clk *storage.Clock, s *blockScratch, emit 
 	return nil
 }
 
-// blockScratch is the workspace one worker scans column blocks in, reused
-// from block to block: the keep mask, one slab for the decoded columns (back
-// to back) and the table-width row with the output row behind it, and the
-// row a heap page projects into. Like rowBuf it is pooled whole and by
-// pointer: one round trip per scan and worker, none per block, and a fresh
-// one is four allocations whatever the scan's width.
+// blockScratch is the workspace a worker scans column blocks in, reused from
+// block to block: the keep mask, one slab for the decoded columns (back to
+// back) and the table-width row with the output row behind it, and the row a
+// tail page projects into. It is pooled on its own, not with the rest of a
+// worker's morselScratch, so that every one in the pool has a decode slab.
 type blockScratch struct {
 	keep []bool
 	slab []types.Value
@@ -353,16 +337,6 @@ type blockScratch struct {
 }
 
 var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
-
-func getBlockScratch() *blockScratch { return blockScratchPool.Get().(*blockScratch) }
-
-// putBlockScratch returns s to the pool, emptied: it must not pin decoded
-// strings.
-func putBlockScratch(s *blockScratch) {
-	clear(s.slab[:cap(s.slab)])
-	clear(s.row[:cap(s.row)])
-	blockScratchPool.Put(s)
-}
 
 // size returns the scratch cut to a block of nrows rows: the mask, all true,
 // ncols columns of nrows values back to back and a row of width values, the
@@ -374,77 +348,4 @@ func (s *blockScratch) size(nrows, ncols, width int) (keep []bool, vals []types.
 	}
 	s.slab = slices.Grow(s.slab[:0], nrows*ncols+width)[:nrows*ncols+width]
 	return s.keep, s.slab[:nrows*ncols], s.slab[nrows*ncols:]
-}
-
-// ---------- the serial variant ----------
-
-// colScan is the row-at-a-time columnar scan: it drains one morsel at a
-// time through the shared core into one pooled buffer it reuses from morsel
-// to morsel, so a handed-out row stays valid until the scan moves past its
-// morsel — at the earliest the operator's next call. It mirrors seqScan's
-// page-refill shape, and is a plain heap scan — correct results, heap
-// charges — when the table has no snapshot at Open (PartitionTable dropped
-// it under a cached plan).
-type colScan struct {
-	ctx  *Context
-	node *plan.ScanNode
-	heap *seqScan // when there is no snapshot
-
-	sc          *colScanner
-	m, nmorsels int // the next morsel, of how many
-	scratch     *blockScratch
-	buf         *rowBuf // the current morsel's survivors
-	pos         int
-}
-
-func (s *colScan) Open() error {
-	s.heap = nil
-	s.sc = colScannerFor(s.ctx, s.node, bindRuntimeFilters(s.ctx, s.node.RFConsume, s.node.Cols))
-	if s.sc == nil {
-		s.heap = &seqScan{ctx: s.ctx, node: s.node}
-		return s.heap.Open()
-	}
-	if s.buf == nil {
-		n := s.sc.cs.BlockRows(0) // block 0 is as large as any
-		s.buf, s.scratch = getRowBuf(n, n*len(s.node.Out)), getBlockScratch()
-	}
-	s.buf.reset()
-	s.m, s.pos = 0, 0
-	s.nmorsels, _ = scanGeometry(s.node, s.sc)
-	return nil
-}
-
-func (s *colScan) Next() (types.Row, bool, error) {
-	if s.heap != nil {
-		return s.heap.Next()
-	}
-	for s.pos == len(s.buf.rows) {
-		if s.m == s.nmorsels {
-			return nil, false, nil
-		}
-		s.buf.reset()
-		s.pos = 0
-		s.m++
-		err := s.sc.scanMorsel(s.m-1, s.ctx.Clock, s.scratch, func(r types.Row) error {
-			s.buf.rows = append(s.buf.rows, s.buf.carve(r, nil))
-			return nil
-		})
-		if err != nil {
-			return nil, false, err
-		}
-	}
-	s.pos++
-	return s.buf.rows[s.pos-1], true, nil
-}
-
-func (s *colScan) Close() error {
-	if s.heap != nil {
-		return s.heap.Close()
-	}
-	if s.buf != nil {
-		putRowBuf(s.buf)
-		putBlockScratch(s.scratch)
-	}
-	s.sc, s.buf, s.scratch = nil, nil, nil
-	return nil
 }

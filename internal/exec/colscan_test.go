@@ -143,7 +143,7 @@ func TestColumnarMatchesHeapEverywhere(t *testing.T) {
 		name string
 		dop  int
 	}{
-		{"row", 1},
+		{"dop1", 1},
 		{"dop2", 2},
 		{"dop8", 8},
 	}
@@ -151,16 +151,9 @@ func TestColumnarMatchesHeapEverywhere(t *testing.T) {
 		isJoin := strings.Contains(q, "dim")
 		for _, mem := range []int{0, 48} {
 			for _, cfg := range configs {
-				ref := colMkPlan(t, cat, q, false)
-				if cfg.dop > 1 {
-					plan.MarkParallel(ref, 1)
-				}
-				_, want, _ := colRun(t, ref, cfg.dop, mem, false)
+				_, want, _ := colRun(t, colMkPlan(t, cat, q, false), cfg.dop, mem, false)
 
 				root := colMkPlan(t, cat, q, true)
-				if cfg.dop > 1 {
-					plan.MarkParallel(root, 1)
-				}
 				rf := false
 				if isJoin {
 					rf = plan.PlanRuntimeFilters(root) > 0
@@ -196,9 +189,7 @@ func TestColumnarCostParityAcrossVariants(t *testing.T) {
 			rowUnits, rowRows, _ := colRun(t, colMkPlan(t, cat, q, true), 1, 0, false)
 
 			for _, dop := range []int{2, 8} {
-				p := colMkPlan(t, cat, q, true)
-				plan.MarkParallel(p, 1)
-				units, rows, _ := colRun(t, p, dop, 0, false)
+				units, rows, _ := colRun(t, colMkPlan(t, cat, q, true), dop, 0, false)
 				if strings.Join(rowRows, ";") != strings.Join(rows, ";") {
 					t.Fatalf("%s: dop %d results diverge on %q", step, dop, q)
 				}
@@ -345,9 +336,6 @@ func checkColumnarAgainstHeap(t *testing.T, cat *catalog.Catalog, step string, q
 			var cost float64
 			for _, dop := range []int{1, 2, 8} {
 				root := colMkPlan(t, cat, q, true)
-				if dop > 1 {
-					plan.MarkParallel(root, 1)
-				}
 				if rf && plan.PlanRuntimeFilters(root) == 0 {
 					break
 				}
@@ -526,7 +514,6 @@ func TestColumnarScanConcurrentDML(t *testing.T) {
 	base := int(f.Heap.NumRows())
 	victims := ridsWhere(f, func(_ storage.RID, r types.Row) bool { return r[0].I%97 == 0 })
 	plans := []plan.Node{colMkPlan(t, cat, "SELECT fact.k FROM fact", true), colMkPlan(t, cat, "SELECT fact.k FROM fact", true)}
-	plan.MarkParallel(plans[1], 1)
 
 	var done atomic.Bool
 	var wg sync.WaitGroup

@@ -23,9 +23,9 @@ type Context struct {
 	// estimated vs. actual) plus engine-level events. Untraced runs pay
 	// nothing beyond a nil check per operator call.
 	Trace *obs.Trace
-	// DOP is the degree of parallelism. Above one, Build routes plan nodes
-	// marked by plan.MarkParallel through the morsel-driven operators; zero
-	// or one keeps execution serial.
+	// DOP is the degree of parallelism: how many workers drain each morsel
+	// pipeline (zero and one mean one). It selects nothing else; rows and
+	// integer cost are the same at any count.
 	DOP int
 	// Spill aggregates graceful-degradation activity (partitions spilled,
 	// temp-run rows/pages written, recursion depth, merge fallbacks) across
@@ -349,17 +349,11 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 	var op Operator
 	switch node := n.(type) {
 	case *plan.ScanNode:
-		if ctx.parallelEligible(&node.Prop) {
-			pipe, err := newPipeline(ctx, node, node)
-			if err != nil {
-				return nil, err
-			}
-			op = &parallelGather{pipe: pipe}
-		} else if node.Columnar {
-			op = &colScan{ctx: ctx, node: node}
-		} else {
-			op = &seqScan{ctx: ctx, node: node}
+		g, err := newGather(ctx, node)
+		if err != nil {
+			return nil, err
 		}
+		op = g
 	case *plan.TempScanNode:
 		op = &tempScan{ctx: ctx, node: node}
 	case *plan.IndexScanNode:
@@ -404,11 +398,11 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 			break
 		}
 		if ctx.fusesJoin(node) {
-			pipe, err := newPipeline(ctx, node, node)
+			g, err := newGather(ctx, node)
 			if err != nil {
 				return nil, err
 			}
-			op = &parallelGather{pipe: pipe}
+			op = g
 			break
 		}
 		l, err := build(node.Kids[0], ctx)
@@ -436,25 +430,11 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 		}
 		op = &sortOp{ctx: ctx, keys: node.Keys, child: child}
 	case *plan.AggNode:
-		if ctx.parallelEligible(&node.Prop) && node.Alg == plan.AggHash {
-			// The aggregation is the sink of whatever pipeline its input
-			// fuses into: scan → probe* → accumulate, nothing materialised.
-			pipe, err := newPipeline(ctx, node, node.Kids[0])
-			if err != nil {
-				return nil, err
-			}
-			op = &parallelAgg{ctx: ctx, node: node, pipe: pipe}
-			break
-		}
-		child, err := build(node.Kids[0], ctx)
-		if err != nil {
+		a := &aggregate{node: node}
+		if err := a.fuse(ctx, node, node.Kids[0]); err != nil {
 			return nil, err
 		}
-		if node.Alg == plan.AggStream {
-			op = &streamAgg{ctx: ctx, node: node, child: child}
-		} else {
-			op = &hashAgg{ctx: ctx, node: node, child: child}
-		}
+		op = a
 	case *plan.DistinctNode:
 		child, err := build(node.Kids[0], ctx)
 		if err != nil {
@@ -482,12 +462,18 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 	default:
 		return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 	}
-	if ctx.Trace != nil {
-		if span := ctx.Trace.SpanOf(n); span != nil {
-			return wrapOp(&tracedCounted{op: op, node: n, ctx: ctx, span: span}), nil
-		}
+	if span := ctx.span(n); span != nil {
+		return wrapOp(&tracedCounted{op: op, node: n, ctx: ctx, span: span}), nil
 	}
 	return wrapOp(&counted{op: op, node: n, ctx: ctx}), nil
+}
+
+// span returns n's trace span, nil when the query is not traced.
+func (ctx *Context) span(n plan.Node) *obs.Span {
+	if ctx.Trace == nil {
+		return nil
+	}
+	return ctx.Trace.SpanOf(n)
 }
 
 // RowSink receives the rows of a drained plan, one call per row, in result
@@ -536,8 +522,7 @@ func collect(op Operator, ctx *Context) ([]types.Row, error) {
 }
 
 // runOp is the root drain: it opens op, pulls it to exhaustion into sink and
-// closes it — also when Open fails, since morsel operators do all their work
-// (and take all their grants) there.
+// closes it — also when Open fails, after which builds may still be held.
 func runOp(op Operator, ctx *Context, sink RowSink) (int, error) {
 	if err := op.Open(); err != nil {
 		return 0, closeAfter(op, err)

@@ -4,18 +4,22 @@
 // operators (symmetric hash join, generalized join) the Dagstuhl report's
 // query-execution sessions discuss.
 //
-// Two execution paths share one cost model and emit identical results:
+// Scans, hash joins and hash aggregation run one way at every degree of
+// parallelism: as a morsel pipeline (pipeline.go) — a source cut into page,
+// block or row-range morsels, every hash join down the probe side as one more
+// probe in the same morsel, and a sink (the aggregation, a gather's store or
+// exchange, a hash table being built). Context.DOP is only how many workers
+// drain it: one steps through the morsels in order on the context clock (and
+// a gather refills its store a morsel at a time, so a consumer that stops
+// early never pays for the rest); more pull morsels from a shared cursor,
+// each on a shard of the clock. The other operators are classic
+// Open/Next/Close iterators (Operator); a pipeline is pulled through one.
 //
-//   - the row path: classic Open/Next/Close iterators (Operator);
-//   - the morsel-driven parallel path: one pipeline (parallel.go) per
-//     fragment marked by plan.MarkParallel when Context.DOP exceeds one —
-//     a source cut into page, block or row-range morsels, every hash join
-//     down the probe side as one more probe in the same morsel, and a sink
-//     (partial aggregation, or an exchange gathered in morsel order).
-//
-// Every charge goes to the deterministic cost Clock (internal/storage), so
-// the two paths are property-tested to produce byte-identical rows and
-// identical cost totals.
+// Every charge goes to the deterministic cost Clock (internal/storage), and
+// a morsel issues the same charges whichever worker runs it, so rows and
+// integer cost are property-tested identical at every worker count — but for
+// hash aggregation, which more workers run as per-morsel partials: float sums
+// reassociated, and no workspace grant (so no spilling) of their own.
 //
 // Row ownership: a row returned by Next is valid until the next call on
 // that operator — producers reuse their output buffers and nothing

@@ -18,9 +18,6 @@ const (
 	MorselPages = 8
 	// MorselRows is the number of rows per morsel over materialized input.
 	MorselRows = 512
-	// ParallelMinRows is the default table-size floor below which
-	// MarkParallel leaves a scan serial (fan-out overhead dominates).
-	ParallelMinRows = 256
 )
 
 // morselCount returns how many size-unit morsels cover total units.
@@ -41,8 +38,8 @@ func morselRange(m, size, total int) (int, int) {
 // exchange is the gather side of a morsel fan-out: every morsel's output is a
 // range of its worker's packed rows, and the exchange replays the ranges in
 // morsel-index order. Because morsels partition the input in order, the
-// merged stream is exactly the row order the serial operator would emit —
-// the determinism guarantee parallel execution rides on.
+// merged stream is exactly the row order one worker emits — the determinism
+// guarantee parallel execution rides on.
 //
 // It is the pipeline's materialising sink. The rows arriving are lent (a
 // scan's scratch row, a probe's reused output row) and packed as they come;
@@ -66,17 +63,20 @@ func (x *exchange) reset(n int) {
 	x.mi, x.pos = 0, 0
 }
 
-// begin starts morsel m at the end of the worker's store (each morsel is
-// recorded once, by the worker that ran it; distinct indices never race).
-func (x *exchange) begin(m int, _ *storage.Clock, st *morselScratch) (RowSink, func() int) {
-	if st.kept == nil {
-		st.kept = &packedRows{}
-	}
-	rows, lo := st.kept, st.kept.n
-	return rows.add, func() int {
-		x.morsels[m] = morselRows{rows, lo, rows.n - lo}
-		return rows.n - lo
-	}
+// into gives worker st a store of its own, the exchange's once the run ends.
+func (x *exchange) into(st *morselScratch, _ *storage.Clock) adder {
+	st.kept = &packedRows{}
+	return st.kept
+}
+
+// end records morsel m: the rows st's store took since its previous morsel
+// (each morsel is recorded once, by the worker that ran it; distinct indices
+// never race).
+func (x *exchange) end(m int, st *morselScratch) int {
+	lo := st.mark
+	st.mark = st.kept.n
+	x.morsels[m] = morselRows{st.kept, lo, st.mark - lo}
+	return st.mark - lo
 }
 
 // next lends the following row in morsel-merge order.
@@ -92,25 +92,11 @@ func (x *exchange) next() (types.Row, bool) {
 	return nil, false
 }
 
-// take empties the exchange into rows of their own, in morsel-merge order:
-// what a pipeline continues from after a stage that spilled.
-func (x *exchange) take() []types.Row {
-	var set RowSet
-	for _, m := range x.morsels {
-		for i := 0; i < m.n; i++ {
-			r := set.Alloc(m.rows.w)
-			m.rows.row(m.lo+i, &r)
-		}
-	}
-	x.morsels = nil
-	return set.Rows()
-}
-
 // runMorsels dispatches morsels 0..n-1 to up to dop workers pulling from a
 // shared cursor (dynamic scheduling, so slow morsels do not stall the
 // pool). Each worker charges a private shard of ctx.Clock; the shards merge
 // back at the gather barrier, which keeps the simulated-cost total exactly
-// equal to a serial execution performing the same charges. With dop <= 1
+// equal to one worker performing the same charges. With dop <= 1
 // (or a single morsel) the work runs inline on the caller's goroutine and
 // clock. When tracing, one event per worker records its share of morsels,
 // rows and cost — the per-worker view EXPLAIN ANALYZE surfaces.
@@ -118,9 +104,8 @@ func (x *exchange) take() []types.Row {
 // fn processes one morsel as worker w (below dop: what indexes a per-worker
 // scratch), charging clk, and returns the number of rows it produced (trace
 // bookkeeping only). The first error cancels remaining
-// morsels; charges already made by other workers still merge, mirroring the
-// serial operator whose partial work is also already on the clock when it
-// fails.
+// morsels; charges already made by other workers still merge, mirroring one
+// worker whose partial work is also already on the clock when it fails.
 func runMorsels(ctx *Context, label string, n, dop int, fn func(m, w int, clk *storage.Clock) (int, error)) error {
 	if n <= 0 {
 		return nil

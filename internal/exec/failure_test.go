@@ -89,8 +89,9 @@ func TestErrorInsideJoinPipeline(t *testing.T) {
 // TestSpillPipelineErrorReleasesEverything: an error raised inside a morsel
 // pipeline — in the fused aggregate's argument, in a join residual — must
 // leave no workspace grant and no temp run behind, whether the build sat in
-// memory or spilled. Morsel operators do all their work in Open, so this
-// also holds the root drain to closing an operator whose Open failed.
+// memory or spilled, at one worker and at two. More workers do all their work
+// in Open, so this also holds the root drain to closing an operator whose
+// Open failed.
 func TestSpillPipelineErrorReleasesEverything(t *testing.T) {
 	cat := catalog.New()
 	f, _ := cat.CreateTable("f", types.Schema{{Name: "a", Kind: types.KindInt}, {Name: "s", Kind: types.KindString}})
@@ -110,27 +111,27 @@ func TestSpillPipelineErrorReleasesEverything(t *testing.T) {
 		"SELECT f.a FROM f, g WHERE f.a = g.a AND f.s - g.a > 0",
 	} {
 		for _, columnar := range []bool{false, true} {
-			for _, budget := range []int{1 << 30, 64} {
-				root := chainPlan(t, cat, q, columnar, false)
-				if plan.MarkParallel(root, 256) == 0 {
-					t.Fatalf("%q: nothing marked parallel", q)
-				}
-				ctx := NewContext()
-				ctx.DOP = 2
-				ctx.Mem = NewMemBroker(budget)
-				pagesBefore := storage.OpenTempPages()
-				_, err := Run(root, ctx)
-				if err == nil || !strings.Contains(err.Error(), "non-numeric") {
-					t.Fatalf("%q columnar=%v budget=%d: want the non-numeric error, got %v", q, columnar, budget, err)
-				}
-				if in := ctx.Mem.InUse(); in != 0 {
-					t.Errorf("%q columnar=%v budget=%d: %d workspace rows still granted after the error", q, columnar, budget, in)
-				}
-				if open := storage.OpenTempPages() - pagesBefore; open != 0 {
-					t.Errorf("%q columnar=%v budget=%d: %d temp-run pages left open after the error", q, columnar, budget, open)
-				}
-				if sp, _, _, _, _ := ctx.Spill.Snapshot(); (sp > 0) != (budget == 64) {
-					t.Errorf("%q columnar=%v budget=%d: %d partitions spilled", q, columnar, budget, sp)
+			for _, dop := range []int{1, 2} {
+				for _, budget := range []int{1 << 30, 64} {
+					root := chainPlan(t, cat, q, columnar, false)
+					ctx := NewContext()
+					ctx.DOP = dop
+					ctx.Mem = NewMemBroker(budget)
+					pagesBefore := storage.OpenTempPages()
+					_, err := Run(root, ctx)
+					cell := fmt.Sprintf("%q columnar=%v dop=%d budget=%d", q, columnar, dop, budget)
+					if err == nil || !strings.Contains(err.Error(), "non-numeric") {
+						t.Fatalf("%s: want the non-numeric error, got %v", cell, err)
+					}
+					if in := ctx.Mem.InUse(); in != 0 {
+						t.Errorf("%s: %d workspace rows still granted after the error", cell, in)
+					}
+					if open := storage.OpenTempPages() - pagesBefore; open != 0 {
+						t.Errorf("%s: %d temp-run pages left open after the error", cell, open)
+					}
+					if sp, _, _, _, _ := ctx.Spill.Snapshot(); (sp > 0) != (budget == 64) {
+						t.Errorf("%s: %d partitions spilled", cell, sp)
+					}
 				}
 			}
 		}
@@ -140,8 +141,8 @@ func TestSpillPipelineErrorReleasesEverything(t *testing.T) {
 // TestNestedBuildErrorReleasesEverything: an error raised in the middle of a
 // build that is itself a join — here in the residual of g ⋈ h, which f probes
 // — surfaces while the join above already holds its own build (k: granted, or
-// spilled to temp runs, before the nested build opens). Serial operators and
-// morsel pipelines alike must hand every grant back and close every run.
+// spilled to temp runs, before the nested build opens). One worker and two
+// alike must hand every grant back and close every run.
 func TestNestedBuildErrorReleasesEverything(t *testing.T) {
 	cat := catalog.New()
 	mk := func(name string, schema types.Schema, rows int, row func(i int) types.Row) {
@@ -173,9 +174,6 @@ func TestNestedBuildErrorReleasesEverything(t *testing.T) {
 				// builds first.
 				if nested := nestedBuild(root); nested == nil || nested == chainOf(root)[0] || nested.Residual != nil {
 					t.Fatalf("want f probing a build of g ⋈ h (with the residual) under a join building on k:\n%s", plan.Explain(root))
-				}
-				if dop > 1 && plan.MarkParallel(root, 1) == 0 {
-					t.Fatal("nothing marked parallel")
 				}
 				ctx := NewContext()
 				ctx.DOP = dop

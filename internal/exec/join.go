@@ -13,8 +13,6 @@ import (
 
 func buildJoin(node *plan.JoinNode, l, r Operator, ctx *Context) (Operator, error) {
 	switch node.Alg {
-	case plan.JoinHash:
-		return &hashJoin{hashBuild: hashBuild{ctx: ctx, node: node}, left: l, right: r}, nil
 	case plan.JoinMerge:
 		return &mergeJoin{ctx: ctx, node: node, left: l, right: r}, nil
 	case plan.JoinNL:
@@ -71,70 +69,6 @@ func padNulls(buf, l types.Row, n int) types.Row {
 		buf = append(buf, types.Null())
 	}
 	return buf
-}
-
-// ---------- hash join ----------
-
-// hashJoin builds a hash table on the right input and probes with the left,
-// one probe row at a time through the shared joinProbe. If the build side
-// exceeds the broker's grant, it becomes a hybrid hash join: the build
-// partitions by key hash, overflow partitions spill to temp runs together
-// with their probe rows, and the spilled pairs are joined recursively after
-// the in-memory probe phase (spillJoin).
-type hashJoin struct {
-	hashBuild
-	left  Operator
-	right Operator
-
-	probe *joinProbe
-	lDone bool
-	tail  []types.Row // deferred-partition output, emitted after the probe phase
-	tpos  int
-}
-
-func (j *hashJoin) Open() error {
-	// The build side drains before the probe side opens so that runtime
-	// filters derived from the completed build are already published when
-	// probe-side scans bind (indexScan materializes during Open).
-	if err := j.openSerial(j.right); err != nil {
-		return err
-	}
-	j.probe = j.prober()
-	j.lDone, j.tail, j.tpos = false, nil, 0
-	return j.left.Open()
-}
-
-func (j *hashJoin) Next() (types.Row, bool, error) {
-	for {
-		if r, ok, err := j.probe.next(j.ctx.Clock); ok || err != nil {
-			return r, ok, err
-		}
-		if j.lDone {
-			if j.tpos < len(j.tail) {
-				j.tpos++
-				return j.tail[j.tpos-1], true, nil
-			}
-			return nil, false, nil
-		}
-		lr, ok, err := j.left.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			j.lDone = true
-			if j.tail, err = j.replay(); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		j.probe.begin(j.ctx.Clock, lr)
-	}
-}
-
-func (j *hashJoin) Close() error {
-	j.tail = nil
-	j.release()
-	return j.left.Close()
 }
 
 // ---------- nested-loop join ----------

@@ -663,8 +663,8 @@ func (l *aggLayout) row(buf types.Row, s *aggSeg, i int) types.Row {
 const aggSegGroups = 256 // groups per segment of an aggTable
 
 // aggTable is the one group table every hash aggregation accumulates into —
-// the serial aggregate's resident table, a spilled partition's, a morsel's
-// partial: a group is a dense id in a hashIndex, id/aggSegGroups its segment.
+// one worker's resident groups, a spilled partition's, a morsel's partial: a
+// group is a dense id in a hashIndex, id/aggSegGroups its segment.
 // Only the first segment grows by doubling, the others are allocated whole: a
 // table of one group costs one group, a large one wastes at most a segment
 // (growing one slab would allocate all it holds twice over).
@@ -703,12 +703,49 @@ func (t *aggTable) fold(r types.Row, params []types.Value, limit int) (uint64, b
 	return h, true, t.lay.accum(&t.segs[si], t.lay.push(&t.segs[si], t.key), r, params)
 }
 
+// aggArena is where one worker keeps its morsels' partial groups, so that a
+// morsel of a few groups allocates none: each column of a compacted segment
+// is carved from a chunk of its own, which holds the groups of the morsel that
+// opens it times share, the morsels the worker expects (up to aggSegGroups
+// groups).
+type aggArena struct {
+	keys, exts []types.Value
+	nums       []aggNum
+	sets       []map[uint64][]types.Value
+	hashes     []uint64
+	share      int
+}
+
+// carve returns the next n elements of *chunk, clipped to their length, from
+// a fresh chunk of size elements when it lacks the room.
+func carve[T any](chunk *[]T, n, size int) []T {
+	if cap(*chunk)-len(*chunk) < n {
+		*chunk = make([]T, 0, size)
+	}
+	l := len(*chunk) + n
+	*chunk = (*chunk)[:l]
+	return (*chunk)[l-n : l : l]
+}
+
 // compact returns the table's groups as one segment cut to size, their hashes
-// with them, and empties the table: what a worker retains of a morsel is its
-// groups, and the index and the segments serve its next morsel.
-func (t *aggTable) compact() aggSeg {
-	out := t.lay.newSeg(len(t.hashes))
-	out.n, out.hashes = len(t.hashes), slices.Clone(t.hashes)
+// with them — carved from a when they are few, allocated on their own when
+// more than a quarter segment — and empties the table: what a worker retains
+// of a morsel is its groups, and the index and the segments serve its next
+// morsel.
+func (t *aggTable) compact(a *aggArena) aggSeg {
+	l, n := t.lay, len(t.hashes)
+	var out aggSeg
+	if 4*n <= aggSegGroups {
+		size := max(n, min(n*a.share, aggSegGroups))
+		out = aggSeg{
+			keys: carve(&a.keys, n*l.keyW, size*l.keyW)[:0], nums: carve(&a.nums, n*l.nums, size*l.nums)[:0],
+			exts: carve(&a.exts, n*l.exts, size*l.exts)[:0], sets: carve(&a.sets, n*l.sets, size*l.sets)[:0],
+			hashes: carve(&a.hashes, n, size)[:0],
+		}
+	} else {
+		out = l.newSeg(n)
+	}
+	out.n, out.hashes = n, append(out.hashes, t.hashes...)
 	for i := range t.segs {
 		s := &t.segs[i]
 		out.keys, out.nums = append(out.keys, s.keys...), append(out.nums, s.nums...)
@@ -747,9 +784,9 @@ func allGroups(segs []aggSeg) []groupRef {
 	return order
 }
 
-// open sorts the groups order lists on the key, charging clk one unit of row
+// sort orders the groups order lists on the key, charging clk one unit of row
 // work per group. A global aggregate with no input still has one group.
-func (o *aggOutput) open(clk *storage.Clock, lay *aggLayout, segs []aggSeg, order []groupRef) {
+func (o *aggOutput) sort(clk *storage.Clock, lay *aggLayout, segs []aggSeg, order []groupRef) {
 	if len(order) == 0 && lay.keyW == 0 {
 		var s aggSeg
 		lay.push(&s, nil)
@@ -797,49 +834,11 @@ type hashBuild struct {
 	grant int
 }
 
-// drainTable drains a build side straight into a table, yet to be indexed.
-func drainTable(right Operator) (*joinTable, error) {
-	build := &joinTable{}
-	_, err := runOp(right, nil, build.rows.add)
-	return build, err
-}
-
-// openSerial is the build phase of the serial joins: drain the build child,
-// derive the runtime filters the plan announced (so they are published
-// before the probe side opens and its scans bind), and index the rows on the
-// context clock under a fresh grant: the whole build when the grant covers
-// it, the resident partitions of a spillJoin otherwise.
-func (b *hashBuild) openSerial(right Operator) error {
-	build, err := drainTable(right)
-	if err != nil {
-		return err
-	}
-	buildRuntimeFilters(b.ctx, b.node, b.ctx.Clock, build.rows.n, build.rows.value)
-	if b.grant = b.ctx.Mem.Grant(build.rows.n); build.rows.n > b.grant {
-		b.openSpill(&build.rows, 0)
-		return nil
-	}
-	build.index(b.node.RightKeys, b.ctx.Clock, 2) // insert costs double a probe (see cost model)
-	b.tab = build
-	return nil
-}
-
 // openSpill partitions a build that exceeded b.grant; probers then see the
 // resident partitions' table.
 func (b *hashBuild) openSpill(build *packedRows, depth int) {
 	b.spill = newSpillJoin(b.ctx, b.node, build, b.grant, depth)
 	b.tab = b.spill.table
-}
-
-// replay joins the spilled partitions once the probe input is exhausted
-// and returns their output rows, already charged; nil when nothing spilled.
-func (b *hashBuild) replay() ([]types.Row, error) {
-	if b.spill == nil {
-		return nil, nil
-	}
-	var out RowSet
-	err := b.spill.finish(out.add)
-	return out.Rows(), err
 }
 
 // release frees the table (or spill state) and returns the grant.
@@ -853,20 +852,18 @@ func (b *hashBuild) release() {
 	b.grant = 0
 }
 
-// joinProbe is one prober's state against a hashBuild: key scratch, the row
-// a match is boxed into, the reused output row and the cursor of the probe row
-// in flight. begin starts a probe row, next yields its joined rows one at a
-// time; a morsel worker owns one prober, the serial operators own one each.
+// joinProbe is one prober's state against a hashBuild: key scratch, the row a
+// match is boxed into and the reused output row. A pipeline worker owns one per
+// stage, linked to the next link of its chain; a spilled partition's replay
+// owns one of its own.
 type joinProbe struct {
 	*hashBuild
-	key   []types.Value
-	cand  types.Row
-	out   joinRow
-	lrow  types.Row
-	hash  uint64
-	cur   int32 // next candidate, -1 when the chain is exhausted
-	outer bool  // a null-extended row is still owed if nothing matches
-	rows  int64 // rows each has handed to its sinks so far
+	key  []types.Value
+	cand types.Row
+	out  joinRow
+	rows int64          // rows handed on so far
+	clk  *storage.Clock // a stage's: the clock it charges ...
+	down adder          // ... and where its rows go
 }
 
 func (b *hashBuild) prober() *joinProbe {
@@ -874,69 +871,48 @@ func (b *hashBuild) prober() *joinProbe {
 		hashBuild: b,
 		key:       make([]types.Value, len(b.node.LeftKeys)),
 		out:       newJoinRow(b.node),
-		cur:       -1,
 	}
 }
 
-// begin starts probing lr, charging clk one probe. lr must stay valid until
-// the last next call for it. A row whose partition spilled is deferred to
-// its probe run (copied) and yields nothing now: its matches and its outer
-// row come out of spillJoin.finish.
-func (p *joinProbe) begin(clk *storage.Clock, lr types.Row) {
-	clk.Probes(1)
-	p.lrow, p.cur, p.outer = lr, -1, p.node.Type == plan.LeftOuter
-	keyInto(p.key, lr, p.node.LeftKeys)
-	if keyHasNull(p.key) {
-		return
-	}
-	p.hash = types.HashRow(p.key)
-	if p.spill != nil && p.spill.deferProbe(lr, p.hash) {
-		p.outer = false
-		return
-	}
-	p.cur = p.tab.first(p.hash)
-}
+// add is a stage's link: each, on the prober's clock, into down.
+func (p *joinProbe) add(lr types.Row) error { return p.each(p.clk, lr, p.down.add) }
 
-// next returns the next output row of the probe row in flight — a match
-// passing the residual, then (left outer, nothing matched) the null-extended
-// row — charging clk one unit of row work per row returned. The row is the
-// prober's reused buffer, valid until the next call.
-func (p *joinProbe) next(clk *storage.Clock) (types.Row, bool, error) {
-	for p.cur >= 0 {
-		matched := p.tab.rows.match(p.key, int(p.cur), p.node.RightKeys, &p.cand)
-		p.cur = p.tab.after(p.cur, p.hash)
-		if !matched {
-			continue
-		}
-		out, ok, err := p.out.match(clk, p.ctx.Params, p.lrow, p.cand)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			p.outer = false
-			return out, true, nil
-		}
-	}
-	if p.outer {
-		p.outer = false
-		clk.RowWork(1)
-		return p.out.outer(p.lrow), true, nil
-	}
-	return nil, false, nil
-}
-
-// each probes lr to exhaustion, handing every output row to sink (which
-// must copy what it keeps).
+// each probes lr, charging clk one probe, and hands sink every output row — a
+// match passing the residual, then (left outer, nothing matched) the
+// null-extended row — charging one unit of row work each. The row is the
+// prober's reused buffer, valid until sink returns. A row whose partition
+// spilled is deferred to its probe run (copied) and yields nothing now: its
+// matches and its outer row come out of spillJoin.finish.
 func (p *joinProbe) each(clk *storage.Clock, lr types.Row, sink func(types.Row) error) error {
-	p.begin(clk, lr)
-	for {
-		r, ok, err := p.next(clk)
-		if err != nil || !ok {
-			return err
+	clk.Probes(1)
+	outer := p.node.Type == plan.LeftOuter
+	if keyInto(p.key, lr, p.node.LeftKeys); !keyHasNull(p.key) {
+		h := types.HashRow(p.key)
+		if p.spill != nil && p.spill.deferProbe(lr, h) {
+			return nil
 		}
-		p.rows++
-		if err := sink(r); err != nil {
-			return err
+		for i := p.tab.first(h); i >= 0; i = p.tab.after(i, h) {
+			if !p.tab.rows.match(p.key, int(i), p.node.RightKeys, &p.cand) {
+				continue
+			}
+			out, ok, err := p.out.match(clk, p.ctx.Params, lr, p.cand)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+			outer = false
+			p.rows++
+			if err := sink(out); err != nil {
+				return err
+			}
 		}
 	}
+	if !outer {
+		return nil
+	}
+	clk.RowWork(1)
+	p.rows++
+	return sink(p.out.outer(lr))
 }

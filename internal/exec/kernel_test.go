@@ -296,8 +296,8 @@ func TestJoinProbeMatchesNaive(t *testing.T) {
 		}
 		node := testJoinNode(outer)
 		ctx := NewContext()
-		b := hashBuild{ctx: ctx, node: node}
-		if err := b.openSerial(&sliceOp{rows: build}); err != nil {
+		b := &hashStage{hashBuild: hashBuild{ctx: ctx, node: node}, right: &sliceOp{rows: build}}
+		if err := b.openBuild(); err != nil {
 			t.Fatal(err)
 		}
 		p := b.prober()

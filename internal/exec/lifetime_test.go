@@ -59,8 +59,8 @@ func TestRowLifetime(t *testing.T) {
 // TestAggregateBeneathRetainers puts an aggregate — whose rows are lent: one
 // buffer, reassembled at every Next — directly beneath each kind of operator
 // that keeps rows: the root drain, DISTINCT, POP's materialisation point and a
-// hash join's build side (serial, and as a morsel partial merge under a fused
-// build). Each must hold its own copies.
+// hash join's build side (one worker's groups, and a morsel partial merge
+// under a fused build). Each must hold its own copies.
 func TestAggregateBeneathRetainers(t *testing.T) {
 	cat := spillCatalog(t)
 	big, _ := cat.Table("big")
@@ -120,9 +120,7 @@ func TestAggregateBeneathRetainers(t *testing.T) {
 		{"join build dop=2", join(), 2, wantJoin},
 	} {
 		ctx := NewContext()
-		if ctx.DOP = tc.dop; tc.dop > 1 {
-			plan.MarkParallel(tc.root, 1)
-		}
+		ctx.DOP = tc.dop
 		rows, err := Run(tc.root, ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -146,8 +144,9 @@ func TestAggregateBeneathRetainers(t *testing.T) {
 // one at a time into the exchange's one row — directly beneath each operator
 // that used to take them over as they were: the root drain, a sort, POP's
 // materialisation point, a nested-loop join's inner side and both inputs of a
-// merge join, at DOP 2 and 8. Each must hold its own copies: same rows in the
-// same order, and the same cost, as over serial scans.
+// merge join, at DOP 1 (a store refilled a morsel at a time), 2 and 8. Each
+// must hold its own copies: same rows in the same order, and the same cost, at
+// every DOP.
 func TestExchangeBeneathRetainers(t *testing.T) {
 	cat := spillCatalog(t)
 	big, _ := cat.Table("big")
@@ -176,7 +175,7 @@ func TestExchangeBeneathRetainers(t *testing.T) {
 			ctx := NewContext()
 			ctx.DOP = dop
 			rows, err := Run(tc.mk(func(tb *catalog.Table) plan.Node {
-				return &plan.ScanNode{Base: plan.Base{Out: tb.Schema, Title: "SeqScan(" + tb.Name + ")", Prop: plan.Props{Parallel: dop > 1}}, Table: tb}
+				return &plan.ScanNode{Base: plan.Base{Out: tb.Schema, Title: "SeqScan(" + tb.Name + ")"}, Table: tb}
 			}), ctx)
 			if err != nil || len(rows) < 900 {
 				t.Fatalf("%s dop=%d: %d rows, %v", tc.name, dop, len(rows), err)
@@ -186,7 +185,7 @@ func TestExchangeBeneathRetainers(t *testing.T) {
 		want, wantCost := run(1)
 		for _, dop := range []int{2, 8} {
 			if got, cost := run(dop); got != want || cost != wantCost {
-				t.Errorf("%s over an exchange at dop=%d: rows equal %v, cost %v, serial %v", tc.name, dop, got == want, cost, wantCost)
+				t.Errorf("%s over an exchange at dop=%d: rows equal %v, cost %v, dop 1 %v", tc.name, dop, got == want, cost, wantCost)
 			}
 		}
 	}

@@ -166,21 +166,15 @@ func TestNarrowPlanMatchesFullWidth(t *testing.T) {
 				if len(v.LeftKeys) > 0 {
 					v.Alg = plan.JoinHash
 				}
-			case *plan.AggNode:
-				v.Alg = plan.AggHash
 			case *plan.ScanNode:
 				v.Columnar = columnar
 			}
 		})
 		ctx := NewContext()
-		ctx.Mem = NewMemBroker(budget)
+		ctx.DOP, ctx.Mem = dop, NewMemBroker(budget)
 		if rf {
 			plan.PlanRuntimeFilters(root)
 			ctx.RF = NewRuntimeFilterSet(nil)
-		}
-		if dop > 1 {
-			plan.MarkParallel(root, 1)
-			ctx.DOP = dop
 		}
 		if shuffle != "unsharded" {
 			opt.PlanShuffles(root, 4, strings.TrimPrefix(shuffle, "planned"))

@@ -105,7 +105,7 @@ func chainOf(root plan.Node) []*plan.JoinNode {
 var chainQueries = []struct {
 	name, sql string
 	joins     int  // chain depth the plan must reach for the case to bite
-	agg       bool // topped by an aggregation (which takes a grant only when serial)
+	agg       bool // topped by an aggregation (which takes a grant only at one worker)
 }{
 	{"q3", `SELECT ord.o, COUNT(*), SUM(li.v) FROM cust, ord, li
 		WHERE cust.seg < 4 AND cust.c = li.c AND li.o = ord.o AND ord.d < 400 GROUP BY ord.o`, 2, true},
@@ -124,9 +124,8 @@ var chainQueries = []struct {
 // TestSpillPipelineChainsExact is the pipeline's exactness property: 3- and
 // 4-table probe chains (stars of two and three dimensions around li, with and
 // without the aggregate on top, one LEFT OUTER, one with a join residual)
-// return the serial run's
-// rows byte for byte and in order, at the serial run's integer-exact cost,
-// across heap/columnar × runtime filters × DOP {1, 2, 8} × memory budgets —
+// return one worker's rows byte for byte and in order, at its integer-exact
+// cost, across heap/columnar × runtime filters × DOP {2, 8} × memory budgets —
 // unlimited, tight (every build spills), shrinking mid-query, and the
 // schedule under which only the middle build of the chain spills, so the
 // chain breaks in two places.
@@ -157,9 +156,6 @@ func TestSpillPipelineChainsExact(t *testing.T) {
 	}
 	run := func(q string, columnar, rf bool, dop int, budget int, sched func(int) int) outcome {
 		root := chainPlan(t, cat, q, columnar, rf)
-		if dop > 1 && plan.MarkParallel(root, 1) == 0 {
-			t.Fatalf("%q: nothing marked parallel", q)
-		}
 		ctx := NewContext()
 		ctx.DOP = dop
 		ctx.Mem = NewMemBroker(budget)
@@ -218,19 +214,20 @@ func TestSpillPipelineChainsExact(t *testing.T) {
 						got := run(q.sql, columnar, rf, dop, b.budget, b.sched)
 						par = append(par, got)
 						if got.rows != want.rows {
-							t.Errorf("%s dop=%d: rows diverge from serial", cell, dop)
+							t.Errorf("%s dop=%d: rows diverge from dop 1", cell, dop)
 						}
 						if n := len(chain); got.spilled != want.spilled || fmt.Sprint(got.grants[:n]) != fmt.Sprint(want.grants[:n]) {
-							t.Errorf("%s dop=%d: %d builds spilled under grants %v, serial %d under %v",
+							t.Errorf("%s dop=%d: %d builds spilled under grants %v, dop 1 %d under %v",
 								cell, dop, got.spilled, got.grants[:n], want.spilled, want.grants[:n])
 						}
-						// The serial hashAgg takes a workspace grant of its own
-						// (and spills under a finite budget); the morsel
-						// aggregation does not, so under pressure an aggregate's
-						// cost is only comparable between parallel runs.
-						serialComparable := !q.agg || b.name == "unlimited"
-						if serialComparable && got.disabled == 0 && want.disabled == 0 && got.cost != want.cost {
-							t.Errorf("%s dop=%d: cost %v, serial %v", cell, dop, got.cost, want.cost)
+						// One worker's aggregation takes a workspace grant of
+						// its own (and spills under a finite budget); the
+						// per-morsel partials of more do not, so under
+						// pressure an aggregate's cost is only comparable
+						// between runs of more than one worker.
+						comparable := !q.agg || b.name == "unlimited"
+						if comparable && got.disabled == 0 && want.disabled == 0 && got.cost != want.cost {
+							t.Errorf("%s dop=%d: cost %v, dop 1 %v", cell, dop, got.cost, want.cost)
 						}
 					}
 					if par[0].disabled == 0 && par[1].disabled == 0 && par[0].cost != par[1].cost {
@@ -280,14 +277,13 @@ func nestedBuild(root plan.Node) *plan.JoinNode {
 	return found
 }
 
-// TestNestedBuildExact: a hash join whose build side is a join subtree
-// returns the serial operators' rows byte for byte and in order, at their
-// integer-exact cost, whether the plan runs on the serial operators or as
-// morsel pipelines (the build then a pipeline of its own, gathered through an
-// exchange whose rows the outer join's table takes over), at DOP {1, 2, 8},
-// on the heap and on columnar scans with runtime filters, with unlimited
-// workspace and under a budget every build exceeds. Nothing stays granted and
-// no temp run stays open.
+// TestNestedBuildExact: a hash join whose build side is a join subtree — a
+// pipeline of its own, packed straight into the outer join's table by one
+// worker and gathered through an exchange by more — returns one worker's rows
+// byte for byte and in order, at its integer-exact cost, at DOP {2, 8}, on the
+// heap and on columnar scans with runtime filters, with unlimited workspace
+// and under a budget every build exceeds. Nothing stays granted and no temp
+// run stays open.
 func TestNestedBuildExact(t *testing.T) {
 	cat := chainCatalog(t)
 	type outcome struct {
@@ -296,11 +292,8 @@ func TestNestedBuildExact(t *testing.T) {
 		disabled int64
 		spilled  int // partitions
 	}
-	run := func(q string, columnar, marked bool, dop, budget int) outcome {
+	run := func(q string, columnar bool, dop, budget int) outcome {
 		root := chainPlan(t, cat, q, columnar, columnar)
-		if marked && plan.MarkParallel(root, 1) == 0 {
-			t.Fatalf("%q: nothing marked parallel", q)
-		}
 		ctx := NewContext()
 		ctx.DOP = dop
 		ctx.Mem = NewMemBroker(budget)
@@ -309,7 +302,7 @@ func TestNestedBuildExact(t *testing.T) {
 		}
 		pagesBefore := storage.OpenTempPages()
 		rows, err := Run(root, ctx)
-		cell := fmt.Sprintf("%q columnar=%v marked=%v dop=%d budget=%d", q, columnar, marked, dop, budget)
+		cell := fmt.Sprintf("%q columnar=%v dop=%d budget=%d", q, columnar, dop, budget)
 		if err != nil {
 			t.Fatalf("%s: %v", cell, err)
 		}
@@ -332,24 +325,21 @@ func TestNestedBuildExact(t *testing.T) {
 		}
 		for _, columnar := range []bool{false, true} {
 			for _, budget := range []int{1 << 30, 64} {
-				want := run(q.sql, columnar, false, 1, budget)
+				want := run(q.sql, columnar, 1, budget)
 				if (want.spilled > 0) != (budget == 64) {
 					t.Fatalf("%s columnar=%v budget=%d: %d partitions spilled", q.name, columnar, budget, want.spilled)
 				}
-				for _, marked := range []bool{false, true} {
-					for _, dop := range []int{1, 2, 8} {
-						got := run(q.sql, columnar, marked, dop, budget)
-						cell := fmt.Sprintf("%s columnar=%v budget=%d marked=%v dop=%d", q.name, columnar, budget, marked, dop)
-						if got.rows != want.rows {
-							t.Errorf("%s: rows diverge from serial", cell)
-						}
-						// As in TestSpillPipelineChainsExact: the serial hashAgg
-						// takes a grant of its own, the morsel aggregation none.
-						pipelined := marked && dop > 1
-						comparable := !pipelined || !q.agg || budget == 1<<30
-						if comparable && got.disabled == 0 && want.disabled == 0 && got.cost != want.cost {
-							t.Errorf("%s: cost %v, serial %v", cell, got.cost, want.cost)
-						}
+				for _, dop := range []int{2, 8} {
+					got := run(q.sql, columnar, dop, budget)
+					cell := fmt.Sprintf("%s columnar=%v budget=%d dop=%d", q.name, columnar, budget, dop)
+					if got.rows != want.rows {
+						t.Errorf("%s: rows diverge from dop 1", cell)
+					}
+					// As in TestSpillPipelineChainsExact: one worker's
+					// aggregation takes a grant of its own, the partials none.
+					comparable := !q.agg || budget == 1<<30
+					if comparable && got.disabled == 0 && want.disabled == 0 && got.cost != want.cost {
+						t.Errorf("%s: cost %v, dop 1 %v", cell, got.cost, want.cost)
 					}
 				}
 			}
@@ -359,85 +349,94 @@ func TestNestedBuildExact(t *testing.T) {
 
 // TestParallelPipelineFusedNodesReportOnce: every node a pipeline fuses —
 // the scan and each inner join of a chain — still reports its cardinality
-// exactly once (ActualRows, OnActual, span Finish), equal to the serial
-// run's, and its span names the operator it fused into instead of a cost.
+// exactly once (ActualRows, OnActual, span Finish), at one worker and at two,
+// equal to what the node returns run as a plan of its own, and its span names
+// the operator it fused into instead of a cost.
 func TestParallelPipelineFusedNodesReportOnce(t *testing.T) {
 	cat := chainCatalog(t)
 	for _, q := range chainQueries {
-		serial := chainPlan(t, cat, q.sql, true, false)
-		if _, err := Run(serial, NewContext()); err != nil {
-			t.Fatal(err)
-		}
 		var want []float64
-		plan.Walk(serial, func(n plan.Node) { want = append(want, n.Props().ActualRows()) })
-
-		root := chainPlan(t, cat, q.sql, true, false)
-		plan.MarkParallel(root, 1)
-		ctx := NewContext()
-		ctx.DOP = 2
-		ctx.Trace = obs.NewTrace(ctx.Clock)
-		fired := map[plan.Node]int{}
-		ctx.OnActual = func(n plan.Node, _ float64) { fired[n]++ }
-		if _, err := Run(root, ctx); err != nil {
-			t.Fatal(err)
-		}
-		chain := chainOf(root)
-		sink := plan.Node(chain[0])
-		fusedWant := map[plan.Node]bool{}
-		if q.agg {
-			plan.Walk(root, func(n plan.Node) {
-				if a, ok := n.(*plan.AggNode); ok {
-					sink = a
-				}
-			})
-			fusedWant[chain[0]] = true
-		}
-		for _, j := range chain[1:] {
-			fusedWant[j] = true
-		}
-		fusedWant[chain[len(chain)-1].Kids[0]] = true // the probe-side scan
-		i := 0
-		plan.Walk(root, func(n plan.Node) {
-			if fired[n] != 1 {
-				t.Errorf("%s: %s fired OnActual %d times", q.name, n.Label(), fired[n])
+		plan.Walk(chainPlan(t, cat, q.sql, true, false), func(n plan.Node) {
+			rows, err := Run(n, NewContext())
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := n.Props().ActualRows(); got != want[i] {
-				t.Errorf("%s: %s actual rows %v, serial %v", q.name, n.Label(), got, want[i])
-			}
-			sp := ctx.Trace.SpanOf(n)
-			if sp.ActualRows() != want[i] {
-				t.Errorf("%s: %s span finished with %v rows, want %v", q.name, n.Label(), sp.ActualRows(), want[i])
-			}
-			into := ""
-			if fusedWant[n] {
-				into = sink.Label()
-			}
-			if sp.FusedInto() != into {
-				t.Errorf("%s: %s span fused into %q, want %q", q.name, n.Label(), sp.FusedInto(), into)
-			}
-			if into != "" && sp.Cost() != 0 {
-				t.Errorf("%s: fused %s carries cost %v of its own", q.name, n.Label(), sp.Cost())
-			}
-			i++
+			want = append(want, float64(len(rows)))
 		})
-		// One set of worker lines for the whole chain, under the sink's label;
-		// the only others are the builds' (hashing passes, build-side scans).
-		sinkLines := 0
-		for _, e := range ctx.Trace.Events() {
-			if e.Kind != "parallel.worker" {
-				continue
+		for _, dop := range []int{1, 2} {
+			root := chainPlan(t, cat, q.sql, true, false)
+			ctx := NewContext()
+			ctx.DOP = dop
+			ctx.Trace = obs.NewTrace(ctx.Clock)
+			fired := map[plan.Node]int{}
+			ctx.OnActual = func(n plan.Node, _ float64) { fired[n]++ }
+			if _, err := Run(root, ctx); err != nil {
+				t.Fatal(err)
 			}
-			if strings.HasPrefix(e.Detail, sink.Label()+" worker=") {
-				sinkLines++
-			} else if strings.Contains(e.Detail, " probe worker=") {
-				t.Errorf("%s: a probe of its own inside the chain: %s", q.name, e.Detail)
+			chain := chainOf(root)
+			sink := plan.Node(chain[0])
+			fusedWant := map[plan.Node]bool{}
+			if q.agg {
+				plan.Walk(root, func(n plan.Node) {
+					if a, ok := n.(*plan.AggNode); ok {
+						sink = a
+					}
+				})
+				fusedWant[chain[0]] = true
 			}
-		}
-		if sinkLines != ctx.DOP {
-			t.Errorf("%s: %d worker lines for sink %q, want one per worker", q.name, sinkLines, sink.Label())
-		}
-		if out := ctx.Trace.Render(); !strings.Contains(out, "fused into "+sink.Label()) {
-			t.Errorf("%s: EXPLAIN ANALYZE does not say fused:\n%s", q.name, out)
+			for _, j := range chain[1:] {
+				fusedWant[j] = true
+			}
+			fusedWant[chain[len(chain)-1].Kids[0]] = true // the probe-side scan
+			i := 0
+			plan.Walk(root, func(n plan.Node) {
+				cell := fmt.Sprintf("%s dop=%d: %s", q.name, dop, n.Label())
+				if fired[n] != 1 {
+					t.Errorf("%s fired OnActual %d times", cell, fired[n])
+				}
+				if got := n.Props().ActualRows(); got != want[i] {
+					t.Errorf("%s actual rows %v, want %v", cell, got, want[i])
+				}
+				sp := ctx.Trace.SpanOf(n)
+				if sp.ActualRows() != want[i] {
+					t.Errorf("%s span finished with %v rows, want %v", cell, sp.ActualRows(), want[i])
+				}
+				into := ""
+				if fusedWant[n] {
+					into = sink.Label()
+				}
+				if sp.FusedInto() != into {
+					t.Errorf("%s span fused into %q, want %q", cell, sp.FusedInto(), into)
+				}
+				if into != "" && sp.Cost() != 0 {
+					t.Errorf("%s fused carries cost %v of its own", cell, sp.Cost())
+				}
+				i++
+			})
+			// One set of worker lines for the whole chain, under the sink's
+			// label (none for one worker); the only others are the builds'
+			// (hashing passes, build-side scans).
+			sinkLines := 0
+			for _, e := range ctx.Trace.Events() {
+				if e.Kind != "parallel.worker" {
+					continue
+				}
+				if strings.HasPrefix(e.Detail, sink.Label()+" worker=") {
+					sinkLines++
+				} else if strings.Contains(e.Detail, " probe worker=") {
+					t.Errorf("%s dop=%d: a probe of its own inside the chain: %s", q.name, dop, e.Detail)
+				}
+			}
+			wantLines := dop
+			if dop == 1 {
+				wantLines = 0 // runMorsels runs one worker inline, untraced
+			}
+			if sinkLines != wantLines {
+				t.Errorf("%s dop=%d: %d worker lines for sink %q, want %d", q.name, dop, sinkLines, sink.Label(), wantLines)
+			}
+			if out := ctx.Trace.Render(); !strings.Contains(out, "fused into "+sink.Label()) {
+				t.Errorf("%s dop=%d: EXPLAIN ANALYZE does not say fused:\n%s", q.name, dop, out)
+			}
 		}
 	}
 }
@@ -468,9 +467,6 @@ func TestColumnarShardedJoinExact(t *testing.T) {
 					root := chainPlan(t, cat, q, true, false)
 					if opt.PlanShuffles(root, shards, force) == 0 {
 						t.Fatalf("%q: no join planned for shuffling", q)
-					}
-					if dop > 1 {
-						plan.MarkParallel(root, 1)
 					}
 					ctx := NewContext()
 					ctx.DOP, ctx.Shards, ctx.Shuffle = dop, shards, NewShuffleStats(shards)
@@ -530,7 +526,7 @@ func TestAllocCeilingPipeline(t *testing.T) {
 	// string; a quarter on top for the last chunks' spare room. (Measured 1.03
 	// of the two copies; a types.Value anywhere in between costs 40 B a value.)
 	tb, _ := cat.Table("lineitem")
-	scan := &plan.ScanNode{Base: plan.Base{Out: tb.Schema, Prop: plan.Props{Parallel: true}}, Table: tb, Columnar: true}
+	scan := &plan.ScanNode{Base: plan.Base{Out: tb.Schema}, Table: tb, Columnar: true}
 	perRow := 0.0
 	for _, col := range tb.Schema {
 		if perRow += packedValue; col.Kind == types.KindString {
@@ -538,11 +534,7 @@ func TestAllocCeilingPipeline(t *testing.T) {
 		}
 	}
 	_, buildSide := measureAllocs(func() {
-		op, err := build(scan, dop2())
-		if err != nil {
-			t.Fatal(err)
-		}
-		tab, err := drainTable(op)
+		tab, err := drainTable(dop2(), scan)
 		if err != nil || float64(tab.rows.n) != tableRows(t, cat, "lineitem") {
 			t.Fatalf("drained %d rows of lineitem, %v", tab.rows.n, err)
 		}
@@ -563,11 +555,7 @@ func TestAllocCeilingPipeline(t *testing.T) {
 	const q = `SELECT l_returnflag, COUNT(*), SUM(l_quantity) FROM supplier, orders, lineitem
 		WHERE s_nationkey < 10 AND s_suppkey = l_suppkey AND l_orderkey = o_orderkey
 		AND o_orderdate < DATE(9200) GROUP BY l_returnflag`
-	mk := func() plan.Node {
-		root := chainPlan(t, cat, q, true, false)
-		plan.MarkParallel(root, 1)
-		return root
-	}
+	mk := func() plan.Node { return chainPlan(t, cat, q, true, false) }
 	chain := chainOf(mk())
 	if sc, ok := chain[len(chain)-1].Kids[0].(*plan.ScanNode); len(chain) != 2 || !ok || sc.Table.Name != "lineitem" {
 		t.Fatalf("want lineitem probing a chain of two joins:\n%s", plan.Explain(mk()))
@@ -580,18 +568,7 @@ func TestAllocCeilingPipeline(t *testing.T) {
 	})
 	var buildObjects, buildBytes float64
 	for _, j := range chain {
-		o, b := measureAllocs(func() {
-			ctx := dop2()
-			right, err := build(j.Kids[1], ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pj := &parallelHashJoin{hashBuild: hashBuild{ctx: ctx, node: j}, right: right}
-			if err := pj.openBuild(); err != nil {
-				t.Fatal(err)
-			}
-			pj.release()
-		})
+		o, b := measureAllocs(func() { erectBuild(t, dop2(), j).release() })
 		buildObjects, buildBytes = buildObjects+o, buildBytes+b
 	}
 	n := tableRows(t, cat, "lineitem")
@@ -605,9 +582,10 @@ func TestAllocCeilingPipeline(t *testing.T) {
 }
 
 // TestAllocCeilingNestedBuild: a build side that is itself a join runs as a
-// pipeline of its own into an exchange, which packs a probe's reused output
-// row into the worker's store, and the hash table above packs it once more —
-// two copies at 9 B a value, exactly as for a build that is a scan.
+// pipeline of its own. One worker packs the probe's reused output row straight
+// into the hash table above — one copy at 9 B a value; more pack it into their
+// stores through an exchange and the table packs it once more — two, exactly
+// as for a build that is a scan.
 func TestAllocCeilingNestedBuild(t *testing.T) {
 	// Scale 4 (6 000 build rows): under the race detector a pooled block
 	// scratch is sometimes dropped and reallocated, a fixed number of bytes
@@ -627,7 +605,6 @@ func TestAllocCeilingNestedBuild(t *testing.T) {
 	const q = `SELECT l_quantity, o_orderdate, o_totalprice, c_mktsegment, c_acctbal
 		FROM customer, orders, lineitem WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey`
 	root := chainPlan(t, cat, q, true, false)
-	plan.MarkParallel(root, 1)
 	j := nestedBuild(root)
 	if j == nil {
 		t.Fatalf("no hash join builds on a join subtree:\n%s", plan.Explain(root))
@@ -636,39 +613,31 @@ func TestAllocCeilingNestedBuild(t *testing.T) {
 	if got := inner.Schema().Names(); len(got) != 5 || inner.Cols == nil {
 		t.Fatalf("the inner join emits %v (Cols %v), want o_orderkey and the four payload columns", got, inner.Cols)
 	}
-	dop2 := func() *Context {
-		ctx := NewContext()
-		ctx.DOP = 2
-		return ctx
-	}
-	erect := func(j *plan.JoinNode) (rows int, bytes float64) {
-		_, bytes = measureAllocs(func() {
-			ctx := dop2()
-			right, err := build(j.Kids[1], ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pj := &parallelHashJoin{hashBuild: hashBuild{ctx: ctx, node: j}, right: right}
-			if err := pj.openBuild(); err != nil {
-				t.Fatal(err)
-			}
-			rows = pj.tab.rows.n
-			pj.release()
-		})
-		return rows, bytes
-	}
-	_, innerBytes := erect(inner)
-	n, bytes := erect(j)
-	// Beyond the inner join's own build: the rows twice — 9 B a value, 16 B
-	// more for the one string column — with a quarter on top for the last
-	// chunks' spare room, and 28 B of hashes, links and buckets a row. Measured
-	// 167 B a row against this 180; a third copy, or one types.Value a value
-	// anywhere on the way, adds 61 or more. Under the race detector (pooled
-	// scratch dropped and reallocated) only the rows are counted.
-	rowBytes := float64(len(inner.Schema())*packedValue + 16)
-	got, ceiling := (bytes-innerBytes)/float64(n), 2*1.25*rowBytes+28
-	t.Logf("%d-row, %d-column nested build: %.0f bytes beyond its inner build's %.0f, %.0f B a row of %.0f packed", n, len(inner.Schema()), bytes-innerBytes, innerBytes, got, rowBytes)
-	if n == 0 || (!raceBuild && got > ceiling) {
-		t.Errorf("nested build of %d rows: %.0f B a row allocated (ceiling %.0f): held more than twice, or not packed", n, got, ceiling)
+	for _, dop := range []int{1, 2} {
+		erect := func(j *plan.JoinNode) (rows int, bytes float64) {
+			_, bytes = measureAllocs(func() {
+				ctx := NewContext()
+				ctx.DOP = dop
+				b := erectBuild(t, ctx, j)
+				rows = b.tab.rows.n
+				b.release()
+			})
+			return rows, bytes
+		}
+		_, innerBytes := erect(inner)
+		n, bytes := erect(j)
+		// Beyond the inner join's own build: the rows once per copy — 9 B a
+		// value, 16 B more for the one string column — with a quarter on top
+		// for the last chunks' spare room, and 28 B of hashes, links and
+		// buckets a row. Measured 167 B a row at two copies against this 180;
+		// a third copy, or one types.Value a value anywhere on the way, adds 61
+		// or more. Under the race detector (pooled scratch dropped and
+		// reallocated) only the rows are counted.
+		rowBytes := float64(len(inner.Schema())*packedValue + 16)
+		got, ceiling := (bytes-innerBytes)/float64(n), float64(dop)*1.25*rowBytes+28
+		t.Logf("dop=%d: %d-row, %d-column nested build: %.0f bytes beyond its inner build's %.0f, %.0f B a row of %.0f packed", dop, n, len(inner.Schema()), bytes-innerBytes, innerBytes, got, rowBytes)
+		if n == 0 || (!raceBuild && got > ceiling) {
+			t.Errorf("dop=%d: nested build of %d rows: %.0f B a row allocated (ceiling %.0f): held more than %d times, or not packed", dop, n, got, ceiling, dop)
+		}
 	}
 }

@@ -332,7 +332,7 @@ func TestPropertyRuntimeFiltersExact(t *testing.T) {
 		name string
 		dop  int
 	}{
-		{"row", 1},
+		{"dop1", 1},
 		{"dop2", 2},
 		{"dop8", 8},
 	}
@@ -349,16 +349,9 @@ func TestPropertyRuntimeFiltersExact(t *testing.T) {
 		}
 		for _, mem := range []int{0, 48} {
 			for _, cfg := range configs {
-				ref := mkPlan(t, q)
-				if cfg.dop > 1 {
-					plan.MarkParallel(ref, 1)
-				}
-				want, _ := run(t, ref, cfg.dop, mem, false)
+				want, _ := run(t, mkPlan(t, q), cfg.dop, mem, false)
 
 				root := mkPlan(t, q)
-				if cfg.dop > 1 {
-					plan.MarkParallel(root, 1)
-				}
 				planted += int64(plan.PlanRuntimeFilters(root))
 				got, ctx := run(t, root, cfg.dop, mem, true)
 				if strings.Join(got, ";") != strings.Join(want, ";") {

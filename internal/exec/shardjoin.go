@@ -44,9 +44,8 @@ type shardedHashJoin struct {
 	mode     plan.ShuffleMode
 	grant    int
 	rWidth   int
-	scanRF   *rfConsumer
-	scanCol  *colScanner
-	fallback *parallelGather // degraded path under memory pressure
+	src      morselSource // the fused probe scan, bound
+	fallback *gather      // degraded path under memory pressure
 	out      []types.Row
 	pos      int
 }
@@ -105,10 +104,10 @@ func (j *shardedHashJoin) scanBuild(rf *rfConsumer, lo, hi int, clk *storage.Clo
 	return kept.Rows(), err
 }
 
-// drainBuild materializes the build side in serial order with serial
+// drainBuild materializes the build side in heap order with one worker's
 // charges: through the child operator, or — when a planned co-located join
 // degraded at run time and has no build operator — by scanning the build
-// table with seqScan-identical charges.
+// table's pages with a heap scan's charges.
 func (j *shardedHashJoin) drainBuild() ([]types.Row, error) {
 	if j.right != nil {
 		return drain(j.right)
@@ -118,40 +117,37 @@ func (j *shardedHashJoin) drainBuild() ([]types.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	finishNode(j.ctx, j.buildScan, float64(len(rows)), j.node)
+	finishNode(j.ctx, j.buildScan, float64(len(rows)), j.node, 0)
 	return rows, nil
 }
 
-// bindScan binds the fused probe scan's runtime filters (after the build
-// published its own) and resolves its columnar core.
+// bindScan binds the fused probe scan (after the build published its runtime
+// filters), cut into the morsels the shards share out.
 func (j *shardedHashJoin) bindScan() {
-	if j.scan != nil {
-		j.scanRF = bindRuntimeFilters(j.ctx, j.scan.RFConsume, j.scan.Cols)
-		j.scanCol = colScannerFor(j.ctx, j.scan, j.scanRF)
+	if j.src.scan = j.scan; j.scan != nil {
+		j.src.bindScan(j.ctx, MorselPages)
 	}
 }
 
-// degrade routes the whole join through the serial spill machinery when
-// the build exceeded its grant: sharding a workspace that does not fit
-// would multiply pressure, so the robust move is to give the shuffle up
-// for this join and degrade exactly like the unsharded engine does.
+// degrade routes the whole join through the spill machinery when the build
+// exceeded its grant: sharding a workspace that does not fit would multiply
+// pressure, so the robust move is to give the shuffle up for this join and
+// degrade exactly like the unsharded engine does — a pipeline of one
+// spilled stage, which one worker drains.
 func (j *shardedHashJoin) degrade(build []types.Row) error {
 	j.ctx.Shuffle.degraded()
 	if j.ctx.Trace != nil {
 		j.ctx.Trace.Event("shuffle.degrade", fmt.Sprintf(
 			"build=%d grant=%d: shuffle bypassed for serial spill path", len(build), j.grant))
 	}
-	fb := &parallelHashJoin{
-		hashBuild: hashBuild{ctx: j.ctx, node: j.node, grant: j.grant},
-		held:      true,
-	}
+	fb := &hashStage{hashBuild: hashBuild{ctx: j.ctx, node: j.node, grant: j.grant}, held: true}
 	fb.openSpill(&packRows(build).rows, 0)
 	// The grant and the probe child now belong to the fallback's pipeline.
-	j.fallback = &parallelGather{pipe: &pipeline{
-		ctx: j.ctx, root: j.node, src: morselSource{scan: j.scan}, child: j.left, stages: []*parallelHashJoin{fb},
-	}}
-	j.grant, j.left = 0, nil
-	return j.fallback.Open()
+	g := &gather{}
+	g.ctx, g.root, g.stages = j.ctx, j.node, []*hashStage{fb}
+	g.src.scan, g.src.op = j.scan, j.left
+	j.fallback, j.grant, j.left = g, 0, nil
+	return g.Open()
 }
 
 // spec assembles the ShuffleJoinSpec a transport needs to build and probe
@@ -320,19 +316,18 @@ func (j *shardedHashJoin) runShuffled(build []types.Row) error {
 		return nil
 	}
 	if j.scan != nil {
-		nm, npages := scanGeometry(j.scan, j.scanCol)
 		var scanned int64
 		if err := runShards(n, func(s int) error {
-			lo, hi := shardRange(s, n, nm)
+			lo, hi := shardRange(s, n, j.src.n)
 			pk := make([]types.Value, len(j.node.LeftKeys))
-			var scratch scanScratch
+			scratch := getScratch()
 			defer scratch.release()
 			var arena RowArena
 			var cnt int64
 			for m := lo; m < hi; m++ {
 				mseq := int64(m) << shardSeqShift
 				k := int64(0)
-				err := scanMorsel(ctx, j.scan, j.scanRF, j.scanCol, m, npages, clks[s], &scratch, func(lr types.Row) error {
+				err := j.src.scanMorsel(ctx, m, clks[s], scratch, func(lr types.Row) error {
 					lr = arena.Copy(lr) // the exchange keeps it; the scan only lends it
 					keyInto(pk, lr, j.node.LeftKeys)
 					if err := route(s, mseq|k, lr, pk); err != nil {
@@ -351,7 +346,7 @@ func (j *shardedHashJoin) runShuffled(build []types.Row) error {
 		}); err != nil {
 			return err
 		}
-		finishNode(ctx, j.scan, float64(atomic.LoadInt64(&scanned)), j.node)
+		finishNode(ctx, j.scan, float64(atomic.LoadInt64(&scanned)), j.node, 0)
 	} else {
 		lrows, err := drain(j.left)
 		j.left = nil
@@ -536,7 +531,7 @@ func (j *shardedHashJoin) runColocated() error {
 	for _, rows := range bRows {
 		totalBuild += len(rows)
 	}
-	finishNode(ctx, j.buildScan, float64(totalBuild), j.node)
+	finishNode(ctx, j.buildScan, float64(totalBuild), j.node, 0)
 	if ctx.RF != nil && len(j.node.RFilters) > 0 {
 		all := slices.Concat(bRows...)
 		buildRuntimeFilters(ctx, j.node, ctx.Clock, len(all), func(i, c int) types.Value { return all[i][c] })
@@ -572,7 +567,7 @@ func (j *shardedHashJoin) runColocated() error {
 		var tagged []ShufOut
 		var scratch types.Row
 		var cnt int64
-		err := scanPageRange(ctx, j.scan, j.scanRF, pp[s], pp[s+1], clks[s], &scratch, func(lr types.Row) error {
+		err := scanPageRange(ctx, j.scan, j.src.rf, pp[s], pp[s+1], clks[s], &scratch, func(lr types.Row) error {
 			cnt++
 			return w.Probe(ShufProbe{Seq: cnt, Main: true, Row: lr}, &tagged)
 		})
@@ -589,7 +584,7 @@ func (j *shardedHashJoin) runColocated() error {
 	}); err != nil {
 		return err
 	}
-	finishNode(ctx, j.scan, float64(atomic.LoadInt64(&scanned)), j.node)
+	finishNode(ctx, j.scan, float64(atomic.LoadInt64(&scanned)), j.node, 0)
 	for _, rows := range outs {
 		j.out = append(j.out, rows...)
 	}

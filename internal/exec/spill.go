@@ -115,10 +115,8 @@ func (ctx *Context) spillEvent(kind, format string, args ...any) {
 // ---------- partitioned (grace/hybrid) hash join ----------
 
 // spillJoin is the spill state of a hashBuild whose build exceeded its
-// grant, shared by the row-at-a-time and morsel-parallel operators alike so
-// the two paths stay charge- and result-identical under pressure. Probe
-// rows whose partition is resident are answered immediately from table
-// (preserving the streaming probe order), the rest are deferred to probe
+// grant. Probe rows whose partition is resident are answered immediately from
+// table (preserving the streaming probe order), the rest are deferred to probe
 // runs and joined when finish replays the spilled partitions.
 type spillJoin struct {
 	ctx      *Context
@@ -325,7 +323,7 @@ func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Ro
 
 // ---------- spilling hash aggregation ----------
 
-// aggSink is the grouping state of the serial hash aggregation: resident
+// aggSink is the grouping state of one worker's hash aggregation: resident
 // groups up to the broker's grant, input rows for groups beyond it spilled
 // to hash partitions that finish re-aggregates recursively. A group is
 // either entirely resident or entirely spilled: rows of a key seen before
@@ -350,12 +348,12 @@ func newAggSink(ctx *Context, lay *aggLayout, depth int) *aggSink {
 	}
 }
 
-// add routes one input row: accumulate into its (existing or newly created)
-// resident group, or spill the row to its key partition when the resident
-// table is full and the key is new. The caller charges its per-input-row
-// probe itself. r must remain valid until add returns; spilled rows are
-// copied.
+// add routes one input row, charging its probe: accumulate into its (existing
+// or newly created) resident group, or spill the row to its key partition
+// when the resident table is full and the key is new. r must remain valid
+// until add returns; spilled rows are copied.
 func (s *aggSink) add(r types.Row) error {
+	s.ctx.Clock.Probes(1)
 	h, ok, err := s.tab.fold(r, s.ctx.Params, s.grant)
 	if ok || err != nil {
 		return err
@@ -403,7 +401,6 @@ func (s *aggSink) finish() ([]aggSeg, error) {
 		}
 		sub := newAggSink(s.ctx, s.tab.lay, s.depth+1)
 		for _, r := range rows {
-			s.ctx.Clock.Probes(1) // the re-aggregation probe
 			if err := sub.add(r); err != nil {
 				return nil, err
 			}

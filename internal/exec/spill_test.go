@@ -123,9 +123,6 @@ var spillQueries = []string{
 func runSpillQuery(t testing.TB, cat *catalog.Catalog, q string, budget int, dop int, sched func(int) int) ([]types.Row, *Context) {
 	t.Helper()
 	root := parallelPlanFor(t, cat, q)
-	if dop > 1 {
-		plan.MarkParallel(root, 1)
-	}
 	ctx := NewContext()
 	ctx.Mem = NewMemBroker(budget)
 	if sched != nil {
@@ -301,7 +298,7 @@ func TestSpillAggSortedFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out aggOutput
-		out.open(ctx.Clock, sink.tab.lay, segs, allGroups(segs))
+		out.sort(ctx.Clock, sink.tab.lay, segs, allGroups(segs))
 		var rows []string
 		for r, ok, _ := out.Next(); ok; r, ok, _ = out.Next() {
 			rows = append(rows, r.String())

@@ -70,9 +70,6 @@ func MemSweep(scale float64) (*Report, []MemSweepPoint, error) {
 			if err != nil {
 				return 0, nil, nil, err
 			}
-			if dop > 1 {
-				plan.MarkParallel(root, 1)
-			}
 			rows, err := exec.Run(root, ctx)
 			if err != nil {
 				return 0, nil, nil, fmt.Errorf("E23 %s budget=%d: %w", name, budget, err)

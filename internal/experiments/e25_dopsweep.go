@@ -64,9 +64,6 @@ func DopSweep(scale float64) (*Report, []DopSweepPoint, error) {
 			if err != nil {
 				return 0, nil, err
 			}
-			if dop > 1 {
-				plan.MarkParallel(root, 1)
-			}
 			rows, err := exec.Run(root, ctx)
 			if err != nil {
 				return 0, nil, fmt.Errorf("E25 %s dop=%d: %w", name, dop, err)

@@ -573,7 +573,7 @@ func (o *Optimizer) finish(q *plan.Query, core entry, lv liveness) (plan.Node, e
 			outSchema = append(outSchema, types.Column{Name: a.Name, Kind: kind})
 		}
 		groups := estimateGroups(rows, len(groupExprs))
-		ag := &plan.AggNode{Alg: plan.AggHash, GroupExprs: groupExprs, Aggs: aggs}
+		ag := &plan.AggNode{GroupExprs: groupExprs, Aggs: aggs}
 		ag.Kids = []plan.Node{node}
 		ag.Out = outSchema
 		ag.Title = "HashAggregate"

@@ -70,10 +70,6 @@ type Props struct {
 	// Validity is the cardinality range within which this node's parent
 	// plan choice remains optimal (POP validity range); zero range = unset.
 	ValidityLo, ValidityHi float64
-	// Parallel marks the node eligible for morsel-driven parallel
-	// execution (set by MarkParallel; honored by exec when the context
-	// carries a degree of parallelism above one).
-	Parallel bool
 	// RFCredit is the cost-model credit this subtree was granted for
 	// runtime join filters (set by opt.CreditRuntimeFilters; recorded so
 	// re-crediting a cached plan can undo the previous credit first).
@@ -289,19 +285,10 @@ type SortNode struct {
 	Keys []OrderSpec
 }
 
-// AggAlg selects hash or stream (sorted-input) aggregation.
-type AggAlg uint8
-
-// Aggregation algorithms.
-const (
-	AggHash AggAlg = iota
-	AggStream
-)
-
-// AggNode groups and aggregates. Output schema: group exprs then agg slots.
+// AggNode groups and aggregates by hashing. Output schema: group exprs then
+// agg slots.
 type AggNode struct {
 	Base
-	Alg        AggAlg
 	GroupExprs []expr.Expr
 	Aggs       []AggSpec
 }
@@ -352,49 +339,6 @@ func explain(sb *strings.Builder, n Node, depth int, actual bool) {
 	for _, c := range n.Children() {
 		explain(sb, c, depth+1, actual)
 	}
-}
-
-// MarkParallel annotates the nodes of a physical plan that the executor may
-// run with morsel-driven parallelism: sequential scans over tables of at
-// least minRows rows, hash joins whose probe (left) side contains such a
-// scan, and hash aggregations fed by one. Pass-through operators (filter,
-// project, sort, ...) stay serial; they simply propagate whether a parallel
-// source exists below them. Returns the number of nodes marked. Marking is
-// idempotent: re-marking a plan recomputes the same annotations (but a
-// plan other sessions may be executing must not be re-marked: this writes).
-func MarkParallel(root Node, minRows int64) int {
-	marked := 0
-	var rec func(Node) bool
-	rec = func(nd Node) bool {
-		kids := nd.Children()
-		kpar := make([]bool, len(kids))
-		for i, c := range kids {
-			kpar[i] = rec(c)
-		}
-		p := nd.Props()
-		p.Parallel = false
-		switch v := nd.(type) {
-		case *ScanNode:
-			p.Parallel = v.Table.Heap.NumRows() >= minRows
-		case *JoinNode:
-			p.Parallel = v.Alg == JoinHash && kpar[0]
-		case *AggNode:
-			p.Parallel = v.Alg == AggHash && len(kids) == 1 && kpar[0]
-		default:
-			for _, k := range kpar {
-				if k {
-					return true
-				}
-			}
-			return false
-		}
-		if p.Parallel {
-			marked++
-		}
-		return p.Parallel
-	}
-	rec(root)
-	return marked
 }
 
 // Walk visits the plan tree pre-order.
