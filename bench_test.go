@@ -413,6 +413,47 @@ func BenchmarkColScanAfterDML(b *testing.B) {
 	}
 }
 
+// BenchmarkColScanConjuncts is the columnar scan's filter cascade at the
+// benchmark's scale (8): htap_mixed's range read of orders, two conjuncts on
+// one column that keep about one row in ninety, and Q6's scan of lineitem,
+// five conjuncts on three columns. Each reports ns, B and allocs per
+// statement and its simulated units.
+func BenchmarkColScanConjuncts(b *testing.B) {
+	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 8, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"orders", "lineitem"} {
+		t, _ := cat.Table(name)
+		cat.BuildColumnar(t, storage.DefaultColBlock)
+	}
+	for _, c := range []struct{ name, sql string }{
+		{"range", `SELECT o_custkey, COUNT(*), SUM(o_totalprice) FROM orders
+			WHERE o_orderdate >= DATE(8500) AND o_orderdate < DATE(8530) GROUP BY o_custkey ORDER BY o_custkey`},
+		{"q6", workload.TPCHQueries()["Q6"]},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			root := parallelBenchPlan(b, cat, c.sql)
+			plan.Walk(root, func(n plan.Node) {
+				if sc, ok := n.(*plan.ScanNode); ok {
+					sc.Columnar = true
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			var units float64
+			for i := 0; i < b.N; i++ {
+				ctx := exec.NewContext()
+				if _, err := exec.Run(root, ctx); err != nil {
+					b.Fatal(err)
+				}
+				units = ctx.Clock.Units()
+			}
+			b.ReportMetric(units, "units/op")
+		})
+	}
+}
+
 // ---------- one worker ----------
 
 // benchSerialQuery measures one query at DOP 1.

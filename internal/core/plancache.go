@@ -55,6 +55,8 @@ const (
 //     class are everything the optimizer derives from a value, the optimizer
 //     is deterministic, so it would return the very plan cached. Key lookups
 //     live here — a unique key's selectivity is the same for every value.
+//     (Under Options.Columnar the ColScan estimate also asks the zone maps
+//     which blocks a value leaves to read; there a point is approximate too.)
 //   - A region reaches a factor 1+λ beyond the binds it was built from
 //     (split evenly over the conjuncts): a plan's cost grows at most linearly
 //     in a selectivity and the optimal cost does not fall as selectivity

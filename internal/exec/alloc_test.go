@@ -338,3 +338,56 @@ func TestAllocCeilingAggregate(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocCeilingColScan: a columnar scan allocates per scan and per worker,
+// never per block. Q6 over lineitem snapshots of 512-row blocks — five pushed
+// conjuncts ranked, read and evaluated in every block — allocates as many
+// objects at scale 8 as at scale 2, four times the blocks, give or take a
+// few, and at DOP 2 what one more worker takes (its goroutine, scratch and
+// partial aggregate: about twenty objects).
+func TestAllocCeilingColScan(t *testing.T) {
+	if raceBuild {
+		t.Skip("under -race pooled scratch is dropped and allocated anew")
+	}
+	const maxExtra, maxWorker = 16, 32 // objects scale 8 beyond scale 2; DOP 2 beyond DOP 1
+	var objects [2][2]float64          // scale, DOP
+	for si, scale := range []float64{2, 8} {
+		cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: scale, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		li, _ := cat.Table("lineitem")
+		cat.BuildColumnar(li, 512)
+		root := chainPlan(t, cat, workload.TPCHQueries()["Q6"], true, false)
+		plan.Walk(root, func(n plan.Node) {
+			if sc, ok := n.(*plan.ScanNode); ok {
+				if c := colScannerFor(NewContext(), sc, nil); c == nil || len(c.pushed) != 5 {
+					t.Fatalf("scale %v: the lineitem scan does not push Q6's five conjuncts:\n%s", scale, plan.Explain(root))
+				}
+			}
+		})
+		for di, dop := range []int{1, 2} {
+			objects[si][di], _ = measureAllocs(func() {
+				ctx := NewContext()
+				ctx.DOP = dop
+				if _, _, err := Drain(root, ctx, func(types.Row) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+				if ctx.ColBlocksScanned == 0 {
+					t.Fatalf("scale %v dop %d: no block read", scale, dop)
+				}
+			})
+		}
+	}
+	t.Logf("objects at scale 2 / 8: dop 1 %.0f / %.0f, dop 2 %.0f / %.0f", objects[0][0], objects[1][0], objects[0][1], objects[1][1])
+	for di, dop := range []int{1, 2} {
+		if at2, at8 := objects[0][di], objects[1][di]; at8-at2 > maxExtra {
+			t.Errorf("dop %d: %.0f objects at scale 8 against %.0f at scale 2: more than %d, so per block", dop, at8, at2, maxExtra)
+		}
+	}
+	for si, scale := range []float64{2, 8} {
+		if d := objects[si][1] - objects[si][0]; d > maxWorker || d < 0 {
+			t.Errorf("scale %v: %.0f objects at dop 2 against %.0f at dop 1: not one worker's", scale, objects[si][1], objects[si][0])
+		}
+	}
+}

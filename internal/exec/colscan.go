@@ -15,20 +15,24 @@ import (
 
 // Columnar scan execution. A pipeline's columnar source and the sharded
 // join's probe scan share one core, colScanner.scanMorsel, so they issue the
-// identical multiset of clock charges per morsel, whichever worker runs it:
+// identical multiset of clock charges per morsel, whichever worker runs it.
+// A block pays for the rows still alive:
 //
-//	ZoneCheck(1)       per consulted pruning source (each pushed col⋈const
-//	                   conjunct in order, then each enabled bounded runtime
-//	                   filter), short-circuiting on the first prune;
-//	SeqRead(span)      per decoded column of a surviving block: the node's
-//	                   Cols plus whatever else its filter or a runtime
-//	                   filter reads (nothing else, in a plan the optimizer
-//	                   made: a block's conjuncts are columns the query
-//	                   mentions);
-//	FilterTest(units)  per pushed conjunct, where units is the block's
-//	                   encoded evaluation work (run count for RLE blocks);
-//	rf admission + RowWork(1) per row surviving the encoded filters, with
-//	                   the residual predicate folded into that charge;
+//	ZoneCheck(1)       per pushed col⋈const conjunct of a block read, or one
+//	                   for a block they rule out (rank puts the conjunct that
+//	                   does first); then per enabled bounded runtime filter,
+//	                   short-circuiting on the first that prunes;
+//	SeqRead(span)      per column a pushed conjunct reads, of a block read;
+//	FilterTest(units)  per pushed conjunct, most selective first (see rank),
+//	                   each over the rows the ones before left alive: units is
+//	                   those rows, or an RLE block's run count, and once no
+//	                   row is alive nothing more is evaluated or charged;
+//	SeqRead(span)      per other column the block decodes — the node's Cols
+//	                   plus what its residual or a runtime filter reads — once
+//	                   a row survives the conjuncts; only survivors are
+//	                   decoded, and a column only a conjunct reads never is;
+//	rf admission + RowWork(1) per row surviving the conjuncts, with the
+//	                   residual predicate folded into that charge;
 //	a heap scan's charges for each changed page, in the block its rows began
 //	                   in (read, pruned or covered), and for each tail page,
 //	                   MorselPages to a morsel after the last block.
@@ -44,21 +48,16 @@ type colScanner struct {
 	cs   *storage.ColumnStore
 	rf   *rfConsumer
 
-	need        []int       // table columns to decode, always non-nil and sorted
-	pushed      []pushedCmp // col ⋈ const conjuncts evaluated on encoded blocks
-	alwaysFalse bool        // a conjunct compares against NULL: nothing matches
-	residual    expr.Expr   // conjuncts that could not be pushed
+	pushed   []plan.PushedCmp // col ⋈ const conjuncts evaluated on encoded blocks
+	never    bool             // a conjunct compares against NULL: nothing matches
+	residual expr.Expr        // conjuncts that could not be pushed
+	reads    []int            // a block's columns read: reads[:nfilter] the conjuncts', then the rest of need
+	nfilter  int
+	need     []int // table columns to decode, ascending
 
 	start          []int32 // the snapshot's HeapMark.PageStart
 	changed        []int32 // changed pages, ascending
 	tailLo, tailHi int     // tail pages [tailLo, tailHi)
-}
-
-// pushedCmp is one col ⋈ const conjunct lowered onto the column store.
-type pushedCmp struct {
-	col int
-	op  storage.CmpOp
-	v   types.Value
 }
 
 // colScannerFor builds the shared columnar scan core for a scan node, or
@@ -85,87 +84,57 @@ func colScannerFor(ctx *Context, node *plan.ScanNode, rf *rfConsumer) *colScanne
 	}
 	var conj, rest [8]expr.Expr // a filter's conjuncts, most often without an allocation
 	cjs := expr.AppendConjuncts(conj[:0], node.Filter)
-	c.pushed = make([]pushedCmp, 0, len(cjs))
-	residual := rest[:0]
-	for _, cj := range cjs {
-		col, op, v, ok := expr.SplitColConst(cj, ctx.Params)
-		if ok && col >= 0 && col < cs.NumCols() {
-			if v.IsNull() {
-				// col ⋈ NULL is never true, so the conjunction — and with it
-				// the whole scan — is empty.
-				c.alwaysFalse = true
-				continue
-			}
-			if cop, ok2 := storageCmpOp(op); ok2 {
-				c.pushed = append(c.pushed, pushedCmp{col: col, op: cop, v: v})
-				continue
-			}
-		}
-		residual = append(residual, cj)
-	}
-	c.residual = expr.AndAll(residual)
-	c.need = c.decodeSet()
+	pushed, residual, never := plan.PushDown(cjs, ctx.Params, cs.NumCols(), make([]plan.PushedCmp, 0, len(cjs)), rest[:0])
+	c.pushed, c.residual, c.never = pushed, expr.AndAll(residual), never
+	c.columns()
 	return c
 }
 
-// decodeSet lists the table columns the scan decodes, ascending: the columns
-// it emits and any other its pushed conjuncts, residual or runtime filters
-// test.
-func (c *colScanner) decodeSet() []int {
-	need := make([]int, c.cs.NumCols()) // need[col] != 0 marks col, until compacted
-	if c.node.Cols == nil {
-		for col := range need {
-			need[col] = col
+// columns lists, each ascending, the table columns the scan decodes — the
+// columns it emits and any other its residual or runtime filters test — and
+// those it reads from a block: first the pushed conjuncts' columns, then the
+// rest of the decoded ones.
+func (c *colScanner) columns() {
+	const decoded, tested = 1, 2
+	n := c.cs.NumCols()
+	buf := make([]int, 3*n)
+	mark := buf[:n]
+	for col := range mark {
+		if c.node.Cols == nil || slices.Contains(c.node.Cols, col) {
+			mark[col] = decoded
 		}
-		return need
-	}
-	for _, col := range c.node.Cols {
-		need[col] = 1
-	}
-	for _, p := range c.pushed {
-		need[p.col] = 1
 	}
 	if c.residual != nil {
-		c.residual.Walk(func(n expr.Expr) bool {
-			if col, ok := n.(*expr.Col); ok && col.Index >= 0 && col.Index < len(need) {
-				need[col.Index] = 1
+		c.residual.Walk(func(e expr.Expr) bool {
+			if col, ok := e.(*expr.Col); ok && col.Index >= 0 && col.Index < n {
+				mark[col.Index] |= decoded
 			}
 			return true
 		})
 	}
 	if c.rf != nil {
 		for _, col := range c.rf.cols {
-			need[col] = 1
+			mark[col] |= decoded
 		}
 	}
-	n := 0
-	for col, marked := range need {
-		if marked != 0 {
-			need[n] = col
-			n++
+	for _, p := range c.pushed {
+		mark[p.Col] |= tested
+	}
+	c.reads, c.need = buf[n:n:2*n], buf[2*n:2*n]
+	for col, m := range mark {
+		if m&tested != 0 {
+			c.reads = append(c.reads, col)
 		}
 	}
-	return need[:n]
-}
-
-// storageCmpOp maps an expression comparison operator onto the storage
-// layer's CmpOp.
-func storageCmpOp(op expr.Op) (storage.CmpOp, bool) {
-	switch op {
-	case expr.OpEQ:
-		return storage.CmpEQ, true
-	case expr.OpNE:
-		return storage.CmpNE, true
-	case expr.OpLT:
-		return storage.CmpLT, true
-	case expr.OpLE:
-		return storage.CmpLE, true
-	case expr.OpGT:
-		return storage.CmpGT, true
-	case expr.OpGE:
-		return storage.CmpGE, true
+	c.nfilter = len(c.reads)
+	for col, m := range mark {
+		if m == decoded {
+			c.reads = append(c.reads, col)
+		}
+		if m&decoded != 0 {
+			c.need = append(c.need, col)
+		}
 	}
-	return 0, false
 }
 
 // scanMorsel scans morsel m: block m, or past the last block a run of tail
@@ -205,25 +174,27 @@ func (c *colScanner) skip(b int, why string) {
 }
 
 // pruned reports whether block b need not be read — changed pages cover it,
-// or its zones rule it out — charging the zone checks that decided.
-func (c *colScanner) pruned(b int, clk *storage.Clock, covered bool) bool {
+// or its zones rule it out — charging the zone checks that decided. The
+// pushed conjuncts are consulted in rank order, which puts one the zone rules
+// out first: a block they prune pays one check, a block read one for each.
+// Otherwise it returns that order, which the block's conjuncts run in.
+func (c *colScanner) pruned(b int, clk *storage.Clock, covered bool, s *blockScratch) ([]ranked, bool) {
 	if covered {
 		c.skip(b, "delta")
-		return true
+		return nil, true
 	}
-	if c.alwaysFalse {
+	if c.never {
 		clk.ZoneChecks(1)
 		c.skip(b, "const")
-		return true
+		return nil, true
 	}
-	for i := range c.pushed {
-		p := &c.pushed[i]
+	ord := c.rank(b, s)
+	if len(ord) > 0 && ord[0].key < 0 {
 		clk.ZoneChecks(1)
-		if c.cs.ZonePrune(p.col, b, p.op, p.v) {
-			c.skip(b, "zone")
-			return true
-		}
+		c.skip(b, "zone")
+		return nil, true
 	}
+	clk.ZoneChecks(len(ord))
 	if c.rf != nil {
 		for i, f := range c.rf.filters {
 			if !f.enabled() || !f.bounded {
@@ -233,11 +204,11 @@ func (c *colScanner) pruned(b int, clk *storage.Clock, covered bool) bool {
 			zmin, zmax, ok := c.cs.Zone(c.rf.cols[i], b)
 			if !ok || types.Compare(zmax, f.min) < 0 || types.Compare(zmin, f.max) > 0 {
 				c.skip(b, "rf")
-				return true
+				return nil, true
 			}
 		}
 	}
-	return false
+	return ord, false
 }
 
 // scanBlock processes block b, charging clk per the contract above and
@@ -252,30 +223,28 @@ func (c *colScanner) pruned(b int, clk *storage.Clock, covered bool) bool {
 func (c *colScanner) scanBlock(b int, clk *storage.Clock, s *blockScratch, emit func(types.Row) error) error {
 	lo, nrows := b*c.cs.BlockSize(), c.cs.BlockRows(b)
 	first, last, covered := c.delta(lo, lo+nrows)
-	if c.pruned(b, clk, covered == nrows) {
+	ord, skip := c.pruned(b, clk, covered == nrows, s)
+	if skip {
 		nrows = 0 // none of its positions: only the changed pages beginning in it
 	}
 	keep, vals, buf := s.size(nrows, len(c.need), c.cs.NumCols()+len(c.node.Cols))
 	if nrows > 0 { // read: every block holds a row
-		for _, col := range c.need {
-			clk.SeqRead(c.cs.PageSpan(col, b))
-		}
 		for _, p := range c.changed[first:last] {
 			clear(keep[max(int(c.start[p])-lo, 0):min(int(c.start[p+1])-lo, nrows)])
 		}
-		for i := range c.pushed {
-			p := &c.pushed[i]
-			clk.FilterTestsBatch(c.cs.EvalUnits(p.col, b))
-			c.cs.EvalBlock(p.col, b, p.op, p.v, keep)
-		}
+		alive, decoded := c.filter(b, nrows-covered, keep, clk, ord), 0
 		atomic.AddInt64(&c.ctx.ColBlocksScanned, 1)
-		if c.ctx.Trace != nil {
-			c.ctx.Trace.Event("columnar.decode", fmt.Sprintf("block=%d rows=%d cols=%d", b, nrows, len(c.need)))
-		}
-		if slices.Contains(keep, true) {
-			for j, col := range c.need {
-				c.cs.Decode(col, b, vals[j*nrows:(j+1)*nrows])
+		if alive > 0 {
+			for _, col := range c.reads[c.nfilter:] {
+				clk.SeqRead(c.cs.PageSpan(col, b))
 			}
+			for j, col := range c.need {
+				c.cs.DecodeKept(col, b, keep, vals[j*nrows:(j+1)*nrows])
+			}
+			decoded = len(c.need)
+		}
+		if c.ctx.Trace != nil {
+			c.ctx.Trace.Event("columnar.decode", fmt.Sprintf("block=%d rows=%d alive=%d cols=%d", b, nrows, alive, decoded))
 		}
 	}
 	cols, pages := c.node.Cols, c.changed[first:last]
@@ -325,15 +294,86 @@ func (c *colScanner) scanBlock(b int, clk *storage.Clock, s *blockScratch, emit 
 	return nil
 }
 
+// filter reads the pushed conjuncts' columns of block b, of whose rows keep
+// holds alive, and runs the conjuncts in order ord, each over the rows still
+// alive and charged for what it tests, until none is. It returns how many
+// rows are left.
+func (c *colScanner) filter(b, alive int, keep []bool, clk *storage.Clock, ord []ranked) int {
+	for _, col := range c.reads[:c.nfilter] {
+		clk.SeqRead(c.cs.PageSpan(col, b))
+	}
+	for _, r := range ord {
+		if alive == 0 {
+			break
+		}
+		p := &c.pushed[r.i]
+		var units int
+		units, alive = c.cs.EvalBlock(p.Col, b, p.Op, p.V, keep)
+		clk.FilterTestsBatch(units)
+	}
+	return alive
+}
+
+// ranked is a pushed conjunct's key in a block's order: -1 when the block's
+// zone rules it out, else its class (0 for =, 2 for a range, 4 for <>) plus
+// the share of the zone it admits, in [0, 1].
+type ranked struct {
+	key float64
+	i   int // into colScanner.pushed
+}
+
+// rank orders the pushed conjuncts for block b, most selective first: one the
+// zone rules out, then = before the ranges and <> after them, each class by
+// the share of the block's zone admitted; ties go by column, operator, then
+// value. The order depends on the block and the bound values alone, so every
+// worker takes the same one, and a conjunction costs the same however it is
+// written.
+func (c *colScanner) rank(b int, s *blockScratch) []ranked {
+	ord := s.ord[:0] // more than len(s.ord) conjuncts allocate
+	for i := range c.pushed {
+		p := &c.pushed[i]
+		r := ranked{c.cs.ZoneShare(p.Col, b, p.Op, p.V), i}
+		switch {
+		case c.cs.ZonePrune(p.Col, b, p.Op, p.V):
+			r.key = -1
+		case p.Op == storage.CmpNE:
+			r.key += 4
+		case p.Op != storage.CmpEQ:
+			r.key += 2
+		}
+		j := len(ord)
+		for ord = append(ord, r); j > 0 && c.before(r, ord[j-1]); j-- {
+			ord[j] = ord[j-1]
+		}
+		ord[j] = r
+	}
+	return ord
+}
+
+func (c *colScanner) before(a, b ranked) bool {
+	pa, pb := &c.pushed[a.i], &c.pushed[b.i]
+	switch {
+	case a.key != b.key:
+		return a.key < b.key
+	case pa.Col != pb.Col:
+		return pa.Col < pb.Col
+	case pa.Op != pb.Op:
+		return pa.Op < pb.Op
+	}
+	return types.Compare(pa.V, pb.V) < 0
+}
+
 // blockScratch is the workspace a worker scans column blocks in, reused from
 // block to block: the keep mask, one slab for the decoded columns (back to
-// back) and the table-width row with the output row behind it, and the row a
-// tail page projects into. It is pooled on its own, not with the rest of a
-// worker's morselScratch, so that every one in the pool has a decode slab.
+// back) and the table-width row with the output row behind it, the row a tail
+// page projects into and the order the block's conjuncts run in. It is pooled
+// on its own, not with the rest of a worker's morselScratch, so that every one
+// in the pool has a decode slab.
 type blockScratch struct {
 	keep []bool
 	slab []types.Value
 	row  types.Row
+	ord  [8]ranked
 }
 
 var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -554,4 +555,412 @@ func TestColumnarScanConcurrentDML(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+}
+
+// cascadeCatalog builds cas — pk packed, run RLE, s dictionary, f raw
+// floats, nn raw with NULLs — and dim, fifty of cas's keys, whose runtime
+// filter drops most probe rows and so never disables itself. Both carry
+// snapshots of 128-row blocks.
+func cascadeCatalog(t *testing.T, rows int, rng *rand.Rand) *catalog.Catalog {
+	t.Helper()
+	cat := catalog.New()
+	c, err := cat.CreateTable("cas", types.Schema{
+		{Name: "pk", Kind: types.KindInt},
+		{Name: "run", Kind: types.KindInt},
+		{Name: "s", Kind: types.KindString},
+		{Name: "f", Kind: types.KindFloat},
+		{Name: "nn", Kind: types.KindInt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < rows; i++ {
+		cat.Insert(nil, c, cascadeRow(int64(i), rng))
+	}
+	d, err := cat.CreateTable("dim", types.Schema{{Name: "k", Kind: types.KindInt}, {Name: "w", Kind: types.KindInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		cat.Insert(nil, d, types.Row{types.Int(int64(i * rows / 50)), types.Int(int64(i % 7))})
+	}
+	for _, tab := range []*catalog.Table{c, d} {
+		cat.AnalyzeTable(tab, 8)
+		cat.BuildColumnar(tab, colTestBlock)
+	}
+	for col, want := range []string{"packed", "rle", "dict", "raw", "raw"} {
+		if got := c.Col().ColEncoding(col); got != want {
+			t.Fatalf("cas column %d is %s, want %s", col, got, want)
+		}
+	}
+	return cat
+}
+
+func cascadeRow(k int64, rng *rand.Rand) types.Row {
+	nn := types.Int(rng.Int63n(40))
+	if rng.Intn(5) == 0 {
+		nn = types.Null()
+	}
+	return types.Row{types.Int(k), types.Int(k / 50 * 1000000), types.Str(fmt.Sprintf("s%02d", k*7%23)), types.Float(rng.Float64() * 100), nn}
+}
+
+// cascadeConj is one pushed conjunct as a test writes it.
+type cascadeConj struct {
+	col int
+	op  storage.CmpOp
+	v   types.Value
+}
+
+var cascadeCols = []string{"pk", "run", "s", "f", "nn"}
+var cascadeOps = []string{"=", "<>", "<", "<=", ">", ">="}
+
+func (c cascadeConj) String() string {
+	lit := c.v.String()
+	if c.v.K == types.KindFloat {
+		lit = fmt.Sprintf("%.3f", c.v.F)
+	}
+	return fmt.Sprintf("cas.%s %s %s", cascadeCols[c.col], cascadeOps[c.op], lit)
+}
+
+// holds evaluates the conjunct on one stored value, NULL false.
+func (c cascadeConj) holds(x types.Value) bool {
+	if x.IsNull() {
+		return false
+	}
+	r := types.Compare(x, c.v)
+	return []bool{r == 0, r != 0, r < 0, r <= 0, r > 0, r >= 0}[c.op]
+}
+
+func randomConj(rng *rand.Rand, rows int) cascadeConj {
+	c := cascadeConj{col: rng.Intn(5), op: storage.CmpOp(rng.Intn(6))}
+	switch c.col {
+	case 0:
+		c.v = types.Int(int64(rng.Intn(rows+100) - 50))
+	case 1:
+		c.v = types.Int(int64(rng.Intn(2*rows/50+2)) * 500000)
+	case 2:
+		c.v = types.Str(fmt.Sprintf("s%02d", rng.Intn(25)))
+		if rng.Intn(4) == 0 {
+			c.v.S += "x" // between two dictionary entries
+		}
+	case 3:
+		c.v = types.Float(float64(rng.Intn(110000)-5000) / 1000)
+	default:
+		c.v = types.Int(int64(rng.Intn(44) - 2))
+	}
+	return c
+}
+
+// permutations calls fn with every order of cs.
+func permutations(cs []cascadeConj, fn func([]cascadeConj)) {
+	var rec func(k int)
+	rec = func(k int) {
+		if k == len(cs) {
+			fn(cs)
+			return
+		}
+		for i := k; i < len(cs); i++ {
+			cs[k], cs[i] = cs[i], cs[k]
+			rec(k + 1)
+			cs[k], cs[i] = cs[i], cs[k]
+		}
+	}
+	rec(0)
+}
+
+// cascadeReference is what scanning cas columnar costs by the charge
+// contract, worked out from the decoded values instead of the encoded
+// evaluation: every changed and tail page read from the heap; one zone check
+// for a block a conjunct's zone rules out; for a block read, a zone check a
+// conjunct, the conjuncts' columns, then the conjuncts in rank order each
+// charged the rows still alive (an RLE column its runs) until none is, then
+// the other decoded columns and a row's work per survivor if one is; and
+// the Project above, a row's work a result row.
+func cascadeReference(t *testing.T, tab *catalog.Table, conj []cascadeConj, decode []int, results int) int64 {
+	t.Helper()
+	cs, clk := tab.Col(), storage.NewClock(storage.DefaultCostModel())
+	mark := cs.Mark()
+	changedList, npages := tab.Heap.Changed(mark, nil)
+	changed := map[int]bool{}
+	for _, p := range changedList {
+		changed[int(p)] = true
+	}
+	for p := 0; p < npages; p++ {
+		if changed[p] || p >= len(mark.PageStart)-1 {
+			tab.Heap.ScanPage(clk, p, func(storage.RID, types.Row) bool {
+				clk.RowWork(1)
+				return true
+			})
+		}
+	}
+	vals := make([][]types.Value, cs.NumCols())
+	dict := map[int][]string{}
+	for col := range vals {
+		vals[col] = make([]types.Value, cs.BlockSize())
+		if cs.ColEncoding(col) != "dict" {
+			continue
+		}
+		seen := map[string]bool{}
+		for b := 0; b < cs.NumBlocks(); b++ {
+			cs.Decode(col, b, vals[col][:cs.BlockRows(b)])
+			for _, v := range vals[col][:cs.BlockRows(b)] {
+				seen[v.S] = true
+			}
+		}
+		for s := range seen {
+			dict[col] = append(dict[col], s)
+		}
+		sort.Strings(dict[col])
+	}
+	page := 0
+	for b := 0; b < cs.NumBlocks(); b++ {
+		lo, n := b*cs.BlockSize(), cs.BlockRows(b)
+		alive, nalive := make([]bool, n), 0
+		for i := range alive {
+			for int(mark.PageStart[page+1]) <= lo+i {
+				page++
+			}
+			if alive[i] = !changed[page]; alive[i] {
+				nalive++
+			}
+		}
+		if nalive == 0 {
+			continue
+		}
+		pruned := false
+		for _, c := range conj {
+			pruned = pruned || cs.ZonePrune(c.col, b, c.op, c.v)
+		}
+		if pruned {
+			clk.ZoneChecks(1)
+			continue
+		}
+		for range conj {
+			clk.ZoneChecks(1)
+		}
+		read := map[int]bool{}
+		for _, c := range conj {
+			if !read[c.col] {
+				read[c.col] = true
+				clk.SeqRead(cs.PageSpan(c.col, b))
+			}
+			cs.Decode(c.col, b, vals[c.col][:n])
+		}
+		for _, k := range cascadeRank(cs, conj, b, dict) {
+			if nalive == 0 {
+				break
+			}
+			c, units := conj[k], nalive
+			if cs.ColEncoding(c.col) == "rle" {
+				units = 1
+				for i := 1; i < n; i++ {
+					if types.Compare(vals[c.col][i], vals[c.col][i-1]) != 0 {
+						units++
+					}
+				}
+			}
+			clk.FilterTestsBatch(units)
+			for i := range alive {
+				if alive[i] && !c.holds(vals[c.col][i]) {
+					alive[i] = false
+					nalive--
+				}
+			}
+		}
+		if nalive == 0 {
+			continue
+		}
+		for _, col := range decode {
+			if !read[col] {
+				clk.SeqRead(cs.PageSpan(col, b))
+			}
+		}
+		for i := 0; i < nalive; i++ {
+			clk.RowWork(1)
+		}
+	}
+	for i := 0; i < results; i++ {
+		clk.RowWork(1)
+	}
+	return clk.UnitsScaled()
+}
+
+// cascadeRank is the rank rule worked out by counting: = first, <> last, the
+// rest by the share of the block's zone they admit — of its integers on an
+// integer column, linearly on a float one, of its dictionary codes on a
+// string one — and ties by column, operator, then value.
+func cascadeRank(cs *storage.ColumnStore, conj []cascadeConj, b int, dict map[int][]string) []int {
+	type key struct {
+		class int
+		share float64
+	}
+	keys := make([]key, len(conj))
+	for k, c := range conj {
+		keys[k].class = []int{0, 2, 1, 1, 1, 1}[c.op] // =, <>, <, <=, >, >=
+		zmin, zmax, _ := cs.Zone(c.col, b)
+		switch c.v.K {
+		case types.KindString: // count the codes
+			d := dict[c.col]
+			code := func(s string) int { return sort.SearchStrings(d, s) }
+			pos := float64(code(c.v.S))
+			if int(pos) == len(d) || d[int(pos)] != c.v.S {
+				pos -= 0.5
+			}
+			in := 0
+			for x := code(zmin.S); x <= code(zmax.S); x++ {
+				r := float64(x) - pos
+				if []bool{r == 0, r != 0, r < 0, r <= 0, r > 0, r >= 0}[c.op] {
+					in++
+				}
+			}
+			keys[k].share = float64(in) / float64(code(zmax.S)-code(zmin.S)+1)
+		case types.KindFloat: // linear
+			lo, hi, x := zmin.F, zmax.F, c.v.F
+			s := []float64{0, 1, (x - lo) / (hi - lo), (x - lo) / (hi - lo), (hi - x) / (hi - lo), (hi - x) / (hi - lo)}[c.op]
+			if hi == lo {
+				s = 1
+			}
+			keys[k].share = math.Max(0, math.Min(1, s))
+		default: // count the integers
+			lo, hi, x := zmin.I, zmax.I, c.v.I
+			eq := int64(0)
+			if lo <= x && x <= hi {
+				eq = 1
+			}
+			n := []int64{eq, hi - lo + 1 - eq, x - lo, x - lo + 1, hi - x, hi - x + 1}[c.op]
+			keys[k].share = float64(max(0, min(n, hi-lo+1))) / float64(hi-lo+1)
+		}
+	}
+	order := make([]int, len(conj))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := keys[order[i]], keys[order[j]]
+		ca, cb := conj[order[i]], conj[order[j]]
+		switch {
+		case a.class != b.class:
+			return a.class < b.class
+		case a.share != b.share:
+			return a.share < b.share
+		case ca.col != cb.col:
+			return ca.col < cb.col
+		case ca.op != cb.op:
+			return ca.op < cb.op
+		}
+		return types.Compare(ca.v, cb.v) < 0
+	})
+	return order
+}
+
+// TestColumnarFilterCascade: pushed conjuncts run most selective first, each
+// over the rows the ones before left alive, and are charged for exactly
+// that. Over seeded conjunctions of one to four conjuncts on packed, RLE,
+// dictionary, raw-float and raw-with-NULL columns, in every written order, on
+// the snapshot as built and after changed and tail pages, at DOP 1, 2 and 8,
+// with runtime filters off and on and every producer's previous row poisoned:
+// the rows are the heap scan's, the cost is one across DOP and written order,
+// and without a runtime filter it is the charge cascadeReference works out. A
+// block the conjuncts leave empty is read for their column alone.
+func TestColumnarFilterCascade(t *testing.T) {
+	SetRowPoison(true)
+	defer SetRowPoison(false)
+	rng := rand.New(rand.NewSource(67))
+	const rows = 1500
+	cat := cascadeCatalog(t, rows, rng)
+	tab, _ := cat.Table("cas")
+
+	check := func(step string, conj []cascadeConj, sel string, rf bool) {
+		t.Helper()
+		var wantRows string
+		var cost float64
+		first := true
+		permutations(conj, func(order []cascadeConj) {
+			where := make([]string, len(order))
+			for i, c := range order {
+				where[i] = c.String()
+			}
+			q := fmt.Sprintf("SELECT %s FROM cas WHERE %s", sel, strings.Join(where, " AND "))
+			if rf {
+				q = fmt.Sprintf("SELECT cas.pk, dim.w FROM cas, dim WHERE cas.pk = dim.k AND %s", strings.Join(where, " AND "))
+			}
+			if first {
+				wantRows, _, _ = dmlRun(t, colMkPlan(t, cat, q, false), 1, false)
+			}
+			for _, dop := range []int{1, 2, 8} {
+				root := colMkPlan(t, cat, q, true)
+				if rf && plan.PlanRuntimeFilters(root) != 1 {
+					t.Fatalf("%s: %q plants no runtime filter on cas", step, q)
+				}
+				got, units, ctx := dmlRun(t, root, dop, rf)
+				if got != wantRows {
+					t.Fatalf("%s: %q at dop=%d rf=%v: rows differ from the heap scan's", step, q, dop, rf)
+				}
+				if first {
+					cost, first = units, false
+					if rf {
+						continue
+					}
+					var scan *plan.ScanNode
+					plan.Walk(root, func(n plan.Node) {
+						if s, ok := n.(*plan.ScanNode); ok {
+							scan = s
+						}
+					})
+					results := 0
+					if wantRows != "" {
+						results = strings.Count(wantRows, "\n") + 1
+					}
+					if want := cascadeReference(t, tab, order, scan.Cols, results); ctx.Clock.UnitsScaled() != want {
+						t.Fatalf("%s: %q costs %d, the reference charge is %d", step, q, ctx.Clock.UnitsScaled(), want)
+					}
+				} else if units != cost {
+					t.Fatalf("%s: %q at dop=%d rf=%v costs %v, %v in another order or at dop 1", step, q, dop, rf, units, cost)
+				}
+			}
+		})
+	}
+	run := func(step string) {
+		for i := 0; i < 24; i++ {
+			conj := make([]cascadeConj, 1+i%4)
+			for j := range conj {
+				conj[j] = randomConj(rng, rows)
+			}
+			sel := []string{"cas.pk, cas.s", "cas.f, cas.nn", "cas.run"}[i%3]
+			for _, rf := range []bool{false, true} {
+				check(step, conj, sel, rf)
+			}
+		}
+	}
+	run("as built")
+	// A tie: both admit half of every block's nn zone [0, 39], and which
+	// runs first decides how many rows the other tests.
+	check("a tie", []cascadeConj{{4, storage.CmpGE, types.Int(20)}, {4, storage.CmpLE, types.Int(19)}}, "cas.pk", false)
+
+	// The block the conjuncts leave empty: block 0 passes both zone checks,
+	// its pk column is read and tested (128 rows, then the 40 below 40), and
+	// nothing else of it is read.
+	empty := []cascadeConj{{0, storage.CmpGE, types.Int(60)}, {0, storage.CmpLT, types.Int(40)}}
+	check("an emptied block", empty, "cas.s, cas.f", false)
+	root := colMkPlan(t, cat, "SELECT cas.s, cas.f FROM cas WHERE cas.pk >= 60 AND cas.pk < 40", true)
+	_, units, ctx := dmlRun(t, root, 1, false)
+	cs := tab.Col()
+	want := 0.001*float64(2+cs.NumBlocks()-1) + float64(cs.PageSpan(0, 0)) + 0.002*(128+40)
+	if ctx.ColBlocksScanned != 1 || math.Abs(units-want) > 1e-9 || cs.PageSpan(2, 0)+cs.PageSpan(3, 0) == 0 {
+		t.Errorf("an emptied block: %d blocks read at %v units, want 1 at %v", ctx.ColBlocksScanned, units, want)
+	}
+
+	for _, rid := range ridsWhere(tab, func(rid storage.RID, _ types.Row) bool { return rid.Page()%4 == 1 && rid.Slot() == 3 }) {
+		r, _ := tab.Heap.Get(nil, rid)
+		nr := r.Clone()
+		nr[3] = types.Float(-1)
+		cat.Update(nil, tab, rid, nr)
+	}
+	for _, rid := range ridsWhere(tab, func(rid storage.RID, _ types.Row) bool { return rid.Page() == 6 }) {
+		cat.Delete(nil, tab, rid)
+	}
+	for i := int64(0); i < 150; i++ {
+		cat.Insert(nil, tab, cascadeRow(rows+i, rng))
+	}
+	run("changed and tail pages")
 }

@@ -140,13 +140,12 @@ func (s *morselSource) bindScan(ctx *Context, pages int) {
 	s.n = morselCount(s.npages, pages)
 }
 
-// morselRows is how many rows one worker's morsel holds at most before a join
-// fans it out: a column block's, a heap page's, an operator's one row.
+// morselRows is how many rows a store sizes itself for before a join fans a
+// morsel out: a heap page's, an operator's one row. A column block's
+// survivors are as often a handful as a block, so a page's is where its
+// store starts, and it grows from there as a block keeps more.
 func (s *morselSource) morselRows() int {
-	switch {
-	case s.col != nil:
-		return s.col.cs.BlockRows(0) // block 0 is as large as any
-	case s.scan != nil:
+	if s.scan != nil {
 		return storage.PageRows
 	}
 	return 1

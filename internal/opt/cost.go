@@ -19,33 +19,21 @@ func (o *Optimizer) costSeqScan(tablePages, tableRows float64) float64 {
 	return tablePages*o.CM.SeqPageRead + tableRows*o.CM.RowCPU
 }
 
-// costColScan models the columnar access path: one zone check per block per
-// pushed col⋈const conjunct, encoded pages and encoded predicate evaluation
-// scaled by the fraction of blocks expected to survive zone pruning, and
-// per-row CPU for the surviving rows. readFrac assumes clustered data — the
-// fraction of blocks read tracks selectivity, floored at one block — which
-// is the optimistic end; unclustered values make zone maps useless and the
-// scan degrades to reading every (still compressed) block. With no pushed
-// conjunct nothing can be skipped and every encoded page is read. The
-// snapshot's delta — deltaPages of the heap's tablePages changed or added
-// since the build — is read from the heap, at costSeqScan's rates.
-func (o *Optimizer) costColScan(nblocks, encPages, tableRows, outRows float64, npushed int, deltaPages, tablePages float64) float64 {
-	readFrac := 1.0
-	c := 0.0
-	if npushed > 0 && nblocks > 0 {
-		c += nblocks * o.CM.ZoneCheck * float64(npushed)
-		sel := 1.0
-		if tableRows > 0 {
-			sel = outRows / tableRows
-		}
-		readFrac = math.Max(sel, 1/nblocks)
-		if readFrac > 1 {
-			readFrac = 1
-		}
+// costColScan prices a columnar scan the way the executor charges it. w's
+// zone checks decide which blocks are read; a block read costs the encoded
+// pages of the columns the scan reads (w.pages, every block assumed to keep a
+// row); the pushed conjuncts run most selective first (sels, ascending), each
+// over the rows its predecessors left alive, starting from the w.rows of the
+// blocks read; outRows pay per-row CPU. The snapshot's delta — deltaPages of
+// the heap's tablePages changed or added since the build — is read from the
+// heap, at costSeqScan's rates.
+func (o *Optimizer) costColScan(w colScanWork, outRows float64, sels []float64, deltaPages, tablePages, tableRows float64) float64 {
+	c := w.zoneChecks*o.CM.ZoneCheck + w.pages*o.CM.SeqPageRead + outRows*o.CM.RowCPU
+	alive := w.rows
+	for _, s := range sels {
+		c += alive * o.CM.FilterTest
+		alive *= s
 	}
-	c += readFrac * encPages * o.CM.SeqPageRead
-	c += readFrac * tableRows * o.CM.FilterTest * float64(npushed)
-	c += outRows * o.CM.RowCPU
 	if deltaPages > 0 {
 		c += o.costSeqScan(deltaPages, tableRows*deltaPages/tablePages)
 	}

@@ -303,7 +303,8 @@ type ParamPred struct {
 // its columns' distinct counts, a column-free one a default — so
 // PredSelectivity over this list, plus which parameters are NULL, numeric or
 // neither (what decides whether a conjunct is an index range or a pushed
-// column predicate), is everything Optimize derives from the parameters.
+// column predicate), is everything Optimize derives from the parameters — but
+// for the zone maps a ColScan estimate consults with them bound.
 func ParamPreds(q *plan.Query) []ParamPred {
 	var out []ParamPred
 	for _, c := range q.Conjuncts {

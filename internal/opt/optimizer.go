@@ -3,12 +3,14 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"rqp/internal/catalog"
 	"rqp/internal/expr"
 	"rqp/internal/plan"
+	"rqp/internal/storage"
 	"rqp/internal/types"
 )
 
@@ -260,26 +262,89 @@ func (o *Optimizer) connected(qi *queryInfo, left, right uint64) bool {
 // ---------- access paths ----------
 
 // colScanCost prices a columnar scan of rel under its table-local filters,
-// yielding card rows, or reports false when the table carries no snapshot.
-// Pushable col⋈const conjuncts evaluate on encoded blocks and enable
-// zone-map skipping, credited into the estimate by costColScan; the pages
-// written since the snapshot was built are read from the heap, charged into
-// it.
-func (o *Optimizer) colScanCost(rel *BaseRel, filters []expr.Expr, params []types.Value, card float64) (float64, bool) {
+// emitting cols (nil: all) and yielding card rows, or reports false when the
+// table carries no snapshot. The filters split as the executor splits them
+// (plan.PushDown), with the parameters bound, and the snapshot's zone maps
+// say which blocks the pushed conjuncts leave to read; costColScan prices
+// that. The pages written since the snapshot was built are read from the
+// heap, charged into it.
+func (o *Optimizer) colScanCost(rel *BaseRel, filters []expr.Expr, params []types.Value, cols []int, card float64) (float64, bool) {
 	cs := rel.Table.Col()
 	if cs == nil {
 		return 0, false
 	}
-	npushed := 0
-	for _, f := range filters {
-		if _, _, v, ok := expr.SplitColConst(f, params); ok && !v.IsNull() {
-			npushed++
-		}
+	var pbuf [8]plan.PushedCmp
+	var rbuf [8]expr.Expr
+	pushed, residual, never := plan.PushDown(filters, params, cs.NumCols(), pbuf[:0], rbuf[:0])
+	var w colScanWork
+	if never {
+		w.zoneChecks = float64(cs.NumBlocks()) // one a block, and nothing read
+	} else {
+		w.tally(cs, pushed, residual, cols)
 	}
+	var sbuf [8]float64 // each pushed conjunct's selectivity, ascending
+	sels := sbuf[:0]
+	for _, p := range pushed {
+		sels = append(sels, PredSelectivity(rel.Table, p.Expr, params))
+	}
+	slices.Sort(sels)
 	var buf [32]int32 // counted, not kept: most deltas fit without an allocation
 	changed, pages := rel.Table.Heap.Changed(cs.Mark(), buf[:0])
 	delta := len(changed) + pages - (len(cs.Mark().PageStart) - 1)
-	return o.costColScan(float64(cs.NumBlocks()), float64(cs.TotalPages(nil)), rel.Rows, card, npushed, float64(delta), float64(pages)), true
+	return o.costColScan(w, card, sels, float64(delta), float64(pages), rel.Rows), true
+}
+
+// colScanWork is what a columnar scan's zone maps say it will do before any
+// row is tested: the zone checks that decide which blocks are read, the
+// encoded pages of the columns read in those blocks, and the rows they hold.
+type colScanWork struct {
+	zoneChecks, pages, rows float64
+}
+
+// tally consults every block's zones as the executor does — one check for a
+// block a pushed conjunct rules out, one a conjunct for a block read — and
+// counts a block read as the pages of cols (all when nil), the pushed
+// conjuncts' and the residual's columns.
+func (w *colScanWork) tally(cs *storage.ColumnStore, pushed []plan.PushedCmp, residual []expr.Expr, cols []int) {
+	var mbuf [64]bool
+	read := mbuf[:0]
+	if n := cs.NumCols(); n <= len(mbuf) {
+		read = mbuf[:n]
+	} else {
+		read = make([]bool, n)
+	}
+	for col := range read {
+		read[col] = cols == nil
+	}
+	for _, col := range cols {
+		read[col] = true
+	}
+	for _, p := range pushed {
+		read[p.Col] = true
+	}
+	for _, r := range residual {
+		for col := range expr.ColumnsUsed(r) {
+			if col < len(read) {
+				read[col] = true
+			}
+		}
+	}
+blocks:
+	for b := 0; b < cs.NumBlocks(); b++ {
+		for _, p := range pushed {
+			if cs.ZonePrune(p.Col, b, p.Op, p.V) {
+				w.zoneChecks++
+				continue blocks
+			}
+		}
+		w.zoneChecks += float64(len(pushed))
+		w.rows += float64(cs.BlockRows(b))
+		for col, r := range read {
+			if r {
+				w.pages += float64(cs.PageSpan(col, b))
+			}
+		}
+	}
 }
 
 func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
@@ -309,7 +374,7 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 	// Columnar path: available when the session enabled it and the table
 	// carries a column-store snapshot.
 	if o.Opt.Columnar {
-		if cost, ok := o.colScanCost(&ri.rel, ri.filters, qi.params, ri.card); ok && cost < best.cost {
+		if cost, ok := o.colScanCost(&ri.rel, ri.filters, qi.params, ri.cols, ri.card); ok && cost < best.cost {
 			cscan := &plan.ScanNode{Table: ri.rel.Table, Alias: ri.rel.Alias, Filter: filter, Cols: ri.cols, Columnar: true}
 			cscan.Out = ri.out
 			cscan.Title = fmt.Sprintf("ColScan(%s)", ri.rel.Alias)

@@ -7,6 +7,7 @@ import (
 
 	"rqp/internal/catalog"
 	"rqp/internal/expr"
+	"rqp/internal/storage"
 	"rqp/internal/types"
 )
 
@@ -144,6 +145,37 @@ type ScanNode struct {
 	// the heap whole when the table has no snapshot at all — results are
 	// identical either way.
 	Columnar bool
+}
+
+// PushedCmp is one `col ⋈ const` conjunct of a columnar scan's filter,
+// lowered onto the column store: zone maps prune a block by it and the
+// block's encoded form evaluates it.
+type PushedCmp struct {
+	Col  int
+	Op   storage.CmpOp
+	V    types.Value
+	Expr expr.Expr // the conjunct itself
+}
+
+// PushDown splits a columnar scan's filter conjuncts under params: each
+// `col ⋈ const` over one of the table's ncols columns, its constant bound and
+// not NULL, is appended to pushed, every other conjunct to residual. never
+// reports a `col ⋈ NULL` conjunct, which no row satisfies, so zone checks
+// alone answer the scan. The executor splits here and so does the optimizer's
+// estimate of the scan.
+func PushDown(conjuncts []expr.Expr, params []types.Value, ncols int, pushed []PushedCmp, residual []expr.Expr) (_ []PushedCmp, _ []expr.Expr, never bool) {
+	for _, cj := range conjuncts {
+		col, op, v, ok := expr.SplitColConst(cj, params)
+		switch {
+		case !ok || col < 0 || col >= ncols:
+			residual = append(residual, cj)
+		case v.IsNull():
+			never = true
+		default: // storage.CmpOp lists the six comparisons in expr.Op's order
+			pushed = append(pushed, PushedCmp{Col: col, Op: storage.CmpOp(op - expr.OpEQ), V: v, Expr: cj})
+		}
+	}
+	return pushed, residual, never
 }
 
 // TableCol maps ordinal ord of a node's output to what it numbers in the

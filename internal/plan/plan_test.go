@@ -7,6 +7,7 @@ import (
 	"rqp/internal/catalog"
 	"rqp/internal/expr"
 	"rqp/internal/sql"
+	"rqp/internal/storage"
 	"rqp/internal/types"
 )
 
@@ -259,5 +260,48 @@ func TestJoinAlgAndTypeStrings(t *testing.T) {
 		if alg.String() != want {
 			t.Errorf("%d = %q, want %q", alg, alg.String(), want)
 		}
+	}
+}
+
+// TestPushDown: each comparison of a column with a bound, non-NULL constant is
+// pushed with its operator (either orientation), a comparison with NULL
+// makes the scan empty, and everything else — another shape, an unbound
+// parameter, a column past the table's — stays residual.
+func TestPushDown(t *testing.T) {
+	col := func(i int) expr.Expr { return &expr.Col{Index: i, Typ: types.KindInt} }
+	lit := func(v int64) expr.Expr { return &expr.Const{V: types.Int(v)} }
+	var cjs []expr.Expr
+	for op := expr.OpEQ; op <= expr.OpGE; op++ {
+		cjs = append(cjs, &expr.Bin{Op: op, L: col(1), R: lit(int64(op))})
+	}
+	flipped := &expr.Bin{Op: expr.OpLT, L: lit(7), R: col(0)} // 7 < c0: c0 > 7
+	param := &expr.Bin{Op: expr.OpGE, L: col(0), R: &expr.Param{Index: 0}}
+	unbound := &expr.Bin{Op: expr.OpGE, L: col(0), R: &expr.Param{Index: 1}}
+	wide := &expr.Bin{Op: expr.OpEQ, L: col(5), R: lit(1)}
+	or := &expr.Bin{Op: expr.OpOr, L: cjs[0], R: cjs[1]}
+	cjs = append(cjs, flipped, param, unbound, wide, or)
+
+	pushed, residual, never := PushDown(cjs, []types.Value{types.Int(3)}, 2, nil, nil)
+	want := []storage.CmpOp{storage.CmpEQ, storage.CmpNE, storage.CmpLT, storage.CmpLE, storage.CmpGT, storage.CmpGE, storage.CmpGT, storage.CmpGE}
+	if len(pushed) != len(want) || never {
+		t.Fatalf("pushed %d conjuncts (never=%v), want %d", len(pushed), never, len(want))
+	}
+	for i, p := range pushed {
+		if p.Op != want[i] || p.Expr != cjs[i] {
+			t.Errorf("conjunct %d pushed as %v, want %v", i, p.Op, want[i])
+		}
+	}
+	if p := pushed[6]; p.Col != 0 || p.V.I != 7 {
+		t.Errorf("7 < c0 pushed as c%d ⋈ %v", p.Col, p.V)
+	}
+	if p := pushed[7]; p.V.I != 3 {
+		t.Errorf("c0 >= ? pushed against %v, want the bound 3", p.V)
+	}
+	if len(residual) != 3 || residual[0] != unbound || residual[1] != wide || residual[2] != or {
+		t.Errorf("residual %v", residual)
+	}
+	null := &expr.Bin{Op: expr.OpLT, L: col(0), R: &expr.Const{V: types.Null()}}
+	if pushed, residual, never := PushDown([]expr.Expr{cjs[0], null}, nil, 2, nil, nil); !never || len(pushed) != 1 || len(residual) != 0 {
+		t.Errorf("c0 < NULL: never=%v, %d pushed, %d residual", never, len(pushed), len(residual))
 	}
 }

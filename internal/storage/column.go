@@ -2,6 +2,7 @@ package storage
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -452,15 +453,73 @@ func (cs *ColumnStore) ColEncoding(col int) string {
 	return first.String()
 }
 
-// EvalUnits returns the per-value work charged for evaluating one pushed
-// comparison on block b of column col: the run count for RLE blocks (one
-// comparison decides a whole run), the row count otherwise.
-func (cs *ColumnStore) EvalUnits(col, b int) int {
-	blk := &cs.cols[col].blocks[b]
-	if blk.enc == encRLE {
-		return len(blk.runVal)
+// ZoneShare returns the share of block b's zone [min, max] over column col
+// that `col op v` admits, in [0, 1]: linear in the value on numeric columns
+// (counting the integers in the zone on int and date columns), in the
+// dictionary code on string columns, and 1 where the zone cannot say (a bool
+// column, a constant of another kind). A scan tests a block's conjuncts in
+// ascending share, so this depends on nothing but the block and v.
+func (cs *ColumnStore) ZoneShare(col, b int, op CmpOp, v types.Value) float64 {
+	c := &cs.cols[col]
+	blk := &c.blocks[b]
+	lo, hi := blk.min, blk.max
+	switch {
+	case !blk.hasZone:
+		return 0
+	case blk.enc == encDict && v.K == types.KindString:
+		code := func(s string) float64 { return float64(sort.SearchStrings(c.dict, s)) }
+		x := code(v.S)
+		if int(x) == len(c.dict) || c.dict[int(x)] != v.S {
+			x -= 0.5 // between two codes
+		}
+		return share(op, code(lo.S), code(hi.S), x, true)
+	case lo.Numeric() && v.Numeric():
+		discrete := lo.K != types.KindFloat
+		return share(op, lo.AsFloat(), hi.AsFloat(), v.AsFloat(), discrete)
 	}
-	return blk.rows
+	return 1
+}
+
+// share is the part of [lo, hi] where `y op x` holds for y in it — of its
+// integers when discrete — clamped to [0, 1].
+func share(op CmpOp, lo, hi, x float64, discrete bool) float64 {
+	var n, width float64
+	if discrete {
+		width = hi - lo + 1
+		switch op {
+		case CmpEQ, CmpNE:
+			if x == math.Floor(x) && lo <= x && x <= hi {
+				n = 1
+			}
+			if op == CmpNE {
+				n = width - n
+			}
+		case CmpLT:
+			n = math.Ceil(x) - lo
+		case CmpLE:
+			n = math.Floor(x) - lo + 1
+		case CmpGT:
+			n = hi - math.Floor(x)
+		default: // CmpGE
+			n = hi - math.Ceil(x) + 1
+		}
+	} else {
+		width = hi - lo
+		switch op {
+		case CmpEQ:
+			n = 0
+		case CmpNE:
+			n = width
+		case CmpLT, CmpLE:
+			n = x - lo
+		default: // CmpGT, CmpGE
+			n = hi - x
+		}
+	}
+	if width <= 0 {
+		return 1
+	}
+	return max(0, min(1, n/width))
 }
 
 // ZonePrune reports whether `col op v` can match no row of block b, using
@@ -488,125 +547,140 @@ func (cs *ColumnStore) ZonePrune(col, b int, op CmpOp, v types.Value) bool {
 }
 
 // EvalBlock narrows keep (len ≥ BlockRows(b)) by `col op v` evaluated
-// directly on block b's encoded form: dictionary codes compare as integers
-// (the dictionary is sorted, so code order is string order), RLE evaluates
-// once per run, bit-packed values decode to the column kind's integer
-// payload. Semantics match the row interpreter exactly, with NULL collapsing
-// to false. v must be non-NULL.
-func (cs *ColumnStore) EvalBlock(col, b int, op CmpOp, v types.Value, keep []bool) {
+// directly on block b's encoded form, testing only the rows keep still holds:
+// dictionary codes compare as integers (the dictionary is sorted, so code
+// order is string order), RLE evaluates once per run, bit-packed values
+// decode to the column kind's integer payload. Semantics match the row
+// interpreter exactly, with NULL collapsing to false. v must be non-NULL. It
+// returns the work done — an RLE block's run count, else the rows it tested —
+// and how many rows keep still holds.
+func (cs *ColumnStore) EvalBlock(col, b int, op CmpOp, v types.Value, keep []bool) (units, alive int) {
 	c := &cs.cols[col]
 	blk := &c.blocks[b]
+	keep = keep[:blk.rows]
 	truth := cmpTruth(op)
 	switch blk.enc {
-	case encDict:
-		cs.evalDict(c, blk, op, v, keep, truth)
 	case encRLE:
 		i := 0
 		for r, rv := range blk.runVal {
 			t := truth(types.Compare(types.Value{K: c.kind, I: rv}, v))
 			for e := i + int(blk.runLen[r]); i < e; i++ {
-				keep[i] = keep[i] && t
+				if keep[i] = keep[i] && t; keep[i] {
+					alive++
+				}
 			}
 		}
+		return len(blk.runVal), alive
+	case encDict:
+		lo, hi, neg := dictRange(c.dict, op, v)
+		return narrow(keep, func(i int) bool {
+			code := unpackBits(blk.words, blk.width, i)
+			return (lo <= code && code < hi) != neg
+		})
 	case encPacked:
-		for i := 0; i < blk.rows; i++ {
-			if !keep[i] {
-				continue
-			}
-			iv := blk.base + int64(unpackBits(blk.words, blk.width, i))
-			keep[i] = truth(types.Compare(types.Value{K: c.kind, I: iv}, v))
-		}
-	default: // encRaw
-		for i, f := range blk.floats {
-			keep[i] = keep[i] && truth(types.Compare(types.Float(f), v))
-		}
-		for i, rv := range blk.raw {
-			keep[i] = keep[i] && !rv.IsNull() && truth(types.Compare(rv, v))
-		}
+		return narrow(keep, func(i int) bool {
+			return truth(types.Compare(types.Value{K: c.kind, I: blk.base + int64(unpackBits(blk.words, blk.width, i))}, v))
+		})
 	}
+	if blk.floats != nil {
+		return narrow(keep, func(i int) bool { return truth(types.Compare(types.Float(blk.floats[i]), v)) })
+	}
+	return narrow(keep, func(i int) bool { return !blk.raw[i].IsNull() && truth(types.Compare(blk.raw[i], v)) })
 }
 
-// evalDict maps a string comparison onto dictionary-code integer compares:
-// lb is the lower bound of v in the sorted dictionary, and each operator
-// reduces to a code-range test (an equality probe for a string absent from
-// the dictionary matches nothing; inequality against it matches everything).
-func (cs *ColumnStore) evalDict(c *column, blk *colBlock, op CmpOp, v types.Value, keep []bool, truth func(int) bool) {
-	if v.K != types.KindString {
-		// Cross-kind comparisons order by kind tag, so one compare decides
-		// the whole block.
-		t := truth(types.Compare(types.Str(""), v))
-		for i := 0; i < blk.rows; i++ {
-			keep[i] = keep[i] && t
+// narrow clears keep[i] wherever test(i) fails, calling it only where keep
+// holds, and returns how many rows it tested and how many keep still holds.
+func narrow(keep []bool, test func(i int) bool) (tested, alive int) {
+	for i, k := range keep {
+		if !k {
+			continue
 		}
-		return
+		tested++
+		if keep[i] = test(i); keep[i] {
+			alive++
+		}
 	}
-	lb := uint64(sort.SearchStrings(c.dict, v.S))
-	exact := lb < uint64(len(c.dict)) && c.dict[lb] == v.S
-	var pred func(code uint64) bool
+	return tested, alive
+}
+
+// dictRange maps `col op v` on a dictionary column onto its codes: a row
+// passes when lo <= code < hi, or outside that range when neg. The
+// dictionary is sorted, so the range starts at v's lower bound and ends past
+// v's own code when v is in the dictionary (an equality probe for a string
+// absent from it matches nothing; inequality against it matches everything).
+func dictRange(dict []string, op CmpOp, v types.Value) (lo, hi uint64, neg bool) {
+	if v.K != types.KindString {
+		// Cross-kind comparisons order by kind tag: one compare decides
+		// every row.
+		if cmpTruth(op)(types.Compare(types.Str(""), v)) {
+			return 0, math.MaxUint64, false
+		}
+		return 0, 0, false
+	}
+	lb := uint64(sort.SearchStrings(dict, v.S))
+	end := lb
+	if lb < uint64(len(dict)) && dict[lb] == v.S {
+		end++
+	}
 	switch op {
 	case CmpEQ:
-		if !exact {
-			for i := 0; i < blk.rows; i++ {
-				keep[i] = false
-			}
-			return
-		}
-		pred = func(code uint64) bool { return code == lb }
+		return lb, end, false
 	case CmpNE:
-		if !exact {
-			return // everything passes
-		}
-		pred = func(code uint64) bool { return code != lb }
+		return lb, end, true
 	case CmpLT:
-		pred = func(code uint64) bool { return code < lb }
+		return 0, lb, false
 	case CmpLE:
-		if exact {
-			pred = func(code uint64) bool { return code <= lb }
-		} else {
-			pred = func(code uint64) bool { return code < lb }
-		}
+		return 0, end, false
 	case CmpGT:
-		if exact {
-			pred = func(code uint64) bool { return code > lb }
-		} else {
-			pred = func(code uint64) bool { return code >= lb }
-		}
+		return end, math.MaxUint64, false
 	default: // CmpGE
-		pred = func(code uint64) bool { return code >= lb }
-	}
-	for i := 0; i < blk.rows; i++ {
-		if keep[i] {
-			keep[i] = pred(unpackBits(blk.words, blk.width, i))
-		}
+		return lb, math.MaxUint64, false
 	}
 }
 
 // Decode materializes block b of column col into dst (which must have
 // length ≥ BlockRows(b)), reconstructing values bit-identical to the heap's.
-func (cs *ColumnStore) Decode(col, b int, dst []types.Value) {
+func (cs *ColumnStore) Decode(col, b int, dst []types.Value) { cs.DecodeKept(col, b, nil, dst) }
+
+// DecodeKept is Decode at the positions keep holds — at every position when
+// keep is nil — leaving dst elsewhere as it was.
+func (cs *ColumnStore) DecodeKept(col, b int, keep []bool, dst []types.Value) {
 	c := &cs.cols[col]
 	blk := &c.blocks[b]
+	at := func(i int) bool { return keep == nil || keep[i] }
 	switch blk.enc {
 	case encDict:
 		for i := 0; i < blk.rows; i++ {
-			dst[i] = types.Str(c.dict[unpackBits(blk.words, blk.width, i)])
+			if at(i) {
+				dst[i] = types.Str(c.dict[unpackBits(blk.words, blk.width, i)])
+			}
 		}
 	case encRLE:
 		i := 0
 		for r, rv := range blk.runVal {
 			v := types.Value{K: c.kind, I: rv}
 			for e := i + int(blk.runLen[r]); i < e; i++ {
-				dst[i] = v
+				if at(i) {
+					dst[i] = v
+				}
 			}
 		}
 	case encPacked:
 		for i := 0; i < blk.rows; i++ {
-			dst[i] = types.Value{K: c.kind, I: blk.base + int64(unpackBits(blk.words, blk.width, i))}
+			if at(i) {
+				dst[i] = types.Value{K: c.kind, I: blk.base + int64(unpackBits(blk.words, blk.width, i))}
+			}
 		}
 	default:
 		for i, f := range blk.floats {
-			dst[i] = types.Float(f)
+			if at(i) {
+				dst[i] = types.Float(f)
+			}
 		}
-		copy(dst, blk.raw)
+		for i, rv := range blk.raw {
+			if at(i) {
+				dst[i] = rv
+			}
+		}
 	}
 }

@@ -77,7 +77,10 @@ func TestColumnStoreEncodings(t *testing.T) {
 // TestEvalBlockMatchesDecode is the encoded-predicate correctness
 // property: evaluating col op const directly on encoded blocks must agree
 // with decoding and comparing row by row, for every op, every encoding,
-// and NULL handling (NULL compares to false).
+// and NULL handling (NULL compares to false). Rows already dropped stay
+// dropped and are not tested: the work reported is the block's run count
+// when it is RLE and the rows still kept otherwise, and DecodeKept writes
+// only the kept positions.
 func TestEvalBlockMatchesDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rows := colTestRows(1000, rng)
@@ -86,26 +89,40 @@ func TestEvalBlockMatchesDecode(t *testing.T) {
 	consts := [][]types.Value{
 		{types.Int(300), types.Int(0), types.Int(999), types.Int(-5), types.Int(2000)},
 		{types.Int(7000000), types.Int(0), types.Int(15000000), types.Int(7500000)},
-		{types.Str("s007"), types.Str("s000"), types.Str("a"), types.Str("zz"), types.Str("s0075")},
+		{types.Str("s007"), types.Str("s000"), types.Str("a"), types.Str("zz"), types.Str("s0075"), types.Int(3)},
 		{types.Date(7050), types.Date(6000)},
 		{types.Float(50), types.Float(-1)},
 		{types.Int(25), types.Int(-1)},
 	}
 	ops := []CmpOp{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE}
 	dst := make([]types.Value, cs.BlockSize())
+	kept := make([]types.Value, cs.BlockSize())
 	keep := make([]bool, cs.BlockSize())
+	before := make([]bool, cs.BlockSize())
 	for col := 0; col < cs.NumCols(); col++ {
 		for _, v := range consts[col] {
 			for _, op := range ops {
-				row := 0
 				for b := 0; b < cs.NumBlocks(); b++ {
 					nb := cs.BlockRows(b)
+					wasAlive := 0
 					for i := 0; i < nb; i++ {
-						keep[i] = true
+						keep[i] = rng.Intn(3) > 0
+						before[i] = keep[i]
+						if keep[i] {
+							wasAlive++
+						}
 					}
-					cs.EvalBlock(col, b, op, v, keep[:nb])
+					units, alive := cs.EvalBlock(col, b, op, v, keep[:nb])
 					cs.Decode(col, b, dst[:nb])
+					for i := range kept[:nb] {
+						kept[i] = types.Str("untouched")
+					}
+					cs.DecodeKept(col, b, keep[:nb], kept[:nb])
+					wantUnits, runs, nkept := wasAlive, 1, 0
 					for i := 0; i < nb; i++ {
+						if i > 0 && types.Compare(dst[i], dst[i-1]) != 0 {
+							runs++
+						}
 						// NULL row values compare to false; a NULL
 						// constant never reaches EvalBlock (the scanner
 						// folds col op NULL to an always-false scan).
@@ -127,14 +144,79 @@ func TestEvalBlockMatchesDecode(t *testing.T) {
 								want = c >= 0
 							}
 						}
-						if keep[i] != want {
-							t.Fatalf("col %d block %d row %d: %v %v %v -> keep=%v, want %v",
-								col, b, i, dst[i], op, v, keep[i], want)
+						if want = want && before[i]; keep[i] != want {
+							t.Fatalf("col %d block %d row %d: %v %v %v (kept before: %v) -> keep=%v, want %v",
+								col, b, i, dst[i], op, v, before[i], keep[i], want)
 						}
-						row++
+						if keep[i] {
+							nkept++
+							if kept[i] != dst[i] {
+								t.Fatalf("col %d block %d row %d: DecodeKept wrote %v, Decode %v", col, b, i, kept[i], dst[i])
+							}
+						} else if kept[i].S != "untouched" {
+							t.Fatalf("col %d block %d row %d: DecodeKept wrote %v at a dropped row", col, b, i, kept[i])
+						}
+					}
+					if cs.cols[col].blocks[b].enc == encRLE {
+						wantUnits = runs
+					}
+					if units != wantUnits || alive != nkept {
+						t.Fatalf("col %d block %d (%v) %v %v: units %d, alive %d; want %d, %d",
+							col, b, cs.cols[col].blocks[b].enc, op, v, units, alive, wantUnits, nkept)
 					}
 				}
-				_ = row
+			}
+		}
+	}
+}
+
+// TestZoneShare: on a block of consecutive integers the share a range
+// admits is exactly the share of its rows that pass; on every column it lies
+// in [0, 1], falls as `<` tightens and rises as `>=` loosens.
+func TestZoneShare(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	rows := colTestRows(1000, rng)
+	cs := BuildColumnStore(vectorsOf(rows, len(rows[0])), 128, HeapMark{})
+	for b := 0; b < cs.NumBlocks(); b++ {
+		lo, nb := int64(b*128), cs.BlockRows(b)
+		for _, tc := range []struct {
+			op   CmpOp
+			v    types.Value
+			want int // rows of the block that pass
+		}{
+			{CmpLT, types.Int(lo + 10), 10},
+			{CmpLE, types.Int(lo + 10), 11},
+			{CmpGT, types.Int(lo + 10), nb - 11},
+			{CmpGE, types.Int(lo + 10), nb - 10},
+			{CmpLT, types.Float(float64(lo) + 10.5), 11},
+			{CmpGE, types.Float(float64(lo) + 10.5), nb - 11},
+			{CmpEQ, types.Int(lo + 3), 1},
+			{CmpNE, types.Int(lo + 3), nb - 1},
+			{CmpEQ, types.Float(float64(lo) + 3.5), 0},
+			{CmpNE, types.Int(lo - 1), nb},
+		} {
+			if got := cs.ZoneShare(0, b, tc.op, tc.v); got != float64(tc.want)/float64(nb) {
+				t.Errorf("block %d: %v %v admits %v of the zone, want %d/%d", b, tc.op, tc.v, got, tc.want, nb)
+			}
+		}
+	}
+	probes := [][]types.Value{
+		{types.Int(100), types.Int(500), types.Int(900)},
+		{types.Int(2000000), types.Int(8000000), types.Int(14000000)},
+		{types.Str("s002"), types.Str("s0075"), types.Str("s013")},
+		{types.Date(7020), types.Date(7050), types.Date(7080)},
+		{types.Float(20), types.Float(50), types.Float(80)},
+		{types.Int(10), types.Int(25), types.Int(40)},
+	}
+	for col, vs := range probes {
+		for b := 0; b < cs.NumBlocks(); b++ {
+			prevLT, prevGE := -1.0, 2.0
+			for _, v := range vs {
+				lt, ge := cs.ZoneShare(col, b, CmpLT, v), cs.ZoneShare(col, b, CmpGE, v)
+				if lt < 0 || lt > 1 || ge < 0 || ge > 1 || lt < prevLT || ge > prevGE {
+					t.Fatalf("col %d block %d: < %v admits %v, >= admits %v (after %v, %v)", col, b, v, lt, ge, prevLT, prevGE)
+				}
+				prevLT, prevGE = lt, ge
 			}
 		}
 	}

@@ -251,9 +251,8 @@ func TestSnapshotFromVectorsMatchesRows(t *testing.T) {
 				if !reflect.DeepEqual(g[:nb], w[:nb]) {
 					t.Fatalf("%s col %d block %d: decodes to %v, want %v", tc.name, col, b, g[:nb], w[:nb])
 				}
-				if got.PageSpan(col, b) != want.PageSpan(col, b) || got.EvalUnits(col, b) != want.EvalUnits(col, b) {
-					t.Fatalf("%s col %d block %d: page span %d, eval units %d; want %d, %d", tc.name, col, b,
-						got.PageSpan(col, b), got.EvalUnits(col, b), want.PageSpan(col, b), want.EvalUnits(col, b))
+				if got.PageSpan(col, b) != want.PageSpan(col, b) {
+					t.Fatalf("%s col %d block %d: page span %d, want %d", tc.name, col, b, got.PageSpan(col, b), want.PageSpan(col, b))
 				}
 				// Raw payloads were compared through Decode: a float block
 				// holds []float64 where the reference boxes.
