@@ -53,7 +53,7 @@ func TestAllocCeilingPointLookup(t *testing.T) {
 // TestAllocCeilingAnalyze pins what ANALYZE costs the statements beside it.
 // One heap scan fills a typed vector per column; statistics are read off one
 // sorted copy, reused from column to column; the snapshot packs from the same
-// vectors and keeps the float column's as its raw blocks. At the parent,
+// vectors, the float column among them (decimal). At the parent,
 // measured the same way, ANALYZE orders allocated 12 925 KB in 638 objects,
 // 94% of an htap_mixed cycle.
 func TestAllocCeilingAnalyze(t *testing.T) {

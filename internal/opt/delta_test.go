@@ -22,8 +22,8 @@ import (
 func TestColScanEstimateTracksDelta(t *testing.T) {
 	const q = `SELECT o_custkey, COUNT(*), SUM(o_totalprice) FROM orders
 		WHERE o_orderdate >= DATE(8500) AND o_orderdate < DATE(8530) GROUP BY o_custkey ORDER BY o_custkey`
-	const k0Estimate = 115.4548 // the ColScan estimate with no write since the build
-	executed := map[int]float64{0: 113.823, 1: 116.787, 10: 141.957, 50: 252.591, 100: 326.037}
+	const k0Estimate = 82.4548 // the ColScan estimate with no write since the build
+	executed := map[int]float64{0: 80.823, 1: 83.787, 10: 108.957, 50: 219.591, 100: 326.037}
 	var prevEst float64
 	var wantRows string
 	for _, k := range []int{0, 1, 10, 50, 100} {

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"rqp/internal/types"
 )
@@ -18,7 +19,10 @@ import (
 // integer comparisons), run-length encoding or offset bit-packing for
 // integer-like columns, and raw values as the universal fallback (columns
 // with NULLs or mixed kinds stay raw so the encoded evaluation paths never
-// see a NULL).
+// see a NULL). A float block whose every value v is k/10^e bit for bit, for
+// one e <= maxDecimalExp and |k| < 2^53, is *decimal*: it stores the k under
+// the integer encodings and decodes k/10^e, so -0, NaN, ±Inf and 0.1+0.2
+// keep their block raw.
 //
 // The simulated pager charges sequential reads against the *encoded* byte
 // size: each column records cumulative byte offsets, and a block's page span
@@ -95,12 +99,13 @@ type colBlock struct {
 	min, max types.Value
 
 	raw    []types.Value // encRaw: a column with a NULL or of mixed kinds, ints too wide to pack
-	floats []float64     // encRaw: a float column
+	floats []float64     // encRaw: a float block that is not decimal, a slice of the vector
 	words  []uint64      // encDict / encPacked bit-packed payload
 	base   int64         // encPacked offset base
 	width  int           // encDict / encPacked bits per value
 	runVal []int64       // encRLE run values
 	runLen []int32       // encRLE run lengths
+	exp    uint8         // encRLE / encPacked of a float column (decimal): a value is k/10^exp
 
 	startByte int64 // cumulative encoded offset within the column
 	bytes     int64 // encoded size of this block
@@ -108,11 +113,26 @@ type colBlock struct {
 
 // column is one column's full encoded representation.
 type column struct {
-	kind   types.Kind // uniform value kind for encoded columns
+	kind   types.Kind // uniform value kind for encoded and float columns
 	dict   []string   // sorted unique values, dictionary columns only
 	blocks []colBlock
 	bytes  int64 // total encoded bytes
 }
+
+// value boxes an integer payload of blk: k/10^exp on a float column's
+// (decimal) blocks, the column kind's integer otherwise.
+func (c *column) value(blk *colBlock, k int64) types.Value {
+	if c.kind == types.KindFloat {
+		return types.Float(float64(k) / pow10[blk.exp])
+	}
+	return types.Value{K: c.kind, I: k}
+}
+
+// maxDecimalExp is the largest e a float block is tried at as k/10^e.
+const maxDecimalExp = 6
+
+// pow10 is 10^e for e <= maxDecimalExp, each exact as a float64.
+var pow10 = [maxDecimalExp + 1]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
 
 // ColumnStore is a column-major, compressed, zone-mapped snapshot of a
 // table. It is immutable after construction and safe for concurrent reads.
@@ -130,6 +150,8 @@ type ColumnStore struct {
 // A block stored raw is a slice of its vector, so the vectors must not change
 // afterwards.
 func BuildColumnStore(vecs []types.Vector, blockSize int, mark HeapMark) *ColumnStore {
+	sc := takeScratch()
+	defer sc.release()
 	if blockSize <= 0 {
 		blockSize = DefaultColBlock
 	}
@@ -144,30 +166,54 @@ func BuildColumnStore(vecs []types.Vector, blockSize int, mark HeapMark) *Column
 		return cs
 	}
 	cs.rows = vecs[0].Len()
-	var sc buildScratch
 	for c := range vecs {
 		cs.cols[c] = sc.buildColumn(&vecs[c], blockSize)
 	}
 	return cs
 }
 
-// buildScratch is what one build reuses from block to block and from column
-// to column: the codes of the block being packed, the sorted copy a
-// dictionary is read off.
+// buildScratch is what a build reuses from block to block and from column to
+// column: the codes of the block being packed, a decimal block's integers,
+// the sorted copy a dictionary is read off. The codes and integers, a block
+// long, are kept for the next build (spareScratch); the copy, a column long,
+// is not.
 type buildScratch struct {
 	codes []uint64
+	ints  []int64
 	strs  []string
 }
 
+// spareScratch holds the last build's scratch for the next one: ANALYZE
+// rebuilds a snapshot each time it runs. One slot, not a sync.Pool, which
+// keeps what is put back on the P that put it and would miss it whenever
+// the next ANALYZE runs on another.
+var spareScratch atomic.Pointer[buildScratch]
+
+// takeScratch returns the spare scratch, or a new one when another build has
+// it.
+func takeScratch() *buildScratch {
+	if sc := spareScratch.Swap(nil); sc != nil {
+		return sc
+	}
+	return new(buildScratch)
+}
+
+// release leaves sc as the spare, without its column-long copy.
+func (sc *buildScratch) release() {
+	sc.strs = nil
+	spareScratch.Store(sc)
+}
+
 // buildColumn picks the column's class from its vector: dictionary for
-// strings, the integer encodings for int/date/bool, raw for floats and for a
-// mixed vector (any NULL or second kind, so encoded blocks are NULL-free).
+// strings, the integer encodings for int/date/bool, decimal or raw blocks for
+// floats, raw for a mixed vector (any NULL or second kind, so encoded blocks
+// are NULL-free).
 func (sc *buildScratch) buildColumn(v *types.Vector, blockSize int) column {
 	col := column{kind: types.KindNull}
 	switch v.Kind {
 	case types.KindString:
 		col.kind, col.dict = v.Kind, sc.buildDict(v.Strs)
-	case types.KindInt, types.KindDate, types.KindBool:
+	case types.KindInt, types.KindDate, types.KindBool, types.KindFloat:
 		col.kind = v.Kind
 	}
 	n := v.Len()
@@ -181,9 +227,7 @@ func (sc *buildScratch) buildColumn(v *types.Vector, blockSize int) column {
 			blk = colBlock{enc: encRaw, raw: v.Mixed[start:end]}
 			blk.min, blk.max, blk.hasZone = zoneOf(blk.raw)
 		case types.KindFloat:
-			blk = colBlock{enc: encRaw, floats: v.Floats[start:end], hasZone: true}
-			lo, hi := minMax(blk.floats)
-			blk.min, blk.max = types.Float(lo), types.Float(hi)
+			blk = sc.encodeFloats(v.Floats[start:end])
 		case types.KindString:
 			blk = sc.encodeDict(v.Strs[start:end], col.dict)
 		default:
@@ -270,10 +314,63 @@ func (sc *buildScratch) encodeDict(vals []string, dict []string) colBlock {
 	}
 }
 
+// encodeFloats stores a float block as decimal — the k of its values k/10^e
+// under the integer encodings — when decimal finds an e and the k do not
+// come out raw; otherwise the block is a slice of vals. Its zone is the
+// floats' either way.
+func (sc *buildScratch) encodeFloats(vals []float64) colBlock {
+	blk := colBlock{enc: encRaw, floats: vals}
+	if ks, e, ok := sc.decimal(vals); ok {
+		if dec, _, _ := sc.packInts(ks); dec.enc != encRaw {
+			blk, blk.exp = dec, e
+		}
+	}
+	lo, hi := minMax(vals)
+	blk.hasZone, blk.min, blk.max = true, types.Float(lo), types.Float(hi)
+	return blk
+}
+
+// decimal returns the smallest e <= maxDecimalExp at which every value v of
+// vals is k/10^e bit for bit, k = round(v·10^e) with |k| < 2^53, and the k,
+// in scratch. Comparing bits keeps -0 (k = 0 decodes +0), NaN and ±Inf out.
+func (sc *buildScratch) decimal(vals []float64) (ks []int64, e uint8, ok bool) {
+	if cap(sc.ints) < len(vals) {
+		sc.ints = make([]int64, len(vals))
+	}
+	ks = sc.ints[:len(vals)]
+next:
+	for x, p := range pow10 {
+		for i, v := range vals {
+			r := math.Round(v * p)
+			if !(math.Abs(r) < 1<<53) || math.Float64bits(float64(int64(r))/p) != math.Float64bits(v) {
+				continue next
+			}
+			ks[i] = int64(r)
+		}
+		return ks, uint8(x), true
+	}
+	return nil, 0, false
+}
+
 // encodeInts picks the smallest of RLE, offset bit-packing and raw for one
-// integer-like block. RLE stores 16 bytes per run (value + length), packing
-// stores an 8-byte base plus width bits per value.
+// integer-like block.
 func (sc *buildScratch) encodeInts(vals []int64, kind types.Kind) colBlock {
+	blk, lo, hi := sc.packInts(vals)
+	if blk.enc == encRaw {
+		blk.raw = make([]types.Value, len(vals))
+		for i, v := range vals {
+			blk.raw[i] = types.Value{K: kind, I: v}
+		}
+	}
+	blk.hasZone, blk.min, blk.max = true, types.Value{K: kind, I: lo}, types.Value{K: kind, I: hi}
+	return blk
+}
+
+// packInts is encodeInts short of the zone and of a raw payload: an RLE or
+// packed block when either is no larger than raw, an empty encRaw one
+// otherwise, and the min and max of vals. RLE stores 16 bytes per run (value
+// + length), packing stores an 8-byte base plus width bits per value.
+func (sc *buildScratch) packInts(vals []int64) (blk colBlock, lo, hi int64) {
 	n := len(vals)
 	runs := 0
 	for i, v := range vals {
@@ -281,17 +378,11 @@ func (sc *buildScratch) encodeInts(vals []int64, kind types.Kind) colBlock {
 			runs++
 		}
 	}
-	lo, hi := minMax(vals)
+	lo, hi = minMax(vals)
 	width := bits.Len64(uint64(hi - lo))
 	rleBytes := int64(runs) * 16
 	packedBytes := 8 + int64(n*width+7)/8
 
-	blk := colBlock{
-		enc:     encRaw,
-		hasZone: true,
-		min:     types.Value{K: kind, I: lo},
-		max:     types.Value{K: kind, I: hi},
-	}
 	switch {
 	case rleBytes <= packedBytes && rleBytes <= int64(n)*8:
 		blk.enc, blk.bytes = encRLE, rleBytes
@@ -312,13 +403,8 @@ func (sc *buildScratch) encodeInts(vals []int64, kind types.Kind) colBlock {
 			codes[i] = uint64(v - lo)
 		}
 		blk.words = packBits(codes, width)
-	default:
-		blk.raw = make([]types.Value, n)
-		for i, v := range vals {
-			blk.raw[i] = types.Value{K: kind, I: v}
-		}
 	}
-	return blk
+	return blk, lo, hi
 }
 
 // packBits packs codes into width-bit fields in little-endian bit order.
@@ -437,20 +523,23 @@ func (cs *ColumnStore) RawBytes() int64 {
 	return int64(cs.rows) * int64(len(cs.cols)) * 8
 }
 
-// ColEncoding names column col's encoding: the uniform block encoding when
-// all blocks agree ("dict", "rle", "packed", "raw"), "mixed" otherwise.
+// ColEncoding names column col's encoding: "decimal" when every block is a
+// float block stored as integers, the uniform block encoding when all blocks
+// agree ("dict", "rle", "packed", "raw"), "mixed" otherwise.
 func (cs *ColumnStore) ColEncoding(col int) string {
 	c := &cs.cols[col]
-	if len(c.blocks) == 0 {
-		return "raw"
-	}
-	first := c.blocks[0].enc
+	name := "raw"
 	for i := range c.blocks {
-		if c.blocks[i].enc != first {
+		n := c.blocks[i].enc.String()
+		if c.kind == types.KindFloat && c.blocks[i].enc != encRaw {
+			n = "decimal"
+		}
+		if i > 0 && n != name {
 			return "mixed"
 		}
+		name = n
 	}
-	return first.String()
+	return name
 }
 
 // ZoneShare returns the share of block b's zone [min, max] over column col
@@ -550,7 +639,8 @@ func (cs *ColumnStore) ZonePrune(col, b int, op CmpOp, v types.Value) bool {
 // directly on block b's encoded form, testing only the rows keep still holds:
 // dictionary codes compare as integers (the dictionary is sorted, so code
 // order is string order), RLE evaluates once per run, bit-packed values
-// decode to the column kind's integer payload. Semantics match the row
+// decode to the column kind's integer payload (a decimal block's to the
+// float k/10^e, compared as a raw float is). Semantics match the row
 // interpreter exactly, with NULL collapsing to false. v must be non-NULL. It
 // returns the work done — an RLE block's run count, else the rows it tested —
 // and how many rows keep still holds.
@@ -563,7 +653,7 @@ func (cs *ColumnStore) EvalBlock(col, b int, op CmpOp, v types.Value, keep []boo
 	case encRLE:
 		i := 0
 		for r, rv := range blk.runVal {
-			t := truth(types.Compare(types.Value{K: c.kind, I: rv}, v))
+			t := truth(types.Compare(c.value(blk, rv), v))
 			for e := i + int(blk.runLen[r]); i < e; i++ {
 				if keep[i] = keep[i] && t; keep[i] {
 					alive++
@@ -579,7 +669,7 @@ func (cs *ColumnStore) EvalBlock(col, b int, op CmpOp, v types.Value, keep []boo
 		})
 	case encPacked:
 		return narrow(keep, func(i int) bool {
-			return truth(types.Compare(types.Value{K: c.kind, I: blk.base + int64(unpackBits(blk.words, blk.width, i))}, v))
+			return truth(types.Compare(c.value(blk, blk.base+int64(unpackBits(blk.words, blk.width, i))), v))
 		})
 	}
 	if blk.floats != nil {
@@ -658,7 +748,7 @@ func (cs *ColumnStore) DecodeKept(col, b int, keep []bool, dst []types.Value) {
 	case encRLE:
 		i := 0
 		for r, rv := range blk.runVal {
-			v := types.Value{K: c.kind, I: rv}
+			v := c.value(blk, rv)
 			for e := i + int(blk.runLen[r]); i < e; i++ {
 				if at(i) {
 					dst[i] = v
@@ -668,7 +758,7 @@ func (cs *ColumnStore) DecodeKept(col, b int, keep []bool, dst []types.Value) {
 	case encPacked:
 		for i := 0; i < blk.rows; i++ {
 			if at(i) {
-				dst[i] = types.Value{K: c.kind, I: blk.base + int64(unpackBits(blk.words, blk.width, i))}
+				dst[i] = c.value(blk, blk.base+int64(unpackBits(blk.words, blk.width, i)))
 			}
 		}
 	default:

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rqp/internal/types"
@@ -94,80 +95,76 @@ func TestEvalBlockMatchesDecode(t *testing.T) {
 		{types.Float(50), types.Float(-1)},
 		{types.Int(25), types.Int(-1)},
 	}
-	ops := []CmpOp{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE}
-	dst := make([]types.Value, cs.BlockSize())
-	kept := make([]types.Value, cs.BlockSize())
-	keep := make([]bool, cs.BlockSize())
 	before := make([]bool, cs.BlockSize())
 	for col := 0; col < cs.NumCols(); col++ {
 		for _, v := range consts[col] {
-			for _, op := range ops {
+			for _, op := range allOps {
 				for b := 0; b < cs.NumBlocks(); b++ {
-					nb := cs.BlockRows(b)
-					wasAlive := 0
-					for i := 0; i < nb; i++ {
-						keep[i] = rng.Intn(3) > 0
-						before[i] = keep[i]
-						if keep[i] {
-							wasAlive++
-						}
+					for i := range before {
+						before[i] = rng.Intn(3) > 0
 					}
-					units, alive := cs.EvalBlock(col, b, op, v, keep[:nb])
-					cs.Decode(col, b, dst[:nb])
-					for i := range kept[:nb] {
-						kept[i] = types.Str("untouched")
-					}
-					cs.DecodeKept(col, b, keep[:nb], kept[:nb])
-					wantUnits, runs, nkept := wasAlive, 1, 0
-					for i := 0; i < nb; i++ {
-						if i > 0 && types.Compare(dst[i], dst[i-1]) != 0 {
-							runs++
-						}
-						// NULL row values compare to false; a NULL
-						// constant never reaches EvalBlock (the scanner
-						// folds col op NULL to an always-false scan).
-						want := false
-						if !dst[i].IsNull() {
-							c := types.Compare(dst[i], v)
-							switch op {
-							case CmpEQ:
-								want = c == 0
-							case CmpNE:
-								want = c != 0
-							case CmpLT:
-								want = c < 0
-							case CmpLE:
-								want = c <= 0
-							case CmpGT:
-								want = c > 0
-							case CmpGE:
-								want = c >= 0
-							}
-						}
-						if want = want && before[i]; keep[i] != want {
-							t.Fatalf("col %d block %d row %d: %v %v %v (kept before: %v) -> keep=%v, want %v",
-								col, b, i, dst[i], op, v, before[i], keep[i], want)
-						}
-						if keep[i] {
-							nkept++
-							if kept[i] != dst[i] {
-								t.Fatalf("col %d block %d row %d: DecodeKept wrote %v, Decode %v", col, b, i, kept[i], dst[i])
-							}
-						} else if kept[i].S != "untouched" {
-							t.Fatalf("col %d block %d row %d: DecodeKept wrote %v at a dropped row", col, b, i, kept[i])
-						}
-					}
-					if cs.cols[col].blocks[b].enc == encRLE {
-						wantUnits = runs
-					}
-					if units != wantUnits || alive != nkept {
-						t.Fatalf("col %d block %d (%v) %v %v: units %d, alive %d; want %d, %d",
-							col, b, cs.cols[col].blocks[b].enc, op, v, units, alive, wantUnits, nkept)
+					if err := evalMatchesDecode(cs, col, b, op, v, before); err != nil {
+						t.Fatal(err)
 					}
 				}
 			}
 		}
 	}
+}
+
+var allOps = []CmpOp{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE}
+
+// evalMatchesDecode runs EvalBlock(col, b, op, v) over the rows before keeps
+// and checks it against decoding block b and comparing row by row (a NULL
+// compares false): the rows it keeps; the work it reports, the block's runs
+// when it is RLE and the rows it tested otherwise; and DecodeKept writing
+// exactly the kept rows, each to the bits Decode gives.
+func evalMatchesDecode(cs *ColumnStore, col, b int, op CmpOp, v types.Value, before []bool) error {
+	nb := cs.BlockRows(b)
+	keep := slices.Clone(before[:nb])
+	units, alive := cs.EvalBlock(col, b, op, v, keep)
+	dst, kept := make([]types.Value, nb), make([]types.Value, nb)
+	cs.Decode(col, b, dst)
+	for i := range kept {
+		kept[i] = types.Str("untouched")
+	}
+	cs.DecodeKept(col, b, keep, kept)
+	tested, runs, nkept := 0, 1, 0
+	for i := 0; i < nb; i++ {
+		if before[i] {
+			tested++
+		}
+		if i > 0 && !sameBits(dst[i], dst[i-1]) {
+			runs++
+		}
+		want := false
+		if !dst[i].IsNull() {
+			c := types.Compare(dst[i], v)
+			want = []bool{c == 0, c != 0, c < 0, c <= 0, c > 0, c >= 0}[op]
+		}
+		if want = want && before[i]; keep[i] != want {
+			return fmt.Errorf("col %d block %d row %d: %v %v %v (kept before: %v) -> keep=%v, want %v",
+				col, b, i, dst[i], op, v, before[i], keep[i], want)
+		}
+		switch {
+		case keep[i]:
+			nkept++
+			if !sameBits(kept[i], dst[i]) {
+				return fmt.Errorf("col %d block %d row %d: DecodeKept wrote %v, Decode %v", col, b, i, kept[i], dst[i])
+			}
+		case kept[i].S != "untouched":
+			return fmt.Errorf("col %d block %d row %d: DecodeKept wrote %v at a dropped row", col, b, i, kept[i])
+		}
+	}
+	blk := &cs.cols[col].blocks[b]
+	if blk.enc == encRLE {
+		tested = runs
+	}
+	if units != tested || alive != nkept {
+		return fmt.Errorf("col %d block %d (%v) %v %v: units %d, alive %d; want %d, %d",
+			col, b, blk.enc, op, v, units, alive, tested, nkept)
+	}
+	return nil
 }
 
 // TestZoneShare: on a block of consecutive integers the share a range
@@ -229,7 +226,6 @@ func TestZonePruneNeverSkipsMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rows := colTestRows(1000, rng)
 	cs := BuildColumnStore(vectorsOf(rows, len(rows[0])), 128, HeapMark{})
-	ops := []CmpOp{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE}
 	dst := make([]types.Value, cs.BlockSize())
 	keep := make([]bool, cs.BlockSize())
 	pruned := 0
@@ -244,7 +240,7 @@ func TestZonePruneNeverSkipsMatches(t *testing.T) {
 			default:
 				v = types.Int(rng.Int63n(1100))
 			}
-			op := ops[trial%len(ops)]
+			op := allOps[trial%len(allOps)]
 			for b := 0; b < cs.NumBlocks(); b++ {
 				if !cs.ZonePrune(col, b, op, v) {
 					continue

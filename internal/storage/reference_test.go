@@ -6,15 +6,19 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"rqp/internal/types"
 )
 
 // referenceColumnStore is the snapshot builder as it stood before ANALYZE
-// read typed vectors: a boxed copy of every column, every float boxed in its
-// raw block, a fresh code slice per block. It is the oracle BuildColumnStore
-// must match: same encodings, zones, bytes and decoded values.
+// read typed vectors — a boxed copy of every column, a fresh code slice per
+// block — with the decimal rule derived from each float's shortest decimal
+// form, and every float block it does not store decimal boxed raw. It is the
+// oracle BuildColumnStore must match: same encodings, exponents, zones,
+// bytes and decoded values.
 func referenceColumnStore(rows []types.Row, ncols, blockSize int) *ColumnStore {
 	if blockSize <= 0 {
 		blockSize = DefaultColBlock
@@ -42,9 +46,10 @@ func referenceColumnStore(rows []types.Row, ncols, blockSize int) *ColumnStore {
 	return cs
 }
 
-// encodable classifies a column's values: dictionary for all-string columns,
-// integer encodings for uniform int/date/bool columns, raw otherwise (any
-// NULL or kind mix forces raw so encoded blocks are NULL-free).
+// refColumnClass classifies a column's values: dictionary for all-string
+// columns, integer encodings for uniform int/date/bool columns, decimal or
+// raw blocks for uniform float columns, raw otherwise (any NULL or kind mix
+// forces raw so encoded blocks are NULL-free).
 func refColumnClass(vals []types.Value) (kind types.Kind, ok bool) {
 	kind = types.KindNull
 	for _, v := range vals {
@@ -57,10 +62,7 @@ func refColumnClass(vals []types.Value) (kind types.Kind, ok bool) {
 			return types.KindNull, false
 		}
 	}
-	if kind == types.KindNull || kind == types.KindFloat {
-		return kind, false
-	}
-	return kind, true
+	return kind, kind != types.KindNull
 }
 
 func refBuildColumn(vals []types.Value, blockSize int) column {
@@ -84,6 +86,8 @@ func refBuildColumn(vals []types.Value, blockSize int) column {
 			blk = refEncodeRaw(vals[start:end])
 		case kind == types.KindString:
 			blk = refEncodeDict(vals[start:end], col.dict)
+		case kind == types.KindFloat:
+			blk = refEncodeFloats(vals[start:end])
 		default:
 			blk = refEncodeInts(vals[start:end], kind)
 		}
@@ -133,6 +137,51 @@ func refEncodeDict(vals []types.Value, dict []string) colBlock {
 	}
 	blk.min, blk.max, blk.hasZone = zoneOf(vals)
 	return blk
+}
+
+// refEncodeFloats stores a float block as its decimal integers when
+// refDecimal finds them and they do not come out raw, boxed raw otherwise.
+func refEncodeFloats(vals []types.Value) colBlock {
+	ks, e, ok := refDecimal(vals)
+	if !ok {
+		return refEncodeRaw(vals)
+	}
+	blk := refEncodeInts(ks, types.KindInt)
+	if blk.enc == encRaw {
+		return refEncodeRaw(vals)
+	}
+	blk.exp = uint8(e)
+	blk.min, blk.max, blk.hasZone = zoneOf(vals)
+	return blk
+}
+
+// refDecimal reads the decimal rule off each value's shortest decimal form,
+// which parses back to it: e is the most digits any value shows after the
+// point, and a value's k its digits padded to e of them. The block is
+// decimal when e <= maxDecimalExp and every k is an integer below 2^53 in
+// magnitude whose k·10^-e parses back to the value's bits.
+func refDecimal(vals []types.Value) (ks []types.Value, e int, ok bool) {
+	whole, frac := make([]string, len(vals)), make([]string, len(vals))
+	for i, v := range vals {
+		whole[i], frac[i], _ = strings.Cut(strconv.FormatFloat(v.F, 'f', -1, 64), ".")
+		e = max(e, len(frac[i]))
+	}
+	if e > maxDecimalExp {
+		return nil, 0, false
+	}
+	ks = make([]types.Value, len(vals))
+	for i, v := range vals {
+		k, err := strconv.ParseInt(whole[i]+frac[i]+strings.Repeat("0", e-len(frac[i])), 10, 64)
+		if err != nil || k <= -1<<53 || k >= 1<<53 {
+			return nil, 0, false
+		}
+		back, err := strconv.ParseFloat(strconv.FormatInt(k, 10)+"e-"+strconv.Itoa(e), 64)
+		if err != nil || math.Float64bits(back) != math.Float64bits(v.F) {
+			return nil, 0, false
+		}
+		ks[i] = types.Int(k)
+	}
+	return ks, e, true
 }
 
 // refEncodeInts picks the smallest of RLE, offset bit-packing and raw for one
@@ -204,7 +253,7 @@ func TestSnapshotFromVectorsMatchesRows(t *testing.T) {
 			types.Int(int64(i%2) * math.MaxInt64),              // too wide to pack: raw boxed ints
 			types.Bool(i%3 == 0),                               // packed at one bit
 			types.Str("only"),                                  // dictionary of one, zero bits
-			types.Float(float64(rng.Intn(50))),                 // raw floats
+			types.Float(float64(rng.Intn(50))),                 // integer-valued floats: decimal at e = 0
 			[]types.Value{types.Int(1), types.Str("a")}[i%2],   // mixed kinds: raw boxed
 			types.Value{K: types.KindDate, I: int64(i / 100)},  // rle dates
 			[]types.Value{types.Null(), types.Float(2.5)}[i%2], // leading NULL: raw boxed
@@ -222,6 +271,8 @@ func TestSnapshotFromVectorsMatchesRows(t *testing.T) {
 		{"every encoding, one block", colTestRows(1000, rng), 6, 0},
 		{"block boundary", colTestRows(256, rng), 6, 128},
 		{"edges", wide, 7, 64},
+		{"decimal edges", decimalTestRows(false), 1, decimalBlock},
+		{"decimal edges, two cases a block", decimalTestRows(false), 1, 2 * decimalBlock},
 		{"short rows", short, 2, 2},
 		{"all NULL", allNull, 1, 2},
 		{"empty", nil, 3, 16},
@@ -236,7 +287,7 @@ func TestSnapshotFromVectorsMatchesRows(t *testing.T) {
 				tc.name, got.NumRows(), got.NumCols(), got.NumBlocks(), got.BlockSize(), got.EncodedBytes(),
 				want.NumRows(), want.NumCols(), want.NumBlocks(), want.BlockSize(), want.EncodedBytes())
 		}
-		g, w := make([]types.Value, got.BlockSize()), make([]types.Value, got.BlockSize())
+		g := make([]types.Value, got.BlockSize())
 		for col := 0; col < got.NumCols(); col++ {
 			gc, wc := &got.cols[col], &want.cols[col]
 			if gc.kind != wc.kind || gc.bytes != wc.bytes || !reflect.DeepEqual(gc.dict, wc.dict) || len(gc.blocks) != len(wc.blocks) {
@@ -247,16 +298,26 @@ func TestSnapshotFromVectorsMatchesRows(t *testing.T) {
 				gb, wb := gc.blocks[b], wc.blocks[b]
 				nb := got.BlockRows(b)
 				got.Decode(col, b, g[:nb])
-				want.Decode(col, b, w[:nb])
-				if !reflect.DeepEqual(g[:nb], w[:nb]) {
-					t.Fatalf("%s col %d block %d: decodes to %v, want %v", tc.name, col, b, g[:nb], w[:nb])
+				for i, r := range tc.rows[b*got.BlockSize():][:nb] {
+					stored := types.Null()
+					if col < len(r) {
+						stored = r[col]
+					}
+					if !sameBits(g[i], stored) {
+						t.Fatalf("%s col %d block %d row %d: decodes to %v, stored %v", tc.name, col, b, i, g[i], stored)
+					}
 				}
 				if got.PageSpan(col, b) != want.PageSpan(col, b) {
 					t.Fatalf("%s col %d block %d: page span %d, want %d", tc.name, col, b, got.PageSpan(col, b), want.PageSpan(col, b))
 				}
+				if !sameBits(gb.min, wb.min) || !sameBits(gb.max, wb.max) {
+					t.Fatalf("%s col %d block %d: zone [%v, %v], want [%v, %v]", tc.name, col, b, gb.min, gb.max, wb.min, wb.max)
+				}
 				// Raw payloads were compared through Decode: a float block
-				// holds []float64 where the reference boxes.
+				// holds []float64 where the reference boxes. Zones were
+				// compared by bits, which DeepEqual does not do for NaN.
 				gb.raw, gb.floats, wb.raw = nil, nil, nil
+				gb.min, gb.max, wb.min, wb.max = types.Value{}, types.Value{}, types.Value{}, types.Value{}
 				if !reflect.DeepEqual(gb, wb) {
 					t.Fatalf("%s col %d block %d: block %+v, want %+v", tc.name, col, b, gb, wb)
 				}
@@ -265,14 +326,31 @@ func TestSnapshotFromVectorsMatchesRows(t *testing.T) {
 	}
 }
 
+// sameBits reports whether a and b are the same value down to a float's bits.
+func sameBits(a, b types.Value) bool {
+	return a.K == b.K && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
 // TestRawFloatBlocksHoldFloats: a float column's raw blocks keep 8 bytes a
-// value, slices of the vector the snapshot was built from, not a boxed copy.
+// value, slices of the vector the snapshot was built from, not a boxed copy;
+// a decimal column's blocks hold neither, so the snapshot does not keep its
+// vector alive.
 func TestRawFloatBlocksHoldFloats(t *testing.T) {
-	vecs := vectorsOf(colTestRows(300, rand.New(rand.NewSource(29))), 6)
+	rng := rand.New(rand.NewSource(29))
+	rows := colTestRows(300, rng)
+	for _, r := range rows {
+		r[1] = types.Float(float64(rng.Intn(100000)) / 10) // a price: decimal
+	}
+	vecs := vectorsOf(rows, 6)
 	cs := BuildColumnStore(vecs, 128, HeapMark{})
 	for b, blk := range cs.cols[4].blocks {
 		if blk.raw != nil || len(blk.floats) != cs.BlockRows(b) || &blk.floats[0] != &vecs[4].Floats[b*128] {
 			t.Fatalf("float block %d: %d boxed values, %d floats, want none boxed and a slice of the vector", b, len(blk.raw), len(blk.floats))
+		}
+	}
+	for b, blk := range cs.cols[1].blocks {
+		if blk.raw != nil || blk.floats != nil || blk.enc == encRaw {
+			t.Fatalf("decimal block %d: %v, %d boxed values, %d floats; want it encoded and no value kept", b, blk.enc, len(blk.raw), len(blk.floats))
 		}
 	}
 	for b, blk := range cs.cols[5].blocks {
