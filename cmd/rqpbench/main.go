@@ -10,18 +10,18 @@
 //	rqpbench -json           # machine-readable results on stdout
 //	rqpbench -sweep mem-sweep            # memory-degradation robustness map
 //	rqpbench -json -sweep mem-sweep -o BENCH_spill.json
-//	rqpbench -sweep filter-sweep         # runtime-filter selectivity sweep
+//	rqpbench -json -sweep filter-sweep -o BENCH_filter.json     # runtime-filter selectivity map
 //	rqpbench -json -sweep dop-sweep -o BENCH_parallel.json      # DOP cost-parity map
 //	rqpbench -json -sweep columnar-sweep -o BENCH_columnar.json # heap-vs-columnar map
 //	rqpbench -json -sweep shard-sweep -o BENCH_shard.json       # shard/skew/straggler map
 //	rqpbench -json -sweep server-sweep -o BENCH_server.json     # wire-protocol concurrency map
+//	rqpbench -json -sweep netshuffle-sweep -o BENCH_netshuffle.json # TCP shuffle to worker processes
 //	rqpbench -sweep mem-sweep,shard-sweep   # several sweeps in one file
 //	rqpbench -shards 4       # run the traced probes on 4 logical shards
 //	rqpbench -debug-addr :6060   # live /metrics /queries /trace/{id} while running
 //
-// Every -json file embeds a self-describing meta header (timestamp, go
-// version, scale/DOP/rf/memory/shards config, dataset seed) so
-// cmd/rqpregress can refuse apples-to-oranges comparisons.
+// Every -json file embeds a meta header (timestamp, Go version, scale,
+// DOP, shards, skew, seed) so cmd/rqpregress can refuse mismatched runs.
 package main
 
 import (
@@ -100,7 +100,7 @@ func main() {
 	case anySweep || *exps != "":
 		kind = "mixed"
 	}
-	result := bench.Result{Meta: bench.NewMeta(kind, *scale, *dop, false, 0, *shards, *skew)}
+	result := bench.Result{Meta: bench.NewMeta(kind, *scale, *dop, *shards, *skew)}
 
 	if *debugAddr != "" {
 		srv, err := bench.StartProbeDebugServer(*debugAddr)

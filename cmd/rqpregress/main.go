@@ -27,70 +27,6 @@ import (
 	"rqp/internal/server"
 )
 
-// freshFor regenerates, in-process, every section the baseline contains,
-// under the baseline's recorded configuration.
-func freshFor(base *bench.Result) (*bench.Result, error) {
-	m := base.Meta
-	fresh := &bench.Result{Meta: bench.NewMeta(m.Kind, m.Scale, m.DOP, m.RF, m.MemBudgetRows, m.Shards, m.Skew)}
-	if len(base.MemSweep) > 0 {
-		points, _, err := bench.RunMemSweep(m.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("mem-sweep: %w", err)
-		}
-		fresh.MemSweep = points
-	}
-	if len(base.FilterSweep) > 0 {
-		points, _, err := bench.RunFilterSweep(m.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("filter-sweep: %w", err)
-		}
-		fresh.FilterSweep = points
-	}
-	if len(base.DopSweep) > 0 {
-		points, _, err := bench.RunDopSweep(m.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("dop-sweep: %w", err)
-		}
-		fresh.DopSweep = points
-	}
-	if len(base.ColumnarSweep) > 0 {
-		points, _, err := bench.RunColumnarSweep(m.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("columnar-sweep: %w", err)
-		}
-		fresh.ColumnarSweep = points
-	}
-	if len(base.ShardSweep) > 0 {
-		points, _, err := bench.RunShardSweep(m.Scale, m.Skew)
-		if err != nil {
-			return nil, fmt.Errorf("shard-sweep: %w", err)
-		}
-		fresh.ShardSweep = points
-	}
-	if len(base.ServerSweep) > 0 {
-		points, _, err := bench.RunServerSweep(m.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("server-sweep: %w", err)
-		}
-		fresh.ServerSweep = points
-	}
-	if len(base.NetShuffleSweep) > 0 {
-		points, _, err := bench.RunNetShuffleSweep(m.Scale, m.Skew)
-		if err != nil {
-			return nil, fmt.Errorf("netshuffle-sweep: %w", err)
-		}
-		fresh.NetShuffleSweep = points
-	}
-	if len(base.Queries) > 0 {
-		qs, err := bench.ProbeQueries(m.Scale, m.DOP, m.Shards)
-		if err != nil {
-			return nil, fmt.Errorf("probes: %w", err)
-		}
-		fresh.Queries = qs
-	}
-	return fresh, nil
-}
-
 func main() {
 	// The netshuffle sweep spawns worker processes by re-executing this
 	// binary; a spawned copy must become a worker, not run the gate.
@@ -128,7 +64,7 @@ func main() {
 		if *freshPath != "" {
 			fresh, err = bench.Load(*freshPath)
 		} else {
-			fresh, err = freshFor(base)
+			fresh, err = bench.Rerun(base)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rqpregress: %s: %v\n", path, err)

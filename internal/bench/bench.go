@@ -53,21 +53,19 @@ func StartProbeDebugServer(addr string) (*obs.DebugServer, error) {
 // recorded in Meta so two files probe the same data or refuse to compare.
 const ProbeSeed = 42
 
-// Meta makes a benchmark file self-describing. Identity fields (Scale,
-// DOP, RF, MemBudgetRows, Seed) must match for two files to be
+// Meta makes a benchmark file self-describing. Identity fields (Kind,
+// Scale, DOP, Seed, Shards, Skew) must match for two files to be
 // comparable; provenance fields (Timestamp, GoVersion, OS, Arch) are
 // informational.
 type Meta struct {
-	Kind          string  `json:"kind"` // see KnownKinds for the registry of valid values
-	Timestamp     string  `json:"timestamp"`
-	GoVersion     string  `json:"go_version"`
-	OS            string  `json:"os"`
-	Arch          string  `json:"arch"`
-	Scale         float64 `json:"scale"`
-	DOP           int     `json:"dop"`
-	RF            bool    `json:"rf"`
-	MemBudgetRows int     `json:"mem_budget_rows"`
-	Seed          int64   `json:"seed"`
+	Kind      string  `json:"kind"` // a name in the kinds registry
+	Timestamp string  `json:"timestamp"`
+	GoVersion string  `json:"go_version"`
+	OS        string  `json:"os"`
+	Arch      string  `json:"arch"`
+	Scale     float64 `json:"scale"`
+	DOP       int     `json:"dop"`
+	Seed      int64   `json:"seed"`
 	// Shards and Skew pin the sharded-execution configuration: a baseline
 	// produced at one shard count or key skew must not gate a run at
 	// another (the shuffle overhead and makespan are not comparable).
@@ -77,38 +75,77 @@ type Meta struct {
 
 // NewMeta stamps a meta header for a run produced right now by this
 // binary.
-func NewMeta(kind string, scale float64, dop int, rf bool, memRows, shards int, skew float64) Meta {
+func NewMeta(kind string, scale float64, dop, shards int, skew float64) Meta {
 	return Meta{
-		Kind:          kind,
-		Timestamp:     time.Now().UTC().Format(time.RFC3339),
-		GoVersion:     runtime.Version(),
-		OS:            runtime.GOOS,
-		Arch:          runtime.GOARCH,
-		Scale:         scale,
-		DOP:           dop,
-		RF:            rf,
-		MemBudgetRows: memRows,
-		Shards:        shards,
-		Skew:          skew,
-		Seed:          ProbeSeed,
+		Kind:      kind,
+		Timestamp: time.Now().UTC().Format(time.RFC3339),
+		GoVersion: runtime.Version(),
+		OS:        runtime.GOOS,
+		Arch:      runtime.GOARCH,
+		Scale:     scale,
+		DOP:       dop,
+		Shards:    shards,
+		Skew:      skew,
+		Seed:      ProbeSeed,
 	}
 }
 
-// KnownKinds is the registry of bench-file kinds the regression gate knows
-// how to regenerate and diff. A kind must be registered here when its
-// section lands, or rqpregress would accept the file and then silently
-// compare none of its points — exactly the failure mode the gate exists to
-// prevent. Compare refuses files whose kind is not registered.
-var KnownKinds = map[string]bool{
-	"probes":           true,
-	"mem-sweep":        true,
-	"filter-sweep":     true,
-	"dop-sweep":        true,
-	"columnar-sweep":   true,
-	"shard-sweep":      true,
-	"server-sweep":     true,
-	"netshuffle-sweep": true,
-	"mixed":            true,
+// kind is one bench-file kind: its Meta.Kind name, the JSON name of the
+// Result section it fills, and the runner that fills it.
+type kind struct {
+	name    string
+	section string
+	run     func(scale, skew float64, r *Result) (*experiments.Report, error)
+}
+
+// kinds is the registry of bench-file kinds. A new kind is one tagged point
+// type, one Result field and one entry here: Compare refuses a file whose
+// kind is missing, so a section cannot land ungated. probes and mixed have
+// no runner; rqpbench produces them directly. skew only narrows the shard
+// and netshuffle sweeps' skew ladders to that one Zipf parameter.
+var kinds = []kind{
+	{"probes", "queries", nil},
+	{"mixed", "", nil},
+	{"mem-sweep", "mem_sweep", func(scale, _ float64, r *Result) (rep *experiments.Report, err error) {
+		rep, r.MemSweep, err = experiments.MemSweep(scale)
+		return rep, err
+	}},
+	{"filter-sweep", "filter_sweep", func(scale, _ float64, r *Result) (rep *experiments.Report, err error) {
+		rep, r.FilterSweep, err = experiments.FilterSweep(scale)
+		return rep, err
+	}},
+	{"dop-sweep", "dop_sweep", func(scale, _ float64, r *Result) (rep *experiments.Report, err error) {
+		rep, r.DopSweep, err = experiments.DopSweep(scale)
+		return rep, err
+	}},
+	{"columnar-sweep", "columnar_sweep", func(scale, _ float64, r *Result) (rep *experiments.Report, err error) {
+		rep, r.ColumnarSweep, err = experiments.ColumnarSweep(scale)
+		return rep, err
+	}},
+	{"shard-sweep", "shard_sweep", func(scale, skew float64, r *Result) (rep *experiments.Report, err error) {
+		rep, r.ShardSweep, err = experiments.ShardSweep(scale, skew)
+		return rep, err
+	}},
+	{"server-sweep", "server_sweep", func(scale, _ float64, r *Result) (rep *experiments.Report, err error) {
+		rep, r.ServerSweep, err = experiments.ServerSweep(scale)
+		return rep, err
+	}},
+	// The caller's binary must run server.MaybeRunShardWorker() at startup:
+	// the sweep re-executes it to spawn its worker processes.
+	{"netshuffle-sweep", "netshuffle_sweep", func(scale, skew float64, r *Result) (rep *experiments.Report, err error) {
+		rep, r.NetShuffleSweep, err = experiments.NetShuffleSweep(scale, skew)
+		return rep, err
+	}},
+}
+
+// kindNamed returns the registered kind called name, or nil.
+func kindNamed(name string) *kind {
+	for i := range kinds {
+		if kinds[i].name == name {
+			return &kinds[i]
+		}
+	}
+	return nil
 }
 
 // Comparable reports whether two metas describe the same experiment
@@ -121,10 +158,6 @@ func (m Meta) Comparable(other Meta) error {
 		return fmt.Errorf("scale mismatch: %v vs %v", m.Scale, other.Scale)
 	case m.DOP != other.DOP:
 		return fmt.Errorf("dop mismatch: %d vs %d", m.DOP, other.DOP)
-	case m.RF != other.RF:
-		return fmt.Errorf("rf mismatch: %v vs %v", m.RF, other.RF)
-	case m.MemBudgetRows != other.MemBudgetRows:
-		return fmt.Errorf("mem_budget_rows mismatch: %d vs %d", m.MemBudgetRows, other.MemBudgetRows)
 	case m.Seed != other.Seed:
 		return fmt.Errorf("seed mismatch: %d vs %d", m.Seed, other.Seed)
 	case m.Shards != other.Shards:
@@ -146,152 +179,30 @@ type Experiment struct {
 // Query is one traced probe query's result: the per-query numbers the text
 // reports only aggregate.
 type Query struct {
-	ID            int     `json:"id"`
-	Policy        string  `json:"policy"`
+	Policy        string  `json:"policy" gate:"key"`
+	ID            int     `json:"id" gate:"key"`
 	Trapped       bool    `json:"trapped"`
-	Rows          int     `json:"rows"`
-	CostUnits     float64 `json:"cost_units"`
+	Rows          int     `json:"rows" gate:"equal"`
+	CostUnits     float64 `json:"cost_units" gate:"tol"`
 	Reopts        int     `json:"reopts"`
 	QErrorGeomean float64 `json:"qerror_geomean"`
 	Fingerprint   string  `json:"fingerprint,omitempty"`
 }
 
-// MemSweepPoint is one rung of the memory-degradation robustness map.
-type MemSweepPoint struct {
-	BudgetRows      int     `json:"budget_rows"`
-	CostUnits       float64 `json:"cost_units"`
-	SpillPartitions int     `json:"spill_partitions"`
-	SpillRows       int     `json:"spill_rows"`
-	SpillPages      int     `json:"spill_pages"`
-	RecursionDepth  int     `json:"recursion_depth"`
-	MergeFallbacks  int     `json:"merge_fallbacks"`
-	ResultExact     bool    `json:"result_exact"`
-}
-
-// FilterSweepPoint is one rung of the runtime-filter robustness map.
-type FilterSweepPoint struct {
-	Selectivity     float64 `json:"selectivity"`
-	UnfilteredUnits float64 `json:"unfiltered_units"`
-	FilteredUnits   float64 `json:"filtered_units"`
-	Ratio           float64 `json:"ratio"`
-	FiltersBuilt    int     `json:"filters_built"`
-	RowsTested      int     `json:"rows_tested"`
-	RowsDropped     int     `json:"rows_dropped"`
-	FiltersDisabled int     `json:"filters_disabled"`
-	ResultExact     bool    `json:"result_exact"`
-}
-
-// DopSweepPoint is one rung of the parallel cost-parity map.
-type DopSweepPoint struct {
-	DOP         int     `json:"dop"`
-	CostUnits   float64 `json:"cost_units"`
-	WallMS      float64 `json:"wall_ms"`
-	ResultExact bool    `json:"result_exact"`
-}
-
-// ColumnarSweepPoint is one rung of the columnar robustness map: the same
-// scan+filter on heap and columnar paths at one encoding x selectivity.
-type ColumnarSweepPoint struct {
-	Encoding      string  `json:"encoding"`
-	Selectivity   float64 `json:"selectivity"`
-	HeapUnits     float64 `json:"heap_units"`
-	ColUnits      float64 `json:"col_units"`
-	Ratio         float64 `json:"ratio"`
-	BlocksSkipped int     `json:"blocks_skipped"`
-	BlocksScanned int     `json:"blocks_scanned"`
-	ResultExact   bool    `json:"result_exact"`
-}
-
-// ShardSweepPoint is one rung of the sharded-execution robustness map: the
-// shard-join workload at one (section, shards, skew, hot-split, workers)
-// configuration. TotalUnits must match the serial cost exactly;
-// MakespanUnits is the derived cluster response time the graceful-
-// degradation curves are about.
-type ShardSweepPoint struct {
-	Section       string  `json:"section"`
-	Shards        int     `json:"shards"`
-	Skew          float64 `json:"skew"`
-	HotSplit      bool    `json:"hot_split"`
-	Mode          string  `json:"mode"`
-	Workers       string  `json:"workers,omitempty"`
-	TotalUnits    float64 `json:"total_units"`
-	MakespanUnits float64 `json:"makespan_units"`
-	WorstShard    float64 `json:"worst_shard_units"`
-	MeanShard     float64 `json:"mean_shard_units"`
-	RowsMoved     int64   `json:"rows_moved"`
-	RowsBroadcast int64   `json:"rows_broadcast"`
-	HotKeys       int64   `json:"hot_keys"`
-	ResultExact   bool    `json:"result_exact"`
-	CostExact     bool    `json:"cost_exact"`
-}
-
-// ServerSweepPoint is one rung of the service-layer concurrency map: N
-// closed-loop wire-protocol clients against one engine behind an MPL
-// admission gate. Latency quantiles and qps are wall-clock (never gated);
-// CostUnits is the deterministic simulated total, recorded only at
-// clients=1 where execution is sequential, so the gate diffs it exactly
-// there and skips it at concurrent points.
-type ServerSweepPoint struct {
-	Clients       int     `json:"clients"`
-	MPL           int     `json:"mpl"`
-	Queries       int     `json:"queries"`
-	QueuedWaits   int64   `json:"queued_waits"`
-	QueuedNotices int     `json:"queued_notices"`
-	AdmitTimeouts int     `json:"admit_timeouts"`
-	QPS           float64 `json:"qps"`
-	P50MS         float64 `json:"p50_ms"`
-	P99MS         float64 `json:"p99_ms"`
-	P999MS        float64 `json:"p999_ms"`
-	MaxMS         float64 `json:"max_ms"`
-	MeanCostUnits float64 `json:"mean_cost_units"`
-	CostUnits     float64 `json:"cost_units,omitempty"`
-	ResultExact   bool    `json:"result_exact"`
-}
-
-// NetShuffleSweepPoint is one rung of the network-shuffle robustness map:
-// the E28 shard-join matrix re-run with every exchange carried over TCP to
-// spawned worker processes. Main-clock fields and wire totals (frames,
-// bytes, rows) are deterministic — fixed batch seal points and a canonical
-// encoding — so the gate diffs them; NetStalls is timing-dependent
-// (credit-window backpressure) and is recorded but never gated.
-type NetShuffleSweepPoint struct {
-	Section       string  `json:"section"`
-	Shards        int     `json:"shards"`
-	Skew          float64 `json:"skew"`
-	HotSplit      bool    `json:"hot_split"`
-	Mode          string  `json:"mode"`
-	Workers       string  `json:"workers,omitempty"`
-	Transport     string  `json:"transport,omitempty"`
-	TotalUnits    float64 `json:"total_units"`
-	MakespanUnits float64 `json:"makespan_units"`
-	RowsMoved     int64   `json:"rows_moved"`
-	RowsBroadcast int64   `json:"rows_broadcast"`
-	HotKeys       int64   `json:"hot_keys"`
-	NetFrames     int64   `json:"net_frames"`
-	NetBytes      int64   `json:"net_bytes"`
-	NetRowsWire   int64   `json:"net_rows_wire"`
-	NetStalls     int64   `json:"net_stalls"`
-	PeerFrames    []int64 `json:"peer_frames,omitempty"`
-	PeerBytes     []int64 `json:"peer_bytes,omitempty"`
-	Reconciled    bool    `json:"reconciled"`
-	ResultExact   bool    `json:"result_exact"`
-	CostExact     bool    `json:"cost_exact"`
-}
-
 // Result is one bench file: the meta header plus whichever sections the
-// run produced.
+// run produced. Every slice section but Experiments is gated by Compare
+// through its point type's gate tags.
 type Result struct {
-	Meta          Meta                 `json:"meta"`
-	Experiments   []Experiment         `json:"experiments,omitempty"`
-	Queries       []Query              `json:"queries,omitempty"`
-	MemSweep      []MemSweepPoint      `json:"mem_sweep,omitempty"`
-	FilterSweep   []FilterSweepPoint   `json:"filter_sweep,omitempty"`
-	DopSweep      []DopSweepPoint      `json:"dop_sweep,omitempty"`
-	ColumnarSweep []ColumnarSweepPoint `json:"columnar_sweep,omitempty"`
-	ShardSweep    []ShardSweepPoint    `json:"shard_sweep,omitempty"`
-	ServerSweep   []ServerSweepPoint   `json:"server_sweep,omitempty"`
-
-	NetShuffleSweep []NetShuffleSweepPoint `json:"netshuffle_sweep,omitempty"`
+	Meta            Meta                               `json:"meta"`
+	Experiments     []Experiment                       `json:"experiments,omitempty"`
+	Queries         []Query                            `json:"queries,omitempty"`
+	MemSweep        []experiments.MemSweepPoint        `json:"mem_sweep,omitempty"`
+	FilterSweep     []experiments.FilterSweepPoint     `json:"filter_sweep,omitempty"`
+	DopSweep        []experiments.DopSweepPoint        `json:"dop_sweep,omitempty"`
+	ColumnarSweep   []experiments.ColumnarSweepPoint   `json:"columnar_sweep,omitempty"`
+	ShardSweep      []experiments.ShardSweepPoint      `json:"shard_sweep,omitempty"`
+	ServerSweep     []experiments.ServerSweepPoint     `json:"server_sweep,omitempty"`
+	NetShuffleSweep []experiments.NetShuffleSweepPoint `json:"netshuffle_sweep,omitempty"`
 }
 
 // Load reads and decodes a bench file.
@@ -350,193 +261,35 @@ func ProbeQueries(scale float64, dop, shards int) ([]Query, error) {
 	return out, nil
 }
 
-// RunMemSweep produces the mem_sweep section.
-func RunMemSweep(scale float64) ([]MemSweepPoint, *experiments.Report, error) {
-	rep, points, err := experiments.MemSweep(scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]MemSweepPoint, 0, len(points))
-	for _, p := range points {
-		out = append(out, MemSweepPoint{
-			BudgetRows: p.Budget, CostUnits: p.Units,
-			SpillPartitions: p.Partitions, SpillRows: p.SpillRows,
-			SpillPages: p.SpillPages, RecursionDepth: p.MaxDepth,
-			MergeFallbacks: p.Fallbacks, ResultExact: p.Match,
-		})
-	}
-	return out, rep, nil
-}
-
-// RunFilterSweep produces the filter_sweep section.
-func RunFilterSweep(scale float64) ([]FilterSweepPoint, *experiments.Report, error) {
-	rep, points, err := experiments.FilterSweep(scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]FilterSweepPoint, 0, len(points))
-	for _, p := range points {
-		out = append(out, FilterSweepPoint{
-			Selectivity: p.Sel, UnfilteredUnits: p.Unfiltered,
-			FilteredUnits: p.Filtered, Ratio: p.Ratio,
-			FiltersBuilt: p.Built, RowsTested: p.Tested,
-			RowsDropped: p.Dropped, FiltersDisabled: p.Disabled,
-			ResultExact: p.Match,
-		})
-	}
-	return out, rep, nil
-}
-
-// RunDopSweep produces the dop_sweep section.
-func RunDopSweep(scale float64) ([]DopSweepPoint, *experiments.Report, error) {
-	rep, points, err := experiments.DopSweep(scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]DopSweepPoint, 0, len(points))
-	for _, p := range points {
-		out = append(out, DopSweepPoint{
-			DOP: p.DOP, CostUnits: p.Units, WallMS: p.WallMS, ResultExact: p.Match,
-		})
-	}
-	return out, rep, nil
-}
-
-// RunColumnarSweep produces the columnar_sweep section.
-func RunColumnarSweep(scale float64) ([]ColumnarSweepPoint, *experiments.Report, error) {
-	rep, points, err := experiments.ColumnarSweep(scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]ColumnarSweepPoint, 0, len(points))
-	for _, p := range points {
-		out = append(out, ColumnarSweepPoint{
-			Encoding: p.Encoding, Selectivity: p.Sel,
-			HeapUnits: p.HeapUnits, ColUnits: p.ColUnits, Ratio: p.Ratio,
-			BlocksSkipped: p.BlocksSkipped, BlocksScanned: p.BlocksScanned,
-			ResultExact: p.Match,
-		})
-	}
-	return out, rep, nil
-}
-
-// RunShardSweep produces the shard_sweep section. skew > 0 narrows the
-// skew ladder to that single Zipf parameter (and is recorded in Meta so
-// the gate refuses cross-skew comparisons).
-func RunShardSweep(scale, skew float64) ([]ShardSweepPoint, *experiments.Report, error) {
-	rep, points, err := experiments.ShardSweep(scale, skew)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]ShardSweepPoint, 0, len(points))
-	for _, p := range points {
-		out = append(out, ShardSweepPoint{
-			Section: p.Section, Shards: p.Shards, Skew: p.Skew,
-			HotSplit: p.HotSplit, Mode: p.Mode, Workers: p.Workers,
-			TotalUnits: p.TotalUnits, MakespanUnits: p.MakespanUnits,
-			WorstShard: p.WorstShard, MeanShard: p.MeanShard,
-			RowsMoved: p.RowsMoved, RowsBroadcast: p.RowsBroadcast,
-			HotKeys: p.HotKeys, ResultExact: p.ResultExact, CostExact: p.CostExact,
-		})
-	}
-	return out, rep, nil
-}
-
-// RunServerSweep produces the server_sweep section: the E29 closed-loop
-// concurrency sweep through the wire protocol.
-func RunServerSweep(scale float64) ([]ServerSweepPoint, *experiments.Report, error) {
-	rep, points, err := experiments.ServerSweep(scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]ServerSweepPoint, 0, len(points))
-	for _, p := range points {
-		out = append(out, ServerSweepPoint{
-			Clients: p.Clients, MPL: p.MPL, Queries: p.Queries,
-			QueuedWaits: p.QueuedWaits, QueuedNotices: p.QueuedNotices,
-			AdmitTimeouts: p.AdmitTimeouts, QPS: p.QPS,
-			P50MS: p.P50MS, P99MS: p.P99MS, P999MS: p.P999MS, MaxMS: p.MaxMS,
-			MeanCostUnits: p.MeanCostUnits, CostUnits: p.CostUnits,
-			ResultExact: p.ResultExact,
-		})
-	}
-	return out, rep, nil
-}
-
-// RunNetShuffleSweep produces the netshuffle_sweep section: the E30 sweep
-// over spawned worker processes. The caller's binary must run
-// server.MaybeRunShardWorker() at startup so the re-exec'd copies become
-// workers. skew > 0 narrows the skew ladder to that single Zipf parameter.
-func RunNetShuffleSweep(scale, skew float64) ([]NetShuffleSweepPoint, *experiments.Report, error) {
-	rep, points, err := experiments.NetShuffleSweep(scale, skew)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]NetShuffleSweepPoint, 0, len(points))
-	for _, p := range points {
-		out = append(out, NetShuffleSweepPoint{
-			Section: p.Section, Shards: p.Shards, Skew: p.Skew,
-			HotSplit: p.HotSplit, Mode: p.Mode, Workers: p.Workers,
-			Transport:  p.Transport,
-			TotalUnits: p.TotalUnits, MakespanUnits: p.MakespanUnits,
-			RowsMoved: p.RowsMoved, RowsBroadcast: p.RowsBroadcast, HotKeys: p.HotKeys,
-			NetFrames: p.NetFrames, NetBytes: p.NetBytes, NetRowsWire: p.NetRowsWire,
-			NetStalls: p.NetStalls, PeerFrames: p.PeerFrames, PeerBytes: p.PeerBytes,
-			Reconciled: p.Reconciled, ResultExact: p.ResultExact, CostExact: p.CostExact,
-		})
-	}
-	return out, rep, nil
-}
-
-// SweepKinds lists the sweep kinds RunSweep dispatches, sorted — the
-// -sweep flag's registry, derived from KnownKinds so a new section cannot
-// land without the dispatcher (and the gate) knowing it.
+// SweepKinds lists the kinds RunSweep dispatches, sorted: the -sweep
+// flag's registry.
 func SweepKinds() []string {
-	var kinds []string
-	for k := range KnownKinds {
-		if k == "probes" || k == "mixed" {
-			continue // not sweeps: produced directly by rqpbench
+	var names []string
+	for _, k := range kinds {
+		if k.run != nil {
+			names = append(names, k.name)
 		}
-		kinds = append(kinds, k)
 	}
-	sort.Strings(kinds)
-	return kinds
+	sort.Strings(names)
+	return names
 }
 
 // ValidateSweepKinds rejects the first kind RunSweep would not dispatch,
 // naming the registry — so callers can fail fast before running anything.
-func ValidateSweepKinds(kinds []string) error {
-	for _, k := range kinds {
-		if !KnownKinds[k] || k == "probes" || k == "mixed" {
-			return fmt.Errorf("unknown sweep kind %q (known: %v)", k, SweepKinds())
+func ValidateSweepKinds(names []string) error {
+	for _, name := range names {
+		if k := kindNamed(name); k == nil || k.run == nil {
+			return fmt.Errorf("unknown sweep kind %q (known: %v)", name, SweepKinds())
 		}
 	}
 	return nil
 }
 
 // RunSweep runs one sweep kind by name and stores its section into res.
-// skew only affects the shard and netshuffle sweeps. Unknown kinds list the registry in
-// the error.
-func RunSweep(kind string, scale, skew float64, res *Result) (*experiments.Report, error) {
-	var rep *experiments.Report
-	var err error
-	switch kind {
-	case "mem-sweep":
-		res.MemSweep, rep, err = RunMemSweep(scale)
-	case "filter-sweep":
-		res.FilterSweep, rep, err = RunFilterSweep(scale)
-	case "dop-sweep":
-		res.DopSweep, rep, err = RunDopSweep(scale)
-	case "columnar-sweep":
-		res.ColumnarSweep, rep, err = RunColumnarSweep(scale)
-	case "shard-sweep":
-		res.ShardSweep, rep, err = RunShardSweep(scale, skew)
-	case "server-sweep":
-		res.ServerSweep, rep, err = RunServerSweep(scale)
-	case "netshuffle-sweep":
-		res.NetShuffleSweep, rep, err = RunNetShuffleSweep(scale, skew)
-	default:
-		return nil, fmt.Errorf("unknown sweep kind %q (known: %v)", kind, SweepKinds())
+// Unknown kinds list the registry in the error.
+func RunSweep(name string, scale, skew float64, res *Result) (*experiments.Report, error) {
+	if err := ValidateSweepKinds([]string{name}); err != nil {
+		return nil, err
 	}
-	return rep, err
+	return kindNamed(name).run(scale, skew, res)
 }

@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -26,295 +28,192 @@ func (v Violation) String() string {
 }
 
 // Compare diffs a fresh bench result against a committed baseline and
-// returns the violations. tolPct is the allowed cost/latency increase in
-// percent (improvements never fail the gate; they are the caller's to
-// celebrate). Only deterministic simulated-cost metrics are gated —
-// wall-clock fields are machine-dependent and ignored. Sections present in
-// the baseline but absent from the fresh run are violations (silent loss
-// of coverage); sections only in the fresh run are ignored (new coverage
-// is not a regression). Exactness flags (result_exact, cost_exact,
-// reconciled) must never decay from true to false.
+// returns the violations, sorted by Where. Every slice section of Result is
+// walked the same way, by the gate tags on its point type's fields:
+//
+//   - key: the point's identity. A baseline point with no fresh point of the
+//     same key is missing (silent loss of coverage); a fresh-only point is
+//     ignored (new coverage is not a regression).
+//   - tol: may not rise more than tolPct percent over a positive baseline.
+//     Improvements never fail the gate.
+//   - never: a bool may not go from true to false (exactness flags), a
+//     number not from 0 to nonzero (timeouts, wire traffic where there was
+//     none).
+//   - equal: may not change at all.
+//
+// An untagged field is recorded only: wall-clock fields are machine-dependent.
+// A point type without a key field (Experiment's headline maps) is not gated.
 //
 // Comparability of the two metas is a precondition: call
 // base.Meta.Comparable(fresh.Meta) first; Compare itself returns a single
-// meta violation instead of a misleading metric diff when they differ.
+// meta violation instead of a misleading metric diff when they differ, or
+// when base's kind is not registered.
 func Compare(base, fresh *Result, tolPct float64) []Violation {
-	if !KnownKinds[base.Meta.Kind] {
+	if kindNamed(base.Meta.Kind) == nil {
 		return []Violation{{Where: "meta", Msg: fmt.Sprintf(
 			"unknown kind %q: not in the gate's kind registry, its sections would be silently skipped", base.Meta.Kind)}}
 	}
 	if err := base.Meta.Comparable(fresh.Meta); err != nil {
 		return []Violation{{Where: "meta", Msg: "not comparable: " + err.Error()}}
 	}
-	var out []Violation
-	out = append(out, compareMemSweep(base.MemSweep, fresh.MemSweep, tolPct)...)
-	out = append(out, compareFilterSweep(base.FilterSweep, fresh.FilterSweep, tolPct)...)
-	out = append(out, compareDopSweep(base.DopSweep, fresh.DopSweep, tolPct)...)
-	out = append(out, compareColumnarSweep(base.ColumnarSweep, fresh.ColumnarSweep, tolPct)...)
-	out = append(out, compareShardSweep(base.ShardSweep, fresh.ShardSweep, tolPct)...)
-	out = append(out, compareServerSweep(base.ServerSweep, fresh.ServerSweep, tolPct)...)
-	out = append(out, compareNetShuffleSweep(base.NetShuffleSweep, fresh.NetShuffleSweep, tolPct)...)
-	out = append(out, compareQueries(base.Queries, fresh.Queries, tolPct)...)
+	out := walk(base, fresh, tolPct).violations
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Where < out[j].Where })
 	return out
 }
 
-// gateCost appends a violation when fresh cost exceeds baseline by more
-// than tolPct percent.
-func gateCost(out []Violation, where string, baseV, freshV, tolPct float64) []Violation {
-	if baseV <= 0 {
-		return out
-	}
-	deltaPct := (freshV - baseV) / baseV * 100
-	if deltaPct > tolPct+1e-12 {
-		out = append(out, Violation{Where: where, Baseline: baseV, Fresh: freshV, DeltaPct: deltaPct})
-	}
-	return out
+// gateWalk is one pass of a baseline against a fresh result.
+type gateWalk struct {
+	tolPct     float64
+	violations []Violation
+	worst      float64 // largest tol delta in percent
+	worstWhere string
+	compared   int // tol values compared (those with a positive baseline)
 }
 
-func gateExact(out []Violation, where string, baseOK, freshOK bool) []Violation {
-	if baseOK && !freshOK {
-		out = append(out, Violation{Where: where, Msg: "exactness lost: baseline true, fresh false"})
+func walk(base, fresh *Result, tolPct float64) *gateWalk {
+	g := &gateWalk{tolPct: tolPct, worst: math.Inf(-1)}
+	bv, fv := reflect.ValueOf(base).Elem(), reflect.ValueOf(fresh).Elem()
+	for i := 0; i < bv.NumField(); i++ {
+		if bv.Field(i).Kind() == reflect.Slice {
+			g.section(jsonName(bv.Type().Field(i)), bv.Field(i), fv.Field(i))
+		}
 	}
-	return out
+	return g
 }
 
-func missing(where string) Violation {
-	return Violation{Where: where, Msg: "present in baseline, missing from fresh run"}
-}
-
-func compareMemSweep(base, fresh []MemSweepPoint, tol float64) []Violation {
-	var out []Violation
-	byBudget := map[int]MemSweepPoint{}
-	for _, p := range fresh {
-		byBudget[p.BudgetRows] = p
+// section matches base's points to fresh's by their key fields and gates
+// every tagged field of each matched pair.
+func (g *gateWalk) section(name string, base, fresh reflect.Value) {
+	t := base.Type().Elem()
+	var keys []int
+	for i := 0; i < t.NumField(); i++ {
+		if slices.Contains(rules(t.Field(i)), "key") {
+			keys = append(keys, i)
+		}
 	}
-	for _, b := range base {
-		where := fmt.Sprintf("mem_sweep[budget_rows=%d]", b.BudgetRows)
-		f, ok := byBudget[b.BudgetRows]
+	if len(keys) == 0 {
+		return
+	}
+	where := func(p reflect.Value) string {
+		kv := make([]string, len(keys))
+		for j, i := range keys {
+			kv[j] = fmt.Sprintf("%s=%v", jsonName(t.Field(i)), p.Field(i))
+		}
+		return name + "[" + strings.Join(kv, ",") + "]"
+	}
+	byKey := make(map[string]reflect.Value, fresh.Len())
+	for i := 0; i < fresh.Len(); i++ {
+		byKey[where(fresh.Index(i))] = fresh.Index(i)
+	}
+	for i := 0; i < base.Len(); i++ {
+		b := base.Index(i)
+		at := where(b)
+		f, ok := byKey[at]
 		if !ok {
-			out = append(out, missing(where))
+			g.fail(at, "present in baseline, missing from fresh run")
 			continue
 		}
-		out = gateCost(out, where+".cost_units", b.CostUnits, f.CostUnits, tol)
-		out = gateExact(out, where+".result_exact", b.ResultExact, f.ResultExact)
+		for j := 0; j < t.NumField(); j++ {
+			for _, rule := range rules(t.Field(j)) {
+				g.check(rule, at+"."+jsonName(t.Field(j)), b.Field(j), f.Field(j))
+			}
+		}
 	}
-	return out
 }
 
-func compareFilterSweep(base, fresh []FilterSweepPoint, tol float64) []Violation {
-	var out []Violation
-	bySel := map[string]FilterSweepPoint{}
-	selKey := func(s float64) string { return fmt.Sprintf("%g", s) }
-	for _, p := range fresh {
-		bySel[selKey(p.Selectivity)] = p
+// check applies one gate rule to a field's baseline and fresh values.
+func (g *gateWalk) check(rule, where string, b, f reflect.Value) {
+	switch rule {
+	case "tol":
+		bn, fn := number(b), number(f)
+		if bn <= 0 {
+			return
+		}
+		delta := (fn - bn) / bn * 100
+		g.compared++
+		if delta > g.worst {
+			g.worst, g.worstWhere = delta, where
+		}
+		if delta > g.tolPct+1e-12 {
+			g.violations = append(g.violations, Violation{Where: where, Baseline: bn, Fresh: fn, DeltaPct: delta})
+		}
+	case "never":
+		if b.Kind() == reflect.Bool {
+			if b.Bool() && !f.Bool() {
+				g.fail(where, "lost: baseline true, fresh false")
+			}
+		} else if number(b) == 0 && number(f) != 0 {
+			g.fail(where, fmt.Sprintf("appeared: baseline 0, fresh %v", f))
+		}
+	case "equal":
+		if !b.Equal(f) {
+			g.fail(where, fmt.Sprintf("changed: %#v -> %#v", b, f))
+		}
 	}
-	for _, b := range base {
-		where := fmt.Sprintf("filter_sweep[selectivity=%g]", b.Selectivity)
-		f, ok := bySel[selKey(b.Selectivity)]
-		if !ok {
-			out = append(out, missing(where))
+}
+
+func (g *gateWalk) fail(where, msg string) {
+	g.violations = append(g.violations, Violation{Where: where, Msg: msg})
+}
+
+// number reads an int or float field as float64.
+func number(v reflect.Value) float64 {
+	if v.CanFloat() {
+		return v.Float()
+	}
+	return float64(v.Int())
+}
+
+func jsonName(f reflect.StructField) string {
+	name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+	return name
+}
+
+// rules lists a field's gate tag values: key, tol, never or equal.
+func rules(f reflect.StructField) []string {
+	if tag := f.Tag.Get("gate"); tag != "" {
+		return strings.Split(tag, ",")
+	}
+	return nil
+}
+
+// Rerun regenerates, in-process, every section base carries, under base's
+// recorded configuration: the registry's runner for each sweep section and
+// the traced probes for queries.
+func Rerun(base *Result) (*Result, error) {
+	m := base.Meta
+	fresh := &Result{Meta: NewMeta(m.Kind, m.Scale, m.DOP, m.Shards, m.Skew)}
+	bv := reflect.ValueOf(base).Elem()
+	for _, k := range kinds {
+		if k.run == nil || sectionNamed(bv, k.section).Len() == 0 {
 			continue
 		}
-		out = gateCost(out, where+".filtered_units", b.FilteredUnits, f.FilteredUnits, tol)
-		out = gateCost(out, where+".unfiltered_units", b.UnfilteredUnits, f.UnfilteredUnits, tol)
-		out = gateExact(out, where+".result_exact", b.ResultExact, f.ResultExact)
+		if _, err := k.run(m.Scale, m.Skew, fresh); err != nil {
+			return nil, fmt.Errorf("%s: %w", k.name, err)
+		}
 	}
-	return out
+	if len(base.Queries) > 0 {
+		qs, err := ProbeQueries(m.Scale, m.DOP, m.Shards)
+		if err != nil {
+			return nil, fmt.Errorf("probes: %w", err)
+		}
+		fresh.Queries = qs
+	}
+	return fresh, nil
 }
 
-func compareDopSweep(base, fresh []DopSweepPoint, tol float64) []Violation {
-	var out []Violation
-	byDOP := map[int]DopSweepPoint{}
-	for _, p := range fresh {
-		byDOP[p.DOP] = p
-	}
-	for _, b := range base {
-		where := fmt.Sprintf("dop_sweep[dop=%d]", b.DOP)
-		f, ok := byDOP[b.DOP]
-		if !ok {
-			out = append(out, missing(where))
-			continue
+// sectionNamed returns the field of Result value r whose JSON name is name.
+func sectionNamed(r reflect.Value, name string) reflect.Value {
+	for i := 0; i < r.NumField(); i++ {
+		if jsonName(r.Type().Field(i)) == name {
+			return r.Field(i)
 		}
-		out = gateCost(out, where+".cost_units", b.CostUnits, f.CostUnits, tol)
-		out = gateExact(out, where+".result_exact", b.ResultExact, f.ResultExact)
 	}
-	return out
+	return reflect.Value{}
 }
 
-func compareColumnarSweep(base, fresh []ColumnarSweepPoint, tol float64) []Violation {
-	var out []Violation
-	type key struct {
-		enc string
-		sel string
-	}
-	byKey := map[key]ColumnarSweepPoint{}
-	for _, p := range fresh {
-		byKey[key{p.Encoding, fmt.Sprintf("%g", p.Selectivity)}] = p
-	}
-	for _, b := range base {
-		where := fmt.Sprintf("columnar_sweep[encoding=%s,selectivity=%g]", b.Encoding, b.Selectivity)
-		f, ok := byKey[key{b.Encoding, fmt.Sprintf("%g", b.Selectivity)}]
-		if !ok {
-			out = append(out, missing(where))
-			continue
-		}
-		out = gateCost(out, where+".col_units", b.ColUnits, f.ColUnits, tol)
-		out = gateCost(out, where+".heap_units", b.HeapUnits, f.HeapUnits, tol)
-		out = gateExact(out, where+".result_exact", b.ResultExact, f.ResultExact)
-	}
-	return out
-}
-
-// compareShardSweep gates the sharded-execution map point by point: the
-// derived makespan and the main-clock total may not regress past
-// tolerance, and the exactness bits (byte-identical rows, integer-exact
-// cost vs serial) may never flip off — they are the signature invariant.
-func compareShardSweep(base, fresh []ShardSweepPoint, tol float64) []Violation {
-	var out []Violation
-	type key struct {
-		section  string
-		shards   int
-		skew     string
-		hotSplit bool
-		mode     string
-		workers  string
-	}
-	mk := func(p ShardSweepPoint) key {
-		return key{p.Section, p.Shards, fmt.Sprintf("%g", p.Skew), p.HotSplit, p.Mode, p.Workers}
-	}
-	byKey := map[key]ShardSweepPoint{}
-	for _, p := range fresh {
-		byKey[mk(p)] = p
-	}
-	for _, b := range base {
-		where := fmt.Sprintf("shard_sweep[section=%s,shards=%d,skew=%g,split=%v,mode=%s]",
-			b.Section, b.Shards, b.Skew, b.HotSplit, b.Mode)
-		f, ok := byKey[mk(b)]
-		if !ok {
-			out = append(out, missing(where))
-			continue
-		}
-		out = gateCost(out, where+".makespan_units", b.MakespanUnits, f.MakespanUnits, tol)
-		out = gateCost(out, where+".total_units", b.TotalUnits, f.TotalUnits, tol)
-		out = gateExact(out, where+".result_exact", b.ResultExact, f.ResultExact)
-		out = gateExact(out, where+".cost_exact", b.CostExact, f.CostExact)
-	}
-	return out
-}
-
-// compareNetShuffleSweep gates the network-shuffle map point by point.
-// Deterministic fields only: the main clock (makespan, total), the wire
-// totals (frames, bytes, rows — fixed batch seal points and a canonical
-// encoding make these reproducible across machines), exactness and
-// reconciliation flags, and the zero-bytes guarantee for co-located joins.
-// NetStalls is credit-window timing and is never gated.
-func compareNetShuffleSweep(base, fresh []NetShuffleSweepPoint, tol float64) []Violation {
-	var out []Violation
-	type key struct {
-		section  string
-		shards   int
-		skew     string
-		hotSplit bool
-		mode     string
-		workers  string
-	}
-	mk := func(p NetShuffleSweepPoint) key {
-		return key{p.Section, p.Shards, fmt.Sprintf("%g", p.Skew), p.HotSplit, p.Mode, p.Workers}
-	}
-	byKey := map[key]NetShuffleSweepPoint{}
-	for _, p := range fresh {
-		byKey[mk(p)] = p
-	}
-	for _, b := range base {
-		where := fmt.Sprintf("netshuffle_sweep[section=%s,shards=%d,skew=%g,split=%v,mode=%s]",
-			b.Section, b.Shards, b.Skew, b.HotSplit, b.Mode)
-		f, ok := byKey[mk(b)]
-		if !ok {
-			out = append(out, missing(where))
-			continue
-		}
-		out = gateCost(out, where+".makespan_units", b.MakespanUnits, f.MakespanUnits, tol)
-		out = gateCost(out, where+".total_units", b.TotalUnits, f.TotalUnits, tol)
-		out = gateCost(out, where+".net_frames", float64(b.NetFrames), float64(f.NetFrames), tol)
-		out = gateCost(out, where+".net_bytes", float64(b.NetBytes), float64(f.NetBytes), tol)
-		out = gateCost(out, where+".net_rows_wire", float64(b.NetRowsWire), float64(f.NetRowsWire), tol)
-		out = gateExact(out, where+".result_exact", b.ResultExact, f.ResultExact)
-		out = gateExact(out, where+".cost_exact", b.CostExact, f.CostExact)
-		out = gateExact(out, where+".reconciled", b.Reconciled, f.Reconciled)
-		// A point that put nothing on the wire (co-located, serial, local
-		// fallback) must stay off the wire: gateCost skips zero baselines,
-		// so pin zero-stays-zero explicitly.
-		if b.NetBytes == 0 && f.NetBytes > 0 {
-			out = append(out, Violation{Where: where + ".net_bytes",
-				Msg: fmt.Sprintf("wire traffic appeared: 0 -> %d bytes", f.NetBytes)})
-		}
-		if b.Transport != f.Transport {
-			out = append(out, Violation{Where: where + ".transport",
-				Msg: fmt.Sprintf("transport changed: %q -> %q", b.Transport, f.Transport)})
-		}
-	}
-	return out
-}
-
-// compareServerSweep gates the service-layer concurrency map. Latency and
-// qps are wall-clock and never gated; what is gated per client count: the
-// deterministic simulated total (only the clients=1 point records one —
-// gateCost skips the concurrent points' zero baselines), exactness (a
-// wrong result under concurrency must fail the gate even when it is
-// timing-dependent and this run merely got unlucky enough to catch it),
-// admission-timeout count staying zero, and point coverage.
-func compareServerSweep(base, fresh []ServerSweepPoint, tol float64) []Violation {
-	var out []Violation
-	byClients := map[int]ServerSweepPoint{}
-	for _, p := range fresh {
-		byClients[p.Clients] = p
-	}
-	for _, b := range base {
-		where := fmt.Sprintf("server_sweep[clients=%d]", b.Clients)
-		f, ok := byClients[b.Clients]
-		if !ok {
-			out = append(out, missing(where))
-			continue
-		}
-		out = gateCost(out, where+".cost_units", b.CostUnits, f.CostUnits, tol)
-		out = gateExact(out, where+".result_exact", b.ResultExact, f.ResultExact)
-		if b.AdmitTimeouts == 0 && f.AdmitTimeouts > 0 {
-			out = append(out, Violation{Where: where + ".admit_timeouts",
-				Msg: fmt.Sprintf("admission timeouts appeared: 0 -> %d", f.AdmitTimeouts)})
-		}
-	}
-	return out
-}
-
-func compareQueries(base, fresh []Query, tol float64) []Violation {
-	var out []Violation
-	type key struct {
-		policy string
-		id     int
-	}
-	byKey := map[key]Query{}
-	for _, q := range fresh {
-		byKey[key{q.Policy, q.ID}] = q
-	}
-	for _, b := range base {
-		where := fmt.Sprintf("queries[policy=%s,id=%d]", b.Policy, b.ID)
-		f, ok := byKey[key{b.Policy, b.ID}]
-		if !ok {
-			out = append(out, missing(where))
-			continue
-		}
-		out = gateCost(out, where+".cost_units", b.CostUnits, f.CostUnits, tol)
-		if b.Rows != f.Rows {
-			out = append(out, Violation{Where: where + ".rows",
-				Msg: fmt.Sprintf("result cardinality changed: %d -> %d", b.Rows, f.Rows)})
-		}
-	}
-	return out
-}
-
-// Summary renders a human-readable gate report: per-section best/worst
-// deltas plus every violation.
+// Summary renders a human-readable gate report: the worst delta over every
+// tol field of every section, plus every violation.
 func Summary(base, fresh *Result, tolPct float64, violations []Violation) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "regression gate: tolerance +%.1f%% on simulated cost\n", tolPct)
@@ -322,81 +221,8 @@ func Summary(base, fresh *Result, tolPct float64, violations []Violation) string
 		base.Meta.Kind, base.Meta.Timestamp, base.Meta.GoVersion, base.Meta.Scale, base.Meta.Seed)
 	fmt.Fprintf(&sb, "fresh:    kind=%s %s go=%s scale=%g seed=%d\n",
 		fresh.Meta.Kind, fresh.Meta.Timestamp, fresh.Meta.GoVersion, fresh.Meta.Scale, fresh.Meta.Seed)
-	worst := math.Inf(-1)
-	worstWhere := ""
-	count := 0
-	for _, b := range base.MemSweep {
-		for _, f := range fresh.MemSweep {
-			if f.BudgetRows == b.BudgetRows && b.CostUnits > 0 {
-				d := (f.CostUnits - b.CostUnits) / b.CostUnits * 100
-				count++
-				if d > worst {
-					worst, worstWhere = d, fmt.Sprintf("mem_sweep[%d]", b.BudgetRows)
-				}
-			}
-		}
-	}
-	for _, b := range base.FilterSweep {
-		for _, f := range fresh.FilterSweep {
-			if f.Selectivity == b.Selectivity && b.FilteredUnits > 0 {
-				d := (f.FilteredUnits - b.FilteredUnits) / b.FilteredUnits * 100
-				count++
-				if d > worst {
-					worst, worstWhere = d, fmt.Sprintf("filter_sweep[%g]", b.Selectivity)
-				}
-			}
-		}
-	}
-	for _, b := range base.ColumnarSweep {
-		for _, f := range fresh.ColumnarSweep {
-			if f.Encoding == b.Encoding && f.Selectivity == b.Selectivity && b.ColUnits > 0 {
-				d := (f.ColUnits - b.ColUnits) / b.ColUnits * 100
-				count++
-				if d > worst {
-					worst, worstWhere = d, fmt.Sprintf("columnar_sweep[%s,%g]", b.Encoding, b.Selectivity)
-				}
-			}
-		}
-	}
-	for _, b := range base.ShardSweep {
-		for _, f := range fresh.ShardSweep {
-			if f.Section == b.Section && f.Shards == b.Shards && f.Skew == b.Skew &&
-				f.HotSplit == b.HotSplit && f.Mode == b.Mode && f.Workers == b.Workers &&
-				b.MakespanUnits > 0 {
-				d := (f.MakespanUnits - b.MakespanUnits) / b.MakespanUnits * 100
-				count++
-				if d > worst {
-					worst, worstWhere = d, fmt.Sprintf("shard_sweep[%s,%d,%g]", b.Section, b.Shards, b.Skew)
-				}
-			}
-		}
-	}
-	for _, b := range base.NetShuffleSweep {
-		for _, f := range fresh.NetShuffleSweep {
-			if f.Section == b.Section && f.Shards == b.Shards && f.Skew == b.Skew &&
-				f.HotSplit == b.HotSplit && f.Mode == b.Mode && f.Workers == b.Workers &&
-				b.NetBytes > 0 {
-				d := float64(f.NetBytes-b.NetBytes) / float64(b.NetBytes) * 100
-				count++
-				if d > worst {
-					worst, worstWhere = d, fmt.Sprintf("netshuffle_sweep[%s,%d,%g]", b.Section, b.Shards, b.Skew)
-				}
-			}
-		}
-	}
-	for _, b := range base.ServerSweep {
-		for _, f := range fresh.ServerSweep {
-			if f.Clients == b.Clients && b.CostUnits > 0 {
-				d := (f.CostUnits - b.CostUnits) / b.CostUnits * 100
-				count++
-				if d > worst {
-					worst, worstWhere = d, fmt.Sprintf("server_sweep[%d]", b.Clients)
-				}
-			}
-		}
-	}
-	if count > 0 {
-		fmt.Fprintf(&sb, "worst cost delta: %+.2f%% (%s) over %d compared points\n", worst, worstWhere, count)
+	if g := walk(base, fresh, tolPct); g.compared > 0 {
+		fmt.Fprintf(&sb, "worst delta: %+.2f%% (%s) over %d gated values\n", g.worst, g.worstWhere, g.compared)
 	}
 	if len(violations) == 0 {
 		sb.WriteString("PASS: no regressions beyond tolerance\n")

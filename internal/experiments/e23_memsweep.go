@@ -16,14 +16,14 @@ import (
 // MemSweepPoint is one row of the memory-degradation robustness map: the
 // TPC-H-lite suite executed under one workspace budget.
 type MemSweepPoint struct {
-	Budget     int     // workspace rows (1<<30 plays the role of unlimited)
-	Units      float64 // total simulated cost for the suite
-	Partitions int     // spill partitions created
-	SpillRows  int     // rows written to temp runs
-	SpillPages int     // pages written to temp runs
-	MaxDepth   int     // deepest spill recursion reached
-	Fallbacks  int     // sort/merge fallbacks past the recursion bound
-	Match      bool    // results equal to the unlimited run (floats at 6 digits)
+	Budget     int     `json:"budget_rows" gate:"key"`    // workspace rows (1<<30 plays the role of unlimited)
+	Units      float64 `json:"cost_units" gate:"tol"`     // total simulated cost for the suite
+	Partitions int     `json:"spill_partitions"`          // spill partitions created
+	SpillRows  int     `json:"spill_rows"`                // rows written to temp runs
+	SpillPages int     `json:"spill_pages"`               // pages written to temp runs
+	MaxDepth   int     `json:"recursion_depth"`           // deepest spill recursion reached
+	Fallbacks  int     `json:"merge_fallbacks"`           // sort/merge fallbacks past the recursion bound
+	Match      bool    `json:"result_exact" gate:"never"` // results equal to the unlimited run (floats at 6 digits)
 }
 
 // memSweepBudgets is the budget ladder, ascending. The top rung never

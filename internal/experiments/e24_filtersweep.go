@@ -17,15 +17,15 @@ import (
 // x dim hash join executed with and without runtime join filters at one
 // build-side selectivity.
 type FilterSweepPoint struct {
-	Sel        float64 // fraction of fact keys present on the build side
-	Unfiltered float64 // simulated cost without runtime filters
-	Filtered   float64 // simulated cost with runtime filters armed
-	Ratio      float64 // Unfiltered / Filtered (>1 means the filter won)
-	Built      int     // filters published after the build phase
-	Tested     int     // probe rows that paid a membership test
-	Dropped    int     // probe rows rejected before full per-row cost
-	Disabled   int     // filters that disabled themselves mid-query
-	Match      bool    // filtered results byte-identical to unfiltered
+	Sel        float64 `json:"selectivity" gate:"key"`      // fraction of fact keys present on the build side
+	Unfiltered float64 `json:"unfiltered_units" gate:"tol"` // simulated cost without runtime filters
+	Filtered   float64 `json:"filtered_units" gate:"tol"`   // simulated cost with runtime filters armed
+	Ratio      float64 `json:"ratio"`                       // Unfiltered / Filtered (>1 means the filter won)
+	Built      int     `json:"filters_built"`               // filters published after the build phase
+	Tested     int     `json:"rows_tested"`                 // probe rows that paid a membership test
+	Dropped    int     `json:"rows_dropped"`                // probe rows rejected before full per-row cost
+	Disabled   int     `json:"filters_disabled"`            // filters that disabled themselves mid-query
+	Match      bool    `json:"result_exact" gate:"never"`   // filtered results byte-identical to unfiltered
 }
 
 // filterSweepSels is the selectivity ladder: from needle-in-a-haystack

@@ -24,10 +24,10 @@ import (
 // the float canon), not across DOPs: parallel aggregation merges per-worker
 // float partials in a different order than serial, as E23 documents.
 type DopSweepPoint struct {
-	DOP    int     // degree of parallelism (1 = serial reference)
-	Units  float64 // total simulated cost for the suite (must equal serial)
-	WallMS float64 // wall-clock time (informational; machine-dependent)
-	Match  bool    // two runs at this DOP produce identical results
+	DOP    int     `json:"dop" gate:"key"`            // degree of parallelism (1 = serial reference)
+	Units  float64 `json:"cost_units" gate:"tol"`     // total simulated cost for the suite (must equal serial)
+	WallMS float64 `json:"wall_ms"`                   // wall-clock time (informational; machine-dependent)
+	Match  bool    `json:"result_exact" gate:"never"` // two runs at this DOP produce identical results
 }
 
 // dopSweepDOPs is the fan-out ladder.

@@ -18,14 +18,14 @@ import (
 // select-everything the columnar path must not cost more than a bounded
 // overhead over the heap — with byte-identical results everywhere.
 type ColumnarSweepPoint struct {
-	Encoding      string  // encoding of the filtered column: dict | rle | packed
-	Sel           float64 // nominal fraction of rows the predicate keeps
-	HeapUnits     float64 // simulated cost of the heap scan
-	ColUnits      float64 // simulated cost of the columnar scan
-	Ratio         float64 // HeapUnits / ColUnits (>1 means columnar won)
-	BlocksSkipped int     // blocks eliminated by zone maps
-	BlocksScanned int     // blocks decoded
-	Match         bool    // columnar results byte-identical to heap
+	Encoding      string  `json:"encoding" gate:"key"`       // encoding of the filtered column: dict | rle | packed
+	Sel           float64 `json:"selectivity" gate:"key"`    // nominal fraction of rows the predicate keeps
+	HeapUnits     float64 `json:"heap_units" gate:"tol"`     // simulated cost of the heap scan
+	ColUnits      float64 `json:"col_units" gate:"tol"`      // simulated cost of the columnar scan
+	Ratio         float64 `json:"ratio"`                     // HeapUnits / ColUnits (>1 means columnar won)
+	BlocksSkipped int     `json:"blocks_skipped"`            // blocks eliminated by zone maps
+	BlocksScanned int     `json:"blocks_scanned"`            // blocks decoded
+	Match         bool    `json:"result_exact" gate:"never"` // columnar results byte-identical to heap
 }
 
 // columnarSweepSels is the selectivity ladder: needle lookups where zone

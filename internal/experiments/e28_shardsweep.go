@@ -19,21 +19,21 @@ import (
 // work) plus the slowest shard's local+shuffle-overhead units, divided by
 // that shard's worker share in straggler mode.
 type ShardSweepPoint struct {
-	Section       string // uniform | broadcast | skew | straggler | colocated
-	Shards        int
-	Skew          float64 // Zipf s of the workload keys (0 = uniform)
-	HotSplit      bool    // skew handling active
-	Mode          string  // exchange the join actually ran: repartition | broadcast | colocated | serial
-	Workers       string  // per-shard worker counts in straggler mode ("" = balanced)
-	TotalUnits    float64 // main-clock cost (== serial)
-	MakespanUnits float64 // derived cluster response time
-	WorstShard    float64 // slowest shard's local+overhead units
-	MeanShard     float64 // mean shard local+overhead units
-	RowsMoved     int64
-	RowsBroadcast int64
-	HotKeys       int64
-	ResultExact   bool // rows byte-identical to the serial run
-	CostExact     bool // TotalUnits exactly equals the serial cost
+	Section       string  `json:"section" gate:"key"` // uniform | broadcast | skew | straggler | colocated
+	Shards        int     `json:"shards" gate:"key"`
+	Skew          float64 `json:"skew" gate:"key"`              // Zipf s of the workload keys (0 = uniform)
+	HotSplit      bool    `json:"hot_split" gate:"key"`         // skew handling active
+	Mode          string  `json:"mode" gate:"key"`              // exchange the join actually ran: repartition | broadcast | colocated | serial
+	Workers       string  `json:"workers,omitempty" gate:"key"` // per-shard worker counts in straggler mode ("" = balanced)
+	TotalUnits    float64 `json:"total_units" gate:"tol"`       // main-clock cost (== serial)
+	MakespanUnits float64 `json:"makespan_units" gate:"tol"`    // derived cluster response time
+	WorstShard    float64 `json:"worst_shard_units"`            // slowest shard's local+overhead units
+	MeanShard     float64 `json:"mean_shard_units"`             // mean shard local+overhead units
+	RowsMoved     int64   `json:"rows_moved"`
+	RowsBroadcast int64   `json:"rows_broadcast"`
+	HotKeys       int64   `json:"hot_keys"`
+	ResultExact   bool    `json:"result_exact" gate:"never"` // rows byte-identical to the serial run
+	CostExact     bool    `json:"cost_exact" gate:"never"`   // TotalUnits exactly equals the serial cost
 }
 
 // shardWorkers parses a straggler worker vector like "1,2,2,2"; nil means

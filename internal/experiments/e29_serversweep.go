@@ -23,20 +23,20 @@ import (
 // deterministic simulated total — recorded only at Clients=1 where
 // execution is sequential and reproducible, zero otherwise.
 type ServerSweepPoint struct {
-	Clients       int     // concurrent closed-loop clients
-	MPL           int     // admission multiprogramming limit
-	Queries       int     // statements completed across all clients
-	QueuedWaits   int64   // admission-queue parks observed by the gate
-	QueuedNotices int     // WLM_QUEUED notices received by clients
-	AdmitTimeouts int     // statements failed with ERR_ADMIT (should be 0)
-	QPS           float64 // completed statements per wall-clock second
-	P50MS         float64
-	P99MS         float64
-	P999MS        float64
-	MaxMS         float64
-	MeanCostUnits float64 // mean simulated cost per statement (informational)
-	CostUnits     float64 // deterministic total cost; only set at Clients=1
-	ResultExact   bool    // every result matched the in-process reference
+	Clients       int     `json:"clients" gate:"key"`          // concurrent closed-loop clients
+	MPL           int     `json:"mpl"`                         // admission multiprogramming limit
+	Queries       int     `json:"queries"`                     // statements completed across all clients
+	QueuedWaits   int64   `json:"queued_waits"`                // admission-queue parks observed by the gate
+	QueuedNotices int     `json:"queued_notices"`              // WLM_QUEUED notices received by clients
+	AdmitTimeouts int     `json:"admit_timeouts" gate:"never"` // statements failed with ERR_ADMIT (should be 0)
+	QPS           float64 `json:"qps"`                         // completed statements per wall-clock second
+	P50MS         float64 `json:"p50_ms"`
+	P99MS         float64 `json:"p99_ms"`
+	P999MS        float64 `json:"p999_ms"`
+	MaxMS         float64 `json:"max_ms"`
+	MeanCostUnits float64 `json:"mean_cost_units"`                 // mean simulated cost per statement (informational)
+	CostUnits     float64 `json:"cost_units,omitempty" gate:"tol"` // deterministic total cost; only set at Clients=1
+	ResultExact   bool    `json:"result_exact" gate:"never"`       // every result matched the in-process reference
 }
 
 // serverSweepThink is the closed-loop think time between a client's

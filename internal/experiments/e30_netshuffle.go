@@ -17,29 +17,29 @@ import (
 // the third, wire-accounting domain: frames, bytes and routed rows, which
 // must reconcile (every routed row carried by a frame that hit a socket).
 type NetShuffleSweepPoint struct {
-	Section       string // uniform | broadcast | skew | straggler | colocated
-	Shards        int
-	Skew          float64 // Zipf s of the workload keys (0 = uniform)
-	HotSplit      bool    // skew handling active
-	Mode          string  // exchange the join actually ran
-	Workers       string  // per-shard worker counts in straggler mode
-	Transport     string  // transport the exchange actually used: tcp | local | ""
-	TotalUnits    float64 // main-clock cost (== serial, transport-invariant)
-	MakespanUnits float64 // derived cluster response time
-	WorstShard    float64
-	MeanShard     float64
-	RowsMoved     int64
-	RowsBroadcast int64
-	HotKeys       int64
-	NetFrames     int64 // frames put on sockets (deterministic: fixed batch seal points)
-	NetBytes      int64 // payload+header bytes on sockets (deterministic encoding)
-	NetRowsWire   int64 // rows carried by those frames
-	NetStalls     int64 // credit-window stalls (timing-dependent; informational only)
-	PeerFrames    []int64
-	PeerBytes     []int64
-	Reconciled    bool // routed-row count == framed-row count
-	ResultExact   bool // rows byte-identical to the serial run
-	CostExact     bool // TotalUnits exactly equals the serial cost
+	Section       string  `json:"section" gate:"key"` // uniform | broadcast | skew | straggler | colocated
+	Shards        int     `json:"shards" gate:"key"`
+	Skew          float64 `json:"skew" gate:"key"`                  // Zipf s of the workload keys (0 = uniform)
+	HotSplit      bool    `json:"hot_split" gate:"key"`             // skew handling active
+	Mode          string  `json:"mode" gate:"key"`                  // exchange the join actually ran
+	Workers       string  `json:"workers,omitempty" gate:"key"`     // per-shard worker counts in straggler mode
+	Transport     string  `json:"transport,omitempty" gate:"equal"` // transport the exchange actually used: tcp | local | ""
+	TotalUnits    float64 `json:"total_units" gate:"tol"`           // main-clock cost (== serial, transport-invariant)
+	MakespanUnits float64 `json:"makespan_units" gate:"tol"`        // derived cluster response time
+	WorstShard    float64 `json:"-"`
+	MeanShard     float64 `json:"-"`
+	RowsMoved     int64   `json:"rows_moved"`
+	RowsBroadcast int64   `json:"rows_broadcast"`
+	HotKeys       int64   `json:"hot_keys"`
+	NetFrames     int64   `json:"net_frames" gate:"tol"`      // frames put on sockets (deterministic: fixed batch seal points)
+	NetBytes      int64   `json:"net_bytes" gate:"tol,never"` // payload+header bytes on sockets (deterministic encoding)
+	NetRowsWire   int64   `json:"net_rows_wire" gate:"tol"`   // rows carried by those frames
+	NetStalls     int64   `json:"net_stalls"`                 // credit-window stalls (timing-dependent; informational only)
+	PeerFrames    []int64 `json:"peer_frames,omitempty"`
+	PeerBytes     []int64 `json:"peer_bytes,omitempty"`
+	Reconciled    bool    `json:"reconciled" gate:"never"`   // routed-row count == framed-row count
+	ResultExact   bool    `json:"result_exact" gate:"never"` // rows byte-identical to the serial run
+	CostExact     bool    `json:"cost_exact" gate:"never"`   // TotalUnits exactly equals the serial cost
 }
 
 // netShuffleRun executes the shard-join query once with the TCP transport
