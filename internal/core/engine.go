@@ -684,7 +684,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 		qerrs = nodeQErrors(root)
 	default:
 		var root plan.Node
-		var marks planMarks
+		var marks PlanMarks
 		if cs != nil {
 			v, hit, err := e.Cache.plan(e, cs, params)
 			if err != nil {
@@ -751,15 +751,15 @@ func (e *Engine) countCacheLookup(hit bool, trace *obs.Trace) {
 		Set(float64(st.Hits) / float64(st.Hits+st.Misses))
 }
 
-// planMarks is what the marking passes annotated on one plan: the counts
+// PlanMarks is what the marking passes annotated on one plan: the counts
 // every execution of it reports and arms its context by.
-type planMarks struct {
+type PlanMarks struct {
 	rfSites  int // runtime join filters planted
 	rfCredit float64
 	shuffles int // hash joins given a shuffle mode
 }
 
-// markPlan annotates a freshly optimized plan for every execution mode the
+// MarkPlan annotates a freshly optimized plan for every execution mode the
 // configuration enables: runtime join filter sites with their cost credit,
 // and shuffle exchanges. (Which columns a scan emits is not a mark: the
 // optimizer built the plan narrow; how many workers drain it is the
@@ -768,22 +768,37 @@ type planMarks struct {
 // this, and executions — concurrent sessions sharing a cached tree — only read
 // the annotations. POP/progressive plans never pass through here:
 // re-optimization splices plans mid-flight, so those paths stay on one worker.
-func (e *Engine) markPlan(root plan.Node) planMarks {
-	var m planMarks
-	if e.Cfg.RuntimeFilters {
-		m.rfSites, m.rfCredit = e.Opt.CreditRuntimeFilters(root)
+func MarkPlan(o *opt.Optimizer, cfg Config, root plan.Node) PlanMarks {
+	var m PlanMarks
+	if cfg.RuntimeFilters {
+		m.rfSites, m.rfCredit = o.CreditRuntimeFilters(root)
 	}
-	if e.Cfg.Shards > 1 {
-		m.shuffles = opt.PlanShuffles(root, e.Cfg.Shards, e.Cfg.ShuffleForce)
+	if cfg.Shards > 1 {
+		m.shuffles = opt.PlanShuffles(root, cfg.Shards, cfg.ShuffleForce)
 	}
 	return m
 }
 
-// armContext readies one execution's context for the modes its plan is
-// marked for — a fresh runtime-filter set, the shard count and shuffle
-// stats — and records them in the trace and the metrics, with the DOP the
-// WLM gate granted this execution.
-func (e *Engine) armContext(ctx *exec.Context, root plan.Node, m planMarks) {
+func (e *Engine) markPlan(root plan.Node) PlanMarks { return MarkPlan(e.Opt, e.Cfg, root) }
+
+// ArmContext readies one execution's context for the modes its plan is
+// marked for: a fresh runtime-filter set, the shard count and shuffle stats.
+func ArmContext(ctx *exec.Context, cfg Config, m PlanMarks) {
+	if cfg.RuntimeFilters && m.rfSites > 0 {
+		ctx.RF = exec.NewRuntimeFilterSet(ctx.Trace)
+	}
+	if cfg.Shards > 1 && m.shuffles > 0 {
+		ctx.Shards = cfg.Shards
+		ctx.Shuffle = exec.NewShuffleStats(cfg.Shards)
+		ctx.NoHotSplit = cfg.ShardNoHotSplit
+		ctx.ShufTransport = cfg.ShuffleTransport
+	}
+}
+
+// armContext arms one execution's context and records its modes in the
+// trace and the metrics, with the DOP the WLM gate granted this execution.
+func (e *Engine) armContext(ctx *exec.Context, root plan.Node, m PlanMarks) {
+	ArmContext(ctx, e.Cfg, m)
 	tr := ctx.Trace
 	if ctx.DOP > 1 {
 		if tr != nil {
@@ -800,18 +815,13 @@ func (e *Engine) armContext(ctx *exec.Context, root plan.Node, m planMarks) {
 		})
 		tr.Event("columnar.plan", fmt.Sprintf("narrowed=%d", narrowed))
 	}
-	if e.Cfg.RuntimeFilters && m.rfSites > 0 {
-		ctx.RF = exec.NewRuntimeFilterSet(tr)
+	if ctx.RF != nil {
 		if tr != nil {
 			tr.Event("rf.plan", fmt.Sprintf("sites=%d credit=%.2f", m.rfSites, m.rfCredit))
 		}
 		e.Metrics.Counter("rqp_filter_queries_total").Inc()
 	}
-	if e.Cfg.Shards > 1 && m.shuffles > 0 {
-		ctx.Shards = e.Cfg.Shards
-		ctx.Shuffle = exec.NewShuffleStats(e.Cfg.Shards)
-		ctx.NoHotSplit = e.Cfg.ShardNoHotSplit
-		ctx.ShufTransport = e.Cfg.ShuffleTransport
+	if ctx.Shuffle != nil {
 		if tr != nil {
 			tr.Event("shuffle.plan", fmt.Sprintf("shards=%d marked=%d force=%q", e.Cfg.Shards, m.shuffles, e.Cfg.ShuffleForce))
 		}

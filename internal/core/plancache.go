@@ -122,7 +122,7 @@ type cachedStmt struct {
 // and only read afterwards; lo and hi change under the cache's lock.
 type planVariant struct {
 	root  plan.Node
-	marks planMarks
+	marks PlanMarks
 	// fp is plan.Fingerprint: equal exactly when plan.PlanSignature is. It
 	// is what widening and plan-change detection compare and what the query
 	// log records, computed once per variant.

@@ -260,7 +260,9 @@ func TestPropertyIndexPathsMatchReference(t *testing.T) {
 				q, plan.PlanSignature(root), len(got), len(want))
 		}
 		// Forced index plans must agree too.
-		rootIdx, err := o.OptimizeForceIndex(bq, nil)
+		forced := opt.New(cat)
+		forced.Opt.ForceIndexScans = true
+		rootIdx, err := forced.Optimize(bq, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,8 @@
 package exec
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -40,26 +37,6 @@ type serialRun struct {
 
 func (r serialRun) line() string {
 	return fmt.Sprintf("hash=%016x rows=%d units=%d spill=%s disabled=%d mem=%s", r.hash, len(r.rows), r.units, r.spill, r.disabled, r.mem)
-}
-
-// hashRows hashes every value of rows in order, floats by their bits.
-func hashRows(rows []types.Row) uint64 {
-	h := fnv.New64a()
-	var w [9]byte
-	for _, r := range rows {
-		for _, v := range r {
-			w[0] = byte(v.K)
-			u := uint64(v.I)
-			if v.K == types.KindFloat {
-				u = math.Float64bits(v.F)
-			}
-			binary.LittleEndian.PutUint64(w[1:], u)
-			h.Write(w[:])
-			h.Write([]byte(v.S))
-		}
-		h.Write([]byte{'\n'})
-	}
-	return h.Sum64()
 }
 
 func serialCases(t *testing.T) []serialCase {
@@ -143,7 +120,7 @@ func runSerialCell(t *testing.T, root plan.Node, rf bool, dop, budget int, sched
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := serialRun{rows: rows, hash: hashRows(rows), units: ctx.Clock.UnitsScaled(), mem: strings.Join(mem, ",")}
+	out := serialRun{rows: rows, hash: types.HashRows(rows), units: ctx.Clock.UnitsScaled(), mem: strings.Join(mem, ",")}
 	p, r, pg, d, f := ctx.Spill.Snapshot()
 	out.spill = fmt.Sprintf("%d/%d/%d/%d/%d", p, r, pg, d, f)
 	if ctx.RF != nil {

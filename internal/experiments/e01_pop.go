@@ -3,12 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"rqp/internal/adaptive"
-	"rqp/internal/exec"
-	"rqp/internal/opt"
-	"rqp/internal/plan"
 	"rqp/internal/robustness"
-	"rqp/internal/sql"
 	"rqp/internal/workload"
 )
 
@@ -38,43 +33,25 @@ func runPOPWorkload(scale float64) (*popData, error) {
 	n := scaleInt(100, scale)
 	queries := workload.StarWorkload(cfg, n, 0.4, 99)
 	d := &popData{nQueries: n}
-
+	// The baseline runs the static compile-time plan; the treatment POP with
+	// checked re-optimization (re-planning is charged so the overhead is
+	// honest).
+	ks, kp := defaults(), defaults()
+	ks.policy, kp.policy = static, pop
 	for i, q := range queries {
-		st, err := sql.Parse(q.SQL)
+		st, err := execute(cat, ks, sqls(q.SQL)...)
 		if err != nil {
-			return nil, fmt.Errorf("E1 parse: %w", err)
-		}
-		sel := st.(*sql.SelectStmt)
-
-		// Baseline: static compile-time plan.
-		bqS, err := plan.Bind(sel, cat)
-		if err != nil {
-			return nil, err
-		}
-		statExec := &adaptive.Progressive{Opt: opt.New(cat), Policy: adaptive.Static}
-		ctxS := exec.NewContext()
-		if _, err := statExec.Execute(bqS, ctxS); err != nil {
 			return nil, fmt.Errorf("E1 static: %w", err)
 		}
-
-		// Treatment: POP with checked re-optimization (re-planning is
-		// charged so the overhead is honest).
-		bqP, err := plan.Bind(sel, cat)
-		if err != nil {
-			return nil, err
-		}
-		popExec := &adaptive.Progressive{Opt: opt.New(cat), Policy: adaptive.Checked, ReoptCharge: 5}
-		ctxP := exec.NewContext()
-		resP, err := popExec.Execute(bqP, ctxP)
+		p, err := execute(cat, kp, sqls(q.SQL)...)
 		if err != nil {
 			return nil, fmt.Errorf("E1 pop: %w", err)
 		}
-
 		d.ids = append(d.ids, fmt.Sprintf("q%02d", i))
-		d.static = append(d.static, ctxS.Clock.Units())
-		d.pop = append(d.pop, ctxP.Clock.Units())
+		d.static = append(d.static, st.cost())
+		d.pop = append(d.pop, p.cost())
 		d.trapped = append(d.trapped, q.Trapped)
-		d.reopts += resP.Reopts
+		d.reopts += p.reopts
 	}
 	return d, nil
 }

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
-	"rqp/internal/exec"
 	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/robustness"
-	"rqp/internal/sql"
 	"rqp/internal/workload"
 )
 
@@ -30,40 +29,30 @@ func E4RiskMetrics(scale float64) (*Report, error) {
 		WHERE fact.d1 = dim1.id AND fact.d2 = dim2.id
 		AND fact.attr = 3 AND fact.pseudo = 9
 		GROUP BY dim1.cat`
-	st, err := sql.Parse(query)
+	chosen, err := execute(cat, defaults(), sqls(query)...)
 	if err != nil {
 		return nil, err
 	}
-	bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
-	if err != nil {
-		return nil, err
-	}
-	o := opt.New(cat)
+	chosenTime := chosen.cost()
+	m1 := robustness.Metric1(chosen.plans[0])
 
-	chosen, err := o.Optimize(bq, nil)
+	bq, err := bind(cat, query)
 	if err != nil {
 		return nil, err
 	}
-	ctx := exec.NewContext()
-	if _, err := exec.Run(chosen, ctx); err != nil {
-		return nil, err
-	}
-	chosenTime := ctx.Clock.Units()
-	m1 := robustness.Metric1(chosen)
-
-	plans, err := o.EnumerateFullPlans(bq, nil, 24)
+	plans, err := opt.New(cat).EnumerateFullPlans(bq, nil, 24)
 	if err != nil {
 		return nil, err
 	}
 	var roots []plan.Node
 	var runtimes []float64
 	for _, p := range plans {
-		pctx := exec.NewContext()
-		if _, err := exec.Run(p.Root, pctx); err != nil {
+		run, err := execute(cat, defaults(), stmt{root: p.Root})
+		if err != nil {
 			return nil, fmt.Errorf("E4 forced plan: %w", err)
 		}
 		roots = append(roots, p.Root)
-		runtimes = append(runtimes, pctx.Clock.Units())
+		runtimes = append(runtimes, run.cost())
 	}
 	m2 := robustness.Metric2(roots)
 	m3 := robustness.Metric3(chosenTime, runtimes)
@@ -74,13 +63,7 @@ func E4RiskMetrics(scale float64) (*Report, error) {
 	r.Printf("Metric1 (chosen plan card error sum)      = %.3f", m1)
 	r.Printf("Metric2 (all enumerated plans error sum)  = %.3f", m2)
 	r.Printf("Metric3 (|RunTimeOpt-RunTimeBest|/Best)   = %.3f", m3)
-	best := runtimes[0]
-	for _, t := range runtimes {
-		if t < best {
-			best = t
-		}
-	}
-	r.Printf("chosen runtime=%.1f best enumerated=%.1f", chosenTime, best)
+	r.Printf("chosen runtime=%.1f best enumerated=%.1f", chosenTime, slices.Min(runtimes))
 	r.Set("metric1", m1)
 	r.Set("metric2", m2)
 	r.Set("metric3", m3)
@@ -105,27 +88,14 @@ func E6CardErrGeomean(scale float64) (*Report, error) {
 		"SELECT COUNT(*) FROM part WHERE p_size BETWEEN 10 AND 20",
 		"SELECT COUNT(*) FROM supplier WHERE s_acctbal >= 5000",
 	}
-	o := opt.New(cat)
 	var est, act []float64
 	for _, q := range queries {
-		st, err := sql.Parse(q)
+		run, err := execute(cat, defaults(), sqls(q)...)
 		if err != nil {
-			return nil, err
-		}
-		bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
-		if err != nil {
-			return nil, err
-		}
-		root, err := o.Optimize(bq, nil)
-		if err != nil {
-			return nil, err
-		}
-		ctx := exec.NewContext()
-		if _, err := exec.Run(root, ctx); err != nil {
 			return nil, err
 		}
 		// Top-level cardinality = the scan feeding the aggregate.
-		plan.Walk(root, func(n plan.Node) {
+		plan.Walk(run.plans[0], func(n plan.Node) {
 			switch n.(type) {
 			case *plan.ScanNode, *plan.IndexScanNode:
 				est = append(est, n.Props().EstRows)

@@ -4,35 +4,23 @@ import (
 	"math"
 
 	"rqp/internal/catalog"
-	"rqp/internal/exec"
 	"rqp/internal/opt"
-	"rqp/internal/plan"
 	"rqp/internal/robustness"
-	"rqp/internal/sql"
 	"rqp/internal/types"
+	"rqp/internal/workload"
 )
 
 // smoothTable builds a single indexed table for the selectivity sweep.
 func smoothTable(rows int) (*catalog.Catalog, error) {
 	cat := catalog.New()
-	t, err := cat.CreateTable("sweep", types.Schema{
-		{Name: "id", Kind: types.KindInt},
-		{Name: "x", Kind: types.KindInt},
-		{Name: "pad", Kind: types.KindInt},
+	_, err := addTable(cat, "sweep", intCols("id", "x", "pad"), rows, 32, func(i int) types.Row {
+		return workload.IntRow(int64(i), int64(i%10000), int64(i*7%997))
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < rows; i++ {
-		cat.Insert(nil, t, types.Row{
-			types.Int(int64(i)), types.Int(int64(i % 10000)), types.Int(int64(i * 7 % 997)),
-		})
-	}
-	if _, err := cat.CreateIndex(nil, "sweep", "sweep_x", []string{"x"}, false); err != nil {
-		return nil, err
-	}
-	cat.AnalyzeTable(t, 32)
-	return cat, nil
+	_, err = cat.CreateIndex(nil, "sweep", "sweep_x", []string{"x"}, false)
+	return cat, err
 }
 
 // E5Smoothness implements Sattler et al.'s performance/smoothness metrics
@@ -52,31 +40,15 @@ func E5Smoothness(scale float64) (*Report, error) {
 	steps := 20
 	r := newReport("E5", "selectivity sweep: P(q), smoothness S(Q), plan crossover")
 
-	runWith := func(o *opt.Optimizer, param int64) (float64, error) {
-		st, _ := sql.Parse("SELECT COUNT(*) FROM sweep WHERE x >= 0 AND x <= ?")
-		bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
-		if err != nil {
-			return 0, err
-		}
-		root, err := o.Optimize(bq, []types.Value{types.Int(param)})
-		if err != nil {
-			return 0, err
-		}
-		ctx := exec.NewContext()
-		ctx.Params = []types.Value{types.Int(param)}
-		if _, err := exec.Run(root, ctx); err != nil {
-			return 0, err
-		}
-		return ctx.Clock.Units(), nil
-	}
+	const query = "SELECT COUNT(*) FROM sweep WHERE x >= 0 AND x <= ?"
 
-	classic := opt.New(cat)
-	indexOnly := opt.New(cat) // fragile: forbid seq-scan advantage by always taking index when possible
-	robustO := opt.New(cat)
-	robustO.Opt.Mode = opt.Percentile
-	robustO.Opt.PercentileP = 0.95
-	scanOnly := opt.New(cat)
-	scanOnly.Opt.NoIndexScans = true
+	// The fragile index-always policy pins access paths to the index (the
+	// one a robust system must avoid at high selectivity); the scan-only
+	// one forbids it.
+	classic, indexOnly, robustK, scanOnly := defaults(), defaults(), defaults(), defaults()
+	indexOnly.opt.ForceIndexScans = true
+	robustK.opt.Mode, robustK.opt.PercentileP = opt.Percentile, 0.95
+	scanOnly.opt.NoIndexScans = true
 
 	// Cubic spacing resolves the low-selectivity region where the
 	// index/scan crossover lives.
@@ -91,22 +63,15 @@ func E5Smoothness(scale float64) (*Report, error) {
 	var perfClassic, perfIndex, perfRobust []float64
 	for i := 1; i <= steps; i++ {
 		p := sweepPoint(i)
-		tScanPlan, err := runWith(scanOnly, p)
-		if err != nil {
-			return nil, err
+		var t [4]float64
+		for i, k := range []knobs{scanOnly, classic, robustK, indexOnly} {
+			run, err := execute(cat, k, stmt{sql: query, params: []types.Value{types.Int(p)}})
+			if err != nil {
+				return nil, err
+			}
+			t[i] = run.cost()
 		}
-		tClassic, err := runWith(classic, p)
-		if err != nil {
-			return nil, err
-		}
-		tRobust, err := runWith(robustO, p)
-		if err != nil {
-			return nil, err
-		}
-		tIndex, err := runWithForcedIndex(cat, indexOnly, p)
-		if err != nil {
-			return nil, err
-		}
+		tScanPlan, tClassic, tRobust, tIndex := t[0], t[1], t[2], t[3]
 		optimal := math.Min(tScanPlan, tIndex)
 		perfClassic = append(perfClassic, robustness.PerfP(optimal, tClassic))
 		perfIndex = append(perfIndex, robustness.PerfP(optimal, tIndex))
@@ -122,8 +87,7 @@ func E5Smoothness(scale float64) (*Report, error) {
 	r.Printf("S(Q) classic=%.3f index-always=%.3f robust=%.3f", sClassic, sIndex, sRobust)
 
 	// Plan diagram over the same parameter axis, plus anorexic reduction.
-	st, _ := sql.Parse("SELECT COUNT(*) FROM sweep WHERE x >= 0 AND x <= ?")
-	bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
+	bq, err := bind(cat, query)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +95,7 @@ func E5Smoothness(scale float64) (*Report, error) {
 	for i := 1; i <= steps; i++ {
 		xs = append(xs, types.Int(sweepPoint(i)))
 	}
-	diag, err := classic.BuildPlanDiagram(bq, xs, nil)
+	diag, err := opt.New(cat).BuildPlanDiagram(bq, xs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -144,25 +108,4 @@ func E5Smoothness(scale float64) (*Report, error) {
 	r.Set("diagram_plans", float64(diag.NumPlans()))
 	r.Set("anorexic_plans", float64(reduced.NumPlans()))
 	return r, nil
-}
-
-// runWithForcedIndex times the index plan regardless of the optimizer's
-// preference (the fragile policy a robust system must avoid at high
-// selectivity).
-func runWithForcedIndex(cat *catalog.Catalog, o *opt.Optimizer, p int64) (float64, error) {
-	st, _ := sql.Parse("SELECT COUNT(*) FROM sweep WHERE x >= 0 AND x <= ?")
-	bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
-	if err != nil {
-		return 0, err
-	}
-	root, err := o.OptimizeForceIndex(bq, []types.Value{types.Int(p)})
-	if err != nil {
-		return 0, err
-	}
-	ctx := exec.NewContext()
-	ctx.Params = []types.Value{types.Int(p)}
-	if _, err := exec.Run(root, ctx); err != nil {
-		return 0, err
-	}
-	return ctx.Clock.Units(), nil
 }

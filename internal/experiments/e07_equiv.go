@@ -3,11 +3,7 @@ package experiments
 import (
 	"math"
 
-	"rqp/internal/catalog"
-	"rqp/internal/exec"
-	"rqp/internal/opt"
 	"rqp/internal/plan"
-	"rqp/internal/sql"
 	"rqp/internal/types"
 	"rqp/internal/workload"
 )
@@ -22,7 +18,6 @@ func E7Equivalence(scale float64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := opt.New(cat)
 	r := newReport("E7", "equivalent-query robustness (plan/estimate/cost spread per pack)")
 	worstCostSpread := 1.0
 	totalDistinctPlans := 0
@@ -32,18 +27,11 @@ func E7Equivalence(scale float64) (*Report, error) {
 		minCost, maxCost := math.Inf(1), math.Inf(-1)
 		minEst, maxEst := math.Inf(1), math.Inf(-1)
 		for _, q := range pack.Queries {
-			st, err := sql.Parse(q)
+			run, err := execute(cat, defaults(), sqls(q)...)
 			if err != nil {
 				return nil, err
 			}
-			bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
-			if err != nil {
-				return nil, err
-			}
-			root, err := o.Optimize(bq, nil)
-			if err != nil {
-				return nil, err
-			}
+			root := run.plans[0]
 			sigs[plan.PlanSignature(root)] = true
 			est := root.Props().EstRows
 			// Use the deepest scan's estimate for single-table packs: the
@@ -54,11 +42,7 @@ func E7Equivalence(scale float64) (*Report, error) {
 					est = n.Props().EstRows
 				}
 			})
-			ctx := exec.NewContext()
-			if _, err := exec.Run(root, ctx); err != nil {
-				return nil, err
-			}
-			c := ctx.Clock.Units()
+			c := run.cost()
 			minCost, maxCost = math.Min(minCost, c), math.Max(maxCost, c)
 			minEst, maxEst = math.Min(minEst, est), math.Max(maxEst, est)
 		}
@@ -77,15 +61,16 @@ func E7Equivalence(scale float64) (*Report, error) {
 	// Literals vs parameters — the session's remaining axis: the same
 	// range query with inline literals and with '?' placeholders must
 	// consume the same resources.
-	litCost, err := runOnce(cat, o, "SELECT COUNT(*) FROM lineitem WHERE l_quantity >= 10 AND l_quantity <= 20", nil)
+	lit, err := execute(cat, defaults(), sqls("SELECT COUNT(*) FROM lineitem WHERE l_quantity >= 10 AND l_quantity <= 20")...)
 	if err != nil {
 		return nil, err
 	}
-	paramCost, err := runOnce(cat, o, "SELECT COUNT(*) FROM lineitem WHERE l_quantity >= ? AND l_quantity <= ?",
-		[]types.Value{types.Int(10), types.Int(20)})
+	param, err := execute(cat, defaults(), stmt{sql: "SELECT COUNT(*) FROM lineitem WHERE l_quantity >= ? AND l_quantity <= ?",
+		params: []types.Value{types.Int(10), types.Int(20)}})
 	if err != nil {
 		return nil, err
 	}
+	litCost, paramCost := lit.cost(), param.cost()
 	lvp := math.Max(litCost, paramCost) / math.Max(math.Min(litCost, paramCost), 1e-9)
 	r.Printf("literal vs parameter cost spread = %.3f (lit=%.1f param=%.1f)", lvp, litCost, paramCost)
 	r.Set("worst_cost_spread", math.Max(worstCostSpread, lvp))
@@ -93,25 +78,4 @@ func E7Equivalence(scale float64) (*Report, error) {
 	r.Set("total_distinct_plans", float64(totalDistinctPlans))
 	r.Set("packs", float64(len(packs)))
 	return r, nil
-}
-
-func runOnce(cat *catalog.Catalog, o *opt.Optimizer, q string, params []types.Value) (float64, error) {
-	st, err := sql.Parse(q)
-	if err != nil {
-		return 0, err
-	}
-	bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
-	if err != nil {
-		return 0, err
-	}
-	root, err := o.Optimize(bq, params)
-	if err != nil {
-		return 0, err
-	}
-	ctx := exec.NewContext()
-	ctx.Params = params
-	if _, err := exec.Run(root, ctx); err != nil {
-		return 0, err
-	}
-	return ctx.Clock.Units(), nil
 }

@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"rqp/internal/catalog"
-	"rqp/internal/exec"
 	"rqp/internal/opt"
-	"rqp/internal/plan"
 	"rqp/internal/robustness"
-	"rqp/internal/sql"
 	"rqp/internal/types"
 	"rqp/internal/workload"
 )
@@ -28,42 +25,29 @@ func E8TractorPull(scale float64) (*Report, error) {
 	}
 	r := newReport("E8", "tractor pulling: escalating join chain with skew")
 
-	runLevels := func(o *opt.Optimizer) ([][]float64, error) {
+	runLevels := func(k knobs) ([][]float64, error) {
 		var all [][]float64
 		for lv := 1; lv <= levels; lv++ {
 			var times []float64
 			for trial := 0; trial < 3; trial++ {
-				q := chainQuery(lv, int64(trial*3))
-				st, err := sql.Parse(q)
+				run, err := execute(cat, k, sqls(chainQuery(lv, int64(trial*3)))...)
 				if err != nil {
 					return nil, err
 				}
-				bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
-				if err != nil {
-					return nil, err
-				}
-				root, err := o.Optimize(bq, nil)
-				if err != nil {
-					return nil, err
-				}
-				ctx := exec.NewContext()
-				if _, err := exec.Run(root, ctx); err != nil {
-					return nil, err
-				}
-				times = append(times, ctx.Clock.Units())
+				times = append(times, run.cost())
 			}
 			all = append(all, times)
 		}
 		return all, nil
 	}
 
-	classicLevels, err := runLevels(opt.New(cat))
+	classicLevels, err := runLevels(defaults())
 	if err != nil {
 		return nil, err
 	}
-	robustO := opt.New(cat)
-	robustO.Opt.Mode = opt.Percentile
-	robustLevels, err := runLevels(robustO)
+	robustK := defaults()
+	robustK.opt.Mode = opt.Percentile
+	robustLevels, err := runLevels(robustK)
 	if err != nil {
 		return nil, err
 	}
@@ -85,20 +69,13 @@ func buildChain(n, rows int) (*catalog.Catalog, error) {
 	cat := catalog.New()
 	g := workload.NewGen(21)
 	for i := 1; i <= n; i++ {
-		t, err := cat.CreateTable(fmt.Sprintf("t%d", i), types.Schema{
-			{Name: "k", Kind: types.KindInt},
-			{Name: "fk", Kind: types.KindInt},
-			{Name: "v", Kind: types.KindInt},
+		zip := g.ZipfSeq(uint64(rows), 1.05+0.15*float64(i))
+		_, err := addTable(cat, fmt.Sprintf("t%d", i), intCols("k", "fk", "v"), rows, 16, func(j int) types.Row {
+			return workload.IntRow(int64(j), zip(), g.Uniform(100))
 		})
 		if err != nil {
 			return nil, err
 		}
-		skew := 1.05 + 0.15*float64(i)
-		zip := g.ZipfSeq(uint64(rows), skew)
-		for j := 0; j < rows; j++ {
-			cat.Insert(nil, t, workload.IntRow(int64(j), zip(), g.Uniform(100)))
-		}
-		cat.AnalyzeTable(t, 16)
 	}
 	return cat, nil
 }

@@ -3,11 +3,8 @@ package experiments
 import (
 	"math"
 
-	"rqp/internal/exec"
 	"rqp/internal/opt"
-	"rqp/internal/plan"
 	"rqp/internal/robustness"
-	"rqp/internal/sql"
 	"rqp/internal/workload"
 )
 
@@ -27,11 +24,7 @@ func E9Extrinsic(scale float64) (*Report, error) {
 	}
 	query := `SELECT dim1.region, COUNT(*) FROM fact, dim1
 		WHERE fact.d1 = dim1.id AND fact.attr < 40 GROUP BY dim1.region`
-	st, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
+	bq, err := bind(cat, query)
 	if err != nil {
 		return nil, err
 	}
@@ -45,28 +38,17 @@ func E9Extrinsic(scale float64) (*Report, error) {
 		{"collapsed-memory", 64},
 	}
 
-	measure := func(root plan.Node, mem int) (float64, error) {
-		ctx := exec.NewContext()
-		ctx.Mem = exec.NewMemBroker(mem)
-		if _, err := exec.Run(root, ctx); err != nil {
-			return 0, err
-		}
-		return ctx.Clock.Units(), nil
-	}
-
 	var idealTimes, producedTimes []float64
 	for _, env := range envs {
+		k := defaults()
+		k.budget = env.mem
 		// The system plans believing it has ample memory (the change is
 		// unexpected — that is the point of the test).
-		o := opt.New(cat)
-		produced, err := o.Optimize(bq, nil)
+		produced, err := execute(cat, k, sqls(query)...)
 		if err != nil {
 			return nil, err
 		}
-		tProduced, err := measure(produced, env.mem)
-		if err != nil {
-			return nil, err
-		}
+		tProduced := produced.cost()
 		// The ideal plan for this environment: an optimizer that *knows*
 		// the memory budget, plus exhaustive forcing as ground truth.
 		oIdeal := opt.New(cat)
@@ -77,11 +59,11 @@ func E9Extrinsic(scale float64) (*Report, error) {
 		}
 		tIdeal := math.Inf(1)
 		for _, p := range plans {
-			t, err := measure(p.Root, env.mem)
+			run, err := execute(cat, k, stmt{root: p.Root})
 			if err != nil {
 				return nil, err
 			}
-			tIdeal = math.Min(tIdeal, t)
+			tIdeal = math.Min(tIdeal, run.cost())
 		}
 		idealTimes = append(idealTimes, tIdeal)
 		producedTimes = append(producedTimes, tProduced)

@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
-	"rqp/internal/exec"
-	"rqp/internal/opt"
-	"rqp/internal/plan"
-	"rqp/internal/sql"
 	"rqp/internal/wlm"
 	"rqp/internal/workload"
 )
@@ -32,26 +29,13 @@ func E10FMT(scale float64) (*Report, error) {
 			for rep := 0; rep < 3; rep++ {
 				mem := sched(step)
 				step++
-				o := opt.New(cat)
-				o.Opt.MemBudgetRows = mem
-				st, err := sql.Parse(queries[name])
+				k := defaults()
+				k.budget, k.opt.MemBudgetRows = mem, mem
+				run, err := execute(cat, k, sqls(queries[name])...)
 				if err != nil {
-					return 0, err
-				}
-				bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
-				if err != nil {
-					return 0, err
-				}
-				root, err := o.Optimize(bq, nil)
-				if err != nil {
-					return 0, err
-				}
-				ctx := exec.NewContext()
-				ctx.Mem = exec.NewMemBroker(mem)
-				if _, err := exec.Run(root, ctx); err != nil {
 					return 0, fmt.Errorf("E10 %s: %w", name, err)
 				}
-				total += ctx.Clock.Units()
+				total += run.cost()
 			}
 		}
 		return total, nil
@@ -61,22 +45,14 @@ func E10FMT(scale float64) (*Report, error) {
 	// build on dimension-side joins of a few dozen rows at small scales, and a
 	// budget they fit in would make every schedule cost the same.
 	const hi, lo = 1 << 18, 16
-	ubl, err := runSchedule(wlm.ConstantMemory(hi))
-	if err != nil {
-		return nil, err
+	var totals [4]float64
+	for i, sched := range []wlm.MemorySchedule{wlm.ConstantMemory(hi), wlm.ConstantMemory(lo),
+		wlm.DecliningMemory(hi, lo, len(suite)*3), wlm.OscillatingMemory(hi, lo, 2)} {
+		if totals[i], err = runSchedule(sched); err != nil {
+			return nil, err
+		}
 	}
-	lbl, err := runSchedule(wlm.ConstantMemory(lo))
-	if err != nil {
-		return nil, err
-	}
-	declining, err := runSchedule(wlm.DecliningMemory(hi, lo, len(suite)*3))
-	if err != nil {
-		return nil, err
-	}
-	oscillating, err := runSchedule(wlm.OscillatingMemory(hi, lo, 2))
-	if err != nil {
-		return nil, err
-	}
+	ubl, lbl, declining, oscillating := totals[0], totals[1], totals[2], totals[3]
 
 	r := newReport("E10", "FMT fluctuating memory test (memUBL/memLBL envelope)")
 	r.Printf("memUBL (all memory)   total=%.1f", ubl)
@@ -90,11 +66,7 @@ func E10FMT(scale float64) (*Report, error) {
 	r.Set("lbl", lbl)
 	r.Set("declining", declining)
 	r.Set("oscillating", oscillating)
-	boolAsFloat := 0.0
-	if inEnvelope {
-		boolAsFloat = 1
-	}
-	r.Set("in_envelope", boolAsFloat)
+	setReportBool(r, "in_envelope", inEnvelope)
 	return r, nil
 }
 
@@ -107,57 +79,53 @@ func E11FPT(scale float64) (*Report, error) {
 	_ = scale
 	const procs = 8
 	qiCost := 800.0
-
-	alone := wlm.SimulateProcessorSharing([]wlm.Job{
-		{ID: "qi", Cost: qiCost, MaxDOP: procs},
-	}, procs, 0)
-	ubl := alone[0].Response
-
-	serial := wlm.SimulateProcessorSharing([]wlm.Job{
-		{ID: "qi", Cost: qiCost, MaxDOP: 1},
-	}, procs, 0)
-	lbl := serial[0].Response
+	qmDOPs := []int{2, 4, 8, 16}
+	ubl, lbl, resp := fpt(qiCost, procs, qmDOPs)
 
 	r := newReport("E11", "FPT fluctuating parallelism test (procUBL/procLBL envelope)")
 	r.Printf("procUBL (alone, DOP=%d) = %.1f", procs, ubl)
 	r.Printf("procLBL (alone, DOP=1)  = %.1f", lbl)
 	worst := ubl
-	for _, qmDOP := range []int{2, 4, 8, 16} {
-		cs := wlm.SimulateProcessorSharing([]wlm.Job{
-			{ID: "qi", Cost: qiCost, MaxDOP: procs},
-			{ID: "qm", Cost: qiCost, MaxDOP: qmDOP, Arrival: ubl / 4},
-		}, procs, 0)
-		var qi wlm.Completion
-		for _, c := range cs {
-			if c.ID == "qi" {
-				qi = c
-			}
-		}
-		r.Printf("Qm DOP=%-3d  Qi response=%.1f (%.2fx of UBL)", qmDOP, qi.Response, qi.Response/ubl)
-		if qi.Response > worst {
-			worst = qi.Response
-		}
+	for i, qmDOP := range qmDOPs {
+		r.Printf("Qm DOP=%-3d  Qi response=%.1f (%.2fx of UBL)", qmDOP, resp[i], resp[i]/ubl)
+		worst = math.Max(worst, resp[i])
 	}
 	// With an MPL gate of 1, Qi is insulated (Qm queues behind it).
-	gated := wlm.SimulateProcessorSharing([]wlm.Job{
+	gated := response(wlm.SimulateProcessorSharing([]wlm.Job{
 		{ID: "qi", Cost: qiCost, MaxDOP: procs, Priority: 2},
 		{ID: "qm", Cost: qiCost, MaxDOP: 16, Arrival: ubl / 4, Priority: 1},
-	}, procs, 1)
-	var qiGated wlm.Completion
-	for _, c := range gated {
-		if c.ID == "qi" {
-			qiGated = c
-		}
-	}
-	r.Printf("with MPL=1 gate: Qi response=%.1f (insulated)", qiGated.Response)
+	}, procs, 1), "qi")
+	r.Printf("with MPL=1 gate: Qi response=%.1f (insulated)", gated)
 	r.Set("ubl", ubl)
 	r.Set("lbl", lbl)
 	r.Set("worst_interference", worst)
-	r.Set("gated", qiGated.Response)
-	inEnv := 0.0
-	if worst >= ubl-1e-9 && worst <= lbl+1e-9 {
-		inEnv = 1
-	}
-	r.Set("in_envelope", inEnv)
+	r.Set("gated", gated)
+	setReportBool(r, "in_envelope", worst >= ubl-1e-9 && worst <= lbl+1e-9)
 	return r, nil
+}
+
+// fpt simulates the Fluctuating Parallelism Test for job Qi of cost on procs
+// processors: its response alone at full DOP (ubl), alone on one processor
+// (lbl), and beside an interloper Qm of each DOP in qmDOPs arriving a
+// quarter of the way into it.
+func fpt(cost float64, procs int, qmDOPs []int) (ubl, lbl float64, resp []float64) {
+	ubl = wlm.SimulateProcessorSharing([]wlm.Job{{ID: "qi", Cost: cost, MaxDOP: procs}}, procs, 0)[0].Response
+	lbl = wlm.SimulateProcessorSharing([]wlm.Job{{ID: "qi", Cost: cost, MaxDOP: 1}}, procs, 0)[0].Response
+	for _, qmDOP := range qmDOPs {
+		resp = append(resp, response(wlm.SimulateProcessorSharing([]wlm.Job{
+			{ID: "qi", Cost: cost, MaxDOP: procs},
+			{ID: "qm", Cost: cost, MaxDOP: qmDOP, Arrival: ubl / 4},
+		}, procs, 0), "qi"))
+	}
+	return ubl, lbl, resp
+}
+
+// response is the response time of job id among cs (0 if absent).
+func response(cs []wlm.Completion, id string) float64 {
+	for _, c := range cs {
+		if c.ID == id {
+			return c.Response
+		}
+	}
+	return 0
 }

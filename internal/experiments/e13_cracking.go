@@ -65,9 +65,7 @@ func E13Cracking(scale float64) (*Report, error) {
 			if want == -1 {
 				want = got
 			} else if got != want {
-				r := newReport("E13", "adaptive indexing")
-				r.Printf("CORRECTNESS FAILURE: %s returned %d, want %d", s.name, got, want)
-				return r, nil
+				return nil, fmt.Errorf("E13: %s returned %d, want %d", s.name, got, want)
 			}
 		}
 	}

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"rqp/internal/exec"
-	"rqp/internal/opt"
-	"rqp/internal/plan"
-	"rqp/internal/sql"
+	"strings"
+
 	"rqp/internal/storage"
 	"rqp/internal/wlm"
 	"rqp/internal/workload"
@@ -54,26 +52,13 @@ func E14TPCCH(scale float64) (*Report, error) {
 		`SELECT tpcc_orders.o_w_id, COUNT(*) FROM tpcc_orders, orderline
 			WHERE tpcc_orders.o_id = orderline.ol_o_id GROUP BY tpcc_orders.o_w_id`,
 	}
-	o := opt.New(tp.Cat)
 	biCost := 0.0
 	for _, q := range biQueries {
-		st, err := sql.Parse(q)
+		run, err := execute(tp.Cat, defaults(), sqls(q)...)
 		if err != nil {
 			return nil, err
 		}
-		bq, err := plan.Bind(st.(*sql.SelectStmt), tp.Cat)
-		if err != nil {
-			return nil, err
-		}
-		root, err := o.Optimize(bq, nil)
-		if err != nil {
-			return nil, err
-		}
-		ctx := exec.NewContext()
-		if _, err := exec.Run(root, ctx); err != nil {
-			return nil, err
-		}
-		biCost += ctx.Clock.Units()
+		biCost += run.cost()
 	}
 	biCost /= float64(len(biQueries))
 
@@ -108,26 +93,20 @@ func E14TPCCH(scale float64) (*Report, error) {
 	}
 	gated := wlm.SimulateProcessorSharing(gatedJobs, procs, 1)
 
-	txResp := func(cs []wlm.Completion) float64 {
-		total, n := 0.0, 0
-		for _, c := range cs {
-			if len(c.ID) >= 2 && c.ID[:2] == "tx" {
-				total += c.Response
-				n++
+	// meanResp is the mean response time of the jobs of one class.
+	meanResp := func(class string) func(cs []wlm.Completion) float64 {
+		return func(cs []wlm.Completion) float64 {
+			total, n := 0.0, 0
+			for _, c := range cs {
+				if strings.HasPrefix(c.ID, class) {
+					total += c.Response
+					n++
+				}
 			}
+			return total / float64(n)
 		}
-		return total / float64(n)
 	}
-	biResp := func(cs []wlm.Completion) float64 {
-		total, n := 0.0, 0
-		for _, c := range cs {
-			if len(c.ID) >= 2 && c.ID[:2] == "bi" {
-				total += c.Response
-				n++
-			}
-		}
-		return total / float64(n)
-	}
+	txResp, biResp := meanResp("tx"), meanResp("bi")
 
 	r := newReport("E14", "TPC-CH-lite mixed OLTP+BI workload with workload management")
 	r.Printf("per-transaction cost=%.2f  per-BI-query cost=%.1f", txCost, biCost)

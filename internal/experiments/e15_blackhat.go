@@ -3,10 +3,8 @@ package experiments
 import (
 	"math"
 
-	"rqp/internal/exec"
 	"rqp/internal/opt"
 	"rqp/internal/plan"
-	"rqp/internal/sql"
 	"rqp/internal/stats"
 	"rqp/internal/types"
 	"rqp/internal/workload"
@@ -32,37 +30,23 @@ func E15BlackHat(scale float64) (*Report, error) {
 		return nil, err
 	}
 	query := "SELECT COUNT(*) FROM fact WHERE attr = 2 AND pseudo = 6"
-	st, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-
 	run := func(mode opt.EstimateMode, p float64) (est float64, actual float64, err error) {
-		bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
-		if err != nil {
-			return 0, 0, err
-		}
-		o := opt.New(cat)
-		o.Opt.Mode = mode
+		k := defaults()
+		k.opt.Mode = mode
 		if p > 0 {
-			o.Opt.PercentileP = p
+			k.opt.PercentileP = p
 		}
-		root, err := o.Optimize(bq, nil)
-		if err != nil {
-			return 0, 0, err
-		}
-		ctx := exec.NewContext()
-		rows, err := exec.Run(root, ctx)
+		res, err := execute(cat, k, sqls(query)...)
 		if err != nil {
 			return 0, 0, err
 		}
 		var scanEst float64
-		plan.Walk(root, func(n plan.Node) {
+		plan.Walk(res.plans[0], func(n plan.Node) {
 			if _, ok := n.(*plan.ScanNode); ok {
 				scanEst = n.Props().EstRows
 			}
 		})
-		return scanEst, float64(rows[0][0].I), nil
+		return scanEst, float64(res.rows[0][0].I), nil
 	}
 
 	indepEst, actual, err := run(opt.Expected, 0)

@@ -5,9 +5,6 @@ import (
 	"math"
 
 	"rqp/internal/catalog"
-	"rqp/internal/exec"
-	"rqp/internal/expr"
-	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/types"
 	"rqp/internal/workload"
@@ -69,29 +66,15 @@ func E16GJoin(scale float64) (*Report, error) {
 func buildJoinPair(outerRows, innerRows int) (*catalog.Catalog, error) {
 	cat := catalog.New()
 	g := workload.NewGen(41)
-	outer, err := cat.CreateTable("outer_t", types.Schema{
-		{Name: "k", Kind: types.KindInt},
-		{Name: "v", Kind: types.KindInt},
-	})
-	if err != nil {
+	if _, err := addTable(cat, "outer_t", intCols("k", "v"), outerRows, 16, func(i int) types.Row {
+		return workload.IntRow(g.Uniform(int64(innerRows)), int64(i))
+	}); err != nil {
 		return nil, err
 	}
-	for i := 0; i < outerRows; i++ {
-		cat.Insert(nil, outer, workload.IntRow(g.Uniform(int64(innerRows)), int64(i)))
-	}
-	inner, err := cat.CreateTable("inner_t", types.Schema{
-		{Name: "k", Kind: types.KindInt},
-		{Name: "w", Kind: types.KindInt},
+	_, err := addTable(cat, "inner_t", intCols("k", "w"), innerRows, 16, func(i int) types.Row {
+		return workload.IntRow(int64(i), int64(i%7))
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < innerRows; i++ {
-		cat.Insert(nil, inner, workload.IntRow(int64(i), int64(i%7)))
-	}
-	cat.AnalyzeTable(outer, 16)
-	cat.AnalyzeTable(inner, 16)
-	return cat, nil
+	return cat, err
 }
 
 // timeForcedJoin builds the physical join by hand so the algorithm choice
@@ -99,33 +82,30 @@ func buildJoinPair(outerRows, innerRows int) (*catalog.Catalog, error) {
 func timeForcedJoin(cat *catalog.Catalog, alg plan.JoinAlg, memBudget int) (float64, error) {
 	outer, _ := cat.Table("outer_t")
 	inner, _ := cat.Table("inner_t")
-	o := opt.New(cat)
-	o.Opt.MemBudgetRows = memBudget
-
-	mkScan := func(t *catalog.Table, alias string) *plan.ScanNode {
-		s := &plan.ScanNode{Table: t, Alias: alias}
-		s.Out = t.Schema.WithTable(alias)
-		s.Title = "SeqScan(" + alias + ")"
-		s.Prop = plan.Props{EstRows: float64(t.Heap.NumRows())}
-		return s
-	}
-	l := mkScan(outer, "o")
-	rr := mkScan(inner, "i")
-	j := &plan.JoinNode{Alg: alg, Type: plan.Inner, LeftKeys: []int{0}, RightKeys: []int{0}}
-	j.Kids = []plan.Node{l, rr}
-	j.Out = l.Out.Concat(rr.Out)
-	j.Title = alg.String()
-	j.Prop = plan.Props{EstRows: float64(outer.Heap.NumRows())}
-
-	ctx := exec.NewContext()
-	ctx.Mem = exec.NewMemBroker(memBudget)
-	rows, err := exec.Run(j, ctx)
+	k := defaults()
+	k.budget = memBudget
+	run, err := execute(cat, k, stmt{root: joinNode(alg, outer, "o", inner, "i", float64(outer.Heap.NumRows()))})
 	if err != nil {
 		return 0, err
 	}
-	_ = rows
-	return ctx.Clock.Units(), nil
+	return run.cost(), nil
 }
 
-// Quiet the expr import if forced-join construction changes.
-var _ = expr.OpEQ
+// joinNode is a hand-built inner join of two tables' sequential scans on
+// their first columns, the left side probing, estimated at est rows.
+func joinNode(alg plan.JoinAlg, left *catalog.Table, la string, right *catalog.Table, ra string, est float64) plan.Node {
+	j := &plan.JoinNode{Alg: alg, Type: plan.Inner, LeftKeys: []int{0}, RightKeys: []int{0}}
+	for _, side := range []struct {
+		t     *catalog.Table
+		alias string
+	}{{left, la}, {right, ra}} {
+		s := &plan.ScanNode{Table: side.t, Alias: side.alias}
+		s.Out = side.t.Schema.WithTable(side.alias)
+		s.Title = "SeqScan(" + side.alias + ")"
+		s.Prop = plan.Props{EstRows: float64(side.t.Heap.NumRows())}
+		j.Kids, j.Out = append(j.Kids, s), j.Out.Concat(s.Out)
+	}
+	j.Title = alg.String()
+	j.Prop = plan.Props{EstRows: est}
+	return j
+}

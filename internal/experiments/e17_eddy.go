@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"rqp/internal/adaptive"
 	"rqp/internal/exec"
 	"rqp/internal/expr"
@@ -53,11 +55,10 @@ func E17Eddy(scale float64) (*Report, error) {
 		return nil, err
 	}
 
-	r := newReport("E17", "eddy adaptive selection ordering under selectivity drift")
 	if len(keptS) != len(keptE) || len(keptS) != len(keptL) {
-		r.Printf("CORRECTNESS FAILURE: result sizes differ: %d %d %d", len(keptS), len(keptE), len(keptL))
-		return r, nil
+		return nil, fmt.Errorf("E17: result sizes differ: %d %d %d", len(keptS), len(keptE), len(keptL))
 	}
+	r := newReport("E17", "eddy adaptive selection ordering under selectivity drift")
 	r.Printf("tuples=%d survivors=%d", n, len(keptS))
 	r.Printf("static order:   evaluations=%d", statsS.Evaluations)
 	r.Printf("eddy (ranked):  evaluations=%d reorders=%d", statsE.Evaluations, statsE.Reorders)

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"rqp/internal/adaptive"
-	"rqp/internal/exec"
-	"rqp/internal/opt"
-	"rqp/internal/plan"
+	"slices"
+
 	"rqp/internal/robustness"
-	"rqp/internal/sql"
 	"rqp/internal/workload"
 )
 
@@ -30,78 +27,30 @@ func E18Rio(scale float64) (*Report, error) {
 
 	type system struct {
 		name  string
-		run   func(sel *sql.SelectStmt) (float64, error)
+		k     knobs
 		costs []float64
 	}
-	classic := &system{name: "classic", run: func(sel *sql.SelectStmt) (float64, error) {
-		bq, err := plan.Bind(sel, cat)
-		if err != nil {
-			return 0, err
-		}
-		o := opt.New(cat)
-		root, err := o.Optimize(bq, nil)
-		if err != nil {
-			return 0, err
-		}
-		ctx := exec.NewContext()
-		if _, err := exec.Run(root, ctx); err != nil {
-			return 0, err
-		}
-		return ctx.Clock.Units(), nil
-	}}
-	pop := &system{name: "pop", run: func(sel *sql.SelectStmt) (float64, error) {
-		bq, err := plan.Bind(sel, cat)
-		if err != nil {
-			return 0, err
-		}
-		p := &adaptive.Progressive{Opt: opt.New(cat), Policy: adaptive.Checked, ReoptCharge: 5}
-		ctx := exec.NewContext()
-		if _, err := p.Execute(bq, ctx); err != nil {
-			return 0, err
-		}
-		return ctx.Clock.Units(), nil
-	}}
-	rio := &system{name: "rio", run: func(sel *sql.SelectStmt) (float64, error) {
-		bq, err := plan.Bind(sel, cat)
-		if err != nil {
-			return 0, err
-		}
-		rr := &adaptive.Rio{Opt: opt.New(cat), UncertaintyFactor: 6}
-		root, _, err := rr.Choose(bq, nil)
-		if err != nil {
-			return 0, err
-		}
-		ctx := exec.NewContext()
-		if _, err := exec.Run(root, ctx); err != nil {
-			return 0, err
-		}
-		return ctx.Clock.Units(), nil
-	}}
-	systems := []*system{classic, pop, rio}
-
+	var systems []*system
+	for _, p := range []policy{classic, pop, rio} {
+		k := defaults()
+		k.policy = p
+		systems = append(systems, &system{name: p.String(), k: k})
+	}
 	for _, q := range queries {
-		st, err := sql.Parse(q.SQL)
-		if err != nil {
-			return nil, err
-		}
-		sel := st.(*sql.SelectStmt)
 		for _, s := range systems {
-			c, err := s.run(sel)
+			run, err := execute(cat, s.k, sqls(q.SQL)...)
 			if err != nil {
 				return nil, err
 			}
-			s.costs = append(s.costs, c)
+			s.costs = append(s.costs, run.cost())
 		}
 	}
 
 	r := newReport("E18", "adaptation spectrum: classic vs POP (reactive) vs Rio (proactive)")
 	for _, s := range systems {
-		total, worst := 0.0, 0.0
+		total, worst := 0.0, slices.Max(s.costs)
 		for _, c := range s.costs {
 			total += c
-			if c > worst {
-				worst = c
-			}
 		}
 		sm := robustness.Smoothness(s.costs)
 		r.Printf("%-8s total=%.1f worst=%.1f smoothness=%.3f", s.name, total, worst, sm)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"rqp/internal/core"
 	"rqp/internal/exec"
@@ -147,18 +148,19 @@ func E21AutomaticDisaster(scale float64) (*Report, error) {
 	eng := core.Open(cfg)
 	eng.Cache = core.NewPlanCache(1) // revalidate on every reuse = eager monitor
 	eng.MustExec("CREATE TABLE ad (id int, hot int, v int)")
-	n := scaleInt(8000, scale)
-	for i := 0; i < n; i += 100 {
-		stmt := "INSERT INTO ad VALUES "
-		for j := i; j < i+100 && j < n; j++ {
-			if j > i {
-				stmt += ", "
+	// insert adds rows [from, to) to ad, a hundred to a statement.
+	insert := func(from, to int, row func(j int) string) {
+		for i := from; i < to; i += 100 {
+			var vals []string
+			for j := i; j < i+100 && j < to; j++ {
+				vals = append(vals, row(j))
 			}
-			// hot is extremely selective for value 999 before the insert wave
-			stmt += fmt.Sprintf("(%d, %d, %d)", j, j%500, j%41)
+			eng.MustExec("INSERT INTO ad VALUES " + strings.Join(vals, ", "))
 		}
-		eng.MustExec(stmt)
 	}
+	n := scaleInt(8000, scale)
+	// hot is extremely selective for value 999 before the insert wave
+	insert(0, n, func(j int) string { return fmt.Sprintf("(%d, %d, %d)", j, j%500, j%41) })
 	eng.MustExec("CREATE INDEX ad_hot ON ad (hot)")
 	eng.MustExec("ANALYZE ad")
 
@@ -170,17 +172,7 @@ func E21AutomaticDisaster(scale float64) (*Report, error) {
 	// "A few new rows" — a burst of hot=137 rows. No manual ANALYZE: the
 	// next query's automatic maintenance refreshes the histograms and
 	// invalidates the cached plan.
-	burst := scaleInt(3000, scale)
-	for i := 0; i < burst; i += 100 {
-		stmt := "INSERT INTO ad VALUES "
-		for j := i; j < i+100 && j < burst; j++ {
-			if j > i {
-				stmt += ", "
-			}
-			stmt += fmt.Sprintf("(%d, 137, 0)", n+j)
-		}
-		eng.MustExec(stmt)
-	}
+	insert(n, n+scaleInt(3000, scale), func(j int) string { return fmt.Sprintf("(%d, 137, 0)", j) })
 	r2 := eng.MustExec(q)
 	sig2, _ := eng.Explain(q)
 	costAfter := r2.Cost
@@ -197,10 +189,6 @@ func E21AutomaticDisaster(scale float64) (*Report, error) {
 		s.Hits, s.Revalidations, s.PlanChanges)
 	rep.Set("cost_before", costBefore)
 	rep.Set("cost_after", costAfter)
-	if changed {
-		rep.Set("plan_changed", 1)
-	} else {
-		rep.Set("plan_changed", 0)
-	}
+	setReportBool(rep, "plan_changed", changed)
 	return rep, nil
 }

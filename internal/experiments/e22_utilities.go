@@ -1,11 +1,6 @@
 package experiments
 
 import (
-	"rqp/internal/catalog"
-	"rqp/internal/exec"
-	"rqp/internal/opt"
-	"rqp/internal/plan"
-	"rqp/internal/sql"
 	"rqp/internal/storage"
 	"rqp/internal/wlm"
 	"rqp/internal/workload"
@@ -38,10 +33,11 @@ func E22UtilityInterference(scale float64) (*Report, error) {
 	maintenanceCost := buildCost * 8
 
 	// Measure a representative query's cost.
-	queryCost, err := e22QueryCost(cat)
+	q3, err := execute(cat, defaults(), sqls(workload.TPCHQueries()["Q3"])...)
 	if err != nil {
 		return nil, err
 	}
+	queryCost := q3.cost()
 
 	const procs = 4
 	alone := wlm.SimulateProcessorSharing([]wlm.Job{
@@ -58,45 +54,16 @@ func E22UtilityInterference(scale float64) (*Report, error) {
 		{ID: "utility", Cost: maintenanceCost, MaxDOP: 1, Priority: 1},
 	}, procs, 1)
 
-	get := func(cs []wlm.Completion, id string) float64 {
-		for _, c := range cs {
-			if c.ID == id {
-				return c.Response
-			}
-		}
-		return 0
-	}
 	r := newReport("E22", "utility interference: index build vs concurrent query (extension)")
 	r.Printf("index build cost=%.1f (maintenance window %.1f)  query cost=%.1f", buildCost, maintenanceCost, queryCost)
-	qa, qc, qt := get(alone, "query"), get(concurrent, "query"), get(throttled, "query")
+	qa, qc, qt := response(alone, "query"), response(concurrent, "query"), response(throttled, "query")
 	r.Printf("query alone:               resp=%.1f", qa)
 	r.Printf("query vs full-speed build: resp=%.1f (%.2fx)", qc, qc/qa)
 	r.Printf("query vs throttled build:  resp=%.1f (%.2fx)", qt, qt/qa)
 	r.Printf("throttled build finishes at %.1f (vs %.1f full speed)",
-		get(throttled, "utility"), get(concurrent, "utility"))
+		response(throttled, "utility"), response(concurrent, "utility"))
 	r.Set("interference_uncontrolled", qc/qa)
 	r.Set("interference_throttled", qt/qa)
 	r.Set("build_cost", buildCost)
 	return r, nil
-}
-
-func e22QueryCost(cat *catalog.Catalog) (float64, error) {
-	o := opt.New(cat)
-	st, err := sql.Parse(workload.TPCHQueries()["Q3"])
-	if err != nil {
-		return 0, err
-	}
-	bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
-	if err != nil {
-		return 0, err
-	}
-	root, err := o.Optimize(bq, nil)
-	if err != nil {
-		return 0, err
-	}
-	ctx := exec.NewContext()
-	if _, err := exec.Run(root, ctx); err != nil {
-		return 0, err
-	}
-	return ctx.Clock.Units(), nil
 }

@@ -2,15 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
-	"rqp/internal/exec"
-	"rqp/internal/opt"
-	"rqp/internal/plan"
-	"rqp/internal/sql"
-	"rqp/internal/types"
 	"rqp/internal/workload"
 )
 
@@ -20,9 +13,9 @@ import (
 // cost is *identical* to serial at every rung — the sweep turns that
 // invariant into a committed baseline so a regression in plan shapes or
 // morsel cost accounting shows up against BENCH_parallel.json. Result rows
-// are compared within a DOP (two runs at the same fan-out must agree to
-// the float canon), not across DOPs: parallel aggregation merges per-worker
-// float partials in a different order than serial, as E23 documents.
+// are compared within a DOP (two runs at the same fan-out must hash alike),
+// not across DOPs: parallel aggregation merges per-worker float partials in
+// a different order than serial.
 type DopSweepPoint struct {
 	DOP    int     `json:"dop" gate:"key"`            // degree of parallelism (1 = serial reference)
 	Units  float64 `json:"cost_units" gate:"tol"`     // total simulated cost for the suite (must equal serial)
@@ -31,66 +24,41 @@ type DopSweepPoint struct {
 }
 
 // dopSweepDOPs is the fan-out ladder.
-var dopSweepDOPs = []int{1, 2, 4, 8}
+var dopSweepDOPs = axis{"dop", []float64{1, 2, 4, 8}, func(k *knobs, v float64) { k.dop = int(v) }}
 
 // DopSweep runs the TPC-H-lite suite across the DOP ladder and returns
-// the report plus the raw points (for rqpbench -dop-sweep and the
+// the report plus the raw points (for rqpbench -sweep dop-sweep and the
 // regression gate).
 func DopSweep(scale float64) (*Report, []DopSweepPoint, error) {
 	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 0.5 * scale, Seed: 23})
 	if err != nil {
 		return nil, nil, err
 	}
-	suite := []string{"Q1", "Q3", "Q10"}
 	queries := workload.TPCHQueries()
-
-	runSuite := func(dop int) (float64, [][]types.Row, error) {
-		ctx := exec.NewContext()
-		if dop > 1 {
-			ctx.DOP = dop
-		}
-		var results [][]types.Row
-		for _, name := range suite {
-			o := opt.New(cat)
-			st, err := sql.Parse(queries[name])
-			if err != nil {
-				return 0, nil, err
-			}
-			bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
-			if err != nil {
-				return 0, nil, err
-			}
-			root, err := o.Optimize(bq, nil)
-			if err != nil {
-				return 0, nil, err
-			}
-			rows, err := exec.Run(root, ctx)
-			if err != nil {
-				return 0, nil, fmt.Errorf("E25 %s dop=%d: %w", name, dop, err)
-			}
-			results = append(results, rows)
-		}
-		return ctx.Clock.Units(), results, nil
-	}
-
-	points := make([]DopSweepPoint, 0, len(dopSweepDOPs))
-	for _, dop := range dopSweepDOPs {
+	suite := sqls(queries["Q1"], queries["Q3"], queries["Q10"])
+	floatCanon := 0
+	var points []DopSweepPoint
+	err = sweep(defaults(), []axis{dopSweepDOPs}, func(k knobs, _ []float64) error {
 		start := time.Now()
-		units, rows, err := runSuite(dop)
+		first, err := execute(cat, k, suite...)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		// Determinism check: worker interleaving must never leak into
 		// results, so a second run at the same DOP must agree exactly.
-		units2, rows2, err := runSuite(dop)
+		second, err := execute(cat, k, suite...)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		points = append(points, DopSweepPoint{
-			DOP: dop, Units: units,
+			DOP: k.dop, Units: first.cost(),
 			WallMS: float64(time.Since(start).Microseconds()) / 1000,
-			Match:  units == units2 && equalCanon(canonRows(rows), canonRows(rows2)),
+			Match:  first.units == second.units && same(&floatCanon, first, second),
 		})
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("E25 %w", err)
 	}
 
 	r := newReport("E25", "degree-of-parallelism sweep (cost-parity map)")
@@ -98,64 +66,15 @@ func DopSweep(scale float64) (*Report, []DopSweepPoint, error) {
 	allMatch, parity := true, true
 	for _, p := range points {
 		r.Printf("%5d %12.1f %10.2f %6v", p.DOP, p.Units, p.WallMS, p.Match)
-		if !p.Match {
-			allMatch = false
-		}
+		allMatch = allMatch && p.Match
 		if p.Units != points[0].Units {
 			parity = false
 		}
 	}
 	r.Set("dops", float64(len(points)))
 	r.Set("units_serial", points[0].Units)
+	r.Set("float_canon_cells", float64(floatCanon))
 	setReportBool(r, "all_exact", allMatch)
 	setReportBool(r, "cost_parity", parity)
 	return r, points, nil
-}
-
-// E25DopSweep adapts DopSweep to the registry's Runner signature.
-func E25DopSweep(scale float64) (*Report, error) {
-	r, _, err := DopSweep(scale)
-	return r, err
-}
-
-// canonRows renders result sets with floats at 6 significant digits,
-// sorted — the cross-configuration comparison canon shared by the sweeps
-// (see MemSweep for why byte-identity is asserted elsewhere).
-func canonRows(results [][]types.Row) []string {
-	var out []string
-	for qi, rows := range results {
-		for _, r := range rows {
-			parts := make([]string, len(r))
-			for i, v := range r {
-				if v.K == types.KindFloat {
-					parts[i] = fmt.Sprintf("%.6g", v.F)
-				} else {
-					parts[i] = v.String()
-				}
-			}
-			out = append(out, fmt.Sprintf("q%d:%s", qi, strings.Join(parts, "|")))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func equalCanon(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func setReportBool(r *Report, k string, b bool) {
-	v := 0.0
-	if b {
-		v = 1
-	}
-	r.Set(k, v)
 }

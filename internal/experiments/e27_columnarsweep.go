@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rqp/internal/catalog"
-	"rqp/internal/exec"
 	"rqp/internal/expr"
 	"rqp/internal/plan"
 	"rqp/internal/types"
@@ -31,7 +30,7 @@ type ColumnarSweepPoint struct {
 // columnarSweepSels is the selectivity ladder: needle lookups where zone
 // maps should eliminate nearly every block, through full scans where
 // nothing can be skipped and only compression helps.
-var columnarSweepSels = []float64{0.01, 0.1, 0.5, 1.0}
+var columnarSweepSels = axis{"sel", []float64{0.01, 0.1, 0.5, 1.0}, nil}
 
 // columnarSweepBlock is the sweep's block size: small enough that a 20k-row
 // table yields ~20 blocks, so zone-map skipping has real granularity.
@@ -43,7 +42,7 @@ const columnarSweepBlock = 1024
 const columnarCard = 64
 
 // ColumnarSweep runs the encoding x selectivity sweep and returns the
-// report plus the raw points (for rqpbench -columnar-sweep and the
+// report plus the raw points (for rqpbench -sweep columnar-sweep and the
 // regression gate).
 func ColumnarSweep(scale float64) (*Report, []ColumnarSweepPoint, error) {
 	n := scaleInt(20000, scale)
@@ -78,78 +77,63 @@ func ColumnarSweep(scale float64) (*Report, []ColumnarSweepPoint, error) {
 			},
 		},
 	}
-
-	buildArm := func(a arm) (*catalog.Table, error) {
+	cats := make([]*catalog.Catalog, len(arms))
+	for i, a := range arms {
 		cat := catalog.New()
-		t, err := cat.CreateTable("t", types.Schema{
-			{Name: "k", Kind: a.kind},
-			{Name: "v", Kind: types.KindInt},
+		schema := intCols("k", "v")
+		schema[0].Kind = a.kind
+		t, err := addTable(cat, "t", schema, n, 16, func(i int) types.Row {
+			return types.Row{a.val(i), types.Int(int64(i % 97))}
 		})
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			cat.Insert(nil, t, types.Row{a.val(i), types.Int(int64(i % 97))})
-		}
-		cat.AnalyzeTable(t, 16)
-		cat.BuildColumnar(t, columnarSweepBlock)
-		return t, nil
-	}
-
-	runOne := func(t *catalog.Table, filter expr.Expr, columnar bool) (float64, []types.Row, int, int, error) {
-		s := &plan.ScanNode{Table: t, Alias: "t", Filter: filter, Columnar: columnar}
-		s.Out = t.Schema.WithTable("t")
-		if columnar {
-			s.Title = "ColScan(t)"
-		} else {
-			s.Title = "SeqScan(t)"
-		}
-		s.Prop = plan.Props{EstRows: float64(t.Heap.NumRows())}
-		ctx := exec.NewContext()
-		rows, err := exec.Run(s, ctx)
-		if err != nil {
-			return 0, nil, 0, 0, fmt.Errorf("E27 columnar=%v: %w", columnar, err)
-		}
-		return ctx.Clock.Units(), rows, int(ctx.ColBlocksSkipped), int(ctx.ColBlocksScanned), nil
-	}
-
-	var points []ColumnarSweepPoint
-	for _, a := range arms {
-		t, err := buildArm(a)
 		if err != nil {
 			return nil, nil, err
 		}
-		cs := t.Col()
-		if got := cs.ColEncoding(0); got != a.encoding {
+		cat.BuildColumnar(t, columnarSweepBlock)
+		if got := t.Col().ColEncoding(0); got != a.encoding {
 			return nil, nil, fmt.Errorf("E27: arm %q encoded as %q", a.encoding, got)
 		}
-		for _, sel := range columnarSweepSels {
-			filter := &expr.Bin{
-				Op: expr.OpLT,
-				L:  &expr.Col{Index: 0, Name: "k", Typ: a.kind},
-				R:  &expr.Const{V: a.threshold(sel)},
-			}
-			if sel >= 1 {
-				// Select-everything arm: a tautological k >= min keeps the
-				// pushed-conjunct machinery engaged with zero skipping.
-				filter.Op = expr.OpGE
-				filter.R = &expr.Const{V: minConstFor(a.kind)}
-			}
-			heapUnits, heapRows, _, _, err := runOne(t, filter, false)
-			if err != nil {
-				return nil, nil, err
-			}
-			colUnits, colRows, skipped, scanned, err := runOne(t, filter, true)
-			if err != nil {
-				return nil, nil, err
-			}
-			points = append(points, ColumnarSweepPoint{
-				Encoding: a.encoding, Sel: sel,
-				HeapUnits: heapUnits, ColUnits: colUnits, Ratio: heapUnits / colUnits,
-				BlocksSkipped: skipped, BlocksScanned: scanned,
-				Match: equalCanon(canonRows([][]types.Row{heapRows}), canonRows([][]types.Row{colRows})),
-			})
+		cats[i] = cat
+	}
+	encodings := axis{"encoding", []float64{0, 1, 2}, nil} // an index into arms
+
+	floatCanon := 0
+	var points []ColumnarSweepPoint
+	err := sweep(defaults(), []axis{encodings, columnarSweepSels}, func(k knobs, at []float64) error {
+		a, cat, sel := arms[int(at[0])], cats[int(at[0])], at[1]
+		t, _ := cat.Table("t")
+		filter := &expr.Bin{
+			Op: expr.OpLT,
+			L:  &expr.Col{Index: 0, Name: "k", Typ: a.kind},
+			R:  &expr.Const{V: a.threshold(sel)},
 		}
+		if sel >= 1 {
+			// Select-everything arm: a tautological k >= min keeps the
+			// pushed-conjunct machinery engaged with zero skipping.
+			filter.Op = expr.OpGE
+			filter.R = &expr.Const{V: minConstFor(a.kind)}
+		}
+		runs := [2]*run{}
+		for i, columnar := range []bool{false, true} {
+			s := &plan.ScanNode{Table: t, Alias: "t", Filter: filter, Columnar: columnar}
+			s.Out = t.Schema.WithTable("t")
+			s.Title = [2]string{"SeqScan(t)", "ColScan(t)"}[i]
+			s.Prop = plan.Props{EstRows: float64(t.Heap.NumRows())}
+			var err error
+			if runs[i], err = execute(cat, k, stmt{root: s}); err != nil {
+				return fmt.Errorf("columnar=%v: %w", columnar, err)
+			}
+		}
+		heap, col := runs[0], runs[1]
+		points = append(points, ColumnarSweepPoint{
+			Encoding: a.encoding, Sel: sel,
+			HeapUnits: heap.cost(), ColUnits: col.cost(), Ratio: heap.cost() / col.cost(),
+			BlocksSkipped: int(col.ctx.ColBlocksSkipped), BlocksScanned: int(col.ctx.ColBlocksScanned),
+			Match: same(&floatCanon, heap, col),
+		})
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("E27 %w", err)
 	}
 
 	r := newReport("E27", "columnar encoding x selectivity sweep (zone-map skipping map)")
@@ -159,9 +143,7 @@ func ColumnarSweep(scale float64) (*Report, []ColumnarSweepPoint, error) {
 	for _, p := range points {
 		r.Printf("%8s %6.2f %12.1f %12.1f %6.2fx %8d %8d %6v",
 			p.Encoding, p.Sel, p.HeapUnits, p.ColUnits, p.Ratio, p.BlocksSkipped, p.BlocksScanned, p.Match)
-		if !p.Match {
-			allMatch = false
-		}
+		allMatch = allMatch && p.Match
 		if p.Sel <= 0.1 && p.Ratio < 1.5 {
 			selectiveWin = false
 		}
@@ -170,6 +152,7 @@ func ColumnarSweep(scale float64) (*Report, []ColumnarSweepPoint, error) {
 		}
 	}
 	r.Set("points", float64(len(points)))
+	r.Set("float_canon_cells", float64(floatCanon))
 	setReportBool(r, "all_exact", allMatch)
 	setReportBool(r, "selective_1_5x", selectiveWin)
 	setReportBool(r, "fullscan_bounded", fullScanBounded)
@@ -183,10 +166,4 @@ func minConstFor(k types.Kind) types.Value {
 		return types.Str("")
 	}
 	return types.Int(0)
-}
-
-// E27ColumnarSweep adapts ColumnarSweep to the registry's Runner signature.
-func E27ColumnarSweep(scale float64) (*Report, error) {
-	r, _, err := ColumnarSweep(scale)
-	return r, err
 }

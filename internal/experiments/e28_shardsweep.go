@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
-	"rqp/internal/core"
-	"rqp/internal/types"
-	"rqp/internal/wlm"
+	"rqp/internal/exec"
 	"rqp/internal/workload"
 )
 
@@ -36,40 +35,30 @@ type ShardSweepPoint struct {
 	CostExact     bool    `json:"cost_exact" gate:"never"`   // TotalUnits exactly equals the serial cost
 }
 
-// shardWorkers parses a straggler worker vector like "1,2,2,2"; nil means
-// one worker per shard.
-func shardWorkers(spec string, shards int) []float64 {
-	if spec == "" {
-		return nil
-	}
-	parts := strings.Split(spec, ",")
-	w := make([]float64, shards)
-	for i := 0; i < shards; i++ {
-		w[i] = 1
-		if i < len(parts) {
-			if v, err := strconv.ParseFloat(parts[i], 64); err == nil && v > 0 {
-				w[i] = v
-			}
-		}
+// shardWorkers parses a straggler worker vector like "1,2,2,2", one count a
+// shard; "" (nil) means one worker per shard.
+func shardWorkers(spec string) (w []float64) {
+	for _, f := range strings.FieldsFunc(spec, func(r rune) bool { return r == ',' }) {
+		v, _ := strconv.ParseFloat(f, 64)
+		w = append(w, v)
 	}
 	return w
 }
 
-// shardMakespan derives the cluster response time from a sharded result:
+// shardMakespan derives the cluster response time from a sharded run:
 // serial prefix (total minus the shard-local share) plus the slowest
 // shard's local+overhead units over its worker count. Returns makespan,
-// worst and mean shard units. A result with no shuffle snapshot is fully
-// serial: makespan == total.
-func shardMakespan(res *core.Result, workers []float64) (makespan, worst, mean float64) {
-	if res.Shuffle == nil || len(res.Shuffle.ShardUnits) == 0 {
-		return res.Cost, res.Cost, res.Cost
+// worst and mean shard units. A run with no shard units is fully serial:
+// makespan == total.
+func shardMakespan(total float64, s exec.ShuffleSnapshot, workers []float64) (makespan, worst, mean float64) {
+	if len(s.ShardUnits) == 0 {
+		return total, total, total
 	}
-	s := res.Shuffle
 	local := 0.0
 	for _, u := range s.ShardUnits {
 		local += u
 	}
-	prefix := res.Cost - local
+	prefix := total - local
 	var sum float64
 	for i := range s.ShardUnits {
 		u := s.ShardUnits[i] + s.ShardExtra[i]
@@ -89,96 +78,37 @@ func shardMakespan(res *core.Result, workers []float64) (makespan, worst, mean f
 	return makespan, worst, mean
 }
 
-// shardSweepRun executes the shard-join query once under the given engine
-// configuration and folds the run into a point.
-func shardSweepRun(section string, wcfg workload.ShardJoinConfig, shards int, force string,
-	noHotSplit bool, workerSpec string, colocate bool) (ShardSweepPoint, error) {
-	p := ShardSweepPoint{
-		Section: section, Shards: shards, Skew: wcfg.Skew,
-		HotSplit: !noHotSplit, Workers: workerSpec, Mode: "serial",
-	}
-	cat, err := workload.BuildShardJoin(wcfg)
-	if err != nil {
-		return p, err
-	}
-	if colocate {
-		if err := workload.PartitionShardJoin(cat, shards); err != nil {
-			return p, err
-		}
-	}
-	q := workload.ShardJoinQuery()
-
-	mk := func(shards int) core.Config {
-		cfg := core.DefaultConfig()
-		cfg.Shards = shards
-		cfg.ShuffleForce = force
-		cfg.ShardNoHotSplit = noHotSplit
-		return cfg
-	}
-	serial, err := core.Attach(cat, mk(0)).Exec(q)
-	if err != nil {
-		return p, fmt.Errorf("E28 %s serial: %w", section, err)
-	}
-	res, err := core.Attach(cat, mk(shards)).Exec(q)
-	if err != nil {
-		return p, fmt.Errorf("E28 %s shards=%d: %w", section, shards, err)
-	}
-
-	p.TotalUnits = res.Cost
-	p.ResultExact = equalCanon(canonRows([][]types.Row{serial.Rows}), canonRows([][]types.Row{res.Rows}))
-	p.CostExact = res.Cost == serial.Cost
-	p.MakespanUnits, p.WorstShard, p.MeanShard = shardMakespan(res, shardWorkers(workerSpec, shards))
-	if s := res.Shuffle; s != nil {
-		p.RowsMoved, p.RowsBroadcast, p.HotKeys = s.RowsMoved, s.RowsBroadcast, s.HotKeys
-		switch {
-		case s.ColocatedJoins > 0:
-			p.Mode = "colocated"
-		case s.BroadcastJoins > 0:
-			p.Mode = "broadcast"
-		case s.RepartitionJoins > 0:
-			p.Mode = "repartition"
-		}
-	}
-	return p, nil
+// shardCell is one cell of the shard matrix: the shard-join workload and
+// the exchange configuration it runs under.
+type shardCell struct {
+	section    string
+	wcfg       workload.ShardJoinConfig
+	shards     int
+	force      string
+	noHotSplit bool
+	workers    string // straggler worker vector, "" when balanced
+	colocate   bool   // both tables pre-partitioned on the join key
 }
 
-// ShardSweep runs the E28 skew/straggler sweep and returns the report plus
-// the raw points (for rqpbench -sweep shard-sweep and the regression
-// gate). skewOverride > 0 replaces the skew ladder with a single value.
-func ShardSweep(scale, skewOverride float64) (*Report, []ShardSweepPoint, error) {
+// shardMatrix is the shard matrix E28 runs in process and E30 over worker
+// processes. skewOverride > 0 replaces the skew ladder with a single value.
+func shardMatrix(scale, skewOverride float64) []shardCell {
 	base := workload.DefaultShardJoin()
 	base.BuildRows = scaleInt(base.BuildRows, scale)
 	base.ProbeRows = scaleInt(base.ProbeRows, scale)
 	base.Keys = int64(scaleInt(int(base.Keys), scale))
-
-	var points []ShardSweepPoint
-	add := func(p ShardSweepPoint, err error) error {
-		if err != nil {
-			return err
-		}
-		points = append(points, p)
-		return nil
-	}
-
 	// Uniform keys, forced repartition: the graceful-scaling curve the
 	// makespan must follow as shards grow.
+	var cells []shardCell
 	for _, shards := range []int{1, 2, 4, 8} {
-		if err := add(shardSweepRun("uniform", base, shards, "repartition", false, "", false)); err != nil {
-			return nil, nil, err
-		}
+		cells = append(cells, shardCell{"uniform", base, shards, "repartition", false, "", false})
 	}
-
 	// Small build side at 4 shards: the costed planner should pick
 	// broadcast, and it should beat forced repartition on makespan.
 	small := base
 	small.BuildRows = max(20, base.BuildRows/50)
-	if err := add(shardSweepRun("broadcast", small, 4, "", false, "", false)); err != nil {
-		return nil, nil, err
-	}
-	if err := add(shardSweepRun("broadcast", small, 4, "repartition", false, "", false)); err != nil {
-		return nil, nil, err
-	}
-
+	cells = append(cells, shardCell{"broadcast", small, 4, "", false, "", false},
+		shardCell{"broadcast", small, 4, "repartition", false, "", false})
 	// Zipf-skewed keys, hot-split on vs off: the skew-robustness claim is
 	// that splitting keeps the worst shard near the mean (no cliff).
 	skews := []float64{1.1, 1.3, 1.5}
@@ -189,24 +119,81 @@ func ShardSweep(scale, skewOverride float64) (*Report, []ShardSweepPoint, error)
 		sk := base
 		sk.Skew = skew
 		for _, noSplit := range []bool{false, true} {
-			if err := add(shardSweepRun("skew", sk, 4, "repartition", noSplit, "", false)); err != nil {
-				return nil, nil, err
-			}
+			cells = append(cells, shardCell{"skew", sk, 4, "repartition", noSplit, "", false})
 		}
 	}
-
 	// Straggler: one shard has half the workers of the others; the
 	// makespan degrades by a bounded factor, not a cliff.
-	if err := add(shardSweepRun("straggler", base, 4, "repartition", false, "1,2,2,2", false)); err != nil {
-		return nil, nil, err
-	}
-
+	cells = append(cells, shardCell{"straggler", base, 4, "repartition", false, "1,2,2,2", false})
 	// Co-located: both tables pre-partitioned on the join key — no rows
 	// move at all.
 	for _, shards := range []int{2, 4} {
-		if err := add(shardSweepRun("colocated", base, shards, "", false, "", true)); err != nil {
-			return nil, nil, err
+		cells = append(cells, shardCell{"colocated", base, shards, "", false, "", true})
+	}
+	return cells
+}
+
+// shardRun executes the shard-join query of one cell serially and on its
+// shards, their exchanges carried by transport (nil: in process), and folds
+// the two runs into a point plus the sharded run's shuffle statistics.
+func shardRun(c shardCell, transport exec.ShuffleTransport, floatCanon *int) (ShardSweepPoint, exec.ShuffleSnapshot, error) {
+	p := ShardSweepPoint{
+		Section: c.section, Shards: c.shards, Skew: c.wcfg.Skew,
+		HotSplit: !c.noHotSplit, Workers: c.workers, Mode: "serial",
+	}
+	var s exec.ShuffleSnapshot
+	cat, err := workload.BuildShardJoin(c.wcfg)
+	if err != nil {
+		return p, s, err
+	}
+	if c.colocate {
+		if err := workload.PartitionShardJoin(cat, c.shards); err != nil {
+			return p, s, err
 		}
+	}
+	q := sqls(workload.ShardJoinQuery())
+	k := defaults()
+	k.budget = 1 << 16 // core.DefaultConfig's workspace
+	serial, err := execute(cat, k, q...)
+	if err != nil {
+		return p, s, fmt.Errorf("%s serial: %w", c.section, err)
+	}
+	k.shards, k.force, k.noHotSplit, k.transport = c.shards, c.force, c.noHotSplit, transport
+	res, err := execute(cat, k, q...)
+	if err != nil {
+		return p, s, fmt.Errorf("%s shards=%d: %w", c.section, c.shards, err)
+	}
+	if res.ctx.Shuffle != nil {
+		s = res.ctx.Shuffle.Snapshot()
+	}
+	p.TotalUnits = res.cost()
+	p.ResultExact = same(floatCanon, serial, res)
+	p.CostExact = res.units == serial.units
+	p.MakespanUnits, p.WorstShard, p.MeanShard = shardMakespan(res.cost(), s, shardWorkers(c.workers))
+	p.RowsMoved, p.RowsBroadcast, p.HotKeys = s.RowsMoved, s.RowsBroadcast, s.HotKeys
+	switch {
+	case s.ColocatedJoins > 0:
+		p.Mode = "colocated"
+	case s.BroadcastJoins > 0:
+		p.Mode = "broadcast"
+	case s.RepartitionJoins > 0:
+		p.Mode = "repartition"
+	}
+	return p, s, nil
+}
+
+// ShardSweep runs the E28 skew/straggler sweep and returns the report plus
+// the raw points (for rqpbench -sweep shard-sweep and the regression
+// gate). skewOverride > 0 replaces the skew ladder with a single value.
+func ShardSweep(scale, skewOverride float64) (*Report, []ShardSweepPoint, error) {
+	floatCanon := 0
+	var points []ShardSweepPoint
+	for _, c := range shardMatrix(scale, skewOverride) {
+		p, _, err := shardRun(c, nil, &floatCanon)
+		if err != nil {
+			return nil, nil, fmt.Errorf("E28 %w", err)
+		}
+		points = append(points, p)
 	}
 
 	r := newReport("E28", "shard/skew/straggler sweep (shuffle exchange robustness)")
@@ -223,9 +210,7 @@ func ShardSweep(scale, skewOverride float64) (*Report, []ShardSweepPoint, error)
 			p.Section, p.Shards, p.Skew, p.HotSplit, p.Mode, p.Workers,
 			p.TotalUnits, p.MakespanUnits, p.WorstShard, p.MeanShard, p.RowsMoved,
 			p.ResultExact, p.CostExact)
-		if !p.ResultExact || !p.CostExact {
-			allExact = false
-		}
+		allExact = allExact && p.ResultExact && p.CostExact
 		switch p.Section {
 		case "uniform":
 			if p.Shards == 1 {
@@ -275,7 +260,7 @@ func ShardSweep(scale, skewOverride float64) (*Report, []ShardSweepPoint, error)
 	// Tie the earlier robustness harnesses to the sharded layer: the E8
 	// tractor-pulling join chain must stay byte- and cost-exact when its
 	// joins run through shuffle exchanges, ...
-	tractorExact, err := shardTractorTieIn(scale)
+	tractorExact, err := shardTractorTieIn(scale, &floatCanon)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -284,32 +269,33 @@ func ShardSweep(scale, skewOverride float64) (*Report, []ShardSweepPoint, error)
 	// job's cost is the sharded makespan instead of the serial total.
 	fptInEnv := shardFPTTieIn(uni4, r)
 	setReportBool(r, "fpt_in_envelope", fptInEnv)
+	r.Set("float_canon_cells", float64(floatCanon))
 
 	return r, points, nil
 }
 
 // shardTractorTieIn reruns a slice of the E8 tractor-pulling chain with
 // sharded execution and reports whether rows and cost stay exact.
-func shardTractorTieIn(scale float64) (bool, error) {
-	rows := scaleInt(1500, scale)
-	cat, err := buildChain(4, rows)
+func shardTractorTieIn(scale float64, floatCanon *int) (bool, error) {
+	cat, err := buildChain(4, scaleInt(1500, scale))
 	if err != nil {
 		return false, err
 	}
+	k := defaults()
+	k.budget = 1 << 16 // core.DefaultConfig's workspace
 	for lv := 1; lv <= 3; lv++ {
-		q := chainQuery(lv, 0)
-		serial, err := core.Attach(cat, core.DefaultConfig()).Exec(q)
+		q := sqls(chainQuery(lv, 0))
+		serial, err := execute(cat, k, q...)
 		if err != nil {
 			return false, err
 		}
-		cfg := core.DefaultConfig()
-		cfg.Shards = 4
-		sharded, err := core.Attach(cat, cfg).Exec(q)
+		sk := k
+		sk.shards = 4
+		sharded, err := execute(cat, sk, q...)
 		if err != nil {
 			return false, err
 		}
-		if sharded.Cost != serial.Cost ||
-			!equalCanon(canonRows([][]types.Row{serial.Rows}), canonRows([][]types.Row{sharded.Rows})) {
+		if sharded.units != serial.units || !same(floatCanon, serial, sharded) {
 			return false, nil
 		}
 	}
@@ -323,31 +309,8 @@ func shardFPTTieIn(cost float64, r *Report) bool {
 	if cost <= 0 {
 		return false
 	}
-	const procs = 4
-	ubl := wlm.SimulateProcessorSharing([]wlm.Job{
-		{ID: "qi", Cost: cost, MaxDOP: procs},
-	}, procs, 0)[0].Response
-	lbl := wlm.SimulateProcessorSharing([]wlm.Job{
-		{ID: "qi", Cost: cost, MaxDOP: 1},
-	}, procs, 0)[0].Response
-	worst := ubl
-	for _, qmDOP := range []int{2, 4} {
-		cs := wlm.SimulateProcessorSharing([]wlm.Job{
-			{ID: "qi", Cost: cost, MaxDOP: procs},
-			{ID: "qm", Cost: cost, MaxDOP: qmDOP, Arrival: ubl / 4},
-		}, procs, 0)
-		for _, c := range cs {
-			if c.ID == "qi" && c.Response > worst {
-				worst = c.Response
-			}
-		}
-	}
+	ubl, lbl, resp := fpt(cost, 4, []int{2, 4})
+	worst := math.Max(ubl, math.Max(resp[0], resp[1]))
 	r.Printf("FPT on sharded makespan: UBL=%.1f LBL=%.1f worst=%.1f", ubl, lbl, worst)
 	return worst >= ubl-1e-9 && worst <= lbl+1e-9
-}
-
-// E28ShardSweep is the registry wrapper.
-func E28ShardSweep(scale float64) (*Report, error) {
-	r, _, err := ShardSweep(scale, 0)
-	return r, err
 }

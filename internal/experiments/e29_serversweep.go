@@ -54,19 +54,12 @@ func quantileMS(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(q*float64(len(sorted)-1) + 0.5)
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[int(q*float64(len(sorted)-1)+0.5)]
 }
 
 // serverSweepRun drives one client count against a fresh server+engine and
 // folds the run into a point.
-func serverSweepRun(sc workload.StarConfig, queries []workload.StarQuery, refs []string,
+func serverSweepRun(sc workload.StarConfig, queries []workload.StarQuery, refs []uint64,
 	clients, mpl, perClient int) (ServerSweepPoint, error) {
 	p := ServerSweepPoint{Clients: clients, MPL: mpl, ResultExact: true}
 
@@ -100,7 +93,6 @@ func serverSweepRun(sc workload.StarConfig, queries []workload.StarQuery, refs [
 		queuedN   int
 		timeouts  int
 		completed int
-		exact     = true
 		firstErr  error
 	)
 	start := time.Now()
@@ -143,9 +135,7 @@ func serverSweepRun(sc workload.StarConfig, queries []workload.StarQuery, refs [
 						queuedN++
 					}
 				}
-				if canonRowsKey(rs.Rows) != refs[qi] {
-					exact = false
-				}
+				p.ResultExact = p.ResultExact && types.HashRows(rs.Rows) == refs[qi]
 				mu.Unlock()
 				time.Sleep(serverSweepThink)
 			}
@@ -169,8 +159,7 @@ func serverSweepRun(sc workload.StarConfig, queries []workload.StarQuery, refs [
 		p.MaxMS = latencies[n-1]
 		p.MeanCostUnits = costSum / float64(n)
 	}
-	p.QueuedWaits, _, _ = func() (int64, int, int) { return cfg.Admission.QueueStats() }()
-	p.ResultExact = exact
+	p.QueuedWaits, _, _ = cfg.Admission.QueueStats()
 	if clients == 1 {
 		// Sequential execution: the simulated total is deterministic and
 		// safe for the regression gate to diff exactly.
@@ -179,13 +168,14 @@ func serverSweepRun(sc workload.StarConfig, queries []workload.StarQuery, refs [
 	return p, nil
 }
 
-// canonRowsKey canonicalizes one result's rows for reference comparison.
-func canonRowsKey(rows []types.Row) string {
-	c := canonRows([][]types.Row{rows})
-	if len(c) == 0 {
-		return ""
-	}
-	return c[0]
+// serverSweepWorkload is the star database and the statement mix E29 serves
+// at scale.
+func serverSweepWorkload(scale float64) (workload.StarConfig, []workload.StarQuery) {
+	sc := workload.DefaultStar()
+	sc.FactRows = max(500, int(float64(sc.FactRows)*scale*0.2))
+	sc.DimRows = max(200, int(float64(sc.DimRows)*scale*0.2))
+	sc.Dim2Rows = max(100, int(float64(sc.Dim2Rows)*scale*0.2))
+	return sc, workload.StarWorkload(sc, 8, 0.5, 42)
 }
 
 // ServerSweep runs the E29 concurrency sweep — client counts {1, MPL,
@@ -196,27 +186,24 @@ func canonRowsKey(rows []types.Row) string {
 // holds near its plateau, and not one statement returns a wrong result.
 func ServerSweep(scale float64) (*Report, []ServerSweepPoint, error) {
 	const mpl = 4
-	sc := workload.DefaultStar()
-	sc.FactRows = max(500, int(float64(sc.FactRows)*scale*0.2))
-	sc.DimRows = max(200, int(float64(sc.DimRows)*scale*0.2))
-	sc.Dim2Rows = max(100, int(float64(sc.Dim2Rows)*scale*0.2))
-	queries := workload.StarWorkload(sc, 8, 0.5, 42)
+	sc, queries := serverSweepWorkload(scale)
 	perClient := max(4, scaleInt(12, scale))
 
 	// Reference results computed in-process on an identical catalog build —
-	// the ground truth every wire result must match at every concurrency.
+	// the ground truth every wire result must match, row for row in order,
+	// at every concurrency.
 	refCat, err := workload.BuildStar(sc)
 	if err != nil {
 		return nil, nil, err
 	}
 	refEng := core.Attach(refCat, core.DefaultConfig())
-	refs := make([]string, len(queries))
+	refs := make([]uint64, len(queries))
 	for i, q := range queries {
 		res, err := refEng.Exec(q.SQL)
 		if err != nil {
 			return nil, nil, fmt.Errorf("E29 reference q%d: %w", i, err)
 		}
-		refs[i] = canonRowsKey(res.Rows)
+		refs[i] = types.HashRows(res.Rows)
 	}
 
 	var points []ServerSweepPoint
@@ -262,10 +249,4 @@ func ServerSweep(scale float64) (*Report, []ServerSweepPoint, error) {
 	}
 	setReportBool(r, "queueing_observed", at4xMPL.QueuedNotices > 0 || at4xMPL.QueuedWaits > 0)
 	return r, points, nil
-}
-
-// E29ServerSweep is the registry wrapper.
-func E29ServerSweep(scale float64) (*Report, error) {
-	r, _, err := ServerSweep(scale)
-	return r, err
 }

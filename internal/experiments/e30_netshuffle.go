@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"rqp/internal/core"
 	"rqp/internal/server"
-	"rqp/internal/types"
-	"rqp/internal/workload"
 )
 
 // NetShuffleSweepPoint is one rung of the network-shuffle robustness map:
@@ -42,74 +39,12 @@ type NetShuffleSweepPoint struct {
 	CostExact     bool    `json:"cost_exact" gate:"never"`   // TotalUnits exactly equals the serial cost
 }
 
-// netShuffleRun executes the shard-join query once with the TCP transport
-// against a live worker fleet and folds the run into a point.
-func netShuffleRun(addrs []string, section string, wcfg workload.ShardJoinConfig, shards int,
-	force string, noHotSplit bool, workerSpec string, colocate bool) (NetShuffleSweepPoint, error) {
-	p := NetShuffleSweepPoint{
-		Section: section, Shards: shards, Skew: wcfg.Skew,
-		HotSplit: !noHotSplit, Workers: workerSpec, Mode: "serial",
-	}
-	cat, err := workload.BuildShardJoin(wcfg)
-	if err != nil {
-		return p, err
-	}
-	if colocate {
-		if err := workload.PartitionShardJoin(cat, shards); err != nil {
-			return p, err
-		}
-	}
-	q := workload.ShardJoinQuery()
-
-	mk := func(shards int) core.Config {
-		cfg := core.DefaultConfig()
-		cfg.Shards = shards
-		cfg.ShuffleForce = force
-		cfg.ShardNoHotSplit = noHotSplit
-		if shards > 1 {
-			cfg.ShuffleTransport = server.NewNetShuffleTransport(addrs)
-		}
-		return cfg
-	}
-	serial, err := core.Attach(cat, mk(0)).Exec(q)
-	if err != nil {
-		return p, fmt.Errorf("E30 %s serial: %w", section, err)
-	}
-	res, err := core.Attach(cat, mk(shards)).Exec(q)
-	if err != nil {
-		return p, fmt.Errorf("E30 %s shards=%d: %w", section, shards, err)
-	}
-
-	p.TotalUnits = res.Cost
-	p.ResultExact = equalCanon(canonRows([][]types.Row{serial.Rows}), canonRows([][]types.Row{res.Rows}))
-	p.CostExact = res.Cost == serial.Cost
-	p.MakespanUnits, p.WorstShard, p.MeanShard = shardMakespan(res, shardWorkers(workerSpec, shards))
-	p.Reconciled = true
-	if s := res.Shuffle; s != nil {
-		p.RowsMoved, p.RowsBroadcast, p.HotKeys = s.RowsMoved, s.RowsBroadcast, s.HotKeys
-		p.Transport = s.Transport
-		p.NetFrames, p.NetBytes, p.NetRowsWire, p.NetStalls =
-			s.NetFrames, s.NetBytes, s.NetRowsWire, s.NetStalls
-		p.PeerFrames = append([]int64(nil), s.PeerFrames...)
-		p.PeerBytes = append([]int64(nil), s.PeerBytes...)
-		p.Reconciled = s.Reconciled()
-		switch {
-		case s.ColocatedJoins > 0:
-			p.Mode = "colocated"
-		case s.BroadcastJoins > 0:
-			p.Mode = "broadcast"
-		case s.RepartitionJoins > 0:
-			p.Mode = "repartition"
-		}
-	}
-	return p, nil
-}
-
 // NetShuffleSweep runs the E30 network-shuffle sweep: the E28 matrix with a
-// fleet of real worker processes behind the TCP shuffle transport. It
-// returns the report plus the raw points (for rqpbench -sweep
-// netshuffle-sweep and the regression gate). skewOverride > 0 replaces the
-// skew ladder with a single value.
+// fleet of real worker processes behind the TCP shuffle transport, where
+// co-located joins must carry zero frames and zero bytes. It returns the
+// report plus the raw points (for rqpbench -sweep netshuffle-sweep and the
+// regression gate). skewOverride > 0 replaces the skew ladder with a single
+// value.
 func NetShuffleSweep(scale, skewOverride float64) (*Report, []NetShuffleSweepPoint, error) {
 	procs, err := server.SpawnShardWorkers(8, 0)
 	if err != nil {
@@ -117,71 +52,22 @@ func NetShuffleSweep(scale, skewOverride float64) (*Report, []NetShuffleSweepPoi
 	}
 	defer procs.Stop()
 
-	base := workload.DefaultShardJoin()
-	base.BuildRows = scaleInt(base.BuildRows, scale)
-	base.ProbeRows = scaleInt(base.ProbeRows, scale)
-	base.Keys = int64(scaleInt(int(base.Keys), scale))
-
+	floatCanon := 0
 	var points []NetShuffleSweepPoint
-	add := func(p NetShuffleSweepPoint, err error) error {
+	for _, c := range shardMatrix(scale, skewOverride) {
+		sp, s, err := shardRun(c, server.NewNetShuffleTransport(procs.Addrs), &floatCanon)
 		if err != nil {
-			return err
+			return nil, nil, fmt.Errorf("E30 %w", err)
 		}
-		points = append(points, p)
-		return nil
-	}
-	run := func(section string, wcfg workload.ShardJoinConfig, shards int, force string,
-		noHotSplit bool, workerSpec string, colocate bool) error {
-		return add(netShuffleRun(procs.Addrs, section, wcfg, shards, force, noHotSplit, workerSpec, colocate))
-	}
-
-	// Uniform keys, forced repartition: every build and probe row crosses a
-	// process boundary; the makespan curve must match the in-process sweep.
-	for _, shards := range []int{1, 2, 4, 8} {
-		if err := run("uniform", base, shards, "repartition", false, "", false); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Small build side: the planner picks broadcast; replicas cross the wire
-	// but the (much larger) probe side stays put.
-	small := base
-	small.BuildRows = max(20, base.BuildRows/50)
-	if err := run("broadcast", small, 4, "", false, "", false); err != nil {
-		return nil, nil, err
-	}
-	if err := run("broadcast", small, 4, "repartition", false, "", false); err != nil {
-		return nil, nil, err
-	}
-
-	// Zipf-skewed keys, hot-split on vs off: splitting duplicates hot probe
-	// rows onto extra sockets — the wire pays a little so no worker drowns.
-	skews := []float64{1.1, 1.3, 1.5}
-	if skewOverride > 0 {
-		skews = []float64{skewOverride}
-	}
-	for _, skew := range skews {
-		sk := base
-		sk.Skew = skew
-		for _, noSplit := range []bool{false, true} {
-			if err := run("skew", sk, 4, "repartition", noSplit, "", false); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-
-	// Straggler: worker-share imbalance only reshapes the makespan; bytes on
-	// the wire are identical to the balanced run.
-	if err := run("straggler", base, 4, "repartition", false, "1,2,2,2", false); err != nil {
-		return nil, nil, err
-	}
-
-	// Co-located: shards own their data — the configured transport must
-	// carry zero frames and zero bytes.
-	for _, shards := range []int{2, 4} {
-		if err := run("colocated", base, shards, "", false, "", true); err != nil {
-			return nil, nil, err
-		}
+		points = append(points, NetShuffleSweepPoint{
+			Section: sp.Section, Shards: sp.Shards, Skew: sp.Skew, HotSplit: sp.HotSplit, Mode: sp.Mode,
+			Workers: sp.Workers, Transport: s.Transport, TotalUnits: sp.TotalUnits, MakespanUnits: sp.MakespanUnits,
+			WorstShard: sp.WorstShard, MeanShard: sp.MeanShard,
+			RowsMoved: sp.RowsMoved, RowsBroadcast: sp.RowsBroadcast, HotKeys: sp.HotKeys,
+			NetFrames: s.NetFrames, NetBytes: s.NetBytes, NetRowsWire: s.NetRowsWire, NetStalls: s.NetStalls,
+			PeerFrames: s.PeerFrames, PeerBytes: s.PeerBytes,
+			Reconciled: s.Reconciled(), ResultExact: sp.ResultExact, CostExact: sp.CostExact,
+		})
 	}
 
 	r := newReport("E30", "network shuffle sweep (E28 matrix over worker processes)")
@@ -198,12 +84,8 @@ func NetShuffleSweep(scale, skewOverride float64) (*Report, []NetShuffleSweepPoi
 			p.Section, p.Shards, p.Skew, p.HotSplit, p.Mode, p.Transport,
 			p.TotalUnits, p.MakespanUnits, p.NetFrames, p.NetBytes, p.NetRowsWire,
 			p.NetStalls, p.ResultExact && p.CostExact, p.Reconciled)
-		if !p.ResultExact || !p.CostExact {
-			allExact = false
-		}
-		if !p.Reconciled {
-			allReconciled = false
-		}
+		allExact = allExact && p.ResultExact && p.CostExact
+		allReconciled = allReconciled && p.Reconciled
 		totalStalls += p.NetStalls
 		switch p.Section {
 		case "uniform":
@@ -243,11 +125,6 @@ func NetShuffleSweep(scale, skewOverride float64) (*Report, []NetShuffleSweepPoi
 	r.Set("colocated_net_bytes", float64(colocatedBytes))
 	setReportBool(r, "colocated_zero_frames", colocatedClean)
 	r.Set("net_stalls_total", float64(totalStalls))
+	r.Set("float_canon_cells", float64(floatCanon))
 	return r, points, nil
-}
-
-// E30NetShuffle is the registry wrapper.
-func E30NetShuffle(scale float64) (*Report, error) {
-	r, _, err := NetShuffleSweep(scale, 0)
-	return r, err
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"rqp/internal/catalog"
@@ -111,11 +110,9 @@ func e31Run(r *Report, sh e31Shape) error {
 	fresh := core.Attach(sh.cat, core.DefaultConfig())
 	order := rand.New(rand.NewSource(31)).Perm(len(sh.binds))
 
-	type point struct {
-		bind          float64
-		cached, fresh bool // the plan scans the heap
-	}
-	var points []point
+	// Where each engine starts scanning the sweep: the smallest bind whose
+	// plan reads the heap rather than the index.
+	flipC, flipF := math.Inf(1), math.Inf(1)
 	worst, sum := 0.0, 0.0
 	for _, i := range order {
 		v := sh.binds[i]
@@ -127,12 +124,17 @@ func e31Run(r *Report, sh e31Shape) error {
 		if err != nil {
 			return err
 		}
-		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+		if types.HashRows(got.Rows) != types.HashRows(want.Rows) {
 			return fmt.Errorf("bind %s: the cached plan returned other rows than the fresh one", v)
 		}
 		ratio := got.Cost / want.Cost
 		worst, sum = math.Max(worst, ratio), sum+ratio
-		points = append(points, point{v.AsFloat(), strings.Contains(got.Plan, "SeqScan(sweep)"), strings.Contains(want.Plan, "SeqScan(sweep)")})
+		if strings.Contains(got.Plan, "SeqScan(sweep)") {
+			flipC = math.Min(flipC, v.AsFloat())
+		}
+		if strings.Contains(want.Plan, "SeqScan(sweep)") {
+			flipF = math.Min(flipF, v.AsFloat())
+		}
 	}
 	st := cached.Cache.Stats()
 	variants := cached.Cache.Variants(sh.sql)
@@ -143,18 +145,6 @@ func e31Run(r *Report, sh e31Shape) error {
 	r.Set(sh.key+"_worst_ratio", worst)
 	r.Set(sh.key+"_mean_ratio", mean)
 	if sh.key == "sweep" {
-		// Where each engine starts scanning: the smallest bind whose plan
-		// reads the heap rather than the index.
-		sort.Slice(points, func(i, j int) bool { return points[i].bind < points[j].bind })
-		flipC, flipF := math.Inf(1), math.Inf(1)
-		for i := len(points) - 1; i >= 0; i-- {
-			if points[i].cached {
-				flipC = points[i].bind
-			}
-			if points[i].fresh {
-				flipF = points[i].bind
-			}
-		}
 		r.Printf("sweep flips index -> scan at ? = %.0f cached, %.0f fresh", flipC, flipF)
 		r.Set("sweep_flip_cached", flipC)
 		r.Set("sweep_flip_fresh", flipF)

@@ -10,7 +10,11 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+
+	"rqp/internal/catalog"
+	"rqp/internal/types"
 )
 
 // Report is one experiment's output.
@@ -88,27 +92,58 @@ func Registry() map[string]Runner {
 		"E20": E20SharedScans,
 		"E21": E21AutomaticDisaster,
 		"E22": E22UtilityInterference,
-		"E23": E23MemSweep,
-		"E24": E24FilterSweep,
-		"E25": E25DopSweep,
-		"E27": E27ColumnarSweep,
-		"E28": E28ShardSweep,
-		"E29": E29ServerSweep,
-		"E30": E30NetShuffle,
+		// The sweeps, whose points rqpbench -sweep writes.
+		"E23": func(s float64) (*Report, error) { r, _, err := MemSweep(s); return r, err },
+		"E24": func(s float64) (*Report, error) { r, _, err := FilterSweep(s); return r, err },
+		"E25": func(s float64) (*Report, error) { r, _, err := DopSweep(s); return r, err },
+		"E27": func(s float64) (*Report, error) { r, _, err := ColumnarSweep(s); return r, err },
+		"E28": func(s float64) (*Report, error) { r, _, err := ShardSweep(s, 0); return r, err },
+		"E29": func(s float64) (*Report, error) { r, _, err := ServerSweep(s); return r, err },
+		"E30": func(s float64) (*Report, error) { r, _, err := NetShuffleSweep(s, 0); return r, err },
 		"E31": E31PlanCacheRegions,
 	}
 }
 
-// IDs returns all experiment ids in order.
+// IDs returns the registry's experiment ids in numeric order.
 func IDs() []string {
-	ids := make([]string, 0, 30)
-	for i := 1; i <= 31; i++ {
-		if i == 26 {
-			continue // ids are stable names: E26, the row-vs-batch parity sweep, is retired
-		}
-		ids = append(ids, fmt.Sprintf("E%d", i))
+	var ids []string
+	for id := range Registry() {
+		ids = append(ids, id)
 	}
+	num := func(id string) int { n, _ := strconv.Atoi(id[1:]); return n }
+	sort.Slice(ids, func(i, j int) bool { return num(ids[i]) < num(ids[j]) })
 	return ids
+}
+
+// addTable creates table name with schema in cat, inserts row(i) for i in
+// [0, n) and analyzes it into buckets.
+func addTable(cat *catalog.Catalog, name string, schema types.Schema, n, buckets int, row func(i int) types.Row) (*catalog.Table, error) {
+	t, err := cat.CreateTable(name, schema)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		cat.Insert(nil, t, row(i))
+	}
+	cat.AnalyzeTable(t, buckets)
+	return t, nil
+}
+
+// intCols is a schema of int columns.
+func intCols(names ...string) types.Schema {
+	s := make(types.Schema, len(names))
+	for i, n := range names {
+		s[i] = types.Column{Name: n, Kind: types.KindInt}
+	}
+	return s
+}
+
+func setReportBool(r *Report, k string, b bool) {
+	v := 0.0
+	if b {
+		v = 1
+	}
+	r.Set(k, v)
 }
 
 func scaleInt(base int, scale float64) int {

@@ -1,0 +1,152 @@
+package experiments
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"rqp/internal/core"
+	"rqp/internal/types"
+	"rqp/internal/workload"
+)
+
+// TestOneRunner holds the package to one runner: no experiment file but
+// runner.go parses, binds, optimizes or executes a statement, or formats
+// rows with the 6-digit float canon; only E29 and E31, which measure an
+// engine (a server under load, the plan cache), attach one.
+func TestOneRunner(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	banned := map[string]bool{"sql.Parse": true, "plan.Bind": true, "exec.Run": true, "exec.Drain": true, "core.Attach": true}
+	for _, name := range files {
+		if name == "runner.go" || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine := strings.HasPrefix(name, "e29_") || strings.HasPrefix(name, "e31_")
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				call := sel.Sel.Name
+				if x, ok := sel.X.(*ast.Ident); ok {
+					call = x.Name + "." + call
+				}
+				if sel.Sel.Name == "Optimize" || banned[call] && !(engine && call == "core.Attach") {
+					t.Errorf("%s: %s calls %s; run statements through execute", fset.Position(n.Pos()), name, call)
+				}
+			case *ast.BasicLit:
+				if n.Kind == token.STRING && strings.Contains(n.Value, "%.6g") {
+					t.Errorf("%s: %s formats rows with the float canon; compare them with same", fset.Position(n.Pos()), name)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// TestSameHashesRowsExactly: a cell that neither spilled nor aggregated at
+// DOP > 1 matches only bit for bit, so one float's last bit fails it; a
+// spilled cell may match at 6 digits, and is counted.
+func TestSameHashesRowsExactly(t *testing.T) {
+	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 0.125, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := workload.TPCHQueries()
+	suite := sqls(queries["Q1"], queries["Q3"], queries["Q10"])
+	bend := func(r *run) *run {
+		b := *r
+		b.rows = append([]types.Row(nil), r.rows...)
+		for i, row := range b.rows {
+			for j, v := range row {
+				if v.K == types.KindFloat {
+					b.rows[i] = row.Clone()
+					b.rows[i][j].F = math.Float64frombits(math.Float64bits(v.F) ^ 1)
+					b.hash = types.HashRows(b.rows)
+					return &b
+				}
+			}
+		}
+		t.Fatal("no float in the suite's rows")
+		return nil
+	}
+	ref, err := execute(cat, defaults(), suite...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := execute(cat, defaults(), suite...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon := 0
+	if !same(&canon, ref, again) || canon != 0 {
+		t.Fatalf("two unspilled DOP-1 runs differ (float canon cells %d)", canon)
+	}
+	if same(&canon, ref, bend(again)) {
+		t.Error("a flipped float bit in an unspilled cell still counts as exact")
+	}
+
+	k := defaults()
+	memSweepBudgets.set(&k, 16)
+	spilled, err := execute(cat, k, suite...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parts, _, _, _, _ := spilled.ctx.Spill.Snapshot(); parts == 0 {
+		t.Fatal("the 16-row budget did not spill")
+	}
+	if !same(&canon, ref, bend(spilled)) || canon != 1 {
+		t.Errorf("a spilled cell off in the last float bit: exact=false or canon cells %d, want one", canon)
+	}
+}
+
+// TestE29WireCheckComparesWholeResults bends the last row of one reference
+// result, a row that is not the result's least: the wire check must compare
+// whole results, not one row of each.
+func TestE29WireCheckComparesWholeResults(t *testing.T) {
+	sc, queries := serverSweepWorkload(0.25)
+	cat, err := workload.BuildStar(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.Attach(cat, core.DefaultConfig())
+	refs := make([]uint64, len(queries))
+	bent := -1
+	for i, q := range queries {
+		res, err := eng.Exec(q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := res.Rows
+		if n := len(rows); bent < 0 && n > 1 && rows[n-1].String() > rows[0].String() {
+			last := rows[len(rows)-1].Clone()
+			last[0] = types.Int(math.MaxInt64) // a key no row holds
+			rows, bent = append(rows[:len(rows)-1:len(rows)-1], last), i
+		}
+		refs[i] = types.HashRows(rows)
+	}
+	if bent < 0 {
+		t.Fatal("no reference has two rows to bend")
+	}
+	p, err := serverSweepRun(sc, queries, refs, 1, 4, len(queries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.ResultExact {
+		t.Errorf("q%d's reference lost its last row, yet every wire result matched", bent)
+	}
+}

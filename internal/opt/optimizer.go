@@ -457,15 +457,6 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 	return best
 }
 
-// OptimizeForceIndex plans with access paths pinned to index scans wherever
-// one applies — the fragile policy the smoothness ablation compares against.
-func (o *Optimizer) OptimizeForceIndex(q *plan.Query, params []types.Value) (plan.Node, error) {
-	saved := o.Opt
-	o.Opt.ForceIndexScans = true
-	defer func() { o.Opt = saved }()
-	return o.Optimize(q, params)
-}
-
 func fromEstimatePercentile(sel, evidence, p float64) float64 {
 	d := statsFromEstimate(sel, evidence)
 	return d.Percentile(p)

@@ -1,7 +1,10 @@
 package types
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"strings"
 )
 
@@ -24,6 +27,27 @@ func (r Row) String() string {
 		parts[i] = v.String()
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
+}
+
+// HashRows hashes every value of rows in order, floats by their bits (FNV-64a):
+// two results hash alike only if they are the same rows in the same order.
+func HashRows(rows []Row) uint64 {
+	h := fnv.New64a()
+	var w [9]byte
+	for _, r := range rows {
+		for _, v := range r {
+			w[0] = byte(v.K)
+			u := uint64(v.I)
+			if v.K == KindFloat {
+				u = math.Float64bits(v.F)
+			}
+			binary.LittleEndian.PutUint64(w[1:], u)
+			h.Write(w[:])
+			h.Write([]byte(v.S))
+		}
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
 }
 
 // Concat returns the concatenation of two rows (used by joins).
