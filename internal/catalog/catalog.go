@@ -177,10 +177,19 @@ func (c *Catalog) CreateIndex(clk *storage.Clock, tableName, indexName string, c
 		cols[i] = ci
 	}
 	ix := &Index{Name: indexName, Cols: cols, Unique: unique, Tree: index.New(len(cols))}
+	// Every key is a slice of one arena, and the tree takes them all, in
+	// heap order, under one hold of its lock.
+	n := int(t.Heap.NumRows())
+	keys := make([]types.Value, 0, n*len(cols))
+	rids := make([]storage.RID, 0, n)
 	t.Heap.Scan(clk, func(rid storage.RID, r types.Row) bool {
-		ix.Tree.Insert(extractKey(r, cols), rid)
+		for _, c := range cols {
+			keys = append(keys, r[c])
+		}
+		rids = append(rids, rid)
 		return true
 	})
+	ix.Tree.InsertBatch(keys, rids)
 	c.mu.Lock()
 	t.Indexes = append(t.Indexes, ix)
 	c.mu.Unlock()

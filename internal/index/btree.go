@@ -25,13 +25,29 @@ type Entry struct {
 	RID storage.RID
 }
 
+// compareValue is types.Compare, which holds Int and Date one numeric class:
+// two of those, most index keys, are compared on their integers without the
+// call.
+func compareValue(a, b *types.Value) int {
+	if (a.K == types.KindInt || a.K == types.KindDate) && (b.K == types.KindInt || b.K == types.KindDate) {
+		switch {
+		case a.I < b.I:
+			return -1
+		case a.I > b.I:
+			return 1
+		}
+		return 0
+	}
+	return types.Compare(*a, *b)
+}
+
 func compareKeys(a, b []types.Value) int {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
 	}
 	for i := 0; i < n; i++ {
-		if c := types.Compare(a[i], b[i]); c != 0 {
+		if c := compareValue(&a[i], &b[i]); c != 0 {
 			return c
 		}
 	}
@@ -105,7 +121,24 @@ func (t *BTree) NumCols() int { return t.numCols }
 func (t *BTree) Insert(key []types.Value, rid storage.RID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := Entry{Key: key, RID: rid}
+	t.put(Entry{Key: key, RID: rid})
+}
+
+// InsertBatch adds len(rids) entries under one hold of the lock, in order:
+// entry i is keyed by the NumCols values at keys[i*NumCols():], which the tree
+// keeps, so the caller must not write keys afterwards. The tree is the one
+// as many Inserts in the same order build.
+func (t *BTree) InsertBatch(keys []types.Value, rids []storage.RID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	w := t.numCols
+	for i, rid := range rids {
+		t.put(Entry{Key: keys[i*w : (i+1)*w : (i+1)*w], RID: rid})
+	}
+}
+
+// put inserts e from the root, growing the tree when the root splits.
+func (t *BTree) put(e Entry) {
 	nw, sep := t.insert(t.root, e)
 	if nw != nil {
 		t.root = &node{
@@ -280,7 +313,7 @@ func prefixCompare(key, bound []types.Value) int {
 		n = len(key)
 	}
 	for i := 0; i < n; i++ {
-		if c := types.Compare(key[i], bound[i]); c != 0 {
+		if c := compareValue(&key[i], &bound[i]); c != 0 {
 			return c
 		}
 	}

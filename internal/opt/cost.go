@@ -111,7 +111,3 @@ func (o *Optimizer) costGJoin(leftRows, rightRows, outRows float64) float64 {
 func (o *Optimizer) costHashAgg(inRows, groups float64) float64 {
 	return inRows*o.CM.HashProbe + groups*o.CM.RowCPU
 }
-
-func (o *Optimizer) costStreamAgg(inRows, groups float64) float64 {
-	return inRows*o.CM.Compare + groups*o.CM.RowCPU
-}

@@ -186,7 +186,8 @@ type ColumnStats struct {
 const topRuns = 64
 
 // colScratch holds the sorted copies column statistics are read off, reused
-// from column to column of one ANALYZE.
+// from column to column of one ANALYZE worker; its nums outlive the ANALYZE
+// (see analysis).
 type colScratch struct {
 	nums []float64 // every numeric value
 	strs []string
@@ -196,13 +197,15 @@ type colScratch struct {
 // columnStats computes statistics for a column from its vector, which it
 // does not modify. It sorts one copy of the column and reads everything off
 // the runs of equal values in it: a run is a distinct value and its length
-// the value's count. Numeric values are sorted as float64, which the
-// histogram wants anyway; distinct integers too large for float64 to tell
+// the value's count. Numeric values are radix-sorted as float64 (integers and
+// dates too: float64 of an int64 is monotone), which the histogram wants
+// anyway; distinct integers too large for float64 to tell
 // apart are counted from a sorted copy of their own.
 func (s *colScratch) columnStats(kind types.Kind, v *types.Vector, buckets int) *ColumnStats {
 	cs := &ColumnStats{Kind: kind, RowCount: float64(v.Len()), MinV: math.Inf(1), MaxV: math.Inf(-1)}
 	s.nums, s.strs, s.ints = s.nums[:0], s.strs[:0], s.ints[:0]
 	var bools [2]bool
+	var twoTo63 bool // a float 2^63: no int64, though ints round to it
 	addInt := func(i int64) {
 		if i >= 1<<53 || i <= -(1<<53) {
 			s.ints = append(s.ints, i)
@@ -234,9 +237,10 @@ func (s *colScratch) columnStats(kind types.Kind, v *types.Vector, buckets int) 
 				bools[x.I&1] = true
 			case types.KindFloat:
 				s.nums = append(s.nums, x.F)
-				if x.F == math.Trunc(x.F) {
-					addInt(int64(x.F))
+				if i, ok := asInt64(x.F); ok {
+					addInt(i)
 				}
+				twoTo63 = twoTo63 || x.F == 1<<63
 			default:
 				s.nums = append(s.nums, float64(x.I))
 				addInt(x.I)
@@ -249,9 +253,9 @@ func (s *colScratch) columnStats(kind types.Kind, v *types.Vector, buckets int) 
 		}
 	}
 	if len(s.nums) > 0 {
-		slices.Sort(s.nums) // NaNs first
+		sortFloats(s.nums) // NaNs first
 		var ndv int
-		ndv, cs.TopNums = mostCommon(s.nums, func(f float64) (int64, bool) { return int64(f), f == math.Trunc(f) })
+		ndv, cs.TopNums = mostCommon(s.nums, asInt64)
 		cs.NDV += float64(ndv)
 		if nan := sort.SearchFloat64s(s.nums, math.Inf(-1)); nan < len(s.nums) {
 			cs.MinV, cs.MaxV = s.nums[nan], s.nums[len(s.nums)-1]
@@ -265,6 +269,11 @@ func (s *colScratch) columnStats(kind types.Kind, v *types.Vector, buckets int) 
 				cs.NDV++
 			}
 		}
+		// A float 2^63 shares its run with the ints that round to it but
+		// equals none of them: one more distinct value than counted above.
+		if twoTo63 && float64(s.ints[len(s.ints)-1]) == 1<<63 {
+			cs.NDV++
+		}
 	}
 	if len(s.strs) > 0 {
 		slices.Sort(s.strs)
@@ -273,6 +282,12 @@ func (s *colScratch) columnStats(kind types.Kind, v *types.Vector, buckets int) 
 		cs.NDV += float64(ndv)
 	}
 	return cs
+}
+
+// asInt64 is f as an int64 when f is an integer int64 holds; Go leaves the
+// conversion of any other to the platform.
+func asInt64(f float64) (int64, bool) {
+	return int64(f), f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63
 }
 
 // mostCommon counts the runs of equal values in sorted and returns the
@@ -347,8 +362,8 @@ func (cs *ColumnStats) SelectivityEq(v types.Value) float64 {
 		return 0.01
 	}
 	f := v.AsFloat()
-	if cs.TopNums != nil && f == math.Trunc(f) {
-		if c, ok := cs.TopNums[int64(f)]; ok {
+	if i, ok := asInt64(f); cs.TopNums != nil && ok {
+		if c, ok := cs.TopNums[i]; ok {
 			return clamp01(c / cs.RowCount)
 		}
 	}

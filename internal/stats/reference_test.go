@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"rqp/internal/catalog"
@@ -18,7 +19,9 @@ import (
 // referenceColumnStats is the column statistics builder as it stood before
 // ANALYZE read typed vectors: one map over every value for NDV, one per kind
 // for the most-common values, a boxed copy of the column. It is the oracle
-// stats.Analyze must match field for field.
+// stats.Analyze must match field for field. An integral float outside int64's
+// range is no integer to it (integral), as Go leaves that conversion to the
+// platform.
 func referenceColumnStats(kind types.Kind, vals []types.Value, buckets int) *stats.ColumnStats {
 	cs := &stats.ColumnStats{Kind: kind, RowCount: float64(len(vals)), MinV: math.Inf(1), MaxV: math.Inf(-1)}
 	var nums []float64
@@ -40,7 +43,7 @@ func referenceColumnStats(kind types.Kind, vals []types.Value, buckets int) *sta
 			if f > cs.MaxV {
 				cs.MaxV = f
 			}
-			if f == math.Trunc(f) {
+			if integral(f) {
 				numCounts[int64(f)]++
 			}
 		} else if v.K == types.KindString {
@@ -60,8 +63,13 @@ func referenceColumnStats(kind types.Kind, vals []types.Value, buckets int) *sta
 	return cs
 }
 
+// integral: f is an integer an int64 holds, so that int64(f) is defined.
+func integral(f float64) bool {
+	return f == math.Trunc(f) && f >= math.MinInt64 && f < -math.MinInt64
+}
+
 func canonical(v types.Value) types.Value {
-	if v.K == types.KindFloat && v.F == math.Trunc(v.F) {
+	if v.K == types.KindFloat && integral(v.F) {
 		return types.Int(int64(v.F))
 	}
 	if v.K == types.KindDate {
@@ -193,6 +201,39 @@ func TestAnalyzeMatchesReference(t *testing.T) {
 		}
 	}
 
+	// Every generated shape as one column of a wide table, cycled to a row
+	// count on each side of the one from which ANALYZE shares its columns
+	// with a helper goroutine.
+	generated := generatedColumns()
+	names := make([]string, 0, len(generated))
+	for name, vals := range generated {
+		if len(vals) > 0 {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, rows := range []int{stats.ParallelFloor - 1, stats.ParallelFloor} {
+		schema := make(types.Schema, len(names))
+		for c, name := range names {
+			schema[c] = types.Column{Name: name, Kind: types.KindInt}
+		}
+		vecs := types.NewVectors(schema, rows)
+		cols := make([][]types.Value, len(names))
+		for c, name := range names {
+			for r := 0; r < rows; r++ {
+				cols[c] = append(cols[c], generated[name][r%len(generated[name])])
+				vecs[c].Append(cols[c][r])
+			}
+		}
+		ts := stats.Analyze(vecs, schema, 24, nil)
+		for c, name := range names {
+			want := referenceColumnStats(types.KindInt, cols[c], 24)
+			if got := ts.ColStats(c); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s in a table of %d rows: statistics differ from the reference\n got %+v\nwant %+v", name, rows, got, want)
+			}
+		}
+	}
+
 	tpch, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -242,5 +283,51 @@ func TestColumnStatsNaN(t *testing.T) {
 	all := columnStatsOf(types.KindFloat, vals[:1], 4)
 	if !math.IsInf(all.MinV, 1) || !math.IsInf(all.MaxV, -1) {
 		t.Errorf("all-NaN column: min %v max %v, want +Inf -Inf", all.MinV, all.MaxV)
+	}
+}
+
+// TestConcurrentAnalyze runs three ANALYZEs at once — lineitem, above the
+// row count from which one ANALYZE uses a helper, twice, and orders, below
+// it — and holds each to the same ANALYZE run alone. Under -race it also
+// shows that concurrent ANALYZEs share no sort buffer.
+func TestConcurrentAnalyze(t *testing.T) {
+	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type table struct {
+		schema types.Schema
+		vecs   []types.Vector
+		alone  *stats.TableStats
+	}
+	var tables []table
+	for _, name := range []string{"lineitem", "lineitem", "orders"} {
+		tb, _ := cat.Table(name)
+		vecs := types.NewVectors(tb.Schema, int(tb.Heap.NumRows()))
+		tb.Heap.Scan(nil, func(_ storage.RID, r types.Row) bool {
+			types.AppendRow(vecs, r)
+			return true
+		})
+		tables = append(tables, table{tb.Schema, vecs, stats.Analyze(vecs, tb.Schema, 24, nil)})
+	}
+	if rows := tables[0].alone.RowCount; rows < stats.ParallelFloor || tables[2].alone.RowCount >= stats.ParallelFloor {
+		t.Fatalf("lineitem has %v rows, orders %v: not on either side of %d", rows, tables[2].alone.RowCount, stats.ParallelFloor)
+	}
+	for round := 0; round < 3; round++ {
+		got := make([]*stats.TableStats, len(tables))
+		var wg sync.WaitGroup
+		for i, tb := range tables {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = stats.Analyze(tb.vecs, tb.schema, 24, nil)
+			}()
+		}
+		wg.Wait()
+		for i, tb := range tables {
+			if got[i].RowCount != tb.alone.RowCount || !reflect.DeepEqual(got[i].Cols, tb.alone.Cols) {
+				t.Errorf("round %d, ANALYZE %d: statistics differ from the same ANALYZE run alone", round, i)
+			}
+		}
 	}
 }

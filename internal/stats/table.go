@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rqp/internal/types"
 )
@@ -33,18 +34,73 @@ func NewTableStats(n int) *TableStats {
 	return &TableStats{Cols: make([]*ColumnStats, n), groups: map[string]group{}}
 }
 
+// analyzeWorkers is how many goroutines one ANALYZE computes column
+// statistics on: the caller and one helper, the one background processor a
+// utility is allowed beside the statements it runs with.
+const analyzeWorkers = 2
+
+// parallelFloor is the row count from which ANALYZE hands columns to its
+// helper; below it, starting one costs more than the sorting it would share.
+const parallelFloor = 4096
+
+// analysis is one ANALYZE's columns, its result being filled and its
+// workers' numeric sort buffers, each a column long. It is kept from one
+// ANALYZE to the next in spareAnalysis, buffers and all, as storage keeps its
+// column build scratch: an ANALYZE takes it with Swap(nil) and puts it back
+// when done, so two concurrent ones never share it (the second allocates its
+// own). String copies are not kept: they would pin the strings.
+type analysis struct {
+	nums    [analyzeWorkers][]float64
+	cols    []types.Vector
+	schema  types.Schema
+	buckets int
+	ts      *TableStats
+	next    atomic.Int32 // the next column not yet taken
+	helper  sync.WaitGroup
+}
+
+var spareAnalysis atomic.Pointer[analysis]
+
+// work computes the statistics of column after column not yet taken, on
+// worker w's buffer.
+func (a *analysis) work(w int) {
+	scratch := colScratch{nums: a.nums[w]}
+	for c := int(a.next.Add(1) - 1); c < len(a.cols); c = int(a.next.Add(1) - 1) {
+		a.ts.Cols[c] = scratch.columnStats(a.schema[c].Kind, &a.cols[c], a.buckets)
+	}
+	a.nums[w] = scratch.nums
+}
+
+func (a *analysis) help() {
+	a.work(1)
+	a.helper.Done()
+}
+
 // Analyze computes statistics from the table's columns, schema[c] declaring
 // column c's kind, and recomputes every column group recorded in prev, the
-// statistics being replaced (nil: none).
+// statistics being replaced (nil: none). From parallelFloor rows on, the
+// caller shares the columns with one helper goroutine.
 func Analyze(cols []types.Vector, schema types.Schema, buckets int, prev *TableStats) *TableStats {
 	ts := NewTableStats(len(cols))
 	if len(cols) > 0 {
 		ts.RowCount = float64(cols[0].Len())
 	}
-	var scratch colScratch
-	for c := range cols {
-		ts.Cols[c] = scratch.columnStats(schema[c].Kind, &cols[c], buckets)
+	a := spareAnalysis.Swap(nil)
+	if a == nil {
+		a = new(analysis)
 	}
+	a.cols, a.schema, a.buckets, a.ts = cols, schema, buckets, ts
+	a.next.Store(0)
+	if ts.RowCount >= parallelFloor && len(cols) > 1 {
+		a.helper.Add(1)
+		go a.help()
+		a.work(0)
+		a.helper.Wait()
+	} else {
+		a.work(0)
+	}
+	a.cols, a.schema, a.ts = nil, nil, nil
+	spareAnalysis.Store(a)
 	if prev != nil {
 		prev.mu.RLock()
 		defer prev.mu.RUnlock()
