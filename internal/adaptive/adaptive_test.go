@@ -197,7 +197,6 @@ func TestCheckedReoptsOnlyOnViolation(t *testing.T) {
 func TestLEOFeedbackLoopConverges(t *testing.T) {
 	cat := correlatedDB(t, 5000, 50)
 	o := opt.New(cat)
-	o.Opt.UseFeedback = true
 	q := "SELECT fid FROM fact WHERE a = 10 AND b = 30"
 
 	estimates := make([]float64, 3)
@@ -215,7 +214,7 @@ func TestLEOFeedbackLoopConverges(t *testing.T) {
 		})
 		estimates[round] = scanEst
 		ctx := exec.NewContext()
-		AttachLEO(ctx, o.Feedback)
+		AttachLEO(ctx, o.Cards)
 		if _, err := exec.Run(root, ctx); err != nil {
 			t.Fatal(err)
 		}

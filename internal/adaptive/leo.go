@@ -2,30 +2,29 @@ package adaptive
 
 import (
 	"rqp/internal/exec"
+	"rqp/internal/opt"
 	"rqp/internal/plan"
-	"rqp/internal/stats"
 )
 
 // AttachLEO wires a LEO-style learning loop into an execution context:
-// every operator that finishes reports (signature, estimated, actual) into
-// the feedback store, which the optimizer consults on subsequent queries
-// (Stillger et al., "LEO — DB2's learning optimizer"). POP and LEO are
-// complementary — POP reacts during the query, LEO learns for the next one.
-func AttachLEO(ctx *exec.Context, fb *stats.FeedbackStore) {
+// every filtered base access that finishes folds its (estimated, actual)
+// rows into a factor at its key in cards, which the optimizer consults on
+// subsequent queries (Stillger et al., "LEO — DB2's learning optimizer"). POP
+// and LEO are complementary — POP reacts during the query, LEO learns for the
+// next one.
+func AttachLEO(ctx *exec.Context, cards *opt.Cards) {
 	prev := ctx.OnActual
 	ctx.OnActual = func(node plan.Node, actual float64) {
 		if prev != nil {
 			prev(node, actual)
 		}
-		p := node.Props()
-		if p.Signature == "" {
-			return
-		}
-		// Only base-access signatures are recorded: join feedback would
-		// conflate order-dependent intermediate results.
+		// Only base-access keys are learned: join feedback would conflate
+		// order-dependent intermediate results, and a filterless scan has no
+		// key.
 		switch node.(type) {
 		case *plan.ScanNode, *plan.IndexScanNode:
-			fb.Record(p.Signature, p.EstRows, actual)
+			p := node.Props()
+			cards.Learn(p.Signature, p.EstRows, actual)
 		}
 	}
 }

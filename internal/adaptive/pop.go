@@ -164,18 +164,8 @@ func (p *Progressive) ExecuteInto(q *plan.Query, ctx *exec.Context, sink exec.Ro
 				newRels := append([]opt.BaseRel(nil), rels...)
 				newRels[li] = opt.TempRel(alias, rels[li].Schema, matRows)
 				remaining = dropCoveredConjuncts(remaining, orig[li])
-				violated := true
-				if p.Policy == Checked {
-					violated, err = p.remainderChangesAt(newRels, orig, remaining, ctx.Params, li, estimated, actual)
-					if err != nil {
-						return nil, err
-					}
-				}
-				res.Checks = append(res.Checks, CheckRecord{Estimated: estimated, Actual: actual, Violated: violated})
-				traceCheck(ctx, res.Steps, estimated, actual, violated)
-				if violated {
-					res.Reopts++
-					p.chargeReopt(ctx)
+				if err := p.check(ctx, res, newRels, orig, remaining, li, estimated, actual); err != nil {
+					return nil, err
 				}
 				rels = newRels
 				continue
@@ -223,18 +213,8 @@ func (p *Progressive) ExecuteInto(q *plan.Query, ctx *exec.Context, sink exec.Ro
 		newRels = append(newRels, tmp)
 		newOrig = append(newOrig, mergedOrig)
 
-		violated := true
-		if p.Policy == Checked {
-			violated, err = p.remainderChangesAt(newRels, newOrig, remaining, ctx.Params, len(newRels)-1, estimated, actual)
-			if err != nil {
-				return nil, err
-			}
-		}
-		res.Checks = append(res.Checks, CheckRecord{Estimated: estimated, Actual: actual, Violated: violated})
-		traceCheck(ctx, res.Steps, estimated, actual, violated)
-		if violated {
-			res.Reopts++
-			p.chargeReopt(ctx)
+		if err := p.check(ctx, res, newRels, newOrig, remaining, len(newRels)-1, estimated, actual); err != nil {
+			return nil, err
 		}
 		rels, orig = newRels, newOrig
 		// Loop re-optimizes the remainder with the temp's exact cardinality.
@@ -323,33 +303,39 @@ func dropCoveredConjuncts(remaining []expr.Expr, covered []int) []expr.Expr {
 	return out
 }
 
-// remainderChangesAt is remainderChanges for a temp at an arbitrary index.
-func (p *Progressive) remainderChangesAt(rels []opt.BaseRel, orig [][]int, remaining []expr.Expr, params []types.Value, tmpIdx int, estimated, actual float64) (bool, error) {
-	if len(rels) == 1 {
-		return false, nil
-	}
-	curConj, err := translateConjuncts(remaining, rels, orig)
-	if err != nil {
-		return false, err
-	}
-	withCard := func(card float64) (string, error) {
-		scaled := append([]opt.BaseRel(nil), rels...)
-		scaled[tmpIdx].Rows = card
-		node, _, err := p.Opt.OptimizeJoinGraph(scaled, curConj, params)
+// check records one materialization point, where the temp rels[tmpIdx] was
+// estimated at estimated rows and holds actual. Under Checked it is violated
+// when the remainder's plan at the actual rows differs from its plan at the
+// estimate (any other policy re-plans regardless); a violation counts and
+// charges a re-optimization. The check plans over a layer of its own on the
+// optimizer's Cards, which holds the temp's rows under its alias.
+func (p *Progressive) check(ctx *exec.Context, res *Result, rels []opt.BaseRel, orig [][]int, remaining []expr.Expr, tmpIdx int, estimated, actual float64) error {
+	violated := p.Policy != Checked
+	if p.Policy == Checked && len(rels) > 1 {
+		conj, err := translateConjuncts(remaining, rels, orig)
 		if err != nil {
-			return "", err
+			return err
 		}
-		return plan.PlanSignature(node), nil
+		cards := p.Opt.Cards.Over()
+		o := p.Opt.WithCards(cards)
+		var sigs [2]string
+		for i, rows := range [2]float64{estimated, actual} {
+			cards.SetRows(rels[tmpIdx].Alias, rows)
+			node, _, err := o.OptimizeJoinGraph(rels, conj, ctx.Params)
+			if err != nil {
+				return err
+			}
+			sigs[i] = plan.PlanSignature(node)
+		}
+		violated = sigs[0] != sigs[1]
 	}
-	sigEst, err := withCard(estimated)
-	if err != nil {
-		return false, err
+	res.Checks = append(res.Checks, CheckRecord{Estimated: estimated, Actual: actual, Violated: violated})
+	traceCheck(ctx, res.Steps, estimated, actual, violated)
+	if violated {
+		res.Reopts++
+		p.chargeReopt(ctx)
 	}
-	sigAct, err := withCard(actual)
-	if err != nil {
-		return false, err
-	}
-	return sigEst != sigAct, nil
+	return nil
 }
 
 // translateConjuncts rewrites conjuncts from q.Combined coordinates into the

@@ -3,6 +3,7 @@ package adaptive
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"rqp/internal/expr"
 	"rqp/internal/opt"
@@ -18,8 +19,8 @@ import (
 // front rather than repairing mistakes mid-flight.
 type Rio struct {
 	Opt *opt.Optimizer
-	// UncertaintyFactor f scales cardinalities to [card/f, card*f] corners.
-	// Exactly-known relations (temps) are not scaled.
+	// UncertaintyFactor f scales every non-temp base relation's estimate to
+	// the corners card/f, card and card*f.
 	UncertaintyFactor float64
 	// MaxPlans caps the per-corner enumeration.
 	MaxPlans int
@@ -44,29 +45,19 @@ func (r *Rio) ChooseCore(rels []opt.BaseRel, conjuncts []expr.Expr, params []typ
 	if limit <= 0 {
 		limit = 64
 	}
-	scale := func(mult float64) []opt.BaseRel {
-		out := append([]opt.BaseRel(nil), rels...)
-		for i := range out {
-			if out[i].Exact {
-				continue
-			}
-			out[i].Rows = math.Max(1, out[i].Rows*mult)
-		}
-		return out
-	}
-	corners := [][]opt.BaseRel{scale(1 / f), scale(1), scale(f)}
-
-	// Per corner: signature -> cost, plus the corner-optimal cost.
+	// Per corner: signature -> cost, and the corner's optimum. Each corner
+	// plans over a layer of its own on the optimizer's Cards, so its factor
+	// multiplies whatever LEO has learned.
 	type cornerInfo struct {
 		costs map[string]float64
 		best  float64
 	}
-	infos := make([]cornerInfo, len(corners))
-	// Keep a representative node+cols per signature from the estimate corner.
-	repNode := map[string]plan.Node{}
-	repCols := map[string][]int{}
-	for ci, corner := range corners {
-		plans, err := r.Opt.EnumerateCorePlans(corner, conjuncts, params, limit)
+	var infos [3]cornerInfo
+	rep := map[string]opt.CorePlan{} // the estimate corner's plan per signature
+	for ci, mult := range [3]float64{1 / f, 1, f} {
+		cards := r.Opt.Cards.Over()
+		cards.ScaleBase(mult)
+		plans, err := r.Opt.WithCards(cards).EnumerateCorePlans(rels, conjuncts, params, limit)
 		if err != nil {
 			return nil, nil, RioChoice{}, err
 		}
@@ -76,59 +67,53 @@ func (r *Rio) ChooseCore(rels []opt.BaseRel, conjuncts []expr.Expr, params []typ
 		info := cornerInfo{costs: map[string]float64{}, best: math.Inf(1)}
 		for _, p := range plans {
 			info.costs[p.Sig] = p.Cost
-			if p.Cost < info.best {
-				info.best = p.Cost
-			}
+			info.best = math.Min(info.best, p.Cost)
 			if ci == 1 {
-				repNode[p.Sig] = p.Node
-				repCols[p.Sig] = p.Cols
+				rep[p.Sig] = p
 			}
 		}
 		infos[ci] = info
 	}
-
-	// Robust if the estimate-corner optimum is optimal at all corners.
-	estBestSig := ""
-	for sig, c := range infos[1].costs {
-		if c == infos[1].best {
-			estBestSig = sig
-			break
-		}
-	}
-	robust := true
-	for _, info := range infos {
-		if c, ok := info.costs[estBestSig]; !ok || c > info.best*1.0001 {
-			robust = false
-			break
-		}
-	}
-	if robust {
-		return repNode[estBestSig], repCols[estBestSig], RioChoice{Robust: true, Sig: estBestSig, MaxRegret: 1}, nil
-	}
-
-	// Minimax regret over plans present in the estimate corner.
-	bestSig, bestRegret := "", math.Inf(1)
-	for sig := range infos[1].costs {
-		regret := 0.0
-		feasible := true
+	// regret is a plan's worst cost ratio to a corner's optimum; false when a
+	// corner did not enumerate it.
+	regret := func(sig string) (float64, bool) {
+		worst := 0.0
 		for _, info := range infos {
 			c, ok := info.costs[sig]
 			if !ok {
-				feasible = false
-				break
+				return 0, false
 			}
-			if rr := c / info.best; rr > regret {
-				regret = rr
-			}
+			worst = math.Max(worst, c/info.best)
 		}
-		if feasible && regret < bestRegret {
-			bestSig, bestRegret = sig, regret
+		return worst, true
+	}
+	// Signatures are visited in order, so equal costs and equal regrets go
+	// to the least signature, as the enumerator's ties do.
+	sigs := make([]string, 0, len(rep))
+	for sig := range rep {
+		sigs = append(sigs, sig)
+	}
+	sort.Strings(sigs)
+
+	// Robust if the estimate corner's optimum is optimal at every corner.
+	estBest := ""
+	for _, sig := range sigs {
+		if infos[1].costs[sig] == infos[1].best {
+			estBest = sig
+			break
 		}
 	}
-	if bestSig == "" {
-		bestSig, bestRegret = estBestSig, math.Inf(1)
+	if worst, ok := regret(estBest); ok && worst <= 1.0001 {
+		return rep[estBest].Node, rep[estBest].Cols, RioChoice{Robust: true, Sig: estBest, MaxRegret: 1}, nil
 	}
-	return repNode[bestSig], repCols[bestSig], RioChoice{Robust: false, Sig: bestSig, MaxRegret: bestRegret}, nil
+	// Minimax regret over the plans of the estimate corner.
+	choice := RioChoice{Sig: estBest, MaxRegret: math.Inf(1)}
+	for _, sig := range sigs {
+		if worst, ok := regret(sig); ok && worst < choice.MaxRegret {
+			choice.Sig, choice.MaxRegret = sig, worst
+		}
+	}
+	return rep[choice.Sig].Node, rep[choice.Sig].Cols, choice, nil
 }
 
 // Choose plans a full query block with Rio's bounding-box strategy.

@@ -204,7 +204,6 @@ func Attach(cat *catalog.Catalog, cfg Config) *Engine {
 	if cfg.MemBudgetRows > 0 {
 		o.Opt.MemBudgetRows = cfg.MemBudgetRows
 	}
-	o.Opt.UseFeedback = cfg.LEO
 	o.Opt.GJoinOnly = cfg.GJoinOnly
 	o.Opt.Columnar = cfg.Columnar
 	if cfg.Columnar {
@@ -573,7 +572,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 		}
 	}
 	if e.Cfg.LEO {
-		adaptive.AttachLEO(ctx, e.Opt.Feedback)
+		adaptive.AttachLEO(ctx, e.Opt.Cards)
 	}
 
 	if lifecycle != nil {

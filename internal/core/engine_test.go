@@ -275,7 +275,7 @@ func TestEngineLEOConfig(t *testing.T) {
 	}
 	e.MustExec("ANALYZE t")
 	e.MustExec("SELECT COUNT(*) FROM t WHERE a = 5 AND b = 10")
-	if e.Opt.Feedback.Len() == 0 {
+	if e.Opt.Cards.Len() == 0 {
 		t.Error("LEO should have recorded feedback")
 	}
 }

@@ -72,9 +72,10 @@ func E4RiskMetrics(scale float64) (*Report, error) {
 }
 
 // E6CardErrGeomean computes Sattler et al.'s C(Q): the geometric mean of
-// top-level cardinality errors over a query set (TPC-H-lite suite), for the
-// classic estimator and the feedback-enabled estimator after one warm-up
-// pass (showing how LEO moves the metric).
+// top-level cardinality errors over a query set (single-table filters on
+// TPC-H-lite), with the q-error's max and geometric mean, for the classic
+// estimator: each query's scan estimate against its actual rows, one run
+// each and no feedback.
 func E6CardErrGeomean(scale float64) (*Report, error) {
 	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 0.5 * scale, Seed: 4})
 	if err != nil {

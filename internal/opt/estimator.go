@@ -37,7 +37,6 @@ type Options struct {
 	Mode          EstimateMode
 	PercentileP   float64 // quantile for Percentile mode (e.g. 0.9)
 	EvidenceRows  float64 // pseudo-sample size backing each estimate's posterior
-	UseFeedback   bool    // apply LEO adjustments
 	MemBudgetRows int     // rows an operator may hold before spilling
 	BushyJoins    bool
 	CrossProducts bool // allow cross products inside enumeration
@@ -65,22 +64,29 @@ func DefaultOptions() Options {
 
 // Optimizer plans bound query blocks against a catalog.
 type Optimizer struct {
-	Cat      *catalog.Catalog
-	Feedback *stats.FeedbackStore
-	CM       storage.CostModel
-	Opt      Options
+	Cat   *catalog.Catalog
+	Cards *Cards // estimates replaced from outside the estimator
+	CM    storage.CostModel
+	Opt   Options
 }
 
-// New returns an optimizer with default options.
+// New returns an optimizer with default options and an empty Cards table.
 func New(cat *catalog.Catalog) *Optimizer {
-	return &Optimizer{Cat: cat, Feedback: stats.NewFeedbackStore(), CM: storage.DefaultCostModel(), Opt: DefaultOptions()}
+	return &Optimizer{Cat: cat, Cards: &Cards{}, CM: storage.DefaultCostModel(), Opt: DefaultOptions()}
+}
+
+// WithCards returns a copy of o that consults c instead of o.Cards.
+func (o *Optimizer) WithCards(c *Cards) *Optimizer {
+	cp := *o
+	cp.Cards = c
+	return &cp
 }
 
 // ---------- base relations ----------
 
 // BaseRel abstracts an optimizable input: a catalog table or a materialized
-// intermediate (used by progressive re-optimization, which treats completed
-// subresults as temp tables with exactly known cardinality).
+// intermediate (Table nil: used by progressive re-optimization, which treats
+// completed subresults as temp tables with exactly known cardinality).
 type BaseRel struct {
 	Alias  string
 	Schema types.Schema // qualified by alias
@@ -88,7 +94,6 @@ type BaseRel struct {
 	Temp   []types.Row // set for materialized intermediates
 	Rows   float64     // raw row count
 	Pages  float64
-	Exact  bool // cardinality is known exactly (temp rels)
 }
 
 // relInfo is a base relation plus its pushed-down filters and estimates.
@@ -96,9 +101,8 @@ type relInfo struct {
 	rel       BaseRel
 	offset    int         // column offset in combined schema
 	filters   []expr.Expr // table-local (shifted) conjuncts
-	sel       float64
 	card      float64
-	signature string
+	signature string // the relation's key in Cards
 	// What every access path of the relation emits, built once and shared by
 	// the scan, index-scan and index-join candidates.
 	cols  []int        // table columns, ascending; nil = all
@@ -139,6 +143,7 @@ type queryInfo struct {
 	params   []types.Value
 	live     liveness
 	sigs     map[uint64]string // joinSignature per relation set
+	cards    *Cards            // the optimizer's, nil when it is empty
 }
 
 // analyze splits the query block's conjuncts into per-relation filters and
@@ -147,9 +152,12 @@ type queryInfo struct {
 // liveness); nil (no query block) keeps every column everywhere.
 func (o *Optimizer) analyze(rels []BaseRel, conjuncts []expr.Expr, params []types.Value, lv liveness) (*queryInfo, error) {
 	qi := &queryInfo{params: params, live: lv}
+	if o.Cards.Len() > 0 {
+		qi.cards = o.Cards
+	}
 	offset := 0
 	for _, br := range rels {
-		ri := &relInfo{rel: br, offset: offset, sel: 1}
+		ri := &relInfo{rel: br, offset: offset}
 		qi.combined = append(qi.combined, br.Schema...)
 		qi.rels = append(qi.rels, ri)
 		offset += len(br.Schema)
@@ -199,7 +207,7 @@ func (o *Optimizer) analyze(rels []BaseRel, conjuncts []expr.Expr, params []type
 	}
 	for i, ri := range qi.rels {
 		ri.narrow(lv, 1<<uint(i))
-		o.estimateBase(ri, params)
+		o.estimateBase(qi, ri)
 	}
 	return qi, nil
 }
@@ -222,24 +230,25 @@ func trailingRel(m uint64) int {
 	return -1
 }
 
-// estimateBase computes the filtered cardinality of one base relation.
-func (o *Optimizer) estimateBase(ri *relInfo, params []types.Value) {
+// estimateBase computes the filtered cardinality of one base relation, as
+// qi.cards replaces it.
+func (o *Optimizer) estimateBase(qi *queryInfo, ri *relInfo) {
 	rows := ri.rel.Rows
-	sel, sig := o.filterSelectivity(ri.rel, ri.filters, params)
-	ri.signature = sig
-	if o.Opt.UseFeedback && o.Feedback != nil && sig != "" && !ri.rel.Exact {
-		adj := o.Feedback.Adjustment(sig)
-		sel = clamp01(sel * adj)
+	sel, sig := o.filterSelectivity(ri.rel, ri.filters, qi.params)
+	if ri.rel.Table == nil {
+		sig = ri.rel.Alias
 	}
-	ri.sel = sel
+	ri.signature = sig
 	ri.card = math.Max(rows*sel, 0)
 	if len(ri.filters) > 0 && ri.card < 1 {
 		ri.card = math.Min(1, rows)
 	}
+	ri.card = qi.cards.apply(sig, ri.card, ri.rel.Table != nil)
 }
 
 // filterSelectivity estimates the combined selectivity of table-local
-// conjuncts and returns the feedback signature for the predicate set.
+// conjuncts and returns a table's key for the predicate set (table|preds;
+// none for a temp or without filters).
 func (o *Optimizer) filterSelectivity(br BaseRel, filters []expr.Expr, params []types.Value) (float64, string) {
 	if len(filters) == 0 {
 		return 1, ""
@@ -261,9 +270,9 @@ func (o *Optimizer) filterSelectivity(br BaseRel, filters []expr.Expr, params []
 			eqSels = append(eqSels, s)
 		}
 	}
-	sort.Strings(texts)
-	sig := br.Alias + "|" + strings.Join(texts, "&")
+	sig := ""
 	if br.Table != nil {
+		sort.Strings(texts)
 		sig = br.Table.Name + "|" + strings.Join(texts, "&")
 	}
 
@@ -449,8 +458,9 @@ func (o *Optimizer) joinPredSelectivity(qi *queryInfo, jp joinPred) float64 {
 
 // cardOfSet returns the estimated cardinality of joining the relation set:
 // product of filtered base cards times the selectivity of every join
-// predicate fully contained in the set. This is order-independent, so all
-// plans for the same set agree (required for DP admissibility).
+// predicate fully contained in the set, as qi.cards replaces it. This is
+// order-independent, so all plans for the same set agree (required for DP
+// admissibility).
 func (o *Optimizer) cardOfSet(qi *queryInfo, set uint64) float64 {
 	card := 1.0
 	for i, ri := range qi.rels {
@@ -466,13 +476,10 @@ func (o *Optimizer) cardOfSet(qi *queryInfo, set uint64) float64 {
 	if card < 0 {
 		card = 0
 	}
+	if qi.cards != nil {
+		card = qi.cards.apply(qi.joinSignature(set), card, false)
+	}
 	return card
-}
-
-// statsFromEstimate builds the selectivity posterior used by Percentile
-// mode (indirection keeps the stats import in one place).
-func statsFromEstimate(sel, evidence float64) stats.SelectivityDistribution {
-	return stats.FromEstimate(sel, evidence)
 }
 
 func clamp01(x float64) float64 {
@@ -518,6 +525,5 @@ func TempRel(alias string, schema types.Schema, rows []types.Row) BaseRel {
 		Temp:   rows,
 		Rows:   float64(len(rows)),
 		Pages:  math.Ceil(float64(len(rows)) / float64(storage.PageRows)),
-		Exact:  true,
 	}
 }

@@ -189,7 +189,6 @@ func TestCorrelatedModeFixesRedundantPredicate(t *testing.T) {
 func TestFeedbackImprovesEstimate(t *testing.T) {
 	cat := buildCat(t, 10000, 100)
 	o := New(cat)
-	o.Opt.UseFeedback = true
 	bq := bindQ(t, cat, "SELECT id FROM orders WHERE amount = 7")
 	root1, err := o.Optimize(bq, nil)
 	if err != nil {
@@ -206,7 +205,7 @@ func TestFeedbackImprovesEstimate(t *testing.T) {
 	if sig == "" {
 		t.Fatal("scan signature missing")
 	}
-	o.Feedback.Record(sig, est1, est1*10)
+	o.Cards.Learn(sig, est1, est1*10)
 	root2, err := o.Optimize(bq, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"rqp/internal/catalog"
 	"rqp/internal/expr"
 	"rqp/internal/plan"
+	"rqp/internal/stats"
 	"rqp/internal/storage"
 	"rqp/internal/types"
 )
@@ -427,7 +428,7 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 		if o.Opt.Mode == Percentile {
 			// Robust mode biases toward over-estimating matches, making the
 			// optimizer reluctant to bet on very selective index scans.
-			prefixSel = fromEstimatePercentile(prefixSel, o.Opt.EvidenceRows, o.Opt.PercentileP)
+			prefixSel = stats.FromEstimate(prefixSel, o.Opt.EvidenceRows).Percentile(o.Opt.PercentileP)
 		}
 		matches := ri.rel.Rows * prefixSel
 		cost := o.costIndexScan(float64(ix.Tree.Height()), matches, ri.rel.Rows)
@@ -455,11 +456,6 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 		return *bestIndex
 	}
 	return best
-}
-
-func fromEstimatePercentile(sel, evidence, p float64) float64 {
-	d := statsFromEstimate(sel, evidence)
-	return d.Percentile(p)
 }
 
 // ---------- joins ----------
@@ -628,13 +624,14 @@ func (o *Optimizer) finish(q *plan.Query, core entry, lv liveness) (plan.Node, e
 			}
 			outSchema = append(outSchema, types.Column{Name: a.Name, Kind: kind})
 		}
-		groups := estimateGroups(rows, len(groupExprs))
+		sig := groupSignature(node.Props().Signature, outSchema[:len(groupExprs)])
+		groups := o.Cards.apply(sig, estimateGroups(rows, len(groupExprs)), false)
 		ag := &plan.AggNode{GroupExprs: groupExprs, Aggs: aggs}
 		ag.Kids = []plan.Node{node}
 		ag.Out = outSchema
 		ag.Title = "HashAggregate"
 		cost += o.costHashAgg(rows, groups)
-		ag.Prop = plan.Props{EstRows: groups, EstCost: cost}
+		ag.Prop = plan.Props{EstRows: groups, EstCost: cost, Signature: sig}
 		node = ag
 		rows = groups
 		// After aggregation, columns are positional; identity mapping.
@@ -816,9 +813,21 @@ func estimateGroups(rows float64, keys int) float64 {
 	return g
 }
 
-// joinSignature names the join of a relation set for LEO feedback and POP
-// checkpoints. Every (left, right) split of the set asks for it, so it is
-// built once per set.
+// groupSignature keys a grouped aggregate's group count in Cards: its input's
+// key and its group keys' names, or none when the input has no key.
+func groupSignature(input string, keys types.Schema) string {
+	if input == "" || len(keys) == 0 {
+		return ""
+	}
+	sig := "agg{" + input
+	for _, k := range keys {
+		sig += "|" + k.Name
+	}
+	return sig + "}"
+}
+
+// joinSignature keys the join of a relation set in Cards. Every (left, right)
+// split of the set asks for it, so it is built once per set.
 func (qi *queryInfo) joinSignature(set uint64) string {
 	if sig, ok := qi.sigs[set]; ok {
 		return sig

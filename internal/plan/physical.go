@@ -65,8 +65,8 @@ type Props struct {
 	// execution records into it while EXPLAIN and the q-error metrics read
 	// it, and the last execution to finish wins.
 	actual atomic.Int64
-	// Signature identifies the logical subexpression this node computes,
-	// used by LEO feedback and POP checkpoints.
+	// Signature identifies the logical subexpression this node computes: its
+	// key in opt.Cards, where LEO learns and an estimate is replaced.
 	Signature string
 	// Validity is the cardinality range within which this node's parent
 	// plan choice remains optimal (POP validity range); zero range = unset.

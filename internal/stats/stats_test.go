@@ -195,33 +195,6 @@ func TestJoinSelectivity(t *testing.T) {
 	}
 }
 
-func TestFeedbackStore(t *testing.T) {
-	f := NewFeedbackStore()
-	if f.Adjustment("p") != 1 {
-		t.Error("unknown signature should adjust by 1")
-	}
-	f.Record("p", 100, 1000)
-	if a := f.Adjustment("p"); math.Abs(a-10) > 1e-9 {
-		t.Errorf("adjustment %v, want 10", a)
-	}
-	// EMA toward a new observation
-	f.Record("p", 100, 100)
-	a := f.Adjustment("p")
-	if a <= 1 || a >= 10 {
-		t.Errorf("EMA adjustment %v should be between 1 and 10", a)
-	}
-	if !f.Known("p") || f.Known("q") {
-		t.Error("Known wrong")
-	}
-	if f.Len() != 1 {
-		t.Errorf("Len = %d", f.Len())
-	}
-	f.Reset()
-	if f.Len() != 0 || f.Adjustment("p") != 1 {
-		t.Error("Reset failed")
-	}
-}
-
 func TestMaxEntIndependenceReduction(t *testing.T) {
 	// With only marginals, MaxEnt must reduce to independence.
 	m := NewMaxEntCombiner(3)
