@@ -131,7 +131,9 @@ func TestShardedExactness(t *testing.T) {
 
 // TestShardedColocated verifies the co-located path: both tables
 // partitioned on the join key, zero rows moved, and exactness vs serial on
-// the same (partitioned) physical layout.
+// the same (partitioned) physical layout at every budget and DOP — a 64-row
+// budget degrades the join to the spilling stage after its per-partition
+// build scans.
 func TestShardedColocated(t *testing.T) {
 	wcfg := shardTestCatalog(t, 0)
 	for _, shards := range []int{2, 4, 8} {
@@ -142,25 +144,32 @@ func TestShardedColocated(t *testing.T) {
 		if err := workload.PartitionShardJoin(cat, shards); err != nil {
 			t.Fatal(err)
 		}
-		base := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16})
-		eng := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16, Shards: shards})
-		for _, q := range shardTestQueries {
-			w := base.MustExec(q)
-			got := eng.MustExec(q)
-			if rowsKey(got) != rowsKey(w) {
-				t.Fatalf("shards=%d %q: rows differ", shards, q)
-			}
-			if got.Cost != w.Cost {
-				t.Fatalf("shards=%d %q: cost %v != serial %v", shards, q, got.Cost, w.Cost)
-			}
-			if got.Shuffle == nil {
-				t.Fatalf("shards=%d %q: no shuffle snapshot", shards, q)
-			}
-			if got.Shuffle.ColocatedJoins == 0 {
-				t.Errorf("shards=%d %q: expected colocated join, got %+v", shards, q, got.Shuffle)
-			}
-			if got.Shuffle.RowsMoved != 0 || got.Shuffle.RowsBroadcast != 0 {
-				t.Errorf("shards=%d %q: colocated join moved rows: %+v", shards, q, got.Shuffle)
+		for _, mem := range []int{1 << 16, 64} {
+			for _, dop := range []int{1, 2} {
+				base := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: mem, HistBuckets: 16, DOP: dop})
+				eng := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: mem, HistBuckets: 16, DOP: dop, Shards: shards})
+				for _, q := range shardTestQueries {
+					name := fmt.Sprintf("shards=%d mem=%d dop=%d %q", shards, mem, dop, q)
+					w := base.MustExec(q)
+					got := eng.MustExec(q)
+					if rowsKey(got) != rowsKey(w) {
+						t.Fatalf("%s: rows differ", name)
+					}
+					if got.Cost != w.Cost {
+						t.Fatalf("%s: cost %v != serial %v", name, got.Cost, w.Cost)
+					}
+					if got.Shuffle == nil {
+						t.Fatalf("%s: no shuffle snapshot", name)
+					}
+					if sn := got.Shuffle; mem == 64 && sn.Degrades != 1 {
+						t.Errorf("%s: expected the join to degrade, got %+v", name, sn)
+					} else if mem != 64 && sn.ColocatedJoins != 1 {
+						t.Errorf("%s: expected one colocated join, got %+v", name, sn)
+					}
+					if got.Shuffle.RowsMoved != 0 || got.Shuffle.RowsBroadcast != 0 {
+						t.Errorf("%s: colocated join moved rows: %+v", name, got.Shuffle)
+					}
+				}
 			}
 		}
 	}

@@ -372,27 +372,9 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 		op = &projectOp{ctx: ctx, exprs: node.Exprs, child: child}
 	case *plan.JoinNode:
 		if ctx.shardEligible(node) {
-			sj := &shardedHashJoin{ctx: ctx, node: node}
-			ls, lok := node.Kids[0].(*plan.ScanNode)
-			if rs, rok := node.Kids[1].(*plan.ScanNode); node.Shuffle == plan.ShuffleColocated && lok && rok {
-				// Co-located: both sides scan their own partitions; neither
-				// needs a child operator.
-				sj.scan, sj.buildScan = ls, rs
-			} else {
-				r, err := build(node.Kids[1], ctx)
-				if err != nil {
-					return nil, err
-				}
-				sj.right = r
-				if lok {
-					sj.scan = ls // fuse the probe-side scan into the shard scans
-				} else {
-					l, err := build(node.Kids[0], ctx)
-					if err != nil {
-						return nil, err
-					}
-					sj.left = l
-				}
+			sj, err := newShardedHashJoin(ctx, node)
+			if err != nil {
+				return nil, err
 			}
 			op = sj
 			break

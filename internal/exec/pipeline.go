@@ -586,8 +586,8 @@ func (j *hashStage) side(n plan.Node) error {
 // grant, or the resident partitions of a spillJoin when the grant does not
 // cover the build. One worker derives the runtime filters the plan announced
 // from the drained rows before the grant; more derive them per hashing morsel
-// — or here, after the grant, when the build spills. (The sharded join's
-// fallback hands over a build it already spilled.)
+// — or here, after the grant, when the build spills. (A sharded join that
+// degrades hands over its own stage, already spilled.)
 func (j *hashStage) openBuild() error {
 	if j.held {
 		return nil

@@ -31,8 +31,8 @@ import (
 const shardSkewFactor = 2.0
 
 // shardSeqShift packs (morsel, row-within-morsel) into one monotone
-// sequence tag for the gather merge; no morsel or column block holds 2^20
-// rows.
+// sequence tag for the sharded join's (Seq, BIdx) merge; no morsel or column
+// block holds 2^20 rows.
 const shardSeqShift = 20
 
 // shardEligible reports whether build routes a join through the sharded
@@ -81,13 +81,6 @@ func runShards(n int, fn func(s int) error) error {
 		}
 	}
 	return nil
-}
-
-// shardRange returns shard s's half-open slice of total items under the
-// contiguous-range assignment — contiguity is what keeps per-shard
-// sequence tags monotone so the gather merge never sorts.
-func shardRange(s, n, total int) (lo, hi int) {
-	return s * total / n, (s + 1) * total / n
 }
 
 // ShuffleStats aggregates shuffle-exchange activity across a query's

@@ -2,8 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
-	"sync/atomic"
 
 	"rqp/internal/expr"
 	"rqp/internal/plan"
@@ -12,178 +10,191 @@ import (
 )
 
 // shardedHashJoin executes a hash join across ctx.Shards "nodes" — each
-// with its own clock, hash-table shard and contiguous slice of the probe
-// input — routed through a ShuffleExchange (shardtransport.go): in-process
+// with its own clock, hash-table shard and share of the probe input —
+// routed through a ShuffleExchange (shardtransport.go): in-process
 // goroutines for transport=local, rqpserver -shard-worker processes over
-// TCP for transport=tcp. The plan's ShuffleMode decides how rows move:
+// TCP for transport=tcp. The plan's ShuffleMode decides where rows go:
 //
 //   - Repartition: both sides route by join-key hash; per-shard row
 //     counters detect heavy-hitter skew and split hot build keys across
 //     shards with duplicated probe routing.
 //   - Broadcast: the (small) build side replicates to every shard; probe
 //     rows never move.
-//   - Colocated: both sides are physically partitioned on the join key, so
-//     every shard joins its own page ranges and nothing moves.
+//   - Colocated: both tables are partitioned on the join key by the hash
+//     the router uses, so each shard scans its own partitions and every row
+//     routes to the shard it was read on. Nothing moves, and the exchange
+//     is always the in-process one.
+//
+// One Open runs all three: collect the build side into the join's
+// hashStage, publish its runtime filters, take one grant; over the grant,
+// spill the stage and run as a gather over it, exactly as the unsharded
+// engine degrades; otherwise route the build rows, then the probe rows from
+// one per-shard loop, and merge. A row counts as moved when its destination
+// is not the shard it is on; a build row drained at the coordinator is on
+// none.
 //
 // Results are byte-identical to the serial join — output reassembles via a
 // k-way merge on (probe sequence, build index), where the coordinator cuts
 // each row down to the node's Cols (shards join and ship left‖right, so the
 // exchange protocol knows no projection) — and the main-clock charge
 // multiset is exactly the serial one, so total simulated cost is
-// integer-exact at any shard count. Under memory pressure the whole join
-// degrades to the serial spill path (charges still serial-identical).
+// integer-exact at any shard count.
 type shardedHashJoin struct {
 	ctx       *Context
 	node      *plan.JoinNode
-	scan      *plan.ScanNode // fused probe-side scan (nil when left is set)
-	left      Operator       // probe child when not fused
-	right     Operator       // build child (nil when buildScan is set)
-	buildScan *plan.ScanNode // co-located build-side scan
+	n         int
+	mode      plan.ShuffleMode
+	stage     hashStage      // the build side, its grant and, over the grant, its spill
+	buildScan *plan.ScanNode // co-located: the build side, scanned partition by partition
+	src       morselSource   // the probe side: a fused scan, or the rows of ...
+	left      Operator       // ... the probe child, drained a morsel a row
+	clks      []*storage.Clock
+	cut       []int   // shard s probes morsels [cut[s], cut[s+1]): contiguous, so its tags ascend
+	fallback  *gather // the spilled stage's pipeline
+	out       []types.Row
+	pos       int
+}
 
-	n        int
-	mode     plan.ShuffleMode
-	grant    int
-	rWidth   int
-	src      morselSource // the fused probe scan, bound
-	fallback *gather      // degraded path under memory pressure
-	out      []types.Row
-	pos      int
+// newShardedHashJoin builds a sharded join's inputs. A plan marked
+// co-located stays so only while both scans' tables carry the partitionings
+// it was planned on — checked here, where the operator tree is made and the
+// layout cannot change before Open; otherwise (DML drops a layout) it
+// repartitions, which is always correct, with a build side like any other.
+func newShardedHashJoin(ctx *Context, node *plan.JoinNode) (*shardedHashJoin, error) {
+	j := &shardedHashJoin{ctx: ctx, node: node, n: ctx.Shards, mode: node.Shuffle}
+	j.stage.ctx, j.stage.node = ctx, node
+	ls, lok := node.Kids[0].(*plan.ScanNode)
+	if j.mode == plan.ShuffleColocated {
+		if rs, ok := node.Kids[1].(*plan.ScanNode); ok && lok && colocatedValid(node, ls, rs, j.n) {
+			j.src.scan, j.buildScan = ls, rs
+			return j, nil
+		}
+		j.mode = plan.ShuffleRepartition
+	}
+	if err := j.stage.side(node.Kids[1]); err != nil {
+		return nil, err
+	}
+	if lok {
+		j.src.scan = ls // fused into the shards' probe loops
+		return j, nil
+	}
+	var err error
+	j.left, err = build(node.Kids[0], ctx)
+	return j, err
+}
+
+// colocatedValid reports whether both scans' tables carry n-way
+// partitionings on the join key — a key ordinal mapped through the scan's
+// Cols to the table column the layout names.
+func colocatedValid(node *plan.JoinNode, probe, build *plan.ScanNode, n int) bool {
+	if len(node.LeftKeys) != 1 {
+		return false
+	}
+	lp, rp := probe.Table.Part(), build.Table.Part()
+	return lp != nil && rp != nil && lp.Shards == n && rp.Shards == n &&
+		lp.Col == plan.TableCol(probe.Cols, node.LeftKeys[0]) &&
+		rp.Col == plan.TableCol(build.Cols, node.RightKeys[0])
 }
 
 func (j *shardedHashJoin) Open() error {
-	j.n = j.ctx.Shards
-	if j.n < 1 {
-		j.n = 1
+	ctx := j.ctx
+	j.clks = make([]*storage.Clock, j.n)
+	for s := range j.clks {
+		j.clks[s] = ctx.Clock.Shard()
 	}
-	j.mode = j.node.Shuffle
-	j.rWidth = len(j.node.Kids[1].Schema())
-	if j.mode == plan.ShuffleColocated && !j.colocatedValid() {
-		// The partitioned layout vanished between planning and execution
-		// (DML drops it); repartitioning is always correct.
-		j.mode = plan.ShuffleRepartition
-	}
-	if j.mode == plan.ShuffleColocated {
-		return j.runColocated()
-	}
-	build, err := j.drainBuild()
+	build, from, err := j.collectBuild()
 	if err != nil {
 		return err
 	}
 	// Serial-identical runtime-filter derivation and memory negotiation:
 	// drain, publish filters, then one grant — the exact serial sequence,
 	// so scheduled-budget runs negotiate at the same steps.
-	buildRuntimeFilters(j.ctx, j.node, j.ctx.Clock, len(build), func(i, c int) types.Value { return build[i][c] })
-	j.grant = j.ctx.Mem.Grant(len(build))
-	if len(build) > j.grant {
-		return j.degrade(build)
+	n := build.rows.n
+	buildRuntimeFilters(ctx, j.node, ctx.Clock, n, build.rows.value)
+	j.stage.grant, j.stage.held = ctx.Mem.Grant(n), true
+	if n > j.stage.grant {
+		return j.spill(build)
 	}
-	j.bindScan()
-	j.ctx.Shuffle.countJoin(j.mode)
-	return j.runShuffled(build)
+	ctx.Shuffle.countJoin(j.mode)
+	return j.route(build, from)
 }
 
-// colocatedValid re-checks at Open what PlanShuffles established at plan
-// time: both scans' tables still carry matching physical partitionings.
-func (j *shardedHashJoin) colocatedValid() bool {
-	if j.scan == nil || j.buildScan == nil || len(j.node.LeftKeys) != 1 {
-		return false
+// collectBuild packs the build side in heap order: drained by the stage at
+// the coordinator or, co-located, read partition by partition on each
+// shard's clock — rows from[s] <= i < from[s+1] on shard s.
+func (j *shardedHashJoin) collectBuild() (*joinTable, []int, error) {
+	if j.buildScan == nil {
+		tab, err := j.stage.drainBuild()
+		return tab, nil, err
 	}
-	lp, rp := j.scan.Table.Part(), j.buildScan.Table.Part()
-	return lp != nil && rp != nil &&
-		lp.Shards == j.n && rp.Shards == j.n &&
-		lp.Col == plan.TableCol(j.scan.Cols, j.node.LeftKeys[0]) &&
-		rp.Col == plan.TableCol(j.buildScan.Cols, j.node.RightKeys[0])
-}
-
-// scanBuild keeps the build scan's rows of heap pages [lo, hi), charging
-// clk: the scan lends them, so each is copied once.
-func (j *shardedHashJoin) scanBuild(rf *rfConsumer, lo, hi int, clk *storage.Clock) ([]types.Row, error) {
-	var scratch types.Row
-	var kept RowSet
-	err := scanPageRange(j.ctx, j.buildScan, rf, lo, hi, clk, &scratch, kept.add)
-	return kept.Rows(), err
-}
-
-// drainBuild materializes the build side in heap order with one worker's
-// charges: through the child operator, or — when a planned co-located join
-// degraded at run time and has no build operator — by scanning the build
-// table's pages with a heap scan's charges.
-func (j *shardedHashJoin) drainBuild() ([]types.Row, error) {
-	if j.right != nil {
-		return drain(j.right)
-	}
+	tab, from := &joinTable{}, make([]int, j.n+1)
 	rf := bindRuntimeFilters(j.ctx, j.buildScan.RFConsume, j.buildScan.Cols)
-	rows, err := j.scanBuild(rf, 0, j.buildScan.Table.Heap.NumPages(), j.ctx.Clock)
-	if err != nil {
-		return nil, err
+	pages := j.buildScan.Table.Part().PageStart
+	var scratch types.Row
+	for s, clk := range j.clks {
+		if err := scanPageRange(j.ctx, j.buildScan, rf, pages[s], pages[s+1], clk, &scratch, tab.rows.add); err != nil {
+			return nil, nil, err
+		}
+		from[s+1] = tab.rows.n
 	}
-	finishNode(j.ctx, j.buildScan, float64(len(rows)), j.node, 0)
-	return rows, nil
+	finishNode(j.ctx, j.buildScan, float64(tab.rows.n), j.node, 0)
+	return tab, from, nil
 }
 
-// bindScan binds the fused probe scan (after the build published its runtime
-// filters), cut into the morsels the shards share out.
-func (j *shardedHashJoin) bindScan() {
-	if j.src.scan = j.scan; j.scan != nil {
-		j.src.bindScan(j.ctx, MorselPages)
+// spill degrades the join when the build exceeded its grant: sharding a
+// workspace that does not fit would multiply pressure, so the stage spills
+// the rows it packed and the join is a pipeline of that one stage, which one
+// worker drains — the unsharded engine's degrade path. The grant and the
+// probe child now belong to that pipeline.
+func (j *shardedHashJoin) spill(build *joinTable) error {
+	ctx := j.ctx
+	ctx.Shuffle.degraded()
+	if ctx.Trace != nil {
+		ctx.Trace.Event("shuffle.degrade", fmt.Sprintf(
+			"build=%d grant=%d: shuffle bypassed for serial spill path", build.rows.n, j.stage.grant))
 	}
-}
-
-// degrade routes the whole join through the spill machinery when the build
-// exceeded its grant: sharding a workspace that does not fit would multiply
-// pressure, so the robust move is to give the shuffle up for this join and
-// degrade exactly like the unsharded engine does — a pipeline of one
-// spilled stage, which one worker drains.
-func (j *shardedHashJoin) degrade(build []types.Row) error {
-	j.ctx.Shuffle.degraded()
-	if j.ctx.Trace != nil {
-		j.ctx.Trace.Event("shuffle.degrade", fmt.Sprintf(
-			"build=%d grant=%d: shuffle bypassed for serial spill path", len(build), j.grant))
+	for s, clk := range j.clks { // a co-located build's scans
+		ctx.Shuffle.addUnits(s, clk.UnitsScaled())
+		ctx.Clock.Merge(clk)
 	}
-	fb := &hashStage{hashBuild: hashBuild{ctx: j.ctx, node: j.node, grant: j.grant}, held: true}
-	fb.openSpill(&packRows(build).rows, 0)
-	// The grant and the probe child now belong to the fallback's pipeline.
+	j.stage.openSpill(&build.rows, 0)
 	g := &gather{}
-	g.ctx, g.root, g.stages = j.ctx, j.node, []*hashStage{fb}
-	g.src.scan, g.src.op = j.scan, j.left
-	j.fallback, j.grant, j.left = g, 0, nil
+	g.ctx, g.root, g.stages = ctx, j.node, []*hashStage{&j.stage}
+	g.src.scan, g.src.op = j.src.scan, j.left
+	j.fallback, j.left = g, nil
 	return g.Open()
 }
 
 // spec assembles the ShuffleJoinSpec a transport needs to build and probe
-// this join's hash-table shards remotely.
-func (j *shardedHashJoin) spec(clks []*storage.Clock) ShuffleJoinSpec {
+// this join's hash-table shards remotely; the residual predicate becomes
+// the closure ShardJoiner evaluates per candidate match.
+func (j *shardedHashJoin) spec() ShuffleJoinSpec {
+	var residual func(types.Row) (bool, error)
+	if e, params := j.node.Residual, j.ctx.Params; e != nil {
+		residual = func(r types.Row) (bool, error) { return expr.EvalPredicate(e, r, params) }
+	}
 	return ShuffleJoinSpec{
 		Shards:    j.n,
 		LeftKeys:  j.node.LeftKeys,
 		RightKeys: j.node.RightKeys,
 		LeftOuter: j.node.Type == plan.LeftOuter,
-		RWidth:    j.rWidth,
-		Residual:  j.residualFn(),
+		RWidth:    len(j.node.Kids[1].Schema()),
+		Residual:  residual,
 		Model:     j.ctx.Clock.Model(),
-		Clocks:    clks,
+		Clocks:    j.clks,
 		Stats:     j.ctx.Shuffle,
 		Canceled:  j.ctx.Canceled,
 	}
 }
 
-// residualFn wraps the join's residual predicate as the closure
-// ShardJoiner evaluates per candidate match.
-func (j *shardedHashJoin) residualFn() func(types.Row) (bool, error) {
-	if j.node.Residual == nil {
-		return nil
-	}
-	e, params := j.node.Residual, j.ctx.Params
-	return func(r types.Row) (bool, error) { return expr.EvalPredicate(e, r, params) }
-}
-
-// openExchange asks the context's transport for this join's exchange,
-// falling back to the in-process exchange when the transport refuses the
-// join shape or cannot reach its peers. Fallback is only safe here, before
-// any row has been routed; mid-exchange failures abort the query instead.
-func (j *shardedHashJoin) openExchange(spec ShuffleJoinSpec) ShuffleExchange {
-	tr := j.ctx.ShufTransport
-	if tr == nil {
+// openExchange asks the context's transport for this join's exchange. A
+// co-located join, whose rows never move, and a nil transport use the
+// in-process exchange; so does a join the transport refuses or whose peers
+// it cannot reach. Fallback is only safe here, before any row has been
+// routed; mid-exchange failures abort the query instead.
+func (j *shardedHashJoin) openExchange() ShuffleExchange {
+	tr, spec := j.ctx.ShufTransport, j.spec()
+	if tr == nil || j.mode == plan.ShuffleColocated {
 		return newLocalExchange(spec)
 	}
 	ex, err := tr.OpenExchange(spec)
@@ -200,51 +211,55 @@ func (j *shardedHashJoin) openExchange(spec ShuffleJoinSpec) ShuffleExchange {
 	return ex
 }
 
-// runShuffled is the repartition/broadcast path: route the build side
-// through the exchange, detect and split hot keys, then scan-and-route the
-// probe side from per-shard contiguous ranges, probe shard-locally
-// (wherever the shard lives), and k-way merge the tagged outputs back into
-// serial order.
-func (j *shardedHashJoin) runShuffled(build []types.Row) error {
+// route runs the join through the exchange: route the build side, detecting
+// and splitting hot keys, then the probe side from each shard's morsels;
+// shards build and probe locally (wherever they live), and the tagged
+// outputs merge back into serial order.
+func (j *shardedHashJoin) route(build *joinTable, from []int) error {
 	ctx := j.ctx
 	st := ctx.Shuffle
 	n := j.n
 	model := ctx.Clock.Model()
 
 	// Join-key hashes for the whole build side, computed once.
-	hs := make([]uint64, len(build))
-	nulls := make([]bool, len(build))
+	rows := &build.rows
+	hs := make([]uint64, rows.n)
+	nulls := make([]bool, rows.n)
 	key := make([]types.Value, len(j.node.RightKeys))
-	routed := 0
-	for i, r := range build {
-		keyInto(key, r, j.node.RightKeys)
-		if keyHasNull(key) {
+	keyed := 0
+	for i := range hs {
+		if rows.keyInto(key, i, j.node.RightKeys); keyHasNull(key) {
 			nulls[i] = true
 			continue
 		}
 		hs[i] = types.HashRow(key)
-		routed++
+		keyed++
 	}
 
-	hot := j.detectHotKeys(hs, nulls, routed)
-
-	clks := make([]*storage.Clock, n)
-	for s := range clks {
-		clks[s] = ctx.Clock.Shard()
-	}
-	ex := j.openExchange(j.spec(clks))
+	hot := j.detectHotKeys(hs, nulls, keyed)
+	ex := j.openExchange()
 	defer ex.Abort()
 
 	// Route the build side. Hot keys round-robin their rows across all
 	// shards by arrival index; everything else goes to hash%n. The copy
 	// that pays the serial insert charge is marked Own.
 	rr := make(map[uint64]int, len(hot))
-	for i, r := range build {
+	var routed RowArena // the build rows, which the exchange keeps
+	at := -1            // the shard build row i was read on
+	for i, h := range hs {
+		for from != nil && i >= from[at+1] {
+			at++
+		}
 		if nulls[i] {
-			ctx.Clock.Probes(2) // serial charges the insert before skipping null keys
+			clk := ctx.Clock
+			if at >= 0 {
+				clk = j.clks[at]
+			}
+			clk.Probes(2) // serial charges the insert before skipping null keys
 			continue
 		}
-		h := hs[i]
+		r := routed.Alloc(rows.w)
+		rows.row(i, &r)
 		if j.mode == plan.ShuffleBroadcast {
 			own := int(h % uint64(n))
 			for d := 0; d < n; d++ {
@@ -267,7 +282,7 @@ func (j *shardedHashJoin) runShuffled(build []types.Row) error {
 		if err := ex.SendBuild(d, ShufBuild{Idx: int32(i), Own: true, Hash: h, Row: r}); err != nil {
 			return err
 		}
-		if n > 1 {
+		if d != at {
 			st.movedRows(1)
 			st.addExtra(d, 1, model.NetRow)
 		}
@@ -276,11 +291,7 @@ func (j *shardedHashJoin) runShuffled(build []types.Row) error {
 		return err
 	}
 
-	// Scan-and-route the probe side. Each shard owns a contiguous morsel
-	// (or row) range, so its sequence tags ascend; each (src,dst) stream is
-	// therefore already sorted and the receiver just sweeps sources in
-	// order.
-	route := func(src int, seq int64, lr types.Row, pk []types.Value) error {
+	routeProbe := func(src int, seq int64, lr types.Row, pk []types.Value) error {
 		if j.mode == plan.ShuffleBroadcast {
 			return ex.SendProbe(src, src, ShufProbe{Seq: seq, Main: true, Row: lr})
 		}
@@ -300,13 +311,7 @@ func (j *shardedHashJoin) runShuffled(build []types.Row) error {
 					st.addExtra(dd, 1, model.HashProbe)
 				}
 			}
-			if d != src {
-				st.movedRows(1)
-				st.addExtra(d, 1, model.NetRow)
-			}
-			return nil
-		}
-		if err := ex.SendProbe(src, d, ShufProbe{Seq: seq, Main: true, Row: lr}); err != nil {
+		} else if err := ex.SendProbe(src, d, ShufProbe{Seq: seq, Main: true, Row: lr}); err != nil {
 			return err
 		}
 		if d != src {
@@ -315,57 +320,47 @@ func (j *shardedHashJoin) runShuffled(build []types.Row) error {
 		}
 		return nil
 	}
-	if j.scan != nil {
-		var scanned int64
-		if err := runShards(n, func(s int) error {
-			lo, hi := shardRange(s, n, j.src.n)
-			pk := make([]types.Value, len(j.node.LeftKeys))
-			scratch := getScratch()
-			defer scratch.release()
-			var arena RowArena
-			var cnt int64
-			for m := lo; m < hi; m++ {
-				mseq := int64(m) << shardSeqShift
-				k := int64(0)
-				err := j.src.scanMorsel(ctx, m, clks[s], scratch, func(lr types.Row) error {
-					lr = arena.Copy(lr) // the exchange keeps it; the scan only lends it
-					keyInto(pk, lr, j.node.LeftKeys)
-					if err := route(s, mseq|k, lr, pk); err != nil {
-						return err
-					}
-					k++
-					cnt++
-					return nil
-				})
-				if err != nil {
+
+	// Route the probe side: each shard its own morsels, tagged (morsel,
+	// row within it), so each (src, dst) stream is already sorted and the
+	// receiver just sweeps sources in order.
+	if err := j.bindProbe(); err != nil {
+		return err
+	}
+	src := &j.src
+	if err := runShards(n, func(s int) error {
+		pk := make([]types.Value, len(j.node.LeftKeys))
+		send := func(seq int64, lr types.Row) error {
+			keyInto(pk, lr, j.node.LeftKeys)
+			return routeProbe(s, seq, lr, pk)
+		}
+		scratch := getScratch()
+		defer scratch.release()
+		var arena RowArena
+		for m := j.cut[s]; m < j.cut[s+1]; m++ {
+			seq := int64(m) << shardSeqShift
+			if src.scan == nil {
+				if err := send(seq, src.rows[m]); err != nil {
 					return err
 				}
+				continue
 			}
-			atomic.AddInt64(&scanned, cnt)
-			return ex.FlushProbe(s)
-		}); err != nil {
-			return err
-		}
-		finishNode(ctx, j.scan, float64(atomic.LoadInt64(&scanned)), j.node, 0)
-	} else {
-		lrows, err := drain(j.left)
-		j.left = nil
-		if err != nil {
-			return err
-		}
-		if err := runShards(n, func(s int) error {
-			lo, hi := shardRange(s, n, len(lrows))
-			pk := make([]types.Value, len(j.node.LeftKeys))
-			for i, lr := range lrows[lo:hi] {
-				keyInto(pk, lr, j.node.LeftKeys)
-				if err := route(s, int64(lo+i), lr, pk); err != nil {
-					return err
-				}
+			k := int64(0)
+			err := src.scanMorsel(ctx, m, j.clks[s], scratch, func(lr types.Row) error {
+				k++
+				return send(seq+k-1, arena.Copy(lr)) // the exchange keeps it; the scan only lends it
+			})
+			src.scanned.Add(k)
+			if err != nil {
+				return err
 			}
-			return ex.FlushProbe(s)
-		}); err != nil {
-			return err
 		}
+		return ex.FlushProbe(s)
+	}); err != nil {
+		return err
+	}
+	if src.scan != nil {
+		finishNode(ctx, src.scan, float64(src.scanned.Load()), j.node, 0)
 	}
 
 	// Build and probe run at the shards (in-process goroutines or worker
@@ -375,12 +370,40 @@ func (j *shardedHashJoin) runShuffled(build []types.Row) error {
 	if err != nil {
 		return err
 	}
-
-	j.gather(outs)
-	j.finishShards(clks, units)
+	j.merge(outs)
+	j.finishShards(units)
 	if ctx.Trace != nil {
 		ctx.Trace.Event("shuffle.route", fmt.Sprintf(
-			"mode=%s shards=%d build=%d hot_keys=%d out=%d", j.mode, n, len(build), len(hot), len(j.out)))
+			"mode=%s shards=%d build=%d hot_keys=%d out=%d", j.mode, n, rows.n, len(hot), len(j.out)))
+	}
+	return nil
+}
+
+// bindProbe binds the probe side once the build has published its runtime
+// filters, and cuts its morsels into the shards' contiguous shares. A fused
+// scan's morsels are shared evenly; co-located, each morsel is one heap page
+// and a shard's are its partition's; the probe child is drained, a morsel a
+// row, its rows shared evenly.
+func (j *shardedHashJoin) bindProbe() error {
+	s := &j.src
+	switch {
+	case j.buildScan != nil:
+		s.rf = bindRuntimeFilters(j.ctx, s.scan.RFConsume, s.scan.Cols)
+		s.pages, s.npages = 1, s.scan.Table.Heap.NumPages()
+		s.n, j.cut = s.npages, s.scan.Table.Part().PageStart
+		return nil
+	case s.scan != nil:
+		s.bindScan(j.ctx, MorselPages)
+	default:
+		rows, err := drain(j.left)
+		s.rows, s.n, j.left = rows, len(rows), nil
+		if err != nil {
+			return err
+		}
+	}
+	j.cut = make([]int, j.n+1)
+	for sh := range j.cut {
+		j.cut[sh] = sh * s.n / j.n
 	}
 	return nil
 }
@@ -446,9 +469,9 @@ func (j *shardedHashJoin) detectHotKeys(hs []uint64, nulls []bool, routed int) m
 	return hot
 }
 
-// gather k-way merges the per-shard output streams — each already sorted
+// merge k-way merges the per-shard output streams — each already sorted
 // by (Seq, BIdx) — into the exact serial emission order.
-func (j *shardedHashJoin) gather(outs [][]ShufOut) {
+func (j *shardedHashJoin) merge(outs [][]ShufOut) {
 	total := 0
 	for _, o := range outs {
 		total += len(o)
@@ -470,7 +493,7 @@ func (j *shardedHashJoin) gather(outs [][]ShufOut) {
 				best = s
 			}
 		}
-		// The gathered row is ours: cut it down to the node's Cols in place
+		// The merged row is ours: cut it down to the node's Cols in place
 		// (they ascend, so no value is overwritten before it has been moved).
 		r := outs[best][cur[best]].Row
 		j.out = append(j.out, appendCols(r[:0], r, j.node.Cols))
@@ -480,18 +503,16 @@ func (j *shardedHashJoin) gather(outs [][]ShufOut) {
 
 // finishShards attributes each shard's units to the stats and merges them
 // into the query clock — restoring the exact serial total. A shard's total
-// is its coordinator-side clock (probe scanning, local build/probe) plus
-// whatever the exchange reports it performed elsewhere (a worker process's
-// shipped clock, folded in via MergeScaled in the same integer domain).
-func (j *shardedHashJoin) finishShards(clks []*storage.Clock, units []ShardUnits) {
+// is its coordinator-side clock (partition and probe scans, local build and
+// probe) plus whatever the exchange reports it performed elsewhere (a
+// worker process's shipped clock, folded in via MergeScaled in the same
+// integer domain).
+func (j *shardedHashJoin) finishShards(units []ShardUnits) {
 	st := j.ctx.Shuffle
-	for s, clk := range clks {
-		total := clk.UnitsScaled()
-		if units != nil {
-			u := units[s]
-			total += u.UnitsScaled
-			j.ctx.Clock.MergeScaled(u.UnitsScaled, u.SeqReads, u.RandReads, u.PageWrites, u.RowsCPU)
-		}
+	for s, clk := range j.clks {
+		u := units[s]
+		total := clk.UnitsScaled() + u.UnitsScaled
+		j.ctx.Clock.MergeScaled(u.UnitsScaled, u.SeqReads, u.RandReads, u.PageWrites, u.RowsCPU)
 		st.addUnits(s, total)
 		j.ctx.Clock.Merge(clk)
 		if j.ctx.Trace != nil {
@@ -499,101 +520,6 @@ func (j *shardedHashJoin) finishShards(clks []*storage.Clock, units []ShardUnits
 				"shard=%d units=%.3f", s, float64(total)/storage.ClockScale))
 		}
 	}
-}
-
-// runColocated is the no-movement path: both tables are physically
-// partitioned on the join key with page-aligned shard boundaries, so shard
-// s joins build pages [bp[s],bp[s+1]) against probe pages [pp[s],pp[s+1])
-// entirely locally. Shard-major concatenation of outputs is the serial
-// heap order, so no tags or merge are needed.
-func (j *shardedHashJoin) runColocated() error {
-	ctx := j.ctx
-	n := j.n
-	bp := j.buildScan.Table.Part().PageStart
-	pp := j.scan.Table.Part().PageStart
-	clks := make([]*storage.Clock, n)
-	for s := range clks {
-		clks[s] = ctx.Clock.Shard()
-	}
-
-	// Per-shard build-side scans; shard-major order is heap order, so the
-	// concatenation equals the serial drain.
-	brf := bindRuntimeFilters(ctx, j.buildScan.RFConsume, j.buildScan.Cols)
-	bRows := make([][]types.Row, n)
-	if err := runShards(n, func(s int) error {
-		var err error
-		bRows[s], err = j.scanBuild(brf, bp[s], bp[s+1], clks[s])
-		return err
-	}); err != nil {
-		return err
-	}
-	totalBuild := 0
-	for _, rows := range bRows {
-		totalBuild += len(rows)
-	}
-	finishNode(ctx, j.buildScan, float64(totalBuild), j.node, 0)
-	if ctx.RF != nil && len(j.node.RFilters) > 0 {
-		all := slices.Concat(bRows...)
-		buildRuntimeFilters(ctx, j.node, ctx.Clock, len(all), func(i, c int) types.Value { return all[i][c] })
-	}
-	j.grant = ctx.Mem.Grant(totalBuild)
-	if totalBuild > j.grant {
-		for s, clk := range clks {
-			ctx.Shuffle.addUnits(s, clk.UnitsScaled())
-			ctx.Clock.Merge(clk)
-		}
-		return j.degrade(slices.Concat(bRows...))
-	}
-	j.bindScan()
-	j.ctx.Shuffle.countJoin(plan.ShuffleColocated)
-
-	outs := make([][]types.Row, n)
-	spec := j.spec(clks)
-	var scanned int64
-	if err := runShards(n, func(s int) error {
-		// Colocated shards never touch a transport: each builds and probes
-		// its own page ranges through the same ShardJoiner engine remote
-		// workers run, so charges match the shuffled paths call-for-call.
-		w := NewShardJoiner(spec, clks[s])
-		key := make([]types.Value, len(j.node.RightKeys))
-		for i, r := range bRows[s] {
-			keyInto(key, r, j.node.RightKeys)
-			if keyHasNull(key) {
-				clks[s].Probes(2) // serial charges the insert before skipping null keys
-				continue
-			}
-			w.Insert(ShufBuild{Idx: int32(i), Own: true, Hash: types.HashRow(key), Row: r})
-		}
-		var tagged []ShufOut
-		var scratch types.Row
-		var cnt int64
-		err := scanPageRange(ctx, j.scan, j.src.rf, pp[s], pp[s+1], clks[s], &scratch, func(lr types.Row) error {
-			cnt++
-			return w.Probe(ShufProbe{Seq: cnt, Main: true, Row: lr}, &tagged)
-		})
-		if err != nil {
-			return err
-		}
-		atomic.AddInt64(&scanned, cnt)
-		rows := make([]types.Row, len(tagged))
-		for i, o := range tagged {
-			rows[i] = appendCols(o.Row[:0], o.Row, j.node.Cols) // in place, as gather does
-		}
-		outs[s] = rows
-		return nil
-	}); err != nil {
-		return err
-	}
-	finishNode(ctx, j.scan, float64(atomic.LoadInt64(&scanned)), j.node, 0)
-	for _, rows := range outs {
-		j.out = append(j.out, rows...)
-	}
-	j.finishShards(clks, nil)
-	if ctx.Trace != nil {
-		ctx.Trace.Event("shuffle.route", fmt.Sprintf(
-			"mode=colocated shards=%d build=%d out=%d (no rows moved)", n, totalBuild, len(j.out)))
-	}
-	return nil
 }
 
 func (j *shardedHashJoin) Next() (types.Row, bool, error) {
@@ -610,11 +536,10 @@ func (j *shardedHashJoin) Next() (types.Row, bool, error) {
 
 func (j *shardedHashJoin) Close() error {
 	if j.fallback != nil {
-		return j.fallback.Close()
+		return j.fallback.Close() // and its pipeline releases the stage
 	}
 	j.out = nil
-	j.ctx.Mem.Release(j.grant)
-	j.grant = 0
+	j.stage.release()
 	if j.left != nil {
 		return j.left.Close()
 	}

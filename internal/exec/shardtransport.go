@@ -282,20 +282,3 @@ func (ex *localExchange) Collect() ([][]ShufOut, []ShardUnits, error) {
 }
 
 func (ex *localExchange) Abort() {}
-
-// localTransport hands out localExchanges; it is what a nil
-// Context.ShufTransport means.
-type localTransport struct{}
-
-// NewLocalShuffleTransport returns the in-process transport explicitly —
-// benches and tests use it to pin transport=local against the same
-// interface the TCP transport implements.
-func NewLocalShuffleTransport() ShuffleTransport { return localTransport{} }
-
-func (localTransport) Name() string { return "local" }
-
-func (localTransport) OpenExchange(spec ShuffleJoinSpec) (ShuffleExchange, error) {
-	return newLocalExchange(spec), nil
-}
-
-func (localTransport) Close() error { return nil }
