@@ -12,7 +12,7 @@ import (
 	"rqp/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/agg_float.golden from what the aggregates return now")
+var updateGolden = flag.Bool("update", false, "rewrite the goldens of the tests run (testdata/agg_float.golden, testdata/joins.golden) from what they return now")
 
 // TestAggregateFloatGolden holds every grouped TPC-H-lite statement to the
 // bits it returned when testdata/agg_float.golden was captured (PR 22's
