@@ -58,7 +58,6 @@ type Config struct {
 	LEO           bool // learn from every execution
 	MemBudgetRows int
 	HistBuckets   int
-	GJoinOnly     bool
 	// AutoAnalyze refreshes a table's statistics (and drops the cached plans
 	// that read it) before a query when modifications since the last ANALYZE
 	// exceed AutoAnalyzeFraction of the analyzed row count — the automatic
@@ -204,7 +203,6 @@ func Attach(cat *catalog.Catalog, cfg Config) *Engine {
 	if cfg.MemBudgetRows > 0 {
 		o.Opt.MemBudgetRows = cfg.MemBudgetRows
 	}
-	o.Opt.GJoinOnly = cfg.GJoinOnly
 	o.Opt.Columnar = cfg.Columnar
 	if cfg.Columnar {
 		for _, t := range cat.Tables() {

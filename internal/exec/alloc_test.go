@@ -91,9 +91,9 @@ func TestAllocCeilingDrain(t *testing.T) {
 }
 
 // erectBuild opens join's build as its pipeline stage does at ctx's DOP.
-func erectBuild(t *testing.T, ctx *Context, join *plan.JoinNode) *hashStage {
+func erectBuild(t *testing.T, ctx *Context, join *plan.JoinNode) *joinStage {
 	t.Helper()
-	s := &hashStage{hashBuild: hashBuild{ctx: ctx, node: join}}
+	s := &joinStage{ctx: ctx, node: join}
 	if err := s.side(join.Kids[1]); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func erectBuild(t *testing.T, ctx *Context, join *plan.JoinNode) *hashStage {
 // drains its build side: straight into the table at one worker, through an
 // exchange at more.
 func drainTable(ctx *Context, n plan.Node) (*joinTable, error) {
-	s := &hashStage{hashBuild: hashBuild{ctx: ctx}}
+	s := &joinStage{ctx: ctx}
 	if err := s.side(n); err != nil {
 		return nil, err
 	}

@@ -370,41 +370,19 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 			return nil, err
 		}
 		op = &projectOp{ctx: ctx, exprs: node.Exprs, child: child}
-	case *plan.JoinNode:
-		if ctx.shardEligible(node) {
-			sj, err := newShardedHashJoin(ctx, node)
-			if err != nil {
-				return nil, err
-			}
-			op = sj
-			break
+	case *plan.JoinNode, *plan.IndexJoinNode:
+		var err error
+		switch j, _ := n.(*plan.JoinNode); {
+		case j != nil && ctx.shardEligible(j):
+			op, err = newShardedHashJoin(ctx, j)
+		case ctx.fusesJoin(n):
+			op, err = newGather(ctx, n)
+		default:
+			op, err = buildJoin(j, ctx)
 		}
-		if ctx.fusesJoin(node) {
-			g, err := newGather(ctx, node)
-			if err != nil {
-				return nil, err
-			}
-			op = g
-			break
-		}
-		l, err := build(node.Kids[0], ctx)
 		if err != nil {
 			return nil, err
 		}
-		r, err := build(node.Kids[1], ctx)
-		if err != nil {
-			return nil, err
-		}
-		op, err = buildJoin(node, l, r, ctx)
-		if err != nil {
-			return nil, err
-		}
-	case *plan.IndexJoinNode:
-		l, err := build(node.Kids[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		op = &indexNLJoin{ctx: ctx, node: node, left: l}
 	case *plan.SortNode:
 		child, err := build(node.Kids[0], ctx)
 		if err != nil {

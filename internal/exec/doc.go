@@ -1,13 +1,13 @@
 // Package exec implements the Volcano-style iterator execution engine: one
 // operator per physical plan node, with per-operator actual-cardinality
 // accounting (the raw input of every robustness metric) and the adaptive
-// operators (symmetric hash join, generalized join) the Dagstuhl report's
-// query-execution sessions discuss.
+// generalized join the Dagstuhl report's query-execution sessions discuss.
 //
-// Scans, hash joins and hash aggregation run one way at every degree of
-// parallelism: as a morsel pipeline (pipeline.go) — a source cut into page,
-// block or row-range morsels, every hash join down the probe side as one more
-// probe in the same morsel, and a sink (the aggregation, a gather's store or
+// Scans, streaming joins (hash, nested-loop and index nested-loop) and hash
+// aggregation run one way at every degree of parallelism: as a morsel
+// pipeline (pipeline.go) — a source cut into page, block or row-range
+// morsels, every streaming join down the probe side as one more probe in the
+// same morsel, and a sink (the aggregation, a gather's store or
 // exchange, a hash table being built). Context.DOP is only how many workers
 // drain it: one steps through the morsels in order on the context clock (and
 // a gather refills its store a morsel at a time, so a consumer that stops
@@ -36,9 +36,10 @@
 // returns. A retained row is copied once: an exchange packs and lends again
 // like any operator, and a retained row set (RowSet, behind collect) cuts its
 // []Row index once, after the last row. Every hash join drains its build into
-// one joinTable — packedRows, 9 B a value, boxed only on a match — and probes
-// it through one joinProbe, every hash aggregation accumulates into one aggTable over the
-// same hashIndex and lends its output row (kernel.go); SetRowPoison is the test
+// one joinTable — packedRows, 9 B a value, boxed only on a match — every
+// streaming join probes through one joinProbe, and every hash aggregation
+// accumulates into one aggTable over the same hashIndex and lends its output
+// row (kernel.go); SetRowPoison is the test
 // harness that overwrites stale rows so a missing copy fails loudly.
 //
 // Workspace memory is arbitrated by the MemBroker: stateful operators (hash

@@ -4,21 +4,25 @@ import (
 	"fmt"
 	"sort"
 
-	"rqp/internal/expr"
-	"rqp/internal/index"
 	"rqp/internal/plan"
 	"rqp/internal/storage"
 	"rqp/internal/types"
 )
 
-func buildJoin(node *plan.JoinNode, l, r Operator, ctx *Context) (Operator, error) {
+// buildJoin makes the operator of a join that drains both inputs before it
+// emits: a merge join or a g-join. Every other join is a pipeline stage.
+func buildJoin(node *plan.JoinNode, ctx *Context) (Operator, error) {
+	l, err := build(node.Kids[0], ctx)
+	if err != nil {
+		return nil, err
+	}
+	r, err := build(node.Kids[1], ctx)
+	if err != nil {
+		return nil, err
+	}
 	switch node.Alg {
 	case plan.JoinMerge:
 		return &mergeJoin{ctx: ctx, node: node, left: l, right: r}, nil
-	case plan.JoinNL:
-		return &nlJoin{ctx: ctx, node: node, left: l, right: r}, nil
-	case plan.JoinSymHash:
-		return &symHashJoin{ctx: ctx, node: node, left: l, right: r}, nil
 	case plan.JoinGeneral:
 		return &gJoin{ctx: ctx, node: node, left: l, right: r}, nil
 	}
@@ -45,22 +49,6 @@ func keyHasNull(k []types.Value) bool {
 	return false
 }
 
-// joinResidual is the one shared accept/charge step for post-join residual
-// predicates: evaluate the residual (if any) over the assembled row and
-// charge the per-row work only for survivors. Every join variant — equi-joins
-// through joinRow.match and the index nested-loop join directly — funnels
-// through it so the charge discipline cannot drift between copies.
-func joinResidual(clk *storage.Clock, params []types.Value, residual expr.Expr, out types.Row) (bool, error) {
-	if residual != nil {
-		ok, err := expr.EvalPredicate(residual, out, params)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	clk.RowWork(1)
-	return true, nil
-}
-
 // padNulls overwrites buf with l followed by n NULLs: the outer row of a
 // probe row nothing matched.
 func padNulls(buf, l types.Row, n int) types.Row {
@@ -69,93 +57,6 @@ func padNulls(buf, l types.Row, n int) types.Row {
 		buf = append(buf, types.Null())
 	}
 	return buf
-}
-
-// ---------- nested-loop join ----------
-
-// nlJoin materializes the right input once and loops it per left row.
-type nlJoin struct {
-	ctx   *Context
-	node  *plan.JoinNode
-	left  Operator
-	right Operator
-
-	inner   []types.Row
-	key     []types.Value // the current left row's equi key
-	keyNull bool
-	out     joinRow
-	lrow    types.Row
-	have    bool // lrow is in flight
-	matched bool
-	ipos    int
-	lDone   bool
-}
-
-func (j *nlJoin) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	inner, err := drain(j.right)
-	if err != nil {
-		return err
-	}
-	j.inner = inner
-	j.ctx.Clock.RowWork(len(inner))
-	j.key = make([]types.Value, len(j.node.LeftKeys))
-	j.out = newJoinRow(j.node)
-	j.have = false
-	j.lDone = false
-	return nil
-}
-
-func (j *nlJoin) Next() (types.Row, bool, error) {
-	for {
-		if !j.have {
-			if j.lDone {
-				return nil, false, nil
-			}
-			lr, ok, err := j.left.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.lDone = true
-				continue
-			}
-			j.lrow, j.have = lr, true
-			keyInto(j.key, lr, j.node.LeftKeys)
-			j.keyNull = keyHasNull(j.key)
-			j.matched = false
-			j.ipos = 0
-		}
-		for j.ipos < len(j.inner) {
-			r := j.inner[j.ipos]
-			j.ipos++
-			j.ctx.Clock.Compares(1)
-			// Equi keys (if any) are evaluated like any other predicate here.
-			if len(j.key) > 0 && (j.keyNull || !keyMatches(j.key, r, j.node.RightKeys)) {
-				continue
-			}
-			out, ok, err := j.out.match(j.ctx.Clock, j.ctx.Params, j.lrow, r)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				j.matched = true
-				return out, true, nil
-			}
-		}
-		j.have = false
-		if j.node.Type == plan.LeftOuter && !j.matched {
-			j.ctx.Clock.RowWork(1)
-			return j.out.outer(j.lrow), true, nil
-		}
-	}
-}
-
-func (j *nlJoin) Close() error {
-	j.inner = nil
-	return j.left.Close()
 }
 
 // ---------- merge join ----------
@@ -193,7 +94,7 @@ func (j *mergeJoin) Open() error {
 	j.group = nil
 	j.lk = make([]types.Value, len(j.node.LeftKeys))
 	j.rk = make([]types.Value, len(j.node.RightKeys))
-	j.out = newJoinRow(j.node)
+	j.out, _ = newJoinRow(j.node, 0, nil)
 	return nil
 }
 
@@ -292,115 +193,6 @@ func (j *mergeJoin) Close() error {
 	return nil
 }
 
-// ---------- symmetric hash join ----------
-
-// symHashJoin builds hash tables on both inputs and produces results
-// incrementally as either side arrives — the pipelined operator that makes
-// mid-flight adaptation cheap (no build/probe commitment).
-type symHashJoin struct {
-	ctx   *Context
-	node  *plan.JoinNode
-	left  Operator
-	right Operator
-
-	ltab, rtab *joinTable
-	arena      RowArena // joined output
-	key        []types.Value
-	cand       types.Row // a matching row of the other table, boxed
-	buf        joinRow
-	out        []types.Row
-	pos        int
-}
-
-func (j *symHashJoin) Open() error {
-	if err := j.left.Open(); err != nil {
-		return err
-	}
-	if err := j.right.Open(); err != nil {
-		return err
-	}
-	j.ltab, j.rtab = &joinTable{}, &joinTable{}
-	j.key = make([]types.Value, len(j.node.LeftKeys))
-	j.buf = newJoinRow(j.node)
-	j.out = nil
-	j.pos = 0
-	// Alternate pulls between inputs, emitting matches as they form.
-	lDone, rDone := false, false
-	for !lDone || !rDone {
-		if !lDone {
-			r, ok, err := j.left.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				lDone = true
-			} else if err := j.insert(r, true); err != nil {
-				return err
-			}
-		}
-		if !rDone {
-			r, ok, err := j.right.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				rDone = true
-			} else if err := j.insert(r, false); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (j *symHashJoin) insert(r types.Row, fromLeft bool) error {
-	j.ctx.Clock.Probes(2) // insert + probe
-	myKeys, otherKeys := j.node.LeftKeys, j.node.RightKeys
-	myTab, otherTab := j.ltab, j.rtab
-	if !fromLeft {
-		myKeys, otherKeys = otherKeys, myKeys
-		myTab, otherTab = otherTab, myTab
-	}
-	keyInto(j.key, r, myKeys)
-	if keyHasNull(j.key) {
-		return nil
-	}
-	h := types.HashRow(j.key)
-	myTab.add(r, h)
-	for i := otherTab.first(h); i >= 0; i = otherTab.after(i, h) {
-		if !otherTab.rows.match(j.key, int(i), otherKeys, &j.cand) {
-			continue
-		}
-		l, rr := r, j.cand
-		if !fromLeft {
-			l, rr = j.cand, r
-		}
-		out, ok, err := j.buf.match(j.ctx.Clock, j.ctx.Params, l, rr)
-		if err != nil {
-			return err
-		}
-		if ok {
-			j.out = append(j.out, j.arena.Copy(out))
-		}
-	}
-	return nil
-}
-
-func (j *symHashJoin) Next() (types.Row, bool, error) {
-	if j.pos >= len(j.out) {
-		return nil, false, nil
-	}
-	r := j.out[j.pos]
-	j.pos++
-	return r, true, nil
-}
-
-func (j *symHashJoin) Close() error {
-	j.ltab, j.rtab, j.out = nil, nil, nil
-	j.left.Close()
-	return j.right.Close()
-}
-
 // ---------- generalized join ----------
 
 // gJoin is Graefe's generalized join: one algorithm replacing hash, merge
@@ -442,7 +234,7 @@ func (j *gJoin) Open() error {
 
 	var arena RowArena
 	var cand types.Row
-	buf := newJoinRow(j.node)
+	buf, _ := newJoinRow(j.node, 0, nil)
 	key := make([]types.Value, len(largeKeys))
 	pair := func(s, g types.Row) error {
 		l, r := g, s
@@ -485,15 +277,18 @@ func (j *gJoin) Open() error {
 		return inMemory(small, large)
 	}
 	// Out-of-memory phase: partition both inputs into grant-sized runs by
-	// key hash (one write+read pass over both), then join run pairs in
-	// memory — the smooth degradation that replaces the NL cliff.
-	if grant < 16 {
-		grant = 16
-	}
-	parts := (len(small) + grant - 1) / grant
-	spill := (len(small) + len(large) + storage.PageRows - 1) / storage.PageRows
+	// key hash (one write+read pass over both, counted and traced as a
+	// spill at depth 0), then join run pairs in memory — the smooth
+	// degradation that replaces the NL cliff.
+	run := max(grant, 16)
+	parts := (len(small) + run - 1) / run
+	rows := len(small) + len(large)
+	spill := (rows + storage.PageRows - 1) / storage.PageRows
 	j.ctx.Clock.Write(spill)
 	j.ctx.Clock.SeqRead(spill)
+	j.ctx.Spill.record(parts, rows, spill, 0)
+	j.ctx.spillEvent("spill.partition", "%s depth=0 fanout=%d resident=0/%d spilled_rows=%d pages=%d grant=%d",
+		j.node.Label(), parts, parts, rows, spill, grant)
 	partition := func(rows []types.Row, cols []int) [][]types.Row {
 		out := make([][]types.Row, parts)
 		for _, r := range rows {
@@ -527,96 +322,4 @@ func (j *gJoin) Next() (types.Row, bool, error) {
 func (j *gJoin) Close() error {
 	j.out = nil
 	return nil
-}
-
-// ---------- index nested-loop join ----------
-
-// indexNLJoin probes a persistent B+ tree per outer row. The fetched rows that
-// pass the node's Filter are held as stored, by reference; each output row is
-// the outer row followed by a match's Cols.
-type indexNLJoin struct {
-	ctx  *Context
-	node *plan.IndexJoinNode
-	left Operator
-
-	lrow    types.Row
-	have    bool // lrow is in flight
-	key     []types.Value
-	out     types.Row
-	matches []types.Row
-	midx    int
-	matched bool
-	lDone   bool
-}
-
-func (j *indexNLJoin) Open() error {
-	j.lDone = false
-	j.have = false
-	j.matches, j.midx = j.matches[:0], 0
-	j.key = make([]types.Value, len(j.node.LeftKeys))
-	j.out = make(types.Row, 0, len(j.node.Schema()))
-	return j.left.Open()
-}
-
-func (j *indexNLJoin) Next() (types.Row, bool, error) {
-	for {
-		for j.midx < len(j.matches) {
-			r := j.matches[j.midx]
-			j.midx++
-			out := appendCols(append(j.out[:0], j.lrow...), r, j.node.Cols)
-			ok, err := joinResidual(j.ctx.Clock, j.ctx.Params, j.node.Residual, out)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				continue
-			}
-			j.matched = true
-			return out, true, nil
-		}
-		if j.have && j.node.Type == plan.LeftOuter && !j.matched {
-			j.have = false
-			j.ctx.Clock.RowWork(1)
-			return padNulls(j.out, j.lrow, len(j.node.Schema())-len(j.lrow)), true, nil
-		}
-		if j.lDone {
-			return nil, false, nil
-		}
-		lr, ok, err := j.left.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			j.lDone = true
-			j.have = false
-			continue
-		}
-		j.lrow, j.have = lr, true
-		j.matched = false
-		j.matches = j.matches[:0]
-		j.midx = 0
-		keyInto(j.key, lr, j.node.LeftKeys)
-		if keyHasNull(j.key) {
-			continue
-		}
-		var evalErr error
-		j.node.Index.Tree.Lookup(j.ctx.Clock, j.key, func(e index.Entry) bool {
-			r, ok := j.node.Table.Heap.Get(j.ctx.Clock, e.RID)
-			if ok && j.node.Filter != nil {
-				ok, evalErr = expr.EvalPredicate(j.node.Filter, r, j.ctx.Params)
-			}
-			if ok {
-				j.matches = append(j.matches, r)
-			}
-			return evalErr == nil
-		})
-		if evalErr != nil {
-			return nil, false, evalErr
-		}
-	}
-}
-
-func (j *indexNLJoin) Close() error {
-	j.matches = nil
-	return j.left.Close()
 }

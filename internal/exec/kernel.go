@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"slices"
 
+	"rqp/internal/expr"
+	"rqp/internal/index"
 	"rqp/internal/plan"
 	"rqp/internal/storage"
 	"rqp/internal/types"
@@ -13,9 +15,9 @@ import (
 
 // The join, aggregation and materialisation kernel: the one row arena every
 // retainer copies through, the one hash table every hash join builds, the one
-// probe loop every hash join runs and the one group table every aggregation
-// accumulates into. Row, morsel and spill operators differ only in how they
-// feed rows in and carry rows out.
+// probe loop every streaming join runs and the one group table every
+// aggregation accumulates into. Row, morsel and spill operators differ only in
+// how they feed rows in and carry rows out.
 
 // arenaMaxChunk caps an arena chunk (in values, ~160 KB).
 const arenaMaxChunk = 4096
@@ -260,25 +262,44 @@ func concatInto(buf, l, r types.Row) types.Row {
 // the next call): l‖r, or the positions of it the node's Cols list. Keys and
 // residual number l‖r, so a projecting join with a residual assembles that
 // first; without one it gathers straight from its two inputs, and the columns
-// it sheds are never copied.
+// it sheds are never copied. An index nested-loop join's r is the fetched
+// row's Cols, and it keeps all of l‖r.
 type joinRow struct {
-	node      *plan.JoinNode
+	cols      []int
+	residual  expr.Expr
+	rw        int       // r's width: how many NULLs extend an outer row
 	wide, out types.Row // l‖r; its Cols
 }
 
-func newJoinRow(node *plan.JoinNode) joinRow {
-	j := joinRow{node: node, out: make(types.Row, 0, len(node.Cols))}
-	if node.Cols == nil || node.Residual != nil {
-		j.wide = make(types.Row, 0, len(node.Kids[0].Schema())+len(node.Kids[1].Schema()))
+// newJoinRow carves n's output buffers, and spare more values at its tail,
+// from slab, grown to fit, and returns the slab.
+func newJoinRow(n plan.Node, spare int, slab []types.Value) (joinRow, []types.Value) {
+	var j joinRow
+	lw := len(n.Children()[0].Schema())
+	switch n := n.(type) {
+	case *plan.JoinNode:
+		j = joinRow{cols: n.Cols, residual: n.Residual, rw: len(n.Kids[1].Schema())}
+	case *plan.IndexJoinNode:
+		j = joinRow{residual: n.Residual, rw: len(n.Schema()) - lw}
 	}
-	return j
+	wide := 0
+	if j.cols == nil || j.residual != nil {
+		wide = lw + j.rw
+	}
+	if need := wide + len(j.cols) + spare; cap(slab) < need {
+		slab = make([]types.Value, need)
+	} else {
+		slab = slab[:need]
+	}
+	j.wide, j.out = slab[:0:wide], slab[wide:wide:wide+len(j.cols)]
+	return j, slab
 }
 
 // gather overwrites out with the node's Cols of l‖r; a nil r stands for the
 // NULLs of an outer row.
 func (j *joinRow) gather(l, r types.Row) types.Row {
 	j.out = j.out[:0]
-	for _, c := range j.node.Cols {
+	for _, c := range j.cols {
 		switch {
 		case c < len(l):
 			j.out = append(j.out, l[c])
@@ -292,30 +313,33 @@ func (j *joinRow) gather(l, r types.Row) types.Row {
 }
 
 // match returns the output row of l joined with r if it passes the residual,
-// charging clk per joinResidual.
+// charging clk one unit of row work for a survivor: the one accept-and-charge
+// step of every join, so the charge discipline cannot drift between them.
 func (j *joinRow) match(clk *storage.Clock, params []types.Value, l, r types.Row) (types.Row, bool, error) {
-	n := j.node
-	if n.Cols != nil && n.Residual == nil {
+	if j.cols != nil && j.residual == nil {
 		clk.RowWork(1)
 		return j.gather(l, r), true, nil
 	}
 	j.wide = concatInto(j.wide, l, r)
-	if ok, err := joinResidual(clk, params, n.Residual, j.wide); err != nil || !ok {
-		return nil, false, err
+	if j.residual != nil {
+		if ok, err := expr.EvalPredicate(j.residual, j.wide, params); err != nil || !ok {
+			return nil, false, err
+		}
 	}
-	if n.Cols == nil {
+	clk.RowWork(1)
+	if j.cols == nil {
 		return j.wide, true, nil
 	}
-	j.out = appendCols(j.out[:0], j.wide, n.Cols)
+	j.out = appendCols(j.out[:0], j.wide, j.cols)
 	return j.out, true, nil
 }
 
 // outer returns the null-extended row of a probe row nothing matched.
 func (j *joinRow) outer(l types.Row) types.Row {
-	if j.node.Cols != nil {
+	if j.cols != nil {
 		return j.gather(l, nil)
 	}
-	j.wide = padNulls(j.wide, l, len(j.node.Kids[1].Schema()))
+	j.wide = padNulls(j.wide, l, j.rw)
 	return j.wide
 }
 
@@ -823,96 +847,160 @@ func keyMatches(key []types.Value, row types.Row, cols []int) bool {
 	return true
 }
 
-// hashBuild is the build side of one hash join: the in-memory table, or the
-// spill state when the broker's grant did not cover the build. It is shared
-// read-only by every prober of the join.
-type hashBuild struct {
-	ctx   *Context
-	node  *plan.JoinNode
-	tab   *joinTable // what probers probe: the build, or a spill's resident partitions
-	spill *spillJoin // set when the build exceeded its grant
-	grant int
+// openSpill partitions a hash build that exceeded j.grant; probers then see
+// the resident partitions' table.
+func (j *joinStage) openSpill(build *packedRows, depth int) {
+	j.spill = newSpillJoin(j.ctx, j.node, build, j.grant, depth)
+	j.tab = j.spill.table
 }
 
-// openSpill partitions a build that exceeded b.grant; probers then see the
-// resident partitions' table.
-func (b *hashBuild) openSpill(build *packedRows, depth int) {
-	b.spill = newSpillJoin(b.ctx, b.node, build, b.grant, depth)
-	b.tab = b.spill.table
-}
-
-// release frees the table (or spill state) and returns the grant.
-func (b *hashBuild) release() {
-	b.tab = nil
-	if b.spill != nil {
-		b.spill.close()
-		b.spill = nil
-	}
-	b.ctx.Mem.Release(b.grant)
-	b.grant = 0
-}
-
-// joinProbe is one prober's state against a hashBuild: key scratch, the row a
-// match is boxed into and the reused output row. A pipeline worker owns one per
-// stage, linked to the next link of its chain; a spilled partition's replay
-// owns one of its own.
+// joinProbe is one prober's state against a joinStage: key scratch, the row a
+// candidate is boxed or projected into and the reused output row, carved from
+// one slab, and an index lookup's matches. A pipeline worker's scratch keeps
+// one per stage, linked to the next link of its chain, and reuses it and its
+// slab from query to query; a spilled partition's replay owns one of its own.
 type joinProbe struct {
-	*hashBuild
-	key  []types.Value
-	cand types.Row
-	out  joinRow
-	rows int64          // rows handed on so far
-	clk  *storage.Clock // a stage's: the clock it charges ...
-	down adder          // ... and where its rows go
+	*joinStage
+	keys    []int // the probe row's key columns
+	outer   bool  // left outer: a probe row nothing matched comes out null-extended
+	key     []types.Value
+	cand    types.Row
+	matches []types.Row // an index lookup's, by reference
+	matched bool
+	out     joinRow
+	slab    []types.Value
+	rows    int64          // rows handed on so far
+	clk     *storage.Clock // a stage's: the clock it charges ...
+	down    adder          // ... and where its rows go
 }
 
-func (b *hashBuild) prober() *joinProbe {
-	return &joinProbe{
-		hashBuild: b,
-		key:       make([]types.Value, len(b.node.LeftKeys)),
-		out:       newJoinRow(b.node),
+func (s *joinStage) prober() *joinProbe {
+	p := &joinProbe{}
+	s.ready(p)
+	return p
+}
+
+// ready sets p up to probe s, reusing its slab and its matches' array.
+func (s *joinStage) ready(p *joinProbe) {
+	*p = joinProbe{joinStage: s, slab: p.slab, matches: p.matches[:0]}
+	var cand int // a candidate's width: a build row, or a fetched row's Cols
+	switch {
+	case s.ix != nil:
+		p.keys, p.outer, cand = s.ix.LeftKeys, s.ix.Type == plan.LeftOuter, len(s.ix.Schema())-len(s.ix.Kids[0].Schema())
+	case s.nested:
+		p.keys, p.outer = s.node.LeftKeys, s.node.Type == plan.LeftOuter
+	default:
+		p.keys, p.outer, cand = s.node.LeftKeys, s.node.Type == plan.LeftOuter, len(s.node.Kids[1].Schema())
 	}
+	nk := len(p.keys)
+	p.out, p.slab = newJoinRow(s.of(), nk+cand, p.slab)
+	spare := p.slab[len(p.slab)-nk-cand:]
+	p.key, p.cand = spare[:nk:nk], spare[nk:nk]
+}
+
+// drop lets go of everything p points into but its emptied slab and
+// matches' array, for the next query's stage to reuse.
+func (p *joinProbe) drop() {
+	clear(p.slab[:cap(p.slab)])
+	clear(p.matches[:cap(p.matches)])
+	*p = joinProbe{slab: p.slab[:0], matches: p.matches[:0]}
 }
 
 // add is a stage's link: each, on the prober's clock, into down.
 func (p *joinProbe) add(lr types.Row) error { return p.each(p.clk, lr, p.down.add) }
 
-// each probes lr, charging clk one probe, and hands sink every output row — a
-// match passing the residual, then (left outer, nothing matched) the
-// null-extended row — charging one unit of row work each. The row is the
-// prober's reused buffer, valid until sink returns. A row whose partition
-// spilled is deferred to its probe run (copied) and yields nothing now: its
-// matches and its outer row come out of spillJoin.finish.
+// each is the one probe loop of every streaming join. It hands sink each
+// candidate for lr's key that passes the residual — a hash join's chain (one
+// probe charged), every inner row of a nested-loop join (one comparison charged
+// each, in one batch; a NULL or unequal key fails like any other predicate) or
+// the rows an index lookup fetched that pass the node's Filter — then, left
+// outer and nothing matched, the null-extended row, charging one unit of row
+// work per row handed on. The row is the prober's reused buffer, valid until
+// sink returns. A hash probe row whose partition spilled is deferred to its
+// probe run (copied) and yields nothing now: its matches and its outer row come
+// out of spillJoin.finish.
 func (p *joinProbe) each(clk *storage.Clock, lr types.Row, sink func(types.Row) error) error {
-	clk.Probes(1)
-	outer := p.node.Type == plan.LeftOuter
-	if keyInto(p.key, lr, p.node.LeftKeys); !keyHasNull(p.key) {
-		h := types.HashRow(p.key)
-		if p.spill != nil && p.spill.deferProbe(lr, h) {
-			return nil
-		}
-		for i := p.tab.first(h); i >= 0; i = p.tab.after(i, h) {
-			if !p.tab.rows.match(p.key, int(i), p.node.RightKeys, &p.cand) {
-				continue
-			}
-			out, ok, err := p.out.match(clk, p.ctx.Params, lr, p.cand)
-			if err != nil {
+	keyInto(p.key, lr, p.keys)
+	null := keyHasNull(p.key)
+	p.matched = false
+	switch s := p.joinStage; {
+	case s.ix != nil:
+		if p.matches = p.matches[:0]; !null {
+			if err := p.lookup(clk); err != nil {
 				return err
 			}
-			if !ok {
+		}
+		for _, r := range p.matches {
+			p.cand = appendCols(p.cand[:0], r, s.ix.Cols)
+			if err := p.pair(clk, lr, p.cand, sink); err != nil {
+				return err
+			}
+		}
+	case s.nested:
+		clk.ComparesBatch(len(s.inner))
+		if null {
+			break
+		}
+		for _, r := range s.inner {
+			if len(p.key) > 0 && !keyMatches(p.key, r, s.node.RightKeys) {
 				continue
 			}
-			outer = false
-			p.rows++
-			if err := sink(out); err != nil {
+			if err := p.pair(clk, lr, r, sink); err != nil {
+				return err
+			}
+		}
+	default:
+		clk.Probes(1)
+		if null {
+			break
+		}
+		h := types.HashRow(p.key)
+		if s.spill != nil && s.spill.deferProbe(lr, h) {
+			return nil
+		}
+		for i := s.tab.first(h); i >= 0; i = s.tab.after(i, h) {
+			if !s.tab.rows.match(p.key, int(i), s.node.RightKeys, &p.cand) {
+				continue
+			}
+			if err := p.pair(clk, lr, p.cand, sink); err != nil {
 				return err
 			}
 		}
 	}
-	if !outer {
+	if p.matched || !p.outer {
 		return nil
 	}
 	clk.RowWork(1)
 	p.rows++
 	return sink(p.out.outer(lr))
+}
+
+// pair hands sink lr joined with the candidate r, if it passes the residual.
+func (p *joinProbe) pair(clk *storage.Clock, lr, r types.Row, sink func(types.Row) error) error {
+	out, ok, err := p.out.match(clk, p.ctx.Params, lr, r)
+	if err != nil || !ok {
+		return err
+	}
+	p.matched = true
+	p.rows++
+	return sink(out)
+}
+
+// lookup collects the stored rows the index holds under the key and the
+// node's Filter admits — all of them before the first goes down, as the tree
+// calls back under its read lock.
+func (p *joinProbe) lookup(clk *storage.Clock) error {
+	ix := p.ix
+	var err error
+	ix.Index.Tree.Lookup(clk, p.key, func(e index.Entry) bool {
+		r, ok := ix.Table.Heap.Get(clk, e.RID)
+		if ok && ix.Filter != nil {
+			ok, err = expr.EvalPredicate(ix.Filter, r, p.ctx.Params)
+		}
+		if ok {
+			p.matches = append(p.matches, r)
+		}
+		return err == nil
+	})
+	return err
 }

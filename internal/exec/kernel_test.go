@@ -296,7 +296,7 @@ func TestJoinProbeMatchesNaive(t *testing.T) {
 		}
 		node := testJoinNode(outer)
 		ctx := NewContext()
-		b := &hashStage{hashBuild: hashBuild{ctx: ctx, node: node}, right: &sliceOp{rows: build}}
+		b := &joinStage{ctx: ctx, node: node, right: &sliceOp{rows: build}}
 		if err := b.openBuild(); err != nil {
 			t.Fatal(err)
 		}

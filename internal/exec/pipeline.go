@@ -91,8 +91,8 @@ func scanPageRange(ctx *Context, node *plan.ScanNode, rf *rfConsumer, lo, hi int
 
 // ---------- the morsel pipeline ----------
 
-// pipeline is the one shape execution takes for scans, hash joins and hash
-// aggregation: a source cut into morsels, a chain of hash-join probes, and a
+// pipeline is the one shape execution takes for scans, streaming joins and
+// hash aggregation: a source cut into morsels, a chain of join probes, and a
 // sink. A morsel carries its rows from the decoded block (or heap page, or
 // source row) through every probe into the sink without materialising
 // anything in between: the scan lends its row, each probe hands on its reused
@@ -103,7 +103,7 @@ func scanPageRange(ctx *Context, node *plan.ScanNode, rf *rfConsumer, lo, hi int
 type pipeline struct {
 	ctx    *Context
 	root   plan.Node    // the node this pipeline's operator stands for: it names the workers and counts its own rows
-	stages []*hashStage // probe order: stages[0] probes the source
+	stages []*joinStage // probe order: stages[0] probes the source
 	src    morselSource
 
 	st   *morselScratch // one worker's, from open to close; nil when more drain it (open decides)
@@ -189,7 +189,7 @@ type morselSink interface {
 type morselScratch struct {
 	row    types.Row
 	block  *blockScratch // taken at the first column block
-	probes []*joinProbe
+	probes []joinProbe
 	sink   adder
 	store  rowStore
 	kept   *packedRows // and how many rows it kept before its current morsel
@@ -244,7 +244,9 @@ func (st *morselScratch) release() {
 		blockScratchPool.Put(b)
 	}
 	clear(st.row[:cap(st.row)])
-	clear(st.probes)
+	for i := range st.probes {
+		st.probes[i].drop()
+	}
 	clear(st.store.rows[:cap(st.store.rows)])
 	clear(st.store.slab[:cap(st.store.slab)])
 	st.store.reset()
@@ -255,31 +257,36 @@ func (st *morselScratch) release() {
 // link is where stage i's input goes: its prober, past the last stage the sink.
 func (st *morselScratch) link(i int) adder {
 	if i < len(st.probes) {
-		return st.probes[i]
+		return &st.probes[i]
 	}
 	return st.sink
 }
 
-// fusesJoin reports whether a node runs as a pipeline stage: every hash join
-// but a sharded one.
+// fusesJoin reports whether a node runs as a pipeline stage: every
+// streaming join — nested-loop, index nested-loop, and hash but a sharded
+// one.
 func (ctx *Context) fusesJoin(n plan.Node) bool {
-	j, ok := n.(*plan.JoinNode)
-	return ok && j.Alg == plan.JoinHash && !ctx.shardEligible(j)
+	switch j := n.(type) {
+	case *plan.IndexJoinNode:
+		return true
+	case *plan.JoinNode:
+		return j.Alg == plan.JoinNL || j.Alg == plan.JoinHash && !ctx.shardEligible(j)
+	}
+	return false
 }
 
-// fuse sets p up as root's operator over input: every hash join down the
-// probe side a stage, and a scan at the bottom the source; anything else
+// fuse sets p up as root's operator over input: every streaming join down
+// the probe side a stage, and a scan at the bottom the source; anything else
 // there is built as an operator.
 func (p *pipeline) fuse(ctx *Context, root, input plan.Node) error {
 	p.ctx, p.root = ctx, root
 	for ctx.fusesJoin(input) {
-		j := input.(*plan.JoinNode)
-		s := &hashStage{hashBuild: hashBuild{ctx: ctx, node: j}}
-		if err := s.side(j.Kids[1]); err != nil {
+		s, err := newJoinStage(ctx, input)
+		if err != nil {
 			return err
 		}
 		p.stages = append(p.stages, s)
-		input = j.Kids[0]
+		input = input.Children()[0]
 	}
 	slices.Reverse(p.stages)
 	if sc, ok := input.(*plan.ScanNode); ok {
@@ -291,14 +298,18 @@ func (p *pipeline) fuse(ctx *Context, root, input plan.Node) error {
 	return err
 }
 
-// open erects the builds outermost first — the order in which a join opening
-// its build side and then its probe child would — so grants, spill decisions
-// and runtime-filter publication keep that order. A build that spilled leaves
-// the pipeline to one worker: its deferred probe rows go to runs in source
-// order. The source comes last: a scan binds its runtime filters once every
-// build has published its own, and one worker reads a heap a page at a time,
-// as a consumer that stops early has always paid; an operator opens, to be
-// pulled by one worker or drained for more.
+// open erects the hash builds outermost first — the order in which a hash
+// join opening its build side and then its probe child would — so grants,
+// spill decisions and runtime-filter publication keep that order. A build
+// that spilled leaves the pipeline to one worker: its deferred probe rows go
+// to runs in source order. The source comes next: a scan binds its runtime
+// filters once every build has published its own, and one worker reads a
+// heap a page at a time, as a consumer that stops early has always paid; an
+// operator opens. The nested-loop inners come last, innermost first, as a
+// nested-loop join drains its inner once its probe child is open: for any mix
+// of stages this is the order in which the joins, opened one inside the
+// other, would. An operator source is then pulled by one worker or drained
+// for more.
 func (p *pipeline) open() error {
 	one := p.ctx.DOP <= 1
 	for i := len(p.stages) - 1; i >= 0; i-- {
@@ -316,29 +327,39 @@ func (p *pipeline) open() error {
 		s.bindScan(p.ctx, 1)
 	case s.scan != nil:
 		s.bindScan(p.ctx, MorselPages)
-	case one:
-		s.n = math.MaxInt // until it runs dry
-		return s.op.Open()
 	default:
-		rows, err := drain(s.op)
-		s.op = nil // drained and closed
-		s.rows, s.n = rows, morselCount(len(rows), MorselRows)
-		return err
+		s.n = math.MaxInt // until it runs dry
+		if err := s.op.Open(); err != nil {
+			return err
+		}
 	}
-	return nil
+	for _, j := range p.stages {
+		if err := j.openInner(); err != nil {
+			return err
+		}
+	}
+	if s.op == nil || one {
+		return nil
+	}
+	var rows RowSet
+	_, err := pull(s.op, nil, rows.add)
+	s.op = nil // drained and closed
+	s.rows = rows.Rows()
+	s.n = morselCount(len(s.rows), MorselRows)
+	return err
 }
 
 // chain links worker st's probers, one per stage and charging clk, in front
 // of sink.
 func (p *pipeline) chain(st *morselScratch, clk *storage.Clock, sink adder) {
 	st.sink = sink
-	for _, j := range p.stages {
-		pr := j.prober()
-		pr.clk = clk
-		st.probes = append(st.probes, pr)
+	st.probes = slices.Grow(st.probes, len(p.stages))[:len(p.stages)]
+	for i, j := range p.stages {
+		j.ready(&st.probes[i])
+		st.probes[i].clk = clk
 	}
-	for i, pr := range st.probes {
-		pr.down = st.link(i + 1)
+	for i := range st.probes {
+		st.probes[i].down = st.link(i + 1)
 	}
 }
 
@@ -459,9 +480,9 @@ func (p *pipeline) tails() error {
 
 // flush adds worker st's probe output counts to the stages'.
 func (p *pipeline) flush(st *morselScratch) {
-	for i, pr := range st.probes {
-		p.stages[i].emitted.Add(pr.rows)
-		pr.rows = 0
+	for i := range st.probes {
+		p.stages[i].emitted.Add(st.probes[i].rows)
+		st.probes[i].rows = 0
 	}
 }
 
@@ -480,8 +501,8 @@ func (p *pipeline) report() {
 		finishNode(p.ctx, s, float64(p.src.scanned.Load()), p.root, 0)
 	}
 	for _, j := range p.stages {
-		if j.node != p.root {
-			finishNode(p.ctx, j.node, float64(j.emitted.Load()), p.root, 0)
+		if n := j.of(); n != p.root {
+			finishNode(p.ctx, n, float64(j.emitted.Load()), p.root, 0)
 		}
 	}
 }
@@ -504,13 +525,13 @@ func (p *pipeline) close() error {
 	return nil
 }
 
-// ---------- scans and hash joins ----------
+// ---------- scans and streaming joins ----------
 
-// gather is the operator of a scan and of a hash join: its pipeline gathered
-// in morsel order — exactly the heap order of the scan and, because every
-// table chains rows in build order, the row order of the joins. One worker
-// runs a morsel per refill into a store it reuses; more run them all at Open
-// into an exchange. The charge multiset is the same either way, issued on
+// gather is the operator of a scan and of a streaming join: its pipeline
+// gathered in morsel order — exactly the heap order of the scan and, because
+// every table chains rows in build order, the row order of the joins. One
+// worker runs a morsel per refill into a store it reuses; more run them all at
+// Open into an exchange. The charge multiset is the same either way, issued on
 // worker shard clocks and merged at the gather barrier.
 type gather struct {
 	pipeline
@@ -557,22 +578,58 @@ func (g *gather) Close() error {
 	return g.close()
 }
 
-// hashStage is one hash join of a pipeline. The build side is drained once,
-// packed, into the one joinTable and hashed and linked in build order (in
-// parallel morsels when there are workers to share it); the pipeline's
-// morsels then probe the frozen table lock-free, each worker through its own
-// joinProbe.
-type hashStage struct {
-	hashBuild
-	right     Operator  // the build side, or ...
-	rightPipe *pipeline // ... a pipeline of its own, drained straight into the table
-	held      bool      // the grant is out: release owes the broker
+// joinStage is one streaming join of a pipeline, which the pipeline's morsels
+// probe lock-free, each worker through its own joinProbe. A hash join's build
+// side is drained once, packed, into the one joinTable and hashed and linked
+// in build order (in parallel morsels when there are workers to share it), or
+// partitioned into a spill when the broker's grant does not cover it. A
+// nested-loop join's inner is drained once, boxed, and every probe row loops
+// over it. An index nested-loop join looks each probe row's key up in its
+// B+ tree.
+type joinStage struct {
+	ctx       *Context
+	node      *plan.JoinNode      // a join of two inputs, or ...
+	ix        *plan.IndexJoinNode // ... an index nested-loop join
+	tab       *joinTable          // what a hash join's probers probe: the build, or a spill's resident partitions
+	spill     *spillJoin          // set when the build exceeded its grant
+	grant     int
+	nested    bool        // a nested-loop join ...
+	inner     []types.Row // ... and the inner it drained
+	right     Operator    // the build side or inner, or ...
+	rightPipe *pipeline   // ... a build side's pipeline of its own, drained straight into the table
+	held      bool        // the grant is out: release owes the broker
 	emitted   atomic.Int64
+}
+
+// newJoinStage sets n up as a stage: a hash join's build side, a nested-loop
+// join's inner as an operator, an index nested-loop join as it is.
+func newJoinStage(ctx *Context, n plan.Node) (*joinStage, error) {
+	s := &joinStage{ctx: ctx}
+	var err error
+	switch n := n.(type) {
+	case *plan.IndexJoinNode:
+		s.ix = n
+	case *plan.JoinNode:
+		if s.node, s.nested = n, n.Alg == plan.JoinNL; s.nested {
+			s.right, err = build(n.Kids[1], ctx)
+		} else {
+			err = s.side(n.Kids[1])
+		}
+	}
+	return s, err
+}
+
+// of is the node the stage stands for.
+func (j *joinStage) of() plan.Node {
+	if j.ix != nil {
+		return j.ix
+	}
+	return j.node
 }
 
 // side builds the build side: a pipeline of its own when it is one (a scan, a
 // fused join), an operator otherwise.
-func (j *hashStage) side(n plan.Node) error {
+func (j *joinStage) side(n plan.Node) error {
 	if _, ok := n.(*plan.ScanNode); ok || j.ctx.fusesJoin(n) {
 		j.rightPipe = &pipeline{}
 		return j.rightPipe.fuse(j.ctx, n, n)
@@ -588,8 +645,8 @@ func (j *hashStage) side(n plan.Node) error {
 // from the drained rows before the grant; more derive them per hashing morsel
 // — or here, after the grant, when the build spills. (A sharded join that
 // degrades hands over its own stage, already spilled.)
-func (j *hashStage) openBuild() error {
-	if j.held {
+func (j *joinStage) openBuild() error {
+	if j.held || j.ix != nil || j.nested {
 		return nil
 	}
 	build, err := j.drainBuild()
@@ -615,7 +672,7 @@ func (j *hashStage) openBuild() error {
 // operator row by row; a pipeline straight into the table's rows at one
 // worker and through an exchange for more, then closed, its root reported as
 // its operator would have been.
-func (j *hashStage) drainBuild() (*joinTable, error) {
+func (j *joinStage) drainBuild() (*joinTable, error) {
 	tab := &joinTable{}
 	p := j.rightPipe
 	if p == nil {
@@ -643,13 +700,35 @@ func (j *hashStage) drainBuild() (*joinTable, error) {
 	return tab, err
 }
 
-// release returns the build's table, spill runs and grant. Safe to call
-// twice, and on a build that never opened.
-func (j *hashStage) release() {
-	if j.held {
-		j.held = false
-		j.hashBuild.release()
+// openInner drains a nested-loop join's inner, once, charging a unit of row
+// work per row: what every probe row loops over.
+func (j *joinStage) openInner() error {
+	if !j.nested {
+		return nil
 	}
+	inner, err := drain(j.right)
+	if err != nil {
+		return err
+	}
+	j.inner = inner
+	j.ctx.Clock.RowWork(len(inner))
+	return nil
+}
+
+// release returns a hash build's table, spill runs and grant, and drops a
+// nested-loop inner. Safe to call twice, and on a stage that never opened.
+func (j *joinStage) release() {
+	j.inner = nil
+	if !j.held {
+		return
+	}
+	j.held, j.tab = false, nil
+	if j.spill != nil {
+		j.spill.close()
+		j.spill = nil
+	}
+	j.ctx.Mem.Release(j.grant)
+	j.grant = 0
 }
 
 // buildTable hashes the drained build rows in morsels, charging the insert
@@ -657,7 +736,7 @@ func (j *hashStage) release() {
 // morsel — then links the table in build order, so probing stays
 // deterministic. Partial Blooms are OR-merged in morsel order at the barrier
 // and published before any probe morsel can run.
-func (j *hashStage) buildTable(tab *joinTable, filters bool) error {
+func (j *joinStage) buildTable(tab *joinTable, filters bool) error {
 	rows := tab.rows.n
 	n := morselCount(rows, MorselRows)
 	tab.reserve()

@@ -128,7 +128,7 @@ func TestForcedAlgorithmsOnDuplicateHeavyData(t *testing.T) {
 		want += na * nb
 	}
 	st, _ := sql.Parse("SELECT la.x, lb.y FROM la, lb WHERE la.k = lb.k")
-	for _, alg := range []plan.JoinAlg{plan.JoinHash, plan.JoinMerge, plan.JoinNL, plan.JoinSymHash, plan.JoinGeneral} {
+	for _, alg := range []plan.JoinAlg{plan.JoinHash, plan.JoinMerge, plan.JoinNL, plan.JoinGeneral} {
 		bq, err := plan.Bind(st.(*sql.SelectStmt), cat)
 		if err != nil {
 			t.Fatal(err)
@@ -167,7 +167,7 @@ func TestJoinsWithNullKeys(t *testing.T) {
 	cat.AnalyzeTable(na, 2)
 	cat.AnalyzeTable(nb, 2)
 	st, _ := sql.Parse("SELECT na.k FROM na, nb WHERE na.k = nb.k")
-	for _, alg := range []plan.JoinAlg{plan.JoinHash, plan.JoinMerge, plan.JoinNL, plan.JoinSymHash, plan.JoinGeneral} {
+	for _, alg := range []plan.JoinAlg{plan.JoinHash, plan.JoinMerge, plan.JoinNL, plan.JoinGeneral} {
 		bq, _ := plan.Bind(st.(*sql.SelectStmt), cat)
 		o := opt.New(cat)
 		root, err := o.Optimize(bq, nil)

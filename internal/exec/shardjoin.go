@@ -26,7 +26,7 @@ import (
 //     is always the in-process one.
 //
 // One Open runs all three: collect the build side into the join's
-// hashStage, publish its runtime filters, take one grant; over the grant,
+// joinStage, publish its runtime filters, take one grant; over the grant,
 // spill the stage and run as a gather over it, exactly as the unsharded
 // engine degrades; otherwise route the build rows, then the probe rows from
 // one per-shard loop, and merge. A row counts as moved when its destination
@@ -44,7 +44,7 @@ type shardedHashJoin struct {
 	node      *plan.JoinNode
 	n         int
 	mode      plan.ShuffleMode
-	stage     hashStage      // the build side, its grant and, over the grant, its spill
+	stage     joinStage      // the build side, its grant and, over the grant, its spill
 	buildScan *plan.ScanNode // co-located: the build side, scanned partition by partition
 	src       morselSource   // the probe side: a fused scan, or the rows of ...
 	left      Operator       // ... the probe child, drained a morsel a row
@@ -159,7 +159,7 @@ func (j *shardedHashJoin) spill(build *joinTable) error {
 	}
 	j.stage.openSpill(&build.rows, 0)
 	g := &gather{}
-	g.ctx, g.root, g.stages = ctx, j.node, []*hashStage{&j.stage}
+	g.ctx, g.root, g.stages = ctx, j.node, []*joinStage{&j.stage}
 	g.src.scan, g.src.op = j.src.scan, j.left
 	j.fallback, j.left = g, nil
 	return g.Open()

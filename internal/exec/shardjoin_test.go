@@ -12,7 +12,7 @@ import (
 // TestOneShardJoinPath holds the sharded join to one path: outside tests,
 // only the in-process exchange's Collect builds and probes ShardJoiners —
 // every mode, co-located included, goes through an exchange — and the
-// sharded join never re-packs a build of boxed rows, since its hashStage
+// sharded join never re-packs a build of boxed rows, since its joinStage
 // packed the build once as it was collected.
 func TestOneShardJoinPath(t *testing.T) {
 	files, err := filepath.Glob("*.go")

@@ -114,7 +114,7 @@ func (ctx *Context) spillEvent(kind, format string, args ...any) {
 
 // ---------- partitioned (grace/hybrid) hash join ----------
 
-// spillJoin is the spill state of a hashBuild whose build exceeded its
+// spillJoin is the spill state of a hash joinStage whose build exceeded its
 // grant. Probe rows whose partition is resident are answered immediately from
 // table (preserving the streaming probe order), the rest are deferred to probe
 // runs and joined when finish replays the spilled partitions.
@@ -242,14 +242,14 @@ func (s *spillJoin) close() {
 }
 
 // joinPartition joins one spilled (build, probe) partition pair through the
-// same hashBuild and joinProbe as the in-memory join: in memory when the
+// same joinStage and joinProbe as the in-memory join: in memory when the
 // grant covers the build, by recursive repartitioning otherwise, and by
 // external sort-merge once the recursion bound is hit. Charges therefore
 // mirror the in-memory hash join exactly (insert = 2 probes per build row,
 // 1 probe per probe row, 1 row of CPU per emitted row) plus the temp-run
 // I/O charged where rows actually move.
 func joinPartition(ctx *Context, node *plan.JoinNode, build, probe []types.Row, depth int, emit func(types.Row) error) error {
-	b := hashBuild{ctx: ctx, node: node, grant: ctx.Mem.Grant(len(build))}
+	b := &joinStage{ctx: ctx, node: node, grant: ctx.Mem.Grant(len(build)), held: true}
 	defer b.release()
 	switch {
 	case len(build) <= b.grant:
@@ -290,7 +290,7 @@ func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Ro
 	sortRows(ctx, build, node.RightKeys)
 	lk := make([]types.Value, len(node.LeftKeys))
 	rk := make([]types.Value, len(node.RightKeys))
-	buf := newJoinRow(node)
+	buf, _ := newJoinRow(node, 0, nil)
 	ri := 0
 	var group []types.Row
 	for _, lr := range probe {

@@ -22,7 +22,6 @@ const (
 	JoinMerge
 	JoinNL
 	JoinIndexNL
-	JoinSymHash
 	JoinGeneral
 )
 
@@ -37,8 +36,6 @@ func (a JoinAlg) String() string {
 		return "NestedLoopJoin"
 	case JoinIndexNL:
 		return "IndexNLJoin"
-	case JoinSymHash:
-		return "SymHashJoin"
 	case JoinGeneral:
 		return "GJoin"
 	}

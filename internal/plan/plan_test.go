@@ -254,7 +254,7 @@ func TestBindExprStandalone(t *testing.T) {
 func TestJoinAlgAndTypeStrings(t *testing.T) {
 	names := map[JoinAlg]string{
 		JoinHash: "HashJoin", JoinMerge: "MergeJoin", JoinNL: "NestedLoopJoin",
-		JoinIndexNL: "IndexNLJoin", JoinSymHash: "SymHashJoin", JoinGeneral: "GJoin",
+		JoinIndexNL: "IndexNLJoin", JoinGeneral: "GJoin",
 	}
 	for alg, want := range names {
 		if alg.String() != want {

@@ -125,6 +125,10 @@ func (c *Clock) ZoneChecks(n int) { c.add(c.model.ZoneCheck * float64(n)) }
 // Compares charges n comparisons.
 func (c *Clock) Compares(n int) { c.add(c.model.Compare * float64(n)) }
 
+// ComparesBatch charges n comparisons, exactly equal to n calls of
+// Compares(1).
+func (c *Clock) ComparesBatch(n int) { c.addBatch(n, c.model.Compare) }
+
 // Units returns the accumulated cost in model units.
 func (c *Clock) Units() float64 {
 	return float64(atomic.LoadInt64(&c.units)) / clockScale
