@@ -22,9 +22,10 @@ type Rio struct {
 	// UncertaintyFactor f scales every non-temp base relation's estimate to
 	// the corners card/f, card and card*f.
 	UncertaintyFactor float64
-	// MaxPlans caps the per-corner enumeration.
-	MaxPlans int
 }
+
+// cornerPlanLimit caps the per-corner enumeration.
+const cornerPlanLimit = 64
 
 // RioChoice reports the decision.
 type RioChoice struct {
@@ -41,10 +42,6 @@ func (r *Rio) ChooseCore(rels []opt.BaseRel, conjuncts []expr.Expr, params []typ
 	if f <= 1 {
 		f = 4
 	}
-	limit := r.MaxPlans
-	if limit <= 0 {
-		limit = 64
-	}
 	// Per corner: signature -> cost, and the corner's optimum. Each corner
 	// plans over a layer of its own on the optimizer's Cards, so its factor
 	// multiplies whatever LEO has learned.
@@ -57,7 +54,7 @@ func (r *Rio) ChooseCore(rels []opt.BaseRel, conjuncts []expr.Expr, params []typ
 	for ci, mult := range [3]float64{1 / f, 1, f} {
 		cards := r.Opt.Cards.Over()
 		cards.ScaleBase(mult)
-		plans, err := r.Opt.WithCards(cards).EnumerateCorePlans(rels, conjuncts, params, limit)
+		plans, err := r.Opt.WithCards(cards).EnumerateCorePlans(rels, conjuncts, params, cornerPlanLimit)
 		if err != nil {
 			return nil, nil, RioChoice{}, err
 		}

@@ -351,10 +351,10 @@ func TestAllJoinAlgorithmsAgree(t *testing.T) {
 		name string
 		mod  func(*opt.Options)
 	}{
-		{"hash", func(o *opt.Options) { o.DisableMerge, o.DisableNL, o.DisableIndexNL = true, true, true }},
-		{"merge", func(o *opt.Options) { o.DisableHash, o.DisableNL, o.DisableIndexNL = true, true, true }},
-		{"nl", func(o *opt.Options) { o.DisableHash, o.DisableMerge, o.DisableIndexNL = true, true, true }},
-		{"gjoin", func(o *opt.Options) { o.GJoinOnly = true }},
+		{"hash", func(o *opt.Options) { o.Joins = 1 << plan.JoinHash }},
+		{"merge", func(o *opt.Options) { o.Joins = 1 << plan.JoinMerge }},
+		{"nl", func(o *opt.Options) { o.Joins = 1 << plan.JoinNL }},
+		{"gjoin", func(o *opt.Options) { o.Joins = 1 << plan.JoinGeneral }},
 	}
 	for _, cfg := range configs {
 		o := opt.New(cat)

@@ -144,7 +144,7 @@ func joinCases(t *testing.T) []joinCase {
 	}
 	def := opt.DefaultOptions()
 	ixOnly := def
-	ixOnly.DisableHash, ixOnly.DisableMerge, ixOnly.DisableNL = true, true, true
+	ixOnly.Joins = 1 << plan.JoinIndexNL
 	nl, hash := plan.JoinNL, plan.JoinHash
 	const (
 		inner   = `SELECT li.v, ord.d FROM li, ord WHERE li.o = ord.o AND li.g < 2`

@@ -90,7 +90,7 @@ func narrowPlans(t testing.TB, cat *catalog.Catalog, q string, indexNL bool) (na
 	}
 	o := opt.New(cat)
 	if indexNL {
-		o.Opt.DisableHash, o.Opt.DisableMerge, o.Opt.DisableNL = true, true, true
+		o.Opt.Joins = 1 << plan.JoinIndexNL
 	}
 	if narrow, err = o.Optimize(bq, nil); err != nil {
 		t.Fatalf("%q: %v", q, err)

@@ -171,7 +171,7 @@ func TestPropertyEngineMatchesReference(t *testing.T) {
 		{"classic", func(*opt.Optimizer) {}},
 		{"percentile", func(o *opt.Optimizer) { o.Opt.Mode = opt.Percentile }},
 		{"correlated", func(o *opt.Optimizer) { o.Opt.Mode = opt.Correlated }},
-		{"gjoin-only", func(o *opt.Optimizer) { o.Opt.GJoinOnly = true }},
+		{"gjoin-only", func(o *opt.Optimizer) { o.Opt.Joins = 1 << plan.JoinGeneral }},
 		{"tiny-memory", func(o *opt.Optimizer) { o.Opt.MemBudgetRows = 8 }},
 		{"bushy", func(o *opt.Optimizer) { o.Opt.BushyJoins = true }},
 	}
@@ -261,7 +261,7 @@ func TestPropertyIndexPathsMatchReference(t *testing.T) {
 		}
 		// Forced index plans must agree too.
 		forced := opt.New(cat)
-		forced.Opt.ForceIndexScans = true
+		forced.Opt.IndexPaths = opt.IndexAlways
 		rootIdx, err := forced.Optimize(bq, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -46,9 +46,9 @@ func E5Smoothness(scale float64) (*Report, error) {
 	// one a robust system must avoid at high selectivity); the scan-only
 	// one forbids it.
 	classic, indexOnly, robustK, scanOnly := defaults(), defaults(), defaults(), defaults()
-	indexOnly.opt.ForceIndexScans = true
+	indexOnly.opt.IndexPaths = opt.IndexAlways
 	robustK.opt.Mode, robustK.opt.PercentileP = opt.Percentile, 0.95
-	scanOnly.opt.NoIndexScans = true
+	scanOnly.opt.IndexPaths = opt.IndexNever
 
 	// Cubic spacing resolves the low-selectivity region where the
 	// index/scan crossover lives.

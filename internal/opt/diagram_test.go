@@ -111,19 +111,37 @@ func TestEnumerateCorePlansDedupAndOrder(t *testing.T) {
 
 func TestRepertoireFlags(t *testing.T) {
 	cat := buildCat(t, 3000, 60)
-	bq := bindQ(t, cat, "SELECT orders.id FROM orders, customer WHERE orders.cid = customer.id")
+	// An index on the inner's key lets one split price all five algorithms.
+	if _, err := cat.CreateIndex(nil, "customer", "c_id", []string{"id"}, true); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		equi   = "SELECT orders.id FROM orders, customer WHERE orders.cid = customer.id"
+		noEqui = "SELECT orders.id FROM orders, customer WHERE orders.cid < customer.id"
+	)
 	cases := []struct {
 		name    string
-		mod     func(*Options)
-		wantAlg string
+		joins   plan.JoinAlgs
+		query   string
+		wantAlg string // "" = planning fails
 	}{
-		{"only-merge", func(o *Options) { o.DisableHash, o.DisableNL, o.DisableIndexNL = true, true, true }, "MergeJoin"},
-		{"only-nl", func(o *Options) { o.DisableHash, o.DisableMerge, o.DisableIndexNL = true, true, true }, "NestedLoopJoin"},
+		{"only-merge", 1 << plan.JoinMerge, equi, "MergeJoin"},
+		{"only-nl", 1 << plan.JoinNL, equi, "NestedLoopJoin"},
+		{"only-gjoin", 1 << plan.JoinGeneral, equi, "GJoin"},
+		{"gjoin-no-equi-key", 1 << plan.JoinGeneral, noEqui, "NestedLoopJoin"},
+		{"all-five", 1<<plan.JoinHash | 1<<plan.JoinMerge | 1<<plan.JoinNL | 1<<plan.JoinIndexNL | 1<<plan.JoinGeneral, equi, "Join"},
+		{"empty", 0, equi, ""},
 	}
 	for _, c := range cases {
 		o := New(cat)
-		c.mod(&o.Opt)
-		root, err := o.Optimize(bq, nil)
+		o.Opt.Joins = c.joins
+		root, err := o.Optimize(bindQ(t, cat, c.query), nil)
+		if c.wantAlg == "" {
+			if err == nil {
+				t.Errorf("%s: an empty repertoire should fail to plan a join", c.name)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -131,10 +149,33 @@ func TestRepertoireFlags(t *testing.T) {
 			t.Errorf("%s: plan %s missing %s", c.name, plan.PlanSignature(root), c.wantAlg)
 		}
 	}
-	// Empty repertoire for equi-joins still finds NL unless disabled.
-	o := New(cat)
-	o.Opt.DisableHash, o.Opt.DisableMerge, o.Opt.DisableNL, o.Opt.DisableIndexNL = true, true, true, true
-	if _, err := o.Optimize(bq, nil); err == nil {
-		t.Error("fully disabled repertoire should fail to plan a join")
+}
+
+func TestIndexPaths(t *testing.T) {
+	cat := diagramCat(t)
+	const (
+		selective   = "SELECT y FROM dd WHERE x <= 5"
+		unselective = "SELECT y FROM dd WHERE x <= 900"
+	)
+	cases := []struct {
+		mode      IndexPaths
+		query     string
+		wantIndex bool
+	}{
+		{IndexCosted, selective, true},
+		{IndexCosted, unselective, false},
+		{IndexNever, selective, false},
+		{IndexAlways, unselective, true},
+	}
+	for _, c := range cases {
+		o := New(cat)
+		o.Opt.IndexPaths = c.mode
+		root, err := o.Optimize(bindQ(t, cat, c.query), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sig := plan.PlanSignature(root); strings.Contains(sig, "IndexScan") != c.wantIndex {
+			t.Errorf("mode %d on %q: plan %s, want IndexScan %v", c.mode, c.query, sig, c.wantIndex)
+		}
 	}
 }

@@ -62,8 +62,8 @@ func (o *Optimizer) enumerateCores(qi *queryInfo, limit int) ([]entry, error) {
 	if n == 1 {
 		return []entry{o.bestAccessPath(qi, 0)}, nil
 	}
-	var extend func(cur entry, used uint64)
-	extend = func(cur entry, used uint64) {
+	var extend func(cur entry, used uint64, cross bool)
+	extend = func(cur entry, used uint64, cross bool) {
 		if len(cores) >= limit {
 			return
 		}
@@ -77,34 +77,28 @@ func (o *Optimizer) enumerateCores(qi *queryInfo, limit int) ([]entry, error) {
 			if used&bit != 0 {
 				continue
 			}
-			if !o.Opt.CrossProducts && len(qi.preds) > 0 && !o.connected(qi, used, bit) {
+			if !cross && len(qi.preds) > 0 && !o.connected(qi, used, bit) {
 				continue
 			}
 			next := o.bestAccessPath(qi, i)
 			alts, n := o.priceJoins(qi, cur, next)
 			for _, a := range alts[:n] {
-				extend(o.buildJoin(qi, cur, next, a), used|bit)
+				extend(o.buildJoin(qi, cur, next, a), used|bit, cross)
 				if len(cores) >= limit {
 					return
 				}
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		start := o.bestAccessPath(qi, i)
-		extend(start, start.set)
-		if len(cores) >= limit {
-			break
-		}
-	}
-	if len(cores) == 0 {
-		saved := o.Opt.CrossProducts
-		o.Opt.CrossProducts = true
+	// Unless Options admit them, cross products only where nothing else plans.
+	for _, cross := range [2]bool{o.Opt.CrossProducts, true} {
 		for i := 0; i < n && len(cores) < limit; i++ {
 			start := o.bestAccessPath(qi, i)
-			extend(start, start.set)
+			extend(start, start.set, cross)
 		}
-		o.Opt.CrossProducts = saved
+		if len(cores) > 0 {
+			break
+		}
 	}
 	return cores, nil
 }

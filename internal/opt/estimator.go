@@ -36,30 +36,37 @@ const (
 type Options struct {
 	Mode          EstimateMode
 	PercentileP   float64 // quantile for Percentile mode (e.g. 0.9)
-	EvidenceRows  float64 // pseudo-sample size backing each estimate's posterior
 	MemBudgetRows int     // rows an operator may hold before spilling
 	BushyJoins    bool
 	CrossProducts bool // allow cross products inside enumeration
-	// Join algorithm repertoire (plan-repertoire robustness tests flip these).
-	DisableHash    bool
-	DisableMerge   bool
-	DisableNL      bool
-	DisableIndexNL bool
-	GJoinOnly      bool // replace the whole repertoire with the generalized join
-	NoIndexScans   bool // forbid index access paths
-	// ForceIndexScans pins access paths to index scans whenever an index is
-	// applicable, regardless of cost — the deliberately fragile policy the
-	// smoothness ablation compares against.
-	ForceIndexScans bool
+	// Joins is the join repertoire (plan-repertoire robustness tests narrow
+	// it). JoinGeneral joins a split with no equi key by nested loops.
+	Joins      plan.JoinAlgs
+	IndexPaths IndexPaths
 	// Columnar admits columnar access paths: tables carrying a column-store
 	// snapshot may be scanned by ColScan, with zone-map block-skipping and
 	// compression savings credited into the estimate.
 	Columnar bool
 }
 
+// IndexPaths says how index access paths compete with scans. IndexAlways is
+// the deliberately fragile policy the smoothness ablation compares against.
+type IndexPaths uint8
+
+// Index path modes.
+const (
+	IndexCosted IndexPaths = iota // the cheapest path wins
+	IndexNever                    // no index access paths
+	IndexAlways                   // an applicable index wins regardless of cost
+)
+
+// evidenceRows is the pseudo-sample size backing each estimate's posterior.
+const evidenceRows = 200
+
 // DefaultOptions is a sensible classic configuration.
 func DefaultOptions() Options {
-	return Options{Mode: Expected, PercentileP: 0.9, EvidenceRows: 200, MemBudgetRows: 1 << 16}
+	return Options{Mode: Expected, PercentileP: 0.9, MemBudgetRows: 1 << 16,
+		Joins: 1<<plan.JoinHash | 1<<plan.JoinMerge | 1<<plan.JoinNL | 1<<plan.JoinIndexNL}
 }
 
 // Optimizer plans bound query blocks against a catalog.
@@ -261,7 +268,7 @@ func (o *Optimizer) filterSelectivity(br BaseRel, filters []expr.Expr, params []
 		texts[i] = expr.EquivalentForm(f)
 		s := PredSelectivity(br.Table, f, params)
 		if o.Opt.Mode == Percentile {
-			d := stats.FromEstimate(s, o.Opt.EvidenceRows)
+			d := stats.FromEstimate(s, evidenceRows)
 			s = d.Percentile(o.Opt.PercentileP)
 		}
 		sels[i] = s

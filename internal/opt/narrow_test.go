@@ -160,7 +160,7 @@ func TestIndexNLResidualOverNarrowInner(t *testing.T) {
 	cat.AnalyzeTable(inner, 8)
 
 	o := New(cat)
-	o.Opt.DisableHash, o.Opt.DisableMerge, o.Opt.DisableNL = true, true, true
+	o.Opt.Joins = 1 << plan.JoinIndexNL
 	root, err := o.Optimize(bindQ(t, cat,
 		`SELECT outer_t.z, inner_t.v FROM outer_t, inner_t
 			WHERE outer_t.x = inner_t.k AND outer_t.y = inner_t.b AND inner_t.a < 300`), nil)

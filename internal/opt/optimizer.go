@@ -385,7 +385,7 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 		}
 	}
 
-	if o.Opt.NoIndexScans || ri.rel.Table == nil {
+	if o.Opt.IndexPaths == IndexNever || ri.rel.Table == nil {
 		return best
 	}
 	// Index paths: any live index whose leading column has a usable
@@ -428,12 +428,12 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 		if o.Opt.Mode == Percentile {
 			// Robust mode biases toward over-estimating matches, making the
 			// optimizer reluctant to bet on very selective index scans.
-			prefixSel = stats.FromEstimate(prefixSel, o.Opt.EvidenceRows).Percentile(o.Opt.PercentileP)
+			prefixSel = stats.FromEstimate(prefixSel, evidenceRows).Percentile(o.Opt.PercentileP)
 		}
 		matches := ri.rel.Rows * prefixSel
 		cost := o.costIndexScan(float64(ix.Tree.Height()), matches, ri.rel.Rows)
 		cost += matches * o.CM.RowCPU * float64(len(residual))
-		if cost >= best.cost && !o.Opt.ForceIndexScans {
+		if cost >= best.cost && o.Opt.IndexPaths != IndexAlways {
 			continue
 		}
 		if bestIndex != nil && cost >= bestIndex.cost {
@@ -452,7 +452,7 @@ func (o *Optimizer) bestAccessPath(qi *queryInfo, i int) entry {
 			best = cand
 		}
 	}
-	if o.Opt.ForceIndexScans && bestIndex != nil {
+	if o.Opt.IndexPaths == IndexAlways && bestIndex != nil {
 		return *bestIndex
 	}
 	return best
@@ -499,9 +499,10 @@ func (jp *joinPred) sides(le, re entry) (applies bool, l, r int) {
 	return true, -1, -1
 }
 
-// priceJoins costs every admissible physical join of two entries, in the
-// fixed order hash, merge, nested-loop, index nested-loop.
-func (o *Optimizer) priceJoins(qi *queryInfo, le, re entry) (alts [4]joinAlt, n int) {
+// priceJoins costs every join of two entries that Options.Joins admits, in
+// the fixed order hash, merge, nested-loop, index nested-loop, generalized.
+func (o *Optimizer) priceJoins(qi *queryInfo, le, re entry) (alts [5]joinAlt, n int) {
+	joins := o.Opt.Joins
 	rows := o.cardOfSet(qi, le.set|re.set)
 	add := func(a joinAlt, cost float64) {
 		a.cost, a.rows = cost, rows
@@ -511,7 +512,7 @@ func (o *Optimizer) priceJoins(qi *queryInfo, le, re entry) (alts [4]joinAlt, n 
 	// An index join wants the right side to be one base table with an index on
 	// an equi-join column: the first such column wins.
 	inl := joinAlt{alg: plan.JoinIndexNL}
-	if ri := qi.rels[trailingRel(re.set)]; popcount(re.set) == 1 && ri.rel.Table != nil && !o.Opt.DisableIndexNL {
+	if ri := qi.rels[trailingRel(re.set)]; popcount(re.set) == 1 && ri.rel.Table != nil && joins.Has(plan.JoinIndexNL) {
 		inl.inner = ri
 	}
 	hasEqui := false
@@ -524,21 +525,13 @@ func (o *Optimizer) priceJoins(qi *queryInfo, le, re entry) (alts [4]joinAlt, n 
 		}
 	}
 	both := le.cost + re.cost
-	if o.Opt.GJoinOnly {
-		if hasEqui {
-			add(joinAlt{alg: plan.JoinGeneral}, both+o.costGJoin(le.rows, re.rows, rows))
-		} else {
-			add(joinAlt{alg: plan.JoinNL}, both+o.costNLJoin(le.rows, re.rows, rows))
-		}
-		return alts, n
-	}
-	if hasEqui && !o.Opt.DisableHash {
+	if hasEqui && joins.Has(plan.JoinHash) {
 		add(joinAlt{alg: plan.JoinHash}, both+o.costHashJoin(le.rows, re.rows, rows))
 	}
-	if hasEqui && !o.Opt.DisableMerge {
+	if hasEqui && joins.Has(plan.JoinMerge) {
 		add(joinAlt{alg: plan.JoinMerge}, both+o.costMergeJoin(le.rows, re.rows, rows))
 	}
-	if !o.Opt.DisableNL {
+	if joins.Has(plan.JoinNL) || !hasEqui && joins.Has(plan.JoinGeneral) {
 		add(joinAlt{alg: plan.JoinNL}, both+o.costNLJoin(le.rows, re.rows, rows))
 	}
 	if ri := inl.inner; inl.ix != nil {
@@ -547,6 +540,9 @@ func (o *Optimizer) priceJoins(qi *queryInfo, le, re entry) (alts [4]joinAlt, n 
 			ndv = cs.NDV
 		}
 		add(inl, le.cost+o.costIndexNLJoin(le.rows, ri.rel.Rows/ndv, float64(inl.ix.Tree.Height()), rows))
+	}
+	if hasEqui && joins.Has(plan.JoinGeneral) {
+		add(joinAlt{alg: plan.JoinGeneral}, both+o.costGJoin(le.rows, re.rows, rows))
 	}
 	return alts, n
 }

@@ -42,6 +42,12 @@ func (a JoinAlg) String() string {
 	return "Join?"
 }
 
+// JoinAlgs is a set of join algorithms: 1<<a for each member a.
+type JoinAlgs uint8
+
+// Has reports whether a is in s.
+func (s JoinAlgs) Has(a JoinAlg) bool { return s&(1<<a) != 0 }
+
 // JoinType is inner or left outer.
 type JoinType uint8
 
