@@ -33,7 +33,6 @@ import (
 
 	"rqp/internal/core"
 	"rqp/internal/obs"
-	"rqp/internal/opt"
 	"rqp/internal/server"
 	"rqp/internal/wlm"
 	"rqp/internal/workload"
@@ -100,20 +99,11 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig()
-	switch *policy {
-	case "classic":
-		cfg.Policy = core.PolicyClassic
-	case "pop":
-		cfg.Policy = core.PolicyPOP
-	case "pop-eager":
-		cfg.Policy = core.PolicyPOPEager
-	case "rio":
-		cfg.Policy = core.PolicyRio
-	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
+	var err error
+	if cfg.Policy, err = core.ParsePolicy(*policy); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg.EstimateMode = opt.Expected
 	cfg.LEO = *leo
 	if *mpl > 0 {
 		cfg.Admission = wlm.NewAdmitter(*mpl)
@@ -155,28 +145,12 @@ func main() {
 		cfg.QueryLog = sink
 	}
 
-	var eng *core.Engine
-	switch *db {
-	case "":
-		eng = core.Open(cfg)
-	case "tpch":
-		cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: *scale, Seed: 1})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		eng = core.Attach(cat, cfg)
-	case "star":
-		cat, err := workload.BuildStar(workload.DefaultStar())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		eng = core.Attach(cat, cfg)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown database %q\n", *db)
+	cat, err := workload.Load(*db, *scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	eng := core.Attach(cat, cfg)
 	if *cache {
 		eng.Cache = core.NewPlanCache(0)
 	}

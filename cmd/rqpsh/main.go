@@ -26,6 +26,7 @@ import (
 	"rqp/internal/core"
 	"rqp/internal/obs"
 	"rqp/internal/opt"
+	"rqp/internal/plan"
 	"rqp/internal/server"
 	"rqp/internal/wlm"
 	"rqp/internal/workload"
@@ -71,17 +72,9 @@ func main() {
 	}
 
 	cfg := core.DefaultConfig()
-	switch *policy {
-	case "classic":
-		cfg.Policy = core.PolicyClassic
-	case "pop":
-		cfg.Policy = core.PolicyPOP
-	case "pop-eager":
-		cfg.Policy = core.PolicyPOPEager
-	case "rio":
-		cfg.Policy = core.PolicyRio
-	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
+	var err error
+	if cfg.Policy, err = core.ParsePolicy(*policy); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	switch *mode {
@@ -102,7 +95,16 @@ func main() {
 	}
 	cfg.DOP = *dop
 	cfg.Shards = *shards
-	cfg.ShuffleForce = *shuffleForce
+	switch *shuffleForce {
+	case "":
+	case "repartition":
+		cfg.ShuffleForce = plan.ShuffleRepartition
+	case "broadcast":
+		cfg.ShuffleForce = plan.ShuffleBroadcast
+	default:
+		fmt.Fprintf(os.Stderr, "unknown shuffle force %q: repartition | broadcast\n", *shuffleForce)
+		os.Exit(2)
+	}
 	cfg.ShardNoHotSplit = *noHotSplit
 	cfg.RuntimeFilters = *rf
 	cfg.Columnar = *columnar
@@ -127,29 +129,12 @@ func main() {
 		cfg.QueryLog = sink
 	}
 
-	var eng *core.Engine
-	switch *db {
-	case "":
-		eng = core.Open(cfg)
-	case "tpch":
-		cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: *scale, Seed: 1})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		eng = core.Attach(cat, cfg)
-	case "star":
-		sc := workload.DefaultStar()
-		cat, err := workload.BuildStar(sc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		eng = core.Attach(cat, cfg)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown database %q\n", *db)
+	cat, err := workload.Load(*db, *scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	eng := core.Attach(cat, cfg)
 
 	if *cache {
 		eng.Cache = core.NewPlanCache(0)

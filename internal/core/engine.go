@@ -19,6 +19,7 @@ import (
 	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/sql"
+	"rqp/internal/stats"
 	"rqp/internal/storage"
 	"rqp/internal/types"
 	"rqp/internal/wlm"
@@ -50,21 +51,29 @@ func (p ExecPolicy) String() string {
 	return "?"
 }
 
+// ParsePolicy is the inverse of ExecPolicy.String.
+func ParsePolicy(name string) (ExecPolicy, error) {
+	for p := PolicyClassic; p <= PolicyRio; p++ {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q", name)
+}
+
 // Config tunes the engine.
 type Config struct {
 	Policy        ExecPolicy
 	EstimateMode  opt.EstimateMode
-	PercentileP   float64
 	LEO           bool // learn from every execution
 	MemBudgetRows int
 	HistBuckets   int
 	// AutoAnalyze refreshes a table's statistics (and drops the cached plans
 	// that read it) before a query when modifications since the last ANALYZE
-	// exceed AutoAnalyzeFraction of the analyzed row count — the automatic
+	// exceed autoAnalyzeFraction of the analyzed row count — the automatic
 	// maintenance whose side effects the report's opening anecdote warns
 	// about (and experiment E21 reproduces).
-	AutoAnalyze         bool
-	AutoAnalyzeFraction float64
+	AutoAnalyze bool
 	// TraceAll attaches a tracer to every executed SELECT so Result.Trace
 	// carries the span tree and events (EXPLAIN ANALYZE always traces,
 	// independent of this switch).
@@ -112,10 +121,10 @@ type Config struct {
 	// surfaced as Result.Shuffle. 0 or 1 disables sharding.
 	Shards int
 	// ShuffleForce overrides the costed broadcast-vs-repartition choice:
-	// "repartition" or "broadcast" forces that exchange for every sharded
-	// join (co-location still wins when eligible unless forced away).
-	// Empty keeps the planner's costed choice.
-	ShuffleForce string
+	// plan.ShuffleRepartition or plan.ShuffleBroadcast forces that exchange
+	// for every sharded join. The zero value, plan.ShuffleNone, keeps the
+	// planner's costed choice (co-location wins where eligible).
+	ShuffleForce plan.ShuffleMode
 	// ShardNoHotSplit disables skew handling: heavy-hitter build keys are
 	// not split across shards even when per-shard row counters detect a
 	// hot shard. Used by benchmarks to measure the skew cliff.
@@ -131,17 +140,22 @@ type Config struct {
 	// spill/filter/reopt/admission counts) — obs.NewJSONLSink(file) gives
 	// the standard JSONL query log.
 	QueryLog obs.QuerySink
-	// RecentQueries sizes the lifecycle registry's completed-query ring
-	// served by the /queries debug endpoint (default 128).
-	RecentQueries int
 }
+
+const (
+	// autoAnalyzeFraction is the share of an analyzed table's rows that
+	// modifications must exceed before AutoAnalyze refreshes it.
+	autoAnalyzeFraction = 0.2
+	// recentQueries sizes the lifecycle registry's completed-query ring
+	// served by the /queries debug endpoint.
+	recentQueries = 128
+)
 
 // DefaultConfig is the classic configuration.
 func DefaultConfig() Config {
 	return Config{
 		Policy:        PolicyClassic,
 		EstimateMode:  opt.Expected,
-		PercentileP:   0.9,
 		MemBudgetRows: 1 << 16,
 		HistBuckets:   24,
 	}
@@ -197,9 +211,6 @@ func Open(cfg Config) *Engine {
 func Attach(cat *catalog.Catalog, cfg Config) *Engine {
 	o := opt.New(cat)
 	o.Opt.Mode = cfg.EstimateMode
-	if cfg.PercentileP > 0 {
-		o.Opt.PercentileP = cfg.PercentileP
-	}
 	if cfg.MemBudgetRows > 0 {
 		o.Opt.MemBudgetRows = cfg.MemBudgetRows
 	}
@@ -210,11 +221,7 @@ func Attach(cat *catalog.Catalog, cfg Config) *Engine {
 		}
 	}
 	metrics := obs.NewRegistry()
-	ring := cfg.RecentQueries
-	if ring <= 0 {
-		ring = 128
-	}
-	lifecycle := obs.NewQueryRegistry(ring, metrics)
+	lifecycle := obs.NewQueryRegistry(recentQueries, metrics)
 	if cfg.QueryLog != nil {
 		lifecycle.SetSink(cfg.QueryLog)
 	}
@@ -273,22 +280,17 @@ func (e *Engine) Exec(query string, params ...types.Value) (*Result, error) {
 	return e.ExecStream(query, nil, nil, params...)
 }
 
-// ExecCancelable is Exec with a cooperative cancellation hook: a non-nil
-// canceled func is polled before execution and periodically at the root
-// drain loop of SELECTs, and a true return aborts with exec.ErrCanceled.
-// DDL/DML statements ignore the hook (they are short).
-func (e *Engine) ExecCancelable(query string, canceled func() bool, params ...types.Value) (*Result, error) {
-	return e.ExecStream(query, canceled, nil, params...)
-}
-
-// ExecStream is ExecCancelable with the result delivered row by row: a
-// SELECT's rows go to sink as the plan root produces them and Result.Rows
-// stays nil (a nil sink keeps them in Result.Rows, which is all Exec and
-// ExecCancelable are). Everything else about the statement — admission,
-// lifecycle, metrics, cost — is the same path. The network service layer
-// encodes rows onto the socket through here, with client Cancel frames and
-// disconnects arriving through canceled. EXPLAIN ANALYZE and statements
-// other than SELECT never call the sink.
+// ExecStream is Exec with a cooperative cancellation hook and the result
+// delivered row by row. A non-nil canceled func is polled before execution
+// and periodically at the root drain loop of SELECTs, and a true return
+// aborts with exec.ErrCanceled; DDL/DML statements ignore it (they are
+// short). A SELECT's rows go to sink as the plan root produces them and
+// Result.Rows stays nil (a nil sink keeps them in Result.Rows, which is all
+// Exec is). Everything else about the statement — admission, lifecycle,
+// metrics, cost — is the same path. The network service layer encodes rows
+// onto the socket through here, with client Cancel frames and disconnects
+// arriving through canceled. EXPLAIN, EXPLAIN ANALYZE and statements other
+// than SELECT never call the sink.
 //
 // With a plan cache, a SELECT whose text is cached skips the parser and the
 // binder, and inside a cached plan's region the optimizer too: it goes from
@@ -296,14 +298,14 @@ func (e *Engine) ExecCancelable(query string, canceled func() bool, params ...ty
 func (e *Engine) ExecStream(query string, canceled func() bool, sink RowSink, params ...types.Value) (*Result, error) {
 	if e.cacheOn() {
 		if cs := e.Cache.statement(query); cs != nil {
-			return e.runSelectObserved(nil, cs, query, params, false, 0, false, canceled, sink)
+			return e.runSelectObserved(nil, cs, query, params, 0, false, canceled, sink)
 		}
 	}
 	st, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return e.execStmt(st, query, params, false, canceled, sink)
+	return e.execStmt(st, query, params, canceled, sink)
 }
 
 // cacheOn reports whether SELECTs go through the plan cache: only the classic
@@ -333,36 +335,54 @@ func (e *Engine) Prepare(query string) error {
 	return nil
 }
 
-// Explain returns the plan for a SELECT without executing it.
+// Explain returns the plan EXPLAIN query prints: the plan the SELECT would
+// run under the engine's policy, without executing it.
 func (e *Engine) Explain(query string, params ...types.Value) (string, error) {
 	st, err := sql.Parse(query)
 	if err != nil {
 		return "", err
 	}
-	sel, ok := st.(*sql.SelectStmt)
-	if !ok {
-		if ex, isEx := st.(*sql.ExplainStmt); isEx {
-			if s2, ok2 := ex.Inner.(*sql.SelectStmt); ok2 {
-				sel = s2
-			} else {
-				return "", fmt.Errorf("core: EXPLAIN supports SELECT only")
-			}
-		} else {
-			return "", fmt.Errorf("core: EXPLAIN supports SELECT only")
-		}
-	}
-	bq, err := plan.Bind(sel, e.Cat)
+	res, err := e.explain(st, params)
 	if err != nil {
 		return "", err
 	}
-	root, err := e.Opt.Optimize(bq, params)
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(root), nil
+	return res.Plan, nil
 }
 
-func (e *Engine) execStmt(st sql.Stmt, text string, params []types.Value, explainOnly bool, canceled func() bool, sink RowSink) (*Result, error) {
+// explain plans a SELECT as its execution would — subqueries expanded,
+// stale statistics refreshed, then Rio's robust choice under PolicyRio and
+// the optimizer's plan otherwise (POP's compile-time plan) — and returns it
+// without executing it. Any other statement is an error: explaining it must
+// not run it.
+func (e *Engine) explain(st sql.Stmt, params []types.Value) (*Result, error) {
+	s, ok := st.(*sql.SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("core: EXPLAIN supports SELECT only")
+	}
+	if _, err := e.expandSubqueries(s, params, 0); err != nil {
+		return nil, err
+	}
+	bq, err := plan.Bind(s, e.Cat)
+	if err != nil {
+		return nil, err
+	}
+	e.maybeAutoAnalyze(bq)
+	var root plan.Node
+	if e.Cfg.Policy == PolicyRio {
+		root, _, err = e.rio().Choose(bq, params)
+	} else {
+		root, err = e.Opt.Optimize(bq, params)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Columns: bq.ProjNames, Plan: plan.Explain(root)}, nil
+}
+
+// rio is the engine's bounding-box plan chooser.
+func (e *Engine) rio() *adaptive.Rio { return &adaptive.Rio{Opt: e.Opt, UncertaintyFactor: 4} }
+
+func (e *Engine) execStmt(st sql.Stmt, text string, params []types.Value, canceled func() bool, sink RowSink) (*Result, error) {
 	switch s := st.(type) {
 	case *sql.ExplainStmt:
 		if s.Analyze {
@@ -372,9 +392,9 @@ func (e *Engine) execStmt(st sql.Stmt, text string, params []types.Value, explai
 			}
 			return e.explainAnalyze(sel, params)
 		}
-		return e.execStmt(s.Inner, "", params, true, canceled, sink)
+		return e.explain(s.Inner, params)
 	case *sql.SelectStmt:
-		return e.runSelectObserved(s, nil, text, params, explainOnly, 0, false, canceled, sink)
+		return e.runSelectObserved(s, nil, text, params, 0, false, canceled, sink)
 	case *sql.CreateTableStmt:
 		e.invalidatePlans()
 		return e.execCreateTable(s)
@@ -419,16 +439,12 @@ func (e *Engine) maybeAutoAnalyze(q *plan.Query) {
 	if !e.Cfg.AutoAnalyze {
 		return
 	}
-	frac := e.Cfg.AutoAnalyzeFraction
-	if frac <= 0 {
-		frac = 0.2
-	}
 	refresh := func(t *catalog.Table) {
 		base := t.Stats.RowCount
 		if base < 50 {
 			base = 50
 		}
-		if float64(t.ModCount()) > frac*base {
+		if float64(t.ModCount()) > autoAnalyzeFraction*base {
 			e.analyze(t, false)
 		}
 	}
@@ -472,16 +488,12 @@ func (e *Engine) execCreateTable(s *sql.CreateTableStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
-func (e *Engine) runSelectDepth(s *sql.SelectStmt, text string, params []types.Value, explainOnly bool, depth int) (*Result, error) {
-	return e.runSelectObserved(s, nil, text, params, explainOnly, depth, false, nil, nil)
-}
-
 // explainAnalyze executes the SELECT under a tracer and renders the span
 // tree annotated with actual rows, per-node q-error and cost consumed,
 // followed by the engine-event log (re-optimizations, cache and memory and
 // admission decisions).
 func (e *Engine) explainAnalyze(sel *sql.SelectStmt, params []types.Value) (*Result, error) {
-	res, err := e.runSelectObserved(sel, nil, "", params, false, 0, true, nil, nil)
+	res, err := e.runSelectObserved(sel, nil, "", params, 0, true, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -501,7 +513,7 @@ func (e *Engine) explainAnalyze(sel *sql.SelectStmt, params []types.Value) (*Res
 
 // runSelectObserved runs one SELECT: s as parsed from text, or — s nil — the
 // cached statement cs that text was found under.
-func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text string, params []types.Value, explainOnly bool, depth int, forceTrace bool, canceled func() bool, sink RowSink) (finalRes *Result, finalErr error) {
+func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text string, params []types.Value, depth int, forceTrace bool, canceled func() bool, sink RowSink) (finalRes *Result, finalErr error) {
 	// Lifecycle registration: every top-level executing query gets an ID
 	// and a phase in the live registry, and retires into the completed ring
 	// (and the query log, if a sink is configured) on this function's single
@@ -511,7 +523,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 	var planFP string
 	var ctx *exec.Context
 	admissions := 0
-	if depth == 0 && !explainOnly && e.Lifecycle != nil {
+	if depth == 0 && e.Lifecycle != nil {
 		lifecycle = e.Lifecycle.Begin(text, e.Cfg.Policy.String())
 		defer func() {
 			lifecycle.SetFingerprint(planFP)
@@ -562,7 +574,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 		ctx.Mem.SetSchedule(e.Cfg.MemSchedule)
 	}
 	var trace *obs.Trace
-	if (forceTrace || e.Cfg.TraceAll) && !explainOnly {
+	if forceTrace || e.Cfg.TraceAll {
 		trace = obs.NewTrace(ctx.Clock)
 		ctx.Trace = trace
 		ctx.Mem.OnEvent = func(kind string, rows, inUse, budget int) {
@@ -578,7 +590,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 	}
 
 	// Workload-management admission: top-level executing queries only.
-	if depth == 0 && !explainOnly && e.Cfg.Admission != nil {
+	if depth == 0 && e.Cfg.Admission != nil {
 		d := e.Cfg.Admission.TryAdmit()
 		if trace != nil {
 			trace.Event("wlm.admission", d.String())
@@ -620,7 +632,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 	res := &Result{Columns: bq.ProjNames, Trace: trace}
 	var qerrs []float64
 	var rowSink exec.RowSink // nil: exec.Drain keeps the rows for res.Rows
-	if sink != nil && !explainOnly {
+	if sink != nil {
 		sink.Columns(res.Columns)
 		rowSink = sink.Row
 	}
@@ -630,16 +642,6 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 	}
 	switch e.Cfg.Policy {
 	case PolicyPOP, PolicyPOPEager:
-		if explainOnly {
-			// Progressive execution has no single static plan; EXPLAIN
-			// shows the initial compile-time plan without executing.
-			root, err := e.Opt.Optimize(bq, params)
-			if err != nil {
-				return nil, err
-			}
-			res.Plan = plan.Explain(root)
-			return res, nil
-		}
 		policy := adaptive.Checked
 		if e.Cfg.Policy == PolicyPOPEager {
 			policy = adaptive.Eager
@@ -652,17 +654,12 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 		res.Rows, res.RowCount = pres.Rows, pres.RowCount
 		res.Reopts = pres.Reopts
 		for _, c := range pres.Checks {
-			qerrs = append(qerrs, obs.QError(c.Estimated, c.Actual))
+			qerrs = append(qerrs, stats.QError(c.Estimated, c.Actual))
 		}
 	case PolicyRio:
-		rio := &adaptive.Rio{Opt: e.Opt, UncertaintyFactor: 4}
-		root, choice, err := rio.Choose(bq, params)
+		root, choice, err := e.rio().Choose(bq, params)
 		if err != nil {
 			return nil, err
-		}
-		if explainOnly {
-			res.Plan = plan.Explain(root)
-			return res, nil
 		}
 		if trace != nil {
 			trace.Event("rio.choice",
@@ -697,10 +694,6 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 			root, err = e.Opt.Optimize(bq, params)
 			if err != nil {
 				return nil, err
-			}
-			if explainOnly { // EXPLAIN shows the plan as optimized
-				res.Plan = plan.Explain(root)
-				return res, nil
 			}
 			marks = e.markPlan(root)
 			planFP = plan.Fingerprint(root)
@@ -820,7 +813,7 @@ func (e *Engine) armContext(ctx *exec.Context, root plan.Node, m PlanMarks) {
 	}
 	if ctx.Shuffle != nil {
 		if tr != nil {
-			tr.Event("shuffle.plan", fmt.Sprintf("shards=%d marked=%d force=%q", e.Cfg.Shards, m.shuffles, e.Cfg.ShuffleForce))
+			tr.Event("shuffle.plan", fmt.Sprintf("shards=%d marked=%d force=%s", e.Cfg.Shards, m.shuffles, e.Cfg.ShuffleForce))
 		}
 		e.Metrics.Counter("rqp_shuffle_queries_total").Inc()
 	}
@@ -832,7 +825,7 @@ func nodeQErrors(root plan.Node) []float64 {
 	plan.Walk(root, func(n plan.Node) {
 		p := n.Props()
 		if act := p.ActualRows(); act >= 0 {
-			out = append(out, obs.QError(p.EstRows, act))
+			out = append(out, stats.QError(p.EstRows, act))
 		}
 	})
 	return out

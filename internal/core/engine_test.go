@@ -7,6 +7,7 @@ import (
 	"rqp/internal/index"
 	"rqp/internal/opt"
 	"rqp/internal/types"
+	"rqp/internal/workload"
 )
 
 func newEngine(t *testing.T) *Engine {
@@ -125,6 +126,11 @@ func TestEnginePoliciesAgree(t *testing.T) {
 }
 
 func TestExplainDoesNotExecuteUnderAnyPolicy(t *testing.T) {
+	star, err := workload.BuildStar(workload.DefaultStar())
+	if err != nil {
+		t.Fatal(err)
+	}
+	starQueries := workload.StarWorkload(workload.DefaultStar(), 20, 0.5, 42)
 	for _, pol := range []ExecPolicy{PolicyClassic, PolicyPOP, PolicyPOPEager, PolicyRio} {
 		cfg := DefaultConfig()
 		cfg.Policy = pol
@@ -143,6 +149,53 @@ func TestExplainDoesNotExecuteUnderAnyPolicy(t *testing.T) {
 		}
 		if !strings.Contains(r.Plan, "SeqScan") {
 			t.Errorf("policy %v: plan missing scan:\n%s", pol, r.Plan)
+		}
+
+		// Explaining any other statement is an error and runs nothing.
+		e.MustExec("INSERT INTO t VALUES (100, 1)") // a modification ANALYZE would reset
+		tb, _ := e.Cat.Table("t")
+		rows, mods := tb.Stats.RowCount, tb.ModCount()
+		for _, q := range []string{
+			"EXPLAIN DELETE FROM t WHERE b = 1",
+			"EXPLAIN INSERT INTO t VALUES (1, 2)",
+			"EXPLAIN CREATE TABLE u (x int)",
+			"EXPLAIN ANALYZE t",
+		} {
+			if _, err := e.Exec(q); err == nil || !strings.Contains(err.Error(), "EXPLAIN supports SELECT only") {
+				t.Errorf("policy %v: %q: err = %v, want EXPLAIN supports SELECT only", pol, q, err)
+			}
+		}
+		if n := e.MustExec("SELECT COUNT(*) FROM t").Rows[0][0].I; n != 51 {
+			t.Errorf("policy %v: EXPLAIN of DML changed the rows: %d, want 51", pol, n)
+		}
+		if _, ok := e.Cat.Table("u"); ok {
+			t.Errorf("policy %v: EXPLAIN CREATE TABLE created the table", pol)
+		}
+		if tb.Stats.RowCount != rows || tb.ModCount() != mods {
+			t.Errorf("policy %v: EXPLAIN ANALYZE t analyzed the table", pol)
+		}
+
+		// Engine.Explain plans an IN (SELECT …) as the statement does.
+		sub := "SELECT a FROM t WHERE b IN (SELECT b FROM t WHERE a < 3)"
+		p, err := e.Explain(sub)
+		if err != nil {
+			t.Fatalf("policy %v: Explain(%q): %v", pol, sub, err)
+		}
+		if want := e.MustExec("EXPLAIN " + sub).Plan; p != want {
+			t.Errorf("policy %v: Explain(%q) =\n%s\nEXPLAIN prints\n%s", pol, sub, p, want)
+		}
+
+		// Engine.Explain is what EXPLAIN prints — Rio's robust choice
+		// included — on the star workload.
+		se := Attach(star, cfg)
+		for i, q := range starQueries {
+			p, err := se.Explain(q.SQL)
+			if err != nil {
+				t.Fatalf("policy %v: star query %d: %v", pol, i, err)
+			}
+			if want := se.MustExec("EXPLAIN " + q.SQL).Plan; p != want {
+				t.Errorf("policy %v: star query %d: Explain =\n%s\nEXPLAIN prints\n%s", pol, i, p, want)
+			}
 		}
 	}
 }
@@ -232,7 +285,6 @@ func TestUpdateMaintainsIndexes(t *testing.T) {
 func TestAutoAnalyze(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AutoAnalyze = true
-	cfg.AutoAnalyzeFraction = 0.1
 	e := Open(cfg)
 	e.MustExec("CREATE TABLE aa (v int)")
 	for i := 0; i < 200; i++ {

@@ -118,7 +118,6 @@ func TestLifecycleConfigSinkWiring(t *testing.T) {
 	n := 0
 	cfg := DefaultConfig()
 	cfg.QueryLog = obs.FuncSink(func(*obs.QueryRecord) { n++ })
-	cfg.RecentQueries = 2
 	e := Open(cfg)
 	e.MustExec("CREATE TABLE t (a int)")
 	e.MustExec("INSERT INTO t VALUES (1)")
@@ -128,8 +127,8 @@ func TestLifecycleConfigSinkWiring(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("query log saw %d records, want 3 (DDL/DML excluded)", n)
 	}
-	if got := len(e.Lifecycle.Recent()); got != 2 {
-		t.Fatalf("RecentQueries=2 ring holds %d", got)
+	if got := len(e.Lifecycle.Recent()); got != 3 {
+		t.Fatalf("completed-query ring holds %d, want 3", got)
 	}
 }
 

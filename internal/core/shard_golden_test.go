@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rqp/internal/catalog"
+	"rqp/internal/plan"
 	"rqp/internal/storage"
 	"rqp/internal/types"
 	"rqp/internal/workload"
@@ -71,8 +72,12 @@ func TestShardGolden(t *testing.T) {
 			}
 			built[cell.skew] = cat
 		}
+		mode := "" // the costed choice, as the golden names it
+		if cell.mode != plan.ShuffleNone {
+			mode = cell.mode.String()
+		}
 		for _, shards := range cell.shards {
-			run(fmt.Sprintf("matrix/skew=%.1f/mode=%s/mem=%d/dop=%d/shards=%d", cell.skew, cell.mode, cell.memRows, cell.dop, shards),
+			run(fmt.Sprintf("matrix/skew=%.1f/mode=%s/mem=%d/dop=%d/shards=%d", cell.skew, mode, cell.memRows, cell.dop, shards),
 				cat, Config{Policy: PolicyClassic, MemBudgetRows: cell.memRows, HistBuckets: 16, DOP: cell.dop, Shards: shards, ShuffleForce: cell.mode},
 				shardTestQueries)
 		}

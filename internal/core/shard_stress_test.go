@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rqp/internal/exec"
+	"rqp/internal/plan"
 	"rqp/internal/workload"
 )
 
@@ -55,7 +56,7 @@ func TestShardedStartOrderStress(t *testing.T) {
 	}
 	for _, h := range hooks {
 		exec.SetShardStartHook(h.fn)
-		for _, mode := range []string{"repartition", "broadcast"} {
+		for _, mode := range []plan.ShuffleMode{plan.ShuffleRepartition, plan.ShuffleBroadcast} {
 			for _, shards := range []int{2, 4, 8} {
 				eng := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: 1 << 16,
 					HistBuckets: 16, DOP: 2, Shards: shards, ShuffleForce: mode})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rqp/internal/catalog"
+	"rqp/internal/plan"
 	"rqp/internal/workload"
 )
 
@@ -48,7 +49,7 @@ func shardTestCatalog(t *testing.T, skew float64) *workload.ShardJoinConfig {
 // under concurrency, so they stay out of the strict matrix).
 type shardCell struct {
 	skew    float64
-	mode    string
+	mode    plan.ShuffleMode
 	memRows int
 	dop     int
 	shards  []int
@@ -68,19 +69,19 @@ func shardMatrix(short bool) []shardCell {
 	}
 	for _, memRows := range []int{1 << 16, 64} {
 		for _, dop := range dops {
-			cells = append(cells, shardCell{0, "", memRows, dop, all})
+			cells = append(cells, shardCell{0, plan.ShuffleNone, memRows, dop, all})
 		}
 	}
 	// Forced exchange modes.
-	for _, mode := range []string{"repartition", "broadcast"} {
+	for _, mode := range []plan.ShuffleMode{plan.ShuffleRepartition, plan.ShuffleBroadcast} {
 		cells = append(cells,
 			shardCell{0, mode, 1 << 16, 1, []int{2, 4}},
 			shardCell{0, mode, 64, 2, []int{2, 4}})
 	}
 	// Skewed keys through the hot-split repartition path.
 	cells = append(cells,
-		shardCell{1.4, "repartition", 1 << 16, 1, []int{2, 4, 8}},
-		shardCell{1.4, "repartition", 64, 1, []int{4}})
+		shardCell{1.4, plan.ShuffleRepartition, 1 << 16, 1, []int{2, 4, 8}},
+		shardCell{1.4, plan.ShuffleRepartition, 64, 1, []int{4}})
 	return cells
 }
 
@@ -213,7 +214,7 @@ func TestShardedHotSplitExact(t *testing.T) {
 	split := false
 	for _, shards := range []int{4, 8} {
 		eng := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16,
-			Shards: shards, ShuffleForce: "repartition"})
+			Shards: shards, ShuffleForce: plan.ShuffleRepartition})
 		got := eng.MustExec(q)
 		if rowsKey(got) != rowsKey(w) || got.Cost != w.Cost {
 			t.Fatalf("shards=%d: skewed join not exact (cost %v vs %v)", shards, got.Cost, w.Cost)

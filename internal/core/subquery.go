@@ -118,7 +118,7 @@ func (e *Engine) rewriteExpr(x sql.Expr, params []types.Value, depth int) (sql.E
 // runSubquery executes an IN-subquery and returns its single output column
 // as literal expressions.
 func (e *Engine) runSubquery(sub *sql.SelectStmt, params []types.Value, depth int) ([]sql.Expr, error) {
-	res, err := e.runSelectDepth(sub, "", params, false, depth)
+	res, err := e.runSelectObserved(sub, nil, "", params, depth, false, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: IN subquery: %w", err)
 	}

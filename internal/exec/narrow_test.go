@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"rqp/internal/catalog"
@@ -159,6 +158,7 @@ func TestNarrowPlanMatchesFullWidth(t *testing.T) {
 		disabled  int64
 		colocated int64
 	}
+	forced := map[string]plan.ShuffleMode{"repartition": plan.ShuffleRepartition, "broadcast": plan.ShuffleBroadcast}
 	run := func(root plan.Node, cell string, columnar, rf bool, dop int, shuffle string, budget int) outcome {
 		plan.Walk(root, func(n plan.Node) {
 			switch v := n.(type) {
@@ -177,7 +177,7 @@ func TestNarrowPlanMatchesFullWidth(t *testing.T) {
 			ctx.RF = NewRuntimeFilterSet(nil)
 		}
 		if shuffle != "unsharded" {
-			opt.PlanShuffles(root, 4, strings.TrimPrefix(shuffle, "planned"))
+			opt.PlanShuffles(root, 4, forced[shuffle]) // "planned": the costed choice
 			ctx.Shards, ctx.Shuffle = 4, NewShuffleStats(4)
 		}
 		rows, err := Run(root, ctx)
@@ -248,7 +248,7 @@ func TestShardedBuildScanCopiesLentRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := parallelPlanFor(t, cat, q)
-	opt.PlanShuffles(root, 4, "")
+	opt.PlanShuffles(root, 4, plan.ShuffleNone)
 	var join *plan.JoinNode
 	plan.Walk(root, func(n plan.Node) {
 		if j, ok := n.(*plan.JoinNode); ok {

@@ -461,7 +461,7 @@ func TestColumnarShardedJoinExact(t *testing.T) {
 		if _, err := Run(chainPlan(t, cat, q, true, false), sctx); err != nil {
 			t.Fatal(err)
 		}
-		for _, force := range []string{"repartition", "broadcast"} {
+		for _, force := range []plan.ShuffleMode{plan.ShuffleRepartition, plan.ShuffleBroadcast} {
 			for _, shards := range []int{2, 4} {
 				for _, dop := range []int{1, 2} {
 					root := chainPlan(t, cat, q, true, false)

@@ -144,7 +144,6 @@ func E20SharedScans(scale float64) (*Report, error) {
 func E21AutomaticDisaster(scale float64) (*Report, error) {
 	cfg := core.DefaultConfig()
 	cfg.AutoAnalyze = true // the refresh is genuinely automatic
-	cfg.AutoAnalyzeFraction = 0.2
 	eng := core.Open(cfg)
 	eng.Cache = core.NewPlanCache(1) // revalidate on every reuse = eager monitor
 	eng.MustExec("CREATE TABLE ad (id int, hot int, v int)")

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"rqp/internal/exec"
+	"rqp/internal/plan"
 	"rqp/internal/workload"
 )
 
@@ -84,7 +85,7 @@ type shardCell struct {
 	section    string
 	wcfg       workload.ShardJoinConfig
 	shards     int
-	force      string
+	force      plan.ShuffleMode
 	noHotSplit bool
 	workers    string // straggler worker vector, "" when balanced
 	colocate   bool   // both tables pre-partitioned on the join key
@@ -101,14 +102,14 @@ func shardMatrix(scale, skewOverride float64) []shardCell {
 	// makespan must follow as shards grow.
 	var cells []shardCell
 	for _, shards := range []int{1, 2, 4, 8} {
-		cells = append(cells, shardCell{"uniform", base, shards, "repartition", false, "", false})
+		cells = append(cells, shardCell{"uniform", base, shards, plan.ShuffleRepartition, false, "", false})
 	}
 	// Small build side at 4 shards: the costed planner should pick
 	// broadcast, and it should beat forced repartition on makespan.
 	small := base
 	small.BuildRows = max(20, base.BuildRows/50)
-	cells = append(cells, shardCell{"broadcast", small, 4, "", false, "", false},
-		shardCell{"broadcast", small, 4, "repartition", false, "", false})
+	cells = append(cells, shardCell{"broadcast", small, 4, plan.ShuffleNone, false, "", false},
+		shardCell{"broadcast", small, 4, plan.ShuffleRepartition, false, "", false})
 	// Zipf-skewed keys, hot-split on vs off: the skew-robustness claim is
 	// that splitting keeps the worst shard near the mean (no cliff).
 	skews := []float64{1.1, 1.3, 1.5}
@@ -119,16 +120,16 @@ func shardMatrix(scale, skewOverride float64) []shardCell {
 		sk := base
 		sk.Skew = skew
 		for _, noSplit := range []bool{false, true} {
-			cells = append(cells, shardCell{"skew", sk, 4, "repartition", noSplit, "", false})
+			cells = append(cells, shardCell{"skew", sk, 4, plan.ShuffleRepartition, noSplit, "", false})
 		}
 	}
 	// Straggler: one shard has half the workers of the others; the
 	// makespan degrades by a bounded factor, not a cliff.
-	cells = append(cells, shardCell{"straggler", base, 4, "repartition", false, "1,2,2,2", false})
+	cells = append(cells, shardCell{"straggler", base, 4, plan.ShuffleRepartition, false, "1,2,2,2", false})
 	// Co-located: both tables pre-partitioned on the join key — no rows
 	// move at all.
 	for _, shards := range []int{2, 4} {
-		cells = append(cells, shardCell{"colocated", base, shards, "", false, "", true})
+		cells = append(cells, shardCell{"colocated", base, shards, plan.ShuffleNone, false, "", true})
 	}
 	return cells
 }

@@ -32,9 +32,9 @@ type knobs struct {
 	opt        opt.Options // the optimizer's; opt.Columnar admits ColScan
 	budget     int         // workspace rows
 	dop        int
-	rf         bool   // runtime join filters
-	shards     int    // logical shards (0 or 1: unsharded)
-	force      string // shuffle exchange forced on every sharded join
+	rf         bool             // runtime join filters
+	shards     int              // logical shards (0 or 1: unsharded)
+	force      plan.ShuffleMode // shuffle exchange forced on every sharded join
 	noHotSplit bool
 	transport  exec.ShuffleTransport // nil: in-process exchanges
 	policy     policy

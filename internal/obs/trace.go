@@ -10,19 +10,9 @@ import (
 	"sync/atomic"
 
 	"rqp/internal/plan"
+	"rqp/internal/stats"
 	"rqp/internal/storage"
 )
-
-// QError returns max(est/actual, actual/est) with both floored at one row —
-// the multiplicative cardinality-error metric (Moerkotte et al.).
-func QError(estimated, actual float64) float64 {
-	e := math.Max(estimated, 1)
-	a := math.Max(actual, 1)
-	if e > a {
-		return e / a
-	}
-	return a / e
-}
 
 // Span is one operator's trace record. Cost is inclusive (it contains the
 // children's cost, because an operator's Next drives its children); the
@@ -146,7 +136,7 @@ func (s *Span) QError() float64 {
 	if !s.finished {
 		return 0
 	}
-	return QError(s.estRows, s.actual)
+	return stats.QError(s.estRows, s.actual)
 }
 
 // SelfCost returns the span's cost minus its children's.

@@ -18,12 +18,13 @@ import (
 //     put) wins, priced with the NetRow/HashProbe constants the executor
 //     charges into the shuffle-overhead domain.
 //
-// force overrides the costed choice with "repartition" or "broadcast"
-// ("colocated" is honored only where the layout allows it). The pass is a
+// force overrides the costed choice with ShuffleRepartition or
+// ShuffleBroadcast; ShuffleNone keeps it (and ShuffleColocated is honored
+// only where the layout allows it, as the costed choice would). The pass is a
 // pure function of the plan and its arguments: re-running it is
 // idempotent. It writes to the tree, so the engine runs it once per plan,
 // before the plan cache can share the tree between sessions.
-func PlanShuffles(root plan.Node, shards int, force string) int {
+func PlanShuffles(root plan.Node, shards int, force plan.ShuffleMode) int {
 	if shards <= 1 {
 		return 0
 	}
@@ -40,15 +41,12 @@ func PlanShuffles(root plan.Node, shards int, force string) int {
 	return marked
 }
 
-func chooseShuffle(j *plan.JoinNode, shards int, force string, m storage.CostModel) plan.ShuffleMode {
-	if colocatedEligible(j, shards) && force != "repartition" && force != "broadcast" {
-		return plan.ShuffleColocated
+func chooseShuffle(j *plan.JoinNode, shards int, force plan.ShuffleMode, m storage.CostModel) plan.ShuffleMode {
+	if force == plan.ShuffleRepartition || force == plan.ShuffleBroadcast {
+		return force
 	}
-	switch force {
-	case "repartition":
-		return plan.ShuffleRepartition
-	case "broadcast":
-		return plan.ShuffleBroadcast
+	if colocatedEligible(j, shards) {
+		return plan.ShuffleColocated
 	}
 	estL := j.Kids[0].Props().EstRows
 	estR := j.Kids[1].Props().EstRows

@@ -46,7 +46,7 @@ func TestPlanShufflesCostedChoice(t *testing.T) {
 	// Large probe, tiny build: replicating the build side is cheaper than
 	// moving a share of the probe rows.
 	j := shuffleTestJoin(t, 100000, 10, 0)
-	if n := PlanShuffles(j, 4, ""); n != 1 {
+	if n := PlanShuffles(j, 4, plan.ShuffleNone); n != 1 {
 		t.Fatalf("marked %d joins", n)
 	}
 	if j.Shuffle != plan.ShuffleBroadcast {
@@ -55,7 +55,7 @@ func TestPlanShufflesCostedChoice(t *testing.T) {
 
 	// Comparable sides: repartition moves less than full replication.
 	j = shuffleTestJoin(t, 1000, 1000, 0)
-	PlanShuffles(j, 4, "")
+	PlanShuffles(j, 4, plan.ShuffleNone)
 	if j.Shuffle != plan.ShuffleRepartition {
 		t.Errorf("balanced sides: want repartition, got %v", j.Shuffle)
 	}
@@ -63,16 +63,16 @@ func TestPlanShufflesCostedChoice(t *testing.T) {
 
 func TestPlanShufflesForce(t *testing.T) {
 	j := shuffleTestJoin(t, 100000, 10, 0)
-	PlanShuffles(j, 4, "repartition")
+	PlanShuffles(j, 4, plan.ShuffleRepartition)
 	if j.Shuffle != plan.ShuffleRepartition {
 		t.Errorf("force=repartition ignored: %v", j.Shuffle)
 	}
-	PlanShuffles(j, 4, "broadcast")
+	PlanShuffles(j, 4, plan.ShuffleBroadcast)
 	if j.Shuffle != plan.ShuffleBroadcast {
 		t.Errorf("force=broadcast ignored: %v", j.Shuffle)
 	}
 	// Idempotent: re-running with no force re-derives the costed choice.
-	PlanShuffles(j, 4, "")
+	PlanShuffles(j, 4, plan.ShuffleNone)
 	if j.Shuffle != plan.ShuffleBroadcast {
 		t.Errorf("re-mark not idempotent: %v", j.Shuffle)
 	}
@@ -80,19 +80,19 @@ func TestPlanShufflesForce(t *testing.T) {
 
 func TestPlanShufflesColocated(t *testing.T) {
 	j := shuffleTestJoin(t, 70, 35, 4)
-	PlanShuffles(j, 4, "")
+	PlanShuffles(j, 4, plan.ShuffleNone)
 	if j.Shuffle != plan.ShuffleColocated {
 		t.Errorf("matching partitioning: want colocated, got %v", j.Shuffle)
 	}
 	// Shard-count mismatch with the physical layout disqualifies it.
 	j = shuffleTestJoin(t, 70, 35, 2)
-	PlanShuffles(j, 4, "")
+	PlanShuffles(j, 4, plan.ShuffleNone)
 	if j.Shuffle == plan.ShuffleColocated {
 		t.Error("mismatched partition count must not co-locate")
 	}
 	// Forcing an exchange overrides co-location.
 	j = shuffleTestJoin(t, 70, 35, 4)
-	PlanShuffles(j, 4, "broadcast")
+	PlanShuffles(j, 4, plan.ShuffleBroadcast)
 	if j.Shuffle != plan.ShuffleBroadcast {
 		t.Errorf("force should beat colocation, got %v", j.Shuffle)
 	}
@@ -103,7 +103,7 @@ func TestPlanShufflesColocated(t *testing.T) {
 	for _, k := range j.Kids {
 		k.(*plan.ScanNode).Cols = []int{1}
 	}
-	PlanShuffles(j, 4, "")
+	PlanShuffles(j, 4, plan.ShuffleNone)
 	if j.Shuffle == plan.ShuffleColocated {
 		t.Error("a join on v co-located over tables partitioned on k")
 	}
@@ -111,7 +111,7 @@ func TestPlanShufflesColocated(t *testing.T) {
 
 func TestPlanShufflesDisabled(t *testing.T) {
 	j := shuffleTestJoin(t, 70, 35, 0)
-	if n := PlanShuffles(j, 1, ""); n != 0 {
+	if n := PlanShuffles(j, 1, plan.ShuffleNone); n != 0 {
 		t.Fatalf("shards=1 marked %d", n)
 	}
 	if j.Shuffle != plan.ShuffleNone {

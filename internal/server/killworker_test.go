@@ -8,6 +8,7 @@ import (
 
 	"rqp/internal/core"
 	"rqp/internal/exec"
+	"rqp/internal/plan"
 	"rqp/internal/wlm"
 )
 
@@ -27,7 +28,7 @@ func startShardServer(t *testing.T, procs *WorkerProcs, shards, mpl int) (*Serve
 	admit := wlm.NewAdmitter(mpl)
 	eng := core.Attach(cat, core.Config{
 		Policy: core.PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16,
-		Shards: shards, ShuffleForce: "repartition",
+		Shards: shards, ShuffleForce: plan.ShuffleRepartition,
 		ShuffleTransport: NewNetShuffleTransport(procs.Addrs),
 		Admission:        admit,
 	})

@@ -76,7 +76,7 @@ func netShufCatalog(t testing.TB, skew float64) *catalog.Catalog {
 
 type netShufCell struct {
 	skew    float64
-	mode    string
+	mode    plan.ShuffleMode
 	memRows int
 	dop     int
 	shards  []int
@@ -93,15 +93,15 @@ func netShufMatrix(short bool) []netShufCell {
 	}
 	var cells []netShufCell
 	for _, dop := range dops {
-		cells = append(cells, netShufCell{0, "", 1 << 16, dop, all})
+		cells = append(cells, netShufCell{0, plan.ShuffleNone, 1 << 16, dop, all})
 	}
 	cells = append(cells,
 		// Skewed keys: hot-key split with duplicated probe routing on the wire.
-		netShufCell{1.4, "repartition", 1 << 16, 1, []int{2, 4, 8}},
+		netShufCell{1.4, plan.ShuffleRepartition, 1 << 16, 1, []int{2, 4, 8}},
 		// Broadcast: build replicas cross the wire, probes stay put.
-		netShufCell{0, "broadcast", 1 << 16, 2, []int{2, 4}},
+		netShufCell{0, plan.ShuffleBroadcast, 1 << 16, 2, []int{2, 4}},
 		// Degrade: build exceeds its grant before any exchange opens.
-		netShufCell{0, "", 64, 1, []int{2, 4}})
+		netShufCell{0, plan.ShuffleNone, 64, 1, []int{2, 4}})
 	if short {
 		cells = cells[:len(cells)-1]
 	}
@@ -189,7 +189,7 @@ func TestNetShuffleExactness(t *testing.T) {
 func TestNetShuffleNarrowPlans(t *testing.T) {
 	addrs := startWorkerPool(t, 4, ShardWorkerConfig{})
 	cat := netShufCatalog(t, 0)
-	run := func(root plan.Node, force string) (string, int64, string) {
+	run := func(root plan.Node, force plan.ShuffleMode) (string, int64, string) {
 		opt.PlanShuffles(root, 4, force)
 		ctx := exec.NewContext()
 		ctx.Shards, ctx.Shuffle, ctx.ShufTransport = 4, exec.NewShuffleStats(4), NewNetShuffleTransport(addrs)
@@ -200,7 +200,7 @@ func TestNetShuffleNarrowPlans(t *testing.T) {
 		return netRowsKey(&core.Result{Rows: rows}), ctx.Clock.UnitsScaled(), ctx.Shuffle.Snapshot().Transport
 	}
 	for _, q := range netShufQueries[:netShufResidualQuery] {
-		for _, force := range []string{"", "repartition", "broadcast"} {
+		for _, force := range []plan.ShuffleMode{plan.ShuffleNone, plan.ShuffleRepartition, plan.ShuffleBroadcast} {
 			st, err := sql.Parse(q)
 			if err != nil {
 				t.Fatal(err)
@@ -234,10 +234,10 @@ func TestNetShuffleNarrowPlans(t *testing.T) {
 			gotRows, gotCost, transport := run(narrow, force)
 			wantRows, wantCost, _ := run(full, force)
 			if transport != "tcp" {
-				t.Fatalf("%q force=%q: ran over %q", q, force, transport)
+				t.Fatalf("%q force=%s: ran over %q", q, force, transport)
 			}
 			if gotRows != wantRows || gotCost != wantCost {
-				t.Errorf("%q force=%q: narrow plan diverges from full-width (cost %d vs %d)", q, force, gotCost, wantCost)
+				t.Errorf("%q force=%s: narrow plan diverges from full-width (cost %d vs %d)", q, force, gotCost, wantCost)
 			}
 		}
 	}
@@ -289,7 +289,7 @@ func TestNetShuffleFrameAmortization(t *testing.T) {
 	}
 	eng := core.Attach(cat, core.Config{
 		Policy: core.PolicyClassic, MemBudgetRows: 1 << 20, HistBuckets: 16,
-		Shards: 4, ShuffleForce: "repartition",
+		Shards: 4, ShuffleForce: plan.ShuffleRepartition,
 		ShuffleTransport: NewNetShuffleTransport(addrs),
 	})
 	got := eng.MustExec(netShufQueries[0])

@@ -6,10 +6,27 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 
+	"rqp/internal/catalog"
 	"rqp/internal/types"
 )
+
+// Load builds the database a command's -db flag names: "tpch" (TPC-H-lite at
+// scale, seed 1), "star" (DefaultStar, whatever the scale) or "" (an empty
+// catalog).
+func Load(name string, scale float64) (*catalog.Catalog, error) {
+	switch name {
+	case "":
+		return catalog.New(), nil
+	case "tpch":
+		return BuildTPCH(TPCHConfig{Scale: scale, Seed: 1})
+	case "star":
+		return BuildStar(DefaultStar())
+	}
+	return nil, fmt.Errorf("unknown database %q", name)
+}
 
 // Gen wraps a seeded random source so every workload is reproducible.
 type Gen struct {
