@@ -79,11 +79,11 @@ func main() {
 	}
 	switch *mode {
 	case "expected":
-		cfg.EstimateMode = opt.Expected
+		cfg.Mode = opt.Expected
 	case "percentile":
-		cfg.EstimateMode = opt.Percentile
+		cfg.Mode = opt.Percentile
 	case "correlated":
-		cfg.EstimateMode = opt.Correlated
+		cfg.Mode = opt.Correlated
 	default:
 		fmt.Fprintf(os.Stderr, "unknown estimation mode %q\n", *mode)
 		os.Exit(2)

@@ -37,12 +37,12 @@ func main() {
 		}()},
 		{"correlation-aware statistics", func() core.Config {
 			c := core.DefaultConfig()
-			c.EstimateMode = opt.Correlated
+			c.Mode = opt.Correlated
 			return c
 		}()},
 	} {
 		eng := core.Attach(cat, setup.cfg)
-		if setup.cfg.EstimateMode == opt.Correlated {
+		if setup.cfg.Mode == opt.Correlated {
 			// The correlated estimator needs column-group statistics.
 			fact, _ := cat.Table("fact")
 			if err := cat.AnalyzeGroup(fact, []string{"attr", "pseudo"}); err != nil {

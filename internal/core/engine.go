@@ -63,11 +63,17 @@ func ParsePolicy(name string) (ExecPolicy, error) {
 
 // Config tunes the engine.
 type Config struct {
-	Policy        ExecPolicy
-	EstimateMode  opt.EstimateMode
-	LEO           bool // learn from every execution
-	MemBudgetRows int
-	HistBuckets   int
+	// Options are the optimizer's: Attach hands them to it whole, and
+	// MemBudgetRows also sizes each query's workspace broker. Under Columnar
+	// Attach builds a columnar snapshot (dictionary/RLE/bit-packed blocks
+	// with zone maps) of every catalog table, the optimizer may choose
+	// ColScan where it is cheaper, and executed plans decode only referenced
+	// columns. DML leaves a table's snapshot standing (scans read the pages
+	// written since from the heap); ANALYZE rebuilds it.
+	opt.Options
+	Policy      ExecPolicy
+	LEO         bool // learn from every execution
+	HistBuckets int
 	// AutoAnalyze refreshes a table's statistics (and drops the cached plans
 	// that read it) before a query when modifications since the last ANALYZE
 	// exceed autoAnalyzeFraction of the analyzed row count — the automatic
@@ -104,13 +110,6 @@ type Config struct {
 	// selectivity is too low to pay for the membership tests, so the worst
 	// case stays near the unfiltered plan. Results are identical either way.
 	RuntimeFilters bool
-	// Columnar enables column-store access paths: Attach builds a columnar
-	// snapshot (dictionary/RLE/bit-packed blocks with zone maps) for every
-	// catalog table, the optimizer may choose ColScan where it is cheaper,
-	// and executed plans decode only referenced columns. DML leaves a
-	// table's snapshot standing (scans read the pages written since from
-	// the heap); ANALYZE rebuilds it.
-	Columnar bool
 	// Shards partitions SELECT execution across N logical shard "nodes"
 	// (goroutine-backed, network-transparent later): every hash join is
 	// planned with a shuffle exchange — co-located, hash-repartition, or
@@ -153,12 +152,7 @@ const (
 
 // DefaultConfig is the classic configuration.
 func DefaultConfig() Config {
-	return Config{
-		Policy:        PolicyClassic,
-		EstimateMode:  opt.Expected,
-		MemBudgetRows: 1 << 16,
-		HistBuckets:   24,
-	}
+	return Config{Options: opt.DefaultOptions(), Policy: PolicyClassic, HistBuckets: 24}
 }
 
 // Engine is one database instance.
@@ -210,11 +204,7 @@ func Open(cfg Config) *Engine {
 // Attach wraps an existing catalog (e.g. a pre-built workload database).
 func Attach(cat *catalog.Catalog, cfg Config) *Engine {
 	o := opt.New(cat)
-	o.Opt.Mode = cfg.EstimateMode
-	if cfg.MemBudgetRows > 0 {
-		o.Opt.MemBudgetRows = cfg.MemBudgetRows
-	}
-	o.Opt.Columnar = cfg.Columnar
+	o.Opt = cfg.Options
 	if cfg.Columnar {
 		for _, t := range cat.Tables() {
 			cat.BuildColumnar(t, storage.DefaultColBlock)
@@ -367,20 +357,24 @@ func (e *Engine) explain(st sql.Stmt, params []types.Value) (*Result, error) {
 		return nil, err
 	}
 	e.maybeAutoAnalyze(bq)
-	var root plan.Node
-	if e.Cfg.Policy == PolicyRio {
-		root, _, err = e.rio().Choose(bq, params)
-	} else {
-		root, err = e.Opt.Optimize(bq, params)
-	}
+	root, _, err := e.choose(bq, params)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Columns: bq.ProjNames, Plan: plan.Explain(root)}, nil
 }
 
-// rio is the engine's bounding-box plan chooser.
-func (e *Engine) rio() *adaptive.Rio { return &adaptive.Rio{Opt: e.Opt, UncertaintyFactor: 4} }
+// choose plans a bound SELECT under the engine's policy: Rio's bounding-box
+// choice under PolicyRio, returned with the plan, and the optimizer's plan
+// (choice nil) otherwise — POP's compile-time plan included.
+func (e *Engine) choose(bq *plan.Query, params []types.Value) (root plan.Node, choice *adaptive.RioChoice, err error) {
+	if e.Cfg.Policy != PolicyRio {
+		root, err = e.Opt.Optimize(bq, params)
+		return root, nil, err
+	}
+	root, c, err := (&adaptive.Rio{Opt: e.Opt, UncertaintyFactor: 4}).Choose(bq, params)
+	return root, &c, err
+}
 
 func (e *Engine) execStmt(st sql.Stmt, text string, params []types.Value, canceled func() bool, sink RowSink) (*Result, error) {
 	switch s := st.(type) {
@@ -527,21 +521,19 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 		lifecycle = e.Lifecycle.Begin(text, e.Cfg.Policy.String())
 		defer func() {
 			lifecycle.SetFingerprint(planFP)
-			st := obs.FinishStats{Err: finalErr, Admissions: admissions}
+			rec := obs.QueryRecord{Admissions: admissions}
 			if finalRes != nil {
-				st.Rows = finalRes.RowCount
-				st.Reopts = finalRes.Reopts
+				rec.Rows, rec.Reopts = finalRes.RowCount, finalRes.Reopts
 			}
 			if ctx != nil {
-				st.CostUnits = ctx.Clock.Units()
-				st.PeakMemRows = ctx.Mem.PeakUse()
-				st.SpillParts, st.SpillRows, _, _, _ = ctx.Spill.Snapshot()
+				rec.CostUnits = ctx.Clock.Units()
+				rec.PeakMemRows = ctx.Mem.PeakUse()
+				rec.SpillParts, rec.SpillRows, _, _, _ = ctx.Spill.Snapshot()
 				if ctx.RF != nil {
-					built, _, dropped, _ := ctx.RF.Snapshot()
-					st.RFBuilt, st.RFDropped = built, dropped
+					rec.RFBuilt, _, rec.RFDropped, _ = ctx.RF.Snapshot()
 				}
 			}
-			e.Lifecycle.Finish(lifecycle, st)
+			e.Lifecycle.Finish(lifecycle, finalErr, rec)
 		}()
 	}
 
@@ -656,29 +648,10 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 		for _, c := range pres.Checks {
 			qerrs = append(qerrs, stats.QError(c.Estimated, c.Actual))
 		}
-	case PolicyRio:
-		root, choice, err := e.rio().Choose(bq, params)
-		if err != nil {
-			return nil, err
-		}
-		if trace != nil {
-			trace.Event("rio.choice",
-				fmt.Sprintf("robust=%v regret=%.2f sig=%s", choice.Robust, choice.MaxRegret, choice.Sig))
-		}
-		planFP = plan.Fingerprint(root)
-		e.Metrics.Counter("rqp_rio_choices_total", obs.L("robust", fmt.Sprintf("%v", choice.Robust))).Inc()
-		e.armContext(ctx, root, e.markPlan(root))
-		res.Rows, res.RowCount, err = exec.Drain(root, ctx, rowSink)
-		if err != nil {
-			return nil, err
-		}
-		if sink == nil {
-			res.Plan = plan.ExplainActual(root)
-		}
-		qerrs = nodeQErrors(root)
 	default:
 		var root plan.Node
 		var marks PlanMarks
+		var err error
 		if cs != nil {
 			v, hit, err := e.Cache.plan(e, cs, params)
 			if err != nil {
@@ -690,16 +663,20 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 			if expanded && text != "" && e.cacheOn() {
 				e.Cache.uncacheable()
 			}
-			var err error
-			root, err = e.Opt.Optimize(bq, params)
-			if err != nil {
+			var choice *adaptive.RioChoice
+			if root, choice, err = e.choose(bq, params); err != nil {
 				return nil, err
 			}
-			marks = e.markPlan(root)
-			planFP = plan.Fingerprint(root)
+			if choice != nil {
+				if trace != nil {
+					trace.Event("rio.choice",
+						fmt.Sprintf("robust=%v regret=%.2f sig=%s", choice.Robust, choice.MaxRegret, choice.Sig))
+				}
+				e.Metrics.Counter("rqp_rio_choices_total", obs.L("robust", fmt.Sprintf("%v", choice.Robust))).Inc()
+			}
+			marks, planFP = e.markPlan(root), plan.Fingerprint(root)
 		}
 		e.armContext(ctx, root, marks)
-		var err error
 		res.Rows, res.RowCount, err = exec.Drain(root, ctx, rowSink)
 		if err != nil {
 			return nil, err
@@ -935,7 +912,6 @@ func (e *Engine) execInsert(s *sql.InsertStmt, params []types.Value) (*Result, e
 			colIdx = append(colIdx, ci)
 		}
 	}
-	b := &binderShim{}
 	n := 0
 	for _, exprRow := range s.Rows {
 		if len(exprRow) != len(colIdx) {
@@ -946,7 +922,7 @@ func (e *Engine) execInsert(s *sql.InsertStmt, params []types.Value) (*Result, e
 			row[i] = types.Null()
 		}
 		for i, ast := range exprRow {
-			bound, err := b.bind(ast)
+			bound, err := plan.BindExpr(ast, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -1030,7 +1006,6 @@ func (e *Engine) execUpdate(s *sql.UpdateStmt, params []types.Value) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	b := &binderShim{}
 	type setter struct {
 		col int
 		e   expr.Expr
@@ -1041,7 +1016,7 @@ func (e *Engine) execUpdate(s *sql.UpdateStmt, params []types.Value) (*Result, e
 		if ci < 0 {
 			return nil, fmt.Errorf("core: unknown column %q", cn)
 		}
-		bound, err := b.bindWithSchema(s.Set[cn], t.Schema)
+		bound, err := plan.BindExpr(s.Set[cn], t.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -1077,19 +1052,7 @@ func (e *Engine) bindRowPredicate(w sql.Expr, t *catalog.Table) (expr.Expr, erro
 	if w == nil {
 		return nil, nil
 	}
-	b := &binderShim{}
-	return b.bindWithSchema(w, t.Schema)
-}
-
-// binderShim reuses the plan binder for standalone expressions.
-type binderShim struct{}
-
-func (b *binderShim) bind(e sql.Expr) (expr.Expr, error) {
-	return b.bindWithSchema(e, nil)
-}
-
-func (b *binderShim) bindWithSchema(e sql.Expr, schema types.Schema) (expr.Expr, error) {
-	return plan.BindExpr(e, schema)
+	return plan.BindExpr(w, t.Schema)
 }
 
 // coerce aligns a literal with the target column kind (ints into float or

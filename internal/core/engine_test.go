@@ -202,7 +202,7 @@ func TestExplainDoesNotExecuteUnderAnyPolicy(t *testing.T) {
 
 func TestEngineRobustModes(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.EstimateMode = opt.Percentile
+	cfg.Mode = opt.Percentile
 	e := Open(cfg)
 	e.MustExec("CREATE TABLE t (a int)")
 	e.MustExec("INSERT INTO t VALUES (1), (2), (3)")
@@ -210,6 +210,17 @@ func TestEngineRobustModes(t *testing.T) {
 	r := e.MustExec("SELECT COUNT(*) FROM t WHERE a >= 2")
 	if r.Rows[0][0].I != 2 {
 		t.Errorf("robust mode broke correctness: %v", r.Rows)
+	}
+}
+
+// TestAttachHandsOverOptions: the optimizer plans under the Config's options
+// as written — every field, not the few Attach once copied.
+func TestAttachHandsOverOptions(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Mode, cfg.PercentileP = opt.Percentile, 0.75
+	cfg.IndexPaths, cfg.BushyJoins, cfg.MemBudgetRows = opt.IndexNever, true, 512
+	if got := Open(cfg).Opt.Opt; got != cfg.Options {
+		t.Errorf("Attach planned under %+v, want %+v", got, cfg.Options)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rqp/internal/exec"
+	"rqp/internal/opt"
 	"rqp/internal/types"
 	"rqp/internal/workload"
 )
@@ -507,10 +508,11 @@ func TestPlanCacheConcurrentExecutions(t *testing.T) {
 	const q = `SELECT l_returnflag, COUNT(*), SUM(l_quantity) FROM lineitem, orders
 		WHERE l_orderkey = o_orderkey AND o_totalprice > 1000 GROUP BY l_returnflag ORDER BY l_returnflag`
 	for _, cfg := range []Config{
-		{DOP: 2, Columnar: true, RuntimeFilters: true, Shards: 2},
-		{Columnar: true, RuntimeFilters: true},
+		{DOP: 2, RuntimeFilters: true, Shards: 2},
+		{RuntimeFilters: true},
 	} {
-		cfg.Policy, cfg.MemBudgetRows, cfg.HistBuckets = PolicyClassic, 1<<16, 16
+		cfg.Options, cfg.Policy, cfg.HistBuckets = opt.DefaultOptions(), PolicyClassic, 16
+		cfg.Columnar = true
 		e := Attach(cat, cfg)
 		e.Cache = NewPlanCache(0)
 		want := e.MustExec(q) // the miss that marks and publishes the plan

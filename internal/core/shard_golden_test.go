@@ -78,7 +78,7 @@ func TestShardGolden(t *testing.T) {
 		}
 		for _, shards := range cell.shards {
 			run(fmt.Sprintf("matrix/skew=%.1f/mode=%s/mem=%d/dop=%d/shards=%d", cell.skew, mode, cell.memRows, cell.dop, shards),
-				cat, Config{Policy: PolicyClassic, MemBudgetRows: cell.memRows, HistBuckets: 16, DOP: cell.dop, Shards: shards, ShuffleForce: cell.mode},
+				cat, Config{Policy: PolicyClassic, Options: withBudget(cell.memRows), HistBuckets: 16, DOP: cell.dop, Shards: shards, ShuffleForce: cell.mode},
 				shardTestQueries)
 		}
 	}
@@ -94,7 +94,7 @@ func TestShardGolden(t *testing.T) {
 		for _, mem := range []int{1 << 16, 64} {
 			for _, dop := range []int{1, 2} {
 				run(fmt.Sprintf("colocated/shards=%d/mem=%d/dop=%d", shards, mem, dop),
-					cat, Config{Policy: PolicyClassic, MemBudgetRows: mem, HistBuckets: 16, DOP: dop, Shards: shards},
+					cat, Config{Policy: PolicyClassic, Options: withBudget(mem), HistBuckets: 16, DOP: dop, Shards: shards},
 					shardTestQueries)
 			}
 		}
@@ -105,7 +105,7 @@ func TestShardGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mem := range []int{1 << 20, 64} {
-		eng := Attach(tpch, Config{Policy: PolicyClassic, MemBudgetRows: mem, Shards: 4})
+		eng := Attach(tpch, Config{Policy: PolicyClassic, Options: withBudget(mem), Shards: 4})
 		for _, q := range []string{"Q3", "Q5", "Q10"} {
 			lines = append(lines, shardLine(fmt.Sprintf("tpch/%s/mem=%d/shards=4", q, mem), eng.MustExec(workload.TPCHQueries()[q])))
 		}

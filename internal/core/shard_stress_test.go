@@ -25,7 +25,7 @@ func TestShardedStartOrderStress(t *testing.T) {
 	}
 	const q = "SELECT pt.k, bt.bval, pt.pval FROM pt, bt WHERE pt.k = bt.k AND bt.bval < 700"
 
-	base := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16})
+	base := Attach(cat, Config{Policy: PolicyClassic, Options: withBudget(1 << 16), HistBuckets: 16})
 	w := base.MustExec(q)
 	wantRows, wantCost := rowsKey(w), w.Cost
 
@@ -58,7 +58,7 @@ func TestShardedStartOrderStress(t *testing.T) {
 		exec.SetShardStartHook(h.fn)
 		for _, mode := range []plan.ShuffleMode{plan.ShuffleRepartition, plan.ShuffleBroadcast} {
 			for _, shards := range []int{2, 4, 8} {
-				eng := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: 1 << 16,
+				eng := Attach(cat, Config{Policy: PolicyClassic, Options: withBudget(1 << 16),
 					HistBuckets: 16, DOP: 2, Shards: shards, ShuffleForce: mode})
 				for i := 0; i < iters; i++ {
 					got := eng.MustExec(q)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rqp/internal/catalog"
+	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/workload"
 )
@@ -18,6 +19,13 @@ var shardTestQueries = []string{
 	"SELECT COUNT(*), SUM(pt.pval) FROM pt, bt WHERE pt.k = bt.k",
 	"SELECT pt.k, bt.bval, pt.pval FROM pt, bt WHERE pt.k = bt.k AND bt.bval < 500",
 	"SELECT pt.k, bt.bval FROM pt LEFT JOIN bt ON pt.k = bt.k",
+}
+
+// withBudget is opt.DefaultOptions with a workspace of rows.
+func withBudget(rows int) opt.Options {
+	o := opt.DefaultOptions()
+	o.MemBudgetRows = rows
+	return o
 }
 
 func rowsKey(res *Result) string {
@@ -98,7 +106,7 @@ func TestShardedExactness(t *testing.T) {
 			built[cell.skew] = cat
 		}
 		base := Attach(cat, Config{
-			Policy: PolicyClassic, MemBudgetRows: cell.memRows,
+			Policy: PolicyClassic, Options: withBudget(cell.memRows),
 			HistBuckets: 16, DOP: cell.dop,
 		})
 		want := make(map[string]*Result, len(shardTestQueries))
@@ -109,7 +117,7 @@ func TestShardedExactness(t *testing.T) {
 			name := fmt.Sprintf("skew=%.1f/mode=%s/mem=%d/dop=%d/shards=%d",
 				cell.skew, cell.mode, cell.memRows, cell.dop, shards)
 			eng := Attach(cat, Config{
-				Policy: PolicyClassic, MemBudgetRows: cell.memRows,
+				Policy: PolicyClassic, Options: withBudget(cell.memRows),
 				HistBuckets: 16, DOP: cell.dop,
 				Shards: shards, ShuffleForce: cell.mode,
 			})
@@ -147,8 +155,8 @@ func TestShardedColocated(t *testing.T) {
 		}
 		for _, mem := range []int{1 << 16, 64} {
 			for _, dop := range []int{1, 2} {
-				base := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: mem, HistBuckets: 16, DOP: dop})
-				eng := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: mem, HistBuckets: 16, DOP: dop, Shards: shards})
+				base := Attach(cat, Config{Policy: PolicyClassic, Options: withBudget(mem), HistBuckets: 16, DOP: dop})
+				eng := Attach(cat, Config{Policy: PolicyClassic, Options: withBudget(mem), HistBuckets: 16, DOP: dop, Shards: shards})
 				for _, q := range shardTestQueries {
 					name := fmt.Sprintf("shards=%d mem=%d dop=%d %q", shards, mem, dop, q)
 					w := base.MustExec(q)
@@ -185,9 +193,9 @@ func TestShardedRuntimeFilterSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16, RuntimeFilters: true})
+	base := Attach(cat, Config{Policy: PolicyClassic, Options: withBudget(1 << 16), HistBuckets: 16, RuntimeFilters: true})
 	for _, shards := range []int{2, 4} {
-		eng := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16,
+		eng := Attach(cat, Config{Policy: PolicyClassic, Options: withBudget(1 << 16), HistBuckets: 16,
 			RuntimeFilters: true, Shards: shards})
 		for _, q := range shardTestQueries {
 			w := base.MustExec(q)
@@ -209,11 +217,11 @@ func TestShardedHotSplitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := shardTestQueries[0]
-	base := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16})
+	base := Attach(cat, Config{Policy: PolicyClassic, Options: withBudget(1 << 16), HistBuckets: 16})
 	w := base.MustExec(q)
 	split := false
 	for _, shards := range []int{4, 8} {
-		eng := Attach(cat, Config{Policy: PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16,
+		eng := Attach(cat, Config{Policy: PolicyClassic, Options: withBudget(1 << 16), HistBuckets: 16,
 			Shards: shards, ShuffleForce: plan.ShuffleRepartition})
 		got := eng.MustExec(q)
 		if rowsKey(got) != rowsKey(w) || got.Cost != w.Cost {

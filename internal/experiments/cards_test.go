@@ -44,7 +44,7 @@ func TestCostAtTrueCardinalities(t *testing.T) {
 	axes := []axis{
 		{"columnar", []float64{0, 1}, func(k *knobs, v float64) { k.opt.Columnar = v == 1 }},
 		{"rf", []float64{0, 1}, func(k *knobs, v float64) { k.rf = v == 1 }},
-		{"budget", []float64{1 << 30, 64}, memSweepBudgets.set},
+		{"budget", []float64{unlimited, 64}, memSweepBudgets.set},
 	}
 	var sb strings.Builder
 	err := sweep(defaults(), axes, func(k knobs, at []float64) error {
@@ -64,18 +64,18 @@ func TestCostAtTrueCardinalities(t *testing.T) {
 			if err != nil {
 				return fmt.Errorf("%s at actuals: %w", s.name, err)
 			}
-			core.MarkPlan(o, core.Config{RuntimeFilters: k.rf}, again)
+			core.MarkPlan(o, core.Config{Options: k.opt, RuntimeFilters: k.rf}, again)
 			units, priced := r.cost(), again.Props().EstCost
 			residual := priced/units - 1
 			samePlan := plan.PlanSignature(again) == plan.PlanSignature(executed)
 			budget := "inf"
-			if k.budget == 64 {
+			if k.opt.MemBudgetRows == 64 {
 				budget = "64"
 			}
 			cell := fmt.Sprintf("%s columnar=%v rf=%v budget=%s", s.name, k.opt.Columnar, k.rf, budget)
 			fmt.Fprintf(&sb, "%-47s est=%8.2f executed=%8.2f at_actuals=%8.2f residual=%+6.1f%% same_plan=%v\n",
 				cell, executed.Props().EstCost, units, priced, 100*residual, samePlan)
-			if k.rf || k.budget != 1<<30 {
+			if k.rf || k.opt.MemBudgetRows != unlimited {
 				continue
 			}
 			if !samePlan {

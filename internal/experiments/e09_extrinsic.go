@@ -38,13 +38,18 @@ func E9Extrinsic(scale float64) (*Report, error) {
 		{"collapsed-memory", 64},
 	}
 
+	// The system plans believing it has ample memory (the change is
+	// unexpected — that is the point of the test) and runs that plan in
+	// every environment.
+	believed, err := execute(cat, defaults(), sqls(query)...)
+	if err != nil {
+		return nil, err
+	}
 	var idealTimes, producedTimes []float64
 	for _, env := range envs {
 		k := defaults()
-		k.budget = env.mem
-		// The system plans believing it has ample memory (the change is
-		// unexpected — that is the point of the test).
-		produced, err := execute(cat, k, sqls(query)...)
+		k.opt.MemBudgetRows = env.mem
+		produced, err := execute(cat, k, stmt{root: believed.plans[0]})
 		if err != nil {
 			return nil, err
 		}
@@ -52,7 +57,7 @@ func E9Extrinsic(scale float64) (*Report, error) {
 		// The ideal plan for this environment: an optimizer that *knows*
 		// the memory budget, plus exhaustive forcing as ground truth.
 		oIdeal := opt.New(cat)
-		oIdeal.Opt.MemBudgetRows = env.mem
+		oIdeal.Opt = k.opt
 		plans, err := oIdeal.EnumerateFullPlans(bq, nil, 16)
 		if err != nil {
 			return nil, err

@@ -9,7 +9,7 @@ import (
 // MemSweepPoint is one row of the memory-degradation robustness map: the
 // TPC-H-lite suite executed under one workspace budget.
 type MemSweepPoint struct {
-	Budget     int     `json:"budget_rows" gate:"key"`    // workspace rows (1<<30 plays the role of unlimited)
+	Budget     int     `json:"budget_rows" gate:"key"`    // workspace rows (unlimited: 1<<30)
 	Units      float64 `json:"cost_units" gate:"tol"`     // total simulated cost for the suite
 	Partitions int     `json:"spill_partitions"`          // spill partitions created
 	SpillRows  int     `json:"spill_rows"`                // rows written to temp runs
@@ -25,8 +25,8 @@ type MemSweepPoint struct {
 // tightest budget that means anything: the suite's builds are dimension-side
 // joins of a few dozen to a few hundred rows, so at small scales it is the
 // only rung they exceed.
-var memSweepBudgets = axis{"budget", []float64{16, 64, 256, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 30},
-	func(k *knobs, v float64) { k.budget, k.opt.MemBudgetRows = int(v), int(v) }}
+var memSweepBudgets = axis{"budget", []float64{16, 64, 256, 1 << 10, 1 << 12, 1 << 14, 1 << 16, unlimited},
+	func(k *knobs, v float64) { k.opt.MemBudgetRows = int(v) }}
 
 // MemSweep runs the memory-degradation sweep and returns both the report
 // and the raw points (for rqpbench -sweep mem-sweep and the DESIGN.md
@@ -44,10 +44,8 @@ func MemSweep(scale float64) (*Report, []MemSweepPoint, error) {
 	queries := workload.TPCHQueries()
 	suite := sqls(queries["Q1"], queries["Q3"], queries["Q10"])
 	ladder := memSweepBudgets.values
-	unlimited, tightest := ladder[len(ladder)-1], ladder[0]
-	k := defaults()
-	memSweepBudgets.set(&k, unlimited)
-	ref, err := execute(cat, k, suite...)
+	tightest := ladder[0]
+	ref, err := execute(cat, defaults(), suite...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -61,7 +59,7 @@ func MemSweep(scale float64) (*Report, []MemSweepPoint, error) {
 		}
 		parts, srows, pages, depth, fb := got.ctx.Spill.Snapshot()
 		points = append(points, MemSweepPoint{
-			Budget: k.budget, Units: got.cost(), Partitions: parts, SpillRows: srows,
+			Budget: k.opt.MemBudgetRows, Units: got.cost(), Partitions: parts, SpillRows: srows,
 			SpillPages: pages, MaxDepth: depth, Fallbacks: fb, Match: same(&floatCanon, ref, got),
 		})
 		return nil
@@ -75,6 +73,7 @@ func MemSweep(scale float64) (*Report, []MemSweepPoint, error) {
 	// serial spill execution). The baseline is re-run at the same DOP —
 	// the invariant under test is that memory pressure changes nothing,
 	// not that DOP changes nothing.
+	k := defaults()
 	k.dop = 4
 	dopRef, err := execute(cat, k, suite...)
 	if err != nil {
@@ -95,7 +94,7 @@ func MemSweep(scale float64) (*Report, []MemSweepPoint, error) {
 	monotone := true
 	for i, p := range points {
 		label := fmt.Sprintf("%d", p.Budget)
-		if p.Budget == int(unlimited) {
+		if p.Budget == unlimited {
 			label = "unlimited"
 		}
 		r.Printf("%10s %12.1f %6d %8d %7d %6d %5d %6v",

@@ -154,7 +154,7 @@ func shardRun(c shardCell, transport exec.ShuffleTransport, floatCanon *int) (Sh
 	}
 	q := sqls(workload.ShardJoinQuery())
 	k := defaults()
-	k.budget = 1 << 16 // core.DefaultConfig's workspace
+	k.opt.MemBudgetRows = 1 << 16 // core.DefaultConfig's workspace
 	serial, err := execute(cat, k, q...)
 	if err != nil {
 		return p, s, fmt.Errorf("%s serial: %w", c.section, err)
@@ -283,7 +283,7 @@ func shardTractorTieIn(scale float64, floatCanon *int) (bool, error) {
 		return false, err
 	}
 	k := defaults()
-	k.budget = 1 << 16 // core.DefaultConfig's workspace
+	k.opt.MemBudgetRows = 1 << 16 // core.DefaultConfig's workspace
 	for lv := 1; lv <= 3; lv++ {
 		q := sqls(chainQuery(lv, 0))
 		serial, err := execute(cat, k, q...)

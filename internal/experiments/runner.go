@@ -29,8 +29,9 @@ func (p policy) String() string { return [...]string{"classic", "static", "pop",
 // knobs is everything a statement runs under. Experiments start from
 // defaults() and set what they vary.
 type knobs struct {
-	opt        opt.Options // the optimizer's; opt.Columnar admits ColScan
-	budget     int         // workspace rows
+	// opt is the optimizer's: opt.Columnar admits ColScan, and
+	// opt.MemBudgetRows both prices spills and sizes the workspace broker.
+	opt        opt.Options
 	dop        int
 	rf         bool             // runtime join filters
 	shards     int              // logical shards (0 or 1: unsharded)
@@ -40,7 +41,14 @@ type knobs struct {
 	policy     policy
 }
 
-func defaults() knobs { return knobs{opt: opt.DefaultOptions(), budget: 1 << 30} }
+// unlimited is a workspace budget no statement of the experiments exceeds.
+const unlimited = 1 << 30
+
+func defaults() knobs {
+	k := knobs{opt: opt.DefaultOptions()}
+	k.opt.MemBudgetRows = unlimited
+	return k
+}
 
 // stmt is one statement: SQL text with its binds, or a plan built by hand,
 // which the runner marks and executes as it is.
@@ -77,9 +85,9 @@ func (r *run) cost() float64 { return float64(r.units) / storage.ClockScale }
 // fresh optimizer over cat with k.opt.
 func execute(cat *catalog.Catalog, k knobs, stmts ...stmt) (*run, error) {
 	ctx := exec.NewContext()
-	ctx.Mem = exec.NewMemBroker(k.budget)
+	ctx.Mem = exec.NewMemBroker(k.opt.MemBudgetRows)
 	ctx.DOP = k.dop
-	cfg := core.Config{RuntimeFilters: k.rf, Shards: k.shards, ShuffleForce: k.force,
+	cfg := core.Config{Options: k.opt, RuntimeFilters: k.rf, Shards: k.shards, ShuffleForce: k.force,
 		ShardNoHotSplit: k.noHotSplit, ShuffleTransport: k.transport}
 	r := &run{ctx: ctx}
 	for _, s := range stmts {

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"rqp/internal/core"
+	"rqp/internal/opt"
+	"rqp/internal/plan"
 	"rqp/internal/types"
 	"rqp/internal/workload"
 )
@@ -60,7 +62,11 @@ func TestOneRunner(t *testing.T) {
 
 // TestSameHashesRowsExactly: a cell that neither spilled nor aggregated at
 // DOP > 1 matches only bit for bit, so one float's last bit fails it; a
-// spilled cell may match at 6 digits, and is counted.
+// spilled cell may match at 6 digits, and is counted. Its runs also hold the
+// workspace budget to one field: opt.MemBudgetRows sizes the run's broker and
+// prices its plans — unlimited under defaults(), and at 16 rows the run
+// spills and executes what an optimizer told 16 rows plans (Q10 joins nation
+// by nested loops there, by hash unlimited).
 func TestSameHashesRowsExactly(t *testing.T) {
 	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 0.125, Seed: 23})
 	if err != nil {
@@ -84,10 +90,33 @@ func TestSameHashesRowsExactly(t *testing.T) {
 		t.Fatal("no float in the suite's rows")
 		return nil
 	}
+	plannedAt := func(r *run, budget int) {
+		t.Helper()
+		o := opt.New(cat)
+		o.Opt.MemBudgetRows = budget
+		for i, s := range suite {
+			bq, err := bind(cat, s.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := o.Optimize(bq, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plan.PlanSignature(r.plans[i]) != plan.PlanSignature(want) {
+				t.Errorf("statement %d ran\n%s\nnot the plan at a %d-row budget\n%s",
+					i, plan.Explain(r.plans[i]), budget, plan.Explain(want))
+			}
+		}
+	}
 	ref, err := execute(cat, defaults(), suite...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := defaults().opt.MemBudgetRows; got != unlimited {
+		t.Errorf("defaults() budget %d rows, want unlimited (%d)", got, unlimited)
+	}
+	plannedAt(ref, unlimited)
 	again, err := execute(cat, defaults(), suite...)
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +138,7 @@ func TestSameHashesRowsExactly(t *testing.T) {
 	if parts, _, _, _, _ := spilled.ctx.Spill.Snapshot(); parts == 0 {
 		t.Fatal("the 16-row budget did not spill")
 	}
+	plannedAt(spilled, 16)
 	if !same(&canon, ref, bend(spilled)) || canon != 1 {
 		t.Errorf("a spilled cell off in the last float bit: exact=false or canon cells %d, want one", canon)
 	}

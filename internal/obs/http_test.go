@@ -40,7 +40,7 @@ func TestDebugMuxQueries(t *testing.T) {
 
 	live := qr.Begin("SELECT live", "pop")
 	live.SetPhase(PhaseRunning)
-	qr.Finish(qr.Begin("SELECT gone", "classic"), FinishStats{Rows: 2})
+	qr.Finish(qr.Begin("SELECT gone", "classic"), nil, QueryRecord{Rows: 2})
 
 	code, body := get(t, mux, "/queries")
 	if code != http.StatusOK {
@@ -59,7 +59,7 @@ func TestDebugMuxQueries(t *testing.T) {
 	if len(resp.Recent) != 1 || resp.Recent[0].SQL != "SELECT gone" || resp.Recent[0].Outcome != "done" {
 		t.Fatalf("recent = %+v", resp.Recent)
 	}
-	qr.Finish(live, FinishStats{})
+	qr.Finish(live, nil, QueryRecord{})
 }
 
 func TestDebugMuxTrace(t *testing.T) {
@@ -88,7 +88,7 @@ func TestDebugMuxTrace(t *testing.T) {
 	if code, _ := get(t, mux, "/trace/bogus"); code != http.StatusBadRequest {
 		t.Fatalf("/trace/bogus status = %d, want 400", code)
 	}
-	qr.Finish(q, FinishStats{})
+	qr.Finish(q, nil, QueryRecord{})
 }
 
 func TestDebugMuxNilRegistries(t *testing.T) {

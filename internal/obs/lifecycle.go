@@ -128,21 +128,6 @@ type ActiveQuery struct {
 	EstRows  float64 `json:"est_rows,omitempty"`
 }
 
-// FinishStats carries everything the engine knows about a completed query
-// into the registry: the raw material of one QueryRecord.
-type FinishStats struct {
-	Err         error
-	Rows        int
-	CostUnits   float64
-	Reopts      int
-	PeakMemRows int
-	SpillParts  int
-	SpillRows   int
-	RFBuilt     int64
-	RFDropped   int64
-	Admissions  int
-}
-
 // QueryRegistry is the engine's live query table: every top-level query
 // gets an ID and a QueryState at entry, moves through lifecycle phases,
 // and lands in a fixed-size ring of recently completed QueryRecords on the
@@ -221,42 +206,30 @@ func (r *QueryRegistry) Begin(sql, policy string) *QueryState {
 }
 
 // Finish retires a query: derives the terminal phase (Rejected sticks if
-// already set, otherwise Failed on error, Done on success), snapshots the
-// lifecycle into a QueryRecord, pushes it onto the completed ring and hands
-// it to the query-log sink. Idempotence is the caller's job — the engine
-// finishes each query exactly once on its single exit path.
-func (r *QueryRegistry) Finish(q *QueryState, st FinishStats) *QueryRecord {
+// already set, otherwise Failed on err, Done on success), completes rec —
+// which carries the engine's numbers: rows, cost, peak memory, spill, filter,
+// re-optimization and admission counts — with the query's identity, timing,
+// outcome, error, fingerprint and q-error, pushes it onto the completed ring
+// and hands it to the query-log sink. Idempotence is the caller's job — the
+// engine finishes each query exactly once on its single exit path.
+func (r *QueryRegistry) Finish(q *QueryState, err error, rec QueryRecord) *QueryRecord {
 	if q == nil {
 		return nil
 	}
 	switch {
 	case q.Phase() == PhaseRejected:
 		// terminal already
-	case st.Err != nil:
+	case err != nil:
 		q.SetPhase(PhaseFailed)
 	default:
 		q.SetPhase(PhaseDone)
 	}
 	end := r.now()
-	rec := QueryRecord{
-		ID:          q.id,
-		SQL:         q.sql,
-		Policy:      q.policy,
-		Outcome:     q.Phase().String(),
-		StartedAt:   q.start.UTC().Format(time.RFC3339Nano),
-		DurationMS:  float64(end.Sub(q.start).Microseconds()) / 1000,
-		Rows:        st.Rows,
-		CostUnits:   st.CostUnits,
-		Reopts:      st.Reopts,
-		PeakMemRows: st.PeakMemRows,
-		SpillParts:  st.SpillParts,
-		SpillRows:   st.SpillRows,
-		RFBuilt:     st.RFBuilt,
-		RFDropped:   st.RFDropped,
-		Admissions:  st.Admissions,
-	}
-	if st.Err != nil {
-		rec.Error = st.Err.Error()
+	rec.ID, rec.SQL, rec.Policy, rec.Outcome = q.id, q.sql, q.policy, q.Phase().String()
+	rec.StartedAt = q.start.UTC().Format(time.RFC3339Nano)
+	rec.DurationMS = float64(end.Sub(q.start).Microseconds()) / 1000
+	if err != nil {
+		rec.Error = err.Error()
 	}
 	tr := q.Trace()
 	if fp := q.fp.Load(); fp != nil {

@@ -29,7 +29,7 @@ func TestPhaseForwardOnly(t *testing.T) {
 	if q.Phase().Terminal() {
 		t.Fatal("spilling must not be terminal")
 	}
-	r.Finish(q, FinishStats{})
+	r.Finish(q, nil, QueryRecord{})
 	if q.Phase() != PhaseDone || !q.Phase().Terminal() {
 		t.Fatalf("finished phase = %s, want done", q.Phase())
 	}
@@ -38,12 +38,12 @@ func TestPhaseForwardOnly(t *testing.T) {
 func TestFinishOutcomes(t *testing.T) {
 	r := NewQueryRegistry(8, nil)
 
-	ok := r.Finish(r.Begin("SELECT 1", "classic"), FinishStats{Rows: 3})
+	ok := r.Finish(r.Begin("SELECT 1", "classic"), nil, QueryRecord{Rows: 3})
 	if ok.Outcome != "done" || ok.Rows != 3 {
 		t.Fatalf("success record = %+v", ok)
 	}
 
-	bad := r.Finish(r.Begin("SELECT broken", "classic"), FinishStats{Err: errors.New("boom")})
+	bad := r.Finish(r.Begin("SELECT broken", "classic"), errors.New("boom"), QueryRecord{})
 	if bad.Outcome != "failed" || bad.Error != "boom" {
 		t.Fatalf("failure record = %+v", bad)
 	}
@@ -51,7 +51,7 @@ func TestFinishOutcomes(t *testing.T) {
 	rej := r.Begin("SELECT 1", "classic")
 	rej.SetPhase(PhaseRejected)
 	// A rejection is an error exit too, but Rejected must stick.
-	rec := r.Finish(rej, FinishStats{Err: errors.New("admission rejected")})
+	rec := r.Finish(rej, errors.New("admission rejected"), QueryRecord{})
 	if rec.Outcome != "rejected" {
 		t.Fatalf("rejected outcome = %q", rec.Outcome)
 	}
@@ -64,7 +64,7 @@ func TestFinishOutcomes(t *testing.T) {
 func TestRegistryRingAndRecent(t *testing.T) {
 	r := NewQueryRegistry(3, nil)
 	for i := 0; i < 5; i++ {
-		r.Finish(r.Begin(fmt.Sprintf("SELECT %d", i), "classic"), FinishStats{Rows: i})
+		r.Finish(r.Begin(fmt.Sprintf("SELECT %d", i), "classic"), nil, QueryRecord{Rows: i})
 	}
 	recent := r.Recent()
 	if len(recent) != 3 {
@@ -92,7 +92,7 @@ func TestRegistryMetricsAndSink(t *testing.T) {
 		t.Fatalf("active gauge = %v, want 1", got)
 	}
 	base = base.Add(250 * time.Millisecond)
-	r.Finish(q, FinishStats{Rows: 7, CostUnits: 12.5, SpillParts: 2})
+	r.Finish(q, nil, QueryRecord{Rows: 7, CostUnits: 12.5, SpillParts: 2})
 
 	if got := m.Gauge("rqp_queries_active").Value(); got != 0 {
 		t.Fatalf("active gauge after finish = %v, want 0", got)
@@ -173,7 +173,7 @@ func TestTraceOf(t *testing.T) {
 	if r.TraceOf(q.ID()) != tr {
 		t.Fatal("active trace not found by ID")
 	}
-	r.Finish(q, FinishStats{})
+	r.Finish(q, nil, QueryRecord{})
 	if r.TraceOf(q.ID()) != tr {
 		t.Fatal("completed trace not retained in ring")
 	}
@@ -190,7 +190,7 @@ func TestBeginTruncatesSQL(t *testing.T) {
 	if len(act) != 1 || len(act[0].SQL) >= 1024 {
 		t.Fatalf("SQL not truncated: %d bytes", len(act[0].SQL))
 	}
-	r.Finish(q, FinishStats{})
+	r.Finish(q, nil, QueryRecord{})
 }
 
 // TestRegistryConcurrent exercises Begin/Finish/phase transitions against
@@ -224,7 +224,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				q := r.Begin(fmt.Sprintf("SELECT %d", i), "classic")
 				q.SetPhase(PhaseRunning)
-				r.Finish(q, FinishStats{Rows: i})
+				r.Finish(q, nil, QueryRecord{Rows: i})
 			}
 		}(w)
 	}

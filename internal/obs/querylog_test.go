@@ -17,10 +17,10 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 
 	reg := NewQueryRegistry(4, nil)
 	reg.SetSink(sink)
-	reg.Finish(reg.Begin("SELECT a FROM r", "classic"), FinishStats{
+	reg.Finish(reg.Begin("SELECT a FROM r", "classic"), nil, QueryRecord{
 		Rows: 5, CostUnits: 42.5, SpillParts: 3, SpillRows: 120, Reopts: 1,
 	})
-	reg.Finish(reg.Begin("SELECT b FROM s", "pop"), FinishStats{Rows: 1})
+	reg.Finish(reg.Begin("SELECT b FROM s", "pop"), nil, QueryRecord{Rows: 1})
 	if err := closer.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func startShardServer(t *testing.T, procs *WorkerProcs, shards, mpl int) (*Serve
 	cat := netShufCatalog(t, 0)
 	admit := wlm.NewAdmitter(mpl)
 	eng := core.Attach(cat, core.Config{
-		Policy: core.PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16,
+		Policy: core.PolicyClassic, Options: withBudget(1 << 16), HistBuckets: 16,
 		Shards: shards, ShuffleForce: plan.ShuffleRepartition,
 		ShuffleTransport: NewNetShuffleTransport(procs.Addrs),
 		Admission:        admit,

@@ -123,7 +123,7 @@ func TestNetShuffleExactness(t *testing.T) {
 			built[cell.skew] = cat
 		}
 		base := core.Attach(cat, core.Config{
-			Policy: core.PolicyClassic, MemBudgetRows: cell.memRows,
+			Policy: core.PolicyClassic, Options: withBudget(cell.memRows),
 			HistBuckets: 16, DOP: cell.dop,
 		})
 		want := make(map[string]*core.Result, len(netShufQueries))
@@ -134,7 +134,7 @@ func TestNetShuffleExactness(t *testing.T) {
 			name := fmt.Sprintf("skew=%.1f/mode=%s/mem=%d/dop=%d/shards=%d",
 				cell.skew, cell.mode, cell.memRows, cell.dop, shards)
 			eng := core.Attach(cat, core.Config{
-				Policy: core.PolicyClassic, MemBudgetRows: cell.memRows,
+				Policy: core.PolicyClassic, Options: withBudget(cell.memRows),
 				HistBuckets: 16, DOP: cell.dop,
 				Shards: shards, ShuffleForce: cell.mode,
 				ShuffleTransport: NewNetShuffleTransport(addrs),
@@ -254,9 +254,9 @@ func TestNetShuffleColocatedZeroBytes(t *testing.T) {
 		if err := workload.PartitionShardJoin(cat, shards); err != nil {
 			t.Fatal(err)
 		}
-		base := core.Attach(cat, core.Config{Policy: core.PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16})
+		base := core.Attach(cat, core.Config{Policy: core.PolicyClassic, Options: withBudget(1 << 16), HistBuckets: 16})
 		eng := core.Attach(cat, core.Config{
-			Policy: core.PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16,
+			Policy: core.PolicyClassic, Options: withBudget(1 << 16), HistBuckets: 16,
 			Shards: shards, ShuffleTransport: NewNetShuffleTransport(addrs),
 		})
 		for _, q := range netShufQueries {
@@ -288,7 +288,7 @@ func TestNetShuffleFrameAmortization(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := core.Attach(cat, core.Config{
-		Policy: core.PolicyClassic, MemBudgetRows: 1 << 20, HistBuckets: 16,
+		Policy: core.PolicyClassic, Options: withBudget(1 << 20), HistBuckets: 16,
 		Shards: 4, ShuffleForce: plan.ShuffleRepartition,
 		ShuffleTransport: NewNetShuffleTransport(addrs),
 	})
@@ -320,9 +320,9 @@ func TestNetShuffleFrameAmortization(t *testing.T) {
 func TestNetShuffleTooFewPeers(t *testing.T) {
 	addrs := startWorkerPool(t, 2, ShardWorkerConfig{})
 	cat := netShufCatalog(t, 0)
-	base := core.Attach(cat, core.Config{Policy: core.PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16})
+	base := core.Attach(cat, core.Config{Policy: core.PolicyClassic, Options: withBudget(1 << 16), HistBuckets: 16})
 	eng := core.Attach(cat, core.Config{
-		Policy: core.PolicyClassic, MemBudgetRows: 1 << 16, HistBuckets: 16,
+		Policy: core.PolicyClassic, Options: withBudget(1 << 16), HistBuckets: 16,
 		Shards: 4, ShuffleTransport: NewNetShuffleTransport(addrs),
 	})
 	q := netShufQueries[0]
@@ -335,4 +335,11 @@ func TestNetShuffleTooFewPeers(t *testing.T) {
 	if sn == nil || sn.NetFallbacks == 0 || sn.Transport != "local" {
 		t.Fatalf("expected local fallback with too few peers, got %+v", sn)
 	}
+}
+
+// withBudget is opt.DefaultOptions with a workspace of rows.
+func withBudget(rows int) opt.Options {
+	o := opt.DefaultOptions()
+	o.MemBudgetRows = rows
+	return o
 }
