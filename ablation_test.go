@@ -9,8 +9,8 @@ package rqp
 import (
 	"testing"
 
-	"rqp/internal/adaptive"
 	"rqp/internal/catalog"
+	"rqp/internal/core"
 	"rqp/internal/exec"
 	"rqp/internal/opt"
 	"rqp/internal/plan"
@@ -69,7 +69,7 @@ func BenchmarkAblationEstimationMode(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCheckGranularity compares Static / Checked / Eager
+// BenchmarkAblationCheckGranularity compares classic against Checked / Eager
 // progressive policies on a mixed workload (DESIGN.md ablation 2): Checked
 // should capture most of Eager's benefit at a fraction of the overhead.
 func BenchmarkAblationCheckGranularity(b *testing.B) {
@@ -82,11 +82,11 @@ func BenchmarkAblationCheckGranularity(b *testing.B) {
 	queries := workload.StarWorkload(cfg, 10, 0.5, 13)
 	for _, pol := range []struct {
 		name string
-		p    adaptive.ReoptPolicy
+		p    core.ExecPolicy
 	}{
-		{"static", adaptive.Static},
-		{"checked", adaptive.Checked},
-		{"eager", adaptive.Eager},
+		{"classic", core.PolicyClassic},
+		{"checked", core.PolicyPOP},
+		{"eager", core.PolicyPOPEager},
 	} {
 		b.Run(pol.name, func(b *testing.B) {
 			var total float64
@@ -102,14 +102,12 @@ func BenchmarkAblationCheckGranularity(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					prog := &adaptive.Progressive{Opt: opt.New(cat), Policy: pol.p, ReoptCharge: 5}
-					ctx := exec.NewContext()
-					res, err := prog.Execute(bq, ctx)
+					cost, n, err := runPolicy(cat, pol.p, bq)
 					if err != nil {
 						b.Fatal(err)
 					}
-					total += ctx.Clock.Units()
-					reopts += res.Reopts
+					total += cost
+					reopts += n
 				}
 			}
 			b.ReportMetric(total, "cost_units")

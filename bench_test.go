@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"testing"
 
-	"rqp/internal/adaptive"
 	"rqp/internal/catalog"
 	"rqp/internal/core"
 	"rqp/internal/exec"
@@ -607,10 +606,10 @@ func BenchmarkProgressiveVsStatic(b *testing.B) {
 		GROUP BY dim1.cat`
 	for _, cfg := range []struct {
 		name   string
-		policy adaptive.ReoptPolicy
+		policy core.ExecPolicy
 	}{
-		{"static", adaptive.Static},
-		{"pop", adaptive.Checked},
+		{"classic", core.PolicyClassic},
+		{"pop", core.PolicyPOP},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			var cost float64
@@ -620,14 +619,31 @@ func BenchmarkProgressiveVsStatic(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				p := &adaptive.Progressive{Opt: opt.New(cat), Policy: cfg.policy, ReoptCharge: 5}
-				ctx := exec.NewContext()
-				if _, err := p.Execute(bq, ctx); err != nil {
+				if cost, _, err = runPolicy(cat, cfg.policy, bq); err != nil {
 					b.Fatal(err)
 				}
-				cost = ctx.Clock.Units()
 			}
 			b.ReportMetric(cost, "cost_units")
 		})
 	}
+}
+
+// runPolicy executes bq under policy through the engine's policy-to-executor
+// code — POP's progressive executor, or the one plan the policy chooses — and
+// returns the cost and the re-optimizations.
+func runPolicy(cat *catalog.Catalog, policy core.ExecPolicy, bq *plan.Query) (float64, int, error) {
+	o, ctx := opt.New(cat), exec.NewContext()
+	if prog := policy.Progressive(o); prog != nil {
+		res, err := prog.Execute(bq, ctx)
+		if err != nil {
+			return 0, 0, err
+		}
+		return ctx.Clock.Units(), res.Reopts, nil
+	}
+	root, _, err := policy.Plan(o, bq, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	_, err = exec.Run(root, ctx)
+	return ctx.Clock.Units(), 0, err
 }

@@ -74,12 +74,29 @@ func sortedStrings(rows []types.Row) []string {
 	return out
 }
 
+// classicRows runs q's optimize-once plan: the rows every policy must return.
+func classicRows(t *testing.T, cat *catalog.Catalog, q string) []types.Row {
+	t.Helper()
+	root, err := opt.New(cat).Optimize(bindSelect(t, cat, q), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := exec.Run(root, exec.NewContext())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestProgressivePoliciesAgreeOnResults(t *testing.T) {
 	cat := correlatedDB(t, 3000, 60)
 	q := `SELECT fact.fid, dim.cat FROM fact, dim
 		WHERE fact.dim = dim.id AND fact.a = 10 AND fact.b = 30 AND dim.cat < 5`
-	var ref []string
-	for _, policy := range []ReoptPolicy{Static, Checked, Eager} {
+	ref := sortedStrings(classicRows(t, cat, q))
+	if len(ref) == 0 {
+		t.Fatal("query returned nothing; bad test setup")
+	}
+	for _, policy := range []ReoptPolicy{Checked, Eager} {
 		bq := bindSelect(t, cat, q)
 		p := &Progressive{Opt: opt.New(cat), Policy: policy}
 		ctx := exec.NewContext()
@@ -87,15 +104,7 @@ func TestProgressivePoliciesAgreeOnResults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", policy, err)
 		}
-		got := sortedStrings(res.Rows)
-		if ref == nil {
-			ref = got
-			if len(ref) == 0 {
-				t.Fatal("query returned nothing; bad test setup")
-			}
-			continue
-		}
-		if strings.Join(got, ";") != strings.Join(ref, ";") {
+		if got := sortedStrings(res.Rows); strings.Join(got, ";") != strings.Join(ref, ";") {
 			t.Errorf("%v: results differ (%d vs %d rows)", policy, len(got), len(ref))
 		}
 	}
@@ -114,22 +123,14 @@ func TestProgressiveThreeWayJoin(t *testing.T) {
 	cat.AnalyzeTable(cats, 4)
 	q := `SELECT fact.fid, cats.label FROM fact, dim, cats
 		WHERE fact.dim = dim.id AND dim.cat = cats.cat AND fact.a = 3`
-	bq := bindSelect(t, cat, q)
-	static := &Progressive{Opt: opt.New(cat), Policy: Static}
-	ctxS := exec.NewContext()
-	resS, err := static.Execute(bq, ctxS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bq2 := bindSelect(t, cat, q)
+	classic := classicRows(t, cat, q)
 	pop := &Progressive{Opt: opt.New(cat), Policy: Eager}
-	ctxP := exec.NewContext()
-	resP, err := pop.Execute(bq2, ctxP)
+	resP, err := pop.Execute(bindSelect(t, cat, q), exec.NewContext())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(sortedStrings(resS.Rows), ";") != strings.Join(sortedStrings(resP.Rows), ";") {
-		t.Errorf("static and POP results differ: %d vs %d rows", len(resS.Rows), len(resP.Rows))
+	if strings.Join(sortedStrings(classic), ";") != strings.Join(sortedStrings(resP.Rows), ";") {
+		t.Errorf("classic and POP results differ: %d vs %d rows", len(classic), len(resP.Rows))
 	}
 	if resP.Steps < 2 {
 		t.Errorf("3-way join should take 2 progressive steps, got %d", resP.Steps)
@@ -233,7 +234,7 @@ func TestLEOFeedbackLoopConverges(t *testing.T) {
 func TestRioChoosesRobustOrMinimaxPlan(t *testing.T) {
 	cat := correlatedDB(t, 4000, 80)
 	bq := bindSelect(t, cat, "SELECT fact.fid FROM fact, dim WHERE fact.dim = dim.id AND fact.a = 5")
-	r := &Rio{Opt: opt.New(cat), UncertaintyFactor: 8}
+	r := &Rio{Opt: opt.New(cat)}
 	root, choice, err := r.Choose(bq, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +366,7 @@ func fullWidth(n plan.Node) bool {
 func TestReplannedCoresKeepEveryColumn(t *testing.T) {
 	cat := correlatedDB(t, 2000, 40)
 	const q = `SELECT fact.fid FROM fact, dim WHERE fact.dim = dim.id AND fact.a = 3`
-	for _, policy := range []ReoptPolicy{Static, Checked, Eager} {
+	for _, policy := range []ReoptPolicy{Checked, Eager} {
 		ctx := exec.NewContext()
 		nodes := 0
 		ctx.OnActual = func(n plan.Node, _ float64) {
@@ -382,7 +383,7 @@ func TestReplannedCoresKeepEveryColumn(t *testing.T) {
 			t.Errorf("policy %v: only %d nodes reported", policy, nodes)
 		}
 	}
-	r := &Rio{Opt: opt.New(cat), UncertaintyFactor: 8}
+	r := &Rio{Opt: opt.New(cat)}
 	root, _, err := r.Choose(bindSelect(t, cat, q), nil)
 	if err != nil {
 		t.Fatal(err)

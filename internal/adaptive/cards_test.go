@@ -69,7 +69,7 @@ func TestRioPicksOnePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	bq := bindSelect(t, cat, workload.TPCHQueries()["Q5"])
-	r := &Rio{Opt: opt.New(cat), UncertaintyFactor: 4}
+	r := &Rio{Opt: opt.New(cat)}
 	seen := map[string]bool{}
 	for i := 0; i < 20; i++ {
 		root, _, err := r.Choose(bq, nil)

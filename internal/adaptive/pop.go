@@ -19,23 +19,19 @@ import (
 // materialization points.
 type ReoptPolicy uint8
 
-// Policies. Static executes the compile-time plan unchanged (the baseline
-// of POP Figures 1–3). Checked re-optimizes the remainder only when the
-// observed cardinality of a materialized intermediate would change the
+// Policies. Checked re-optimizes the remainder only when the observed
+// cardinality of a materialized intermediate would change the
 // remainder plan (a validity-range violation, detected by re-planning the
 // remainder under the actual cardinality and comparing plan signatures).
 // Eager re-optimizes at every materialization point.
 const (
-	Static ReoptPolicy = iota
-	Checked
+	Checked ReoptPolicy = iota
 	Eager
 )
 
 // String names the policy.
 func (p ReoptPolicy) String() string {
 	switch p {
-	case Static:
-		return "static"
 	case Checked:
 		return "pop-checked"
 	case Eager:
@@ -51,10 +47,11 @@ func (p ReoptPolicy) String() string {
 type Progressive struct {
 	Opt    *opt.Optimizer
 	Policy ReoptPolicy
-	// ReoptCharge is the simulated cost charged per re-optimization, so the
-	// technique's overhead is visible in measured response times.
-	ReoptCharge float64
 }
+
+// reoptCharge is the simulated cost in units charged per re-optimization,
+// so the technique's overhead is visible in measured response times.
+const reoptCharge = 5
 
 // Result reports what the progressive executor did.
 type Result struct {
@@ -63,7 +60,6 @@ type Result struct {
 	Reopts   int
 	Steps    int
 	Checks   []CheckRecord
-	PlanSig  string
 }
 
 // CheckRecord captures one materialization point's estimate vs actual.
@@ -107,9 +103,6 @@ func (p *Progressive) ExecuteInto(q *plan.Query, ctx *exec.Context, sink exec.Ro
 		if err != nil {
 			return nil, err
 		}
-		if res.PlanSig == "" {
-			res.PlanSig = plan.PlanSignature(core)
-		}
 		// finish runs what is left as one static plan, into the sink.
 		finish := func() (*Result, error) {
 			qCols, err := translateCols(cols, rels, orig)
@@ -126,7 +119,7 @@ func (p *Progressive) ExecuteInto(q *plan.Query, ctx *exec.Context, sink exec.Ro
 			}
 			return res, nil
 		}
-		if p.Policy == Static || len(rels) == 1 {
+		if len(rels) == 1 {
 			return finish()
 		}
 
@@ -225,11 +218,9 @@ func (p *Progressive) ExecuteInto(q *plan.Query, ctx *exec.Context, sink exec.Ro
 }
 
 // chargeReopt bills the simulated cost of one re-optimization (RowCPU is
-// 0.01 units, so ReoptCharge units = 100×ReoptCharge row-works).
-func (p *Progressive) chargeReopt(ctx *exec.Context) {
-	if p.ReoptCharge > 0 {
-		ctx.Clock.RowWork(int(p.ReoptCharge * 100))
-	}
+// 0.01 units, so reoptCharge units = 100×reoptCharge row-works).
+func chargeReopt(ctx *exec.Context) {
+	ctx.Clock.RowWork(reoptCharge * 100)
 }
 
 // traceCheck reports one materialization checkpoint (and, on violation, the
@@ -333,7 +324,7 @@ func (p *Progressive) check(ctx *exec.Context, res *Result, rels []opt.BaseRel, 
 	traceCheck(ctx, res.Steps, estimated, actual, violated)
 	if violated {
 		res.Reopts++
-		p.chargeReopt(ctx)
+		chargeReopt(ctx)
 	}
 	return nil
 }

@@ -19,13 +19,15 @@ import (
 // front rather than repairing mistakes mid-flight.
 type Rio struct {
 	Opt *opt.Optimizer
-	// UncertaintyFactor f scales every non-temp base relation's estimate to
-	// the corners card/f, card and card*f.
-	UncertaintyFactor float64
 }
 
-// cornerPlanLimit caps the per-corner enumeration.
-const cornerPlanLimit = 64
+const (
+	// uncertaintyFactor f scales every non-temp base relation's estimate to
+	// the corners card/f, card and card*f: with f = 6, a box of ±6×.
+	uncertaintyFactor float64 = 6
+	// cornerPlanLimit caps the per-corner enumeration.
+	cornerPlanLimit = 64
+)
 
 // RioChoice reports the decision.
 type RioChoice struct {
@@ -34,14 +36,10 @@ type RioChoice struct {
 	MaxRegret float64 // worst-case cost ratio vs the corner-optimal plan
 }
 
-// ChooseCore selects a join-core plan for the given relations under
+// chooseCore selects a join-core plan for the given relations under
 // bounding-box uncertainty and returns the chosen core with its output
 // column order.
-func (r *Rio) ChooseCore(rels []opt.BaseRel, conjuncts []expr.Expr, params []types.Value) (plan.Node, []int, RioChoice, error) {
-	f := r.UncertaintyFactor
-	if f <= 1 {
-		f = 4
-	}
+func (r *Rio) chooseCore(rels []opt.BaseRel, conjuncts []expr.Expr, params []types.Value) (plan.Node, []int, RioChoice, error) {
 	// Per corner: signature -> cost, and the corner's optimum. Each corner
 	// plans over a layer of its own on the optimizer's Cards, so its factor
 	// multiplies whatever LEO has learned.
@@ -51,7 +49,7 @@ func (r *Rio) ChooseCore(rels []opt.BaseRel, conjuncts []expr.Expr, params []typ
 	}
 	var infos [3]cornerInfo
 	rep := map[string]opt.CorePlan{} // the estimate corner's plan per signature
-	for ci, mult := range [3]float64{1 / f, 1, f} {
+	for ci, mult := range [3]float64{1 / uncertaintyFactor, 1, uncertaintyFactor} {
 		cards := r.Opt.Cards.Over()
 		cards.ScaleBase(mult)
 		plans, err := r.Opt.WithCards(cards).EnumerateCorePlans(rels, conjuncts, params, cornerPlanLimit)
@@ -116,7 +114,7 @@ func (r *Rio) ChooseCore(rels []opt.BaseRel, conjuncts []expr.Expr, params []typ
 // Choose plans a full query block with Rio's bounding-box strategy.
 func (r *Rio) Choose(q *plan.Query, params []types.Value) (plan.Node, RioChoice, error) {
 	rels := opt.BaseRelsFromQuery(q)
-	core, cols, choice, err := r.ChooseCore(rels, q.Conjuncts, params)
+	core, cols, choice, err := r.chooseCore(rels, q.Conjuncts, params)
 	if err != nil {
 		return nil, choice, err
 	}

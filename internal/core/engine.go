@@ -51,6 +51,31 @@ func (p ExecPolicy) String() string {
 	return "?"
 }
 
+// Plan plans a bound SELECT under p with o: Rio's bounding-box choice under
+// PolicyRio, returned with the plan, and o's plan (choice nil) otherwise —
+// POP's compile-time plan included.
+func (p ExecPolicy) Plan(o *opt.Optimizer, bq *plan.Query, params []types.Value) (plan.Node, *adaptive.RioChoice, error) {
+	if p != PolicyRio {
+		root, err := o.Optimize(bq, params)
+		return root, nil, err
+	}
+	root, c, err := (&adaptive.Rio{Opt: o}).Choose(bq, params)
+	return root, &c, err
+}
+
+// Progressive is the executor that runs a SELECT under p with o: POP's
+// checked or eager re-optimization, and nil under a policy that runs the one
+// plan Plan returns.
+func (p ExecPolicy) Progressive(o *opt.Optimizer) *adaptive.Progressive {
+	switch p {
+	case PolicyPOP:
+		return &adaptive.Progressive{Opt: o, Policy: adaptive.Checked}
+	case PolicyPOPEager:
+		return &adaptive.Progressive{Opt: o, Policy: adaptive.Eager}
+	}
+	return nil
+}
+
 // ParsePolicy is the inverse of ExecPolicy.String.
 func ParsePolicy(name string) (ExecPolicy, error) {
 	for p := PolicyClassic; p <= PolicyRio; p++ {
@@ -357,23 +382,11 @@ func (e *Engine) explain(st sql.Stmt, params []types.Value) (*Result, error) {
 		return nil, err
 	}
 	e.maybeAutoAnalyze(bq)
-	root, _, err := e.choose(bq, params)
+	root, _, err := e.Cfg.Policy.Plan(e.Opt, bq, params)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Columns: bq.ProjNames, Plan: plan.Explain(root)}, nil
-}
-
-// choose plans a bound SELECT under the engine's policy: Rio's bounding-box
-// choice under PolicyRio, returned with the plan, and the optimizer's plan
-// (choice nil) otherwise — POP's compile-time plan included.
-func (e *Engine) choose(bq *plan.Query, params []types.Value) (root plan.Node, choice *adaptive.RioChoice, err error) {
-	if e.Cfg.Policy != PolicyRio {
-		root, err = e.Opt.Optimize(bq, params)
-		return root, nil, err
-	}
-	root, c, err := (&adaptive.Rio{Opt: e.Opt, UncertaintyFactor: 4}).Choose(bq, params)
-	return root, &c, err
 }
 
 func (e *Engine) execStmt(st sql.Stmt, text string, params []types.Value, canceled func() bool, sink RowSink) (*Result, error) {
@@ -613,8 +626,8 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 	// Degree of parallelism: resolve the configured value, then let the
 	// WLM gate scale it back under concurrent load. POP splices plans
 	// mid-flight and runs them piecemeal, on one worker.
-	pop := e.Cfg.Policy == PolicyPOP || e.Cfg.Policy == PolicyPOPEager
-	if dop := exec.ResolveDOP(e.Cfg.DOP); dop > 1 && !pop {
+	prog := e.Cfg.Policy.Progressive(e.Opt)
+	if dop := exec.ResolveDOP(e.Cfg.DOP); dop > 1 && prog == nil {
 		if e.Cfg.Admission != nil {
 			dop = e.Cfg.Admission.GrantDOP(dop)
 		}
@@ -632,13 +645,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 	if lifecycle != nil {
 		lifecycle.SetPhase(obs.PhaseRunning)
 	}
-	switch e.Cfg.Policy {
-	case PolicyPOP, PolicyPOPEager:
-		policy := adaptive.Checked
-		if e.Cfg.Policy == PolicyPOPEager {
-			policy = adaptive.Eager
-		}
-		prog := &adaptive.Progressive{Opt: e.Opt, Policy: policy, ReoptCharge: 2}
+	if prog != nil {
 		pres, err := prog.ExecuteInto(bq, ctx, rowSink)
 		if err != nil {
 			return nil, err
@@ -648,7 +655,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 		for _, c := range pres.Checks {
 			qerrs = append(qerrs, stats.QError(c.Estimated, c.Actual))
 		}
-	default:
+	} else {
 		var root plan.Node
 		var marks PlanMarks
 		var err error
@@ -664,7 +671,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 				e.Cache.uncacheable()
 			}
 			var choice *adaptive.RioChoice
-			if root, choice, err = e.choose(bq, params); err != nil {
+			if root, choice, err = e.Cfg.Policy.Plan(e.Opt, bq, params); err != nil {
 				return nil, err
 			}
 			if choice != nil {

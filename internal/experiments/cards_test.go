@@ -42,12 +42,12 @@ func TestCostAtTrueCardinalities(t *testing.T) {
 	const path = "testdata/cost_residuals.golden"
 	cat := benchTPCH(t)
 	axes := []axis{
-		{"columnar", []float64{0, 1}, func(k *knobs, v float64) { k.opt.Columnar = v == 1 }},
-		{"rf", []float64{0, 1}, func(k *knobs, v float64) { k.rf = v == 1 }},
+		{"columnar", []float64{0, 1}, func(k *core.Config, v float64) { k.Columnar = v == 1 }},
+		{"rf", []float64{0, 1}, func(k *core.Config, v float64) { k.RuntimeFilters = v == 1 }},
 		{"budget", []float64{unlimited, 64}, memSweepBudgets.set},
 	}
 	var sb strings.Builder
-	err := sweep(defaults(), axes, func(k knobs, at []float64) error {
+	err := sweep(defaults(), axes, func(k core.Config, at []float64) error {
 		for _, s := range benchStatements() {
 			r, err := execute(cat, k, s.stmt)
 			if err != nil {
@@ -59,23 +59,23 @@ func TestCostAtTrueCardinalities(t *testing.T) {
 				return err
 			}
 			o := opt.New(cat)
-			o.Opt, o.Cards = k.opt, actuals(executed)
+			o.Opt, o.Cards = k.Options, actuals(executed)
 			again, err := o.Optimize(bq, s.params)
 			if err != nil {
 				return fmt.Errorf("%s at actuals: %w", s.name, err)
 			}
-			core.MarkPlan(o, core.Config{Options: k.opt, RuntimeFilters: k.rf}, again)
+			core.MarkPlan(o, k, again)
 			units, priced := r.cost(), again.Props().EstCost
 			residual := priced/units - 1
 			samePlan := plan.PlanSignature(again) == plan.PlanSignature(executed)
 			budget := "inf"
-			if k.opt.MemBudgetRows == 64 {
+			if k.MemBudgetRows == 64 {
 				budget = "64"
 			}
-			cell := fmt.Sprintf("%s columnar=%v rf=%v budget=%s", s.name, k.opt.Columnar, k.rf, budget)
+			cell := fmt.Sprintf("%s columnar=%v rf=%v budget=%s", s.name, k.Columnar, k.RuntimeFilters, budget)
 			fmt.Fprintf(&sb, "%-47s est=%8.2f executed=%8.2f at_actuals=%8.2f residual=%+6.1f%% same_plan=%v\n",
 				cell, executed.Props().EstCost, units, priced, 100*residual, samePlan)
-			if k.rf || k.opt.MemBudgetRows != unlimited {
+			if k.RuntimeFilters || k.MemBudgetRows != unlimited {
 				continue
 			}
 			if !samePlan {

@@ -3,18 +3,19 @@ package experiments
 import (
 	"fmt"
 
+	"rqp/internal/core"
 	"rqp/internal/robustness"
 	"rqp/internal/workload"
 )
 
 // popData runs the POP customer-workload reproduction: a star-schema BI
 // workload where a fraction of queries carry a fully redundant correlated
-// predicate (Lohman's war story), executed once with the static
-// compile-time plan and once under checked progressive re-optimization.
+// predicate (Lohman's war story), executed once with the classic
+// optimize-once plan and once under checked progressive re-optimization.
 // Response times are deterministic cost units.
 type popData struct {
 	ids      []string
-	static   []float64
+	classic  []float64
 	pop      []float64
 	trapped  []bool
 	reopts   int
@@ -33,22 +34,21 @@ func runPOPWorkload(scale float64) (*popData, error) {
 	n := scaleInt(100, scale)
 	queries := workload.StarWorkload(cfg, n, 0.4, 99)
 	d := &popData{nQueries: n}
-	// The baseline runs the static compile-time plan; the treatment POP with
-	// checked re-optimization (re-planning is charged so the overhead is
-	// honest).
-	ks, kp := defaults(), defaults()
-	ks.policy, kp.policy = static, pop
+	// The baseline runs the classic plan; the treatment POP with checked
+	// re-optimization (re-planning is charged so the overhead is honest).
+	kc, kp := defaults(), defaults()
+	kp.Policy = core.PolicyPOP
 	for i, q := range queries {
-		st, err := execute(cat, ks, sqls(q.SQL)...)
+		c, err := execute(cat, kc, sqls(q.SQL)...)
 		if err != nil {
-			return nil, fmt.Errorf("E1 static: %w", err)
+			return nil, fmt.Errorf("E1 classic: %w", err)
 		}
 		p, err := execute(cat, kp, sqls(q.SQL)...)
 		if err != nil {
 			return nil, fmt.Errorf("E1 pop: %w", err)
 		}
 		d.ids = append(d.ids, fmt.Sprintf("q%02d", i))
-		d.static = append(d.static, st.cost())
+		d.classic = append(d.classic, c.cost())
 		d.pop = append(d.pop, p.cost())
 		d.trapped = append(d.trapped, q.Trapped)
 		d.reopts += p.reopts
@@ -65,7 +65,7 @@ func E1POPAggregate(scale float64) (*Report, error) {
 		return nil, err
 	}
 	r := newReport("E1", "POP aggregated improvement (Figure 1)")
-	qs := robustness.Summarize(d.static)
+	qs := robustness.Summarize(d.classic)
 	qp := robustness.Summarize(d.pop)
 	r.Printf("%-10s %s", "standard:", qs)
 	r.Printf("%-10s %s", "POP:", qp)
@@ -86,7 +86,7 @@ func E2POPSpeedups(scale float64) (*Report, error) {
 		return nil, err
 	}
 	r := newReport("E2", "POP relative improvement per query (Figure 2)")
-	series, regressions := robustness.SpeedupSeries(d.ids, d.static, d.pop, 0.95)
+	series, regressions := robustness.SpeedupSeries(d.ids, d.classic, d.pop, 0.95)
 	for i, s := range series {
 		if i < 10 || i >= len(series)-3 {
 			r.Printf("%s ratio=%.2f", s.ID, s.Ratio)
@@ -115,7 +115,7 @@ func E3POPScatter(scale float64) (*Report, error) {
 		return nil, err
 	}
 	r := newReport("E3", "POP scatter: standard vs POP response time (Figure 3)")
-	pts := robustness.Scatter(d.ids, d.static, d.pop)
+	pts := robustness.Scatter(d.ids, d.classic, d.pop)
 	below, above := 0, 0
 	for _, p := range pts {
 		if p.Y < p.X*0.98 {

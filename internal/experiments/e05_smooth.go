@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"rqp/internal/catalog"
+	"rqp/internal/core"
 	"rqp/internal/opt"
 	"rqp/internal/robustness"
 	"rqp/internal/types"
@@ -46,9 +47,9 @@ func E5Smoothness(scale float64) (*Report, error) {
 	// one a robust system must avoid at high selectivity); the scan-only
 	// one forbids it.
 	classic, indexOnly, robustK, scanOnly := defaults(), defaults(), defaults(), defaults()
-	indexOnly.opt.IndexPaths = opt.IndexAlways
-	robustK.opt.Mode, robustK.opt.PercentileP = opt.Percentile, 0.95
-	scanOnly.opt.IndexPaths = opt.IndexNever
+	indexOnly.IndexPaths = opt.IndexAlways
+	robustK.Mode, robustK.PercentileP = opt.Percentile, 0.95
+	scanOnly.IndexPaths = opt.IndexNever
 
 	// Cubic spacing resolves the low-selectivity region where the
 	// index/scan crossover lives.
@@ -64,7 +65,7 @@ func E5Smoothness(scale float64) (*Report, error) {
 	for i := 1; i <= steps; i++ {
 		p := sweepPoint(i)
 		var t [4]float64
-		for i, k := range []knobs{scanOnly, classic, robustK, indexOnly} {
+		for i, k := range []core.Config{scanOnly, classic, robustK, indexOnly} {
 			run, err := execute(cat, k, stmt{sql: query, params: []types.Value{types.Int(p)}})
 			if err != nil {
 				return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rqp/internal/catalog"
+	"rqp/internal/core"
 	"rqp/internal/opt"
 	"rqp/internal/robustness"
 	"rqp/internal/types"
@@ -25,7 +26,7 @@ func E8TractorPull(scale float64) (*Report, error) {
 	}
 	r := newReport("E8", "tractor pulling: escalating join chain with skew")
 
-	runLevels := func(k knobs) ([][]float64, error) {
+	runLevels := func(k core.Config) ([][]float64, error) {
 		var all [][]float64
 		for lv := 1; lv <= levels; lv++ {
 			var times []float64
@@ -46,7 +47,7 @@ func E8TractorPull(scale float64) (*Report, error) {
 		return nil, err
 	}
 	robustK := defaults()
-	robustK.opt.Mode = opt.Percentile
+	robustK.Mode = opt.Percentile
 	robustLevels, err := runLevels(robustK)
 	if err != nil {
 		return nil, err

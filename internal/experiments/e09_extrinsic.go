@@ -48,7 +48,7 @@ func E9Extrinsic(scale float64) (*Report, error) {
 	var idealTimes, producedTimes []float64
 	for _, env := range envs {
 		k := defaults()
-		k.opt.MemBudgetRows = env.mem
+		k.MemBudgetRows = env.mem
 		produced, err := execute(cat, k, stmt{root: believed.plans[0]})
 		if err != nil {
 			return nil, err
@@ -57,7 +57,7 @@ func E9Extrinsic(scale float64) (*Report, error) {
 		// The ideal plan for this environment: an optimizer that *knows*
 		// the memory budget, plus exhaustive forcing as ground truth.
 		oIdeal := opt.New(cat)
-		oIdeal.Opt = k.opt
+		oIdeal.Opt = k.Options
 		plans, err := oIdeal.EnumerateFullPlans(bq, nil, 16)
 		if err != nil {
 			return nil, err

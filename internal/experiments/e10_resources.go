@@ -30,7 +30,7 @@ func E10FMT(scale float64) (*Report, error) {
 				mem := sched(step)
 				step++
 				k := defaults()
-				k.opt.MemBudgetRows = mem
+				k.MemBudgetRows = mem
 				run, err := execute(cat, k, sqls(queries[name])...)
 				if err != nil {
 					return 0, fmt.Errorf("E10 %s: %w", name, err)

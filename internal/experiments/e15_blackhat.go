@@ -32,9 +32,9 @@ func E15BlackHat(scale float64) (*Report, error) {
 	query := "SELECT COUNT(*) FROM fact WHERE attr = 2 AND pseudo = 6"
 	run := func(mode opt.EstimateMode, p float64) (est float64, actual float64, err error) {
 		k := defaults()
-		k.opt.Mode = mode
+		k.Mode = mode
 		if p > 0 {
-			k.opt.PercentileP = p
+			k.PercentileP = p
 		}
 		res, err := execute(cat, k, sqls(query)...)
 		if err != nil {

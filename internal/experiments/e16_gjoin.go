@@ -83,7 +83,7 @@ func timeForcedJoin(cat *catalog.Catalog, alg plan.JoinAlg, memBudget int) (floa
 	outer, _ := cat.Table("outer_t")
 	inner, _ := cat.Table("inner_t")
 	k := defaults()
-	k.opt.MemBudgetRows = memBudget
+	k.MemBudgetRows = memBudget
 	run, err := execute(cat, k, stmt{root: joinNode(alg, outer, "o", inner, "i", float64(outer.Heap.NumRows()))})
 	if err != nil {
 		return 0, err

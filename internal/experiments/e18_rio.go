@@ -3,6 +3,7 @@ package experiments
 import (
 	"slices"
 
+	"rqp/internal/core"
 	"rqp/internal/robustness"
 	"rqp/internal/workload"
 )
@@ -25,38 +26,31 @@ func E18Rio(scale float64) (*Report, error) {
 	}
 	queries := workload.StarWorkload(cfg, scaleInt(30, scale), 0.5, 77)
 
-	type system struct {
-		name  string
-		k     knobs
-		costs []float64
-	}
-	var systems []*system
-	for _, p := range []policy{classic, pop, rio} {
-		k := defaults()
-		k.policy = p
-		systems = append(systems, &system{name: p.String(), k: k})
-	}
+	policies := []core.ExecPolicy{core.PolicyClassic, core.PolicyPOP, core.PolicyRio}
+	costs := make([][]float64, len(policies))
 	for _, q := range queries {
-		for _, s := range systems {
-			run, err := execute(cat, s.k, sqls(q.SQL)...)
+		for i, p := range policies {
+			k := defaults()
+			k.Policy = p
+			run, err := execute(cat, k, sqls(q.SQL)...)
 			if err != nil {
 				return nil, err
 			}
-			s.costs = append(s.costs, run.cost())
+			costs[i] = append(costs[i], run.cost())
 		}
 	}
 
 	r := newReport("E18", "adaptation spectrum: classic vs POP (reactive) vs Rio (proactive)")
-	for _, s := range systems {
-		total, worst := 0.0, slices.Max(s.costs)
-		for _, c := range s.costs {
+	for i, p := range policies {
+		total, worst := 0.0, slices.Max(costs[i])
+		for _, c := range costs[i] {
 			total += c
 		}
-		sm := robustness.Smoothness(s.costs)
-		r.Printf("%-8s total=%.1f worst=%.1f smoothness=%.3f", s.name, total, worst, sm)
-		r.Set(s.name+"_total", total)
-		r.Set(s.name+"_worst", worst)
-		r.Set(s.name+"_smoothness", sm)
+		sm := robustness.Smoothness(costs[i])
+		r.Printf("%-8s total=%.1f worst=%.1f smoothness=%.3f", p, total, worst, sm)
+		r.Set(p.String()+"_total", total)
+		r.Set(p.String()+"_worst", worst)
+		r.Set(p.String()+"_smoothness", sm)
 	}
 	return r, nil
 }

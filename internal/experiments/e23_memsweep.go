@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"rqp/internal/core"
 	"rqp/internal/workload"
 )
 
@@ -26,7 +27,7 @@ type MemSweepPoint struct {
 // joins of a few dozen to a few hundred rows, so at small scales it is the
 // only rung they exceed.
 var memSweepBudgets = axis{"budget", []float64{16, 64, 256, 1 << 10, 1 << 12, 1 << 14, 1 << 16, unlimited},
-	func(k *knobs, v float64) { k.opt.MemBudgetRows = int(v) }}
+	func(k *core.Config, v float64) { k.MemBudgetRows = int(v) }}
 
 // MemSweep runs the memory-degradation sweep and returns both the report
 // and the raw points (for rqpbench -sweep mem-sweep and the DESIGN.md
@@ -52,14 +53,14 @@ func MemSweep(scale float64) (*Report, []MemSweepPoint, error) {
 
 	floatCanon := 0
 	points := make([]MemSweepPoint, 0, len(ladder))
-	err = sweep(defaults(), []axis{memSweepBudgets}, func(k knobs, _ []float64) error {
+	err = sweep(defaults(), []axis{memSweepBudgets}, func(k core.Config, _ []float64) error {
 		got, err := execute(cat, k, suite...)
 		if err != nil {
 			return err
 		}
 		parts, srows, pages, depth, fb := got.ctx.Spill.Snapshot()
 		points = append(points, MemSweepPoint{
-			Budget: k.opt.MemBudgetRows, Units: got.cost(), Partitions: parts, SpillRows: srows,
+			Budget: k.MemBudgetRows, Units: got.cost(), Partitions: parts, SpillRows: srows,
 			SpillPages: pages, MaxDepth: depth, Fallbacks: fb, Match: same(&floatCanon, ref, got),
 		})
 		return nil
@@ -74,7 +75,7 @@ func MemSweep(scale float64) (*Report, []MemSweepPoint, error) {
 	// the invariant under test is that memory pressure changes nothing,
 	// not that DOP changes nothing.
 	k := defaults()
-	k.dop = 4
+	k.DOP = 4
 	dopRef, err := execute(cat, k, suite...)
 	if err != nil {
 		return nil, nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rqp/internal/catalog"
+	"rqp/internal/core"
 	"rqp/internal/plan"
 	"rqp/internal/types"
 	"rqp/internal/workload"
@@ -42,7 +43,7 @@ func FilterSweep(scale float64) (*Report, []FilterSweepPoint, error) {
 	factRows := scaleInt(20000, scale)
 	floatCanon := 0
 	var points []FilterSweepPoint
-	err := sweep(defaults(), []axis{filterSweepSels}, func(k knobs, at []float64) error {
+	err := sweep(defaults(), []axis{filterSweepSels}, func(k core.Config, at []float64) error {
 		sel := at[0]
 		dimRows := max(1, int(sel*float64(factRows)))
 		runs := [2]*run{}
@@ -53,7 +54,7 @@ func FilterSweep(scale float64) (*Report, []FilterSweepPoint, error) {
 			}
 			fact, _ := cat.Table("fact")
 			dim, _ := cat.Table("dim")
-			k.rf = rf
+			k.RuntimeFilters = rf
 			j := joinNode(plan.JoinHash, fact, "f", dim, "d", float64(dimRows))
 			if runs[i], err = execute(cat, k, stmt{root: j}); err != nil {
 				return fmt.Errorf("filtered=%v: %w", rf, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"rqp/internal/core"
 	"rqp/internal/workload"
 )
 
@@ -24,7 +25,7 @@ type DopSweepPoint struct {
 }
 
 // dopSweepDOPs is the fan-out ladder.
-var dopSweepDOPs = axis{"dop", []float64{1, 2, 4, 8}, func(k *knobs, v float64) { k.dop = int(v) }}
+var dopSweepDOPs = axis{"dop", []float64{1, 2, 4, 8}, func(k *core.Config, v float64) { k.DOP = int(v) }}
 
 // DopSweep runs the TPC-H-lite suite across the DOP ladder and returns
 // the report plus the raw points (for rqpbench -sweep dop-sweep and the
@@ -38,7 +39,7 @@ func DopSweep(scale float64) (*Report, []DopSweepPoint, error) {
 	suite := sqls(queries["Q1"], queries["Q3"], queries["Q10"])
 	floatCanon := 0
 	var points []DopSweepPoint
-	err = sweep(defaults(), []axis{dopSweepDOPs}, func(k knobs, _ []float64) error {
+	err = sweep(defaults(), []axis{dopSweepDOPs}, func(k core.Config, _ []float64) error {
 		start := time.Now()
 		first, err := execute(cat, k, suite...)
 		if err != nil {
@@ -51,7 +52,7 @@ func DopSweep(scale float64) (*Report, []DopSweepPoint, error) {
 			return err
 		}
 		points = append(points, DopSweepPoint{
-			DOP: k.dop, Units: first.cost(),
+			DOP: k.DOP, Units: first.cost(),
 			WallMS: float64(time.Since(start).Microseconds()) / 1000,
 			Match:  first.units == second.units && same(&floatCanon, first, second),
 		})

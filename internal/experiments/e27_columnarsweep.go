@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rqp/internal/catalog"
+	"rqp/internal/core"
 	"rqp/internal/expr"
 	"rqp/internal/plan"
 	"rqp/internal/types"
@@ -98,7 +99,7 @@ func ColumnarSweep(scale float64) (*Report, []ColumnarSweepPoint, error) {
 
 	floatCanon := 0
 	var points []ColumnarSweepPoint
-	err := sweep(defaults(), []axis{encodings, columnarSweepSels}, func(k knobs, at []float64) error {
+	err := sweep(defaults(), []axis{encodings, columnarSweepSels}, func(k core.Config, at []float64) error {
 		a, cat, sel := arms[int(at[0])], cats[int(at[0])], at[1]
 		t, _ := cat.Table("t")
 		filter := &expr.Bin{

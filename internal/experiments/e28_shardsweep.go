@@ -154,12 +154,12 @@ func shardRun(c shardCell, transport exec.ShuffleTransport, floatCanon *int) (Sh
 	}
 	q := sqls(workload.ShardJoinQuery())
 	k := defaults()
-	k.opt.MemBudgetRows = 1 << 16 // core.DefaultConfig's workspace
+	k.MemBudgetRows = 1 << 16 // core.DefaultConfig's workspace
 	serial, err := execute(cat, k, q...)
 	if err != nil {
 		return p, s, fmt.Errorf("%s serial: %w", c.section, err)
 	}
-	k.shards, k.force, k.noHotSplit, k.transport = c.shards, c.force, c.noHotSplit, transport
+	k.Shards, k.ShuffleForce, k.ShardNoHotSplit, k.ShuffleTransport = c.shards, c.force, c.noHotSplit, transport
 	res, err := execute(cat, k, q...)
 	if err != nil {
 		return p, s, fmt.Errorf("%s shards=%d: %w", c.section, c.shards, err)
@@ -283,7 +283,7 @@ func shardTractorTieIn(scale float64, floatCanon *int) (bool, error) {
 		return false, err
 	}
 	k := defaults()
-	k.opt.MemBudgetRows = 1 << 16 // core.DefaultConfig's workspace
+	k.MemBudgetRows = 1 << 16 // core.DefaultConfig's workspace
 	for lv := 1; lv <= 3; lv++ {
 		q := sqls(chainQuery(lv, 0))
 		serial, err := execute(cat, k, q...)
@@ -291,7 +291,7 @@ func shardTractorTieIn(scale float64, floatCanon *int) (bool, error) {
 			return false, err
 		}
 		sk := k
-		sk.shards = 4
+		sk.Shards = 4
 		sharded, err := execute(cat, sk, q...)
 		if err != nil {
 			return false, err

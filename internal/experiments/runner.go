@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 
-	"rqp/internal/adaptive"
 	"rqp/internal/catalog"
 	"rqp/internal/core"
 	"rqp/internal/exec"
@@ -14,41 +14,23 @@ import (
 	"rqp/internal/types"
 )
 
-// policy is how the runner turns a bound statement into executed rows.
-type policy uint8
-
-const (
-	classic policy = iota // optimize once, run the plan
-	static                // adaptive.Progressive without re-optimization
-	pop                   // POP: checked re-optimization, 5 units a re-plan
-	rio                   // Rio bounding boxes, uncertainty factor 6
-)
-
-func (p policy) String() string { return [...]string{"classic", "static", "pop", "rio"}[p] }
-
-// knobs is everything a statement runs under. Experiments start from
-// defaults() and set what they vary.
-type knobs struct {
-	// opt is the optimizer's: opt.Columnar admits ColScan, and
-	// opt.MemBudgetRows both prices spills and sizes the workspace broker.
-	opt        opt.Options
-	dop        int
-	rf         bool             // runtime join filters
-	shards     int              // logical shards (0 or 1: unsharded)
-	force      plan.ShuffleMode // shuffle exchange forced on every sharded join
-	noHotSplit bool
-	transport  exec.ShuffleTransport // nil: in-process exchanges
-	policy     policy
-}
-
 // unlimited is a workspace budget no statement of the experiments exceeds.
 const unlimited = 1 << 30
 
-func defaults() knobs {
-	k := knobs{opt: opt.DefaultOptions()}
-	k.opt.MemBudgetRows = unlimited
+// defaults is the configuration experiments start from and set what they
+// vary in: the optimizer's default options with an unlimited workspace, the
+// classic policy.
+func defaults() core.Config {
+	k := core.Config{Options: opt.DefaultOptions()}
+	k.MemBudgetRows = unlimited
 	return k
 }
+
+// runsUnder is the fields of core.Config a plan runs under, the ones execute
+// honours: MemBudgetRows, inside Options, both prices spills and sizes the
+// workspace broker.
+var runsUnder = map[string]bool{"Options": true, "Policy": true, "DOP": true, "RuntimeFilters": true,
+	"Shards": true, "ShuffleForce": true, "ShardNoHotSplit": true, "ShuffleTransport": true}
 
 // stmt is one statement: SQL text with its binds, or a plan built by hand,
 // which the runner marks and executes as it is.
@@ -66,7 +48,7 @@ func sqls(texts ...string) (out []stmt) {
 	return out
 }
 
-// run is what statements executed under one set of knobs left behind. Its
+// run is what statements executed under one configuration left behind. Its
 // context holds the spill, runtime-filter, columnar and shuffle counters.
 type run struct {
 	units  int64       // cost in storage.ClockScale sub-units
@@ -80,19 +62,25 @@ type run struct {
 func (r *run) cost() float64 { return float64(r.units) / storage.ClockScale }
 
 // execute is the one place an experiment's statements are parsed, bound,
-// optimized, marked and executed. All of stmts run in order on one context —
-// one clock, one workspace broker, one set of counters — each planned by a
-// fresh optimizer over cat with k.opt.
-func execute(cat *catalog.Catalog, k knobs, stmts ...stmt) (*run, error) {
+// planned, marked and executed. All of stmts run in order on one context —
+// one clock, one workspace broker, one set of counters — each under k.Policy
+// by a fresh optimizer over cat with k.Options, through the engine's
+// policy-to-executor code. A field of k that execute does not run a plan
+// under is an error, not ignored.
+func execute(cat *catalog.Catalog, k core.Config, stmts ...stmt) (*run, error) {
+	v := reflect.ValueOf(k)
+	for i := range v.NumField() {
+		if name := v.Type().Field(i).Name; !runsUnder[name] && !v.Field(i).IsZero() {
+			return nil, fmt.Errorf("execute: core.Config.%s is set, but statements do not run under it here", name)
+		}
+	}
 	ctx := exec.NewContext()
-	ctx.Mem = exec.NewMemBroker(k.opt.MemBudgetRows)
-	ctx.DOP = k.dop
-	cfg := core.Config{Options: k.opt, RuntimeFilters: k.rf, Shards: k.shards, ShuffleForce: k.force,
-		ShardNoHotSplit: k.noHotSplit, ShuffleTransport: k.transport}
+	ctx.Mem = exec.NewMemBroker(k.MemBudgetRows)
+	ctx.DOP = k.DOP
 	r := &run{ctx: ctx}
 	for _, s := range stmts {
 		o := opt.New(cat)
-		o.Opt = k.opt
+		o.Opt = k.Options
 		ctx.Params = s.params
 		root := s.root
 		if root == nil {
@@ -100,28 +88,20 @@ func execute(cat *catalog.Catalog, k knobs, stmts ...stmt) (*run, error) {
 			if err != nil {
 				return nil, err
 			}
-			switch k.policy {
-			case static, pop:
-				p := &adaptive.Progressive{Opt: o, Policy: adaptive.Static}
-				if k.policy == pop {
-					p.Policy, p.ReoptCharge = adaptive.Checked, 5
-				}
-				res, err := p.Execute(bq, ctx)
+			if prog := k.Policy.Progressive(o); prog != nil {
+				ctx.DOP = 0 // POP runs on one worker, as the engine runs it
+				res, err := prog.Execute(bq, ctx)
 				if err != nil {
 					return nil, err
 				}
 				r.rows, r.reopts = append(r.rows, res.Rows...), r.reopts+res.Reopts
 				continue
-			case rio:
-				root, _, err = (&adaptive.Rio{Opt: o, UncertaintyFactor: 6}).Choose(bq, s.params)
-			default:
-				root, err = o.Optimize(bq, s.params)
 			}
-			if err != nil {
+			if root, _, err = k.Policy.Plan(o, bq, s.params); err != nil {
 				return nil, err
 			}
 		}
-		core.ArmContext(ctx, cfg, core.MarkPlan(o, cfg, root))
+		core.ArmContext(ctx, k, core.MarkPlan(o, k, root))
 		rows, err := exec.Run(root, ctx)
 		if err != nil {
 			return nil, err
@@ -194,19 +174,20 @@ func (r *run) reassociates() bool {
 }
 
 // axis is one dimension of a sweep: its values, and how a value sets a
-// cell's knobs (nil where the value picks the data rather than a knob).
+// cell's configuration (nil where the value picks the data rather than a
+// field).
 type axis struct {
 	name   string
 	values []float64
-	set    func(k *knobs, v float64)
+	set    func(k *core.Config, v float64)
 }
 
 // sweep calls cell at every point of the axes' product, the first axis
-// outermost, with base's knobs set by that point's values (at).
-func sweep(base knobs, axes []axis, cell func(k knobs, at []float64) error) error {
+// outermost, with base set by that point's values (at).
+func sweep(base core.Config, axes []axis, cell func(k core.Config, at []float64) error) error {
 	at := make([]float64, len(axes))
-	var walk func(i int, k knobs) error
-	walk = func(i int, k knobs) error {
+	var walk func(i int, k core.Config) error
+	walk = func(i int, k core.Config) error {
 		if i == len(axes) {
 			return cell(k, at)
 		}

@@ -19,7 +19,9 @@ import (
 // TestOneRunner holds the package to one runner: no experiment file but
 // runner.go parses, binds, optimizes or executes a statement, or formats
 // rows with the 6-digit float canon; only E29 and E31, which measure an
-// engine (a server under load, the plan cache), attach one.
+// engine (a server under load, the plan cache), attach one. No file,
+// runner.go included, builds a POP or Rio executor: policies run through the
+// engine's ExecPolicy.
 func TestOneRunner(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -27,7 +29,7 @@ func TestOneRunner(t *testing.T) {
 	}
 	banned := map[string]bool{"sql.Parse": true, "plan.Bind": true, "exec.Run": true, "exec.Drain": true, "core.Attach": true}
 	for _, name := range files {
-		if name == "runner.go" || strings.HasSuffix(name, "_test.go") {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		fset := token.NewFileSet()
@@ -38,7 +40,16 @@ func TestOneRunner(t *testing.T) {
 		engine := strings.HasPrefix(name, "e29_") || strings.HasPrefix(name, "e31_")
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.CompositeLit:
+				if sel, ok := n.Type.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "adaptive" && (sel.Sel.Name == "Progressive" || sel.Sel.Name == "Rio") {
+						t.Errorf("%s: %s builds an adaptive.%s; set core.Config.Policy", fset.Position(n.Pos()), name, sel.Sel.Name)
+					}
+				}
 			case *ast.CallExpr:
+				if name == "runner.go" {
+					break
+				}
 				sel, ok := n.Fun.(*ast.SelectorExpr)
 				if !ok {
 					break
@@ -51,12 +62,55 @@ func TestOneRunner(t *testing.T) {
 					t.Errorf("%s: %s calls %s; run statements through execute", fset.Position(n.Pos()), name, call)
 				}
 			case *ast.BasicLit:
-				if n.Kind == token.STRING && strings.Contains(n.Value, "%.6g") {
+				if name != "runner.go" && n.Kind == token.STRING && strings.Contains(n.Value, "%.6g") {
 					t.Errorf("%s: %s formats rows with the float canon; compare them with same", fset.Position(n.Pos()), name)
 				}
 			}
 			return true
 		})
+	}
+}
+
+// TestRunnerRunsEnginePolicies: on E18's trapped star workload, execute
+// runs each of the engine's policies as core.Attach(cat, k).Exec does — the
+// same cost units, row hash and re-optimizations, POP's charges included —
+// and a field of k it does not run under is an error, not ignored.
+func TestRunnerRunsEnginePolicies(t *testing.T) {
+	sc := workload.DefaultStar()
+	sc.FactRows = 7500
+	cat, err := workload.BuildStar(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := workload.StarWorkload(sc, 12, 0.5, 77)
+	for _, p := range []core.ExecPolicy{core.PolicyClassic, core.PolicyPOP, core.PolicyPOPEager, core.PolicyRio} {
+		k := defaults()
+		k.Policy = p
+		eng := core.Attach(cat, k)
+		reopts := 0
+		for i, q := range queries {
+			got, err := execute(cat, k, sqls(q.SQL)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eng.Exec(q.SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.cost() != want.Cost || got.hash != types.HashRows(want.Rows) || got.reopts != want.Reopts {
+				t.Errorf("%s q%d: runner %.6f units, hash %x, %d reopts; engine %.6f, %x, %d",
+					p, i, got.cost(), got.hash, got.reopts, want.Cost, types.HashRows(want.Rows), want.Reopts)
+			}
+			reopts += got.reopts
+		}
+		if pop := p == core.PolicyPOP || p == core.PolicyPOPEager; pop && reopts == 0 {
+			t.Errorf("%s re-optimized no query: its charge is not compared", p)
+		}
+	}
+	k := defaults()
+	k.LEO = true
+	if _, err := execute(cat, k, sqls(queries[0].SQL)...); err == nil || !strings.Contains(err.Error(), "LEO") {
+		t.Errorf("execute under LEO: error %v, want one naming LEO", err)
 	}
 }
 
@@ -113,7 +167,7 @@ func TestSameHashesRowsExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := defaults().opt.MemBudgetRows; got != unlimited {
+	if got := defaults().MemBudgetRows; got != unlimited {
 		t.Errorf("defaults() budget %d rows, want unlimited (%d)", got, unlimited)
 	}
 	plannedAt(ref, unlimited)
