@@ -1,6 +1,7 @@
 package catalog_test
 
 import (
+	"runtime"
 	"testing"
 
 	"rqp/internal/workload"
@@ -28,7 +29,8 @@ func BenchmarkAnalyze(b *testing.B) {
 
 // BenchmarkCreateIndex builds the benchmark's indexes on the two largest
 // TPC-H-lite tables at its scale: one non-unique over lineitem's order key,
-// one unique over orders' key. Read it with -benchmem.
+// one unique over orders' key. Read it with -benchmem; retained-B/op is what
+// each build keeps live once the collector has run, the tree's footprint.
 func BenchmarkCreateIndex(b *testing.B) {
 	cat, err := workload.BuildTPCH(workload.TPCHConfig{Scale: 8, Seed: 1})
 	if err != nil {
@@ -40,18 +42,32 @@ func BenchmarkCreateIndex(b *testing.B) {
 	}{{"lineitem_order", "lineitem", "l_orderkey", false}, {"orders_pk", "orders", "o_orderkey", true}} {
 		b.Run(ix.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var retained int64
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				before := liveBytes()
+				b.StartTimer()
 				built, err := cat.CreateIndex(nil, ix.table, ix.name, []string{ix.col}, ix.unique)
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
+				retained += liveBytes() - before
 				if err := cat.DropIndex(ix.table, ix.name); err != nil {
 					b.Fatal(err)
 				}
 				built.Tree = nil // a dropped index stays listed: let its tree go
 				b.StartTimer()
 			}
+			b.ReportMetric(float64(retained)/float64(b.N), "retained-B/op")
 		})
 	}
+}
+
+// liveBytes is the heap still reachable after a full collection.
+func liveBytes() int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
 }

@@ -176,20 +176,15 @@ func (c *Catalog) CreateIndex(clk *storage.Clock, tableName, indexName string, c
 		}
 		cols[i] = ci
 	}
-	ix := &Index{Name: indexName, Cols: cols, Unique: unique, Tree: index.New(len(cols))}
-	// Every key is a slice of one arena, and the tree takes them all, in
-	// heap order, under one hold of its lock.
 	n := int(t.Heap.NumRows())
-	keys := make([]types.Value, 0, n*len(cols))
+	keys := make([][]types.Value, 0, n)
 	rids := make([]storage.RID, 0, n)
 	t.Heap.Scan(clk, func(rid storage.RID, r types.Row) bool {
-		for _, c := range cols {
-			keys = append(keys, r[c])
-		}
+		keys = append(keys, extractKey(r, cols))
 		rids = append(rids, rid)
 		return true
 	})
-	ix.Tree.InsertBatch(keys, rids)
+	ix := &Index{Name: indexName, Cols: cols, Unique: unique, Tree: index.Build(len(cols), keys, rids)}
 	c.mu.Lock()
 	t.Indexes = append(t.Indexes, ix)
 	c.mu.Unlock()
@@ -210,10 +205,21 @@ func (c *Catalog) DropIndex(tableName, indexName string) error {
 	return nil
 }
 
+// extractKey returns r's key under cols. When the columns are contiguous
+// and ascending the key is a view of r — no row is written in place once the
+// heap holds it, so an index keeps the view — and otherwise a copy.
 func extractKey(r types.Row, cols []int) []types.Value {
-	key := make([]types.Value, len(cols))
-	for i, c := range cols {
-		key[i] = r[c]
+	c, w := cols[0], len(cols)
+	contiguous := true
+	for i, col := range cols {
+		contiguous = contiguous && col == c+i
+	}
+	if contiguous {
+		return r[c : c+w : c+w]
+	}
+	key := make([]types.Value, w)
+	for i, col := range cols {
+		key[i] = r[col]
 	}
 	return key
 }
@@ -250,8 +256,10 @@ func (c *Catalog) Delete(clk *storage.Clock, t *Table, rid storage.RID) bool {
 	return true
 }
 
-// Update replaces the row at rid, maintaining indexes whose key columns
-// changed.
+// Update replaces the row at rid, maintaining indexes. Every entry is
+// re-pointed at the new row, its key unchanged or not: deleting and
+// re-inserting the same (key, RID) returns an entry to its slot without a
+// split, and leaves no index holding a view of the row the heap let go.
 func (c *Catalog) Update(clk *storage.Clock, t *Table, rid storage.RID, newRow types.Row) bool {
 	old, ok := t.Heap.Get(nil, rid)
 	if !ok {
@@ -265,20 +273,8 @@ func (c *Catalog) Update(clk *storage.Clock, t *Table, rid storage.RID, newRow t
 		if ix.Dropped {
 			continue
 		}
-		oldKey := extractKey(old, ix.Cols)
-		newKey := extractKey(newRow, ix.Cols)
-		same := true
-		for i := range oldKey {
-			if types.Compare(oldKey[i], newKey[i]) != 0 {
-				same = false
-				break
-			}
-		}
-		if same {
-			continue
-		}
-		ix.Tree.Delete(oldKey, rid)
-		ix.Tree.Insert(newKey, rid)
+		ix.Tree.Delete(extractKey(old, ix.Cols), rid)
+		ix.Tree.Insert(extractKey(newRow, ix.Cols), rid)
 	}
 	return true
 }

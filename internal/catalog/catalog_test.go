@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"strings"
 	"testing"
 
 	"rqp/internal/index"
@@ -191,4 +192,83 @@ func TestIndexOnLeadingColumn(t *testing.T) {
 	if names[0] != "grp" || names[1] != "id" {
 		t.Errorf("ColNames wrong: %v", names)
 	}
+}
+
+// TestIndexKeysViewHeapRows: an index over contiguous columns keeps each
+// key as a view of its RID's current heap row — through CREATE INDEX,
+// INSERT, an UPDATE that keeps the key, one that changes it, and DELETE —
+// and an index over non-contiguous columns keeps copies.
+func TestIndexKeysViewHeapRows(t *testing.T) {
+	c := New()
+	tb, _ := c.CreateTable("t", types.Schema{
+		{Name: "a", Kind: types.KindInt},
+		{Name: "b", Kind: types.KindInt},
+		{Name: "c", Kind: types.KindInt},
+		{Name: "d", Kind: types.KindString},
+	})
+	row := func(i int) types.Row {
+		return types.Row{types.Int(int64(i)), types.Int(int64(i % 7)), types.Int(int64(i % 11)), types.Str("x")}
+	}
+	for i := 0; i < 500; i++ {
+		c.Insert(nil, tb, row(i))
+	}
+	var ixs []*Index
+	for _, cols := range [][]string{{"b"}, {"b", "c"}, {"a", "c"}} {
+		ix, err := c.CreateIndex(nil, "t", strings.Join(cols, "_"), cols, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ixs = append(ixs, ix)
+	}
+	check := func(step string) {
+		t.Helper()
+		for n, ix := range ixs {
+			if err := ix.Tree.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %s: %v", step, ix.Name, err)
+			}
+			if got, want := ix.Tree.Len(), int(tb.Heap.NumRows()); got != want {
+				t.Fatalf("%s: %s holds %d entries for %d rows", step, ix.Name, got, want)
+			}
+			ix.Tree.Scan(nil, index.Bound{}, index.Bound{}, func(e index.Entry) bool {
+				r, ok := tb.Heap.Get(nil, e.RID)
+				if !ok {
+					t.Fatalf("%s: %s names a deleted row %v", step, ix.Name, e.RID)
+				}
+				for k, col := range ix.Cols {
+					if types.Compare(e.Key[k], r[col]) != 0 {
+						t.Fatalf("%s: %s key %v for row %v", step, ix.Name, e.Key, r)
+					}
+				}
+				if view := &e.Key[0] == &r[ix.Cols[0]]; view != (n < 2) {
+					t.Fatalf("%s: %s: key is a view of its heap row: %v", step, ix.Name, view)
+				}
+				return true
+			})
+		}
+	}
+	check("CREATE INDEX")
+	var rids []storage.RID
+	for i := 500; i < 600; i++ {
+		rids = append(rids, c.Insert(nil, tb, row(i)))
+	}
+	check("INSERT")
+	for _, rid := range rids[:50] {
+		r, _ := tb.Heap.Get(nil, rid)
+		nr := r.Clone()
+		nr[3] = types.Str("y")
+		c.Update(nil, tb, rid, nr)
+	}
+	check("UPDATE keeping the key")
+	for _, rid := range rids[25:75] {
+		r, _ := tb.Heap.Get(nil, rid)
+		nr := r.Clone()
+		nr[1] = types.Int(r[1].I + 100)
+		nr[2] = types.Int(r[2].I + 100)
+		c.Update(nil, tb, rid, nr)
+	}
+	check("UPDATE changing the key")
+	for _, rid := range rids[60:] {
+		c.Delete(nil, tb, rid)
+	}
+	check("DELETE")
 }

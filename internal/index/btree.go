@@ -117,29 +117,12 @@ func (t *BTree) Height() int {
 // NumCols returns the key column count.
 func (t *BTree) NumCols() int { return t.numCols }
 
-// Insert adds an entry. Duplicate (key, rid) pairs are ignored.
+// Insert adds an entry. Duplicate (key, rid) pairs are ignored. The tree
+// keeps key, so the caller must not write it afterwards.
 func (t *BTree) Insert(key []types.Value, rid storage.RID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.put(Entry{Key: key, RID: rid})
-}
-
-// InsertBatch adds len(rids) entries under one hold of the lock, in order:
-// entry i is keyed by the NumCols values at keys[i*NumCols():], which the tree
-// keeps, so the caller must not write keys afterwards. The tree is the one
-// as many Inserts in the same order build.
-func (t *BTree) InsertBatch(keys []types.Value, rids []storage.RID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	w := t.numCols
-	for i, rid := range rids {
-		t.put(Entry{Key: keys[i*w : (i+1)*w : (i+1)*w], RID: rid})
-	}
-}
-
-// put inserts e from the root, growing the tree when the root splits.
-func (t *BTree) put(e Entry) {
-	nw, sep := t.insert(t.root, e)
+	nw, sep := t.insert(t.root, Entry{Key: key, RID: rid})
 	if nw != nil {
 		t.root = &node{
 			keys:     []Entry{sep},

@@ -1,10 +1,11 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 )
 
 // buildCase is a table's index keys in heap order, numCols values a row laid
-// end to end, as CREATE INDEX collects them.
+// end to end, as the rows hold them.
 type buildCase struct {
 	name    string
 	numCols int
@@ -91,7 +92,7 @@ func entries(t *BTree) []Entry {
 	return out
 }
 
-// wantShapes are the shapes row-by-row Inserts built before InsertBatch
+// wantShapes are the shapes row-by-row Inserts built before any bulk build
 // existed: a split rule that moves changes them, whichever path builds.
 var wantShapes = map[string]string{
 	"unique ascending":     "h3 32×92 56",
@@ -103,41 +104,107 @@ var wantShapes = map[string]string{
 	"mixed Int/Date/Float": "h3 46 53 38 36 39 41 64 59 51 50 49 53 62 51 35 46 63 38 34 42 55 37 36 32 35 39×2 37 40 60 54 58 46 47 52 44 37 64 49 55 60 37 36 53 62 57 33 34 42 39 42 48×2 43 38 37 35 38×2 41 64 33 37 32 33 39 35",
 }
 
-// TestCreateIndexMatchesInserts: one InsertBatch of a table's keys in heap
-// order builds the tree the same Inserts one by one build — height, every
-// leaf's entry count in chain order, the entries — and both are the tree the
-// row-by-row build made before the batch existed.
+// TestCreateIndexMatchesInserts: Build over a table's keys in heap order
+// makes the tree the same Inserts one by one make — height, every leaf's
+// entry count in chain order, the separators, the entries, each keeping the
+// very key slice it was given — and both are the tree the row-by-row build
+// made before the bulk build existed.
 func TestCreateIndexMatchesInserts(t *testing.T) {
 	for _, c := range buildCases() {
-		rows := len(c.keys) / c.numCols
-		rids := make([]storage.RID, rows)
-		for i := range rids {
-			rids[i] = storage.RID(3*i + 1) // heap order, with gaps
-		}
-		batch := New(c.numCols)
-		batch.InsertBatch(c.keys, rids)
-		rowwise := New(c.numCols)
-		for i, rid := range rids {
-			rowwise.Insert(append([]types.Value(nil), c.keys[i*c.numCols:(i+1)*c.numCols]...), rid)
-		}
-		for _, tr := range []*BTree{batch, rowwise} {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Errorf("%s: %v", c.name, err)
-			}
-		}
-		if got, want := shape(batch), shape(rowwise); got != want {
-			t.Errorf("%s: batch-built shape\n%s\nrow by row\n%s", c.name, got, want)
-		}
+		keys, rids := c.split()
+		rowwise := matchInserts(t, c.name, c.numCols, keys, rids)
 		if got, want := shape(rowwise), wantShapes[c.name]; got != want {
 			t.Errorf("%s: shape\n%s\nwant\n%s", c.name, got, want)
 		}
-		if got, want := entries(batch), entries(rowwise); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: batch-built entries differ from row-by-row ones", c.name)
+	}
+}
+
+// TestBuildMatchesInsertsAnyOrder: Build matches the Inserts when the RIDs
+// do not ascend and when a (key, RID) pair comes twice, which a heap scan
+// never hands it.
+func TestBuildMatchesInsertsAnyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for _, c := range buildCases() {
+		keys, rids := c.split()
+		rng.Shuffle(len(rids), func(i, j int) { rids[i], rids[j] = rids[j], rids[i] })
+		matchInserts(t, c.name+" shuffled RIDs", c.numCols, keys, rids)
+		for i := 0; i < len(rids)/10; i++ {
+			j := rng.Intn(len(rids))
+			keys = append(keys, append([]types.Value(nil), keys[j]...))
+			rids = append(rids, rids[j])
 		}
-		if batch.Len() != rows {
-			t.Errorf("%s: %d entries, want %d", c.name, batch.Len(), rows)
+		matchInserts(t, c.name+" repeated pairs", c.numCols, keys, rids)
+	}
+}
+
+// split returns the case's keys, each a view of its numCols values, and
+// RIDs that ascend with gaps, as a heap scan's do.
+func (c buildCase) split() ([][]types.Value, []storage.RID) {
+	rows := len(c.keys) / c.numCols
+	keys := make([][]types.Value, rows)
+	rids := make([]storage.RID, rows)
+	for i := range rids {
+		keys[i] = c.keys[i*c.numCols : (i+1)*c.numCols : (i+1)*c.numCols]
+		rids[i] = storage.RID(3*i + 1)
+	}
+	return keys, rids
+}
+
+// matchInserts builds the tree both ways, fails t where they differ and
+// returns the row-by-row one.
+func matchInserts(t *testing.T, name string, numCols int, keys [][]types.Value, rids []storage.RID) *BTree {
+	t.Helper()
+	built := Build(numCols, keys, rids)
+	rowwise := New(numCols)
+	for i, rid := range rids {
+		rowwise.Insert(keys[i], rid)
+	}
+	for _, tr := range []*BTree{built, rowwise} {
+		if err := tr.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
+	if got, want := shape(built), shape(rowwise); got != want {
+		t.Errorf("%s: built shape\n%s\nrow by row\n%s", name, got, want)
+	}
+	if got, want := separators(built), separators(rowwise); !sameEntries(got, want) {
+		t.Errorf("%s: built separators differ from row-by-row ones", name)
+	}
+	if got, want := entries(built), entries(rowwise); !sameEntries(got, want) {
+		t.Errorf("%s: built entries differ from row-by-row ones", name)
+	}
+	if built.Len() != rowwise.Len() {
+		t.Errorf("%s: %d entries, want %d", name, built.Len(), rowwise.Len())
+	}
+	return rowwise
+}
+
+// separators lists the inner nodes' keys, depth first.
+func separators(t *BTree) []Entry {
+	var out []Entry
+	var walk func(n *node)
+	walk = func(n *node) {
+		out = append(out, n.keys...)
+		for _, c := range n.children {
+			walk(c)
+		}
+	}
+	walk(t.root)
+	return out
+}
+
+// sameEntries: the same RIDs, each with the same key slice — the same
+// memory, not only equal values.
+func sameEntries(a, b []Entry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].RID != b[i].RID || len(a[i].Key) != len(b[i].Key) || &a[i].Key[0] != &b[i].Key[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestCompareKeysKindMatrix: compareValue's Int/Date path orders every pair
@@ -194,6 +261,29 @@ func TestCompareKeysKindMatrix(t *testing.T) {
 		n := min(len(a), len(b))
 		if got, want := prefixCompare(a, b), sign(generic(a[:n], b[:n])); got != want {
 			t.Fatalf("prefixCompare(%v, %v) = %d, want %d", a, b, got, want)
+		}
+	}
+}
+
+// TestRadixSortMatchesStableSort: radixSort orders by the key, negative and
+// extreme keys included, and keeps equal keys in input order — Build's
+// comparator sort would mend a wrong order silently, only slower.
+func TestRadixSortMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, spread := range []int64{1, 300, 1 << 40} {
+		ps := make([]pair, 5000)
+		for i := range ps {
+			k := rng.Int63n(spread) - spread/2
+			if i%97 == 0 {
+				k = []int64{math.MinInt64, math.MaxInt64}[i%2]
+			}
+			ps[i] = pair{k: k, rid: storage.RID(rng.Int63n(100)), i: int32(i)}
+		}
+		want := slices.Clone(ps)
+		slices.SortStableFunc(want, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
+		radixSort(ps)
+		if !slices.Equal(ps, want) {
+			t.Errorf("spread %d: radixSort differs from a stable sort by key", spread)
 		}
 	}
 }
