@@ -101,6 +101,16 @@ func leftOuter(root plan.Node) plan.Node {
 	return root
 }
 
+// innerJoins turns every hash join into an inner one, keeping its sides.
+func innerJoins(root plan.Node) plan.Node {
+	plan.Walk(root, func(n plan.Node) {
+		if j, ok := n.(*plan.JoinNode); ok {
+			j.Type, j.Title = plan.Inner, j.Alg.String()
+		}
+	})
+	return root
+}
+
 // nestedLoopOver joins the topmost joins of two statements' plans by a
 // nested loop on l.c = r.c, the left one probing.
 func nestedLoopOver(left, right func(bool) plan.Node, l, r [2]string) func(bool) plan.Node {
@@ -145,6 +155,8 @@ func joinCases(t *testing.T) []joinCase {
 	def := opt.DefaultOptions()
 	ixOnly := def
 	ixOnly.Joins = 1 << plan.JoinIndexNL
+	mergeOnly := def
+	mergeOnly.Joins = 1 << plan.JoinMerge
 	nl, hash := plan.JoinNL, plan.JoinHash
 	const (
 		inner   = `SELECT li.v, ord.d FROM li, ord WHERE li.o = ord.o AND li.g < 2`
@@ -155,6 +167,12 @@ func joinCases(t *testing.T) []joinCase {
 		ixChain = `SELECT li.v, ord.d, cust.seg FROM cust, ord, li WHERE cust.c = li.c AND li.o = ord.o AND ord.d < 400 AND li.g < 2`
 		star    = `SELECT li.v, ord.d, cust.seg FROM cust, ord, li WHERE cust.c = li.c AND li.o = ord.o AND ord.d < 400 AND li.g < 2`
 		nested  = `SELECT li.v, ord.d, cust.seg FROM cust, ord, li WHERE cust.c = ord.c AND li.o = ord.o AND ord.d < 400 AND li.g < 2`
+		mResid  = `SELECT li.v, ord.d FROM li, ord WHERE li.o = ord.o AND li.g < 2 AND li.v < ord.d * 6`
+		// li.pad holds three keys of 1 000 rows each: at a 64-row grant
+		// no repartitioning splits a key, and the build falls back to
+		// sort-merge past maxSpillDepth.
+		skew      = `SELECT cust.c, li.v FROM cust LEFT JOIN li ON cust.seg = li.pad WHERE cust.c < 8`
+		skewResid = `SELECT cust.c, li.v FROM cust LEFT JOIN li ON cust.seg = li.pad AND li.v < cust.c * 400 WHERE cust.c < 8`
 	)
 	cases := []joinCase{
 		shape(t, joinCase{name: "nl/inner-null-keys", mk: joinPlan(t, chain, inner, def, nil, setAlgs(nl))}, "NestedLoopJoin"),
@@ -175,6 +193,14 @@ func joinCases(t *testing.T) []joinCase {
 			joinPlan(t, chain, `SELECT li.v, li.c, ord.d FROM li, ord WHERE li.o = ord.o AND li.g < 2`, def, nil, nil),
 			joinPlan(t, chain, `SELECT cust.c, cust.seg, nat.r FROM cust, nat WHERE cust.n = nat.n`, def, nil, nil),
 			[2]string{"li", "c"}, [2]string{"cust", "c"})}, "NestedLoopJoin/inner=HashJoin", "HashJoin", "HashJoin"),
+		shape(t, joinCase{name: "merge/null-keys", mk: joinPlan(t, chain, inner, mergeOnly, nil, nil)}, "MergeJoin"),
+		shape(t, joinCase{name: "merge/duplicate-keys", mk: joinPlan(t, chain, dups, mergeOnly, nil, nil)}, "MergeJoin"),
+		shape(t, joinCase{name: "merge/residual", mk: joinPlan(t, chain, mResid, mergeOnly, nil, nil)}, "MergeJoin"),
+		shape(t, joinCase{name: "merge/chain", mk: joinPlan(t, chain, star, mergeOnly, nil, nil)}, "MergeJoin", "MergeJoin"),
+		shape(t, joinCase{name: "fallback/inner", mk: joinPlan(t, chain, skew, def, nil, innerJoins)}, "HashJoin"),
+		shape(t, joinCase{name: "fallback/inner-residual", mk: joinPlan(t, chain, skewResid, def, nil, innerJoins)}, "HashJoin"),
+		shape(t, joinCase{name: "fallback/left-outer", mk: joinPlan(t, chain, skew, def, nil, nil)}, "HashJoin"),
+		shape(t, joinCase{name: "fallback/left-outer-residual", mk: joinPlan(t, chain, skewResid, def, nil, nil)}, "HashJoin"),
 		shape(t, joinCase{name: "limit/nl", mk: joinPlan(t, chain, inner, def, nil, limitOver(7, setAlgs(nl)))}, "NestedLoopJoin"),
 		shape(t, joinCase{name: "limit/ix", mk: joinPlan(t, chain, ixFilt, ixOnly, nil, limitOver(7, nil))}, "IndexNLJoin filter=true residual=true"),
 	}
