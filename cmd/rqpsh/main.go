@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -28,6 +29,7 @@ import (
 	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/server"
+	"rqp/internal/types"
 	"rqp/internal/wlm"
 	"rqp/internal/workload"
 )
@@ -152,62 +154,32 @@ func main() {
 
 	fmt.Printf("rqp shell (policy=%s, estimate=%s, leo=%v). End statements with ';'. \\metrics dumps counters, \\q quits.\n",
 		*policy, *mode, *leo)
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	var buf strings.Builder
-	prompt := func() { fmt.Print("rqp> ") }
-	prompt()
-	for scanner.Scan() {
-		line := scanner.Text()
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "\\q" || trimmed == "quit" || trimmed == "exit" {
-			return
-		}
-		if trimmed == "\\metrics" {
-			fmt.Print(eng.Metrics.Expose())
-			prompt()
-			continue
-		}
-		buf.WriteString(line)
-		buf.WriteByte('\n')
-		if !strings.Contains(line, ";") {
-			continue
-		}
-		stmt := strings.TrimSpace(buf.String())
-		buf.Reset()
-		if stmt == "" || stmt == ";" {
-			prompt()
-			continue
-		}
+	meta := map[string]func(io.Writer){`\metrics`: func(w io.Writer) { fmt.Fprint(w, eng.Metrics.Expose()) }}
+	repl(os.Stdin, os.Stdout, meta, func(stmt string, w io.Writer) error {
 		res, err := eng.Exec(stmt)
 		if err != nil {
-			fmt.Println("error:", err)
-			prompt()
-			continue
+			fmt.Fprintln(w, "error:", err)
+			return nil
 		}
 		if res.Plan != "" && len(res.Rows) == 0 {
-			fmt.Print(res.Plan)
+			fmt.Fprint(w, res.Plan)
 		}
-		if len(res.Columns) > 0 && len(res.Rows) > 0 {
-			fmt.Println(strings.Join(res.Columns, " | "))
-		}
-		for _, row := range res.Rows {
-			fmt.Println(row)
-		}
+		printRows(w, res.Columns, res.Rows)
 		if res.Affected > 0 {
-			fmt.Printf("%d row(s) affected\n", res.Affected)
+			fmt.Fprintf(w, "%d row(s) affected\n", res.Affected)
 		}
 		if res.Cost > 0 {
-			fmt.Printf("-- cost %.2f units, %d reopt(s)\n", res.Cost, res.Reopts)
+			fmt.Fprintf(w, "-- cost %.2f units, %d reopt(s)\n", res.Cost, res.Reopts)
 		}
-		prompt()
-	}
+		return nil
+	})
 }
 
-// remoteShell is the -connect REPL: the same read-statement/print-rows loop
-// as the in-process shell, but speaking the wire protocol to an rqpserver.
-// WLM backpressure notices (WLM_QUEUED / WLM_ADMITTED) print as they arrive
-// in the result, so a queued statement explains its own latency.
+// remoteShell is the -connect shell: the in-process shell's statement loop
+// over the wire protocol to an rqpserver. WLM backpressure notices
+// (WLM_QUEUED / WLM_ADMITTED) print before the result, so a queued statement
+// explains its own latency. A protocol error closes the connection and ends
+// the loop.
 func remoteShell(addr string) error {
 	c, err := server.Dial(addr)
 	if err != nil {
@@ -216,16 +188,50 @@ func remoteShell(addr string) error {
 	defer c.Close()
 	fmt.Printf("connected to rqpserver at %s (session %d). End statements with ';'. \\q quits.\n",
 		addr, c.SessionID)
-	scanner := bufio.NewScanner(os.Stdin)
+	return repl(os.Stdin, os.Stdout, nil, func(stmt string, w io.Writer) error {
+		rs, err := c.Query(stmt)
+		if rs != nil {
+			for _, n := range rs.Notices {
+				fmt.Fprintf(w, "-- notice %s: %s\n", n.Code, n.Message)
+			}
+		}
+		if err != nil {
+			fmt.Fprintln(w, "error:", err)
+			if se, ok := err.(*server.ServerError); ok && se.Code == server.CodeProto {
+				return fmt.Errorf("connection closed by server: %s", se.Message)
+			}
+			return nil
+		}
+		printRows(w, rs.Columns, rs.Rows)
+		if rs.Tag == "OK" && rs.RowCount > 0 {
+			fmt.Fprintf(w, "%d row(s) affected\n", rs.RowCount)
+		}
+		if rs.CostUnits > 0 {
+			fmt.Fprintf(w, "-- cost %.2f units\n", rs.CostUnits)
+		}
+		return nil
+	})
+}
+
+// repl is the statement loop of both shells. It reads lines from in until
+// \q, quit or exit, runs a line naming a meta command, and hands run every
+// statement — the lines up to one holding ';' — to execute and print its
+// result to out. An error from run ends the loop and is returned.
+func repl(in io.Reader, out io.Writer, meta map[string]func(io.Writer), run func(stmt string, out io.Writer) error) error {
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
-	prompt := func() { fmt.Print("rqp> ") }
-	prompt()
+	fmt.Fprint(out, "rqp> ")
 	for scanner.Scan() {
 		line := scanner.Text()
 		trimmed := strings.TrimSpace(line)
-		if trimmed == "\\q" || trimmed == "quit" || trimmed == "exit" {
+		if trimmed == `\q` || trimmed == "quit" || trimmed == "exit" {
 			return nil
+		}
+		if m := meta[trimmed]; m != nil {
+			m(out)
+			fmt.Fprint(out, "rqp> ")
+			continue
 		}
 		buf.WriteString(line)
 		buf.WriteByte('\n')
@@ -234,37 +240,23 @@ func remoteShell(addr string) error {
 		}
 		stmt := strings.TrimSpace(buf.String())
 		buf.Reset()
-		if stmt == "" || stmt == ";" {
-			prompt()
-			continue
-		}
-		rs, err := c.Query(stmt)
-		if rs != nil {
-			for _, n := range rs.Notices {
-				fmt.Printf("-- notice %s: %s\n", n.Code, n.Message)
+		if stmt != "" && stmt != ";" {
+			if err := run(stmt, out); err != nil {
+				return err
 			}
 		}
-		if err != nil {
-			fmt.Println("error:", err)
-			if se, ok := err.(*server.ServerError); ok && se.Code == server.CodeProto {
-				return fmt.Errorf("connection closed by server: %s", se.Message)
-			}
-			prompt()
-			continue
-		}
-		if len(rs.Columns) > 0 && len(rs.Rows) > 0 {
-			fmt.Println(strings.Join(rs.Columns, " | "))
-		}
-		for _, row := range rs.Rows {
-			fmt.Println(row)
-		}
-		if rs.Tag == "OK" && rs.RowCount > 0 {
-			fmt.Printf("%d row(s) affected\n", rs.RowCount)
-		}
-		if rs.CostUnits > 0 {
-			fmt.Printf("-- cost %.2f units\n", rs.CostUnits)
-		}
-		prompt()
+		fmt.Fprint(out, "rqp> ")
 	}
 	return nil
+}
+
+// printRows prints a result's header and rows; a result without rows
+// prints nothing.
+func printRows(w io.Writer, cols []string, rows []types.Row) {
+	if len(cols) > 0 && len(rows) > 0 {
+		fmt.Fprintln(w, strings.Join(cols, " | "))
+	}
+	for _, row := range rows {
+		fmt.Fprintln(w, row)
+	}
 }

@@ -126,7 +126,7 @@ func (p *Progressive) ExecuteInto(q *plan.Query, ctx *exec.Context, sink exec.Ro
 		// Find the first executable join (both inputs are leaf scans).
 		sub := firstJoin(core)
 
-		// POP's CHECK sits *below* the join: materialize the join's outer
+		// POP's checkpoint sits *below* the join: materialize the join's outer
 		// input first. With the outer's exact cardinality, re-planning can
 		// repair a mistaken join method or order before the join runs —
 		// without this, a catastrophic first join would already have

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"rqp/internal/expr"
-	"rqp/internal/plan"
 	"rqp/internal/types"
 )
 
@@ -138,71 +137,3 @@ func (l *limitOp) Next() (types.Row, bool, error) {
 }
 
 func (l *limitOp) Close() error { return l.child.Close() }
-
-// materializeOp buffers its input fully on Open; POP reuses these buffers
-// across re-optimizations.
-type materializeOp struct {
-	ctx   *Context
-	child Operator
-	rows  []types.Row
-	pos   int
-}
-
-func (m *materializeOp) Open() error {
-	rows, err := drain(m.child)
-	if err != nil {
-		return err
-	}
-	m.rows = rows
-	m.pos = 0
-	m.ctx.Clock.RowWork(len(rows))
-	return nil
-}
-
-func (m *materializeOp) Next() (types.Row, bool, error) {
-	if m.pos >= len(m.rows) {
-		return nil, false, nil
-	}
-	r := m.rows[m.pos]
-	m.pos++
-	return r, true, nil
-}
-
-func (m *materializeOp) Close() error {
-	m.rows = nil
-	return nil
-}
-
-// checkOp is the POP CHECK operator: it counts rows flowing through and
-// raises CardinalityViolation the moment the count leaves the validity
-// range (or, for an undershoot, when the input ends early).
-type checkOp struct {
-	node  *plan.CheckNode
-	child Operator
-	n     float64
-}
-
-func (c *checkOp) Open() error {
-	c.n = 0
-	return c.child.Open()
-}
-
-func (c *checkOp) Next() (types.Row, bool, error) {
-	r, ok, err := c.child.Next()
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		if c.n < c.node.Lo {
-			return nil, false, &CardinalityViolation{Node: c.node, Actual: c.n}
-		}
-		return nil, false, nil
-	}
-	c.n++
-	if c.node.Hi > 0 && c.n > c.node.Hi {
-		return nil, false, &CardinalityViolation{Node: c.node, Actual: c.n}
-	}
-	return r, true, nil
-}
-
-func (c *checkOp) Close() error { return c.child.Close() }

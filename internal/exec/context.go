@@ -407,18 +407,6 @@ func build(n plan.Node, ctx *Context) (Operator, error) {
 			return nil, err
 		}
 		op = &limitOp{n: node.N, skip: node.Skip, child: child}
-	case *plan.MaterializeNode:
-		child, err := build(node.Kids[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		op = &materializeOp{ctx: ctx, child: child}
-	case *plan.CheckNode:
-		child, err := build(node.Kids[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		op = &checkOp{node: node, child: child}
 	default:
 		return nil, fmt.Errorf("exec: unsupported plan node %T", n)
 	}
@@ -519,18 +507,4 @@ func pull(op Operator, ctx *Context, sink RowSink) (int, error) {
 			return n, op.Close()
 		}
 	}
-}
-
-// CardinalityViolation signals that a CHECK operator saw a cardinality
-// outside its validity range; the adaptive layer catches it to trigger
-// re-optimization.
-type CardinalityViolation struct {
-	Node   *plan.CheckNode
-	Actual float64
-}
-
-// Error implements error.
-func (v *CardinalityViolation) Error() string {
-	return fmt.Sprintf("exec: cardinality check failed: actual %.0f outside [%.0f, %.0f]",
-		v.Actual, v.Node.Lo, v.Node.Hi)
 }

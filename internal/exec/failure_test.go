@@ -289,47 +289,3 @@ func TestSharedClockUnderConcurrency(t *testing.T) {
 		t.Error("shared clock should have accumulated cost")
 	}
 }
-
-// TestCheckOperatorSignalsViolation exercises the POP CHECK operator's
-// error path directly.
-func TestCheckOperatorSignalsViolation(t *testing.T) {
-	cat := failureDB(t)
-	tb, _ := cat.Table("f")
-	scan := &plan.ScanNode{Table: tb, Alias: "f"}
-	scan.Out = tb.Schema
-	scan.Title = "SeqScan(f)"
-	scan.Prop = plan.Props{EstRows: 50}
-	check := &plan.CheckNode{Lo: 0, Hi: 10}
-	check.Kids = []plan.Node{scan}
-	check.Out = scan.Out
-	check.Title = "Check"
-	check.Prop = plan.Props{EstRows: 10}
-	_, err := Run(check, NewContext())
-	viol, ok := err.(*CardinalityViolation)
-	if !ok {
-		t.Fatalf("expected CardinalityViolation, got %v", err)
-	}
-	if viol.Actual != 11 {
-		t.Errorf("violation at %v, want on the 11th row", viol.Actual)
-	}
-	// Undershoot violation: Lo above the table size.
-	check2 := &plan.CheckNode{Lo: 100, Hi: 0}
-	check2.Kids = []plan.Node{scan}
-	check2.Out = scan.Out
-	check2.Title = "Check"
-	check2.Prop = plan.Props{EstRows: 100}
-	_, err = Run(check2, NewContext())
-	if _, ok := err.(*CardinalityViolation); !ok {
-		t.Fatalf("expected undershoot violation, got %v", err)
-	}
-	// In-range passes.
-	check3 := &plan.CheckNode{Lo: 10, Hi: 100}
-	check3.Kids = []plan.Node{scan}
-	check3.Out = scan.Out
-	check3.Title = "Check"
-	check3.Prop = plan.Props{EstRows: 50}
-	rows, err := Run(check3, NewContext())
-	if err != nil || len(rows) != 50 {
-		t.Errorf("in-range check should pass: %v rows=%d", err, len(rows))
-	}
-}

@@ -22,7 +22,7 @@ func buildJoin(node *plan.JoinNode, ctx *Context) (Operator, error) {
 	}
 	switch node.Alg {
 	case plan.JoinMerge:
-		return &mergeJoin{ctx: ctx, node: node, left: l, right: r}, nil
+		return newMergeJoin(ctx, node, l, r), nil
 	case plan.JoinGeneral:
 		return &gJoin{ctx: ctx, node: node, left: l, right: r}, nil
 	}
@@ -62,7 +62,8 @@ func padNulls(buf, l types.Row, n int) types.Row {
 // ---------- merge join ----------
 
 // mergeJoin sorts both inputs on the join keys and merges. Duplicate key
-// groups on the right are buffered and replayed.
+// groups on the right are buffered and replayed; a LEFT OUTER join pads a
+// left row nothing matched.
 type mergeJoin struct {
 	ctx   *Context
 	node  *plan.JoinNode
@@ -74,8 +75,15 @@ type mergeJoin struct {
 	group        []types.Row
 	gi           int
 	lrow         types.Row
+	pad          bool          // lrow is unmatched so far and owed its outer row
 	lk, rk       []types.Value // key scratch
 	out          joinRow
+}
+
+// newMergeJoin makes every merge join: over two operators Open drains, or,
+// for the hash join's fallback, over rows handed to start.
+func newMergeJoin(ctx *Context, node *plan.JoinNode, left, right Operator) *mergeJoin {
+	return &mergeJoin{ctx: ctx, node: node, left: left, right: right}
 }
 
 func (j *mergeJoin) Open() error {
@@ -87,15 +95,20 @@ func (j *mergeJoin) Open() error {
 	if err != nil {
 		return err
 	}
+	j.start(lrows, rrows)
+	return nil
+}
+
+// start sorts both inputs on their keys and rewinds the merge to them.
+func (j *mergeJoin) start(lrows, rrows []types.Row) {
 	sortRows(j.ctx, lrows, j.node.LeftKeys)
 	sortRows(j.ctx, rrows, j.node.RightKeys)
 	j.lrows, j.rrows = lrows, rrows
-	j.li, j.ri = 0, 0
+	j.li, j.ri, j.gi, j.pad = 0, 0, 0, false
 	j.group = nil
 	j.lk = make([]types.Value, len(j.node.LeftKeys))
 	j.rk = make([]types.Value, len(j.node.RightKeys))
 	j.out, _ = newJoinRow(j.node, 0, nil)
-	return nil
 }
 
 func compareKeys(a, b []types.Value) int {
@@ -168,9 +181,15 @@ func (j *mergeJoin) Next() (types.Row, bool, error) {
 				return nil, false, err
 			}
 			if ok {
+				j.pad = false
 				return out, true, nil
 			}
 			continue
+		}
+		if j.pad {
+			j.pad = false
+			j.ctx.Clock.RowWork(1)
+			return j.out.outer(j.lrow), true, nil
 		}
 		if j.li >= len(j.lrows) {
 			return nil, false, nil
@@ -178,6 +197,7 @@ func (j *mergeJoin) Next() (types.Row, bool, error) {
 		j.lrow = j.lrows[j.li]
 		j.li++
 		j.group, j.gi = j.group[:0], 0
+		j.pad = j.node.Type == plan.LeftOuter
 		keyInto(j.lk, j.lrow, j.node.LeftKeys)
 		if keyHasNull(j.lk) {
 			continue

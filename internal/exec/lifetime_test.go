@@ -58,9 +58,9 @@ func TestRowLifetime(t *testing.T) {
 
 // TestAggregateBeneathRetainers puts an aggregate — whose rows are lent: one
 // buffer, reassembled at every Next — directly beneath each kind of operator
-// that keeps rows: the root drain, DISTINCT, POP's materialisation point and a
-// hash join's build side (one worker's groups, and a morsel partial merge
-// under a fused build). Each must hold its own copies.
+// that keeps rows: the root drain, DISTINCT and a hash join's build side (one
+// worker's groups, and a morsel partial merge under a fused build). Each must
+// hold its own copies.
 func TestAggregateBeneathRetainers(t *testing.T) {
 	cat := spillCatalog(t)
 	big, _ := cat.Table("big")
@@ -115,7 +115,6 @@ func TestAggregateBeneathRetainers(t *testing.T) {
 	}{
 		{"root drain", aggPlan(), 1, wantGroups},
 		{"distinct", &plan.DistinctNode{Base: over(aggPlan())}, 1, wantGroups},
-		{"materialize", &plan.MaterializeNode{Base: over(aggPlan())}, 1, wantGroups},
 		{"join build", join(), 1, wantJoin},
 		{"join build dop=2", join(), 2, wantJoin},
 	} {
@@ -142,11 +141,10 @@ func TestAggregateBeneathRetainers(t *testing.T) {
 
 // TestExchangeBeneathRetainers puts an exchange — whose rows are lent: boxed
 // one at a time into the exchange's one row — directly beneath each operator
-// that used to take them over as they were: the root drain, a sort, POP's
-// materialisation point, a nested-loop join's inner side and both inputs of a
-// merge join, at DOP 1 (a store refilled a morsel at a time), 2 and 8. Each
-// must hold its own copies: same rows in the same order, and the same cost, at
-// every DOP.
+// that used to take them over as they were: the root drain, a sort, a
+// nested-loop join's inner side and both inputs of a merge join, at DOP 1 (a
+// store refilled a morsel at a time), 2 and 8. Each must hold its own copies:
+// same rows in the same order, and the same cost, at every DOP.
 func TestExchangeBeneathRetainers(t *testing.T) {
 	cat := spillCatalog(t)
 	big, _ := cat.Table("big")
@@ -158,9 +156,6 @@ func TestExchangeBeneathRetainers(t *testing.T) {
 		{"root drain", func(scan func(*catalog.Table) plan.Node) plan.Node { return scan(big) }},
 		{"sort", func(scan func(*catalog.Table) plan.Node) plan.Node {
 			return &plan.SortNode{Base: plan.Base{Out: big.Schema, Kids: []plan.Node{scan(big)}}, Keys: []plan.OrderSpec{{Col: 1}, {Col: 2, Desc: true}}}
-		}},
-		{"materialize", func(scan func(*catalog.Table) plan.Node) plan.Node {
-			return &plan.MaterializeNode{Base: plan.Base{Out: big.Schema, Kids: []plan.Node{scan(big)}}}
 		}},
 		{"nested-loop inner", func(scan func(*catalog.Table) plan.Node) plan.Node {
 			return &plan.JoinNode{Base: plan.Base{Out: probe.Schema.Concat(big.Schema), Kids: []plan.Node{scan(probe), scan(big)}, Title: "NLJoin"},

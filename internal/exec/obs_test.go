@@ -102,8 +102,7 @@ func TestRunSurfacesCloseError(t *testing.T) {
 		t.Fatalf("error %v does not wrap the Close failure", err)
 	}
 	// With a clean Close the original error must come back untouched, so
-	// callers' direct type assertions (e.g. *CardinalityViolation) keep
-	// working.
+	// callers' direct comparisons (e.g. err == ErrCanceled) keep working.
 	_, err = drain(&failingOp{nextErr: nextErr})
 	if err != nextErr {
 		t.Fatalf("error = %v, want the bare Next failure", err)

@@ -29,7 +29,6 @@ func appendCols(dst, src types.Row, cols []int) types.Row {
 type tempScan struct {
 	ctx  *Context
 	node *plan.TempScanNode
-	rf   *rfConsumer
 	pos  int
 }
 
@@ -37,7 +36,6 @@ func (s *tempScan) Open() error {
 	s.pos = 0
 	pages := (len(s.node.Rows) + storage.PageRows - 1) / storage.PageRows
 	s.ctx.Clock.SeqRead(pages)
-	s.rf = bindRuntimeFilters(s.ctx, s.node.RFConsume, nil)
 	return nil
 }
 
@@ -45,9 +43,6 @@ func (s *tempScan) Next() (types.Row, bool, error) {
 	for s.pos < len(s.node.Rows) {
 		r := s.node.Rows[s.pos]
 		s.pos++
-		if s.rf != nil && !s.rf.admit(s.ctx.Clock, r) {
-			continue
-		}
 		s.ctx.Clock.RowWork(1)
 		if s.node.Filter != nil {
 			ok, err := expr.EvalPredicate(s.node.Filter, r, s.ctx.Params)

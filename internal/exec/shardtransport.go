@@ -127,7 +127,6 @@ type ShuffleTransport interface {
 	// closure that cannot be serialized) and the caller should fall back to
 	// the local exchange — a per-join decision, not a transport failure.
 	OpenExchange(spec ShuffleJoinSpec) (ShuffleExchange, error)
-	Close() error
 }
 
 // ErrExchangeUnsupported reports a join shape the transport cannot ship;

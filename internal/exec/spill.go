@@ -274,11 +274,9 @@ func joinPartition(ctx *Context, node *plan.JoinNode, build, probe []types.Row, 
 
 // mergeJoinSpilled is the external sort-merge fallback for a partition that
 // will not fit even after maxSpillDepth repartitionings (duplicate-key
-// skew). Both sides sort in grant-sized runs (comparisons charged like
-// sortRows, one write+read pass over both sides for the runs), then merge
-// in streaming fashion with left-outer support. A duplicate-key group on
-// the build side is buffered during the merge, as in the in-memory merge
-// join.
+// skew). Both sides sort in grant-sized runs (one write+read pass over both
+// sides for the runs), then a merge join streams over them, LEFT OUTER
+// included.
 func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Row, emit func(types.Row) error) error {
 	ctx.Spill.fallback()
 	ctx.spillEvent("spill.merge_fallback", "%s build=%d probe=%d", node.Label(), len(build), len(probe))
@@ -286,39 +284,17 @@ func mergeJoinSpilled(ctx *Context, node *plan.JoinNode, build, probe []types.Ro
 		(len(probe)+storage.PageRows-1)/storage.PageRows
 	ctx.Clock.Write(pages)
 	ctx.Clock.SeqRead(pages)
-	sortRows(ctx, probe, node.LeftKeys)
-	sortRows(ctx, build, node.RightKeys)
-	lk := make([]types.Value, len(node.LeftKeys))
-	rk := make([]types.Value, len(node.RightKeys))
-	buf, _ := newJoinRow(node, 0, nil)
-	ri := 0
-	var group []types.Row
-	for _, lr := range probe {
-		keyInto(lk, lr, node.LeftKeys)
-		matched := false
-		if !keyHasNull(lk) {
-			ri, group = mergeGroup(ctx.Clock, build, node.RightKeys, ri, lk, rk, group)
-			for _, cand := range group {
-				out, ok, err := buf.match(ctx.Clock, ctx.Params, lr, cand)
-				if err != nil {
-					return err
-				}
-				if ok {
-					matched = true
-					if err := emit(out); err != nil {
-						return err
-					}
-				}
-			}
+	j := newMergeJoin(ctx, node, nil, nil)
+	j.start(probe, build)
+	for {
+		out, ok, err := j.Next()
+		if !ok {
+			return err
 		}
-		if node.Type == plan.LeftOuter && !matched {
-			ctx.Clock.RowWork(1)
-			if err := emit(buf.outer(lr)); err != nil {
-				return err
-			}
+		if err := emit(out); err != nil {
+			return err
 		}
 	}
-	return nil
 }
 
 // ---------- spilling hash aggregation ----------

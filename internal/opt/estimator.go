@@ -1,8 +1,8 @@
 // Package opt implements the cost-based optimizer: cardinality estimation
 // with pluggable robustness modes, a cost model over the simulated machine,
 // dynamic-programming join enumeration, exhaustive plan enumeration for the
-// risk metrics, POP validity ranges and plan diagrams with anorexic
-// reduction.
+// risk metrics, the join-graph re-planning POP's checkpoint compares, and
+// plan diagrams with anorexic reduction.
 package opt
 
 import (

@@ -71,9 +71,6 @@ type Props struct {
 	// Signature identifies the logical subexpression this node computes: its
 	// key in opt.Cards, where LEO learns and an estimate is replaced.
 	Signature string
-	// Validity is the cardinality range within which this node's parent
-	// plan choice remains optimal (POP validity range); zero range = unset.
-	ValidityLo, ValidityHi float64
 	// RFCredit is the cost-model credit this subtree was granted for
 	// runtime join filters (set by opt.CreditRuntimeFilters; recorded so
 	// re-crediting a cached plan can undo the previous credit first).
@@ -297,8 +294,6 @@ type TempScanNode struct {
 	Alias  string
 	Rows   []types.Row
 	Filter expr.Expr
-	// RFConsume lists runtime join filters this scan tests rows against.
-	RFConsume []RFilterSpec
 }
 
 // FilterNode applies a predicate over its child's schema.
@@ -313,8 +308,8 @@ type ProjectNode struct {
 	Exprs []expr.Expr
 }
 
-// SortNode sorts by the given keys (over its child's schema). MemBudget
-// rows may be held in memory; beyond that the sort spills to runs.
+// SortNode sorts by the given keys (over its child's schema). The sort holds
+// what its workspace grant covers in memory and spills the rest to runs.
 type SortNode struct {
 	Base
 	Keys []OrderSpec
@@ -336,17 +331,6 @@ type LimitNode struct {
 	Base
 	N    int
 	Skip int
-}
-
-// MaterializeNode buffers its child's full output; POP re-optimization
-// reuses materialized intermediates instead of discarding work.
-type MaterializeNode struct{ Base }
-
-// CheckNode is the POP CHECK operator: it counts rows flowing through and
-// signals re-optimization when the count leaves [Lo, Hi].
-type CheckNode struct {
-	Base
-	Lo, Hi float64
 }
 
 // Explain renders the plan tree with estimates, indented.

@@ -20,9 +20,9 @@ import "rqp/internal/expr"
 //     output, and dropping it removes only join outputs the upper filter
 //     would reject.
 //
-// Limit (dropping changes which rows fill the quota), Sort, Distinct,
-// Aggregate, Check (POP counts rows in flight) and Materialize (shared
-// intermediates) all stop the descent.
+// Limit (dropping changes which rows fill the quota), Sort, Distinct and
+// Aggregate all stop the descent. So does a temp scan, POP's materialised
+// intermediate: POP's re-planned remainders take no runtime filters.
 //
 // Annotation is idempotent: the pass clears every producer/consumer
 // annotation first and reassigns IDs in deterministic pre-order, so
@@ -36,8 +36,6 @@ func PlanRuntimeFilters(root Node) int {
 		case *ScanNode:
 			v.RFConsume = nil
 		case *IndexScanNode:
-			v.RFConsume = nil
-		case *TempScanNode:
 			v.RFConsume = nil
 		}
 	})
@@ -56,8 +54,6 @@ func PlanRuntimeFilters(root Node) int {
 					case *ScanNode:
 						s.RFConsume = append(s.RFConsume, sp)
 					case *IndexScanNode:
-						s.RFConsume = append(s.RFConsume, sp)
-					case *TempScanNode:
 						s.RFConsume = append(s.RFConsume, sp)
 					}
 					planted++
@@ -78,7 +74,7 @@ func PlanRuntimeFilters(root Node) int {
 // ends at an operator the descent must not cross.
 func filterSite(n Node, col int) (Node, int) {
 	switch v := n.(type) {
-	case *ScanNode, *IndexScanNode, *TempScanNode:
+	case *ScanNode, *IndexScanNode:
 		return n, col
 	case *FilterNode:
 		return filterSite(v.Kids[0], col)

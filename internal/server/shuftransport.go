@@ -34,11 +34,6 @@ func NewNetShuffleTransport(peers []string) *NetShuffleTransport {
 // Name labels the transport in traces and bench output.
 func (t *NetShuffleTransport) Name() string { return "tcp" }
 
-// Close releases the transport. Connections are per-exchange, so there is
-// nothing persistent to tear down; worker process lifetimes belong to
-// whoever spawned them.
-func (t *NetShuffleTransport) Close() error { return nil }
-
 // OpenExchange dials and handshakes one connection per shard. Refusals —
 // a residual predicate (a coordinator closure that cannot cross a process
 // boundary), too few peers, or any dial/handshake failure — happen before
