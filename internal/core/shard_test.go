@@ -12,13 +12,16 @@ import (
 )
 
 // shardTestQueries exercises the sharded layer's distinct result shapes:
-// a one-row aggregate, a row-level join with a residual predicate (order
-// sensitive), and a LEFT JOIN (null extension, broadcast/repartition only
-// since hot-split is inner-only anyway).
+// a one-row aggregate, a row-level join under a pushed-down filter (order
+// sensitive), a LEFT JOIN (null extension, broadcast/repartition only since
+// hot-split is inner-only anyway), and an inner and a LEFT JOIN each with a
+// residual over both sides, which the shards evaluate per candidate match.
 var shardTestQueries = []string{
 	"SELECT COUNT(*), SUM(pt.pval) FROM pt, bt WHERE pt.k = bt.k",
 	"SELECT pt.k, bt.bval, pt.pval FROM pt, bt WHERE pt.k = bt.k AND bt.bval < 500",
 	"SELECT pt.k, bt.bval FROM pt LEFT JOIN bt ON pt.k = bt.k",
+	"SELECT pt.k, bt.bval FROM pt, bt WHERE pt.k = bt.k AND pt.pval < bt.bval",
+	"SELECT pt.k, bt.bval FROM pt LEFT JOIN bt ON pt.k = bt.k AND bt.bval < pt.pval",
 }
 
 // withBudget is opt.DefaultOptions with a workspace of rows.
