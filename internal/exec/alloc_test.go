@@ -391,3 +391,58 @@ func TestAllocCeilingColScan(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocCeilingRuntimeFilter: a hash join derives its runtime filter once,
+// from the drained build, at any DOP. At DOP 2 a join whose 20 480-row build
+// feeds one filter allocates, over the same run without a filter set, less
+// than two filters' bytes: the filter, and the probe scan's view of it —
+// not a filter per hashing morsel.
+func TestAllocCeilingRuntimeFilter(t *testing.T) {
+	if raceBuild {
+		t.Skip("under -race pooled scratch is dropped and allocated anew")
+	}
+	const nBuild = 20480
+	cat := catalog.New()
+	for _, tb := range []struct {
+		name string
+		rows int
+	}{{"b", nBuild}, {"p", 2 * nBuild}} {
+		tab, err := cat.CreateTable(tb.name, types.Schema{{Name: "k", Kind: types.KindInt}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tb.rows; i++ {
+			cat.Insert(nil, tab, types.Row{types.Int(int64(i))})
+		}
+		cat.AnalyzeTable(tab, 4)
+	}
+	root := chainPlan(t, cat, "SELECT COUNT(*) FROM p, b WHERE p.k = b.k", false, true)
+	if j := chainOf(root); len(j) != 1 || len(j[0].RFilters) != 1 || j[0].Kids[1].(*plan.ScanNode).Table.Name != "b" {
+		t.Fatalf("want p probing one join that builds on b and feeds one runtime filter:\n%s", plan.Explain(root))
+	}
+	var bytes [2]float64 // without, with a filter set
+	for i, rf := range []bool{false, true} {
+		_, bytes[i] = measureAllocs(func() {
+			ctx := NewContext()
+			ctx.DOP = 2
+			if rf {
+				ctx.RF = NewRuntimeFilterSet(nil)
+			}
+			rows, err := Run(root, ctx)
+			if err != nil || len(rows) != 1 || rows[0][0].AsInt() != nBuild {
+				t.Fatalf("rf=%v: %v, %v", rf, rows, err)
+			}
+			if !rf {
+				return
+			}
+			if built, tested, _, _ := ctx.RF.Snapshot(); built != 1 || tested == 0 {
+				t.Fatalf("%d filters built, %d rows tested; want one, testing the probe scan", built, tested)
+			}
+		})
+	}
+	filter := float64(8 * len(newRuntimeFilter(0, nBuild).words))
+	t.Logf("%.0f B without a filter set, %.0f B with; a filter is %.0f B", bytes[0], bytes[1], filter)
+	if extra := bytes[1] - bytes[0]; extra >= 2*filter {
+		t.Errorf("the runtime filter costs %.0f B, ceiling %.0f (two filters of %.0f B)", extra, 2*filter, filter)
+	}
+}

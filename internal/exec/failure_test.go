@@ -207,6 +207,46 @@ func TestNestedBuildErrorReleasesEverything(t *testing.T) {
 	}
 }
 
+// TestSortInputErrorReleasesEverything: a sort whose input fails after some
+// of its runs spilled must hand back its grants and close those runs. At one
+// worker the filter fails once the first thousand rows (which its OR admits
+// unevaluated) are in 64-row runs; at two the gather below fails in Open,
+// before the sort reads a row.
+func TestSortInputErrorReleasesEverything(t *testing.T) {
+	cat := catalog.New()
+	f, _ := cat.CreateTable("f", types.Schema{{Name: "a", Kind: types.KindInt}, {Name: "s", Kind: types.KindString}})
+	for i := 0; i < 2000; i++ {
+		cat.Insert(nil, f, types.Row{types.Int(int64(i)), types.Str("x")})
+	}
+	cat.AnalyzeTable(f, 4)
+	root := parallelPlanFor(t, cat, "SELECT a FROM f WHERE a < 1000 OR s * 2 > 1 ORDER BY a")
+	sorts := 0
+	plan.Walk(root, func(n plan.Node) {
+		if _, ok := n.(*plan.SortNode); ok {
+			sorts++
+		}
+	})
+	if sorts != 1 {
+		t.Fatalf("want one sort:\n%s", plan.Explain(root))
+	}
+	for _, dop := range []int{1, 2} {
+		ctx := NewContext()
+		ctx.DOP = dop
+		ctx.Mem = NewMemBroker(64)
+		pagesBefore := storage.OpenTempPages()
+		_, err := Run(root, ctx)
+		if err == nil || !strings.Contains(err.Error(), "non-numeric") {
+			t.Fatalf("dop=%d: want the non-numeric error, got %v", dop, err)
+		}
+		if in := ctx.Mem.InUse(); in != 0 {
+			t.Errorf("dop=%d: %d workspace rows still granted after the error", dop, in)
+		}
+		if open := storage.OpenTempPages() - pagesBefore; open != 0 {
+			t.Errorf("dop=%d: %d temp-run pages left open after the error", dop, open)
+		}
+	}
+}
+
 func TestErrorInsideAggregation(t *testing.T) {
 	cat := failureDB(t)
 	err := buildAndRun(t, cat, "SELECT SUM(s * 2) FROM f")

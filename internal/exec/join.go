@@ -49,16 +49,6 @@ func keyHasNull(k []types.Value) bool {
 	return false
 }
 
-// padNulls overwrites buf with l followed by n NULLs: the outer row of a
-// probe row nothing matched.
-func padNulls(buf, l types.Row, n int) types.Row {
-	buf = append(buf[:0], l...)
-	for i := 0; i < n; i++ {
-		buf = append(buf, types.Null())
-	}
-	return buf
-}
-
 // ---------- merge join ----------
 
 // mergeJoin sorts both inputs on the join keys and merges. Duplicate key
@@ -188,8 +178,7 @@ func (j *mergeJoin) Next() (types.Row, bool, error) {
 		}
 		if j.pad {
 			j.pad = false
-			j.ctx.Clock.RowWork(1)
-			return j.out.outer(j.lrow), true, nil
+			return j.out.outer(j.ctx.Clock, j.lrow), true, nil
 		}
 		if j.li >= len(j.lrows) {
 			return nil, false, nil

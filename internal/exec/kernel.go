@@ -253,11 +253,6 @@ func (p *packedRows) match(key []types.Value, i int, cols []int, buf *types.Row)
 	return true
 }
 
-// concatInto overwrites buf with l‖r and returns it.
-func concatInto(buf, l, r types.Row) types.Row {
-	return append(append(buf[:0], l...), r...)
-}
-
 // joinRow assembles one join's output rows in a reused buffer (valid until
 // the next call): l‖r, or the positions of it the node's Cols list. Keys and
 // residual number l‖r, so a projecting join with a residual assembles that
@@ -320,7 +315,7 @@ func (j *joinRow) match(clk *storage.Clock, params []types.Value, l, r types.Row
 		clk.RowWork(1)
 		return j.gather(l, r), true, nil
 	}
-	j.wide = concatInto(j.wide, l, r)
+	j.wide = append(append(j.wide[:0], l...), r...)
 	if j.residual != nil {
 		if ok, err := expr.EvalPredicate(j.residual, j.wide, params); err != nil || !ok {
 			return nil, false, err
@@ -334,12 +329,17 @@ func (j *joinRow) match(clk *storage.Clock, params []types.Value, l, r types.Row
 	return j.out, true, nil
 }
 
-// outer returns the null-extended row of a probe row nothing matched.
-func (j *joinRow) outer(l types.Row) types.Row {
+// outer returns the null-extended row of a probe row nothing matched,
+// charging clk its unit of row work.
+func (j *joinRow) outer(clk *storage.Clock, l types.Row) types.Row {
+	clk.RowWork(1)
 	if j.cols != nil {
 		return j.gather(l, nil)
 	}
-	j.wide = padNulls(j.wide, l, j.rw)
+	j.wide = append(j.wide[:0], l...)
+	for range j.rw {
+		j.wide = append(j.wide, types.Null())
+	}
 	return j.wide
 }
 
@@ -970,9 +970,8 @@ func (p *joinProbe) each(clk *storage.Clock, lr types.Row, sink func(types.Row) 
 	if p.matched || !p.outer {
 		return nil
 	}
-	clk.RowWork(1)
 	p.rows++
-	return sink(p.out.outer(lr))
+	return sink(p.out.outer(clk, lr))
 }
 
 // pair hands sink lr joined with the candidate r, if it passes the residual.

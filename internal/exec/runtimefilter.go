@@ -58,8 +58,6 @@ type RuntimeFilter struct {
 }
 
 // newRuntimeFilter sizes a filter for a build side of buildRows rows.
-// Partial filters built by parallel workers pass the full build cardinality
-// so every partial has the same geometry and merge is a plain word-wise OR.
 func newRuntimeFilter(id, buildRows int) *RuntimeFilter {
 	nbits := rfBitsPerKey * buildRows
 	if nbits < rfMinBits {
@@ -93,8 +91,8 @@ func (f *RuntimeFilter) getBit(h uint64) bool {
 
 // add inserts one build-side key. Null keys are skipped: they never match
 // an inner-join probe, so leaving them out lets test reject null probe keys
-// outright. Not safe for concurrent use — each builder owns its filter (or
-// partial) exclusively until publish/merge.
+// outright. Not safe for concurrent use — the build owns its filter until it
+// publishes it.
 func (f *RuntimeFilter) add(v types.Value) {
 	if v.IsNull() {
 		return
@@ -110,26 +108,6 @@ func (f *RuntimeFilter) add(v types.Value) {
 		}
 		if types.Compare(v, f.max) > 0 {
 			f.max = v
-		}
-	}
-}
-
-// merge ORs a same-geometry partial into f (parallel build workers each fill
-// a partial over their morsels; the exchange barrier folds them together).
-func (f *RuntimeFilter) merge(o *RuntimeFilter) {
-	for i, w := range o.words {
-		f.words[i] |= w
-	}
-	if o.bounded {
-		if !f.bounded {
-			f.min, f.max, f.bounded = o.min, o.max, true
-		} else {
-			if types.Compare(o.min, f.min) < 0 {
-				f.min = o.min
-			}
-			if types.Compare(o.max, f.max) > 0 {
-				f.max = o.max
-			}
 		}
 	}
 }
@@ -218,20 +196,21 @@ func (s *RuntimeFilterSet) Snapshot() (built, tested, dropped, disabled int64) {
 }
 
 // buildRuntimeFilters derives and publishes the filters a hash join's plan
-// node announced, from the n rows of the drained build side, read through
-// value one key column at a time (no row is boxed for it). Charged at
-// FilterTest per build row per filter on the caller's clock (batch charge:
-// exactly equal to per-row charges by the Clock.addBatch identity).
-func buildRuntimeFilters(ctx *Context, node *plan.JoinNode, clk *storage.Clock, n int, value func(row, col int) types.Value) {
+// node announced from its drained build rows, read one key column at a time
+// (no row is boxed for it): once per join, before its grant, at any DOP.
+// Charged at FilterTest per build row per filter on the context clock (batch
+// charge: exactly equal to per-row charges by the Clock.addBatch identity).
+func buildRuntimeFilters(ctx *Context, node *plan.JoinNode, rows *packedRows) {
 	if ctx.RF == nil || len(node.RFilters) == 0 {
 		return
 	}
+	n := rows.n
 	for _, sp := range node.RFilters {
 		f := newRuntimeFilter(sp.ID, n)
-		clk.FilterTestsBatch(n)
+		ctx.Clock.FilterTestsBatch(n)
 		col := node.RightKeys[sp.Col]
 		for i := 0; i < n; i++ {
-			f.add(value(i, col))
+			f.add(rows.value(i, col))
 		}
 		ctx.RF.publish(f)
 		if ctx.Trace != nil {

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -54,33 +53,6 @@ func TestRuntimeFilterMembershipAndBounds(t *testing.T) {
 	nullOnly.add(types.Null())
 	if nullOnly.test(types.Int(7)) {
 		t.Fatal("all-null build must drop every probe row")
-	}
-}
-
-func TestRuntimeFilterMergeMatchesSerial(t *testing.T) {
-	keys := make([]int64, 200)
-	for i := range keys {
-		keys[i] = int64(i*7 - 300)
-	}
-	serial := newRuntimeFilter(0, len(keys))
-	for _, k := range keys {
-		serial.add(types.Int(k))
-	}
-	// Partials sized for the full build share the serial geometry, so the
-	// OR-merge must reproduce the serial filter bit for bit.
-	merged := newRuntimeFilter(0, len(keys))
-	for part := 0; part < 4; part++ {
-		p := newRuntimeFilter(0, len(keys))
-		for i := part * 50; i < (part+1)*50; i++ {
-			p.add(types.Int(keys[i]))
-		}
-		merged.merge(p)
-	}
-	if !reflect.DeepEqual(serial.words, merged.words) {
-		t.Fatal("merged partials diverge from serial build")
-	}
-	if types.Compare(serial.min, merged.min) != 0 || types.Compare(serial.max, merged.max) != 0 {
-		t.Fatalf("merged bounds [%v,%v] != serial [%v,%v]", merged.min, merged.max, serial.min, serial.max)
 	}
 }
 

@@ -39,6 +39,9 @@ func (s *sortOp) Open() error {
 			r, ok, err := s.child.Next()
 			if err != nil {
 				s.ctx.Mem.Release(grant)
+				for _, tr := range spilled {
+					tr.Discard()
+				}
 				return err
 			}
 			if !ok {
