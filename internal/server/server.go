@@ -33,18 +33,14 @@ type Config struct {
 // Server accepts wire-protocol connections and runs one session per
 // connection against a shared engine.
 type Server struct {
+	listener
 	eng          *core.Engine
 	queueTimeout time.Duration
 	maxFrame     int
 	beforeExec   func(uint64, string, func() bool)
 
-	mu       sync.Mutex
-	ln       net.Listener
-	closed   bool
-	conns    map[net.Conn]struct{}
 	nextID   atomic.Uint64
 	sessions atomic.Int64 // currently open sessions
-	wg       sync.WaitGroup
 }
 
 // New builds a Server around an engine.
@@ -68,55 +64,107 @@ func New(cfg Config) *Server {
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("server: closed")
 
-// Listen starts listening on addr (e.g. ":5433" or "127.0.0.1:0") without
-// serving yet, so callers can read Addr before clients connect.
-func (s *Server) Listen(addr string) error {
+// listener is the accept loop and connection registry a Server and a
+// ShardWorker share: listen binds, serve runs each accepted connection on a
+// goroutine of its own, close stops accepting, closes every live connection
+// and waits for their goroutines.
+type listener struct {
+	mu     sync.Mutex
+	ln     net.Listener
+	closed bool
+	conns  map[net.Conn]struct{}
+	wg     sync.WaitGroup
+}
+
+func (l *listener) listen(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
+	l.mu.Lock()
+	l.ln = ln
+	l.mu.Unlock()
 	return nil
 }
 
-// Addr reports the bound listen address (nil before Listen).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
+// addr is the bound address, nil before listen.
+func (l *listener) addr() net.Addr {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.ln == nil {
 		return nil
 	}
-	return s.ln.Addr()
+	return l.ln.Addr()
 }
 
-// Serve accepts connections until Close. Call after Listen; it blocks.
-func (s *Server) Serve() error {
-	s.mu.Lock()
-	ln := s.ln
-	s.mu.Unlock()
+// serve accepts connections until close, when it returns ErrServerClosed,
+// handing each to handle on its own goroutine.
+func (l *listener) serve(handle func(net.Conn)) error {
+	l.mu.Lock()
+	ln := l.ln
+	l.mu.Unlock()
 	if ln == nil {
 		return errors.New("server: Serve before Listen")
 	}
 	for {
 		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return ErrServerClosed
+		l.mu.Lock()
+		if l.closed {
+			l.mu.Unlock()
+			if conn != nil {
+				conn.Close()
 			}
+			return ErrServerClosed
+		}
+		if err != nil {
+			l.mu.Unlock()
 			return err
 		}
-		s.wg.Add(1)
+		if l.conns == nil {
+			l.conns = make(map[net.Conn]struct{})
+		}
+		l.conns[conn] = struct{}{}
+		l.wg.Add(1)
+		l.mu.Unlock()
 		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
+			defer l.wg.Done()
+			handle(conn)
+			l.mu.Lock()
+			delete(l.conns, conn)
+			l.mu.Unlock()
 		}()
 	}
 }
+
+func (l *listener) close() error {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil
+	}
+	l.closed = true
+	ln := l.ln
+	for c := range l.conns {
+		c.Close()
+	}
+	l.mu.Unlock()
+	var err error
+	if ln != nil {
+		err = ln.Close()
+	}
+	l.wg.Wait()
+	return err
+}
+
+// Listen starts listening on addr (e.g. ":5433" or "127.0.0.1:0") without
+// serving yet, so callers can read Addr before clients connect.
+func (s *Server) Listen(addr string) error { return s.listen(addr) }
+
+// Addr reports the bound listen address (nil before Listen).
+func (s *Server) Addr() net.Addr { return s.addr() }
+
+// Serve accepts connections until Close. Call after Listen; it blocks.
+func (s *Server) Serve() error { return s.serve(s.handle) }
 
 // ListenAndServe combines Listen and Serve.
 func (s *Server) ListenAndServe(addr string) error {
@@ -127,49 +175,15 @@ func (s *Server) ListenAndServe(addr string) error {
 }
 
 // Close stops accepting and waits for in-flight sessions to finish their
-// current command cycle (live connections are closed, which cancels their
-// queries cooperatively).
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	for c := range s.conns {
-		c.Close() // session readers observe the dead conn and cancel queries
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
+// current command cycle (live connections are closed: session readers
+// observe the dead conn and cancel their queries cooperatively).
+func (s *Server) Close() error { return s.close() }
 
 // Sessions reports the number of currently open sessions.
 func (s *Server) Sessions() int { return int(s.sessions.Load()) }
 
 // handle runs one connection's session.
 func (s *Server) handle(conn net.Conn) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	if s.conns == nil {
-		s.conns = make(map[net.Conn]struct{})
-	}
-	s.conns[conn] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	s.sessions.Add(1)
 	defer s.sessions.Add(-1)
 	if tc, ok := conn.(*net.TCPConn); ok {

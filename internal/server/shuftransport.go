@@ -35,13 +35,13 @@ func NewNetShuffleTransport(peers []string) *NetShuffleTransport {
 func (t *NetShuffleTransport) Name() string { return "tcp" }
 
 // OpenExchange dials and handshakes one connection per shard. Refusals —
-// a residual predicate (a coordinator closure that cannot cross a process
-// boundary), too few peers, or any dial/handshake failure — happen before
-// a single row has been routed, so the caller can still safely fall back
-// to the local exchange.
+// a residual predicate (an expression the shard hello does not carry and a
+// worker could not evaluate), too few peers, or any dial/handshake failure —
+// happen before a single row has been routed, so the caller can still
+// safely fall back to the local exchange.
 func (t *NetShuffleTransport) OpenExchange(spec exec.ShuffleJoinSpec) (exec.ShuffleExchange, error) {
 	if spec.Residual != nil {
-		return nil, fmt.Errorf("%w: residual predicate is not serializable", exec.ErrExchangeUnsupported)
+		return nil, fmt.Errorf("%w: the shard protocol carries no residual predicate", exec.ErrExchangeUnsupported)
 	}
 	if spec.Shards > len(t.peers) {
 		return nil, fmt.Errorf("%w: %d shards but only %d worker peers", exec.ErrExchangeUnsupported, spec.Shards, len(t.peers))
