@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -31,86 +32,45 @@ import (
 	"syscall"
 	"time"
 
-	"rqp/internal/core"
-	"rqp/internal/obs"
+	"rqp/cmd/internal/engineflag"
 	"rqp/internal/server"
-	"rqp/internal/wlm"
-	"rqp/internal/workload"
 )
 
 func main() {
 	// A copy re-exec'd as a shard worker (RQP_SHARD_WORKER set) serves the
 	// worker loop instead of the session protocol.
 	server.MaybeRunShardWorker()
+	ef := engineflag.Register(flag.CommandLine, engineflag.Defaults{DB: "star", MPL: 4, Cache: true})
 	var (
-		addr    = flag.String("addr", ":5433", "listen address")
-		db      = flag.String("db", "star", "workload database to serve: tpch | star | (empty)")
-		scale   = flag.Float64("scale", 0.5, "workload scale for -db tpch")
-		policy  = flag.String("policy", "classic", "execution policy: classic | pop | pop-eager | rio")
-		mpl     = flag.Int("mpl", 4, "admission multiprogramming limit (0 = unlimited)")
-		memPool = flag.Int("mempool", 0,
-			"with -mpl, workspace rows shared by running queries (arrivals reclaim from the running)")
+		addr         = flag.String("addr", ":5433", "listen address")
 		queueTimeout = flag.Duration("queue-timeout", 10*time.Second,
 			"how long a session waits in the admission queue before ERR_ADMIT")
-		cache       = flag.Bool("cache", true, "enable the shared plan cache (classic policy)")
-		dop         = flag.Int("dop", 0, "degree of parallelism (0/1 = serial, -1 = all cores)")
-		shards      = flag.Int("shards", 0, "logical shard count for sharded joins (0/1 = unsharded)")
 		shardWorker = flag.Bool("shard-worker", false,
 			"run as a standalone shard worker on -addr (serves shuffle exchanges, not sessions)")
 		shardPeers = flag.String("shard-peers", "",
 			"comma-separated worker addresses; with -shards, exchanges shuffle over TCP to these peers")
-		rf        = flag.Bool("rf", false, "enable runtime join filters")
-		leo       = flag.Bool("leo", false, "enable LEO execution feedback")
-		mem       = flag.Int("mem", 0, "per-query workspace budget in rows (0 = default)")
-		debugAddr = flag.String("debug-addr", "",
-			"serve live introspection (/metrics, /queries, /trace/{id}, pprof) on this address")
-		queryLog = flag.String("querylog", "",
-			"append one structured JSONL record per completed query to this file")
 	)
 	flag.Parse()
 
 	// Worker mode: serve shuffle exchanges on -addr and nothing else. The
 	// -mpl gate applies per exchange (one slot from hello to teardown).
 	if *shardWorker {
-		var admit *wlm.Admitter
-		if *mpl > 0 {
-			admit = wlm.NewAdmitter(*mpl)
-		}
-		w := server.NewShardWorker(server.ShardWorkerConfig{
-			Admit: admit, QueueTimeout: *queueTimeout,
+		ctx, stop := context.WithCancel(context.Background())
+		onSignal(stop)
+		err := server.ServeShardWorker(ctx, *addr, ef.MPL, *queueTimeout, func(addr string) {
+			fmt.Printf("rqpserver shard worker listening on %s (mpl=%d)\n", addr, ef.MPL)
 		})
-		if err := w.Listen(*addr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("rqpserver shard worker listening on %s (mpl=%d)\n", w.Addr(), *mpl)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sig
-			fmt.Fprintln(os.Stderr, "shutting down")
-			w.Close()
-		}()
-		if err := w.Serve(); err != nil && err != server.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err != nil {
+			engineflag.Fatal(err)
 		}
 		return
 	}
 
-	cfg := core.DefaultConfig()
-	var err error
-	if cfg.Policy, err = core.ParsePolicy(*policy); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	cfg, err := ef.Config()
+	if err != nil {
+		engineflag.Fatal(err)
 	}
-	cfg.LEO = *leo
-	if *mpl > 0 {
-		cfg.Admission = wlm.NewAdmitter(*mpl)
-		cfg.MemPoolRows = *memPool
-	}
-	cfg.DOP = *dop
-	cfg.Shards = *shards
+	transport := "local"
 	if *shardPeers != "" {
 		var peers []string
 		for _, p := range strings.Split(*shardPeers, ",") {
@@ -118,80 +78,46 @@ func main() {
 				peers = append(peers, p)
 			}
 		}
-		if *shards < 2 {
-			fmt.Fprintln(os.Stderr, "-shard-peers requires -shards >= 2")
-			os.Exit(2)
+		if cfg.Shards < 2 {
+			engineflag.Fatal(engineflag.Usagef("-shard-peers requires -shards >= 2"))
 		}
-		if len(peers) < *shards {
-			fmt.Fprintf(os.Stderr, "-shard-peers lists %d worker(s) for %d shards\n", len(peers), *shards)
-			os.Exit(2)
+		if len(peers) < cfg.Shards {
+			engineflag.Fatal(engineflag.Usagef("-shard-peers lists %d worker(s) for %d shards", len(peers), cfg.Shards))
 		}
 		cfg.ShuffleTransport = server.NewNetShuffleTransport(peers)
+		transport = fmt.Sprintf("tcp(%s)", *shardPeers)
 	}
-	cfg.RuntimeFilters = *rf
-	if *mem > 0 {
-		cfg.MemBudgetRows = *mem
-	}
-	if *debugAddr != "" {
-		cfg.TraceAll = true
-	}
-	if *queryLog != "" {
-		sink, closer, err := obs.OpenJSONLFile(*queryLog)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer closer.Close()
-		cfg.QueryLog = sink
-	}
-
-	cat, err := workload.Load(*db, *scale)
+	eng, closeEng, err := ef.Open(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		engineflag.Fatal(err)
 	}
-	eng := core.Attach(cat, cfg)
-	if *cache {
-		eng.Cache = core.NewPlanCache(0)
-	}
-
-	if *debugAddr != "" {
-		dsrv, err := obs.StartDebugServer(*debugAddr, eng.Metrics, eng.Lifecycle)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer dsrv.Close()
-		fmt.Printf("debug server on %s (/metrics, /queries, /trace/{id}, /debug/pprof)\n", dsrv.Addr)
-	}
+	defer closeEng()
 
 	srv := server.New(server.Config{
 		Engine:       eng,
 		QueueTimeout: *queueTimeout,
 	})
 	if err := srv.Listen(*addr); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	transport := "local"
-	if *shardPeers != "" {
-		transport = fmt.Sprintf("tcp(%s)", *shardPeers)
+		engineflag.Fatal(err)
 	}
 	fmt.Printf("rqpserver listening on %s (db=%s policy=%s mpl=%d mempool=%d shards=%d shuffle=%s)\n",
-		srv.Addr(), *db, *policy, *mpl, *memPool, *shards, transport)
+		srv.Addr(), ef.DB, ef.Policy, ef.MPL, ef.MemPool, ef.Shards, transport)
 
 	// SIGINT/SIGTERM: stop accepting, close live sessions (their queries
 	// cancel cooperatively), then exit.
+	onSignal(func() { srv.Close() })
+	if err := srv.Serve(); err != nil && err != server.ErrServerClosed {
+		engineflag.Fatal(err)
+	}
+}
+
+// onSignal runs stop, once, on the first SIGINT or SIGTERM.
+func onSignal(stop func()) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
 		fmt.Fprintln(os.Stderr, "shutting down")
-		srv.Close()
+		stop()
 	}()
-
-	if err := srv.Serve(); err != nil && err != server.ErrServerClosed {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

@@ -24,60 +24,40 @@ import (
 	"os"
 	"strings"
 
-	"rqp/internal/core"
-	"rqp/internal/obs"
+	"rqp/cmd/internal/engineflag"
 	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/server"
 	"rqp/internal/types"
 	"rqp/internal/wlm"
-	"rqp/internal/workload"
 )
 
 func main() {
+	ef := engineflag.Register(flag.CommandLine, engineflag.Defaults{})
 	var (
 		connect = flag.String("connect", "",
 			"connect to an rqpserver at host:port over the wire protocol instead of running an in-process engine")
-		db           = flag.String("db", "", "preload a workload database: tpch | star | (empty)")
-		scale        = flag.Float64("scale", 0.5, "workload scale for -db")
-		policy       = flag.String("policy", "classic", "execution policy: classic | pop | pop-eager | rio")
 		mode         = flag.String("estimate", "expected", "estimation mode: expected | percentile | correlated")
-		leo          = flag.Bool("leo", false, "enable LEO execution feedback")
-		cache        = flag.Bool("cache", false, "enable the plan cache (classic policy)")
-		mpl          = flag.Int("mpl", 0, "admission control multiprogramming limit (0 = unlimited)")
-		dop          = flag.Int("dop", 0, "degree of parallelism (0/1 = serial, -1 = all cores)")
-		shards       = flag.Int("shards", 0, "logical shard count for sharded join execution (0/1 = unsharded)")
 		shuffleForce = flag.String("shuffle-force", "",
 			"override the costed shuffle choice: repartition | broadcast (default: costed)")
 		noHotSplit = flag.Bool("no-hot-split", false,
 			"disable hot-key splitting in sharded joins (skew-robustness ablation)")
-		rf        = flag.Bool("rf", false, "enable runtime join filters (Bloom + bounds pushed into probe-side scans)")
 		columnar  = flag.Bool("columnar", false, "build columnar snapshots for attached tables; optimizer may choose ColScan")
-		mem       = flag.Int("mem", 0, "workspace memory budget in rows (0 = default); operators over budget spill")
 		memShrink = flag.Int("mem-shrink", 0,
 			"inject memory pressure: budget declines from -mem to this floor across grants mid-query")
-		memPool = flag.Int("mempool", 0,
-			"with -mpl, workspace rows shared by running queries (arrivals reclaim from the running)")
-		debugAddr = flag.String("debug-addr", "",
-			"serve live introspection (/metrics, /queries, /trace/{id}, pprof) on this address; implies per-query tracing")
-		queryLog = flag.String("querylog", "",
-			"append one structured JSONL record per completed query to this file")
 	)
 	flag.Parse()
 
 	if *connect != "" {
 		if err := remoteShell(*connect); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			engineflag.Fatal(err)
 		}
 		return
 	}
 
-	cfg := core.DefaultConfig()
-	var err error
-	if cfg.Policy, err = core.ParsePolicy(*policy); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	cfg, err := ef.Config()
+	if err != nil {
+		engineflag.Fatal(err)
 	}
 	switch *mode {
 	case "expected":
@@ -87,16 +67,8 @@ func main() {
 	case "correlated":
 		cfg.Mode = opt.Correlated
 	default:
-		fmt.Fprintf(os.Stderr, "unknown estimation mode %q\n", *mode)
-		os.Exit(2)
+		engineflag.Fatal(engineflag.Usagef("unknown estimation mode %q", *mode))
 	}
-	cfg.LEO = *leo
-	if *mpl > 0 {
-		cfg.Admission = wlm.NewAdmitter(*mpl)
-		cfg.MemPoolRows = *memPool
-	}
-	cfg.DOP = *dop
-	cfg.Shards = *shards
 	switch *shuffleForce {
 	case "":
 	case "repartition":
@@ -104,56 +76,21 @@ func main() {
 	case "broadcast":
 		cfg.ShuffleForce = plan.ShuffleBroadcast
 	default:
-		fmt.Fprintf(os.Stderr, "unknown shuffle force %q: repartition | broadcast\n", *shuffleForce)
-		os.Exit(2)
+		engineflag.Fatal(engineflag.Usagef("unknown shuffle force %q: repartition | broadcast", *shuffleForce))
 	}
 	cfg.ShardNoHotSplit = *noHotSplit
-	cfg.RuntimeFilters = *rf
 	cfg.Columnar = *columnar
-	if *mem > 0 {
-		cfg.MemBudgetRows = *mem
-	}
 	if *memShrink > 0 {
 		cfg.MemSchedule = wlm.DecliningMemory(cfg.MemBudgetRows, *memShrink, 8)
 	}
-	if *debugAddr != "" {
-		// Tracing gives /queries its progress estimates and /trace/{id} its
-		// span trees; without it the registry still tracks IDs and phases.
-		cfg.TraceAll = true
-	}
-	if *queryLog != "" {
-		sink, closer, err := obs.OpenJSONLFile(*queryLog)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer closer.Close()
-		cfg.QueryLog = sink
-	}
-
-	cat, err := workload.Load(*db, *scale)
+	eng, closeEng, err := ef.Open(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		engineflag.Fatal(err)
 	}
-	eng := core.Attach(cat, cfg)
-
-	if *cache {
-		eng.Cache = core.NewPlanCache(0)
-	}
-
-	if *debugAddr != "" {
-		srv, err := obs.StartDebugServer(*debugAddr, eng.Metrics, eng.Lifecycle)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("debug server listening on %s (/metrics, /queries, /trace/{id}, /debug/pprof)\n", srv.Addr)
-	}
+	defer closeEng()
 
 	fmt.Printf("rqp shell (policy=%s, estimate=%s, leo=%v). End statements with ';'. \\metrics dumps counters, \\q quits.\n",
-		*policy, *mode, *leo)
+		ef.Policy, *mode, ef.LEO)
 	meta := map[string]func(io.Writer){`\metrics`: func(w io.Writer) { fmt.Fprint(w, eng.Metrics.Expose()) }}
 	repl(os.Stdin, os.Stdout, meta, func(stmt string, w io.Writer) error {
 		res, err := eng.Exec(stmt)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -9,8 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"rqp/internal/wlm"
 )
 
 // Shard worker processes are spawned by re-execing the current binary with
@@ -36,31 +35,19 @@ func MaybeRunShardWorker() {
 	if os.Getenv(shardWorkerEnv) == "" {
 		return
 	}
-	mpl := 0
-	if v := os.Getenv(shardWorkerMPLEnv); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			mpl = n
-		}
-	}
-	var admit *wlm.Admitter
-	if mpl > 0 {
-		admit = wlm.NewAdmitter(mpl)
-	}
-	w := NewShardWorker(ShardWorkerConfig{Admit: admit})
-	if err := w.Listen("127.0.0.1:0"); err != nil {
-		fmt.Fprintln(os.Stderr, "shard worker:", err)
-		os.Exit(1)
-	}
-	// The rendezvous: the parent reads the first line for the address.
-	fmt.Println(w.Addr())
-	os.Stdout.Sync()
+	mpl, _ := strconv.Atoi(os.Getenv(shardWorkerMPLEnv)) // unset or malformed: 0, unlimited
+	// Parent death (or stop) closes our stdin; stop with it.
+	ctx, stop := context.WithCancel(context.Background())
 	go func() {
-		// Parent death (or stop) closes our stdin; exit with it.
 		io.Copy(io.Discard, os.Stdin)
-		w.Close()
-		os.Exit(0)
+		stop()
 	}()
-	if err := w.Serve(); err != nil {
+	err := ServeShardWorker(ctx, "127.0.0.1:0", mpl, 0, func(addr string) {
+		// The rendezvous: the parent reads the first line for the address.
+		fmt.Println(addr)
+		os.Stdout.Sync()
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "shard worker:", err)
 		os.Exit(1)
 	}

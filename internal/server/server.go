@@ -166,14 +166,6 @@ func (s *Server) Addr() net.Addr { return s.addr() }
 // Serve accepts connections until Close. Call after Listen; it blocks.
 func (s *Server) Serve() error { return s.serve(s.handle) }
 
-// ListenAndServe combines Listen and Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	if err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
 // Close stops accepting and waits for in-flight sessions to finish their
 // current command cycle (live connections are closed: session readers
 // observe the dead conn and cancel their queries cooperatively).

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -73,11 +74,23 @@ func (w *ShardWorker) Serve() error {
 	return nil
 }
 
-// ListenAndServe combines Listen and Serve.
-func (w *ShardWorker) ListenAndServe(addr string) error {
+// ServeShardWorker runs a shard worker on addr until ctx is done: it gates
+// the worker's exchanges with an admitter of mpl slots (0 = unlimited),
+// listens, hands the bound address to announce, and serves. It returns nil
+// once stopped. rqpserver -shard-worker and MaybeRunShardWorker both start
+// their worker here.
+func ServeShardWorker(ctx context.Context, addr string, mpl int, queueTimeout time.Duration, announce func(addr string)) error {
+	var admit *wlm.Admitter
+	if mpl > 0 {
+		admit = wlm.NewAdmitter(mpl)
+	}
+	w := NewShardWorker(ShardWorkerConfig{Admit: admit, QueueTimeout: queueTimeout})
 	if err := w.Listen(addr); err != nil {
 		return err
 	}
+	defer w.Close()
+	defer context.AfterFunc(ctx, func() { w.Close() })()
+	announce(w.Addr())
 	return w.Serve()
 }
 
