@@ -106,7 +106,7 @@ func main() {
 	// SIGINT/SIGTERM: stop accepting, close live sessions (their queries
 	// cancel cooperatively), then exit.
 	onSignal(func() { srv.Close() })
-	if err := srv.Serve(); err != nil && err != server.ErrServerClosed {
+	if err := srv.Serve(); err != nil {
 		engineflag.Fatal(err)
 	}
 }

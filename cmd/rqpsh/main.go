@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"rqp/cmd/internal/engineflag"
+	"rqp/internal/core"
 	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/server"
@@ -92,7 +93,12 @@ func main() {
 	fmt.Printf("rqp shell (policy=%s, estimate=%s, leo=%v). End statements with ';'. \\metrics dumps counters, \\q quits.\n",
 		ef.Policy, *mode, ef.LEO)
 	meta := map[string]func(io.Writer){`\metrics`: func(w io.Writer) { fmt.Fprint(w, eng.Metrics.Expose()) }}
-	repl(os.Stdin, os.Stdout, meta, func(stmt string, w io.Writer) error {
+	repl(os.Stdin, os.Stdout, meta, localExec(eng))
+}
+
+// localExec runs and prints each statement of the in-process shell.
+func localExec(eng *core.Engine) func(stmt string, w io.Writer) error {
+	return func(stmt string, w io.Writer) error {
 		res, err := eng.Exec(stmt)
 		if err != nil {
 			fmt.Fprintln(w, "error:", err)
@@ -109,14 +115,15 @@ func main() {
 			fmt.Fprintf(w, "-- cost %.2f units, %d reopt(s)\n", res.Cost, res.Reopts)
 		}
 		return nil
-	})
+	}
 }
 
 // remoteShell is the -connect shell: the in-process shell's statement loop
 // over the wire protocol to an rqpserver. WLM backpressure notices
 // (WLM_QUEUED / WLM_ADMITTED) print before the result, so a queued statement
-// explains its own latency. A protocol error closes the connection and ends
-// the loop.
+// explains its own latency. An EXPLAIN result prints as its plan text, as
+// the in-process shell prints it. A protocol error closes the connection and
+// ends the loop.
 func remoteShell(addr string) error {
 	c, err := server.Dial(addr)
 	if err != nil {
@@ -125,7 +132,12 @@ func remoteShell(addr string) error {
 	defer c.Close()
 	fmt.Printf("connected to rqpserver at %s (session %d). End statements with ';'. \\q quits.\n",
 		addr, c.SessionID)
-	return repl(os.Stdin, os.Stdout, nil, func(stmt string, w io.Writer) error {
+	return repl(os.Stdin, os.Stdout, nil, remoteExec(c))
+}
+
+// remoteExec runs and prints each statement of the -connect shell.
+func remoteExec(c *server.Client) func(stmt string, w io.Writer) error {
+	return func(stmt string, w io.Writer) error {
 		rs, err := c.Query(stmt)
 		if rs != nil {
 			for _, n := range rs.Notices {
@@ -139,7 +151,13 @@ func remoteShell(addr string) error {
 			}
 			return nil
 		}
-		printRows(w, rs.Columns, rs.Rows)
+		if rs.Tag == "EXPLAIN" { // plan text, one row per line
+			for _, r := range rs.Rows {
+				fmt.Fprintln(w, r[0].S)
+			}
+		} else {
+			printRows(w, rs.Columns, rs.Rows)
+		}
 		if rs.Tag == "OK" && rs.RowCount > 0 {
 			fmt.Fprintf(w, "%d row(s) affected\n", rs.RowCount)
 		}
@@ -147,7 +165,7 @@ func remoteShell(addr string) error {
 			fmt.Fprintf(w, "-- cost %.2f units\n", rs.CostUnits)
 		}
 		return nil
-	})
+	}
 }
 
 // repl is the statement loop of both shells. It reads lines from in until

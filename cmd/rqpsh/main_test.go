@@ -6,6 +6,10 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"rqp/internal/core"
+	"rqp/internal/server"
+	"rqp/internal/types"
 )
 
 // TestReplLoop pipes a script through the shells' one statement loop with a
@@ -49,5 +53,53 @@ func TestReplLoop(t *testing.T) {
 	}
 	if out.String() != "rqp> " {
 		t.Errorf("printed %q after the error, want only the first prompt", out.String())
+	}
+}
+
+// TestExplainOverTheWire runs one script through the in-process shell and
+// through the -connect shell against a server over an identical engine:
+// EXPLAIN prints the same bytes both ways, and EXPLAIN ANALYZE prints its
+// plan over the wire too.
+func TestExplainOverTheWire(t *testing.T) {
+	open := func() *core.Engine {
+		eng := core.Open(core.DefaultConfig())
+		eng.MustExec("CREATE TABLE r (a int, b int)")
+		for i := 0; i < 40; i++ {
+			eng.MustExec("INSERT INTO r VALUES (?, ?)", types.Int(int64(i)), types.Int(int64(i%4)))
+		}
+		eng.MustExec("ANALYZE r")
+		return eng
+	}
+	const explain = "EXPLAIN SELECT b, COUNT(*) FROM r WHERE a < 30 GROUP BY b;\n"
+	var local strings.Builder
+	if err := repl(strings.NewReader(explain), &local, nil, localExec(open())); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := server.New(server.Config{Engine: open()})
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	c, err := server.Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var remote strings.Builder
+	if err := repl(strings.NewReader(explain), &remote, nil, remoteExec(c)); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(local.String(), "Scan(r)") || remote.String() != local.String() {
+		t.Fatalf("EXPLAIN over the wire printed\n%s\nin process\n%s", remote.String(), local.String())
+	}
+
+	remote.Reset()
+	if err := repl(strings.NewReader("EXPLAIN ANALYZE SELECT a FROM r WHERE b = 1;\n"), &remote, nil, remoteExec(c)); err != nil {
+		t.Fatal(err)
+	}
+	if out := remote.String(); !strings.Contains(out, "Scan(r)") || !strings.Contains(out, "-- 10 row(s), cost ") {
+		t.Fatalf("EXPLAIN ANALYZE over the wire printed\n%s", out)
 	}
 }

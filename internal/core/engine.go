@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"rqp/internal/adaptive"
 	"rqp/internal/catalog"
@@ -109,9 +110,11 @@ type Config struct {
 	// carries the span tree and events (EXPLAIN ANALYZE always traces,
 	// independent of this switch).
 	TraceAll bool
-	// Admission, when non-nil, gates top-level SELECT execution through a
-	// workload-management multiprogramming limit; rejected queries fail
-	// fast and are counted in the metrics registry.
+	// Admission, when non-nil, gates top-level SELECTs (EXPLAIN ANALYZE
+	// too) through a workload-management multiprogramming limit. At a full
+	// gate one whose ExecStream sink is an AdmissionQueue waits FIFO, in
+	// lifecycle phase queued; others fail fast. Rejections are counted in
+	// the metrics registry.
 	Admission *wlm.Admitter
 	// MemSchedule, when non-nil, injects memory pressure: the per-query
 	// broker re-reads its budget from the schedule at every grant, so the
@@ -273,9 +276,9 @@ type Result struct {
 }
 
 // ErrAdmissionRejected marks an execution error caused by the WLM gate
-// turning the query away at its multiprogramming limit. Service layers
-// check for it with errors.Is to distinguish "queue and retry" from real
-// statement failures.
+// turning the query away at its multiprogramming limit: at once, or when
+// an AdmissionQueue's wait ran out. The statement never ran; service layers
+// check for it with errors.Is to tell it from real statement failures.
 var ErrAdmissionRejected = errors.New("admission rejected")
 
 // RowSink consumes a SELECT's result while the plan is still producing it
@@ -288,6 +291,21 @@ type RowSink interface {
 	// Row is exec.RowSink: r is valid only until Row returns, and an error
 	// stops the statement and is returned by ExecStream.
 	Row(r types.Row) error
+}
+
+// AdmissionQueue is a RowSink whose statement waits for an admission slot
+// (Config.Admission) instead of failing at a full gate. Its methods are
+// called on the goroutine that called ExecStream.
+type AdmissionQueue interface {
+	// QueueWait bounds the wait; when it elapses the statement fails with
+	// ErrAdmissionRejected.
+	QueueWait() time.Duration
+	// Queued is called once, when the statement starts to wait, with the
+	// queue depth counting itself.
+	Queued(depth int)
+	// Admitted is called once the statement holds its slot, whether or not
+	// it waited, before its rows.
+	Admitted()
 }
 
 // Exec parses and executes one statement.
@@ -304,8 +322,8 @@ func (e *Engine) Exec(query string, params ...types.Value) (*Result, error) {
 // Exec is). Everything else about the statement — admission, lifecycle,
 // metrics, cost — is the same path. The network service layer encodes rows
 // onto the socket through here, with client Cancel frames and disconnects
-// arriving through canceled. EXPLAIN, EXPLAIN ANALYZE and statements other
-// than SELECT never call the sink.
+// arriving through canceled, which also ends an AdmissionQueue's wait.
+// EXPLAIN, EXPLAIN ANALYZE and statements other than SELECT send no rows.
 //
 // With a plan cache, a SELECT whose text is cached skips the parser and the
 // binder, and inside a cached plan's region the optimizer too: it goes from
@@ -313,7 +331,8 @@ func (e *Engine) Exec(query string, params ...types.Value) (*Result, error) {
 func (e *Engine) ExecStream(query string, canceled func() bool, sink RowSink, params ...types.Value) (*Result, error) {
 	if e.cacheOn() {
 		if cs := e.Cache.statement(query); cs != nil {
-			return e.runSelectObserved(nil, cs, query, params, 0, false, canceled, sink)
+			q, _ := sink.(AdmissionQueue)
+			return e.runSelectObserved(nil, cs, query, params, 0, false, canceled, sink, q)
 		}
 	}
 	st, err := sql.Parse(query)
@@ -390,6 +409,7 @@ func (e *Engine) explain(st sql.Stmt, params []types.Value) (*Result, error) {
 }
 
 func (e *Engine) execStmt(st sql.Stmt, text string, params []types.Value, canceled func() bool, sink RowSink) (*Result, error) {
+	q, _ := sink.(AdmissionQueue)
 	switch s := st.(type) {
 	case *sql.ExplainStmt:
 		if s.Analyze {
@@ -397,11 +417,11 @@ func (e *Engine) execStmt(st sql.Stmt, text string, params []types.Value, cancel
 			if !ok {
 				return nil, fmt.Errorf("core: EXPLAIN ANALYZE supports SELECT only")
 			}
-			return e.explainAnalyze(sel, params)
+			return e.explainAnalyze(sel, params, canceled, q)
 		}
 		return e.explain(s.Inner, params)
 	case *sql.SelectStmt:
-		return e.runSelectObserved(s, nil, text, params, 0, false, canceled, sink)
+		return e.runSelectObserved(s, nil, text, params, 0, false, canceled, sink, q)
 	case *sql.CreateTableStmt:
 		e.invalidatePlans()
 		return e.execCreateTable(s)
@@ -498,9 +518,10 @@ func (e *Engine) execCreateTable(s *sql.CreateTableStmt) (*Result, error) {
 // explainAnalyze executes the SELECT under a tracer and renders the span
 // tree annotated with actual rows, per-node q-error and cost consumed,
 // followed by the engine-event log (re-optimizations, cache and memory and
-// admission decisions).
-func (e *Engine) explainAnalyze(sel *sql.SelectStmt, params []types.Value) (*Result, error) {
-	res, err := e.runSelectObserved(sel, nil, "", params, 0, true, nil, nil)
+// admission decisions). It is canceled, and waits for admission, as the
+// caller's SELECT would.
+func (e *Engine) explainAnalyze(sel *sql.SelectStmt, params []types.Value, canceled func() bool, q AdmissionQueue) (*Result, error) {
+	res, err := e.runSelectObserved(sel, nil, "", params, 0, true, canceled, nil, q)
 	if err != nil {
 		return nil, err
 	}
@@ -519,8 +540,9 @@ func (e *Engine) explainAnalyze(sel *sql.SelectStmt, params []types.Value) (*Res
 }
 
 // runSelectObserved runs one SELECT: s as parsed from text, or — s nil — the
-// cached statement cs that text was found under.
-func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text string, params []types.Value, depth int, forceTrace bool, canceled func() bool, sink RowSink) (finalRes *Result, finalErr error) {
+// cached statement cs that text was found under. At depth 0 it takes an
+// admission slot, waiting for one under q when q is non-nil.
+func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text string, params []types.Value, depth int, forceTrace bool, canceled func() bool, sink RowSink, q AdmissionQueue) (finalRes *Result, finalErr error) {
 	// Lifecycle registration: every top-level executing query gets an ID
 	// and a phase in the live registry, and retires into the completed ring
 	// (and the query log, if a sink is configured) on this function's single
@@ -590,29 +612,35 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 		adaptive.AttachLEO(ctx, e.Opt.Cards)
 	}
 
-	if lifecycle != nil {
-		lifecycle.AttachTrace(trace)
-	}
+	lifecycle.AttachTrace(trace)
 
-	// Workload-management admission: top-level executing queries only.
+	// Workload-management admission: top-level executing queries only, and
+	// the one place a statement waits for its slot (in phase queued).
 	if depth == 0 && e.Cfg.Admission != nil {
-		d := e.Cfg.Admission.TryAdmit()
+		var wait time.Duration
+		var queued func(int)
+		if q != nil {
+			wait, queued = q.QueueWait(), q.Queued
+		}
+		d := e.Cfg.Admission.Admit(wait, canceled, queued)
 		if trace != nil {
 			trace.Event("wlm.admission", d.String())
 		}
 		admissions++
 		if !d.Admitted {
-			e.Metrics.Counter("rqp_wlm_rejected_total").Inc()
-			if lifecycle != nil {
-				lifecycle.SetPhase(obs.PhaseRejected)
+			if canceled != nil && canceled() {
+				return nil, exec.ErrCanceled
 			}
+			e.Metrics.Counter("rqp_wlm_rejected_total").Inc()
+			lifecycle.SetPhase(obs.PhaseRejected)
 			return nil, fmt.Errorf("core: %w (%s)", ErrAdmissionRejected, d)
 		}
 		e.Metrics.Counter("rqp_wlm_admitted_total").Inc()
-		if lifecycle != nil {
-			lifecycle.SetPhase(obs.PhaseAdmitted)
-		}
+		lifecycle.SetPhase(obs.PhaseAdmitted)
 		defer e.Cfg.Admission.Done()
+		if q != nil {
+			q.Admitted()
+		}
 		if e.Cfg.MemPoolRows > 0 {
 			e.Cfg.Admission.SetMemPool(e.Cfg.MemPoolRows)
 			share := e.Cfg.Admission.AttachMem(ctx.Mem)
@@ -642,9 +670,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 		rowSink = sink.Row
 	}
 
-	if lifecycle != nil {
-		lifecycle.SetPhase(obs.PhaseRunning)
-	}
+	lifecycle.SetPhase(obs.PhaseRunning)
 	if prog != nil {
 		pres, err := prog.ExecuteInto(bq, ctx, rowSink)
 		if err != nil {

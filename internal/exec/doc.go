@@ -19,7 +19,10 @@
 // a morsel issues the same charges whichever worker runs it, so rows and
 // integer cost are property-tested identical at every worker count — but for
 // hash aggregation, which more workers run as per-morsel partials: float sums
-// reassociated, and no workspace grant (so no spilling) of their own.
+// reassociated, and no workspace grant (so no spilling) of their own; and
+// but for runtime filters at more than one worker, whose adaptive disable
+// point depends on how the workers interleave, so cost (never rows) may
+// differ in its last digits from run to run.
 //
 // Row ownership: a row returned by Next is valid until the next call on
 // that operator — producers reuse their output buffers and nothing

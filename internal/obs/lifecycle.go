@@ -71,8 +71,13 @@ func (q *QueryState) Phase() Phase { return Phase(atomic.LoadInt32(&q.phase)) }
 
 // SetPhase advances the lifecycle phase. Transitions only move forward;
 // attempts to move backwards (e.g. a late "running" after "spilling") are
-// ignored, which keeps concurrent writers safe without coordination.
+// ignored, which keeps concurrent writers safe without coordination. Like
+// AttachTrace and Finish, it does nothing to a nil query (one the registry
+// does not track).
 func (q *QueryState) SetPhase(p Phase) {
+	if q == nil {
+		return
+	}
 	for {
 		old := atomic.LoadInt32(&q.phase)
 		if int32(p) <= old {
@@ -88,7 +93,7 @@ func (q *QueryState) SetPhase(p Phase) {
 // progress estimate and /trace/{id}, and hooks trace events so the first
 // spill event flips the phase to Spilling.
 func (q *QueryState) AttachTrace(t *Trace) {
-	if t == nil {
+	if q == nil || t == nil {
 		return
 	}
 	q.trace.Store(t)

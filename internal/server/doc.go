@@ -34,15 +34,23 @@
 // and one row decoder shared with WriteFrame/WriteMsg/Encode, the Client
 // and the shuffle sub-protocol. A cycle is RowDesc Row* (Complete | Error);
 // the statement's admission slot covers delivery, so a client that stops
-// reading holds it until it reads on or disconnects.
+// reading holds it until it reads on or disconnects. EXPLAIN and EXPLAIN
+// ANALYZE answer with their plan text as a one-column result, one Row per
+// line, tagged EXPLAIN.
 //
 // # Admission
 //
 // The engine's wlm.Admitter MPL gate and workspace-memory pool gatekeep for
-// real here: when the gate is full, sessions queue FIFO (wlm.WaitSlot)
-// instead of failing, bounded by the server's queue timeout. The client
-// sees the backpressure as it happens — a WLM_QUEUED notice on entering the
-// queue, WLM_ADMITTED when its turn comes, ERR_ADMIT on aging out — and
-// each query's queued/admitted/running/done phases land in the engine's
-// lifecycle registry, so the /queries debug endpoint shows the same story.
+// real here. A session calls the engine once per statement; a SELECT or
+// EXPLAIN ANALYZE that finds the gate full waits inside the engine's
+// admission step, the one place a statement queues: FIFO, each freed slot
+// handed straight to the oldest waiter, bounded by the server's queue
+// timeout and ended early by Cancel or a disconnect. Other statements take
+// no slot and never wait. The session is the statement's
+// core.AdmissionQueue, so the client sees the backpressure as it happens —
+// a WLM_QUEUED notice on entering the queue, WLM_ADMITTED when its turn
+// comes, ERR_ADMIT on aging out — and the statement is in the engine's
+// lifecycle registry from its first moment in the queue (phase queued) to
+// its one completed record, so the /queries debug endpoint shows the same
+// story.
 package server

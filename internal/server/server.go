@@ -14,8 +14,8 @@ import (
 // Config parameterizes a Server.
 type Config struct {
 	// Engine is the database instance served over the wire. Its
-	// Cfg.Admission gate (if any) is the server's admission control: full
-	// gates queue sessions FIFO instead of failing them.
+	// Cfg.Admission gate (if any) is the server's admission control: at a
+	// full gate a session's SELECT queues FIFO instead of failing.
 	Engine *core.Engine
 	// QueueTimeout bounds how long a session waits in the admission queue
 	// before its statement fails with ERR_ADMIT (default 10s).
@@ -23,8 +23,9 @@ type Config struct {
 	// MaxFrame caps a frame payload in bytes (default MaxFrame, 1 MiB).
 	MaxFrame int
 	// BeforeExec, when non-nil, runs on the session goroutine immediately
-	// before each admitted statement executes, with the session's live
-	// cancel predicate. It exists for tests that need to hold a statement
+	// before each statement goes to the engine — before it queues for an
+	// admission slot, so it holds none — with the session's live cancel
+	// predicate. It exists for tests that need to hold a statement
 	// mid-flight deterministically (cancel and disconnect races); production
 	// servers leave it nil.
 	BeforeExec func(sessionID uint64, sql string, canceled func() bool)
@@ -34,35 +35,21 @@ type Config struct {
 // connection against a shared engine.
 type Server struct {
 	listener
-	eng          *core.Engine
-	queueTimeout time.Duration
-	maxFrame     int
-	beforeExec   func(uint64, string, func() bool)
-
+	cfg      Config // defaults filled in
 	nextID   atomic.Uint64
 	sessions atomic.Int64 // currently open sessions
 }
 
 // New builds a Server around an engine.
 func New(cfg Config) *Server {
-	qt := cfg.QueueTimeout
-	if qt <= 0 {
-		qt = 10 * time.Second
+	if cfg.QueueTimeout <= 0 {
+		cfg.QueueTimeout = 10 * time.Second
 	}
-	mf := cfg.MaxFrame
-	if mf <= 0 {
-		mf = MaxFrame
+	if cfg.MaxFrame <= 0 {
+		cfg.MaxFrame = MaxFrame
 	}
-	return &Server{
-		eng:          cfg.Engine,
-		queueTimeout: qt,
-		maxFrame:     mf,
-		beforeExec:   cfg.BeforeExec,
-	}
+	return &Server{cfg: cfg}
 }
-
-// ErrServerClosed is returned by Serve after Close.
-var ErrServerClosed = errors.New("server: closed")
 
 // listener is the accept loop and connection registry a Server and a
 // ShardWorker share: listen binds, serve runs each accepted connection on a
@@ -97,8 +84,8 @@ func (l *listener) addr() net.Addr {
 	return l.ln.Addr()
 }
 
-// serve accepts connections until close, when it returns ErrServerClosed,
-// handing each to handle on its own goroutine.
+// serve accepts connections until close, when it returns nil, handing each
+// to handle on its own goroutine.
 func (l *listener) serve(handle func(net.Conn)) error {
 	l.mu.Lock()
 	ln := l.ln
@@ -114,7 +101,7 @@ func (l *listener) serve(handle func(net.Conn)) error {
 			if conn != nil {
 				conn.Close()
 			}
-			return ErrServerClosed
+			return nil
 		}
 		if err != nil {
 			l.mu.Unlock()
@@ -163,7 +150,8 @@ func (s *Server) Listen(addr string) error { return s.listen(addr) }
 // Addr reports the bound listen address (nil before Listen).
 func (s *Server) Addr() net.Addr { return s.addr() }
 
-// Serve accepts connections until Close. Call after Listen; it blocks.
+// Serve accepts connections until Close, when it returns nil. Call after
+// Listen; it blocks.
 func (s *Server) Serve() error { return s.serve(s.handle) }
 
 // Close stops accepting and waits for in-flight sessions to finish their

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -73,7 +74,7 @@ func (s *session) serve() {
 	defer close(s.done)
 
 	// Handshake: the first frame must be a Startup with a version we speak.
-	f, err := ReadFrame(s.conn, s.srv.maxFrame)
+	f, err := ReadFrame(s.conn, s.srv.cfg.MaxFrame)
 	if err != nil {
 		return
 	}
@@ -127,7 +128,7 @@ func (s *session) serve() {
 func (s *session) readLoop() {
 	defer close(s.frames)
 	for {
-		f, err := ReadFrame(s.conn, s.srv.maxFrame)
+		f, err := ReadFrame(s.conn, s.srv.cfg.MaxFrame)
 		if err != nil {
 			s.readErr.Store(err)
 			s.cancel.Store(true)
@@ -212,7 +213,7 @@ func (s *session) handlePrepare(m PrepareMsg) {
 		s.sendError(CodeParse, "prepared statement name must not be empty")
 		return
 	}
-	if err := s.srv.eng.Prepare(m.SQL); err != nil {
+	if err := s.srv.cfg.Engine.Prepare(m.SQL); err != nil {
 		s.sendError(CodeParse, err.Error())
 		return
 	}
@@ -256,19 +257,39 @@ func (s *session) handleClose(m CloseMsg) {
 	s.complete("CLOSE", 0, 0)
 }
 
-// errAdmitTimeout marks a query that aged out of the admission queue.
-var errAdmitTimeout = errors.New("server: admission queue timeout")
-
 // resultStream is the core.RowSink of the statement in flight: it puts each
 // row on the wire while the plan root still owns it, so the session never
 // holds a result — its memory does not grow with the result's size, and the
-// admission slot it holds covers delivery as well as execution.
+// admission slot it holds covers delivery as well as execution. It is also
+// the statement's core.AdmissionQueue: at a full gate the engine queues it
+// for the server's queue timeout, and the client hears of both ends of the
+// wait.
 type resultStream struct {
 	s         *session
 	cols      []string
 	described bool   // RowDesc is on the wire
+	queued    bool   // WLM_QUEUED is on the wire
 	maxRows   uint32 // rows to send, 0 = all
 	sent      uint64
+}
+
+// QueueWait implements core.AdmissionQueue.
+func (st *resultStream) QueueWait() time.Duration { return st.s.srv.cfg.QueueTimeout }
+
+// Queued implements core.AdmissionQueue: the client sees WLM_QUEUED while
+// it waits.
+func (st *resultStream) Queued(depth int) {
+	st.queued = true
+	st.s.notice(NoticeQueued, fmt.Sprintf("admission gate full (queue depth %d); waiting up to %s",
+		depth, st.s.srv.cfg.QueueTimeout))
+}
+
+// Admitted implements core.AdmissionQueue: a statement that queued sends
+// WLM_ADMITTED before its result.
+func (st *resultStream) Admitted() {
+	if st.queued {
+		st.s.notice(NoticeAdmitted, "admission slot granted")
+	}
 }
 
 // Columns implements core.RowSink. RowDesc waits for the first row (or the
@@ -299,25 +320,42 @@ func (st *resultStream) describe(cols []string) {
 	}
 }
 
-// runStatement executes one statement through the admission gate and
-// streams RowDesc Row* (Complete | Error). maxRows caps the rows sent (0 =
-// all); the statement still runs to completion server-side.
+// planColumns is the one column of an EXPLAIN result.
+var planColumns = []string{"QUERY PLAN"}
+
+// runStatement executes one statement and streams RowDesc Row* (Complete |
+// Error). maxRows caps the rows sent (0 = all); the statement still runs to
+// completion server-side. A SELECT waits for its admission slot inside the
+// engine (resultStream is its AdmissionQueue); the slot then covers delivery
+// too. EXPLAIN and EXPLAIN ANALYZE answer with their plan text, one row per
+// line, tagged EXPLAIN.
 func (s *session) runStatement(sqlText string, params []types.Value, maxRows uint32) {
 	s.stream = resultStream{s: s, maxRows: maxRows}
-	res, err := s.execAdmitted(sqlText, params)
+	if hook := s.srv.cfg.BeforeExec; hook != nil {
+		hook(s.id, sqlText, s.canceled)
+	}
+	res, err := s.srv.cfg.Engine.ExecStream(sqlText, s.canceled, &s.stream, params...)
 	if err != nil {
 		switch {
 		case errors.Is(err, exec.ErrCanceled):
 			s.sendError(CodeCanceled, "query canceled")
-		case errors.Is(err, errAdmitTimeout), errors.Is(err, core.ErrAdmissionRejected):
+		case errors.Is(err, core.ErrAdmissionRejected):
 			s.sendError(CodeAdmit, err.Error())
 		default:
 			s.sendError(CodeExec, err.Error())
 		}
 		return
 	}
+	if res.Plan != "" {
+		s.stream.cols = planColumns
+		for _, line := range strings.Split(strings.TrimSuffix(res.Plan, "\n"), "\n") {
+			s.stream.Row(types.Row{types.Str(line)})
+		}
+		s.complete("EXPLAIN", s.stream.sent, res.Cost)
+		return
+	}
 	if len(res.Columns) > 0 {
-		s.stream.describe(res.Columns) // a result without rows, or an EXPLAIN
+		s.stream.describe(res.Columns) // a result without rows
 	}
 	tag := "SELECT"
 	rows := s.stream.sent
@@ -327,63 +365,6 @@ func (s *session) runStatement(sqlText string, params []types.Value, maxRows uin
 	}
 	s.complete(tag, rows, res.Cost)
 }
-
-// execAdmitted runs a statement behind the WLM gate, its rows going to
-// s.stream. When the gate is full the session queues (FIFO) rather than
-// failing: the client gets a WLM_QUEUED notice immediately — backpressure
-// it can see while it waits — and a WLM_ADMITTED notice when its turn
-// comes. The slot then covers delivery too: it is held until the last row
-// is on the connection's writer or the statement fails. Queueing is bounded
-// by the server's queue timeout; aging out yields ERR_ADMIT. The engine
-// still owns the authoritative TryAdmit, so a slot observed free here can
-// be lost to a concurrent arrival — that race surfaces as
-// ErrAdmissionRejected and sends the session back into the queue until its
-// deadline.
-func (s *session) execAdmitted(sqlText string, params []types.Value) (*core.Result, error) {
-	adm := s.srv.eng.Cfg.Admission
-	deadline := time.Now().Add(s.srv.queueTimeout)
-	queuedNotice := false
-	for {
-		if s.canceled() {
-			return nil, exec.ErrCanceled
-		}
-		if adm != nil && !adm.HasCapacity() {
-			if !queuedNotice {
-				_, depth, _ := adm.QueueStats()
-				s.notice(NoticeQueued, fmt.Sprintf("admission gate full (queue depth %d); waiting up to %s",
-					depth+1, s.srv.queueTimeout))
-				queuedNotice = true
-			}
-			remain := time.Until(deadline)
-			if remain <= 0 {
-				return nil, fmt.Errorf("%w after %s", errAdmitTimeout, s.srv.queueTimeout)
-			}
-			// Bounded parks keep the wait responsive to out-of-band cancels
-			// and disconnects; WaitSlot itself wakes in FIFO order.
-			if remain > queuePollInterval {
-				remain = queuePollInterval
-			}
-			adm.WaitSlot(remain)
-			continue
-		}
-		if queuedNotice {
-			s.notice(NoticeAdmitted, "admission slot granted")
-			queuedNotice = false
-		}
-		if hook := s.srv.beforeExec; hook != nil {
-			hook(s.id, sqlText, s.canceled)
-		}
-		res, err := s.srv.eng.ExecStream(sqlText, s.canceled, &s.stream, params...)
-		if err != nil && errors.Is(err, core.ErrAdmissionRejected) && time.Now().Before(deadline) {
-			continue // lost the slot race; re-queue
-		}
-		return res, err
-	}
-}
-
-// queuePollInterval bounds one WaitSlot park so queued sessions notice
-// cancels and disconnects promptly.
-const queuePollInterval = 25 * time.Millisecond
 
 // ---- frame writers ----
 //

@@ -508,6 +508,130 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 	}
 }
 
+// TestAdmissionQueuedInLifecycle holds the only slot and checks that a
+// queued SELECT is registered while it waits: /queries shows it in phase
+// queued, not nothing.
+func TestAdmissionQueuedInLifecycle(t *testing.T) {
+	env := newTestEnv(t, 1, 10*time.Second, nil)
+	adm := env.eng.Cfg.Admission
+	if d := adm.TryAdmit(); !d.Admitted {
+		t.Fatal("failed to occupy the gate slot")
+	}
+	c2, err := Dial(env.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	const q = "SELECT COUNT(*) FROM s"
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c2.Query(q)
+		errc <- err
+	}()
+	waitFor(t, "the queued SELECT in the lifecycle registry", func() bool {
+		for _, aq := range env.eng.Lifecycle.Active() {
+			if aq.SQL == q && aq.Phase == "queued" {
+				return true
+			}
+		}
+		return false
+	})
+	adm.Done()
+	if err := <-errc; err != nil {
+		t.Fatalf("queued query failed: %v", err)
+	}
+}
+
+// TestAdmissionTimeoutRecordedOnce times a queued SELECT out and checks it
+// is recorded exactly once: one completed query, rejected, and one
+// rqp_wlm_rejected_total increment.
+func TestAdmissionTimeoutRecordedOnce(t *testing.T) {
+	env := newTestEnv(t, 1, 100*time.Millisecond, nil)
+	adm := env.eng.Cfg.Admission
+	if d := adm.TryAdmit(); !d.Admitted {
+		t.Fatal("failed to occupy the gate slot")
+	}
+	defer adm.Done()
+	rejected := env.eng.Metrics.Counter("rqp_wlm_rejected_total")
+	before, recent := rejected.Value(), len(env.eng.Lifecycle.Recent())
+
+	c2, err := Dial(env.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	const q = "SELECT COUNT(*) FROM s"
+	if _, err := c2.Query(q); !isCode(err, CodeAdmit) {
+		t.Fatalf("expected ERR_ADMIT, got %v", err)
+	}
+	if got := rejected.Value() - before; got != 1 {
+		t.Fatalf("rqp_wlm_rejected_total rose by %d, want 1", got)
+	}
+	recs := env.eng.Lifecycle.Recent()[recent:]
+	if len(recs) != 1 || recs[0].SQL != q || recs[0].Outcome != "rejected" {
+		t.Fatalf("completed records %+v, want one rejected %q", recs, q)
+	}
+}
+
+// TestAdmissionQueueCancel cancels a statement while it waits for the only
+// slot: it ends with ERR_CANCELED long before the queue timeout, takes no
+// slot, and the session runs its next statement once the slot frees.
+func TestAdmissionQueueCancel(t *testing.T) {
+	env := newTestEnv(t, 1, time.Minute, nil)
+	adm := env.eng.Cfg.Admission
+	if d := adm.TryAdmit(); !d.Admitted {
+		t.Fatal("failed to occupy the gate slot")
+	}
+	c2, err := Dial(env.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c2.Query("SELECT COUNT(*) FROM s")
+		errc <- err
+	}()
+	waitFor(t, "the SELECT to queue", func() bool { _, depth, _ := adm.QueueStats(); return depth == 1 })
+	c2.Cancel()
+	if err := <-errc; !isCode(err, CodeCanceled) {
+		t.Fatalf("expected ERR_CANCELED, got %v", err)
+	}
+	if _, _, active, _ := adm.Stats(); active != 1 {
+		t.Fatalf("active = %d after a canceled wait, want the 1 held slot", active)
+	}
+	adm.Done()
+	if rs, err := c2.Query("SELECT COUNT(*) FROM s"); err != nil || rs.Rows[0][0].AsInt() != 50 {
+		t.Fatalf("session after a canceled wait: %v, %v", rs, err)
+	}
+}
+
+// TestAdmissionDMLDoesNotQueue holds the only slot: an INSERT takes no slot,
+// so it completes at once, with no notice and no queued wait.
+func TestAdmissionDMLDoesNotQueue(t *testing.T) {
+	env := newTestEnv(t, 1, 2*time.Second, nil)
+	adm := env.eng.Cfg.Admission
+	if d := adm.TryAdmit(); !d.Admitted {
+		t.Fatal("failed to occupy the gate slot")
+	}
+	defer adm.Done()
+	c, err := Dial(env.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rs, err := c.Query("INSERT INTO s VALUES (?, ?)", types.Int(50), types.Int(100))
+	if err != nil {
+		t.Fatalf("INSERT with the slot held: %v", err)
+	}
+	if rs.RowCount != 1 || len(rs.Notices) != 0 {
+		t.Fatalf("INSERT affected %d row(s) with notices %v, want 1 and none", rs.RowCount, rs.Notices)
+	}
+	if queued, _, _ := adm.QueueStats(); queued != 0 {
+		t.Fatalf("INSERT waited in the admission queue (%d queued waits)", queued)
+	}
+}
+
 // TestConcurrentClientsStress runs 64 concurrent sessions against a 4-MPL
 // gate, each issuing a mix of plain and prepared statements. Every result
 // must match the single-session reference exactly (zero incorrect results

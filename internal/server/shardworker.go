@@ -67,12 +67,7 @@ func (w *ShardWorker) Addr() string {
 
 // Serve accepts exchange connections until Close, when it returns nil. Each
 // connection is one exchange, served on its own goroutine.
-func (w *ShardWorker) Serve() error {
-	if err := w.serve(w.serveExchange); err != ErrServerClosed {
-		return err
-	}
-	return nil
-}
+func (w *ShardWorker) Serve() error { return w.serve(w.serveExchange) }
 
 // ServeShardWorker runs a shard worker on addr until ctx is done: it gates
 // the worker's exchanges with an admitter of mpl slots (0 = unlimited),
@@ -137,7 +132,7 @@ func (w *ShardWorker) serveExchange(conn net.Conn) {
 		return
 	}
 	if w.cfg.Admit != nil {
-		if !w.cfg.Admit.AdmitWait(w.cfg.QueueTimeout) {
+		if !w.cfg.Admit.Admit(w.cfg.QueueTimeout, nil, nil).Admitted {
 			w.sendErr(bw, hello.JoinID, CodeAdmit, "worker admission queue timeout")
 			return
 		}

@@ -37,10 +37,10 @@ type Admitter struct {
 	memPool     int // total workspace rows shared by running queries; 0 = none
 	attached    []MemReclaimable
 	memReclaims int64
-	// waiters are queued sessions parked in WaitSlot; Done closes the
-	// oldest channel so exactly one waiter wakes per released slot (FIFO —
-	// the arrival-order fairness a service layer needs so no session starves
-	// behind later arrivals).
+	// waiters are the statements parked in Admit, oldest first. Done hands
+	// a freed slot to waiters[0] instead of freeing it (FIFO — the
+	// arrival-order fairness a service layer needs so no statement starves
+	// behind later arrivals, and no arrival can take a slot a waiter is owed).
 	waiters   []chan struct{}
 	queued    int64
 	queuePeak int
@@ -68,21 +68,82 @@ func (d Decision) String() string {
 	return fmt.Sprintf("%s active=%d mpl=%d", verdict, d.Active, d.MPL)
 }
 
-// TryAdmit requests a slot. Rejection is immediate (no queueing): the
-// caller decides whether to fail the query or retry.
-func (a *Admitter) TryAdmit() Decision {
+// TryAdmit requests a slot without waiting: Admit with no wait.
+func (a *Admitter) TryAdmit() Decision { return a.Admit(0, nil, nil) }
+
+// cancelPoll is how often a parked Admit polls its canceled hook.
+const cancelPoll = 10 * time.Millisecond
+
+// Admit requests a slot and, when the gate is full, waits for one. It is the
+// only way to wait: a free slot is taken at once; otherwise, with a positive
+// wait, the caller joins the FIFO queue, queued (if non-nil) is called once
+// with the queue depth, and Admit parks until Done hands it the freed slot
+// directly, wait elapses, or canceled (if non-nil) returns true. A timeout
+// counts as a rejection; a cancel does not. An admitted caller owes a Done.
+func (a *Admitter) Admit(wait time.Duration, canceled func() bool, queued func(depth int)) Decision {
+	a.mu.Lock()
+	if a.mpl <= 0 || a.active < a.mpl {
+		a.active++
+		a.admitted++
+		a.peak = max(a.peak, a.active)
+		d := Decision{Admitted: true, Active: a.active, MPL: a.mpl}
+		a.mu.Unlock()
+		return d
+	}
+	if wait <= 0 {
+		a.rejected++
+		d := Decision{Active: a.active, MPL: a.mpl}
+		a.mu.Unlock()
+		return d
+	}
+	ch := make(chan struct{})
+	a.waiters = append(a.waiters, ch)
+	a.queued++
+	depth := len(a.waiters)
+	a.queuePeak = max(a.queuePeak, depth)
+	a.mu.Unlock()
+	if queued != nil {
+		queued(depth)
+	}
+
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	var poll <-chan time.Time
+	if canceled != nil {
+		t := time.NewTicker(cancelPoll)
+		defer t.Stop()
+		poll = t.C
+	}
+	handed := Decision{Admitted: true, Active: a.mpl, MPL: a.mpl} // the gate stays full
+	timedOut := false
+park:
+	for {
+		select {
+		case <-ch:
+			return handed
+		case <-timer.C:
+			timedOut = true
+			break park
+		case <-poll:
+			if canceled() {
+				break park
+			}
+		}
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.mpl > 0 && a.active >= a.mpl {
-		a.rejected++
-		return Decision{Admitted: false, Active: a.active, MPL: a.mpl}
+	for i, cand := range a.waiters {
+		if cand == ch {
+			a.waiters = append(a.waiters[:i], a.waiters[i+1:]...)
+			if timedOut {
+				a.rejected++
+			}
+			return Decision{Active: a.active, MPL: a.mpl}
+		}
 	}
-	a.active++
-	a.admitted++
-	if a.active > a.peak {
-		a.peak = a.active
-	}
-	return Decision{Admitted: true, Active: a.active, MPL: a.mpl}
+	// Done handed the slot over between the wake-up and the lock: it is
+	// this caller's, canceled or not.
+	return handed
 }
 
 // GrantDOP scales a query's requested degree of parallelism by current
@@ -110,96 +171,19 @@ func (a *Admitter) GrantDOP(want int) int {
 	return want
 }
 
-// Done releases a previously admitted slot and wakes the oldest queued
-// WaitSlot caller, if any.
+// Done releases a previously admitted slot: to the oldest waiter in Admit,
+// if any, which then holds it, and back to the gate otherwise.
 func (a *Admitter) Done() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if len(a.waiters) > 0 {
+		close(a.waiters[0])
+		a.waiters = a.waiters[1:]
+		a.admitted++
+		return
+	}
 	if a.active > 0 {
 		a.active--
-	}
-	a.wakeLocked()
-}
-
-// wakeLocked releases the oldest parked waiter when headroom exists. One
-// wake per freed slot: the woken session re-runs TryAdmit itself, so waking
-// more than the headroom would only cause rejected races.
-func (a *Admitter) wakeLocked() {
-	if len(a.waiters) > 0 && (a.mpl <= 0 || a.active < a.mpl) {
-		ch := a.waiters[0]
-		a.waiters = a.waiters[1:]
-		close(ch)
-	}
-}
-
-// HasCapacity reports whether a TryAdmit issued right now would succeed. It
-// is advisory — a concurrent arrival can take the slot between the peek and
-// the TryAdmit — so callers must still handle rejection.
-func (a *Admitter) HasCapacity() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.mpl <= 0 || a.active < a.mpl
-}
-
-// WaitSlot parks the caller until an admitted query departs (Done) or the
-// timeout elapses, and reports whether it was woken by a departure. It is
-// the queueing half of admission control: TryAdmit stays an instantaneous
-// yes/no, and sessions that choose to queue rather than fail park here in
-// FIFO order. A gate with headroom (or no limit) returns true immediately.
-// The caller must still TryAdmit afterwards — a slot observed free can be
-// taken by a concurrent arrival.
-func (a *Admitter) WaitSlot(timeout time.Duration) bool {
-	a.mu.Lock()
-	if a.mpl <= 0 || a.active < a.mpl {
-		a.mu.Unlock()
-		return true
-	}
-	ch := make(chan struct{})
-	a.waiters = append(a.waiters, ch)
-	a.queued++
-	if len(a.waiters) > a.queuePeak {
-		a.queuePeak = len(a.waiters)
-	}
-	a.mu.Unlock()
-
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-t.C:
-		a.mu.Lock()
-		for i, cand := range a.waiters {
-			if cand == ch {
-				a.waiters = append(a.waiters[:i], a.waiters[i+1:]...)
-				a.mu.Unlock()
-				return false
-			}
-		}
-		a.mu.Unlock()
-		// Done closed the channel between the timer firing and the lock:
-		// the wake-up belongs to this caller, so take it.
-		return true
-	}
-}
-
-// AdmitWait combines the TryAdmit/WaitSlot loop into one blocking call:
-// request a slot, park FIFO when the gate is full, retry on wake, and give
-// up when the deadline passes. It reports whether a slot was taken (the
-// caller then owes a Done). Shard worker processes use this as their whole
-// per-process admission policy — each inbound exchange occupies one slot
-// for its lifetime, so a worker's MPL bounds the exchanges it juggles the
-// same way a coordinator's MPL bounds client queries.
-func (a *Admitter) AdmitWait(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		if a.TryAdmit().Admitted {
-			return true
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 || !a.WaitSlot(remain) {
-			return false
-		}
 	}
 }
 

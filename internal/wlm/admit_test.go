@@ -3,6 +3,7 @@ package wlm
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -143,39 +144,131 @@ func TestMemPoolDisabled(t *testing.T) {
 	a.DetachMem(q)
 }
 
-// TestAdmitWait covers the blocking admission loop shard workers run per
-// exchange: immediate success with headroom, FIFO park-and-wake when the
-// gate is full, and a clean timeout when no slot ever frees.
-func TestAdmitWait(t *testing.T) {
-	a := NewAdmitter(1)
-	if !a.AdmitWait(time.Second) {
-		t.Fatal("empty gate must admit immediately")
-	}
-
-	// Gate full: a second caller parks, then takes the slot when Done frees it.
-	got := make(chan bool, 1)
-	go func() { got <- a.AdmitWait(5 * time.Second) }()
+// parkedAdmit starts Admit(wait, canceled, nil) on a goroutine and returns
+// once the call is parked in the queue at depth depth.
+func parkedAdmit(t *testing.T, a *Admitter, depth int, wait time.Duration, canceled func() bool) <-chan Decision {
+	t.Helper()
+	got := make(chan Decision, 1)
+	go func() { got <- a.Admit(wait, canceled, nil) }()
+	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, depth, _ := a.QueueStats(); depth == 1 {
-			break
+		if _, d, _ := a.QueueStats(); d == depth {
+			return got
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Admit never parked at depth %d", depth)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	a.Done()
-	if !<-got {
-		t.Fatal("waiter not admitted after Done")
-	}
-	if _, _, active, _ := a.Stats(); active != 1 {
-		t.Fatalf("active = %d after handoff, want 1", active)
-	}
+}
 
-	// Still full and nobody leaves: the wait must give up at the deadline.
-	start := time.Now()
-	if a.AdmitWait(30 * time.Millisecond) {
-		t.Fatal("full gate admitted past its deadline")
+// TestAdmitFIFOHandoff checks that Done gives a freed slot to the oldest
+// waiter directly: an arrival issued right after Done finds the gate still
+// full, and the waiters take their slots in arrival order.
+func TestAdmitFIFOHandoff(t *testing.T) {
+	a := NewAdmitter(1)
+	if d := a.Admit(time.Second, nil, nil); !d.Admitted {
+		t.Fatal("empty gate must admit at once")
 	}
-	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Fatalf("gave up after %v, before the deadline", elapsed)
+	first := parkedAdmit(t, a, 1, 5*time.Second, nil)
+	second := parkedAdmit(t, a, 2, 5*time.Second, nil)
+
+	a.Done()
+	if d := a.TryAdmit(); d.Admitted {
+		t.Fatal("an arrival after Done took the slot handed to the oldest waiter")
+	}
+	if d := <-first; !d.Admitted || d.Active != 1 {
+		t.Fatalf("oldest waiter got %v, want admitted active=1", d)
+	}
+	select {
+	case d := <-second:
+		t.Fatalf("second waiter got %v while the first holds the slot", d)
+	default:
 	}
 	a.Done()
+	if d := <-second; !d.Admitted {
+		t.Fatalf("second waiter got %v after the first's Done", d)
+	}
+	a.Done()
+	admitted, rejected, active, peak := a.Stats()
+	if admitted != 3 || rejected != 1 || active != 0 || peak != 1 {
+		t.Fatalf("stats = (%d,%d,%d,%d), want (3,1,0,1)", admitted, rejected, active, peak)
+	}
+	if queued, depth, qpeak := a.QueueStats(); queued != 2 || depth != 0 || qpeak != 2 {
+		t.Fatalf("queue stats = (%d,%d,%d), want (2,0,2)", queued, depth, qpeak)
+	}
+}
+
+// TestAdmitTimeout holds the only slot past the wait: Admit gives up after
+// it, counts a rejection and leaves the queue empty.
+func TestAdmitTimeout(t *testing.T) {
+	a := NewAdmitter(1)
+	a.TryAdmit()
+	start := time.Now()
+	if d := a.Admit(30*time.Millisecond, nil, nil); d.Admitted {
+		t.Fatal("full gate admitted past the wait")
+	}
+	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
+		t.Fatalf("gave up after %v, before the wait elapsed", elapsed)
+	}
+	_, rejected, active, _ := a.Stats()
+	if _, depth, _ := a.QueueStats(); rejected != 1 || active != 1 || depth != 0 {
+		t.Fatalf("rejected %d, active %d, depth %d; want 1, 1, 0", rejected, active, depth)
+	}
+	a.Done()
+	if d := a.TryAdmit(); !d.Admitted {
+		t.Fatal("the slot leaked past a timed-out waiter")
+	}
+}
+
+// TestAdmitCancelWhileParked cancels a parked Admit: it returns without a
+// slot, long before its wait, counts no rejection and leaves active as it
+// was; the next Done frees the slot rather than handing it to the gone
+// waiter.
+func TestAdmitCancelWhileParked(t *testing.T) {
+	a := NewAdmitter(1)
+	a.TryAdmit()
+	var cancel atomic.Bool
+	got := parkedAdmit(t, a, 1, time.Minute, cancel.Load)
+	cancel.Store(true)
+	select {
+	case d := <-got:
+		if d.Admitted {
+			t.Fatal("a canceled waiter was admitted")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a canceled waiter stayed parked")
+	}
+	_, rejected, active, _ := a.Stats()
+	if _, depth, _ := a.QueueStats(); rejected != 0 || active != 1 || depth != 0 {
+		t.Fatalf("rejected %d, active %d, depth %d; want 0, 1, 0", rejected, active, depth)
+	}
+	a.Done()
+	if _, _, active, _ := a.Stats(); active != 0 {
+		t.Fatalf("active %d after the holder's Done, want 0: a slot leaked", active)
+	}
+}
+
+// TestAdmitQueuedOnce checks the queued hook: never for a free slot, once
+// per parked call, with the depth the call joined the queue at.
+func TestAdmitQueuedOnce(t *testing.T) {
+	a := NewAdmitter(1)
+	depths := make(chan int, 4)
+	hook := func(depth int) { depths <- depth }
+	a.Admit(time.Second, nil, hook)
+	first := parkedAdmit(t, a, 1, 5*time.Second, nil)
+	got := make(chan Decision, 1)
+	go func() { got <- a.Admit(5*time.Second, nil, hook) }()
+	if d := <-depths; d != 2 {
+		t.Fatalf("queued called with depth %d, want 2", d)
+	}
+	a.Done() // to the first waiter
+	<-first
+	a.Done() // to the hooked one
+	if d := <-got; !d.Admitted {
+		t.Fatalf("hooked waiter got %v", d)
+	}
+	if len(depths) != 0 {
+		t.Fatalf("queued called %d more time(s)", len(depths))
+	}
 }

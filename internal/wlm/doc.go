@@ -5,8 +5,10 @@
 // It provides:
 //
 //   - live admission control (Admitter): a multiprogramming-limit gate the
-//     engine consults per query, with degree-of-parallelism scaling
-//     (GrantDOP) that degrades fan-out as the mix thickens;
+//     engine consults per query, whose one waiting entry point (Admit)
+//     queues arrivals FIFO and hands each freed slot to the oldest, with
+//     degree-of-parallelism scaling (GrantDOP) that degrades fan-out as
+//     the mix thickens;
 //   - workspace-memory arbitration (SetMemPool/AttachMem/DetachMem): running
 //     queries share a fixed pool in equal parts, and every arrival reclaims
 //     memory from the queries already running — their exec.MemBroker budgets
