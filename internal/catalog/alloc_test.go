@@ -39,13 +39,14 @@ func TestAllocCeilingAnalyze(t *testing.T) {
 
 // TestAllocCeilingCreateIndex pins the benchmark's two largest index builds
 // at its scale: the bytes each tree keeps live once the collector has run,
-// and the objects the build allocates on the way. The keys are views of the
-// heap's rows, so what a tree keeps is its entries, separators and nodes:
-// 1 688 968 B for lineitem_order and 441 024 B for orders_pk, built from
-// 2 243 and 798 objects, most of them the replay's nodes. When CREATE INDEX
-// copied the keys into an arena and inserted them one by one, the trees kept
-// 4 482 824 B and 1 415 152 B, and the builds allocated 3 291 and 1 208
-// objects.
+// and the objects the build allocates on the way. A tree keeps its keys
+// packed beside their RIDs, 17 B an entry of one Int column, in two slabs
+// (leaves, separators) and its nodes: 943 560 B for lineitem_order and
+// 256 704 B for orders_pk, built from 2 243 and 797 objects, most of them
+// the replay's nodes. When the keys were views of boxed heap rows the trees
+// kept 1 688 968 B and 441 024 B; when CREATE INDEX copied boxed keys into
+// an arena and inserted them one by one, 4 482 824 B and 1 415 152 B, from
+// 3 291 and 1 208 objects.
 func TestAllocCeilingCreateIndex(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector moves allocations")

@@ -5,6 +5,7 @@ package catalog
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -159,7 +160,8 @@ func (c *Catalog) Tables() []*Table {
 }
 
 // CreateIndex builds a B+ tree over the named columns of the table and
-// registers it. The build reads every row (charged to clk if non-nil).
+// registers it. The build reads every row (charged to clk if non-nil). A
+// unique index over keys that repeat is an error, and nothing is built.
 func (c *Catalog) CreateIndex(clk *storage.Clock, tableName, indexName string, colNames []string, unique bool) (*Index, error) {
 	t, ok := c.Table(tableName)
 	if !ok {
@@ -177,18 +179,33 @@ func (c *Catalog) CreateIndex(clk *storage.Clock, tableName, indexName string, c
 		cols[i] = ci
 	}
 	n := int(t.Heap.NumRows())
-	keys := make([][]types.Value, 0, n)
+	vals := make([]types.Value, 0, n*len(cols))
 	rids := make([]storage.RID, 0, n)
-	t.Heap.Scan(clk, func(rid storage.RID, r types.Row) bool {
-		keys = append(keys, extractKey(r, cols))
+	t.Heap.ScanCols(clk, cols, func(rid storage.RID, key types.Row) bool {
+		vals = append(vals, key...)
 		rids = append(rids, rid)
 		return true
 	})
-	ix := &Index{Name: indexName, Cols: cols, Unique: unique, Tree: index.Build(len(cols), keys, rids)}
+	tree := index.Build(len(cols), vals, rids)
+	if unique {
+		if dup := tree.Repeated(); dup != nil {
+			return nil, fmt.Errorf("catalog: cannot create unique index %q: key %s repeats", indexName, types.Row(dup).String())
+		}
+	}
+	ix := &Index{Name: indexName, Cols: cols, Unique: unique, Tree: tree}
 	c.mu.Lock()
 	t.Indexes = append(t.Indexes, ix)
 	c.mu.Unlock()
 	return ix, nil
+}
+
+func hasNull(key []types.Value) bool {
+	for _, v := range key {
+		if v.IsNull() {
+			return true
+		}
+	}
+	return false
 }
 
 // DropIndex marks an index dropped.
@@ -205,41 +222,88 @@ func (c *Catalog) DropIndex(tableName, indexName string) error {
 	return nil
 }
 
-// extractKey returns r's key under cols. When the columns are contiguous
-// and ascending the key is a view of r — no row is written in place once the
-// heap holds it, so an index keeps the view — and otherwise a copy.
-func extractKey(r types.Row, cols []int) []types.Value {
-	c, w := cols[0], len(cols)
-	contiguous := true
-	for i, col := range cols {
-		contiguous = contiguous && col == c+i
+// keyOf appends r's key under cols to dst.
+func keyOf(dst []types.Value, r types.Row, cols []int) []types.Value {
+	for _, c := range cols {
+		dst = append(dst, r[c])
 	}
-	if contiguous {
-		return r[c : c+w : c+w]
-	}
-	key := make([]types.Value, w)
-	for i, col := range cols {
-		key[i] = r[col]
-	}
-	return key
+	return dst
 }
 
-// Insert adds a row to the table, maintaining all indexes.
-func (c *Catalog) Insert(clk *storage.Clock, t *Table, r types.Row) storage.RID {
+// keyBuf is room on the stack for a key of up to four columns; a wider one
+// grows out of it.
+type keyBuf [4]types.Value
+
+// checkUnique returns an error when r would repeat the key of a unique index
+// of t. old is the row r replaces (nil for an insert): an index whose key r
+// keeps is not probed.
+func checkUnique(t *Table, r, old types.Row) error {
+	for _, ix := range t.Indexes {
+		if ix.Dropped || !ix.Unique {
+			continue
+		}
+		var kb, ob keyBuf
+		key := keyOf(kb[:0], r, ix.Cols)
+		if hasNull(key) || old != nil && equalKeys(key, keyOf(ob[:0], old, ix.Cols)) {
+			continue // no key, or the row's own
+		}
+		if ix.Tree.Has(key) {
+			return fmt.Errorf("catalog: duplicate key %s in unique index %q", types.Row(key).String(), ix.Name)
+		}
+	}
+	return nil
+}
+
+// equalKeys reports whether two keys of one index are equal as the tree
+// orders them.
+func equalKeys(a, b []types.Value) bool {
+	for i := range a {
+		if !types.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameKeys reports whether two keys of one index pack alike: the same kinds
+// and bits.
+func sameKeys(a, b []types.Value) bool {
+	for i, x := range a {
+		y := b[i]
+		if x.K != y.K || x.I != y.I || math.Float64bits(x.F) != math.Float64bits(y.F) || x.S != y.S {
+			return false
+		}
+	}
+	return true
+}
+
+// Insert adds a copy of r to the table, maintaining all indexes. A row that
+// would repeat the key of a unique index is an error, and nothing is
+// written.
+func (c *Catalog) Insert(clk *storage.Clock, t *Table, r types.Row) (storage.RID, error) {
+	if err := checkUnique(t, r, nil); err != nil {
+		return 0, err
+	}
 	t.bumpMods()
 	rid := t.Heap.Insert(clk, r)
 	for _, ix := range t.Indexes {
 		if ix.Dropped {
 			continue
 		}
-		ix.Tree.Insert(extractKey(r, ix.Cols), rid)
+		var kb keyBuf
+		ix.Tree.Insert(keyOf(kb[:0], r, ix.Cols), rid)
 	}
-	return rid
+	return rid, nil
 }
+
+// rowBuf is room for a decoded row on the stack; a wider row grows out of
+// it.
+type rowBuf [16]types.Value
 
 // Delete removes a row by RID, maintaining indexes.
 func (c *Catalog) Delete(clk *storage.Clock, t *Table, rid storage.RID) bool {
-	r, ok := t.Heap.Get(nil, rid)
+	var rb rowBuf
+	r, ok := t.Heap.Get(nil, rid, rb[:0])
 	if !ok {
 		return false
 	}
@@ -251,32 +315,41 @@ func (c *Catalog) Delete(clk *storage.Clock, t *Table, rid storage.RID) bool {
 		if ix.Dropped {
 			continue
 		}
-		ix.Tree.Delete(extractKey(r, ix.Cols), rid)
+		var kb keyBuf
+		ix.Tree.Delete(keyOf(kb[:0], r, ix.Cols), rid)
 	}
 	return true
 }
 
-// Update replaces the row at rid, maintaining indexes. Every entry is
-// re-pointed at the new row, its key unchanged or not: deleting and
-// re-inserting the same (key, RID) returns an entry to its slot without a
-// split, and leaves no index holding a view of the row the heap let go.
-func (c *Catalog) Update(clk *storage.Clock, t *Table, rid storage.RID, newRow types.Row) bool {
-	old, ok := t.Heap.Get(nil, rid)
+// Update replaces the row at rid with a copy of newRow, maintaining indexes:
+// an entry whose key changed is deleted and inserted again. It reports
+// false when rid holds no row. A key change that would repeat the key of a
+// unique index is an error, and nothing is written.
+func (c *Catalog) Update(clk *storage.Clock, t *Table, rid storage.RID, newRow types.Row) (bool, error) {
+	var rb rowBuf
+	old, ok := t.Heap.Get(nil, rid, rb[:0])
 	if !ok {
-		return false
+		return false, nil
+	}
+	if err := checkUnique(t, newRow, old); err != nil {
+		return false, err
 	}
 	if !t.Heap.Update(clk, rid, newRow) {
-		return false
+		return false, nil
 	}
 	t.bumpMods()
 	for _, ix := range t.Indexes {
 		if ix.Dropped {
 			continue
 		}
-		ix.Tree.Delete(extractKey(old, ix.Cols), rid)
-		ix.Tree.Insert(extractKey(newRow, ix.Cols), rid)
+		var kb, ob keyBuf
+		key, was := keyOf(kb[:0], newRow, ix.Cols), keyOf(ob[:0], old, ix.Cols)
+		if !sameKeys(key, was) {
+			ix.Tree.Delete(was, rid)
+			ix.Tree.Insert(key, rid)
+		}
 	}
-	return true
+	return true, nil
 }
 
 // scanColumns reads the table into one exactly-sized vector per column: the
@@ -284,7 +357,7 @@ func (c *Catalog) Update(clk *storage.Clock, t *Table, rid storage.RID, newRow t
 // and the mark of the heap it read.
 func scanColumns(t *Table) ([]types.Vector, storage.HeapMark) {
 	vecs := types.NewVectors(t.Schema, int(t.Heap.NumRows()))
-	mark := t.Heap.ScanMarked(func(r types.Row) { types.AppendRow(vecs, r) })
+	mark := t.Heap.ScanMarked(vecs)
 	return vecs, mark
 }
 

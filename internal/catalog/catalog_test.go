@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"rqp/internal/index"
 	"rqp/internal/storage"
 	"rqp/internal/types"
 )
@@ -71,7 +70,7 @@ func TestInsertMaintainsIndexes(t *testing.T) {
 	// Inserts after index creation must be reflected.
 	c.Insert(nil, tb, types.Row{types.Int(100), types.Int(3), types.Str("new")})
 	n := 0
-	ix.Tree.Lookup(nil, []types.Value{types.Int(3)}, func(index.Entry) bool { n++; return true })
+	ix.Tree.Lookup(nil, []types.Value{types.Int(3)}, func(storage.RID) bool { n++; return true })
 	if n != 6 { // 5 original (3,13,23,33,43) + 1 new
 		t.Errorf("lookup grp=3 found %d, want 6", n)
 	}
@@ -82,7 +81,8 @@ func TestDeleteMaintainsIndexes(t *testing.T) {
 	tb, _ := c.CreateTable("t", testSchema())
 	var rids []storage.RID
 	for i := 0; i < 20; i++ {
-		rids = append(rids, c.Insert(nil, tb, types.Row{types.Int(int64(i)), types.Int(int64(i % 2)), types.Str("x")}))
+		rid, _ := c.Insert(nil, tb, types.Row{types.Int(int64(i)), types.Int(int64(i % 2)), types.Str("x")})
+		rids = append(rids, rid)
 	}
 	ix, _ := c.CreateIndex(nil, "t", "t_id", []string{"id"}, true)
 	if !c.Delete(nil, tb, rids[5]) {
@@ -92,7 +92,7 @@ func TestDeleteMaintainsIndexes(t *testing.T) {
 		t.Error("double delete should fail")
 	}
 	n := 0
-	ix.Tree.Lookup(nil, []types.Value{types.Int(5)}, func(index.Entry) bool { n++; return true })
+	ix.Tree.Lookup(nil, []types.Value{types.Int(5)}, func(storage.RID) bool { n++; return true })
 	if n != 0 {
 		t.Errorf("deleted row still indexed")
 	}
@@ -194,11 +194,12 @@ func TestIndexOnLeadingColumn(t *testing.T) {
 	}
 }
 
-// TestIndexKeysViewHeapRows: an index over contiguous columns keeps each
-// key as a view of its RID's current heap row — through CREATE INDEX,
-// INSERT, an UPDATE that keeps the key, one that changes it, and DELETE —
-// and an index over non-contiguous columns keeps copies.
-func TestIndexKeysViewHeapRows(t *testing.T) {
+// TestIndexKeysAreCopies: an index keeps its own packed copy of every key,
+// one entry for each live row, each key equal to its row's columns, through
+// CREATE INDEX, INSERT, an UPDATE that keeps the key, one that changes it,
+// and DELETE — and scribbling over a row after passing it to Insert or Update
+// changes no key (nor the heap's row).
+func TestIndexKeysAreCopies(t *testing.T) {
 	c := New()
 	tb, _ := c.CreateTable("t", types.Schema{
 		{Name: "a", Kind: types.KindInt},
@@ -209,11 +210,18 @@ func TestIndexKeysViewHeapRows(t *testing.T) {
 	row := func(i int) types.Row {
 		return types.Row{types.Int(int64(i)), types.Int(int64(i % 7)), types.Int(int64(i % 11)), types.Str("x")}
 	}
+	scribble := func(r types.Row) {
+		for i := range r {
+			r[i] = types.Str("scribbled")
+		}
+	}
 	for i := 0; i < 500; i++ {
-		c.Insert(nil, tb, row(i))
+		r := row(i)
+		c.Insert(nil, tb, r)
+		scribble(r)
 	}
 	var ixs []*Index
-	for _, cols := range [][]string{{"b"}, {"b", "c"}, {"a", "c"}} {
+	for _, cols := range [][]string{{"b"}, {"b", "c"}, {"a", "c"}, {"d", "a"}} {
 		ix, err := c.CreateIndex(nil, "t", strings.Join(cols, "_"), cols, false)
 		if err != nil {
 			t.Fatal(err)
@@ -222,25 +230,22 @@ func TestIndexKeysViewHeapRows(t *testing.T) {
 	}
 	check := func(step string) {
 		t.Helper()
-		for n, ix := range ixs {
+		for _, ix := range ixs {
 			if err := ix.Tree.CheckInvariants(); err != nil {
 				t.Fatalf("%s: %s: %v", step, ix.Name, err)
 			}
 			if got, want := ix.Tree.Len(), int(tb.Heap.NumRows()); got != want {
 				t.Fatalf("%s: %s holds %d entries for %d rows", step, ix.Name, got, want)
 			}
-			ix.Tree.Scan(nil, index.Bound{}, index.Bound{}, func(e index.Entry) bool {
-				r, ok := tb.Heap.Get(nil, e.RID)
-				if !ok {
-					t.Fatalf("%s: %s names a deleted row %v", step, ix.Name, e.RID)
+			seen := map[storage.RID]bool{}
+			ix.Tree.Entries(func(key []types.Value, rid storage.RID) bool {
+				r, ok := tb.Heap.Get(nil, rid, nil)
+				if !ok || seen[rid] {
+					t.Fatalf("%s: %s names row %v again or deleted (%v)", step, ix.Name, rid, ok)
 				}
-				for k, col := range ix.Cols {
-					if types.Compare(e.Key[k], r[col]) != 0 {
-						t.Fatalf("%s: %s key %v for row %v", step, ix.Name, e.Key, r)
-					}
-				}
-				if view := &e.Key[0] == &r[ix.Cols[0]]; view != (n < 2) {
-					t.Fatalf("%s: %s: key is a view of its heap row: %v", step, ix.Name, view)
+				seen[rid] = true
+				if !sameKeys(key, keyOf(nil, r, ix.Cols)) || r[0].K != types.KindInt {
+					t.Fatalf("%s: %s key %v for row %v", step, ix.Name, key, r)
 				}
 				return true
 			})
@@ -249,26 +254,92 @@ func TestIndexKeysViewHeapRows(t *testing.T) {
 	check("CREATE INDEX")
 	var rids []storage.RID
 	for i := 500; i < 600; i++ {
-		rids = append(rids, c.Insert(nil, tb, row(i)))
+		r := row(i)
+		rid, err := c.Insert(nil, tb, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, rid)
+		scribble(r)
 	}
 	check("INSERT")
+	update := func(rid storage.RID, edit func(nr types.Row)) {
+		nr, _ := tb.Heap.Get(nil, rid, nil)
+		edit(nr)
+		if ok, err := c.Update(nil, tb, rid, nr); !ok || err != nil {
+			t.Fatalf("update %v: %v %v", rid, ok, err)
+		}
+		scribble(nr)
+	}
 	for _, rid := range rids[:50] {
-		r, _ := tb.Heap.Get(nil, rid)
-		nr := r.Clone()
-		nr[3] = types.Str("y")
-		c.Update(nil, tb, rid, nr)
+		update(rid, func(nr types.Row) { nr[3] = types.Str("y") })
 	}
 	check("UPDATE keeping the key")
 	for _, rid := range rids[25:75] {
-		r, _ := tb.Heap.Get(nil, rid)
-		nr := r.Clone()
-		nr[1] = types.Int(r[1].I + 100)
-		nr[2] = types.Int(r[2].I + 100)
-		c.Update(nil, tb, rid, nr)
+		update(rid, func(nr types.Row) {
+			nr[1] = types.Int(nr[1].I + 100)
+			nr[2] = types.Int(nr[2].I + 100)
+		})
 	}
 	check("UPDATE changing the key")
 	for _, rid := range rids[60:] {
 		c.Delete(nil, tb, rid)
 	}
 	check("DELETE")
+}
+
+// TestUniqueIndexEnforced: a unique index refuses to be built over keys that
+// repeat, and refuses an INSERT, or an UPDATE of a key column, that would
+// repeat a key — before the heap is written. NULL keys may repeat, and an
+// UPDATE that keeps a row's key is no repeat.
+func TestUniqueIndexEnforced(t *testing.T) {
+	c := New()
+	tb, _ := c.CreateTable("t", testSchema())
+	for i := 0; i < 3; i++ {
+		c.Insert(nil, tb, types.Row{types.Int(7), types.Int(int64(i)), types.Str("x")})
+	}
+	if _, err := c.CreateIndex(nil, "t", "t_id", []string{"id"}, true); err == nil {
+		t.Fatal("a unique index over a repeated key was built")
+	}
+	if len(tb.Indexes) != 0 {
+		t.Fatalf("a refused index is registered: %v", tb.Indexes)
+	}
+	ix, err := c.CreateIndex(nil, "t", "t_grp", []string{"grp"}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := tb.Heap.NumPages()
+	if _, err := c.Insert(nil, tb, types.Row{types.Int(8), types.Int(1), types.Str("y")}); err == nil {
+		t.Error("INSERT of a repeated key succeeded")
+	}
+	if tb.Heap.NumRows() != 3 || ix.Tree.Len() != 3 || tb.Heap.NumPages() != pages {
+		t.Errorf("a refused INSERT wrote: %d rows, %d entries", tb.Heap.NumRows(), ix.Tree.Len())
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Insert(nil, tb, types.Row{types.Int(9), types.Null(), types.Str("n")}); err != nil {
+			t.Errorf("NULL key %d refused: %v", i, err)
+		}
+	}
+	var rids []storage.RID
+	tb.Heap.Scan(nil, func(rid storage.RID, _ types.Row) bool { rids = append(rids, rid); return true })
+	if ok, err := c.Update(nil, tb, rids[0], types.Row{types.Int(7), types.Int(2), types.Str("x")}); ok || err == nil {
+		t.Error("UPDATE to a repeated key succeeded")
+	}
+	if r, _ := tb.Heap.Get(nil, rids[0], nil); r[1].I != 0 {
+		t.Errorf("a refused UPDATE wrote %v", r)
+	}
+	for _, nr := range []types.Row{
+		{types.Int(70), types.Int(0), types.Str("kept")},   // the row's own key
+		{types.Int(70), types.Float(0), types.Str("kept")}, // equal, of another kind
+		{types.Int(70), types.Int(5), types.Str("moved")},
+	} {
+		if ok, err := c.Update(nil, tb, rids[0], nr); !ok || err != nil {
+			t.Errorf("UPDATE to %v: %v %v", nr, ok, err)
+		}
+	}
+	n := 0
+	ix.Tree.Lookup(nil, []types.Value{types.Int(5)}, func(storage.RID) bool { n++; return true })
+	if n != 1 || ix.Tree.CheckInvariants() != nil {
+		t.Errorf("key 5 found %d times after the UPDATE", n)
+	}
 }

@@ -53,17 +53,19 @@ func (c *Catalog) PartitionTable(t *Table, colName string, shards int) error {
 			return fmt.Errorf("catalog: cannot partition %q: live index %q (RIDs change; drop indexes first)", t.Name, ix.Name)
 		}
 	}
-	buckets := make([][]types.Row, shards)
-	t.Heap.Scan(nil, func(_ storage.RID, r types.Row) bool {
+	buckets := make([][]storage.RID, shards)
+	t.Heap.Scan(nil, func(rid storage.RID, r types.Row) bool {
 		s := int(types.HashRow([]types.Value{r[col]}) % uint64(shards))
-		buckets[s] = append(buckets[s], r)
+		buckets[s] = append(buckets[s], rid)
 		return true
 	})
 	heap := storage.NewHeap()
 	pageStart := make([]int, shards+1)
-	for s, rows := range buckets {
+	var r types.Row
+	for s, rids := range buckets {
 		pageStart[s] = heap.NumPages()
-		for _, r := range rows {
+		for _, rid := range rids {
+			r, _ = t.Heap.Get(nil, rid, r[:0])
 			heap.Insert(nil, r)
 		}
 		heap.SealPage()

@@ -38,9 +38,10 @@ func TestPartitionTableLayout(t *testing.T) {
 	// Every row sits inside its key's shard page range, and no row was
 	// lost or duplicated by the rebuild.
 	total := 0
+	var buf types.Row
 	for pg := 0; pg < tb.Heap.NumPages(); pg++ {
 		page := pg
-		tb.Heap.ScanPage(nil, pg, func(_ storage.RID, r types.Row) bool {
+		tb.Heap.ScanPage(nil, pg, &buf, func(_ storage.RID, r types.Row) bool {
 			total++
 			s := p.ShardOf(r[0])
 			if page < p.PageStart[s] || page >= p.PageStart[s+1] {

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"rqp/internal/index"
 	"rqp/internal/storage"
 	"rqp/internal/types"
 )
@@ -42,8 +41,8 @@ func contents(e *Engine) string {
 	})
 	for _, ix := range tb.Indexes {
 		fmt.Fprintf(&sb, "-- %s dropped=%v\n", ix.Name, ix.Dropped)
-		ix.Tree.Scan(nil, index.Bound{}, index.Bound{}, func(en index.Entry) bool {
-			fmt.Fprintf(&sb, "%v %d\n", en.Key, en.RID)
+		ix.Tree.Entries(func(key []types.Value, rid storage.RID) bool {
+			fmt.Fprintf(&sb, "%v %d\n", key, rid)
 			return true
 		})
 	}
@@ -159,6 +158,44 @@ func TestKeyedDMLErrors(t *testing.T) {
 	}
 	if contents(e) != before {
 		t.Error("a failed UPDATE changed the table")
+	}
+}
+
+// TestUniqueIndexThroughSQL: a UNIQUE index is enforced at CREATE INDEX, at
+// INSERT and at an UPDATE of its key column, and a refused statement leaves
+// the heap and every index as they were; NULL keys may repeat.
+func TestUniqueIndexThroughSQL(t *testing.T) {
+	e := dmlEngine(t)
+	if _, err := e.Exec("CREATE UNIQUE INDEX d_gu ON d (g)"); err == nil {
+		t.Error("CREATE UNIQUE INDEX over repeated keys succeeded")
+	}
+	before := contents(e)
+	for _, bad := range []string{
+		"INSERT INTO d VALUES (5, 1, 1.0, 'x')",
+		"UPDATE d SET k = 6 WHERE k = 5",
+	} {
+		if _, err := e.Exec(bad); err == nil || !strings.Contains(err.Error(), "d_k") {
+			t.Errorf("%s: %v, want a duplicate key in d_k", bad, err)
+		}
+		if contents(e) != before {
+			t.Errorf("%s changed the table", bad)
+		}
+	}
+	for _, ok := range []string{
+		"UPDATE d SET k = 5, v = 2.5 WHERE k = 5", // its own key
+		"UPDATE d SET k = 1000 WHERE k = 5",
+		"INSERT INTO d VALUES (5, 1, 1.0, 'x')",
+		"CREATE TABLE n (k int)",
+		"CREATE UNIQUE INDEX n_k ON n (k)",
+		"INSERT INTO n VALUES (NULL)",
+		"INSERT INTO n VALUES (NULL)",
+	} {
+		if _, err := e.Exec(ok); err != nil {
+			t.Errorf("%s: %v", ok, err)
+		}
+	}
+	if r := e.MustExec("SELECT COUNT(*) FROM d WHERE k = 5 OR k = 1000"); r.Rows[0][0].I != 2 {
+		t.Errorf("keys 5 and 1000 hold %v rows, want 2", r.Rows[0][0])
 	}
 }
 

@@ -7,6 +7,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -15,10 +16,10 @@ import (
 	"rqp/internal/catalog"
 	"rqp/internal/exec"
 	"rqp/internal/expr"
-	"rqp/internal/index"
 	"rqp/internal/obs"
 	"rqp/internal/opt"
 	"rqp/internal/plan"
+	"rqp/internal/spare"
 	"rqp/internal/sql"
 	"rqp/internal/stats"
 	"rqp/internal/storage"
@@ -945,12 +946,15 @@ func (e *Engine) execInsert(s *sql.InsertStmt, params []types.Value) (*Result, e
 			colIdx = append(colIdx, ci)
 		}
 	}
+	buf := rowSpares.Get() // the heap and the indexes copy what they keep
+	defer rowSpares.Put(buf)
 	n := 0
 	for _, exprRow := range s.Rows {
 		if len(exprRow) != len(colIdx) {
 			return nil, fmt.Errorf("core: INSERT row has %d values for %d columns", len(exprRow), len(colIdx))
 		}
-		row := make(types.Row, len(t.Schema))
+		row := slices.Grow((*buf)[:0], len(t.Schema))[:len(t.Schema)]
+		*buf = row
 		for i := range row {
 			row[i] = types.Null()
 		}
@@ -965,18 +969,26 @@ func (e *Engine) execInsert(s *sql.InsertStmt, params []types.Value) (*Result, e
 			}
 			row[colIdx[i]] = coerce(v, t.Schema[colIdx[i]].Kind)
 		}
-		e.Cat.Insert(e.Clock, t, row)
+		if _, err := e.Cat.Insert(e.Clock, t, row); err != nil {
+			return nil, err
+		}
 		n++
 	}
 	return &Result{Affected: n}, nil
 }
 
+// rowSpares are the rows DML decodes heap rows and assembles inserted rows
+// in, kept from statement to statement.
+var rowSpares spare.List[types.Row]
+
 // matchRows calls fn, in heap order, for every row of t that pred accepts
-// (nil: every row). A top-level conjunct `col = literal` or `col = ?` on the
-// leading column of a live index makes the index name the candidates, each
-// fetched and tested against the whole predicate; otherwise the heap is
-// scanned. fn must not modify t.
+// (nil: every row), lent: valid until fn returns. A top-level conjunct `col =
+// literal` or `col = ?` on the leading column of a live index makes the index
+// name the candidates, each fetched and tested against the whole predicate;
+// otherwise the heap is scanned, page by page. fn must not modify t.
 func (e *Engine) matchRows(t *catalog.Table, pred expr.Expr, params []types.Value, fn func(storage.RID, types.Row) error) error {
+	buf := rowSpares.Get()
+	defer rowSpares.Put(buf)
 	var err error
 	visit := func(rid storage.RID, r types.Row) bool {
 		ok := pred == nil
@@ -997,13 +1009,16 @@ func (e *Engine) matchRows(t *catalog.Table, pred expr.Expr, params []types.Valu
 		if ix == nil {
 			continue
 		}
-		ix.Tree.Lookup(e.Clock, []types.Value{iv.Eq}, func(en index.Entry) bool {
-			r, live := t.Heap.Get(e.Clock, en.RID)
-			return !live || visit(en.RID, r)
+		ix.Tree.Lookup(e.Clock, []types.Value{iv.Eq}, func(rid storage.RID) bool {
+			var live bool
+			*buf, live = t.Heap.Get(e.Clock, rid, (*buf)[:0])
+			return !live || visit(rid, *buf)
 		})
 		return err
 	}
-	t.Heap.Scan(e.Clock, visit)
+	for p := 0; p < t.Heap.NumPages() && err == nil; p++ {
+		t.Heap.ScanPage(e.Clock, p, buf, visit)
+	}
 	return err
 }
 
@@ -1076,7 +1091,9 @@ func (e *Engine) execUpdate(s *sql.UpdateStmt, params []types.Value) (*Result, e
 		return nil, err
 	}
 	for _, c := range changes {
-		e.Cat.Update(e.Clock, t, c.rid, c.row)
+		if _, err := e.Cat.Update(e.Clock, t, c.rid, c.row); err != nil {
+			return nil, err
+		}
 	}
 	return &Result{Affected: len(changes)}, nil
 }

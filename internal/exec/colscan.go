@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"rqp/internal/expr"
@@ -151,7 +150,7 @@ func (c *colScanner) scanMorsel(m int, clk *storage.Clock, s *blockScratch, emit
 // readHeap scans heap pages [lo, hi) as a heap scan does, at its charges.
 func (c *colScanner) readHeap(lo, hi int, clk *storage.Clock, s *blockScratch, emit func(types.Row) error) error {
 	atomic.AddInt64(&c.ctx.ColHeapPages, int64(hi-lo))
-	return scanPageRange(c.ctx, c.node, c.rf, lo, hi, clk, &s.row, emit)
+	return scanPageRange(c.ctx, c.node, c.rf, lo, hi, clk, &s.heap, emit)
 }
 
 // delta returns the changed pages holding positions [lo, hi) of the
@@ -365,18 +364,16 @@ func (c *colScanner) before(a, b ranked) bool {
 
 // blockScratch is the workspace a worker scans column blocks in, reused from
 // block to block: the keep mask, one slab for the decoded columns (back to
-// back) and the table-width row with the output row behind it, the row a tail
-// page projects into and the order the block's conjuncts run in. It is pooled
-// on its own, not with the rest of a worker's morselScratch, so that every one
-// in the pool has a decode slab.
+// back) and the table-width row with the output row behind it, the rows a
+// tail page decodes and projects into and the order the block's conjuncts
+// run in. It is kept spare on its own, not with the rest of a worker's
+// morselScratch, so that every spare one has a decode slab.
 type blockScratch struct {
 	keep []bool
 	slab []types.Value
-	row  types.Row
+	heap [2]types.Row
 	ord  [8]ranked
 }
-
-var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
 // size returns the scratch cut to a block of nrows rows: the mask, all true,
 // ncols columns of nrows values back to back and a row of width values, the

@@ -204,7 +204,7 @@ func TestColumnarCostParityAcrossVariants(t *testing.T) {
 
 	f, _ := cat.Table("fact")
 	for _, rid := range ridsWhere(f, func(rid storage.RID, _ types.Row) bool { return rid.Page()%5 == 2 && rid.Slot() == 9 }) {
-		r, _ := f.Heap.Get(nil, rid)
+		r, _ := f.Heap.Get(nil, rid, nil)
 		nr := r.Clone()
 		nr[3] = types.Int(11)
 		cat.Update(nil, f, rid, nr)
@@ -412,7 +412,7 @@ func TestColumnarSnapshotSurvivesDML(t *testing.T) {
 		}
 	}
 	update := func(rid storage.RID, fn func(types.Row) types.Row) {
-		r, _ := f.Heap.Get(nil, rid)
+		r, _ := f.Heap.Get(nil, rid, nil)
 		cat.Update(nil, f, rid, fn(r.Clone()))
 	}
 	for _, st := range []struct {
@@ -523,9 +523,9 @@ func TestColumnarScanConcurrentDML(t *testing.T) {
 		defer wg.Done()
 		defer done.Store(true)
 		for i := 0; i < 3000; i++ {
-			rid := cat.Insert(nil, f, factRow(int64(5000+i)))
+			rid, _ := cat.Insert(nil, f, factRow(int64(5000+i)))
 			v := victims[i%len(victims)]
-			r, _ := f.Heap.Get(nil, v)
+			r, _ := f.Heap.Get(nil, v, nil)
 			nr := r.Clone()
 			nr[3] = types.Int(int64(i % 50))
 			cat.Update(nil, f, v, nr)
@@ -685,9 +685,10 @@ func cascadeReference(t *testing.T, tab *catalog.Table, conj []cascadeConj, deco
 	for _, p := range changedList {
 		changed[int(p)] = true
 	}
+	var buf types.Row
 	for p := 0; p < npages; p++ {
 		if changed[p] || p >= len(mark.PageStart)-1 {
-			tab.Heap.ScanPage(clk, p, func(storage.RID, types.Row) bool {
+			tab.Heap.ScanPage(clk, p, &buf, func(storage.RID, types.Row) bool {
 				clk.RowWork(1)
 				return true
 			})
@@ -951,7 +952,7 @@ func TestColumnarFilterCascade(t *testing.T) {
 	}
 
 	for _, rid := range ridsWhere(tab, func(rid storage.RID, _ types.Row) bool { return rid.Page()%4 == 1 && rid.Slot() == 3 }) {
-		r, _ := tab.Heap.Get(nil, rid)
+		r, _ := tab.Heap.Get(nil, rid, nil)
 		nr := r.Clone()
 		nr[3] = types.Float(-1)
 		cat.Update(nil, tab, rid, nr)

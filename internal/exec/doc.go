@@ -32,14 +32,16 @@
 // and spill runs into a RowArena (chunked value slabs that grow
 // geometrically), hash tables and exchanges packed. Every scan and every join
 // lends a row holding only what something above it reads: the optimizer puts
-// the live columns on the node (Cols; nil = all — the stored row, or
+// the live columns on the node (Cols; nil = all — the decoded heap row, or
 // left‖right), filters, keys, residuals and runtime filters test the input in
 // its own coordinates, and the survivor is projected (appendCols, joinRow)
 // into a page buffer or a scratch row, valid until the next call or until emit
-// returns. A retained row is copied once: an exchange packs and lends again
+// returns. A heap read decodes each stored row into a worker's scratch: the
+// heap keeps rows packed, as builds do. A retained row is copied once: an exchange packs and lends again
 // like any operator, and a retained row set (RowSet, behind collect) cuts its
 // []Row index once, after the last row. Every hash join drains its build into
-// one joinTable — packedRows, 9 B a value, boxed only on a match — every
+// one joinTable — packedRows, 9 B a value in the codec the heap pages and
+// index keys share (types.Pack), boxed only on a match — every
 // streaming join probes through one joinProbe, and every hash aggregation
 // accumulates into one aggTable over the same hashIndex and lends its output
 // row (kernel.go); SetRowPoison is the test

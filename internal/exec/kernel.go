@@ -1,13 +1,10 @@
 package exec
 
 import (
-	"encoding/binary"
-	"math"
 	"math/bits"
 	"slices"
 
 	"rqp/internal/expr"
-	"rqp/internal/index"
 	"rqp/internal/plan"
 	"rqp/internal/storage"
 	"rqp/internal/types"
@@ -112,16 +109,14 @@ func (s *RowSet) Rows() []types.Row {
 	return rows
 }
 
-// packedRows keeps rows of one width at nine bytes a value — a kind byte and
-// an 8-byte word: an int's, date's or bool's payload, a float's bits, or a
-// string's index in the slab beside (16 B more) — where a types.Value is 40
-// and a row header 24. The tag sits on the value, so NULLs and columns of
-// mixed kinds pack like any other. Rows come back boxed into a scratch row the
-// caller owns: lent, like every other row. Chunks hold packedBase rows, then
-// four times as many each up to packedMaxChunk bytes, then all as many: a few
-// rows cost a few hundred bytes, a large store wastes at most one chunk, row i
-// is found without a search. Reads are safe concurrently once adding has
-// finished; the zero value is empty, and is not to be copied once in use.
+// packedRows keeps rows of one width packed (types.Pack), 9 B a value and a
+// string's text in the slab beside, where a types.Value is 40 and a row
+// header 24. Rows come back boxed into a scratch row the caller owns: lent,
+// like every other row. Chunks hold packedBase rows, then four times as many
+// each up to packedMaxChunk bytes, then all as many: a few rows cost a few
+// hundred bytes, a large store wastes at most one chunk, row i is found
+// without a search. Reads are safe concurrently once adding has finished; the
+// zero value is empty, and is not to be copied once in use.
 type packedRows struct {
 	w, n  int // values per row (the first row's), rows held
 	top   int // chunks stop growing at packedBase<<(2*top) rows
@@ -133,7 +128,7 @@ type packedRows struct {
 }
 
 const (
-	packedValue    = 9  // bytes a value
+	packedValue    = types.PackedSize
 	packedBase     = 16 // rows (or strings) in the first chunk
 	packedMaxChunk = 64 << 10
 	packedStrTop   = 3 // string chunks stop growing at 1024 strings (16 KB)
@@ -165,20 +160,15 @@ func (p *packedRows) add(r types.Row) error {
 		}
 		b := p.data[k][off*p.w*packedValue:]
 		for i, v := range r {
-			u := uint64(v.I)
-			switch v.K {
-			case types.KindFloat:
-				u = math.Float64bits(v.F)
-			case types.KindString:
+			if v.K == types.KindString {
 				sk, soff := chunkOf(p.nstr, packedStrTop)
 				if sk == len(p.strs) {
 					p.strs = append(p.strs, make([]string, chunkLen(sk, packedStrTop)))
 				}
-				p.strs[sk][soff], u = v.S, uint64(p.nstr)
+				p.strs[sk][soff] = v.S
 				p.nstr++
 			}
-			b[i*packedValue] = byte(v.K)
-			binary.LittleEndian.PutUint64(b[i*packedValue+1:], u)
+			types.Pack(b[i*packedValue:], v, p.nstr-1)
 		}
 	}
 	p.n++
@@ -196,17 +186,12 @@ func (p *packedRows) at(i int) []byte {
 
 // unpack boxes the c'th value of a packed row.
 func (p *packedRows) unpack(b []byte, c int) types.Value {
-	k, u := types.Kind(b[c*packedValue]), binary.LittleEndian.Uint64(b[c*packedValue+1:])
-	switch k {
-	case types.KindNull:
-		return types.Value{}
-	case types.KindFloat:
-		return types.Value{K: k, F: math.Float64frombits(u)}
-	case types.KindString:
-		sk, off := chunkOf(int(u), packedStrTop)
-		return types.Value{K: k, S: p.strs[sk][off]}
+	b = b[c*packedValue:]
+	if types.PackedKind(b) == types.KindString {
+		sk, off := chunkOf(int(types.PackedWord(b)), packedStrTop)
+		return types.Str(p.strs[sk][off])
 	}
-	return types.Value{K: k, I: int64(u)}
+	return types.Unpack(b, nil)
 }
 
 // value boxes one value of row i.
@@ -240,9 +225,10 @@ func (p *packedRows) keyInto(dst []types.Value, i int, cols []int) {
 func (p *packedRows) match(key []types.Value, i int, cols []int, buf *types.Row) bool {
 	b := p.at(i)
 	for j, c := range cols {
-		v, k := key[j], types.Kind(b[c*packedValue])
+		v, at := key[j], b[c*packedValue:]
+		k := types.PackedKind(at)
 		if k == v.K && (k == types.KindInt || k == types.KindDate || k == types.KindBool) {
-			if int64(binary.LittleEndian.Uint64(b[c*packedValue+1:])) != v.I {
+			if int64(types.PackedWord(at)) != v.I {
 				return false
 			}
 		} else if k == types.KindNull || !types.Equal(v, p.unpack(b, c)) {
@@ -865,7 +851,7 @@ type joinProbe struct {
 	outer   bool  // left outer: a probe row nothing matched comes out null-extended
 	key     []types.Value
 	cand    types.Row
-	matches []types.Row // an index lookup's, by reference
+	matches []types.Value // an index lookup's rows, decoded back to back
 	matched bool
 	out     joinRow
 	slab    []types.Value
@@ -925,15 +911,21 @@ func (p *joinProbe) each(clk *storage.Clock, lr types.Row, sink func(types.Row) 
 	p.matched = false
 	switch s := p.joinStage; {
 	case s.ix != nil:
+		n, w := 0, len(s.ix.Table.Schema)
 		if p.matches = p.matches[:0]; !null {
-			if err := p.lookup(clk); err != nil {
+			var err error
+			if n, err = p.lookup(clk); err != nil {
 				return err
 			}
 		}
-		for _, r := range p.matches {
+		for i := range n {
+			r := p.matches[i*w : (i+1)*w]
 			p.cand = appendCols(p.cand[:0], r, s.ix.Cols)
 			if err := p.pair(clk, lr, p.cand, sink); err != nil {
 				return err
+			}
+			if poisonRows {
+				scribble(r)
 			}
 		}
 	case s.nested:
@@ -985,21 +977,26 @@ func (p *joinProbe) pair(clk *storage.Clock, lr, r types.Row, sink func(types.Ro
 	return sink(out)
 }
 
-// lookup collects the stored rows the index holds under the key and the
-// node's Filter admits — all of them before the first goes down, as the tree
-// calls back under its read lock.
-func (p *joinProbe) lookup(clk *storage.Clock) error {
+// lookup decodes into p.matches the stored rows the index holds under the
+// key and the node's Filter admits, and returns how many — all of them
+// before the first goes down, as the tree calls back under its read lock.
+func (p *joinProbe) lookup(clk *storage.Clock) (int, error) {
 	ix := p.ix
+	n := 0
 	var err error
-	ix.Index.Tree.Lookup(clk, p.key, func(e index.Entry) bool {
-		r, ok := ix.Table.Heap.Get(clk, e.RID)
+	ix.Index.Tree.Lookup(clk, p.key, func(rid storage.RID) bool {
+		off := len(p.matches)
+		var ok bool
+		p.matches, ok = ix.Table.Heap.Get(clk, rid, p.matches)
 		if ok && ix.Filter != nil {
-			ok, err = expr.EvalPredicate(ix.Filter, r, p.ctx.Params)
+			ok, err = expr.EvalPredicate(ix.Filter, p.matches[off:], p.ctx.Params)
 		}
 		if ok {
-			p.matches = append(p.matches, r)
+			n++
+		} else {
+			p.matches = p.matches[:off]
 		}
 		return err == nil
 	})
-	return err
+	return n, err
 }

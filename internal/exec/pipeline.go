@@ -4,11 +4,11 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"rqp/internal/expr"
 	"rqp/internal/plan"
+	"rqp/internal/spare"
 	"rqp/internal/storage"
 	"rqp/internal/types"
 )
@@ -47,13 +47,14 @@ func finishNode(ctx *Context, n plan.Node, actual float64, into plan.Node, cost 
 
 // scanPageRange scans the heap pages [lo, hi) of a table with the heap scan's
 // charge discipline (one sequential read per page, runtime filters before
-// per-row CPU), lending each survivor projected to the node's Cols into
-// *scratch (nil Cols lends the stored row itself). A heap morsel is one such
-// range; the sharded co-located join scans a partition's.
-func scanPageRange(ctx *Context, node *plan.ScanNode, rf *rfConsumer, lo, hi int, clk *storage.Clock, scratch *types.Row, emit func(types.Row) error) error {
+// per-row CPU), decoding each live row into bufs[0] and lending each
+// survivor projected to the node's Cols into bufs[1] (nil Cols lends the
+// decoded row itself). A heap morsel is one such range; the sharded
+// co-located join scans a partition's.
+func scanPageRange(ctx *Context, node *plan.ScanNode, rf *rfConsumer, lo, hi int, clk *storage.Clock, bufs *[2]types.Row, emit func(types.Row) error) error {
 	var emitErr error
 	for p := lo; p < hi; p++ {
-		node.Table.Heap.ScanPage(clk, p, func(_ storage.RID, r types.Row) bool {
+		node.Table.Heap.ScanPage(clk, p, &bufs[0], func(_ storage.RID, r types.Row) bool {
 			if rf != nil && !rf.admit(clk, r) {
 				return true
 			}
@@ -69,14 +70,14 @@ func scanPageRange(ctx *Context, node *plan.ScanNode, rf *rfConsumer, lo, hi int
 				}
 			}
 			if node.Cols != nil {
-				*scratch = appendCols((*scratch)[:0], r, node.Cols)
-				r = *scratch
+				bufs[1] = appendCols(bufs[1][:0], r, node.Cols)
+				r = bufs[1]
 			}
 			if err := emit(r); err != nil {
 				emitErr = err
 				return false
 			}
-			if poisonRows && node.Cols != nil {
+			if poisonRows {
 				scribble(r) // what the next survivor does to a row the consumer kept
 			}
 			return true
@@ -156,12 +157,12 @@ func (s *morselSource) morselRows() int {
 func (s *morselSource) scanMorsel(ctx *Context, m int, clk *storage.Clock, st *morselScratch, emit func(types.Row) error) error {
 	if s.col != nil {
 		if st.block == nil {
-			st.block = blockScratchPool.Get().(*blockScratch)
+			st.block = blockScratches.Get()
 		}
 		return s.col.scanMorsel(m, clk, st.block, emit)
 	}
 	lo, hi := morselRange(m, s.pages, s.npages)
-	return scanPageRange(ctx, s.scan, s.rf, lo, hi, clk, &st.row, emit)
+	return scanPageRange(ctx, s.scan, s.rf, lo, hi, clk, &st.heap, emit)
 }
 
 // adder takes a lent row: a stage's prober, or a sink — a store, a table, an
@@ -179,14 +180,15 @@ type morselSink interface {
 	end(m int, st *morselScratch) int
 }
 
-// morselScratch is one worker's workspace, pooled whole: the row a heap page
-// projects into and the scratch column blocks decode into, a prober per stage
+// morselScratch is one worker's workspace, kept whole from statement to
+// statement: the rows a heap page decodes and projects into and the scratch
+// column blocks decode into, a prober per stage
 // linked in front of the sink, the store a one-worker gather refills, the
 // packed rows an exchange keeps the worker's morsels in, and the table a
 // morsel's partial groups accumulate in before they join the worker's groups —
 // so steady-state morsels allocate nothing.
 type morselScratch struct {
-	row    types.Row
+	heap   [2]types.Row
 	block  *blockScratch // taken at the first column block
 	probes []joinProbe
 	sink   adder
@@ -198,21 +200,15 @@ type morselScratch struct {
 }
 
 // rowStore holds one morsel's rows carved from one slab, both reused from
-// morsel to morsel (and, pooled, from query to query) — or, byRef, the rows
-// themselves: a heap scan's full-width rows are the stored rows, lent as
-// they are. pos is the next row to lend.
+// morsel to morsel (and, kept spare, from query to query). pos is the next
+// row to lend.
 type rowStore struct {
-	rows  []types.Row
-	slab  []types.Value
-	byRef bool
-	pos   int
+	rows []types.Row
+	slab []types.Value
+	pos  int
 }
 
 func (s *rowStore) add(r types.Row) error {
-	if s.byRef {
-		s.rows = append(s.rows, r)
-		return nil
-	}
 	off := len(s.slab)
 	s.slab = append(s.slab, r...)
 	s.rows = append(s.rows, s.slab[off:len(s.slab):len(s.slab)])
@@ -221,28 +217,37 @@ func (s *rowStore) add(r types.Row) error {
 
 func (s *rowStore) reset() { s.rows, s.slab, s.pos = s.rows[:0], s.slab[:0], 0 }
 
-// open readies the store for rows rows of width values, carved or (byRef)
-// not.
-func (s *rowStore) open(rows, width int, byRef bool) {
-	if s.byRef = byRef; byRef {
-		width = 0
-	}
+// open readies the store for rows rows of width values.
+func (s *rowStore) open(rows, width int) {
 	s.rows, s.slab = slices.Grow(s.rows, rows), slices.Grow(s.slab, rows*width)
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(morselScratch) }}
+// scratches and blockScratches keep released workspaces for the next
+// statement's workers, where no garbage collection empties them.
+var (
+	scratches      spare.List[morselScratch]
+	blockScratches spare.List[blockScratch]
+)
 
-func getScratch() *morselScratch { return scratchPool.Get().(*morselScratch) }
+func getScratch() *morselScratch { return scratches.Get() }
 
-// release returns st to the pool, emptied of rows and builds. What a sink
-// keeps — an exchange's store, the partial groups — it has taken already.
+// clearRows lets go of what the rows' backing arrays hold.
+func clearRows(rows ...types.Row) {
+	for _, r := range rows {
+		clear(r[:cap(r)])
+	}
+}
+
+// release keeps st for the next statement, emptied of rows and builds. What
+// a sink keeps — an exchange's store, the partial groups — it has taken
+// already.
 func (st *morselScratch) release() {
 	if b := st.block; b != nil { // decoded strings must not stay pinned
 		clear(b.slab[:cap(b.slab)])
-		clear(b.row[:cap(b.row)])
-		blockScratchPool.Put(b)
+		clearRows(b.heap[:]...)
+		blockScratches.Put(b)
 	}
-	clear(st.row[:cap(st.row)])
+	clearRows(st.heap[:]...)
 	for i := range st.probes {
 		st.probes[i].drop()
 	}
@@ -250,7 +255,7 @@ func (st *morselScratch) release() {
 	clear(st.store.slab[:cap(st.store.slab)])
 	st.store.reset()
 	st.block, st.probes, st.sink, st.kept, st.mark, st.part, st.arena = nil, st.probes[:0], nil, nil, 0, partial{}, aggArena{}
-	scratchPool.Put(st)
+	scratches.Put(st)
 }
 
 // link is where stage i's input goes: its prober, past the last stage the sink.
@@ -551,7 +556,7 @@ func (g *gather) Open() error {
 		return g.run(g.x)
 	}
 	s := &g.src
-	g.st.store.open(s.morselRows(), len(g.root.Schema()), len(g.stages) == 0 && s.scan != nil && s.col == nil && s.scan.Cols == nil)
+	g.st.store.open(s.morselRows(), len(g.root.Schema()))
 	g.chain(g.st, g.ctx.Clock, &g.st.store)
 	return nil
 }

@@ -96,7 +96,7 @@ func referenceRows(t *testing.T, bq *plan.Query) []string {
 	for _, r := range bq.Rels {
 		var rows []types.Row
 		r.Table.Heap.Scan(nil, func(_ storage.RID, row types.Row) bool {
-			rows = append(rows, row)
+			rows = append(rows, row.Clone()) // the scan lends it
 			return true
 		})
 		rels = append(rels, rows)

@@ -61,16 +61,15 @@ func (s *tempScan) Next() (types.Row, bool, error) {
 func (s *tempScan) Close() error { return nil }
 
 // indexScan walks a B+ tree range and fetches matching rows from the heap
-// (random I/O per match), then applies the residual predicate. It holds the
-// survivors by reference and lends each through one scratch row, projected
-// to the node's Cols.
+// (random I/O per match), then applies the residual predicate. It decodes
+// each into a worker's scratch, taken for the scan and kept for the next
+// statement at Close, and holds the survivors there projected to the node's
+// Cols, to lend one by one.
 type indexScan struct {
 	ctx  *Context
 	node *plan.IndexScanNode
 	rf   *rfConsumer
-	rows []types.Row
-	out  types.Row
-	pos  int
+	st   *morselScratch // heap[0] a fetched row, heap[1] its Cols, store the survivors
 	// keys backs the two one-column bound keys of an Open.
 	keys [2]types.Value
 }
@@ -105,8 +104,11 @@ func (s *indexScan) bounds() (lo, hi index.Bound, err error) {
 }
 
 func (s *indexScan) Open() error {
-	s.rows = s.rows[:0]
-	s.pos = 0
+	if s.st == nil {
+		s.st = getScratch()
+	}
+	st := s.st
+	st.store.reset()
 	s.rf = bindRuntimeFilters(s.ctx, s.node.RFConsume, s.node.Cols)
 	n := s.node
 	lo, hi, err := s.bounds()
@@ -114,50 +116,42 @@ func (s *indexScan) Open() error {
 		return err
 	}
 	var evalErr error
-	n.Index.Tree.Scan(s.ctx.Clock, lo, hi, func(e index.Entry) bool {
-		// NULL keys sort before every bound and would leak into scans with
-		// an open lower end, but no SQL comparison matches NULL.
-		if e.Key[0].IsNull() {
+	n.Index.Tree.Scan(s.ctx.Clock, lo, hi, func(rid storage.RID) bool {
+		keep := false
+		if st.heap[0], keep = n.Table.Heap.Get(s.ctx.Clock, rid, st.heap[0][:0]); !keep {
 			return true
 		}
-		r, ok := n.Table.Heap.Get(s.ctx.Clock, e.RID)
-		if !ok {
-			return true
-		}
-		if s.rf != nil && !s.rf.admit(s.ctx.Clock, r) {
-			return true
-		}
-		s.ctx.Clock.RowWork(1)
-		if n.Residual != nil {
-			pass, err := expr.EvalPredicate(n.Residual, r, s.ctx.Params)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !pass {
-				return true
+		r := st.heap[0]
+		if keep = s.rf == nil || s.rf.admit(s.ctx.Clock, r); keep {
+			s.ctx.Clock.RowWork(1)
+			if n.Residual != nil {
+				keep, evalErr = expr.EvalPredicate(n.Residual, r, s.ctx.Params)
 			}
 		}
-		s.rows = append(s.rows, r)
-		return true
+		if keep {
+			st.heap[1] = appendCols(st.heap[1][:0], r, n.Cols)
+			st.store.add(st.heap[1])
+		}
+		return evalErr == nil
 	})
 	return evalErr
 }
 
 func (s *indexScan) Next() (types.Row, bool, error) {
-	if s.pos >= len(s.rows) {
+	st := &s.st.store
+	if st.pos >= len(st.rows) {
 		return nil, false, nil
 	}
-	r := s.rows[s.pos]
-	s.pos++
-	if s.node.Cols != nil {
-		s.out = appendCols(s.out[:0], r, s.node.Cols)
-		r = s.out
+	if st.pos++; poisonRows && st.pos > 1 {
+		scribble(st.rows[st.pos-2]) // the row lent last
 	}
-	return r, true, nil
+	return st.rows[st.pos-1], true, nil
 }
 
 func (s *indexScan) Close() error {
-	s.rows = nil
+	if s.st != nil {
+		s.st.release()
+		s.st = nil
+	}
 	return nil
 }

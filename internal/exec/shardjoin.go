@@ -123,9 +123,9 @@ func (j *shardedHashJoin) collectBuild() (*joinTable, []int, error) {
 	tab, from := &joinTable{}, make([]int, j.n+1)
 	rf := bindRuntimeFilters(j.ctx, j.buildScan.RFConsume, j.buildScan.Cols)
 	pages := j.buildScan.Table.Part().PageStart
-	var scratch types.Row
+	var bufs [2]types.Row
 	for s, clk := range j.clks {
-		if err := scanPageRange(j.ctx, j.buildScan, rf, pages[s], pages[s+1], clk, &scratch, tab.rows.add); err != nil {
+		if err := scanPageRange(j.ctx, j.buildScan, rf, pages[s], pages[s+1], clk, &bufs, tab.rows.add); err != nil {
 			return nil, nil, err
 		}
 		from[s+1] = tab.rows.n

@@ -19,6 +19,8 @@ type SharedScan struct {
 	pos   int // next page the sweep will read
 	pages int
 	curs  []*SharedCursor
+	row   types.Row     // a slot of the page read, decoded
+	page  []types.Value // the page's rows, back to back
 }
 
 // SharedCursor is one consumer's attachment.
@@ -39,7 +41,8 @@ func NewSharedScan(clk *storage.Clock, table *catalog.Table) *SharedScan {
 }
 
 // Attach registers a consumer starting at the sweep's current position.
-// fn returns false to stop consuming early.
+// fn returns false to stop consuming early. Each row is lent: valid until
+// the sweep's next Step.
 func (s *SharedScan) Attach(fn func(types.Row) bool) *SharedCursor {
 	c := &SharedCursor{fn: fn, startPage: s.pos, remaining: s.pages}
 	if s.pages == 0 {
@@ -61,18 +64,19 @@ func (s *SharedScan) Step() bool {
 	if active == 0 || s.pages == 0 {
 		return false
 	}
-	page := s.pos % s.pages
-	var rows []types.Row
-	s.table.Heap.ScanPage(s.clk, page, func(_ storage.RID, r types.Row) bool {
-		rows = append(rows, r)
+	s.page = s.page[:0]
+	s.table.Heap.ScanPage(s.clk, s.pos%s.pages, &s.row, func(_ storage.RID, r types.Row) bool {
+		s.page = append(s.page, r...)
 		return true
 	})
+	w := len(s.table.Schema)
 	for _, c := range s.curs {
 		if c.done || c.remaining <= 0 {
 			continue
 		}
 		if !c.stopped {
-			for _, r := range rows {
+			for off := 0; off < len(s.page); off += w {
+				r := s.page[off : off+w : off+w]
 				if s.clk != nil {
 					s.clk.RowWork(1)
 				}

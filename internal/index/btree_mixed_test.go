@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,6 +17,7 @@ func TestPropertyInterleavedInsertDelete(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tr := New(1)
 	model := map[int64]map[storage.RID]bool{} // key -> set of rids
+	keyOf := map[storage.RID]int64{}          // every rid is inserted once
 
 	insert := func(k int64, rid storage.RID) {
 		tr.Insert(key1(k), rid)
@@ -23,6 +25,7 @@ func TestPropertyInterleavedInsertDelete(t *testing.T) {
 			model[k] = map[storage.RID]bool{}
 		}
 		model[k][rid] = true
+		keyOf[rid] = k
 	}
 	remove := func(k int64, rid storage.RID) {
 		got := tr.Delete(key1(k), rid)
@@ -64,10 +67,11 @@ func TestPropertyInterleavedInsertDelete(t *testing.T) {
 		t.Fatalf("Len = %d, model %d", tr.Len(), wantTotal)
 	}
 	var keys []int64
-	tr.Scan(nil, Bound{}, Bound{}, func(e Entry) bool {
-		keys = append(keys, e.Key[0].I)
-		if !model[e.Key[0].I][e.RID] {
-			t.Fatalf("tree holds (%d,%d) not in model", e.Key[0].I, e.RID)
+	tr.Scan(nil, Bound{}, Bound{}, func(rid storage.RID) bool {
+		k := keyOf[rid]
+		keys = append(keys, k)
+		if !model[k][rid] {
+			t.Fatalf("tree holds (%d,%d) not in model", k, rid)
 		}
 		return true
 	})
@@ -76,18 +80,30 @@ func TestPropertyInterleavedInsertDelete(t *testing.T) {
 	}
 }
 
-// TestNullKeysSortFirst pins the NULL ordering contract index scans rely on.
+// TestNullKeysSortFirst pins the NULL ordering contract index scans rely on:
+// a NULL key is stored before every other, and no scan visits it — not one
+// with an open lower bound, which would reach it, nor a lookup of NULL.
 func TestNullKeysSortFirst(t *testing.T) {
 	tr := New(1)
 	tr.Insert([]types.Value{types.Int(5)}, 1)
 	tr.Insert([]types.Value{types.Null()}, 2)
 	tr.Insert([]types.Value{types.Int(-5)}, 3)
+	var stored []storage.RID
+	for _, e := range entries(tr) {
+		stored = append(stored, e.rid)
+	}
+	if !slices.Equal(stored, []storage.RID{2, 3, 1}) {
+		t.Errorf("NULL should sort first: %v", stored)
+	}
 	var order []storage.RID
-	tr.Scan(nil, Bound{}, Bound{}, func(e Entry) bool {
-		order = append(order, e.RID)
+	visit := func(rid storage.RID) bool {
+		order = append(order, rid)
 		return true
-	})
-	if len(order) != 3 || order[0] != 2 || order[1] != 3 || order[2] != 1 {
-		t.Errorf("NULL should sort first: %v", order)
+	}
+	tr.Scan(nil, Bound{}, Bound{}, visit)
+	tr.Scan(nil, Bound{}, Bound{Key: []types.Value{types.Int(0)}, Set: true}, visit)
+	tr.Lookup(nil, []types.Value{types.Null()}, visit)
+	if !slices.Equal(order, []storage.RID{3, 1, 3}) {
+		t.Errorf("scans visited %v, want [3 1 3]: no NULL key", order)
 	}
 }

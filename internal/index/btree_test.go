@@ -12,14 +12,17 @@ import (
 
 func key1(v int64) []types.Value { return []types.Value{types.Int(v)} }
 
-func collect(t *BTree, lo, hi Bound) []int64 {
+// collect returns the keys a scan visits, in order: key(rid) for each RID.
+func collect(t *BTree, lo, hi Bound, key func(storage.RID) int64) []int64 {
 	var out []int64
-	t.Scan(nil, lo, hi, func(e Entry) bool {
-		out = append(out, e.Key[0].I)
+	t.Scan(nil, lo, hi, func(rid storage.RID) bool {
+		out = append(out, key(rid))
 		return true
 	})
 	return out
 }
+
+func ridKey(rid storage.RID) int64 { return int64(rid) }
 
 func TestInsertAndFullScanSorted(t *testing.T) {
 	tr := New(1)
@@ -31,7 +34,7 @@ func TestInsertAndFullScanSorted(t *testing.T) {
 	if tr.Len() != 5000 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	got := collect(tr, Bound{}, Bound{})
+	got := collect(tr, Bound{}, Bound{}, func(rid storage.RID) int64 { return int64(vals[rid]) })
 	if len(got) != 5000 {
 		t.Fatalf("scan returned %d", len(got))
 	}
@@ -82,7 +85,7 @@ func TestRangeScans(t *testing.T) {
 		{Bound{Key: key1(194), Incl: true, Set: true}, Bound{}, 194, 198, 3},
 	}
 	for i, c := range cases {
-		got := collect(tr, c.lo, c.hi)
+		got := collect(tr, c.lo, c.hi, func(rid storage.RID) int64 { return 2 * int64(rid) })
 		if len(got) != c.wantCount || got[0] != c.wantFirst || got[len(got)-1] != c.wantLast {
 			t.Errorf("case %d: got %v", i, got)
 		}
@@ -105,7 +108,7 @@ func TestDelete(t *testing.T) {
 	if tr.Len() != 500 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	got := collect(tr, Bound{}, Bound{})
+	got := collect(tr, Bound{}, Bound{}, ridKey)
 	for _, v := range got {
 		if v%2 == 0 {
 			t.Fatalf("deleted key %d still present", v)
@@ -127,8 +130,8 @@ func TestCompositeKeysAndPrefixScan(t *testing.T) {
 	// Prefix scan: a = 4 via short bound key.
 	var got []int64
 	pref := []types.Value{types.Int(4)}
-	tr.Scan(nil, Bound{Key: pref, Incl: true, Set: true}, Bound{Key: pref, Incl: true, Set: true}, func(e Entry) bool {
-		got = append(got, e.Key[1].I)
+	tr.Scan(nil, Bound{Key: pref, Incl: true, Set: true}, Bound{Key: pref, Incl: true, Set: true}, func(rid storage.RID) bool {
+		got = append(got, int64(rid)%10)
 		return true
 	})
 	if len(got) != 10 {
@@ -175,7 +178,7 @@ func TestPropertyScanMatchesSortedInsert(t *testing.T) {
 			tr.Insert(key1(int64(x)), storage.RID(x))
 		}
 		sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-		got := collect(tr, Bound{}, Bound{})
+		got := collect(tr, Bound{}, Bound{}, ridKey)
 		if len(got) != len(uniq) {
 			return false
 		}
@@ -220,6 +223,33 @@ func TestPropertyRangeScanEqualsFilter(t *testing.T) {
 			func(Entry) bool { got++; return true })
 		if got != want {
 			t.Fatalf("range [%d,%d] incl(%v,%v): got %d want %d", lo, hi, loIncl, hiIncl, got, want)
+		}
+	}
+}
+
+// TestRepeatedKeys: Repeated finds two entries with keys equal as the tree
+// orders them — an Int and a Float of one value, two strings — wherever
+// they sit, and ignores keys with a NULL, which may repeat.
+func TestRepeatedKeys(t *testing.T) {
+	for _, c := range []struct {
+		keys [][]types.Value
+		want []types.Value
+	}{
+		{[][]types.Value{key1(1), key1(2), key1(3)}, nil},
+		{[][]types.Value{key1(2), {types.Float(2)}}, []types.Value{types.Float(2)}},
+		{[][]types.Value{{types.Null()}, {types.Null()}, key1(1)}, nil},
+		{[][]types.Value{{types.Str("a"), types.Null()}, {types.Str("a"), types.Null()}}, nil},
+		{[][]types.Value{{types.Str("a"), types.Int(1)}, {types.Str("b"), types.Int(1)}, {types.Str("a"), types.Int(1)}}, []types.Value{types.Str("a"), types.Int(1)}},
+	} {
+		tr := New(len(c.keys[0]))
+		for i, k := range c.keys {
+			tr.Insert(k, storage.RID(i))
+		}
+		for i := 0; i < 200; i++ { // spread over several leaves
+			tr.Insert(append([]types.Value{types.Int(int64(1000 + i))}, c.keys[0][1:]...), storage.RID(1000+i))
+		}
+		if got := tr.Repeated(); types.HashRows([]types.Row{got}) != types.HashRows([]types.Row{c.want}) {
+			t.Errorf("Repeated over %v = %v, want %v", c.keys, got, c.want)
 		}
 	}
 }

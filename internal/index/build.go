@@ -2,53 +2,59 @@ package index
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"rqp/internal/storage"
 	"rqp/internal/types"
 )
 
-// Build returns the tree that Inserting (keys[i], rids[i]) for i = 0, 1, …
-// into New(numCols) makes: the same height, leaves and separators, so every
-// scan over it is charged the same. The tree keeps each keys[i] as given —
-// a key may be a view of its heap row — and the caller must not write one
-// afterwards.
+// Build returns the tree that Inserting (keys[i*numCols:(i+1)*numCols],
+// rids[i]) for i = 0, 1, … into New(numCols) makes — the keys lie end to end
+// in one slice — with the same height, leaves and separators, so every scan
+// over it is charged the same. Like Insert it packs copies of the keys: the
+// caller may reuse them once it returns.
 //
 // It does not run those inserts on the keys. It sorts the entries once,
 // replays the insert sequence on their int32 ranks, and then materialises
-// each node at its final size: the leaves' entries lie in one array in key
-// order, each leaf a full slice of it.
-func Build(numCols int, keys [][]types.Value, rids []storage.RID) *BTree {
-	order, rank := sortEntries(keys, rids)
+// each node at its final size from build-wide slabs: the leaves' entries lie
+// packed in one array in key order, each leaf a full slice of it, and the
+// separators in another.
+func Build(numCols int, keys []types.Value, rids []storage.RID) *BTree {
+	if len(keys) != len(rids)*numCols {
+		panic(fmt.Sprintf("index: %d key values for %d entries of %d", len(keys), len(rids), numCols))
+	}
+	t := New(numCols)
+	order, rank := sortEntries(numCols, keys, rids)
 	b := replay{height: 1}
 	b.root = b.leaf()
 	for _, r := range rank {
 		b.put(r)
 	}
-	m := materialiser{keys: keys, rids: rids, order: order}
+	m := materialiser{t: t, keys: keys, rids: rids, order: order}
 	m.nodes = make([]node, b.leaves+b.inner)
-	m.entries = make([]Entry, b.size)
-	m.seps = make([]Entry, b.leaves-1)
+	ents := make([]byte, (b.size+b.leaves-1)*t.stride) // the leaves', then the separators
+	m.ents[0], m.ents[1] = ents[:b.size*t.stride], ents[b.size*t.stride:]
+	if slices.ContainsFunc(keys, func(v types.Value) bool { return v.K == types.KindString }) {
+		strs := make([]string, (b.size+b.leaves-1)*numCols)
+		m.strs[0], m.strs[1] = strs[:b.size*numCols], strs[b.size*numCols:]
+	}
 	m.kids = make([]*node, b.leaves+b.inner-1)
-	return &BTree{root: m.node(b.root), size: b.size, numCols: numCols, height: b.height}
+	t.root, t.size, t.height = m.node(b.root), b.size, b.height
+	return t
 }
 
 // sortEntries returns the entries' indexes in (key, RID) order, and each
 // entry's rank: its position in that order, or an equal entry's earlier one.
 // Single-column Int and Date keys, most indexes, sort as integers.
-func sortEntries(keys [][]types.Value, rids []storage.RID) (order, rank []int32) {
+func sortEntries(numCols int, keys []types.Value, rids []storage.RID) (order, rank []int32) {
+	key := func(i int32) []types.Value { return keys[int(i)*numCols : int(i+1)*numCols] }
 	order = make([]int32, len(rids))
-	ints := true
-	for _, k := range keys {
-		if len(k) != 1 || (k[0].K != types.KindInt && k[0].K != types.KindDate) {
-			ints = false
-			break
-		}
-	}
+	ints := numCols == 1 && !slices.ContainsFunc(keys, func(v types.Value) bool { return v.K != types.KindInt && v.K != types.KindDate })
 	if ints {
 		ps := make([]pair, len(rids))
 		for i, k := range keys {
-			ps[i] = pair{k[0].I, rids[i], int32(i)}
+			ps[i] = pair{k.I, rids[i], int32(i)}
 		}
 		// The radix sort leaves equal keys in input order, which is RID
 		// order when the RIDs ascend, as a heap scan's do.
@@ -66,7 +72,10 @@ func sortEntries(keys [][]types.Value, rids []storage.RID) (order, rank []int32)
 			order[i] = int32(i)
 		}
 		slices.SortFunc(order, func(a, b int32) int {
-			if c := compareEntries(Entry{keys[a], rids[a]}, Entry{keys[b], rids[b]}); c != 0 {
+			if c := compareKeys(key(a), key(b)); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(rids[a], rids[b]); c != 0 {
 				return c
 			}
 			return cmp.Compare(a, b)
@@ -76,7 +85,7 @@ func sortEntries(keys [][]types.Value, rids []storage.RID) (order, rank []int32)
 	for p, i := range order {
 		rank[i] = int32(p)
 		if p > 0 {
-			if j := order[p-1]; rids[j] == rids[i] && compareKeys(keys[j], keys[i]) == 0 {
+			if j := order[p-1]; rids[j] == rids[i] && compareKeys(key(j), key(i)) == 0 {
 				rank[i] = rank[j] // a duplicate: its insert changes nothing
 			}
 		}
@@ -217,22 +226,34 @@ func (b *replay) insert(n *rnode, r int32) (*rnode, int32) {
 }
 
 // materialiser turns the replay's nodes into the tree's, carving each from
-// an array sized to the whole tree.
+// slabs sized to the whole tree: the leaves' entries and the separators
+// packed ([0] and [1]), their strings when a key holds one, the children.
 type materialiser struct {
-	keys  [][]types.Value
+	t     *BTree
+	keys  []types.Value // end to end
 	rids  []storage.RID
 	order []int32
 
-	nodes   []node
-	entries []Entry // leaves', in key order
-	seps    []Entry // inner nodes'
-	kids    []*node
-	last    *node // the leaf chain's tail so far
+	nodes []node
+	ents  [2][]byte
+	strs  [2][]string
+	kids  []*node
+	last  *node // the leaf chain's tail so far
 }
 
-func (m *materialiser) entry(r int32) Entry {
-	i := m.order[r]
-	return Entry{Key: m.keys[i], RID: m.rids[i]}
+// carve fills n with the entries ranked ranks, from the leaves' slabs or
+// (inner) the separators'.
+func (m *materialiser) carve(n *node, ranks []int32, inner int) {
+	t, k := m.t, len(ranks)
+	ents, strs := &m.ents[inner], &m.strs[inner]
+	n.ents, *ents = (*ents)[:k*t.stride:k*t.stride], (*ents)[k*t.stride:]
+	if *strs != nil {
+		n.strs, *strs = (*strs)[:k*t.numCols:k*t.numCols], (*strs)[k*t.numCols:]
+	}
+	for j, r := range ranks {
+		i := int(m.order[r])
+		t.put(n, j, m.keys[i*t.numCols:(i+1)*t.numCols], m.rids[i])
+	}
 }
 
 // node materialises rn and, depth first and left to right, what is under
@@ -241,23 +262,16 @@ func (m *materialiser) node(rn *rnode) *node {
 	n := &m.nodes[0]
 	m.nodes = m.nodes[1:]
 	if rn.kids == nil {
-		k := len(rn.ranks)
+		m.carve(n, rn.ranks, 0)
 		n.leaf = true
-		n.entries, m.entries = m.entries[:k:k], m.entries[k:]
-		for j, r := range rn.ranks {
-			n.entries[j] = m.entry(r)
-		}
 		if m.last != nil {
 			m.last.next = n
 		}
 		m.last = n
 		return n
 	}
+	m.carve(n, rn.ranks, 1)
 	k := len(rn.ranks)
-	n.keys, m.seps = m.seps[:k:k], m.seps[k:]
-	for j, r := range rn.ranks {
-		n.keys[j] = m.entry(r)
-	}
 	n.children, m.kids = m.kids[:k+1:k+1], m.kids[k+1:]
 	for j, c := range rn.kids {
 		n.children[j] = m.node(c)

@@ -68,7 +68,7 @@ func shape(t *BTree) string {
 	}
 	var counts []int
 	for ; n != nil; n = n.next {
-		counts = append(counts, len(n.entries))
+		counts = append(counts, t.count(n))
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "h%d", t.height)
@@ -83,10 +83,25 @@ func shape(t *BTree) string {
 	return b.String()
 }
 
-func entries(t *BTree) []Entry {
-	var out []Entry
-	t.Scan(nil, Bound{}, Bound{}, func(e Entry) bool {
-		out = append(out, e)
+// entry is one (key, RID) pair of a tree, its key boxed.
+type entry struct {
+	key []types.Value
+	rid storage.RID
+}
+
+// nodeEntries appends n's entries (or separators), boxed, to out.
+func nodeEntries(t *BTree, n *node, out []entry) []entry {
+	for i := range t.count(n) {
+		out = append(out, entry{t.key(n, i), t.rid(n, i)})
+	}
+	return out
+}
+
+// entries lists every entry in key order, NULL keys included.
+func entries(t *BTree) []entry {
+	var out []entry
+	t.Entries(func(key []types.Value, rid storage.RID) bool {
+		out = append(out, entry{key, rid})
 		return true
 	})
 	return out
@@ -107,7 +122,7 @@ var wantShapes = map[string]string{
 // TestCreateIndexMatchesInserts: Build over a table's keys in heap order
 // makes the tree the same Inserts one by one make — height, every leaf's
 // entry count in chain order, the separators, the entries, each keeping the
-// very key slice it was given — and both are the tree the row-by-row build
+// values it was given — and both are the tree the row-by-row build
 // made before the bulk build existed.
 func TestCreateIndexMatchesInserts(t *testing.T) {
 	for _, c := range buildCases() {
@@ -130,34 +145,31 @@ func TestBuildMatchesInsertsAnyOrder(t *testing.T) {
 		matchInserts(t, c.name+" shuffled RIDs", c.numCols, keys, rids)
 		for i := 0; i < len(rids)/10; i++ {
 			j := rng.Intn(len(rids))
-			keys = append(keys, append([]types.Value(nil), keys[j]...))
+			keys = append(keys, keys[j*c.numCols:(j+1)*c.numCols]...)
 			rids = append(rids, rids[j])
 		}
 		matchInserts(t, c.name+" repeated pairs", c.numCols, keys, rids)
 	}
 }
 
-// split returns the case's keys, each a view of its numCols values, and
-// RIDs that ascend with gaps, as a heap scan's do.
-func (c buildCase) split() ([][]types.Value, []storage.RID) {
-	rows := len(c.keys) / c.numCols
-	keys := make([][]types.Value, rows)
-	rids := make([]storage.RID, rows)
+// split returns a copy of the case's keys and RIDs that ascend with gaps,
+// as a heap scan's do.
+func (c buildCase) split() ([]types.Value, []storage.RID) {
+	rids := make([]storage.RID, len(c.keys)/c.numCols)
 	for i := range rids {
-		keys[i] = c.keys[i*c.numCols : (i+1)*c.numCols : (i+1)*c.numCols]
 		rids[i] = storage.RID(3*i + 1)
 	}
-	return keys, rids
+	return slices.Clone(c.keys), rids
 }
 
 // matchInserts builds the tree both ways, fails t where they differ and
 // returns the row-by-row one.
-func matchInserts(t *testing.T, name string, numCols int, keys [][]types.Value, rids []storage.RID) *BTree {
+func matchInserts(t *testing.T, name string, numCols int, keys []types.Value, rids []storage.RID) *BTree {
 	t.Helper()
 	built := Build(numCols, keys, rids)
 	rowwise := New(numCols)
 	for i, rid := range rids {
-		rowwise.Insert(keys[i], rid)
+		rowwise.Insert(keys[i*numCols:(i+1)*numCols], rid)
 	}
 	for _, tr := range []*BTree{built, rowwise} {
 		if err := tr.CheckInvariants(); err != nil {
@@ -180,11 +192,13 @@ func matchInserts(t *testing.T, name string, numCols int, keys [][]types.Value, 
 }
 
 // separators lists the inner nodes' keys, depth first.
-func separators(t *BTree) []Entry {
-	var out []Entry
+func separators(t *BTree) []entry {
+	var out []entry
 	var walk func(n *node)
 	walk = func(n *node) {
-		out = append(out, n.keys...)
+		if !n.leaf {
+			out = nodeEntries(t, n, out)
+		}
 		for _, c := range n.children {
 			walk(c)
 		}
@@ -193,22 +207,30 @@ func separators(t *BTree) []Entry {
 	return out
 }
 
-// sameEntries: the same RIDs, each with the same key slice — the same
-// memory, not only equal values.
-func sameEntries(a, b []Entry) bool {
+// sameEntries: the same RIDs, each with a key of the same values, bit for
+// bit.
+func sameEntries(a, b []entry) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].RID != b[i].RID || len(a[i].Key) != len(b[i].Key) || &a[i].Key[0] != &b[i].Key[0] {
+		if a[i].rid != b[i].rid || types.HashRows([]types.Row{a[i].key}) != types.HashRows([]types.Row{b[i].key}) {
 			return false
 		}
 	}
 	return true
 }
 
-// TestCompareKeysKindMatrix: compareValue's Int/Date path orders every pair
-// of kinds as types.Compare does, key column by key column.
+// packKey packs k as a tree's entry holds it: its values and their strings.
+func packKey(k []types.Value) ([]byte, []string) {
+	tr := New(len(k))
+	tr.Insert(k, 0)
+	return tr.at(tr.root, 0)
+}
+
+// TestCompareKeysKindMatrix: compareValue's Int/Date path, and the packed
+// key's against a boxed one, order every pair of kinds as types.Compare
+// does, key column by key column.
 func TestCompareKeysKindMatrix(t *testing.T) {
 	generic := func(a, b []types.Value) int {
 		for i := 0; i < len(a) && i < len(b); i++ {
@@ -259,8 +281,9 @@ func TestCompareKeysKindMatrix(t *testing.T) {
 			t.Fatalf("compareKeys(%v, %v) = %d, want %d", a, b, got, want)
 		}
 		n := min(len(a), len(b))
-		if got, want := prefixCompare(a, b), sign(generic(a[:n], b[:n])); got != want {
-			t.Fatalf("prefixCompare(%v, %v) = %d, want %d", a, b, got, want)
+		k, strs := packKey(a)
+		if got, want := comparePrefix(k, strs, b, len(a)), sign(generic(a[:n], b[:n])); got != want {
+			t.Fatalf("comparePrefix(%v, %v) = %d, want %d", a, b, got, want)
 		}
 	}
 }

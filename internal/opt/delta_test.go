@@ -35,8 +35,8 @@ func TestColScanEstimateTracksDelta(t *testing.T) {
 		for j := 0; j < n; j++ {
 			var rid storage.RID
 			var row types.Row
-			orders.Heap.ScanPage(nil, j*npages/n, func(id storage.RID, r types.Row) bool {
-				rid, row = id, r
+			orders.Heap.ScanPage(nil, j*npages/n, &row, func(id storage.RID, _ types.Row) bool {
+				rid = id
 				return false
 			})
 			cat.Update(nil, orders, rid, row)

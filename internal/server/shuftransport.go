@@ -260,7 +260,7 @@ func (ex *netExchange) err() error {
 
 // sender drains p.frames onto the socket. A route batch first takes a
 // credit token — blocking (and counting a backpressure stall) when the
-// worker's window is exhausted — then encodes through the pooled buffer
+// worker's window is exhausted — then encodes through a spare buffer
 // and writes the frame in one Write. The flush-when-idle pattern keeps
 // frames coalesced under load and latency low when the stream goes quiet.
 func (ex *netExchange) sender(p *netPeer) {

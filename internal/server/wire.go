@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 
 	"rqp/internal/exec"
+	"rqp/internal/spare"
 	"rqp/internal/types"
 )
 
@@ -80,7 +80,7 @@ type Frame struct {
 // WriteFrame encodes one frame onto w in a single Write: type byte,
 // big-endian uint32 payload length, payload bytes.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	fw := encodePool.Get().(*wireWriter)
+	fw := encoders.Get()
 	fw.beginFrame(typ)
 	fw.buf = append(fw.buf, payload...)
 	_, err := w.Write(fw.endFrame())
@@ -152,17 +152,17 @@ type wireWriter struct{ buf []byte }
 // Encoder is a wire message that renders its payload into a caller-supplied
 // writer. The unexported method keeps implementations inside this package:
 // every message type satisfies it, and WriteMsg uses it to encode through a
-// pooled buffer instead of allocating per frame.
+// spare buffer instead of allocating per frame.
 type Encoder interface{ encodeTo(w *wireWriter) }
 
 // maxPooledEncodeBuf caps the encode and frame-read buffers that outlive
-// one frame (pooled, session- or client-owned). A rare giant frame (a wide
-// row of long strings) should not pin its buffer forever.
+// one frame (kept spare, session- or client-owned). A rare giant frame (a
+// wide row of long strings) should not pin its buffer forever.
 const maxPooledEncodeBuf = 64 << 10
 
-var encodePool = sync.Pool{
-	New: func() any { return &wireWriter{buf: make([]byte, 0, 512)} },
-}
+// encoders keeps frame writers for the next frame, where no garbage
+// collection empties them.
+var encoders spare.List[wireWriter]
 
 // beginFrame empties w and reserves the frame header for typ; the payload
 // is appended behind it and endFrame completes the frame. Every frame this
@@ -176,14 +176,14 @@ func (w *wireWriter) endFrame() []byte {
 	return w.buf
 }
 
-// release returns a pooled writer.
+// release keeps a writer for the next frame.
 func (w *wireWriter) release() {
 	if cap(w.buf) <= maxPooledEncodeBuf {
-		encodePool.Put(w)
+		encoders.Put(w)
 	}
 }
 
-// WriteMsg encodes m through a pooled buffer and writes it to dst as one
+// WriteMsg encodes m through a spare buffer and writes it to dst as one
 // frame in one Write. This is the allocation-free send path for the frames
 // sent millions of times — the shuffle's route and out batches; Encode
 // allocates a buffer the caller keeps (fine for handshakes and tests).
@@ -197,7 +197,7 @@ func WriteMsg(dst io.Writer, typ byte, m Encoder) error {
 // writeMsg is WriteMsg reporting the frame's size on the wire. A nil m
 // sends an empty payload.
 func writeMsg(dst io.Writer, typ byte, m Encoder) (int, error) {
-	w := encodePool.Get().(*wireWriter)
+	w := encoders.Get()
 	w.beginFrame(typ)
 	if m != nil {
 		m.encodeTo(w)
@@ -207,11 +207,11 @@ func writeMsg(dst io.Writer, typ byte, m Encoder) (int, error) {
 	return n, err
 }
 
-// encode is the shared Encode body: the payload rendered through a pooled
+// encode is the shared Encode body: the payload rendered through a spare
 // buffer and copied out once, at its exact size, into a buffer the caller
-// owns (so it may outlive the call, unlike WriteMsg's pooled buffer).
+// owns (so it may outlive the call, unlike WriteMsg's spare buffer).
 func encode(m Encoder) []byte {
-	w := encodePool.Get().(*wireWriter)
+	w := encoders.Get()
 	w.buf = w.buf[:0]
 	m.encodeTo(w)
 	out := make([]byte, len(w.buf))

@@ -25,8 +25,15 @@ func (r RID) Page() int { return int(r >> 16) }
 // Slot returns the slot number of the RID.
 func (r RID) Slot() int { return int(r & 0xffff) }
 
+// page keeps its slots packed (types.Pack): slot s's values are
+// vals[s*w*PackedSize:(s+1)*w*PackedSize] for the heap's width w, and a
+// string value's word is its index in strs. A read decodes a slot into a row
+// the reader owns; no Value is kept.
 type page struct {
-	rows  []types.Row // nil entries are deleted slots
+	vals  []byte
+	strs  []string
+	dead  uint64 // bit s: slot s was deleted (a page has PageRows = 64 slots)
+	slots int    // slots used, live or dead
 	live  int
 	stamp uint64 // the heap version the last write to this page made
 }
@@ -36,12 +43,21 @@ type page struct {
 // readers with a single writer class via RWMutex (sufficient for the mixed
 // workload experiments, which model logical not physical contention).
 //
+// Rows are kept packed at 9 B a value, strings in a list beside each page,
+// and every row of a heap has the width of its first. Writes copy the row
+// they are given; reads decode a slot into a buffer the caller owns and lend
+// it: Get into the dst it is passed, ScanPage into *buf, Scan into one
+// buffer a call; ScanMarked decodes into the caller's column vectors.
+// Slots, pages and RIDs are as a heap of boxed rows had them, so every
+// charge is too.
+//
 // Every Insert, Update and Delete advances the heap's version and stamps the
 // page it wrote with it, so whatever was built from the heap at one version
 // (a columnar snapshot) can ask which pages have moved since: Changed.
 type Heap struct {
 	mu      sync.RWMutex
 	pages   []*page
+	width   int // values a row, set by the first Insert
 	rows    int64
 	sealed  bool   // next Insert opens a fresh page even if the tail has room
 	version uint64 // writes so far
@@ -56,25 +72,93 @@ func (h *Heap) stamp(p *page) {
 // NewHeap returns an empty heap.
 func NewHeap() *Heap { return &Heap{} }
 
-// Insert appends a row and returns its RID. The caller passes ownership of
-// the row. Page writes are charged against clk (which may be nil for bulk
-// loading outside measured regions).
+// Insert appends a copy of r and returns its RID. Page writes are charged
+// against clk (which may be nil for bulk loading outside measured regions).
 func (h *Heap) Insert(clk *Clock, r types.Row) RID {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.pages) == 0 || len(h.pages[len(h.pages)-1].rows) >= PageRows || h.sealed {
-		h.pages = append(h.pages, &page{rows: make([]types.Row, 0, PageRows)})
+	if len(h.pages) == 0 {
+		h.width = len(r)
+	}
+	h.checkWidth(r)
+	if len(h.pages) == 0 || h.pages[len(h.pages)-1].slots >= PageRows || h.sealed {
+		h.pages = append(h.pages, newPage(r))
 		h.sealed = false
 		if clk != nil {
 			clk.Write(1)
 		}
 	}
 	p := h.pages[len(h.pages)-1]
-	p.rows = append(p.rows, r)
+	s := p.slots
+	p.slots++
+	p.vals = p.vals[:p.slots*len(r)*types.PackedSize]
+	b := p.slot(s, len(r))
+	for c, v := range r {
+		p.pack(b[c*types.PackedSize:], v, -1)
+	}
 	p.live++
 	h.rows++
 	h.stamp(p)
-	return MakeRID(len(h.pages)-1, len(p.rows)-1)
+	return MakeRID(len(h.pages)-1, s)
+}
+
+// newPage returns an empty page with room for PageRows rows like r: their
+// values, and as many strings each as r has.
+func newPage(r types.Row) *page {
+	strs := 0
+	for _, v := range r {
+		if v.K == types.KindString {
+			strs++
+		}
+	}
+	return &page{vals: make([]byte, 0, PageRows*len(r)*types.PackedSize), strs: make([]string, 0, PageRows*strs)}
+}
+
+func (h *Heap) checkWidth(r types.Row) {
+	if len(r) != h.width {
+		panic(fmt.Sprintf("storage: a row of %d values into a heap of %d", len(r), h.width))
+	}
+}
+
+// slot returns the packed values of slot s, w of them.
+func (p *page) slot(s, w int) []byte {
+	return p.vals[s*w*types.PackedSize : (s+1)*w*types.PackedSize]
+}
+
+// pack writes v at b. A string takes the list entry old — the one the value
+// it replaces held, -1 for none — or, without one, a new entry; a value
+// that is no string gives old up.
+func (p *page) pack(b []byte, v types.Value, old int) {
+	str := old
+	switch {
+	case v.K == types.KindString && old >= 0:
+		p.strs[old] = v.S
+	case v.K == types.KindString:
+		str = len(p.strs)
+		p.strs = append(p.strs, v.S)
+	case old >= 0:
+		p.strs[old] = "" // an entry no value names: nothing pinned
+	}
+	types.Pack(b, v, str)
+}
+
+// strAt returns the list entry the value packed at b holds, -1 for none.
+func strAt(b []byte) int {
+	if types.PackedKind(b) != types.KindString {
+		return -1
+	}
+	return int(types.PackedWord(b))
+}
+
+// decode appends slot s, boxed, to dst.
+func (h *Heap) decode(p *page, s int, dst types.Row) types.Row {
+	n := len(dst)
+	dst = slices.Grow(dst, h.width)[:n+h.width]
+	b := p.slot(s, h.width)
+	for c := range dst[n:] {
+		types.UnpackInto(&dst[n+c], b[c*types.PackedSize:], p.strs)
+	}
+	return dst
 }
 
 // SealPage closes the current tail page: the next Insert starts a fresh
@@ -87,45 +171,49 @@ func (h *Heap) SealPage() {
 	h.mu.Unlock()
 }
 
-// BulkLoad inserts many rows without charging the clock (data loading is
-// considered setup, not measured query work).
-func (h *Heap) BulkLoad(rows []types.Row) {
-	for _, r := range rows {
-		h.Insert(nil, r)
+// at returns the page and slot of a live rid, or nil.
+func (h *Heap) at(rid RID) (*page, int) {
+	pg, slot := rid.Page(), rid.Slot()
+	if pg < 0 || pg >= len(h.pages) {
+		return nil, 0
 	}
+	p := h.pages[pg]
+	if slot < 0 || slot >= p.slots || p.dead&(1<<slot) != 0 {
+		return nil, 0
+	}
+	return p, slot
 }
 
-// Get fetches the row at rid, charging one random page read.
-func (h *Heap) Get(clk *Clock, rid RID) (types.Row, bool) {
+// Get appends the row at rid, decoded, to dst and returns it, charging one
+// random page read. dst is returned as it came when rid holds no row.
+func (h *Heap) Get(clk *Clock, rid RID, dst types.Row) (types.Row, bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if clk != nil {
 		clk.RandRead(1)
 	}
-	pg, slot := rid.Page(), rid.Slot()
-	if pg < 0 || pg >= len(h.pages) {
-		return nil, false
+	p, s := h.at(rid)
+	if p == nil {
+		return dst, false
 	}
-	p := h.pages[pg]
-	if slot < 0 || slot >= len(p.rows) || p.rows[slot] == nil {
-		return nil, false
-	}
-	return p.rows[slot], true
+	return h.decode(p, s, dst), true
 }
 
 // Delete removes the row at rid. Returns false if absent.
 func (h *Heap) Delete(clk *Clock, rid RID) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	pg, slot := rid.Page(), rid.Slot()
-	if pg < 0 || pg >= len(h.pages) {
+	p, s := h.at(rid)
+	if p == nil {
 		return false
 	}
-	p := h.pages[pg]
-	if slot < 0 || slot >= len(p.rows) || p.rows[slot] == nil {
-		return false
+	b := p.slot(s, h.width)
+	for c := 0; c < h.width; c++ {
+		if str := strAt(b[c*types.PackedSize:]); str >= 0 {
+			p.strs[str] = ""
+		}
 	}
-	p.rows[slot] = nil
+	p.dead |= 1 << s
 	p.live--
 	h.rows--
 	h.stamp(p)
@@ -135,19 +223,21 @@ func (h *Heap) Delete(clk *Clock, rid RID) bool {
 	return true
 }
 
-// Update replaces the row at rid in place.
+// Update overwrites the row at rid with a copy of r. A string replacing a
+// string takes its list entry; the list is not compacted otherwise.
 func (h *Heap) Update(clk *Clock, rid RID, r types.Row) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	pg, slot := rid.Page(), rid.Slot()
-	if pg < 0 || pg >= len(h.pages) {
+	p, s := h.at(rid)
+	if p == nil {
 		return false
 	}
-	p := h.pages[pg]
-	if slot < 0 || slot >= len(p.rows) || p.rows[slot] == nil {
-		return false
+	h.checkWidth(r)
+	b := p.slot(s, h.width)
+	for c, v := range r {
+		at := b[c*types.PackedSize:]
+		p.pack(at, v, strAt(at))
 	}
-	p.rows[slot] = r
 	h.stamp(p)
 	if clk != nil {
 		clk.Write(1)
@@ -156,19 +246,35 @@ func (h *Heap) Update(clk *Clock, rid RID, r types.Row) bool {
 }
 
 // Scan iterates all live rows in physical order, charging one sequential
-// page read per page touched. The callback returns false to stop early.
-func (h *Heap) Scan(clk *Clock, fn func(rid RID, r types.Row) bool) {
+// page read per page touched, and lends each decoded into one buffer the
+// call allocates: valid until fn returns. fn returns false to stop early.
+func (h *Heap) Scan(clk *Clock, fn func(rid RID, r types.Row) bool) { h.ScanCols(clk, nil, fn) }
+
+// ScanCols is Scan lending only the columns cols of each row, in that order
+// (all of them when cols is nil): CREATE INDEX reads its keys so, without
+// decoding the rest.
+func (h *Heap) ScanCols(clk *Clock, cols []int, fn func(rid RID, r types.Row) bool) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
+	var buf types.Row
 	for pi, p := range h.pages {
 		if clk != nil {
 			clk.SeqRead(1)
 		}
-		for si, r := range p.rows {
-			if r == nil {
+		for s := 0; s < p.slots; s++ {
+			if p.dead&(1<<s) != 0 {
 				continue
 			}
-			if !fn(MakeRID(pi, si), r) {
+			if cols == nil {
+				buf = h.decode(p, s, buf[:0])
+			} else {
+				b := p.slot(s, h.width)
+				buf = slices.Grow(buf[:0], len(cols))[:len(cols)]
+				for i, c := range cols {
+					types.UnpackInto(&buf[i], b[c*types.PackedSize:], p.strs)
+				}
+			}
+			if !fn(MakeRID(pi, s), buf) {
 				return
 			}
 		}
@@ -184,20 +290,29 @@ type HeapMark struct {
 	PageStart []int32
 }
 
-// ScanMarked visits every live row in physical order, charging nothing, and
-// returns the heap's mark: both under one read lock, so they agree.
-func (h *Heap) ScanMarked(fn func(r types.Row)) HeapMark {
+// ScanMarked decodes every live row in physical order into vecs, one value
+// per vector as types.AppendRow does, charging nothing, and returns the
+// heap's mark: both under one read lock, so they agree.
+func (h *Heap) ScanMarked(vecs []types.Vector) HeapMark {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	m := HeapMark{Version: h.version, PageStart: make([]int32, len(h.pages)+1)}
 	var pos int32
 	for pi, p := range h.pages {
 		m.PageStart[pi] = pos
-		for _, r := range p.rows {
-			if r != nil {
-				fn(r)
-				pos++
+		for s := 0; s < p.slots; s++ {
+			if p.dead&(1<<s) != 0 {
+				continue
 			}
+			b := p.slot(s, h.width)
+			for c := range vecs {
+				if c < h.width {
+					vecs[c].Append(types.Unpack(b[c*types.PackedSize:], p.strs))
+				} else {
+					vecs[c].Append(types.Null())
+				}
+			}
+			pos++
 		}
 	}
 	m.PageStart[len(h.pages)] = pos
@@ -232,9 +347,11 @@ func (h *Heap) Changed(m HeapMark, dst []int32) ([]int32, int) {
 }
 
 // ScanPage visits the live rows of one page in slot order, charging one
-// sequential page read. It reports whether the page exists. Shared
-// (circular) scans are built on this: many consumers ride one page read.
-func (h *Heap) ScanPage(clk *Clock, pageNo int, fn func(rid RID, r types.Row) bool) bool {
+// sequential page read, and lends each decoded into *buf, which it grows to
+// fit: valid until fn returns. It reports whether the page exists. Heap
+// morsels and shared (circular) scans are built on this: many consumers ride
+// one page read.
+func (h *Heap) ScanPage(clk *Clock, pageNo int, buf *types.Row, fn func(rid RID, r types.Row) bool) bool {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if pageNo < 0 || pageNo >= len(h.pages) {
@@ -244,11 +361,12 @@ func (h *Heap) ScanPage(clk *Clock, pageNo int, fn func(rid RID, r types.Row) bo
 		clk.SeqRead(1)
 	}
 	p := h.pages[pageNo]
-	for si, r := range p.rows {
-		if r == nil {
+	for s := 0; s < p.slots; s++ {
+		if p.dead&(1<<s) != 0 {
 			continue
 		}
-		if !fn(MakeRID(pageNo, si), r) {
+		*buf = h.decode(p, s, (*buf)[:0])
+		if !fn(MakeRID(pageNo, s), *buf) {
 			break
 		}
 	}

@@ -85,7 +85,7 @@ func TestHeapInsertGetScan(t *testing.T) {
 	if h.NumPages() != wantPages {
 		t.Errorf("NumPages = %d, want %d", h.NumPages(), wantPages)
 	}
-	r, ok := h.Get(nil, rids[150])
+	r, ok := h.Get(nil, rids[150], nil)
 	if !ok || r[0].I != 150 {
 		t.Errorf("Get(150) = %v %v", r, ok)
 	}
@@ -114,7 +114,7 @@ func TestHeapScanChargesPerPage(t *testing.T) {
 		t.Errorf("scan charged %d seq reads, want 3", s)
 	}
 	clk.Reset()
-	h.Get(clk, MakeRID(1, 0))
+	h.Get(clk, MakeRID(1, 0), nil)
 	if _, r, _, _ := clk.Counters(); r != 1 {
 		t.Errorf("get charged %d rand reads, want 1", r)
 	}
@@ -130,7 +130,7 @@ func TestHeapDeleteUpdate(t *testing.T) {
 	if h.Delete(nil, rid) {
 		t.Error("double delete should fail")
 	}
-	if _, ok := h.Get(nil, rid); ok {
+	if _, ok := h.Get(nil, rid, nil); ok {
 		t.Error("deleted row should be gone")
 	}
 	if h.NumRows() != 1 {
@@ -139,7 +139,7 @@ func TestHeapDeleteUpdate(t *testing.T) {
 	if !h.Update(nil, rid2, types.Row{types.Int(99)}) {
 		t.Fatal("update failed")
 	}
-	r, _ := h.Get(nil, rid2)
+	r, _ := h.Get(nil, rid2, nil)
 	if r[0].I != 99 {
 		t.Errorf("update not visible: %v", r)
 	}
@@ -165,8 +165,9 @@ func TestHeapChangedSinceMark(t *testing.T) {
 		rids = append(rids, h.Insert(nil, types.Row{types.Int(int64(i))}))
 	}
 	h.Delete(nil, rids[1])
-	n := 0
-	m := h.ScanMarked(func(types.Row) { n++ })
+	vecs := types.NewVectors(types.Schema{{Kind: types.KindInt}}, 0)
+	m := h.ScanMarked(vecs)
+	n := vecs[0].Len()
 	want := []int32{0, PageRows - 1, 2*PageRows - 1, 3*PageRows - 1, 3*PageRows + 9}
 	if n != 3*PageRows+9 || len(m.PageStart) != len(want) {
 		t.Fatalf("mark of %d rows: %v", n, m.PageStart)
@@ -215,10 +216,10 @@ func TestRIDCodec(t *testing.T) {
 func TestGetOutOfRange(t *testing.T) {
 	h := NewHeap()
 	h.Insert(nil, types.Row{types.Int(1)})
-	if _, ok := h.Get(nil, MakeRID(5, 0)); ok {
+	if _, ok := h.Get(nil, MakeRID(5, 0), nil); ok {
 		t.Error("out-of-range page should miss")
 	}
-	if _, ok := h.Get(nil, MakeRID(0, 50)); ok {
+	if _, ok := h.Get(nil, MakeRID(0, 50), nil); ok {
 		t.Error("out-of-range slot should miss")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rqp/internal/catalog"
-	"rqp/internal/index"
 	"rqp/internal/storage"
 	"rqp/internal/types"
 )
@@ -39,6 +38,7 @@ type TPCC struct {
 	orderline *catalog.Table
 
 	nextOrder int64
+	row       types.Row // the transactions' heap reads decode into it
 }
 
 // BuildTPCC creates and loads the schema.
@@ -159,24 +159,23 @@ func (t *TPCC) decrementStock(clk *storage.Clock, item, w, qty int64) error {
 		return fmt.Errorf("workload: stock index missing")
 	}
 	var rid storage.RID = -1
-	ix.Tree.Lookup(clk, []types.Value{types.Int(item), types.Int(w)}, func(e index.Entry) bool {
-		rid = e.RID
+	ix.Tree.Lookup(clk, []types.Value{types.Int(item), types.Int(w)}, func(r storage.RID) bool {
+		rid = r
 		return false
 	})
 	if rid < 0 {
 		return fmt.Errorf("workload: stock (%d,%d) missing", item, w)
 	}
-	row, ok := t.stock.Heap.Get(clk, rid)
-	if !ok {
+	var ok bool
+	if t.row, ok = t.stock.Heap.Get(clk, rid, t.row[:0]); !ok {
 		return fmt.Errorf("workload: stock row vanished")
 	}
-	q := row[2].I - qty
+	q := t.row[2].I - qty
 	if q < 10 {
 		q += 91
 	}
-	updated := row.Clone()
-	updated[2] = types.Int(q)
-	t.stock.Heap.Update(clk, rid, updated)
+	t.row[2] = types.Int(q)
+	t.stock.Heap.Update(clk, rid, t.row)
 	return nil
 }
 
@@ -189,10 +188,9 @@ func (t *TPCC) Payment(clk *storage.Clock) error {
 	amount := float64(1+t.g.Uniform(5000)) / 100
 	found := false
 	var target storage.RID
-	var row types.Row
 	t.customer.Heap.Scan(clk, func(rid storage.RID, r types.Row) bool {
 		if r[0].I == c && r[1].I == d && r[2].I == w {
-			target, row, found = rid, r, true
+			target, t.row, found = rid, append(t.row[:0], r...), true
 			return false
 		}
 		return true
@@ -200,9 +198,8 @@ func (t *TPCC) Payment(clk *storage.Clock) error {
 	if !found {
 		return fmt.Errorf("workload: customer (%d,%d,%d) missing", c, d, w)
 	}
-	updated := row.Clone()
-	updated[3] = types.Float(updated[3].AsFloat() + amount)
-	t.customer.Heap.Update(clk, target, updated)
+	t.row[3] = types.Float(t.row[3].AsFloat() + amount)
+	t.customer.Heap.Update(clk, target, t.row)
 	return nil
 }
 
