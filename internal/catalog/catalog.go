@@ -6,6 +6,7 @@ package catalog
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -234,35 +235,68 @@ func keyOf(dst []types.Value, r types.Row, cols []int) []types.Value {
 // grows out of it.
 type keyBuf [4]types.Value
 
-// checkUnique returns an error when r would repeat the key of a unique index
-// of t. old is the row r replaces (nil for an insert): an index whose key r
-// keeps is not probed.
-func checkUnique(t *Table, r, old types.Row) error {
+// checkUnique returns an error when writing the rows back to back in vals,
+// each as wide as t's schema, would repeat the key of a unique index of t:
+// a key the index holds at a row other than rids — the rows vals replace,
+// nil for an insert — or one two of the rows share. A key with a NULL in it
+// repeats nothing. One row takes no more than a probe of each unique index.
+func checkUnique(t *Table, vals []types.Value, rids []storage.RID) error {
+	var held []storage.RID   // rids, sorted
+	var keys [][]types.Value // with more than one row, theirs
+	var slab []types.Value   // and their values
 	for _, ix := range t.Indexes {
 		if ix.Dropped || !ix.Unique {
 			continue
 		}
-		var kb, ob keyBuf
-		key := keyOf(kb[:0], r, ix.Cols)
-		if hasNull(key) || old != nil && equalKeys(key, keyOf(ob[:0], old, ix.Cols)) {
-			continue // no key, or the row's own
+		w := len(t.Schema)
+		n := len(vals) / w
+		if held == nil && len(rids) > 0 {
+			if held = rids; !slices.IsSorted(rids) {
+				held = slices.Clone(rids)
+				slices.Sort(held)
+			}
 		}
-		if ix.Tree.Has(key) {
-			return fmt.Errorf("catalog: duplicate key %s in unique index %q", types.Row(key).String(), ix.Name)
+		if keys, slab = keys[:0], slab[:0]; n > 1 && cap(slab) < n*len(ix.Cols) {
+			slab = make([]types.Value, 0, n*len(ix.Cols))
+		}
+		for i := range n {
+			var kb keyBuf
+			key := keyOf(kb[:0], vals[i*w:(i+1)*w], ix.Cols)
+			if hasNull(key) {
+				continue
+			}
+			if rid, ok := ix.Tree.Find(key); ok {
+				if _, replaced := slices.BinarySearch(held, rid); !replaced {
+					return duplicate(ix, key)
+				}
+			}
+			if n > 1 {
+				slab = append(slab, key...)
+				keys = append(keys, slab[len(slab)-len(key):])
+			}
+		}
+		slices.SortFunc(keys, compareKeys)
+		for i := 1; i < len(keys); i++ {
+			if compareKeys(keys[i-1], keys[i]) == 0 {
+				return duplicate(ix, keys[i])
+			}
 		}
 	}
 	return nil
 }
 
-// equalKeys reports whether two keys of one index are equal as the tree
-// orders them.
-func equalKeys(a, b []types.Value) bool {
+func duplicate(ix *Index, key []types.Value) error {
+	return fmt.Errorf("catalog: duplicate key %s in unique index %q", types.Row(key).String(), ix.Name)
+}
+
+// compareKeys orders two keys of one index as the tree does.
+func compareKeys(a, b []types.Value) int {
 	for i := range a {
-		if !types.Equal(a[i], b[i]) {
-			return false
+		if c := types.Compare(a[i], b[i]); c != 0 {
+			return c
 		}
 	}
-	return true
+	return 0
 }
 
 // sameKeys reports whether two keys of one index pack alike: the same kinds
@@ -284,6 +318,24 @@ func (c *Catalog) Insert(clk *storage.Clock, t *Table, r types.Row) (storage.RID
 	if err := checkUnique(t, r, nil); err != nil {
 		return 0, err
 	}
+	return insert(clk, t, r), nil
+}
+
+// InsertRows adds copies of the rows back to back in vals, each as wide as
+// t's schema, as one statement. When one of them would repeat the key of a
+// unique index — a key the index holds, or one two of them share — it is an
+// error, and nothing is written.
+func (c *Catalog) InsertRows(clk *storage.Clock, t *Table, vals []types.Value) error {
+	if err := checkUnique(t, vals, nil); err != nil {
+		return err
+	}
+	for w := len(t.Schema); len(vals) > 0; vals = vals[w:] {
+		insert(clk, t, vals[:w])
+	}
+	return nil
+}
+
+func insert(clk *storage.Clock, t *Table, r types.Row) storage.RID {
 	t.bumpMods()
 	rid := t.Heap.Insert(clk, r)
 	for _, ix := range t.Indexes {
@@ -293,7 +345,7 @@ func (c *Catalog) Insert(clk *storage.Clock, t *Table, r types.Row) (storage.RID
 		var kb keyBuf
 		ix.Tree.Insert(keyOf(kb[:0], r, ix.Cols), rid)
 	}
-	return rid, nil
+	return rid
 }
 
 // rowBuf is room for a decoded row on the stack; a wider row grows out of
@@ -326,16 +378,35 @@ func (c *Catalog) Delete(clk *storage.Clock, t *Table, rid storage.RID) bool {
 // false when rid holds no row. A key change that would repeat the key of a
 // unique index is an error, and nothing is written.
 func (c *Catalog) Update(clk *storage.Clock, t *Table, rid storage.RID, newRow types.Row) (bool, error) {
-	var rb rowBuf
-	old, ok := t.Heap.Get(nil, rid, rb[:0])
-	if !ok {
-		return false, nil
-	}
-	if err := checkUnique(t, newRow, old); err != nil {
+	if err := checkUnique(t, newRow, []storage.RID{rid}); err != nil {
 		return false, err
 	}
-	if !t.Heap.Update(clk, rid, newRow) {
-		return false, nil
+	return update(clk, t, rid, newRow), nil
+}
+
+// UpdateRows replaces the row at each of rids with a copy of the row at the
+// same position among those back to back in vals, as one statement; a rid
+// that holds no row is passed over. When the new rows would repeat the key
+// of a unique index — a key the index holds at a row outside rids, or one
+// two of them share — it is an error, and nothing is written: so `SET k = k
+// + 1` over keys 1 and 2 is no repeat, though its first row takes a key the
+// second still holds.
+func (c *Catalog) UpdateRows(clk *storage.Clock, t *Table, rids []storage.RID, vals []types.Value) error {
+	if err := checkUnique(t, vals, rids); err != nil {
+		return err
+	}
+	w := len(t.Schema)
+	for i, rid := range rids {
+		update(clk, t, rid, vals[i*w:(i+1)*w])
+	}
+	return nil
+}
+
+func update(clk *storage.Clock, t *Table, rid storage.RID, newRow types.Row) bool {
+	var rb rowBuf
+	old, ok := t.Heap.Get(nil, rid, rb[:0])
+	if !ok || !t.Heap.Update(clk, rid, newRow) {
+		return false
 	}
 	t.bumpMods()
 	for _, ix := range t.Indexes {
@@ -349,7 +420,7 @@ func (c *Catalog) Update(clk *storage.Clock, t *Table, rid storage.RID, newRow t
 			ix.Tree.Insert(key, rid)
 		}
 	}
-	return true, nil
+	return true
 }
 
 // scanColumns reads the table into one exactly-sized vector per column: the

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rqp/internal/index"
 	"rqp/internal/storage"
 	"rqp/internal/types"
 )
@@ -237,15 +238,25 @@ func TestIndexKeysAreCopies(t *testing.T) {
 			if got, want := ix.Tree.Len(), int(tb.Heap.NumRows()); got != want {
 				t.Fatalf("%s: %s holds %d entries for %d rows", step, ix.Name, got, want)
 			}
-			seen := map[storage.RID]bool{}
-			ix.Tree.Entries(func(key []types.Value, rid storage.RID) bool {
-				r, ok := tb.Heap.Get(nil, rid, nil)
-				if !ok || seen[rid] {
+			seen := map[storage.RID]bool{} // no key here is NULL, so a scan visits every entry
+			ix.Tree.Scan(nil, index.Bound{}, index.Bound{}, func(rid storage.RID) bool {
+				if _, ok := tb.Heap.Get(nil, rid, nil); !ok || seen[rid] {
 					t.Fatalf("%s: %s names row %v again or deleted (%v)", step, ix.Name, rid, ok)
 				}
 				seen[rid] = true
-				if !sameKeys(key, keyOf(nil, r, ix.Cols)) || r[0].K != types.KindInt {
-					t.Fatalf("%s: %s key %v for row %v", step, ix.Name, key, r)
+				return true
+			})
+			if len(seen) != ix.Tree.Len() {
+				t.Fatalf("%s: %s scans %d of %d entries", step, ix.Name, len(seen), ix.Tree.Len())
+			}
+			tb.Heap.Scan(nil, func(rid storage.RID, r types.Row) bool {
+				found := false
+				ix.Tree.Lookup(nil, keyOf(nil, r, ix.Cols), func(at storage.RID) bool {
+					found = at == rid
+					return !found
+				})
+				if !found || r[0].K != types.KindInt {
+					t.Fatalf("%s: %s holds no key %v for row %v", step, ix.Name, keyOf(nil, r, ix.Cols), r)
 				}
 				return true
 			})

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"rqp/internal/index"
 	"rqp/internal/storage"
 	"rqp/internal/types"
 )
@@ -31,7 +32,10 @@ func dmlEngine(t *testing.T) *Engine {
 	return e
 }
 
-// contents renders the heap, RIDs included, and every live index entry.
+// contents renders the heap, RIDs included, and every index: its entry
+// count and, in its key order, the RIDs a scan visits — all but those whose
+// leading key is NULL — each with its row's key while the row lives (a
+// dropped index keeps entries for rows deleted since).
 func contents(e *Engine) string {
 	var sb strings.Builder
 	tb, _ := e.Cat.Table("d")
@@ -40,9 +44,16 @@ func contents(e *Engine) string {
 		return true
 	})
 	for _, ix := range tb.Indexes {
-		fmt.Fprintf(&sb, "-- %s dropped=%v\n", ix.Name, ix.Dropped)
-		ix.Tree.Entries(func(key []types.Value, rid storage.RID) bool {
-			fmt.Fprintf(&sb, "%v %d\n", key, rid)
+		fmt.Fprintf(&sb, "-- %s dropped=%v entries=%d\n", ix.Name, ix.Dropped, ix.Tree.Len())
+		ix.Tree.Scan(nil, index.Bound{}, index.Bound{}, func(rid storage.RID) bool {
+			r, live := tb.Heap.Get(nil, rid, nil)
+			fmt.Fprintf(&sb, "%d", rid)
+			for _, c := range ix.Cols {
+				if live {
+					fmt.Fprintf(&sb, " %v", r[c])
+				}
+			}
+			sb.WriteByte('\n')
 			return true
 		})
 	}
@@ -162,8 +173,10 @@ func TestKeyedDMLErrors(t *testing.T) {
 }
 
 // TestUniqueIndexThroughSQL: a UNIQUE index is enforced at CREATE INDEX, at
-// INSERT and at an UPDATE of its key column, and a refused statement leaves
-// the heap and every index as they were; NULL keys may repeat.
+// INSERT and at an UPDATE of its key column, over the statement as a whole:
+// a refused statement of one row or of many leaves the heap and every index
+// as they were, though its first rows alone repeat no key, and a statement
+// whose rows trade keys among themselves is no repeat. NULL keys may repeat.
 func TestUniqueIndexThroughSQL(t *testing.T) {
 	e := dmlEngine(t)
 	if _, err := e.Exec("CREATE UNIQUE INDEX d_gu ON d (g)"); err == nil {
@@ -173,6 +186,12 @@ func TestUniqueIndexThroughSQL(t *testing.T) {
 	for _, bad := range []string{
 		"INSERT INTO d VALUES (5, 1, 1.0, 'x')",
 		"UPDATE d SET k = 6 WHERE k = 5",
+		"INSERT INTO d VALUES (1000, 1, 1.0, 'x'), (5, 1, 1.0, 'x')",    // the second is held
+		"INSERT INTO d VALUES (1000, 1, 1.0, 'x'), (1000, 2, 1.0, 'y')", // the rows share one
+		"UPDATE d SET k = 99 WHERE k < 3",                               // held by a row outside
+		"UPDATE d SET k = 1000 WHERE k < 3",                             // the rows share one
+		"UPDATE d SET k = k + 1 WHERE k < 3",                            // the last takes row 3's
+		"UPDATE d SET k = k + 1 WHERE k >= 397 AND k <= 398",            // the last takes row 399's
 	} {
 		if _, err := e.Exec(bad); err == nil || !strings.Contains(err.Error(), "d_k") {
 			t.Errorf("%s: %v, want a duplicate key in d_k", bad, err)
@@ -181,7 +200,16 @@ func TestUniqueIndexThroughSQL(t *testing.T) {
 			t.Errorf("%s changed the table", bad)
 		}
 	}
+	if _, err := e.Exec("INSERT INTO d VALUES (1000, 1, 1.0, 'x'), (1001, 1, 's' + 1, 'x')"); err == nil {
+		t.Error("an INSERT row that cannot be evaluated must fail the statement")
+	}
+	if contents(e) != before {
+		t.Error("a failed multi-row INSERT changed the table")
+	}
 	for _, ok := range []string{
+		"UPDATE d SET k = k + 1 WHERE k >= 397", // 397..399 shift up, each into a key given up
+		"UPDATE d SET k = 1 - k WHERE k <= 1",   // 0 and 1 swap
+		"INSERT INTO d VALUES (2000, 1, 1.0, 'x'), (2001, 1, 1.0, 'x')",
 		"UPDATE d SET k = 5, v = 2.5 WHERE k = 5", // its own key
 		"UPDATE d SET k = 1000 WHERE k = 5",
 		"INSERT INTO d VALUES (5, 1, 1.0, 'x')",
@@ -196,6 +224,15 @@ func TestUniqueIndexThroughSQL(t *testing.T) {
 	}
 	if r := e.MustExec("SELECT COUNT(*) FROM d WHERE k = 5 OR k = 1000"); r.Rows[0][0].I != 2 {
 		t.Errorf("keys 5 and 1000 hold %v rows, want 2", r.Rows[0][0])
+	}
+	if r := e.MustExec("SELECT k, v FROM d WHERE k IN (0, 1, 397, 398, 399, 400, 2000, 2001) ORDER BY k"); fmt.Sprint(r.Rows) != "[(0, 1) (1, 0) (398, 1) (399, 2) (400, 3) (2000, 1) (2001, 1)]" {
+		t.Errorf("keys after the shift, swap and insert: %v", r.Rows)
+	}
+	tb, _ := e.Cat.Table("d")
+	for _, ix := range tb.Indexes {
+		if err := ix.Tree.CheckInvariants(); err != nil || ix.Tree.Len() != int(tb.Heap.NumRows()) {
+			t.Errorf("%s: %v, %d entries for %d rows", ix.Name, err, ix.Tree.Len(), tb.Heap.NumRows())
+		}
 	}
 }
 

@@ -946,15 +946,19 @@ func (e *Engine) execInsert(s *sql.InsertStmt, params []types.Value) (*Result, e
 			colIdx = append(colIdx, ci)
 		}
 	}
-	buf := rowSpares.Get() // the heap and the indexes copy what they keep
-	defer rowSpares.Put(buf)
-	n := 0
-	for _, exprRow := range s.Rows {
+	// Every row is assembled before the first is written, so that a row
+	// that fails — to evaluate, or on a unique key — leaves the table as it
+	// was. The heap and the indexes copy what they keep.
+	buf := rowSpares.Get()
+	defer putRows(buf)
+	w := len(t.Schema)
+	vals := slices.Grow((*buf)[:0], len(s.Rows)*w)[:len(s.Rows)*w]
+	*buf = vals
+	for r, exprRow := range s.Rows {
 		if len(exprRow) != len(colIdx) {
 			return nil, fmt.Errorf("core: INSERT row has %d values for %d columns", len(exprRow), len(colIdx))
 		}
-		row := slices.Grow((*buf)[:0], len(t.Schema))[:len(t.Schema)]
-		*buf = row
+		row := vals[r*w : (r+1)*w]
 		for i := range row {
 			row[i] = types.Null()
 		}
@@ -969,17 +973,29 @@ func (e *Engine) execInsert(s *sql.InsertStmt, params []types.Value) (*Result, e
 			}
 			row[colIdx[i]] = coerce(v, t.Schema[colIdx[i]].Kind)
 		}
-		if _, err := e.Cat.Insert(e.Clock, t, row); err != nil {
-			return nil, err
-		}
-		n++
 	}
-	return &Result{Affected: n}, nil
+	if err := e.Cat.InsertRows(e.Clock, t, vals); err != nil {
+		return nil, err
+	}
+	return &Result{Affected: len(s.Rows)}, nil
 }
 
 // rowSpares are the rows DML decodes heap rows and assembles inserted rows
 // in, kept from statement to statement.
 var rowSpares spare.List[types.Row]
+
+// maxSpareRow caps the values a kept row buffer holds: an INSERT of many
+// rows should not pin its buffer forever.
+const maxSpareRow = 1 << 10
+
+// putRows keeps buf for the next statement, emptied, unless it outgrew
+// maxSpareRow.
+func putRows(buf *types.Row) {
+	if cap(*buf) <= maxSpareRow {
+		clear((*buf)[:cap(*buf)])
+		rowSpares.Put(buf)
+	}
+}
 
 // matchRows calls fn, in heap order, for every row of t that pred accepts
 // (nil: every row), lent: valid until fn returns. A top-level conjunct `col =
@@ -988,7 +1004,7 @@ var rowSpares spare.List[types.Row]
 // otherwise the heap is scanned, page by page. fn must not modify t.
 func (e *Engine) matchRows(t *catalog.Table, pred expr.Expr, params []types.Value, fn func(storage.RID, types.Row) error) error {
 	buf := rowSpares.Get()
-	defer rowSpares.Put(buf)
+	defer putRows(buf)
 	var err error
 	visit := func(rid storage.RID, r types.Row) bool {
 		ok := pred == nil
@@ -1070,13 +1086,14 @@ func (e *Engine) execUpdate(s *sql.UpdateStmt, params []types.Value) (*Result, e
 		}
 		setters = append(setters, setter{col: ci, e: bound})
 	}
-	type change struct {
-		rid storage.RID
-		row types.Row
-	}
-	var changes []change
+	// Every new row is computed, back to back in vals, before the first is
+	// written: a unique key is checked against the whole statement.
+	var rids []storage.RID
+	var vals []types.Value
 	err = e.matchRows(t, pred, params, func(rid storage.RID, r types.Row) error {
-		nr := r.Clone()
+		off := len(vals)
+		vals = append(vals, r...)
+		nr := vals[off:]
 		for _, st := range setters {
 			v, err := st.e.Eval(r, params)
 			if err != nil {
@@ -1084,18 +1101,16 @@ func (e *Engine) execUpdate(s *sql.UpdateStmt, params []types.Value) (*Result, e
 			}
 			nr[st.col] = coerce(v, t.Schema[st.col].Kind)
 		}
-		changes = append(changes, change{rid: rid, row: nr})
+		rids = append(rids, rid)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range changes {
-		if _, err := e.Cat.Update(e.Clock, t, c.rid, c.row); err != nil {
-			return nil, err
-		}
+	if err := e.Cat.UpdateRows(e.Clock, t, rids, vals); err != nil {
+		return nil, err
 	}
-	return &Result{Affected: len(changes)}, nil
+	return &Result{Affected: len(rids)}, nil
 }
 
 func (e *Engine) bindRowPredicate(w sql.Expr, t *catalog.Table) (expr.Expr, error) {

@@ -885,11 +885,10 @@ func (s *joinStage) ready(p *joinProbe) {
 }
 
 // drop lets go of everything p points into but its emptied slab and
-// matches' array, for the next query's stage to reuse.
+// matches' array (see emptied), for the next query's stage to reuse.
 func (p *joinProbe) drop() {
 	clear(p.slab[:cap(p.slab)])
-	clear(p.matches[:cap(p.matches)])
-	*p = joinProbe{slab: p.slab[:0], matches: p.matches[:0]}
+	*p = joinProbe{slab: p.slab[:0], matches: emptied(p.matches)}
 }
 
 // add is a stage's link: each, on the prober's clock, into down.

@@ -231,31 +231,37 @@ var (
 
 func getScratch() *morselScratch { return scratches.Get() }
 
-// clearRows lets go of what the rows' backing arrays hold.
-func clearRows(rows ...types.Row) {
-	for _, r := range rows {
-		clear(r[:cap(r)])
-	}
-}
-
 // release keeps st for the next statement, emptied of rows and builds. What
 // a sink keeps — an exchange's store, the partial groups — it has taken
 // already.
 func (st *morselScratch) release() {
 	if b := st.block; b != nil { // decoded strings must not stay pinned
 		clear(b.slab[:cap(b.slab)])
-		clearRows(b.heap[:]...)
+		b.heap = [2]types.Row{emptied(b.heap[0]), emptied(b.heap[1])}
 		blockScratches.Put(b)
 	}
-	clearRows(st.heap[:]...)
+	st.heap = [2]types.Row{emptied(st.heap[0]), emptied(st.heap[1])}
 	for i := range st.probes {
 		st.probes[i].drop()
 	}
-	clear(st.store.rows[:cap(st.store.rows)])
-	clear(st.store.slab[:cap(st.store.slab)])
+	st.store.rows, st.store.slab = emptied(st.store.rows), emptied(st.store.slab)
 	st.store.reset()
 	st.block, st.probes, st.sink, st.kept, st.mark, st.part, st.arena = nil, st.probes[:0], nil, nil, 0, partial{}, aggArena{}
 	scratches.Put(st)
+}
+
+// maxSpareValues caps the room a kept workspace's rows keep, in values and
+// in row headers: an index scan's survivors and one key's matches grow with
+// the data and must not stay pinned for the life of the process.
+const maxSpareValues = 1 << 12
+
+// emptied returns s cleared for the next statement, or nil past the cap.
+func emptied[T any](s []T) []T {
+	if cap(s) > maxSpareValues {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // link is where stage i's input goes: its prober, past the last stage the sink.

@@ -332,20 +332,22 @@ func (t *BTree) Delete(key []types.Value, rid storage.RID) bool {
 	return true
 }
 
-// Has reports whether some entry's key equals key on key's columns. It
-// charges nothing and takes no callback, so a uniqueness probe allocates
-// nothing.
-func (t *BTree) Has(key []types.Value) bool {
+// Find returns the RID of the first entry whose key equals key on key's
+// columns, and whether there is one. It charges nothing and takes no
+// callback, so a uniqueness probe allocates nothing.
+func (t *BTree) Find(key []types.Value) (storage.RID, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := t.leafOf(key, -1<<62)
 	for i := t.lowerBound(n, key, -1<<62); n != nil; n, i = n.next, 0 {
 		if i < t.count(n) {
-			k, strs := t.at(n, i)
-			return comparePrefix(k, strs, key, t.numCols) == 0
+			if k, strs := t.at(n, i); comparePrefix(k, strs, key, t.numCols) == 0 {
+				return t.rid(n, i), true
+			}
+			return 0, false
 		}
 	}
-	return false
+	return 0, false
 }
 
 // Repeated returns a key without NULLs that two entries hold, or nil: what
@@ -468,25 +470,6 @@ func (t *BTree) key(n *node, i int) []types.Value {
 		out[c] = value(k, strs, c)
 	}
 	return out
-}
-
-// Entries visits every entry in key order — NULL keys too, which no scan
-// visits — with its key boxed, charging nothing: what checks of a tree
-// against its table read. The callback returns false to stop.
-func (t *BTree) Entries(fn func(key []types.Value, rid storage.RID) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	for ; n != nil; n = n.next {
-		for i := range t.count(n) {
-			if !fn(t.key(n, i), t.rid(n, i)) {
-				return
-			}
-		}
-	}
 }
 
 // CheckInvariants validates ordering and structural invariants; used by

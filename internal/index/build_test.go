@@ -99,11 +99,14 @@ func nodeEntries(t *BTree, n *node, out []entry) []entry {
 
 // entries lists every entry in key order, NULL keys included.
 func entries(t *BTree) []entry {
+	n := t.root
+	for !n.leaf {
+		n = n.children[0]
+	}
 	var out []entry
-	t.Entries(func(key []types.Value, rid storage.RID) bool {
-		out = append(out, entry{key, rid})
-		return true
-	})
+	for ; n != nil; n = n.next {
+		out = nodeEntries(t, n, out)
+	}
 	return out
 }
 

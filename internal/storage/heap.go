@@ -27,11 +27,15 @@ func (r RID) Slot() int { return int(r & 0xffff) }
 
 // page keeps its slots packed (types.Pack): slot s's values are
 // vals[s*w*PackedSize:(s+1)*w*PackedSize] for the heap's width w, and a
-// string value's word is its index in strs. A read decodes a slot into a row
-// the reader owns; no Value is kept.
+// string value's word is its index in strs. An entry no value names any
+// more is blanked and listed in free for the next string to take, so strs
+// holds no more entries than the most strings the page's slots have held at
+// once.
+// A read decodes a slot into a row the reader owns; no Value is kept.
 type page struct {
 	vals  []byte
 	strs  []string
+	free  []int32
 	dead  uint64 // bit s: slot s was deleted (a page has PageRows = 64 slots)
 	slots int    // slots used, live or dead
 	live  int
@@ -126,20 +130,35 @@ func (p *page) slot(s, w int) []byte {
 }
 
 // pack writes v at b. A string takes the list entry old — the one the value
-// it replaces held, -1 for none — or, without one, a new entry; a value
-// that is no string gives old up.
+// it replaces held, -1 for none — or, without one, a free entry or a new
+// one; a value that is no string gives old up.
 func (p *page) pack(b []byte, v types.Value, old int) {
+	if v.K != types.KindString {
+		if old >= 0 {
+			p.giveUp(old)
+		}
+		types.Pack(b, v, -1)
+		return
+	}
 	str := old
 	switch {
-	case v.K == types.KindString && old >= 0:
-		p.strs[old] = v.S
-	case v.K == types.KindString:
+	case str >= 0:
+	case len(p.free) > 0:
+		str = int(p.free[len(p.free)-1])
+		p.free = p.free[:len(p.free)-1]
+	default:
 		str = len(p.strs)
-		p.strs = append(p.strs, v.S)
-	case old >= 0:
-		p.strs[old] = "" // an entry no value names: nothing pinned
+		p.strs = append(p.strs, "")
 	}
+	p.strs[str] = v.S
 	types.Pack(b, v, str)
+}
+
+// giveUp blanks list entry str, which no value names any more, so that it
+// pins nothing, and frees it for the next string.
+func (p *page) giveUp(str int) {
+	p.strs[str] = ""
+	p.free = append(p.free, int32(str))
 }
 
 // strAt returns the list entry the value packed at b holds, -1 for none.
@@ -210,7 +229,7 @@ func (h *Heap) Delete(clk *Clock, rid RID) bool {
 	b := p.slot(s, h.width)
 	for c := 0; c < h.width; c++ {
 		if str := strAt(b[c*types.PackedSize:]); str >= 0 {
-			p.strs[str] = ""
+			p.giveUp(str)
 		}
 	}
 	p.dead |= 1 << s
@@ -224,7 +243,8 @@ func (h *Heap) Delete(clk *Clock, rid RID) bool {
 }
 
 // Update overwrites the row at rid with a copy of r. A string replacing a
-// string takes its list entry; the list is not compacted otherwise.
+// string takes its list entry; one replacing another value takes a free
+// entry, if the page has one.
 func (h *Heap) Update(clk *Clock, rid RID, r types.Row) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -300,20 +320,14 @@ func (h *Heap) ScanMarked(vecs []types.Vector) HeapMark {
 	var pos int32
 	for pi, p := range h.pages {
 		m.PageStart[pi] = pos
-		for s := 0; s < p.slots; s++ {
-			if p.dead&(1<<s) != 0 {
-				continue
-			}
-			b := p.slot(s, h.width)
-			for c := range vecs {
-				if c < h.width {
-					vecs[c].Append(types.Unpack(b[c*types.PackedSize:], p.strs))
-				} else {
-					vecs[c].Append(types.Null())
+		for c := range vecs { // a column at a time: one kind, one vector
+			for s := 0; s < p.slots; s++ {
+				if p.dead&(1<<s) == 0 {
+					vecs[c].AppendPacked(p.vals[(s*h.width+c)*types.PackedSize:], p.strs)
 				}
 			}
-			pos++
 		}
+		pos += int32(p.live)
 	}
 	m.PageStart[len(h.pages)] = pos
 	return m

@@ -175,21 +175,24 @@ func (o *heapOps) run() {
 			if ok != wok || !sameRows([]types.Row{got[:1]}, []types.Row{prefix}) || ok && !sameRows([]types.Row{got[1:]}, []types.Row{want}) {
 				t.Fatalf("step %d: Get(%v) = %v %v, model %v %v", step, rid, got, ok, want, wok)
 			}
-		case 4, 5:
-			// Updates that flip a column between a string and NULL come
-			// from the generator's mix; a whole-string row forces string to
-			// string.
-			rid, r := o.rid(), o.row()
-			if op == 5 {
+		case 4:
+			// Updates between strings and other kinds come from the
+			// generator's mix.
+			o.update(step, o.rid(), o.row())
+		case 5:
+			// One row flips whole between strings and NULLs, string to
+			// string on the way: each flip back takes entries the last one
+			// gave up, which check bounds.
+			rid := o.rid()
+			for flip := int(o.byte()%16) + 1; flip >= 0; flip-- {
+				r := make(types.Row, heapWidth)
 				for i := range r {
-					r[i] = types.Str(heapStrings[i%len(heapStrings)])
+					r[i] = types.Null()
+					if flip%2 == 0 {
+						r[i] = types.Str(heapStrings[(i+flip)%len(heapStrings)])
+					}
 				}
-			}
-			if ok, want := o.h.Update(nil, rid, r), o.m.write(rid, r.Clone()); ok != want {
-				t.Fatalf("step %d: Update(%v) = %v, model %v", step, rid, ok, want)
-			}
-			for i := range r {
-				r[i] = types.Int(-1)
+				o.update(step, rid, r)
 			}
 		case 6:
 			rid := o.rid()
@@ -219,9 +222,20 @@ func (o *heapOps) run() {
 	o.check(-1)
 }
 
+// update runs Update on the heap and the model, then scribbles over r: the
+// heap keeps a copy.
+func (o *heapOps) update(step int, rid RID, r types.Row) {
+	if ok, want := o.h.Update(nil, rid, r), o.m.write(rid, r.Clone()); ok != want {
+		o.t.Fatalf("step %d: Update(%v) = %v, model %v", step, rid, ok, want)
+	}
+	for i := range r {
+		r[i] = types.Int(-1)
+	}
+}
+
 // check compares everything a reader sees: rows and RIDs through Scan,
-// ScanCols and ScanPage, the charges, the counts and what Changed says since the last
-// mark.
+// ScanCols and ScanPage, the charges, the counts and what Changed says since
+// the last mark — and that no page lists more strings than its slots hold.
 func (o *heapOps) check(step int) {
 	t, h, m := o.t, o.h, &o.m
 	if h.NumPages() != len(m.pages) {
@@ -268,6 +282,11 @@ func (o *heapOps) check(step int) {
 		want, wantRIDs := m.rows(p, p+1)
 		if !sameRows(got, want) || !slices.Equal(rids, wantRIDs) {
 			t.Fatalf("step %d: ScanPage(%d) differs from the model", step, p)
+		}
+	}
+	for p, pg := range h.pages {
+		if len(pg.strs) > pg.slots*h.width {
+			t.Fatalf("step %d: page %d lists %d strings for %d slots of %d values", step, p, len(pg.strs), pg.slots, h.width)
 		}
 	}
 	if o.mark.PageStart != nil {

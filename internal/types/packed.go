@@ -60,3 +60,19 @@ func UnpackInto(v *Value, b []byte, strs []string) {
 		v.I = int64(u)
 	}
 }
+
+// AppendPacked appends the value packed at b to v, as Append(Unpack(b,
+// strs)) does, without boxing it when its kind is the vector's.
+func (v *Vector) AppendPacked(b []byte, strs []string) {
+	k, u := Kind(b[0]), binary.LittleEndian.Uint64(b[1:PackedSize])
+	switch {
+	case k != v.Kind || k == KindNull:
+		v.Append(Unpack(b, strs))
+	case k == KindFloat:
+		v.Floats = append(v.Floats, math.Float64frombits(u))
+	case k == KindString:
+		v.Strs = append(v.Strs, strs[u])
+	default:
+		v.Ints = append(v.Ints, int64(u))
+	}
+}
