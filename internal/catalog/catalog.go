@@ -58,6 +58,11 @@ type Table struct {
 	// the heap's tail page, which would break the shard-major page layout
 	// the co-located join path relies on.
 	part atomic.Pointer[Partitioning]
+	// writing is held by each write from its unique-key check through its
+	// last heap and index write, so two sessions cannot both pass the check
+	// with one key, and by CREATE INDEX from its scan through registering
+	// the tree, so no write misses it. Readers do not take it.
+	writing sync.Mutex
 }
 
 // ModCount returns modifications since the last ANALYZE.
@@ -179,6 +184,8 @@ func (c *Catalog) CreateIndex(clk *storage.Clock, tableName, indexName string, c
 		}
 		cols[i] = ci
 	}
+	t.writing.Lock() // no write lands between the scan and the registration
+	defer t.writing.Unlock()
 	n := int(t.Heap.NumRows())
 	vals := make([]types.Value, 0, n*len(cols))
 	rids := make([]storage.RID, 0, n)
@@ -315,6 +322,8 @@ func sameKeys(a, b []types.Value) bool {
 // would repeat the key of a unique index is an error, and nothing is
 // written.
 func (c *Catalog) Insert(clk *storage.Clock, t *Table, r types.Row) (storage.RID, error) {
+	t.writing.Lock()
+	defer t.writing.Unlock()
 	if err := checkUnique(t, r, nil); err != nil {
 		return 0, err
 	}
@@ -326,6 +335,8 @@ func (c *Catalog) Insert(clk *storage.Clock, t *Table, r types.Row) (storage.RID
 // unique index — a key the index holds, or one two of them share — it is an
 // error, and nothing is written.
 func (c *Catalog) InsertRows(clk *storage.Clock, t *Table, vals []types.Value) error {
+	t.writing.Lock()
+	defer t.writing.Unlock()
 	if err := checkUnique(t, vals, nil); err != nil {
 		return err
 	}
@@ -354,6 +365,8 @@ type rowBuf [16]types.Value
 
 // Delete removes a row by RID, maintaining indexes.
 func (c *Catalog) Delete(clk *storage.Clock, t *Table, rid storage.RID) bool {
+	t.writing.Lock()
+	defer t.writing.Unlock()
 	var rb rowBuf
 	r, ok := t.Heap.Get(nil, rid, rb[:0])
 	if !ok {
@@ -378,6 +391,8 @@ func (c *Catalog) Delete(clk *storage.Clock, t *Table, rid storage.RID) bool {
 // false when rid holds no row. A key change that would repeat the key of a
 // unique index is an error, and nothing is written.
 func (c *Catalog) Update(clk *storage.Clock, t *Table, rid storage.RID, newRow types.Row) (bool, error) {
+	t.writing.Lock()
+	defer t.writing.Unlock()
 	if err := checkUnique(t, newRow, []storage.RID{rid}); err != nil {
 		return false, err
 	}
@@ -392,6 +407,8 @@ func (c *Catalog) Update(clk *storage.Clock, t *Table, rid storage.RID, newRow t
 // + 1` over keys 1 and 2 is no repeat, though its first row takes a key the
 // second still holds.
 func (c *Catalog) UpdateRows(clk *storage.Clock, t *Table, rids []storage.RID, vals []types.Value) error {
+	t.writing.Lock()
+	defer t.writing.Unlock()
 	if err := checkUnique(t, vals, rids); err != nil {
 		return err
 	}

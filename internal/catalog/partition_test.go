@@ -41,7 +41,7 @@ func TestPartitionTableLayout(t *testing.T) {
 	var buf types.Row
 	for pg := 0; pg < tb.Heap.NumPages(); pg++ {
 		page := pg
-		tb.Heap.ScanPage(nil, pg, &buf, func(_ storage.RID, r types.Row) bool {
+		tb.Heap.ScanPage(nil, pg, nil, &buf, func(_ storage.RID, r types.Row) bool {
 			total++
 			s := p.ShardOf(r[0])
 			if page < p.PageStart[s] || page >= p.PageStart[s+1] {

@@ -762,7 +762,8 @@ type PlanMarks struct {
 
 // MarkPlan annotates a freshly optimized plan for every execution mode the
 // configuration enables: runtime join filter sites with their cost credit,
-// and shuffle exchanges. (Which columns a scan emits is not a mark: the
+// and shuffle exchanges; then, filters planted, the columns each heap scan
+// decodes (plan.MarkDecode). (Which columns a scan emits is not a mark: the
 // optimizer built the plan narrow; how many workers drain it is the
 // context's DOP.) The passes write to the tree, so they run exactly once per
 // plan, while it is still private: the plan cache publishes a plan only after
@@ -777,6 +778,7 @@ func MarkPlan(o *opt.Optimizer, cfg Config, root plan.Node) PlanMarks {
 	if cfg.Shards > 1 {
 		m.shuffles = opt.PlanShuffles(root, cfg.Shards, cfg.ShuffleForce)
 	}
+	plan.MarkDecode(root)
 	return m
 }
 
@@ -1033,7 +1035,7 @@ func (e *Engine) matchRows(t *catalog.Table, pred expr.Expr, params []types.Valu
 		return err
 	}
 	for p := 0; p < t.Heap.NumPages() && err == nil; p++ {
-		t.Heap.ScanPage(e.Clock, p, buf, visit)
+		t.Heap.ScanPage(e.Clock, p, nil, buf, visit)
 	}
 	return err
 }

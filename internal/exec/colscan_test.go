@@ -688,7 +688,7 @@ func cascadeReference(t *testing.T, tab *catalog.Table, conj []cascadeConj, deco
 	var buf types.Row
 	for p := 0; p < npages; p++ {
 		if changed[p] || p >= len(mark.PageStart)-1 {
-			tab.Heap.ScanPage(clk, p, &buf, func(storage.RID, types.Row) bool {
+			tab.Heap.ScanPage(clk, p, nil, &buf, func(storage.RID, types.Row) bool {
 				clk.RowWork(1)
 				return true
 			})

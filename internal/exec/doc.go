@@ -36,16 +36,19 @@
 // left‖right), filters, keys, residuals and runtime filters test the input in
 // its own coordinates, and the survivor is projected (appendCols, joinRow)
 // into a page buffer or a scratch row, valid until the next call or until emit
-// returns. A heap read decodes each stored row into a worker's scratch: the
-// heap keeps rows packed, as builds do. A retained row is copied once: an exchange packs and lends again
-// like any operator, and a retained row set (RowSet, behind collect) cuts its
-// []Row index once, after the last row. Every hash join drains its build into
-// one joinTable — packedRows, 9 B a value in the codec the heap pages and
-// index keys share (types.Pack), boxed only on a match — every
+// returns. A heap scan decodes a page at a time into a worker's scratch, one
+// column at a time and only the columns its node's Decode lists, each at its
+// place in a full-width row (the heap keeps each column of a page at its
+// values' width). A retained row is copied once: an exchange packs and lends
+// again like any operator, and a retained row set (RowSet, behind collect)
+// cuts its []Row index once, after the last row. Every hash join drains its
+// build into one joinTable — packedRows, 9 B a value in the codec index keys
+// share (types.Pack), boxed only on a match — every
 // streaming join probes through one joinProbe, and every hash aggregation
 // accumulates into one aggTable over the same hashIndex and lends its output
-// row (kernel.go); SetRowPoison is the test
-// harness that overwrites stale rows so a missing copy fails loudly.
+// row (kernel.go); SetRowPoison is the test harness that overwrites stale
+// rows, and the positions a heap scan left undecoded, so a missing copy or a
+// column missing from a decode list fails loudly.
 //
 // Workspace memory is arbitrated by the MemBroker: stateful operators (hash
 // join, hash aggregation, external sort) request grants counted in rows and

@@ -22,6 +22,17 @@ func scribble(r types.Row) {
 	}
 }
 
+// scribbleExcept scribbles the positions of r outside keep, ascending.
+func scribbleExcept(r types.Row, keep []int) {
+	for i := range r {
+		if len(keep) > 0 && keep[0] == i {
+			keep = keep[1:]
+			continue
+		}
+		r[i] = staleRow
+	}
+}
+
 type poisonOp struct {
 	Operator
 	last types.Row

@@ -2,10 +2,12 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
 	"rqp/internal/catalog"
+	"rqp/internal/expr"
 	"rqp/internal/plan"
 	"rqp/internal/storage"
 	"rqp/internal/types"
@@ -239,3 +241,63 @@ func (s *sliceOp) Next() (types.Row, bool, error) {
 	return s.rows[s.pos-1], true, nil
 }
 func (s *sliceOp) Close() error { return nil }
+
+// rowSpy is a filter that keeps a copy of every row it is asked about and
+// passes it: it reads no column, so a scan's decode list leaves it none.
+type rowSpy struct{ seen []types.Row }
+
+func (s *rowSpy) Eval(r types.Row, _ []types.Value) (types.Value, error) {
+	s.seen = append(s.seen, r.Clone())
+	return types.Bool(true), nil
+}
+func (s *rowSpy) Kind() types.Kind             { return types.KindBool }
+func (s *rowSpy) String() string               { return "spy" }
+func (s *rowSpy) Walk(fn func(expr.Expr) bool) { fn(s) }
+
+// TestProjectedHeapScanPoisoned: a heap scan decodes only its Decode
+// columns, each at its place in a full-width row, and under the row-lifetime
+// harness every other position reads as a stale row does — so a filter or a
+// runtime filter that reads a column the list left out fails here, by name,
+// instead of reading what an earlier page left there.
+func TestProjectedHeapScanPoisoned(t *testing.T) {
+	SetRowPoison(true)
+	defer SetRowPoison(false)
+	cat := catalog.New()
+	tb, err := cat.CreateTable("t", types.Schema{
+		{Name: "a", Kind: types.KindInt}, {Name: "b", Kind: types.KindString},
+		{Name: "c", Kind: types.KindFloat}, {Name: "d", Kind: types.KindDate},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []types.Row
+	for i := 0; i < 3*storage.PageRows+5; i++ {
+		r := types.Row{types.Int(int64(i)), types.Str(fmt.Sprint("s", i)), types.Float(float64(i) / 4), types.Date(int64(9000 + i))}
+		if _, err := cat.Insert(nil, tb, r); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, types.Row{r[0], r[2]})
+	}
+	spy := &rowSpy{}
+	scan := &plan.ScanNode{Table: tb, Alias: "t", Filter: spy, Cols: []int{0, 2}}
+	scan.Out = types.Schema{tb.Schema[0], tb.Schema[2]}
+	plan.MarkDecode(scan)
+	if !slices.Equal(scan.Decode, []int{0, 2}) {
+		t.Fatalf("decode list %v, want [0 2]", scan.Decode)
+	}
+	got, err := Run(scan, NewContext())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rowsJoined(got) != rowsJoined(want) {
+		t.Fatalf("projected scan returned %v, want %v", got, want)
+	}
+	if len(spy.seen) != len(want) {
+		t.Fatalf("the filter saw %d rows, the table has %d", len(spy.seen), len(want))
+	}
+	for i, r := range spy.seen {
+		if len(r) != 4 || !sameValue(r[0], want[i][0]) || !sameValue(r[2], want[i][1]) || r[1] != staleRow || r[3] != staleRow {
+			t.Fatalf("row %d reached the filter as %v: want columns 0 and 2 decoded, 1 and 3 stale", i, r)
+		}
+	}
+}

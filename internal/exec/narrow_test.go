@@ -146,7 +146,8 @@ func projectingJoins(root plan.Node) int {
 // so there the cost may only fall) — across heap/columnar × runtime filters ×
 // DOP {1, 2, 8} × unsharded and four shards routed as planned (co-located
 // where the layout allows), repartitioned and broadcast × budgets {unlimited,
-// tight}, with every producer's previous row poisoned. (The same over
+// tight}, with every producer's previous row poisoned and every position a
+// heap scan leaves undecoded too. (The same over
 // transport=tcp: server.TestNetShuffleNarrowPlans.)
 func TestNarrowPlanMatchesFullWidth(t *testing.T) {
 	SetRowPoison(true)
@@ -180,6 +181,7 @@ func TestNarrowPlanMatchesFullWidth(t *testing.T) {
 			opt.PlanShuffles(root, 4, forced[shuffle]) // "planned": the costed choice
 			ctx.Shards, ctx.Shuffle = 4, NewShuffleStats(4)
 		}
+		plan.MarkDecode(root) // a narrow scan decodes what it emits and tests
 		rows, err := Run(root, ctx)
 		if err != nil {
 			t.Fatalf("%s: %v", cell, err)

@@ -47,14 +47,19 @@ func finishNode(ctx *Context, n plan.Node, actual float64, into plan.Node, cost 
 
 // scanPageRange scans the heap pages [lo, hi) of a table with the heap scan's
 // charge discipline (one sequential read per page, runtime filters before
-// per-row CPU), decoding each live row into bufs[0] and lending each
-// survivor projected to the node's Cols into bufs[1] (nil Cols lends the
-// decoded row itself). A heap morsel is one such range; the sharded
-// co-located join scans a partition's.
+// per-row CPU), decoding each page's live rows into bufs[0] — only the
+// node's Decode columns, each at its place in a full-width row — and lending
+// each survivor projected to the node's Cols into bufs[1] (nil Cols lends
+// the decoded row itself). A heap morsel is one such range; the sharded
+// co-located join scans a partition's. Under the row-lifetime harness the
+// positions left undecoded read as stale rows do.
 func scanPageRange(ctx *Context, node *plan.ScanNode, rf *rfConsumer, lo, hi int, clk *storage.Clock, bufs *[2]types.Row, emit func(types.Row) error) error {
 	var emitErr error
 	for p := lo; p < hi; p++ {
-		node.Table.Heap.ScanPage(clk, p, &bufs[0], func(_ storage.RID, r types.Row) bool {
+		node.Table.Heap.ScanPage(clk, p, node.Decode, &bufs[0], func(_ storage.RID, r types.Row) bool {
+			if poisonRows && node.Decode != nil {
+				scribbleExcept(r, node.Decode)
+			}
 			if rf != nil && !rf.admit(clk, r) {
 				return true
 			}

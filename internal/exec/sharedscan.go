@@ -19,8 +19,7 @@ type SharedScan struct {
 	pos   int // next page the sweep will read
 	pages int
 	curs  []*SharedCursor
-	row   types.Row     // a slot of the page read, decoded
-	page  []types.Value // the page's rows, back to back
+	page  types.Row // the page's live rows, decoded back to back (Heap.ScanPage)
 }
 
 // SharedCursor is one consumer's attachment.
@@ -64,11 +63,7 @@ func (s *SharedScan) Step() bool {
 	if active == 0 || s.pages == 0 {
 		return false
 	}
-	s.page = s.page[:0]
-	s.table.Heap.ScanPage(s.clk, s.pos%s.pages, &s.row, func(_ storage.RID, r types.Row) bool {
-		s.page = append(s.page, r...)
-		return true
-	})
+	s.table.Heap.ScanPage(s.clk, s.pos%s.pages, nil, &s.page, func(storage.RID, types.Row) bool { return true })
 	w := len(s.table.Schema)
 	for _, c := range s.curs {
 		if c.done || c.remaining <= 0 {

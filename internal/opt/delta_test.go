@@ -34,9 +34,9 @@ func TestColScanEstimateTracksDelta(t *testing.T) {
 		n := (k*npages + 99) / 100
 		for j := 0; j < n; j++ {
 			var rid storage.RID
-			var row types.Row
-			orders.Heap.ScanPage(nil, j*npages/n, &row, func(id storage.RID, _ types.Row) bool {
-				rid = id
+			var buf, row types.Row
+			orders.Heap.ScanPage(nil, j*npages/n, nil, &buf, func(id storage.RID, r types.Row) bool {
+				rid, row = id, r.Clone() // r is lent: valid until the callback returns
 				return false
 			})
 			cat.Update(nil, orders, rid, row)

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 
@@ -145,6 +146,11 @@ type ScanNode struct {
 	// the heap whole when the table has no snapshot at all — results are
 	// identical either way.
 	Columnar bool
+	// Decode lists, ascending, the table columns a heap scan decodes: Cols
+	// — among them those its RFConsume filters test, which number the
+	// scan's output — and the columns Filter reads (set by MarkDecode). Nil
+	// decodes every column: so does a scan no marking pass saw.
+	Decode []int
 }
 
 // PushedCmp is one `col ⋈ const` conjunct of a columnar scan's filter,
@@ -186,6 +192,52 @@ func TableCol(cols []int, ord int) int {
 		return ord
 	}
 	return cols[ord]
+}
+
+// MarkDecode sets the Decode list of every scan under root. A list that is
+// Cols itself shares its slice, so a plan whose filters read only columns it
+// emits allocates nothing here.
+func MarkDecode(root Node) {
+	Walk(root, func(n Node) {
+		if s, ok := n.(*ScanNode); ok {
+			s.Decode = decodeCols(s)
+		}
+	})
+}
+
+// decodeCols is s's Decode list; nil, every column, also for a table too
+// wide for the mask.
+func decodeCols(s *ScanNode) []int {
+	n := len(s.Table.Schema)
+	if s.Cols == nil || n > 64 {
+		return nil
+	}
+	var emit uint64
+	for _, c := range s.Cols {
+		emit |= 1 << c
+	}
+	need := emit
+	if s.Filter != nil {
+		s.Filter.Walk(func(e expr.Expr) bool {
+			if c, ok := e.(*expr.Col); ok && c.Index >= 0 && c.Index < n {
+				need |= 1 << c.Index
+			}
+			return true
+		})
+	}
+	switch need {
+	case 1<<n - 1:
+		return nil
+	case emit:
+		return s.Cols
+	}
+	cols := make([]int, 0, bits.OnesCount64(need))
+	for c := range n {
+		if need&(1<<c) != 0 {
+			cols = append(cols, c)
+		}
+	}
+	return cols
 }
 
 // IndexScanNode is a B+ tree range scan over the index's leading column.

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -25,35 +27,21 @@ func (r RID) Page() int { return int(r >> 16) }
 // Slot returns the slot number of the RID.
 func (r RID) Slot() int { return int(r & 0xffff) }
 
-// page keeps its slots packed (types.Pack): slot s's values are
-// vals[s*w*PackedSize:(s+1)*w*PackedSize] for the heap's width w, and a
-// string value's word is its index in strs. An entry no value names any
-// more is blanked and listed in free for the next string to take, so strs
-// holds no more entries than the most strings the page's slots have held at
-// once.
-// A read decodes a slot into a row the reader owns; no Value is kept.
-type page struct {
-	vals  []byte
-	strs  []string
-	free  []int32
-	dead  uint64 // bit s: slot s was deleted (a page has PageRows = 64 slots)
-	slots int    // slots used, live or dead
-	live  int
-	stamp uint64 // the heap version the last write to this page made
-}
-
 // Heap is a page-organized table. Scans charge sequential page reads on the
 // clock; point fetches charge random reads. The heap is safe for concurrent
 // readers with a single writer class via RWMutex (sufficient for the mixed
 // workload experiments, which model logical not physical contention).
 //
-// Rows are kept packed at 9 B a value, strings in a list beside each page,
-// and every row of a heap has the width of its first. Writes copy the row
-// they are given; reads decode a slot into a buffer the caller owns and lend
-// it: Get into the dst it is passed, ScanPage into *buf, Scan into one
-// buffer a call; ScanMarked decodes into the caller's column vectors.
-// Slots, pages and RIDs are as a heap of boxed rows had them, so every
-// charge is too.
+// Each page lays its rows out column by column (PAX), a column at the width
+// its values need there (page, col), strings in a list beside the page, and
+// every row of a heap has the width of its first. A new page starts at the
+// widths of the page before it, widened to fit its first row. Writes copy the
+// row they are given; reads decode into a buffer the caller owns and lend
+// it: Get a slot into the dst it is passed, ScanPage a page into *buf, Scan
+// a page at a time into one buffer a call; ScanMarked decodes into the
+// caller's column vectors. A page read decodes one column at a time, and
+// ScanPage and ScanCols only the columns asked for. Slots, pages and RIDs
+// are as a heap of boxed rows had them, so every charge is too.
 //
 // Every Insert, Update and Delete advances the heap's version and stamps the
 // page it wrote with it, so whatever was built from the heap at one version
@@ -86,7 +74,7 @@ func (h *Heap) Insert(clk *Clock, r types.Row) RID {
 	}
 	h.checkWidth(r)
 	if len(h.pages) == 0 || h.pages[len(h.pages)-1].slots >= PageRows || h.sealed {
-		h.pages = append(h.pages, newPage(r))
+		h.pages = append(h.pages, h.newPage(r))
 		h.sealed = false
 		if clk != nil {
 			clk.Write(1)
@@ -94,28 +82,31 @@ func (h *Heap) Insert(clk *Clock, r types.Row) RID {
 	}
 	p := h.pages[len(h.pages)-1]
 	s := p.slots
+	p.put(s, r, false)
 	p.slots++
-	p.vals = p.vals[:p.slots*len(r)*types.PackedSize]
-	b := p.slot(s, len(r))
-	for c, v := range r {
-		p.pack(b[c*types.PackedSize:], v, -1)
-	}
 	p.live++
 	h.rows++
 	h.stamp(p)
 	return MakeRID(len(h.pages)-1, s)
 }
 
-// newPage returns an empty page with room for PageRows rows like r: their
-// values, and as many strings each as r has.
-func newPage(r types.Row) *page {
+// newPage returns an empty page laid out as the last one, or with no value
+// yet for the first, and room for as many strings a slot as r has. Its slab
+// comes with its first row.
+func (h *Heap) newPage(r types.Row) *page {
 	strs := 0
 	for _, v := range r {
 		if v.K == types.KindString {
 			strs++
 		}
 	}
-	return &page{vals: make([]byte, 0, PageRows*len(r)*types.PackedSize), strs: make([]string, 0, PageRows*strs)}
+	var cols []col
+	if n := len(h.pages); n > 0 {
+		cols = h.pages[n-1].cols
+	} else {
+		cols = make([]col, len(r))
+	}
+	return &page{cols: cols, strs: make([]string, 0, PageRows*strs)}
 }
 
 func (h *Heap) checkWidth(r types.Row) {
@@ -124,21 +115,261 @@ func (h *Heap) checkWidth(r types.Row) {
 	}
 }
 
-// slot returns the packed values of slot s, w of them.
-func (p *page) slot(s, w int) []byte {
-	return p.vals[s*w*types.PackedSize : (s+1)*w*types.PackedSize]
+// page keeps its slots column by column in one slab, each column at the
+// width its values on the page need (col): slot s's value of column c is the
+// word at cols[c].off + s*cols[c].width, and a string's word is its index in
+// strs. An entry no value names any more is blanked and listed in free for
+// the next string to take, so strs holds no more entries than the most
+// strings the page's slots have held at once. A write a column's width does
+// not hold re-lays the page wider into a new slab; a column never narrows.
+// cols is shared by the pages laid out alike and never written: a re-lay
+// makes a new one. A read decodes slots into rows the reader owns; no Value
+// is kept.
+type page struct {
+	slab  []byte
+	cols  []col
+	strs  []string
+	free  []int32
+	dead  uint64 // bit s: slot s was deleted (a page has PageRows = 64 slots)
+	slots int    // slots used, live or dead
+	live  int
+	stamp uint64 // the heap version the last write to this page made
 }
 
-// pack writes v at b. A string takes the list entry old — the one the value
-// it replaces held, -1 for none — or, without one, a free entry or a new
-// one; a value that is no string gives old up.
-func (p *page) pack(b []byte, v types.Value, old int) {
+// col is how a page keeps one column: PageRows words of width bytes from
+// off in its slab. A word of 1, 2, 4 or 8 bytes is a value of kind kind, cut
+// to width and sign-extended back: an int's, date's or bool's payload, a
+// float's bits (always 8 bytes), a string's index. Width types.PackedSize
+// keeps each value packed, kind and all: the form of a column whose values
+// on the page differ in kind or hold a NULL. Width 0 holds no value yet: a
+// heap's first page starts so.
+type col struct {
+	off   int32
+	kind  types.Kind
+	width uint8
+}
+
+// holds reports whether c's form holds the value of kind k whose word is u.
+func (c col) holds(k types.Kind, u uint64) bool {
+	if c.width == types.PackedSize {
+		return true
+	}
+	sh := 64 - 8*uint(c.width) // 64 for width 0: no value fits
+	return k == c.kind && c.width > 0 && int64(u)<<sh>>sh == int64(u)
+}
+
+// fit returns the narrowest form no narrower than c that holds the value of
+// kind k whose word is u, at c's offset.
+func (c col) fit(k types.Kind, u uint64) col {
+	if c.width == types.PackedSize || k == types.KindNull || c.width > 0 && k != c.kind {
+		return col{off: c.off, width: types.PackedSize}
+	}
+	w := uint8(8)
+	if x := int64(u); k != types.KindFloat {
+		switch {
+		case x == int64(int8(x)):
+			w = 1
+		case x == int64(int16(x)):
+			w = 2
+		case x == int64(int32(x)):
+			w = 4
+		}
+	}
+	return col{off: c.off, kind: k, width: max(c.width, w)}
+}
+
+// word returns the kind and word of slot s's value of column c.
+func (p *page) word(c, s int) (types.Kind, uint64) {
+	l := p.cols[c]
+	b := p.slab[int(l.off)+s*int(l.width):]
+	switch l.width {
+	case 1:
+		return l.kind, uint64(int8(b[0]))
+	case 2:
+		return l.kind, uint64(int16(binary.LittleEndian.Uint16(b)))
+	case 4:
+		return l.kind, uint64(int32(binary.LittleEndian.Uint32(b)))
+	case 8:
+		return l.kind, binary.LittleEndian.Uint64(b)
+	}
+	return types.PackedKind(b), types.PackedWord(b)
+}
+
+// setWord writes the value of kind k whose word is u into slot s of column
+// c, whose form holds it.
+func (p *page) setWord(c, s int, k types.Kind, u uint64) {
+	l := p.cols[c]
+	b := p.slab[int(l.off)+s*int(l.width):]
+	switch l.width {
+	case 1:
+		b[0] = byte(u)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(u))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(u))
+	case 8:
+		binary.LittleEndian.PutUint64(b, u)
+	default:
+		types.PackWord(b, k, u)
+	}
+}
+
+// words reads column c's words at the live slots, in slot order, into w,
+// and returns how many it read: one loop a width over every used slot, then
+// the dead slots' words dropped. A packed column's kinds go to k; a narrow
+// column's are all its kind.
+func (p *page) words(c int, k *[PageRows]types.Kind, w *[PageRows]uint64) int {
+	l := p.cols[c]
+	b := p.slab[l.off : int(l.off)+PageRows*int(l.width)]
+	ws := w[:p.slots]
+	switch l.width {
+	case 1:
+		for s := range ws {
+			ws[s] = uint64(int8(b[s]))
+		}
+	case 2:
+		for s := range ws {
+			ws[s] = uint64(int16(binary.LittleEndian.Uint16(b[2*s:])))
+		}
+	case 4:
+		for s := range ws {
+			ws[s] = uint64(int32(binary.LittleEndian.Uint32(b[4*s:])))
+		}
+	case 8:
+		for s := range ws {
+			ws[s] = binary.LittleEndian.Uint64(b[8*s:])
+		}
+	default:
+		for s := range ws {
+			at := b[types.PackedSize*s:]
+			k[s], ws[s] = types.PackedKind(at), types.PackedWord(at)
+		}
+	}
+	if p.dead == 0 {
+		return p.slots
+	}
+	n := 0
+	for s := range ws {
+		if p.dead&(1<<s) == 0 {
+			k[n], w[n] = k[s], ws[s]
+			n++
+		}
+	}
+	return n
+}
+
+// unpack decodes column c of the live slots into dst, the i'th at
+// dst[i*stride]: a narrow column in a loop typed by its kind.
+func (p *page) unpack(c int, dst []types.Value, stride int) {
+	var k [PageRows]types.Kind
+	var w [PageRows]uint64
+	n := p.words(c, &k, &w)
+	switch l := p.cols[c]; {
+	case l.width == types.PackedSize:
+		for i := range n {
+			types.UnpackWord(&dst[i*stride], k[i], w[i], p.strs)
+		}
+	case l.kind == types.KindFloat:
+		for i := range n {
+			dst[i*stride] = types.Value{K: types.KindFloat, F: math.Float64frombits(w[i])}
+		}
+	case l.kind == types.KindString:
+		for i := range n {
+			dst[i*stride] = types.Value{K: types.KindString, S: p.strs[w[i]]}
+		}
+	default:
+		for i := range n {
+			dst[i*stride] = types.Value{K: l.kind, I: int64(w[i])}
+		}
+	}
+}
+
+// appendTo appends column c of the live slots to v.
+func (p *page) appendTo(c int, v *types.Vector) {
+	var k [PageRows]types.Kind
+	var w [PageRows]uint64
+	n := p.words(c, &k, &w)
+	if l := p.cols[c]; l.width != types.PackedSize {
+		v.AppendWords(l.kind, w[:n], p.strs)
+		return
+	}
+	for i := range n {
+		v.AppendWord(k[i], w[i], p.strs)
+	}
+}
+
+// put writes r into slot s, re-laying the page first when a column's form
+// does not hold r's value. A string takes the list entry the value it
+// replaces held — when replace, for an Update — or, without one, a free
+// entry or a new one; a value that is no string gives that entry up.
+func (p *page) put(s int, r types.Row, replace bool) {
+	var kb [16]types.Kind
+	var wb [16]uint64
+	ks, ws := kb[:0], wb[:0]
+	cols, wider := p.cols, false
+	for c, v := range r {
+		old := -1
+		if replace {
+			old = p.strAt(c, s)
+		}
+		k, u := v.K, types.Word(v, p.entry(v, old))
+		if !cols[c].holds(k, u) {
+			if !wider {
+				cols, wider = slices.Clone(cols), true
+			}
+			cols[c] = cols[c].fit(k, u)
+		}
+		ks, ws = append(ks, k), append(ws, u)
+	}
+	switch {
+	case wider:
+		p.relay(cols)
+	case p.slab == nil:
+		p.slab = make([]byte, slabBytes(cols))
+	}
+	for c := range r {
+		p.setWord(c, s, ks[c], ws[c])
+	}
+}
+
+// slabBytes is the size of a slab laid out as cols.
+func slabBytes(cols []col) int {
+	if len(cols) == 0 {
+		return 0
+	}
+	l := cols[len(cols)-1]
+	return int(l.off) + PageRows*int(l.width)
+}
+
+// relay lays the page out as cols, a layout of its own whose offsets it
+// sets, in a new slab, carrying over every used slot's values.
+func (p *page) relay(cols []col) {
+	off := 0
+	for c := range cols {
+		cols[c].off = int32(off)
+		off += PageRows * int(cols[c].width)
+	}
+	q := page{slab: make([]byte, off), cols: cols}
+	if p.slab != nil {
+		for c := range cols {
+			for s := 0; s < p.slots; s++ {
+				k, u := p.word(c, s)
+				q.setWord(c, s, k, u)
+			}
+		}
+	}
+	p.slab, p.cols = q.slab, q.cols
+}
+
+// entry returns the list entry v takes, -1 for a value that is no string:
+// old, the entry the value it replaces held (-1 for none), or without one a
+// free entry or a new one. A value that is no string gives old up.
+func (p *page) entry(v types.Value, old int) int {
 	if v.K != types.KindString {
 		if old >= 0 {
 			p.giveUp(old)
 		}
-		types.Pack(b, v, -1)
-		return
+		return -1
 	}
 	str := old
 	switch {
@@ -151,7 +382,7 @@ func (p *page) pack(b []byte, v types.Value, old int) {
 		p.strs = append(p.strs, "")
 	}
 	p.strs[str] = v.S
-	types.Pack(b, v, str)
+	return str
 }
 
 // giveUp blanks list entry str, which no value names any more, so that it
@@ -161,21 +392,22 @@ func (p *page) giveUp(str int) {
 	p.free = append(p.free, int32(str))
 }
 
-// strAt returns the list entry the value packed at b holds, -1 for none.
-func strAt(b []byte) int {
-	if types.PackedKind(b) != types.KindString {
-		return -1
+// strAt returns the list entry slot s's value of column c holds, -1 for
+// none.
+func (p *page) strAt(c, s int) int {
+	if k, u := p.word(c, s); k == types.KindString {
+		return int(u)
 	}
-	return int(types.PackedWord(b))
+	return -1
 }
 
 // decode appends slot s, boxed, to dst.
 func (h *Heap) decode(p *page, s int, dst types.Row) types.Row {
 	n := len(dst)
 	dst = slices.Grow(dst, h.width)[:n+h.width]
-	b := p.slot(s, h.width)
 	for c := range dst[n:] {
-		types.UnpackInto(&dst[n+c], b[c*types.PackedSize:], p.strs)
+		k, u := p.word(c, s)
+		types.UnpackWord(&dst[n+c], k, u, p.strs)
 	}
 	return dst
 }
@@ -226,9 +458,8 @@ func (h *Heap) Delete(clk *Clock, rid RID) bool {
 	if p == nil {
 		return false
 	}
-	b := p.slot(s, h.width)
 	for c := 0; c < h.width; c++ {
-		if str := strAt(b[c*types.PackedSize:]); str >= 0 {
+		if str := p.strAt(c, s); str >= 0 {
 			p.giveUp(str)
 		}
 	}
@@ -253,11 +484,7 @@ func (h *Heap) Update(clk *Clock, rid RID, r types.Row) bool {
 		return false
 	}
 	h.checkWidth(r)
-	b := p.slot(s, h.width)
-	for c, v := range r {
-		at := b[c*types.PackedSize:]
-		p.pack(at, v, strAt(at))
-	}
+	p.put(s, r, true)
 	h.stamp(p)
 	if clk != nil {
 		clk.Write(1)
@@ -277,28 +504,54 @@ func (h *Heap) ScanCols(clk *Clock, cols []int, fn func(rid RID, r types.Row) bo
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	var buf types.Row
-	for pi, p := range h.pages {
+	for pi := range h.pages {
 		if clk != nil {
 			clk.SeqRead(1)
 		}
-		for s := 0; s < p.slots; s++ {
-			if p.dead&(1<<s) != 0 {
-				continue
-			}
-			if cols == nil {
-				buf = h.decode(p, s, buf[:0])
-			} else {
-				b := p.slot(s, h.width)
-				buf = slices.Grow(buf[:0], len(cols))[:len(cols)]
-				for i, c := range cols {
-					types.UnpackInto(&buf[i], b[c*types.PackedSize:], p.strs)
-				}
-			}
-			if !fn(MakeRID(pi, s), buf) {
-				return
-			}
+		if !h.lend(pi, cols, true, &buf, fn) {
+			return
 		}
 	}
+}
+
+// lend decodes the live slots of page pi into *buf, resized to fit, a row a
+// slot — column cols[i] (every column when cols is nil) at position i of a
+// row len(cols) wide when dense, at position cols[i] of a row the heap's
+// width otherwise — and lends fn each row in slot order. It reports whether
+// fn asked for more.
+func (h *Heap) lend(pi int, cols []int, dense bool, buf *types.Row, fn func(rid RID, r types.Row) bool) bool {
+	p := h.pages[pi]
+	w := h.width
+	if dense && cols != nil {
+		w = len(cols)
+	}
+	*buf = slices.Grow((*buf)[:0], p.live*w)[:p.live*w]
+	rows := *buf
+	if p.live == 0 {
+		return true
+	}
+	if cols == nil {
+		for c := range w {
+			p.unpack(c, rows[c:], w)
+		}
+	}
+	for i, c := range cols {
+		at := c
+		if dense {
+			at = i
+		}
+		p.unpack(c, rows[at:], w)
+	}
+	for s := 0; s < p.slots; s++ {
+		if p.dead&(1<<s) != 0 {
+			continue
+		}
+		if !fn(MakeRID(pi, s), rows[:w:w]) {
+			return false
+		}
+		rows = rows[w:]
+	}
+	return true
 }
 
 // HeapMark is where a heap stood when a snapshot was read from it: its
@@ -321,11 +574,7 @@ func (h *Heap) ScanMarked(vecs []types.Vector) HeapMark {
 	for pi, p := range h.pages {
 		m.PageStart[pi] = pos
 		for c := range vecs { // a column at a time: one kind, one vector
-			for s := 0; s < p.slots; s++ {
-				if p.dead&(1<<s) == 0 {
-					vecs[c].AppendPacked(p.vals[(s*h.width+c)*types.PackedSize:], p.strs)
-				}
-			}
+			p.appendTo(c, &vecs[c])
 		}
 		pos += int32(p.live)
 	}
@@ -361,11 +610,14 @@ func (h *Heap) Changed(m HeapMark, dst []int32) ([]int32, int) {
 }
 
 // ScanPage visits the live rows of one page in slot order, charging one
-// sequential page read, and lends each decoded into *buf, which it grows to
-// fit: valid until fn returns. It reports whether the page exists. Heap
-// morsels and shared (circular) scans are built on this: many consumers ride
-// one page read.
-func (h *Heap) ScanPage(clk *Clock, pageNo int, buf *types.Row, fn func(rid RID, r types.Row) bool) bool {
+// sequential page read. It decodes the page into *buf, resized to hold a
+// row the heap's width a live slot, back to back, and lends fn each row
+// there: valid until fn returns. It decodes the columns cols only (all of
+// them when cols is nil), each at its own position; the other positions
+// keep what *buf held. It reports whether the page exists. Heap morsels and
+// shared (circular) scans are built on this: many consumers ride one page
+// read.
+func (h *Heap) ScanPage(clk *Clock, pageNo int, cols []int, buf *types.Row, fn func(rid RID, r types.Row) bool) bool {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if pageNo < 0 || pageNo >= len(h.pages) {
@@ -374,16 +626,7 @@ func (h *Heap) ScanPage(clk *Clock, pageNo int, buf *types.Row, fn func(rid RID,
 	if clk != nil {
 		clk.SeqRead(1)
 	}
-	p := h.pages[pageNo]
-	for s := 0; s < p.slots; s++ {
-		if p.dead&(1<<s) != 0 {
-			continue
-		}
-		*buf = h.decode(p, s, (*buf)[:0])
-		if !fn(MakeRID(pageNo, s), *buf) {
-			break
-		}
-	}
+	h.lend(pageNo, cols, false, buf, fn)
 	return true
 }
 

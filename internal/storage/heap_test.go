@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -86,6 +87,10 @@ type heapOps struct {
 	m    modelHeap
 	rids []RID // every RID handed out, live or not
 	mark HeapMark
+	home [heapWidth]types.Kind // the kind each column keeps to
+	mix  byte                  // how often, in 256, a value is of any kind
+	// widths is each page's layout at the last check: no column narrows.
+	widths map[*page][]col
 }
 
 const heapWidth = 5
@@ -111,8 +116,16 @@ var specialFloats = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)
 
 var heapStrings = []string{"", "a", "", "long string value spanning more than sixteen bytes", "\x00", "é"}
 
+// boundaryInts sit at and past the edges of each narrow word: ±2^7, ±2^15,
+// ±2^31 and the int64 extremes.
+var boundaryInts = []int64{1<<7 - 1, 1 << 7, -1 << 7, -1<<7 - 1, 1<<15 - 1, 1 << 15, -1 << 15, -1<<15 - 1,
+	1<<31 - 1, 1 << 31, -1 << 31, -1<<31 - 1, math.MaxInt64, math.MinInt64}
+
+func (o *heapOps) boundary() int64 { return boundaryInts[int(o.byte())%len(boundaryInts)] }
+
+// value returns a value of any kind.
 func (o *heapOps) value() types.Value {
-	switch k := o.byte() % 9; k {
+	switch k := o.byte() % 10; k {
 	case 0:
 		return types.Null()
 	case 1:
@@ -127,15 +140,61 @@ func (o *heapOps) value() types.Value {
 		return types.Bool(o.byte()%2 == 0)
 	case 7:
 		return types.Date(int64(int32(o.word())))
+	case 8:
+		return types.Int(o.boundary())
 	default:
 		return types.Int(int64(o.byte()) - 128)
 	}
 }
 
+// homeKinds are the kinds a column keeps to while the stream does not mix.
+var homeKinds = []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindBool, types.KindDate}
+
+// mixes are how often, in 256, a column's value is of any kind, not of its
+// home kind: a column that never mixes stays narrow on every page.
+var mixes = []byte{0, 1, 8, 64, 255}
+
+// start draws the stream's home kinds and its mix from its first bytes.
+func (o *heapOps) start() {
+	for c := range o.home {
+		o.home[c] = homeKinds[int(o.byte())%len(homeKinds)]
+	}
+	o.mix = mixes[int(o.byte())%len(mixes)]
+}
+
+// homeValue returns a value of column c's home kind: small, wide or at a
+// word's edge.
+func (o *heapOps) homeValue(c int) types.Value {
+	b := o.byte()
+	switch o.home[c] {
+	case types.KindFloat:
+		if b%2 == 0 {
+			return types.Float(specialFloats[int(b/2)%len(specialFloats)])
+		}
+		return types.Float(math.Float64frombits(o.word()))
+	case types.KindString:
+		return types.Str(heapStrings[int(b)%len(heapStrings)])
+	case types.KindBool:
+		return types.Bool(b%2 == 0)
+	}
+	v := int64(b%64) - 32
+	switch b % 8 {
+	case 0:
+		v = o.boundary()
+	case 1:
+		v = int64(o.word())
+	}
+	return types.Value{K: o.home[c], I: v}
+}
+
 func (o *heapOps) row() types.Row {
 	r := make(types.Row, heapWidth)
 	for i := range r {
-		r[i] = o.value()
+		if o.byte() < o.mix {
+			r[i] = o.value()
+		} else {
+			r[i] = o.homeValue(i)
+		}
 	}
 	return r
 }
@@ -155,8 +214,9 @@ func sameRows(a, b []types.Row) bool {
 
 func (o *heapOps) run() {
 	t := o.t
+	o.start()
 	for step := 0; len(o.data) > 0; step++ {
-		switch op := o.byte() % 10; op {
+		switch op := o.byte() % 13; op {
 		case 0, 1, 2:
 			r := o.row()
 			rid, want := o.h.Insert(nil, r), o.m.insert(r)
@@ -215,11 +275,57 @@ func (o *heapOps) run() {
 			if !sameRows(got, want) || o.mark.Version != o.m.version {
 				t.Fatalf("step %d: ScanMarked read %v at version %d, model %v at %d", step, got, o.mark.Version, want, o.m.version)
 			}
+		case 9:
+			// One column of one row, of ints or dates, crosses a word's
+			// edge: its page widens that column.
+			rid, c := o.rid(), int(o.byte())%heapWidth
+			v := o.homeValue(c)
+			if v.K == types.KindInt || v.K == types.KindDate {
+				v.I = o.boundary()
+			}
+			o.set(step, rid, c, v)
+		case 10:
+			// One column of one row turns Int → Float → NULL → String and
+			// back: its page's column goes packed on the way and stays so.
+			rid, c := o.rid(), int(o.byte())%heapWidth
+			for _, v := range []types.Value{types.Int(int64(o.byte())), types.Float(1.5), types.Null(), types.Str("é"),
+				types.Null(), types.Float(-0.25), types.Int(int64(o.byte()) - 128)} {
+				o.set(step, rid, c, v)
+			}
+		case 11:
+			// A page re-laid while dead and live slots hold values: delete
+			// the row beside rid, then give every column of rid a value of
+			// another kind than it holds, each one wide.
+			rid := o.rid()
+			next := MakeRID(rid.Page(), rid.Slot()^1)
+			if ok, want := o.h.Delete(nil, next), o.m.write(next, nil); ok != want {
+				t.Fatalf("step %d: Delete(%v) = %v, model %v", step, next, ok, want)
+			}
+			if r, ok := o.m.get(rid); ok {
+				wide := make(types.Row, heapWidth)
+				for c, v := range r {
+					wide[c] = types.Int(math.MinInt64)
+					if v.K == types.KindInt {
+						wide[c] = types.Str(heapStrings[c%len(heapStrings)])
+					}
+				}
+				o.update(step, rid, wide)
+			}
 		default:
 			o.check(step)
 		}
 	}
 	o.check(-1)
+}
+
+// set writes v into column c of the row at rid, if it is live, on the heap
+// and the model.
+func (o *heapOps) set(step int, rid RID, c int, v types.Value) {
+	if r, ok := o.m.get(rid); ok {
+		r = r.Clone()
+		r[c] = v
+		o.update(step, rid, r)
+	}
 }
 
 // update runs Update on the heap and the model, then scribbles over r: the
@@ -275,19 +381,34 @@ func (o *heapOps) check(step int) {
 	var buf types.Row
 	for p := range m.pages {
 		got, rids = got[:0], rids[:0]
-		h.ScanPage(nil, p, &buf, func(rid RID, r types.Row) bool {
+		h.ScanPage(nil, p, nil, &buf, func(rid RID, r types.Row) bool {
 			got, rids = append(got, r.Clone()), append(rids, rid)
 			return true
 		})
 		want, wantRIDs := m.rows(p, p+1)
-		if !sameRows(got, want) || !slices.Equal(rids, wantRIDs) {
-			t.Fatalf("step %d: ScanPage(%d) differs from the model", step, p)
+		if !sameRows(got, want) || !slices.Equal(rids, wantRIDs) || len(buf) != len(want)*heapWidth {
+			t.Fatalf("step %d: ScanPage(%d) differs from the model, or left %d values in its buffer", step, p, len(buf))
 		}
+		// Decoding columns 1 and 3 only leaves the other positions as the
+		// buffer held them.
+		for i := range buf {
+			buf[i] = unread
+		}
+		i := 0
+		h.ScanPage(nil, p, []int{1, 3}, &buf, func(rid RID, r types.Row) bool {
+			w := want[i]
+			if len(r) != heapWidth || !sameRows([]types.Row{r}, []types.Row{{unread, w[1], unread, w[3], unread}}) {
+				t.Fatalf("step %d: ScanPage(%d) of columns 1 and 3 lent %v for %v", step, p, r, w)
+			}
+			i++
+			return true
+		})
 	}
 	for p, pg := range h.pages {
 		if len(pg.strs) > pg.slots*h.width {
 			t.Fatalf("step %d: page %d lists %d strings for %d slots of %d values", step, p, len(pg.strs), pg.slots, h.width)
 		}
+		o.checkLayout(step, p, pg)
 	}
 	if o.mark.PageStart != nil {
 		pages, n := h.Changed(o.mark, nil)
@@ -296,6 +417,32 @@ func (o *heapOps) check(step int) {
 			t.Fatalf("step %d: Changed = %v %d, model %v %d", step, pages, n, wantPages, wantN)
 		}
 	}
+}
+
+// unread marks a position a scan was not asked to decode.
+var unread = types.Str("unread")
+
+// checkLayout fails a page whose columns are not laid out as the heap's
+// forms allow, whose slab is not the size its layout needs, or one of whose
+// columns narrowed, or changed kind while narrow, since the last check.
+func (o *heapOps) checkLayout(step, p int, pg *page) {
+	if o.widths == nil {
+		o.widths = map[*page][]col{}
+	}
+	if len(pg.slab) != slabBytes(pg.cols) {
+		o.t.Fatalf("step %d: page %d has a slab of %d B, its layout %v needs %d", step, p, len(pg.slab), pg.cols, slabBytes(pg.cols))
+	}
+	was := o.widths[pg]
+	for c, l := range pg.cols {
+		switch {
+		case l.width != 1 && l.width != 2 && l.width != 4 && l.width != 8 && l.width != types.PackedSize,
+			(l.width == types.PackedSize) != (l.kind == types.KindNull),
+			l.kind == types.KindFloat && l.width != 8,
+			was != nil && (l.width < was[c].width || l.width != types.PackedSize && l.kind != was[c].kind):
+			o.t.Fatalf("step %d: page %d column %d is laid out %+v, was %+v", step, p, c, l, was)
+		}
+	}
+	o.widths[pg] = pg.cols
 }
 
 // TestHeapRoundTripProperty runs random operation streams against the
@@ -326,4 +473,67 @@ func FuzzHeapRoundTrip(f *testing.F) {
 		data = data[:min(len(data), 2<<10)]
 		(&heapOps{t: t, data: data, h: NewHeap()}).run()
 	})
+}
+
+// TestHeapPageLayout: a page keeps each column in the fewest of 1, 2, 4 or 8
+// bytes that hold its values as signed words, a float in 8 and a column with
+// a NULL or two kinds in it packed; a write that does not fit re-lays the
+// page wider, and a new page starts at the widths of the one before it.
+func TestHeapPageLayout(t *testing.T) {
+	h := NewHeap()
+	widths := func(p int) []uint8 {
+		var w []uint8
+		for _, l := range h.pages[p].cols {
+			w = append(w, l.width)
+		}
+		return w
+	}
+	expect := func(step string, p int, want ...uint8) {
+		t.Helper()
+		if got := widths(p); !slices.Equal(got, want) {
+			t.Fatalf("%s: page %d is laid out %v, want %v", step, p, got, want)
+		}
+		if got, want := len(h.pages[p].slab), slabBytes(h.pages[p].cols); got != want {
+			t.Fatalf("%s: page %d has a slab of %d B, its layout needs %d", step, p, got, want)
+		}
+	}
+	row := func(i int64, s string) types.Row {
+		return types.Row{types.Int(i), types.Float(0.5), types.Str(s), types.Date(9000), types.Bool(true), types.Int(0)}
+	}
+	h.Insert(nil, row(1, "a"))
+	expect("first row", 0, 1, 8, 1, 2, 1, 1)
+	h.Insert(nil, row(200, "b"))
+	expect("a 2-byte int", 0, 2, 8, 1, 2, 1, 1)
+	rid := h.Insert(nil, row(-1<<31, "c"))
+	expect("-2^31", 0, 4, 8, 1, 2, 1, 1)
+	h.Update(nil, rid, types.Row{types.Int(1 << 31), types.Float(0.5), types.Str("c"), types.Date(9000), types.Bool(true), types.Null()})
+	expect("2^31 and a NULL", 0, 8, 8, 1, 2, 1, types.PackedSize)
+	for h.NumPages() == 1 {
+		h.Insert(nil, row(3, "d"))
+	}
+	expect("a new page", 1, 8, 8, 1, 2, 1, types.PackedSize)
+	h.Update(nil, MakeRID(1, 0), row(3, "e"))
+	h.Delete(nil, MakeRID(1, 0))
+	h.Update(nil, MakeRID(0, 0), types.Row{types.Str("x"), types.Float(0.5), types.Int(0), types.Date(9000), types.Bool(true), types.Int(0)})
+	expect("two kinds in a column", 0, types.PackedSize, 8, types.PackedSize, 2, 1, types.PackedSize)
+	expect("the page after", 1, 8, 8, 1, 2, 1, types.PackedSize)
+	got, _ := h.Get(nil, MakeRID(0, 1), nil)
+	if want := row(200, "b"); !sameRows([]types.Row{got}, []types.Row{want}) {
+		t.Fatalf("re-laid row reads %v, want %v", got, want)
+	}
+
+	// A string's word is its entry in the page's list: a page of three
+	// string columns lists 192 strings, and a column widens once one of its
+	// entries passes 127.
+	h = NewHeap()
+	for i := 0; i < PageRows; i++ {
+		h.Insert(nil, types.Row{types.Str("a"), types.Str("b"), types.Str("c")})
+		want := []uint8{1, 1, 1}
+		for c := range want {
+			if 3*i+c > 127 {
+				want[c] = 2
+			}
+		}
+		expect(fmt.Sprintf("%d strings", 3*(i+1)), 0, want...)
+	}
 }
