@@ -389,7 +389,7 @@ func BenchmarkColScanAfterDML(b *testing.B) {
 					rid, row = id, r.Clone() // r is lent: valid until the callback returns
 					return false
 				})
-				cat.Update(nil, orders, rid, row)
+				cat.UpdateRows(nil, orders, []storage.RID{rid}, row)
 			}
 			root := parallelBenchPlan(b, cat, q)
 			plan.Walk(root, func(n plan.Node) {

@@ -1,7 +1,7 @@
 // Command rqpserver serves the rqp engine over the TCP wire protocol
-// (docs/WIRE_PROTOCOL.md): one session per connection, prepared statements
-// backed by the shared plan cache, and the WLM admission gate queueing
-// clients FIFO when the multiprogramming limit is reached.
+// (docs/WIRE_PROTOCOL.md): one session per connection, statements and
+// plans shared through the engine's plan cache, and the WLM admission gate
+// queueing clients FIFO when the multiprogramming limit is reached.
 //
 // Usage:
 //

@@ -162,7 +162,7 @@ func remoteExec(c *server.Client) func(stmt string, w io.Writer) error {
 			fmt.Fprintf(w, "%d row(s) affected\n", rs.RowCount)
 		}
 		if rs.CostUnits > 0 {
-			fmt.Fprintf(w, "-- cost %.2f units\n", rs.CostUnits)
+			fmt.Fprintf(w, "-- cost %.2f units, %d reopt(s)\n", rs.CostUnits, rs.Reopts)
 		}
 		return nil
 	}

@@ -59,7 +59,7 @@ func TestReplLoop(t *testing.T) {
 // TestExplainOverTheWire runs one script through the in-process shell and
 // through the -connect shell against a server over an identical engine:
 // EXPLAIN prints the same bytes both ways, and EXPLAIN ANALYZE prints its
-// plan over the wire too.
+// plan over the wire too and the same cost line.
 func TestExplainOverTheWire(t *testing.T) {
 	open := func() *core.Engine {
 		eng := core.Open(core.DefaultConfig())
@@ -95,11 +95,26 @@ func TestExplainOverTheWire(t *testing.T) {
 		t.Fatalf("EXPLAIN over the wire printed\n%s\nin process\n%s", remote.String(), local.String())
 	}
 
+	const analyze = "EXPLAIN ANALYZE SELECT a FROM r WHERE b = 1;\n"
 	remote.Reset()
-	if err := repl(strings.NewReader("EXPLAIN ANALYZE SELECT a FROM r WHERE b = 1;\n"), &remote, nil, remoteExec(c)); err != nil {
+	if err := repl(strings.NewReader(analyze), &remote, nil, remoteExec(c)); err != nil {
 		t.Fatal(err)
 	}
 	if out := remote.String(); !strings.Contains(out, "Scan(r)") || !strings.Contains(out, "-- 10 row(s), cost ") {
 		t.Fatalf("EXPLAIN ANALYZE over the wire printed\n%s", out)
+	}
+	// The cost line, re-plans included, is the in-process shell's.
+	local.Reset()
+	if err := repl(strings.NewReader(analyze), &local, nil, localExec(open())); err != nil {
+		t.Fatal(err)
+	}
+	costLine := func(out string) string {
+		if i := strings.LastIndex(out, "-- cost "); i >= 0 {
+			return out[i:]
+		}
+		return ""
+	}
+	if got, want := costLine(remote.String()), costLine(local.String()); got != want || !strings.Contains(want, "reopt(s)") {
+		t.Fatalf("over the wire the cost line is %q, in process %q", got, want)
 	}
 }

@@ -372,7 +372,7 @@ func TestReplannedCoresKeepEveryColumn(t *testing.T) {
 		ctx.OnActual = func(n plan.Node, _ float64) {
 			nodes++
 			if !fullWidth(n) {
-				t.Errorf("policy %v ran %s projecting to %v", policy, n.Label(), n.Schema().Names())
+				t.Errorf("policy %v ran %s projecting to %v", policy, n.Label(), n.Schema())
 			}
 		}
 		p := &Progressive{Opt: opt.New(cat), Policy: policy}
@@ -390,7 +390,7 @@ func TestReplannedCoresKeepEveryColumn(t *testing.T) {
 	}
 	plan.Walk(root, func(n plan.Node) {
 		if !fullWidth(n) {
-			t.Errorf("rio planned %s projecting to %v", n.Label(), n.Schema().Names())
+			t.Errorf("rio planned %s projecting to %v", n.Label(), n.Schema())
 		}
 	})
 	// The same statement through Optimize sheds fact.a and both join keys.

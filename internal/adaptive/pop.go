@@ -29,17 +29,6 @@ const (
 	Eager
 )
 
-// String names the policy.
-func (p ReoptPolicy) String() string {
-	switch p {
-	case Checked:
-		return "pop-checked"
-	case Eager:
-		return "pop-eager"
-	}
-	return "?"
-}
-
 // Progressive executes query blocks join-by-join, materializing each
 // intermediate, and (per policy) re-optimizing the remaining joins with the
 // exact cardinality of completed work — Markl et al.'s "robust query

@@ -27,15 +27,6 @@ type Index struct {
 	Dropped bool
 }
 
-// ColNames returns the index column names given the owning table.
-func (ix *Index) ColNames(t *Table) []string {
-	out := make([]string, len(ix.Cols))
-	for i, c := range ix.Cols {
-		out[i] = t.Schema[c].Name
-	}
-	return out
-}
-
 // Table is one base relation.
 type Table struct {
 	Name    string
@@ -386,19 +377,6 @@ func (c *Catalog) Delete(clk *storage.Clock, t *Table, rid storage.RID) bool {
 	return true
 }
 
-// Update replaces the row at rid with a copy of newRow, maintaining indexes:
-// an entry whose key changed is deleted and inserted again. It reports
-// false when rid holds no row. A key change that would repeat the key of a
-// unique index is an error, and nothing is written.
-func (c *Catalog) Update(clk *storage.Clock, t *Table, rid storage.RID, newRow types.Row) (bool, error) {
-	t.writing.Lock()
-	defer t.writing.Unlock()
-	if err := checkUnique(t, newRow, []storage.RID{rid}); err != nil {
-		return false, err
-	}
-	return update(clk, t, rid, newRow), nil
-}
-
 // UpdateRows replaces the row at each of rids with a copy of the row at the
 // same position among those back to back in vals, as one statement; a rid
 // that holds no row is passed over. When the new rows would repeat the key
@@ -419,11 +397,14 @@ func (c *Catalog) UpdateRows(clk *storage.Clock, t *Table, rids []storage.RID, v
 	return nil
 }
 
-func update(clk *storage.Clock, t *Table, rid storage.RID, newRow types.Row) bool {
+// update replaces the row at rid, if it holds one, with a copy of newRow,
+// maintaining indexes: an entry whose key changed is deleted and inserted
+// again.
+func update(clk *storage.Clock, t *Table, rid storage.RID, newRow types.Row) {
 	var rb rowBuf
 	old, ok := t.Heap.Get(nil, rid, rb[:0])
 	if !ok || !t.Heap.Update(clk, rid, newRow) {
-		return false
+		return
 	}
 	t.bumpMods()
 	for _, ix := range t.Indexes {
@@ -437,7 +418,6 @@ func update(clk *storage.Clock, t *Table, rid storage.RID, newRow types.Row) boo
 			ix.Tree.Insert(key, rid)
 		}
 	}
-	return true
 }
 
 // scanColumns reads the table into one exactly-sized vector per column: the

@@ -191,9 +191,8 @@ func TestIndexOnLeadingColumn(t *testing.T) {
 	if tb.IndexOn(0) != nil {
 		t.Error("IndexOn should not match non-leading column")
 	}
-	names := tb.Indexes[0].ColNames(tb)
-	if names[0] != "grp" || names[1] != "id" {
-		t.Errorf("ColNames wrong: %v", names)
+	if cols := tb.Indexes[0].Cols; tb.Schema[cols[0]].Name != "grp" || tb.Schema[cols[1]].Name != "id" {
+		t.Errorf("index columns wrong: %v", cols)
 	}
 }
 
@@ -279,8 +278,8 @@ func TestIndexKeysAreCopies(t *testing.T) {
 	update := func(rid storage.RID, edit func(nr types.Row)) {
 		nr, _ := tb.Heap.Get(nil, rid, nil)
 		edit(nr)
-		if ok, err := c.Update(nil, tb, rid, nr); !ok || err != nil {
-			t.Fatalf("update %v: %v %v", rid, ok, err)
+		if err := c.UpdateRows(nil, tb, []storage.RID{rid}, nr); err != nil {
+			t.Fatalf("update %v: %v", rid, err)
 		}
 		scribble(nr)
 	}
@@ -335,7 +334,7 @@ func TestUniqueIndexEnforced(t *testing.T) {
 	}
 	var rids []storage.RID
 	tb.Heap.Scan(nil, func(rid storage.RID, _ types.Row) bool { rids = append(rids, rid); return true })
-	if ok, err := c.Update(nil, tb, rids[0], types.Row{types.Int(7), types.Int(2), types.Str("x")}); ok || err == nil {
+	if err := c.UpdateRows(nil, tb, rids[:1], types.Row{types.Int(7), types.Int(2), types.Str("x")}); err == nil {
 		t.Error("UPDATE to a repeated key succeeded")
 	}
 	if r, _ := tb.Heap.Get(nil, rids[0], nil); r[1].I != 0 {
@@ -346,8 +345,8 @@ func TestUniqueIndexEnforced(t *testing.T) {
 		{types.Int(70), types.Float(0), types.Str("kept")}, // equal, of another kind
 		{types.Int(70), types.Int(5), types.Str("moved")},
 	} {
-		if ok, err := c.Update(nil, tb, rids[0], nr); !ok || err != nil {
-			t.Errorf("UPDATE to %v: %v %v", nr, ok, err)
+		if err := c.UpdateRows(nil, tb, rids[:1], nr); err != nil {
+			t.Errorf("UPDATE to %v: %v", nr, err)
 		}
 	}
 	n := 0

@@ -20,13 +20,6 @@ type Partitioning struct {
 	PageStart []int
 }
 
-// ShardOf returns the shard that owns a value under this partitioning —
-// the same hash the executor's shuffle router uses, so a co-located join
-// can trust that matching keys land on matching shards.
-func (p *Partitioning) ShardOf(v types.Value) int {
-	return int(types.HashRow([]types.Value{v}) % uint64(p.Shards))
-}
-
 // Part returns the table's physical partitioning, or nil when the table is
 // unpartitioned (or a row modification has invalidated the layout).
 func (t *Table) Part() *Partitioning { return t.part.Load() }

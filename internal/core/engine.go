@@ -349,27 +349,6 @@ func (e *Engine) cacheOn() bool {
 	return e.Cache != nil && e.Cfg.Policy == PolicyClassic
 }
 
-// Prepare checks that a statement parses, as the wire protocol's Prepare
-// promises, and with a plan cache keeps the work: a SELECT that binds as
-// written is entered now, so its executions never parse. A statement that
-// does not bind yet — its table is created later, it has an IN (SELECT …) —
-// reports that when it runs, as it always has.
-func (e *Engine) Prepare(query string) error {
-	if e.cacheOn() && e.Cache.statement(query) != nil {
-		return nil // parsed and bound before, by any session
-	}
-	st, err := sql.Parse(query)
-	if err != nil {
-		return err
-	}
-	if sel, ok := st.(*sql.SelectStmt); ok && e.cacheOn() {
-		if bq, err := plan.Bind(sel, e.Cat); err == nil {
-			e.Cache.enter(query, bq)
-		}
-	}
-	return nil
-}
-
 // Explain returns the plan EXPLAIN query prints: the plan the SELECT would
 // run under the engine's policy, without executing it.
 func (e *Engine) Explain(query string, params ...types.Value) (string, error) {

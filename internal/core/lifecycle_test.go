@@ -11,6 +11,11 @@ import (
 	"rqp/internal/wlm"
 )
 
+// funcSink adapts a function to a query sink.
+type funcSink func(rec *obs.QueryRecord)
+
+func (f funcSink) WriteQuery(rec *obs.QueryRecord) { f(rec) }
+
 // TestLifecycleRecordsCompletedQueries: every top-level SELECT lands in the
 // engine's completed-query ring with outcome, cost, and plan fingerprint.
 func TestLifecycleRecordsCompletedQueries(t *testing.T) {
@@ -94,7 +99,7 @@ func TestLifecycleFailedAndRejected(t *testing.T) {
 func TestLifecycleSpillStats(t *testing.T) {
 	e := spillEngine(t, 100, 1)
 	var logged []obs.QueryRecord
-	e.Lifecycle.SetSink(obs.FuncSink(func(rec *obs.QueryRecord) {
+	e.Lifecycle.SetSink(funcSink(func(rec *obs.QueryRecord) {
 		logged = append(logged, *rec)
 	}))
 	e.MustExec("SELECT bld.v, prb.w FROM bld JOIN prb ON bld.k = prb.k")
@@ -117,7 +122,7 @@ func TestLifecycleSpillStats(t *testing.T) {
 func TestLifecycleConfigSinkWiring(t *testing.T) {
 	n := 0
 	cfg := DefaultConfig()
-	cfg.QueryLog = obs.FuncSink(func(*obs.QueryRecord) { n++ })
+	cfg.QueryLog = funcSink(func(*obs.QueryRecord) { n++ })
 	e := Open(cfg)
 	e.MustExec("CREATE TABLE t (a int)")
 	e.MustExec("INSERT INTO t VALUES (1)")

@@ -163,7 +163,7 @@ type PlanCacheStats struct {
 	Revalidations int
 	PlanChanges   int
 	Evictions     int // statements displaced at capacity
-	Parses        int // statements parsed to be entered: text misses and Prepare
+	Parses        int // statements parsed to be entered: text misses
 }
 
 // NewPlanCache returns a cache revalidating every n-th execution.

@@ -99,43 +99,8 @@ func (c *CrackedColumn) RangeCount(clk *storage.Clock, lo, hi int64) int {
 	return p2 - p1
 }
 
-// RangeValues returns the qualifying values (unordered within the range).
-func (c *CrackedColumn) RangeValues(clk *storage.Clock, lo, hi int64) []int64 {
-	if lo >= hi {
-		return nil
-	}
-	p1 := c.crackAt(clk, lo)
-	p2 := c.crackAt(clk, hi)
-	if clk != nil {
-		clk.SeqRead((p2 - p1 + storage.PageRows - 1) / storage.PageRows)
-		clk.RowWork(p2 - p1)
-	}
-	return c.vals[p1:p2]
-}
-
 // NumPieces reports how fragmented (i.e. how converged) the column is.
 func (c *CrackedColumn) NumPieces() int { return len(c.bounds) + 1 }
-
-// CheckInvariants verifies that every piece respects its bounds — the
-// cracking correctness property.
-func (c *CrackedColumn) CheckInvariants() bool {
-	for _, b := range c.bounds {
-		for i := 0; i < b.pos; i++ {
-			if c.vals[i] >= b.val {
-				return false
-			}
-		}
-		for i := b.pos; i < len(c.vals); i++ {
-			if c.vals[i] < b.val {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Values exposes the reorganized column (for tests).
-func (c *CrackedColumn) Values() []int64 { return c.vals }
 
 // ---------- baselines ----------
 

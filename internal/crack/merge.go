@@ -97,17 +97,3 @@ func mergeSorted(a, b []int64) []int64 {
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
 }
-
-// RunsRemaining reports how many source runs still hold values.
-func (a *AdaptiveMerged) RunsRemaining() int {
-	n := 0
-	for _, r := range a.runs {
-		if len(r) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// MergedSize reports the consolidated area's size.
-func (a *AdaptiveMerged) MergedSize() int { return len(a.merged) }

@@ -109,7 +109,7 @@ func (a propAgg) ref(rows []types.Row) types.Value {
 	sum, best := 0.0, vals[0]
 	for _, v := range vals {
 		sum += v.AsFloat()
-		if (a.fn == "MIN" && types.Less(v, best)) || (a.fn == "MAX" && types.Less(best, v)) {
+		if (a.fn == "MIN" && types.Compare(v, best) < 0) || (a.fn == "MAX" && types.Compare(best, v) < 0) {
 			best = v
 		}
 	}

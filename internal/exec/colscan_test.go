@@ -207,7 +207,7 @@ func TestColumnarCostParityAcrossVariants(t *testing.T) {
 		r, _ := f.Heap.Get(nil, rid, nil)
 		nr := r.Clone()
 		nr[3] = types.Int(11)
-		cat.Update(nil, f, rid, nr)
+		cat.UpdateRows(nil, f, []storage.RID{rid}, nr)
 	}
 	for i := int64(0); i < 700; i++ {
 		cat.Insert(nil, f, factRow(3000+i))
@@ -413,7 +413,7 @@ func TestColumnarSnapshotSurvivesDML(t *testing.T) {
 	}
 	update := func(rid storage.RID, fn func(types.Row) types.Row) {
 		r, _ := f.Heap.Get(nil, rid, nil)
-		cat.Update(nil, f, rid, fn(r.Clone()))
+		cat.UpdateRows(nil, f, []storage.RID{rid}, fn(r.Clone()))
 	}
 	for _, st := range []struct {
 		name string
@@ -528,7 +528,7 @@ func TestColumnarScanConcurrentDML(t *testing.T) {
 			r, _ := f.Heap.Get(nil, v, nil)
 			nr := r.Clone()
 			nr[3] = types.Int(int64(i % 50))
-			cat.Update(nil, f, v, nr)
+			cat.UpdateRows(nil, f, []storage.RID{v}, nr)
 			cat.Delete(nil, f, rid)
 		}
 	}()
@@ -955,7 +955,7 @@ func TestColumnarFilterCascade(t *testing.T) {
 		r, _ := tab.Heap.Get(nil, rid, nil)
 		nr := r.Clone()
 		nr[3] = types.Float(-1)
-		cat.Update(nil, tab, rid, nr)
+		cat.UpdateRows(nil, tab, []storage.RID{rid}, nr)
 	}
 	for _, rid := range ridsWhere(tab, func(rid storage.RID, _ types.Row) bool { return rid.Page() == 6 }) {
 		cat.Delete(nil, tab, rid)

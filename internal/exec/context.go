@@ -120,13 +120,6 @@ func (m *MemBroker) SetBudget(rows int) {
 	m.budget = rows
 }
 
-// Budget returns the current total budget.
-func (m *MemBroker) Budget() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.budget
-}
-
 // SetSchedule installs a memory-pressure schedule: before every grant the
 // broker re-reads its budget as schedule(step) for a step counter that
 // advances per grant — the fault injector behind Config.MemSchedule and the
@@ -211,13 +204,6 @@ func (m *MemBroker) PeakUse() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.peak
-}
-
-// InUse reports granted rows.
-func (m *MemBroker) InUse() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.inUse
 }
 
 // Operator is the Volcano iterator interface. Row ownership: the row Next

@@ -117,7 +117,7 @@ func nestedLoopOver(left, right func(bool) plan.Node, l, r [2]string) func(bool)
 	return func(columnar bool) plan.Node {
 		lj, rj := joins(left(columnar))[0], joins(right(columnar))[0]
 		j := &plan.JoinNode{Alg: plan.JoinNL, Type: plan.Inner,
-			LeftKeys: []int{lj.Schema().MustColIndex(l[0], l[1])}, RightKeys: []int{rj.Schema().MustColIndex(r[0], r[1])}}
+			LeftKeys: []int{lj.Schema().ColIndex(l[0], l[1])}, RightKeys: []int{rj.Schema().ColIndex(r[0], r[1])}}
 		j.Kids, j.Out, j.Title = []plan.Node{lj, rj}, lj.Schema().Concat(rj.Schema()), j.Alg.String()
 		return j
 	}

@@ -610,7 +610,7 @@ func TestAllocCeilingNestedBuild(t *testing.T) {
 		t.Fatalf("no hash join builds on a join subtree:\n%s", plan.Explain(root))
 	}
 	inner := j.Kids[1].(*plan.JoinNode)
-	if got := inner.Schema().Names(); len(got) != 5 || inner.Cols == nil {
+	if got := inner.Schema(); len(got) != 5 || inner.Cols == nil {
 		t.Fatalf("the inner join emits %v (Cols %v), want o_orderkey and the four payload columns", got, inner.Cols)
 	}
 	for _, dop := range []int{1, 2} {

@@ -127,7 +127,7 @@ func referenceRows(t *testing.T, bq *plan.Query) []string {
 			return
 		}
 		for _, row := range rels[i] {
-			rec(i+1, types.Concat(acc, row))
+			rec(i+1, append(acc[:len(acc):len(acc)], row...))
 		}
 	}
 	rec(0, nil)

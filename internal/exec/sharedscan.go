@@ -31,9 +31,6 @@ type SharedCursor struct {
 	stopped   bool // consumer returned false
 }
 
-// Done reports whether the cursor has seen the whole table (or stopped).
-func (c *SharedCursor) Done() bool { return c.done }
-
 // NewSharedScan creates a sweep over the table charging I/O to clk.
 func NewSharedScan(clk *storage.Clock, table *catalog.Table) *SharedScan {
 	return &SharedScan{table: table, clk: clk, pages: table.Heap.NumPages()}

@@ -1,0 +1,20 @@
+package exec
+
+// Test-only accessors for state the engine never reads back.
+
+// Budget returns the broker's current total budget.
+func (m *MemBroker) Budget() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.budget
+}
+
+// InUse reports the broker's granted rows.
+func (m *MemBroker) InUse() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.inUse
+}
+
+// Done reports whether the cursor has seen the whole table (or stopped).
+func (c *SharedCursor) Done() bool { return c.done }

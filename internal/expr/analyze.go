@@ -64,35 +64,6 @@ func HasParams(e Expr) bool {
 	return found
 }
 
-// EquiJoin describes a conjunct of the form leftCol = rightCol where the two
-// sides reference disjoint input relations (resolved by the caller through
-// the column index split point).
-type EquiJoin struct {
-	LeftCol  int // index into the combined schema, left of split
-	RightCol int // index into the combined schema, >= split
-}
-
-// AsEquiJoin recognizes col=col conjuncts across a schema split at `split`
-// (columns [0,split) belong to the left input). Returns ok=false otherwise.
-func AsEquiJoin(e Expr, split int) (EquiJoin, bool) {
-	b, ok := e.(*Bin)
-	if !ok || b.Op != OpEQ {
-		return EquiJoin{}, false
-	}
-	lc, lok := b.L.(*Col)
-	rc, rok := b.R.(*Col)
-	if !lok || !rok {
-		return EquiJoin{}, false
-	}
-	switch {
-	case lc.Index < split && rc.Index >= split:
-		return EquiJoin{LeftCol: lc.Index, RightCol: rc.Index}, true
-	case rc.Index < split && lc.Index >= split:
-		return EquiJoin{LeftCol: rc.Index, RightCol: lc.Index}, true
-	}
-	return EquiJoin{}, false
-}
-
 // Interval is a (possibly open-ended) numeric range over one column,
 // extracted from simple comparison predicates for selectivity estimation and
 // index range scans. Bounds are in float space; LoIncl/HiIncl track
@@ -211,17 +182,6 @@ func Intersect(a, b Interval) Interval {
 		out.Hi, out.HiIncl, out.HasHi = b.Hi, b.HiIncl, true
 	}
 	return out
-}
-
-// Empty reports whether the interval admits no values.
-func (iv Interval) Empty() bool {
-	if !iv.HasLo || !iv.HasHi {
-		return false
-	}
-	if iv.Lo > iv.Hi {
-		return true
-	}
-	return iv.Lo == iv.Hi && !(iv.LoIncl && iv.HiIncl)
 }
 
 // RemapColumns rewrites column indexes through m (new := m[old]); indexes

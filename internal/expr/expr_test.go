@@ -217,6 +217,17 @@ func TestExtractInterval(t *testing.T) {
 	}
 }
 
+// emptyInterval reports whether iv admits no values.
+func emptyInterval(iv Interval) bool {
+	if !iv.HasLo || !iv.HasHi {
+		return false
+	}
+	if iv.Lo > iv.Hi {
+		return true
+	}
+	return iv.Lo == iv.Hi && !(iv.LoIncl && iv.HiIncl)
+}
+
 func TestIntersectAndEmpty(t *testing.T) {
 	a, _ := ExtractInterval(bin(OpGE, col(0, types.KindInt), lit(types.Int(5))), nil)
 	b, _ := ExtractInterval(bin(OpLT, col(0, types.KindInt), lit(types.Int(10))), nil)
@@ -225,33 +236,12 @@ func TestIntersectAndEmpty(t *testing.T) {
 		t.Fatalf("intersect wrong: %+v", m)
 	}
 	c, _ := ExtractInterval(bin(OpLT, col(0, types.KindInt), lit(types.Int(5))), nil)
-	if !Intersect(a, c).Empty() {
+	if !emptyInterval(Intersect(a, c)) {
 		t.Error("x>=5 AND x<5 should be empty")
 	}
 	d, _ := ExtractInterval(bin(OpLE, col(0, types.KindInt), lit(types.Int(5))), nil)
-	if Intersect(a, d).Empty() {
+	if emptyInterval(Intersect(a, d)) {
 		t.Error("x>=5 AND x<=5 should not be empty")
-	}
-}
-
-func TestAsEquiJoin(t *testing.T) {
-	e := bin(OpEQ, col(1, types.KindInt), &Col{Index: 4, Name: "r", Typ: types.KindInt})
-	ej, ok := AsEquiJoin(e, 3)
-	if !ok || ej.LeftCol != 1 || ej.RightCol != 4 {
-		t.Fatalf("equijoin wrong: %+v %v", ej, ok)
-	}
-	// reversed orientation
-	e2 := bin(OpEQ, &Col{Index: 4}, &Col{Index: 1})
-	ej2, ok := AsEquiJoin(e2, 3)
-	if !ok || ej2.LeftCol != 1 || ej2.RightCol != 4 {
-		t.Fatalf("reversed equijoin wrong: %+v", ej2)
-	}
-	// same side: not a join pred
-	if _, ok := AsEquiJoin(bin(OpEQ, col(0, types.KindInt), col(1, types.KindInt)), 3); ok {
-		t.Error("same-side equality is not an equi-join")
-	}
-	if _, ok := AsEquiJoin(bin(OpLT, col(0, types.KindInt), &Col{Index: 4}), 3); ok {
-		t.Error("non-equality is not an equi-join")
 	}
 }
 

@@ -126,9 +126,6 @@ func (t *BTree) Height() int {
 	return t.height
 }
 
-// NumCols returns the key column count.
-func (t *BTree) NumCols() int { return t.numCols }
-
 // count returns the entries (or separators) n holds.
 func (t *BTree) count(n *node) int { return len(n.ents) / t.stride }
 

@@ -46,9 +46,6 @@ func (p Phase) String() string {
 	return "?"
 }
 
-// Terminal reports whether the phase is an outcome.
-func (p Phase) Terminal() bool { return p >= PhaseDone }
-
 // QueryState is one in-flight query's mutable lifecycle record. The engine
 // writes phase transitions; poll handlers read concurrently, so the phase
 // is an atomic and everything else is immutable after Begin/AttachTrace.
@@ -62,9 +59,6 @@ type QueryState struct {
 	fp     atomic.Pointer[string]
 	reg    *QueryRegistry
 }
-
-// ID returns the query's registry-unique identifier.
-func (q *QueryState) ID() uint64 { return q.id }
 
 // Phase returns the current lifecycle phase.
 func (q *QueryState) Phase() Phase { return Phase(atomic.LoadInt32(&q.phase)) }
@@ -181,9 +175,6 @@ func (r *QueryRegistry) SetSink(s QuerySink) {
 	r.sink = s
 	r.mu.Unlock()
 }
-
-// SetNow overrides the wall clock (tests).
-func (r *QueryRegistry) SetNow(now func() time.Time) { r.now = now }
 
 // Begin registers a query entering the engine and returns its lifecycle
 // record in phase Queued. SQL text is truncated to keep snapshots cheap.

@@ -38,17 +38,6 @@ type Gauge struct{ bits uint64 }
 // Set stores v.
 func (g *Gauge) Set(v float64) { atomic.StoreUint64(&g.bits, math.Float64bits(v)) }
 
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := atomic.LoadUint64(&g.bits)
-		newBits := math.Float64bits(math.Float64frombits(old) + d)
-		if atomic.CompareAndSwapUint64(&g.bits, old, newBits) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(atomic.LoadUint64(&g.bits)) }
 
@@ -79,7 +68,7 @@ const maxHistSample = float64(math.MaxInt64) / histScale
 
 // Observe records one sample. NaN and ±Inf samples (and finite samples so
 // large their scaled value cannot be represented — see histScale) are
-// dropped and counted in Dropped instead of corrupting the running sum.
+// dropped and counted apart instead of corrupting the running sum.
 func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v > maxHistSample || v < -maxHistSample {
 		atomic.AddInt64(&h.dropped, 1)
@@ -96,40 +85,6 @@ func (h *Histogram) Count() int64 { return atomic.LoadInt64(&h.n) }
 
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return float64(atomic.LoadInt64(&h.sum)) / histScale }
-
-// Dropped returns how many samples were rejected as non-finite or
-// unrepresentable.
-func (h *Histogram) Dropped() int64 { return atomic.LoadInt64(&h.dropped) }
-
-// Quantile estimates the q-th quantile (0 < q < 1) of the observed
-// distribution by linear interpolation inside the bucket where the
-// cumulative count crosses q·n — the standard Prometheus histogram_quantile
-// estimate, giving p50/p99/p999 without retaining samples. Samples in the
-// overflow (+Inf) bucket clamp to the highest finite bound. Returns NaN
-// when the histogram is empty or q is out of range.
-func (h *Histogram) Quantile(q float64) float64 {
-	n := atomic.LoadInt64(&h.n)
-	if n == 0 || q <= 0 || q >= 1 {
-		return math.NaN()
-	}
-	rank := q * float64(n)
-	cum := int64(0)
-	for i, b := range h.bounds {
-		c := atomic.LoadInt64(&h.counts[i])
-		if float64(cum+c) >= rank && c > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			return lo + (b-lo)*(rank-float64(cum))/float64(c)
-		}
-		cum += c
-	}
-	if len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	return h.bounds[len(h.bounds)-1]
-}
 
 // Default bucket sets.
 var (

@@ -90,9 +90,3 @@ func (s *JSONLSink) Err() error {
 	defer s.mu.Unlock()
 	return s.err
 }
-
-// FuncSink adapts a function to QuerySink (tests, custom shippers).
-type FuncSink func(rec *QueryRecord)
-
-// WriteQuery implements QuerySink.
-func (f FuncSink) WriteQuery(rec *QueryRecord) { f(rec) }

@@ -39,7 +39,7 @@ func TestColScanEstimateTracksDelta(t *testing.T) {
 				rid, row = id, r.Clone() // r is lent: valid until the callback returns
 				return false
 			})
-			cat.Update(nil, orders, rid, row)
+			cat.UpdateRows(nil, orders, []storage.RID{rid}, row)
 		}
 		o := New(cat)
 		o.Opt.Columnar = true

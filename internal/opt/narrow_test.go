@@ -13,9 +13,18 @@ import (
 	"rqp/internal/types"
 )
 
+// colNames returns a schema's qualified column names.
+func colNames(s types.Schema) []string {
+	out := make([]string, len(s))
+	for i, c := range s {
+		out[i] = c.QualifiedName()
+	}
+	return out
+}
+
 // explainWidths renders the plan tree with each node's output column names.
 func explainWidths(sb *strings.Builder, n plan.Node, depth int) {
-	fmt.Fprintf(sb, "%s%s %v\n", strings.Repeat("  ", depth), n.Label(), n.Schema().Names())
+	fmt.Fprintf(sb, "%s%s %v\n", strings.Repeat("  ", depth), n.Label(), colNames(n.Schema()))
 	for _, c := range n.Children() {
 		explainWidths(sb, c, depth+1)
 	}
@@ -50,7 +59,7 @@ func TestPlanLiveColumns(t *testing.T) {
 		// columns, the join above reads o_orderkey and the aggregate n_name.
 		plan.Walk(root, func(n plan.Node) {
 			if j, ok := n.(*plan.JoinNode); ok && len(leafTables(j)) == 5 {
-				if got := j.Kids[1].Schema().Names(); !reflect.DeepEqual(got, []string{"orders.o_orderkey", "nation.n_name"}) {
+				if got := colNames(j.Kids[1].Schema()); !reflect.DeepEqual(got, []string{"orders.o_orderkey", "nation.n_name"}) {
 					t.Errorf("Q5's top build emits %v, want [orders.o_orderkey nation.n_name]", got)
 				}
 			}

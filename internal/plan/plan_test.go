@@ -68,7 +68,7 @@ func TestBindAliasesAndQualified(t *testing.T) {
 		t.Errorf("aliases wrong: %+v", q.Rels)
 	}
 	if q.Combined[0].Table != "t1" || q.Combined[2].Table != "t2" {
-		t.Errorf("combined schema not requalified: %v", q.Combined.Names())
+		t.Errorf("combined schema not requalified: %v", q.Combined)
 	}
 	// Conjunct references absolute columns 0 and 2.
 	used := expr.ColumnsUsed(q.Conjuncts[0])

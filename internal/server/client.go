@@ -12,7 +12,7 @@ import (
 
 // Client is a minimal wire-protocol client: synchronous command cycles plus
 // an out-of-band Cancel that may be called from another goroutine while a
-// Query/Execute is in flight. It exists for rqpsh -connect, the closed-loop
+// Query is in flight. It exists for rqpsh -connect, the closed-loop
 // load generator, and the protocol tests; it is also the reference
 // implementation for docs/WIRE_PROTOCOL.md.
 type Client struct {
@@ -40,6 +40,7 @@ type ResultSet struct {
 	Tag       string
 	RowCount  uint64
 	CostUnits float64
+	Reopts    int // POP re-plans of the statement
 	// Notices are the advisories received during this command cycle —
 	// WLM_QUEUED / WLM_ADMITTED backpressure signals, in arrival order.
 	Notices []NoticeMsg
@@ -96,10 +97,6 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// Abort closes the connection without the Terminate goodbye — a simulated
-// client crash, used by disconnect-mid-query tests.
-func (c *Client) Abort() error { return c.conn.Close() }
-
 // Query runs one SQL statement with optional positional parameters and
 // collects the full result.
 func (c *Client) Query(sql string, params ...types.Value) (*ResultSet, error) {
@@ -109,43 +106,8 @@ func (c *Client) Query(sql string, params ...types.Value) (*ResultSet, error) {
 	return c.readCycle()
 }
 
-// Prepare names a statement on the server.
-func (c *Client) Prepare(name, sql string) error {
-	if err := c.write(MsgPrepare, PrepareMsg{Name: name, SQL: sql}); err != nil {
-		return err
-	}
-	_, err := c.readCycle()
-	return err
-}
-
-// Bind attaches parameters to a prepared statement, making it the portal.
-func (c *Client) Bind(name string, params ...types.Value) error {
-	if err := c.write(MsgBind, BindMsg{Name: name, Params: params}); err != nil {
-		return err
-	}
-	_, err := c.readCycle()
-	return err
-}
-
-// Execute runs the bound portal. maxRows caps returned rows (0 = all).
-func (c *Client) Execute(maxRows uint32) (*ResultSet, error) {
-	if err := c.write(MsgExecute, ExecuteMsg{MaxRows: maxRows}); err != nil {
-		return nil, err
-	}
-	return c.readCycle()
-}
-
-// CloseStmt deallocates a prepared statement.
-func (c *Client) CloseStmt(name string) error {
-	if err := c.write(MsgClose, CloseMsg{Name: name}); err != nil {
-		return err
-	}
-	_, err := c.readCycle()
-	return err
-}
-
 // Cancel requests best-effort cancellation of the in-flight statement. Safe
-// to call concurrently with a blocked Query/Execute; the canceled statement
+// to call concurrently with a blocked Query; the canceled statement
 // fails with an ERR_CANCELED ServerError.
 func (c *Client) Cancel() error {
 	return c.write(MsgCancel, nil)
@@ -217,7 +179,7 @@ func (c *Client) readCycle() (*ResultSet, error) {
 			if err != nil {
 				return nil, err
 			}
-			rs.Tag, rs.RowCount, rs.CostUnits = m.Tag, m.Rows, m.CostUnits
+			rs.Tag, rs.RowCount, rs.CostUnits, rs.Reopts = m.Tag, m.Rows, m.CostUnits, int(m.Reopts)
 		case MsgError:
 			m, err := DecodeError(f.Payload)
 			if err != nil {

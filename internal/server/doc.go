@@ -6,8 +6,8 @@
 //
 // The wire format is length-prefixed binary frames — one type byte, a
 // big-endian uint32 payload length (capped, default 1 MiB), then the
-// payload. Clients send Startup/Query/Prepare/Bind/Execute/Cancel/Close/
-// Terminate; servers answer Ready/RowDesc/Row/Complete/Error/Notice. The
+// payload. Clients send Startup/Query/Cancel/Terminate; servers answer
+// Ready/RowDesc/Row/Complete/Error/Notice. The
 // normative specification, precise enough to implement a third-party
 // client from, is docs/WIRE_PROTOCOL.md; the Client type in this package is
 // the reference implementation.
@@ -20,19 +20,20 @@
 // is executing: Cancel frames flip the session's cooperative cancel flag —
 // polled by the engine's root drain loop — and a dead connection flips the
 // same flag, so a client crash aborts its query instead of leaving it
-// running for nobody. Prepared statements are per-session names over SQL
-// text; the bound statements and compiled plans behind them live in the
-// engine's shared PlanCache, so sessions preparing the same statement —
-// literal or with `?` parameters — share one parse, one bind and, for binds
-// inside a plan's selectivity region, one cached plan.
+// running for nobody. A session keeps no statements of its own: the bound
+// statements and compiled plans live in the engine's shared PlanCache,
+// keyed by text, so sessions running the same statement — literal or with
+// `?` parameters — share one parse, one bind and, for binds inside a
+// plan's selectivity region, one cached plan.
 //
 // # Results
 //
 // A result is streamed, never staged: the session is the engine's RowSink
 // (core.Engine.ExecStream) and encodes each row onto the connection while
 // the plan root still owns it, through one frame writer, one row encoder
-// and one row decoder shared with WriteFrame/WriteMsg/Encode, the Client
-// and the shuffle sub-protocol. A cycle is RowDesc Row* (Complete | Error);
+// and one row decoder shared with WriteFrame/WriteMsg, the Client and the
+// shuffle sub-protocol. A cycle is RowDesc Row* (Complete | Error), and
+// Complete carries the statement's cost units and POP re-plans;
 // the statement's admission slot covers delivery, so a client that stops
 // reading holds it until it reads on or disconnects. EXPLAIN and EXPLAIN
 // ANALYZE answer with their plan text as a one-column result, one Row per

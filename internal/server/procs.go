@@ -149,17 +149,3 @@ func (p *WorkerProcs) Stop() {
 	}
 	p.cmds, p.stdin, p.Addrs = nil, nil, nil
 }
-
-// Kill forcibly terminates worker i — the fault-injection hook the
-// kill-a-worker-mid-query test uses. The process dies without any protocol
-// goodbye, exactly like a crashed node.
-func (p *WorkerProcs) Kill(i int) error {
-	if i < 0 || i >= len(p.cmds) {
-		return fmt.Errorf("no worker %d", i)
-	}
-	if err := p.cmds[i].Process.Kill(); err != nil {
-		return err
-	}
-	p.cmds[i].Wait()
-	return nil
-}

@@ -159,9 +159,6 @@ func (s *Server) Serve() error { return s.serve(s.handle) }
 // observe the dead conn and cancel their queries cooperatively).
 func (s *Server) Close() error { return s.close() }
 
-// Sessions reports the number of currently open sessions.
-func (s *Server) Sessions() int { return int(s.sessions.Load()) }
-
 // handle runs one connection's session.
 func (s *Server) handle(conn net.Conn) {
 	s.sessions.Add(1)
@@ -176,7 +173,6 @@ func (s *Server) handle(conn net.Conn) {
 		bw:     bufio.NewWriterSize(conn, 32<<10),
 		frames: make(chan Frame),
 		done:   make(chan struct{}),
-		stmts:  make(map[string]*prepared),
 	}
 	sess.serve()
 }

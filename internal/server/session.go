@@ -17,26 +17,9 @@ import (
 // statusIdle is the MsgReady status byte: the session will accept a command.
 const statusIdle = byte('I')
 
-// prepared is one named statement in a session's statement namespace.
-// Statements are per-session by name; the bound statements and compiled plans
-// behind them live in the engine's shared PlanCache, keyed by text, so two
-// sessions preparing the same SQL — with or without `?` — share one parse, one
-// bind and, bind values permitting, one plan.
-type prepared struct {
-	name string
-	sql  string
-}
-
-// portal is a bound statement awaiting Execute: the prepared statement plus
-// the parameter values from the most recent Bind.
-type portal struct {
-	stmt   *prepared
-	params []types.Value
-}
-
 // session is one client connection's server-side state: the frame reader,
-// the prepared-statement namespace, the current portal, and the cooperative
-// cancel flag shared with the executing query.
+// the result stream, and the cooperative cancel flag shared with the
+// executing query.
 type session struct {
 	id   uint64
 	srv  *Server
@@ -62,9 +45,6 @@ type session struct {
 	// readErr records why the reader stopped; a wire-level violation here
 	// still owes the client an ERR_PROTO frame before close.
 	readErr atomic.Value
-
-	stmts  map[string]*prepared
-	portal *portal
 }
 
 // serve runs the session to completion: handshake, then one command frame at
@@ -163,35 +143,7 @@ func (s *session) dispatch(f Frame) (fatal bool) {
 			s.fatal(err.Error())
 			return true
 		}
-		s.runStatement(m.SQL, m.Params, 0)
-	case MsgPrepare:
-		m, err := DecodePrepare(f.Payload)
-		if err != nil {
-			s.fatal(err.Error())
-			return true
-		}
-		s.handlePrepare(m)
-	case MsgBind:
-		m, err := DecodeBind(f.Payload)
-		if err != nil {
-			s.fatal(err.Error())
-			return true
-		}
-		s.handleBind(m)
-	case MsgExecute:
-		m, err := DecodeExecute(f.Payload)
-		if err != nil {
-			s.fatal(err.Error())
-			return true
-		}
-		s.handleExecute(m)
-	case MsgClose:
-		m, err := DecodeClose(f.Payload)
-		if err != nil {
-			s.fatal(err.Error())
-			return true
-		}
-		s.handleClose(m)
+		s.runStatement(m.SQL, m.Params)
 	case MsgTerminate:
 		// Orderly goodbye; serve exits after this returns.
 	case MsgStartup:
@@ -204,59 +156,6 @@ func (s *session) dispatch(f Frame) (fatal bool) {
 	return false
 }
 
-// handlePrepare validates and names a statement. Parse errors surface at
-// prepare time so a bad statement fails before it is ever bound, and the
-// engine keeps the parse (core.Engine.Prepare): Execute finds the statement
-// in the plan cache by its text.
-func (s *session) handlePrepare(m PrepareMsg) {
-	if m.Name == "" {
-		s.sendError(CodeParse, "prepared statement name must not be empty")
-		return
-	}
-	if err := s.srv.cfg.Engine.Prepare(m.SQL); err != nil {
-		s.sendError(CodeParse, err.Error())
-		return
-	}
-	s.stmts[m.Name] = &prepared{name: m.Name, sql: m.SQL}
-	s.complete("PREPARE", 0, 0)
-}
-
-// handleBind creates the session portal from a prepared statement and
-// parameter values.
-func (s *session) handleBind(m BindMsg) {
-	st, ok := s.stmts[m.Name]
-	if !ok {
-		s.sendError(CodeUnknownStmt, fmt.Sprintf("unknown prepared statement %q", m.Name))
-		return
-	}
-	s.portal = &portal{stmt: st, params: m.Params}
-	s.complete("BIND", 0, 0)
-}
-
-// handleExecute runs the current portal.
-func (s *session) handleExecute(m ExecuteMsg) {
-	if s.portal == nil {
-		s.sendError(CodeNoPortal, "Execute without a bound portal")
-		return
-	}
-	s.runStatement(s.portal.stmt.sql, s.portal.params, m.MaxRows)
-}
-
-// handleClose deallocates a prepared statement (and the portal, if it was
-// bound from it).
-func (s *session) handleClose(m CloseMsg) {
-	st, ok := s.stmts[m.Name]
-	if !ok {
-		s.sendError(CodeUnknownStmt, fmt.Sprintf("unknown prepared statement %q", m.Name))
-		return
-	}
-	delete(s.stmts, m.Name)
-	if s.portal != nil && s.portal.stmt == st {
-		s.portal = nil
-	}
-	s.complete("CLOSE", 0, 0)
-}
-
 // resultStream is the core.RowSink of the statement in flight: it puts each
 // row on the wire while the plan root still owns it, so the session never
 // holds a result — its memory does not grow with the result's size, and the
@@ -267,9 +166,8 @@ func (s *session) handleClose(m CloseMsg) {
 type resultStream struct {
 	s         *session
 	cols      []string
-	described bool   // RowDesc is on the wire
-	queued    bool   // WLM_QUEUED is on the wire
-	maxRows   uint32 // rows to send, 0 = all
+	described bool // RowDesc is on the wire
+	queued    bool // WLM_QUEUED is on the wire
 	sent      uint64
 }
 
@@ -301,9 +199,6 @@ func (st *resultStream) Columns(names []string) { st.cols = names }
 // session's buffer and copied onto its writer before Row returns — the
 // operator's next Next may overwrite r. A write error stops the statement.
 func (st *resultStream) Row(r types.Row) error {
-	if st.maxRows > 0 && st.sent >= uint64(st.maxRows) {
-		return nil // the cap trims the stream; the statement runs to completion
-	}
 	st.describe(st.cols)
 	st.sent++
 	s := st.s
@@ -324,13 +219,12 @@ func (st *resultStream) describe(cols []string) {
 var planColumns = []string{"QUERY PLAN"}
 
 // runStatement executes one statement and streams RowDesc Row* (Complete |
-// Error). maxRows caps the rows sent (0 = all); the statement still runs to
-// completion server-side. A SELECT waits for its admission slot inside the
+// Error). A SELECT waits for its admission slot inside the
 // engine (resultStream is its AdmissionQueue); the slot then covers delivery
 // too. EXPLAIN and EXPLAIN ANALYZE answer with their plan text, one row per
 // line, tagged EXPLAIN.
-func (s *session) runStatement(sqlText string, params []types.Value, maxRows uint32) {
-	s.stream = resultStream{s: s, maxRows: maxRows}
+func (s *session) runStatement(sqlText string, params []types.Value) {
+	s.stream = resultStream{s: s}
 	if hook := s.srv.cfg.BeforeExec; hook != nil {
 		hook(s.id, sqlText, s.canceled)
 	}
@@ -351,7 +245,7 @@ func (s *session) runStatement(sqlText string, params []types.Value, maxRows uin
 		for _, line := range strings.Split(strings.TrimSuffix(res.Plan, "\n"), "\n") {
 			s.stream.Row(types.Row{types.Str(line)})
 		}
-		s.complete("EXPLAIN", s.stream.sent, res.Cost)
+		s.complete("EXPLAIN", s.stream.sent, res)
 		return
 	}
 	if len(res.Columns) > 0 {
@@ -363,7 +257,7 @@ func (s *session) runStatement(sqlText string, params []types.Value, maxRows uin
 		tag = "OK"
 		rows = uint64(res.Affected)
 	}
-	s.complete(tag, rows, res.Cost)
+	s.complete(tag, rows, res)
 }
 
 // ---- frame writers ----
@@ -411,9 +305,10 @@ func (s *session) ready() error {
 	return nil
 }
 
-// complete ends a successful statement.
-func (s *session) complete(tag string, rows uint64, cost float64) {
-	s.send(MsgComplete, CompleteMsg{Tag: tag, Rows: rows, CostUnits: cost})
+// complete ends a successful statement: its tag, row count, cost units and
+// re-plans.
+func (s *session) complete(tag string, rows uint64, res *core.Result) {
+	s.send(MsgComplete, CompleteMsg{Tag: tag, Rows: rows, CostUnits: res.Cost, Reopts: uint32(res.Reopts)})
 }
 
 // sendError reports a statement-level failure; the session stays usable.

@@ -13,6 +13,7 @@ import (
 	"rqp/internal/exec"
 	"rqp/internal/types"
 	"rqp/internal/wlm"
+	"rqp/internal/workload"
 )
 
 // testEnv is one running server over a small two-table engine.
@@ -131,108 +132,6 @@ func TestDMLOverWire(t *testing.T) {
 	}
 }
 
-// TestPreparedLifecycle walks Prepare → Bind → Execute → re-Bind →
-// Execute → Close, including the statement-level error cases: unknown
-// statement, Execute without portal, Close clearing the portal.
-func TestPreparedLifecycle(t *testing.T) {
-	env := newTestEnv(t, 0, 0, nil)
-	c, err := Dial(env.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Execute before any Bind: ERR_NO_PORTAL, session stays usable.
-	if _, err := c.Execute(0); !isCode(err, CodeNoPortal) {
-		t.Fatalf("expected ERR_NO_PORTAL, got %v", err)
-	}
-	// Bind of an unknown name: ERR_UNKNOWN_STMT.
-	if err := c.Bind("nope"); !isCode(err, CodeUnknownStmt) {
-		t.Fatalf("expected ERR_UNKNOWN_STMT, got %v", err)
-	}
-	// Prepare with a parse error fails at prepare time.
-	if err := c.Prepare("bad", "SELEKT zap"); !isCode(err, CodeParse) {
-		t.Fatalf("expected ERR_PARSE, got %v", err)
-	}
-
-	parsed := env.eng.Cache.Stats().Parses
-	if err := c.Prepare("byb", "SELECT a FROM r WHERE b = ? ORDER BY a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Bind("byb", types.Int(4)); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := c.Execute(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := env.eng.MustExec("SELECT a FROM r WHERE b = ? ORDER BY a", types.Int(4))
-	if rowsFingerprint(rs.Columns, rs.Rows) != rowsFingerprint(want.Columns, want.Rows) {
-		t.Fatalf("execute result differs: %v vs %v", rs.Rows, want.Rows)
-	}
-
-	// Re-bind with different params re-runs with the new values.
-	if err := c.Bind("byb", types.Int(7)); err != nil {
-		t.Fatal(err)
-	}
-	rs2, err := c.Execute(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2 := env.eng.MustExec("SELECT a FROM r WHERE b = ? ORDER BY a", types.Int(7))
-	if rowsFingerprint(rs2.Columns, rs2.Rows) != rowsFingerprint(want2.Columns, want2.Rows) {
-		t.Fatalf("re-bound execute differs: %v vs %v", rs2.Rows, want2.Rows)
-	}
-
-	// MaxRows caps the stream without failing the statement.
-	if err := c.Bind("byb", types.Int(4)); err != nil {
-		t.Fatal(err)
-	}
-	capped, err := c.Execute(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(capped.Rows) != 5 || capped.RowCount != 5 {
-		t.Fatalf("row cap: got %d rows (count %d), want 5", len(capped.Rows), capped.RowCount)
-	}
-
-	// The statement was parsed once, at Prepare: the three Executes, the
-	// in-process executions of the same text and a second session preparing
-	// and running it all start from the statement in the engine's plan cache.
-	c2, err := Dial(env.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if err := c2.Prepare("mine", "SELECT a FROM r WHERE b = ? ORDER BY a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Bind("mine", types.Int(7)); err != nil {
-		t.Fatal(err)
-	}
-	if rs3, err := c2.Execute(0); err != nil || rowsFingerprint(rs3.Columns, rs3.Rows) != rowsFingerprint(want2.Columns, want2.Rows) {
-		t.Fatalf("second session: %v, rows %v vs %v", err, rs3, want2.Rows)
-	}
-	st := env.eng.Cache.Stats()
-	if got := st.Parses - parsed; got != 1 || env.eng.Cache.Len() != 1 {
-		t.Fatalf("statement parsed %d times for two Prepares and six executions; %d statements cached", got, env.eng.Cache.Len())
-	}
-	if st.Misses != 1 || st.Hits != 5 {
-		t.Fatalf("plan cache over six executions of one unique-selectivity statement: %+v", st)
-	}
-
-	// Close deallocates and clears the portal.
-	if err := c.CloseStmt("byb"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Execute(0); !isCode(err, CodeNoPortal) {
-		t.Fatalf("expected ERR_NO_PORTAL after Close, got %v", err)
-	}
-	if err := c.CloseStmt("byb"); !isCode(err, CodeUnknownStmt) {
-		t.Fatalf("expected ERR_UNKNOWN_STMT on double Close, got %v", err)
-	}
-}
-
 // TestStatementErrorKeepsSession checks that an execution error is
 // statement-scoped: the next statement on the same session succeeds.
 func TestStatementErrorKeepsSession(t *testing.T) {
@@ -263,7 +162,7 @@ func TestBadVersionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, MsgStartup, StartupMsg{Version: 99}.Encode()); err != nil {
+	if err := WriteFrame(conn, MsgStartup, encode(StartupMsg{Version: 99})); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadFrame(conn, MaxFrame)
@@ -291,7 +190,7 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, MsgStartup, StartupMsg{Version: ProtocolVersion}.Encode()); err != nil {
+	if err := WriteFrame(conn, MsgStartup, encode(StartupMsg{Version: ProtocolVersion})); err != nil {
 		t.Fatal(err)
 	}
 	if f, err := ReadFrame(conn, MaxFrame); err != nil || f.Type != MsgReady {
@@ -323,6 +222,89 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 	if !sawError {
 		t.Fatal("server closed without a protocol error frame")
 	}
+}
+
+// TestRetiredFramesRejected sends, after the handshake, each of protocol
+// version 1's Prepare, Bind, Execute and Close, well formed, on its old type
+// byte: the server answers ERR_PROTO and closes the connection.
+func TestRetiredFramesRejected(t *testing.T) {
+	env := newTestEnv(t, 0, 0, nil)
+	for _, rf := range retiredFrames() {
+		t.Run(rf.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", env.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			if err := WriteFrame(conn, MsgStartup, encode(StartupMsg{Version: ProtocolVersion})); err != nil {
+				t.Fatal(err)
+			}
+			if f, err := ReadFrame(conn, MaxFrame); err != nil || f.Type != MsgReady {
+				t.Fatalf("handshake: %v %#x", err, f.Type)
+			}
+			if err := WriteFrame(conn, rf.typ, rf.payload); err != nil {
+				t.Fatal(err)
+			}
+			f, err := ReadFrame(conn, MaxFrame)
+			if err != nil || f.Type != MsgError {
+				t.Fatalf("type %#x: got frame %#x, %v; want an Error frame", rf.typ, f.Type, err)
+			}
+			if m, _ := DecodeError(f.Payload); m.Code != CodeProto {
+				t.Fatalf("type %#x: error %s, want %s", rf.typ, m.Code, CodeProto)
+			}
+			if f, err := ReadFrame(conn, MaxFrame); err == nil {
+				t.Fatalf("type %#x: connection stayed open (next frame %#x)", rf.typ, f.Type)
+			}
+		})
+	}
+}
+
+// TestReoptsOverWire checks that a statement POP re-plans reports the same
+// re-plan count, rows and cost through the protocol as in process.
+func TestReoptsOverWire(t *testing.T) {
+	sc := workload.DefaultStar()
+	sc.FactRows, sc.DimRows, sc.Dim2Rows = 4000, 1200, 500
+	open := func() *core.Engine {
+		cat, err := workload.BuildStar(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.DefaultConfig()
+		cfg.Policy = core.PolicyPOP
+		return core.Attach(cat, cfg)
+	}
+	local := open()
+	srv := New(Config{Engine: open()})
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	defer srv.Close()
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, q := range workload.StarWorkload(sc, 20, 1.0, 7) {
+		want, err := local.Exec(q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Reopts == 0 {
+			continue
+		}
+		got, err := c.Query(q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Reopts != want.Reopts || got.CostUnits != want.Cost || fpRS(got) != fp(want) {
+			t.Fatalf("%s\nover the wire: %d reopt(s), cost %v; in process: %d reopt(s), cost %v",
+				q.SQL, got.Reopts, got.CostUnits, want.Reopts, want.Cost)
+		}
+		return
+	}
+	t.Fatal("the trapped star workload made POP re-plan no statement")
 }
 
 // isCode reports whether err is a ServerError with the given code.
@@ -633,7 +615,8 @@ func TestAdmissionDMLDoesNotQueue(t *testing.T) {
 }
 
 // TestConcurrentClientsStress runs 64 concurrent sessions against a 4-MPL
-// gate, each issuing a mix of plain and prepared statements. Every result
+// gate, each issuing a mix of plain and parameterised statements (all 64
+// share the parameterised ones through the plan cache). Every result
 // must match the single-session reference exactly (zero incorrect results
 // under load is the E29 acceptance bar), the gate's peak concurrency must
 // respect the MPL, and the notices observed must be consistent.
@@ -676,11 +659,6 @@ func TestConcurrentClientsStress(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			stmt := fmt.Sprintf("st%d", id)
-			if err := c.Prepare(stmt, queries[2]); err != nil {
-				errs <- err
-				return
-			}
 			for q := 0; q < queriesPerClient; q++ {
 				switch q % 4 {
 				case 0:
@@ -705,17 +683,13 @@ func TestConcurrentClientsStress(t *testing.T) {
 					}
 				case 2:
 					b := (id + q) % 10
-					if err := c.Bind(stmt, types.Int(int64(b))); err != nil {
-						errs <- err
-						return
-					}
-					rs, err := c.Execute(0)
+					rs, err := c.Query(queries[2], types.Int(int64(b)))
 					if err != nil {
 						errs <- err
 						return
 					}
 					if fpRS(rs) != refs[fmt.Sprintf("%s|%d", queries[2], b)] {
-						errs <- fmt.Errorf("client %d: wrong prepared result for b=%d", id, b)
+						errs <- fmt.Errorf("client %d: wrong parameterised result for b=%d", id, b)
 						return
 					}
 				case 3:
@@ -761,7 +735,6 @@ func TestRowLifetimeSessions(t *testing.T) {
 	t.Run("QueryOverWire", TestQueryOverWire)
 	t.Run("QueryParamsOverWire", TestQueryParamsOverWire)
 	t.Run("DMLOverWire", TestDMLOverWire)
-	t.Run("PreparedLifecycle", TestPreparedLifecycle)
 	t.Run("GoldenWireTranscript", TestGoldenWireTranscript)
 	t.Run("ConcurrentClientsStress", TestConcurrentClientsStress)
 	t.Run("CancelMidStream", TestCancelMidStreamKeepsSession)

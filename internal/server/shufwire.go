@@ -66,9 +66,6 @@ type ShardHelloMsg struct {
 	Model     storage.CostModel
 }
 
-// Encode renders the hello payload.
-func (m ShardHelloMsg) Encode() []byte { return encode(m) }
-
 func (m ShardHelloMsg) encodeTo(w *wireWriter) {
 	w.u16(m.Version)
 	w.u64(m.JoinID)
@@ -164,17 +161,6 @@ type RouteBatchMsg struct {
 	Probe  []exec.ShufProbe
 }
 
-// Rows reports how many routed rows the batch carries.
-func (m RouteBatchMsg) Rows() int {
-	if m.Phase == ShufPhaseBuild {
-		return len(m.Build)
-	}
-	return len(m.Probe)
-}
-
-// Encode renders the route-batch payload.
-func (m RouteBatchMsg) Encode() []byte { return encode(m) }
-
 func (m RouteBatchMsg) encodeTo(w *wireWriter) {
 	w.u64(m.JoinID)
 	w.byte(m.Phase)
@@ -267,9 +253,6 @@ type ShardEOFMsg struct {
 	Src    uint16
 }
 
-// Encode renders the EOF payload.
-func (m ShardEOFMsg) Encode() []byte { return encode(m) }
-
 func (m ShardEOFMsg) encodeTo(w *wireWriter) {
 	w.u64(m.JoinID)
 	w.byte(m.Phase)
@@ -297,9 +280,6 @@ type ShardAcceptMsg struct {
 	Credit uint16
 }
 
-// Encode renders the accept payload.
-func (m ShardAcceptMsg) Encode() []byte { return encode(m) }
-
 func (m ShardAcceptMsg) encodeTo(w *wireWriter) {
 	w.u64(m.JoinID)
 	w.u16(m.Credit)
@@ -320,9 +300,6 @@ type ShardAckMsg struct {
 	Credit uint16
 }
 
-// Encode renders the ack payload.
-func (m ShardAckMsg) Encode() []byte { return encode(m) }
-
 func (m ShardAckMsg) encodeTo(w *wireWriter) {
 	w.u64(m.JoinID)
 	w.u16(m.Credit)
@@ -342,9 +319,6 @@ type OutBatchMsg struct {
 	JoinID uint64
 	Rows   []exec.ShufOut
 }
-
-// Encode renders the out-batch payload.
-func (m OutBatchMsg) Encode() []byte { return encode(m) }
 
 func (m OutBatchMsg) encodeTo(w *wireWriter) {
 	w.u64(m.JoinID)
@@ -390,9 +364,6 @@ type ShardDoneMsg struct {
 	RowsCPU     int64
 }
 
-// Encode renders the done payload.
-func (m ShardDoneMsg) Encode() []byte { return encode(m) }
-
 func (m ShardDoneMsg) encodeTo(w *wireWriter) {
 	w.u64(m.JoinID)
 	w.u32(m.OutRows)
@@ -426,9 +397,6 @@ type ShardErrMsg struct {
 	Code    string
 	Message string
 }
-
-// Encode renders the error payload.
-func (m ShardErrMsg) Encode() []byte { return encode(m) }
 
 func (m ShardErrMsg) encodeTo(w *wireWriter) {
 	w.u64(m.JoinID)

@@ -54,7 +54,7 @@ func TestShuffleMessageRoundTrips(t *testing.T) {
 	cases := []struct {
 		name   string
 		typ    byte
-		msg    interface{ Encode() []byte }
+		msg    Encoder
 		decode func([]byte) (any, error)
 	}{
 		{"ShardHello", MsgShardHello, shufSampleHello(),
@@ -94,7 +94,7 @@ func TestShuffleMessageRoundTrips(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			enc := tc.msg.Encode()
+			enc := encode(tc.msg)
 			var buf bytes.Buffer
 			if err := WriteFrame(&buf, tc.typ, enc); err != nil {
 				t.Fatal(err)
@@ -113,7 +113,7 @@ func TestShuffleMessageRoundTrips(t *testing.T) {
 			if want := reflect.ValueOf(tc.msg).Interface(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, want)
 			}
-			re := got.(interface{ Encode() []byte }).Encode()
+			re := encode(got.(Encoder))
 			if !bytes.Equal(re, enc) {
 				t.Fatalf("re-encode not canonical:\n got %x\nwant %x", re, enc)
 			}
@@ -127,12 +127,12 @@ func TestShuffleDecodeRejectsMalformed(t *testing.T) {
 	t.Run("BadShardID", func(t *testing.T) {
 		h := shufSampleHello()
 		h.Shard = h.Shards // out of range: no valid exchange produces this
-		if _, err := DecodeShardHello(h.Encode()); !errors.Is(err, ErrProto) {
+		if _, err := DecodeShardHello(encode(h)); !errors.Is(err, ErrProto) {
 			t.Fatalf("expected ErrProto on shard id >= shards, got %v", err)
 		}
 		h.Shards = 0
 		h.Shard = 0
-		if _, err := DecodeShardHello(h.Encode()); !errors.Is(err, ErrProto) {
+		if _, err := DecodeShardHello(encode(h)); !errors.Is(err, ErrProto) {
 			t.Fatalf("expected ErrProto on zero-width exchange, got %v", err)
 		}
 	})
@@ -149,18 +149,18 @@ func TestShuffleDecodeRejectsMalformed(t *testing.T) {
 	t.Run("UnknownPhase", func(t *testing.T) {
 		m := shufSampleBuildBatch()
 		m.Phase = 'x'
-		if _, err := DecodeRouteBatch(m.Encode()); !errors.Is(err, ErrProto) {
+		if _, err := DecodeRouteBatch(encode(m)); !errors.Is(err, ErrProto) {
 			t.Fatalf("expected ErrProto on unknown phase, got %v", err)
 		}
-		if _, err := DecodeShardEOF(ShardEOFMsg{JoinID: 7, Phase: 'x'}.Encode()); !errors.Is(err, ErrProto) {
+		if _, err := DecodeShardEOF(encode(ShardEOFMsg{JoinID: 7, Phase: 'x'})); !errors.Is(err, ErrProto) {
 			t.Fatalf("expected ErrProto on unknown eof phase, got %v", err)
 		}
 	})
 	t.Run("Truncated", func(t *testing.T) {
 		for name, full := range map[string][]byte{
-			"hello": shufSampleHello().Encode(),
-			"build": shufSampleBuildBatch().Encode(),
-			"probe": shufSampleProbeBatch().Encode(),
+			"hello": encode(shufSampleHello()),
+			"build": encode(shufSampleBuildBatch()),
+			"probe": encode(shufSampleProbeBatch()),
 		} {
 			for cut := 0; cut < len(full); cut++ {
 				var err error
@@ -177,7 +177,7 @@ func TestShuffleDecodeRejectsMalformed(t *testing.T) {
 		}
 	})
 	t.Run("TrailingGarbage", func(t *testing.T) {
-		p := append(shufSampleProbeBatch().Encode(), 0xFF)
+		p := append(encode(shufSampleProbeBatch()), 0xFF)
 		if _, err := DecodeRouteBatch(p); !errors.Is(err, ErrProto) {
 			t.Fatalf("expected ErrProto on trailing garbage, got %v", err)
 		}
@@ -198,7 +198,7 @@ func TestShuffleDecodeRejectsMalformed(t *testing.T) {
 }
 
 // TestWriteMsgMatchesEncode pins the pooled fast path's equivalence: the
-// bytes WriteMsg puts on the wire are exactly WriteFrame(Encode()).
+// bytes WriteMsg puts on the wire are exactly WriteFrame(encode(m)).
 func TestWriteMsgMatchesEncode(t *testing.T) {
 	msgs := []struct {
 		typ byte
@@ -215,11 +215,11 @@ func TestWriteMsgMatchesEncode(t *testing.T) {
 		if err := WriteMsg(&pooled, tc.typ, tc.m); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFrame(&plain, tc.typ, tc.m.(interface{ Encode() []byte }).Encode()); err != nil {
+		if err := WriteFrame(&plain, tc.typ, encode(tc.m)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(pooled.Bytes(), plain.Bytes()) {
-			t.Fatalf("type %#x: pooled frame differs from Encode path", tc.typ)
+			t.Fatalf("type %#x: pooled frame differs from encode path", tc.typ)
 		}
 	}
 }
@@ -237,7 +237,7 @@ func benchBatch() RouteBatchMsg {
 	return RouteBatchMsg{JoinID: 7, Phase: ShufPhaseProbe, Src: 1, Probe: rows}
 }
 
-// BenchmarkWireEncode contrasts the allocating Encode path with the pooled
+// BenchmarkWireEncode contrasts the allocating encode path with the pooled
 // WriteMsg path on the shuffle hot-path frame. The pooled path must not
 // allocate per frame — that is the reason encode buffers are pooled.
 func BenchmarkWireEncode(b *testing.B) {
@@ -245,7 +245,7 @@ func BenchmarkWireEncode(b *testing.B) {
 	b.Run("encode-alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = m.Encode()
+			_ = encode(m)
 		}
 	})
 	b.Run("writemsg-pooled", func(b *testing.B) {

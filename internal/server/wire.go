@@ -16,20 +16,18 @@ import (
 // startup frame carrying any other version is refused with ErrProto so an
 // incompatible client fails loudly at the handshake instead of strangely
 // mid-session. See docs/WIRE_PROTOCOL.md for the normative specification.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // Message type bytes. Client-to-server types occupy 0x01–0x7f, server-to-
 // client types set the high bit — a deliberate asymmetry so a captured
-// stream's direction is readable straight off the type byte.
+// stream's direction is readable straight off the type byte. 0x03–0x05 and
+// 0x07 are retired (protocol version 1's Prepare, Bind, Execute and Close):
+// a session answers them as any unknown type, with a fatal ERR_PROTO.
 const (
 	// Client → server.
 	MsgStartup   = byte(0x01) // protocol version + session options
 	MsgQuery     = byte(0x02) // one SQL statement, optional params
-	MsgPrepare   = byte(0x03) // name a statement for later Bind/Execute
-	MsgBind      = byte(0x04) // bind params to a prepared statement
-	MsgExecute   = byte(0x05) // run the bound portal
 	MsgCancel    = byte(0x06) // best-effort cancel of the in-flight query
-	MsgClose     = byte(0x07) // deallocate a prepared statement
 	MsgTerminate = byte(0x08) // orderly goodbye
 
 	// Server → client.
@@ -44,15 +42,13 @@ const (
 // Error codes carried by MsgError and MsgNotice frames. The code is a
 // stable machine-readable string; the human message may change freely.
 const (
-	CodeProto       = "ERR_PROTO"        // malformed or out-of-order frame (fatal)
-	CodeParse       = "ERR_PARSE"        // SQL failed to parse/bind
-	CodeExec        = "ERR_EXEC"         // statement failed during execution
-	CodeAdmit       = "ERR_ADMIT"        // admission queue timeout, query never ran
-	CodeCanceled    = "ERR_CANCELED"     // client Cancel took effect
-	CodeUnknownStmt = "ERR_UNKNOWN_STMT" // Bind/Close of a name never prepared
-	CodeNoPortal    = "ERR_NO_PORTAL"    // Execute without a completed Bind
-	NoticeQueued    = "WLM_QUEUED"       // MPL gate full, session is waiting
-	NoticeAdmitted  = "WLM_ADMITTED"     // a previously queued query got its slot
+	CodeProto      = "ERR_PROTO"    // malformed or out-of-order frame (fatal)
+	CodeParse      = "ERR_PARSE"    // SQL failed to parse/bind
+	CodeExec       = "ERR_EXEC"     // statement failed during execution
+	CodeAdmit      = "ERR_ADMIT"    // admission queue timeout, query never ran
+	CodeCanceled   = "ERR_CANCELED" // client Cancel took effect
+	NoticeQueued   = "WLM_QUEUED"   // MPL gate full, session is waiting
+	NoticeAdmitted = "WLM_ADMITTED" // a previously queued query got its slot
 )
 
 // MaxFrame is the default cap on a frame's payload size. A length prefix
@@ -185,7 +181,7 @@ func (w *wireWriter) release() {
 
 // WriteMsg encodes m through a spare buffer and writes it to dst as one
 // frame in one Write. This is the allocation-free send path for the frames
-// sent millions of times — the shuffle's route and out batches; Encode
+// sent millions of times — the shuffle's route and out batches; encode
 // allocates a buffer the caller keeps (fine for handshakes and tests).
 // Result rows take the same frame writer through the session's own buffer,
 // without the Encoder boxing (resultStream.Row).
@@ -207,9 +203,9 @@ func writeMsg(dst io.Writer, typ byte, m Encoder) (int, error) {
 	return n, err
 }
 
-// encode is the shared Encode body: the payload rendered through a spare
-// buffer and copied out once, at its exact size, into a buffer the caller
-// owns (so it may outlive the call, unlike WriteMsg's spare buffer).
+// encode renders m's payload through a spare buffer and copies it out once,
+// at its exact size, into a buffer the caller owns (so it may outlive the
+// call, unlike WriteMsg's spare buffer).
 func encode(m Encoder) []byte {
 	w := encoders.Get()
 	w.buf = w.buf[:0]
@@ -453,9 +449,6 @@ type StartupMsg struct {
 	Options map[string]string
 }
 
-// Encode renders the startup payload.
-func (m StartupMsg) Encode() []byte { return encode(m) }
-
 func (m StartupMsg) encodeTo(w *wireWriter) {
 	w.u16(m.Version)
 	w.u16(uint16(len(m.Options)))
@@ -493,9 +486,6 @@ type QueryMsg struct {
 	Params []types.Value
 }
 
-// Encode renders the query payload.
-func (m QueryMsg) Encode() []byte { return encode(m) }
-
 func (m QueryMsg) encodeTo(w *wireWriter) {
 	w.str(m.SQL)
 	appendValues(w, m.Params)
@@ -510,95 +500,11 @@ func DecodeQuery(p []byte) (QueryMsg, error) {
 	return m, r.done()
 }
 
-// PrepareMsg names a statement for later Bind/Execute cycles.
-type PrepareMsg struct {
-	Name string
-	SQL  string
-}
-
-// Encode renders the prepare payload.
-func (m PrepareMsg) Encode() []byte { return encode(m) }
-
-func (m PrepareMsg) encodeTo(w *wireWriter) {
-	w.str(m.Name)
-	w.str(m.SQL)
-}
-
-// DecodePrepare parses a MsgPrepare payload.
-func DecodePrepare(p []byte) (PrepareMsg, error) {
-	r := &wireReader{buf: p}
-	m := PrepareMsg{Name: r.str(), SQL: r.str()}
-	return m, r.done()
-}
-
-// BindMsg binds positional parameters to a prepared statement, creating the
-// session's portal.
-type BindMsg struct {
-	Name   string
-	Params []types.Value
-}
-
-// Encode renders the bind payload.
-func (m BindMsg) Encode() []byte { return encode(m) }
-
-func (m BindMsg) encodeTo(w *wireWriter) {
-	w.str(m.Name)
-	appendValues(w, m.Params)
-}
-
-// DecodeBind parses a MsgBind payload.
-func DecodeBind(p []byte) (BindMsg, error) {
-	r := &wireReader{buf: p}
-	var a exec.RowArena
-	m := BindMsg{Name: r.str()}
-	m.Params = readValues(r, &a)
-	return m, r.done()
-}
-
-// ExecuteMsg runs the session's portal. MaxRows caps returned rows (0 = no
-// cap); the statement still runs to completion server-side — the cap trims
-// the result stream, it is not a cursor.
-type ExecuteMsg struct {
-	MaxRows uint32
-}
-
-// Encode renders the execute payload.
-func (m ExecuteMsg) Encode() []byte { return encode(m) }
-
-func (m ExecuteMsg) encodeTo(w *wireWriter) { w.u32(m.MaxRows) }
-
-// DecodeExecute parses a MsgExecute payload.
-func DecodeExecute(p []byte) (ExecuteMsg, error) {
-	r := &wireReader{buf: p}
-	m := ExecuteMsg{MaxRows: r.u32()}
-	return m, r.done()
-}
-
-// CloseMsg deallocates a prepared statement.
-type CloseMsg struct {
-	Name string
-}
-
-// Encode renders the close payload.
-func (m CloseMsg) Encode() []byte { return encode(m) }
-
-func (m CloseMsg) encodeTo(w *wireWriter) { w.str(m.Name) }
-
-// DecodeClose parses a MsgClose payload.
-func DecodeClose(p []byte) (CloseMsg, error) {
-	r := &wireReader{buf: p}
-	m := CloseMsg{Name: r.str()}
-	return m, r.done()
-}
-
 // ReadyMsg tells the client the server will accept the next command.
 type ReadyMsg struct {
 	SessionID uint64
 	Status    byte // 'I' idle; reserved for future states
 }
-
-// Encode renders the ready payload.
-func (m ReadyMsg) Encode() []byte { return encode(m) }
 
 func (m ReadyMsg) encodeTo(w *wireWriter) {
 	w.u64(m.SessionID)
@@ -616,9 +522,6 @@ func DecodeReady(p []byte) (ReadyMsg, error) {
 type RowDescMsg struct {
 	Columns []string
 }
-
-// Encode renders the row-description payload.
-func (m RowDescMsg) Encode() []byte { return encode(m) }
 
 func (m RowDescMsg) encodeTo(w *wireWriter) {
 	w.u16(uint16(len(m.Columns)))
@@ -686,30 +589,29 @@ func decodeRowInto(p []byte, s *exec.RowSet, width int) error {
 	return r.done()
 }
 
-// CompleteMsg ends a statement cycle: a command tag ("SELECT", "INSERT",
-// "PREPARE", "BIND", …), the returned/affected row count, and the simulated
-// cost units the statement consumed (the engine's deterministic currency —
-// on the wire so a remote client can reason about cost without scraping
-// /metrics).
+// CompleteMsg ends a statement cycle: a command tag ("SELECT", "OK",
+// "EXPLAIN"), the returned/affected row count, the simulated cost units the
+// statement consumed (the engine's deterministic currency — on the wire so
+// a remote client can reason about cost without scraping /metrics), and the
+// number of times POP re-planned it.
 type CompleteMsg struct {
 	Tag       string
 	Rows      uint64
 	CostUnits float64
+	Reopts    uint32
 }
-
-// Encode renders the complete payload.
-func (m CompleteMsg) Encode() []byte { return encode(m) }
 
 func (m CompleteMsg) encodeTo(w *wireWriter) {
 	w.str(m.Tag)
 	w.u64(m.Rows)
 	w.f64(m.CostUnits)
+	w.u32(m.Reopts)
 }
 
 // DecodeComplete parses a MsgComplete payload.
 func DecodeComplete(p []byte) (CompleteMsg, error) {
 	r := &wireReader{buf: p}
-	m := CompleteMsg{Tag: r.str(), Rows: r.u64(), CostUnits: r.f64()}
+	m := CompleteMsg{Tag: r.str(), Rows: r.u64(), CostUnits: r.f64(), Reopts: r.u32()}
 	return m, r.done()
 }
 
@@ -721,9 +623,6 @@ type ErrorMsg struct {
 	Code    string
 	Message string
 }
-
-// Encode renders the error payload.
-func (m ErrorMsg) Encode() []byte { return encode(m) }
 
 func (m ErrorMsg) encodeTo(w *wireWriter) {
 	w.str(m.Code)
@@ -745,9 +644,6 @@ type NoticeMsg struct {
 	Code    string
 	Message string
 }
-
-// Encode renders the notice payload.
-func (m NoticeMsg) Encode() []byte { return encode(m) }
 
 func (m NoticeMsg) encodeTo(w *wireWriter) {
 	w.str(m.Code)

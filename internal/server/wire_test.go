@@ -66,7 +66,7 @@ func TestFrameTruncated(t *testing.T) {
 	if err := WriteFrame(&buf, MsgQuery, []byte("SELECT 1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, MsgRow, RowMsg{Values: sampleValues()}.Encode()); err != nil {
+	if err := WriteFrame(&buf, MsgRow, encode(RowMsg{Values: sampleValues()})); err != nil {
 		t.Fatal(err)
 	}
 	first := frameHeaderLen + len("SELECT 1")
@@ -128,7 +128,7 @@ func checkStreamParity(t *testing.T, data []byte) {
 	}
 	for i, k := range rows {
 		// Re-encoding is the comparison: canonical, and NaN-proof.
-		if enc := (RowMsg{Values: k.row}).Encode(); !bytes.Equal(enc, k.payload) {
+		if enc := encode(RowMsg{Values: k.row}); !bytes.Equal(enc, k.payload) {
 			t.Fatalf("row %d changed after later frames were read: re-encodes to %x, arrived as %x", i, enc, k.payload)
 		}
 	}
@@ -229,7 +229,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	cases := []struct {
 		name   string
 		typ    byte
-		msg    interface{ Encode() []byte }
+		msg    Encoder
 		decode func([]byte) (any, error)
 	}{
 		{"Startup", MsgStartup,
@@ -244,18 +244,6 @@ func TestMessageRoundTrips(t *testing.T) {
 		{"QueryNoParams", MsgQuery,
 			QueryMsg{SQL: "SELECT 1 FROM r"},
 			func(p []byte) (any, error) { return DecodeQuery(p) }},
-		{"Prepare", MsgPrepare,
-			PrepareMsg{Name: "q1", SQL: "SELECT a FROM r WHERE b = ?"},
-			func(p []byte) (any, error) { return DecodePrepare(p) }},
-		{"Bind", MsgBind,
-			BindMsg{Name: "q1", Params: sampleValues()},
-			func(p []byte) (any, error) { return DecodeBind(p) }},
-		{"Execute", MsgExecute,
-			ExecuteMsg{MaxRows: 500},
-			func(p []byte) (any, error) { return DecodeExecute(p) }},
-		{"Close", MsgClose,
-			CloseMsg{Name: "q1"},
-			func(p []byte) (any, error) { return DecodeClose(p) }},
 		{"Ready", MsgReady,
 			ReadyMsg{SessionID: 42, Status: statusIdle},
 			func(p []byte) (any, error) { return DecodeReady(p) }},
@@ -269,7 +257,7 @@ func TestMessageRoundTrips(t *testing.T) {
 			RowMsg{Values: sampleValues()},
 			func(p []byte) (any, error) { return DecodeRow(p) }},
 		{"Complete", MsgComplete,
-			CompleteMsg{Tag: "SELECT", Rows: 1234, CostUnits: 987.5},
+			CompleteMsg{Tag: "SELECT", Rows: 1234, CostUnits: 987.5, Reopts: 2},
 			func(p []byte) (any, error) { return DecodeComplete(p) }},
 		{"Error", MsgError,
 			ErrorMsg{Code: CodeExec, Message: "join exploded"},
@@ -280,7 +268,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			enc := tc.msg.Encode()
+			enc := encode(tc.msg)
 
 			// Through the full frame envelope, not just the payload.
 			var buf bytes.Buffer
@@ -306,7 +294,7 @@ func TestMessageRoundTrips(t *testing.T) {
 
 			// Re-encoding the decoded message must be byte-identical — the
 			// property that makes the encoding canonical.
-			re := got.(interface{ Encode() []byte }).Encode()
+			re := encode(got.(Encoder))
 			if !bytes.Equal(re, enc) {
 				t.Fatalf("re-encode not canonical:\n got %x\nwant %x", re, enc)
 			}
@@ -318,7 +306,7 @@ func TestMessageRoundTrips(t *testing.T) {
 // payloads with bytes past the message end — over-long payloads must not
 // silently pass.
 func TestDecodeRejectsTrailingGarbage(t *testing.T) {
-	p := append(QueryMsg{SQL: "SELECT 1 FROM r"}.Encode(), 0xFF)
+	p := append(encode(QueryMsg{SQL: "SELECT 1 FROM r"}), 0xFF)
 	if _, err := DecodeQuery(p); !errors.Is(err, ErrProto) {
 		t.Fatalf("expected ErrProto on trailing garbage, got %v", err)
 	}
@@ -328,13 +316,13 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 // through its decoder: all must fail cleanly (no panic, ErrProto). Row
 // payloads go through the one-shot and the slab decoder.
 func TestDecodeRejectsTruncation(t *testing.T) {
-	full := QueryMsg{SQL: "SELECT a FROM r WHERE b = ?", Params: sampleValues()}.Encode()
+	full := encode(QueryMsg{SQL: "SELECT a FROM r WHERE b = ?", Params: sampleValues()})
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := DecodeQuery(full[:cut]); !errors.Is(err, ErrProto) {
 			t.Fatalf("cut at %d: expected ErrProto, got %v", cut, err)
 		}
 	}
-	row := RowMsg{Values: sampleValues()}.Encode()
+	row := encode(RowMsg{Values: sampleValues()})
 	var arena exec.RowArena
 	for cut := 0; cut < len(row); cut++ {
 		if _, err := DecodeRow(row[:cut]); !errors.Is(err, ErrProto) {
@@ -394,34 +382,58 @@ func TestHostileCountPrefix(t *testing.T) {
 	}
 	var stream bytes.Buffer
 	WriteFrame(&stream, MsgRow, row)
-	WriteFrame(&stream, MsgRow, RowMsg{Values: sampleValues()}.Encode())
+	WriteFrame(&stream, MsgRow, encode(RowMsg{Values: sampleValues()}))
 	checkStreamParity(t, stream.Bytes())
+}
+
+// retiredFrame is one of protocol version 1's Prepare, Bind, Execute and
+// Close, well formed, on the type byte version 2 retired: what an old
+// client sends.
+type retiredFrame struct {
+	name    string
+	typ     byte
+	payload []byte
+}
+
+func retiredFrames() []retiredFrame {
+	prepare, bind, execute, close := &wireWriter{}, &wireWriter{}, &wireWriter{}, &wireWriter{}
+	prepare.str("q")
+	prepare.str("SELECT a FROM r WHERE b = ?")
+	bind.str("q")
+	appendValues(bind, sampleValues())
+	execute.u32(7) // maxrows
+	close.str("q")
+	return []retiredFrame{
+		{"Prepare", 0x03, prepare.buf},
+		{"Bind", 0x04, bind.buf},
+		{"Execute", 0x05, execute.buf},
+		{"Close", 0x07, close.buf},
+	}
 }
 
 // FuzzFrame feeds raw bytes through the frame reader and all message
 // decoders: nothing may panic, and whatever decodes must re-encode
 // canonically.
 func FuzzFrame(f *testing.F) {
-	// Seed corpus: every valid message framed, plus deliberately malformed
-	// frames — truncated header, oversized length prefix, trailing garbage,
-	// unknown value kind, hostile count.
+	// Seed corpus: every valid message framed, the retired ones, plus
+	// deliberately malformed frames — truncated header, oversized length
+	// prefix, trailing garbage, unknown value kind, hostile count.
 	seed := func(typ byte, payload []byte) {
 		var buf bytes.Buffer
 		WriteFrame(&buf, typ, payload)
 		f.Add(buf.Bytes())
 	}
-	seed(MsgStartup, StartupMsg{Version: ProtocolVersion, Options: map[string]string{"a": "b"}}.Encode())
-	seed(MsgQuery, QueryMsg{SQL: "SELECT a FROM r", Params: sampleValues()}.Encode())
-	seed(MsgPrepare, PrepareMsg{Name: "q", SQL: "SELECT 1 FROM r"}.Encode())
-	seed(MsgBind, BindMsg{Name: "q", Params: sampleValues()}.Encode())
-	seed(MsgExecute, ExecuteMsg{MaxRows: 7}.Encode())
-	seed(MsgClose, CloseMsg{Name: "q"}.Encode())
-	seed(MsgReady, ReadyMsg{SessionID: 1, Status: statusIdle}.Encode())
-	seed(MsgRowDesc, RowDescMsg{Columns: []string{"a"}}.Encode())
-	seed(MsgRow, RowMsg{Values: sampleValues()}.Encode())
-	seed(MsgComplete, CompleteMsg{Tag: "SELECT", Rows: 1, CostUnits: 2}.Encode())
-	seed(MsgError, ErrorMsg{Code: CodeProto, Message: "x"}.Encode())
-	seed(MsgNotice, NoticeMsg{Code: NoticeQueued, Message: "y"}.Encode())
+	seed(MsgStartup, encode(StartupMsg{Version: ProtocolVersion, Options: map[string]string{"a": "b"}}))
+	seed(MsgQuery, encode(QueryMsg{SQL: "SELECT a FROM r", Params: sampleValues()}))
+	for _, rf := range retiredFrames() {
+		seed(rf.typ, rf.payload)
+	}
+	seed(MsgReady, encode(ReadyMsg{SessionID: 1, Status: statusIdle}))
+	seed(MsgRowDesc, encode(RowDescMsg{Columns: []string{"a"}}))
+	seed(MsgRow, encode(RowMsg{Values: sampleValues()}))
+	seed(MsgComplete, encode(CompleteMsg{Tag: "SELECT", Rows: 1, CostUnits: 2}))
+	seed(MsgError, encode(ErrorMsg{Code: CodeProto, Message: "x"}))
+	seed(MsgNotice, encode(NoticeMsg{Code: NoticeQueued, Message: "y"}))
 	f.Add([]byte{})                                         // empty stream
 	f.Add([]byte{MsgQuery})                                 // truncated header
 	f.Add([]byte{MsgQuery, 0xFF, 0xFF, 0xFF, 0xFF})         // oversized length
@@ -436,23 +448,23 @@ func FuzzFrame(f *testing.F) {
 	// Shuffle sub-protocol: every frame kind, then the malformed shapes its
 	// decoders must refuse — truncated route batch, bad shard id, over-cap
 	// batch count.
-	seed(MsgShardHello, shufSampleHello().Encode())
-	seed(MsgRouteBatch, shufSampleBuildBatch().Encode())
-	seed(MsgRouteBatch, shufSampleProbeBatch().Encode())
-	seed(MsgShardEOF, ShardEOFMsg{JoinID: 7, Phase: ShufPhaseProbe, Src: 2}.Encode())
-	seed(MsgShardAccept, ShardAcceptMsg{JoinID: 7, Credit: shufCreditWindow}.Encode())
-	seed(MsgShardAck, ShardAckMsg{JoinID: 7, Credit: 16}.Encode())
-	seed(MsgOutBatch, OutBatchMsg{JoinID: 7, Rows: []exec.ShufOut{{Seq: 1, BIdx: -1, Row: sampleValues()}}}.Encode())
-	seed(MsgShardDone, ShardDoneMsg{JoinID: 7, OutRows: 9, UnitsScaled: 1 << 40}.Encode())
-	seed(MsgShardErr, ShardErrMsg{JoinID: 7, Code: CodeExec, Message: "shard died"}.Encode())
+	seed(MsgShardHello, encode(shufSampleHello()))
+	seed(MsgRouteBatch, encode(shufSampleBuildBatch()))
+	seed(MsgRouteBatch, encode(shufSampleProbeBatch()))
+	seed(MsgShardEOF, encode(ShardEOFMsg{JoinID: 7, Phase: ShufPhaseProbe, Src: 2}))
+	seed(MsgShardAccept, encode(ShardAcceptMsg{JoinID: 7, Credit: shufCreditWindow}))
+	seed(MsgShardAck, encode(ShardAckMsg{JoinID: 7, Credit: 16}))
+	seed(MsgOutBatch, encode(OutBatchMsg{JoinID: 7, Rows: []exec.ShufOut{{Seq: 1, BIdx: -1, Row: sampleValues()}}}))
+	seed(MsgShardDone, encode(ShardDoneMsg{JoinID: 7, OutRows: 9, UnitsScaled: 1 << 40}))
+	seed(MsgShardErr, encode(ShardErrMsg{JoinID: 7, Code: CodeExec, Message: "shard died"}))
 	{
-		full := shufSampleProbeBatch().Encode()
+		full := encode(shufSampleProbeBatch())
 		seed(MsgRouteBatch, full[:len(full)/2]) // truncated mid-batch
 	}
 	{
 		h := shufSampleHello()
 		h.Shard = h.Shards // bad shard id: index outside [0, Shards)
-		seed(MsgShardHello, h.Encode())
+		seed(MsgShardHello, encode(h))
 	}
 	{
 		w := &wireWriter{}
@@ -475,10 +487,6 @@ func FuzzFrame(f *testing.F) {
 		// Run every decoder over the payload regardless of the type byte —
 		// decoders must be safe on arbitrary bytes.
 		DecodeStartup(p)
-		DecodePrepare(p)
-		DecodeBind(p)
-		DecodeExecute(p)
-		DecodeClose(p)
 		DecodeReady(p)
 		DecodeRowDesc(p)
 		DecodeComplete(p)
@@ -491,22 +499,22 @@ func FuzzFrame(f *testing.F) {
 		DecodeShardDone(p)
 		DecodeShardErr(p)
 		if m, err := DecodeRouteBatch(p); err == nil {
-			if !bytes.Equal(m.Encode(), p) {
+			if !bytes.Equal(encode(m), p) {
 				t.Fatalf("accepted RouteBatch payload is not canonical: %x", p)
 			}
 		}
 		if m, err := DecodeOutBatch(p); err == nil {
-			if !bytes.Equal(m.Encode(), p) {
+			if !bytes.Equal(encode(m), p) {
 				t.Fatalf("accepted OutBatch payload is not canonical: %x", p)
 			}
 		}
 		if m, err := DecodeQuery(p); err == nil {
-			if !bytes.Equal(m.Encode(), p) {
+			if !bytes.Equal(encode(m), p) {
 				t.Fatalf("accepted Query payload is not canonical: %x", p)
 			}
 		}
 		if m, err := DecodeRow(p); err == nil {
-			if !bytes.Equal(m.Encode(), p) {
+			if !bytes.Equal(encode(m), p) {
 				t.Fatalf("accepted Row payload is not canonical: %x", p)
 			}
 		}

@@ -87,15 +87,6 @@ func countDistinct(sorted []float64) int {
 	return n
 }
 
-// Buckets returns the bucket count.
-func (h *Histogram) Buckets() int { return len(h.Counts) }
-
-// Min returns the histogram's minimum bound.
-func (h *Histogram) Min() float64 { return h.Bounds[0] }
-
-// Max returns the histogram's maximum bound.
-func (h *Histogram) Max() float64 { return h.Bounds[len(h.Bounds)-1] }
-
 // SelectivityRange estimates the fraction of rows in [lo, hi] (use ±Inf for
 // open ends; inclusivity is approximated, which is standard for
 // histogram-based estimation over continuous domains).

@@ -305,7 +305,9 @@ func TestConcurrentAnalyze(t *testing.T) {
 		tb, _ := cat.Table(name)
 		vecs := types.NewVectors(tb.Schema, int(tb.Heap.NumRows()))
 		tb.Heap.Scan(nil, func(_ storage.RID, r types.Row) bool {
-			types.AppendRow(vecs, r)
+			for i := range vecs {
+				vecs[i].Append(r[i])
+			}
 			return true
 		})
 		tables = append(tables, table{tb.Schema, vecs, stats.Analyze(vecs, tb.Schema, 24, nil)})

@@ -12,20 +12,6 @@ type SelectivityDistribution struct {
 	Alpha, Beta float64
 }
 
-// FromSample builds the posterior from sample evidence.
-func FromSample(matches, sampleSize int) SelectivityDistribution {
-	if sampleSize < 0 {
-		sampleSize = 0
-	}
-	if matches < 0 {
-		matches = 0
-	}
-	if matches > sampleSize {
-		matches = sampleSize
-	}
-	return SelectivityDistribution{Alpha: float64(matches) + 1, Beta: float64(sampleSize-matches) + 1}
-}
-
 // FromEstimate builds a distribution centered on a point estimate with an
 // effective evidence weight (pseudo-sample size); larger weight = tighter.
 func FromEstimate(sel float64, weight float64) SelectivityDistribution {
@@ -34,17 +20,6 @@ func FromEstimate(sel float64, weight float64) SelectivityDistribution {
 		weight = 2
 	}
 	return SelectivityDistribution{Alpha: sel*weight + 1e-9, Beta: (1-sel)*weight + 1e-9}
-}
-
-// Mean returns the expected selectivity.
-func (d SelectivityDistribution) Mean() float64 {
-	return d.Alpha / (d.Alpha + d.Beta)
-}
-
-// Variance returns the posterior variance.
-func (d SelectivityDistribution) Variance() float64 {
-	ab := d.Alpha + d.Beta
-	return d.Alpha * d.Beta / (ab * ab * (ab + 1))
 }
 
 // Percentile returns the p-quantile (0<p<1) of the Beta posterior via

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
@@ -159,31 +158,4 @@ func (h *SelfTuningHistogram) restructure() {
 	copy(h.freqs[maxI+1:], h.freqs[maxI:])
 	h.freqs[maxI] /= 2
 	h.freqs[maxI+1] = h.freqs[maxI]
-}
-
-// Buckets returns the current bucket count (stays within budget).
-func (h *SelfTuningHistogram) Buckets() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.freqs)
-}
-
-// Bounds returns a copy of the current bucket boundaries.
-func (h *SelfTuningHistogram) Bounds() []float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := append([]float64(nil), h.bounds...)
-	sort.Float64s(out) // already sorted; defensive for callers
-	return out
-}
-
-// TotalRows returns the histogram's current total row estimate.
-func (h *SelfTuningHistogram) TotalRows() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t := 0.0
-	for _, f := range h.freqs {
-		t += f
-	}
-	return t
 }

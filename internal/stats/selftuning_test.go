@@ -58,7 +58,11 @@ func TestSelfTuningConvergesOnSkew(t *testing.T) {
 		t.Errorf("feedback should at least halve the error: before=%.2f after=%.2f", before, after)
 	}
 	// Total mass should track the real total reasonably.
-	if tr := h.TotalRows(); tr < 5000 || tr > 20000 {
+	tr := 0.0
+	for _, f := range h.freqs {
+		tr += f
+	}
+	if tr < 5000 || tr > 20000 {
 		t.Errorf("total rows drifted: %v", tr)
 	}
 }
@@ -72,10 +76,10 @@ func TestSelfTuningBucketBudgetHeld(t *testing.T) {
 		hi := lo + rng.Float64()*100
 		h.Observe(lo, hi, actualCount(data, lo, hi))
 	}
-	if h.Buckets() < 14 || h.Buckets() > 18 {
-		t.Errorf("bucket budget not held: %d", h.Buckets())
+	if n := len(h.freqs); n < 14 || n > 18 {
+		t.Errorf("bucket budget not held: %d", n)
 	}
-	b := h.Bounds()
+	b := h.bounds
 	for i := 1; i < len(b); i++ {
 		if b[i] < b[i-1] {
 			t.Fatal("bounds not monotone")

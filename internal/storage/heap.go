@@ -564,7 +564,7 @@ type HeapMark struct {
 }
 
 // ScanMarked decodes every live row in physical order into vecs, one value
-// per vector as types.AppendRow does, charging nothing, and returns the
+// per vector, charging nothing, and returns the
 // heap's mark: both under one read lock, so they agree.
 func (h *Heap) ScanMarked(vecs []types.Vector) HeapMark {
 	h.mu.RLock()

@@ -236,11 +236,18 @@ func refEncodeInts(vals []types.Value, kind types.Kind) colBlock {
 	return blk
 }
 
-// vectorsOf turns rows into the column vectors ANALYZE would read them into.
+// vectorsOf turns rows into the column vectors ANALYZE would read them
+// into, NULL where a row is short.
 func vectorsOf(rows []types.Row, ncols int) []types.Vector {
 	vecs := types.NewVectors(make(types.Schema, ncols), len(rows))
 	for _, r := range rows {
-		types.AppendRow(vecs, r)
+		for i := range vecs {
+			v := types.Null()
+			if i < len(r) {
+				v = r[i]
+			}
+			vecs[i].Append(v)
+		}
 	}
 	return vecs
 }

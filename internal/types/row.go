@@ -2,7 +2,6 @@ package types
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
 	"strings"
@@ -50,13 +49,6 @@ func HashRows(rows []Row) uint64 {
 	return h.Sum64()
 }
 
-// Concat returns the concatenation of two rows (used by joins).
-func Concat(a, b Row) Row {
-	out := make(Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
 // Column describes one attribute of a schema: its (optionally qualified)
 // name and kind.
 type Column struct {
@@ -100,16 +92,6 @@ func (s Schema) ColIndex(table, name string) int {
 	return found
 }
 
-// MustColIndex is ColIndex that panics on failure; for internal plan
-// construction where names were already validated.
-func (s Schema) MustColIndex(table, name string) int {
-	i := s.ColIndex(table, name)
-	if i < 0 {
-		panic(fmt.Sprintf("types: column %q.%q not in schema %v", table, name, s))
-	}
-	return i
-}
-
 // Concat returns the concatenation of two schemas (used by joins).
 func (s Schema) Concat(other Schema) Schema {
 	out := make(Schema, 0, len(s)+len(other))
@@ -124,15 +106,6 @@ func (s Schema) WithTable(table string) Schema {
 	for i, c := range s {
 		c.Table = table
 		out[i] = c
-	}
-	return out
-}
-
-// Names returns the qualified column names, for EXPLAIN and result headers.
-func (s Schema) Names() []string {
-	out := make([]string, len(s))
-	for i, c := range s {
-		out[i] = c.QualifiedName()
 	}
 	return out
 }

@@ -101,9 +101,6 @@ func (v Value) IsNull() bool { return v.K == KindNull }
 // IsTrue reports whether v is a true boolean. NULL and false are both not true.
 func (v Value) IsTrue() bool { return v.K == KindBool && v.I == 1 }
 
-// AsBool converts to a Go bool; NULL maps to false.
-func (v Value) AsBool() bool { return v.IsTrue() }
-
 // AsInt returns the integer payload, converting floats by truncation.
 func (v Value) AsInt() int64 {
 	if v.K == KindFloat {
@@ -206,9 +203,6 @@ func Compare(a, b Value) int {
 // Equal reports SQL equality semantics minus NULL handling (NULL==NULL here;
 // predicate evaluation handles three-valued logic above this level).
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
-
-// Less reports a < b under Compare.
-func Less(a, b Value) bool { return Compare(a, b) < 0 }
 
 // Hash returns a stable hash of the value, used by hash joins and hash
 // aggregation. Ints, dates and integral floats hash identically so that

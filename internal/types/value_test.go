@@ -167,8 +167,8 @@ func TestRowCloneAndConcat(t *testing.T) {
 	if r[0].I != 1 {
 		t.Error("Clone must not alias")
 	}
-	j := Concat(Row{Int(1)}, Row{Int(2), Int(3)})
-	if len(j) != 3 || j[2].I != 3 {
+	j := Schema{{Name: "a"}}.Concat(Schema{{Name: "b"}, {Name: "c"}})
+	if len(j) != 3 || j[2].Name != "c" {
 		t.Errorf("Concat wrong: %v", j)
 	}
 }
@@ -179,8 +179,7 @@ func TestSchemaWithTableAndNames(t *testing.T) {
 	if q[0].Table != "t" || s[0].Table != "" {
 		t.Error("WithTable must copy")
 	}
-	names := q.Names()
-	if names[0] != "t.a" || names[1] != "t.b" {
-		t.Errorf("Names wrong: %v", names)
+	if a, b := q[0].QualifiedName(), q[1].QualifiedName(); a != "t.a" || b != "t.b" {
+		t.Errorf("qualified names wrong: %s %s", a, b)
 	}
 }

@@ -29,17 +29,6 @@ func NewVectors(s Schema, n int) []Vector {
 	return vecs
 }
 
-// AppendRow appends r to vecs, one value per vector and NULL where r is short.
-func AppendRow(vecs []Vector, r Row) {
-	for i := range vecs {
-		if i < len(r) {
-			vecs[i].Append(r[i])
-		} else {
-			vecs[i].Append(Null())
-		}
-	}
-}
-
 // retype makes v an empty vector of kind k with room for n values.
 func (v *Vector) retype(k Kind, n int) {
 	*v = Vector{Kind: k}

@@ -253,14 +253,6 @@ func (a *Admitter) DetachMem(m MemReclaimable) {
 	a.rebalanceLocked()
 }
 
-// MemReclaims reports how many times a running query's budget was shrunk
-// because another query joined the pool.
-func (a *Admitter) MemReclaims() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.memReclaims
-}
-
 // rebalanceLocked resets every attached budget to an equal pool share.
 func (a *Admitter) rebalanceLocked() {
 	if a.memPool <= 0 || len(a.attached) == 0 {

@@ -119,7 +119,7 @@ func TestMemPoolReclaimsFromRunning(t *testing.T) {
 	if q1.budget != 400 || q2.budget != 400 || q3.budget != 400 {
 		t.Fatalf("budgets after third attach = %d/%d/%d, want 400 each", q1.budget, q2.budget, q3.budget)
 	}
-	if r := a.MemReclaims(); r != 3 { // 1 on second attach + 2 on third
+	if r := a.memReclaims; r != 3 { // 1 on second attach + 2 on third
 		t.Fatalf("reclaims = %d, want 3", r)
 	}
 	// Departures grow the remaining budgets back.
@@ -127,7 +127,7 @@ func TestMemPoolReclaimsFromRunning(t *testing.T) {
 	if q1.budget != 600 || q3.budget != 600 {
 		t.Fatalf("budgets after detach = %d/%d, want 600/600", q1.budget, q3.budget)
 	}
-	if r := a.MemReclaims(); r != 3 {
+	if r := a.memReclaims; r != 3 {
 		t.Fatalf("detach must not count as reclaim, got %d", r)
 	}
 }

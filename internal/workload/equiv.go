@@ -68,43 +68,3 @@ func EquivalencePacks() []EquivPack {
 		},
 	}
 }
-
-// RangeFamily generates the parameterized selectivity-sweep family the
-// smoothness metric S(Q) is defined over: count queries whose range width
-// steps from ~0% to 100% of the domain.
-func RangeFamily(table, col string, lo, hi int64, steps int) []string {
-	out := make([]string, 0, steps)
-	span := hi - lo
-	for i := 1; i <= steps; i++ {
-		width := span * int64(i) / int64(steps)
-		out = append(out, rangeQuery(table, col, lo, lo+width))
-	}
-	return out
-}
-
-func rangeQuery(table, col string, lo, hi int64) string {
-	return "SELECT COUNT(*) FROM " + table + " WHERE " + col + " >= " +
-		itoa(lo) + " AND " + col + " <= " + itoa(hi)
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [24]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
-}

@@ -41,15 +41,6 @@ func NewGen(seed int64) *Gen {
 // Uniform returns an integer in [0, n).
 func (g *Gen) Uniform(n int64) int64 { return g.R.Int63n(n) }
 
-// Zipf returns a Zipf-distributed integer in [0, n) with skew s (> 1).
-func (g *Gen) Zipf(n uint64, s float64) int64 {
-	if s <= 1 {
-		s = 1.01
-	}
-	z := rand.NewZipf(g.R, s, 1, n-1)
-	return int64(z.Uint64())
-}
-
 // ZipfSeq returns a reusable Zipf sampler (cheaper than per-call).
 func (g *Gen) ZipfSeq(n uint64, s float64) func() int64 {
 	if s <= 1 {

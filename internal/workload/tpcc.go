@@ -202,6 +202,3 @@ func (t *TPCC) Payment(clk *storage.Clock) error {
 	t.customer.Heap.Update(clk, target, t.row)
 	return nil
 }
-
-// OrdersLoaded reports how many orders NewOrder has inserted.
-func (t *TPCC) OrdersLoaded() int64 { return t.nextOrder }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"strings"
 	"testing"
 
 	"rqp/internal/exec"
@@ -181,8 +180,8 @@ func TestTPCCTransactions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tp.OrdersLoaded() != 50 {
-		t.Errorf("orders = %d", tp.OrdersLoaded())
+	if tp.nextOrder != 50 {
+		t.Errorf("orders = %d", tp.nextOrder)
 	}
 	ol, _ := tp.Cat.Table("orderline")
 	if ol.Heap.NumRows() < 50*5 {
@@ -223,16 +222,6 @@ func TestEquivalencePacksRunnable(t *testing.T) {
 					pack.Name, i, counts[i], counts[0])
 			}
 		}
-	}
-}
-
-func TestRangeFamily(t *testing.T) {
-	qs := RangeFamily("t", "x", 0, 100, 5)
-	if len(qs) != 5 {
-		t.Fatalf("family size = %d", len(qs))
-	}
-	if !strings.Contains(qs[0], "x >= 0") || !strings.Contains(qs[4], "x <= 100") {
-		t.Errorf("family bounds wrong: %v", qs)
 	}
 }
 
