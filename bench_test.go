@@ -15,6 +15,7 @@ import (
 	"rqp/internal/core"
 	"rqp/internal/exec"
 	"rqp/internal/experiments"
+	"rqp/internal/obs"
 	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/sql"
@@ -558,9 +559,9 @@ func benchRuntimeFilterJoin(b *testing.B, factRows, dimRows int) {
 			if _, err := exec.Run(root, ctx); err != nil {
 				b.Fatal(err)
 			}
-			cost = ctx.Clock.Units()
-			_, _, d, _ := ctx.RF.Snapshot()
-			dropped = float64(d)
+			var rec obs.QueryRecord
+			ctx.Record(&rec)
+			cost, dropped = rec.Cost, float64(rec.RFDropped)
 		}
 		b.ReportMetric(cost, "cost_units")
 		b.ReportMetric(dropped, "rows_dropped")

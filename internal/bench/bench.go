@@ -249,10 +249,9 @@ func ProbeQueries(scale float64, dop, shards int) ([]Query, error) {
 			}
 			qj := Query{
 				ID: i, Policy: pol.String(), Trapped: q.Trapped,
-				Rows: len(res.Rows), CostUnits: res.Cost, Reopts: res.Reopts,
+				Rows: len(res.Rows), CostUnits: res.Cost, Reopts: res.Reopts, QErrorGeomean: res.Record.QErrorGeomean,
 			}
 			if res.Trace != nil {
-				qj.QErrorGeomean = res.Trace.QErrorGeomean()
 				qj.Fingerprint = res.Trace.Fingerprint()
 			}
 			out = append(out, qj)

@@ -7,6 +7,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -146,7 +147,7 @@ type Config struct {
 	// own child clock. Results and total simulated cost are byte- and
 	// integer-identical to serial execution at any shard count; the cost of
 	// rows crossing shards accumulates in a separate overhead domain
-	// surfaced as Result.Shuffle. 0 or 1 disables sharding.
+	// surfaced as Result.Record.Shuffle. 0 or 1 disables sharding.
 	Shards int
 	// ShuffleForce overrides the costed broadcast-vs-repartition choice:
 	// plan.ShuffleRepartition or plan.ShuffleBroadcast forces that exchange
@@ -205,13 +206,12 @@ type Engine struct {
 	// /queries and /trace/{id} endpoints read from it.
 	Lifecycle *obs.QueryRegistry
 
-	// Handles of the series every statement counts in, kept from their first
-	// use on: finding one by name and label signature allocates more than a
-	// key lookup's operators do. First use, not Attach, so that /metrics
-	// lists a series from the statement that first counted in it. (The
-	// policy label is the engine's: Cfg.Policy does not change after Attach.)
-	mQueries, mCacheHits, mCacheMisses atomic.Pointer[obs.Counter]
-	mCacheRatio                        atomic.Pointer[obs.Gauge]
+	// Handles of the plan-cache series every cached statement counts in,
+	// kept from their first use on: finding one by name allocates more than
+	// a key lookup's operators do. First use, not Attach, so that /metrics
+	// lists a series from the statement that first counted in it.
+	mCacheHits, mCacheMisses atomic.Pointer[obs.Counter]
+	mCacheRatio              atomic.Pointer[obs.Gauge]
 }
 
 // handle returns the metric kept in p, resolving it on the first call.
@@ -264,16 +264,25 @@ type Result struct {
 	// Plan is the EXPLAIN / EXPLAIN ANALYZE text when requested, and the
 	// executed plan with actual cardinalities for a SELECT whose rows were
 	// kept (a streamed result has no reader for it and does not render it).
-	Plan   string
-	Cost   float64 // simulated cost units consumed
-	Reopts int     // POP re-optimizations performed
+	Plan string
+	// Cost (simulated cost units consumed), RowCount and Reopts (POP
+	// re-optimizations) are the record's, for callers of every statement.
+	Cost   float64
+	Reopts int
 	// Trace is the query's span tree and event log, present when the
 	// statement was EXPLAIN ANALYZE or Config.TraceAll is set.
 	Trace *obs.Trace
-	// Shuffle carries shard/shuffle-exchange statistics when the query ran
-	// with Config.Shards > 1 and at least one join went through the
-	// sharded layer.
-	Shuffle *exec.ShuffleSnapshot
+	// Record is a SELECT's record (nil for other statements): what it
+	// executed, the one the metrics and the query log received. Its Shuffle
+	// is set when a join ran through the sharded layer (Config.Shards > 1).
+	Record *obs.QueryRecord
+}
+
+// selectResult is a SELECT's Result and its lifecycle state, which holds
+// the record Result.Record points at, in one allocation.
+type selectResult struct {
+	Result
+	state obs.QueryState
 }
 
 // ErrAdmissionRejected marks an execution error caused by the WLM gate
@@ -507,9 +516,10 @@ func (e *Engine) explainAnalyze(sel *sql.SelectStmt, params []types.Value, cance
 	}
 	var sb strings.Builder
 	sb.WriteString(res.Trace.Render())
-	fmt.Fprintf(&sb, "-- %d row(s), cost %.2f units", res.RowCount, res.Cost)
-	if res.Reopts > 0 {
-		fmt.Fprintf(&sb, ", %d reopt(s)", res.Reopts)
+	rec := res.Record
+	fmt.Fprintf(&sb, "-- %d row(s), cost %.2f units", rec.RowCount, rec.Cost)
+	if rec.Reopts > 0 {
+		fmt.Fprintf(&sb, ", %d reopt(s)", rec.Reopts)
 	}
 	sb.WriteByte('\n')
 	res.Plan = sb.String()
@@ -522,56 +532,11 @@ func (e *Engine) explainAnalyze(sel *sql.SelectStmt, params []types.Value, cance
 // runSelectObserved runs one SELECT: s as parsed from text, or — s nil — the
 // cached statement cs that text was found under. At depth 0 it takes an
 // admission slot, waiting for one under q when q is non-nil.
-func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text string, params []types.Value, depth int, forceTrace bool, canceled func() bool, sink RowSink, q AdmissionQueue) (finalRes *Result, finalErr error) {
-	// Lifecycle registration: every top-level executing query gets an ID
-	// and a phase in the live registry, and retires into the completed ring
-	// (and the query log, if a sink is configured) on this function's single
-	// exit path — including bind/planning failures, which never reach an
-	// execution context.
-	var lifecycle *obs.QueryState
-	var planFP string
-	var ctx *exec.Context
-	admissions := 0
-	if depth == 0 && e.Lifecycle != nil {
-		lifecycle = e.Lifecycle.Begin(text, e.Cfg.Policy.String())
-		defer func() {
-			lifecycle.SetFingerprint(planFP)
-			rec := obs.QueryRecord{Admissions: admissions}
-			if finalRes != nil {
-				rec.Rows, rec.Reopts = finalRes.RowCount, finalRes.Reopts
-			}
-			if ctx != nil {
-				rec.CostUnits = ctx.Clock.Units()
-				rec.PeakMemRows = ctx.Mem.PeakUse()
-				rec.SpillParts, rec.SpillRows, _, _, _ = ctx.Spill.Snapshot()
-				if ctx.RF != nil {
-					rec.RFBuilt, _, rec.RFDropped, _ = ctx.RF.Snapshot()
-				}
-			}
-			e.Lifecycle.Finish(lifecycle, finalErr, rec)
-		}()
-	}
-
-	var bq *plan.Query
-	expanded := false
-	if cs != nil {
-		bq = cs.bq
-	} else {
-		var err error
-		if expanded, err = e.expandSubqueries(s, params, depth); err != nil {
-			return nil, err
-		}
-		if bq, err = plan.Bind(s, e.Cat); err != nil {
-			return nil, err
-		}
-		// A frozen subquery result must never be served from the plan cache.
-		if text != "" && !expanded && e.cacheOn() {
-			cs = e.Cache.enter(text, bq)
-			bq = cs.bq
-		}
-	}
-	e.maybeAutoAnalyze(bq)
-	ctx = exec.NewContext()
+func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text string, params []types.Value, depth int, forceTrace bool, canceled func() bool, sink RowSink, q AdmissionQueue) (*Result, error) {
+	sr := &selectResult{}
+	res, rec := &sr.Result, &sr.state.Record
+	res.Record = rec
+	ctx := exec.NewContext()
 	ctx.Params = params
 	ctx.Canceled = canceled
 	if e.Cfg.MemBudgetRows > 0 {
@@ -580,19 +545,67 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 	if e.Cfg.MemSchedule != nil {
 		ctx.Mem.SetSchedule(e.Cfg.MemSchedule)
 	}
-	var trace *obs.Trace
 	if forceTrace || e.Cfg.TraceAll {
-		trace = obs.NewTrace(ctx.Clock)
+		trace := obs.NewTrace(ctx.Clock)
 		ctx.Trace = trace
 		ctx.Mem.OnEvent = func(kind string, rows, inUse, budget int) {
 			trace.Event("mem."+kind, fmt.Sprintf("rows=%d in_use=%d budget=%d", rows, inUse, budget))
 		}
 	}
+	res.Trace = ctx.Trace
 	if e.Cfg.LEO {
 		adaptive.AttachLEO(ctx, e.Opt.Cards)
 	}
+	// Lifecycle registration: every top-level executing query gets an ID
+	// and a phase in the live registry, and retires into the completed ring,
+	// the metrics and the query log, if a sink is configured, on this
+	// function's single exit path — bind and planning failures included.
+	if depth == 0 {
+		e.Lifecycle.Begin(&sr.state, ctx.Trace, text, e.Cfg.Policy.String())
+	}
+	err := e.runSelect(sr, ctx, s, cs, text, params, depth, sink, q)
+	ctx.Record(rec)
+	if err == nil {
+		res.RowCount, res.Cost, res.Reopts = rec.RowCount, rec.Cost, rec.Reopts
+		e.Clock.RowWork(int(res.Cost * 100)) // fold into the engine-lifetime clock
+		if depth == 0 && ctx.Trace != nil {
+			ctx.Trace.Summarize(rec)
+		}
+	}
+	if depth == 0 {
+		e.Lifecycle.Finish(&sr.state, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
 
-	lifecycle.AttachTrace(trace)
+// runSelect is runSelectObserved's statement: it binds, admits, plans and
+// executes into ctx, and gives res the rows and what core adds to the
+// record: rows, re-plans, admission, fingerprint and q-error.
+func (e *Engine) runSelect(sr *selectResult, ctx *exec.Context, s *sql.SelectStmt, cs *cachedStmt, text string, params []types.Value, depth int, sink RowSink, q AdmissionQueue) error {
+	var bq *plan.Query
+	expanded := false
+	if cs != nil {
+		bq = cs.bq
+	} else {
+		var err error
+		if expanded, err = e.expandSubqueries(s, params, depth); err != nil {
+			return err
+		}
+		if bq, err = plan.Bind(s, e.Cat); err != nil {
+			return err
+		}
+		// A frozen subquery result must never be served from the plan cache.
+		if text != "" && !expanded && e.cacheOn() {
+			cs = e.Cache.enter(text, bq)
+			bq = cs.bq
+		}
+	}
+	e.maybeAutoAnalyze(bq)
+	res, rec, st := &sr.Result, &sr.state.Record, &sr.state
+	trace, canceled := ctx.Trace, ctx.Canceled
 
 	// Workload-management admission: top-level executing queries only, and
 	// the one place a statement waits for its slot (in phase queued).
@@ -606,17 +619,15 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 		if trace != nil {
 			trace.Event("wlm.admission", d.String())
 		}
-		admissions++
 		if !d.Admitted {
 			if canceled != nil && canceled() {
-				return nil, exec.ErrCanceled
+				return exec.ErrCanceled
 			}
-			e.Metrics.Counter("rqp_wlm_rejected_total").Inc()
-			lifecycle.SetPhase(obs.PhaseRejected)
-			return nil, fmt.Errorf("core: %w (%s)", ErrAdmissionRejected, d)
+			st.SetPhase(obs.PhaseRejected)
+			return fmt.Errorf("core: %w (%s)", ErrAdmissionRejected, d)
 		}
-		e.Metrics.Counter("rqp_wlm_admitted_total").Inc()
-		lifecycle.SetPhase(obs.PhaseAdmitted)
+		rec.Admissions = 1
+		st.SetPhase(obs.PhaseAdmitted)
 		defer e.Cfg.Admission.Done()
 		if q != nil {
 			q.Admitted()
@@ -642,24 +653,33 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 		ctx.DOP = dop
 	}
 
-	res := &Result{Columns: bq.ProjNames, Trace: trace}
-	var qerrs []float64
+	res.Columns = bq.ProjNames
 	var rowSink exec.RowSink // nil: exec.Drain keeps the rows for res.Rows
 	if sink != nil {
 		sink.Columns(res.Columns)
 		rowSink = sink.Row
 	}
+	// The record's q-error is the geometric mean over the executed plan's
+	// nodes (POP: its checkpoints); a top-level statement's are observed
+	// into rqp_qerror too.
+	logSum, nq := 0.0, 0
+	qerr := func(q float64) {
+		if depth == 0 {
+			e.Metrics.Histogram("rqp_qerror", obs.QErrorBuckets).Observe(q)
+		}
+		logSum += math.Log(q)
+		nq++
+	}
 
-	lifecycle.SetPhase(obs.PhaseRunning)
+	st.SetPhase(obs.PhaseRunning)
 	if prog != nil {
 		pres, err := prog.ExecuteInto(bq, ctx, rowSink)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.Rows, res.RowCount = pres.Rows, pres.RowCount
-		res.Reopts = pres.Reopts
+		res.Rows, rec.RowCount, rec.Reopts = pres.Rows, pres.RowCount, pres.Reopts
 		for _, c := range pres.Checks {
-			qerrs = append(qerrs, stats.QError(c.Estimated, c.Actual))
+			qerr(stats.QError(c.Estimated, c.Actual))
 		}
 	} else {
 		var root plan.Node
@@ -668,9 +688,9 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 		if cs != nil {
 			v, hit, err := e.Cache.plan(e, cs, params)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			root, marks, planFP = v.root, v.marks, v.fp
+			root, marks, rec.Fingerprint = v.root, v.marks, v.fp
 			e.countCacheLookup(hit, trace)
 		} else {
 			if expanded && text != "" && e.cacheOn() {
@@ -678,7 +698,7 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 			}
 			var choice *adaptive.RioChoice
 			if root, choice, err = e.Cfg.Policy.Plan(e.Opt, bq, params); err != nil {
-				return nil, err
+				return err
 			}
 			if choice != nil {
 				if trace != nil {
@@ -687,28 +707,28 @@ func (e *Engine) runSelectObserved(s *sql.SelectStmt, cs *cachedStmt, text strin
 				}
 				e.Metrics.Counter("rqp_rio_choices_total", obs.L("robust", fmt.Sprintf("%v", choice.Robust))).Inc()
 			}
-			marks, planFP = e.markPlan(root), plan.Fingerprint(root)
+			marks, rec.Fingerprint = e.markPlan(root), plan.Fingerprint(root)
 		}
 		e.armContext(ctx, root, marks)
-		res.Rows, res.RowCount, err = exec.Drain(root, ctx, rowSink)
+		rows, n, err := exec.Drain(root, ctx, rowSink)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		res.Rows, rec.RowCount = rows, n
 		if sink == nil {
 			res.Plan = plan.ExplainActual(root)
 		}
-		qerrs = nodeQErrors(root)
+		plan.Walk(root, func(n plan.Node) {
+			p := n.Props()
+			if act := p.ActualRows(); act >= 0 {
+				qerr(stats.QError(p.EstRows, act))
+			}
+		})
 	}
-	res.Cost = ctx.Clock.Units()
-	if ctx.Shuffle != nil {
-		s := ctx.Shuffle.Snapshot()
-		res.Shuffle = &s
+	if nq > 0 {
+		rec.QErrorGeomean = math.Exp(logSum / float64(nq))
 	}
-	e.Clock.RowWork(int(res.Cost * 100)) // fold into the engine-lifetime clock
-	if depth == 0 {
-		e.recordQueryMetrics(res, ctx, qerrs)
-	}
-	return res, nil
+	return nil
 }
 
 // countCacheLookup records one plan-cache lookup of a classic SELECT in the
@@ -808,103 +828,6 @@ func (e *Engine) armContext(ctx *exec.Context, root plan.Node, m PlanMarks) {
 			tr.Event("shuffle.plan", fmt.Sprintf("shards=%d marked=%d force=%s", e.Cfg.Shards, m.shuffles, e.Cfg.ShuffleForce))
 		}
 		e.Metrics.Counter("rqp_shuffle_queries_total").Inc()
-	}
-}
-
-// nodeQErrors collects per-operator q-errors from an executed plan.
-func nodeQErrors(root plan.Node) []float64 {
-	var out []float64
-	plan.Walk(root, func(n plan.Node) {
-		p := n.Props()
-		if act := p.ActualRows(); act >= 0 {
-			out = append(out, stats.QError(p.EstRows, act))
-		}
-	})
-	return out
-}
-
-// recordQueryMetrics aggregates one finished query into the engine-wide
-// registry.
-func (e *Engine) recordQueryMetrics(res *Result, ctx *exec.Context, qerrs []float64) {
-	m := e.Metrics
-	handle(&e.mQueries, func() *obs.Counter {
-		return m.Counter("rqp_queries_total", obs.L("policy", e.Cfg.Policy.String()))
-	}).Inc()
-	m.Histogram("rqp_query_cost_units", obs.CostBuckets).Observe(res.Cost)
-	if res.Reopts > 0 {
-		m.Counter("rqp_reopts_total").Add(int64(res.Reopts))
-	}
-	for _, q := range qerrs {
-		m.Histogram("rqp_qerror", obs.QErrorBuckets).Observe(q)
-	}
-	if oc := ctx.Mem.Overcommits(); oc > 0 {
-		m.Counter("rqp_mem_overcommit_total").Add(int64(oc))
-	}
-	m.Gauge("rqp_mem_peak_rows").Set(float64(ctx.Mem.PeakUse()))
-	if parts, rows, pages, maxDepth, fallbacks := ctx.Spill.Snapshot(); parts > 0 {
-		m.Counter("rqp_spill_partitions_total").Add(int64(parts))
-		m.Counter("rqp_spill_rows_total").Add(int64(rows))
-		m.Counter("rqp_spill_pages_written_total").Add(int64(pages))
-		m.Gauge("rqp_spill_recursion_depth").Set(float64(maxDepth))
-		if fallbacks > 0 {
-			m.Counter("rqp_spill_merge_fallbacks_total").Add(int64(fallbacks))
-		}
-	}
-	skipped, scanned, heap := atomic.LoadInt64(&ctx.ColBlocksSkipped), atomic.LoadInt64(&ctx.ColBlocksScanned), atomic.LoadInt64(&ctx.ColHeapPages)
-	if skipped+scanned+heap > 0 {
-		m.Counter("rqp_columnar_blocks_skipped").Add(skipped)
-		m.Counter("rqp_columnar_blocks_scanned").Add(scanned)
-		m.Counter("rqp_columnar_heap_pages").Add(heap)
-		if res.Trace != nil {
-			res.Trace.Event("columnar.summary", fmt.Sprintf("blocks_skipped=%d blocks_scanned=%d heap_pages=%d", skipped, scanned, heap))
-		}
-	}
-	if res.Shuffle != nil {
-		s := res.Shuffle
-		m.Counter("rqp_shuffle_rows_moved_total").Add(s.RowsMoved)
-		m.Counter("rqp_shuffle_rows_broadcast_total").Add(s.RowsBroadcast)
-		m.Counter("rqp_shuffle_hot_keys_total").Add(s.HotKeys)
-		m.Counter("rqp_shuffle_hot_probe_dups_total").Add(s.HotProbeDups)
-		m.Counter("rqp_shuffle_degrades_total").Add(s.Degrades)
-		m.Counter("rqp_shuffle_joins_total", obs.L("mode", "colocated")).Add(s.ColocatedJoins)
-		m.Counter("rqp_shuffle_joins_total", obs.L("mode", "repartition")).Add(s.RepartitionJoins)
-		m.Counter("rqp_shuffle_joins_total", obs.L("mode", "broadcast")).Add(s.BroadcastJoins)
-		if s.NetFrames > 0 || s.NetFallbacks > 0 {
-			m.Counter("rqp_shuffle_net_frames_total").Add(s.NetFrames)
-			m.Counter("rqp_shuffle_net_bytes_total").Add(s.NetBytes)
-			m.Counter("rqp_shuffle_net_rows_wire_total").Add(s.NetRowsWire)
-			m.Counter("rqp_shuffle_net_stalls_total").Add(s.NetStalls)
-			m.Counter("rqp_shuffle_net_fallbacks_total").Add(s.NetFallbacks)
-			for peer := range s.PeerFrames {
-				lbl := obs.L("peer", fmt.Sprintf("%d", peer))
-				m.Counter("rqp_shuffle_peer_frames_total", lbl).Add(s.PeerFrames[peer])
-				m.Counter("rqp_shuffle_peer_bytes_total", lbl).Add(s.PeerBytes[peer])
-				m.Counter("rqp_shuffle_peer_stalls_total", lbl).Add(s.PeerStalls[peer])
-			}
-		}
-		if res.Trace != nil {
-			res.Trace.Event("shuffle.summary", fmt.Sprintf(
-				"shards=%d moved=%d broadcast=%d hot_keys=%d hot_dups=%d degrades=%d",
-				s.Shards, s.RowsMoved, s.RowsBroadcast, s.HotKeys, s.HotProbeDups, s.Degrades))
-			if s.Transport != "" && s.Transport != "local" {
-				res.Trace.Event("shuffle.net", fmt.Sprintf(
-					"transport=%s frames=%d bytes=%d rows_routed=%d rows_wire=%d stalls=%d reconciled=%v",
-					s.Transport, s.NetFrames, s.NetBytes, s.NetRowsRouted, s.NetRowsWire, s.NetStalls, s.Reconciled()))
-			}
-		}
-	}
-	if ctx.RF != nil {
-		if built, tested, dropped, disabled := ctx.RF.Snapshot(); built > 0 {
-			m.Counter("rqp_filter_built_total").Add(built)
-			m.Counter("rqp_filter_tested_total").Add(tested)
-			m.Counter("rqp_filter_dropped_total").Add(dropped)
-			if disabled > 0 {
-				m.Counter("rqp_filter_disabled_total").Add(disabled)
-			}
-			if res.Trace != nil {
-				res.Trace.Event("rf.summary", fmt.Sprintf("built=%d tested=%d dropped=%d disabled=%d", built, tested, dropped, disabled))
-			}
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -12,9 +13,9 @@ import (
 )
 
 // funcSink adapts a function to a query sink.
-type funcSink func(rec *obs.QueryRecord)
+type funcSink func(rec obs.QueryRecord)
 
-func (f funcSink) WriteQuery(rec *obs.QueryRecord) { f(rec) }
+func (f funcSink) WriteQuery(rec obs.QueryRecord) { f(rec) }
 
 // TestLifecycleRecordsCompletedQueries: every top-level SELECT lands in the
 // engine's completed-query ring with outcome, cost, and plan fingerprint.
@@ -35,13 +36,13 @@ func TestLifecycleRecordsCompletedQueries(t *testing.T) {
 		if rec.Outcome != "done" {
 			t.Fatalf("outcome = %q, want done: %+v", rec.Outcome, rec)
 		}
-		if rec.CostUnits <= 0 {
+		if rec.Cost <= 0 {
 			t.Fatalf("cost not recorded: %+v", rec)
 		}
 		if rec.Fingerprint == "" {
 			t.Fatalf("plan fingerprint missing: %+v", rec)
 		}
-		if rec.Rows <= 0 {
+		if rec.RowCount <= 0 {
 			t.Fatalf("rows not recorded: %+v", rec)
 		}
 	}
@@ -99,8 +100,8 @@ func TestLifecycleFailedAndRejected(t *testing.T) {
 func TestLifecycleSpillStats(t *testing.T) {
 	e := spillEngine(t, 100, 1)
 	var logged []obs.QueryRecord
-	e.Lifecycle.SetSink(funcSink(func(rec *obs.QueryRecord) {
-		logged = append(logged, *rec)
+	e.Lifecycle.SetSink(funcSink(func(rec obs.QueryRecord) {
+		logged = append(logged, rec)
 	}))
 	e.MustExec("SELECT bld.v, prb.w FROM bld JOIN prb ON bld.k = prb.k")
 	if len(logged) != 1 {
@@ -122,7 +123,7 @@ func TestLifecycleSpillStats(t *testing.T) {
 func TestLifecycleConfigSinkWiring(t *testing.T) {
 	n := 0
 	cfg := DefaultConfig()
-	cfg.QueryLog = funcSink(func(*obs.QueryRecord) { n++ })
+	cfg.QueryLog = funcSink(func(obs.QueryRecord) { n++ })
 	e := Open(cfg)
 	e.MustExec("CREATE TABLE t (a int)")
 	e.MustExec("INSERT INTO t VALUES (1)")
@@ -211,5 +212,37 @@ func TestLifecycleUnderParallelLoad(t *testing.T) {
 	}
 	if len(e.Lifecycle.Active()) != 0 {
 		t.Fatal("queries left active")
+	}
+}
+
+// TestQErrorGeomeanUntraced: a statement's record has the geometric mean
+// q-error of its executed plan's nodes whether or not it is traced — the
+// figure the trace's finished spans give.
+func TestQErrorGeomeanUntraced(t *testing.T) {
+	e := newEngine(t)
+	const q = "SELECT dept, COUNT(*) FROM emp WHERE salary >= 40000 GROUP BY dept"
+	untraced := e.MustExec(q)
+	e.Cfg.TraceAll = true
+	traced := e.MustExec(q)
+	logSum, n := 0.0, 0
+	var walk func(s *obs.Span)
+	walk = func(s *obs.Span) {
+		if qe := s.QError(); qe > 0 {
+			logSum, n = logSum+math.Log(qe), n+1
+		}
+		for _, c := range s.Children() {
+			walk(c)
+		}
+	}
+	for _, r := range traced.Trace.Roots() {
+		walk(r)
+	}
+	want := math.Exp(logSum / float64(n))
+	if n == 0 || untraced.Record.QErrorGeomean != traced.Record.QErrorGeomean || math.Abs(traced.Record.QErrorGeomean-want) > 1e-12 {
+		t.Fatalf("q-error geomean untraced %v, traced %v; the trace's %d spans give %v",
+			untraced.Record.QErrorGeomean, traced.Record.QErrorGeomean, n, want)
+	}
+	if rec := e.Lifecycle.Recent()[1]; rec.QErrorGeomean != untraced.Record.QErrorGeomean {
+		t.Fatalf("the untraced statement's logged record has q-error geomean %v, its result %v", rec.QErrorGeomean, untraced.Record.QErrorGeomean)
 	}
 }

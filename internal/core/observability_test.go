@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rqp/internal/obs"
 	"rqp/internal/types"
 	"rqp/internal/wlm"
 	"rqp/internal/workload"
@@ -72,8 +73,8 @@ func TestTracedPOPRecordsReopts(t *testing.T) {
 			t.Fatal("TraceAll must attach a trace")
 		}
 		reopts += r.Reopts
-		reoptEvents += r.Trace.CountEvents("pop.reopt")
-		checkEvents += r.Trace.CountEvents("pop.check")
+		reoptEvents += countEvents(r.Trace, "pop.reopt")
+		checkEvents += countEvents(r.Trace, "pop.check")
 	}
 	if reopts < 1 {
 		t.Fatal("trapped star workload produced no POP re-optimizations")
@@ -187,7 +188,7 @@ func TestAdmissionControl(t *testing.T) {
 	e.MustExec("ANALYZE t")
 
 	r := e.MustExec("EXPLAIN ANALYZE SELECT a FROM t")
-	if r.Trace.CountEvents("wlm.admission") != 1 {
+	if countEvents(r.Trace, "wlm.admission") != 1 {
 		t.Fatal("admission decision not traced")
 	}
 
@@ -213,10 +214,10 @@ func TestAdmissionControl(t *testing.T) {
 func TestTraceMemEvents(t *testing.T) {
 	e := newEngine(t)
 	r := e.MustExec("EXPLAIN ANALYZE SELECT salary FROM emp ORDER BY salary")
-	if r.Trace.CountEvents("mem.grant") < 1 {
+	if countEvents(r.Trace, "mem.grant") < 1 {
 		t.Fatal("no mem.grant events traced")
 	}
-	if r.Trace.CountEvents("mem.release") < 1 {
+	if countEvents(r.Trace, "mem.release") < 1 {
 		t.Fatal("no mem.release events traced")
 	}
 }
@@ -276,7 +277,7 @@ func TestExplainAnalyzeShowsSpill(t *testing.T) {
 			}
 		}
 		r := e.MustExec("EXPLAIN ANALYZE " + q)
-		if r.Trace.CountEvents("spill.partition") < 1 {
+		if countEvents(r.Trace, "spill.partition") < 1 {
 			t.Fatalf("dop=%d: no spill.partition events traced", dop)
 		}
 		if !strings.Contains(r.Plan, "spill.partition") || !strings.Contains(r.Plan, "depth=") {
@@ -321,7 +322,7 @@ func TestMemPoolAttachesQueries(t *testing.T) {
 	e.MustExec("INSERT INTO t VALUES (1), (2), (3)")
 	e.MustExec("ANALYZE t")
 	r := e.MustExec("EXPLAIN ANALYZE SELECT a FROM t ORDER BY a")
-	if r.Trace.CountEvents("wlm.mem") != 1 {
+	if countEvents(r.Trace, "wlm.mem") != 1 {
 		t.Fatal("memory pool attach not traced")
 	}
 	found := false
@@ -333,4 +334,15 @@ func TestMemPoolAttachesQueries(t *testing.T) {
 	if !found {
 		t.Fatalf("wlm.mem event missing pool/share detail: %v", r.Trace.Events())
 	}
+}
+
+// countEvents is how many events of kind tr recorded.
+func countEvents(tr *obs.Trace, kind string) int {
+	n := 0
+	for _, e := range tr.Events() {
+		if e.Kind == kind {
+			n++
+		}
+	}
+	return n
 }

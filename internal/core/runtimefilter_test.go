@@ -80,7 +80,7 @@ func TestEngineRuntimeFiltersExplainAnalyze(t *testing.T) {
 			t.Fatalf("EXPLAIN ANALYZE output missing %q:\n%s", want, r.Plan)
 		}
 	}
-	if r.Trace == nil || r.Trace.CountEvents("rf.build") == 0 {
+	if r.Trace == nil || countEvents(r.Trace, "rf.build") == 0 {
 		t.Fatal("trace missing rf.build event")
 	}
 }

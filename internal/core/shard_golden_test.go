@@ -25,7 +25,7 @@ func shardLine(name string, res *Result) string {
 	scaled := func(x float64) int64 { return int64(math.Round(x * storage.ClockScale)) }
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s hash=%016x rows=%d units=%d", name, types.HashRows(res.Rows), len(res.Rows), scaled(res.Cost))
-	sn := res.Shuffle
+	sn := res.Record.Shuffle
 	if sn == nil {
 		b.WriteString(" shuffle=none")
 		return b.String()

@@ -133,7 +133,7 @@ func TestShardedExactness(t *testing.T) {
 				if got.Cost != w.Cost {
 					t.Fatalf("%s %q: cost %v != serial %v", name, q, got.Cost, w.Cost)
 				}
-				if shards > 1 && got.Shuffle == nil {
+				if shards > 1 && got.Record.Shuffle == nil {
 					t.Fatalf("%s %q: no shuffle snapshot", name, q)
 				}
 			}
@@ -170,16 +170,16 @@ func TestShardedColocated(t *testing.T) {
 					if got.Cost != w.Cost {
 						t.Fatalf("%s: cost %v != serial %v", name, got.Cost, w.Cost)
 					}
-					if got.Shuffle == nil {
+					if got.Record.Shuffle == nil {
 						t.Fatalf("%s: no shuffle snapshot", name)
 					}
-					if sn := got.Shuffle; mem == 64 && sn.Degrades != 1 {
+					if sn := got.Record.Shuffle; mem == 64 && sn.Degrades != 1 {
 						t.Errorf("%s: expected the join to degrade, got %+v", name, sn)
 					} else if mem != 64 && sn.ColocatedJoins != 1 {
 						t.Errorf("%s: expected one colocated join, got %+v", name, sn)
 					}
-					if got.Shuffle.RowsMoved != 0 || got.Shuffle.RowsBroadcast != 0 {
-						t.Errorf("%s: colocated join moved rows: %+v", name, got.Shuffle)
+					if got.Record.Shuffle.RowsMoved != 0 || got.Record.Shuffle.RowsBroadcast != 0 {
+						t.Errorf("%s: colocated join moved rows: %+v", name, got.Record.Shuffle)
 					}
 				}
 			}
@@ -230,7 +230,7 @@ func TestShardedHotSplitExact(t *testing.T) {
 		if rowsKey(got) != rowsKey(w) || got.Cost != w.Cost {
 			t.Fatalf("shards=%d: skewed join not exact (cost %v vs %v)", shards, got.Cost, w.Cost)
 		}
-		if got.Shuffle != nil && got.Shuffle.HotKeys > 0 {
+		if got.Record.Shuffle != nil && got.Record.Shuffle.HotKeys > 0 {
 			split = true
 		}
 	}

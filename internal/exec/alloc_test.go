@@ -435,8 +435,8 @@ func TestAllocCeilingRuntimeFilter(t *testing.T) {
 			if !rf {
 				return
 			}
-			if built, tested, _, _ := ctx.RF.Snapshot(); built != 1 || tested == 0 {
-				t.Fatalf("%d filters built, %d rows tested; want one, testing the probe scan", built, tested)
+			if rec := recorded(ctx); rec.RFBuilt != 1 || rec.RFTested == 0 {
+				t.Fatalf("%d filters built, %d rows tested; want one, testing the probe scan", rec.RFBuilt, rec.RFTested)
 			}
 		})
 	}

@@ -232,8 +232,8 @@ func TestColumnarCostParityWithRuntimeFilterDisable(t *testing.T) {
 		return root
 	}
 	_, rowRows, rowCtx := colRun(t, mk(), 1, 0, true)
-	if _, tested, _, disabled := rowCtx.RF.Snapshot(); tested == 0 || disabled != 1 {
-		t.Fatalf("filter did not disable mid-query: tested=%d disabled=%d", tested, disabled)
+	if rec := recorded(rowCtx); rec.RFTested == 0 || rec.RFDisabled != 1 {
+		t.Fatalf("filter did not disable mid-query: tested=%d disabled=%d", rec.RFTested, rec.RFDisabled)
 	}
 
 	// And unfiltered results agree.

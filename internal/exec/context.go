@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"rqp/internal/obs"
 	"rqp/internal/plan"
@@ -67,6 +68,41 @@ type Context struct {
 	// network service layer uses for client Cancel frames and disconnects;
 	// nil (the default) costs nothing.
 	Canceled func() bool
+}
+
+// Record fills rec's execution fields from the statement's counters — cost,
+// peak memory and overcommits, spill, columnar blocks and heap pages,
+// runtime filters, shuffle and wire totals — once the statement has run.
+// It is the one reader of those counters: metrics, trace summaries, the
+// query log, Result and the experiments all read the record.
+func (ctx *Context) Record(rec *obs.QueryRecord) {
+	rec.Cost = ctx.Clock.Units()
+	m := ctx.Mem
+	m.mu.Lock()
+	rec.PeakMemRows, rec.Overcommits = m.peak, m.overcommits
+	m.mu.Unlock()
+	if s := ctx.Spill; s != nil {
+		s.mu.Lock()
+		rec.SpillParts, rec.SpillRows, rec.SpillPages = s.partitions, s.rows, s.pages
+		rec.SpillDepth, rec.SpillFallbacks = s.maxDepth, s.mergeFallbacks
+		s.mu.Unlock()
+	}
+	rec.ColBlocksSkipped = atomic.LoadInt64(&ctx.ColBlocksSkipped)
+	rec.ColBlocksScanned = atomic.LoadInt64(&ctx.ColBlocksScanned)
+	rec.ColHeapPages = atomic.LoadInt64(&ctx.ColHeapPages)
+	if set := ctx.RF; set != nil {
+		set.mu.RLock()
+		for _, f := range set.filters {
+			rec.RFBuilt++
+			rec.RFTested += atomic.LoadInt64(&f.tested)
+			rec.RFDropped += atomic.LoadInt64(&f.dropped)
+		}
+		set.mu.RUnlock()
+		rec.RFDisabled = atomic.LoadInt64(&set.disabledN)
+	}
+	if ctx.Shuffle != nil {
+		rec.Shuffle = ctx.Shuffle.record()
+	}
 }
 
 // cancelCheckRows is how many root result rows flow between Canceled polls:
@@ -139,8 +175,8 @@ func (m *MemBroker) SetSchedule(f func(step int) int) {
 // far the budget has been shrunk (a zero grant would leave grant-sized-run
 // loops spinning forever). Non-positive requests return zero without
 // touching broker state. Progress-floor grants can push use past the
-// budget; such overcommits are counted and surfaced through Overcommits
-// and the metrics registry.
+// budget; such overcommits are counted into the statement's record
+// (Context.Record).
 func (m *MemBroker) Grant(want int) int {
 	if want <= 0 {
 		return 0
@@ -189,21 +225,6 @@ func (m *MemBroker) Release(rows int) {
 	if ev != nil {
 		ev("release", rows, inUse, budget)
 	}
-}
-
-// Overcommits reports how many grants pushed use beyond the budget (the
-// progress floor guarantees forward progress at the price of overcommit).
-func (m *MemBroker) Overcommits() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.overcommits
-}
-
-// PeakUse reports the high-water mark of granted rows.
-func (m *MemBroker) PeakUse() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.peak
 }
 
 // Operator is the Volcano iterator interface. Row ownership: the row Next

@@ -129,7 +129,7 @@ func TestSpillPipelineErrorReleasesEverything(t *testing.T) {
 					if open := storage.OpenTempPages() - pagesBefore; open != 0 {
 						t.Errorf("%s: %d temp-run pages left open after the error", cell, open)
 					}
-					if sp, _, _, _, _ := ctx.Spill.Snapshot(); (sp > 0) != (budget == 64) {
+					if sp := recorded(ctx).SpillParts; (sp > 0) != (budget == 64) {
 						t.Errorf("%s: %d partitions spilled", cell, sp)
 					}
 				}
@@ -199,7 +199,7 @@ func TestNestedBuildErrorReleasesEverything(t *testing.T) {
 				if open := storage.OpenTempPages() - pagesBefore; open != 0 {
 					t.Errorf("%s: %d temp-run pages left open after the error", cell, open)
 				}
-				if sp, _, _, _, _ := ctx.Spill.Snapshot(); (sp > 0) != (budget == 64) {
+				if sp := recorded(ctx).SpillParts; (sp > 0) != (budget == 64) {
 					t.Errorf("%s: %d partitions spilled", cell, sp)
 				}
 			}

@@ -270,7 +270,8 @@ func TestJoinGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", c.name, err)
 					}
-					p, r, pg, d, f := ctx.Spill.Snapshot()
+					rec := recorded(ctx)
+					p, r, pg, d, f := rec.SpillParts, rec.SpillRows, rec.SpillPages, rec.SpillDepth, rec.SpillFallbacks
 					var actual []string
 					for _, j := range joins(root) {
 						actual = append(actual, fmt.Sprint(j.Props().ActualRows()))

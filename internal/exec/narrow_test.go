@@ -189,9 +189,10 @@ func TestNarrowPlanMatchesFullWidth(t *testing.T) {
 		if in := ctx.Mem.InUse(); in != 0 {
 			t.Errorf("%s: %d workspace rows still granted", cell, in)
 		}
-		out := outcome{rows: rowsJoined(rows), cost: ctx.Clock.UnitsScaled(), colocated: ctx.Shuffle.Snapshot().ColocatedJoins}
-		if ctx.RF != nil {
-			_, _, _, out.disabled = ctx.RF.Snapshot()
+		rec := recorded(ctx)
+		out := outcome{rows: rowsJoined(rows), cost: ctx.Clock.UnitsScaled(), disabled: rec.RFDisabled}
+		if rec.Shuffle != nil {
+			out.colocated = rec.Shuffle.ColocatedJoins
 		}
 		return out
 	}
@@ -266,7 +267,7 @@ func TestShardedBuildScanCopiesLentRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := ctx.Shuffle.Snapshot(); snap.ColocatedJoins != 0 || snap.RepartitionJoins != 1 {
+	if snap := recorded(ctx).Shuffle; snap.ColocatedJoins != 0 || snap.RepartitionJoins != 1 {
 		t.Fatalf("the join did not fall back to repartitioning: %+v", snap)
 	}
 	if rowsJoined(rows) != rowsJoined(want) {
@@ -300,7 +301,7 @@ func TestColocatedValidMapsKeyThroughCols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := ctx.Shuffle.Snapshot(); snap.ColocatedJoins != 0 || snap.RepartitionJoins != 1 {
+	if snap := recorded(ctx).Shuffle; snap.ColocatedJoins != 0 || snap.RepartitionJoins != 1 {
 		t.Errorf("a join on columns the tables are not partitioned on ran co-located: %+v", snap)
 	}
 	if rowsJoined(rows) != rowsJoined(want) {

@@ -120,22 +120,22 @@ func TestMemBrokerOvercommit(t *testing.T) {
 	if m.InUse() != 16 {
 		t.Fatalf("inUse = %d, want 16", m.InUse())
 	}
-	if m.Overcommits() != 1 {
-		t.Fatalf("overcommits = %d, want 1", m.Overcommits())
+	if brokerRecord(m).Overcommits != 1 {
+		t.Fatalf("overcommits = %d, want 1", brokerRecord(m).Overcommits)
 	}
-	if m.PeakUse() != 16 {
-		t.Fatalf("peak = %d, want 16", m.PeakUse())
+	if brokerRecord(m).PeakMemRows != 16 {
+		t.Fatalf("peak = %d, want 16", brokerRecord(m).PeakMemRows)
 	}
 	m.Release(16)
-	if m.Overcommits() != 1 {
+	if brokerRecord(m).Overcommits != 1 {
 		t.Fatal("release must not change the overcommit count")
 	}
 	// A grant inside budget is not an overcommit.
 	if g := m.Grant(5); g != 5 {
 		t.Fatalf("grant = %d, want 5", g)
 	}
-	if m.Overcommits() != 1 {
-		t.Fatalf("overcommits = %d, want still 1", m.Overcommits())
+	if brokerRecord(m).Overcommits != 1 {
+		t.Fatalf("overcommits = %d, want still 1", brokerRecord(m).Overcommits)
 	}
 }
 

@@ -180,9 +180,7 @@ func TestSpillPipelineChainsExact(t *testing.T) {
 			t.Errorf("%q columnar=%v rf=%v dop=%d budget=%d: %d workspace rows still granted", q, columnar, rf, dop, budget, in)
 		}
 		out := outcome{rows: rowsJoined(rows), cost: ctx.Clock.Units(), grants: grants}
-		if ctx.RF != nil {
-			_, _, _, out.disabled = ctx.RF.Snapshot()
-		}
+		out.disabled = recorded(ctx).RFDisabled
 		for _, e := range ctx.Trace.Events() {
 			if e.Kind == "spill.partition" && strings.Contains(e.Detail, " depth=0 ") {
 				out.spilled++
@@ -313,10 +311,8 @@ func TestNestedBuildExact(t *testing.T) {
 			t.Errorf("%s: %d temp-run pages left open", cell, open)
 		}
 		out := outcome{rows: rowsJoined(rows), cost: ctx.Clock.Units()}
-		if ctx.RF != nil {
-			_, _, _, out.disabled = ctx.RF.Snapshot()
-		}
-		out.spilled, _, _, _, _ = ctx.Spill.Snapshot()
+		rec := recorded(ctx)
+		out.disabled, out.spilled = rec.RFDisabled, rec.SpillParts
 		return out
 	}
 	for _, q := range nestedQueries {

@@ -183,18 +183,6 @@ func (s *RuntimeFilterSet) lookup(id int) *RuntimeFilter {
 	return f
 }
 
-// Snapshot totals the set's activity for EXPLAIN ANALYZE and metrics.
-func (s *RuntimeFilterSet) Snapshot() (built, tested, dropped, disabled int64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, f := range s.filters {
-		built++
-		tested += atomic.LoadInt64(&f.tested)
-		dropped += atomic.LoadInt64(&f.dropped)
-	}
-	return built, tested, dropped, atomic.LoadInt64(&s.disabledN)
-}
-
 // buildRuntimeFilters derives and publishes the filters a hash join's plan
 // node announced from its drained build rows, read one key column at a time
 // (no row is boxed for it): once per join, before its grant, at any DOP.

@@ -75,7 +75,9 @@ func TestRuntimeFilterAdaptiveDisable(t *testing.T) {
 	if f.enabled() {
 		t.Fatal("non-selective filter still enabled after a full window")
 	}
-	if _, _, _, disabled := set.Snapshot(); disabled != 1 {
+	ctx := NewContext()
+	ctx.RF = set
+	if disabled := recorded(ctx).RFDisabled; disabled != 1 {
 		t.Fatalf("disabled count %d, want 1", disabled)
 	}
 	// A disabled filter stops charging membership tests.
@@ -204,8 +206,8 @@ func TestRuntimeFilterExactAcrossSelectivity(t *testing.T) {
 			if tc.name == "selective" && units >= baseUnits {
 				t.Fatalf("selective filter did not pay: filtered %v >= unfiltered %v", units, baseUnits)
 			}
-			if _, tested, dropped, _ := ctx.RF.Snapshot(); tested == 0 || (tc.name == "selective" && dropped == 0) {
-				t.Fatalf("filter inactive: tested=%d dropped=%d", tested, dropped)
+			if rec := recorded(ctx); rec.RFTested == 0 || (tc.name == "selective" && rec.RFDropped == 0) {
+				t.Fatalf("filter inactive: tested=%d dropped=%d", rec.RFTested, rec.RFDropped)
 			}
 		})
 	}
@@ -331,7 +333,7 @@ func TestPropertyRuntimeFiltersExact(t *testing.T) {
 						cfg.name, mem, q, len(got), len(want))
 				}
 				if ctx.RF != nil {
-					_, _, d, _ := ctx.RF.Snapshot()
+					d := recorded(ctx).RFDropped
 					dropped += d
 				}
 			}

@@ -121,11 +121,9 @@ func runSerialCell(t *testing.T, root plan.Node, rf bool, dop, budget int, sched
 		t.Fatal(err)
 	}
 	out := serialRun{rows: rows, hash: types.HashRows(rows), units: ctx.Clock.UnitsScaled(), mem: strings.Join(mem, ",")}
-	p, r, pg, d, f := ctx.Spill.Snapshot()
-	out.spill = fmt.Sprintf("%d/%d/%d/%d/%d", p, r, pg, d, f)
-	if ctx.RF != nil {
-		_, _, _, out.disabled = ctx.RF.Snapshot()
-	}
+	rec := recorded(ctx)
+	out.spill = fmt.Sprintf("%d/%d/%d/%d/%d", rec.SpillParts, rec.SpillRows, rec.SpillPages, rec.SpillDepth, rec.SpillFallbacks)
+	out.disabled = rec.RFDisabled
 	return out
 }
 

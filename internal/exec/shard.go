@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"rqp/internal/obs"
 	"rqp/internal/plan"
 	"rqp/internal/storage"
 )
@@ -242,50 +243,9 @@ func (s *ShuffleStats) netFallback() {
 	}
 }
 
-// ShuffleSnapshot is a point-in-time copy of ShuffleStats for results,
-// metrics and bench output. ShardUnits is the main-clock cost each shard
-// performed (these sum into the query total); ShardExtra is the overhead
-// cost of rows shipped to that shard, which lives outside the main-clock
-// parity domain.
-type ShuffleSnapshot struct {
-	Shards           int       `json:"shards"`
-	RowsMoved        int64     `json:"rows_moved"`
-	RowsBroadcast    int64     `json:"rows_broadcast"`
-	HotKeys          int64     `json:"hot_keys"`
-	HotProbeDups     int64     `json:"hot_probe_dups"`
-	Degrades         int64     `json:"degrades"`
-	ColocatedJoins   int64     `json:"colocated_joins"`
-	RepartitionJoins int64     `json:"repartition_joins"`
-	BroadcastJoins   int64     `json:"broadcast_joins"`
-	ShardUnits       []float64 `json:"shard_units"`
-	ShardExtra       []float64 `json:"shard_extra"`
-
-	// Wire-accounting domain (zero unless a network transport ran).
-	Transport     string  `json:"transport,omitempty"`
-	NetFrames     int64   `json:"net_frames,omitempty"`
-	NetBytes      int64   `json:"net_bytes,omitempty"`
-	NetRowsRouted int64   `json:"net_rows_routed,omitempty"`
-	NetRowsWire   int64   `json:"net_rows_wire,omitempty"`
-	NetStalls     int64   `json:"net_stalls,omitempty"`
-	NetFallbacks  int64   `json:"net_fallbacks,omitempty"`
-	PeerFrames    []int64 `json:"peer_frames,omitempty"`
-	PeerBytes     []int64 `json:"peer_bytes,omitempty"`
-	PeerStalls    []int64 `json:"peer_stalls,omitempty"`
-}
-
-// Reconciled reports whether the wire accounting balances: every row handed
-// to the transport was carried by a frame that actually hit a socket. True
-// (vacuously) for local-only execution.
-func (sn ShuffleSnapshot) Reconciled() bool {
-	return sn.NetRowsRouted == sn.NetRowsWire
-}
-
-// Snapshot copies the stats. Nil-safe: returns a zero snapshot.
-func (s *ShuffleStats) Snapshot() ShuffleSnapshot {
-	if s == nil {
-		return ShuffleSnapshot{}
-	}
-	snap := ShuffleSnapshot{
+// record copies the stats into a statement's record.
+func (s *ShuffleStats) record() *obs.ShuffleRecord {
+	snap := &obs.ShuffleRecord{
 		Shards:           s.shards,
 		RowsMoved:        atomic.LoadInt64(&s.rowsMoved),
 		RowsBroadcast:    atomic.LoadInt64(&s.rowsBroadcast),

@@ -95,16 +95,6 @@ func (s *SpillStats) fallback() {
 	s.mu.Unlock()
 }
 
-// Snapshot returns (partitions, rows, pages, maxDepth, mergeFallbacks).
-func (s *SpillStats) Snapshot() (partitions, rows, pages, maxDepth, fallbacks int) {
-	if s == nil {
-		return 0, 0, 0, 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.partitions, s.rows, s.pages, s.maxDepth, s.mergeFallbacks
-}
-
 // spillEvent records a spill trace event (visible in EXPLAIN ANALYZE).
 func (ctx *Context) spillEvent(kind, format string, args ...any) {
 	if ctx.Trace != nil {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rqp/internal/catalog"
@@ -71,7 +72,7 @@ func TestMemBrokerSchedule(t *testing.T) {
 	if b := m.Budget(); b != 10 {
 		t.Fatalf("budget after schedule = %d, want 10", b)
 	}
-	if m.Overcommits() == 0 {
+	if brokerRecord(m).Overcommits == 0 {
 		t.Fatal("floor grant past a shrunk budget must count as overcommit")
 	}
 	m.SetSchedule(nil)
@@ -152,7 +153,8 @@ func TestSpillJoinBuildOverBudget(t *testing.T) {
 		if gs := sortedRowStrings(got); fmt.Sprint(gs) != fmt.Sprint(wantS) {
 			t.Fatalf("dop=%d: spilled join diverges from unlimited run (%d vs %d rows)", dop, len(got), len(want))
 		}
-		parts, rows, pages, depth, _ := ctx.Spill.Snapshot()
+		rec := recorded(ctx)
+		parts, rows, pages, depth := rec.SpillParts, rec.SpillRows, rec.SpillPages, rec.SpillDepth
 		if parts == 0 || rows == 0 || pages == 0 {
 			t.Fatalf("dop=%d: expected spill activity, got parts=%d rows=%d pages=%d", dop, parts, rows, pages)
 		}
@@ -188,7 +190,7 @@ func TestSpillMergeFallback(t *testing.T) {
 	if fmt.Sprint(sortedRowStrings(got)) != fmt.Sprint(sortedRowStrings(want)) {
 		t.Fatalf("merge-fallback join diverges (%d vs %d rows)", len(got), len(want))
 	}
-	if _, _, _, _, fallbacks := ctx.Spill.Snapshot(); fallbacks == 0 {
+	if fallbacks := recorded(ctx).SpillFallbacks; fallbacks == 0 {
 		t.Fatal("expected at least one sort-merge fallback")
 	}
 }
@@ -204,7 +206,7 @@ func TestSpillEventsVisible(t *testing.T) {
 	if _, err := Run(root, ctx); err != nil {
 		t.Fatal(err)
 	}
-	if n := ctx.Trace.CountEvents("spill.partition"); n == 0 {
+	if !slices.ContainsFunc(ctx.Trace.Events(), func(e obs.Event) bool { return e.Kind == "spill.partition" }) {
 		t.Fatal("expected spill.partition trace events")
 	}
 }
@@ -260,7 +262,8 @@ func TestSpillSortTempRuns(t *testing.T) {
 			t.Fatal("spilled sort not ordered")
 		}
 	}
-	parts, _, pages, _, _ := ctx.Spill.Snapshot()
+	rec := recorded(ctx)
+	parts, pages := rec.SpillParts, rec.SpillPages
 	if parts == 0 || pages == 0 {
 		t.Fatalf("expected sort spill runs recorded, got parts=%d pages=%d", parts, pages)
 	}
@@ -310,7 +313,7 @@ func TestSpillAggSortedFallback(t *testing.T) {
 	if len(want) != 261 || fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("fallback returns %d groups, the resident table %d (want 261):\n%v\n%v", len(got), len(want), got, want)
 	}
-	if _, _, _, _, fallbacks := ctx.Spill.Snapshot(); fallbacks == 0 {
+	if fallbacks := recorded(ctx).SpillFallbacks; fallbacks == 0 {
 		t.Fatal("no partition took the sorted fallback")
 	}
 }

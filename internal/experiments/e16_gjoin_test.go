@@ -33,12 +33,20 @@ func TestGJoinSpillVisible(t *testing.T) {
 		if _, err := exec.Run(joinNode(plan.JoinGeneral, outer, "o", inner, "i", 20000), ctx); err != nil {
 			t.Fatal(err)
 		}
-		parts, rows, pages, depth, _ := ctx.Spill.Snapshot()
+		var rec obs.QueryRecord
+		ctx.Record(&rec)
+		parts, rows, pages, depth := rec.SpillParts, rec.SpillRows, rec.SpillPages, rec.SpillDepth
 		if parts != tc.parts || rows != tc.rows || pages != tc.pages || depth != 0 {
 			t.Errorf("inner=%d: spill %d partitions, %d rows, %d pages at depth %d; want %d, %d, %d at 0",
 				tc.inner, parts, rows, pages, depth, tc.parts, tc.rows, tc.pages)
 		}
-		if n := ctx.Trace.CountEvents("spill.partition"); n != 1 {
+		n := 0
+		for _, e := range ctx.Trace.Events() {
+			if e.Kind == "spill.partition" {
+				n++
+			}
+		}
+		if n != 1 {
 			t.Errorf("inner=%d: %d spill.partition events, want 1", tc.inner, n)
 		}
 		if u := ctx.Clock.UnitsScaled(); u != tc.units {

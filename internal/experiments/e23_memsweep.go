@@ -58,10 +58,10 @@ func MemSweep(scale float64) (*Report, []MemSweepPoint, error) {
 		if err != nil {
 			return err
 		}
-		parts, srows, pages, depth, fb := got.ctx.Spill.Snapshot()
 		points = append(points, MemSweepPoint{
-			Budget: k.MemBudgetRows, Units: got.cost(), Partitions: parts, SpillRows: srows,
-			SpillPages: pages, MaxDepth: depth, Fallbacks: fb, Match: same(&floatCanon, ref, got),
+			Budget: k.MemBudgetRows, Units: got.cost(), Partitions: got.rec.SpillParts, SpillRows: got.rec.SpillRows,
+			SpillPages: got.rec.SpillPages, MaxDepth: got.rec.SpillDepth, Fallbacks: got.rec.SpillFallbacks,
+			Match: same(&floatCanon, ref, got),
 		})
 		return nil
 	})
@@ -86,7 +86,7 @@ func MemSweep(scale float64) (*Report, []MemSweepPoint, error) {
 		return nil, nil, err
 	}
 	dopMatch := same(&floatCanon, dopRef, dopGot)
-	dopParts, _, _, _, _ := dopGot.ctx.Spill.Snapshot()
+	dopParts := dopGot.rec.SpillParts
 
 	r := newReport("E23", "memory-degradation sweep (robustness map)")
 	r.Printf("%10s %12s %6s %8s %7s %6s %5s %6s",

@@ -63,10 +63,7 @@ func FilterSweep(scale float64) (*Report, []FilterSweepPoint, error) {
 		base, got := runs[0], runs[1]
 		p := FilterSweepPoint{Sel: sel, Unfiltered: base.cost(), Filtered: got.cost(), Ratio: base.cost() / got.cost(),
 			Match: same(&floatCanon, base, got)}
-		if got.ctx.RF != nil {
-			built, tested, dropped, disabled := got.ctx.RF.Snapshot()
-			p.Built, p.Tested, p.Dropped, p.Disabled = int(built), int(tested), int(dropped), int(disabled)
-		}
+		p.Built, p.Tested, p.Dropped, p.Disabled = int(got.rec.RFBuilt), int(got.rec.RFTested), int(got.rec.RFDropped), int(got.rec.RFDisabled)
 		points = append(points, p)
 		return nil
 	})

@@ -128,7 +128,7 @@ func ColumnarSweep(scale float64) (*Report, []ColumnarSweepPoint, error) {
 		points = append(points, ColumnarSweepPoint{
 			Encoding: a.encoding, Sel: sel,
 			HeapUnits: heap.cost(), ColUnits: col.cost(), Ratio: heap.cost() / col.cost(),
-			BlocksSkipped: int(col.ctx.ColBlocksSkipped), BlocksScanned: int(col.ctx.ColBlocksScanned),
+			BlocksSkipped: int(col.rec.ColBlocksSkipped), BlocksScanned: int(col.rec.ColBlocksScanned),
 			Match: same(&floatCanon, heap, col),
 		})
 		return nil

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"rqp/internal/exec"
+	"rqp/internal/obs"
 	"rqp/internal/plan"
 	"rqp/internal/workload"
 )
@@ -51,7 +52,7 @@ func shardWorkers(spec string) (w []float64) {
 // shard's local+overhead units over its worker count. Returns makespan,
 // worst and mean shard units. A run with no shard units is fully serial:
 // makespan == total.
-func shardMakespan(total float64, s exec.ShuffleSnapshot, workers []float64) (makespan, worst, mean float64) {
+func shardMakespan(total float64, s obs.ShuffleRecord, workers []float64) (makespan, worst, mean float64) {
 	if len(s.ShardUnits) == 0 {
 		return total, total, total
 	}
@@ -137,12 +138,12 @@ func shardMatrix(scale, skewOverride float64) []shardCell {
 // shardRun executes the shard-join query of one cell serially and on its
 // shards, their exchanges carried by transport (nil: in process), and folds
 // the two runs into a point plus the sharded run's shuffle statistics.
-func shardRun(c shardCell, transport exec.ShuffleTransport, floatCanon *int) (ShardSweepPoint, exec.ShuffleSnapshot, error) {
+func shardRun(c shardCell, transport exec.ShuffleTransport, floatCanon *int) (ShardSweepPoint, obs.ShuffleRecord, error) {
 	p := ShardSweepPoint{
 		Section: c.section, Shards: c.shards, Skew: c.wcfg.Skew,
 		HotSplit: !c.noHotSplit, Workers: c.workers, Mode: "serial",
 	}
-	var s exec.ShuffleSnapshot
+	var s obs.ShuffleRecord
 	cat, err := workload.BuildShardJoin(c.wcfg)
 	if err != nil {
 		return p, s, err
@@ -164,8 +165,8 @@ func shardRun(c shardCell, transport exec.ShuffleTransport, floatCanon *int) (Sh
 	if err != nil {
 		return p, s, fmt.Errorf("%s shards=%d: %w", c.section, c.shards, err)
 	}
-	if res.ctx.Shuffle != nil {
-		s = res.ctx.Shuffle.Snapshot()
+	if res.rec.Shuffle != nil {
+		s = *res.rec.Shuffle
 	}
 	p.TotalUnits = res.cost()
 	p.ResultExact = same(floatCanon, serial, res)

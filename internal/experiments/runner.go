@@ -7,6 +7,7 @@ import (
 	"rqp/internal/catalog"
 	"rqp/internal/core"
 	"rqp/internal/exec"
+	"rqp/internal/obs"
 	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/sql"
@@ -49,14 +50,16 @@ func sqls(texts ...string) (out []stmt) {
 }
 
 // run is what statements executed under one configuration left behind. Its
-// context holds the spill, runtime-filter, columnar and shuffle counters.
+// record holds the spill, runtime-filter, columnar and shuffle counters of
+// all of them, as exec.Context.Record fills them.
 type run struct {
 	units  int64       // cost in storage.ClockScale sub-units
 	rows   []types.Row // every statement's rows, in order
 	hash   uint64      // types.HashRows(rows)
 	plans  []plan.Node // the executed plans: every node's estimated and actual rows
 	reopts int
-	ctx    *exec.Context
+	dop    int // the context's DOP after the last statement
+	rec    obs.QueryRecord
 }
 
 func (r *run) cost() float64 { return float64(r.units) / storage.ClockScale }
@@ -77,7 +80,7 @@ func execute(cat *catalog.Catalog, k core.Config, stmts ...stmt) (*run, error) {
 	ctx := exec.NewContext()
 	ctx.Mem = exec.NewMemBroker(k.MemBudgetRows)
 	ctx.DOP = k.DOP
-	r := &run{ctx: ctx}
+	r := &run{}
 	for _, s := range stmts {
 		o := opt.New(cat)
 		o.Opt = k.Options
@@ -108,7 +111,8 @@ func execute(cat *catalog.Catalog, k core.Config, stmts ...stmt) (*run, error) {
 		}
 		r.rows, r.plans = append(r.rows, rows...), append(r.plans, root)
 	}
-	r.units, r.hash = ctx.Clock.UnitsScaled(), types.HashRows(r.rows)
+	r.units, r.hash, r.dop = ctx.Clock.UnitsScaled(), types.HashRows(r.rows), ctx.DOP
+	ctx.Record(&r.rec)
 	return r, nil
 }
 
@@ -160,7 +164,7 @@ func same(floatCanon *int, ref, got *run) bool {
 // reassociates reports whether the run's float sums may have been added in
 // another order than one worker's unspilled pass adds them.
 func (r *run) reassociates() bool {
-	if parts, _, _, _, _ := r.ctx.Spill.Snapshot(); parts > 0 {
+	if r.rec.SpillParts > 0 {
 		return true
 	}
 	agg := false
@@ -170,7 +174,7 @@ func (r *run) reassociates() bool {
 			agg = agg || ok
 		})
 	}
-	return agg && r.ctx.DOP > 1
+	return agg && r.dop > 1
 }
 
 // axis is one dimension of a sweep: its values, and how a value sets a

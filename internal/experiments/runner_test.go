@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rqp/internal/core"
+	"rqp/internal/obs"
 	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/types"
@@ -73,8 +74,14 @@ func TestOneRunner(t *testing.T) {
 
 // TestRunnerRunsEnginePolicies: on E18's trapped star workload, execute
 // runs each of the engine's policies as core.Attach(cat, k).Exec does — the
-// same cost units, row hash and re-optimizations, POP's charges included —
-// and a field of k it does not run under is an error, not ignored.
+// same cost units and re-optimizations as the records the engine's query log
+// received, the same row hash, POP's charges included — and a field of k it
+// does not run under is an error, not ignored.
+// recordSink adapts a function to a query log sink.
+type recordSink func(obs.QueryRecord)
+
+func (f recordSink) WriteQuery(rec obs.QueryRecord) { f(rec) }
+
 func TestRunnerRunsEnginePolicies(t *testing.T) {
 	sc := workload.DefaultStar()
 	sc.FactRows = 7500
@@ -86,20 +93,28 @@ func TestRunnerRunsEnginePolicies(t *testing.T) {
 	for _, p := range []core.ExecPolicy{core.PolicyClassic, core.PolicyPOP, core.PolicyPOPEager, core.PolicyRio} {
 		k := defaults()
 		k.Policy = p
+		// The engine's side is what its query log received: one record a
+		// statement.
+		var logged []obs.QueryRecord
 		eng := core.Attach(cat, k)
+		eng.Lifecycle.SetSink(recordSink(func(rec obs.QueryRecord) { logged = append(logged, rec) }))
 		reopts := 0
 		for i, q := range queries {
 			got, err := execute(cat, k, sqls(q.SQL)...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := eng.Exec(q.SQL)
+			res, err := eng.Exec(q.SQL)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.cost() != want.Cost || got.hash != types.HashRows(want.Rows) || got.reopts != want.Reopts {
+			if len(logged) != i+1 {
+				t.Fatalf("%s q%d: the query log holds %d records", p, i, len(logged))
+			}
+			want := logged[i]
+			if got.cost() != want.Cost || got.hash != types.HashRows(res.Rows) || got.reopts != want.Reopts {
 				t.Errorf("%s q%d: runner %.6f units, hash %x, %d reopts; engine %.6f, %x, %d",
-					p, i, got.cost(), got.hash, got.reopts, want.Cost, types.HashRows(want.Rows), want.Reopts)
+					p, i, got.cost(), got.hash, got.reopts, want.Cost, types.HashRows(res.Rows), want.Reopts)
 			}
 			reopts += got.reopts
 		}
@@ -189,7 +204,7 @@ func TestSameHashesRowsExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parts, _, _, _, _ := spilled.ctx.Spill.Snapshot(); parts == 0 {
+	if spilled.rec.SpillParts == 0 {
 		t.Fatal("the 16-row budget did not spill")
 	}
 	plannedAt(spilled, 16)

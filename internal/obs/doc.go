@@ -11,6 +11,10 @@
 // (mem.*), and graceful-degradation activity (spill.* — partitions spilled,
 // recursion depth, sort-merge fallbacks), all rendered by EXPLAIN ANALYZE.
 //
+// Each top-level statement has one QueryRecord, filled once as it ends;
+// QueryRegistry.Finish feeds it to /queries, the rqp_* metrics and the
+// QuerySink, and Trace.Summarize to the summary events.
+//
 // The Dagstuhl report's position is that robustness must be measured, not
 // assumed — this package is where the measurements live.
 package obs

@@ -38,9 +38,9 @@ func TestDebugMuxQueries(t *testing.T) {
 	qr := NewQueryRegistry(4, m)
 	mux := NewDebugMux(m, qr)
 
-	live := qr.Begin("SELECT live", "pop")
+	live := begin(qr, nil, "SELECT live", "pop")
 	live.SetPhase(PhaseRunning)
-	qr.Finish(qr.Begin("SELECT gone", "classic"), nil, QueryRecord{Rows: 2})
+	finish(qr, begin(qr, nil, "SELECT gone", "classic"), nil, QueryRecord{RowCount: 2})
 
 	code, body := get(t, mux, "/queries")
 	if code != http.StatusOK {
@@ -59,7 +59,7 @@ func TestDebugMuxQueries(t *testing.T) {
 	if len(resp.Recent) != 1 || resp.Recent[0].SQL != "SELECT gone" || resp.Recent[0].Outcome != "done" {
 		t.Fatalf("recent = %+v", resp.Recent)
 	}
-	qr.Finish(live, nil, QueryRecord{})
+	finish(qr, live, nil, QueryRecord{})
 }
 
 func TestDebugMuxTrace(t *testing.T) {
@@ -72,8 +72,7 @@ func TestDebugMuxTrace(t *testing.T) {
 	n := fakeNode("Scan(r)", 10)
 	tr.AddFragment(n)
 	tr.SpanOf(n).Finish(10)
-	q := qr.Begin("SELECT traced", "classic")
-	q.AttachTrace(tr)
+	q := begin(qr, tr, "SELECT traced", "classic")
 
 	code, body := get(t, mux, "/trace/1")
 	if code != http.StatusOK {
@@ -88,7 +87,7 @@ func TestDebugMuxTrace(t *testing.T) {
 	if code, _ := get(t, mux, "/trace/bogus"); code != http.StatusBadRequest {
 		t.Fatalf("/trace/bogus status = %d, want 400", code)
 	}
-	qr.Finish(q, nil, QueryRecord{})
+	finish(qr, q, nil, QueryRecord{})
 }
 
 func TestDebugMuxNilRegistries(t *testing.T) {

@@ -12,13 +12,30 @@ import (
 )
 
 // funcSink adapts a function to a query sink.
-type funcSink func(rec *QueryRecord)
+type funcSink func(rec QueryRecord)
 
-func (f funcSink) WriteQuery(rec *QueryRecord) { f(rec) }
+func (f funcSink) WriteQuery(rec QueryRecord) { f(rec) }
+
+// begin registers a new statement with r, traced by tr when non-nil.
+func begin(r *QueryRegistry, tr *Trace, sql, policy string) *QueryState {
+	q := &QueryState{}
+	r.Begin(q, tr, sql, policy)
+	return q
+}
+
+// finish gives q's record the engine's numbers in eng (the ones these tests
+// set), finishes q with err, and returns the completed record. The record's
+// identity is left alone: pollers read it concurrently.
+func finish(r *QueryRegistry, q *QueryState, err error, eng QueryRecord) QueryRecord {
+	rec := &q.Record
+	rec.RowCount, rec.Cost, rec.Reopts, rec.SpillParts, rec.SpillRows = eng.RowCount, eng.Cost, eng.Reopts, eng.SpillParts, eng.SpillRows
+	r.Finish(q, err)
+	return *rec
+}
 
 func TestPhaseForwardOnly(t *testing.T) {
 	r := NewQueryRegistry(4, nil)
-	q := r.Begin("SELECT 1", "classic")
+	q := begin(r, nil, "SELECT 1", "classic")
 	if q.Phase() != PhaseQueued {
 		t.Fatalf("new query phase = %s, want queued", q.Phase())
 	}
@@ -34,7 +51,7 @@ func TestPhaseForwardOnly(t *testing.T) {
 	if q.Phase() >= PhaseDone {
 		t.Fatal("spilling must not be terminal")
 	}
-	r.Finish(q, nil, QueryRecord{})
+	finish(r, q, nil, QueryRecord{})
 	if q.Phase() != PhaseDone {
 		t.Fatalf("finished phase = %s, want done", q.Phase())
 	}
@@ -43,20 +60,20 @@ func TestPhaseForwardOnly(t *testing.T) {
 func TestFinishOutcomes(t *testing.T) {
 	r := NewQueryRegistry(8, nil)
 
-	ok := r.Finish(r.Begin("SELECT 1", "classic"), nil, QueryRecord{Rows: 3})
-	if ok.Outcome != "done" || ok.Rows != 3 {
+	ok := finish(r, begin(r, nil, "SELECT 1", "classic"), nil, QueryRecord{RowCount: 3})
+	if ok.Outcome != "done" || ok.RowCount != 3 {
 		t.Fatalf("success record = %+v", ok)
 	}
 
-	bad := r.Finish(r.Begin("SELECT broken", "classic"), errors.New("boom"), QueryRecord{})
+	bad := finish(r, begin(r, nil, "SELECT broken", "classic"), errors.New("boom"), QueryRecord{})
 	if bad.Outcome != "failed" || bad.Error != "boom" {
 		t.Fatalf("failure record = %+v", bad)
 	}
 
-	rej := r.Begin("SELECT 1", "classic")
+	rej := begin(r, nil, "SELECT 1", "classic")
 	rej.SetPhase(PhaseRejected)
 	// A rejection is an error exit too, but Rejected must stick.
-	rec := r.Finish(rej, errors.New("admission rejected"), QueryRecord{})
+	rec := finish(r, rej, errors.New("admission rejected"), QueryRecord{})
 	if rec.Outcome != "rejected" {
 		t.Fatalf("rejected outcome = %q", rec.Outcome)
 	}
@@ -69,7 +86,7 @@ func TestFinishOutcomes(t *testing.T) {
 func TestRegistryRingAndRecent(t *testing.T) {
 	r := NewQueryRegistry(3, nil)
 	for i := 0; i < 5; i++ {
-		r.Finish(r.Begin(fmt.Sprintf("SELECT %d", i), "classic"), nil, QueryRecord{Rows: i})
+		finish(r, begin(r, nil, fmt.Sprintf("SELECT %d", i), "classic"), nil, QueryRecord{RowCount: i})
 	}
 	recent := r.Recent()
 	if len(recent) != 3 {
@@ -90,14 +107,14 @@ func TestRegistryMetricsAndSink(t *testing.T) {
 	r.now = func() time.Time { return base }
 
 	var logged []QueryRecord
-	r.SetSink(funcSink(func(rec *QueryRecord) { logged = append(logged, *rec) }))
+	r.SetSink(funcSink(func(rec QueryRecord) { logged = append(logged, rec) }))
 
-	q := r.Begin("SELECT 1", "pop")
+	q := begin(r, nil, "SELECT 1", "pop")
 	if got := m.Gauge("rqp_queries_active").Value(); got != 1 {
 		t.Fatalf("active gauge = %v, want 1", got)
 	}
 	base = base.Add(250 * time.Millisecond)
-	r.Finish(q, nil, QueryRecord{Rows: 7, CostUnits: 12.5, SpillParts: 2})
+	finish(r, q, nil, QueryRecord{RowCount: 7, Cost: 12.5, SpillParts: 2})
 
 	if got := m.Gauge("rqp_queries_active").Value(); got != 0 {
 		t.Fatalf("active gauge after finish = %v, want 0", got)
@@ -112,20 +129,18 @@ func TestRegistryMetricsAndSink(t *testing.T) {
 		t.Fatalf("sink received %d records, want 1", len(logged))
 	}
 	rec := logged[0]
-	if rec.DurationMS != 250 || rec.CostUnits != 12.5 || rec.SpillParts != 2 {
+	if rec.DurationMS != 250 || rec.Cost != 12.5 || rec.SpillParts != 2 {
 		t.Fatalf("sink record = %+v", rec)
 	}
 }
 
 func TestActiveProgressFromTrace(t *testing.T) {
 	r := NewQueryRegistry(4, nil)
-	q := r.Begin("SELECT * FROM r", "classic")
-
 	clock := storage.NewClock(storage.DefaultCostModel())
 	tr := NewTrace(clock)
 	scan := fakeNode("Scan(r)", 100)
 	tr.AddFragment(scan)
-	q.AttachTrace(tr)
+	q := begin(r, tr, "SELECT * FROM r", "classic")
 	q.SetPhase(PhaseRunning)
 
 	snap := func() ActiveQuery {
@@ -161,7 +176,7 @@ func TestActiveProgressFromTrace(t *testing.T) {
 
 func TestActiveUntracedProgressSentinel(t *testing.T) {
 	r := NewQueryRegistry(4, nil)
-	r.Begin("SELECT 1", "classic")
+	begin(r, nil, "SELECT 1", "classic")
 	act := r.Active()
 	if len(act) != 1 || act[0].Progress != -1 {
 		t.Fatalf("untraced active = %+v, want progress -1", act)
@@ -173,13 +188,12 @@ func TestTraceOf(t *testing.T) {
 	clock := storage.NewClock(storage.DefaultCostModel())
 	tr := NewTrace(clock)
 
-	q := r.Begin("SELECT 1", "classic")
-	q.AttachTrace(tr)
-	if r.TraceOf(q.id) != tr {
+	q := begin(r, tr, "SELECT 1", "classic")
+	if r.TraceOf(q.Record.ID) != tr {
 		t.Fatal("active trace not found by ID")
 	}
-	r.Finish(q, nil, QueryRecord{})
-	if r.TraceOf(q.id) != tr {
+	finish(r, q, nil, QueryRecord{})
+	if r.TraceOf(q.Record.ID) != tr {
 		t.Fatal("completed trace not retained in ring")
 	}
 	if r.TraceOf(9999) != nil {
@@ -190,12 +204,12 @@ func TestTraceOf(t *testing.T) {
 func TestBeginTruncatesSQL(t *testing.T) {
 	r := NewQueryRegistry(2, nil)
 	long := strings.Repeat("x", 2048)
-	q := r.Begin(long, "classic")
+	q := begin(r, nil, long, "classic")
 	act := r.Active()
 	if len(act) != 1 || len(act[0].SQL) >= 1024 {
 		t.Fatalf("SQL not truncated: %d bytes", len(act[0].SQL))
 	}
-	r.Finish(q, nil, QueryRecord{})
+	finish(r, q, nil, QueryRecord{})
 }
 
 // TestRegistryConcurrent exercises Begin/Finish/phase transitions against
@@ -227,9 +241,9 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(w int) {
 			defer workers.Done()
 			for i := 0; i < 200; i++ {
-				q := r.Begin(fmt.Sprintf("SELECT %d", i), "classic")
+				q := begin(r, nil, fmt.Sprintf("SELECT %d", i), "classic")
 				q.SetPhase(PhaseRunning)
-				r.Finish(q, nil, QueryRecord{Rows: i})
+				finish(r, q, nil, QueryRecord{RowCount: i})
 			}
 		}(w)
 	}

@@ -17,10 +17,10 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 
 	reg := NewQueryRegistry(4, nil)
 	reg.SetSink(sink)
-	reg.Finish(reg.Begin("SELECT a FROM r", "classic"), nil, QueryRecord{
-		Rows: 5, CostUnits: 42.5, SpillParts: 3, SpillRows: 120, Reopts: 1,
+	finish(reg, begin(reg, nil, "SELECT a FROM r", "classic"), nil, QueryRecord{
+		RowCount: 5, Cost: 42.5, SpillParts: 3, SpillRows: 120, Reopts: 1,
 	})
-	reg.Finish(reg.Begin("SELECT b FROM s", "pop"), nil, QueryRecord{Rows: 1})
+	finish(reg, begin(reg, nil, "SELECT b FROM s", "pop"), nil, QueryRecord{RowCount: 1})
 	if err := closer.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("log holds %d records, want 2", len(recs))
 	}
-	if recs[0].SQL != "SELECT a FROM r" || recs[0].CostUnits != 42.5 ||
+	if recs[0].SQL != "SELECT a FROM r" || recs[0].Cost != 42.5 ||
 		recs[0].SpillParts != 3 || recs[0].Outcome != "done" {
 		t.Fatalf("first record = %+v", recs[0])
 	}

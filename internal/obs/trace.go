@@ -193,13 +193,12 @@ type Event struct {
 
 // Trace collects one query's spans and events.
 type Trace struct {
-	mu         sync.Mutex
-	clock      *storage.Clock
-	roots      []*Span
-	spans      map[plan.Node]*Span
-	events     []Event
-	kindCounts map[string]int
-	onEvent    func(kind string)
+	mu      sync.Mutex
+	clock   *storage.Clock
+	roots   []*Span
+	spans   map[plan.Node]*Span
+	events  []Event
+	onEvent func(kind string)
 }
 
 // SetOnEvent installs an observer invoked (outside the trace lock) with
@@ -214,7 +213,7 @@ func (t *Trace) SetOnEvent(fn func(kind string)) {
 // NewTrace returns a trace timestamping events on the given clock (nil is
 // allowed; events are then stamped at 0).
 func NewTrace(clock *storage.Clock) *Trace {
-	return &Trace{clock: clock, spans: map[plan.Node]*Span{}, kindCounts: map[string]int{}}
+	return &Trace{clock: clock, spans: map[plan.Node]*Span{}}
 }
 
 // AddFragment builds a span tree mirroring the plan fragment and registers
@@ -262,7 +261,6 @@ func (t *Trace) Event(kind, detail string) {
 	}
 	t.mu.Lock()
 	t.events = append(t.events, Event{At: at, Kind: kind, Detail: detail})
-	t.kindCounts[kind]++
 	hook := t.onEvent
 	t.mu.Unlock()
 	if hook != nil {
@@ -277,35 +275,29 @@ func (t *Trace) Events() []Event {
 	return append([]Event(nil), t.events...)
 }
 
-// CountEvents returns how many events of the given kind were recorded.
-// O(1): the per-kind counter is maintained as events land, because hot
-// summary paths consult counts per query.
-func (t *Trace) CountEvents(kind string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.kindCounts[kind]
-}
-
-// QErrorGeomean returns the geometric mean q-error over all finished spans
-// (0 when nothing finished) — the per-query headline number benchmarks track.
-func (t *Trace) QErrorGeomean() float64 {
-	t.mu.Lock()
-	spans := make([]*Span, 0, len(t.spans))
-	for _, s := range t.spans {
-		spans = append(spans, s)
+// Summarize records the summary events of a finished statement's record:
+// columnar blocks skipped and scanned, shuffle totals (and wire totals when
+// a network transport ran) and runtime-filter totals, each only when the
+// statement had such activity.
+func (t *Trace) Summarize(rec *QueryRecord) {
+	if rec.ColBlocksSkipped+rec.ColBlocksScanned+rec.ColHeapPages > 0 {
+		t.Event("columnar.summary", fmt.Sprintf("blocks_skipped=%d blocks_scanned=%d heap_pages=%d",
+			rec.ColBlocksSkipped, rec.ColBlocksScanned, rec.ColHeapPages))
 	}
-	t.mu.Unlock()
-	logSum, n := 0.0, 0
-	for _, s := range spans {
-		if q := s.QError(); q > 0 {
-			logSum += math.Log(q)
-			n++
+	if s := rec.Shuffle; s != nil {
+		t.Event("shuffle.summary", fmt.Sprintf(
+			"shards=%d moved=%d broadcast=%d hot_keys=%d hot_dups=%d degrades=%d",
+			s.Shards, s.RowsMoved, s.RowsBroadcast, s.HotKeys, s.HotProbeDups, s.Degrades))
+		if s.Transport != "" && s.Transport != "local" {
+			t.Event("shuffle.net", fmt.Sprintf(
+				"transport=%s frames=%d bytes=%d rows_routed=%d rows_wire=%d stalls=%d reconciled=%v",
+				s.Transport, s.NetFrames, s.NetBytes, s.NetRowsRouted, s.NetRowsWire, s.NetStalls, s.Reconciled()))
 		}
 	}
-	if n == 0 {
-		return 0
+	if rec.RFBuilt > 0 {
+		t.Event("rf.summary", fmt.Sprintf("built=%d tested=%d dropped=%d disabled=%d",
+			rec.RFBuilt, rec.RFTested, rec.RFDropped, rec.RFDisabled))
 	}
-	return math.Exp(logSum / float64(n))
 }
 
 // Render formats the trace as an EXPLAIN ANALYZE tree: one line per

@@ -119,7 +119,7 @@ func TestKillWorkerMidQuery(t *testing.T) {
 	if len(rs.Rows) != 1 {
 		t.Fatalf("recovery query returned %d rows, want 1", len(rs.Rows))
 	}
-	if _, rejected, active, _ := admit.Stats(); active != 0 || rejected != 0 {
+	if active, rejected := admit.Active(), srv.cfg.Engine.Metrics.Counter("rqp_wlm_rejected_total").Value(); active != 0 || rejected != 0 {
 		t.Fatalf("admission gate dirty after recovery: active=%d rejected=%d", active, rejected)
 	}
 }
@@ -164,12 +164,11 @@ func TestDisconnectAbortsShuffle(t *testing.T) {
 	// still be inside it while the slot is held).
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if _, _, active, _ := admit.Stats(); active == 0 {
+		if admit.Active() == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			_, _, active, _ := admit.Stats()
-			t.Fatalf("disconnected query still holds %d admission slot(s)", active)
+			t.Fatalf("disconnected query still holds %d admission slot(s)", admit.Active())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

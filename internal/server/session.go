@@ -211,7 +211,7 @@ func (st *resultStream) Row(r types.Row) error {
 func (st *resultStream) describe(cols []string) {
 	if !st.described {
 		st.described = true
-		st.s.send(MsgRowDesc, RowDescMsg{Columns: cols})
+		send(st.s, MsgRowDesc, RowDescMsg{Columns: cols})
 	}
 }
 
@@ -267,8 +267,10 @@ func (s *session) runStatement(sqlText string, params []types.Value) {
 // outside a result stream, are otherwise ignored: the read side will
 // observe the dead connection and tear the session down.
 
-// send puts one message on the buffered writer.
-func (s *session) send(typ byte, m Encoder) {
+// send puts one message on the buffered writer. It takes the message's own
+// type, not an Encoder: a frame the session sends is not boxed onto the
+// heap on its way out.
+func send[M Encoder](s *session, typ byte, m M) {
 	s.enc.beginFrame(typ)
 	m.encodeTo(&s.enc)
 	s.writeFrame()
@@ -298,7 +300,7 @@ func (s *session) flush() {
 // ready ends a command cycle: flushes pending frames and tells the client
 // the session is idle again.
 func (s *session) ready() error {
-	s.send(MsgReady, ReadyMsg{SessionID: s.id, Status: statusIdle})
+	send(s, MsgReady, ReadyMsg{SessionID: s.id, Status: statusIdle})
 	if err := s.bw.Flush(); err != nil {
 		return err
 	}
@@ -308,25 +310,25 @@ func (s *session) ready() error {
 // complete ends a successful statement: its tag, row count, cost units and
 // re-plans.
 func (s *session) complete(tag string, rows uint64, res *core.Result) {
-	s.send(MsgComplete, CompleteMsg{Tag: tag, Rows: rows, CostUnits: res.Cost, Reopts: uint32(res.Reopts)})
+	send(s, MsgComplete, CompleteMsg{Tag: tag, Rows: rows, CostUnits: res.Cost, Reopts: uint32(res.Reopts)})
 }
 
 // sendError reports a statement-level failure; the session stays usable.
 func (s *session) sendError(code, msg string) {
-	s.send(MsgError, ErrorMsg{Code: code, Message: msg})
+	send(s, MsgError, ErrorMsg{Code: code, Message: msg})
 }
 
 // notice sends an advisory frame immediately (flushed, not buffered until
 // statement end) — a queued client should see WLM_QUEUED while it waits,
 // not afterwards.
 func (s *session) notice(code, msg string) {
-	s.send(MsgNotice, NoticeMsg{Code: code, Message: msg})
+	send(s, MsgNotice, NoticeMsg{Code: code, Message: msg})
 	s.flush()
 }
 
 // fatal reports a protocol-level failure and is followed by connection
 // close: after a framing violation the stream cannot be trusted.
 func (s *session) fatal(msg string) {
-	s.send(MsgError, ErrorMsg{Code: CodeProto, Message: msg})
+	send(s, MsgError, ErrorMsg{Code: CodeProto, Message: msg})
 	s.flush()
 }

@@ -557,7 +557,8 @@ func TestAdmissionTimeoutRecordedOnce(t *testing.T) {
 
 // TestAdmissionQueueCancel cancels a statement while it waits for the only
 // slot: it ends with ERR_CANCELED long before the queue timeout, takes no
-// slot, and the session runs its next statement once the slot frees.
+// slot, is not counted as rejected, and the session runs its next statement
+// once the slot frees.
 func TestAdmissionQueueCancel(t *testing.T) {
 	env := newTestEnv(t, 1, time.Minute, nil)
 	adm := env.eng.Cfg.Admission
@@ -574,13 +575,17 @@ func TestAdmissionQueueCancel(t *testing.T) {
 		_, err := c2.Query("SELECT COUNT(*) FROM s")
 		errc <- err
 	}()
+	rejected := env.eng.Metrics.Counter("rqp_wlm_rejected_total")
 	waitFor(t, "the SELECT to queue", func() bool { _, depth, _ := adm.QueueStats(); return depth == 1 })
 	c2.Cancel()
 	if err := <-errc; !isCode(err, CodeCanceled) {
 		t.Fatalf("expected ERR_CANCELED, got %v", err)
 	}
-	if _, _, active, _ := adm.Stats(); active != 1 {
+	if active := adm.Active(); active != 1 {
 		t.Fatalf("active = %d after a canceled wait, want the 1 held slot", active)
+	}
+	if n := rejected.Value(); n != 0 {
+		t.Fatalf("a canceled wait counted %d rejection(s), want 0", n)
 	}
 	adm.Done()
 	if rs, err := c2.Query("SELECT COUNT(*) FROM s"); err != nil || rs.Rows[0][0].AsInt() != 50 {
@@ -647,6 +652,20 @@ func TestConcurrentClientsStress(t *testing.T) {
 		refs[k] = fp(env.eng.MustExec(queries[3], types.Int(int64(c*10))))
 	}
 
+	// The admission gate's held slots, sampled while the clients run.
+	peak, sampled := 0, make(chan struct{})
+	stop := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			peak = max(peak, env.eng.Cfg.Admission.Active())
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	errs := make(chan error, clients*queriesPerClient)
 	for i := 0; i < clients; i++ {
@@ -708,12 +727,13 @@ func TestConcurrentClientsStress(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	close(stop)
+	<-sampled
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
 
-	_, _, _, peak := env.eng.Cfg.Admission.Stats()
 	if peak > mpl {
 		t.Fatalf("admission peak %d exceeded MPL %d", peak, mpl)
 	}

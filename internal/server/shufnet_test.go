@@ -8,6 +8,7 @@ import (
 	"rqp/internal/catalog"
 	"rqp/internal/core"
 	"rqp/internal/exec"
+	"rqp/internal/obs"
 	"rqp/internal/opt"
 	"rqp/internal/plan"
 	"rqp/internal/sql"
@@ -148,10 +149,10 @@ func TestNetShuffleExactness(t *testing.T) {
 				if got.Cost != w.Cost {
 					t.Fatalf("%s %q: cost %v != serial %v", name, q, got.Cost, w.Cost)
 				}
-				if shards <= 1 || got.Shuffle == nil {
+				if shards <= 1 || got.Record.Shuffle == nil {
 					continue
 				}
-				sn := got.Shuffle
+				sn := got.Record.Shuffle
 				if sn.Degrades > 0 {
 					continue // no exchange opened; nothing on the wire to check
 				}
@@ -197,7 +198,9 @@ func TestNetShuffleNarrowPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return netRowsKey(&core.Result{Rows: rows}), ctx.Clock.UnitsScaled(), ctx.Shuffle.Snapshot().Transport
+		var rec obs.QueryRecord
+		ctx.Record(&rec)
+		return netRowsKey(&core.Result{Rows: rows}), ctx.Clock.UnitsScaled(), rec.Shuffle.Transport
 	}
 	for _, q := range netShufQueries[:netShufResidualQuery] {
 		for _, force := range []plan.ShuffleMode{plan.ShuffleNone, plan.ShuffleRepartition, plan.ShuffleBroadcast} {
@@ -265,7 +268,7 @@ func TestNetShuffleColocatedZeroBytes(t *testing.T) {
 			if netRowsKey(got) != netRowsKey(w) || got.Cost != w.Cost {
 				t.Fatalf("shards=%d %q: colocated join not exact over net transport", shards, q)
 			}
-			sn := got.Shuffle
+			sn := got.Record.Shuffle
 			if sn == nil || sn.ColocatedJoins == 0 {
 				t.Fatalf("shards=%d %q: expected colocated join, got %+v", shards, q, sn)
 			}
@@ -293,7 +296,7 @@ func TestNetShuffleFrameAmortization(t *testing.T) {
 		ShuffleTransport: NewNetShuffleTransport(addrs),
 	})
 	got := eng.MustExec(netShufQueries[0])
-	sn := got.Shuffle
+	sn := got.Record.Shuffle
 	if sn == nil || sn.Transport != "tcp" {
 		t.Fatalf("expected tcp shuffle, got %+v", sn)
 	}
@@ -331,7 +334,7 @@ func TestNetShuffleTooFewPeers(t *testing.T) {
 	if netRowsKey(got) != netRowsKey(w) || got.Cost != w.Cost {
 		t.Fatal("fallback join not exact")
 	}
-	sn := got.Shuffle
+	sn := got.Record.Shuffle
 	if sn == nil || sn.NetFallbacks == 0 || sn.Transport != "local" {
 		t.Fatalf("expected local fallback with too few peers, got %+v", sn)
 	}

@@ -91,8 +91,11 @@ func (h *Heap) Insert(clk *Clock, r types.Row) RID {
 }
 
 // newPage returns an empty page laid out as the last one, or with no value
-// yet for the first, and room for as many strings a slot as r has. Its slab
-// comes with its first row.
+// yet for the first, and room for as many strings a slot as r has. A column
+// the last page keeps packed starts with no value instead when r's value in
+// it is not a NULL: its first row then lays it out as narrow as that value
+// needs, where a packed one would stay packed. Its slab comes with its first
+// row.
 func (h *Heap) newPage(r types.Row) *page {
 	strs := 0
 	for _, v := range r {
@@ -100,11 +103,18 @@ func (h *Heap) newPage(r types.Row) *page {
 			strs++
 		}
 	}
-	var cols []col
-	if n := len(h.pages); n > 0 {
-		cols = h.pages[n-1].cols
-	} else {
-		cols = make([]col, len(r))
+	n := len(h.pages)
+	if n == 0 {
+		return &page{cols: make([]col, len(r)), strs: make([]string, 0, PageRows*strs)}
+	}
+	cols, own := h.pages[n-1].cols, false
+	for c, l := range cols {
+		if l.width == types.PackedSize && r[c].K != types.KindNull {
+			if !own {
+				cols, own = slices.Clone(cols), true
+			}
+			cols[c] = col{}
+		}
 	}
 	return &page{cols: cols, strs: make([]string, 0, PageRows*strs)}
 }

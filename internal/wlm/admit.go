@@ -17,7 +17,8 @@ type MemReclaimable interface {
 // engine consults before running a query. It is the on-line counterpart of
 // SimulateProcessorSharing's MPL gate — same policy, applied to real
 // concurrent sessions instead of simulated jobs. Decisions are reported to
-// the caller so the observability layer can trace and count them.
+// the caller so the observability layer can trace and count them: the
+// engine's statement records, not the Admitter, hold the admission counts.
 //
 // With a memory pool configured (SetMemPool), the Admitter also arbitrates
 // workspace memory across the running mix: every attached query budget
@@ -28,15 +29,11 @@ type MemReclaimable interface {
 // management half of graceful degradation: admission keeps the mix feasible
 // while the spill machinery keeps every member of the mix correct.
 type Admitter struct {
-	mu          sync.Mutex
-	mpl         int // 0 = unlimited
-	active      int
-	peak        int
-	admitted    int64
-	rejected    int64
-	memPool     int // total workspace rows shared by running queries; 0 = none
-	attached    []MemReclaimable
-	memReclaims int64
+	mu       sync.Mutex
+	mpl      int // 0 = unlimited
+	active   int
+	memPool  int // total workspace rows shared by running queries; 0 = none
+	attached []MemReclaimable
 	// waiters are the statements parked in Admit, oldest first. Done hands
 	// a freed slot to waiters[0] instead of freeing it (FIFO — the
 	// arrival-order fairness a service layer needs so no statement starves
@@ -78,20 +75,18 @@ const cancelPoll = 10 * time.Millisecond
 // only way to wait: a free slot is taken at once; otherwise, with a positive
 // wait, the caller joins the FIFO queue, queued (if non-nil) is called once
 // with the queue depth, and Admit parks until Done hands it the freed slot
-// directly, wait elapses, or canceled (if non-nil) returns true. A timeout
-// counts as a rejection; a cancel does not. An admitted caller owes a Done.
+// directly, wait elapses, or canceled (if non-nil) returns true; either
+// way out returns a Decision that did not admit. An admitted caller owes a
+// Done.
 func (a *Admitter) Admit(wait time.Duration, canceled func() bool, queued func(depth int)) Decision {
 	a.mu.Lock()
 	if a.mpl <= 0 || a.active < a.mpl {
 		a.active++
-		a.admitted++
-		a.peak = max(a.peak, a.active)
 		d := Decision{Admitted: true, Active: a.active, MPL: a.mpl}
 		a.mu.Unlock()
 		return d
 	}
 	if wait <= 0 {
-		a.rejected++
 		d := Decision{Active: a.active, MPL: a.mpl}
 		a.mu.Unlock()
 		return d
@@ -115,14 +110,12 @@ func (a *Admitter) Admit(wait time.Duration, canceled func() bool, queued func(d
 		poll = t.C
 	}
 	handed := Decision{Admitted: true, Active: a.mpl, MPL: a.mpl} // the gate stays full
-	timedOut := false
 park:
 	for {
 		select {
 		case <-ch:
 			return handed
 		case <-timer.C:
-			timedOut = true
 			break park
 		case <-poll:
 			if canceled() {
@@ -135,9 +128,6 @@ park:
 	for i, cand := range a.waiters {
 		if cand == ch {
 			a.waiters = append(a.waiters[:i], a.waiters[i+1:]...)
-			if timedOut {
-				a.rejected++
-			}
 			return Decision{Active: a.active, MPL: a.mpl}
 		}
 	}
@@ -179,7 +169,6 @@ func (a *Admitter) Done() {
 	if len(a.waiters) > 0 {
 		close(a.waiters[0])
 		a.waiters = a.waiters[1:]
-		a.admitted++
 		return
 	}
 	if a.active > 0 {
@@ -195,12 +184,11 @@ func (a *Admitter) QueueStats() (queued int64, depth, peak int) {
 	return a.queued, len(a.waiters), a.queuePeak
 }
 
-// Stats reports lifetime admissions, rejections, current and peak
-// concurrency.
-func (a *Admitter) Stats() (admitted, rejected int64, active, peak int) {
+// Active reports the slots held now.
+func (a *Admitter) Active() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.admitted, a.rejected, a.active, a.peak
+	return a.active
 }
 
 // SetMemPool configures the total workspace memory (rows) shared by all
@@ -224,11 +212,6 @@ func (a *Admitter) AttachMem(m MemReclaimable) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.attached = append(a.attached, m)
-	if a.memPool > 0 && len(a.attached) > 1 {
-		// Every query already running held a larger share before this
-		// arrival; resetting it is a reclaim.
-		a.memReclaims += int64(len(a.attached) - 1)
-	}
 	a.rebalanceLocked()
 	if a.memPool <= 0 {
 		return 0
